@@ -1,9 +1,7 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -19,24 +17,36 @@ import (
 // TestByzantineNodeCannotForgeResults: the paper's security model says the
 // DSSP must be prevented from tampering with master data. A malicious node
 // that fabricates or corrupts an encrypted result cannot get it past the
-// client: the SIV authentication fails on decryption.
+// client: the SIV authentication fails on decryption. Nor can it hurt the
+// client with the envelope itself — a truncated body, another message's
+// kind tag, or trailing bytes are errors from the strict decoder, never
+// panics.
 func TestByzantineNodeCannotForgeResults(t *testing.T) {
 	app := apps.Toystore()
 	exps := map[string]template.Exposure{"Q2": template.ExpStmt} // results encrypted
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
 
-	// A node that answers every query with attacker-chosen bytes.
-	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		forged := QueryResponse{Result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, Hit: true}
-		var buf bytes.Buffer
-		_ = gob.NewEncoder(&buf).Encode(forged)
-		_, _ = w.Write(buf.Bytes())
-	}))
-	defer evil.Close()
-
-	client := NewClient(codec, evil.URL, evil.Client())
-	if _, err := client.Query(context.Background(), app.Query("Q2"), 5); err == nil {
-		t.Fatal("forged encrypted result accepted by the client")
+	forged := (&QueryResponse{Result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, Hit: true}).appendWire(nil)
+	bodies := map[string][]byte{
+		"well-formed envelope, attacker-chosen ciphertext": forged,
+		"truncated mid-ciphertext":                         forged[:len(forged)/2],
+		"truncated to the kind tag":                        forged[:1],
+		"empty":                                            nil,
+		"trailing byte":                                    append(append([]byte(nil), forged...), 0),
+		"wrong kind: an update ack":                        (&UpdateResponse{Affected: 1}).appendWire(nil),
+		"wrong kind: the home's answer":                    (&ExecQueryResponse{Result: wire.SealedResult{Cipher: []byte("x")}}).appendWire(nil),
+		"length past the end":                              {kindQueryResponse, 1, 0xff, 0xff, 0x03},
+	}
+	for name, body := range bodies {
+		evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", wireContentType)
+			_, _ = w.Write(body)
+		}))
+		client := NewClient(codec, evil.URL, evil.Client())
+		if _, err := client.Query(context.Background(), app.Query("Q2"), 5); err == nil {
+			t.Errorf("%s: accepted by the client", name)
+		}
+		evil.Close()
 	}
 }
 

@@ -4,11 +4,23 @@
 // topology — clients near a DSSP node, the node far from the home server —
 // becomes three processes connected by HTTP.
 //
-// Messages are the sealed types of package wire, gob-encoded. The node
-// never holds keys: it receives sealed queries, serves them from its cache
-// or forwards the opaque payload to the home server, and monitors
-// completed updates for invalidation, exactly as in the in-process
-// pathway.
+// Messages are the sealed types of package wire in the wire package's own
+// deterministic binary encoding, each under a one-byte kind tag
+// (message.go states the envelope grammar; wire/sealed.go the sealed-
+// message grammar it extends, which the migration stream of wire/bucket.go
+// shares). It is the only encoding on every hop — client → router → node →
+// home, the router's invalidation fan-out, node → replica, and the hub's
+// apply stream — and there is no negotiation or fallback. The node never
+// holds keys: it receives sealed queries, serves them from its cache or
+// forwards the opaque payload to the home server, and monitors completed
+// updates for invalidation, exactly as in the in-process pathway.
+//
+// What a sealed endpoint refuses, and how: a body whose Content-Type is
+// not application/x-dssp-wire is 415 (a mixed-version fleet fails loudly
+// instead of mis-decoding); a body over the endpoint's size bound is 413;
+// a body the strict decoder rejects, or a staleness header that is
+// present but not a number, is 400 — a garbled freshness floor must never
+// silently read as "no floor".
 //
 // Every process exposes GET /v1/metrics — a snapshot of its obs.Registry
 // in JSON (default) or the Prometheus text exposition format
@@ -20,7 +32,6 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -28,7 +39,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"dssp/internal/cache"
@@ -158,61 +168,41 @@ type ExecUpdateResponse struct {
 	Seq      uint64
 }
 
-// gobBufPool recycles the staging buffers gob encoding writes into, so
-// the per-request buffer (and its growth to the message size) is not
-// re-allocated on every exchange. Buffers that grew past maxPooledGobBuf
-// are dropped instead of pinned in the pool.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledGobBuf = 64 << 10
-
-func getGobBuf() *bytes.Buffer { return gobBufPool.Get().(*bytes.Buffer) }
-
-func putGobBuf(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledGobBuf {
-		return
+// seqHeader reads an optional sequence-number header: absent is 0, but
+// present and malformed is an error — the staleness headers carry
+// freshness floors and watermarks, and a garbled one read as 0 would
+// quietly permit exactly the stale read they exist to prevent. reg (nil
+// allowed) counts the malformed ones.
+func seqHeader(reg *obs.Registry, h http.Header, name string) (uint64, error) {
+	v := h.Get(name)
+	if v == "" {
+		return 0, nil
 	}
-	buf.Reset()
-	gobBufPool.Put(buf)
+	n, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, badHeader(reg, name, v)
+	}
+	return n, nil
 }
 
-// writeGob writes a gob response body. A failed Write means the client
-// saw a truncated response; that cannot be repaired at this point (the
-// status line is gone), but it must not be invisible — it is logged and
-// counted under http_write_errors in reg (nil skips the counter).
-func writeGob(reg *obs.Registry, w http.ResponseWriter, v any) {
-	buf := getGobBuf()
-	defer putGobBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+// badHeader counts and reports a staleness header that did not parse.
+func badHeader(reg *obs.Registry, name, v string) error {
+	if reg != nil {
+		reg.Counter(obs.MHTTPBadHeaders).Inc()
 	}
-	w.Header().Set("Content-Type", "application/x-gob")
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		slog.Warn("httpapi: response write failed", "bytes", buf.Len(), "err", err)
-		if reg != nil {
-			reg.Counter(obs.MHTTPWriteErrors).Inc()
-		}
-	}
+	return fmt.Errorf("httpapi: malformed %s header %q", name, v)
 }
 
-func readGob(r io.Reader, v any) error {
-	return gob.NewDecoder(r).Decode(v)
-}
-
-// post sends one gob request with the trace ID attached and decodes the
-// gob response. hdrs carries extra request headers (nil for none — e.g.
-// the confirmed-sequence staleness header on invalidation fan-out). The
+// post sends one hop request with the trace ID attached and decodes the
+// response. hdrs carries extra request headers (nil for none — e.g. the
+// confirmed-sequence staleness header on invalidation fan-out). The
 // context bounds the whole round trip. When idempotent is true (query
 // paths only), a connection-level error is retried once after a short
 // backoff — a response that arrived, whatever its status, is never
 // retried, and updates never are (a lost ack does not prove the update
 // was not applied). reg, when non-nil, counts retries.
-func post(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, req, resp any, idempotent bool, reg *obs.Registry) error {
-	body, err := encodeGob(req)
-	if err != nil {
-		return err
-	}
+func post(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, req, resp message, idempotent bool, reg *obs.Registry) error {
+	body := encodeMessage(req)
 	r, err := doPost(ctx, client, url, trace, parent, hdrs, body)
 	if err != nil && idempotent && ctx.Err() == nil {
 		if reg != nil {
@@ -230,24 +220,19 @@ func post(ctx context.Context, client *http.Client, url, trace, parent string, h
 	}
 	defer r.Body.Close()
 	if r.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096))
-		return fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(msg))
+		return statusError(url, r)
 	}
-	return readGob(r.Body, resp)
+	if err := decodeResponse(r, resp); err != nil {
+		return fmt.Errorf("httpapi: %s: response: %w", url, err)
+	}
+	return nil
 }
 
-// encodeGob stages the encoding in a pooled buffer and copies out a
-// right-sized body: the caller retains the bytes across retries, so they
-// cannot alias the recycled buffer.
-func encodeGob(v any) ([]byte, error) {
-	buf := getGobBuf()
-	defer putGobBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return nil, err
-	}
-	body := make([]byte, buf.Len())
-	copy(body, buf.Bytes())
-	return body, nil
+// statusError renders a non-200 response as an error, quoting the head of
+// its body.
+func statusError(url string, r *http.Response) error {
+	msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096)) // best effort: the status alone is the error
+	return fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(msg))
 }
 
 // doPost performs one HTTP exchange; the body is a byte slice so retries
@@ -257,7 +242,7 @@ func doPost(ctx context.Context, client *http.Client, url, trace, parent string,
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/x-gob")
+	hreq.Header.Set("Content-Type", wireContentType)
 	if trace != "" {
 		hreq.Header.Set(TraceHeader, trace)
 	}
@@ -272,11 +257,12 @@ func doPost(ctx context.Context, client *http.Client, url, trace, parent string,
 	return client.Do(hreq)
 }
 
-// postBytes sends one raw (non-gob) request body and returns the raw
-// response body. It is the migration stream's transport: bucket exports,
-// imports, and drops are all idempotent (exports copy, imports skip keys
-// the cache already holds, drops of an absent bucket are no-ops), so a
-// connection-level error is retried once like an idempotent query.
+// postBytes sends one raw request body and returns the raw response body
+// (at most maxBatchBytes of it). It is the migration stream's transport:
+// bucket exports, imports, and drops are all idempotent (exports copy,
+// imports skip keys the cache already holds, drops of an absent bucket
+// are no-ops), so a connection-level error is retried once like an
+// idempotent query.
 func postBytes(ctx context.Context, client *http.Client, url string, body []byte, reg *obs.Registry) ([]byte, error) {
 	do := func() (*http.Response, error) {
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
@@ -302,11 +288,14 @@ func postBytes(ctx context.Context, client *http.Client, url string, body []byte
 		return nil, err
 	}
 	defer r.Body.Close()
-	raw, rerr := io.ReadAll(r.Body)
 	if r.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(raw))
+		return nil, statusError(url, r)
 	}
-	return raw, rerr
+	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
+	if err == nil && len(raw) > maxBatchBytes {
+		err = errTooLarge
+	}
+	return raw, err
 }
 
 // MetricsHandler serves a registry snapshot: JSON by default, Prometheus
@@ -449,8 +438,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(home.Tracer().Store()))
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
-		if err := readGob(r.Body, &sq); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 			return
 		}
 		res, empty, scanned, err := home.ExecQuery(sq)
@@ -458,12 +446,11 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeGob(home.Obs(), w, ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
+		writeMessage(home.Obs(), w, &ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
 	})
 	mux.HandleFunc("POST "+PathExecUpdate, func(w http.ResponseWriter, r *http.Request) {
 		var su wire.SealedUpdate
-		if err := readGob(r.Body, &su); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 			return
 		}
 		n, seq, err := home.ExecUpdate(su)
@@ -471,7 +458,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeGob(home.Obs(), w, ExecUpdateResponse{Affected: n, Seq: seq})
+		writeMessage(home.Obs(), w, &ExecUpdateResponse{Affected: n, Seq: seq})
 	})
 	if hub != nil {
 		mux.HandleFunc("POST "+PathReplicaRegister, func(w http.ResponseWriter, r *http.Request) {
@@ -523,13 +510,13 @@ type httpTransport struct {
 
 func (t httpTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
 	var exec ExecQueryResponse
-	err := post(ctx, t.client, t.homeURL+PathExecQuery, sq.TraceID, sq.ParentSpan, nil, sq, &exec, true, t.reg)
+	err := post(ctx, t.client, t.homeURL+PathExecQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &exec, true, t.reg)
 	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned}, err)
 }
 
 func (t httpTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
 	var exec ExecUpdateResponse
-	err := post(ctx, t.client, t.homeURL+PathExecUpdate, su.TraceID, su.ParentSpan, nil, su, &exec, false, t.reg)
+	err := post(ctx, t.client, t.homeURL+PathExecUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &exec, false, t.reg)
 	done(pipeline.ExecUpdateResult{Affected: exec.Affected, Seq: exec.Seq}, err)
 }
 
@@ -614,7 +601,7 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 		if p < len(replicas) && len(replicas[p]) > 0 {
 			eps := make([]pipeline.ReplicaEndpoint, len(replicas[p]))
 			for i, ru := range replicas[p] {
-				eps[i] = pipeline.ReplicaEndpoint{Name: ru, Backend: replicaProxy{url: ru, part: p, client: client}}
+				eps[i] = pipeline.ReplicaEndpoint{Name: ru, Backend: replicaProxy{url: ru, part: p, client: client, reg: reg}}
 			}
 			tr = pipeline.NewReplicaSet(tr, eps, popts.Fresh, reg)
 		}
@@ -667,8 +654,7 @@ func spanParent(sealed string, r *http.Request) string {
 
 func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var sq wire.SealedQuery
-	if err := readGob(r.Body, &sq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 		return
 	}
 	sq.TraceID = trace(sq.TraceID, r)
@@ -678,7 +664,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, QueryResponse{Result: reply.Result, Hit: reply.Hit})
+	writeMessage(s.Reg, w, &QueryResponse{Result: reply.Result, Hit: reply.Hit})
 }
 
 // handleInvalidate monitors an update that was already confirmed at the
@@ -688,8 +674,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 // current batch when a monitoring interval is configured.
 func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -698,12 +683,16 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	// sequence; it raises this node's freshness floor (when the node
 	// fronts replicas) before invalidation runs, so no later miss is
 	// served by a replica that hasn't applied the update.
-	seq, _ := strconv.ParseUint(r.Header.Get(ConfirmSeqHeader), 10, 64)
+	seq, err := seqHeader(s.Reg, r.Header, ConfirmSeqHeader)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	ch := make(chan int, 1)
 	s.Pipe.MonitorUpdate(su, seq, func(invalidated int) { ch <- invalidated })
 	select {
 	case n := <-ch:
-		writeGob(s.Reg, w, InvalidateResponse{Invalidated: n})
+		writeMessage(s.Reg, w, &InvalidateResponse{Invalidated: n})
 	case <-r.Context().Done():
 		http.Error(w, r.Context().Err().Error(), http.StatusGatewayTimeout)
 	}
@@ -711,15 +700,15 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 
 // handleBucketExport streams the named template buckets' sealed entries
 // out for a warm handoff. The request body is a wire template-ID list,
-// the response the wire migration encoding — no gob, no keys, nothing
-// the node did not already hold sealed.
+// the response the wire migration encoding — no keys, nothing the node
+// did not already hold sealed.
 func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body := getBuf()
+	defer putBuf(body)
+	if !readBody(w, r, maxMessageBytes, body) {
 		return
 	}
-	ids, err := wire.DecodeTemplateIDs(body)
+	ids, err := wire.DecodeTemplateIDs(body.b)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -734,12 +723,12 @@ func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) 
 
 // handleBucketImport takes migrated sealed entries into the node's cache.
 func (s *NodeServer) handleBucketImport(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body := getBuf()
+	defer putBuf(body)
+	if !readBody(w, r, maxBatchBytes, body) {
 		return
 	}
-	entries, err := wire.DecodeBucketEntries(body)
+	entries, err := wire.DecodeBucketEntries(body.b)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -750,12 +739,12 @@ func (s *NodeServer) handleBucketImport(w http.ResponseWriter, r *http.Request) 
 
 // handleBucketDrop removes migrated buckets after the epoch flip.
 func (s *NodeServer) handleBucketDrop(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	body := getBuf()
+	defer putBuf(body)
+	if !readBody(w, r, maxMessageBytes, body) {
 		return
 	}
-	ids, err := wire.DecodeTemplateIDs(body)
+	ids, err := wire.DecodeTemplateIDs(body.b)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -777,8 +766,7 @@ func (s *NodeServer) handleDecisions(w http.ResponseWriter, _ *http.Request) {
 
 func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -788,7 +776,7 @@ func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
+	writeMessage(s.Reg, w, &UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
 }
 
 // Client is the trusted application side talking to a remote DSSP node:
@@ -831,7 +819,7 @@ func (c *Client) Query(ctx context.Context, t *template.Template, params ...inte
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
 	var resp QueryResponse
-	if err := post(ctx, c.HTTP, c.NodeURL+PathQuery, sq.TraceID, sq.ParentSpan, nil, sq, &resp, true, c.Tracer.Registry()); err != nil {
+	if err := post(ctx, c.HTTP, c.NodeURL+PathQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &resp, true, c.Tracer.Registry()); err != nil {
 		return nil, err
 	}
 	op := c.Tracer.Start(sq.TraceID, obs.StageOpen, t.ID)
@@ -861,7 +849,7 @@ func (c *Client) Update(ctx context.Context, t *template.Template, params ...int
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
 	var resp UpdateResponse
-	if err := post(ctx, c.HTTP, c.NodeURL+PathUpdate, su.TraceID, su.ParentSpan, nil, su, &resp, false, c.Tracer.Registry()); err != nil {
+	if err := post(ctx, c.HTTP, c.NodeURL+PathUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &resp, false, c.Tracer.Registry()); err != nil {
 		return 0, 0, err
 	}
 	return resp.Affected, resp.Invalidated, nil

@@ -178,13 +178,13 @@ func TestNetworkErrors(t *testing.T) {
 func TestNodeRejectsGarbage(t *testing.T) {
 	client, _, done := stack(t, nil)
 	defer done()
-	resp, err := http.Post(client.NodeURL+PathQuery, "application/x-gob", nil)
+	resp, err := http.Post(client.NodeURL+PathQuery, wireContentType, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		t.Error("empty body accepted")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("empty body answered %s, want 400", resp.Status)
 	}
 }
 
@@ -196,7 +196,7 @@ func TestMetricsEndpointReplacesStats(t *testing.T) {
 	if _, err := client.Query(context.Background(), app.Query("Q2"), 5); err != nil {
 		t.Fatal(err)
 	}
-	// The gob stats endpoint is gone.
+	// The stats endpoint is gone.
 	resp, err := http.Get(client.NodeURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

@@ -25,8 +25,8 @@ type ReplicaRegisterRequest struct {
 }
 
 // ReplicaApplyRequest is one confirmed-update batch pushed from the
-// primary's hub to a replica, gob-encoded like the sealed traffic it
-// carries.
+// primary's hub to a replica, in the hop encoding of the sealed traffic
+// it carries (message.go).
 type ReplicaApplyRequest struct {
 	Batch []homeserver.Confirmed
 }
@@ -58,11 +58,14 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(rep.Tracer().Store()))
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
-		if err := readGob(r.Body, &sq); err != nil {
+		if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
+			return
+		}
+		minSeq, err := seqHeader(rep.Obs(), r.Header, MinSeqHeader)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		minSeq, _ := strconv.ParseUint(r.Header.Get(MinSeqHeader), 10, 64)
 		if applied := rep.Applied(); applied < minSeq {
 			// The node's freshness floor is ahead of this replica: refuse
 			// rather than serve a result that predates an update the node
@@ -85,12 +88,11 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 		// above, so the header never claims more freshness than the
 		// result has.
 		w.Header().Set(AppliedHeader, strconv.FormatUint(rep.Applied(), 10))
-		writeGob(rep.Obs(), w, ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
+		writeMessage(rep.Obs(), w, &ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
 	})
 	mux.HandleFunc("POST "+PathReplicaApply, func(w http.ResponseWriter, r *http.Request) {
 		var req ReplicaApplyRequest
-		if err := readGob(r.Body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readMessage(w, r, maxBatchBytes, &req) {
 			return
 		}
 		if err := rep.ApplyBatch(req.Batch); err != nil {
@@ -100,7 +102,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeGob(rep.Obs(), w, ReplicaApplyResponse{Applied: rep.Applied()})
+		writeMessage(rep.Obs(), w, &ReplicaApplyResponse{Applied: rep.Applied()})
 	})
 	mux.HandleFunc("GET "+PathReplicaStatus, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -242,6 +244,7 @@ func (h *ReplicaHub) run(st *replicaStream) {
 		}
 		batch := h.log[st.acked:]
 		h.mu.Unlock()
+		batch = fitApplyBatch(batch)
 
 		applied, err := h.push(st.url, batch)
 		if err != nil {
@@ -264,13 +267,32 @@ func (h *ReplicaHub) run(st *replicaStream) {
 	}
 }
 
+// fitApplyBatch trims batch to the longest prefix whose encoding fits one
+// apply body. The replica bounds what it reads, and the unacknowledged
+// suffix is unbounded (a late joiner is owed the whole log), so the hub
+// sends it in pieces; the acknowledged watermark moves the next piece up.
+// At least one update is kept: one too large for any body fails loudly at
+// the replica rather than stalling silently here.
+func fitApplyBatch(batch []homeserver.Confirmed) []homeserver.Confirmed {
+	wb := getBuf()
+	defer putBuf(wb)
+	size := 1 // the kind tag
+	for i := range batch {
+		wb.b = appendConfirmed(wb.b[:0], &batch[i])
+		if size += len(wb.b); size > maxBatchBytes && i > 0 {
+			return batch[:i]
+		}
+	}
+	return batch
+}
+
 // push sends one batch to a replica's apply endpoint and returns the
 // acknowledged watermark.
 func (h *ReplicaHub) push(url string, batch []homeserver.Confirmed) (uint64, error) {
 	var resp ReplicaApplyResponse
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 	defer cancel()
-	err := post(ctx, h.client, url+PathReplicaApply, "", "", nil, ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
+	err := post(ctx, h.client, url+PathReplicaApply, "", "", nil, &ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -339,45 +361,48 @@ func (h *ReplicaHub) Close() {
 // pipeline.LagError carrying the replica's applied watermark and home
 // partition (from the response headers; the configured part is the
 // fallback for replicas predating the partition header); transport
-// errors are returned as-is. No retry — the replica set's primary
+// errors are returned as-is, and so is a watermark or partition header
+// that is present but not a number (counted in reg) — the replica set
+// treats it like any failed call. No retry — the replica set's primary
 // fallback is the retry.
 type replicaProxy struct {
 	url    string
 	part   int
 	client *http.Client
+	reg    *obs.Registry
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
-	body, err := encodeGob(sq)
-	if err != nil {
-		done(pipeline.ExecQueryResult{}, err)
-		return
-	}
+	exec, applied, err := p.queryAt(ctx, sq, minSeq)
+	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned, Applied: applied}, err)
+}
+
+func (p replicaProxy) queryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64) (exec ExecQueryResponse, applied uint64, err error) {
+	url := p.url + PathExecQuery
 	hdrs := http.Header{MinSeqHeader: []string{strconv.FormatUint(minSeq, 10)}}
-	r, err := doPost(ctx, p.client, p.url+PathExecQuery, sq.TraceID, sq.ParentSpan, hdrs, body)
+	r, err := doPost(ctx, p.client, url, sq.TraceID, sq.ParentSpan, hdrs, encodeMessage((*queryMsg)(&sq)))
 	if err != nil {
-		done(pipeline.ExecQueryResult{}, err)
-		return
+		return exec, 0, err
 	}
 	defer r.Body.Close()
-	applied, _ := strconv.ParseUint(r.Header.Get(AppliedHeader), 10, 64)
-	if r.StatusCode == http.StatusConflict {
+	if applied, err = seqHeader(p.reg, r.Header, AppliedHeader); err != nil {
+		return exec, 0, err
+	}
+	switch r.StatusCode {
+	case http.StatusOK:
+		if err := decodeResponse(r, &exec); err != nil {
+			return exec, 0, fmt.Errorf("httpapi: %s: response: %w", url, err)
+		}
+		return exec, applied, nil
+	case http.StatusConflict:
 		part := p.part
 		if v := r.Header.Get(PartitionHeader); v != "" {
-			part, _ = strconv.Atoi(v)
+			if part, err = strconv.Atoi(v); err != nil || part < 0 {
+				return exec, 0, badHeader(p.reg, PartitionHeader, v)
+			}
 		}
-		done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: applied, Want: minSeq, Part: part})
-		return
+		return exec, 0, &pipeline.LagError{Applied: applied, Want: minSeq, Part: part}
+	default:
+		return exec, 0, statusError(url, r)
 	}
-	if r.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096))
-		done(pipeline.ExecQueryResult{}, fmt.Errorf("httpapi: %s%s: %s: %s", p.url, PathExecQuery, r.Status, msg))
-		return
-	}
-	var exec ExecQueryResponse
-	if err := readGob(r.Body, &exec); err != nil {
-		done(pipeline.ExecQueryResult{}, err)
-		return
-	}
-	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned, Applied: applied}, nil)
 }

@@ -26,15 +26,14 @@ func (s *ackingApplySink) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathReplicaApply, func(w http.ResponseWriter, r *http.Request) {
 		var req ReplicaApplyRequest
-		if err := readGob(r.Body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readMessage(w, r, maxBatchBytes, &req) {
 			return
 		}
 		s.applies.Add(1)
 		if n := len(req.Batch); n > 0 {
 			s.acked.Store(req.Batch[n-1].Seq)
 		}
-		writeGob(nil, w, ReplicaApplyResponse{Applied: s.acked.Load()})
+		writeMessage(nil, w, &ReplicaApplyResponse{Applied: s.acked.Load()})
 	})
 	return mux
 }

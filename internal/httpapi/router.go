@@ -37,7 +37,7 @@ func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy 
 // Query proxies a sealed query to the node.
 func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
 	var resp QueryResponse
-	err := post(ctx, p.Client, p.URL+PathQuery, sq.TraceID, sq.ParentSpan, nil, sq, &resp, true, p.Reg)
+	err := post(ctx, p.Client, p.URL+PathQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &resp, true, p.Reg)
 	return resp.Result, resp.Hit, err
 }
 
@@ -45,7 +45,7 @@ func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedR
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
 	var resp UpdateResponse
-	err := post(ctx, p.Client, p.URL+PathUpdate, su.TraceID, su.ParentSpan, nil, su, &resp, false, p.Reg)
+	err := post(ctx, p.Client, p.URL+PathUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &resp, false, p.Reg)
 	return resp.Affected, resp.Invalidated, resp.Seq, err
 }
 
@@ -56,13 +56,13 @@ func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, 
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
 	var resp InvalidateResponse
 	hdrs := http.Header{ConfirmSeqHeader: []string{strconv.FormatUint(seq, 10)}}
-	err := post(ctx, p.Client, p.URL+PathInvalidate, su.TraceID, su.ParentSpan, hdrs, su, &resp, true, p.Reg)
+	err := post(ctx, p.Client, p.URL+PathInvalidate, su.TraceID, su.ParentSpan, hdrs, (*updateMsg)(&su), &resp, true, p.Reg)
 	return resp.Invalidated, err
 }
 
 // ExportBuckets pulls the named template buckets' sealed entries from the
 // node for a warm handoff. Request and response are the raw wire
-// migration encoding, not gob.
+// migration encoding (wire/bucket.go).
 func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error) {
 	raw, err := postBytes(ctx, p.Client, p.URL+PathBucketExport, wire.AppendTemplateIDs(nil, templateIDs), p.Reg)
 	if err != nil {
@@ -199,8 +199,7 @@ func (s *RouterServer) Handler() http.Handler {
 
 func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var sq wire.SealedQuery
-	if err := readGob(r.Body, &sq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 		return
 	}
 	sq.TraceID = trace(sq.TraceID, r)
@@ -210,13 +209,12 @@ func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, QueryResponse{Result: reply.Result, Hit: reply.Hit})
+	writeMessage(s.Reg, w, &QueryResponse{Result: reply.Result, Hit: reply.Hit})
 }
 
 func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -226,7 +224,7 @@ func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
+	writeMessage(s.Reg, w, &UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
 }
 
 // RingJoinRequest admits a node process into the ring by its base URL.

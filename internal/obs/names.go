@@ -68,9 +68,14 @@ const (
 
 	// HTTP deployment error counters, registered lazily on first error:
 	// response writes that failed mid-body (the client saw a truncated
-	// gob) and idempotent-query retries after connection errors.
+	// message, which its strict decoder rejects), idempotent-query retries
+	// after connection errors, and staleness headers (confirm/min sequence,
+	// replica watermark, partition) that were present but not a number —
+	// refused with 400 by a server, returned as an error by a client, never
+	// read as 0.
 	MHTTPWriteErrors = "dssp_http_write_errors_total"
 	MHTTPRetries     = "dssp_http_retries_total"
+	MHTTPBadHeaders  = "dssp_http_bad_headers_total"
 
 	// Shard-router instruments. fanout_nodes is a histogram of how many
 	// nodes each update actually touched (execution plus pruned

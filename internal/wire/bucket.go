@@ -3,9 +3,6 @@ package wire
 import (
 	"encoding/binary"
 	"math"
-
-	"dssp/internal/sqlparse"
-	"dssp/internal/template"
 )
 
 // Migration stream encoding: when ring membership changes, the moved
@@ -16,16 +13,11 @@ import (
 // would not already leak. Trace metadata (TraceID/ParentSpan) is
 // per-request observability and deliberately does not travel.
 //
-// Wire grammar (reusing the canonical value encoding of values.go):
+// Wire grammar (query and result are the sealed-message grammar of
+// sealed.go, the query in its NoTrace form):
 //
 //	entries = uvarint(n) entry*
-//	entry   = byte(exposure) str(templateID) uvarint(group)
-//	          uvarint(nparams) value* str(key) str(opaque)
-//	          result uvarint(ordinal)
-//	result  = 0x00                      (none)
-//	        | 0x01 str(cipher)          (sealed result)
-//	        | 0x02 str(result-encoding) (view-exposure plaintext)
-//	str     = uvarint(len) bytes
+//	entry   = query result uvarint(ordinal)
 //	ids     = uvarint(n) str*
 
 // BucketEntry is one sealed cache entry in flight between nodes during a
@@ -38,44 +30,21 @@ type BucketEntry struct {
 	Ordinal int
 }
 
-// AppendBucketEntries appends the migration encoding of entries to dst,
-// staging variable-length parts in pooled scratch.
+// minEntryBytes is the shortest entry encoding: one byte each for
+// exposure, templateID length, group, param count, key length, opaque
+// length, result tag, and ordinal.
+const minEntryBytes = 8
+
+// AppendBucketEntries appends the migration encoding of entries to dst.
 func AppendBucketEntries(dst []byte, entries []BucketEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(entries)))
-	eb := getBuf()
 	for i := range entries {
-		dst = appendBucketEntry(dst, eb, &entries[i])
+		e := &entries[i]
+		dst = AppendSealedQuery(dst, &e.Query, NoTrace)
+		dst = AppendSealedResult(dst, &e.Result)
+		dst = binary.AppendUvarint(dst, uint64(e.Ordinal))
 	}
-	putBuf(eb)
 	return dst
-}
-
-func appendBucketEntry(dst []byte, eb *encBuf, e *BucketEntry) []byte {
-	sq := &e.Query
-	dst = append(dst, byte(sq.Exposure))
-	dst = binary.AppendUvarint(dst, uint64(len(sq.TemplateID)))
-	dst = append(dst, sq.TemplateID...)
-	dst = binary.AppendUvarint(dst, uint64(sq.Group))
-	dst = binary.AppendUvarint(dst, uint64(len(sq.Params)))
-	dst = appendParams(dst, sq.Params)
-	dst = binary.AppendUvarint(dst, uint64(len(sq.Key)))
-	dst = append(dst, sq.Key...)
-	dst = binary.AppendUvarint(dst, uint64(len(sq.Opaque)))
-	dst = append(dst, sq.Opaque...)
-	switch {
-	case e.Result.Cipher != nil:
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(e.Result.Cipher)))
-		dst = append(dst, e.Result.Cipher...)
-	case e.Result.Result != nil:
-		dst = append(dst, 2)
-		eb.b = appendResult(eb.b[:0], e.Result.Result)
-		dst = binary.AppendUvarint(dst, uint64(len(eb.b)))
-		dst = append(dst, eb.b...)
-	default:
-		dst = append(dst, 0)
-	}
-	return binary.AppendUvarint(dst, uint64(e.Ordinal))
 }
 
 // DecodeBucketEntries decodes a migration stream. Everything returned is
@@ -85,13 +54,24 @@ func DecodeBucketEntries(b []byte) ([]BucketEntry, error) {
 	if err != nil {
 		return nil, errMalformed
 	}
-	entries := make([]BucketEntry, 0, n)
+	// An entry is at least minEntryBytes on the wire, which bounds what a
+	// forged count can make decode pre-allocate (an entry is ~25× that in
+	// memory, so the byte-per-element bound of decodeCount is too loose).
+	entries := make([]BucketEntry, 0, min(n, len(b)/minEntryBytes))
 	for i := 0; i < n; i++ {
-		var e BucketEntry
-		if e, b, err = decodeBucketEntry(b); err != nil {
+		entries = append(entries, BucketEntry{})
+		e := &entries[i]
+		if e.Query, b, err = DecodeSealedQuery(b, NoTrace); err != nil {
 			return nil, err
 		}
-		entries = append(entries, e)
+		if e.Result, b, err = DecodeSealedResult(b); err != nil {
+			return nil, err
+		}
+		ord, rest, err := Uvarint(b)
+		if err != nil || ord > math.MaxInt32 {
+			return nil, errMalformed
+		}
+		e.Ordinal, b = int(ord), rest
 	}
 	if len(b) != 0 {
 		return nil, errMalformed // trailing bytes: not a canonical encoding
@@ -99,84 +79,11 @@ func DecodeBucketEntries(b []byte) ([]BucketEntry, error) {
 	return entries, nil
 }
 
-func decodeBucketEntry(b []byte) (BucketEntry, []byte, error) {
-	var e BucketEntry
-	if len(b) == 0 {
-		return e, nil, errMalformed
-	}
-	e.Query.Exposure, b = template.Exposure(b[0]), b[1:]
-	var err error
-	if e.Query.TemplateID, b, err = decodeString(b); err != nil {
-		return e, nil, errMalformed
-	}
-	group, b, err := uvarint(b)
-	if err != nil || group > math.MaxInt32 {
-		return e, nil, errMalformed
-	}
-	e.Query.Group = int(group)
-	nparams, b, err := decodeCount(b)
-	if err != nil {
-		return e, nil, errMalformed
-	}
-	if nparams > 0 {
-		e.Query.Params = make([]sqlparse.Value, nparams)
-		for i := range e.Query.Params {
-			if e.Query.Params[i], b, err = decodeValue(b); err != nil {
-				return e, nil, errMalformed
-			}
-		}
-	}
-	if e.Query.Key, b, err = decodeString(b); err != nil {
-		return e, nil, errMalformed
-	}
-	var opaque string
-	if opaque, b, err = decodeString(b); err != nil {
-		return e, nil, errMalformed
-	}
-	if opaque != "" {
-		e.Query.Opaque = []byte(opaque)
-	}
-	if len(b) == 0 {
-		return e, nil, errMalformed
-	}
-	tag := b[0]
-	b = b[1:]
-	switch tag {
-	case 0:
-	case 1:
-		var cipher string
-		if cipher, b, err = decodeString(b); err != nil {
-			return e, nil, errMalformed
-		}
-		e.Result.Cipher = []byte(cipher)
-	case 2:
-		n, rest, err := uvarint(b)
-		if err != nil || n > uint64(len(rest)) {
-			return e, nil, errMalformed
-		}
-		res, err := decodeResult(rest[:n])
-		if err != nil {
-			return e, nil, errMalformed
-		}
-		e.Result.Result = res
-		b = rest[n:]
-	default:
-		return e, nil, errMalformed
-	}
-	ord, b, err := uvarint(b)
-	if err != nil || ord > math.MaxInt32 {
-		return e, nil, errMalformed
-	}
-	e.Ordinal = int(ord)
-	return e, b, nil
-}
-
 // AppendTemplateIDs appends a template-ID list (an export request body).
 func AppendTemplateIDs(dst []byte, ids []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = binary.AppendUvarint(dst, uint64(len(id)))
-		dst = append(dst, id...)
+		dst = appendString(dst, id)
 	}
 	return dst
 }

@@ -77,10 +77,12 @@ func appendValue(dst []byte, v sqlparse.Value) []byte {
 	return dst
 }
 
-// uvarint consumes one minimally-encoded uvarint. Rejecting non-minimal
-// forms (e.g. 0x80 0x00 for zero) keeps the accepted language canonical:
-// every valid encoding decodes to values that re-encode to exactly it.
-func uvarint(b []byte) (uint64, []byte, error) {
+// Uvarint consumes one minimally-encoded uvarint and returns the
+// remainder. Rejecting non-minimal forms (e.g. 0x80 0x00 for zero) keeps
+// the accepted language canonical: every valid encoding decodes to values
+// that re-encode to exactly it. Exported for the envelope codecs of
+// package httpapi, which extend this grammar and must share the rule.
+func Uvarint(b []byte) (uint64, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 || (w > 1 && n>>(7*(w-1)) == 0) {
 		return 0, nil, errMalformed
@@ -109,7 +111,7 @@ func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
 		}
 		return sqlparse.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
 	case sqlparse.KindString:
-		n, rest, err := uvarint(b)
+		n, rest, err := Uvarint(b)
 		if err != nil || n > uint64(len(rest)) {
 			return sqlparse.Value{}, nil, errMalformed
 		}
@@ -148,7 +150,7 @@ func appendPayload(dst []byte, templateID string, params []sqlparse.Value) []byt
 
 // decodeString consumes one uvarint-length-prefixed string.
 func decodeString(b []byte) (string, []byte, error) {
-	n, rest, err := uvarint(b)
+	n, rest, err := Uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
 		return "", nil, errMalformed
 	}
@@ -160,7 +162,7 @@ func decodeString(b []byte) (string, []byte, error) {
 // count is corrupt — rejecting it here keeps decode from pre-allocating
 // unbounded slices for forged payloads.
 func decodeCount(b []byte) (int, []byte, error) {
-	n, rest, err := uvarint(b)
+	n, rest, err := Uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
 		return 0, nil, errMalformed
 	}
@@ -244,7 +246,7 @@ func decodeResult(b []byte) (*engine.Result, error) {
 			r.Rows[i] = row
 		}
 	}
-	scanned, rest, err := uvarint(b)
+	scanned, rest, err := Uvarint(b)
 	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
 		return nil, errMalformed
 	}

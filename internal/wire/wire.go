@@ -31,6 +31,10 @@
 // now kind-tagged and length-delimited, which makes the whole encoding
 // injective by construction.
 //
+// The sealed messages themselves have one byte-stream form, built on the
+// same value encoding (sealed.go): package httpapi puts it on every HTTP
+// hop, and the migration stream (bucket.go) carries cache entries in it.
+//
 // All encode scratch comes from a package-level buffer pool; sealed
 // outputs (Opaque, Cipher, Key) are freshly allocated or immutable
 // strings, owned by the caller, and never alias pooled memory.

@@ -13,14 +13,19 @@ cd "$(dirname "$0")/.."
 
 command -v jq >/dev/null || { echo "alloc_smoke: jq is required" >&2; exit 1; }
 
-# -benchtime 200x is enough for the pools to reach steady state (the Go
-# bench framework warms each benchmark with shorter runs first) while
-# keeping the smoke fast.
-out=$(go test -run '^$' -bench 'BenchmarkSeal$|BenchmarkOpen$' -benchmem -benchtime 200x ./internal/encrypt)
-out+=$'\n'
-out+=$(go test -run '^$' -bench 'BenchmarkOnUpdateBatch' -benchmem -benchtime 200x ./internal/cache)
-out+=$'\n'
-out+=$(go test -run '^$' -bench 'BenchmarkRingOwner$' -benchmem -benchtime 200x ./internal/shard)
+# Which benchmarks to run, and in which packages, comes from the JSON: every
+# row under "measured" names its package, so a new gated benchmark is a new
+# row (plus its budget), not an edit here. Sub-benchmarks (Name/size=8) run
+# with their parent. -benchtime 200x is enough for the pools to reach steady
+# state (the Go bench framework warms each benchmark with shorter runs
+# first) while keeping the smoke fast.
+out=""
+while IFS=$'\t' read -r pkg pattern; do
+    out+=$(go test -run '^$' -bench "$pattern" -benchmem -benchtime 200x "$pkg")
+    out+=$'\n'
+done < <(jq -r '.measured | to_entries | group_by(.value.package)[]
+                | [.[0].value.package, "^(" + ([.[].key | split("/")[0]] | unique | join("|")) + ")$"]
+                | @tsv' BENCH_allocs.json)
 printf '%s\n' "$out"
 
 fail=0
