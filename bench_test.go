@@ -179,39 +179,36 @@ func benchDB(b *testing.B) *storage.Database {
 	return db
 }
 
-func BenchmarkEnginePointQuery(b *testing.B) {
+// benchRun compiles one bookstore query template the way the home server
+// does at start-up and measures Plan.Run, the per-miss cost.
+func benchRun(b *testing.B, id string, params ...sqlparse.Value) {
 	db := benchDB(b)
-	q := apps.NewBookstore().App().Query("Q5").Stmt.(*sqlparse.SelectStmt)
-	params := []sqlparse.Value{sqlparse.IntVal(7)}
+	p, err := engine.Compile(db.Schema, apps.NewBookstore().App().Query(id).Stmt.(*sqlparse.SelectStmt))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecQuery(db, q, params); err != nil {
+		if _, err := p.Run(db, params); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEngineIndexedJoin(b *testing.B) {
-	db := benchDB(b)
-	q := apps.NewBookstore().App().Query("Q6").Stmt.(*sqlparse.SelectStmt)
-	params := []sqlparse.Value{sqlparse.IntVal(7)}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecQuery(db, q, params); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkEnginePointQuery(b *testing.B)  { benchRun(b, "Q5", sqlparse.IntVal(7)) }
+func BenchmarkEngineIndexedJoin(b *testing.B) { benchRun(b, "Q6", sqlparse.IntVal(7)) }
+func BenchmarkEngineGroupByTopK(b *testing.B) { benchRun(b, "Q4") }
 
-func BenchmarkEngineGroupByTopK(b *testing.B) {
-	db := benchDB(b)
-	q := apps.NewBookstore().App().Query("Q4").Stmt.(*sqlparse.SelectStmt)
+// BenchmarkPlanCompile is what engine.ExecQuery pays per call on top of
+// Run, and the home server once per template.
+func BenchmarkPlanCompile(b *testing.B) {
+	app := apps.NewBookstore().App()
+	q := app.Query("Q6").Stmt.(*sqlparse.SelectStmt)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.ExecQuery(db, q, nil); err != nil {
+		if _, err := engine.Compile(app.Schema, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,228 +1,172 @@
 package engine
 
 import (
-	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
 )
 
-// aggregate evaluates aggregation/GROUP BY queries over the joined tuples.
-// Output columns follow the SELECT list: group-by columns pass through and
-// aggregates are computed per group. Without GROUP BY the whole input is a
-// single group (COUNT of an empty input is 0; other aggregates are NULL).
-// ORDER BY may reference group-by columns or aggregate aliases.
-func (ex *queryExec) aggregate(tuples []tuple) (*Result, error) {
-	type outCol struct {
-		agg     sqlparse.AggFunc
-		star    bool
-		sel     colSel // source column (unused for COUNT(*))
-		name    string
-		isGroup bool // passes through the group key
-	}
-	var outs []outCol
-	groupSels := make([]colSel, 0, len(ex.q.GroupBy))
-	for _, g := range ex.q.GroupBy {
-		rc, err := ex.res.Resolve(g)
-		if err != nil {
-			return nil, err
-		}
-		groupSels = append(groupSels, colSel{rc.FromIndex, rc.ColIndex})
-	}
-	isGroupCol := func(s colSel) bool {
-		for _, g := range groupSels {
-			if g == s {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range ex.q.Select {
-		name := e.Alias
-		if name == "" {
-			if e.Star {
-				name = "count"
-			} else {
-				name = e.Col.Column
-			}
-		}
-		oc := outCol{agg: e.Agg, star: e.Star, name: name}
-		if !e.Star {
-			rc, err := ex.res.Resolve(e.Col)
-			if err != nil {
-				return nil, err
-			}
-			oc.sel = colSel{rc.FromIndex, rc.ColIndex}
-		}
-		if e.Agg == sqlparse.AggNone {
-			if e.Star {
-				return nil, fmt.Errorf("engine: bare * cannot appear in an aggregate query")
-			}
-			if !isGroupCol(oc.sel) {
-				return nil, fmt.Errorf("engine: non-aggregated column %s must appear in GROUP BY", e.Col)
-			}
-			oc.isGroup = true
-		}
-		outs = append(outs, oc)
-	}
+// aggSink folds joined tuples into per-group accumulators as they arrive;
+// no tuple is kept. Groups are identified by storage.Key's encoding of
+// their GROUP BY values and listed in first-seen order. Without GROUP BY
+// the whole input is one group, which Run creates up front: it exists even
+// when the input is empty (COUNT of nothing is 0; the other aggregates are
+// NULL).
+type aggSink struct {
+	groups map[string]int32 // key encoding -> group number
+	keys   strings.Builder  // backing store of the map's keys
+	keyBuf []byte           // the current tuple's key
+	accs   []aggAcc         // len(plan.outs) accumulators per group
+}
 
-	// Group tuples. Without GROUP BY all tuples form one group keyed "".
-	type group struct {
-		key    []sqlparse.Value
-		tuples []tuple
-	}
-	order := make([]string, 0)
-	groups := make(map[string]*group)
-	for _, t := range tuples {
-		keyVals := make([]sqlparse.Value, len(groupSels))
-		for i, g := range groupSels {
-			keyVals[i] = t[g.fromIndex][g.colIndex]
+// aggAcc is the running state of one output column of one group.
+type aggAcc struct {
+	n        int64          // rows folded in: all of them for COUNT(*) and pass-through, else the non-NULL inputs
+	sum      float64        // SUM/AVG, accumulated in scan order
+	val      sqlparse.Value // MIN/MAX so far; a pass-through column's first-seen value
+	hasFloat bool           // some SUM input was not an integer
+}
+
+func (s *aggSink) add(p *Plan, tup []storage.Row) {
+	group := 0
+	if len(p.groupBy) > 0 {
+		key := s.keyBuf[:0]
+		for _, g := range p.groupBy {
+			key = storage.AppendKey(key, tup[g.from][g.col])
 		}
-		k := fingerprintVals(keyVals)
-		gr, ok := groups[k]
+		s.keyBuf = key
+		g, ok := s.groups[string(key)]
 		if !ok {
-			gr = &group{key: keyVals}
-			groups[k] = gr
-			order = append(order, k)
+			g = s.newGroup(key, len(p.outs))
 		}
-		gr.tuples = append(gr.tuples, t)
+		group = int(g)
 	}
-	if len(groupSels) == 0 && len(groups) == 0 {
-		k := ""
-		groups[k] = &group{}
-		order = append(order, k)
+	accs := s.accs[group*len(p.outs):][:len(p.outs)]
+	for i := range p.outs {
+		accs[i].add(&p.outs[i], tup)
 	}
-
-	out := &Result{}
-	for _, oc := range outs {
-		out.Columns = append(out.Columns, oc.name)
-	}
-	for _, k := range order {
-		gr := groups[k]
-		row := make([]sqlparse.Value, len(outs))
-		for i, oc := range outs {
-			if oc.isGroup {
-				row[i] = gr.tuples[0][oc.sel.fromIndex][oc.sel.colIndex]
-				continue
-			}
-			row[i] = computeAgg(oc.agg, oc.star, oc.sel, gr.tuples)
-		}
-		out.Rows = append(out.Rows, row)
-	}
-
-	if len(ex.q.OrderBy) > 0 {
-		keys, err := ex.aggOrderKeys(out)
-		if err != nil {
-			return nil, err
-		}
-		less := func(a, b []sqlparse.Value) bool {
-			for _, k := range keys {
-				c := a[k.col].Compare(b[k.col])
-				if c != 0 {
-					if k.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			// Canonical tie-break on the full output row (see plain()).
-			for i := range a {
-				if c := a[i].Compare(b[i]); c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		}
-		if ex.q.Limit >= 0 {
-			out.Rows = topK(out.Rows, ex.q.Limit, less)
-		} else {
-			sort.SliceStable(out.Rows, func(a, b int) bool { return less(out.Rows[a], out.Rows[b]) })
-		}
-	}
-	return out, nil
 }
 
-type aggOrderKey struct {
-	col  int
-	desc bool
+// newGroup registers a group under key. The map's key strings are slices
+// of one append-only builder, so a new group costs no allocation of its
+// own; bytes already written to a strings.Builder never change.
+func (s *aggSink) newGroup(key []byte, outs int) int32 {
+	if s.groups == nil {
+		s.groups = make(map[string]int32)
+	}
+	g := int32(len(s.groups))
+	off := s.keys.Len()
+	s.keys.Write(key)
+	s.groups[s.keys.String()[off:]] = g
+	s.accs = append(s.accs, make([]aggAcc, outs)...)
+	return g
 }
 
-// aggOrderKeys resolves ORDER BY keys of an aggregate query against the
-// output columns (group-by column names or aggregate aliases).
-func (ex *queryExec) aggOrderKeys(out *Result) ([]aggOrderKey, error) {
-	keys := make([]aggOrderKey, 0, len(ex.q.OrderBy))
-	for _, k := range ex.q.OrderBy {
-		ci := out.ColumnIndex(k.Col.Column)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: ORDER BY %s must name an output column of the aggregate query", k.Col)
-		}
-		keys = append(keys, aggOrderKey{ci, k.Desc})
+func (a *aggAcc) add(o *aggOut, tup []storage.Row) {
+	if o.star {
+		a.n++
+		return
 	}
-	return keys, nil
+	v := tup[o.src.from][o.src.col]
+	if o.agg == sqlparse.AggNone {
+		if a.n == 0 {
+			a.val = v
+		}
+		a.n++
+		return
+	}
+	if v.IsNull() {
+		return
+	}
+	a.n++
+	switch o.agg {
+	case sqlparse.AggMin:
+		if a.n == 1 || v.Compare(a.val) < 0 {
+			a.val = v
+		}
+	case sqlparse.AggMax:
+		if a.n == 1 || v.Compare(a.val) > 0 {
+			a.val = v
+		}
+	case sqlparse.AggSum, sqlparse.AggAvg:
+		if v.Kind != sqlparse.KindInt {
+			a.hasFloat = true
+		}
+		a.sum += v.AsFloat()
+	}
 }
 
-func computeAgg(agg sqlparse.AggFunc, star bool, sel colSel, tuples []tuple) sqlparse.Value {
-	if agg == sqlparse.AggCount {
-		if star {
-			return sqlparse.IntVal(int64(len(tuples)))
-		}
-		n := int64(0)
-		for _, t := range tuples {
-			if !t[sel.fromIndex][sel.colIndex].IsNull() {
-				n++
-			}
-		}
-		return sqlparse.IntVal(n)
-	}
-	var acc sqlparse.Value // NULL until a non-null input is seen
-	n := int64(0)
-	var sum float64
-	allInt := true
-	for _, t := range tuples {
-		v := t[sel.fromIndex][sel.colIndex]
-		if v.IsNull() {
-			continue
-		}
-		n++
-		switch agg {
-		case sqlparse.AggMin:
-			if acc.IsNull() || v.Compare(acc) < 0 {
-				acc = v
-			}
-		case sqlparse.AggMax:
-			if acc.IsNull() || v.Compare(acc) > 0 {
-				acc = v
-			}
-		case sqlparse.AggSum, sqlparse.AggAvg:
-			if v.Kind != sqlparse.KindInt {
-				allInt = false
-			}
-			sum += v.AsFloat()
-			acc = sqlparse.IntVal(0) // mark non-empty
-		}
-	}
-	switch agg {
-	case sqlparse.AggMin, sqlparse.AggMax:
-		return acc
+func (a *aggAcc) result(o *aggOut) sqlparse.Value {
+	switch o.agg {
+	case sqlparse.AggNone, sqlparse.AggMin, sqlparse.AggMax:
+		return a.val // NULL until a non-NULL input is seen
+	case sqlparse.AggCount:
+		return sqlparse.IntVal(a.n)
 	case sqlparse.AggSum:
-		if n == 0 {
+		switch {
+		case a.n == 0:
 			return sqlparse.Null()
+		case a.hasFloat:
+			return sqlparse.FloatVal(a.sum)
+		default:
+			return sqlparse.IntVal(int64(a.sum))
 		}
-		if allInt {
-			return sqlparse.IntVal(int64(sum))
-		}
-		return sqlparse.FloatVal(sum)
 	case sqlparse.AggAvg:
-		if n == 0 {
+		if a.n == 0 {
 			return sqlparse.Null()
 		}
-		return sqlparse.FloatVal(sum / float64(n))
+		return sqlparse.FloatVal(a.sum / float64(a.n))
 	default:
 		return sqlparse.Null()
 	}
 }
 
-func fingerprintVals(vals []sqlparse.Value) string {
-	r := Result{Rows: [][]sqlparse.Value{vals}}
-	return r.Fingerprint(true)
+// rows computes one output row per group, in first-seen order, and then
+// applies ORDER BY and LIMIT over those rows.
+func (s *aggSink) rows(p *Plan) [][]sqlparse.Value {
+	outs := len(p.outs)
+	groups := len(s.accs) / outs
+	if groups == 0 {
+		return nil
+	}
+	vals := make([]sqlparse.Value, len(s.accs))
+	for i := range s.accs {
+		vals[i] = s.accs[i].result(&p.outs[i%outs])
+	}
+	rows := make([][]sqlparse.Value, groups)
+	for g := range rows {
+		rows[g] = vals[g*outs : (g+1)*outs : (g+1)*outs]
+	}
+	if len(p.outOrder) > 0 {
+		if p.limit >= 0 {
+			rows = topK(rows, p.limit, p.compareOut)
+		} else {
+			slices.SortStableFunc(rows, p.compareOut)
+		}
+	}
+	if p.limit >= 0 && len(rows) > p.limit {
+		rows = rows[:p.limit]
+	}
+	return rows
+}
+
+// compareOut orders two output rows of an aggregate query by the ORDER BY
+// keys and then by full content (see orderedSink.compare).
+func (p *Plan) compareOut(a, b []sqlparse.Value) int {
+	for _, k := range p.outOrder {
+		if c := a[k.col].Compare(b[k.col]); c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
+	}
+	for i := range a {
+		if c := a[i].Compare(b[i]); c != 0 {
+			return c
+		}
+	}
+	return 0
 }

@@ -3,6 +3,9 @@
 // optional GROUP BY/aggregation, ORDER BY, and top-k (LIMIT), plus the
 // three update kinds (insertion, deletion, modification).
 //
+// A select statement is compiled once into a Plan (Compile) and executed
+// any number of times (Plan.Run); ExecQuery does both for one-off callers.
+//
 // Execution is deterministic: scans follow insertion order and sorts are
 // stable, so repeated evaluation of a query over an unchanged database
 // yields an identical Result. The DSSP consistency property tests rely on
@@ -10,26 +13,28 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
-	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 )
 
 // Result is a materialized query result: the view cached by the DSSP.
 //
-// Ownership invariant: Rows never aliases storage. Every execution path
-// builds result rows from freshly allocated []sqlparse.Value slices
-// (projection copies value structs out of base rows; aggregation rows are
-// computed), and sqlparse.Value is a pure value type with no pointers or
-// slices. A Result is therefore immune to concurrent in-place mutation of
-// the base tables it was computed from — callers may hold, serialize, or
-// seal a Result after releasing the database lock. The homeserver relies
-// on this to seal query results outside its read lock.
+// Ownership invariant: Rows never aliases storage, nor any scratch a later
+// run reuses. Every execution path builds result rows in arrays allocated
+// for this result (projection copies value structs out of base rows;
+// aggregation rows are computed), and sqlparse.Value is a pure value type
+// with no pointers or slices. A Result is therefore immune to concurrent
+// in-place mutation of the base tables it was computed from — callers may
+// hold, serialize, or seal a Result after releasing the database lock. The
+// homeserver relies on this to seal query results outside its read lock.
+// Rows of one result may share a backing array; each is capped to its own
+// length, so appending to a row never writes into its neighbour.
 type Result struct {
+	// Columns is shared by every result of one Plan: read it, never
+	// write it.
 	Columns []string
 	Rows    [][]sqlparse.Value
 
@@ -82,338 +87,14 @@ func (r *Result) ColumnIndex(name string) int {
 	return -1
 }
 
-// ExecQuery evaluates a select statement with the given parameter values.
+// ExecQuery evaluates a select statement with the given parameter values:
+// Compile followed by Run. A caller that executes the same statement more
+// than once — the home server, for every template of its application —
+// compiles it once and keeps the Plan.
 func ExecQuery(db *storage.Database, q *sqlparse.SelectStmt, params []sqlparse.Value) (*Result, error) {
-	r, err := schema.NewResolver(db.Schema, q.From)
+	p, err := Compile(db.Schema, q)
 	if err != nil {
 		return nil, err
 	}
-	ex := &queryExec{db: db, q: q, res: r, params: params}
-	return ex.run()
-}
-
-type queryExec struct {
-	db     *storage.Database
-	q      *sqlparse.SelectStmt
-	res    *schema.Resolver
-	params []sqlparse.Value
-
-	scanned int
-	joinErr error
-}
-
-// tuple is one partial join result: one row per FROM entry (nil until
-// bound).
-type tuple []storage.Row
-
-func (ex *queryExec) operandValue(o sqlparse.Operand, t tuple) (sqlparse.Value, error) {
-	switch o.Kind {
-	case sqlparse.OpConst:
-		return o.Const, nil
-	case sqlparse.OpParam:
-		if o.Param >= len(ex.params) {
-			return sqlparse.Value{}, fmt.Errorf("engine: statement requires parameter %d but only %d bound", o.Param, len(ex.params))
-		}
-		return ex.params[o.Param], nil
-	case sqlparse.OpColumn:
-		rc, err := ex.res.Resolve(o.Col)
-		if err != nil {
-			return sqlparse.Value{}, err
-		}
-		if t == nil || t[rc.FromIndex] == nil {
-			return sqlparse.Value{}, fmt.Errorf("engine: column %s evaluated before its table is bound", o.Col)
-		}
-		return t[rc.FromIndex][rc.ColIndex], nil
-	default:
-		return sqlparse.Value{}, fmt.Errorf("engine: bad operand kind %d", o.Kind)
-	}
-}
-
-// predHolds evaluates a predicate against a (fully bound enough) tuple
-// using SQL semantics: any comparison involving NULL is false.
-func (ex *queryExec) predHolds(p sqlparse.Predicate, t tuple) (bool, error) {
-	l, err := ex.operandValue(p.Left, t)
-	if err != nil {
-		return false, err
-	}
-	r, err := ex.operandValue(p.Right, t)
-	if err != nil {
-		return false, err
-	}
-	if l.IsNull() || r.IsNull() {
-		return false, nil
-	}
-	return p.Op.Holds(l.Compare(r)), nil
-}
-
-// predTables returns the set of FROM indexes referenced by the predicate.
-func (ex *queryExec) predTables(p sqlparse.Predicate) (map[int]bool, error) {
-	tabs := make(map[int]bool, 2)
-	for _, o := range []sqlparse.Operand{p.Left, p.Right} {
-		if o.Kind == sqlparse.OpColumn {
-			rc, err := ex.res.Resolve(o.Col)
-			if err != nil {
-				return nil, err
-			}
-			tabs[rc.FromIndex] = true
-		}
-	}
-	return tabs, nil
-}
-
-func (ex *queryExec) run() (*Result, error) {
-	// Partition predicates by the highest FROM index they reference, so
-	// each is evaluated as soon as its tables are bound.
-	n := len(ex.q.From)
-	predsAt := make([][]sqlparse.Predicate, n)
-	for _, p := range ex.q.Where {
-		tabs, err := ex.predTables(p)
-		if err != nil {
-			return nil, err
-		}
-		maxT := 0
-		for t := range tabs {
-			if t > maxT {
-				maxT = t
-			}
-		}
-		predsAt[maxT] = append(predsAt[maxT], p)
-	}
-
-	var tuples []tuple
-	if err := ex.join(0, make(tuple, n), predsAt, &tuples); err != nil {
-		return nil, err
-	}
-
-	var out *Result
-	var err error
-	if ex.q.HasAggregate() || len(ex.q.GroupBy) > 0 {
-		out, err = ex.aggregate(tuples)
-	} else {
-		out, err = ex.plain(tuples)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if ex.q.Limit >= 0 && len(out.Rows) > ex.q.Limit {
-		out.Rows = out.Rows[:ex.q.Limit]
-	}
-	out.RowsScanned = ex.scanned
-	return out, nil
-}
-
-// join binds FROM entry i for every partial tuple, applying the predicates
-// that become fully bound at i. It uses an index or primary-key access path
-// when an equality predicate supplies the value, and a full scan otherwise.
-func (ex *queryExec) join(i int, t tuple, predsAt [][]sqlparse.Predicate, out *[]tuple) error {
-	if i == len(t) {
-		c := make(tuple, len(t))
-		copy(c, t)
-		*out = append(*out, c)
-		return nil
-	}
-	tab := ex.db.Table(ex.res.Tables()[i].Name)
-
-	// Find an equality predicate `col = v` where col is in table i and v is
-	// computable now (constant, parameter, or column of an earlier table).
-	type eqPath struct {
-		colIdx int
-		val    sqlparse.Value
-	}
-	var paths []eqPath
-	for _, p := range predsAt[i] {
-		if p.Op != sqlparse.OpEq {
-			continue
-		}
-		for _, o := range [2][2]sqlparse.Operand{{p.Left, p.Right}, {p.Right, p.Left}} {
-			col, other := o[0], o[1]
-			if col.Kind != sqlparse.OpColumn {
-				continue
-			}
-			rc, err := ex.res.Resolve(col.Col)
-			if err != nil {
-				return err
-			}
-			if rc.FromIndex != i {
-				continue
-			}
-			if other.Kind == sqlparse.OpColumn {
-				orc, err := ex.res.Resolve(other.Col)
-				if err != nil {
-					return err
-				}
-				if orc.FromIndex >= i {
-					continue // not bound yet
-				}
-			}
-			v, err := ex.operandValue(other, t)
-			if err != nil {
-				return err
-			}
-			paths = append(paths, eqPath{rc.ColIndex, v})
-			break
-		}
-	}
-
-	check := func(row storage.Row) error {
-		t[i] = row
-		for _, p := range predsAt[i] {
-			ok, err := ex.predHolds(p, t)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return errPredFailed
-			}
-		}
-		return ex.join(i+1, t, predsAt, out)
-	}
-	visit := func(row storage.Row) bool {
-		ex.scanned++
-		if err := check(row); err != nil && err != errPredFailed {
-			ex.joinErr = err
-			return false
-		}
-		return true
-	}
-
-	defer func() { t[i] = nil }()
-
-	// Prefer a single-column primary-key path, then any secondary index.
-	pkIdx := tab.Meta.PKIndexes()
-	for _, p := range paths {
-		if len(pkIdx) == 1 && p.colIdx == pkIdx[0] {
-			if row := tab.LookupPK([]sqlparse.Value{p.val}); row != nil {
-				visit(row)
-			}
-			return ex.takeErr()
-		}
-	}
-	for _, p := range paths {
-		if tab.HasIndex(p.colIdx) {
-			tab.LookupIndex(p.colIdx, p.val, visit)
-			return ex.takeErr()
-		}
-	}
-	tab.Scan(visit)
-	return ex.takeErr()
-}
-
-// errPredFailed is a sentinel: the current tuple fails a predicate and is
-// skipped. queryExec.joinErr carries real errors out of scan callbacks.
-var errPredFailed = fmt.Errorf("engine: predicate not satisfied")
-
-func (ex *queryExec) takeErr() error {
-	err := ex.joinErr
-	ex.joinErr = nil
-	return err
-}
-
-// plain projects and orders a non-aggregate query.
-func (ex *queryExec) plain(tuples []tuple) (*Result, error) {
-	if len(ex.q.OrderBy) > 0 {
-		keys, err := ex.orderKeysForTuples()
-		if err != nil {
-			return nil, err
-		}
-		less := func(a, b tuple) bool {
-			for _, k := range keys {
-				va := a[k.fromIndex][k.colIndex]
-				vb := b[k.fromIndex][k.colIndex]
-				c := va.Compare(vb)
-				if c != 0 {
-					if k.desc {
-						return c > 0
-					}
-					return c < 0
-				}
-			}
-			// Canonical tie-break on full tuple content: results must not
-			// depend on physical row order, which index maintenance can
-			// permute. Cached results stay byte-identical to re-execution.
-			return compareTuples(a, b) < 0
-		}
-		if ex.q.Limit >= 0 {
-			tuples = topK(tuples, ex.q.Limit, less)
-		} else {
-			sort.SliceStable(tuples, func(a, b int) bool { return less(tuples[a], tuples[b]) })
-		}
-	}
-
-	cols, proj, err := ex.projection()
-	if err != nil {
-		return nil, err
-	}
-	out := &Result{Columns: cols}
-	for _, t := range tuples {
-		row := make([]sqlparse.Value, len(proj))
-		for i, p := range proj {
-			row[i] = t[p.fromIndex][p.colIndex]
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// compareTuples orders two joined tuples by their full content.
-func compareTuples(a, b tuple) int {
-	for i := range a {
-		for j := range a[i] {
-			if c := a[i][j].Compare(b[i][j]); c != 0 {
-				return c
-			}
-		}
-	}
-	return 0
-}
-
-type colSel struct {
-	fromIndex int
-	colIndex  int
-}
-
-type orderSel struct {
-	fromIndex int
-	colIndex  int
-	desc      bool
-}
-
-// projection expands `*` and resolves plain select expressions.
-func (ex *queryExec) projection() ([]string, []colSel, error) {
-	var cols []string
-	var sels []colSel
-	for _, e := range ex.q.Select {
-		if e.Star {
-			for fi, tr := range ex.res.Tables() {
-				for ci, c := range tr.Columns {
-					cols = append(cols, c.Name)
-					sels = append(sels, colSel{fi, ci})
-				}
-			}
-			continue
-		}
-		rc, err := ex.res.Resolve(e.Col)
-		if err != nil {
-			return nil, nil, err
-		}
-		name := e.Col.Column
-		if e.Alias != "" {
-			name = e.Alias
-		}
-		cols = append(cols, name)
-		sels = append(sels, colSel{rc.FromIndex, rc.ColIndex})
-	}
-	return cols, sels, nil
-}
-
-func (ex *queryExec) orderKeysForTuples() ([]orderSel, error) {
-	keys := make([]orderSel, 0, len(ex.q.OrderBy))
-	for _, k := range ex.q.OrderBy {
-		rc, err := ex.res.Resolve(k.Col)
-		if err != nil {
-			return nil, err
-		}
-		keys = append(keys, orderSel{rc.FromIndex, rc.ColIndex, k.Desc})
-	}
-	return keys, nil
+	return p.Run(db, params)
 }

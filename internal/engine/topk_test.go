@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -24,7 +25,7 @@ func TestTopKMatchesStableSortPrefix(t *testing.T) {
 		if k < len(want) {
 			want = want[:k]
 		}
-		got := topK(append([]int(nil), items...), k, func(a, b int) bool { return a < b })
+		got := topK(append([]int(nil), items...), k, cmp.Compare[int])
 		if len(got) == 0 && len(want) == 0 {
 			continue
 		}
@@ -35,7 +36,7 @@ func TestTopKMatchesStableSortPrefix(t *testing.T) {
 }
 
 func TestTopKZeroAndOversized(t *testing.T) {
-	less := func(a, b int) bool { return a < b }
+	less := cmp.Compare[int]
 	if got := topK([]int{3, 1, 2}, 0, less); len(got) != 0 {
 		t.Errorf("k=0 returned %v", got)
 	}

@@ -38,9 +38,16 @@ type Server struct {
 	App   *template.App
 	Codec *wire.Codec
 
-	mu  sync.RWMutex // guards DB during statement execution
-	adm admission    // bounds concurrent executions, FIFO
-	mon monitorGate  // releases update confirmations per monitoring interval
+	mu sync.RWMutex // guards DB during statement execution
+
+	// plans holds every query template of App compiled against DB's
+	// schema, by template ID. Built once by New and never written again,
+	// so the execution path reads it without a lock; replicas and
+	// partition masters are Servers and get theirs the same way.
+	plans map[string]queryPlan
+
+	adm admission   // bounds concurrent executions, FIFO
+	mon monitorGate // releases update confirmations per monitoring interval
 
 	// seqCtr assigns each applied update its position in the master
 	// database's serialization order. It is incremented while the write
@@ -92,11 +99,23 @@ type Server struct {
 // use SetObs to share a registry (and, in the simulator, a virtual
 // clock).
 func New(db *storage.Database, app *template.App, codec *wire.Codec) *Server {
-	s := &Server{DB: db, App: app, Codec: codec}
+	s := &Server{DB: db, App: app, Codec: codec, plans: make(map[string]queryPlan, len(app.Queries))}
+	for _, q := range app.Queries {
+		plan, err := engine.Compile(db.Schema, q.Stmt.(*sqlparse.SelectStmt))
+		s.plans[q.ID] = queryPlan{plan, err}
+	}
 	s.disp.confirmed = &s.confirmed
 	s.mon.disp = &s.disp
 	s.SetObs(obs.NewRegistry(), obs.WallClock())
 	return s
+}
+
+// queryPlan is one query template's compiled plan, or why it has none: a
+// template the engine cannot compile fails each of its executions with
+// that error, as it did when statements were interpreted per call.
+type queryPlan struct {
+	plan *engine.Plan
+	err  error
 }
 
 // SetObs redirects the server's instruments to the given registry and
@@ -212,10 +231,17 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	if err := s.checkPartition(t); err != nil {
 		return wire.SealedResult{}, false, 0, err
 	}
+	qp, ok := s.plans[t.ID]
+	if !ok {
+		return wire.SealedResult{}, false, 0, fmt.Errorf("homeserver: query %s is not a template of %s", t.ID, s.App.Name)
+	}
+	if qp.err != nil {
+		return wire.SealedResult{}, false, 0, qp.err
+	}
 	release := s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
-	r, execErr := engine.ExecQuery(s.DB, t.Stmt.(*sqlparse.SelectStmt), params)
+	r, execErr := qp.plan.Run(s.DB, params)
 	s.mu.RUnlock()
 	sp.End()
 	release()

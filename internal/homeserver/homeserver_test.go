@@ -51,6 +51,33 @@ func TestExecQuery(t *testing.T) {
 	}
 }
 
+// The sealed payload carries however many parameters the client sent;
+// nothing between OpenPayload and the engine counts them. A wrong count
+// must fail the statement even when no row would ever have reached the
+// missing operand (Q3's customers table is empty here).
+func TestExecQueryRejectsWrongParamCount(t *testing.T) {
+	s, codec, app := testServer(t)
+	for _, tc := range []struct {
+		id     string
+		params []sqlparse.Value
+	}{
+		{"Q3", nil},
+		{"Q2", nil},
+		{"Q2", []sqlparse.Value{sqlparse.IntVal(5), sqlparse.IntVal(5)}},
+	} {
+		sq, err := codec.SealQuery(app.Query(tc.id), tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := s.ExecQuery(sq); err == nil {
+			t.Errorf("%s with %d parameters executed", tc.id, len(tc.params))
+		}
+	}
+	if s.QueriesServed() != 0 {
+		t.Errorf("QueriesServed = %d after only refused statements", s.QueriesServed())
+	}
+}
+
 func TestExecQueryEmptyHint(t *testing.T) {
 	s, codec, app := testServer(t)
 	sq, _ := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(404)})

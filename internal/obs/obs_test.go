@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -205,5 +206,57 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := r.Counter(MCacheHits, L(LTemplate, "Q1")).Value(); got != 4000 {
 		t.Fatalf("lost increments: %d", got)
+	}
+}
+
+// The IDs are minted without fmt; the format peers and stored traces
+// already know (<prefix>-%06d, <prefix>-s%06d) must not move.
+func TestIDFormat(t *testing.T) {
+	for _, seq := range []int64{1, 9, 10, 99999, 100000, 999999, 1000000, 123456789} {
+		if got, want := formatID("-s", seq), fmt.Sprintf("%s-s%06d", tracePrefix, seq); got != want {
+			t.Errorf("formatID(-s, %d) = %q, want %q", seq, got, want)
+		}
+		if got, want := formatID("-", seq), fmt.Sprintf("%s-%06d", tracePrefix, seq); got != want {
+			t.Errorf("formatID(-, %d) = %q, want %q", seq, got, want)
+		}
+	}
+}
+
+// The tracer's handle cache must stay bounded under a flood of template
+// IDs (they arrive from the untrusted tier) and must change nothing the
+// registry shows: every span still lands in the instrument Registry.get
+// would have picked, the overflow one included.
+func TestTracerStageCacheBounded(t *testing.T) {
+	r := NewRegistry()
+	r.SetLabelCap(4)
+	tr := NewTracer(r, WallClock())
+	const flood = 3 * stageCacheCap
+	for i := 0; i < flood; i++ {
+		tr.Observe("t", StageLookup, fmt.Sprintf("forged%d", i), 0, time.Millisecond)
+	}
+	tr.Observe("t", StageLookup, "forged0", 0, time.Millisecond) // a cached handle
+	if n := len(tr.hists); n > stageCacheCap {
+		t.Fatalf("handle cache holds %d entries, cap %d", n, stageCacheCap)
+	}
+	snap := r.Snapshot()
+	first := snap.Find(MStageSeconds, map[string]string{LStage: StageLookup, LTemplate: "forged0"})
+	over := snap.Find(MStageSeconds, map[string]string{LStage: OverflowLabelValue, LTemplate: OverflowLabelValue})
+	if first == nil || first.Count != 2 {
+		t.Fatalf("forged0 histogram = %+v, want 2 observations", first)
+	}
+	if over == nil || over.Count != flood-4 {
+		t.Fatalf("overflow histogram = %+v, want %d observations", over, flood-4)
+	}
+}
+
+// BenchmarkSpanStartEnd is the price of one span on a warm tracer: the ID
+// string and nothing else (BENCH_allocs.json gates it).
+func BenchmarkSpanStartEnd(b *testing.B) {
+	tr := NewTracer(NewRegistry(), WallClock()).SetIdentity(ProcNode, "n0")
+	tr.Start("t", StageLookup, "Q1").End()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.StartSpan("t", "p", StageLookup, "Q1").End()
 	}
 }

@@ -3,7 +3,7 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,16 +27,25 @@ var (
 )
 
 // NewTraceID returns a fresh process-unique trace ID.
-func NewTraceID() string {
-	return fmt.Sprintf("%s-%06d", tracePrefix, traceSeq.Add(1))
-}
+func NewTraceID() string { return formatID("-", traceSeq.Add(1)) }
 
 // NewSpanID returns a fresh process-unique span ID. Span IDs link a
 // request's stages into a tree: each hop records its spans with the
 // upstream span as parent, carried in the sealed message's ParentSpan
 // field and the X-DSSP-Span-Parent HTTP header.
-func NewSpanID() string {
-	return fmt.Sprintf("%s-s%06d", tracePrefix, spanSeq.Add(1))
+func NewSpanID() string { return formatID("-s", spanSeq.Add(1)) }
+
+// formatID renders <prefix><sep><seq, zero-padded to six digits> through a
+// stack buffer: every span mints an ID, so the only allocation is the
+// string itself.
+func formatID(sep string, seq int64) string {
+	var buf [40]byte
+	b := append(buf[:0], tracePrefix...)
+	b = append(b, sep...)
+	for pad := int64(100000); pad > seq; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, seq, 10))
 }
 
 // SpanRecord is one completed stage of one traced request. ID and Parent
@@ -70,6 +79,12 @@ type Tracer struct {
 
 	store *SpanStore
 
+	// hists caches the dssp_stage_seconds handle per (stage, template), so
+	// recording a span skips the registry's sort-labels-build-key-and-lock
+	// lookup. Read-mostly: a key is written once, on its first span.
+	histMu sync.RWMutex
+	hists  map[stageKey]*Histogram
+
 	mu   sync.Mutex
 	ring []SpanRecord
 	next int
@@ -79,9 +94,36 @@ type Tracer struct {
 // ringSize bounds the tracer's span log.
 const ringSize = 512
 
-// NewTracer builds a tracer recording into reg against clock.
+type stageKey struct{ stage, tmpl string }
+
+// stageCacheCap bounds the handle cache. Template IDs reach a node from the
+// untrusted tier, so the cache must not grow with them; past the bound a
+// span goes through Registry.Histogram, whose label cap already coalesces
+// a flood of forged IDs into one overflow instrument.
+const stageCacheCap = DefaultLabelCap
+
+// NewTracer builds a tracer recording into reg against clock. A tracer
+// records into one registry for life (code that swaps registries builds a
+// new tracer), so its cached handles never go stale.
 func NewTracer(reg *Registry, clock Clock) *Tracer {
-	return &Tracer{reg: reg, clock: clock, ring: make([]SpanRecord, ringSize)}
+	return &Tracer{reg: reg, clock: clock, ring: make([]SpanRecord, ringSize), hists: make(map[stageKey]*Histogram)}
+}
+
+// stageHist returns the stage-latency histogram for (stage, tmpl).
+func (t *Tracer) stageHist(stage, tmpl string) *Histogram {
+	k := stageKey{stage, tmpl}
+	t.histMu.RLock()
+	h := t.hists[k]
+	t.histMu.RUnlock()
+	if h == nil {
+		h = t.reg.Histogram(MStageSeconds, L(LStage, stage), L(LTemplate, tmpl))
+		t.histMu.Lock()
+		if len(t.hists) < stageCacheCap {
+			t.hists[k] = h
+		}
+		t.histMu.Unlock()
+	}
+	return h
 }
 
 // SetIdentity labels every span this tracer records with a process role
@@ -155,7 +197,7 @@ func (t *Tracer) ObserveSpan(rec SpanRecord) string {
 	if rec.Node == "" {
 		rec.Node = t.node
 	}
-	t.reg.Histogram(MStageSeconds, L(LStage, rec.Stage), L(LTemplate, rec.Template)).Observe(rec.Duration)
+	t.stageHist(rec.Stage, rec.Template).Observe(rec.Duration)
 	t.mu.Lock()
 	t.ring[t.next] = rec
 	t.next++

@@ -12,7 +12,6 @@ package storage
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
@@ -28,29 +27,41 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// Key encodes a subset of the row's values (by column ordinal) into a
-// string usable as a hash-index key. The encoding is injective.
+// Key encodes values into a string usable as a hash-index key. The
+// encoding is injective.
 func Key(vals []sqlparse.Value) string {
-	var b strings.Builder
+	var buf [keyBufSize]byte
+	return string(AppendKey(buf[:0], vals...))
+}
+
+// keyBufSize sizes the stack buffers index probes encode their key into:
+// enough for the keys the applications build (a few integers or a short
+// string); a longer key spills to the heap inside append.
+const keyBufSize = 64
+
+// AppendKey appends the Key encoding of vals to dst and returns the
+// extended buffer. A map lookup m[string(AppendKey(buf[:0], v))] over a
+// stack buffer allocates nothing, which is how every index probe runs.
+func AppendKey(dst []byte, vals ...sqlparse.Value) []byte {
 	for _, v := range vals {
 		switch v.Kind {
 		case sqlparse.KindNull:
-			b.WriteByte('n')
+			dst = append(dst, 'n')
 		case sqlparse.KindInt:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(v.Int, 10))
+			dst = append(dst, 'i')
+			dst = strconv.AppendInt(dst, v.Int, 10)
 		case sqlparse.KindFloat:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatFloat(v.Float, 'g', -1, 64))
+			dst = append(dst, 'f')
+			dst = strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
 		case sqlparse.KindString:
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(v.Str)))
-			b.WriteByte(':')
-			b.WriteString(v.Str)
+			dst = append(dst, 's')
+			dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)
+			dst = append(dst, ':')
+			dst = append(dst, v.Str...)
 		}
-		b.WriteByte('|')
+		dst = append(dst, '|')
 	}
-	return b.String()
+	return dst
 }
 
 // Table stores the rows of one relation. Deleted rows leave nil tombstones
@@ -90,17 +101,24 @@ func (t *Table) Scan(f func(Row) bool) {
 }
 
 func (t *Table) pkKey(r Row) string {
-	idx := t.Meta.PKIndexes()
-	vals := make([]sqlparse.Value, len(idx))
-	for i, ci := range idx {
-		vals[i] = r[ci]
+	var buf [keyBufSize]byte
+	k := buf[:0]
+	for _, ci := range t.Meta.PKIndexes() {
+		k = AppendKey(k, r[ci])
 	}
-	return Key(vals)
+	return string(k)
+}
+
+// pkSlot returns the row slot holding the given primary-key values.
+func (t *Table) pkSlot(keyVals []sqlparse.Value) (int, bool) {
+	var buf [keyBufSize]byte
+	i, ok := t.pk[string(AppendKey(buf[:0], keyVals...))]
+	return i, ok
 }
 
 // LookupPK returns the row with the given primary-key values, or nil.
 func (t *Table) LookupPK(keyVals []sqlparse.Value) Row {
-	if i, ok := t.pk[Key(keyVals)]; ok {
+	if i, ok := t.pkSlot(keyVals); ok {
 		return t.rows[i]
 	}
 	return nil
@@ -138,7 +156,8 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 	if !ok {
 		return false
 	}
-	for _, i := range idx[Key([]sqlparse.Value{v})] {
+	var buf [keyBufSize]byte
+	for _, i := range idx[string(AppendKey(buf[:0], v))] {
 		if t.rows[i] == nil {
 			continue
 		}
@@ -263,7 +282,7 @@ func (db *Database) UpdateByPK(table string, keyVals []sqlparse.Value, set map[i
 	if t == nil {
 		return 0, fmt.Errorf("storage: unknown table %q", table)
 	}
-	i, ok := t.pk[Key(keyVals)]
+	i, ok := t.pkSlot(keyVals)
 	if !ok {
 		return 0, nil
 	}
