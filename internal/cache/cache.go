@@ -47,6 +47,15 @@ type Entry struct {
 	inLRU      bool
 }
 
+// newEntry builds the stored form of a result. The query is kept as the
+// DSSP may inspect it, less what belonged to the one request that happened
+// to fetch it: an entry outlives that request, and must not keep its trace
+// and span IDs alive (nor show them to whoever exports the bucket).
+func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
+	q.TraceID, q.ParentSpan = "", ""
+	return &Entry{Query: q, Result: r}
+}
+
 // view renders the entry for the invalidator.
 func (e *Entry) view(app *template.App) invalidate.CachedView {
 	var t *template.Template
@@ -438,7 +447,7 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	if n := resultLen(r); n == 0 && !c.opts.CacheEmptyResults {
 		return
 	}
-	e := &Entry{Query: q, Result: r}
+	e := newEntry(q, r)
 	s := c.shardFor(q.TemplateID)
 	s.mu.Lock()
 	b := s.buckets[q.TemplateID]

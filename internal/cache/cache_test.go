@@ -170,3 +170,37 @@ func TestEntriesVisitor(t *testing.T) {
 		t.Errorf("visited %d entries", n)
 	}
 }
+
+// An entry outlives the request that fetched it, so it keeps none of that
+// request's trace metadata — stored, imported, or exported again. Decision
+// logs carry the update's trace, which is another matter.
+func TestEntriesDropRequestMetadata(t *testing.T) {
+	c, codec, app := testStack(t, nil, Options{})
+	q := app.Query("Q2")
+	sq := seal(t, codec, q, sqlparse.IntVal(5))
+	if sq.TraceID == "" {
+		t.Fatal("a sealed query should carry a trace ID (the hazard under test)")
+	}
+	sq.ParentSpan = "client-s000001"
+	c.Store(sq, codec.SealResult(q, result(25)), false)
+
+	carried := c.ExportBuckets([]string{"Q2"})
+	carried[0].Query.TraceID, carried[0].Query.ParentSpan = sq.TraceID, sq.ParentSpan
+	dst, _, _ := testStack(t, nil, Options{})
+	if dst.ImportBuckets(carried) != 1 {
+		t.Fatal("entry not imported")
+	}
+	for name, cache := range map[string]*Cache{"stored": c, "imported": dst} {
+		cache.Entries(func(e *Entry) {
+			if e.Query.TraceID != "" || e.Query.ParentSpan != "" {
+				t.Errorf("%s entry keeps trace %q, parent span %q", name, e.Query.TraceID, e.Query.ParentSpan)
+			}
+			if e.Query.Key != sq.Key || e.Query.TemplateID != "Q2" || len(e.Query.Params) != 1 {
+				t.Errorf("%s entry lost what the invalidator reads: %+v", name, e.Query)
+			}
+		})
+		if _, hit := cache.Lookup(sq); !hit {
+			t.Errorf("%s entry does not hit", name)
+		}
+	}
+}

@@ -103,7 +103,7 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 		if n := resultLen(r); n == 0 && !c.opts.CacheEmptyResults {
 			continue // mirror Store's empty-result policy
 		}
-		e := &Entry{Query: q, Result: r}
+		e := newEntry(q, r)
 		s := c.shardFor(q.TemplateID)
 		s.mu.Lock()
 		b := s.buckets[q.TemplateID]

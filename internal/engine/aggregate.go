@@ -1,25 +1,43 @@
 package engine
 
 import (
+	"bytes"
+	"hash/maphash"
 	"slices"
-	"strings"
 
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 )
 
 // aggSink folds joined tuples into per-group accumulators as they arrive;
-// no tuple is kept. Groups are identified by storage.Key's encoding of
-// their GROUP BY values and listed in first-seen order. Without GROUP BY
-// the whole input is one group, which Run creates up front: it exists even
-// when the input is empty (COUNT of nothing is 0; the other aggregates are
-// NULL).
+// no tuple is kept. Groups are identified by storage.AppendKey's encoding
+// of their GROUP BY values and numbered in first-seen order. Without GROUP
+// BY the whole input is one group, which Run creates up front: it exists
+// even when the input is empty (COUNT of nothing is 0; the other aggregates
+// are NULL).
+//
+// Every buffer here is recycled with the exec, so the group index is built
+// from parts that can be emptied and refilled in place: key encodings lie
+// end to end in one byte arena, and an open-addressed table of group
+// numbers, probed linearly from the key's hash, finds them. (A map keyed by
+// the encodings themselves would need them as strings, which cannot be
+// overwritten.)
 type aggSink struct {
-	groups map[string]int32 // key encoding -> group number
-	keys   strings.Builder  // backing store of the map's keys
-	keyBuf []byte           // the current tuple's key
-	accs   []aggAcc         // len(plan.outs) accumulators per group
+	slots  []int32 // group number + 1, 0 for empty; a power of two long, at most half full
+	ends   []int32 // per group: where its key ends in arena; it starts where the previous one ends
+	arena  []byte
+	keyBuf []byte   // the current tuple's key
+	accs   []aggAcc // len(plan.outs) accumulators per group
+
+	// rows' scratch: one output row per group, sorted and cut to LIMIT
+	// here, before the survivors are copied into the result.
+	out     []sqlparse.Value
+	outRows [][]sqlparse.Value
 }
+
+// groupSeed keys the group index's hash. Group numbers follow first-seen
+// order, so no result depends on it.
+var groupSeed = maphash.MakeSeed()
 
 // aggAcc is the running state of one output column of one group.
 type aggAcc struct {
@@ -37,11 +55,7 @@ func (s *aggSink) add(p *Plan, tup []storage.Row) {
 			key = storage.AppendKey(key, tup[g.from][g.col])
 		}
 		s.keyBuf = key
-		g, ok := s.groups[string(key)]
-		if !ok {
-			g = s.newGroup(key, len(p.outs))
-		}
-		group = int(g)
+		group = s.group(key, len(p.outs))
 	}
 	accs := s.accs[group*len(p.outs):][:len(p.outs)]
 	for i := range p.outs {
@@ -49,19 +63,68 @@ func (s *aggSink) add(p *Plan, tup []storage.Row) {
 	}
 }
 
-// newGroup registers a group under key. The map's key strings are slices
-// of one append-only builder, so a new group costs no allocation of its
-// own; bytes already written to a strings.Builder never change.
-func (s *aggSink) newGroup(key []byte, outs int) int32 {
-	if s.groups == nil {
-		s.groups = make(map[string]int32)
+// group returns the number of the group whose key encoding is key,
+// registering a new group on first sight.
+func (s *aggSink) group(key []byte, outs int) int {
+	if 2*len(s.ends) >= len(s.slots) {
+		s.growIndex()
 	}
-	g := int32(len(s.groups))
-	off := s.keys.Len()
-	s.keys.Write(key)
-	s.groups[s.keys.String()[off:]] = g
-	s.accs = append(s.accs, make([]aggAcc, outs)...)
+	mask := uint64(len(s.slots) - 1)
+	i := maphash.Bytes(groupSeed, key) & mask
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if g := int(s.slots[i] - 1); bytes.Equal(s.key(g), key) {
+			return g
+		}
+	}
+	g := s.newGroup(outs)
+	s.slots[i] = int32(g + 1)
+	s.arena = append(s.arena, key...)
+	s.ends = append(s.ends, int32(len(s.arena)))
 	return g
+}
+
+// key returns group g's key encoding.
+func (s *aggSink) key(g int) []byte {
+	start := int32(0)
+	if g > 0 {
+		start = s.ends[g-1]
+	}
+	return s.arena[start:s.ends[g]]
+}
+
+// growIndex doubles the table and files every group again.
+func (s *aggSink) growIndex() {
+	s.slots = make([]int32, max(16, 2*len(s.slots)))
+	mask := uint64(len(s.slots) - 1)
+	for g := range s.ends {
+		i := maphash.Bytes(groupSeed, s.key(g)) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = int32(g + 1)
+	}
+}
+
+// newGroup appends one group's accumulators, zeroed, and returns its
+// number.
+func (s *aggSink) newGroup(outs int) int {
+	g := len(s.accs) / outs
+	for i := 0; i < outs; i++ {
+		s.accs = append(s.accs, aggAcc{})
+	}
+	return g
+}
+
+// reset empties the sink for the next run, dropping every value it held.
+func (s *aggSink) reset() {
+	if len(s.ends) > 0 {
+		clear(s.slots) // emptied at the size it grew to: the next run will not grow it again
+	}
+	clear(s.accs)
+	clear(s.out)
+	clear(s.outRows)
+	s.ends, s.arena = s.ends[:0], s.arena[:0]
+	s.accs, s.out, s.outRows = s.accs[:0], s.out[:0], s.outRows[:0]
 }
 
 func (a *aggAcc) add(o *aggOut, tup []storage.Row) {
@@ -123,31 +186,32 @@ func (a *aggAcc) result(o *aggOut) sqlparse.Value {
 	}
 }
 
-// rows computes one output row per group, in first-seen order, and then
-// applies ORDER BY and LIMIT over those rows.
+// rows computes one output row per group, in first-seen order, applies
+// ORDER BY and LIMIT over those rows, and copies the ones that remain into
+// the result's own, exactly-sized array: a LIMIT k answer holds k rows of
+// memory, however many groups were ranked to choose them.
 func (s *aggSink) rows(p *Plan) [][]sqlparse.Value {
 	outs := len(p.outs)
-	groups := len(s.accs) / outs
-	if groups == 0 {
-		return nil
-	}
-	vals := make([]sqlparse.Value, len(s.accs))
 	for i := range s.accs {
-		vals[i] = s.accs[i].result(&p.outs[i%outs])
+		s.out = append(s.out, s.accs[i].result(&p.outs[i%outs]))
 	}
-	rows := make([][]sqlparse.Value, groups)
-	for g := range rows {
-		rows[g] = vals[g*outs : (g+1)*outs : (g+1)*outs]
+	for g := 0; g < len(s.accs)/outs; g++ {
+		s.outRows = append(s.outRows, s.out[g*outs:(g+1)*outs])
 	}
+	ranked := s.outRows
 	if len(p.outOrder) > 0 {
 		if p.limit >= 0 {
-			rows = topK(rows, p.limit, p.compareOut)
+			ranked = topK(ranked, p.limit, p.compareOut)
 		} else {
-			slices.SortStableFunc(rows, p.compareOut)
+			slices.SortStableFunc(ranked, p.compareOut)
 		}
 	}
-	if p.limit >= 0 && len(rows) > p.limit {
-		rows = rows[:p.limit]
+	if p.limit >= 0 && len(ranked) > p.limit {
+		ranked = ranked[:p.limit]
+	}
+	rows := newRows(len(ranked), outs)
+	for i, row := range rows {
+		copy(row, ranked[i])
 	}
 	return rows
 }

@@ -23,18 +23,20 @@ import (
 // Result is a materialized query result: the view cached by the DSSP.
 //
 // Ownership invariant: Rows never aliases storage, nor any scratch a later
-// run reuses. Every execution path builds result rows in arrays allocated
-// for this result (projection copies value structs out of base rows;
-// aggregation rows are computed), and sqlparse.Value is a pure value type
-// with no pointers or slices. A Result is therefore immune to concurrent
-// in-place mutation of the base tables it was computed from — callers may
-// hold, serialize, or seal a Result after releasing the database lock. The
-// homeserver relies on this to seal query results outside its read lock.
-// Rows of one result may share a backing array; each is capped to its own
-// length, so appending to a row never writes into its neighbour.
+// run reuses. Every execution path copies result rows into one array made
+// for this result and sized to it exactly (projection copies value structs
+// out of base rows; aggregation rows are computed), and a sqlparse.Value
+// points at nothing mutable: its string, like every Go string, is
+// immutable. A Result is therefore immune to concurrent in-place mutation
+// of the base tables it was computed from, and to the plan's next run —
+// callers may hold, serialize, or seal a Result after releasing the
+// database lock. The homeserver relies on this to seal query results
+// outside its read lock. The rows of one result share that one backing
+// array; each is capped to its own length, so appending to a row never
+// writes into its neighbour.
 type Result struct {
-	// Columns is shared by every result of one Plan: read it, never
-	// write it.
+	// Columns is shared by every result of one Plan, which never changes
+	// it after Compile: read it, never write it. (A Clone has its own.)
 	Columns []string
 	Rows    [][]sqlparse.Value
 
@@ -46,19 +48,31 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// Clone returns a deep copy of the result. sqlparse.Value is a pure value
-// type, so copying each row slice severs every mutable link between the
-// copy and the original; the wire codec uses this to uphold the ownership
-// invariant for plaintext (view-exposure) results, whose sealed form would
-// otherwise alias the DSSP's cached object.
+// Clone returns a deep copy of the result, built the way Run builds one:
+// the rows in one exactly-sized array, whatever their number. Copying the
+// value structs severs every mutable link between the copy and the
+// original; the wire codec uses this to uphold the ownership invariant for
+// plaintext (view-exposure) results, whose sealed form would otherwise
+// alias the DSSP's cached object. Columns is copied too: the clone is
+// handed to a client, who may do with it as it likes, and the original's
+// Columns may be a plan's.
 func (r *Result) Clone() *Result {
 	cp := &Result{
 		Columns:     append([]string(nil), r.Columns...),
-		Rows:        make([][]sqlparse.Value, len(r.Rows)),
 		RowsScanned: r.RowsScanned,
 	}
+	if r.Rows == nil {
+		return cp
+	}
+	nvals := 0
+	for _, row := range r.Rows {
+		nvals += len(row)
+	}
+	slab := make([]sqlparse.Value, nvals)
+	cp.Rows = make([][]sqlparse.Value, len(r.Rows))
 	for i, row := range r.Rows {
-		cp.Rows[i] = append([]sqlparse.Value(nil), row...)
+		n := copy(slab, row)
+		cp.Rows[i], slab = slab[:n:n], slab[n:]
 	}
 	return cp
 }

@@ -15,7 +15,7 @@ import (
 // access paths per level, projection, order keys, aggregate outputs and
 // output column names. A Plan is immutable after Compile and safe to Run
 // from any number of goroutines; everything a run mutates lives in that
-// run's own scratch.
+// run's own scratch (see exec).
 //
 // Compiling changes how fast a statement runs, never what it does: a Plan
 // binds FROM entries in FROM order, picks each level's access path by the

@@ -253,21 +253,36 @@ func TestPlanConcurrentRun(t *testing.T) {
 	if err := b.Populate(db, rng); err != nil {
 		t.Fatal(err)
 	}
+	// Several parameter lists per plan: goroutines running one plan with
+	// different parameters share its scratch pool, and a run that saw
+	// anything of another's would answer the wrong question.
 	type query struct {
 		sel    *sqlparse.SelectStmt
 		plan   *Plan
-		params []sqlparse.Value
+		params [][]sqlparse.Value
 	}
+	ints := func(ns ...int64) (sets [][]sqlparse.Value) {
+		for _, n := range ns {
+			sets = append(sets, []sqlparse.Value{sqlparse.IntVal(n)})
+		}
+		return sets
+	}
+	subjects := [][]sqlparse.Value{{sqlparse.StringVal("SUBJ00")}, {sqlparse.StringVal("SUBJ01")}, {sqlparse.StringVal("no such subject")}}
 	var queries []query
 	for _, c := range []struct {
 		id     string
-		params []sqlparse.Value
+		params [][]sqlparse.Value
 	}{
-		{"Q4", nil}, // GROUP BY … ORDER BY … LIMIT
-		{"Q6", []sqlparse.Value{sqlparse.IntVal(7)}},
-		{"Q3", []sqlparse.Value{sqlparse.StringVal("ARTS")}},
-		{"Q11", []sqlparse.Value{sqlparse.IntVal(1)}},
-		{"Q13", []sqlparse.Value{sqlparse.IntVal(7)}},
+		{"Q4", [][]sqlparse.Value{nil}}, // GROUP BY … ORDER BY … LIMIT
+		{"Q6", ints(7, 8, 9)},           // join
+		{"Q3", subjects},                // ORDER BY … DESC LIMIT: the heap
+		{"Q10", subjects},               // ORDER BY … LIMIT
+		{"Q28", subjects},               // join, ORDER BY … LIMIT
+		{"Q23", ints(1, 2, 3)},          // ORDER BY without LIMIT: the full sort
+		{"Q21", subjects},               // COUNT(*): one group
+		{"Q24", subjects},               // AVG
+		{"Q11", ints(1, 2)},
+		{"Q13", ints(7, 8)},
 	} {
 		sel := app.Query(c.id).Stmt.(*sqlparse.SelectStmt)
 		p, err := Compile(app.Schema, sel)
@@ -293,16 +308,17 @@ func TestPlanConcurrentRun(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
+				params := q.params[(w+i/len(queries))%len(q.params)]
 				mu.RLock()
-				got, err := q.plan.Run(db, q.params)
-				want, werr := interpExecQuery(db, q.sel, q.params)
+				got, err := q.plan.Run(db, params)
+				want, werr := interpExecQuery(db, q.sel, params)
 				mu.RUnlock()
 				if err != nil || werr != nil {
 					t.Errorf("plan: %v, interpreter: %v", err, werr)
 					return
 				}
 				if err := sameResult(got, want); err != nil {
-					t.Errorf("%s: %v", q.sel, err)
+					t.Errorf("%s%v: %v", q.sel, params, err)
 					return
 				}
 			}

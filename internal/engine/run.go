@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -14,6 +15,16 @@ const stackLevels = 4
 
 // exec is the scratch of one Run: the partial tuple, the tables it binds
 // and whichever sink the plan's shape feeds. The plan itself is read-only.
+//
+// Scratch is recycled: finished runs leave their execs in execPool and the
+// next Run — of any plan — takes one over, its buffers already grown to the
+// largest job it has done. So a run allocates only what it returns. Two
+// rules keep that invisible. A Result never points into an exec — its rows
+// are copied out into arrays made for it — so nothing pooled is reachable
+// from a result. And release clears every reference a run took (plan,
+// tables, storage rows, parameters, values) before the exec goes back, so
+// an idle exec pins no row a later update deletes and shows the next run
+// nothing of the last.
 type exec struct {
 	plan    *Plan
 	params  []sqlparse.Value
@@ -21,14 +32,40 @@ type exec struct {
 	tup     []storage.Row // one row per FROM entry, bound left to right
 	scanned int
 
-	slab rowSlab
-	rows [][]sqlparse.Value // plain unordered queries project straight into the result
-	ord  orderedSink        // ORDER BY over joined tuples
-	agg  aggSink            // aggregate/GROUP BY
+	// Plain unordered queries project straight into vals, nrows rows of
+	// len(plan.proj) values each.
+	vals  []sqlparse.Value
+	nrows int
+	ord   orderedSink // ORDER BY over joined tuples
+	agg   aggSink     // aggregate/GROUP BY
 
 	tabArr [stackLevels]*storage.Table
 	tupArr [stackLevels]storage.Row
 	keyArr [64]byte // group keys are a few integers or a short string
+}
+
+// execPool is one pool for every plan rather than one per plan: the home
+// server's templates then share a few execs grown to the largest of them
+// instead of each keeping its own, a statement run once through ExecQuery
+// finds warm scratch like any other, and a Plan stays plain immutable data.
+var execPool = sync.Pool{New: func() any {
+	x := new(exec)
+	x.agg.keyBuf = x.keyArr[:0]
+	return x
+}}
+
+// release returns x to the pool, holding no reference to anything the run
+// read or produced. What it costs follows what the run used, not what the
+// buffers have grown to.
+func (x *exec) release() {
+	clear(x.tabs)
+	clear(x.tup)
+	clear(x.vals)
+	x.plan, x.params, x.tabs, x.tup = nil, nil, nil, nil
+	x.vals, x.scanned, x.nrows = x.vals[:0], 0, 0
+	x.ord.reset()
+	x.agg.reset()
+	execPool.Put(x)
 }
 
 // Run executes the plan over db, which must have the schema the plan was
@@ -42,24 +79,27 @@ func (p *Plan) Run(db *storage.Database, params []sqlparse.Value) (*Result, erro
 	if len(params) != p.NumParams {
 		return nil, fmt.Errorf("engine: statement requires parameter count %d but %d bound", p.NumParams, len(params))
 	}
-	// One allocation carries all of a run's fixed-size scratch: the result
-	// rows pass through x, so escape analysis would move it to the heap
-	// whatever it held.
-	x := &exec{plan: p, params: params}
+	x := execPool.Get().(*exec)
+	defer x.release()
+	return x.run(p, db, params)
+}
+
+// run is Run on scratch x, which the caller releases whatever happens here.
+func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value) (*Result, error) {
+	x.plan, x.params = p, params
 	if n := len(p.levels); n <= stackLevels {
 		x.tabs, x.tup = x.tabArr[:n], x.tupArr[:n]
 	} else {
 		x.tabs, x.tup = make([]*storage.Table, n), make([]storage.Row, n)
 	}
+	x.ord.width, x.ord.keep, x.ord.order = len(p.levels), p.limit, p.order
 	for i := range p.levels {
 		if x.tabs[i] = db.Table(p.levels[i].table); x.tabs[i] == nil {
 			return nil, fmt.Errorf("engine: database has no table %q", p.levels[i].table)
 		}
 	}
-	x.ord = orderedSink{width: len(p.levels), keep: p.limit, order: p.order}
-	x.agg.keyBuf = x.keyArr[:0]
 	if len(p.outs) > 0 && len(p.groupBy) == 0 {
-		x.agg.accs = make([]aggAcc, len(p.outs))
+		x.agg.newGroup(len(p.outs))
 	}
 
 	x.join(0)
@@ -71,9 +111,27 @@ func (p *Plan) Run(db *storage.Database, params []sqlparse.Value) (*Result, erro
 	case len(p.order) > 0:
 		out.Rows = x.orderedRows()
 	default:
-		out.Rows = x.rows
+		out.Rows = newRows(x.nrows, len(p.proj))
+		for i, row := range out.Rows {
+			copy(row, x.vals[i*len(row):])
+		}
 	}
 	return out, nil
+}
+
+// newRows makes the rows of one result: n rows of width values, carved out
+// of a single array of exactly n×width. Each row is capped to its own
+// length, so appending to one never reaches its neighbour.
+func newRows(n, width int) [][]sqlparse.Value {
+	if n == 0 {
+		return nil
+	}
+	slab := make([]sqlparse.Value, n*width)
+	rows := make([][]sqlparse.Value, n)
+	for i := range rows {
+		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
 }
 
 // join binds FROM entry i for the current partial tuple, visiting every
@@ -151,56 +209,27 @@ func (x *exec) emit() {
 		x.agg.add(p, x.tup)
 	case len(p.order) > 0:
 		x.ord.add(x.tup)
-	case p.limit < 0 || len(x.rows) < p.limit:
+	case p.limit < 0 || x.nrows < p.limit:
 		// Past the limit the join still runs to completion: RowsScanned
 		// is part of the result.
-		x.rows = append(x.rows, x.project(x.tup))
+		x.vals = slices.Grow(x.vals, len(p.proj))
+		for _, c := range p.proj {
+			x.vals = append(x.vals, x.tup[c.from][c.col])
+		}
+		x.nrows++
 	}
-}
-
-func (x *exec) project(tup []storage.Row) []sqlparse.Value {
-	row := x.slab.row(len(x.plan.proj))
-	for i, c := range x.plan.proj {
-		row[i] = tup[c.from][c.col]
-	}
-	return row
 }
 
 func (x *exec) orderedRows() [][]sqlparse.Value {
 	slots := x.ord.sorted()
-	if len(slots) == 0 {
-		return nil
-	}
-	rows := make([][]sqlparse.Value, len(slots))
-	x.slab.reserve(len(slots) * len(x.plan.proj))
-	for i, s := range slots {
-		rows[i] = x.project(x.ord.tuple(s))
+	rows := newRows(len(slots), len(x.plan.proj))
+	for i, row := range rows {
+		tup := x.ord.tuple(slots[i])
+		for j, c := range x.plan.proj {
+			row[j] = tup[c.from][c.col]
+		}
 	}
 	return rows
-}
-
-// rowSlab carves result rows out of shared backing arrays, doubling the
-// array each time one fills, so a result of r rows costs O(log r)
-// allocations instead of r. Rows are capped to their own length: appending
-// to one never reaches its neighbour.
-type rowSlab struct {
-	free []sqlparse.Value
-	next int
-}
-
-func (s *rowSlab) row(n int) []sqlparse.Value {
-	if len(s.free) < n {
-		s.reserve(max(n, s.next))
-	}
-	row := s.free[:n:n]
-	s.free = s.free[n:]
-	return row
-}
-
-// reserve starts a fresh backing array of n values.
-func (s *rowSlab) reserve(n int) {
-	s.free = make([]sqlparse.Value, n)
-	s.next = 2 * n
 }
 
 // orderedSink collects the joined tuples of an ORDER BY query — all of
@@ -243,6 +272,12 @@ func (s *orderedSink) add(tup []storage.Row) {
 		s.slots[0], s.spare = s.spare, s.slots[0]
 		siftDown(s.slots, 0, s.compare)
 	}
+}
+
+// reset empties the sink for the next run, dropping its storage rows.
+func (s *orderedSink) reset() {
+	clear(s.tuples)
+	s.tuples, s.slots, s.heaped, s.order = s.tuples[:0], s.slots[:0], false, nil
 }
 
 // sorted returns the surviving slots in result order.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -219,6 +220,68 @@ func TestIDFormat(t *testing.T) {
 		if got, want := formatID("-", seq), fmt.Sprintf("%s-%06d", tracePrefix, seq); got != want {
 			t.Errorf("formatID(-, %d) = %q, want %q", seq, got, want)
 		}
+	}
+}
+
+// Spans are numbered when they start and named when they are read. Every
+// reader — Span.ID, ObserveSpan's return, Recent, Spans, the store's Trace
+// and All, and JSON over any of them — must show exactly what a tracer that
+// formatted each ID up front would have: here, records written out by hand
+// from the sequence numbers the script is known to draw.
+func TestSpanIDLazyFormat(t *testing.T) {
+	var now time.Duration
+	tr := NewTracer(NewRegistry(), ClockFunc(func() time.Duration { return now })).
+		SetIdentity(ProcNode, "n1").SetStore(NewSpanStore(0))
+	base := spanSeq.Load()
+	id := func(k int64) string { return fmt.Sprintf("%s-s%06d", tracePrefix, base+k) }
+
+	seal := tr.ObserveSpan(SpanRecord{Trace: "t1", Stage: StageSeal, Template: "Q1", Duration: time.Millisecond})
+	lk := tr.StartSpan("t1", seal, StageLookup, "Q1")
+	now = 2 * time.Millisecond
+	lk.End()
+	net := tr.StartSpan("t1", seal, StageNetwork, "Q1").WithNode("n2")
+	netID := net.ID()
+	given := tr.ObserveSpan(SpanRecord{Trace: "t2", ID: "upstream-7", Parent: netID, Process: ProcHome, Stage: StageHomeExec, Template: "Q1"})
+	now = 5 * time.Millisecond
+	net.End()
+	tr.Observe("t2", StageOpen, "Q1", now, time.Millisecond)
+
+	if seal != id(1) || netID != id(3) || net.ID() != netID || given != "upstream-7" {
+		t.Fatalf("IDs handed out: seal %q, network %q then %q, given %q; want %q, %q, the same, upstream-7",
+			seal, netID, net.ID(), given, id(1), id(3))
+	}
+	want := []SpanRecord{
+		{Trace: "t1", ID: id(1), Process: ProcNode, Node: "n1", Stage: StageSeal, Template: "Q1", Duration: time.Millisecond},
+		{Trace: "t1", ID: id(2), Parent: id(1), Process: ProcNode, Node: "n1", Stage: StageLookup, Template: "Q1", Duration: 2 * time.Millisecond},
+		{Trace: "t2", ID: "upstream-7", Parent: id(3), Process: ProcHome, Node: "n1", Stage: StageHomeExec, Template: "Q1"},
+		{Trace: "t1", ID: id(3), Parent: id(1), Process: ProcNode, Node: "n2", Stage: StageNetwork, Template: "Q1", Start: 2 * time.Millisecond, Duration: 3 * time.Millisecond},
+		{Trace: "t2", ID: id(4), Process: ProcNode, Node: "n1", Stage: StageOpen, Template: "Q1", Start: 5 * time.Millisecond, Duration: time.Millisecond},
+	}
+	t1 := []SpanRecord{want[0], want[1], want[3]}
+	byTrace := append(append([]SpanRecord(nil), t1...), want[2], want[4])
+	for _, c := range []struct {
+		reader    string
+		got, want []SpanRecord
+	}{
+		{"Recent", tr.Recent(ringSize), want},
+		{"Recent(2)", tr.Recent(2), want[3:]},
+		{"Spans", tr.Spans("t1"), t1},
+		{"Store.Trace", tr.Store().Trace("t1"), t1},
+		{"Store.All", tr.Store().All(), byTrace},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s = %+v\nwant %+v", c.reader, c.got, c.want)
+		}
+		gotJSON, _ := json.Marshal(c.got)
+		wantJSON, _ := json.Marshal(c.want)
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s as JSON = %s\nwant %s", c.reader, gotJSON, wantJSON)
+		}
+	}
+	// Reading names copies; what is at rest stays numbered, and a second
+	// read renders the same text.
+	if again := tr.Recent(ringSize); !reflect.DeepEqual(again, want) {
+		t.Errorf("second Recent = %+v", again)
 	}
 }
 

@@ -29,15 +29,22 @@ var (
 // NewTraceID returns a fresh process-unique trace ID.
 func NewTraceID() string { return formatID("-", traceSeq.Add(1)) }
 
-// NewSpanID returns a fresh process-unique span ID. Span IDs link a
-// request's stages into a tree: each hop records its spans with the
-// upstream span as parent, carried in the sealed message's ParentSpan
-// field and the X-DSSP-Span-Parent HTTP header.
-func NewSpanID() string { return formatID("-s", spanSeq.Add(1)) }
+// formatSpanID renders a span's sequence number as its process-unique ID.
+// Span IDs link a request's stages into a tree: each hop records its spans
+// with the upstream span as parent, carried in the sealed message's
+// ParentSpan field and the X-DSSP-Span-Parent HTTP header.
+//
+// A span is numbered when it starts and named only when someone reads the
+// name: most spans are recorded, aggregated into their stage's histogram
+// and overwritten in the ring without their ID ever being looked at, so
+// the ring and the SpanStore keep the number, and the text is made by
+// Span.ID (for the one span per hop whose ID travels on as ParentSpan) and
+// by the readers — Recent, Spans, SpanStore.Trace and All — whose output,
+// JSON included, is what it was when every span carried its string.
+func formatSpanID(seq int64) string { return formatID("-s", seq) }
 
 // formatID renders <prefix><sep><seq, zero-padded to six digits> through a
-// stack buffer: every span mints an ID, so the only allocation is the
-// string itself.
+// stack buffer, so the only allocation is the string itself.
 func formatID(sep string, seq int64) string {
 	var buf [40]byte
 	b := append(buf[:0], tracePrefix...)
@@ -53,7 +60,10 @@ func formatID(sep string, seq int64) string {
 // where the span was recorded (client, router, node, home — and which
 // fleet member), so a stitched trace reads as a topology, not a flat list.
 type SpanRecord struct {
-	Trace    string        `json:"trace"`
+	Trace string `json:"trace"`
+	// ID is the span's ID. A record at rest in a tracer's ring or a
+	// SpanStore may hold the sequence number in seq instead, ID empty;
+	// no exported function returns one in that form (see named).
 	ID       string        `json:"id,omitempty"`
 	Parent   string        `json:"parent,omitempty"`
 	Process  string        `json:"process,omitempty"`
@@ -62,6 +72,19 @@ type SpanRecord struct {
 	Template string        `json:"template"`
 	Start    time.Duration `json:"start_ns"`
 	Duration time.Duration `json:"duration_ns"`
+
+	seq int64
+}
+
+// named gives every record of spans its ID as text, in place, and returns
+// spans; the slice must be the caller's own copy.
+func named(spans []SpanRecord) []SpanRecord {
+	for i := range spans {
+		if r := &spans[i]; r.ID == "" && r.seq != 0 {
+			r.ID, r.seq = formatSpanID(r.seq), 0
+		}
+	}
+	return spans
 }
 
 // Tracer records per-stage spans: each span lands in the registry's
@@ -188,8 +211,18 @@ func (t *Tracer) ObserveSpan(rec SpanRecord) string {
 	if t == nil {
 		return ""
 	}
-	if rec.ID == "" {
-		rec.ID = NewSpanID()
+	seq := t.record(rec)
+	if rec.ID != "" {
+		return rec.ID
+	}
+	return formatSpanID(seq)
+}
+
+// record is ObserveSpan without the ID's text: it numbers the span unless
+// the record brings a number or an ID of its own, and returns the number.
+func (t *Tracer) record(rec SpanRecord) int64 {
+	if rec.ID == "" && rec.seq == 0 {
+		rec.seq = spanSeq.Add(1)
 	}
 	if rec.Process == "" {
 		rec.Process = t.process
@@ -209,7 +242,7 @@ func (t *Tracer) ObserveSpan(rec SpanRecord) string {
 	if t.store != nil {
 		t.store.Add(rec)
 	}
-	return rec.ID
+	return rec.seq
 }
 
 // Span is an in-progress stage measurement. The zero Span (from a nil
@@ -218,7 +251,8 @@ type Span struct {
 	tr           *Tracer
 	trace, stage string
 	tmpl         string
-	id, parent   string
+	seq          int64
+	parent       string
 	node         string
 	start        time.Duration
 }
@@ -229,18 +263,25 @@ func (t *Tracer) Start(trace, stage, tmpl string) Span {
 }
 
 // StartSpan opens a span under a parent span ID. The span's own ID is
-// assigned immediately, so it can be propagated downstream (sealed
-// message ParentSpan field, X-DSSP-Span-Parent header) before End.
+// assigned immediately — as a number; ID renders it — so it can be
+// propagated downstream (sealed message ParentSpan field,
+// X-DSSP-Span-Parent header) before End.
 func (t *Tracer) StartSpan(trace, parent, stage, tmpl string) Span {
 	if t == nil {
 		return Span{}
 	}
 	return Span{tr: t, trace: trace, stage: stage, tmpl: tmpl,
-		id: NewSpanID(), parent: parent, start: t.clock.Now()}
+		seq: spanSeq.Add(1), parent: parent, start: t.clock.Now()}
 }
 
-// ID returns the span's pre-assigned ID ("" for a no-op span).
-func (s Span) ID() string { return s.id }
+// ID returns the span's pre-assigned ID ("" for a no-op span). Each call
+// makes the string: ask once, and only for a span whose ID goes somewhere.
+func (s Span) ID() string {
+	if s.tr == nil {
+		return ""
+	}
+	return formatSpanID(s.seq)
+}
 
 // WithNode overrides the span's node label (e.g. the router labels its
 // route spans with the target node instead of its own identity).
@@ -254,8 +295,8 @@ func (s Span) End() {
 	if s.tr == nil {
 		return
 	}
-	s.tr.ObserveSpan(SpanRecord{
-		Trace: s.trace, ID: s.id, Parent: s.parent, Node: s.node,
+	s.tr.record(SpanRecord{
+		Trace: s.trace, seq: s.seq, Parent: s.parent, Node: s.node,
 		Stage: s.stage, Template: s.tmpl,
 		Start: s.start, Duration: s.tr.clock.Now() - s.start,
 	})
@@ -274,12 +315,12 @@ func (t *Tracer) Spans(trace string) []SpanRecord {
 		}
 	}
 	var out []SpanRecord
-	for _, r := range t.Recent(ringSize) {
+	for _, r := range t.recent(ringSize) {
 		if r.Trace == trace {
 			out = append(out, r)
 		}
 	}
-	return out
+	return named(out)
 }
 
 // Recent returns up to n most recent spans, oldest first.
@@ -287,8 +328,12 @@ func (t *Tracer) Recent(n int) []SpanRecord {
 	if t == nil || n <= 0 {
 		return nil
 	}
+	return named(t.recent(n))
+}
+
+// recent is Recent with the records as the ring holds them.
+func (t *Tracer) recent(n int) []SpanRecord {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	var all []SpanRecord
 	if t.full {
 		all = append(all, t.ring[t.next:]...)
@@ -296,6 +341,7 @@ func (t *Tracer) Recent(n int) []SpanRecord {
 	} else {
 		all = append(all, t.ring[:t.next]...)
 	}
+	t.mu.Unlock()
 	if len(all) > n {
 		all = all[len(all)-n:]
 	}
@@ -362,12 +408,9 @@ func (s *SpanStore) Trace(id string) []SpanRecord {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	spans := s.traces[id]
-	if spans == nil {
-		return nil
-	}
-	return append([]SpanRecord(nil), spans...)
+	spans := append([]SpanRecord(nil), s.traces[id]...)
+	s.mu.Unlock()
+	return named(spans)
 }
 
 // TraceIDs returns up to n retained trace IDs, oldest first.
@@ -391,10 +434,10 @@ func (s *SpanStore) All() []SpanRecord {
 		return nil
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []SpanRecord
 	for _, id := range s.order {
 		out = append(out, s.traces[id]...)
 	}
-	return out
+	s.mu.Unlock()
+	return named(out)
 }

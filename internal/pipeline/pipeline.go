@@ -25,6 +25,7 @@ package pipeline
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dssp/internal/obs"
@@ -262,23 +263,38 @@ func (p *Pipeline) request(kind, tmpl string, start time.Duration) {
 // cache hits) and possibly on another goroutine (coalesced misses resolved
 // by the flight leader).
 func (p *Pipeline) Query(ctx context.Context, sq wire.SealedQuery, done func(QueryReply, error)) {
-	tmpl := obs.Tmpl(sq.TemplateID)
 	start := p.tracer.Now()
+	if reply, hit := p.lookup(sq, start); hit {
+		done(reply, nil)
+		return
+	}
+	p.fetch(ctx, sq, start, done)
+}
+
+// lookup is the first stage of a query, the whole of it on a hit: it needs
+// no continuation, so QuerySync answers a hit without making one.
+func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply, bool) {
+	tmpl := obs.Tmpl(sq.TemplateID)
 	lk := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageLookup, tmpl)
 	res, hit := p.cache.HandleQuery(sq)
 	lk.End()
 	if p.opts.Leakage != nil {
 		p.opts.Leakage.ObserveQuery(sq, hit)
 	}
-	if hit {
-		if p.opts.Leakage != nil {
-			p.opts.Leakage.ObserveResult(sq, res)
-		}
-		p.request(obs.KindQuery, tmpl, start)
-		done(QueryReply{Result: res, Hit: true}, nil)
-		return
+	if !hit {
+		return QueryReply{}, false
 	}
+	if p.opts.Leakage != nil {
+		p.opts.Leakage.ObserveResult(sq, res)
+	}
+	p.request(obs.KindQuery, tmpl, start)
+	return QueryReply{Result: res, Hit: true}, true
+}
 
+// fetch is the rest of a query that missed: join the flight already
+// fetching this key, or lead one through the transport.
+func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Duration, done func(QueryReply, error)) {
+	tmpl := obs.Tmpl(sq.TemplateID)
 	if !p.opts.DisableCoalescing {
 		p.mu.Lock()
 		if f, ok := p.flights[sq.Key]; ok {
@@ -369,36 +385,63 @@ func (p *Pipeline) Update(ctx context.Context, su wire.SealedUpdate, done func(U
 	})
 }
 
-// QuerySync is the blocking form of Query for synchronous transports. It
-// returns early with ctx's error if the context ends first (the underlying
-// fetch still completes and populates the cache for later queries).
+// QuerySync is the blocking form of Query. It returns early with ctx's
+// error if the context ends first (the underlying fetch still completes and
+// populates the cache for later queries).
 func (p *Pipeline) QuerySync(ctx context.Context, sq wire.SealedQuery) (QueryReply, error) {
-	type outcome struct {
-		reply QueryReply
-		err   error
+	start := p.tracer.Now()
+	if reply, hit := p.lookup(sq, start); hit {
+		return reply, nil
 	}
-	ch := make(chan outcome, 1)
-	p.Query(ctx, sq, func(r QueryReply, err error) { ch <- outcome{r, err} })
-	select {
-	case o := <-ch:
-		return o.reply, o.err
-	case <-ctx.Done():
-		return QueryReply{}, ctx.Err()
+	var c syncCall[QueryReply]
+	p.fetch(ctx, sq, start, c.done)
+	return c.wait(ctx)
+}
+
+// UpdateSync is the blocking form of Update.
+func (p *Pipeline) UpdateSync(ctx context.Context, su wire.SealedUpdate) (UpdateReply, error) {
+	var c syncCall[UpdateReply]
+	p.Update(ctx, su, c.done)
+	return c.wait(ctx)
+}
+
+// syncCall carries the outcome of one Query or Update from its continuation
+// to the caller blocked in the Sync form. A transport that resolves before
+// it returns has run the continuation by the time the caller looks: it then
+// reads the outcome and is gone, and only a caller that finds the call still
+// pending makes a channel to wait on.
+type syncCall[R any] struct {
+	reply R
+	err   error
+	state atomic.Int32  // callPending, then callDone or callWaiting, whichever side moves first
+	ch    chan struct{} // set before state becomes callWaiting; closed by done
+}
+
+const (
+	callPending int32 = iota
+	callDone          // the continuation ran first: reply and err are set
+	callWaiting       // the caller got there first and waits on ch
+)
+
+func (c *syncCall[R]) done(reply R, err error) {
+	c.reply, c.err = reply, err
+	if !c.state.CompareAndSwap(callPending, callDone) {
+		close(c.ch)
 	}
 }
 
-// UpdateSync is the blocking form of Update for synchronous transports.
-func (p *Pipeline) UpdateSync(ctx context.Context, su wire.SealedUpdate) (UpdateReply, error) {
-	type outcome struct {
-		reply UpdateReply
-		err   error
+func (c *syncCall[R]) wait(ctx context.Context) (R, error) {
+	if c.state.Load() != callDone {
+		c.ch = make(chan struct{})
+		if c.state.CompareAndSwap(callPending, callWaiting) {
+			select {
+			case <-c.ch:
+			case <-ctx.Done():
+				// done may still run, and write reply: do not read it.
+				var none R
+				return none, ctx.Err()
+			}
+		}
 	}
-	ch := make(chan outcome, 1)
-	p.Update(ctx, su, func(r UpdateReply, err error) { ch <- outcome{r, err} })
-	select {
-	case o := <-ch:
-		return o.reply, o.err
-	case <-ctx.Done():
-		return UpdateReply{}, ctx.Err()
-	}
+	return c.reply, c.err
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,4 +284,90 @@ func TestQuerySyncHonorsContext(t *testing.T) {
 	if _, err := p.UpdateSync(ctx, wire.SealedUpdate{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
+}
+
+// asyncTransport resolves on a goroutine of its own, and only once the
+// test lets it: QuerySync and UpdateSync are then sure to find the call
+// pending and take the waiting path.
+type asyncTransport struct {
+	release chan struct{}
+	wg      sync.WaitGroup
+}
+
+func (t *asyncTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done func(ExecQueryResult, error)) {
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		<-t.release
+		done(ExecQueryResult{Result: wire.SealedResult{Cipher: []byte(sq.Key)}, Scanned: 3}, nil)
+	}()
+}
+
+func (t *asyncTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error)) {
+	t.wg.Add(1)
+	go func() {
+		defer t.wg.Done()
+		<-t.release
+		done(ExecUpdateResult{Affected: 2, Seq: 9}, nil)
+	}()
+}
+
+// The Sync forms return at once when the continuation has already run;
+// this is the other half: a transport that completes later, on another
+// goroutine, and one that never completes under a cancelled context.
+func TestQuerySyncAsyncTransport(t *testing.T) {
+	tr := &asyncTransport{release: make(chan struct{})}
+	p, _, _ := newTestPipeline(tr, Options{})
+
+	// Late completion: each caller gets its own outcome.
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		key := fmt.Sprintf("k%d", i)
+		go func() {
+			defer wg.Done()
+			r, err := p.QuerySync(context.Background(), wire.SealedQuery{Key: key})
+			if err != nil || r.Hit || r.Scanned != 3 || string(r.Result.Cipher) != key {
+				t.Errorf("QuerySync(%s) = %+v, %v", key, r, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			r, err := p.UpdateSync(context.Background(), wire.SealedUpdate{TemplateID: "U1"})
+			if err != nil || r.Affected != 2 || r.Seq != 9 {
+				t.Errorf("UpdateSync = %+v, %v", r, err)
+			}
+		}()
+	}
+	close(tr.release) // races the callers to the completion state: either order must work
+	wg.Wait()
+	tr.wg.Wait()
+
+	// The order nothing above can force: the caller parked first.
+	var c syncCall[int]
+	got := make(chan int)
+	go func() {
+		v, _ := c.wait(context.Background())
+		got <- v
+	}()
+	waitFor(t, "the caller to park", func() bool { return c.state.Load() == callWaiting })
+	c.done(7, nil)
+	if v := <-got; v != 7 {
+		t.Fatalf("parked caller woke with %d, want 7", v)
+	}
+
+	// Never completing: a cancelled context ends the wait, and a
+	// completion that arrives afterwards has nowhere to block.
+	late := &asyncTransport{release: make(chan struct{})}
+	p, _, _ = newTestPipeline(late, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := p.QuerySync(ctx, wire.SealedQuery{Key: "k"}); !errors.Is(err, context.Canceled) || r.Result.Cipher != nil || r.Hit {
+		t.Fatalf("QuerySync under a cancelled context = %+v, %v", r, err)
+	}
+	if r, err := p.UpdateSync(ctx, wire.SealedUpdate{}); !errors.Is(err, context.Canceled) || r != (UpdateReply{}) {
+		t.Fatalf("UpdateSync under a cancelled context = %+v, %v", r, err)
+	}
+	close(late.release)
+	late.wg.Wait()
 }

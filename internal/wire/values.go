@@ -90,35 +90,46 @@ func Uvarint(b []byte) (uint64, []byte, error) {
 	return n, b[w:], nil
 }
 
-// decodeValue consumes one value from b and returns the remainder. The
-// returned value's string data is copied out of b.
-func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
+// splitValue consumes one value from b and returns the remainder. A
+// string's bytes come back as str, still aliasing b, with v.Str left empty:
+// the caller decides where the copy lives. This is the one place the value
+// grammar is checked.
+func splitValue(b []byte) (v sqlparse.Value, str, rest []byte, err error) {
 	if len(b) == 0 {
-		return sqlparse.Value{}, nil, errMalformed
+		return sqlparse.Value{}, nil, nil, errMalformed
 	}
 	kind, b := sqlparse.ValueKind(b[0]), b[1:]
 	switch kind {
 	case sqlparse.KindNull:
-		return sqlparse.Null(), b, nil
+		return sqlparse.Null(), nil, b, nil
 	case sqlparse.KindInt:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, errMalformed
+			return sqlparse.Value{}, nil, nil, errMalformed
 		}
-		return sqlparse.IntVal(int64(binary.BigEndian.Uint64(b))), b[8:], nil
+		return sqlparse.IntVal(int64(binary.BigEndian.Uint64(b))), nil, b[8:], nil
 	case sqlparse.KindFloat:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, errMalformed
+			return sqlparse.Value{}, nil, nil, errMalformed
 		}
-		return sqlparse.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
+		return sqlparse.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(b))), nil, b[8:], nil
 	case sqlparse.KindString:
-		n, rest, err := Uvarint(b)
-		if err != nil || n > uint64(len(rest)) {
-			return sqlparse.Value{}, nil, errMalformed
+		if str, rest, err = splitString(b); err != nil {
+			return sqlparse.Value{}, nil, nil, errMalformed
 		}
-		return sqlparse.StringVal(string(rest[:n])), rest[n:], nil
+		return sqlparse.Value{Kind: sqlparse.KindString}, str, rest, nil
 	default:
-		return sqlparse.Value{}, nil, errMalformed
+		return sqlparse.Value{}, nil, nil, errMalformed
 	}
+}
+
+// decodeValue consumes one value from b and returns the remainder. The
+// returned value's string data is copied out of b.
+func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
+	v, str, rest, err := splitValue(b)
+	if v.Kind == sqlparse.KindString {
+		v.Str = string(str)
+	}
+	return v, rest, err
 }
 
 // appendParams appends the parameter encoding. Values are self-delimiting,
@@ -148,13 +159,20 @@ func appendPayload(dst []byte, templateID string, params []sqlparse.Value) []byt
 	return appendParams(dst, params)
 }
 
-// decodeString consumes one uvarint-length-prefixed string.
-func decodeString(b []byte) (string, []byte, error) {
+// splitString consumes one uvarint-length-prefixed string and returns its
+// bytes, still aliasing b.
+func splitString(b []byte) (str, rest []byte, err error) {
 	n, rest, err := Uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
-		return "", nil, errMalformed
+		return nil, nil, errMalformed
 	}
-	return string(rest[:n]), rest[n:], nil
+	return rest[:n], rest[n:], nil
+}
+
+// decodeString consumes one uvarint-length-prefixed string.
+func decodeString(b []byte) (string, []byte, error) {
+	str, rest, err := splitString(b)
+	return string(str), rest, err
 }
 
 // decodeCount consumes one uvarint and bounds it by the remaining input:
@@ -209,47 +227,88 @@ func appendResult(dst []byte, r *engine.Result) []byte {
 	return binary.AppendUvarint(dst, uint64(r.RowsScanned))
 }
 
-// decodeResult decodes a sealed result body. The returned result is
-// freshly allocated — nothing aliases b.
-func decodeResult(b []byte) (*engine.Result, error) {
-	var err error
-	r := &engine.Result{}
-	ncols, b, err := decodeCount(b)
-	if err != nil {
-		return nil, errMalformed
+// measureResult is pass one of decodeResult: it checks b against the whole
+// result grammar — minimal uvarints, every count bounded by the input left,
+// no trailing bytes — and reports how many columns, rows and values (over
+// all rows) it holds. Every counted element costs at least one byte, so
+// none of the three exceeds len(b).
+func measureResult(b []byte) (ncols, nrows, nvals int, err error) {
+	if ncols, b, err = decodeCount(b); err != nil {
+		return 0, 0, 0, errMalformed
 	}
-	if ncols > 0 {
-		r.Columns = make([]string, ncols)
-		for i := range r.Columns {
-			if r.Columns[i], b, err = decodeString(b); err != nil {
-				return nil, errMalformed
+	for i := 0; i < ncols; i++ {
+		if _, b, err = splitString(b); err != nil {
+			return 0, 0, 0, errMalformed
+		}
+	}
+	if nrows, b, err = decodeCount(b); err != nil {
+		return 0, 0, 0, errMalformed
+	}
+	for i := 0; i < nrows; i++ {
+		var width int
+		if width, b, err = decodeCount(b); err != nil {
+			return 0, 0, 0, errMalformed
+		}
+		nvals += width
+		for j := 0; j < width; j++ {
+			if _, _, b, err = splitValue(b); err != nil {
+				return 0, 0, 0, errMalformed
 			}
 		}
 	}
-	nrows, b, err := decodeCount(b)
-	if err != nil {
-		return nil, errMalformed
+	scanned, rest, err := Uvarint(b)
+	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
+		return 0, 0, 0, errMalformed
 	}
+	return ncols, nrows, nvals, nil
+}
+
+// decodeResult decodes a sealed result body in two passes, so that the
+// result costs the same handful of allocations whatever its row count:
+// measureResult validates and counts, then the rows are carved out of one
+// exactly-sized value slab and every string — column names included — is a
+// substring of one copy of the body. Nothing returned aliases b; the
+// strings of one result do share that copy, so holding one holds them all.
+func decodeResult(b []byte) (*engine.Result, error) {
+	ncols, nrows, nvals, err := measureResult(b)
+	if err != nil {
+		return nil, err
+	}
+	// Pass two reads what pass one accepted: no step below can fail.
+	arena := string(b)
+	// copyOf maps str, which ends where rest begins in b, to its copy.
+	copyOf := func(str, rest []byte) string {
+		end := len(arena) - len(rest)
+		return arena[end-len(str) : end]
+	}
+	r := &engine.Result{}
+	var str []byte
+	_, b, _ = decodeCount(b)
+	if ncols > 0 {
+		r.Columns = make([]string, ncols)
+		for i := range r.Columns {
+			str, b, _ = splitString(b)
+			r.Columns[i] = copyOf(str, b)
+		}
+	}
+	_, b, _ = decodeCount(b)
 	if nrows > 0 {
 		r.Rows = make([][]sqlparse.Value, nrows)
+		slab := make([]sqlparse.Value, nvals)
 		for i := range r.Rows {
 			var width int
-			if width, b, err = decodeCount(b); err != nil {
-				return nil, errMalformed
-			}
-			row := make([]sqlparse.Value, width)
+			width, b, _ = decodeCount(b)
+			row := slab[:width:width]
+			slab = slab[width:]
 			for j := range row {
-				if row[j], b, err = decodeValue(b); err != nil {
-					return nil, errMalformed
+				if row[j], str, b, _ = splitValue(b); row[j].Kind == sqlparse.KindString {
+					row[j].Str = copyOf(str, b)
 				}
 			}
 			r.Rows[i] = row
 		}
 	}
-	scanned, rest, err := Uvarint(b)
-	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
-		return nil, errMalformed
-	}
+	scanned, _, _ := Uvarint(b)
 	r.RowsScanned = int(scanned)
 	return r, nil
 }

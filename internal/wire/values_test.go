@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,6 +248,209 @@ func TestResultCodecRoundTrip(t *testing.T) {
 				t.Fatalf("truncated result of %d/%d bytes accepted", n, len(b))
 			}
 		}
+	}
+}
+
+// referenceDecodeResult is the one-pass result decoder decodeResult
+// replaced, kept verbatim as the reference for what is accepted and what it
+// decodes to: one slice per row, one string per value.
+func referenceDecodeResult(b []byte) (*engine.Result, error) {
+	var err error
+	r := &engine.Result{}
+	ncols, b, err := decodeCount(b)
+	if err != nil {
+		return nil, errMalformed
+	}
+	if ncols > 0 {
+		r.Columns = make([]string, ncols)
+		for i := range r.Columns {
+			if r.Columns[i], b, err = decodeString(b); err != nil {
+				return nil, errMalformed
+			}
+		}
+	}
+	nrows, b, err := decodeCount(b)
+	if err != nil {
+		return nil, errMalformed
+	}
+	if nrows > 0 {
+		r.Rows = make([][]sqlparse.Value, nrows)
+		for i := range r.Rows {
+			var width int
+			if width, b, err = decodeCount(b); err != nil {
+				return nil, errMalformed
+			}
+			row := make([]sqlparse.Value, width)
+			for j := range row {
+				if row[j], b, err = decodeValue(b); err != nil {
+					return nil, errMalformed
+				}
+			}
+			r.Rows[i] = row
+		}
+	}
+	scanned, rest, err := Uvarint(b)
+	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
+		return nil, errMalformed
+	}
+	r.RowsScanned = int(scanned)
+	return r, nil
+}
+
+// decodeResultCorpus seeds the differential tests: every shape the grammar
+// allows, and one input for each way of breaking it.
+func decodeResultCorpus() [][]byte {
+	enc := func(r *engine.Result) []byte { return appendResult(nil, r) }
+	v := sqlparse.IntVal
+	return [][]byte{
+		enc(&engine.Result{}),
+		enc(&engine.Result{Columns: []string{"qty"}, RowsScanned: 3}),
+		enc(&engine.Result{Rows: [][]sqlparse.Value{{}, {}, {}}}),                                                  // zero-width rows
+		enc(&engine.Result{Columns: []string{"a", "b"}, Rows: [][]sqlparse.Value{{v(1)}, {v(2), v(3), v(4)}, {}}}), // ragged
+		enc(&engine.Result{Columns: []string{"", "n"}, Rows: [][]sqlparse.Value{
+			{sqlparse.Null(), sqlparse.StringVal("")},
+			{sqlparse.FloatVal(math.Inf(-1)), sqlparse.StringVal("robot\x00toy")},
+			{sqlparse.FloatVal(math.NaN()), sqlparse.StringVal("nan")},
+		}, RowsScanned: math.MaxInt32}),
+		// a string ending at the last byte of the rows (then the scan count)
+		enc(&engine.Result{Columns: []string{"s"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("tail")}}}),
+		{},
+		{0x80, 0x00, 0x00, 0x00},             // non-minimal uvarint column count
+		{0x00, 0x05, 0x00},                   // row count above the input left
+		{0x00, 0x01, 0x02, 0x00, 0x00},       // row width above the input left
+		{0x01, 0x09, 'a', 0x00, 0x00},        // column name running off the end
+		{0x00, 0x01, 0x01, 0x03, 0x02, 'a'},  // string value running off the end
+		{0x00, 0x01, 0x01, 0x07, 0x00},       // unknown value kind
+		{0x00, 0x01, 0x01, 0x01, 0x00, 0x00}, // truncated integer
+		append(enc(&engine.Result{Columns: []string{"qty"}}), 0), // trailing byte
+		{0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x08},               // scan count above MaxInt32
+	}
+}
+
+// identicalResults is reflect.DeepEqual — a nil slice differs from an empty
+// one — except that floats compare by their bits, so a NaN equals itself.
+func identicalResults(a, b *engine.Result) bool {
+	if !reflect.DeepEqual(a.Columns, b.Columns) || a.RowsScanned != b.RowsScanned ||
+		(a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i, ra := range a.Rows {
+		rb := b.Rows[i]
+		if (ra == nil) != (rb == nil) || len(ra) != len(rb) {
+			return false
+		}
+		for j, va := range ra {
+			vb := rb[j]
+			if va.Kind != vb.Kind || va.Int != vb.Int || va.Str != vb.Str ||
+				math.Float64bits(va.Float) != math.Float64bits(vb.Float) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkDecodeResult holds decodeResult to the reference on one input: both
+// accept or both reject, and an accepted result is deeply equal — nil versus
+// empty included — and canonical.
+func checkDecodeResult(t *testing.T, b []byte) {
+	t.Helper()
+	want, wantErr := referenceDecodeResult(b)
+	got, err := decodeResult(b)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("decodeResult(%x): err %v, reference: %v", b, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !identicalResults(got, want) {
+		t.Fatalf("decodeResult(%x) = %#v, reference decoded %#v", b, got, want)
+	}
+	if !bytes.Equal(appendResult(nil, got), b) {
+		t.Fatalf("accepted result is not canonical: %x", b)
+	}
+}
+
+func TestDecodeResultMatchesReference(t *testing.T) {
+	for _, b := range decodeResultCorpus() {
+		checkDecodeResult(t, b)
+		for n := 0; n < len(b); n++ {
+			checkDecodeResult(t, b[:n])
+		}
+	}
+}
+
+// FuzzDecodeResult runs the same comparison on arbitrary input.
+func FuzzDecodeResult(f *testing.F) {
+	for _, b := range decodeResultCorpus() {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeResult(t, b) })
+}
+
+// TestDecodeResultDoesNotAliasInput: OpenResult decodes out of a pooled
+// buffer, so a decoded result must survive its input being overwritten.
+func TestDecodeResultDoesNotAliasInput(t *testing.T) {
+	for _, b := range decodeResultCorpus() {
+		want, err := referenceDecodeResult(b)
+		if err != nil {
+			continue
+		}
+		in := bytes.Clone(b)
+		got, err := decodeResult(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range in {
+			in[i] = 0xA5
+		}
+		if !identicalResults(got, want) {
+			t.Fatalf("scribbling over the input changed the result: %#v, want %#v", got, want)
+		}
+	}
+}
+
+// TestDecodeResultAllocations pins what the two passes buy: the body copy,
+// Columns, Rows, one value slab and the Result — whatever the row count.
+func TestDecodeResultAllocations(t *testing.T) {
+	for _, nrows := range []int{1, 50} {
+		b := appendResult(nil, benchResult(nrows))
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := decodeResult(b); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 5 {
+			t.Errorf("decodeResult of %d rows: %v allocations, want <= 5", nrows, n)
+		}
+	}
+}
+
+// benchResult is an n-row result shaped like the bookstore's listing
+// queries: an id, a title, a price.
+func benchResult(n int) *engine.Result {
+	r := &engine.Result{Columns: []string{"i_id", "i_title", "i_cost"}, RowsScanned: 4 * n}
+	for i := 0; i < n; i++ {
+		r.Rows = append(r.Rows, []sqlparse.Value{
+			sqlparse.IntVal(int64(i)), sqlparse.StringVal("title " + strconv.Itoa(i)), sqlparse.FloatVal(9.99),
+		})
+	}
+	return r
+}
+
+// BenchmarkOpenResult is the client's cost of opening an encrypted result:
+// decrypt into pooled scratch, then decodeResult.
+func BenchmarkOpenResult(b *testing.B) {
+	c, app := testCodec(b, map[string]template.Exposure{"Q2": template.ExpStmt})
+	for _, nrows := range []int{1, 10, 50} {
+		sr := c.SealResult(app.Query("Q2"), benchResult(nrows))
+		b.Run("rows="+strconv.Itoa(nrows), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.OpenResult(sr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
