@@ -11,7 +11,6 @@
 //	dsspbench -exp figure4 -app bboard    # strategy-class containment check
 //	dsspbench -exp figure6 -pair U1/Q2    # one pair's invalidation probability matrix
 //	dsspbench -exp figure7                # exposure reduction per template
-//	dsspbench -exp route -app bboard      # invalidation-routing parity check
 //	dsspbench -exp batch -app auction     # batched invalidation: identical decisions, amortized walks
 //	dsspbench -exp figure8                # scalability per invalidation strategy
 //	dsspbench -exp security               # §5.4 security-enhancement summary
@@ -46,8 +45,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|route|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|obs|leakage|trace|elastic|all")
-	app := flag.String("app", "bboard", "application for figure4/route/obs/scaleout/trace: auction|bboard|bookstore|toystore")
+	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|obs|leakage|trace|elastic|all")
+	app := flag.String("app", "bboard", "application for figure4/batch/obs/scaleout/trace: auction|bboard|bookstore|toystore")
 	pair := flag.String("pair", "U1/Q2", "toystore template pair for figure6, e.g. U1/Q2")
 	full := flag.Bool("full", false, "use the paper's full 10-minute simulation runs")
 	maxUsers := flag.Int("maxusers", 4000, "cap for the scalability search")
@@ -355,19 +354,6 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 			return err
 		}
 		fmt.Println(r.Format())
-	case "route":
-		b, err := benchmark(app)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.RouteParity(b, 400, opts.Seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
-		if !r.Passed() {
-			return fmt.Errorf("routing parity diverged")
-		}
 	case "security":
 		fmt.Println(experiments.Security().Format())
 	case "ablation":
@@ -400,7 +386,7 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 		if err != nil {
 			return err
 		}
-		r, err := experiments.BatchInvalidation(b, 400, opts.Seed, []int{1, 4, 8, 32})
+		r, err := experiments.BatchInvalidation(b, 400, opts.Seed, []int{4, 8, 32})
 		if err != nil {
 			return err
 		}
@@ -409,7 +395,7 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 			return fmt.Errorf("batched invalidation diverged")
 		}
 	case "all":
-		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "route", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity", "nodes"} {
+		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity", "nodes"} {
 			if err := run(e, app, pair, opts); err != nil {
 				return err
 			}

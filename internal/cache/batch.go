@@ -10,18 +10,20 @@ import (
 	"dssp/internal/wire"
 )
 
-// Batched invalidation. The paper's DSSP learns of completed updates by
+// The invalidation walk. The paper's DSSP learns of completed updates by
 // monitoring the update stream (§2.2) — an interval-batched process — so
-// updates arrive at the cache in groups. OnUpdateBatch applies a group in
-// one pass: it merges the routing index's affected-template sets across
-// the batch and locks and probes each bucket once per batch instead of
-// once per update, applying the batch's updates to the bucket in order
-// while it holds the lock. The decisions are identical, per update and in
-// update order, to calling OnUpdate sequentially: a decision depends only
-// on the update instance and the bucket-local state, bucket-local state
-// after k in-order applications is the same either way, and cross-bucket
-// state is never consulted. Only Stats.BucketWalks — the physical
-// lock-and-probe work — shrinks.
+// updates arrive at the cache in groups, and a single update (OnUpdate) is
+// a group of one. walk applies a group in one pass: it merges the routing
+// index's affected-template sets across the batch and locks and probes
+// each bucket once per batch instead of once per update, applying the
+// batch's updates to the bucket in order while it holds the lock. The
+// decisions are identical, per update and in update order, whatever the
+// grouping: a decision depends only on the update instance and the
+// bucket-local state, bucket-local state after k in-order applications is
+// the same either way, and cross-bucket state is never consulted. Only
+// Stats.BucketWalks — the physical lock-and-probe work — shrinks as
+// batches grow. The update-by-update walk the tests compare against is
+// oracleOnUpdate in oracle_test.go; it is not production code.
 //
 // The pass is built to stay off the allocator: per-batch working state
 // (the plans, the merged visit set) lives in a pooled batchScratch, visit
@@ -40,8 +42,9 @@ type updatePlan struct {
 	pu   *invalidate.PreparedUpdate
 
 	// blind marks an update the cache cannot steer by: a hidden template
-	// ID, or one this application does not know. It drops every bucket it
-	// reaches, exactly as OnUpdate's dropAllBuckets does.
+	// ID, or one this application does not know — which only a byzantine
+	// client can produce. Either reveals nothing to steer by, so it drops
+	// every bucket it reaches.
 	blind  bool
 	routed bool
 	ids    []string // visit order for the decision log; shared, never written
@@ -66,7 +69,7 @@ func (p *updatePlan) reset(u wire.SealedUpdate) {
 	p.hasHidden = false
 }
 
-// batchScratch is one batch's pooled working state.
+// batchScratch is one walk's pooled working state.
 type batchScratch struct {
 	plans    []updatePlan
 	seen     map[string]bool
@@ -96,31 +99,30 @@ func (c *Cache) putBatchScratch(bs *batchScratch) {
 	c.batchPool.Put(bs)
 }
 
-// OnUpdateBatch applies a monitoring interval's worth of completed updates
-// in one amortized pass and returns the total number of entries
-// invalidated. See OnUpdateBatchCounts for per-update counts.
-func (c *Cache) OnUpdateBatch(us []wire.SealedUpdate) int {
-	total := 0
-	for _, n := range c.OnUpdateBatchCounts(us) {
-		total += n
-	}
-	return total
-}
-
-// OnUpdateBatchCounts is OnUpdateBatch reporting per-update invalidation
-// counts: counts[i] is exactly what OnUpdate(us[i]) would have returned
-// had the batch been applied sequentially.
+// OnUpdateBatchCounts applies a monitoring interval's worth of completed
+// updates in one amortized pass. counts[i] is exactly what OnUpdate(us[i])
+// would have returned had the updates been applied one at a time.
 func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 	counts := make([]int, len(us))
 	if len(us) == 0 {
 		return counts
 	}
-	c.updatesSeen.Add(int64(len(us)))
-	c.updatesC.Add(int64(len(us)))
 	// The shared histogram buckets durations at 1µs·2^i; encoding a batch
 	// of n updates as n microseconds makes bucket i read "batches of up
-	// to 2^i updates" (see obs.MCacheBatchSize).
+	// to 2^i updates" (see obs.MCacheBatchSize). Only batching deployments
+	// record it: OnUpdate does not pass through here.
 	c.batchSizes.Observe(time.Duration(len(us)) * time.Microsecond)
+	c.walk(us, counts)
+	return counts
+}
+
+// walk is the cache's one invalidation pass: the only function that locks
+// shards and walks buckets on behalf of an update. It applies us in order
+// and adds to counts[i] the entries us[i] invalidated; us is non-empty and
+// counts has its length.
+func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
+	c.updatesSeen.Add(int64(len(us)))
+	c.updatesC.Add(int64(len(us)))
 
 	router := c.inv.Router()
 	bs := c.getBatchScratch(len(us))
@@ -137,8 +139,10 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 			continue
 		}
 		ids, known := router.Affected(u.TemplateID)
-		p.routed = known && !c.opts.DisableRouting
+		p.routed = known
 		if !p.routed {
+			// An analysis that does not cover this update template:
+			// visit every query template, in app order.
 			ids = c.allQueryIDs
 		}
 		p.ids = ids
@@ -147,8 +151,8 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 
 	// Hidden-template entries can only be handled blindly; every update
 	// drops the hidden bucket, so one probe serves the whole batch and
-	// the batch's first update owns the decision (sequentially, later
-	// updates find the bucket already empty and record nothing).
+	// the batch's first update owns the decision (applied one at a time,
+	// later updates find the bucket already empty and record nothing).
 	{
 		s := c.shardFor("")
 		s.mu.Lock()
@@ -170,9 +174,12 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 
 	// The merged visit set: the union of the batch's affected-template
 	// lists, grouped by shard. Blind members additionally visit every
-	// bucket that exists when their shard comes up, exactly the set
-	// dropAllBuckets would have walked (buckets only shrink during a
-	// batch — no store runs inside it — so nothing is missed).
+	// bucket that exists when their shard comes up (buckets only shrink
+	// while a shard is locked — no store runs inside it — so nothing is
+	// missed). Each shard lock is held across its whole walk: releasing it
+	// mid-iteration to unlink LRU entries would let a concurrent Store
+	// insert into a bucket map being ranged over; unlink only takes lruMu,
+	// which nests under shard locks.
 	for pi := range plans {
 		for _, id := range plans[pi].ids {
 			if bs.seen[id] || c.app.Query(id) == nil {
@@ -243,10 +250,10 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 		}
 	}
 
-	// Emit the decision log update-major, reproducing OnUpdate's order
-	// exactly: the hidden-bucket decision first, then — per update — its
-	// bucket decisions in affected-list order (blind updates: sorted by
-	// bucket ID, as dropAllBuckets records them), then its routing skips.
+	// Emit the decision log update-major, so that it reads the same
+	// however the updates were grouped: the hidden-bucket decision first,
+	// then — per update — its bucket decisions in affected-list order
+	// (blind updates: sorted by bucket ID), then its routing skips.
 	for pi := range plans {
 		p := &plans[pi]
 		if p.hasHidden {
@@ -282,5 +289,4 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 			}
 		}
 	}
-	return counts
 }

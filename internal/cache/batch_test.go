@@ -90,14 +90,15 @@ func (f *batchFixture) populate(t testing.TB) *Cache {
 // update stream through OnUpdateBatchCounts, at any batch size, must
 // produce the same per-update invalidation counts, the same decision log
 // (order included), the same surviving entries, and the same logical
-// stats as sequential OnUpdate — while making no more bucket walks.
+// stats as the update-by-update oracle — while making no more bucket
+// walks.
 func TestOnUpdateBatchParity(t *testing.T) {
 	f := newBatchFixture(t)
 
 	seq := f.populate(t)
 	var seqCounts []int
 	for _, u := range f.updates {
-		seqCounts = append(seqCounts, seq.OnUpdate(u))
+		seqCounts = append(seqCounts, oracleOnUpdate(seq, u, false))
 	}
 	seqStats := seq.Stats()
 	seqDecisions := seq.Decisions()
@@ -142,7 +143,7 @@ func TestOnUpdateBatchParity(t *testing.T) {
 }
 
 // TestOnUpdateBatchEmptyAndSingleton pins the degenerate shapes: an empty
-// batch is a no-op, and a singleton batch equals one OnUpdate call.
+// batch is a no-op, and a singleton batch equals one oracle pass.
 func TestOnUpdateBatchEmptyAndSingleton(t *testing.T) {
 	f := newBatchFixture(t)
 	c := f.populate(t)
@@ -152,10 +153,10 @@ func TestOnUpdateBatchEmptyAndSingleton(t *testing.T) {
 	if st := c.Stats(); st.UpdatesSeen != 0 || st.BucketWalks != 0 {
 		t.Errorf("empty batch did work: %+v", st)
 	}
-	n := c.OnUpdateBatch(f.updates[:1])
+	n := c.OnUpdateBatchCounts(f.updates[:1])[0]
 	seq := f.populate(t)
-	if want := seq.OnUpdate(f.updates[0]); n != want {
-		t.Errorf("singleton batch dropped %d, OnUpdate %d", n, want)
+	if want := oracleOnUpdate(seq, f.updates[0], false); n != want {
+		t.Errorf("singleton batch dropped %d, oracle %d", n, want)
 	}
 }
 
@@ -234,7 +235,7 @@ func TestDropAllBucketsStoreRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/8; i++ {
-			c.OnUpdateBatch(f.updates)
+			c.OnUpdateBatchCounts(f.updates)
 		}
 	}()
 	wg.Wait()
@@ -315,11 +316,11 @@ func TestOnUpdateBatchAllocBudget(t *testing.T) {
 			}
 			us[i] = su
 		}
-		c.OnUpdateBatch(us) // warm pools and instrument caches
-		allocs := testing.AllocsPerRun(50, func() { c.OnUpdateBatch(us) })
+		c.OnUpdateBatchCounts(us) // warm pools and instrument caches
+		allocs := testing.AllocsPerRun(50, func() { c.OnUpdateBatchCounts(us) })
 		budget := float64(4*size + 8)
 		if allocs > budget {
-			t.Errorf("size=%d: OnUpdateBatch allocated %.1f/op, budget %.0f", size, allocs, budget)
+			t.Errorf("size=%d: OnUpdateBatchCounts allocated %.1f/op, budget %.0f", size, allocs, budget)
 		}
 		if c.Len() == 0 {
 			t.Fatalf("size=%d: entries did not survive; budget measured empty buckets", size)
@@ -350,7 +351,7 @@ func BenchmarkOnUpdateBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.OnUpdateBatch(us)
+				c.OnUpdateBatchCounts(us)
 			}
 			if c.Len() == 0 {
 				b.Fatal("entries did not survive; benchmark walked empty buckets")

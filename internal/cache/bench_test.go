@@ -64,36 +64,29 @@ func sealSteadyU3(b *testing.B, codec *wire.Codec, app *template.App) wire.Seale
 	return su
 }
 
-// BenchmarkCacheOnUpdate measures one invalidation pass over a populated
-// cache. routed consults the precomputed A > 0 index and visits only the
-// union-relation buckets; unrouted (DisableRouting, the pre-change
-// behaviour) walks every query-template bucket.
+// BenchmarkCacheOnUpdate measures one inline invalidation pass — what
+// every deployment without a monitoring interval runs per update — over a
+// populated cache: the routed walk consults the precomputed A > 0 index
+// and visits only the union-relation buckets. BENCH_allocs.json budgets
+// its allocations: the one-element batch must stay on OnUpdate's stack.
 func BenchmarkCacheOnUpdate(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"routed", false},
-		{"unrouted", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			c, codec, app := benchBBoard(b, Options{DisableRouting: bc.disable}, 64)
-			su := sealSteadyU3(b, codec, app)
-			before := c.Len()
-			if dropped := c.OnUpdate(su); dropped != 0 {
-				b.Fatalf("steady-state update dropped %d entries", dropped)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.OnUpdate(su)
-			}
-			b.StopTimer()
-			if c.Len() != before {
-				b.Fatalf("cache drifted: %d -> %d entries", before, c.Len())
-			}
-		})
-	}
+	b.Run("routed", func(b *testing.B) {
+		c, codec, app := benchBBoard(b, Options{}, 64)
+		su := sealSteadyU3(b, codec, app)
+		before := c.Len()
+		if dropped := c.OnUpdate(su); dropped != 0 {
+			b.Fatalf("steady-state update dropped %d entries", dropped)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.OnUpdate(su)
+		}
+		b.StopTimer()
+		if c.Len() != before {
+			b.Fatalf("cache drifted: %d -> %d entries", before, c.Len())
+		}
+	})
 }
 
 // BenchmarkCacheConcurrentLookup measures parallel read throughput against

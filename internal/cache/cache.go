@@ -82,17 +82,9 @@ type Options struct {
 	// configuration).
 	Capacity int
 
-	// DisableRouting makes OnUpdate visit every template bucket and
-	// compute a decision for each, as the pre-routing cache did, instead
-	// of consulting the routing index. The decisions are identical either
-	// way (routing only skips buckets the analysis proved A = 0); this
-	// exists for the parity experiment and benchmarks that measure the
-	// routing win.
-	DisableRouting bool
-
 	// DecisionLog bounds the in-memory invalidation-decision log. 0 uses
-	// DecisionLogSize. The parity experiment raises it so a whole run's
-	// decisions survive for comparison.
+	// DecisionLogSize. The parity tests and the batch experiment raise it
+	// so a whole run's decisions survive for comparison.
 	DecisionLog int
 
 	// Obs is the registry the cache's instruments live in. nil creates a
@@ -100,10 +92,6 @@ type Options struct {
 	// always on; pass a shared registry to aggregate several components
 	// (node + home server, or several simulated nodes).
 	Obs *obs.Registry
-
-	// Tenant, when non-empty, labels every cache metric with the tenant
-	// name — used by the shared multi-application node.
-	Tenant string
 }
 
 // Stats counts cache activity.
@@ -124,10 +112,10 @@ type Stats struct {
 
 	// BucketWalks counts bucket probes made under a shard lock — the
 	// physical cost of invalidation, which batching amortizes. Unlike
-	// BucketsVisited (logical decisions, identical batched or sequential),
-	// a probe is counted even when the bucket turns out empty, and a batch
-	// probes each bucket of its merged affected set once instead of once
-	// per update.
+	// BucketsVisited (logical decisions, identical however updates are
+	// grouped), a probe is counted even when the bucket turns out empty,
+	// and a batch probes each bucket of its merged affected set once
+	// instead of once per update.
 	BucketWalks int
 }
 
@@ -214,7 +202,6 @@ type Cache struct {
 	bucketWalks atomic.Int64
 
 	reg        *obs.Registry
-	tenant     []obs.Label
 	storesC    *obs.Counter
 	evictionsC *obs.Counter
 	updatesC   *obs.Counter
@@ -233,29 +220,24 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	var tenant []obs.Label
-	if opts.Tenant != "" {
-		tenant = []obs.Label{obs.L(obs.LTenant, opts.Tenant)}
-	}
 	logSize := opts.DecisionLog
 	if logSize <= 0 {
 		logSize = DecisionLogSize
 	}
 	c := &Cache{
-		app:        app,
-		inv:        inv,
-		opts:       opts,
-		reg:        reg,
-		tenant:     tenant,
-		storesC:    reg.Counter(obs.MCacheStores, tenant...),
-		evictionsC: reg.Counter(obs.MCacheEvictions, tenant...),
-		updatesC:   reg.Counter(obs.MCacheUpdatesSeen, tenant...),
-		visitedC:   reg.Counter(obs.MCacheBucketsVisited, tenant...),
-		skippedC:   reg.Counter(obs.MCacheBucketsSkipped, tenant...),
-		walksC:     reg.Counter(obs.MCacheBucketWalks, tenant...),
-		batchSizes: reg.Histogram(obs.MCacheBatchSize, tenant...),
-		entries:    reg.Gauge(obs.MCacheEntries, tenant...),
-		decisions:  make([]Decision, logSize),
+		app:         app,
+		inv:         inv,
+		opts:        opts,
+		reg:         reg,
+		storesC:     reg.Counter(obs.MCacheStores),
+		evictionsC:  reg.Counter(obs.MCacheEvictions),
+		updatesC:    reg.Counter(obs.MCacheUpdatesSeen),
+		visitedC:    reg.Counter(obs.MCacheBucketsVisited),
+		skippedC:    reg.Counter(obs.MCacheBucketsSkipped),
+		walksC:      reg.Counter(obs.MCacheBucketWalks),
+		batchSizes:  reg.Histogram(obs.MCacheBatchSize),
+		entries:     reg.Gauge(obs.MCacheEntries),
+		decisions:   make([]Decision, logSize),
 		decCounters: make(map[decKey]*obs.Counter),
 	}
 	c.allQueryIDs = make([]string, 0, len(app.Queries))
@@ -273,11 +255,6 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 
 // Obs returns the registry the cache's instruments live in.
 func (c *Cache) Obs() *obs.Registry { return c.reg }
-
-// labels appends the tenant label (if any) to the given labels.
-func (c *Cache) labels(ls ...obs.Label) []obs.Label {
-	return append(ls, c.tenant...)
-}
 
 // shardIndex maps a template ID (empty = hidden) to its lock stripe.
 // The hash is FNV-1a 32, inlined so the invalidation hot path never
@@ -302,8 +279,8 @@ func (s *shard) tmpl(c *Cache, id string) *tmplInstruments {
 	ti := s.perTmpl[id]
 	if ti == nil {
 		ti = &tmplInstruments{
-			hits:   c.reg.Counter(obs.MCacheHits, c.labels(obs.L(obs.LTemplate, id))...),
-			misses: c.reg.Counter(obs.MCacheMisses, c.labels(obs.L(obs.LTemplate, id))...),
+			hits:   c.reg.Counter(obs.MCacheHits, obs.L(obs.LTemplate, id)),
+			misses: c.reg.Counter(obs.MCacheMisses, obs.L(obs.LTemplate, id)),
 		}
 		s.perTmpl[id] = ti
 	}
@@ -332,11 +309,11 @@ func (c *Cache) record(d Decision) {
 	c.decMu.Lock()
 	ctr := c.decCounters[key]
 	if ctr == nil {
-		ctr = c.reg.Counter(obs.MCacheInvalidations, c.labels(
+		ctr = c.reg.Counter(obs.MCacheInvalidations,
 			obs.L(obs.LTemplate, d.QueryTemplate),
 			obs.L(obs.LUpdateTemplate, d.UpdateTemplate),
 			obs.L(obs.LClass, d.Class),
-		)...)
+		)
 		c.decCounters[key] = ctr
 	}
 	c.invalidations += d.Dropped
@@ -480,80 +457,24 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 // and kept" — lands in the decision log and the invalidation counters;
 // buckets the routing index proves A = 0 are skipped outright and appear
 // in no log (there is no decision to make — the analysis already made it).
+//
+// A single update is a batch of one: this is the walk of
+// OnUpdateBatchCounts with both one-element arrays on the caller's stack.
 func (c *Cache) OnUpdate(u wire.SealedUpdate) int {
-	c.updatesSeen.Add(1)
-	c.updatesC.Inc()
-	uLbl := obs.Tmpl(u.TemplateID)
-	dropped := 0
-
-	// Entries with hidden templates can only be handled blindly.
-	if n := c.dropWholeBucket(""); n > 0 {
-		c.record(Decision{Trace: u.TraceID, UpdateTemplate: uLbl, QueryTemplate: obs.BlindTemplate, Class: invalidate.Blind.String(), Dropped: n})
-		dropped += n
-	}
-
-	ut := c.app.Update(u.TemplateID)
-	if u.TemplateID == "" || ut == nil {
-		// A blind update — or a template ID this application does not
-		// know, which only a byzantine client can produce — reveals
-		// nothing to steer by: invalidate everything.
-		return dropped + c.dropAllBuckets(u.TraceID, uLbl)
-	}
-
-	router := c.inv.Router()
-	ids, known := router.Affected(u.TemplateID)
-	routed := known && !c.opts.DisableRouting
-	if !routed {
-		// Unrouted pass (parity mode, or an analysis that does not cover
-		// this update template): visit every query template, in app order.
-		ids = c.allQueryIDs
-	}
-	pu := c.inv.Prepare(invalidate.UpdateInstance{Template: ut, Params: u.Params})
-	for _, id := range ids {
-		dropped += c.visitBucket(id, u, pu, uLbl, router)
-	}
-	if routed {
-		if n, ok := router.Skipped(u.TemplateID); ok && n > 0 {
-			c.decMu.Lock()
-			c.bucketsSkipped += n
-			c.decMu.Unlock()
-			c.skippedC.Add(int64(n))
-		}
-	}
-	return dropped
-}
-
-// visitBucket applies one update against one template bucket, recording
-// the decision. It returns the number of entries dropped.
-func (c *Cache) visitBucket(id string, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, uLbl string, router *invalidate.Router) int {
-	qt := c.app.Query(id)
-	if qt == nil {
-		return 0
-	}
-	s := c.shardFor(id)
-	s.mu.Lock()
-	c.countWalk()
-	bucket := s.buckets[id]
-	if len(bucket) == 0 {
-		s.mu.Unlock()
-		return 0
-	}
-	class, removed := c.applyToBucket(s, id, qt, u, pu, bucket, router)
-	s.mu.Unlock()
-	if len(removed) > 0 {
-		c.entries.Add(int64(-len(removed)))
-	}
-	c.record(Decision{Trace: u.TraceID, UpdateTemplate: uLbl, QueryTemplate: id, Class: class.String(), Dropped: len(removed)})
-	return len(removed)
+	us := [1]wire.SealedUpdate{u}
+	var counts [1]int
+	c.walk(us[:], counts[:])
+	return counts[0]
 }
 
 // applyToBucket applies one update instance against one non-empty bucket:
 // it picks the strategy class from the exposure pair, drops whole buckets
 // or individual entries accordingly, and unlinks whatever died from the
 // LRU. Called under the bucket's shard lock; the caller owns the entries
-// gauge and the decision log. Both the sequential OnUpdate path and the
-// batch walk funnel through here, which is what makes their decisions
-// identical by construction.
+// gauge and the decision log. walk is its one production caller; the test
+// oracle funnels through here too, so the two can differ only in which
+// buckets they visit and in what order, which is what the parity tests
+// check.
 func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router) (invalidate.Class, []*Entry) {
 	// All entries in a bucket share a template and hence an exposure.
 	var sample *Entry
@@ -582,62 +503,6 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 	}
 	c.unlink(removed)
 	return class, removed
-}
-
-// dropWholeBucket removes every entry of one bucket and returns how many
-// died. It records nothing — callers own the decision log entry.
-func (c *Cache) dropWholeBucket(id string) int {
-	s := c.shardFor(id)
-	s.mu.Lock()
-	c.countWalk()
-	bucket := s.buckets[id]
-	if len(bucket) == 0 {
-		s.mu.Unlock()
-		return 0
-	}
-	removed := collect(bucket)
-	delete(s.buckets, id)
-	c.unlink(removed)
-	s.mu.Unlock()
-	c.entries.Add(int64(-len(removed)))
-	return len(removed)
-}
-
-// dropAllBuckets clears every template bucket (blind invalidation),
-// recording one decision per bucket in deterministic order. Each shard
-// lock is held across its whole walk: releasing it mid-iteration — as an
-// earlier version did to unlink LRU entries — let a concurrent Store
-// insert into the map being ranged over, a fatal concurrent map
-// read/write. Deleting the current key during range is defined behaviour,
-// and unlink only takes lruMu, which nests under shard locks.
-func (c *Cache) dropAllBuckets(trace, uLbl string) int {
-	counts := make(map[string]int)
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for id, bucket := range s.buckets {
-			c.countWalk()
-			if len(bucket) == 0 {
-				continue
-			}
-			removed := collect(bucket)
-			delete(s.buckets, id)
-			c.unlink(removed)
-			counts[id] = len(removed)
-			c.entries.Add(int64(-len(removed)))
-		}
-		s.mu.Unlock()
-	}
-	ids := make([]string, 0, len(counts))
-	for id := range counts {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	dropped := 0
-	for _, id := range ids {
-		c.record(Decision{Trace: trace, UpdateTemplate: uLbl, QueryTemplate: id, Class: invalidate.Blind.String(), Dropped: counts[id]})
-		dropped += counts[id]
-	}
-	return dropped
 }
 
 // collect snapshots a bucket's entries. Called under the bucket's shard

@@ -76,7 +76,7 @@ func protocolFixture(t *testing.T) (*Cache, wire.SealedQuery, func(id string, pa
 	q1, r1 := mk("Q2", sqlparse.IntVal(1))
 	c.Store(q1, r1, false)
 	// A sealed update with an unknown template: the blind invalidation
-	// path (dropAllBuckets), without needing a blind exposure setup.
+	// path, without needing a blind exposure setup.
 	blind := wire.SealedUpdate{TraceID: "t-blind"}
 	return c, q1, mk, blind
 }

@@ -125,7 +125,7 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 		imported++
 	}
 	if imported > 0 {
-		c.reg.Counter(obs.MCacheImported, c.tenant...).Add(int64(imported))
+		c.reg.Counter(obs.MCacheImported).Add(int64(imported))
 	}
 	return imported
 }

@@ -27,11 +27,11 @@ func stmtExposures() map[string]template.Exposure {
 // TestOnUpdateSkipsAZeroBuckets is the acceptance check for the routed
 // fast path at the cache level: an update's invalidation pass must not
 // even visit the bucket of a query template the analysis proved A = 0 —
-// no decision is logged for it — while the unrouted comparison mode
-// visits it and logs the (necessarily Dropped=0) decision.
+// no decision is logged for it — while the unrouted oracle visits it and
+// logs the (necessarily Dropped=0) decision.
 func TestOnUpdateSkipsAZeroBuckets(t *testing.T) {
-	run := func(t *testing.T, disable bool) (*Cache, Stats, []Decision) {
-		c, codec, app := testStack(t, stmtExposures(), Options{DisableRouting: disable})
+	run := func(t *testing.T, unrouted bool) (*Cache, Stats, []Decision) {
+		c, codec, app := testStack(t, stmtExposures(), Options{})
 		// Populate one entry per template. Q3 (customers x credit_card) is
 		// untouchable by U1 (DELETE FROM toys): A = 0 across relations.
 		c.Store(seal(t, codec, app.Query("Q1"), sqlparse.StringVal("bear")), codec.SealResult(app.Query("Q1"), result(1)), false)
@@ -41,7 +41,11 @@ func TestOnUpdateSkipsAZeroBuckets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.OnUpdate(su)
+		if unrouted {
+			oracleOnUpdate(c, su, true)
+		} else {
+			c.OnUpdate(su)
+		}
 		return c, c.Stats(), c.Decisions()
 	}
 

@@ -65,9 +65,9 @@ func TestConcurrentStress(t *testing.T) {
 				storeWorkers  = 4
 				updateWorkers = 2
 				opsPerWorker  = 2000
-				batchWorkers  = 1 // feed updates through OnUpdateBatch
+				batchWorkers  = 1 // feed updates through OnUpdateBatchCounts
 				batchSize     = 8
-				blindWorkers  = 1 // blind passes exercise dropAllBuckets
+				blindWorkers  = 1 // blind passes drop every bucket of every shard
 				blindOps      = opsPerWorker / 4
 			)
 			var wg sync.WaitGroup
@@ -112,7 +112,7 @@ func TestConcurrentStress(t *testing.T) {
 						for j := range batch {
 							batch[j] = updates[(i*batchSize+j*3+w*23)%len(updates)]
 						}
-						c.OnUpdateBatch(batch)
+						c.OnUpdateBatchCounts(batch)
 					}
 				}()
 			}

@@ -31,9 +31,10 @@ type BatchRun struct {
 }
 
 // BatchResult certifies that batched invalidation is a pure amortization:
-// on the same sealed update stream, every batch size produces the exact
-// sequential decision log and final cache image while walking each
-// affected bucket once per batch instead of once per update.
+// on the same sealed update stream, every batch size produces the decision
+// log and final cache image of batches of one — what a node without a
+// monitoring interval does — while walking each affected bucket once per
+// batch instead of once per update.
 type BatchResult struct {
 	App     string
 	Pages   int
@@ -41,45 +42,66 @@ type BatchResult struct {
 	Updates int
 	Entries int // cache entries at measurement start, identical per run
 
-	Sequential BatchRun // the per-update OnUpdate baseline
-	Runs       []BatchRun
+	// Runs[0] is size 1, the baseline every larger size's log, dump and
+	// walk count are compared against; the requested sizes follow.
+	Runs []BatchRun
 }
 
-// Passed reports whether every batch size reproduced the sequential
-// decisions exactly without ever walking more buckets.
+// Passed reports whether every batch size above 1 reproduced the size-1
+// decisions exactly while walking strictly fewer buckets.
 func (r *BatchResult) Passed() bool {
-	for _, run := range r.Runs {
+	base := r.Runs[0]
+	for _, run := range r.Runs[1:] {
 		if !run.LogIdentical || !run.DumpIdentical ||
-			run.Invalidations != r.Sequential.Invalidations ||
-			run.BucketWalks > r.Sequential.BucketWalks {
-			return false
-		}
-		if run.Size > 1 && run.BucketWalks >= r.Sequential.BucketWalks {
+			run.Invalidations != base.Invalidations ||
+			run.BucketWalks >= base.BucketWalks {
 			return false
 		}
 	}
 	return true
 }
 
-// WalkRatio reports sequential walks over the given batch size's walks —
-// the amortization factor the monitoring interval buys.
+// WalkRatio reports size-1 walks over the given batch size's walks — the
+// amortization factor the monitoring interval buys.
 func (r *BatchResult) WalkRatio(size int) float64 {
 	for _, run := range r.Runs {
 		if run.Size == size && run.BucketWalks > 0 {
-			return float64(r.Sequential.BucketWalks) / float64(run.BucketWalks)
+			return float64(r.Runs[0].BucketWalks) / float64(run.BucketWalks)
 		}
 	}
 	return 0
 }
 
+// parityExposures assigns a deterministic mix of exposure levels so the
+// replay exercises every strategy class, including blind entries and
+// blind updates.
+func parityExposures(app *template.App) map[string]template.Exposure {
+	m := make(map[string]template.Exposure, len(app.Queries)+len(app.Updates))
+	qcycle := []template.Exposure{template.ExpView, template.ExpStmt, template.ExpTemplate, template.ExpStmt, template.ExpBlind}
+	for i, q := range app.Queries {
+		m[q.ID] = qcycle[i%len(qcycle)]
+	}
+	ucycle := []template.Exposure{template.ExpStmt, template.ExpTemplate, template.ExpStmt, template.ExpBlind}
+	for i, u := range app.Updates {
+		m[u.ID] = ucycle[i%len(ucycle)]
+	}
+	return m
+}
+
 // BatchInvalidation replays a seeded benchmark workload to warm one DSSP
 // node per batch-size configuration identically — every node stores the
 // same sealed results, and no invalidation runs during the warm phase —
-// then applies the workload's sealed update stream to each: sequentially
-// (one OnUpdate per update) to the baseline node, and grouped into
-// batches of each size to the others. Decision logs and cache dumps are
-// diffed byte for byte against the baseline.
+// then applies the workload's sealed update stream to each, grouped into
+// batches of 1 (the baseline) and of each of sizes, which must all exceed
+// 1. Decision logs and cache dumps are diffed byte for byte against the
+// baseline's.
 func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int) (*BatchResult, error) {
+	for _, size := range sizes {
+		if size < 2 {
+			return nil, fmt.Errorf("batch size %d: sizes are compared against size 1 and must exceed it", size)
+		}
+	}
+	sizes = append([]int{1}, sizes...)
 	rng := rand.New(rand.NewSource(seed))
 	app := b.App()
 	db := storage.NewDatabase(app.Schema)
@@ -108,7 +130,7 @@ func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int)
 	}
 	logSize := updates*(len(app.Queries)+2) + 16
 
-	nodes := make([]*dssp.Node, 1+len(sizes))
+	nodes := make([]*dssp.Node, len(sizes))
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{DecisionLog: logSize})
 	}
@@ -154,21 +176,11 @@ func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int)
 	}
 	res.Entries = nodes[0].Cache.Len()
 
-	// Measurement: the sequential baseline first, then each batch size.
-	base := nodes[0]
-	seq := BatchRun{Size: 1, Batches: len(stream), LogIdentical: true, DumpIdentical: true}
-	for _, su := range stream {
-		seq.Invalidations += base.OnUpdateCompleted(su)
-	}
-	seq.BucketWalks = base.Cache.Stats().BucketWalks
-	res.Sequential = seq
-	baseLog, baseDump := base.Cache.Decisions(), base.Cache.Dump()
-
+	// Measurement: size 1 first, then each larger batch size against it.
+	var baseLog []cache.Decision
+	var baseDump []string
 	for i, size := range sizes {
-		if size < 1 {
-			return nil, fmt.Errorf("batch size %d", size)
-		}
-		n := nodes[1+i]
+		n := nodes[i]
 		run := BatchRun{Size: size}
 		for off := 0; off < len(stream); off += size {
 			end := off + size
@@ -181,6 +193,9 @@ func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int)
 			run.Batches++
 		}
 		run.BucketWalks = n.Cache.Stats().BucketWalks
+		if i == 0 {
+			baseLog, baseDump = n.Cache.Decisions(), n.Cache.Dump()
+		}
 		run.LogIdentical = reflect.DeepEqual(n.Cache.Decisions(), baseLog)
 		run.DumpIdentical = reflect.DeepEqual(n.Cache.Dump(), baseDump)
 		res.Runs = append(res.Runs, run)
@@ -194,23 +209,19 @@ func (r *BatchResult) Format() string {
 	fmt.Fprintf(&b, "Batched invalidation on the %s workload (%d pages: %d queries, %d updates; %d warm entries)\n\n",
 		r.App, r.Pages, r.Queries, r.Updates, r.Entries)
 	rows := [][]string{{"batch size", "batches", "invalidations", "bucket walks", "walk ratio", "log", "dump"}}
-	row := func(run BatchRun, name string) []string {
+	tick := func(ok bool) string {
+		if ok {
+			return "identical"
+		}
+		return "DIVERGED"
+	}
+	for _, run := range r.Runs {
 		ratio := "1.00x"
 		if run.BucketWalks > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(r.Sequential.BucketWalks)/float64(run.BucketWalks))
+			ratio = fmt.Sprintf("%.2fx", float64(r.Runs[0].BucketWalks)/float64(run.BucketWalks))
 		}
-		tick := func(ok bool) string {
-			if ok {
-				return "identical"
-			}
-			return "DIVERGED"
-		}
-		return []string{name, fmt.Sprint(run.Batches), fmt.Sprint(run.Invalidations),
-			fmt.Sprint(run.BucketWalks), ratio, tick(run.LogIdentical), tick(run.DumpIdentical)}
-	}
-	rows = append(rows, row(r.Sequential, "sequential"))
-	for _, run := range r.Runs {
-		rows = append(rows, row(run, fmt.Sprint(run.Size)))
+		rows = append(rows, []string{fmt.Sprint(run.Size), fmt.Sprint(run.Batches), fmt.Sprint(run.Invalidations),
+			fmt.Sprint(run.BucketWalks), ratio, tick(run.LogIdentical), tick(run.DumpIdentical)})
 	}
 	table(&b, rows)
 	verdict := "IDENTICAL decisions, amortized walks"

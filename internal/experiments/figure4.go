@@ -156,7 +156,7 @@ func Figure4(b workload.Benchmark, encounters int, seed int64) (*Figure4Result, 
 			if _, err := engine.ExecUpdate(db2, op.Template.Stmt, op.Params); err != nil {
 				return nil, err
 			}
-			ui := invalidate.UpdateInstance{Template: op.Template, Params: op.Params}
+			pu := iv.Prepare(invalidate.UpdateInstance{Template: op.Template, Params: op.Params})
 			keep := cached[:0]
 			keepOrd := ordered[:0]
 			for i, view := range cached {
@@ -169,7 +169,7 @@ func Figure4(b workload.Benchmark, encounters int, seed int64) (*Figure4Result, 
 				stale := false
 				decisions := make([]invalidate.Decision, len(classes))
 				for ci, class := range classes {
-					d := iv.Decide(class, ui, view)
+					d := iv.DecidePrepared(class, pu, view)
 					decisions[ci] = d
 					if d == invalidate.Invalidate {
 						res.Invalidated[class.String()]++

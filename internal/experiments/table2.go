@@ -63,7 +63,7 @@ func Table2() (*Table2Result, error) {
 		{"Q3(1)", "Q3", []sqlparse.Value{sqlparse.IntVal(1)}},
 	}
 	iv := invalidate.New(app, core.Analyze(app, core.DefaultOptions()))
-	u := invalidate.UpdateInstance{Template: app.Update("U1"), Params: []sqlparse.Value{sqlparse.IntVal(5)}}
+	u := iv.Prepare(invalidate.UpdateInstance{Template: app.Update("U1"), Params: []sqlparse.Value{sqlparse.IntVal(5)}})
 
 	res := &Table2Result{}
 	scenarios := []struct {
@@ -84,7 +84,7 @@ func Table2() (*Table2Result, error) {
 				return nil, err
 			}
 			view := invalidate.CachedView{Template: q, Params: in.params, Result: result}
-			if iv.Decide(sc.class, u, view) == invalidate.Invalidate {
+			if iv.DecidePrepared(sc.class, u, view) == invalidate.Invalidate {
 				row.Invalidated = append(row.Invalidated, in.label)
 			}
 		}

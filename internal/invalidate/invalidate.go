@@ -130,23 +130,6 @@ func (iv *Invalidator) Analysis() *core.Analysis { return iv.analysis }
 // router names.
 func (iv *Invalidator) Router() *Router { return iv.router }
 
-// Decide returns the decision of the given strategy class for an update
-// against a cached view. Information above the class's level is ignored
-// even if present. Callers evaluating one update against many cached
-// views should Prepare the update once and use DecidePrepared instead,
-// which skips the per-call preparation this wrapper repeats.
-func (iv *Invalidator) Decide(class Class, u UpdateInstance, q CachedView) Decision {
-	switch class {
-	case Blind:
-		// A blind strategy knows nothing: invalidate everything.
-		return Invalidate
-	case TemplateInspection:
-		return iv.templateDecide(u.Template, q.Template)
-	default:
-		return iv.DecidePrepared(class, iv.Prepare(u), q)
-	}
-}
-
 // templateDecide is the minimal template-inspection strategy: invalidate
 // iff the static analysis could not establish A = 0 for the pair.
 func (iv *Invalidator) templateDecide(u, q *template.Template) Decision {

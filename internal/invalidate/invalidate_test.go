@@ -43,6 +43,12 @@ func newInvalidator(app *template.App) *Invalidator {
 	return New(app, core.Analyze(app, core.DefaultOptions()))
 }
 
+// decide prepares the update and asks for one decision: the two-step
+// entry as a test reads best, one update against one view.
+func decide(iv *Invalidator, class Class, u UpdateInstance, q CachedView) Decision {
+	return iv.DecidePrepared(class, iv.Prepare(u), q)
+}
+
 var toyNames = []string{"bear", "truck", "doll", "kite", "ball"}
 
 // randomToystoreDB populates a database with random but constraint-
@@ -192,7 +198,7 @@ func TestStrategyCorrectness(t *testing.T) {
 			}
 			changed := e.view.Result.Fingerprint(e.ordered) != after.Fingerprint(e.ordered)
 			for _, class := range classes {
-				d := iv.Decide(class, ui, e.view)
+				d := decide(iv, class, ui, e.view)
 				if d == Invalidate {
 					invalidations[class]++
 				}
@@ -281,36 +287,36 @@ func TestTable2Scenarios(t *testing.T) {
 
 	// Row 1 (blind): everything is invalidated.
 	for _, v := range []CachedView{q1a, q2a, q2b, q3a} {
-		if iv.Decide(Blind, u, v) != Invalidate {
+		if decide(iv, Blind, u, v) != Invalidate {
 			t.Error("blind strategy must invalidate everything")
 		}
 	}
 	// Row 2 (template): all of Q1 and Q2, but not Q3.
-	if iv.Decide(TemplateInspection, u, q1a) != Invalidate {
+	if decide(iv, TemplateInspection, u, q1a) != Invalidate {
 		t.Error("MTIS must invalidate Q1 instances")
 	}
-	if iv.Decide(TemplateInspection, u, q2a) != Invalidate || iv.Decide(TemplateInspection, u, q2b) != Invalidate {
+	if decide(iv, TemplateInspection, u, q2a) != Invalidate || decide(iv, TemplateInspection, u, q2b) != Invalidate {
 		t.Error("MTIS must invalidate all Q2 instances")
 	}
-	if iv.Decide(TemplateInspection, u, q3a) != DNI {
+	if decide(iv, TemplateInspection, u, q3a) != DNI {
 		t.Error("MTIS must not invalidate Q3 (ignorable)")
 	}
 	// Row 3 (statement): all Q1, and Q2 only if toy_id = 5.
-	if iv.Decide(StatementInspection, u, q1a) != Invalidate {
+	if decide(iv, StatementInspection, u, q1a) != Invalidate {
 		t.Error("MSIS must invalidate Q1 (no parameter overlap)")
 	}
-	if iv.Decide(StatementInspection, u, q2a) != Invalidate {
+	if decide(iv, StatementInspection, u, q2a) != Invalidate {
 		t.Error("MSIS must invalidate Q2 with toy_id=5")
 	}
-	if iv.Decide(StatementInspection, u, q2b) != DNI {
+	if decide(iv, StatementInspection, u, q2b) != DNI {
 		t.Error("MSIS must not invalidate Q2 with toy_id=2")
 	}
 	// Row 4 (view): Q1 only if toy 5 is in the result; it is a kite, so
 	// the 'bear' result does not contain it.
-	if iv.Decide(ViewInspection, u, q1a) != DNI {
+	if decide(iv, ViewInspection, u, q1a) != DNI {
 		t.Error("MVIS must not invalidate Q1('bear') for deletion of toy 5")
 	}
-	if iv.Decide(ViewInspection, u, q2a) != Invalidate {
+	if decide(iv, ViewInspection, u, q2a) != Invalidate {
 		t.Error("MVIS must invalidate Q2 with toy_id=5")
 	}
 }
@@ -326,16 +332,16 @@ func TestViewInsertTopK(t *testing.T) {
 
 	low := UpdateInstance{Template: app.Update("U3"),
 		Params: []sqlparse.Value{sqlparse.IntVal(50), sqlparse.StringVal("pogo"), sqlparse.IntVal(5)}}
-	if iv.Decide(ViewInspection, low, v) != DNI {
+	if decide(iv, ViewInspection, low, v) != DNI {
 		t.Error("row below the cutoff must not invalidate")
 	}
 	high := UpdateInstance{Template: app.Update("U3"),
 		Params: []sqlparse.Value{sqlparse.IntVal(51), sqlparse.StringVal("jet"), sqlparse.IntVal(100)}}
-	if iv.Decide(ViewInspection, high, v) != Invalidate {
+	if decide(iv, ViewInspection, high, v) != Invalidate {
 		t.Error("row above the cutoff must invalidate")
 	}
 	// Statement inspection cannot tell the difference.
-	if iv.Decide(StatementInspection, low, v) != Invalidate {
+	if decide(iv, StatementInspection, low, v) != Invalidate {
 		t.Error("MSIS must invalidate top-k on any qualifying insertion")
 	}
 	// Tie with the cutoff row: the engine breaks order ties on full tuple
@@ -343,7 +349,7 @@ func TestViewInsertTopK(t *testing.T) {
 	// invalidation.
 	tie := UpdateInstance{Template: app.Update("U3"),
 		Params: []sqlparse.Value{sqlparse.IntVal(52), sqlparse.StringVal("twin"), sqlparse.IntVal(7)}}
-	if iv.Decide(ViewInspection, tie, v) != Invalidate {
+	if decide(iv, ViewInspection, tie, v) != Invalidate {
 		t.Error("tied row's cutoff position is unknown; must invalidate")
 	}
 }
@@ -363,27 +369,27 @@ func TestViewInsertMax(t *testing.T) {
 		Params: []sqlparse.Value{sqlparse.IntVal(61), sqlparse.StringVal("y"), sqlparse.IntVal(30)}}
 	equal := UpdateInstance{Template: app.Update("U3"),
 		Params: []sqlparse.Value{sqlparse.IntVal(62), sqlparse.StringVal("z"), sqlparse.IntVal(25)}}
-	if iv.Decide(ViewInspection, small, v) != DNI {
+	if decide(iv, ViewInspection, small, v) != DNI {
 		t.Error("insertion below cached MAX must not invalidate")
 	}
-	if iv.Decide(ViewInspection, big, v) != Invalidate {
+	if decide(iv, ViewInspection, big, v) != Invalidate {
 		t.Error("insertion above cached MAX must invalidate")
 	}
-	if iv.Decide(ViewInspection, equal, v) != DNI {
+	if decide(iv, ViewInspection, equal, v) != DNI {
 		t.Error("insertion equal to cached MAX leaves it unchanged")
 	}
-	if iv.Decide(StatementInspection, small, v) != Invalidate {
+	if decide(iv, StatementInspection, small, v) != Invalidate {
 		t.Error("MSIS must invalidate MAX on any insertion")
 	}
 	// MIN mirror.
 	q10 := app.Query("Q10")
 	vmin := CachedView{Template: q10, Result: mustExec(t, db, q10)} // MIN = 3
-	if iv.Decide(ViewInspection, big, vmin) != DNI {
+	if decide(iv, ViewInspection, big, vmin) != DNI {
 		t.Error("insertion above cached MIN must not invalidate")
 	}
 	lower := UpdateInstance{Template: app.Update("U3"),
 		Params: []sqlparse.Value{sqlparse.IntVal(63), sqlparse.StringVal("w"), sqlparse.IntVal(1)}}
-	if iv.Decide(ViewInspection, lower, vmin) != Invalidate {
+	if decide(iv, ViewInspection, lower, vmin) != Invalidate {
 		t.Error("insertion below cached MIN must invalidate")
 	}
 }
@@ -410,7 +416,7 @@ func TestViewModify(t *testing.T) {
 	// post-image satisfiability test keeps toy_name unconstrained: sat,
 	// and MVIS invalidates conservatively? No: the post-image includes
 	// qty=10 only; toy_name unknown -> satisfiable -> Invalidate.
-	if got := iv.Decide(ViewInspection, u, v); got != Invalidate {
+	if got := decide(iv, ViewInspection, u, v); got != Invalidate {
 		t.Errorf("MVIS on Q4: got %v (conservative invalidation expected: post-image may match)", got)
 	}
 
@@ -419,7 +425,7 @@ func TestViewModify(t *testing.T) {
 	q2 := app.Query("Q2")
 	v2 := CachedView{Template: q2, Params: []sqlparse.Value{sqlparse.IntVal(2)},
 		Result: mustExec(t, db, q2, sqlparse.IntVal(2))}
-	if iv.Decide(StatementInspection, u, v2) != DNI {
+	if decide(iv, StatementInspection, u, v2) != DNI {
 		t.Error("MSIS must rule out modification of a different key")
 	}
 
@@ -432,7 +438,7 @@ func TestViewModify(t *testing.T) {
 	v11 := CachedView{Template: q11,
 		Params: []sqlparse.Value{sqlparse.IntVal(11), sqlparse.IntVal(14)},
 		Result: &engine.Result{Columns: []string{"toy_name"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("bear")}}}}
-	if iv.Decide(ViewInspection, u, v11) != Invalidate {
+	if decide(iv, ViewInspection, u, v11) != Invalidate {
 		t.Error("MVIS must stay conservative without a preserved key")
 	}
 }
@@ -451,19 +457,19 @@ func TestViewModifyIdentifiable(t *testing.T) {
 		Result: mustExec(t, db, qk, sqlparse.IntVal(20))}
 	u := UpdateInstance{Template: app.Update("U4"),
 		Params: []sqlparse.Value{sqlparse.IntVal(4), sqlparse.IntVal(2)}}
-	if iv.Decide(ViewInspection, u, v) != DNI {
+	if decide(iv, ViewInspection, u, v) != DNI {
 		t.Error("identifiable absent row with failing post-image must not invalidate")
 	}
 	// Post-image enters the band: invalidate.
 	u2 := UpdateInstance{Template: app.Update("U4"),
 		Params: []sqlparse.Value{sqlparse.IntVal(30), sqlparse.IntVal(2)}}
-	if iv.Decide(ViewInspection, u2, v) != Invalidate {
+	if decide(iv, ViewInspection, u2, v) != Invalidate {
 		t.Error("post-image entering the result must invalidate")
 	}
 	// Modified row in the result: invalidate.
 	u3 := UpdateInstance{Template: app.Update("U4"),
 		Params: []sqlparse.Value{sqlparse.IntVal(30), sqlparse.IntVal(5)}}
-	if iv.Decide(ViewInspection, u3, v) != Invalidate {
+	if decide(iv, ViewInspection, u3, v) != Invalidate {
 		t.Error("modification of an in-result row must invalidate")
 	}
 }
@@ -479,19 +485,19 @@ func TestViewDeleteResultCheck(t *testing.T) {
 		Result: mustExec(t, db, q4, sqlparse.StringVal("bear"))}
 	u5 := UpdateInstance{Template: app.Update("U1"), Params: []sqlparse.Value{sqlparse.IntVal(5)}}
 	u1 := UpdateInstance{Template: app.Update("U1"), Params: []sqlparse.Value{sqlparse.IntVal(1)}}
-	if iv.Decide(ViewInspection, u5, v) != DNI {
+	if decide(iv, ViewInspection, u5, v) != DNI {
 		t.Error("deleting an absent row must not invalidate")
 	}
-	if iv.Decide(ViewInspection, u1, v) != Invalidate {
+	if decide(iv, ViewInspection, u1, v) != Invalidate {
 		t.Error("deleting a present row must invalidate")
 	}
 	// Range deletion: DELETE FROM toys WHERE qty<6 — no bear has qty<6.
 	uRange := UpdateInstance{Template: app.Update("U5"), Params: []sqlparse.Value{sqlparse.IntVal(6)}}
-	if iv.Decide(ViewInspection, uRange, v) != DNI {
+	if decide(iv, ViewInspection, uRange, v) != DNI {
 		t.Error("range deletion below all result rows must not invalidate")
 	}
 	uRange2 := UpdateInstance{Template: app.Update("U5"), Params: []sqlparse.Value{sqlparse.IntVal(8)}}
-	if iv.Decide(ViewInspection, uRange2, v) != Invalidate {
+	if decide(iv, ViewInspection, uRange2, v) != Invalidate {
 		t.Error("range deletion covering a result row must invalidate")
 	}
 }
@@ -502,12 +508,12 @@ func TestStatementDeleteRangeDisjoint(t *testing.T) {
 	// DELETE qty<5 cannot affect Q7 qty>10 regardless of data.
 	u := UpdateInstance{Template: app.Update("U5"), Params: []sqlparse.Value{sqlparse.IntVal(5)}}
 	v := CachedView{Template: app.Query("Q7"), Params: []sqlparse.Value{sqlparse.IntVal(10)}}
-	if iv.Decide(StatementInspection, u, v) != DNI {
+	if decide(iv, StatementInspection, u, v) != DNI {
 		t.Error("disjoint ranges must not invalidate")
 	}
 	// Overlapping ranges must.
 	u2 := UpdateInstance{Template: app.Update("U5"), Params: []sqlparse.Value{sqlparse.IntVal(50)}}
-	if iv.Decide(StatementInspection, u2, v) != Invalidate {
+	if decide(iv, StatementInspection, u2, v) != Invalidate {
 		t.Error("overlapping ranges must invalidate")
 	}
 }
@@ -521,22 +527,22 @@ func TestStatementInsertJoinShield(t *testing.T) {
 		Params: []sqlparse.Value{sqlparse.IntVal(999), sqlparse.StringVal("n")}}
 	v := CachedView{Template: app.Query("Q9"), Params: []sqlparse.Value{sqlparse.StringVal("15213")}}
 	// Template inspection already handles it via the constraint analysis.
-	if iv.Decide(TemplateInspection, u, v) != DNI {
+	if decide(iv, TemplateInspection, u, v) != DNI {
 		t.Error("MTIS with constraints must rule out parent insertions")
 	}
 	// Inserting a credit card with a non-matching zip is ruled out only at
 	// statement level.
 	u2 := UpdateInstance{Template: app.Update("U2"),
 		Params: []sqlparse.Value{sqlparse.IntVal(1), sqlparse.StringVal("4111"), sqlparse.StringVal("99999")}}
-	if iv.Decide(TemplateInspection, u2, v) != Invalidate {
+	if decide(iv, TemplateInspection, u2, v) != Invalidate {
 		t.Error("MTIS must invalidate child insertions")
 	}
-	if iv.Decide(StatementInspection, u2, v) != DNI {
+	if decide(iv, StatementInspection, u2, v) != DNI {
 		t.Error("MSIS must rule out non-matching zip")
 	}
 	u3 := UpdateInstance{Template: app.Update("U2"),
 		Params: []sqlparse.Value{sqlparse.IntVal(1), sqlparse.StringVal("4111"), sqlparse.StringVal("15213")}}
-	if iv.Decide(StatementInspection, u3, v) != Invalidate {
+	if decide(iv, StatementInspection, u3, v) != Invalidate {
 		t.Error("MSIS must invalidate matching zip")
 	}
 }
@@ -592,10 +598,10 @@ func TestStrategyContainment(t *testing.T) {
 		}
 		ui := UpdateInstance{Template: u, Params: uParams}
 		view := CachedView{Template: q, Params: qParams, Result: res}
-		dB := iv.Decide(Blind, ui, view)
-		dT := iv.Decide(TemplateInspection, ui, view)
-		dS := iv.Decide(StatementInspection, ui, view)
-		dV := iv.Decide(ViewInspection, ui, view)
+		dB := decide(iv, Blind, ui, view)
+		dT := decide(iv, TemplateInspection, ui, view)
+		dS := decide(iv, StatementInspection, ui, view)
+		dV := decide(iv, ViewInspection, ui, view)
 		if dB < dT || dT < dS || dS < dV {
 			t.Fatalf("containment violated for %s/%s: B=%v T=%v S=%v V=%v", u.ID, q.ID, dB, dT, dS, dV)
 		}

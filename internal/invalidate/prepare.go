@@ -6,8 +6,8 @@ import (
 
 // This file hoists the per-update half of a strategy decision out of the
 // per-cached-view loop. A batch invalidation pass evaluates one update
-// against every cached entry of an affected bucket — hundreds of Decide
-// calls with the same UpdateInstance — and the original implementation
+// against every cached entry of an affected bucket — hundreds of decisions
+// with the same UpdateInstance — and the original implementation
 // re-parsed the update's WHERE clause into freshly allocated constraint
 // maps on every call. Prepare does that work once; DecidePrepared then
 // runs allocation-free per entry, using slice-backed constraint sets
@@ -102,9 +102,10 @@ func (iv *Invalidator) Prepare(u UpdateInstance) *PreparedUpdate {
 	return pu
 }
 
-// DecidePrepared is Decide for a prepared update: identical decisions,
-// with all per-update work already done. The per-entry path allocates
-// nothing.
+// DecidePrepared returns the decision of the given strategy class for a
+// prepared update against a cached view; it is the package's one decision
+// entry. Information above the class's level is ignored even if present.
+// The per-entry path allocates nothing.
 func (iv *Invalidator) DecidePrepared(class Class, pu *PreparedUpdate, q CachedView) Decision {
 	switch class {
 	case Blind:

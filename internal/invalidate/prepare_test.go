@@ -9,50 +9,6 @@ import (
 	"dssp/internal/sqlparse"
 )
 
-// TestDecidePreparedParity pins that Prepare + DecidePrepared is exactly
-// Decide: the prepared path hoists work, it must never change a decision.
-// Randomized over the same generator as the ground-truth correctness test.
-func TestDecidePreparedParity(t *testing.T) {
-	app := richToystore()
-	iv := newInvalidator(app)
-	rng := rand.New(rand.NewSource(99))
-	classes := []Class{Blind, TemplateInspection, StatementInspection, ViewInspection}
-	checked := 0
-
-	for trial := 0; trial < 120; trial++ {
-		db := randomToystoreDB(t, rng, app)
-		var views []CachedView
-		for _, q := range app.Queries {
-			params := randomParams(rng, db, q)
-			res, err := engine.ExecQuery(db, q.Stmt.(*sqlparse.SelectStmt), params)
-			if err != nil {
-				t.Fatalf("exec %s: %v", q.ID, err)
-			}
-			if res.Len() == 0 {
-				continue
-			}
-			views = append(views, CachedView{Template: q, Params: params, Result: res})
-		}
-		u := app.Updates[rng.Intn(len(app.Updates))]
-		ui := UpdateInstance{Template: u, Params: randomParams(rng, db, u)}
-		pu := iv.Prepare(ui)
-		for _, v := range views {
-			for _, class := range classes {
-				plain := iv.Decide(class, ui, v)
-				prepared := iv.DecidePrepared(class, pu, v)
-				if plain != prepared {
-					t.Fatalf("trial %d: %v diverged on %s%v vs %s%v: Decide=%v DecidePrepared=%v",
-						trial, class, u.ID, ui.Params, v.Template.ID, v.Params, plain, prepared)
-				}
-				checked++
-			}
-		}
-	}
-	if checked < 2000 {
-		t.Fatalf("only %d decisions compared; generator too weak", checked)
-	}
-}
-
 // TestDecidePreparedZeroAlloc pins the point of preparing: once a
 // PreparedUpdate exists and the query info is warm, a decision allocates
 // nothing, at every class.

@@ -125,10 +125,10 @@ func TestQueryInfoNoCrossContamination(t *testing.T) {
 	qB := CachedView{Template: appB.Queries[0], Params: []sqlparse.Value{sqlparse.IntVal(3)}}
 
 	for i := 0; i < 3; i++ { // repeat so both memos are warm
-		if d := ivA.Decide(StatementInspection, u, qA); d != DNI {
+		if d := decide(ivA, StatementInspection, u, qA); d != DNI {
 			t.Fatalf("round %d: appA decision = %v, want DNI", i, d)
 		}
-		if d := ivB.Decide(StatementInspection, uB, qB); d != Invalidate {
+		if d := decide(ivB, StatementInspection, uB, qB); d != Invalidate {
 			t.Fatalf("round %d: appB decision = %v, want Invalidate", i, d)
 		}
 	}
@@ -160,7 +160,7 @@ func TestMalformedInsertNoPanic(t *testing.T) {
 	view := CachedView{Template: app.Query("Q1"), Params: []sqlparse.Value{sqlparse.StringVal("bear")}}
 	params := []sqlparse.Value{sqlparse.IntVal(99), sqlparse.StringVal("x")}
 	for _, class := range []Class{StatementInspection, ViewInspection} {
-		if d := iv.Decide(class, UpdateInstance{Template: bad, Params: params}, view); d != Invalidate {
+		if d := decide(iv, class, UpdateInstance{Template: bad, Params: params}, view); d != Invalidate {
 			t.Errorf("%v over malformed insert = %v, want conservative Invalidate", class, d)
 		}
 	}
@@ -170,7 +170,7 @@ func TestMalformedInsertNoPanic(t *testing.T) {
 		{Table: "toys", Columns: []string{"ghost"}, Values: []sqlparse.Operand{{Kind: sqlparse.OpParam}}},
 	} {
 		bad := &template.Template{ID: "U3", Kind: template.KInsert, Stmt: stmt}
-		if d := iv.Decide(StatementInspection, UpdateInstance{Template: bad, Params: params}, view); d != Invalidate {
+		if d := decide(iv, StatementInspection, UpdateInstance{Template: bad, Params: params}, view); d != Invalidate {
 			t.Errorf("insert into %s: decision = %v, want Invalidate", stmt.Table, d)
 		}
 	}

@@ -1,9 +1,11 @@
 package invalidate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"dssp/internal/apps"
 	"dssp/internal/sqlparse"
 )
 
@@ -125,5 +127,38 @@ func TestBindVal(t *testing.T) {
 	}
 	if _, ok := bindVal(sqlparse.Operand{Kind: sqlparse.OpColumn}, nil); ok {
 		t.Error("column operand bound as value")
+	}
+}
+
+// TestStatementInspectionNumericKinds pins how statement inspection treats
+// numeric parameters of mixed kind, which is Value.Compare's: an int and a
+// float of the same magnitude are one value, -0.0 is 0.0, and a NaN is
+// unordered against every number, so no equality with it is refutable.
+// Any index that narrows the per-entry scan to candidates (ROADMAP item
+// one) must key on an encoding that is canonical under Compare — a
+// kind-tagged key like storage.AppendKey's would file Int(5) and Float(5)
+// apart and miss the first four invalidations below. An entry with fewer
+// parameters than its template binds nothing; it cannot be refuted either.
+func TestStatementInspectionNumericKinds(t *testing.T) {
+	app := apps.Toystore()
+	iv := newInvalidator(app)
+	u1, q2 := app.Update("U1"), app.Query("Q2") // DELETE ... WHERE toy_id=? against SELECT ... WHERE toy_id=?
+	for _, tc := range []struct {
+		name   string
+		update sqlparse.Value
+		entry  []sqlparse.Value
+		want   Decision
+	}{
+		{"float update, int entry", sqlparse.FloatVal(5), []sqlparse.Value{sqlparse.IntVal(5)}, Invalidate},
+		{"int update, float entry", sqlparse.IntVal(5), []sqlparse.Value{sqlparse.FloatVal(5)}, Invalidate},
+		{"negative zero", sqlparse.FloatVal(math.Copysign(0, -1)), []sqlparse.Value{sqlparse.FloatVal(0)}, Invalidate},
+		{"NaN update", sqlparse.FloatVal(math.NaN()), []sqlparse.Value{sqlparse.IntVal(7)}, Invalidate},
+		{"distinct ints", sqlparse.IntVal(5), []sqlparse.Value{sqlparse.IntVal(6)}, DNI},
+		{"entry short of its template's arity", sqlparse.IntVal(5), nil, Invalidate},
+	} {
+		u := UpdateInstance{Template: u1, Params: []sqlparse.Value{tc.update}}
+		if got := decide(iv, StatementInspection, u, CachedView{Template: q2, Params: tc.entry}); got != tc.want {
+			t.Errorf("%s: U1(%v) against Q2%v decided %v, want %v", tc.name, tc.update, tc.entry, got, tc.want)
+		}
 	}
 }

@@ -198,16 +198,16 @@ func (o *Observer) Report() Report {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	r := Report{
-		Vantage:            o.vantage,
-		Queries:            o.queries,
-		Hits:               o.hits,
-		Updates:            o.updates,
-		DistinctKeys:       len(o.keyAccess),
-		VisibleParams:      o.params,
-		PlaintextBytes:     o.plaintext,
-		SealedBytes:        o.sealed,
-		Invalidations:      o.invalidations,
-		InvalidatedEntries: o.invalidatedEntries,
+		Vantage:                 o.vantage,
+		Queries:                 o.queries,
+		Hits:                    o.hits,
+		Updates:                 o.updates,
+		DistinctKeys:            len(o.keyAccess),
+		VisibleParams:           o.params,
+		PlaintextBytes:          o.plaintext,
+		SealedBytes:             o.sealed,
+		Invalidations:           o.invalidations,
+		InvalidatedEntries:      o.invalidatedEntries,
 		CorrelatedInvalidations: o.correlated,
 	}
 	for _, n := range o.keyAccess {

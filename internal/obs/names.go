@@ -4,8 +4,8 @@ package obs
 // them in one place is what makes the two pathways produce snapshots with
 // identical names and labels.
 const (
-	// Cache instruments (labels: template, and tenant on multi-tenant
-	// nodes; invalidations additionally update_template and class).
+	// Cache instruments (label: template; invalidations additionally
+	// update_template and class).
 	MCacheHits          = "dssp_cache_hits_total"
 	MCacheMisses        = "dssp_cache_misses_total"
 	MCacheStores        = "dssp_cache_stores_total"
@@ -14,25 +14,24 @@ const (
 	MCacheUpdatesSeen   = "dssp_cache_updates_seen_total"
 	MCacheEntries       = "dssp_cache_entries" // gauge
 
-	// Migrated sealed entries taken in during a ring rebalance (label:
-	// tenant on multi-tenant nodes). Not stores: the entry was earned by
-	// a miss somewhere once; migration only rehomes it. Registered lazily
-	// on first import, so static fleets keep their metric shape.
+	// Migrated sealed entries taken in during a ring rebalance. Not
+	// stores: the entry was earned by a miss somewhere once; migration
+	// only rehomes it. Registered lazily on first import, so static
+	// fleets keep their metric shape.
 	MCacheImported = "dssp_cache_imported_entries_total"
 
-	// Invalidation routing instruments (label: tenant on multi-tenant
-	// nodes): buckets an invalidation pass inspected vs. buckets the
-	// routing index proved A = 0 and skipped.
+	// Invalidation routing instruments: buckets an invalidation pass
+	// inspected vs. buckets the routing index proved A = 0 and skipped.
 	MCacheBucketsVisited = "dssp_cache_invalidation_buckets_visited_total"
 	MCacheBucketsSkipped = "dssp_cache_invalidation_buckets_skipped_total"
 
-	// Invalidation batching instruments (label: tenant on multi-tenant
-	// nodes). Bucket walks count every bucket probe made under a shard
-	// lock — the physical work batching amortizes, as opposed to
-	// buckets_visited, which counts logical decisions and is identical
-	// batched or not. The batch-size histogram reuses the shared
-	// log₂-bucketed duration histogram by encoding a batch of n updates
-	// as n microseconds, so bucket i holds batches of up to 2^i updates.
+	// Invalidation batching instruments. Bucket walks count every bucket
+	// probe made under a shard lock — the physical work batching
+	// amortizes, as opposed to buckets_visited, which counts logical
+	// decisions and is identical batched or not. The batch-size histogram
+	// reuses the shared log₂-bucketed duration histogram by encoding a
+	// batch of n updates as n microseconds, so bucket i holds batches of
+	// up to 2^i updates.
 	MCacheBucketWalks = "dssp_invalidation_bucket_walks_total"
 	MCacheBatchSize   = "dssp_invalidation_batch_size"
 
@@ -128,7 +127,6 @@ const (
 	LTemplate       = "template"
 	LUpdateTemplate = "update_template"
 	LStage          = "stage"
-	LTenant         = "tenant"
 	LClass          = "class"
 	LKind           = "kind"
 	LNode           = "node"

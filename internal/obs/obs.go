@@ -2,8 +2,8 @@
 // the reproduction: the in-process System, the discrete-event simulator,
 // and the networked HTTP deployment. It provides concurrency-safe atomic
 // counters, gauges, and log-bucketed latency histograms organized in a
-// Registry keyed by metric name plus labels (template ID, pipeline stage,
-// tenant), plus lightweight request tracing with per-stage spans recorded
+// Registry keyed by metric name plus labels (template ID, pipeline
+// stage), plus lightweight request tracing with per-stage spans recorded
 // against a pluggable clock (wall time or simulator virtual time).
 //
 // The point is the paper's causal chain (§5): invalidation precision →
@@ -153,8 +153,8 @@ type instrument struct {
 }
 
 // DefaultLabelCap bounds how many distinct labeled instruments one metric
-// name may register. Label values come from sealed traffic (template IDs,
-// tenant names), so without a cap an adversary flooding a node with
+// name may register. Label values come from sealed traffic (template
+// IDs), so without a cap an adversary flooding a node with
 // forged template IDs would grow the registry — and every snapshot —
 // without limit. At the cap, excess label sets coalesce into one overflow
 // instrument per name whose label values are all OverflowLabelValue: the

@@ -46,16 +46,16 @@ type partitionOp struct {
 // partition 0 must not invalidate the Q3 entry owned by partition 1's
 // group, and U2 on partition 1 must.
 var partitionScript = []partitionOp{
-	{true, "Q1", []interface{}{"bear"}},                    // group 0: miss, store
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: miss, store
-	{true, "Q2", []interface{}{1}},                         // group 0: miss, store
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: hit
-	{false, "U1", []interface{}{1}},                        // partition 0: delete toy 1
-	{true, "Q3", []interface{}{"90001"}},                   // still a hit: U1 crossed no partition
-	{false, "U2", []interface{}{4, "4000-4", "90001"}},     // partition 1: new card in 90001
-	{true, "Q1", []interface{}{"bear"}},                    // group 0: miss again (toy 3 remains)
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: miss again, two rows now
-	{true, "Q2", []interface{}{3}},                         // group 0: miss
+	{true, "Q1", []interface{}{"bear"}},                // group 0: miss, store
+	{true, "Q3", []interface{}{"90001"}},               // group 1: miss, store
+	{true, "Q2", []interface{}{1}},                     // group 0: miss, store
+	{true, "Q3", []interface{}{"90001"}},               // group 1: hit
+	{false, "U1", []interface{}{1}},                    // partition 0: delete toy 1
+	{true, "Q3", []interface{}{"90001"}},               // still a hit: U1 crossed no partition
+	{false, "U2", []interface{}{4, "4000-4", "90001"}}, // partition 1: new card in 90001
+	{true, "Q1", []interface{}{"bear"}},                // group 0: miss again (toy 3 remains)
+	{true, "Q3", []interface{}{"90001"}},               // group 1: miss again, two rows now
+	{true, "Q2", []interface{}{3}},                     // group 0: miss
 }
 
 // seedPartitionToystore seeds all three toystore relations: the toys of
@@ -262,10 +262,12 @@ func runHTTPPartitioned(t *testing.T) adapterResult {
 // workload, seeding all three relations.
 type partitionBench struct{ app *template.App }
 
-func (b *partitionBench) Name() string                               { return "partition-script" }
-func (b *partitionBench) App() *template.App                         { return b.app }
-func (b *partitionBench) Compulsory() map[string]template.Exposure   { return nil }
-func (b *partitionBench) NewSession(rng *rand.Rand) workload.Session { return &partitionSession{b.app, 0} }
+func (b *partitionBench) Name() string                             { return "partition-script" }
+func (b *partitionBench) App() *template.App                       { return b.app }
+func (b *partitionBench) Compulsory() map[string]template.Exposure { return nil }
+func (b *partitionBench) NewSession(rng *rand.Rand) workload.Session {
+	return &partitionSession{b.app, 0}
+}
 
 func (b *partitionBench) Populate(db *storage.Database, rng *rand.Rand) error {
 	iv, sv := sqlparse.IntVal, sqlparse.StringVal

@@ -205,12 +205,12 @@ func TestValidateRejects(t *testing.T) {
 	bad := []string{
 		"SELECT missing FROM toys",
 		"SELECT toy_id FROM nowhere",
-		"SELECT toy_id FROM toys WHERE ? = ?",                     // no column in predicate
+		"SELECT toy_id FROM toys WHERE ? = ?",            // no column in predicate
 		"INSERT INTO toys (toy_name, qty) VALUES (?, ?)", // does not bind the primary key
 		"INSERT INTO toys (toy_id, missing) VALUES (?, ?)",
 		"UPDATE toys SET toy_id=? WHERE toy_id=?", // modifies the key
-		"UPDATE toys SET qty=? WHERE toy_name=?",                  // not keyed on PK
-		"UPDATE toys SET qty=? WHERE toy_id>?",                    // non-equality key predicate
+		"UPDATE toys SET qty=? WHERE toy_name=?",  // not keyed on PK
+		"UPDATE toys SET qty=? WHERE toy_id>?",    // non-equality key predicate
 		"DELETE FROM toys WHERE missing=?",
 	}
 	for _, src := range bad {
