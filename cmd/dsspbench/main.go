@@ -41,12 +41,11 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/experiments"
 	"dssp/internal/simrun"
-	"dssp/internal/workload"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|obs|leakage|trace|elastic|all")
-	app := flag.String("app", "bboard", "application for figure4/batch/obs/scaleout/trace: auction|bboard|bookstore|toystore")
+	app := flag.String("app", "bboard", "application for figure4/batch/obs/scaleout/trace/leakage/ablation/capacity/nodes: auction|bboard|bookstore|toystore")
 	pair := flag.String("pair", "U1/Q2", "toystore template pair for figure6, e.g. U1/Q2")
 	full := flag.Bool("full", false, "use the paper's full 10-minute simulation runs")
 	maxUsers := flag.Int("maxusers", 4000, "cap for the scalability search")
@@ -61,40 +60,7 @@ func main() {
 	opts.MaxUsers = *maxUsers
 	opts.Seed = *seed
 
-	switch *exp {
-	case "obs":
-		exit(runObs(*app, *format, opts))
-		return
-	case "scaleout":
-		exit(runScaleout(*app, *out, opts))
-		return
-	case "homescale":
-		exit(runHomescale(*out, opts))
-		return
-	case "leakage":
-		names := []string{*app}
-		if *appList != "" {
-			names = strings.Split(*appList, ",")
-		}
-		exit(runLeakage(names, *out, opts))
-		return
-	case "trace":
-		exit(runTrace(*app, opts))
-		return
-	case "elastic":
-		exit(runElastic(*out, opts))
-		return
-	}
-	if err := run(*exp, *app, *pair, opts); err != nil {
-		fmt.Fprintln(os.Stderr, "dsspbench:", err)
-		os.Exit(1)
-	}
-}
-
-// exit reports a fatal experiment error and terminates, or returns
-// quietly on success.
-func exit(err error) {
-	if err != nil {
+	if err := run(*exp, *app, *pair, *format, *out, *appList, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsspbench:", err)
 		os.Exit(1)
 	}
@@ -105,8 +71,8 @@ func exit(err error) {
 // benchmark artifact (BENCH_leakage.json shape). A monotonicity
 // violation — more exposure showing the adversary less — is an error.
 func runLeakage(appNames []string, out string, opts experiments.RunOptions) error {
-	for _, n := range appNames {
-		if _, err := benchmark(n); err != nil {
+	for _, n := range appNames { // before hours of simulation, not after
+		if _, err := apps.ByName(n); err != nil {
 			return err
 		}
 	}
@@ -118,33 +84,15 @@ func runLeakage(appNames []string, out string, opts experiments.RunOptions) erro
 	if bad := r.CheckMonotone(); len(bad) > 0 {
 		return fmt.Errorf("leakage audit not monotone in exposure: %s", strings.Join(bad, "; "))
 	}
-	if out == "" {
-		return nil
-	}
-	artifact := struct {
-		Description string                     `json:"description"`
-		Environment map[string]interface{}     `json:"environment"`
-		Leakage     *experiments.LeakageResult `json:"leakage"`
-	}{
+	return artifact{
 		Description: fmt.Sprintf("Adversary's-eye leakage audit at the DSSP trust boundary: "+
 			"go run ./cmd/dsspbench -exp leakage -apps %s. Each application simulated under every uniform "+
 			"exposure level with a leakage observer on the node's sealed traffic; rows report what the "+
 			"adversary sees (distinct keys, template/parameter visibility, plaintext fraction, "+
 			"update-invalidation correlation) alongside the hit rate that exposure level buys.",
 			strings.Join(appNames, ",")),
-		Environment: map[string]interface{}{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   runtime.NumCPU(),
-			"date":   time.Now().Format("2006-01-02"),
-		},
 		Leakage: r,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(buf, '\n'), 0o644)
+	}.write(out)
 }
 
 // runTrace drives three requests through a real router + two-node + home
@@ -161,7 +109,7 @@ func runTrace(app string, opts experiments.RunOptions) error {
 // runObs runs one short simulation and prints its metrics snapshot — the
 // same names and labels a deployed node's /v1/metrics serves.
 func runObs(app, format string, opts experiments.RunOptions) error {
-	b, err := benchmark(app)
+	b, err := apps.ByName(app)
 	if err != nil {
 		return err
 	}
@@ -197,31 +145,13 @@ func runScaleout(app, out string, opts experiments.RunOptions) error {
 		return err
 	}
 	fmt.Println(r.Format())
-	if out == "" {
-		return nil
-	}
-	artifact := struct {
-		Description string                      `json:"description"`
-		Environment map[string]interface{}      `json:"environment"`
-		Scaleout    *experiments.ScaleoutResult `json:"scaleout"`
-	}{
+	return artifact{
 		Description: fmt.Sprintf("Scale-out throughput of the routed fleet: go run ./cmd/dsspbench -exp scaleout -app %s. "+
 			"One shared home server; each node capacity-gated to one %v service slot so a single host measures the fleet honestly; "+
 			"%d closed-loop clients; hit rates over the measure window; fanout_skipped counts invalidation pushes the static analysis saved vs naive broadcast.",
 			app, o.Service, o.Clients),
-		Environment: map[string]interface{}{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   runtime.NumCPU(),
-			"date":   time.Now().Format("2006-01-02"),
-		},
 		Scaleout: r,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(buf, '\n'), 0o644)
+	}.write(out)
 }
 
 // runElastic measures warm vs cold membership-change recovery on a live
@@ -235,32 +165,14 @@ func runElastic(out string, opts experiments.RunOptions) error {
 		return err
 	}
 	fmt.Println(r.Format())
-	if out == "" {
-		return nil
-	}
-	artifact := struct {
-		Description string                     `json:"description"`
-		Environment map[string]interface{}     `json:"environment"`
-		Elastic     *experiments.ElasticResult `json:"elastic"`
-	}{
+	return artifact{
 		Description: fmt.Sprintf("Elastic-fleet recovery: go run ./cmd/dsspbench -exp elastic. "+
 			"Router + 2 nodes + home over HTTP; a %d-entry bookstore working set is warmed, then a third node joins "+
 			"with a warm sealed-bucket handoff and a node is killed; a fresh identically seeded fleet repeats the join cold. "+
 			"Recovery time is the number of %d-op intervals until the aggregate hit rate is within %.0f%% of steady state.",
 			r.WorkingSet, r.IntervalOps, 100*r.Threshold),
-		Environment: map[string]interface{}{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   runtime.NumCPU(),
-			"date":   time.Now().Format("2006-01-02"),
-		},
 		Elastic: r,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(buf, '\n'), 0o644)
+	}.write(out)
 }
 
 // runHomescale sweeps the trusted tier's read-replica counts under a
@@ -275,14 +187,7 @@ func runHomescale(out string, opts experiments.RunOptions) error {
 		return err
 	}
 	fmt.Println(r.Format())
-	if out == "" {
-		return nil
-	}
-	artifact := struct {
-		Description string                       `json:"description"`
-		Environment map[string]interface{}       `json:"environment"`
-		Homescale   *experiments.HomescaleResult `json:"homescale"`
-	}{
+	return artifact{
 		Description: fmt.Sprintf("Trusted-tier scale-out with confirmed-update read replicas: "+
 			"go run ./cmd/dsspbench -exp homescale. One node drives an uncacheable miss storm (every query "+
 			"asks for a non-existent row; empty results never cache) plus 1 update per %d ops; the primary "+
@@ -293,23 +198,31 @@ func runHomescale(out string, opts experiments.RunOptions) error {
 			"every op an update, one gated slot per partition) and reports write throughput and speedup vs "+
 			"the single-master baseline.",
 			o.UpdateEvery, o.Service),
-		Environment: map[string]interface{}{
-			"goos":   runtime.GOOS,
-			"goarch": runtime.GOARCH,
-			"cpus":   runtime.NumCPU(),
-			"date":   time.Now().Format("2006-01-02"),
-		},
 		Homescale: r,
-	}
-	buf, err := json.MarshalIndent(artifact, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(buf, '\n'), 0o644)
+	}.write(out)
 }
 
-func run(exp, app, pair string, opts experiments.RunOptions) error {
+// run dispatches one experiment. Every experiment that takes -app
+// resolves it through apps.ByName, so an unknown name is the same error
+// whichever experiment meets it.
+func run(exp, app, pair, format, out, appList string, opts experiments.RunOptions) error {
 	switch exp {
+	case "obs":
+		return runObs(app, format, opts)
+	case "scaleout":
+		return runScaleout(app, out, opts)
+	case "homescale":
+		return runHomescale(out, opts)
+	case "leakage":
+		names := []string{app}
+		if appList != "" {
+			names = strings.Split(appList, ",")
+		}
+		return runLeakage(names, out, opts)
+	case "trace":
+		return runTrace(app, opts)
+	case "elastic":
+		return runElastic(out, opts)
 	case "table2":
 		r, err := experiments.Table2()
 		if err != nil {
@@ -327,7 +240,7 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 		}
 		fmt.Println(r.Format())
 	case "figure4":
-		b, err := benchmark(app)
+		b, err := apps.ByName(app)
 		if err != nil {
 			return err
 		}
@@ -382,7 +295,7 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 		}
 		fmt.Println(r.Format())
 	case "batch":
-		b, err := benchmark(app)
+		b, err := apps.ByName(app)
 		if err != nil {
 			return err
 		}
@@ -396,7 +309,7 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 		}
 	case "all":
 		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity", "nodes"} {
-			if err := run(e, app, pair, opts); err != nil {
+			if err := run(e, app, pair, format, out, appList, opts); err != nil {
 				return err
 			}
 		}
@@ -406,17 +319,32 @@ func run(exp, app, pair string, opts experiments.RunOptions) error {
 	return nil
 }
 
-func benchmark(name string) (workload.Benchmark, error) {
-	switch name {
-	case "auction":
-		return apps.NewAuction(), nil
-	case "bboard":
-		return apps.NewBBoard(), nil
-	case "bookstore":
-		return apps.NewBookstore(), nil
-	case "toystore":
-		return apps.NewToystoreBench(), nil
-	default:
-		return nil, fmt.Errorf("unknown application %q", name)
+// artifact is the shape of every committed BENCH_*.json this binary
+// writes: what was run, where, and the one experiment's result.
+type artifact struct {
+	Description string                       `json:"description"`
+	Environment map[string]interface{}       `json:"environment"`
+	Scaleout    *experiments.ScaleoutResult  `json:"scaleout,omitempty"`
+	Homescale   *experiments.HomescaleResult `json:"homescale,omitempty"`
+	Elastic     *experiments.ElasticResult   `json:"elastic,omitempty"`
+	Leakage     *experiments.LeakageResult   `json:"leakage,omitempty"`
+}
+
+// write stamps the environment and writes the artifact to out ("" = the
+// run was only printed).
+func (a artifact) write(out string) error {
+	if out == "" {
+		return nil
 	}
+	a.Environment = map[string]interface{}{
+		"goos":   runtime.GOOS,
+		"goarch": runtime.GOARCH,
+		"cpus":   runtime.NumCPU(),
+		"date":   time.Now().Format("2006-01-02"),
+	}
+	buf, err := json.MarshalIndent(a, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(out, append(buf, '\n'), 0o644)
 }

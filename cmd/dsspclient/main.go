@@ -47,10 +47,11 @@ func main() {
 		logger.Error("-key and exactly one of -query/-update are required")
 		os.Exit(2)
 	}
-	app, err := resolveApp(*appName)
+	b, err := apps.ByName(*appName)
 	if err != nil {
 		fatal("bad application", err)
 	}
+	app := b.App()
 	exps, err := parseExposures(*exposures)
 	if err != nil {
 		fatal("bad exposure override", err)
@@ -110,21 +111,6 @@ func main() {
 	logger.Info("update done", "template", *updateID, "trace", lastTrace(),
 		"affected", affected, "invalidated", invalidated)
 	fmt.Printf("rows affected: %d, cache entries invalidated: %d\n", affected, invalidated)
-}
-
-func resolveApp(name string) (*template.App, error) {
-	switch name {
-	case "toystore":
-		return apps.Toystore(), nil
-	case "auction":
-		return apps.NewAuction().App(), nil
-	case "bboard":
-		return apps.NewBBoard().App(), nil
-	case "bookstore":
-		return apps.NewBookstore().App(), nil
-	default:
-		return nil, fmt.Errorf("dsspclient: unknown application %q", name)
-	}
 }
 
 // parseParams turns "5,bear,7" into typed parameters: integers where the

@@ -80,9 +80,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	app, db, err := buildApp(*appName, *seed)
+	b, err := apps.ByName(*appName)
 	if err != nil {
-		logger.Error("build application", "err", err)
+		logger.Error("bad application", "err", err)
+		os.Exit(1)
+	}
+	app := b.App()
+	db, err := populate(b, *seed)
+	if err != nil {
+		logger.Error("populate database", "err", err)
 		os.Exit(1)
 	}
 	master := sha256.Sum256([]byte(*keyPhrase))
@@ -131,22 +137,10 @@ func main() {
 	awaitSignal(logger)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Graceful order: new updates confirm inline, the parked interval
-	// flushes, in-flight statements drain behind Shutdown, and finally the
-	// replica streams catch up to the confirmed high-water mark.
-	home.SetMonitoringInterval(0)
-	home.Flush()
-	if err := srv.Shutdown(ctx); err != nil {
-		logger.Error("shutdown: draining in-flight statements", "err", err)
-	}
-	home.Flush() // any update admitted during Shutdown confirmed inline; flush is a no-op then, belt and braces
-	if hub != nil {
-		if err := hub.Drain(ctx); err != nil {
-			logger.Error("shutdown: draining replica streams", "err", err, "status", hub.Status())
-		} else {
-			logger.Info("replica streams drained", "confirmed", home.ConfirmedSeq())
-		}
-		hub.Close()
+	if err := httpapi.DrainHome(ctx, home, srv.Shutdown, hub); err != nil {
+		logger.Error("shutdown", "err", err)
+	} else if hub != nil {
+		logger.Info("replica streams drained", "confirmed", home.ConfirmedSeq())
 	}
 	logger.Info("home server stopped", "assigned", home.AssignedSeq(), "confirmed", home.ConfirmedSeq())
 }
@@ -229,32 +223,18 @@ func servePprof(logger *slog.Logger, addr string) {
 	}()
 }
 
-// buildApp resolves the application and populates its master database.
-// Replicas call it with the same seed as the primary, which is what makes
-// their databases byte-identical at sequence 0.
-func buildApp(name string, seed int64) (*template.App, *storage.Database, error) {
-	if name == "toystore" {
-		app := apps.Toystore()
-		db := storage.NewDatabase(app.Schema)
-		seedToystore(db)
-		return app, db, nil
-	}
-	var b workload.Benchmark
-	switch name {
-	case "auction":
-		b = apps.NewAuction()
-	case "bboard":
-		b = apps.NewBBoard()
-	case "bookstore":
-		b = apps.NewBookstore()
-	default:
-		return nil, nil, fmt.Errorf("dssphome: unknown application %q", name)
-	}
+// populate builds the application's master database. Replicas call it
+// with the same seed as the primary, which is what makes their databases
+// byte-identical at sequence 0. The toystore gets the hand-seeded
+// four-toy database the smoke scripts replay against, not the
+// benchmark's generated one.
+func populate(b workload.Benchmark, seed int64) (*storage.Database, error) {
 	db := storage.NewDatabase(b.App().Schema)
-	if err := b.Populate(db, rand.New(rand.NewSource(seed))); err != nil {
-		return nil, nil, err
+	if b.Name() == "toystore" {
+		seedToystore(db)
+		return db, nil
 	}
-	return b.App(), db, nil
+	return db, b.Populate(db, rand.New(rand.NewSource(seed)))
 }
 
 func seedToystore(db *storage.Database) {

@@ -13,6 +13,17 @@
 //	dsspnode -app toystore -addr :8400 -home http://localhost:8401
 //	dsspnode -app bookstore -addr :8400 -home http://home:8401 -capacity 100000
 //	dsspnode -app toystore -addr :8400 -id 0 -pprof localhost:6060
+//
+// -home lists the home tier's partition primaries in partition order;
+// -home-replicas lists each partition's read replicas in the same order,
+// ',' within a partition and ';' between (an empty group = none there):
+//
+//	dsspnode -home http://p0 -home-replicas http://r0,http://r1                        # one primary, two replicas
+//	dsspnode -home http://p0,http://p1 -home-replicas "http://r0;http://r1,http://r2"  # p0 has r0; p1 has r1, r2
+//	dsspnode -home http://p0,http://p1 -home-replicas ";http://r1"                     # only p1 is replicated
+//
+// An empty primary, or more replica groups than primaries, exits 2 rather
+// than being dropped; the start-up log counts the replicas actually wired.
 package main
 
 import (
@@ -30,7 +41,6 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/httpapi"
-	"dssp/internal/template"
 )
 
 func main() {
@@ -49,44 +59,32 @@ func main() {
 	if *nodeID != "" {
 		logger = logger.With("node", *nodeID)
 	}
-	app, err := resolveApp(*appName)
+	b, err := apps.ByName(*appName)
 	if err != nil {
 		logger.Error("bad application", "err", err)
 		os.Exit(2)
 	}
-	analysis := core.Analyze(app, core.Options{UseIntegrityConstraints: *constraints})
-	node := dssp.NewNode(app, analysis, cache.Options{Capacity: *capacity})
-	primaries := splitList(*home, ",")
-	if len(primaries) == 0 {
-		logger.Error("bad -home", "err", "no primary URL")
+	app := b.App()
+	tier, err := parseHome(*home, *homeReplicas)
+	if err != nil {
+		logger.Error("bad home tier", "err", err)
 		os.Exit(2)
 	}
-	// Replica lists align per partition: ';' separates partitions, ','
-	// separates replicas within one. A lone comma-list is partition 0's.
-	var partReplicas [][]string
 	nReplicas := 0
-	if *homeReplicas != "" {
-		for _, part := range strings.Split(*homeReplicas, ";") {
-			urls := splitList(part, ",")
-			partReplicas = append(partReplicas, urls)
-			nReplicas += len(urls)
-		}
+	for _, ep := range tier {
+		nReplicas += len(ep.Replicas)
 	}
-	opts := httpapi.NodeOptions{
+	analysis := core.Analyze(app, core.Options{UseIntegrityConstraints: *constraints})
+	node := dssp.NewNode(app, analysis, cache.Options{Capacity: *capacity})
+	srv := httpapi.NewNodeServerWithOptions(node, tier[0].Primary, nil, httpapi.NodeOptions{
 		MonitorInterval: *monitor,
 		NodeID:          *nodeID,
-	}
-	if len(primaries) > 1 {
-		opts.HomePartitionURLs = primaries
-		opts.PartitionReplicaURLs = partReplicas
-	} else if len(partReplicas) > 0 {
-		opts.HomeReplicaURLs = partReplicas[0]
-	}
-	srv := httpapi.NewNodeServerWithOptions(node, primaries[0], nil, opts)
+		Home:            tier,
+	})
 
 	servePprof(logger, *pprofAddr)
 	logger.Info("DSSP node listening",
-		"app", app.Name, "addr", *addr, "home", primaries[0], "home_partitions", len(primaries),
+		"app", app.Name, "addr", *addr, "home", tier[0].Primary, "home_partitions", len(tier),
 		"home_replicas", nReplicas,
 		"capacity", *capacity, "monitor_interval", *monitor,
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
@@ -110,28 +108,30 @@ func servePprof(logger *slog.Logger, addr string) {
 	}()
 }
 
-// splitList splits on sep, trimming whitespace and dropping empties.
-func splitList(s, sep string) []string {
-	var out []string
-	for _, v := range strings.Split(s, sep) {
-		if v = strings.TrimSpace(v); v != "" {
-			out = append(out, v)
+// parseHome reads the -home / -home-replicas pair (syntax in the package
+// comment) into the node's view of the home tier, refusing what cannot be
+// aligned instead of dropping it.
+func parseHome(home, replicas string) ([]httpapi.HomeEndpoint, error) {
+	var tier []httpapi.HomeEndpoint
+	for _, u := range strings.Split(home, ",") {
+		if u = strings.TrimSpace(u); u == "" {
+			return nil, fmt.Errorf("-home %q: empty primary URL", home)
+		}
+		tier = append(tier, httpapi.HomeEndpoint{Primary: u})
+	}
+	if replicas == "" {
+		return tier, nil
+	}
+	groups := strings.Split(replicas, ";")
+	if len(groups) > len(tier) {
+		return nil, fmt.Errorf("-home-replicas names %d partitions' replicas but -home has %d primaries", len(groups), len(tier))
+	}
+	for p, group := range groups {
+		for _, u := range strings.Split(group, ",") {
+			if u = strings.TrimSpace(u); u != "" {
+				tier[p].Replicas = append(tier[p].Replicas, u)
+			}
 		}
 	}
-	return out
-}
-
-func resolveApp(name string) (*template.App, error) {
-	switch name {
-	case "toystore":
-		return apps.Toystore(), nil
-	case "auction":
-		return apps.NewAuction().App(), nil
-	case "bboard":
-		return apps.NewBBoard().App(), nil
-	case "bookstore":
-		return apps.NewBookstore().App(), nil
-	default:
-		return nil, fmt.Errorf("dsspnode: unknown application %q", name)
-	}
+	return tier, nil
 }

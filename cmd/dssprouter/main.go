@@ -45,7 +45,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -56,7 +55,6 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/httpapi"
-	"dssp/internal/template"
 )
 
 func main() {
@@ -71,11 +69,12 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("proc", "dssprouter")
-	app, err := resolveApp(*appName)
+	b, err := apps.ByName(*appName)
 	if err != nil {
 		logger.Error("bad application", "err", err)
 		os.Exit(2)
 	}
+	app := b.App()
 	var urls []string
 	for _, u := range strings.Split(*nodes, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -115,19 +114,4 @@ func servePprof(logger *slog.Logger, addr string) {
 			logger.Error("pprof serve failed", "err", err)
 		}
 	}()
-}
-
-func resolveApp(name string) (*template.App, error) {
-	switch name {
-	case "toystore":
-		return apps.Toystore(), nil
-	case "auction":
-		return apps.NewAuction().App(), nil
-	case "bboard":
-		return apps.NewBBoard().App(), nil
-	case "bookstore":
-		return apps.NewBookstore().App(), nil
-	default:
-		return nil, fmt.Errorf("dssprouter: unknown application %q", name)
-	}
 }

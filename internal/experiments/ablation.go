@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/metrics"
 	"dssp/internal/simrun"
@@ -85,7 +86,10 @@ type ScalabilityAblationRow struct {
 func AblationScalability(app string, opts RunOptions) (*ScalabilityAblationRow, error) {
 	row := &ScalabilityAblationRow{App: app}
 	for _, with := range []bool{true, false} {
-		b := benchmarkByName(app)
+		b, err := apps.ByName(app)
+		if err != nil {
+			return nil, err
+		}
 		cfg := opts.config(b)
 		cfg.Exposures = simrun.UniformExposures(b.App(), template.ExpTemplate)
 		cfg.AnalysisOpts = core.Options{UseIntegrityConstraints: with}
@@ -95,7 +99,10 @@ func AblationScalability(app string, opts RunOptions) (*ScalabilityAblationRow, 
 		}
 		var hit float64
 		if users > 0 {
-			b2 := benchmarkByName(app)
+			b2, err := apps.ByName(app)
+			if err != nil {
+				return nil, err
+			}
 			cfg2 := opts.config(b2)
 			cfg2.Exposures = simrun.UniformExposures(b2.App(), template.ExpTemplate)
 			cfg2.AnalysisOpts = core.Options{UseIntegrityConstraints: with}

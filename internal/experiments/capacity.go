@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"dssp/internal/apps"
 	"dssp/internal/cache"
 	"dssp/internal/simrun"
 )
@@ -31,7 +32,10 @@ type CapacityResult struct {
 func CapacitySweep(app string, users int, capacities []int, opts RunOptions) (*CapacityResult, error) {
 	res := &CapacityResult{App: app, Users: users}
 	for _, c := range capacities {
-		b := benchmarkByName(app)
+		b, err := apps.ByName(app)
+		if err != nil {
+			return nil, err
+		}
 		cfg := opts.config(b)
 		cfg.Users = users
 		cfg.CacheOpts = cache.Options{Capacity: c}

@@ -7,19 +7,12 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 
-	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
-	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
+	"dssp/internal/apps"
 	"dssp/internal/httpapi"
 	"dssp/internal/shard"
-	"dssp/internal/storage"
 	"dssp/internal/template"
-	"dssp/internal/wire"
 )
 
 // ElasticOptions configures the elastic-fleet recovery experiment.
@@ -135,79 +128,25 @@ func elasticWorkingSet(app *template.App) []elasticOp {
 	return set
 }
 
-// elasticFleet is one live HTTP deployment: home server, node processes,
-// and the router fronting them, all over httptest listeners.
-type elasticFleet struct {
-	nodes  []*dssp.Node
-	nodeID map[string]int // node URL -> fleet slice index (not ring ID)
-	rs     *httpapi.RouterServer
-	client *httpapi.Client
-	http   *http.Client
-	srvs   []*httptest.Server
-	router *httptest.Server
+// elasticFleet is one live HTTP deployment — home server, node
+// processes, and the router fronting them — plus the experiment's driver.
+type elasticFleet struct{ *httpapi.Fleet }
 
-	app      *template.App
-	analysis *core.Analysis
-	homeURL  string
-}
-
-func newElasticFleet(nodes int, seed int64) (*elasticFleet, error) {
-	b := benchmarkByName("bookstore")
-	app := b.App()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	if err := b.Populate(db, rand.New(rand.NewSource(seed))); err != nil {
-		return nil, err
-	}
-	home := homeserver.New(db, app, codec)
-	f := &elasticFleet{
-		app:      app,
-		analysis: core.Analyze(app, core.DefaultOptions()),
-		nodeID:   make(map[string]int),
-		http: &http.Client{
-			Timeout:   httpapi.DefaultTimeout,
-			Transport: &http.Transport{MaxIdleConns: 64, MaxIdleConnsPerHost: 16},
-		},
-	}
-	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
-	f.srvs = append(f.srvs, homeSrv)
-	f.homeURL = homeSrv.URL
-	urls := make([]string, nodes)
-	for i := 0; i < nodes; i++ {
-		urls[i] = f.addNode()
-	}
-	f.rs = httpapi.NewRouterServer(f.analysis, urls, httpapi.RouterOptions{Client: f.http})
-	f.router = httptest.NewServer(f.rs.Handler())
-	f.client = httpapi.NewClient(codec, f.router.URL, f.http)
-	return f, nil
-}
-
-// addNode stands up one more node process (not yet a ring member) and
-// returns its base URL.
-func (f *elasticFleet) addNode() string {
-	n := dssp.NewNode(f.app, f.analysis, cache.Options{})
-	srv := httptest.NewServer(httpapi.NewNodeServer(n, f.homeURL, f.http).Handler())
-	f.nodes = append(f.nodes, n)
-	f.nodeID[srv.URL] = len(f.nodes) - 1
-	f.srvs = append(f.srvs, srv)
-	return srv.URL
-}
-
-func (f *elasticFleet) Close() {
-	f.router.Close()
-	for _, s := range f.srvs {
-		s.Close()
-	}
+func newElasticFleet(nodes int, seed int64) (elasticFleet, error) {
+	spec := benchSpec(apps.NewBookstore(), seed)
+	spec.Nodes, spec.Router, spec.Client = nodes, true, pooledClient(4)
+	f, err := httpapi.Start(spec)
+	return elasticFleet{f}, err
 }
 
 // admin posts one JSON ring-admin request and decodes the migration
 // report the router answers with.
-func (f *elasticFleet) admin(path string, req any) (*shard.MigrationReport, error) {
+func (f elasticFleet) admin(path string, req any) (*shard.MigrationReport, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.http.Post(f.router.URL+path, "application/json", bytes.NewReader(body))
+	resp, err := f.HTTP.Post(f.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +165,11 @@ func (f *elasticFleet) admin(path string, req any) (*shard.MigrationReport, erro
 
 // interval drives ops uniform-random operations from the working set
 // and returns the interval's aggregate hit rate plus its miss count.
-func (f *elasticFleet) interval(set []elasticOp, rng *rand.Rand, ops int) (float64, int, error) {
+func (f elasticFleet) interval(set []elasticOp, rng *rand.Rand, ops int) (float64, int, error) {
 	hits := 0
 	for i := 0; i < ops; i++ {
 		op := set[rng.Intn(len(set))]
-		res, err := f.client.Query(context.Background(), op.tmpl, op.arg)
+		res, err := f.Client.Query(context.Background(), op.tmpl, op.arg)
 		if err != nil {
 			return 0, 0, fmt.Errorf("%s(%d): %w", op.tmpl.ID, op.arg, err)
 		}
@@ -243,10 +182,10 @@ func (f *elasticFleet) interval(set []elasticOp, rng *rand.Rand, ops int) (float
 
 // warm runs two full sequential passes over the working set, so every
 // entry is cached fleet-wide before measurement starts.
-func (f *elasticFleet) warm(set []elasticOp) error {
+func (f elasticFleet) warm(set []elasticOp) error {
 	for pass := 0; pass < 2; pass++ {
 		for _, op := range set {
-			if _, err := f.client.Query(context.Background(), op.tmpl, op.arg); err != nil {
+			if _, err := f.Client.Query(context.Background(), op.tmpl, op.arg); err != nil {
 				return fmt.Errorf("warm %s(%d): %w", op.tmpl.ID, op.arg, err)
 			}
 		}
@@ -256,7 +195,7 @@ func (f *elasticFleet) warm(set []elasticOp) error {
 
 // steady measures the steady-state hit rate as the mean over
 // SteadyIntervals intervals.
-func (f *elasticFleet) steady(set []elasticOp, rng *rand.Rand, o ElasticOptions) (float64, error) {
+func (f elasticFleet) steady(set []elasticOp, rng *rand.Rand, o ElasticOptions) (float64, error) {
 	sum := 0.0
 	for i := 0; i < o.SteadyIntervals; i++ {
 		r, _, err := f.interval(set, rng, o.IntervalOps)
@@ -271,7 +210,7 @@ func (f *elasticFleet) steady(set []elasticOp, rng *rand.Rand, o ElasticOptions)
 // recover watches intervals after a membership event until the hit rate
 // re-enters the threshold band around steady, filling in the phase's
 // recovery fields.
-func (f *elasticFleet) recover(set []elasticOp, rng *rand.Rand, o ElasticOptions, ph *ElasticPhase) error {
+func (f elasticFleet) recover(set []elasticOp, rng *rand.Rand, o ElasticOptions, ph *ElasticPhase) error {
 	for i := 1; i <= o.MaxIntervals; i++ {
 		rate, misses, err := f.interval(set, rng, o.IntervalOps)
 		if err != nil {
@@ -307,7 +246,7 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 		Threshold:    o.Threshold,
 	}
 
-	runEvent := func(f *elasticFleet, set []elasticOp, rng *rand.Rand, kind string, fire func() (*shard.MigrationReport, error)) (ElasticPhase, error) {
+	runEvent := func(f elasticFleet, set []elasticOp, rng *rand.Rand, kind string, fire func() (*shard.MigrationReport, error)) (ElasticPhase, error) {
 		ph := ElasticPhase{Kind: kind}
 		var err error
 		if ph.SteadyHitRate, err = f.steady(set, rng, o); err != nil {
@@ -332,7 +271,7 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 		return nil, err
 	}
 	defer fa.Close()
-	set := elasticWorkingSet(fa.app)
+	set := elasticWorkingSet(apps.NewBookstore().App())
 	res.WorkingSet = len(set)
 	rng := rand.New(rand.NewSource(o.Seed + 7))
 	if err := fa.warm(set); err != nil {
@@ -340,7 +279,7 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 	}
 	warmTrue, warmFalse := true, false
 	joinWarm, err := runEvent(fa, set, rng, "join_warm", func() (*shard.MigrationReport, error) {
-		return fa.admin(httpapi.PathRingJoin, httpapi.RingJoinRequest{URL: fa.addNode(), Warm: &warmTrue})
+		return fa.admin(httpapi.PathRingJoin, httpapi.RingJoinRequest{URL: fa.AddNode(), Warm: &warmTrue})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("join_warm: %w", err)
@@ -366,7 +305,7 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 		return nil, err
 	}
 	joinCold, err := runEvent(fb, set, rngB, "join_cold", func() (*shard.MigrationReport, error) {
-		return fb.admin(httpapi.PathRingJoin, httpapi.RingJoinRequest{URL: fb.addNode(), Warm: &warmFalse})
+		return fb.admin(httpapi.PathRingJoin, httpapi.RingJoinRequest{URL: fb.AddNode(), Warm: &warmFalse})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("join_cold: %w", err)

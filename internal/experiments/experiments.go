@@ -67,22 +67,6 @@ func Benchmarks() []workload.Benchmark {
 	}
 }
 
-// benchmarkByName returns a fresh instance.
-func benchmarkByName(name string) workload.Benchmark {
-	switch name {
-	case "auction":
-		return apps.NewAuction()
-	case "bboard":
-		return apps.NewBBoard()
-	case "bookstore":
-		return apps.NewBookstore()
-	case "toystore":
-		return apps.NewToystoreBench()
-	default:
-		panic("unknown benchmark " + name)
-	}
-}
-
 // strategies lists the uniform exposure configurations of Figure 8, best
 // (most exposed) first.
 var strategies = []struct {
@@ -204,9 +188,9 @@ type Figure8Row struct {
 // strategy for the three applications.
 func Figure8(opts RunOptions) (*Figure8Result, error) {
 	res := &Figure8Result{}
-	for _, b := range Benchmarks() {
+	for i, b := range Benchmarks() {
 		for _, st := range strategies {
-			fresh := benchmarkByName(b.Name())
+			fresh := Benchmarks()[i] // every run gets its own instance
 			cfg := opts.config(fresh)
 			cfg.Exposures = simrun.UniformExposures(fresh.App(), st.Exp)
 			users, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
@@ -215,7 +199,7 @@ func Figure8(opts RunOptions) (*Figure8Result, error) {
 			}
 			row := Figure8Row{App: b.Name(), Strategy: st.Name, Users: users}
 			if users > 0 {
-				fresh2 := benchmarkByName(b.Name())
+				fresh2 := Benchmarks()[i]
 				cfg2 := opts.config(fresh2)
 				cfg2.Exposures = simrun.UniformExposures(fresh2.App(), st.Exp)
 				cfg2.Users = users

@@ -5,26 +5,18 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dssp/internal/apps"
-	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
-	"dssp/internal/encrypt"
-	hometier "dssp/internal/home"
-	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
 	"dssp/internal/obs"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
-	"dssp/internal/wire"
 )
 
 // HomescaleOptions configures the replicated-home-tier throughput
@@ -183,199 +175,112 @@ func Homescale(o HomescaleOptions) (*HomescaleResult, error) {
 	return res, nil
 }
 
-// homeGate is the trusted-tier capacity gate: one service slot, charged
-// per executed statement. Apply pushes cost a tenth; everything else
-// (metrics, status, registration) passes ungated.
-func homeGate(inner http.Handler, service time.Duration, armed *atomic.Bool) http.Handler {
-	slot := make(chan struct{}, 1)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var cost time.Duration
-		switch r.URL.Path {
-		case httpapi.PathExecQuery, httpapi.PathExecUpdate:
-			cost = service
-		case httpapi.PathReplicaApply:
-			cost = service / 10
-		default:
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if armed.Load() {
-			slot <- struct{}{}
-			time.Sleep(cost)
-			<-slot
-		}
-		inner.ServeHTTP(w, r)
-	})
+// tierGate is the trusted-tier capacity gate: one service slot per
+// engine, charged per executed statement. Apply pushes cost a tenth —
+// replaying a confirmed update is cheaper than opening and executing a
+// fresh statement.
+func tierGate(service time.Duration, armed *atomic.Bool) func(string, http.Handler) http.Handler {
+	return serviceGate(armed, map[string]time.Duration{
+		httpapi.PathExecQuery:    service,
+		httpapi.PathExecUpdate:   service,
+		httpapi.PathReplicaApply: service / 10,
+	}, httpapi.RoleHome, httpapi.RoleReplica)
 }
 
 func runHomescale(k int, o HomescaleOptions) (HomescaleRow, error) {
 	row := HomescaleRow{Replicas: k}
 	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	populate := func() (*storage.Database, error) {
-		db := storage.NewDatabase(app.Schema)
-		return db, seedToys(db)
-	}
-	db, err := populate()
+	var gateArmed atomic.Bool
+	spec := fleetSpec(app, seedToys)
+	spec.Nodes, spec.Replicas, spec.Client = 1, k, pooledClient(o.Clients)
+	spec.Wrap = tierGate(o.Service, &gateArmed)
+	f, err := httpapi.Start(spec)
 	if err != nil {
 		return row, err
 	}
-	primary := homeserver.New(db, app, codec)
+	defer f.Close()
+	primary, reps, nodeReg := f.Homes[0], f.Replicas[0], f.Nodes[0].Cache.Obs()
 
-	httpClient := &http.Client{
-		Timeout: httpapi.DefaultTimeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        16 * o.Clients,
-			MaxIdleConnsPerHost: 4 * o.Clients,
-		},
-	}
-
-	var gateArmed atomic.Bool
-	hub := httpapi.NewReplicaHub(httpClient, nil)
-	defer hub.Close()
-	primary.OnConfirm(hub.Confirm)
-	homeSrv := httptest.NewServer(homeGate(httpapi.HomeHandlerWithHub(primary, hub), o.Service, &gateArmed))
-	defer homeSrv.Close()
-
-	reps := make([]*hometier.Replica, k)
-	repURLs := make([]string, k)
-	for i := range reps {
-		rdb, err := populate()
-		if err != nil {
-			return row, err
+	// served reads where misses executed: the primary, then each replica;
+	// bypasses the node's lag and error bounces.
+	served := func() []int64 {
+		n := []int64{int64(primary.QueriesServed())}
+		for _, rep := range reps {
+			n = append(n, int64(rep.QueriesServed()))
 		}
-		reps[i] = hometier.NewReplica(fmt.Sprintf("r%d", i), rdb, app, codec)
-		srv := httptest.NewServer(homeGate(httpapi.ReplicaHandler(reps[i]), o.Service, &gateArmed))
-		defer srv.Close()
-		repURLs[i] = srv.URL
-		hub.Register(srv.URL)
+		return n
 	}
-
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	ns := httpapi.NewNodeServerWithOptions(node, homeSrv.URL, httpClient, httpapi.NodeOptions{HomeReplicaURLs: repURLs})
-	nodeSrv := httptest.NewServer(ns.Handler())
-	defer nodeSrv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	bypasses := func(reason string) int64 {
+		return nodeReg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, reason)).Value()
+	}
 	var (
-		measuring        atomic.Bool
-		total            atomic.Int64
-		queries, updates atomic.Int64
-		maxLag           atomic.Uint64
-		firstErr         atomic.Pointer[error]
-		wg               sync.WaitGroup
+		preServed      []int64
+		preLag, preErr int64
+		sampler        sync.WaitGroup
+		stopSampler    = make(chan struct{})
 	)
-	fail := func(err error) {
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
-		cancel()
-	}
-
-	// Lag sampler: the widest confirmed-minus-applied gap any replica
-	// shows during the counted window.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(20 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-			}
-			if !measuring.Load() {
-				continue
-			}
-			c := primary.ConfirmedSeq()
-			for _, rep := range reps {
-				if a := rep.Applied(); c > a {
-					if lag := c - a; lag > maxLag.Load() {
-						maxLag.Store(lag)
+	open := func() {
+		preServed, preLag, preErr = served(), bypasses("lag"), bypasses("error")
+		gateArmed.Store(true)
+		// Lag sampler: the widest confirmed-minus-applied gap any replica
+		// shows during the counted window.
+		sampler.Add(1)
+		go func() {
+			defer sampler.Done()
+			tick := time.NewTicker(20 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stopSampler:
+					return
+				case <-tick.C:
+				}
+				c := primary.ConfirmedSeq()
+				for _, rep := range reps {
+					if a := rep.Applied(); c > a {
+						row.MaxLag = max(row.MaxLag, c-a)
 					}
 				}
 			}
+		}()
+	}
+	shut := func() {
+		close(stopSampler)
+		sampler.Wait()
+		post := served()
+		row.PrimaryMisses = post[0] - preServed[0]
+		row.ReplicaMisses = make([]int64, k)
+		for i := range reps {
+			row.ReplicaMisses[i] = post[1+i] - preServed[1+i]
 		}
-	}()
+		row.BypassLag, row.BypassErr = bypasses("lag")-preLag, bypasses("error")-preErr
+	}
 
 	// The miss storm: every query probes a toy id far outside the seeded
 	// range, so the result is empty, uncacheable under no-empty-results,
 	// and must execute in the trusted tier. One op in UpdateEvery is an
 	// update (a delete of an equally non-existent id: zero rows affected,
 	// but a real confirmed sequence that moves the freshness floor).
-	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
+	var elapsed time.Duration
+	row.Queries, row.Updates, elapsed, err = closedLoop(context.Background(), o.Clients, o.WarmOps, o.Measure, open, shut,
+		func(c int) func(context.Context) (bool, error) {
 			rng := rand.New(rand.NewSource(o.Seed + 2000 + int64(c)))
-			cl := httpapi.NewClient(codec, nodeSrv.URL, httpClient)
-			for i := 0; ctx.Err() == nil; i++ {
+			i := 0
+			return func(ctx context.Context) (bool, error) {
 				id := 1_000_000 + rng.Intn(1_000_000_000)
-				if o.UpdateEvery > 0 && i%o.UpdateEvery == o.UpdateEvery-1 {
-					if _, _, err := cl.Update(ctx, app.Update("U1"), id); err != nil {
-						if ctx.Err() == nil {
-							fail(err)
-						}
-						return
-					}
-					total.Add(1)
-					if measuring.Load() {
-						updates.Add(1)
-					}
-					continue
+				i++
+				if o.UpdateEvery > 0 && i%o.UpdateEvery == 0 {
+					_, _, err := f.Client.Update(ctx, app.Update("U1"), id)
+					return true, err
 				}
-				if _, err := cl.Query(ctx, app.Query("Q2"), id); err != nil {
-					if ctx.Err() == nil {
-						fail(err)
-					}
-					return
-				}
-				total.Add(1)
-				if measuring.Load() {
-					queries.Add(1)
-				}
+				_, err := f.Client.Query(ctx, app.Query("Q2"), id)
+				return false, err
 			}
-		}(c)
+		})
+	if err != nil {
+		return row, err
 	}
-
-	for total.Load() < int64(o.WarmOps) && ctx.Err() == nil {
-		time.Sleep(20 * time.Millisecond)
-	}
-	prePrimary := int64(primary.QueriesServed())
-	preReplica := make([]int64, k)
-	for i, rep := range reps {
-		preReplica[i] = int64(rep.QueriesServed())
-	}
-	preLag := ns.Reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "lag")).Value()
-	preErr := ns.Reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "error")).Value()
-
-	gateArmed.Store(true)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(o.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(t0)
-
-	row.PrimaryMisses = int64(primary.QueriesServed()) - prePrimary
-	row.ReplicaMisses = make([]int64, k)
-	for i, rep := range reps {
-		row.ReplicaMisses[i] = int64(rep.QueriesServed()) - preReplica[i]
-	}
-	if k > 0 {
-		row.BypassLag = ns.Reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "lag")).Value() - preLag
-		row.BypassErr = ns.Reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "error")).Value() - preErr
-	}
-	cancel()
-	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		return row, *p
-	}
-
-	row.Queries = queries.Load()
-	row.Updates = updates.Load()
 	row.MissQPS = float64(row.Queries) / elapsed.Seconds()
-	row.MaxLag = maxLag.Load()
 	row.Confirmed = primary.ConfirmedSeq()
 	return row, nil
 }
@@ -419,102 +324,44 @@ func runHomescaleUpdates(parts int, o HomescaleOptions) (HomescaleUpdateRow, err
 	row := HomescaleUpdateRow{Partitions: parts}
 	const groups = 4
 	app := wideshopApp(groups)
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-
-	httpClient := &http.Client{
-		Timeout: httpapi.DefaultTimeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        16 * o.Clients,
-			MaxIdleConnsPerHost: 4 * o.Clients,
-		},
-	}
-
 	var gateArmed atomic.Bool
-	homes := make([]*homeserver.Server, parts)
-	urls := make([]string, parts)
-	for p := range homes {
-		db := storage.NewDatabase(app.Schema)
+	spec := fleetSpec(app, func(db *storage.Database) error {
 		for g := 0; g < groups; g++ {
 			for id := int64(1); id <= 4; id++ {
-				if err := db.Insert(fmt.Sprintf("shelf%d", g), storage.Row{
-					sqlparse.IntVal(id), sqlparse.IntVal(id),
-				}); err != nil {
-					return row, err
+				item := storage.Row{sqlparse.IntVal(id), sqlparse.IntVal(id)}
+				if err := db.Insert(fmt.Sprintf("shelf%d", g), item); err != nil {
+					return err
 				}
 			}
 		}
-		homes[p] = homeserver.New(db, app, codec)
-		if parts > 1 {
-			homes[p].SetPartition(p, parts)
-		}
-		srv := httptest.NewServer(homeGate(httpapi.HomeHandler(homes[p]), o.Service, &gateArmed))
-		defer srv.Close()
-		urls[p] = srv.URL
+		return nil
+	})
+	spec.Nodes, spec.Partitions, spec.Client = 1, parts, pooledClient(o.Clients)
+	spec.Wrap = tierGate(o.Service, &gateArmed)
+	f, err := httpapi.Start(spec)
+	if err != nil {
+		return row, err
 	}
+	defer f.Close()
 
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	ns := httpapi.NewNodeServerWithOptions(node, urls[0], httpClient,
-		httpapi.NodeOptions{HomePartitionURLs: urls})
-	nodeSrv := httptest.NewServer(ns.Handler())
-	defer nodeSrv.Close()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var (
-		measuring atomic.Bool
-		total     atomic.Int64
-		updates   atomic.Int64
-		firstErr  atomic.Pointer[error]
-		wg        sync.WaitGroup
-	)
-	fail := func(err error) {
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
-		cancel()
-	}
-
-	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
+	var elapsed time.Duration
+	_, row.Updates, elapsed, err = closedLoop(context.Background(), o.Clients, o.WarmOps, o.Measure,
+		func() { gateArmed.Store(true) }, func() {},
+		func(c int) func(context.Context) (bool, error) {
 			rng := rand.New(rand.NewSource(o.Seed + 3000 + int64(c)))
-			cl := httpapi.NewClient(codec, nodeSrv.URL, httpClient)
-			for ctx.Err() == nil {
+			return func(ctx context.Context) (bool, error) {
 				g := rng.Intn(groups)
 				id := 1_000_000 + rng.Intn(1_000_000_000)
-				if _, _, err := cl.Update(ctx, app.Update(fmt.Sprintf("U%d", g)), id); err != nil {
-					if ctx.Err() == nil {
-						fail(err)
-					}
-					return
-				}
-				total.Add(1)
-				if measuring.Load() {
-					updates.Add(1)
-				}
+				_, _, err := f.Client.Update(ctx, app.Update(fmt.Sprintf("U%d", g)), id)
+				return true, err
 			}
-		}(c)
+		})
+	if err != nil {
+		return row, err
 	}
-
-	for total.Load() < int64(o.WarmOps) && ctx.Err() == nil {
-		time.Sleep(20 * time.Millisecond)
-	}
-	gateArmed.Store(true)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(o.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(t0)
-	cancel()
-	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		return row, *p
-	}
-
-	row.Updates = updates.Load()
 	row.UpdateQPS = float64(row.Updates) / elapsed.Seconds()
 	row.Confirmed = make([]uint64, parts)
-	for p, h := range homes {
+	for p, h := range f.Homes {
 		row.Confirmed[p] = h.ConfirmedSeq()
 		if row.Confirmed[p] == 0 {
 			return row, fmt.Errorf("partition %d confirmed no update; the write stream did not split", p)

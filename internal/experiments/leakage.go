@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dssp/internal/apps"
 	"dssp/internal/leakage"
 	"dssp/internal/simrun"
 	"dssp/internal/template"
@@ -51,7 +52,10 @@ func LeakageAudit(appNames []string, users int, opts RunOptions) (*LeakageResult
 	res := &LeakageResult{}
 	for _, name := range appNames {
 		for _, st := range exposureOrder {
-			b := benchmarkByName(name)
+			b, err := apps.ByName(name)
+			if err != nil {
+				return nil, err
+			}
 			cfg := opts.config(b)
 			cfg.Users = users
 			cfg.Exposures = simrun.UniformExposures(b.App(), st.Exp)

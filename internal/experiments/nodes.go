@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"dssp/internal/apps"
 	"dssp/internal/simrun"
 )
 
@@ -32,7 +33,10 @@ type NodesResult struct {
 func NodeSweep(app string, users int, nodeCounts []int, opts RunOptions) (*NodesResult, error) {
 	res := &NodesResult{App: app, Users: users}
 	for _, n := range nodeCounts {
-		b := benchmarkByName(app)
+		b, err := apps.ByName(app)
+		if err != nil {
+			return nil, err
+		}
 		cfg := opts.config(b)
 		cfg.Users = users
 		cfg.Nodes = n

@@ -5,23 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"dssp/internal/apps"
 	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
-	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
 	"dssp/internal/obs"
-	"dssp/internal/storage"
 	"dssp/internal/template"
-	"dssp/internal/wire"
+	"dssp/internal/workload"
 )
 
 // ScaleoutOptions configures the scale-out throughput experiment.
@@ -115,10 +109,8 @@ func Scaleout(appName string, o ScaleoutOptions) (*ScaleoutResult, error) {
 	if len(o.Fleets) == 0 {
 		o = DefaultScaleoutOptions()
 	}
-	switch appName {
-	case "auction", "bboard", "bookstore":
-	default:
-		return nil, fmt.Errorf("unknown application %q", appName)
+	if _, err := apps.ByName(appName); err != nil {
+		return nil, err
 	}
 	res := &ScaleoutResult{
 		Benchmark: appName,
@@ -142,182 +134,88 @@ func Scaleout(appName string, o ScaleoutOptions) (*ScaleoutResult, error) {
 	return res, nil
 }
 
-// capacityGate models one CPU per node: a single request slot, held for
-// the operation's service time. Queries and updates pay the full service
-// time, invalidation-only pushes a tenth; everything else (metrics,
-// decision reads) passes ungated. The slot is released before the real
-// handler runs — a node waiting on the home server is doing I/O, not
-// burning its CPU, so a miss's home round trip must not serialize the
-// node's other requests. The gate only charges once armed flips, so the
-// warm-up phase runs at full host speed.
-func capacityGate(inner http.Handler, service time.Duration, armed *atomic.Bool) http.Handler {
-	slot := make(chan struct{}, 1)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var cost time.Duration
-		switch r.URL.Path {
-		case httpapi.PathQuery, httpapi.PathUpdate:
-			cost = service
-		case httpapi.PathInvalidate:
-			cost = service / 10
-		default:
-			inner.ServeHTTP(w, r)
-			return
-		}
-		if armed.Load() {
-			slot <- struct{}{}
-			time.Sleep(cost)
-			<-slot
-		}
-		inner.ServeHTTP(w, r)
-	})
-}
-
+// runScaleoutFleet measures one fleet size. Queries and updates pay the
+// full service time at a node, invalidation-only pushes a tenth —
+// dropping buckets is far cheaper than executing a query.
 func runScaleoutFleet(appName string, nodes int, o ScaleoutOptions) (ScaleoutRow, error) {
 	row := ScaleoutRow{Nodes: nodes}
-	b := benchmarkByName(appName)
-	app := b.App()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	if err := b.Populate(db, rand.New(rand.NewSource(o.Seed))); err != nil {
+	b, err := apps.ByName(appName)
+	if err != nil {
 		return row, err
 	}
-	home := homeserver.New(db, app, codec)
-	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
-	defer homeSrv.Close()
-	analysis := core.Analyze(app, core.DefaultOptions())
-
-	// One shared client with enough idle connections that 32 concurrent
-	// drivers never churn through handshakes.
-	httpClient := &http.Client{
-		Timeout: httpapi.DefaultTimeout,
-		Transport: &http.Transport{
-			MaxIdleConns:        16 * o.Clients,
-			MaxIdleConnsPerHost: 4 * o.Clients,
-		},
-	}
-
 	var gateArmed atomic.Bool
-	fleet := make([]*dssp.Node, nodes)
-	urls := make([]string, nodes)
-	for i := range fleet {
-		fleet[i] = dssp.NewNode(app, analysis, cache.Options{})
-		srv := httptest.NewServer(capacityGate(
-			httpapi.NewNodeServer(fleet[i], homeSrv.URL, httpClient).Handler(), o.Service, &gateArmed))
-		defer srv.Close()
-		urls[i] = srv.URL
+	spec := benchSpec(b, o.Seed)
+	spec.Nodes, spec.Router, spec.Client = nodes, true, pooledClient(o.Clients)
+	spec.Wrap = serviceGate(&gateArmed, map[string]time.Duration{
+		httpapi.PathQuery:      o.Service,
+		httpapi.PathUpdate:     o.Service,
+		httpapi.PathInvalidate: o.Service / 10,
+	}, httpapi.RoleNode)
+	f, err := httpapi.Start(spec)
+	if err != nil {
+		return row, err
 	}
-	rs := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{Client: httpClient})
-	routerSrv := httptest.NewServer(rs.Handler())
-	defer routerSrv.Close()
+	defer f.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	stats := func() []cache.Stats {
+		st := make([]cache.Stats, nodes)
+		for i, n := range f.Nodes {
+			st[i] = n.Cache.Stats()
+		}
+		return st
+	}
 	var (
-		measuring        atomic.Bool
-		total            atomic.Int64 // every completed op, for warm-up progress
-		queries, updates atomic.Int64 // completed ops inside the measure window
-		firstErr         atomic.Pointer[error]
-		sessMu           sync.Mutex // benchmark session state is single-threaded by contract
-		wg               sync.WaitGroup
+		pre, post []cache.Stats
+		sessMu    sync.Mutex // benchmark session state is single-threaded by contract
 	)
-	fail := func(err error) {
-		e := err
-		firstErr.CompareAndSwap(nil, &e)
-		cancel()
+	open := func() {
+		pre = stats()
+		gateArmed.Store(true)
 	}
-	for c := 0; c < o.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(o.Seed + 1000 + int64(c)))
-			sessMu.Lock()
-			sess := b.NewSession(rng)
-			sessMu.Unlock()
-			cl := httpapi.NewClient(codec, routerSrv.URL, httpClient)
-			for ctx.Err() == nil {
-				sessMu.Lock()
-				page := sess.NextPage()
-				sessMu.Unlock()
-				for _, op := range page {
-					if ctx.Err() != nil {
-						return
-					}
-					params := make([]interface{}, len(op.Params))
-					for j, v := range op.Params {
-						params[j] = v
-					}
-					if op.Template.Kind == template.KQuery {
-						if _, err := cl.Query(ctx, op.Template, params...); err != nil {
-							if ctx.Err() == nil {
-								fail(err)
-							}
-							return
-						}
-						total.Add(1)
-						if measuring.Load() {
-							queries.Add(1)
-						}
-					} else {
-						if _, _, err := cl.Update(ctx, op.Template, params...); err != nil {
-							if ctx.Err() == nil {
-								fail(err)
-							}
-							return
-						}
-						total.Add(1)
-						if measuring.Load() {
-							updates.Add(1)
-						}
-					}
+	shut := func() {
+		post = stats()
+		reg := f.Router.Reg
+		fanout := reg.Histogram(obs.MRouterFanoutNodes)
+		// The histogram encodes an n-node fan-out as n microseconds; the exec
+		// node is always among them, so pushes sent = total touched − updates.
+		row.FanoutSent = fanout.Sum().Microseconds() - fanout.Count()
+		row.FanoutSkipped = reg.Counter(obs.MRouterFanoutSkipped).Value()
+		row.Broadcasts = reg.Counter(obs.MRouterBroadcasts).Value()
+		for _, kind := range []string{obs.KindQuery, obs.KindUpdate, obs.KindInvalidate} {
+			row.ProxyErrors += reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, kind)).Value()
+		}
+	}
+	var elapsed time.Duration
+	row.Queries, row.Updates, elapsed, err = closedLoop(context.Background(), o.Clients, o.WarmOps, o.Measure, open, shut,
+		func(c int) func(context.Context) (bool, error) {
+			sess := b.NewSession(rand.New(rand.NewSource(o.Seed + 1000 + int64(c))))
+			var page []workload.Op
+			return func(ctx context.Context) (bool, error) {
+				for len(page) == 0 {
+					sessMu.Lock()
+					page = sess.NextPage()
+					sessMu.Unlock()
 				}
+				op := page[0]
+				page = page[1:]
+				if op.Template.Kind == template.KQuery {
+					_, err := f.Client.Query(ctx, op.Template, opArgs(op)...)
+					return false, err
+				}
+				_, _, err := f.Client.Update(ctx, op.Template, opArgs(op)...)
+				return true, err
 			}
-		}(c)
-	}
-
-	for total.Load() < int64(o.WarmOps) && ctx.Err() == nil {
-		time.Sleep(50 * time.Millisecond)
-	}
-	pre := make([]cache.Stats, nodes)
-	for i, n := range fleet {
-		pre[i] = n.Cache.Stats()
-	}
-	gateArmed.Store(true)
-	measuring.Store(true)
-	t0 := time.Now()
-	time.Sleep(o.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(t0)
-	post := make([]cache.Stats, nodes)
-	for i, n := range fleet {
-		post[i] = n.Cache.Stats()
-	}
-	// Read the router's instruments before cancelling: tearing the drivers
-	// down aborts their in-flight requests, and those cancellations would
-	// otherwise show up as proxy errors after a perfectly healthy run.
-	reg := rs.Reg
-	fanout := reg.Histogram(obs.MRouterFanoutNodes)
-	// The histogram encodes an n-node fan-out as n microseconds; the exec
-	// node is always among them, so pushes sent = total touched − updates.
-	row.FanoutSent = fanout.Sum().Microseconds() - fanout.Count()
-	row.FanoutSkipped = reg.Counter(obs.MRouterFanoutSkipped).Value()
-	row.Broadcasts = reg.Counter(obs.MRouterBroadcasts).Value()
-	for _, kind := range []string{obs.KindQuery, obs.KindUpdate, obs.KindInvalidate} {
-		row.ProxyErrors += reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, kind)).Value()
-	}
-	cancel()
-	wg.Wait()
-	if p := firstErr.Load(); p != nil {
-		return row, *p
+		})
+	if err != nil {
+		return row, err
 	}
 	if row.ProxyErrors > 0 {
 		return row, errors.New("proxied calls failed during a healthy-fleet run")
 	}
 
-	row.Queries = queries.Load()
-	row.Updates = updates.Load()
 	row.QPS = float64(row.Queries+row.Updates) / elapsed.Seconds()
 	var hits, misses int64
-	for i := range fleet {
+	for i := range post {
 		h := int64(post[i].Hits - pre[i].Hits)
 		m := int64(post[i].Misses - pre[i].Misses)
 		hits += h

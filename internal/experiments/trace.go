@@ -4,19 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http/httptest"
 	"strings"
 
-	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
-	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
+	"dssp/internal/apps"
 	"dssp/internal/httpapi"
 	"dssp/internal/obs"
-	"dssp/internal/storage"
 	"dssp/internal/template"
-	"dssp/internal/wire"
 	"dssp/internal/workload"
 )
 
@@ -44,34 +37,22 @@ type TraceResult struct {
 // request's spans, scattered across four span stores in four "processes",
 // are fetched over the trace API and stitched into one tree.
 func TraceDemo(appName string, seed int64) (*TraceResult, error) {
-	b := benchmarkByName(appName)
-	app := b.App()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	if err := b.Populate(db, rand.New(rand.NewSource(seed))); err != nil {
+	b, err := apps.ByName(appName)
+	if err != nil {
 		return nil, err
 	}
-	home := homeserver.New(db, app, codec)
-	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
-	defer homeSrv.Close()
-
-	analysis := core.Analyze(app, core.DefaultOptions())
-	urls := make([]string, 2)
-	for i := range urls {
-		node := dssp.NewNode(app, analysis, cache.Options{})
-		srv := httptest.NewServer(httpapi.NewNodeServerWithOptions(
-			node, homeSrv.URL, nil, httpapi.NodeOptions{NodeID: fmt.Sprint(i)}).Handler())
-		defer srv.Close()
-		urls[i] = srv.URL
+	spec := benchSpec(b, seed)
+	spec.Nodes, spec.Router = 2, true
+	f, err := httpapi.Start(spec)
+	if err != nil {
+		return nil, err
 	}
-	rs := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{})
-	routerSrv := httptest.NewServer(rs.Handler())
-	defer routerSrv.Close()
+	defer f.Close()
 
 	// The trusted client traces its own stages (seal, open) into a local
 	// store; everything between lives in the fleet's stores.
 	store := obs.NewSpanStore(0)
-	cl := httpapi.NewClient(codec, routerSrv.URL, nil)
+	cl := f.Client
 	cl.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock()).
 		SetIdentity(obs.ProcClient, "").
 		SetStore(store)
@@ -95,8 +76,7 @@ func TraceDemo(appName string, seed int64) (*TraceResult, error) {
 	}
 
 	res := &TraceResult{App: appName}
-	fleet := append([]string{routerSrv.URL}, urls...)
-	fleet = append(fleet, homeSrv.URL)
+	fleet := append(append([]string{f.URL}, f.NodeURLs...), f.HomeURLs...)
 	run := func(kind string, do func() error, tmpl string) error {
 		before := len(store.TraceIDs(1 << 20))
 		if err := do(); err != nil {

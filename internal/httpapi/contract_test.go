@@ -46,7 +46,7 @@ func newContractServers(t *testing.T) *contractServers {
 	t.Cleanup(homeSrv.Close)
 
 	analysis := core.Analyze(app, core.DefaultOptions())
-	ns := NewNodeServer(dssp.NewNode(app, analysis, cache.Options{}), homeSrv.URL, homeSrv.Client())
+	ns := NewNodeServerWithOptions(dssp.NewNode(app, analysis, cache.Options{}), homeSrv.URL, homeSrv.Client(), NodeOptions{})
 	nodeSrv := httptest.NewServer(ns.Handler())
 	t.Cleanup(nodeSrv.Close)
 	rs := NewRouterServer(analysis, []string{nodeSrv.URL}, RouterOptions{Client: nodeSrv.Client()})

@@ -7,15 +7,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"dssp/internal/apps"
-	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
 	"dssp/internal/shard"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -26,53 +21,34 @@ import (
 // elasticHTTPFleet is a live toystore deployment: home + node processes
 // + router, with handles kept for membership assertions.
 type elasticHTTPFleet struct {
-	t      *testing.T
-	app    *template.App
-	codec  *wire.Codec
-	nodes  []*dssp.Node
-	urls   []string
-	router *httptest.Server
-	client *Client
-
-	analysis *core.Analysis
-	homeURL  string
-	hc       *http.Client
+	*Fleet
+	t   *testing.T
+	app *template.App
 }
 
 func newElasticHTTPFleet(t *testing.T, fleet int) *elasticHTTPFleet {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	for i := int64(1); i <= 8; i++ {
-		if err := db.Insert("toys", storage.Row{
-			sqlparse.IntVal(i), sqlparse.StringVal(fmt.Sprintf("toy-%d", i)), sqlparse.IntVal(i * 10),
-		}); err != nil {
-			t.Fatal(err)
-		}
+	f, err := Start(Spec{
+		App: app, Codec: codec, Nodes: fleet, Router: true,
+		NewDB: func() (*storage.Database, error) {
+			db := storage.NewDatabase(app.Schema)
+			for i := int64(1); i <= 8; i++ {
+				if err := db.Insert("toys", storage.Row{
+					sqlparse.IntVal(i), sqlparse.StringVal(fmt.Sprintf("toy-%d", i)), sqlparse.IntVal(i * 10),
+				}); err != nil {
+					return nil, err
+				}
+			}
+			return db, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	home := homeserver.New(db, app, codec)
-	homeSrv := httptest.NewServer(HomeHandler(home))
-	t.Cleanup(homeSrv.Close)
-	analysis := core.Analyze(app, core.DefaultOptions())
-
-	f := &elasticHTTPFleet{t: t, app: app, codec: codec, analysis: analysis, homeURL: homeSrv.URL, hc: homeSrv.Client()}
-	for i := 0; i < fleet; i++ {
-		f.urls = append(f.urls, f.spawnNode())
-	}
-	f.router = httptest.NewServer(NewRouterServer(analysis, f.urls, RouterOptions{}).Handler())
-	t.Cleanup(f.router.Close)
-	f.client = NewClient(codec, f.router.URL, f.router.Client())
-	return f
-}
-
-// spawnNode stands up one more node process (not yet a member).
-func (f *elasticHTTPFleet) spawnNode() string {
-	n := dssp.NewNode(f.app, f.analysis, cache.Options{})
-	srv := httptest.NewServer(NewNodeServer(n, f.homeURL, f.hc).Handler())
-	f.t.Cleanup(srv.Close)
-	f.nodes = append(f.nodes, n)
-	return srv.URL
+	t.Cleanup(func() { f.Close() })
+	return &elasticHTTPFleet{Fleet: f, t: t, app: app}
 }
 
 // post sends one admin request and returns the status and body.
@@ -82,7 +58,7 @@ func (f *elasticHTTPFleet) post(path string, req any) (int, []byte) {
 	if err != nil {
 		f.t.Fatal(err)
 	}
-	resp, err := f.router.Client().Post(f.router.URL+path, "application/json", bytes.NewReader(body))
+	resp, err := f.HTTP.Post(f.URL+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -93,7 +69,7 @@ func (f *elasticHTTPFleet) post(path string, req any) (int, []byte) {
 
 func (f *elasticHTTPFleet) ring() RingResponse {
 	f.t.Helper()
-	resp, err := f.router.Client().Get(f.router.URL + PathRing)
+	resp, err := f.HTTP.Get(f.URL + PathRing)
 	if err != nil {
 		f.t.Fatal(err)
 	}
@@ -114,13 +90,13 @@ func TestRingAdminWarmJoinMigratedEntriesHit(t *testing.T) {
 	ctx := context.Background()
 	q2 := f.app.Query("Q2")
 	for i := int64(1); i <= 8; i++ {
-		if _, err := f.client.Query(ctx, q2, i); err != nil {
+		if _, err := f.Client.Query(ctx, q2, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	warm := true
-	status, body := f.post(PathRingJoin, RingJoinRequest{URL: f.spawnNode(), Warm: &warm})
+	status, body := f.post(PathRingJoin, RingJoinRequest{URL: f.AddNode(), Warm: &warm})
 	if status != http.StatusOK {
 		t.Fatalf("join: %d %s", status, body)
 	}
@@ -132,9 +108,9 @@ func TestRingAdminWarmJoinMigratedEntriesHit(t *testing.T) {
 		t.Fatalf("join report %+v", rep)
 	}
 
-	newNodeHitsBefore := f.nodes[2].Cache.Stats().Hits
+	newNodeHitsBefore := f.Nodes[2].Cache.Stats().Hits
 	for i := int64(1); i <= 8; i++ {
-		res, err := f.client.Query(ctx, q2, i)
+		res, err := f.Client.Query(ctx, q2, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +123,7 @@ func TestRingAdminWarmJoinMigratedEntriesHit(t *testing.T) {
 		if rep.Entries == 0 {
 			t.Error("Q2 moved to the new node but the report streamed no entries")
 		}
-		if f.nodes[2].Cache.Stats().Hits == newNodeHitsBefore {
+		if f.Nodes[2].Cache.Stats().Hits == newNodeHitsBefore {
 			t.Error("migrated entries never hit on their new owner")
 		}
 	}
@@ -160,7 +136,7 @@ func TestRingAdminWarmJoinMigratedEntriesHit(t *testing.T) {
 
 func TestRingAdminDoubleJoinRejected(t *testing.T) {
 	f := newElasticHTTPFleet(t, 2)
-	url := f.spawnNode()
+	url := f.AddNode()
 	if status, body := f.post(PathRingJoin, RingJoinRequest{URL: url}); status != http.StatusOK {
 		t.Fatalf("first join: %d %s", status, body)
 	}
@@ -172,14 +148,14 @@ func TestRingAdminDoubleJoinRejected(t *testing.T) {
 		t.Errorf("ring view %+v after rejected duplicate, want epoch 1 with 3 members", rr)
 	}
 	// A member URL in the initial fleet is just as much a duplicate.
-	if status, _ := f.post(PathRingJoin, RingJoinRequest{URL: f.urls[0]}); status != http.StatusConflict {
+	if status, _ := f.post(PathRingJoin, RingJoinRequest{URL: f.NodeURLs[0]}); status != http.StatusConflict {
 		t.Error("joining an initial member's URL was not rejected")
 	}
 }
 
 func TestRingAdminLeaveByURLAndUnknowns(t *testing.T) {
 	f := newElasticHTTPFleet(t, 3)
-	status, body := f.post(PathRingLeave, RingLeaveRequest{URL: f.urls[1]})
+	status, body := f.post(PathRingLeave, RingLeaveRequest{URL: f.NodeURLs[1]})
 	if status != http.StatusOK {
 		t.Fatalf("leave by URL: %d %s", status, body)
 	}
@@ -210,13 +186,13 @@ func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	q2 := f.app.Query("Q2")
 	for i := int64(1); i <= 4; i++ {
-		if _, err := f.client.Query(ctx, q2, i); err != nil {
+		if _, err := f.Client.Query(ctx, q2, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 	owner := shard.NewAffinity(2).OwnerOfTemplate("Q2")
-	src, dst := f.urls[owner], f.urls[1-owner]
-	hc := f.router.Client()
+	src, dst := f.NodeURLs[owner], f.NodeURLs[1-owner]
+	hc := f.HTTP
 
 	post := func(url string, body []byte) (int, []byte) {
 		resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
@@ -263,10 +239,10 @@ func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 	if drop.Dropped != 4 {
 		t.Errorf("dropped %d, want 4", drop.Dropped)
 	}
-	if got := f.nodes[owner].Cache.Len(); got != 0 {
+	if got := f.Nodes[owner].Cache.Len(); got != 0 {
 		t.Errorf("source cache holds %d entries after the drop", got)
 	}
-	if got := f.nodes[1-owner].Cache.Len(); got != 4 {
+	if got := f.Nodes[1-owner].Cache.Len(); got != 4 {
 		t.Errorf("destination cache holds %d entries, want 4", got)
 	}
 

@@ -483,9 +483,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 // shared pipeline, forwarding misses and updates to the home server over
 // HTTP.
 type NodeServer struct {
-	Node    *dssp.Node
-	HomeURL string
-	Client  *http.Client
+	Node *dssp.Node
 
 	// Reg is the node's registry — shared with the node's cache — and
 	// Tracer records the node-side stages (cache_lookup, network,
@@ -536,37 +534,29 @@ type NodeOptions struct {
 	// boundary (the adversary's-eye measurement; nil disables).
 	Leakage pipeline.LeakageObserver
 
-	// HomeReplicaURLs lists home read-replica endpoints this node may
-	// serve misses from. Non-empty, the node's transport becomes a
-	// pipeline.ReplicaSet: updates still go to HomeURL (the primary);
-	// misses spread across the replicas, subject to the node's freshness
-	// floor, with primary fallback when a replica lags or fails.
-	// Shorthand for a one-partition PartitionReplicaURLs.
-	HomeReplicaURLs []string
-
-	// HomePartitionURLs, when set, declares a partitioned home tier: the
-	// full list of partition primaries in partition order (entry 0 should
-	// equal the homeURL argument). Statements route to the partition
-	// owning their table group, and the node's freshness floor becomes a
-	// per-partition vector sized to this list.
-	HomePartitionURLs []string
-
-	// PartitionReplicaURLs lists each partition's read replicas, index-
-	// aligned with HomePartitionURLs. Partitions may have zero replicas
-	// (misses go to that partition's primary); a short or nil list leaves
-	// the remaining partitions replica-less.
-	PartitionReplicaURLs [][]string
+	// Home describes the trusted tier this node fronts, one endpoint per
+	// partition in partition order; empty means the homeURL argument
+	// alone. Updates go to the owning partition's primary; misses spread
+	// across that partition's replicas, subject to the node's freshness
+	// floor, with primary fallback when a replica lags or fails. With
+	// more than one partition, statements route to the partition owning
+	// their table group and the floor becomes a per-partition vector.
+	Home []HomeEndpoint
 }
 
-// NewNodeServer wires a node to its home server endpoint. The server
-// adopts the node cache's registry so cache counters and node-side stage
-// histograms appear in one /v1/metrics snapshot. A nil client gets a
+// HomeEndpoint is one home partition as a node sees it: the primary's
+// base URL and the base URLs of its read replicas (none = every miss
+// goes to the primary).
+type HomeEndpoint struct {
+	Primary  string
+	Replicas []string
+}
+
+// NewNodeServerWithOptions wires a node to its home tier: opts.Home, or
+// the single server at homeURL when that is empty. The server adopts the
+// node cache's registry so cache counters and node-side stage histograms
+// appear in one /v1/metrics snapshot. A nil client gets a
 // DefaultTimeout-bounded one.
-func NewNodeServer(node *dssp.Node, homeURL string, client *http.Client) *NodeServer {
-	return NewNodeServerWithOptions(node, homeURL, client, NodeOptions{})
-}
-
-// NewNodeServerWithOptions is NewNodeServer with tuning options.
 func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Client, opts NodeOptions) *NodeServer {
 	client = defaultClient(client)
 	reg := node.Cache.Obs()
@@ -574,47 +564,37 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 		SetIdentity(obs.ProcNode, opts.NodeID).
 		SetStore(obs.NewSpanStore(0))
 	popts := pipeline.Options{MonitorInterval: opts.MonitorInterval, Leakage: opts.Leakage}
-	primaries := opts.HomePartitionURLs
-	if len(primaries) == 0 {
-		primaries = []string{homeURL}
-	}
-	replicas := opts.PartitionReplicaURLs
-	if replicas == nil && len(opts.HomeReplicaURLs) > 0 {
-		replicas = [][]string{opts.HomeReplicaURLs}
+	tier := opts.Home
+	if len(tier) == 0 {
+		tier = []HomeEndpoint{{Primary: homeURL}}
 	}
 	anyReplicas := false
-	for _, urls := range replicas {
-		if len(urls) > 0 {
-			anyReplicas = true
-			break
-		}
+	for _, ep := range tier {
+		anyReplicas = anyReplicas || len(ep.Replicas) > 0
 	}
 	// The freshness vector exists only when something consumes it — a
 	// replica set checking floors, or a partitioned tier tracking each
 	// partition's stream — so the singleton deployment keeps its shape.
-	if len(primaries) > 1 || anyReplicas {
-		popts.Fresh = pipeline.NewFreshnessParts(len(primaries))
+	if len(tier) > 1 || anyReplicas {
+		popts.Fresh = pipeline.NewFreshnessParts(len(tier))
 	}
-	parts := make([]pipeline.Transport, len(primaries))
-	for p, u := range primaries {
-		var tr pipeline.Transport = httpTransport{client: client, homeURL: u, reg: reg}
-		if p < len(replicas) && len(replicas[p]) > 0 {
-			eps := make([]pipeline.ReplicaEndpoint, len(replicas[p]))
-			for i, ru := range replicas[p] {
+	parts := make([]pipeline.Transport, len(tier))
+	for p, ep := range tier {
+		var tr pipeline.Transport = httpTransport{client: client, homeURL: ep.Primary, reg: reg}
+		if len(ep.Replicas) > 0 {
+			eps := make([]pipeline.ReplicaEndpoint, len(ep.Replicas))
+			for i, ru := range ep.Replicas {
 				eps[i] = pipeline.ReplicaEndpoint{Name: ru, Backend: replicaProxy{url: ru, part: p, client: client, reg: reg}}
 			}
 			tr = pipeline.NewReplicaSet(tr, eps, popts.Fresh, reg)
 		}
 		parts[p] = tr
 	}
-	transport := pipeline.NewPartitionedTransport(parts)
 	return &NodeServer{
-		Node:    node,
-		HomeURL: homeURL,
-		Client:  client,
-		Reg:     reg,
-		Tracer:  tracer,
-		Pipe:    pipeline.New(node, transport, tracer, popts),
+		Node:   node,
+		Reg:    reg,
+		Tracer: tracer,
+		Pipe:   pipeline.New(node, pipeline.NewPartitionedTransport(parts), tracer, popts),
 	}
 }
 

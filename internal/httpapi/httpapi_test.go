@@ -34,7 +34,7 @@ func stack(t *testing.T, exps map[string]template.Exposure) (*Client, *storage.D
 	homeSrv := httptest.NewServer(HomeHandler(home))
 
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := httptest.NewServer(NewNodeServer(node, homeSrv.URL, homeSrv.Client()).Handler())
+	nodeSrv := httptest.NewServer(NewNodeServerWithOptions(node, homeSrv.URL, homeSrv.Client(), NodeOptions{}).Handler())
 
 	client := NewClient(codec, nodeSrv.URL, nodeSrv.Client())
 	return client, db, func() { nodeSrv.Close(); homeSrv.Close() }

@@ -6,17 +6,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"dssp/internal/apps"
-	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
 	"dssp/internal/obs"
 	"dssp/internal/storage"
 	"dssp/internal/template"
@@ -27,19 +22,28 @@ import (
 // traced client, so both processes' /v1/metrics can be inspected.
 func metricsStack(t *testing.T, exps map[string]template.Exposure) (client *Client, nodeURL, homeURL string, done func()) {
 	t.Helper()
-	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
-	db := storage.NewDatabase(app.Schema)
-	seedToys(t, db)
-	home := homeserver.New(db, app, codec)
-	homeSrv := httptest.NewServer(HomeHandler(home))
+	f := startToystore(t, Spec{Nodes: 1}, exps)
+	f.Client.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock())
+	return f.Client, f.NodeURLs[0], f.HomeURLs[0], func() { f.Close() }
+}
 
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := httptest.NewServer(NewNodeServer(node, homeSrv.URL, homeSrv.Client()).Handler())
-
-	client = NewClient(codec, nodeSrv.URL, nodeSrv.Client())
-	client.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock())
-	return client, nodeSrv.URL, homeSrv.URL, func() { nodeSrv.Close(); homeSrv.Close() }
+// startToystore starts spec's topology over the seeded toystore, so the
+// stacks these tests drive are wired by the same assembler the
+// experiments use.
+func startToystore(t *testing.T, spec Spec, exps map[string]template.Exposure) *Fleet {
+	t.Helper()
+	spec.App = apps.Toystore()
+	spec.Codec = wire.NewCodec(spec.App, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
+	spec.NewDB = func() (*storage.Database, error) {
+		db := storage.NewDatabase(spec.App.Schema)
+		seedToys(t, db)
+		return db, nil
+	}
+	f, err := Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
 }
 
 // TestMetricsEndToEnd drives a scripted query/update sequence through the

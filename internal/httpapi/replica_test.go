@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"dssp/internal/apps"
-	"dssp/internal/cache"
-	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
@@ -24,45 +22,12 @@ import (
 // replicas, the node's registry (for bypass counters), and the hub.
 func replicatedStack(t *testing.T) (*Client, []*home.Replica, *obs.Registry, *ReplicaHub, func()) {
 	t.Helper()
-	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	seedToys(t, db)
-	primary := homeserver.New(db, app, codec)
-
-	hub := NewReplicaHub(nil, nil)
-	primary.OnConfirm(hub.Confirm)
-	homeSrv := httptest.NewServer(HomeHandlerWithHub(primary, hub))
-
-	reps := make([]*home.Replica, 2)
-	repURLs := make([]string, 2)
-	var closers []func()
-	for i := range reps {
-		rdb := storage.NewDatabase(app.Schema)
-		seedToys(t, rdb)
-		reps[i] = home.NewReplica(string(rune('a'+i)), rdb, app, codec)
-		srv := httptest.NewServer(ReplicaHandler(reps[i]))
-		closers = append(closers, srv.Close)
-		repURLs[i] = srv.URL
-		if _, err := RegisterReplica(homeSrv.Client(), homeSrv.URL, srv.URL); err != nil {
-			t.Fatalf("register replica %d: %v", i, err)
+	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
+	return f.Client, f.Replicas[0], f.Nodes[0].Cache.Obs(), f.Hubs[0], func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("fleet close: %v", err)
 		}
 	}
-
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	ns := NewNodeServerWithOptions(node, homeSrv.URL, homeSrv.Client(), NodeOptions{HomeReplicaURLs: repURLs})
-	nodeSrv := httptest.NewServer(ns.Handler())
-
-	client := NewClient(codec, nodeSrv.URL, nodeSrv.Client())
-	cleanup := func() {
-		nodeSrv.Close()
-		hub.Close()
-		for _, c := range closers {
-			c()
-		}
-		homeSrv.Close()
-	}
-	return client, reps, ns.Reg, hub, cleanup
 }
 
 // TestReplicaServesMissAfterStream checks the happy path end to end over

@@ -43,7 +43,7 @@ func TestShardedParityAcrossEpochChange(t *testing.T) {
 	var nodes []*dssp.Node
 	spawn := func() string {
 		n := dssp.NewNode(app, analysis, cache.Options{})
-		srv := httptest.NewServer(httpapi.NewNodeServer(n, homeSrv.URL, homeSrv.Client()).Handler())
+		srv := httptest.NewServer(httpapi.NewNodeServerWithOptions(n, homeSrv.URL, homeSrv.Client(), httpapi.NodeOptions{}).Handler())
 		t.Cleanup(srv.Close)
 		nodes = append(nodes, n)
 		return srv.URL

@@ -112,7 +112,7 @@ func runHTTP(t *testing.T) adapterResult {
 	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
 	defer homeSrv.Close()
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := httptest.NewServer(httpapi.NewNodeServer(node, homeSrv.URL, homeSrv.Client()).Handler())
+	nodeSrv := httptest.NewServer(httpapi.NewNodeServerWithOptions(node, homeSrv.URL, homeSrv.Client(), httpapi.NodeOptions{}).Handler())
 	defer nodeSrv.Close()
 	client := httpapi.NewClient(codec, nodeSrv.URL, nodeSrv.Client())
 	ctx := context.Background()

@@ -3,7 +3,6 @@ package pipeline_test
 import (
 	"context"
 	"math/rand"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -226,36 +225,23 @@ func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire
 func runHTTPPartitioned(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	homes := partitionedHomes(t, app, codec)
-	urls := make([]string, len(homes))
-	for p, h := range homes {
-		h.SetPartition(p, len(homes))
-		srv := httptest.NewServer(httpapi.HomeHandler(h))
-		defer srv.Close()
-		urls[p] = srv.URL
-	}
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := httptest.NewServer(httpapi.NewNodeServerWithOptions(node, urls[0], nil,
-		httpapi.NodeOptions{HomePartitionURLs: urls}).Handler())
-	defer nodeSrv.Close()
-	client := httpapi.NewClient(codec, nodeSrv.URL, nodeSrv.Client())
+	f := startParityFleet(t, httpapi.Spec{App: app, Nodes: 1, Partitions: 2}, seedPartitionToystore)
 	ctx := context.Background()
 	for _, op := range partitionScript {
 		if op.query {
-			if _, err := client.Query(ctx, app.Query(op.template), op.params...); err != nil {
+			if _, err := f.Client.Query(ctx, app.Query(op.template), op.params...); err != nil {
 				t.Fatalf("http-partitioned %s(%v): %v", op.template, op.params, err)
 			}
-		} else if _, _, err := client.Update(ctx, app.Update(op.template), op.params...); err != nil {
+		} else if _, _, err := f.Client.Update(ctx, app.Update(op.template), op.params...); err != nil {
 			t.Fatalf("http-partitioned %s(%v): %v", op.template, op.params, err)
 		}
 	}
-	for p, h := range homes {
+	for p, h := range f.Homes {
 		if h.ConfirmedSeq() == 0 {
 			t.Errorf("http-partitioned: partition %d confirmed no update; the script is not spanning the split", p)
 		}
 	}
-	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
+	return adapterResult{normalize(f.Nodes[0].Cache.Decisions()), f.Nodes[0].Cache.Dump()}
 }
 
 // partitionBench replays partitionScript as a one-user simulated

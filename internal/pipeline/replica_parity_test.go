@@ -2,7 +2,6 @@ package pipeline_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
@@ -80,40 +79,14 @@ func runDirectReplicated(t *testing.T) adapterResult {
 func runHTTPReplicated(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	seedParityToys(t, db)
-	home := homeserver.New(db, app, codec)
-
-	hub := httpapi.NewReplicaHub(nil, nil)
-	defer hub.Close()
-	home.OnConfirm(hub.Confirm)
-	homeSrv := httptest.NewServer(httpapi.HomeHandlerWithHub(home, hub))
-	defer homeSrv.Close()
-
-	reps := parityReplicas(t, app, codec, 2)
-	repURLs := make([]string, len(reps))
-	for i, rep := range reps {
-		srv := httptest.NewServer(httpapi.ReplicaHandler(rep))
-		defer srv.Close()
-		repURLs[i] = srv.URL
-		if _, err := httpapi.RegisterReplica(homeSrv.Client(), homeSrv.URL, srv.URL); err != nil {
-			t.Fatalf("register replica %d: %v", i, err)
-		}
-	}
-
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := httptest.NewServer(httpapi.NewNodeServerWithOptions(node, homeSrv.URL, homeSrv.Client(),
-		httpapi.NodeOptions{HomeReplicaURLs: repURLs}).Handler())
-	defer nodeSrv.Close()
-	client := httpapi.NewClient(codec, nodeSrv.URL, nodeSrv.Client())
+	f := startParityFleet(t, httpapi.Spec{App: app, Nodes: 1, Replicas: 2}, seedParityToys)
 	ctx := context.Background()
 	for _, op := range parityScript {
 		if op.query {
-			if _, err := client.Query(ctx, app.Query(op.template), op.param); err != nil {
+			if _, err := f.Client.Query(ctx, app.Query(op.template), op.param); err != nil {
 				t.Fatalf("http-replicated %s(%v): %v", op.template, op.param, err)
 			}
-		} else if _, _, err := client.Update(ctx, app.Update(op.template), op.param); err != nil {
+		} else if _, _, err := f.Client.Update(ctx, app.Update(op.template), op.param); err != nil {
 			t.Fatalf("http-replicated %s(%v): %v", op.template, op.param, err)
 		}
 		// The hub pushes asynchronously; drain between ops so every replica
@@ -121,20 +94,20 @@ func runHTTPReplicated(t *testing.T) adapterResult {
 		// run deterministic (a lagging replica would merely be bypassed to
 		// the primary — same bytes — but then replicas would never serve).
 		drainCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
-		err := hub.Drain(drainCtx)
+		err := f.Hubs[0].Drain(drainCtx)
 		cancel()
 		if err != nil {
 			t.Fatalf("hub drain: %v", err)
 		}
 	}
 	var served int
-	for _, r := range reps {
+	for _, r := range f.Replicas[0] {
 		served += r.QueriesServed()
 	}
 	if served == 0 {
 		t.Error("http-replicated: no miss was served by a replica; the replica set is not in the path")
 	}
-	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
+	return adapterResult{normalize(f.Nodes[0].Cache.Decisions()), f.Nodes[0].Cache.Dump()}
 }
 
 // runSimReplicated is the simulator run with a two-replica home tier in

@@ -2,7 +2,6 @@ package pipeline_test
 
 import (
 	"context"
-	"net/http/httptest"
 	"reflect"
 	"sort"
 	"testing"
@@ -108,6 +107,31 @@ func runShardedInproc(t *testing.T) []nodeState {
 	return out
 }
 
+// startParityFleet starts spec's topology over spec.App (the toystore)
+// through the fleet assembler, every database seeded by seed. The parity suites are
+// the assembler's oracle: byte-identical decision logs and cache dumps
+// against the direct pipeline prove Start wires the same system the
+// hand-built references do.
+func startParityFleet(t *testing.T, spec httpapi.Spec, seed func(*testing.T, *storage.Database)) *httpapi.Fleet {
+	t.Helper()
+	spec.Codec = wire.NewCodec(spec.App, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	spec.NewDB = func() (*storage.Database, error) {
+		db := storage.NewDatabase(spec.App.Schema)
+		seed(t, db)
+		return db, nil
+	}
+	f, err := httpapi.Start(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := f.Close(); err != nil {
+			t.Errorf("fleet close: %v", err)
+		}
+	})
+	return f
+}
+
 // runShardedHTTP routes the script through the full HTTP deployment:
 // dssprouter's RouterServer fronting NodeServer processes, a home server
 // behind them, and the standard client against the router — which speaks
@@ -115,39 +139,20 @@ func runShardedInproc(t *testing.T) []nodeState {
 func runShardedHTTP(t *testing.T) []nodeState {
 	t.Helper()
 	app := apps.Toystore()
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	seedParityToys(t, db)
-	home := homeserver.New(db, app, codec)
-	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
-	defer homeSrv.Close()
-	analysis := core.Analyze(app, core.DefaultOptions())
-
-	nodes := make([]*dssp.Node, shardedFleet)
-	urls := make([]string, shardedFleet)
-	for i := range nodes {
-		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
-		srv := httptest.NewServer(httpapi.NewNodeServer(nodes[i], homeSrv.URL, homeSrv.Client()).Handler())
-		defer srv.Close()
-		urls[i] = srv.URL
-	}
-	routerSrv := httptest.NewServer(httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{}).Handler())
-	defer routerSrv.Close()
-
-	client := httpapi.NewClient(codec, routerSrv.URL, routerSrv.Client())
+	f := startParityFleet(t, httpapi.Spec{App: app, Nodes: shardedFleet, Router: true}, seedParityToys)
 	ctx := context.Background()
 	for _, op := range parityScript {
 		if op.query {
-			if _, err := client.Query(ctx, app.Query(op.template), op.param); err != nil {
+			if _, err := f.Client.Query(ctx, app.Query(op.template), op.param); err != nil {
 				t.Fatalf("routed http %s(%v): %v", op.template, op.param, err)
 			}
-		} else if _, _, err := client.Update(ctx, app.Update(op.template), op.param); err != nil {
+		} else if _, _, err := f.Client.Update(ctx, app.Update(op.template), op.param); err != nil {
 			t.Fatalf("routed http %s(%v): %v", op.template, op.param, err)
 		}
 	}
 
 	out := make([]nodeState, shardedFleet)
-	for i, n := range nodes {
+	for i, n := range f.Nodes {
 		out[i] = nodeState{normalize(n.Cache.Decisions()), n.Cache.Dump(), n.Cache.Stats()}
 	}
 	return out

@@ -106,7 +106,7 @@ func TestMetricShapeParityWithHTTP(t *testing.T) {
 	homeSrv := httptest.NewServer(httpapi.HomeHandler(home))
 	defer homeSrv.Close()
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	ns := httpapi.NewNodeServer(node, homeSrv.URL, homeSrv.Client())
+	ns := httpapi.NewNodeServerWithOptions(node, homeSrv.URL, homeSrv.Client(), httpapi.NodeOptions{})
 	nodeSrv := httptest.NewServer(ns.Handler())
 	defer nodeSrv.Close()
 	client := httpapi.NewClient(codec, nodeSrv.URL, nodeSrv.Client())

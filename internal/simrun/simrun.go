@@ -454,25 +454,28 @@ func Simulate(cfg Config) (*Result, error) {
 		nodeCPUs[i] = sim.NewServer(&world, cfg.Costs.DSSPCapacity)
 	}
 
-	// The home tier's partitions: partition 0 owns the database populated
-	// above; further partitions are populated from a fresh same-seed RNG
-	// (Populate is the seed's first use, so every copy is byte-identical).
-	// Each partition is a full home server with its own CPU — concurrent
-	// write capacity is what the partitioned topology buys.
-	homes := make([]*homeserver.Server, nParts)
+	// The home tier: P partition primaries and K replicas behind each,
+	// every one a full engine over its own same-seed database and its own
+	// CPU — concurrent write capacity is what the partitioned topology
+	// buys, miss capacity what the replicas do. Partition 0 owns the
+	// database populated above; the others are populated from a fresh
+	// same-seed RNG (Populate is the seed's first use, so every copy is
+	// byte-identical).
+	firstDB := db
+	homes, reps, err := hometier.NewTier(app, codec, func() (*storage.Database, error) {
+		if firstDB != nil {
+			d := firstDB
+			firstDB = nil
+			return d, nil
+		}
+		d := storage.NewDatabase(app.Schema)
+		return d, cfg.Benchmark.Populate(d, rand.New(rand.NewSource(cfg.Seed)))
+	}, nParts, cfg.HomeReplicas)
+	if err != nil {
+		return nil, fmt.Errorf("workload: populate: %w", err)
+	}
 	homeCPUs := make([]*sim.Server, nParts)
-	for p := range homes {
-		pdb := db
-		if p > 0 {
-			pdb = storage.NewDatabase(app.Schema)
-			if err := cfg.Benchmark.Populate(pdb, rand.New(rand.NewSource(cfg.Seed))); err != nil {
-				return nil, fmt.Errorf("workload: populate partition: %w", err)
-			}
-		}
-		homes[p] = homeserver.New(pdb, app, codec)
-		if nParts > 1 {
-			homes[p].SetPartition(p, nParts)
-		}
+	for p := range homeCPUs {
 		homeCPUs[p] = sim.NewServer(&world, cfg.Costs.HomeCapacity)
 	}
 	toHome := sim.NewLink(&world, cfg.Network.HomeLatency, cfg.Network.HomeBitsPS)
@@ -480,33 +483,16 @@ func Simulate(cfg Config) (*Result, error) {
 
 	res := &Result{Users: cfg.Users}
 
-	// The replicated home tier, mirroring the HTTP topology: each
-	// partition gets its own replica fleet, populated from a fresh
-	// same-seed RNG, with its own CPU behind the shared trusted-tier
-	// links; each applies its partition primary's confirmed stream —
-	// ReplicaApplyLag of virtual time after each gate release.
-	reps := make([][]*hometier.Replica, nParts)
+	// Each replica fleet sits behind the shared trusted-tier links and
+	// applies its partition primary's confirmed stream — ReplicaApplyLag of
+	// virtual time after each gate release.
 	repCPUs := make([][]*sim.Server, nParts)
-	for p := range reps {
-		reps[p] = make([]*hometier.Replica, cfg.HomeReplicas)
-		repCPUs[p] = make([]*sim.Server, cfg.HomeReplicas)
-		for k := range reps[p] {
-			rdb := storage.NewDatabase(app.Schema)
-			if err := cfg.Benchmark.Populate(rdb, rand.New(rand.NewSource(cfg.Seed))); err != nil {
-				return nil, fmt.Errorf("workload: populate replica: %w", err)
-			}
-			name := strconv.Itoa(k)
-			if nParts > 1 {
-				name = fmt.Sprintf("p%d-%d", p, k)
-			}
-			reps[p][k] = hometier.NewReplica(name, rdb, app, codec)
-			if nParts > 1 {
-				reps[p][k].SetPartition(p, nParts)
-			}
+	for p, fleet := range reps {
+		repCPUs[p] = make([]*sim.Server, len(fleet))
+		for k := range fleet {
 			repCPUs[p][k] = sim.NewServer(&world, cfg.Costs.HomeCapacity)
 		}
-		if len(reps[p]) > 0 {
-			fleet := reps[p]
+		if len(fleet) > 0 {
 			homes[p].OnConfirm(func(batch []homeserver.Confirmed) {
 				world.After(cfg.ReplicaApplyLag, func() {
 					for _, rep := range fleet {

@@ -19,24 +19,8 @@ command -v jq >/dev/null || { echo "elastic_smoke: jq is required" >&2; exit 1; 
 KEY=elastic-smoke
 ROUTER_PORT=18700 HOME_PORT=18701 NODE0_PORT=18702 NODE1_PORT=18703 NODE2_PORT=18704
 SOLO_HOME_PORT=18711 SOLO_NODE_PORT=18712
-BIN=$(mktemp -d) OUT=$(mktemp -d)
-
-cleanup() {
-  jobs -p | xargs -r kill 2>/dev/null || true
-  wait 2>/dev/null || true
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/dssphome ./cmd/dsspnode ./cmd/dssprouter ./cmd/dsspclient
-
-wait_up() {
-  for _ in $(seq 1 100); do
-    if curl -sf -o /dev/null "$1/v1/metrics"; then return 0; fi
-    sleep 0.1
-  done
-  echo "elastic_smoke: server at $1 did not come up" >&2
-  exit 1
-}
+SMOKE=elastic_smoke
+source scripts/lib.sh
 
 # Sum of dssp_cache_hits_total (all template labels) across the given
 # node ports. /v1/metrics serves JSON.

@@ -17,24 +17,7 @@ KEY=homescale-smoke
 ROUTER_PORT=18700 HOME_PORT=18701 REP0_PORT=18702 REP1_PORT=18703
 NODE0_PORT=18704 NODE1_PORT=18705
 SOLO_HOME_PORT=18711 SOLO_NODE_PORT=18712
-BIN=$(mktemp -d) OUT=$(mktemp -d)
-
-cleanup() {
-  jobs -p | xargs -r kill 2>/dev/null || true
-  wait 2>/dev/null || true
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/dssphome ./cmd/dsspnode ./cmd/dssprouter ./cmd/dsspclient
-
-wait_up() {
-  for _ in $(seq 1 100); do
-    if curl -sf -o /dev/null "$1/v1/metrics"; then return 0; fi
-    sleep 0.1
-  done
-  echo "smoke: server at $1 did not come up" >&2
-  exit 1
-}
+source scripts/lib.sh
 
 # The parity script, split around the update so the replicated run can
 # wait for the apply stream between halves: miss/store, miss/store, hit,

@@ -16,24 +16,7 @@ cd "$(dirname "$0")/.."
 KEY=partition-smoke
 P0_PORT=18720 P1_PORT=18721 NODE_PORT=18722
 SOLO_HOME_PORT=18731 SOLO_NODE_PORT=18732
-BIN=$(mktemp -d) OUT=$(mktemp -d)
-
-cleanup() {
-  jobs -p | xargs -r kill 2>/dev/null || true
-  wait 2>/dev/null || true
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/dssphome ./cmd/dsspnode ./cmd/dsspclient
-
-wait_up() {
-  for _ in $(seq 1 100); do
-    if curl -sf -o /dev/null "$1/v1/metrics"; then return 0; fi
-    sleep 0.1
-  done
-  echo "smoke: server at $1 did not come up" >&2
-  exit 1
-}
+source scripts/lib.sh
 
 # The script spans both table groups: misses and a hit on each side of
 # the split, an update on each partition, and the re-misses after. Q3

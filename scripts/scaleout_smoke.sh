@@ -10,24 +10,7 @@ cd "$(dirname "$0")/.."
 KEY=scaleout-smoke
 ROUTER_PORT=18600 HOME_PORT=18601 NODE0_PORT=18602 NODE1_PORT=18603
 SOLO_HOME_PORT=18611 SOLO_NODE_PORT=18612
-BIN=$(mktemp -d) OUT=$(mktemp -d)
-
-cleanup() {
-  jobs -p | xargs -r kill 2>/dev/null || true
-  wait 2>/dev/null || true
-}
-trap cleanup EXIT
-
-go build -o "$BIN" ./cmd/dssphome ./cmd/dsspnode ./cmd/dssprouter ./cmd/dsspclient
-
-wait_up() {
-  for _ in $(seq 1 100); do
-    if curl -sf -o /dev/null "$1/v1/metrics"; then return 0; fi
-    sleep 0.1
-  done
-  echo "smoke: server at $1 did not come up" >&2
-  exit 1
-}
+source scripts/lib.sh
 
 # The pipeline parity script: miss/store, miss/store, hit, invalidating
 # update, re-miss, miss/store.
