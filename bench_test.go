@@ -297,7 +297,7 @@ func BenchmarkScalabilitySearch(b *testing.B) {
 		cfg.Duration = 60 * time.Second
 		cfg.Warmup = 20 * time.Second
 		cfg.Exposures = simrun.UniformExposures(bench.App(), template.ExpView)
-		if _, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), 200); err != nil {
+		if _, _, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), 200); err != nil {
 			b.Fatal(err)
 		}
 	}

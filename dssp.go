@@ -36,7 +36,6 @@ import (
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
-	"dssp/internal/homeserver"
 	"dssp/internal/metrics"
 	"dssp/internal/obs"
 	"dssp/internal/schema"
@@ -157,20 +156,8 @@ func NewSystem(app *App, masterKey []byte, exposures ExposureAssignment) (*Syste
 	if err != nil {
 		return nil, err
 	}
-	codec := wire.NewCodec(app, kr, exposures)
 	db := storage.NewDatabase(app.Schema)
-	// One registry spans the whole in-process deployment: cache counters,
-	// client stage spans, and home-server execution all land in a single
-	// snapshot, mirroring what a scrape of every process would merge to.
-	reg := obs.NewRegistry()
-	node := dssp.NewNode(app, Analyze(app), cache.Options{Obs: reg})
-	home := homeserver.New(db, app, codec)
-	home.SetObs(reg, obs.WallClock())
-	return &System{
-		App:    app,
-		Client: &dssp.Client{Codec: codec, Node: node, Home: home, Tracer: obs.NewTracer(reg, obs.WallClock())},
-		DB:     db,
-	}, nil
+	return &System{App: app, Client: dssp.NewClient(app, wire.NewCodec(app, kr, exposures), db), DB: db}, nil
 }
 
 // Metrics returns a snapshot of the system's observability registry:
@@ -269,5 +256,6 @@ func DefaultSLA() SLA { return metrics.DefaultSLA() }
 // MeasureScalability finds the maximum number of concurrent users (up to
 // maxUsers) for which cfg meets the SLA.
 func MeasureScalability(cfg SimConfig, sla SLA, maxUsers int) (int, error) {
-	return simrun.MaxUsers(cfg, sla, maxUsers)
+	users, _, err := simrun.MaxUsers(cfg, sla, maxUsers)
+	return users, err
 }

@@ -11,15 +11,14 @@ package dssp
 import (
 	"context"
 	"sync"
-	"time"
 
 	"dssp/internal/cache"
 	"dssp/internal/core"
-	hometier "dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
+	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -77,63 +76,42 @@ type Client struct {
 	// every statement routed through the client. nil disables tracing.
 	Tracer *obs.Tracer
 
-	// MonitorInterval, when positive, batches this node's invalidation
-	// per monitoring interval (§2.2): updates confirm immediately at the
-	// home server but their cache invalidation — and the Update call's
-	// return — waits for the next interval flush. Set before the first
-	// statement; the pipeline is built once.
-	MonitorInterval time.Duration
-
-	// Leakage, when set, audits the sealed traffic at the node trust
-	// boundary (the adversary's-eye measurement). Set before the first
-	// statement.
-	Leakage pipeline.LeakageObserver
-
-	// HomeReplicas, when non-empty, scales the trusted tier out: the
-	// client's transport becomes a pipeline.ReplicaSet over these read
-	// replicas (misses spread across them under the freshness floor,
-	// updates still execute on Home), and Home's confirmation sink feeds
-	// each replica the confirmed-update stream. Set before the first
-	// statement; Home must not already have an OnConfirm sink.
-	HomeReplicas []*hometier.Replica
-
-	// HomeParts, when set, makes the trusted tier a partitioned master
-	// (one primary per table-group partition, each with its own write
-	// lock and sequence stream): statements route by their group, and the
-	// freshness floor becomes a per-partition vector. Home should then be
-	// HomeParts.Part(0), kept for code that inspects the primary
-	// directly; HomeReplicas is ignored in this mode (wire per-partition
-	// replicas onto HomeParts' servers instead). Set before the first
-	// statement.
-	HomeParts *hometier.Partitioned
+	// Pipe is the client's query/update pathway. nil (the default) builds
+	// it on first use: Node straight to Home, inline invalidation. A
+	// deployment whose trusted tier is more than Home — replicas,
+	// partitions (pipeline.NewTierTransport), a delayed hop — or whose
+	// pipeline takes options sets its own over the same Node and Tracer,
+	// before the first statement.
+	Pipe *pipeline.Pipeline
 
 	pipeOnce sync.Once
-	pipe     *pipeline.Pipeline
 }
 
-// Pipeline returns the client's query/update pathway, built on first use
-// from the client's node, home server, replicas, and tracer.
-func (c *Client) Pipeline() *pipeline.Pipeline {
+// NewClient assembles the in-process deployment of Figure 1 over a master
+// database: one registry spanning node cache, client stage spans and
+// home-server execution — what a scrape of every process would merge to —
+// a node under the default analysis, and the home server.
+func NewClient(app *template.App, codec *wire.Codec, db *storage.Database) *Client {
+	reg := obs.NewRegistry()
+	home := homeserver.New(db, app, codec)
+	home.SetObs(reg, obs.WallClock())
+	return &Client{
+		Codec:  codec,
+		Node:   NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{Obs: reg}),
+		Home:   home,
+		Tracer: obs.NewTracer(reg, obs.WallClock()),
+	}
+}
+
+// pipeline returns the client's query/update pathway, building the
+// default one on first use.
+func (c *Client) pipeline() *pipeline.Pipeline {
 	c.pipeOnce.Do(func() {
-		opts := pipeline.Options{MonitorInterval: c.MonitorInterval, Leakage: c.Leakage}
-		if c.HomeParts != nil {
-			opts.Fresh = pipeline.NewFreshnessParts(c.HomeParts.Parts())
-			c.pipe = pipeline.New(c.Node, c.HomeParts.Transport(), c.Tracer, opts)
-			return
+		if c.Pipe == nil {
+			c.Pipe = pipeline.New(c.Node, pipeline.NewDirectTransport(c.Home), c.Tracer, pipeline.Options{})
 		}
-		var transport pipeline.Transport = pipeline.NewDirectTransport(c.Home)
-		if len(c.HomeReplicas) > 0 {
-			hometier.Feed(c.Home, c.HomeReplicas...)
-			opts.Fresh = pipeline.NewFreshness()
-			var reg *obs.Registry
-			if c.Tracer != nil {
-				reg = c.Tracer.Registry()
-			}
-			transport = pipeline.NewReplicaSet(transport, hometier.Endpoints(c.HomeReplicas), opts.Fresh, reg)
-		}
-		c.pipe = pipeline.New(c.Node, transport, c.Tracer, opts)
 	})
-	return c.pipe
+	return c.Pipe
 }
 
 // QueryOutcome describes how a query was served.
@@ -158,7 +136,7 @@ func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResul
 		Trace: sq.TraceID, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
-	reply, err := c.Pipeline().QuerySync(context.Background(), sq)
+	reply, err := c.pipeline().QuerySync(context.Background(), sq)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +170,7 @@ func (c *Client) Update(t *template.Template, params ...interface{}) (affected, 
 		Trace: su.TraceID, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
-	reply, err := c.Pipeline().UpdateSync(context.Background(), su)
+	reply, err := c.pipeline().UpdateSync(context.Background(), su)
 	if err != nil {
 		return 0, 0, err
 	}

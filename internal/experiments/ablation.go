@@ -93,25 +93,13 @@ func AblationScalability(app string, opts RunOptions) (*ScalabilityAblationRow, 
 		cfg := opts.config(b)
 		cfg.Exposures = simrun.UniformExposures(b.App(), template.ExpTemplate)
 		cfg.AnalysisOpts = core.Options{UseIntegrityConstraints: with}
-		users, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
+		users, at, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
 		if err != nil {
 			return nil, err
 		}
 		var hit float64
-		if users > 0 {
-			b2, err := apps.ByName(app)
-			if err != nil {
-				return nil, err
-			}
-			cfg2 := opts.config(b2)
-			cfg2.Exposures = simrun.UniformExposures(b2.App(), template.ExpTemplate)
-			cfg2.AnalysisOpts = core.Options{UseIntegrityConstraints: with}
-			cfg2.Users = users
-			r, err := simrun.Simulate(cfg2)
-			if err != nil {
-				return nil, err
-			}
-			hit = r.HitRate
+		if at != nil {
+			hit = at.HitRate
 		}
 		if with {
 			row.UsersWith, row.HitRateWith = users, hit

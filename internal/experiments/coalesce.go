@@ -1,17 +1,20 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"sync"
 	"time"
 
 	"dssp/internal/apps"
+	"dssp/internal/dssp"
+	"dssp/internal/encrypt"
+	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
+	"dssp/internal/wire"
 )
 
 // CoalescePoint is one mode's measurement of the hot-key miss storm.
@@ -44,39 +47,29 @@ func Coalesce(clients, epochs int) (*CoalesceResult, error) {
 		name    string
 		disable bool
 	}{{"coalesced", false}, {"uncoalesced", true}} {
-		h := NewHarness(apps.Toystore(), HarnessOptions{
-			// Template-level exposure: the invalidation is a whole-bucket
-			// drop and the cache key is a deterministic digest — coalescing
-			// must work without reading either.
-			Exposures: map[string]template.Exposure{
-				"Q1": template.ExpTemplate,
-				"U1": template.ExpTemplate,
-			},
-			Pipeline:  pipeline.Options{DisableCoalescing: mode.disable},
-			HomeDelay: 2 * time.Millisecond,
-		})
-		if err := seedToys(h.DB); err != nil {
+		c, err := stormClient(mode.disable, 2*time.Millisecond)
+		if err != nil {
 			return nil, err
 		}
-		ctx := context.Background()
-		before := h.Home.QueriesServed()
+		q1, u1 := c.Node.App.Query("Q1"), c.Node.App.Update("U1")
+		before := c.Home.QueriesServed()
 		for e := 0; e < epochs; e++ {
 			if e > 0 {
 				// U1 deletes nothing (no toy 999) but its completion drops
 				// the Q1 bucket at template inspection level.
-				if _, err := h.Update(ctx, "U1", 999); err != nil {
+				if _, _, err := c.Update(u1, 999); err != nil {
 					return nil, err
 				}
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, clients)
 			start := make(chan struct{})
-			for c := 0; c < clients; c++ {
+			for i := 0; i < clients; i++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					<-start
-					if _, err := h.Query(ctx, "Q1", "bear"); err != nil {
+					if _, err := c.Query(q1, "bear"); err != nil {
 						errs <- err
 					}
 				}()
@@ -90,11 +83,33 @@ func Coalesce(clients, epochs int) (*CoalesceResult, error) {
 		}
 		res.Points = append(res.Points, CoalescePoint{
 			Mode:      mode.name,
-			HomeExecs: h.Home.QueriesServed() - before,
-			Coalesced: h.CoalescedMisses(),
+			HomeExecs: c.Home.QueriesServed() - before,
+			Coalesced: int(c.Tracer.Registry().Counter(obs.MCoalescedMisses).Value()),
 		})
 	}
 	return res, nil
+}
+
+// stormClient is the in-process deployment the miss storm runs on: the
+// seeded toystore behind a home-side delay that makes concurrent misses
+// overlap, as a WAN hop does in Figure 1, with coalescing on or off.
+func stormClient(disableCoalescing bool, homeDelay time.Duration) (*dssp.Client, error) {
+	app := apps.Toystore()
+	// Template-level exposure: the invalidation is a whole-bucket drop and
+	// the cache key is a deterministic digest — coalescing must work
+	// without reading either.
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), map[string]template.Exposure{
+		"Q1": template.ExpTemplate,
+		"U1": template.ExpTemplate,
+	})
+	db := storage.NewDatabase(app.Schema)
+	if err := seedToys(db); err != nil {
+		return nil, err
+	}
+	c := dssp.NewClient(app, codec, db)
+	c.Pipe = pipeline.New(c.Node, pipeline.WithDelay(pipeline.NewDirectTransport(c.Home), homeDelay), c.Tracer,
+		pipeline.Options{DisableCoalescing: disableCoalescing})
+	return c, nil
 }
 
 // seedToys inserts the toystore ground truth used by the examples.

@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"sync"
 	"testing"
 	"time"
-
-	"dssp/internal/apps"
-	"dssp/internal/pipeline"
-	"dssp/internal/template"
 )
 
 // TestCoalesceHotKeyMissStorm is the acceptance check for single-flight
@@ -45,30 +40,24 @@ func TestCoalesceHotKeyMissStorm(t *testing.T) {
 	}
 }
 
-// missStorm drives one hot-key storm epoch against a fresh harness.
+// missStorm drives one hot-key storm epoch against a fresh deployment.
 func missStorm(b *testing.B, disable bool) {
 	b.Helper()
 	const clients = 32
 	for i := 0; i < b.N; i++ {
-		h := NewHarness(apps.Toystore(), HarnessOptions{
-			Exposures: map[string]template.Exposure{
-				"Q1": template.ExpTemplate,
-				"U1": template.ExpTemplate,
-			},
-			Pipeline:  pipeline.Options{DisableCoalescing: disable},
-			HomeDelay: time.Millisecond,
-		})
-		if err := seedToys(h.DB); err != nil {
+		c, err := stormClient(disable, time.Millisecond)
+		if err != nil {
 			b.Fatal(err)
 		}
+		q1 := c.Node.App.Query("Q1")
 		var wg sync.WaitGroup
 		start := make(chan struct{})
-		for c := 0; c < clients; c++ {
+		for n := 0; n < clients; n++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, err := h.Query(context.Background(), "Q1", "bear"); err != nil {
+				if _, err := c.Query(q1, "bear"); err != nil {
 					b.Error(err)
 				}
 			}()

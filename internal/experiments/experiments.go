@@ -193,21 +193,13 @@ func Figure8(opts RunOptions) (*Figure8Result, error) {
 			fresh := Benchmarks()[i] // every run gets its own instance
 			cfg := opts.config(fresh)
 			cfg.Exposures = simrun.UniformExposures(fresh.App(), st.Exp)
-			users, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
+			users, at, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
 			if err != nil {
 				return nil, err
 			}
 			row := Figure8Row{App: b.Name(), Strategy: st.Name, Users: users}
-			if users > 0 {
-				fresh2 := Benchmarks()[i]
-				cfg2 := opts.config(fresh2)
-				cfg2.Exposures = simrun.UniformExposures(fresh2.App(), st.Exp)
-				cfg2.Users = users
-				r, err := simrun.Simulate(cfg2)
-				if err != nil {
-					return nil, err
-				}
-				row.HitRate = r.HitRate
+			if at != nil {
+				row.HitRate = at.HitRate
 			}
 			res.Rows = append(res.Rows, row)
 		}
@@ -249,7 +241,7 @@ func Figure3(opts RunOptions) (*Figure3Result, error) {
 		b := apps.NewBookstore()
 		cfg := opts.config(b)
 		cfg.Exposures = exps
-		users, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
+		users, _, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), opts.MaxUsers)
 		if err != nil {
 			return err
 		}

@@ -179,7 +179,7 @@ func TestFigure8QuickShape(t *testing.T) {
 		cfg.Duration = 120 * time.Second
 		cfg.Warmup = 30 * time.Second
 		cfg.Exposures = simrun.UniformExposures(b.App(), st.Exp)
-		n, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), 500)
+		n, _, err := simrun.MaxUsers(cfg, metrics.DefaultSLA(), 500)
 		if err != nil {
 			t.Fatal(err)
 		}

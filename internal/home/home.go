@@ -1,73 +1,34 @@
-// Package home defines the trusted tier's backend abstraction. Everything
-// the rest of the system assumes about the home organization — execute a
-// sealed query, apply a sealed update into the master serialization order,
-// gate confirmations on the monitoring interval, release the gate — is the
-// Backend interface; *homeserver.Server (the primary engine) implements
-// it, and Replica is the read-replica engine that serves misses and
-// replays the primary's confirmed-update stream in strict sequence order.
+// Package home is the trusted tier behind the node→home seam: Replica,
+// the read-replica engine that serves misses and replays the primary's
+// confirmed-update stream in strict sequence order; NewTier, the one
+// builder of a tier's primaries (*homeserver.Server) and replicas; and
+// TierParts, the in-process substrate's endpoints for
+// pipeline.NewTierTransport.
 //
-// Topology: one primary executes every update and assigns each a sequence
-// number under the master database's write lock; its monitoring gate
-// releases confirmations once per interval, and the OnConfirm sink streams
-// each released batch — contiguous, sequence-ordered — to K replicas.
-// Replicas start from a database identical to the primary's initial state
-// (same application seed) and apply the stream in order, so after applying
-// sequence s a replica's database is byte-identical to the master's state
-// at s. A node may therefore serve a miss from any replica whose applied
-// sequence has reached the node's freshness floor (see
-// pipeline.Freshness) and get exactly the answer the primary would give.
+// Topology: a primary executes every update of its partition and assigns
+// each a sequence number under the master database's write lock; its
+// monitoring gate releases confirmations once per interval, and the
+// OnConfirm sink streams each released batch — contiguous,
+// sequence-ordered — to K replicas. Replicas start from a database
+// identical to the primary's initial state (same application seed) and
+// apply the stream in order, so after applying sequence s a replica's
+// database is byte-identical to the master's state at s. A node may
+// therefore serve a miss from any replica whose applied sequence has
+// reached the node's freshness floor (see pipeline.Freshness) and get
+// exactly the answer the primary would give.
+//
+// A tier of P > 1 primaries splits the master database by table group:
+// partition p owns every group g with schema.PartitionOf(g, P) == p and
+// executes only statements over its own groups. Each partition is a full
+// *homeserver.Server — its own master write lock, its own sequence stream
+// (sequences are per partition, starting at 1), its own monitoring gate,
+// and its own replica feed — so updates to different partitions commit
+// concurrently instead of serializing on one write lock. Every
+// partition's database is populated from the same application seed (each
+// holds the full schema; the group split decides which tables a
+// partition's statements may touch, not which tables exist). Cross-group
+// templates cannot occur by construction: a template referencing tables
+// of two FK components merges those components into one group at
+// derivation time (schema.DeriveGroups), so every template pins to
+// exactly one partition.
 package home
-
-import (
-	"time"
-
-	"dssp/internal/homeserver"
-	"dssp/internal/pipeline"
-)
-
-// Backend is the trusted home tier as the rest of the system sees it:
-// sealed statement execution plus the monitoring-interval confirmation
-// gate. *homeserver.Server is the canonical implementation.
-type Backend interface {
-	// ExecQuery / ExecUpdate — open-and-execute for sealed statements.
-	// ExecUpdate reports the update's position in the master
-	// serialization order. (Structurally pipeline.HomeBackend, so every
-	// Backend drives a direct transport.)
-	pipeline.HomeBackend
-
-	// SetMonitoringInterval batches update confirmations per §2.2
-	// monitoring interval; 0 confirms each update as it completes.
-	SetMonitoringInterval(d time.Duration)
-
-	// Flush releases the gate's current epoch immediately — every parked
-	// confirmation is delivered now (graceful shutdown, tests).
-	Flush()
-
-	// ConfirmedSeq is the high-water confirmed sequence: every update at
-	// or below it has passed the gate, in order and without gaps.
-	ConfirmedSeq() uint64
-}
-
-var _ Backend = (*homeserver.Server)(nil)
-
-// Feed wires an in-process replica fan-out: the primary's confirmation
-// sink applies each released batch to every replica, in sequence order.
-// Call before serving traffic; the primary supports one sink, so compose
-// manually if confirmations must also go elsewhere.
-func Feed(primary *homeserver.Server, replicas ...*Replica) {
-	primary.OnConfirm(func(batch []homeserver.Confirmed) {
-		for _, r := range replicas {
-			r.ApplyBatch(batch)
-		}
-	})
-}
-
-// Endpoints adapts in-process replicas to the pipeline's replica-set
-// transport.
-func Endpoints(replicas []*Replica) []pipeline.ReplicaEndpoint {
-	eps := make([]pipeline.ReplicaEndpoint, len(replicas))
-	for i, r := range replicas {
-		eps[i] = pipeline.ReplicaEndpoint{Name: r.Name(), Backend: r.QueryBackend()}
-	}
-	return eps
-}

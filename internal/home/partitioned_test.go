@@ -1,6 +1,7 @@
 package home_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
 	"dssp/internal/homeserver"
+	"dssp/internal/pipeline"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -63,43 +65,69 @@ func seedTwoGroup(t *testing.T, db *storage.Database) {
 	}
 }
 
-func partitionedFixture(t *testing.T, parts int) (*home.Partitioned, *wire.Codec, *template.App) {
+// twoGroupTier is home.NewTier over the two-group application: parts
+// primaries and replicas replicas behind each, all from the same seed.
+func twoGroupTier(t *testing.T, parts, replicas int) ([]*homeserver.Server, [][]*home.Replica, *wire.Codec, *template.App) {
 	t.Helper()
 	app := twoGroupApp()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	servers := make([]*homeserver.Server, parts)
-	for p := range servers {
+	primaries, reps, err := home.NewTier(app, codec, func() (*storage.Database, error) {
 		db := storage.NewDatabase(app.Schema)
 		seedTwoGroup(t, db)
-		servers[p] = homeserver.New(db, app, codec)
-	}
-	tier, err := home.NewPartitioned(servers...)
+		return db, nil
+	}, parts, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tier, codec, app
+	return primaries, reps, codec, app
+}
+
+// partitionedFixture builds a parts-partition tier the way every
+// deployment does — home.NewTier, then the one node→home wiring over the
+// in-process endpoints — and returns the primaries with the transport a
+// node would drive.
+func partitionedFixture(t *testing.T, parts int) ([]*homeserver.Server, pipeline.Transport, *wire.Codec, *template.App) {
+	t.Helper()
+	primaries, replicas, codec, app := twoGroupTier(t, parts, 0)
+	transport, fresh := pipeline.NewTierTransport(home.TierParts(primaries, replicas), nil)
+	if fresh == nil || fresh.Parts() != parts {
+		t.Fatalf("freshness vector = %v, want one floor per partition (%d)", fresh, parts)
+	}
+	return primaries, transport, codec, app
+}
+
+// execUpdate and execQuery drive the transport as a node's pipeline does;
+// the in-process transports resolve before returning.
+func execUpdate(tr pipeline.Transport, su wire.SealedUpdate) (res pipeline.ExecUpdateResult, err error) {
+	tr.ExecUpdate(context.Background(), su, func(r pipeline.ExecUpdateResult, e error) { res, err = r, e })
+	return res, err
+}
+
+func execQuery(tr pipeline.Transport, sq wire.SealedQuery) (err error) {
+	tr.ExecQuery(context.Background(), sq, func(_ pipeline.ExecQueryResult, e error) { err = e })
+	return err
 }
 
 // TestPartitionedSequencesStayContiguousUnderConcurrency hammers both
 // partitions from concurrent updaters and checks each partition's
 // confirmation stream independently: sequences must be gap-free and
 // contiguous from 1, every update of a partition's group must be in its
-// — and only its — stream, and the scalar/vector confirmed views must
-// agree. Run under -race: the per-partition sequence counters and
-// dispatchers must not share state.
+// — and only its — stream (the transport routes by group), and each
+// partition must end drained. Run under -race: the per-partition sequence
+// counters and dispatchers must not share state.
 func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
-	tier, codec, app := partitionedFixture(t, 2)
+	primaries, transport, codec, app := partitionedFixture(t, 2)
 
 	type stream struct {
 		mu   sync.Mutex
 		seqs []uint64
 		tpls []string
 	}
-	streams := make([]*stream, tier.Parts())
+	streams := make([]*stream, len(primaries))
 	for p := range streams {
 		st := &stream{}
 		streams[p] = st
-		tier.Part(p).OnConfirm(func(batch []homeserver.Confirmed) {
+		primaries[p].OnConfirm(func(batch []homeserver.Confirmed) {
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			for _, c := range batch {
@@ -125,7 +153,7 @@ func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, err := tier.ExecUpdate(su); err != nil {
+				if _, err := execUpdate(transport, su); err != nil {
 					t.Error(err)
 					return
 				}
@@ -158,18 +186,14 @@ func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
 			}
 		}
 		st.mu.Unlock()
-		if got := tier.Part(p).ConfirmedSeq(); got != uint64(wantPerPart) {
+		if got := primaries[p].ConfirmedSeq(); got != uint64(wantPerPart) {
 			t.Errorf("partition %d ConfirmedSeq = %d, want %d", p, got, wantPerPart)
 		}
-	}
-	if got := tier.ConfirmedSeq(); got != uint64(wantPerPart) {
-		t.Errorf("scalar ConfirmedSeq = %d, want min %d", got, wantPerPart)
-	}
-	if !tier.Drained() {
-		t.Error("tier not drained after all updates confirmed")
-	}
-	if seqs := tier.ConfirmedSeqs(); len(seqs) != 2 || seqs[0] != uint64(wantPerPart) || seqs[1] != uint64(wantPerPart) {
-		t.Errorf("ConfirmedSeqs = %v, want [%d %d]", seqs, wantPerPart, wantPerPart)
+		// Drained — assigned == confirmed — is the graceful-shutdown
+		// condition, per partition.
+		if a, c := primaries[p].AssignedSeq(), primaries[p].ConfirmedSeq(); a != c {
+			t.Errorf("partition %d not drained after all updates confirmed: assigned %d, confirmed %d", p, a, c)
+		}
 	}
 }
 
@@ -179,14 +203,14 @@ func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
 // refuses — the untrusted hint can waste a round trip but never fork the
 // serialization order.
 func TestPartitionedRefusesMisroutedStatement(t *testing.T) {
-	tier, codec, app := partitionedFixture(t, 2)
+	primaries, transport, codec, app := partitionedFixture(t, 2)
 
 	su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(1), sqlparse.IntVal(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	su.Group = 1 // forged: U1's true group is 0
-	if _, _, err := tier.ExecUpdate(su); err == nil || !strings.Contains(err.Error(), "misrouted") {
+	if _, err := execUpdate(transport, su); err == nil || !strings.Contains(err.Error(), "misrouted") {
 		t.Fatalf("forged update hint err = %v, want misroute refusal", err)
 	}
 
@@ -195,8 +219,13 @@ func TestPartitionedRefusesMisroutedStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	sq.Group = 0 // forged: Q2's true group is 1
-	if _, _, _, err := tier.ExecQuery(sq); err == nil || !strings.Contains(err.Error(), "misrouted") {
+	if err := execQuery(transport, sq); err == nil || !strings.Contains(err.Error(), "misrouted") {
 		t.Fatalf("forged query hint err = %v, want misroute refusal", err)
+	}
+	for p, primary := range primaries {
+		if a := primary.AssignedSeq(); a != 0 {
+			t.Errorf("partition %d assigned sequence %d to a refused statement", p, a)
+		}
 	}
 
 	// Correct hints execute on their owning partitions.
@@ -204,7 +233,11 @@ func TestPartitionedRefusesMisroutedStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, seq, err := tier.ExecUpdate(su2); err != nil || seq != 1 {
-		t.Fatalf("routed update: seq %d, err %v; want seq 1 on partition 1", seq, err)
+	if res, err := execUpdate(transport, su2); err != nil || res.Seq != 1 {
+		t.Fatalf("routed update: seq %d, err %v; want seq 1 on partition 1", res.Seq, err)
+	}
+	if primaries[0].UpdatesApplied() != 0 || primaries[1].UpdatesApplied() != 1 {
+		t.Errorf("updates applied = [%d %d], want the routed update on partition 1 only",
+			primaries[0].UpdatesApplied(), primaries[1].UpdatesApplied())
 	}
 }

@@ -45,6 +45,7 @@ type Replica struct {
 	part int
 
 	appliedGauge *obs.Gauge
+	applyErrors  *obs.Counter
 }
 
 // NewReplica builds a replica over db, which must be byte-identical to
@@ -72,10 +73,12 @@ func (r *Replica) SetPartition(part, parts int) {
 func (r *Replica) Partition() int { return r.part }
 
 // SetObs redirects the replica's instruments (its engine's, plus the
-// applied-sequence gauge) to the given registry and clock.
+// applied-sequence gauge and the apply-error counter) to the given
+// registry and clock.
 func (r *Replica) SetObs(reg *obs.Registry, clock obs.Clock) {
 	r.srv.SetObs(reg, clock)
 	r.appliedGauge = reg.Gauge(obs.MHomeReplicaApplied, obs.L(obs.LReplica, r.name))
+	r.applyErrors = reg.Counter(obs.MHomeReplicaApplyErrors, obs.L(obs.LReplica, r.name))
 }
 
 // Obs returns the registry the replica's instruments live in.
@@ -105,8 +108,9 @@ func (r *Replica) QueriesServed() int { return r.srv.QueriesServed() }
 
 // ApplyBatch replays one confirmed batch. Updates apply in sequence
 // order; out-of-order batches are buffered, duplicates skipped. An
-// execution error is fatal for the replica's consistency and is returned
-// without advancing the watermark past the failing update.
+// execution error is fatal for the replica's consistency: it is counted
+// (dssp_home_replica_apply_errors_total) and returned without advancing
+// the watermark past the failing update.
 func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
 	if d := time.Duration(r.delay.Load()); d > 0 {
 		time.Sleep(d)
@@ -132,6 +136,7 @@ func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
 		}
 		delete(r.pending, r.next)
 		if _, _, err := r.srv.ExecUpdate(su); err != nil {
+			r.applyErrors.Inc()
 			return fmt.Errorf("replica %s: apply seq %d: %w", r.name, r.next, err)
 		}
 		r.applied.Store(r.next)

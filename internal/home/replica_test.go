@@ -2,6 +2,8 @@ package home_test
 
 import (
 	"bytes"
+	"log/slog"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +12,8 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
 	"dssp/internal/homeserver"
+	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -94,7 +98,7 @@ func sealedScan(t *testing.T, codec *wire.Codec, app *template.App,
 // double-close protection and the dispatcher's ordering locks.
 func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 	primary, reps, codec, app := fixture(t, 2)
-	home.Feed(primary, reps...)
+	home.TierParts([]*homeserver.Server{primary}, [][]*home.Replica{reps})
 	primary.SetMonitoringInterval(2 * time.Millisecond)
 
 	const writers = 4
@@ -307,5 +311,60 @@ func TestApplyDelayInjectsLag(t *testing.T) {
 	<-applied
 	if got := rep.Applied(); got != 1 {
 		t.Fatalf("replica applied %d after injected lag elapsed, want 1", got)
+	}
+}
+
+// TestMisarmedReplicaApplyFailureIsCountedAndBypassed wires a replica
+// armed for partition 1 behind partition 0's primary — a deployment
+// mistake whose every apply the replica's misroute guard refuses. The
+// failure must be loud where it happens (the apply-error counter, one log
+// line) and harmless downstream: the watermark never moves, so every miss
+// past the failed update bypasses to the primary and reads the truth.
+func TestMisarmedReplicaApplyFailureIsCountedAndBypassed(t *testing.T) {
+	primaries, replicas, codec, app := twoGroupTier(t, 2, 1)
+	rep := replicas[1][0]
+	var logged bytes.Buffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(prev)
+
+	reg := obs.NewRegistry()
+	transport, fresh := pipeline.NewTierTransport(
+		home.TierParts(primaries, [][]*home.Replica{{rep}, nil}), reg)
+
+	for qty := int64(1); qty <= 2; qty++ {
+		su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(qty), sqlparse.IntVal(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := execUpdate(transport, su)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.Raise(su.Group, res.Seq) // what the node's pipeline does on confirmation
+	}
+	if n := rep.Obs().Counter(obs.MHomeReplicaApplyErrors, obs.L(obs.LReplica, rep.Name())).Value(); n == 0 {
+		t.Error("apply-error counter is 0 after the replica refused a confirmed update")
+	}
+	if got := rep.Applied(); got != 0 {
+		t.Errorf("replica watermark = %d, want 0: nothing applied", got)
+	}
+	if n := strings.Count(logged.String(), "replica apply failed"); n != 1 {
+		t.Errorf("feed logged the failing replica %d times, want once:\n%s", n, logged.String())
+	}
+
+	sq, err := codec.SealQuery(app.Query("Q1"), []sqlparse.Value{sqlparse.IntVal(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := execQuery(transport, sq); err != nil {
+		t.Fatalf("miss behind the stalled replica: %v", err)
+	}
+	if primaries[0].QueriesServed() != 1 || rep.QueriesServed() != 0 {
+		t.Errorf("miss served by primary %d times, replica %d; want 1 and 0",
+			primaries[0].QueriesServed(), rep.QueriesServed())
+	}
+	if n := reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "lag")).Value(); n != 1 {
+		t.Errorf("lag bypasses = %d, want 1", n)
 	}
 }

@@ -367,22 +367,6 @@ func FetchTrace(client *http.Client, baseURL, traceID string) ([]obs.SpanRecord,
 	return spans, err
 }
 
-// FetchTraceIDs retrieves the trace IDs a process retains.
-func FetchTraceIDs(client *http.Client, baseURL string) ([]string, error) {
-	client = defaultClient(client)
-	resp, err := client.Get(baseURL + PathTraces)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: %s%s: %s", baseURL, PathTraces, resp.Status)
-	}
-	var tr TracesResponse
-	err = json.NewDecoder(resp.Body).Decode(&tr)
-	return tr.Traces, err
-}
-
 // StitchFleet fetches one trace from every process of a fleet (client-
 // side spans may be passed in local) and stitches the union into one
 // tree. Processes that never saw the trace contribute nothing.
@@ -563,38 +547,25 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 	tracer := obs.NewTracer(reg, obs.WallClock()).
 		SetIdentity(obs.ProcNode, opts.NodeID).
 		SetStore(obs.NewSpanStore(0))
-	popts := pipeline.Options{MonitorInterval: opts.MonitorInterval, Leakage: opts.Leakage}
 	tier := opts.Home
 	if len(tier) == 0 {
 		tier = []HomeEndpoint{{Primary: homeURL}}
 	}
-	anyReplicas := false
-	for _, ep := range tier {
-		anyReplicas = anyReplicas || len(ep.Replicas) > 0
-	}
-	// The freshness vector exists only when something consumes it — a
-	// replica set checking floors, or a partitioned tier tracking each
-	// partition's stream — so the singleton deployment keeps its shape.
-	if len(tier) > 1 || anyReplicas {
-		popts.Fresh = pipeline.NewFreshnessParts(len(tier))
-	}
-	parts := make([]pipeline.Transport, len(tier))
+	parts := make([]pipeline.TierPart, len(tier))
 	for p, ep := range tier {
-		var tr pipeline.Transport = httpTransport{client: client, homeURL: ep.Primary, reg: reg}
-		if len(ep.Replicas) > 0 {
-			eps := make([]pipeline.ReplicaEndpoint, len(ep.Replicas))
-			for i, ru := range ep.Replicas {
-				eps[i] = pipeline.ReplicaEndpoint{Name: ru, Backend: replicaProxy{url: ru, part: p, client: client, reg: reg}}
-			}
-			tr = pipeline.NewReplicaSet(tr, eps, popts.Fresh, reg)
+		parts[p].Primary = httpTransport{client: client, homeURL: ep.Primary, reg: reg}
+		for _, ru := range ep.Replicas {
+			parts[p].Replicas = append(parts[p].Replicas, pipeline.ReplicaEndpoint{
+				Name: ru, Backend: replicaProxy{url: ru, part: p, client: client, reg: reg}})
 		}
-		parts[p] = tr
 	}
+	transport, fresh := pipeline.NewTierTransport(parts, reg)
 	return &NodeServer{
 		Node:   node,
 		Reg:    reg,
 		Tracer: tracer,
-		Pipe:   pipeline.New(node, pipeline.NewPartitionedTransport(parts), tracer, popts),
+		Pipe: pipeline.New(node, transport, tracer, pipeline.Options{
+			MonitorInterval: opts.MonitorInterval, Leakage: opts.Leakage, Fresh: fresh}),
 	}
 }
 

@@ -19,7 +19,6 @@
 package leakage
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -276,33 +275,6 @@ func Merge(vantage string, reports ...Report) Report {
 	}
 	if delayN > 0 {
 		out.MeanInvalidationDelay = delaySum / time.Duration(delayN)
-	}
-	return out
-}
-
-// TopTemplates returns the n most frequent visible template labels, most
-// frequent first — the histogram an adversary would sort.
-func (r Report) TopTemplates(n int) []string {
-	type kv struct {
-		k string
-		v int64
-	}
-	var all []kv
-	for k, v := range r.TemplateFreq {
-		all = append(all, kv{k, v})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].v != all[j].v {
-			return all[i].v > all[j].v
-		}
-		return all[i].k < all[j].k
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].k
 	}
 	return out
 }

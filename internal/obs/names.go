@@ -115,11 +115,15 @@ const (
 	// the replica call failed); replica_lag is the last observed
 	// floor-minus-applied gap per replica (label: replica), in confirmed
 	// update sequence numbers; replica_applied mirrors each replica's
-	// applied sequence on the replica process itself.
+	// applied sequence on the replica process itself, where
+	// replica_apply_errors counts confirmed updates its engine refused
+	// (label: replica) — each one stalls the watermark for good.
 	MHomeReplicaMisses   = "dssp_home_replica_misses_total"
 	MHomeReplicaBypasses = "dssp_home_replica_bypasses_total"
 	MHomeReplicaLag      = "dssp_home_replica_lag"
 	MHomeReplicaApplied  = "dssp_home_replica_applied_seq"
+
+	MHomeReplicaApplyErrors = "dssp_home_replica_apply_errors_total"
 )
 
 // Label keys.

@@ -111,31 +111,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) from the buckets,
-// reporting each bucket's upper bound. It returns 0 for an empty
-// histogram.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q * float64(total))
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := 0; i <= NumBuckets; i++ {
-		seen += h.counts[i].Load()
-		if seen >= rank {
-			if i >= NumBuckets {
-				return time.Microsecond << (NumBuckets - 1) * 2
-			}
-			return time.Microsecond << i
-		}
-	}
-	return time.Microsecond << (NumBuckets - 1)
-}
-
 // metric kinds, stringly typed so snapshots serialize naturally.
 const (
 	TypeCounter   = "counter"

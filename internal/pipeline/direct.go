@@ -8,10 +8,9 @@ import (
 )
 
 // HomeBackend is the trusted execution surface a direct transport drives:
-// open-and-execute for sealed queries and updates. It is the method-set
-// core of home.Backend, declared here (structurally identical) so the
-// pipeline does not depend on the home tier's packages; *homeserver.Server
-// and any other home.Backend implementation satisfy it.
+// open-and-execute for sealed queries and updates. It is declared here so
+// the pipeline does not depend on the home tier's packages;
+// *homeserver.Server satisfies it.
 type HomeBackend interface {
 	ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bool, scanned int, err error)
 	ExecUpdate(su wire.SealedUpdate) (affected int, seq uint64, err error)

@@ -13,9 +13,10 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
-	"dssp/internal/experiments"
+	hometier "dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
+	"dssp/internal/pipeline"
 	"dssp/internal/simrun"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -24,12 +25,14 @@ import (
 	"dssp/internal/workload"
 )
 
-// The four deployment adapters — in-process client, HTTP node, virtual-
-// time simulator, and the experiments harness — are thin shells over one
-// pipeline. Running the same seeded toystore script through each must
-// leave behind identical invalidation-decision logs and identical final
-// cache contents; any divergence means an adapter grew its own pathway
-// logic again.
+// The three deployment adapters — in-process client, HTTP node, and
+// virtual-time simulator — are thin shells over one pipeline, each
+// reaching its home tier through pipeline.NewTierTransport (inprocTier is
+// the in-process substrate's way in for the replicated and partitioned
+// suites). Running the same seeded toystore script through each must leave
+// behind identical invalidation-decision logs and identical final cache
+// contents; any divergence means an adapter grew its own pathway logic
+// again.
 
 type scriptOp struct {
 	query    bool
@@ -81,6 +84,29 @@ type adapterResult struct {
 	dump      []string
 }
 
+// inprocTier builds an in-process trusted tier the way every deployment
+// does — home.NewTier over same-seed databases — and returns it with the
+// in-process substrate's endpoints (home.TierParts, which also starts each
+// primary feeding its replicas).
+func inprocTier(t *testing.T, app *template.App, codec *wire.Codec, seed func(*testing.T, *storage.Database), parts, replicas int) ([]*homeserver.Server, [][]*hometier.Replica, []pipeline.TierPart) {
+	t.Helper()
+	primaries, reps, err := hometier.NewTier(app, codec, func() (*storage.Database, error) {
+		db := storage.NewDatabase(app.Schema)
+		seed(t, db)
+		return db, nil
+	}, parts, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return primaries, reps, hometier.TierParts(primaries, reps)
+}
+
+// tierPipe is one node's pipeline over the one node→home wiring.
+func tierPipe(node *dssp.Node, tier []pipeline.TierPart) *pipeline.Pipeline {
+	transport, fresh := pipeline.NewTierTransport(tier, nil)
+	return pipeline.New(node, transport, nil, pipeline.Options{Fresh: fresh})
+}
+
 func runDirect(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
@@ -126,23 +152,6 @@ func runHTTP(t *testing.T) adapterResult {
 		}
 	}
 	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
-}
-
-func runHarness(t *testing.T) adapterResult {
-	t.Helper()
-	h := experiments.NewHarness(apps.Toystore(), experiments.HarnessOptions{})
-	seedParityToys(t, h.DB)
-	ctx := context.Background()
-	for _, op := range parityScript {
-		if op.query {
-			if _, err := h.Query(ctx, op.template, op.param); err != nil {
-				t.Fatalf("harness %s(%v): %v", op.template, op.param, err)
-			}
-		} else if _, err := h.Update(ctx, op.template, op.param); err != nil {
-			t.Fatalf("harness %s(%v): %v", op.template, op.param, err)
-		}
-	}
-	return adapterResult{normalize(h.Node.Cache.Decisions()), h.Node.Cache.Dump()}
 }
 
 // scriptBench replays the parity script as a one-user simulated workload:
@@ -219,7 +228,6 @@ func TestAdapterParity(t *testing.T) {
 	}{
 		{"direct", runDirect},
 		{"http", runHTTP},
-		{"harness", runHarness},
 		{"sim", runSim},
 	}
 	ref := adapters[0].run(t)

@@ -12,7 +12,6 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
-	hometier "dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
 	"dssp/internal/pipeline"
@@ -106,34 +105,18 @@ func runPartitionReference(t *testing.T) adapterResult {
 	return runPartitionScriptDirect(t, "single-partition", client, app)
 }
 
-// partitionedHomes builds the two partition masters, each over its own
-// fully seeded database.
-func partitionedHomes(t *testing.T, app *template.App, codec *wire.Codec) []*homeserver.Server {
-	t.Helper()
-	servers := make([]*homeserver.Server, 2)
-	for p := range servers {
-		db := storage.NewDatabase(app.Schema)
-		seedPartitionToystore(t, db)
-		servers[p] = homeserver.New(db, app, codec)
-	}
-	return servers
-}
-
 // runDirectPartitioned routes the in-process client through a two-master
-// home.Partitioned tier.
+// tier.
 func runDirectPartitioned(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	tier, err := hometier.NewPartitioned(partitionedHomes(t, app, codec)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	homes, _, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 0)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	client := &dssp.Client{Codec: codec, Node: node, Home: tier.Part(0), HomeParts: tier}
+	client := &dssp.Client{Codec: codec, Node: node, Home: homes[0], Pipe: tierPipe(node, tier)}
 	res := runPartitionScriptDirect(t, "direct-partitioned", client, app)
-	for p := 0; p < tier.Parts(); p++ {
-		if tier.Part(p).ConfirmedSeq() == 0 {
+	for p, h := range homes {
+		if h.ConfirmedSeq() == 0 {
 			t.Errorf("direct-partitioned: partition %d confirmed no update; the script is not spanning the split", p)
 		}
 	}
@@ -147,32 +130,9 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	homes := partitionedHomes(t, app, codec)
-	for p, h := range homes {
-		h.SetPartition(p, len(homes))
-	}
-
-	fresh := pipeline.NewFreshnessParts(len(homes))
-	parts := make([]pipeline.Transport, len(homes))
-	var fleets [][]*hometier.Replica
-	for p, h := range homes {
-		reps := make([]*hometier.Replica, 2)
-		for i := range reps {
-			rdb := storage.NewDatabase(app.Schema)
-			seedPartitionToystore(t, rdb)
-			reps[i] = hometier.NewReplica(string(rune('a'+p*2+i)), rdb, app, codec)
-			reps[i].SetPartition(p, len(homes))
-		}
-		hometier.Feed(h, reps...)
-		fleets = append(fleets, reps)
-		parts[p] = pipeline.NewReplicaSet(
-			pipeline.NewDirectTransport(h), hometier.Endpoints(reps), fresh, nil)
-	}
-
+	_, fleets, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 2)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	pipe := pipeline.New(node, pipeline.NewPartitionedTransport(parts), nil,
-		pipeline.Options{Fresh: fresh})
-	driveSealedScript(t, "direct-partitioned-replicated", app, codec, pipe)
+	driveSealedScript(t, "direct-partitioned-replicated", app, codec, tierPipe(node, tier))
 
 	for p, reps := range fleets {
 		served := 0
@@ -356,30 +316,20 @@ func TestAdapterParityPartitionedHome(t *testing.T) {
 }
 
 // runShardedPartitionedInproc composes all three scale-out axes: a
-// sharded cache fleet whose nodes each route through a partitioned
-// transport to the two partition masters.
+// sharded cache fleet whose nodes each route through the tier wiring to
+// the two partition masters.
 func runShardedPartitionedInproc(t *testing.T) []nodeState {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	homes := partitionedHomes(t, app, codec)
-	for p, h := range homes {
-		h.SetPartition(p, len(homes))
-	}
+	_, _, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 0)
 	analysis := core.Analyze(app, core.DefaultOptions())
 
 	nodes := make([]*dssp.Node, shardedFleet)
 	backends := make([]shard.Backend, shardedFleet)
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
-		parts := make([]pipeline.Transport, len(homes))
-		for p, h := range homes {
-			parts[p] = pipeline.NewDirectTransport(h)
-		}
-		opts := pipeline.Options{Fresh: pipeline.NewFreshnessParts(len(homes))}
-		backends[i] = shard.PipeBackend{
-			Pipe: pipeline.New(nodes[i], pipeline.NewPartitionedTransport(parts), nil, opts),
-		}
+		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
 	driveSealedScript(t, "sharded-partitioned", app, codec, pipeline.New(router, router, nil, pipeline.Options{}))

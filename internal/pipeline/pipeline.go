@@ -1,11 +1,11 @@
 // Package pipeline implements the paper's Figure 1/2 pathway exactly once:
 // cache lookup → miss → sealed forward to the home server → store → open,
 // and update forward → invalidate on completion. Every deployment mode of
-// the reproduction — the in-process client, the HTTP node, the
-// discrete-event simulator, and the experiment harness — is a thin adapter
-// over this package, so cross-cutting scale features (single-flight miss
-// coalescing here; sharding and batching later) land in one place and are
-// provably identical in all four.
+// the reproduction — the in-process client, the HTTP node, and the
+// discrete-event simulator — is a thin adapter over this package, so
+// cross-cutting scale features (single-flight miss coalescing here;
+// sharding and batching later) land in one place and are provably
+// identical in all three.
 //
 // The pipeline is written in continuation-passing style: Query and Update
 // take a completion callback instead of returning, because the simulator's
@@ -145,8 +145,8 @@ type Options struct {
 	// audit (the production default — it is a measurement instrument).
 	Leakage LeakageObserver
 
-	// Fresh is the node's freshness floor when the transport is a
-	// replicated home tier (a ReplicaSet sharing the same object): every
+	// Fresh is the node's freshness floor — the vector NewTierTransport
+	// returned with the transport, whose replica sets share it: every
 	// confirmed update the node learns of — its own updates' responses
 	// and invalidation fan-out from elsewhere — raises the floor, and no
 	// miss may be served by a replica that hasn't applied up to it. nil

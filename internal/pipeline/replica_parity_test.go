@@ -11,14 +11,10 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
-	hometier "dssp/internal/home"
-	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
 	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/simrun"
-	"dssp/internal/storage"
-	"dssp/internal/template"
 	"dssp/internal/wire"
 )
 
@@ -29,31 +25,15 @@ import (
 // databases that started identical — and the deterministic sealing makes
 // equal database states produce equal sealed results.
 
-// parityReplicas builds K replicas whose databases match the primary's
-// seeded state.
-func parityReplicas(t *testing.T, app *template.App, codec *wire.Codec, k int) []*hometier.Replica {
-	t.Helper()
-	reps := make([]*hometier.Replica, k)
-	for i := range reps {
-		rdb := storage.NewDatabase(app.Schema)
-		seedParityToys(t, rdb)
-		reps[i] = hometier.NewReplica(string(rune('a'+i)), rdb, app, codec)
-	}
-	return reps
-}
-
 // runDirectReplicated is runDirect with the trusted tier scaled out to
-// two in-process read replicas behind the client's transport.
+// two in-process read replicas behind the client's pipeline.
 func runDirectReplicated(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	seedParityToys(t, db)
+	homes, reps, tier := inprocTier(t, app, codec, seedParityToys, 1, 2)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	home := homeserver.New(db, app, codec)
-	reps := parityReplicas(t, app, codec, 2)
-	client := &dssp.Client{Codec: codec, Node: node, Home: home, HomeReplicas: reps}
+	client := &dssp.Client{Codec: codec, Node: node, Home: homes[0], Pipe: tierPipe(node, tier)}
 	for _, op := range parityScript {
 		if op.query {
 			if _, err := client.Query(app.Query(op.template), op.param); err != nil {
@@ -64,7 +44,7 @@ func runDirectReplicated(t *testing.T) adapterResult {
 		}
 	}
 	var served int
-	for _, r := range reps {
+	for _, r := range reps[0] {
 		served += r.QueriesServed()
 	}
 	if served == 0 {
@@ -152,28 +132,21 @@ func TestAdapterParityReplicatedHome(t *testing.T) {
 }
 
 // runShardedReplicatedInproc is runShardedInproc with every fleet node's
-// transport replaced by a replica set over the same two replicas — the
+// transport wired to a replicated tier over the same two replicas — the
 // scaled-out deployments composed: sharded cache tier over replicated
 // trusted tier.
 func runShardedReplicatedInproc(t *testing.T) []nodeState {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	db := storage.NewDatabase(app.Schema)
-	seedParityToys(t, db)
-	home := homeserver.New(db, app, codec)
-	reps := parityReplicas(t, app, codec, 2)
-	hometier.Feed(home, reps...)
+	_, _, tier := inprocTier(t, app, codec, seedParityToys, 1, 2)
 	analysis := core.Analyze(app, core.DefaultOptions())
 
 	nodes := make([]*dssp.Node, shardedFleet)
 	backends := make([]shard.Backend, shardedFleet)
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
-		opts := pipeline.Options{Fresh: pipeline.NewFreshness()}
-		transport := pipeline.NewReplicaSet(
-			pipeline.NewDirectTransport(home), hometier.Endpoints(reps), opts.Fresh, nil)
-		backends[i] = shard.PipeBackend{Pipe: pipeline.New(nodes[i], transport, nil, opts)}
+		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
 	driveSealed(t, app, codec, pipeline.New(router, router, nil, pipeline.Options{}))

@@ -28,13 +28,9 @@ type Freshness struct {
 	floors []atomic.Uint64
 }
 
-// NewFreshness returns a single-partition floor starting at zero — the
-// unpartitioned home tier's freshness state, where every group shares
-// slot 0.
-func NewFreshness() *Freshness { return NewFreshnessParts(1) }
-
 // NewFreshnessParts returns a floor vector for a home tier split into
-// parts partitions (minimum 1), all starting at zero.
+// parts partitions (minimum 1), all starting at zero; with one part every
+// group shares slot 0. NewTierTransport is its production caller.
 func NewFreshnessParts(parts int) *Freshness {
 	if parts < 1 {
 		parts = 1
@@ -140,11 +136,12 @@ type ReplicaSet struct {
 }
 
 // NewReplicaSet builds a replica-spreading transport over the primary's
-// transport and the given replica endpoints. fresh must be the same
-// Freshness object passed to the pipeline's Options, so update
-// confirmations raise the floor the selection honors. reg registers the
-// replica instruments (nil disables them); single-home deployments never
-// construct a ReplicaSet, which keeps their metric shape unchanged.
+// transport and the given replica endpoints; NewTierTransport is its
+// production caller. fresh must be the same Freshness object passed to
+// the pipeline's Options, so update confirmations raise the floor the
+// selection honors. reg registers the replica instruments (nil disables
+// them); single-home deployments never construct a ReplicaSet, which
+// keeps their metric shape unchanged.
 func NewReplicaSet(primary Transport, replicas []ReplicaEndpoint, fresh *Freshness, reg *obs.Registry) *ReplicaSet {
 	s := &ReplicaSet{primary: primary, fresh: fresh}
 	for _, ep := range replicas {

@@ -60,7 +60,7 @@ func execOne(t *testing.T, s *ReplicaSet) ExecQueryResult {
 }
 
 func TestFreshnessFloorIsMonotone(t *testing.T) {
-	f := NewFreshness()
+	f := NewFreshnessParts(1)
 	f.Raise(0, 7)
 	f.Raise(0, 3)
 	if got := f.Floor(0); got != 7 {
@@ -99,7 +99,7 @@ func TestFreshnessVectorIsPerPartition(t *testing.T) {
 		t.Fatalf("unhinted floor = %d, want partition 0's 100", got)
 	}
 	// The single-slot vector collapses every group to one floor.
-	s := NewFreshness()
+	s := NewFreshnessParts(1)
 	s.Raise(5, 9)
 	if got := s.Floor(2); got != 9 {
 		t.Fatalf("single-partition floor = %d, want 9 for any group", got)
@@ -112,7 +112,7 @@ func TestReplicaSetServesMissesFromReplicas(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := NewReplicaSet(primary, []ReplicaEndpoint{
 		{Name: "a", Backend: r1}, {Name: "b", Backend: r2},
-	}, NewFreshness(), reg)
+	}, NewFreshnessParts(1), reg)
 
 	// With nothing confirmed yet (floor 0), every replica is fresh; the
 	// rotating least-loaded selection spreads misses and no miss reaches
@@ -136,7 +136,7 @@ func TestReplicaSetServesMissesFromReplicas(t *testing.T) {
 func TestReplicaSetBypassesLaggingReplicaToPrimary(t *testing.T) {
 	primary := &fakePrimary{}
 	lagging := &fakeReplica{applied: 2}
-	fresh := NewFreshness()
+	fresh := NewFreshnessParts(1)
 	fresh.Raise(0, 10)
 	reg := obs.NewRegistry()
 	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: lagging}}, fresh, reg)
@@ -169,7 +169,7 @@ func TestReplicaSetBypassesLaggingReplicaToPrimary(t *testing.T) {
 func TestReplicaSetPrefersFreshOverLagging(t *testing.T) {
 	primary := &fakePrimary{}
 	lagging, fresh1 := &fakeReplica{applied: 1}, &fakeReplica{applied: 9}
-	fresh := NewFreshness()
+	fresh := NewFreshnessParts(1)
 	fresh.Raise(0, 9)
 	s := NewReplicaSet(primary, []ReplicaEndpoint{
 		{Name: "lag", Backend: lagging}, {Name: "ok", Backend: fresh1},
@@ -194,7 +194,7 @@ func TestReplicaSetPrefersFreshOverLagging(t *testing.T) {
 func TestReplicaSetPeriodicProbeRediscoversCaughtUpReplica(t *testing.T) {
 	primary := &fakePrimary{}
 	r1, r2 := &fakeReplica{applied: 10}, &fakeReplica{applied: 2}
-	fresh := NewFreshness()
+	fresh := NewFreshnessParts(1)
 	fresh.Raise(0, 10)
 	s := NewReplicaSet(primary, []ReplicaEndpoint{
 		{Name: "a", Backend: r1}, {Name: "b", Backend: r2},
@@ -218,7 +218,7 @@ func TestReplicaSetFailedReplicaFallsBackToPrimary(t *testing.T) {
 	primary := &fakePrimary{}
 	down := &fakeReplica{applied: 0, fail: errors.New("connection refused")}
 	reg := obs.NewRegistry()
-	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: down}}, NewFreshness(), reg)
+	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: down}}, NewFreshnessParts(1), reg)
 
 	if got := execOne(t, s); string(got.Result.Cipher) != "primary" {
 		t.Fatalf("down replica answered %q, want primary fallback", got.Result.Cipher)
@@ -242,7 +242,7 @@ func TestReplicaSetRotatesAmongEqualLoadReplicas(t *testing.T) {
 			reps[i] = &fakeReplica{applied: 5}
 			eps[i] = ReplicaEndpoint{Name: string(rune('a' + i)), Backend: reps[i]}
 		}
-		s := NewReplicaSet(primary, eps, NewFreshness(), nil)
+		s := NewReplicaSet(primary, eps, NewFreshnessParts(1), nil)
 		const total = 60 // divisible by 2 and 3: an even split is exact
 		for i := 0; i < total; i++ {
 			execOne(t, s)
@@ -268,7 +268,7 @@ func TestReplicaSetTieBreakIsDeterministic(t *testing.T) {
 		reps := []*fakeReplica{{applied: 5}, {applied: 5}, {applied: 5}}
 		s := NewReplicaSet(&fakePrimary{}, []ReplicaEndpoint{
 			{Name: "a", Backend: reps[0]}, {Name: "b", Backend: reps[1]}, {Name: "c", Backend: reps[2]},
-		}, NewFreshness(), nil)
+		}, NewFreshnessParts(1), nil)
 		var order []int64
 		for i := 0; i < 10; i++ {
 			execOne(t, s)
@@ -294,7 +294,7 @@ func TestReplicaSetTieBreakIsDeterministic(t *testing.T) {
 func TestReplicaSetBypassCountsOnceNotAsMiss(t *testing.T) {
 	primary := &fakePrimary{}
 	lagging := &fakeReplica{applied: 2}
-	fresh := NewFreshness()
+	fresh := NewFreshnessParts(1)
 	fresh.Raise(0, 10)
 	reg := obs.NewRegistry()
 	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: lagging}}, fresh, reg)
@@ -332,7 +332,7 @@ func TestReplicaSetBypassCountsOnceNotAsMiss(t *testing.T) {
 func TestReplicaSetUpdatesAlwaysExecuteOnPrimary(t *testing.T) {
 	primary := &fakePrimary{}
 	rep := &fakeReplica{applied: 100}
-	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: rep}}, NewFreshness(), nil)
+	s := NewReplicaSet(primary, []ReplicaEndpoint{{Name: "a", Backend: rep}}, NewFreshnessParts(1), nil)
 	var seq uint64
 	s.ExecUpdate(context.Background(), wire.SealedUpdate{}, func(r ExecUpdateResult, err error) {
 		if err != nil {

@@ -546,42 +546,35 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		nodeTracer := obs.NewTracer(reg, clock).
 			SetIdentity(obs.ProcNode, strconv.Itoa(i)).SetStore(store)
-		popts := pipeline.Options{
-			MonitorInterval: cfg.MonitorInterval,
-			After:           func(d time.Duration, fn func()) { world.After(d, fn) },
-		}
-		if audit != nil {
-			popts.Leakage = audit
-		}
-		if cfg.HomeReplicas > 0 || nParts > 1 {
-			popts.Fresh = pipeline.NewFreshnessParts(nParts)
-		}
-		// One virtual-time transport per home partition, each optionally
-		// behind its partition's replica set, composed by the same group
-		// router the deployed topologies use.
-		partTransports := make([]pipeline.Transport, nParts)
-		for p := 0; p < nParts; p++ {
-			tr := &simTransport{
+		// One virtual-time transport per home partition, with a backend
+		// per replica behind it, composed by the same tier wiring the
+		// deployed topologies use.
+		parts := make([]pipeline.TierPart, nParts)
+		for p := range parts {
+			parts[p].Primary = &simTransport{
 				world: &world, reg: reg, tracer: homeTracer, codec: codec,
 				home: homes[p], homeCPU: homeCPUs[p], toHome: toHome, fromHome: fromHome,
 				costs: cfg.Costs, network: cfg.Network, pipes: pipes, self: i, res: res,
 				planner:    planner,
 				queueDepth: queueDepth, waitQ: waitQ, waitU: waitU,
 			}
-			var transport pipeline.Transport = tr
-			if len(reps[p]) > 0 {
-				eps := make([]pipeline.ReplicaEndpoint, len(reps[p]))
-				for k, rep := range reps[p] {
-					eps[k] = pipeline.ReplicaEndpoint{Name: rep.Name(), Backend: &simReplicaBackend{
-						world: &world, rep: rep, cpu: repCPUs[p][k],
-						toHome: toHome, fromHome: fromHome, costs: cfg.Costs, res: res,
-					}}
-				}
-				transport = pipeline.NewReplicaSet(tr, eps, popts.Fresh, reg)
+			for k, rep := range reps[p] {
+				parts[p].Replicas = append(parts[p].Replicas, pipeline.ReplicaEndpoint{Name: rep.Name(), Backend: &simReplicaBackend{
+					world: &world, rep: rep, cpu: repCPUs[p][k],
+					toHome: toHome, fromHome: fromHome, costs: cfg.Costs, res: res,
+				}})
 			}
-			partTransports[p] = transport
 		}
-		pipes[i] = pipeline.New(nodes[i], pipeline.NewPartitionedTransport(partTransports), nodeTracer, popts)
+		transport, fresh := pipeline.NewTierTransport(parts, reg)
+		popts := pipeline.Options{
+			MonitorInterval: cfg.MonitorInterval,
+			After:           func(d time.Duration, fn func()) { world.After(d, fn) },
+			Fresh:           fresh,
+		}
+		if audit != nil {
+			popts.Leakage = audit
+		}
+		pipes[i] = pipeline.New(nodes[i], transport, nodeTracer, popts)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		buildNode(i)
@@ -816,9 +809,14 @@ func UniformExposures(app *template.App, e template.Exposure) map[string]templat
 }
 
 // MaxUsers measures scalability: the largest number of concurrent users
-// (up to maxUsers) for which the run meets the SLA. cfg.Users is ignored.
-func MaxUsers(cfg Config, sla metrics.SLA, maxUsers int) (int, error) {
+// (up to maxUsers) for which the run meets the SLA, and that trial's
+// Result — the run at the operating point, nil when even one user misses
+// the SLA. cfg.Users is ignored.
+func MaxUsers(cfg Config, sla metrics.SLA, maxUsers int) (int, *Result, error) {
 	var trialErr error
+	// The search only ever raises its answer to a trial that met the SLA,
+	// so the answer's run is the passing trial with the most users.
+	var at *Result
 	n := metrics.SearchMaxUsers(maxUsers, func(users int) bool {
 		if trialErr != nil {
 			return false
@@ -830,7 +828,11 @@ func MaxUsers(cfg Config, sla metrics.SLA, maxUsers int) (int, error) {
 			trialErr = err
 			return false
 		}
-		return sla.Met(&r.Response)
+		met := sla.Met(&r.Response)
+		if met && (at == nil || users > at.Users) {
+			at = r
+		}
+		return met
 	})
-	return n, trialErr
+	return n, at, trialErr
 }

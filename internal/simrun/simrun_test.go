@@ -142,14 +142,25 @@ func TestMaxUsersSLA(t *testing.T) {
 	cfg := quickCfg(0)
 	// A generous SLA should support many users; an impossible one, zero.
 	loose := metrics.SLA{Percentile: 90, Threshold: time.Hour}
-	n, err := MaxUsers(cfg, loose, 50)
+	n, at, err := MaxUsers(cfg, loose, 50)
 	if err != nil || n != 50 {
 		t.Errorf("loose SLA: n=%d err=%v", n, err)
 	}
+	// The Result handed back is the run at the operating point: the same
+	// one a fresh Simulate of that user count produces (runs are
+	// deterministic per Config).
+	cfg.Users = n
+	again, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at == nil || at.Users != n || at.HitRate != again.HitRate || at.Ops != again.Ops {
+		t.Errorf("loose SLA: operating-point result %+v, want the %d-user run (hit rate %v, %d ops)", at, n, again.HitRate, again.Ops)
+	}
 	impossible := metrics.SLA{Percentile: 90, Threshold: time.Nanosecond}
-	n, err = MaxUsers(cfg, impossible, 50)
-	if err != nil || n != 0 {
-		t.Errorf("impossible SLA: n=%d err=%v", n, err)
+	n, at, err = MaxUsers(cfg, impossible, 50)
+	if err != nil || n != 0 || at != nil {
+		t.Errorf("impossible SLA: n=%d result=%v err=%v", n, at, err)
 	}
 }
 

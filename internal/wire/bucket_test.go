@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dssp/internal/engine"
@@ -111,4 +113,83 @@ func TestTemplateIDsRoundTrip(t *testing.T) {
 	if _, err := DecodeTemplateIDs(append(AppendTemplateIDs(nil, []string{"Q1"}), 'x')); err == nil {
 		t.Error("trailing bytes accepted")
 	}
+}
+
+// allocatedBy reports the heap bytes fn allocates. The import path is fed
+// by the untrusted tier, so what a decoder may allocate has to be bounded
+// by what it was sent — whatever counts the input claims.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeAllocBound is generous — an entry is ~21 B in memory per wire byte
+// at its emptiest, a NULL result value 40 — and still a thousandth of what
+// a forged count could ask for; the constant covers the runtime's own
+// allocations around the call.
+func decodeAllocBound(inputLen int) uint64 { return 256*uint64(inputLen) + 64<<10 }
+
+// FuzzDecodeBucketEntries covers the node's bucket-import body: whatever
+// a peer (or anyone who can reach the node) posts, the decoder must not
+// panic, must not allocate beyond a multiple of the input's length, and
+// must accept only the canonical encoding of what it returns.
+func FuzzDecodeBucketEntries(f *testing.F) {
+	enc := AppendBucketEntries(nil, bucketFixtures())
+	f.Add(enc)
+	f.Add(AppendBucketEntries(nil, nil))
+	f.Add(append(bytes.Clone(enc), 0))                     // trailing byte
+	f.Add(enc[:1])                                         // truncated: count only
+	f.Add(enc[:len(enc)/2])                                // truncated mid-entry
+	f.Add(enc[:len(enc)-1])                                // truncated ordinal
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 9})                  // unknown result tag
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f})            // forged count, no entries
+	f.Add(append([]byte{0xff, 0xff, 0x03}, enc[1:]...))    // forged count over real entries
+	f.Add(append([]byte{0x80, 0x00}, make([]byte, 16)...)) // non-minimal count
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var entries []BucketEntry
+		var err error
+		if n, bound := allocatedBy(func() { entries, err = DecodeBucketEntries(b) }), decodeAllocBound(len(b)); n > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if cap(entries) > len(b)/minEntryBytes {
+			t.Fatalf("%d bytes pre-allocated %d entries; an entry is at least %d bytes", len(b), cap(entries), minEntryBytes)
+		}
+		if !bytes.Equal(AppendBucketEntries(nil, entries), b) {
+			t.Fatalf("accepted stream is not canonical: %x", b)
+		}
+	})
+}
+
+// FuzzDecodeTemplateIDs is the same contract for the bucket export and
+// drop request body.
+func FuzzDecodeTemplateIDs(f *testing.F) {
+	enc := AppendTemplateIDs(nil, []string{"Q1", "Q2", "a long template identifier"})
+	f.Add(enc)
+	f.Add(AppendTemplateIDs(nil, nil))
+	f.Add(append(bytes.Clone(enc), 'x'))        // trailing byte
+	f.Add(enc[:len(enc)-3])                     // truncated string
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x0f}) // forged count
+	f.Add([]byte{3, 2, 'Q', '1'})               // count past the last string
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var ids []string
+		var err error
+		if n, bound := allocatedBy(func() { ids, err = DecodeTemplateIDs(b) }), decodeAllocBound(len(b)); n > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(b), n, bound)
+		}
+		if err != nil {
+			return
+		}
+		if cap(ids) > len(b) {
+			t.Fatalf("%d bytes pre-allocated %d ids", len(b), cap(ids))
+		}
+		if !bytes.Equal(AppendTemplateIDs(nil, ids), b) {
+			t.Fatalf("accepted list is not canonical: %x", b)
+		}
+	})
 }
