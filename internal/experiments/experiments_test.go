@@ -185,11 +185,13 @@ func TestFigure8QuickShape(t *testing.T) {
 		}
 		users[st.Name] = n
 	}
-	// MVIS and MSIS sit at the same operating point (the paper observes
-	// statement inspection captures most of the benefit); the scalability
-	// search resolves them within noise, so compare with 15% tolerance.
-	if float64(users["MVIS"]) < 0.85*float64(users["MSIS"]) {
-		t.Errorf("MVIS far below MSIS: %v", users)
+	// MVIS never decides Invalidate where MSIS decides DNI — simrun's
+	// TestViewContainsStatementOnReplay checks that exactly, on one script —
+	// so what separates the two here is the search alone. At this test's
+	// cap both reach 500 on every seed tried; with the cap at 1000, seeds
+	// 1–5 gave MSIS 782–813 (±2 %) and MVIS/MSIS between 1.01 and 1.08.
+	if users["MVIS"]*100 < users["MSIS"]*97 {
+		t.Errorf("MVIS below MSIS by more than the search's 3%%: %v", users)
 	}
 	top := users["MVIS"]
 	if users["MSIS"] < top {

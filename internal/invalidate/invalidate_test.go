@@ -2,6 +2,7 @@ package invalidate
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -396,30 +397,78 @@ func TestViewInsertMax(t *testing.T) {
 
 // TestViewModify reproduces the §4.4 modification example: UPDATE toys SET
 // qty=10 WHERE toy_id=5 versus SELECT toy_name FROM toys WHERE qty > p.
-// (Q7 preserves no key, so the identifiable variant uses Q4.)
+// (Q7 preserves no key, so the identifiable variant uses Q4.) The table
+// covers both rules of viewModify on the paper database — toys (1,bear,10)
+// (2,truck,3) (3,bear,7) (5,kite,25) — and every case is checked against
+// re-execution: DNI must leave the result as it was.
 func TestViewModify(t *testing.T) {
 	app := richToystore()
+	s := app.Schema
+	app.Queries = append(app.Queries,
+		template.MustNew("QK", s, "SELECT toy_id, toy_name FROM toys WHERE qty>=?"),
+		template.MustNew("QO", s, "SELECT toy_id, toy_name FROM toys ORDER BY qty DESC LIMIT 3"),
+		template.MustNew("QL", s, "SELECT toy_id, qty FROM toys LIMIT 3"),
+		template.MustNew("QG", s, "SELECT toy_id, qty FROM toys WHERE toy_name=? GROUP BY toy_id, qty"),
+	)
 	iv := newInvalidator(app)
 	db := paperDB(t, app)
 
-	// Q4('truck') = {(2, 3)}; modifying toy 5's qty to 10 cannot affect it.
-	q4 := app.Query("Q4")
-	v := CachedView{Template: q4, Params: []sqlparse.Value{sqlparse.StringVal("truck")},
-		Result: mustExec(t, db, q4, sqlparse.StringVal("truck"))}
-	u := UpdateInstance{Template: app.Update("U4"),
-		Params: []sqlparse.Value{sqlparse.IntVal(10), sqlparse.IntVal(5)}}
-	// The modified row is not in the result, but qty is not compared in
-	// Q4's predicate and toy_name is unchanged... the post-image may still
-	// satisfy toy_name='truck' (statement inspection cannot rule it out),
-	// yet the view shows toy 5 is absent and its post-image cannot join a
-	// changed name. The modification does not touch toy_name, so the
-	// post-image satisfiability test keeps toy_name unconstrained: sat,
-	// and MVIS invalidates conservatively? No: the post-image includes
-	// qty=10 only; toy_name unknown -> satisfiable -> Invalidate.
-	if got := decide(iv, ViewInspection, u, v); got != Invalidate {
-		t.Errorf("MVIS on Q4: got %v (conservative invalidation expected: post-image may match)", got)
+	ints := func(vs ...int64) []sqlparse.Value {
+		out := make([]sqlparse.Value, len(vs))
+		for i, v := range vs {
+			out[i] = sqlparse.IntVal(v)
+		}
+		return out
+	}
+	truck := []sqlparse.Value{sqlparse.StringVal("truck")}
+	cases := []struct {
+		name    string
+		query   string
+		qParams []sqlparse.Value
+		uParams []sqlparse.Value // U4: qty, toy_id
+		want    Decision
+	}{
+		// Frame rule. Q4('truck') = {(2,3)}.
+		{"absent, SET disjoint from WHERE (the §4.4 example)", "Q4", truck, ints(10, 5), DNI},
+		{"row present", "Q4", truck, ints(10, 2), Invalidate},
+		// QK(20) = {(5,kite)}: qty is both SET and compared.
+		{"absent, SET on a WHERE column, new value fails", "QK", ints(20), ints(4, 2), DNI},
+		{"absent, SET on a WHERE column, new value satisfies", "QK", ints(20), ints(30, 2), Invalidate},
+		// Top-k boundary. Q5 = {(5,25) (1,10) (3,7)}; toy 2 is past the cutoff.
+		{"LIMIT-bound, order key set strictly after the cutoff", "Q5", nil, ints(5, 2), DNI},
+		{"LIMIT-bound, order key set strictly before the cutoff", "Q5", nil, ints(8, 2), Invalidate},
+		{"LIMIT-bound, order key tied with the cutoff row", "Q5", nil, ints(7, 2), Invalidate},
+		{"LIMIT-bound, row present", "Q5", nil, ints(1, 1), Invalidate},
+		{"LIMIT-bound, order key not preserved", "QO", nil, ints(5, 2), Invalidate},
+		{"LIMIT without ORDER BY", "QL", nil, ints(5, 5), Invalidate},
+		{"GROUP BY", "QG", truck, ints(10, 5), Invalidate},
+		{"aggregate", "Q6", nil, ints(5, 2), Invalidate},
+		// Row identity is the engine's equality, not representation.
+		{"key bound as 5.0 against an integer 5 row", "Q4", []sqlparse.Value{sqlparse.StringVal("kite")},
+			[]sqlparse.Value{sqlparse.IntVal(10), sqlparse.FloatVal(5)}, Invalidate},
+		{"NaN key", "Q4", truck, []sqlparse.Value{sqlparse.IntVal(10), sqlparse.FloatVal(math.NaN())}, Invalidate},
+	}
+	for _, c := range cases {
+		q := app.Query(c.query)
+		v := CachedView{Template: q, Params: c.qParams, Result: mustExec(t, db, q, c.qParams...)}
+		u := UpdateInstance{Template: app.Update("U4"), Params: c.uParams}
+		got := decide(iv, ViewInspection, u, v)
+		if got != c.want {
+			t.Errorf("%s: MVIS decided %v, want %v", c.name, got, c.want)
+		}
+		if got == DNI {
+			db2 := db.Clone()
+			if _, err := engine.ExecUpdate(db2, u.Template.Stmt, u.Params); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			ordered := len(q.Stmt.(*sqlparse.SelectStmt).OrderBy) > 0
+			if after := mustExec(t, db2, q, c.qParams...); after.Fingerprint(ordered) != v.Result.Fingerprint(ordered) {
+				t.Errorf("%s: DNI, but the update changed the result", c.name)
+			}
+		}
 	}
 
+	u := UpdateInstance{Template: app.Update("U4"), Params: ints(10, 5)}
 	// Against Q2 (toy_id=2), modifying toy 5 is ruled out at statement
 	// level already.
 	q2 := app.Query("Q2")

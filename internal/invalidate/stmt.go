@@ -1,6 +1,8 @@
 package invalidate
 
 import (
+	"sync"
+
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
@@ -16,6 +18,11 @@ type queryInfo struct {
 	joinPreds []joinPred          // column-vs-column predicates
 	evalErr   bool                // resolution failed; force conservative decisions
 	outIdx    map[schema.Attr]int // first result-column index per preserved attr
+
+	// modify memoizes what view inspection of a modification resolves from
+	// the (update template, this query template) pair alone: update
+	// *template.Template → *modifyInfo.
+	modify sync.Map
 }
 
 // instPred is a single-instance predicate `col op value` with the column on
