@@ -49,7 +49,7 @@ func main() {
 	home := flag.String("home", "http://localhost:8401", "home server base URL; comma-separated partition primaries in partition order for a partitioned home tier")
 	homeReplicas := flag.String("home-replicas", "", "home read-replica base URLs to spread misses across: comma-separated within a partition, ';'-separated between partitions (aligned with -home)")
 	nodeID := flag.String("id", "", "this node's fleet position, labelling its spans in stitched traces")
-	capacity := flag.Int("capacity", 0, "cache capacity in entries (0 = unbounded)")
+	capacity := flag.Int("capacity", 0, "cache capacity in entries (0 = unbounded); when full, entries not hit since they were stored go first, and dssp_cache_ghost_readmits_total counts the misses a slightly larger cache would have served")
 	constraints := flag.Bool("constraints", true, "use integrity constraints in the analysis (§4.5)")
 	monitor := flag.Duration("monitor-interval", 0, "batch invalidation per monitoring interval (0 = invalidate inline per update)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")

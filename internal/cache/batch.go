@@ -177,7 +177,7 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 	// bucket that exists when their shard comes up (buckets only shrink
 	// while a shard is locked — no store runs inside it — so nothing is
 	// missed). Each shard lock is held across its whole walk: releasing it
-	// mid-iteration to unlink LRU entries would let a concurrent Store
+	// mid-iteration to unlink entries would let a concurrent Store
 	// insert into a bucket map being ranged over; unlink only takes lruMu,
 	// which nests under shard locks.
 	for pi := range plans {

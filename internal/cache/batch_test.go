@@ -160,23 +160,52 @@ func TestOnUpdateBatchEmptyAndSingleton(t *testing.T) {
 	}
 }
 
-// auditLRU checks the lock-protocol invariant at a quiescent point: on a
-// bounded cache that never evicted, bucket membership and list membership
-// must coincide exactly — a longer list means a dead entry was linked
-// (the store/invalidation window), a shorter one a live entry was lost.
-func auditLRU(t *testing.T, c *Cache) {
+// linkedEntries walks both replacement queues and returns how many entries
+// they hold. A queue whose length, links or flags disagree with the walk
+// fails the test.
+func linkedEntries(t testing.TB, c *Cache) int {
 	t.Helper()
-	if st := c.Stats(); st.Evictions != 0 {
-		t.Fatalf("audit void: %d evictions despite oversized capacity", st.Evictions)
-	}
 	c.lruMu.Lock()
-	lruLen := c.lru.len
-	c.lruMu.Unlock()
-	if lruLen != c.Len() {
-		t.Errorf("LRU holds %d entries, cache holds %d (dead entry linked, or live entry lost)", lruLen, c.Len())
+	defer c.lruMu.Unlock()
+	n := 0
+	for _, q := range []*fifo{&c.small, &c.main} {
+		walked := 0
+		var prev *Entry
+		for e := q.head; e != nil; prev, e = e, e.next {
+			if e.prev != prev || !e.inLRU || e.inMain != (q == &c.main) {
+				t.Fatalf("queue entry %s|%s: prev link or flags wrong (inLRU %v, inMain %v)",
+					e.Query.TemplateID, e.Query.Key, e.inLRU, e.inMain)
+			}
+			walked++
+		}
+		if q.tail != prev || walked != q.len {
+			t.Fatalf("queue walk found %d entries ending at %p; queue says %d ending at %p", walked, prev, q.len, q.tail)
+		}
+		n += walked
 	}
-	if g := c.entries.Value(); g != int64(c.Len()) {
-		t.Errorf("entries gauge = %d, Len() = %d", g, c.Len())
+	return n
+}
+
+// auditQueues checks the lock-protocol invariant at a quiescent point: on
+// a bounded cache, bucket membership and queue membership must coincide
+// exactly — more linked entries than cached ones means a dead entry was
+// linked (the store/invalidation window), fewer that a live entry was
+// lost — the entries gauge must agree with both, and none may exceed
+// Capacity.
+func auditQueues(t testing.TB, c *Cache) {
+	t.Helper()
+	if c.opts.Capacity <= 0 {
+		t.Fatal("audit void: the cache is unbounded")
+	}
+	n := c.Len()
+	if linked := linkedEntries(t, c); linked != n {
+		t.Errorf("queues hold %d entries, cache holds %d (dead entry linked, or live entry lost)", linked, n)
+	}
+	if g := c.entries.Value(); g != int64(n) {
+		t.Errorf("entries gauge = %d, Len() = %d", g, n)
+	}
+	if n > c.opts.Capacity {
+		t.Errorf("Len = %d exceeds capacity %d", n, c.opts.Capacity)
 	}
 }
 
@@ -193,8 +222,8 @@ func auditLRU(t *testing.T, c *Cache) {
 // list-access races of the old protocol.
 func TestDropAllBucketsStoreRace(t *testing.T) {
 	f := newBatchFixture(t)
-	// Capacity far above the working set: the LRU machinery is live but
-	// nothing evicts, so the audit is exact.
+	// Capacity far above the working set: the replacement machinery is live
+	// but nothing evicts.
 	c, _, _ := testStack(t, f.exps, Options{Capacity: 4096})
 	blind := f.updates[4] // the sealed blind U2
 
@@ -239,15 +268,15 @@ func TestDropAllBucketsStoreRace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	auditLRU(t, c)
+	auditQueues(t, c)
 }
 
 // TestLookupInvalidateLRURace regression-tests the lookup half of the
-// protocol: Lookup used to touch the LRU after releasing the shard lock,
-// ordering the recency bump against concurrent invalidation by nothing
-// but luck. Touching under the shard lock (with the inLRU guard covering
-// the eviction window) makes the bump and the removal serialize; the
-// audit catches any divergence the old ordering produced.
+// protocol: Lookup used to move the entry in the LRU list after releasing
+// the shard lock, ordering the bump against concurrent invalidation by
+// nothing but luck. A hit now moves nothing — it counts on the entry,
+// inside the shard critical section — and the audit catches a lookup that
+// links or unlinks anything.
 func TestLookupInvalidateLRURace(t *testing.T) {
 	f := newBatchFixture(t)
 	c, _, _ := testStack(t, f.exps, Options{Capacity: 4096})
@@ -288,7 +317,7 @@ func TestLookupInvalidateLRURace(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	auditLRU(t, c)
+	auditQueues(t, c)
 }
 
 // TestOnUpdateBatchAllocBudget pins the allocation ceiling of the batch

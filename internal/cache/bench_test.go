@@ -93,7 +93,21 @@ func BenchmarkCacheOnUpdate(b *testing.B) {
 // the sharded cache: every lookup is a hit and lookups from different query
 // templates land on different stripes.
 func BenchmarkCacheConcurrentLookup(b *testing.B) {
-	c, codec, app := benchBBoard(b, Options{}, 64)
+	benchConcurrentLookup(b, Options{})
+}
+
+// BenchmarkCacheBoundedLookup is the same body on a bounded cache whose
+// capacity is above the entry count, so all that differs is what a hit does
+// for the replacement policy: a count on the entry, under no lock the other
+// stripes share. Run it with -cpu 1,2: two CPUs must not be slower than one
+// (under the LRU list every hit took lruMu, and they were — 71 ns against
+// 109). BENCH_allocs.json budgets it at no allocations.
+func BenchmarkCacheBoundedLookup(b *testing.B) {
+	benchConcurrentLookup(b, Options{Capacity: 1 << 20})
+}
+
+func benchConcurrentLookup(b *testing.B, opts Options) {
+	c, codec, app := benchBBoard(b, opts, 64)
 	var sealed []wire.SealedQuery
 	for _, q := range app.Queries {
 		for i := int64(0); i < 64; i++ {

@@ -17,8 +17,9 @@
 // buckets those are comes from the invalidation routing index
 // (invalidate.Router): the static analysis proves A = 0 pairs can never
 // need invalidation, so OnUpdate skips their buckets without inspecting
-// anything. The LRU list of a bounded cache lives under its own lock, and
-// the decision log under another, so no single mutex serializes the node.
+// anything. The replacement queues of a bounded cache live under their own
+// lock, which a lookup never takes, and the decision log under another, so
+// no single mutex serializes the node.
 package cache
 
 import (
@@ -39,12 +40,17 @@ type Entry struct {
 	Query  wire.SealedQuery
 	Result wire.SealedResult
 
-	// LRU list hooks, used only when the cache is bounded. inLRU tracks
-	// list membership so concurrent removal paths (invalidation, eviction,
-	// replacement) can race safely; all three fields are guarded by the
-	// cache's lruMu.
+	// Replacement hooks, used only when the cache is bounded (see
+	// replacement.go). inLRU tracks queue membership so concurrent removal
+	// paths (invalidation, eviction, replacement) can race safely, inMain
+	// says which queue; those and the links are guarded by the cache's
+	// lruMu. freq is the saturating hit count, bumped by Lookup without that
+	// lock. The three small fields share one word, so a bounded cache costs
+	// an unbounded one no bytes per entry.
 	prev, next *Entry
 	inLRU      bool
+	inMain     bool
+	freq       atomic.Uint32
 }
 
 // newEntry builds the stored form of a result. The query is kept as the
@@ -77,9 +83,9 @@ type Options struct {
 	// A=0 facts.
 	CacheEmptyResults bool
 
-	// Capacity bounds the number of cached entries; the least recently
-	// used entry is evicted when full. 0 means unbounded (the paper's
-	// configuration).
+	// Capacity bounds the number of cached entries; when full, entries
+	// that were not hit since they were stored go first (replacement.go).
+	// 0 means unbounded (the paper's configuration).
 	Capacity int
 
 	// DecisionLog bounds the in-memory invalidation-decision log. 0 uses
@@ -165,18 +171,19 @@ type Cache struct {
 
 	shards [numShards]*shard
 
-	// lruMu guards the LRU list (bounded caches only) and the eviction
-	// count. Lock order: a goroutine may acquire lruMu while holding a
-	// shard lock (Lookup's touch, Store's insert, invalidation's unlink
-	// all nest it), never the reverse — eviction takes the victim's shard
-	// lock with no other lock held. Keeping bucket membership and list
-	// membership in one critical section is what makes a removed entry
-	// stay removed: the old protocol (never hold both) let a concurrent
-	// invalidation slip between a store's bucket insert and its LRU link,
-	// resurrecting a dead entry into the list.
-	lruMu     sync.Mutex
-	lru       lruList
-	evictions int
+	// lruMu guards the replacement queues and the ghost (bounded caches
+	// only). Lock order: a goroutine may acquire lruMu while holding a
+	// shard lock (Store's insert and invalidation's unlink nest it), never
+	// the reverse — eviction takes the victim's shard lock with no other
+	// lock held. Keeping bucket membership and queue membership in one
+	// critical section is what makes a removed entry stay removed: the old
+	// protocol (never hold both) let a concurrent invalidation slip between
+	// a store's bucket insert and its link, resurrecting a dead entry into
+	// the queue.
+	lruMu       sync.Mutex
+	small, main fifo
+	smallCap    int // small's share of Capacity
+	ghost       ghost
 
 	// decMu guards the decision log, the invalidation/routing stats, and
 	// the per-combination invalidation counter handles.
@@ -200,10 +207,12 @@ type Cache struct {
 
 	updatesSeen atomic.Int64
 	bucketWalks atomic.Int64
+	evictions   atomic.Int64
 
 	reg        *obs.Registry
 	storesC    *obs.Counter
 	evictionsC *obs.Counter
+	readmitsC  *obs.Counter // bounded caches only
 	updatesC   *obs.Counter
 	visitedC   *obs.Counter
 	skippedC   *obs.Counter
@@ -243,6 +252,11 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 	c.allQueryIDs = make([]string, 0, len(app.Queries))
 	for _, qt := range app.Queries {
 		c.allQueryIDs = append(c.allQueryIDs, qt.ID)
+	}
+	if opts.Capacity > 0 {
+		c.smallCap = max(1, opts.Capacity/10)
+		c.ghost = ghost{max: opts.Capacity, set: make(map[uint64]int)}
+		c.readmitsC = reg.Counter(obs.MCacheGhostReadmits)
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
@@ -357,9 +371,7 @@ func (c *Cache) Stats() Stats {
 	st.BucketsVisited = c.bucketsVisited
 	st.BucketsSkipped = c.bucketsSkipped
 	c.decMu.Unlock()
-	c.lruMu.Lock()
-	st.Evictions = c.evictions
-	c.lruMu.Unlock()
+	st.Evictions = int(c.evictions.Load())
 	st.UpdatesSeen = int(c.updatesSeen.Load())
 	st.BucketWalks = int(c.bucketWalks.Load())
 	return st
@@ -395,9 +407,6 @@ func (c *Cache) Lookup(q wire.SealedQuery) (wire.SealedResult, bool) {
 	}
 	s.hits++
 	res := e.Result
-	// Touch while still holding the shard lock: the entry is provably in
-	// its bucket here, so it cannot be re-linked after a concurrent
-	// invalidation already removed it.
 	c.touch(e)
 	s.mu.Unlock()
 	ti.hits.Inc()
@@ -435,9 +444,9 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	old := b[q.Key]
 	b[q.Key] = e
 	s.stores++
-	// Link into the LRU inside the same critical section as the bucket
-	// insert, so no invalidation can observe the entry in its bucket but
-	// not in the list (or vice versa). Victims are evicted after the lock
+	// Link into a replacement queue inside the same critical section as the
+	// bucket insert, so no invalidation can observe the entry in its bucket
+	// but not in a queue (or vice versa). Victims are evicted after the lock
 	// drops — evict takes the victim's own shard lock.
 	victims := c.trackInsert(e, old)
 	s.mu.Unlock()
@@ -469,12 +478,12 @@ func (c *Cache) OnUpdate(u wire.SealedUpdate) int {
 
 // applyToBucket applies one update instance against one non-empty bucket:
 // it picks the strategy class from the exposure pair, drops whole buckets
-// or individual entries accordingly, and unlinks whatever died from the
-// LRU. Called under the bucket's shard lock; the caller owns the entries
-// gauge and the decision log. walk is its one production caller; the test
-// oracle funnels through here too, so the two can differ only in which
-// buckets they visit and in what order, which is what the parity tests
-// check.
+// or individual entries accordingly, and unlinks whatever died from its
+// replacement queue. Called under the bucket's shard lock; the caller owns
+// the entries gauge and the decision log. walk is its one production
+// caller; the test oracle funnels through here too, so the two can differ
+// only in which buckets they visit and in what order, which is what the
+// parity tests check.
 func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router) (invalidate.Class, []*Entry) {
 	// All entries in a bucket share a template and hence an exposure.
 	var sample *Entry

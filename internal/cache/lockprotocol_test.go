@@ -8,21 +8,22 @@ import (
 	"dssp/internal/wire"
 )
 
-// Deterministic regression tests for the shard/LRU lock protocol. The
-// concurrency bugs these pin down had windows of a few instructions —
-// far too narrow for a stress test to hit reliably (in particular on a
-// single-CPU runner, where goroutines only interleave at preemption
-// points). Instead of racing the window, these tests freeze it: holding
-// lruMu from the test parks the next LRU transition (touch, trackInsert,
-// unlink) mid-flight, and the protocol requires every one of those
-// transitions to happen inside the owning entry's shard critical section
-// — so the parked goroutine must still hold its shard lock, observably
-// via TryLock. The pre-fix protocol released the shard lock first
-// (Lookup touched after unlocking; Store linked after publishing its
-// bucket insert; dropAllBuckets unlocked mid-walk to unlink), which is
-// exactly the window where a concurrent invalidation and a late link
-// could strand a dead entry in the LRU; under the old protocol the
-// parked goroutine holds no shard lock and these tests fail.
+// Deterministic regression tests for the shard/replacement-queue lock
+// protocol. The concurrency bugs these pin down had windows of a few
+// instructions — far too narrow for a stress test to hit reliably (in
+// particular on a single-CPU runner, where goroutines only interleave at
+// preemption points). Instead of racing the window, these tests freeze it:
+// holding lruMu from the test parks the next queue transition
+// (trackInsert, unlink) mid-flight, and the protocol requires every one of
+// those transitions to happen inside the owning entry's shard critical
+// section — so the parked goroutine must still hold its shard lock,
+// observably via TryLock. The pre-fix protocol released the shard lock
+// first (Store linked after publishing its bucket insert; dropAllBuckets
+// unlocked mid-walk to unlink), which is exactly the window where a
+// concurrent invalidation and a late link could strand a dead entry in a
+// queue; under the old protocol the parked goroutine holds no shard lock
+// and these tests fail. A hit is not a queue transition: it bumps the
+// entry's count and must not wait for lruMu at all.
 
 // heldShard returns a shard whose mutex is held steadily by another
 // goroutine, or nil. The steadiness re-checks distinguish a goroutine
@@ -51,7 +52,7 @@ func heldShard(c *Cache) *shard {
 }
 
 // waitShardHeld polls until some shard lock is held steadily, or fails
-// the test: the frozen LRU transition is executing outside its shard
+// the test: the frozen queue transition is executing outside its shard
 // critical section.
 func waitShardHeld(t *testing.T, c *Cache, what string) {
 	t.Helper()
@@ -62,7 +63,7 @@ func waitShardHeld(t *testing.T, c *Cache, what string) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	t.Errorf("%s parked at the LRU without holding its shard lock (transition escaped the shard critical section)", what)
+	t.Errorf("%s parked at lruMu without holding its shard lock (transition escaped the shard critical section)", what)
 }
 
 // protocolFixture builds a bounded cache holding one linked Q2 entry.
@@ -93,23 +94,33 @@ func TestStoreLinksInsideShardCriticalSection(t *testing.T) {
 	waitShardHeld(t, c, "Store")
 	c.lruMu.Unlock()
 	<-done
-	auditLRU(t, c)
+	auditQueues(t, c)
 }
 
-func TestLookupTouchesInsideShardCriticalSection(t *testing.T) {
+// TestLookupTakesNoReplacementLock is the opposite of the two around it:
+// with lruMu held by the test, a hit completes and is counted on the entry.
+func TestLookupTakesNoReplacementLock(t *testing.T) {
 	c, q1, _, _ := protocolFixture(t)
 	c.lruMu.Lock()
-	done := make(chan struct{})
+	defer c.lruMu.Unlock()
+	done := make(chan bool, 1) // the one send must not block if the test gave up
 	go func() {
-		if _, hit := c.Lookup(q1); !hit {
+		_, hit := c.Lookup(q1)
+		done <- hit
+	}()
+	select {
+	case hit := <-done:
+		if !hit {
 			t.Error("lookup missed a stored entry")
 		}
-		close(done)
-	}()
-	waitShardHeld(t, c, "Lookup's touch")
-	c.lruMu.Unlock()
-	<-done
-	auditLRU(t, c)
+	case <-time.After(5 * time.Second):
+		t.Fatal("Lookup waits for lruMu")
+	}
+	var freq uint32
+	c.Entries(func(e *Entry) { freq = e.freq.Load() })
+	if freq != 1 {
+		t.Errorf("hit count on the entry = %d, want 1", freq)
+	}
 }
 
 func TestBlindWalkUnlinksInsideShardCriticalSection(t *testing.T) {
@@ -129,5 +140,5 @@ func TestBlindWalkUnlinksInsideShardCriticalSection(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("%d entries survived a blind pass", c.Len())
 	}
-	auditLRU(t, c)
+	auditQueues(t, c)
 }

@@ -20,10 +20,11 @@ import (
 // untouched).
 
 // ExportBuckets copies the sealed entries of the named template buckets,
-// assigning each an LRU ordinal: position in eviction order among the
-// exported set, least recently used first. On an unbounded cache (no LRU
-// list) the ordinal falls back to the deterministic template|key order.
-// The returned slice is sorted by ordinal.
+// assigning each an ordinal: position in eviction order among the exported
+// set, first to go first — the small queue oldest to newest, then main
+// oldest to newest. On an unbounded cache (no queues) the ordinal falls
+// back to the deterministic template|key order. The returned slice is
+// sorted by ordinal.
 func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 	type exported struct {
 		entry wire.BucketEntry
@@ -46,11 +47,11 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 		s.mu.Unlock()
 	}
 
-	// Rank the exported entries by LRU recency. The list is read in its
-	// own critical section after the shard locks drop (lock order: lruMu
-	// nests inside shard locks, so holding both across shards is not an
-	// option); an entry that leaves the list in the window simply keeps
-	// no rank and sorts as least recent.
+	// Rank the exported entries by eviction order. The queues are read in
+	// their own critical section after the shard locks drop (lock order:
+	// lruMu nests inside shard locks, so holding both across shards is not
+	// an option); an entry that leaves its queue in the window simply keeps
+	// no rank and sorts first.
 	rank := make(map[*Entry]int, len(out))
 	if c.opts.Capacity > 0 {
 		inSet := make(map[*Entry]bool, len(out))
@@ -59,10 +60,12 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 		}
 		c.lruMu.Lock()
 		r := 0
-		for e := c.lru.tail; e != nil; e = e.prev {
-			if inSet[e] {
-				rank[e] = r
-				r++
+		for _, q := range []*fifo{&c.small, &c.main} {
+			for e := q.tail; e != nil; e = e.prev {
+				if inSet[e] {
+					rank[e] = r
+					r++
+				}
 			}
 		}
 		c.lruMu.Unlock()
@@ -71,7 +74,7 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 		ri, iok := rank[out[i].ptr]
 		rj, jok := rank[out[j].ptr]
 		if iok != jok {
-			return !iok // unranked sorts least recent
+			return !iok // unranked sorts first
 		}
 		if iok && ri != rj {
 			return ri < rj
@@ -88,11 +91,11 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 	return entries
 }
 
-// ImportBuckets inserts migrated sealed entries in LRU order (least
-// recent first, so the receiving cache's eviction order extends the
-// sender's) and returns how many were taken. Keys the cache already
-// holds are skipped — the local copy is at least as fresh, since both
-// sides see every confirmed invalidation during the handoff window.
+// ImportBuckets inserts migrated sealed entries in ordinal order into the
+// main queue (first to go first, so the receiving cache's eviction order
+// extends the sender's) and returns how many were taken. Keys the cache
+// already holds are skipped — the local copy is at least as fresh, since
+// both sides see every confirmed invalidation during the handoff window.
 // Imports do not count as stores; they land in a dedicated counter.
 func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 	sorted := append([]wire.BucketEntry(nil), entries...)
@@ -116,7 +119,7 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 			continue
 		}
 		b[q.Key] = e
-		victims := c.trackInsert(e, nil)
+		victims := c.linkWarm(e)
 		s.mu.Unlock()
 		c.entries.Add(1)
 		for _, v := range victims {

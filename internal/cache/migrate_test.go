@@ -1,35 +1,38 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 )
 
-func TestExportBucketsOrdinalsFollowLRU(t *testing.T) {
-	c, codec, app := testStack(t, nil, Options{Capacity: 16})
+func TestExportBucketsOrdinalsFollowEvictionOrder(t *testing.T) {
+	c, codec, app := testStack(t, nil, Options{Capacity: 4})
 	q := app.Query("Q2")
-	for i := int64(0); i < 4; i++ {
-		sq := seal(t, codec, q, sqlparse.IntVal(i))
-		c.Store(sq, codec.SealResult(q, result(i*10)), false)
+	store := func(i int64) {
+		c.Store(seal(t, codec, q, sqlparse.IntVal(i)), codec.SealResult(q, result(i*10)), false)
 	}
-	// Touch entry 0: it becomes most recent, so it must export last.
+	for i := int64(0); i < 4; i++ {
+		store(i)
+	}
+	// Hit entry 0, then overflow: 0 is promoted to main and 1 evicted, so
+	// small holds 2, 3, 4 (oldest first) and main holds 0, the last to go.
 	if _, hit := c.Lookup(seal(t, codec, q, sqlparse.IntVal(0))); !hit {
 		t.Fatal("warm entry missing")
 	}
+	store(4)
 	entries := c.ExportBuckets([]string{"Q2"})
-	if len(entries) != 4 {
-		t.Fatalf("exported %d entries, want 4", len(entries))
-	}
+	var got []int64
 	for i, e := range entries {
 		if e.Ordinal != i {
 			t.Errorf("entry %d has ordinal %d; export must be sorted by ordinal", i, e.Ordinal)
 		}
+		got = append(got, e.Query.Params[0].Int)
 	}
-	last := entries[len(entries)-1].Query
-	if last.Params[0].Int != 0 {
-		t.Errorf("most recently used entry (param 0) exported with ordinal %d, want last", last.Params[0].Int)
+	if want := []int64{2, 3, 4, 0}; !reflect.DeepEqual(got, want) {
+		t.Errorf("exported in order %v, want eviction order %v (small oldest first, then main)", got, want)
 	}
 	// Export is a copy: the source cache still serves every entry.
 	if c.Len() != 4 {

@@ -196,8 +196,8 @@ func TestRouteParity(t *testing.T) {
 // application does not define. Three appliers see the same rounds:
 // the oracle, OnUpdate, and OnUpdateBatchCounts cut at random boundaries;
 // per-update counts, decision logs, dumps and logical stats must agree.
-// The bounded variant keeps the LRU machinery live (capacity far above
-// the working set, so nothing evicts and the audit is exact).
+// The bounded variant keeps the replacement machinery live (capacity far
+// above the working set, so nothing evicts).
 func TestWalkMatchesOracleUnderRandomGrouping(t *testing.T) {
 	const roundOps = 60
 	rp := newReplay(t, apps.NewBookstore(), 600, 7)
@@ -297,12 +297,12 @@ func TestWalkMatchesOracleUnderRandomGrouping(t *testing.T) {
 					t.Errorf("the walk probed %d buckets, the oracle only %d", st.BucketWalks, wantStats.BucketWalks)
 				}
 				if capacity > 0 {
-					auditLRU(t, c)
+					auditQueues(t, c)
 				}
 			}
 
 			if capacity > 0 {
-				auditLRU(t, oracle)
+				auditQueues(t, oracle)
 			}
 			t.Run("OnUpdate", func(t *testing.T) {
 				c, counts := run(capacity, oneByOne((*Cache).OnUpdate))

@@ -11,10 +11,11 @@ import (
 
 // TestConcurrentStress hammers the sharded cache from concurrent lookup,
 // store, and invalidation workers and then audits every counter the cache
-// maintains incrementally (per-shard tallies, the entries gauge, the LRU
-// eviction count) against ground truth recomputed by walking the cache.
+// maintains incrementally (per-shard tallies, the entries gauge, the
+// eviction count, the replacement queues) against ground truth recomputed
+// by walking the cache.
 // Run under -race (CI does) this also proves the striped-lock design has
-// no data races across the shard/LRU/decision-log lock domains.
+// no data races across the shard/replacement/decision-log lock domains.
 func TestConcurrentStress(t *testing.T) {
 	for _, capacity := range []int{0, 64} {
 		capacity := capacity
@@ -153,15 +154,7 @@ func TestConcurrentStress(t *testing.T) {
 				t.Errorf("entries gauge = %d, Len() = %d", g, c.Len())
 			}
 			if capacity > 0 {
-				if c.Len() > capacity {
-					t.Errorf("Len = %d exceeds capacity %d", c.Len(), capacity)
-				}
-				c.lruMu.Lock()
-				lruLen := c.lru.len
-				c.lruMu.Unlock()
-				if lruLen != c.Len() {
-					t.Errorf("LRU holds %d entries, cache holds %d", lruLen, c.Len())
-				}
+				auditQueues(t, c)
 				if st.Evictions == 0 {
 					t.Error("bounded run saw no evictions")
 				}

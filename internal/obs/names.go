@@ -14,6 +14,13 @@ const (
 	MCacheUpdatesSeen   = "dssp_cache_updates_seen_total"
 	MCacheEntries       = "dssp_cache_entries" // gauge
 
+	// Stores of a key a bounded cache evicted unhit a moment ago and still
+	// remembers (cache/replacement.go): misses a slightly larger cache
+	// would have served, which is the signal for sizing -capacity. One
+	// series per cache, no template label; unbounded caches do not
+	// register it.
+	MCacheGhostReadmits = "dssp_cache_ghost_readmits_total"
+
 	// Migrated sealed entries taken in during a ring rebalance. Not
 	// stores: the entry was earned by a miss somewhere once; migration
 	// only rehomes it. Registered lazily on first import, so static

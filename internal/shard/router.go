@@ -30,7 +30,7 @@ type Backend interface {
 	// miss from a read replica.
 	Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (invalidated int, err error)
 	// ExportBuckets copies the sealed entries of the named template
-	// buckets, LRU-ordered (least recent first), without disturbing them.
+	// buckets, in eviction order (first to go first), without disturbing them.
 	ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error)
 	// ImportBuckets inserts migrated sealed entries, skipping keys the
 	// node already holds, and returns how many it took.

@@ -781,7 +781,7 @@ func Simulate(cfg Config) (*Result, error) {
 
 // sortedKeys returns a migration group map's node keys in ascending
 // order, so warm handoffs run in a deterministic order (map iteration
-// would otherwise vary the import order, and with it LRU state).
+// would otherwise vary the import order, and with it replacement state).
 func sortedKeys(m map[int][]string) []int {
 	keys := make([]int, 0, len(m))
 	for k := range m {

@@ -21,9 +21,9 @@ import (
 //	ids     = uvarint(n) str*
 
 // BucketEntry is one sealed cache entry in flight between nodes during a
-// ring rebalance. Ordinal is the entry's LRU recency rank among the
-// exported set — lower is least recently used — so the importing node
-// can rebuild the same eviction order.
+// ring rebalance. Ordinal is the entry's rank in the exporting cache's
+// eviction order among the exported set — lower goes first — so the
+// importing node can rebuild the same order.
 type BucketEntry struct {
 	Query   SealedQuery
 	Result  SealedResult
