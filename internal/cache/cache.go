@@ -55,8 +55,10 @@ type Entry struct {
 
 // newEntry builds the stored form of a result. The query is kept as the
 // DSSP may inspect it, less what belonged to the one request that happened
-// to fetch it: an entry outlives that request, and must not keep its trace
-// and span IDs alive (nor show them to whoever exports the bucket).
+// to fetch it: an entry outlives that request, and must not show its trace
+// and span IDs to whoever reads or exports the bucket. (Over HTTP their
+// bytes do stay allocated: a decoded query's strings share one copy of the
+// message's head, which the entry's key holds — wire.decodeSealed.)
 func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
 	q.TraceID, q.ParentSpan = "", ""
 	return &Entry{Query: q, Result: r}

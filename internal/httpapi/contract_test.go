@@ -244,7 +244,7 @@ func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 	}))
 	defer srv.Close()
 	reg := obs.NewRegistry()
-	proxy := replicaProxy{url: srv.URL, part: 3, client: srv.Client(), reg: reg}
+	proxy := newReplicaProxy(srv.Client(), srv.URL, 3, reg)
 	call := func(st int, h map[string]string) (pipeline.ExecQueryResult, error) {
 		status, hdrs = st, h
 		var res pipeline.ExecQueryResult

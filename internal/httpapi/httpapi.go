@@ -24,17 +24,18 @@
 //
 // Every process exposes GET /v1/metrics — a snapshot of its obs.Registry
 // in JSON (default) or the Prometheus text exposition format
-// (?format=prom, or Accept: text/plain). Requests carry their wire-level
-// trace ID in the X-DSSP-Trace header, so one statement can be followed
-// from client through node to home server.
+// (?format=prom, or Accept: text/plain). A statement's trace ID and its
+// sender's span ID travel inside the sealed message (wire.WithTrace), so
+// one statement can be followed from client through node to home server.
+//
+// Every POST between processes is built and sent by hop.send (hop.go), the
+// one request builder.
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -87,15 +88,6 @@ const (
 	PathReplicaStatus   = "/v1/replica/status"   // replica: applied watermark, JSON
 	PathReplicaRegister = "/v1/replica/register" // home primary: subscribe a replica to the confirmed stream, JSON
 	PathReplicas        = "/v1/replicas"         // home primary: registered replicas + acked sequences, JSON
-)
-
-// TraceHeader carries the request's trace ID between processes;
-// SpanParentHeader carries the sender's in-progress span ID, so the
-// receiver's spans nest under it when the sealed message predates (or
-// lost) its embedded ParentSpan field.
-const (
-	TraceHeader      = "X-DSSP-Trace"
-	SpanParentHeader = "X-DSSP-Span-Parent"
 )
 
 // Staleness headers of the replicated home tier. ConfirmSeqHeader rides
@@ -191,111 +183,6 @@ func badHeader(reg *obs.Registry, name, v string) error {
 		reg.Counter(obs.MHTTPBadHeaders).Inc()
 	}
 	return fmt.Errorf("httpapi: malformed %s header %q", name, v)
-}
-
-// post sends one hop request with the trace ID attached and decodes the
-// response. hdrs carries extra request headers (nil for none — e.g. the
-// confirmed-sequence staleness header on invalidation fan-out). The
-// context bounds the whole round trip. When idempotent is true (query
-// paths only), a connection-level error is retried once after a short
-// backoff — a response that arrived, whatever its status, is never
-// retried, and updates never are (a lost ack does not prove the update
-// was not applied). reg, when non-nil, counts retries.
-func post(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, req, resp message, idempotent bool, reg *obs.Registry) error {
-	body := encodeMessage(req)
-	r, err := doPost(ctx, client, url, trace, parent, hdrs, body)
-	if err != nil && idempotent && ctx.Err() == nil {
-		if reg != nil {
-			reg.Counter(obs.MHTTPRetries).Inc()
-		}
-		select {
-		case <-time.After(retryBackoff):
-		case <-ctx.Done():
-			return err
-		}
-		r, err = doPost(ctx, client, url, trace, parent, hdrs, body)
-	}
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return statusError(url, r)
-	}
-	if err := decodeResponse(r, resp); err != nil {
-		return fmt.Errorf("httpapi: %s: response: %w", url, err)
-	}
-	return nil
-}
-
-// statusError renders a non-200 response as an error, quoting the head of
-// its body.
-func statusError(url string, r *http.Response) error {
-	msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096)) // best effort: the status alone is the error
-	return fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(msg))
-}
-
-// doPost performs one HTTP exchange; the body is a byte slice so retries
-// can resend it.
-func doPost(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, body []byte) (*http.Response, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hreq.Header.Set("Content-Type", wireContentType)
-	if trace != "" {
-		hreq.Header.Set(TraceHeader, trace)
-	}
-	if parent != "" {
-		hreq.Header.Set(SpanParentHeader, parent)
-	}
-	for k, vs := range hdrs {
-		for _, v := range vs {
-			hreq.Header.Add(k, v)
-		}
-	}
-	return client.Do(hreq)
-}
-
-// postBytes sends one raw request body and returns the raw response body
-// (at most maxBatchBytes of it). It is the migration stream's transport:
-// bucket exports, imports, and drops are all idempotent (exports copy,
-// imports skip keys the cache already holds, drops of an absent bucket
-// are no-ops), so a connection-level error is retried once like an
-// idempotent query.
-func postBytes(ctx context.Context, client *http.Client, url string, body []byte, reg *obs.Registry) ([]byte, error) {
-	do := func() (*http.Response, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/octet-stream")
-		return client.Do(hreq)
-	}
-	r, err := do()
-	if err != nil && ctx.Err() == nil {
-		if reg != nil {
-			reg.Counter(obs.MHTTPRetries).Inc()
-		}
-		select {
-		case <-time.After(retryBackoff):
-		case <-ctx.Done():
-			return nil, err
-		}
-		r, err = do()
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return nil, statusError(url, r)
-	}
-	raw, err := io.ReadAll(io.LimitReader(r.Body, maxBatchBytes+1))
-	if err == nil && len(raw) > maxBatchBytes {
-		err = errTooLarge
-	}
-	return raw, err
 }
 
 // MetricsHandler serves a registry snapshot: JSON by default, Prometheus
@@ -485,20 +372,27 @@ type NodeServer struct {
 // Queries are idempotent and retried once on connection errors; updates
 // are not.
 type httpTransport struct {
-	client  *http.Client
-	homeURL string
-	reg     *obs.Registry
+	query, update *hop
+	reg           *obs.Registry
+}
+
+func newHTTPTransport(client *http.Client, homeURL string, reg *obs.Registry) httpTransport {
+	return httpTransport{
+		query:  newHop(client, homeURL+PathExecQuery, wireContentTypeValue),
+		update: newHop(client, homeURL+PathExecUpdate, wireContentTypeValue),
+		reg:    reg,
+	}
 }
 
 func (t httpTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
 	var exec ExecQueryResponse
-	err := post(ctx, t.client, t.homeURL+PathExecQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &exec, true, t.reg)
+	err := t.query.post(ctx, "", "", (*queryMsg)(&sq), &exec, true, t.reg)
 	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned}, err)
 }
 
 func (t httpTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
 	var exec ExecUpdateResponse
-	err := post(ctx, t.client, t.homeURL+PathExecUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &exec, false, t.reg)
+	err := t.update.post(ctx, "", "", (*updateMsg)(&su), &exec, false, t.reg)
 	done(pipeline.ExecUpdateResult{Affected: exec.Affected, Seq: exec.Seq}, err)
 }
 
@@ -542,7 +436,6 @@ type HomeEndpoint struct {
 // appear in one /v1/metrics snapshot. A nil client gets a
 // DefaultTimeout-bounded one.
 func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Client, opts NodeOptions) *NodeServer {
-	client = defaultClient(client)
 	reg := node.Cache.Obs()
 	tracer := obs.NewTracer(reg, obs.WallClock()).
 		SetIdentity(obs.ProcNode, opts.NodeID).
@@ -553,10 +446,10 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 	}
 	parts := make([]pipeline.TierPart, len(tier))
 	for p, ep := range tier {
-		parts[p].Primary = httpTransport{client: client, homeURL: ep.Primary, reg: reg}
+		parts[p].Primary = newHTTPTransport(client, ep.Primary, reg)
 		for _, ru := range ep.Replicas {
 			parts[p].Replicas = append(parts[p].Replicas, pipeline.ReplicaEndpoint{
-				Name: ru, Backend: replicaProxy{url: ru, part: p, client: client, reg: reg}})
+				Name: ru, Backend: newReplicaProxy(client, ru, p, reg)})
 		}
 	}
 	transport, fresh := pipeline.NewTierTransport(parts, reg)
@@ -585,31 +478,11 @@ func (s *NodeServer) Handler() http.Handler {
 	return mux
 }
 
-// trace picks the request's trace ID: the sealed message's, or the HTTP
-// header when the message predates tracing.
-func trace(sealed string, r *http.Request) string {
-	if sealed != "" {
-		return sealed
-	}
-	return r.Header.Get(TraceHeader)
-}
-
-// spanParent picks the request's parent span ID: the sealed message's, or
-// the HTTP header.
-func spanParent(sealed string, r *http.Request) string {
-	if sealed != "" {
-		return sealed
-	}
-	return r.Header.Get(SpanParentHeader)
-}
-
 func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var sq wire.SealedQuery
 	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 		return
 	}
-	sq.TraceID = trace(sq.TraceID, r)
-	sq.ParentSpan = spanParent(sq.ParentSpan, r)
 	reply, err := s.Pipe.QuerySync(r.Context(), sq)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -628,8 +501,6 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
-	su.TraceID = trace(su.TraceID, r)
-	su.ParentSpan = spanParent(su.ParentSpan, r)
 	// The fan-out's staleness header carries the update's confirmed home
 	// sequence; it raises this node's freshness floor (when the node
 	// fronts replicas) before invalidation runs, so no later miss is
@@ -665,7 +536,7 @@ func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	entries := s.Node.Cache.ExportBuckets(ids)
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header()["Content-Type"] = bytesContentTypeValue
 	if _, err := w.Write(wire.AppendBucketEntries(nil, entries)); err != nil {
 		slog.Warn("httpapi: bucket export write failed", "entries", len(entries), "err", err)
 		s.Reg.Counter(obs.MHTTPWriteErrors).Inc()
@@ -720,8 +591,6 @@ func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
-	su.TraceID = trace(su.TraceID, r)
-	su.ParentSpan = spanParent(su.ParentSpan, r)
 	reply, err := s.Pipe.UpdateSync(r.Context(), su)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -735,19 +604,24 @@ func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // node, and opens the (possibly encrypted) results.
 type Client struct {
 	Codec   *wire.Codec
-	NodeURL string
-	HTTP    *http.Client
+	NodeURL string // the node's (or router's) base URL, as given to NewClient
 
 	// Tracer, when set, records the trusted-side stages (seal, open) of
 	// every statement. nil disables client-side tracing; the node and
 	// home server instrument their own sides regardless.
 	Tracer *obs.Tracer
+
+	query, update *hop
 }
 
 // NewClient builds a remote client. A nil httpClient gets a
 // DefaultTimeout-bounded one.
 func NewClient(codec *wire.Codec, nodeURL string, httpClient *http.Client) *Client {
-	return &Client{Codec: codec, NodeURL: nodeURL, HTTP: defaultClient(httpClient)}
+	return &Client{
+		Codec: codec, NodeURL: nodeURL,
+		query:  newHop(httpClient, nodeURL+PathQuery, wireContentTypeValue),
+		update: newHop(httpClient, nodeURL+PathUpdate, wireContentTypeValue),
+	}
 }
 
 // Query runs one query template instance through the remote node. The
@@ -764,13 +638,13 @@ func (c *Client) Query(ctx context.Context, t *template.Template, params ...inte
 		return nil, err
 	}
 	// The seal span is the trace's root; every downstream hop nests under
-	// it via the sealed message's ParentSpan / the span-parent header.
+	// it via the sealed message's ParentSpan.
 	sq.ParentSpan = c.Tracer.ObserveSpan(obs.SpanRecord{
 		Trace: sq.TraceID, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
 	var resp QueryResponse
-	if err := post(ctx, c.HTTP, c.NodeURL+PathQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &resp, true, c.Tracer.Registry()); err != nil {
+	if err := c.query.post(ctx, "", "", (*queryMsg)(&sq), &resp, true, c.Tracer.Registry()); err != nil {
 		return nil, err
 	}
 	op := c.Tracer.Start(sq.TraceID, obs.StageOpen, t.ID)
@@ -800,7 +674,7 @@ func (c *Client) Update(ctx context.Context, t *template.Template, params ...int
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
 	var resp UpdateResponse
-	if err := post(ctx, c.HTTP, c.NodeURL+PathUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &resp, false, c.Tracer.Registry()); err != nil {
+	if err := c.update.post(ctx, "", "", (*updateMsg)(&su), &resp, false, c.Tracer.Registry()); err != nil {
 		return 0, 0, err
 	}
 	return resp.Affected, resp.Invalidated, nil

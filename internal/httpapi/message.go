@@ -347,13 +347,15 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64, wb *wireBuf) 
 	// check could — and tells the server to close the connection instead
 	// of draining the excess.
 	err := wb.readFrom(http.MaxBytesReader(w, r.Body, limit), limit)
-	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
+	if err == nil {
 		return true
-	case errors.As(err, &tooBig):
+	}
+	// Declared past the return: errors.As makes it escape, and a body that
+	// read cleanly should not pay for the allocation.
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
 		http.Error(w, errTooLarge.Error(), http.StatusRequestEntityTooLarge)
-	default:
+	} else {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return false
@@ -387,7 +389,7 @@ func writeMessage(reg *obs.Registry, w http.ResponseWriter, m message) {
 	wb := getBuf()
 	defer putBuf(wb)
 	wb.b = m.appendWire(wb.b[:0])
-	w.Header().Set("Content-Type", wireContentType)
+	w.Header()["Content-Type"] = wireContentTypeValue
 	if _, err := w.Write(wb.b); err != nil {
 		slog.Warn("httpapi: response write failed", "bytes", len(wb.b), "err", err)
 		if reg != nil {

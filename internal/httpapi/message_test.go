@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"time"
 
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
@@ -226,11 +227,20 @@ func BenchmarkHopCodec(b *testing.B) {
 	}
 }
 
-// BenchmarkHopRoundTrip is the same exchange through post, a loopback
+// BenchmarkHopRoundTrip is the same exchange through hop.post, a loopback
 // keep-alive connection, and a handler that reads and answers the way
 // every sealed endpoint does: what one hop of the fleet costs before any
-// cache or engine work. Gated in BENCH_allocs.json.
-func BenchmarkHopRoundTrip(b *testing.B) {
+// cache or engine work. Its client has no Timeout; a deployed hop's always
+// does, and BenchmarkHopRoundTripDeadline is that one. Both are gated in
+// BENCH_allocs.json.
+func BenchmarkHopRoundTrip(b *testing.B) { benchmarkHopRoundTrip(b, 0) }
+
+// BenchmarkHopRoundTripDeadline is the round trip as every deployment and
+// the repository's benchmark make it: under an http.Client whose Timeout
+// is DefaultTimeout, so each attempt also arms and releases a deadline.
+func BenchmarkHopRoundTripDeadline(b *testing.B) { benchmarkHopRoundTrip(b, DefaultTimeout) }
+
+func benchmarkHopRoundTrip(b *testing.B, timeout time.Duration) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var got wire.SealedQuery
@@ -240,11 +250,12 @@ func BenchmarkHopRoundTrip(b *testing.B) {
 		writeMessage(nil, w, &QueryResponse{Result: sr, Hit: true})
 	}))
 	defer srv.Close()
+	h := newHop(&http.Client{Timeout: timeout, Transport: srv.Client().Transport}, srv.URL, wireContentTypeValue)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := post(ctx, srv.Client(), srv.URL, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &hopSink.resp, true, nil); err != nil {
+		if err := h.post(ctx, "", "", (*queryMsg)(&sq), &hopSink.resp, true, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

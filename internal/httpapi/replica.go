@@ -175,6 +175,7 @@ type ReplicaHub struct {
 // prefix the replica has acknowledged applying.
 type replicaStream struct {
 	url   string
+	apply *hop
 	acked uint64
 }
 
@@ -219,7 +220,7 @@ func (h *ReplicaHub) Register(url string) {
 	if _, ok := h.streams[url]; ok {
 		return
 	}
-	st := &replicaStream{url: url}
+	st := &replicaStream{url: url, apply: newHop(h.client, url+PathReplicaApply, wireContentTypeValue)}
 	h.streams[url] = st
 	h.wg.Add(1)
 	go h.run(st)
@@ -246,7 +247,7 @@ func (h *ReplicaHub) run(st *replicaStream) {
 		h.mu.Unlock()
 		batch = fitApplyBatch(batch)
 
-		applied, err := h.push(st.url, batch)
+		applied, err := push(st.apply, batch)
 		if err != nil {
 			if h.reg != nil {
 				h.reg.Counter(obs.MHTTPRetries).Inc()
@@ -288,11 +289,11 @@ func fitApplyBatch(batch []homeserver.Confirmed) []homeserver.Confirmed {
 
 // push sends one batch to a replica's apply endpoint and returns the
 // acknowledged watermark.
-func (h *ReplicaHub) push(url string, batch []homeserver.Confirmed) (uint64, error) {
+func push(apply *hop, batch []homeserver.Confirmed) (uint64, error) {
 	var resp ReplicaApplyResponse
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 	defer cancel()
-	err := post(ctx, h.client, url+PathReplicaApply, "", "", nil, &ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
+	err := apply.post(ctx, "", "", &ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -366,10 +367,13 @@ func (h *ReplicaHub) Close() {
 // treats it like any failed call. No retry — the replica set's primary
 // fallback is the retry.
 type replicaProxy struct {
-	url    string
-	part   int
-	client *http.Client
-	reg    *obs.Registry
+	query *hop
+	part  int
+	reg   *obs.Registry
+}
+
+func newReplicaProxy(client *http.Client, url string, part int, reg *obs.Registry) replicaProxy {
+	return replicaProxy{query: newHop(client, url+PathExecQuery, wireContentTypeValue), part: part, reg: reg}
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
@@ -378,9 +382,8 @@ func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq u
 }
 
 func (p replicaProxy) queryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64) (exec ExecQueryResponse, applied uint64, err error) {
-	url := p.url + PathExecQuery
-	hdrs := http.Header{MinSeqHeader: []string{strconv.FormatUint(minSeq, 10)}}
-	r, err := doPost(ctx, p.client, url, sq.TraceID, sq.ParentSpan, hdrs, encodeMessage((*queryMsg)(&sq)))
+	url := p.query.target
+	r, err := p.query.send(ctx, encodeMessage((*queryMsg)(&sq)), MinSeqHeader, strconv.FormatUint(minSeq, 10))
 	if err != nil {
 		return exec, 0, err
 	}

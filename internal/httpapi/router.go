@@ -23,21 +23,29 @@ import (
 // buckets is a no-op); updates are never retried, because a lost ack does
 // not prove the update was not applied.
 type NodeProxy struct {
-	URL    string
-	Client *http.Client
-	Reg    *obs.Registry
+	query, update, invalidate                 *hop
+	exportBuckets, importBuckets, dropBuckets *hop
+	reg                                       *obs.Registry
 }
 
 // NewNodeProxy points a proxy at one node's base URL. A nil client gets a
-// DefaultTimeout-bounded one.
+// DefaultTimeout-bounded one; reg (nil allowed) counts retries.
 func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy {
-	return NodeProxy{URL: url, Client: defaultClient(client), Reg: reg}
+	return NodeProxy{
+		query:         newHop(client, url+PathQuery, wireContentTypeValue),
+		update:        newHop(client, url+PathUpdate, wireContentTypeValue),
+		invalidate:    newHop(client, url+PathInvalidate, wireContentTypeValue),
+		exportBuckets: newHop(client, url+PathBucketExport, bytesContentTypeValue),
+		importBuckets: newHop(client, url+PathBucketImport, bytesContentTypeValue),
+		dropBuckets:   newHop(client, url+PathBucketDrop, bytesContentTypeValue),
+		reg:           reg,
+	}
 }
 
 // Query proxies a sealed query to the node.
 func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
 	var resp QueryResponse
-	err := post(ctx, p.Client, p.URL+PathQuery, sq.TraceID, sq.ParentSpan, nil, (*queryMsg)(&sq), &resp, true, p.Reg)
+	err := p.query.post(ctx, "", "", (*queryMsg)(&sq), &resp, true, p.reg)
 	return resp.Result, resp.Hit, err
 }
 
@@ -45,7 +53,7 @@ func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedR
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
 	var resp UpdateResponse
-	err := post(ctx, p.Client, p.URL+PathUpdate, su.TraceID, su.ParentSpan, nil, (*updateMsg)(&su), &resp, false, p.Reg)
+	err := p.update.post(ctx, "", "", (*updateMsg)(&su), &resp, false, p.reg)
 	return resp.Affected, resp.Invalidated, resp.Seq, err
 }
 
@@ -55,8 +63,7 @@ func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, 
 // proxy-error counter and are returned to the fan-out's retry path.
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
 	var resp InvalidateResponse
-	hdrs := http.Header{ConfirmSeqHeader: []string{strconv.FormatUint(seq, 10)}}
-	err := post(ctx, p.Client, p.URL+PathInvalidate, su.TraceID, su.ParentSpan, hdrs, (*updateMsg)(&su), &resp, true, p.Reg)
+	err := p.invalidate.post(ctx, ConfirmSeqHeader, strconv.FormatUint(seq, 10), (*updateMsg)(&su), &resp, true, p.reg)
 	return resp.Invalidated, err
 }
 
@@ -64,7 +71,7 @@ func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uin
 // node for a warm handoff. Request and response are the raw wire
 // migration encoding (wire/bucket.go).
 func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error) {
-	raw, err := postBytes(ctx, p.Client, p.URL+PathBucketExport, wire.AppendTemplateIDs(nil, templateIDs), p.Reg)
+	raw, err := p.exportBuckets.postBytes(ctx, wire.AppendTemplateIDs(nil, templateIDs), p.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +80,7 @@ func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]w
 
 // ImportBuckets pushes migrated sealed entries into the node's cache.
 func (p NodeProxy) ImportBuckets(ctx context.Context, entries []wire.BucketEntry) (int, error) {
-	raw, err := postBytes(ctx, p.Client, p.URL+PathBucketImport, wire.AppendBucketEntries(nil, entries), p.Reg)
+	raw, err := p.importBuckets.postBytes(ctx, wire.AppendBucketEntries(nil, entries), p.reg)
 	if err != nil {
 		return 0, err
 	}
@@ -86,7 +93,7 @@ func (p NodeProxy) ImportBuckets(ctx context.Context, entries []wire.BucketEntry
 
 // DropBuckets removes migrated buckets from the node after the epoch flip.
 func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, error) {
-	raw, err := postBytes(ctx, p.Client, p.URL+PathBucketDrop, wire.AppendTemplateIDs(nil, templateIDs), p.Reg)
+	raw, err := p.dropBuckets.postBytes(ctx, wire.AppendTemplateIDs(nil, templateIDs), p.reg)
 	if err != nil {
 		return 0, err
 	}
@@ -202,8 +209,6 @@ func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 		return
 	}
-	sq.TraceID = trace(sq.TraceID, r)
-	sq.ParentSpan = spanParent(sq.ParentSpan, r)
 	reply, err := s.Pipe.QuerySync(r.Context(), sq)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
@@ -217,8 +222,6 @@ func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
-	su.TraceID = trace(su.TraceID, r)
-	su.ParentSpan = spanParent(su.ParentSpan, r)
 	reply, err := s.Pipe.UpdateSync(r.Context(), su)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)

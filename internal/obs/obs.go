@@ -16,7 +16,7 @@ package obs
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -169,7 +169,7 @@ func (r *Registry) SetLabelCap(n int) {
 func sortLabels(labels []Label) []Label {
 	out := make([]Label, len(labels))
 	copy(out, labels)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	slices.SortFunc(out, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
 	return out
 }
 

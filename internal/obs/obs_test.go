@@ -312,6 +312,99 @@ func TestTracerStageCacheBounded(t *testing.T) {
 	}
 }
 
+// The store is a ring of traces in arrival order: past its bound the oldest
+// trace goes, whichever trace a span belongs to it joins that trace, and the
+// readers see arrival order across the wrap.
+func TestSpanStoreEvictsOldestFirst(t *testing.T) {
+	s := NewSpanStore(3)
+	add := func(trace, stage string) { s.Add(SpanRecord{Trace: trace, Stage: stage}) }
+	add("a", "1")
+	add("b", "1")
+	add("a", "2")
+	add("c", "1")
+	add("", "dropped")
+	if got := s.TraceIDs(10); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
+		t.Fatalf("TraceIDs = %v", got)
+	}
+	add("d", "1") // evicts a
+	add("b", "2")
+	add("e", "1") // evicts b
+	add("a", "3") // a is a new trace again; evicts c
+	if got := s.TraceIDs(10); !reflect.DeepEqual(got, []string{"d", "e", "a"}) {
+		t.Errorf("TraceIDs after the wrap = %v, want [d e a]", got)
+	}
+	if got := s.TraceIDs(2); !reflect.DeepEqual(got, []string{"e", "a"}) {
+		t.Errorf("TraceIDs(2) = %v, want the newest two", got)
+	}
+	for _, gone := range []string{"b", "c"} {
+		if spans := s.Trace(gone); spans != nil {
+			t.Errorf("evicted trace %s still served: %+v", gone, spans)
+		}
+	}
+	if spans := s.Trace("a"); len(spans) != 1 || spans[0].Stage != "3" {
+		t.Errorf("trace a after its eviction and return = %+v, want only the new span", spans)
+	}
+	var order []string
+	for _, r := range s.All() {
+		order = append(order, r.Trace+r.Stage)
+	}
+	if !reflect.DeepEqual(order, []string{"d1", "e1", "a3"}) {
+		t.Errorf("All = %v", order)
+	}
+	for i := 0; i < storeMaxSpans+10; i++ {
+		add("e", "n")
+	}
+	if n := len(s.Trace("e")); n != storeMaxSpans {
+		t.Errorf("a trace holds %d spans, want the cap %d", n, storeMaxSpans)
+	}
+}
+
+// A full store indexes a trace of the usual length in the slot — and the
+// record array — of the trace it evicts, so it allocates nothing; and it
+// does not hand a long trace's array on, so its retained size stays what
+// usual traces need.
+func TestSpanStoreReusesEvictedSlots(t *testing.T) {
+	const traces = 64
+	s := NewSpanStore(traces)
+	ids := make([]string, 4*traces)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("trace-%d", i)
+	}
+	fill := func(from, to, spans int) {
+		for _, id := range ids[from:to] {
+			for k := 0; k < spans; k++ {
+				s.Add(SpanRecord{Trace: id, Stage: StageRoute})
+			}
+		}
+	}
+	fill(0, traces, 3)
+	next := traces
+	if n := testing.AllocsPerRun(traces, func() {
+		fill(next, next+1, 3)
+		next++
+	}); n != 0 {
+		t.Errorf("a three-span trace into a full store: %v allocations, want 0", n)
+	}
+	retained := func() (n int) {
+		for _, t := range s.slots {
+			n += cap(t.spans)
+		}
+		return n
+	}
+	if got := retained(); got > traces*storeReuseSpans {
+		t.Errorf("store of %d three-span traces retains %d records, want <= %d", traces, got, traces*storeReuseSpans)
+	}
+	fill(next, next+1, storeMaxSpans) // one runaway trace...
+	next++
+	fill(next, next+traces, 3) // ...evicted again
+	if got := retained(); got > traces*storeReuseSpans {
+		t.Errorf("after a %d-span trace came and went the store retains %d records, want <= %d", storeMaxSpans, got, traces*storeReuseSpans)
+	}
+	if spans := s.Trace(ids[next+traces-1]); len(spans) != 3 {
+		t.Errorf("newest trace = %+v", spans)
+	}
+}
+
 // BenchmarkSpanStartEnd is the price of one span on a warm tracer: the ID
 // string and nothing else (BENCH_allocs.json gates it).
 func BenchmarkSpanStartEnd(b *testing.B) {

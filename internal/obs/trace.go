@@ -10,9 +10,9 @@ import (
 )
 
 // Trace IDs are cheap process-unique strings: a random per-process prefix
-// plus a sequence number. They ride inside wire sealed messages and the
-// X-DSSP-Trace HTTP header, so one query or update can be followed across
-// client, router, node, and home server. They never become metric labels
+// plus a sequence number. They ride inside wire sealed messages, so one
+// query or update can be followed across client, router, node, and home
+// server. They never become metric labels
 // (that would be unbounded cardinality); they key the tracer's span log.
 var (
 	traceSeq    atomic.Int64
@@ -32,7 +32,7 @@ func NewTraceID() string { return formatID("-", traceSeq.Add(1)) }
 // formatSpanID renders a span's sequence number as its process-unique ID.
 // Span IDs link a request's stages into a tree: each hop records its spans
 // with the upstream span as parent, carried in the sealed message's
-// ParentSpan field and the X-DSSP-Span-Parent HTTP header.
+// ParentSpan field.
 //
 // A span is numbered when it starts and named only when someone reads the
 // name: most spans are recorded, aggregated into their stage's histogram
@@ -264,8 +264,7 @@ func (t *Tracer) Start(trace, stage, tmpl string) Span {
 
 // StartSpan opens a span under a parent span ID. The span's own ID is
 // assigned immediately — as a number; ID renders it — so it can be
-// propagated downstream (sealed message ParentSpan field,
-// X-DSSP-Span-Parent header) before End.
+// propagated downstream (the sealed message's ParentSpan field) before End.
 func (t *Tracer) StartSpan(trace, parent, stage, tmpl string) Span {
 	if t == nil {
 		return Span{}
@@ -351,10 +350,14 @@ func (t *Tracer) recent(n int) []SpanRecord {
 // DefaultStoreTraces bounds how many distinct traces a SpanStore retains;
 // storeMaxSpans bounds the spans kept per trace. Both caps make the store
 // safe to leave on in production: memory is O(traces × spans), not
-// O(requests).
+// O(requests). storeReuseSpans is the largest record array a slot hands on
+// to the next trace (a hop's usual span count: a router records three spans
+// per query, the other processes one or two), so one long trace cannot pin
+// its array in the ring.
 const (
 	DefaultStoreTraces = 256
 	storeMaxSpans      = 128
+	storeReuseSpans    = 4
 )
 
 // SpanStore is a bounded in-memory index of spans by trace ID: the
@@ -363,11 +366,23 @@ const (
 // cap are dropped (a trace that long indicates a propagation loop, not a
 // real request). Safe for concurrent use; shareable between tracers, so
 // the simulator's client/node/home tracers can feed one fleet-wide store.
+//
+// Every request is a new trace, so what a trace costs to index is paid per
+// request per process. The traces sit in a ring of slots in arrival order,
+// and a new trace takes over the slot — and the record array — of the one
+// it evicts: a full store indexes a trace of the usual length without
+// allocating, and holds no more than the arrays its traces grew to.
 type SpanStore struct {
-	mu     sync.Mutex
-	max    int
-	traces map[string][]SpanRecord
-	order  []string // trace IDs, oldest first
+	mu    sync.Mutex
+	max   int
+	index map[string]int // trace ID -> its slot
+	slots []storedTrace  // grows to max, then a ring: slots[next] is the oldest
+	next  int            // the slot the next new trace takes once the ring is full
+}
+
+type storedTrace struct {
+	id    string
+	spans []SpanRecord
 }
 
 // NewSpanStore builds a store retaining up to maxTraces traces
@@ -376,7 +391,7 @@ func NewSpanStore(maxTraces int) *SpanStore {
 	if maxTraces <= 0 {
 		maxTraces = DefaultStoreTraces
 	}
-	return &SpanStore{max: maxTraces, traces: make(map[string][]SpanRecord)}
+	return &SpanStore{max: maxTraces, index: make(map[string]int)}
 }
 
 // Add indexes one span under its trace ID. Spans without a trace ID are
@@ -387,18 +402,34 @@ func (s *SpanStore) Add(r SpanRecord) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	spans, known := s.traces[r.Trace]
+	i, known := s.index[r.Trace]
 	if !known {
-		if len(s.order) >= s.max {
-			evict := s.order[0]
-			s.order = s.order[1:]
-			delete(s.traces, evict)
+		i = s.claim(r.Trace)
+	}
+	if t := &s.slots[i]; len(t.spans) < storeMaxSpans {
+		t.spans = append(t.spans, r)
+	}
+}
+
+// claim gives a new trace its slot: a fresh one while the store is filling,
+// then the oldest trace's, evicting it.
+func (s *SpanStore) claim(id string) int {
+	i := len(s.slots)
+	if i < s.max {
+		s.slots = append(s.slots, storedTrace{id: id})
+	} else {
+		i = s.next
+		s.next = (s.next + 1) % s.max
+		t := &s.slots[i]
+		delete(s.index, t.id)
+		if cap(t.spans) > storeReuseSpans {
+			t.spans = nil
 		}
-		s.order = append(s.order, r.Trace)
+		clear(t.spans) // the evicted trace's strings go with it
+		t.id, t.spans = id, t.spans[:0]
 	}
-	if len(spans) < storeMaxSpans {
-		s.traces[r.Trace] = append(spans, r)
-	}
+	s.index[id] = i
+	return i
 }
 
 // Trace returns a copy of one trace's spans in arrival order (nil when
@@ -408,9 +439,24 @@ func (s *SpanStore) Trace(id string) []SpanRecord {
 		return nil
 	}
 	s.mu.Lock()
-	spans := append([]SpanRecord(nil), s.traces[id]...)
+	var spans []SpanRecord
+	if i, ok := s.index[id]; ok {
+		spans = append(spans, s.slots[i].spans...)
+	}
 	s.mu.Unlock()
 	return named(spans)
+}
+
+// oldestFirst calls f on every retained trace in arrival order. The caller
+// holds mu.
+func (s *SpanStore) oldestFirst(f func(*storedTrace)) {
+	start := 0
+	if len(s.slots) == s.max {
+		start = s.next
+	}
+	for n := range s.slots {
+		f(&s.slots[(start+n)%len(s.slots)])
+	}
 }
 
 // TraceIDs returns up to n retained trace IDs, oldest first.
@@ -420,11 +466,12 @@ func (s *SpanStore) TraceIDs(n int) []string {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := s.order
+	ids := make([]string, 0, len(s.slots))
+	s.oldestFirst(func(t *storedTrace) { ids = append(ids, t.id) })
 	if len(ids) > n {
 		ids = ids[len(ids)-n:]
 	}
-	return append([]string(nil), ids...)
+	return ids
 }
 
 // All returns every retained span, grouped by trace in trace-arrival
@@ -435,9 +482,7 @@ func (s *SpanStore) All() []SpanRecord {
 	}
 	s.mu.Lock()
 	var out []SpanRecord
-	for _, id := range s.order {
-		out = append(out, s.traces[id]...)
-	}
+	s.oldestFirst(func(t *storedTrace) { out = append(out, t.spans...) })
 	s.mu.Unlock()
 	return named(out)
 }

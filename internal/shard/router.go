@@ -111,6 +111,13 @@ type Router struct {
 	fanoutSkipped *obs.Counter
 	broadcasts    *obs.Counter
 
+	// nodeHists caches the dssp_router_node_seconds handle per (node,
+	// kind), so recording a proxied call skips the registry's
+	// sort-labels-build-key-and-lock lookup. Node IDs are never reused, so
+	// a cached handle never goes stale; the map grows by three per join.
+	histMu    sync.RWMutex
+	nodeHists map[nodeKind]*obs.Histogram
+
 	// execInv stashes the exec node's invalidation count and the
 	// update's confirmed home sequence between the transport's
 	// ExecUpdate and the cache half's OnUpdateCompleted for the same
@@ -118,6 +125,11 @@ type Router struct {
 	// if trace IDs collide (e.g. pre-tracing messages with an empty ID).
 	mu      sync.Mutex
 	execInv map[string][]execResult
+}
+
+type nodeKind struct {
+	node int
+	kind string
 }
 
 // execResult is one confirmed update's exec-node outcome awaiting fan-out.
@@ -142,12 +154,13 @@ func NewRouter(planner *Planner, backends []Backend, tracer *obs.Tracer, opts Op
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
 	r := &Router{
-		planner:  planner,
-		tracer:   tracer,
-		sem:      make(chan struct{}, opts.MaxFanout),
-		backoff:  opts.RetryBackoff,
-		backends: make(map[int]Backend, len(backends)),
-		execInv:  make(map[string][]execResult),
+		planner:   planner,
+		tracer:    tracer,
+		sem:       make(chan struct{}, opts.MaxFanout),
+		backoff:   opts.RetryBackoff,
+		backends:  make(map[int]Backend, len(backends)),
+		execInv:   make(map[string][]execResult),
+		nodeHists: make(map[nodeKind]*obs.Histogram),
 	}
 	for i, b := range backends {
 		r.backends[members[i]] = b
@@ -207,9 +220,17 @@ func (r *Router) observeNode(ni int, kind string, start time.Duration) {
 	if r.reg == nil {
 		return
 	}
-	r.reg.Histogram(obs.MRouterNodeSeconds,
-		obs.L(obs.LNode, strconv.Itoa(ni)), obs.L(obs.LKind, kind)).
-		Observe(r.now() - start)
+	k := nodeKind{ni, kind}
+	r.histMu.RLock()
+	h := r.nodeHists[k]
+	r.histMu.RUnlock()
+	if h == nil {
+		h = r.reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LNode, strconv.Itoa(ni)), obs.L(obs.LKind, kind))
+		r.histMu.Lock()
+		r.nodeHists[k] = h
+		r.histMu.Unlock()
+	}
+	h.Observe(r.now() - start)
 }
 
 // proxyError counts one failed proxied call (after the backend's own

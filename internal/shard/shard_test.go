@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -392,5 +393,58 @@ func TestRouterForgedTemplateBroadcasts(t *testing.T) {
 	}
 	if skipped := reg.Counter(obs.MRouterFanoutSkipped).Value(); skipped != 0 {
 		t.Errorf("fanout_skipped = %d during a broadcast, want 0", skipped)
+	}
+}
+
+// Every proxied call lands in dssp_router_node_seconds{node,kind} — through
+// a handle cached per (node, kind), which must pick exactly the instrument
+// a registry lookup would, for a node that joined after start-up too.
+func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
+	r, _, pipe, reg := routedFixture(t, 2)
+	ctx := context.Background()
+	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
+	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u"}
+	for i := 0; i < 3; i++ {
+		if _, err := pipe.QuerySync(ctx, sq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := pipe.UpdateSync(ctx, su); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Join(ctx, &fakeBackend{}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.observeNode(rep.Node, obs.KindQuery, r.now())
+
+	count := func(node int, kind string) int64 {
+		return reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LKind, kind), obs.L(obs.LNode, strconv.Itoa(node))).Count()
+	}
+	owner, exec := r.Planner().Affinity().OwnerOfTemplate("Q1"), r.Planner().ExecNode(su)
+	if got := count(owner, obs.KindQuery); got != 3 {
+		t.Errorf("node %d query observations = %d, want 3", owner, got)
+	}
+	if got := count(exec, obs.KindUpdate); got != 1 {
+		t.Errorf("node %d update observations = %d, want 1", exec, got)
+	}
+	if got := count(rep.Node, obs.KindQuery); got != 1 {
+		t.Errorf("joined node %d query observations = %d, want 1", rep.Node, got)
+	}
+	var total int64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == obs.MRouterNodeSeconds {
+			total += m.Count
+		}
+	}
+	targets, _ := r.Planner().Targets(su)
+	invalidated := 0
+	for _, n := range targets {
+		if n != exec {
+			invalidated++
+		}
+	}
+	if want := int64(3 + 1 + invalidated + 1); total != want {
+		t.Errorf("%s holds %d observations in all, want %d", obs.MRouterNodeSeconds, total, want)
 	}
 }

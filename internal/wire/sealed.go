@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
 
@@ -57,30 +58,11 @@ func AppendSealedQuery(dst []byte, sq *SealedQuery, trace bool) []byte {
 
 // DecodeSealedQuery consumes one sealed query of the given form.
 func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
-	var sq SealedQuery
-	if len(b) == 0 {
-		return sq, nil, errMalformed
-	}
-	sq.Exposure, b = template.Exposure(b[0]), b[1:]
-	var err error
-	if trace {
-		if sq.TraceID, b, err = decodeString(b); err != nil {
-			return sq, nil, errMalformed
-		}
-		if sq.ParentSpan, b, err = decodeString(b); err != nil {
-			return sq, nil, errMalformed
-		}
-	}
-	if sq.TemplateID, sq.Group, sq.Params, b, err = decodeStatement(b); err != nil {
-		return sq, nil, errMalformed
-	}
-	if sq.Key, b, err = decodeString(b); err != nil {
-		return sq, nil, errMalformed
-	}
-	if sq.Opaque, b, err = decodeOpaque(b); err != nil {
-		return sq, nil, errMalformed
-	}
-	return sq, b, nil
+	f, rest, err := decodeSealed(b, trace, true)
+	return SealedQuery{
+		Exposure: f.exposure, TraceID: f.traceID, ParentSpan: f.parentSpan,
+		TemplateID: f.templateID, Group: f.group, Params: f.params, Key: f.key, Opaque: f.opaque,
+	}, rest, err
 }
 
 // AppendSealedUpdate appends su to dst.
@@ -94,25 +76,118 @@ func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 
 // DecodeSealedUpdate consumes one sealed update.
 func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
-	var su SealedUpdate
-	if len(b) == 0 {
-		return su, nil, errMalformed
+	f, rest, err := decodeSealed(b, WithTrace, false)
+	return SealedUpdate{
+		Exposure: f.exposure, TraceID: f.traceID, ParentSpan: f.parentSpan,
+		TemplateID: f.templateID, Group: f.group, Params: f.params, Opaque: f.opaque,
+	}, rest, err
+}
+
+// sealedFields is what a sealed query or update decodes to; an update has
+// no key.
+type sealedFields struct {
+	exposure                             template.Exposure
+	traceID, parentSpan, templateID, key string
+	group                                int
+	params                               []sqlparse.Value
+	opaque                               []byte
+}
+
+// measureSealed is pass one of decodeSealed: it checks the front of b
+// against the statement grammar — minimal uvarints, every length and the
+// parameter count bounded by the input left, the group within an int32 —
+// and reports the parameter count, the offset at which the opaque field
+// starts (everything before it is the part the strings lie in) and the
+// offset at which the message ends.
+func measureSealed(b []byte, trace, key bool) (nparams, head, end int, err error) {
+	total := len(b)
+	if total == 0 {
+		return 0, 0, 0, errMalformed
 	}
-	su.Exposure, b = template.Exposure(b[0]), b[1:]
-	var err error
-	if su.TraceID, b, err = decodeString(b); err != nil {
-		return su, nil, errMalformed
+	b = b[1:] // exposure
+	lead := 1 // templateID
+	if trace {
+		lead = 3 // traceID, parentSpan, templateID
 	}
-	if su.ParentSpan, b, err = decodeString(b); err != nil {
-		return su, nil, errMalformed
+	for i := 0; i < lead; i++ {
+		if _, b, err = splitString(b); err != nil {
+			return 0, 0, 0, errMalformed
+		}
 	}
-	if su.TemplateID, su.Group, su.Params, b, err = decodeStatement(b); err != nil {
-		return su, nil, errMalformed
+	g, b, err := Uvarint(b)
+	if err != nil || g > math.MaxInt32 {
+		return 0, 0, 0, errMalformed
 	}
-	if su.Opaque, b, err = decodeOpaque(b); err != nil {
-		return su, nil, errMalformed
+	if nparams, b, err = decodeCount(b); err != nil {
+		return 0, 0, 0, errMalformed
 	}
-	return su, b, nil
+	for i := 0; i < nparams; i++ {
+		if _, _, b, err = splitValue(b); err != nil {
+			return 0, 0, 0, errMalformed
+		}
+	}
+	if key {
+		if _, b, err = splitString(b); err != nil {
+			return 0, 0, 0, errMalformed
+		}
+	}
+	head = total - len(b)
+	if _, b, err = splitString(b); err != nil {
+		return 0, 0, 0, errMalformed
+	}
+	return nparams, head, total - len(b), nil
+}
+
+// decodeSealed decodes a sealed statement in two passes, the way
+// decodeResult does, so that a message costs three allocations whatever it
+// carries: measureSealed validates and finds the extents, then every string
+// — trace metadata, template ID, key, string parameters — is a substring of
+// one copy of the bytes before the opaque field, the parameters are one
+// slice and the opaque payload one more copy. Nothing returned aliases b;
+// the strings of one message do share their copy, so holding one (a cache
+// entry holds its query's key) holds them all, trace metadata included.
+func decodeSealed(b []byte, trace, key bool) (f sealedFields, rest []byte, err error) {
+	nparams, head, end, err := measureSealed(b, trace, key)
+	if err != nil {
+		return f, nil, err
+	}
+	// Pass two reads what pass one accepted: no step below can fail.
+	arena := string(b[:head])
+	b, rest = b[:end], b[end:]
+	// copyOf maps str, which ends where after begins in b, to its copy.
+	copyOf := func(str, after []byte) string {
+		e := end - len(after)
+		return arena[e-len(str) : e]
+	}
+	f.exposure, b = template.Exposure(b[0]), b[1:]
+	var str []byte
+	if trace {
+		str, b, _ = splitString(b)
+		f.traceID = copyOf(str, b)
+		str, b, _ = splitString(b)
+		f.parentSpan = copyOf(str, b)
+	}
+	str, b, _ = splitString(b)
+	f.templateID = copyOf(str, b)
+	g, b, _ := Uvarint(b)
+	f.group = int(g)
+	_, b, _ = decodeCount(b)
+	if nparams > 0 {
+		f.params = make([]sqlparse.Value, nparams)
+		for i := range f.params {
+			if f.params[i], str, b, _ = splitValue(b); f.params[i].Kind == sqlparse.KindString {
+				f.params[i].Str = copyOf(str, b)
+			}
+		}
+	}
+	if key {
+		str, b, _ = splitString(b)
+		f.key = copyOf(str, b)
+	}
+	if str, _, _ = splitString(b); len(str) > 0 {
+		f.opaque = bytes.Clone(str)
+	}
+	return f, rest, nil
 }
 
 // Result tags of the sealed-result grammar.
@@ -177,29 +252,6 @@ func appendStatement(dst []byte, templateID string, group int, params []sqlparse
 	return appendParams(dst, params)
 }
 
-func decodeStatement(b []byte) (templateID string, group int, params []sqlparse.Value, rest []byte, err error) {
-	if templateID, b, err = decodeString(b); err != nil {
-		return "", 0, nil, nil, errMalformed
-	}
-	g, b, err := Uvarint(b)
-	if err != nil || g > math.MaxInt32 {
-		return "", 0, nil, nil, errMalformed
-	}
-	n, b, err := decodeCount(b)
-	if err != nil {
-		return "", 0, nil, nil, errMalformed
-	}
-	if n > 0 {
-		params = make([]sqlparse.Value, n)
-		for i := range params {
-			if params[i], b, err = decodeValue(b); err != nil {
-				return "", 0, nil, nil, errMalformed
-			}
-		}
-	}
-	return templateID, int(g), params, b, nil
-}
-
 func appendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
@@ -220,14 +272,4 @@ func decodeBytes(b []byte) ([]byte, []byte, error) {
 	out := make([]byte, n)
 	copy(out, rest)
 	return out, rest[n:], nil
-}
-
-// decodeOpaque is decodeBytes for the statement payload, whose empty
-// encoding means absent.
-func decodeOpaque(b []byte) ([]byte, []byte, error) {
-	opaque, rest, err := decodeBytes(b)
-	if len(opaque) == 0 {
-		opaque = nil
-	}
-	return opaque, rest, err
 }
