@@ -11,10 +11,9 @@
 // queries (refusing, with 409, any query whose freshness floor it has not
 // applied yet), and registers itself with the primary for the stream.
 //
-// On SIGTERM/SIGINT the primary shuts down gracefully: the monitoring
-// gate flushes (no confirmation is left parked mid-interval), in-flight
+// On SIGTERM/SIGINT the primary shuts down gracefully: in-flight
 // statements drain, and the replica streams drain to the confirmed
-// high-water mark — so no replica is left on a torn interval.
+// high-water mark — so no replica is left short of the primary.
 //
 // The server exposes GET /v1/metrics (JSON, or Prometheus text with
 // ?format=prom): per-template execution counts and home_exec latency
@@ -63,7 +62,6 @@ func main() {
 	keyPhrase := flag.String("key", "", "key phrase shared with clients (required)")
 	seed := flag.Int64("seed", 1, "benchmark data seed")
 	maxConcurrent := flag.Int("max-concurrent", 0, "max concurrently executing statements, FIFO queue beyond (0 = unbounded)")
-	monitor := flag.Duration("monitor-interval", 0, "hold update confirmations and release them once per interval (0 = confirm immediately)")
 	replicas := flag.Bool("replicas", false, "accept read-replica registrations and stream confirmed updates to them")
 	partition := flag.Int("partition", 0, "this server's partition index in a partitioned home tier")
 	partitions := flag.Int("partitions", 1, "total home partitions; >1 makes this server refuse statements whose table group pins elsewhere")
@@ -107,7 +105,6 @@ func main() {
 
 	home := homeserver.New(db, app, codec)
 	home.SetAdmissionLimit(*maxConcurrent)
-	home.SetMonitoringInterval(*monitor)
 	if *partitions > 1 {
 		// Each partition runs as its own process over a full same-seed
 		// database; the guard rejects misrouted statements by their true
@@ -137,7 +134,7 @@ func main() {
 	awaitSignal(logger)
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	if err := httpapi.DrainHome(ctx, home, srv.Shutdown, hub); err != nil {
+	if err := httpapi.DrainHome(ctx, srv.Shutdown, hub); err != nil {
 		logger.Error("shutdown", "err", err)
 	} else if hub != nil {
 		logger.Info("replica streams drained", "confirmed", home.ConfirmedSeq())

@@ -6,10 +6,9 @@
 // pipeline.NewTierTransport.
 //
 // Topology: a primary executes every update of its partition and assigns
-// each a sequence number under the master database's write lock; its
-// monitoring gate releases confirmations once per interval, and the
-// OnConfirm sink streams each released batch — contiguous,
-// sequence-ordered — to K replicas. Replicas start from a database
+// each a sequence number under the master database's write lock, and the
+// OnConfirm sink streams the confirmations — contiguous, sequence-ordered
+// — to K replicas. Replicas start from a database
 // identical to the primary's initial state (same application seed) and
 // apply the stream in order, so after applying sequence s a replica's
 // database is byte-identical to the master's state at s. A node may
@@ -21,9 +20,9 @@
 // partition p owns every group g with schema.PartitionOf(g, P) == p and
 // executes only statements over its own groups. Each partition is a full
 // *homeserver.Server — its own master write lock, its own sequence stream
-// (sequences are per partition, starting at 1), its own monitoring gate,
-// and its own replica feed — so updates to different partitions commit
-// concurrently instead of serializing on one write lock. Every
+// (sequences are per partition, starting at 1) and its own replica feed —
+// so updates to different partitions commit concurrently instead of
+// serializing on one write lock. Every
 // partition's database is populated from the same application seed (each
 // holds the full schema; the group split decides which tables a
 // partition's statements may touch, not which tables exist). Cross-group

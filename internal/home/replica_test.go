@@ -90,16 +90,13 @@ func sealedScan(t *testing.T, codec *wire.Codec, app *template.App,
 }
 
 // TestReplicaNeverAheadOfConfirmation is the replicated tier's safety
-// race test: under a monitoring interval, concurrent writers, and a Flush
-// hammer racing the interval timer, a replica's applied watermark must
+// race test: under concurrent writers a replica's applied watermark must
 // never pass the primary's confirmed high-water mark — an update must not
 // be visible on a replica before the home server has confirmed it to the
-// DSSP tier. Run under -race, it also pins the gate's release/flush
-// double-close protection and the dispatcher's ordering locks.
+// DSSP tier. Run under -race, it also pins the dispatcher's ordering locks.
 func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 	primary, reps, codec, app := fixture(t, 2)
 	home.TierParts([]*homeserver.Server{primary}, [][]*home.Replica{reps})
-	primary.SetMonitoringInterval(2 * time.Millisecond)
 
 	const writers = 4
 	const perWriter = 40
@@ -125,15 +122,6 @@ func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 		}()
 	}
 
-	var flushers sync.WaitGroup
-	flushers.Add(1)
-	go func() {
-		defer flushers.Done()
-		for !stop.Load() {
-			primary.Flush()
-		}
-	}()
-
 	var writersWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writersWG.Add(1)
@@ -154,9 +142,7 @@ func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 		}(int64(w) * 5)
 	}
 	writersWG.Wait()
-	primary.Flush()
 	stop.Store(true)
-	flushers.Wait()
 	watchers.Wait()
 
 	if n := violations.Load(); n != 0 {
@@ -181,8 +167,8 @@ func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 }
 
 // TestConfirmStreamContiguous pins the dispatcher's ordering contract
-// under concurrency: whatever order racing updates park and release in,
-// the OnConfirm sink must see sequences 1..N in order without gaps or
+// under concurrency: whatever order racing updates reach it in, the
+// OnConfirm sink must see sequences 1..N in order without gaps or
 // duplicates.
 func TestConfirmStreamContiguous(t *testing.T) {
 	primary, _, codec, app := fixture(t, 0)
@@ -195,7 +181,6 @@ func TestConfirmStreamContiguous(t *testing.T) {
 		}
 		mu.Unlock()
 	})
-	primary.SetMonitoringInterval(time.Millisecond)
 
 	const writers = 8
 	const perWriter = 25
@@ -219,7 +204,6 @@ func TestConfirmStreamContiguous(t *testing.T) {
 		}(int64(w) * 3)
 	}
 	wg.Wait()
-	primary.Flush()
 
 	mu.Lock()
 	defer mu.Unlock()

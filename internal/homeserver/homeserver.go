@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dssp/internal/engine"
 	"dssp/internal/obs"
@@ -46,8 +45,7 @@ type Server struct {
 	// partition masters are Servers and get theirs the same way.
 	plans map[string]queryPlan
 
-	adm admission   // bounds concurrent executions, FIFO
-	mon monitorGate // releases update confirmations per monitoring interval
+	adm admission // bounds concurrent executions, FIFO
 
 	// seqCtr assigns each applied update its position in the master
 	// database's serialization order. It is incremented while the write
@@ -57,8 +55,8 @@ type Server struct {
 	seqCtr atomic.Uint64
 
 	// confirmed is the high-water confirmed sequence: every update with
-	// seq ≤ confirmed has passed the monitoring gate and been handed to
-	// the confirmation sink (if any), in order and without gaps.
+	// seq ≤ confirmed has been handed to the confirmation sink (if any),
+	// in order and without gaps.
 	confirmed atomic.Uint64
 
 	// disp delivers confirmations to the OnConfirm sink in strict
@@ -85,14 +83,12 @@ type Server struct {
 	queueDepth   *obs.Gauge
 	waitQ, waitU *obs.Histogram
 
-	// Per-template load-counter handles, cached so the execution hot
-	// paths skip the registry's lock-and-lookup (which allocates a label
-	// key per call). SetObs swaps the registry, so it also replaces
-	// these maps; they are read-mostly after the first request per
-	// template.
-	ctrMu        sync.RWMutex
-	qCtrs, uCtrs map[string]*obs.Counter
+	// Per-template load-counter handles, by metric name and template.
+	// SetObs swaps the registry, so it also empties the cache.
+	tmplCtrs obs.HandleCache[tmplMetric, *obs.Counter]
 }
+
+type tmplMetric struct{ metric, id string }
 
 // New builds a home server over a populated master database. Metrics are
 // always on: the server starts with a private registry and a wall clock;
@@ -105,7 +101,6 @@ func New(db *storage.Database, app *template.App, codec *wire.Codec) *Server {
 		s.plans[q.ID] = queryPlan{plan, err}
 	}
 	s.disp.confirmed = &s.confirmed
-	s.mon.disp = &s.disp
 	s.SetObs(obs.NewRegistry(), obs.WallClock())
 	return s
 }
@@ -127,40 +122,16 @@ func (s *Server) SetObs(reg *obs.Registry, clock obs.Clock) {
 	s.queueDepth = reg.Gauge(obs.MHomeQueueDepth)
 	s.waitQ = reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindQuery))
 	s.waitU = reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindUpdate))
-	s.mon.releases = reg.Counter(obs.MHomeMonitorReleases)
-	s.ctrMu.Lock()
-	s.qCtrs = make(map[string]*obs.Counter) // old handles point into the old registry
-	s.uCtrs = make(map[string]*obs.Counter)
-	s.ctrMu.Unlock()
+	s.tmplCtrs.Reset() // old handles point into the old registry
 }
 
-// tmplCounter returns the cached per-template counter handle, registering
-// it on the template's first statement. Registry handles are stable per
-// label set, so a racing registration resolves to the same instrument.
-func (s *Server) tmplCounter(m *map[string]*obs.Counter, metric, id string) *obs.Counter {
-	s.ctrMu.RLock()
-	c := (*m)[id]
-	s.ctrMu.RUnlock()
-	if c == nil {
-		c = s.reg.Counter(metric, obs.L(obs.LTemplate, id))
-		s.ctrMu.Lock()
-		(*m)[id] = c
-		s.ctrMu.Unlock()
-	}
-	return c
+// tmplCounter returns the per-template counter handle, registering it on
+// the template's first statement.
+func (s *Server) tmplCounter(metric, id string) *obs.Counter {
+	return s.tmplCtrs.Get(tmplMetric{metric, id}, func() *obs.Counter {
+		return s.reg.Counter(metric, obs.L(obs.LTemplate, id))
+	})
 }
-
-// SetMonitoringInterval makes the server confirm completed updates in
-// batches, once per interval (§2.2: the DSSP learns of updates by
-// monitoring the update stream, an inherently interval-batched process).
-// An update is applied to the master database immediately, but its
-// confirmation — the response the DSSP's invalidation monitor acts on —
-// is held until the interval boundary, so every node sees one batch of
-// confirmations per interval and can amortize its bucket walks across it.
-// 0 (the default) confirms each update as it completes. Set before
-// serving traffic. The interval runs on the wall clock; the simulator
-// models the interval at the node batcher on virtual time instead.
-func (s *Server) SetMonitoringInterval(d time.Duration) { s.mon.setInterval(d) }
 
 // SetAdmissionLimit bounds how many statements may execute concurrently
 // (0 = unbounded, the default). Excess statements wait in FIFO order;
@@ -249,7 +220,7 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 		return wire.SealedResult{}, false, 0, execErr
 	}
 	s.queries.Add(1)
-	s.tmplCounter(&s.qCtrs, obs.MHomeQueries, t.ID).Inc()
+	s.tmplCounter(obs.MHomeQueries, t.ID).Inc()
 	// Sealing happens outside the read lock: engine.Result's ownership
 	// invariant guarantees result rows never alias storage rows, so a
 	// concurrent ExecUpdate mutating the same table cannot race with the
@@ -290,30 +261,27 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 		return 0, 0, execErr
 	}
 	s.updates.Add(1)
-	s.tmplCounter(&s.uCtrs, obs.MHomeUpdates, t.ID).Inc()
-	// The update is applied; hold its confirmation until the monitoring
-	// interval releases the batch (no-op when no interval is set). After
-	// the admission slot is released, so a parked confirmation never
-	// blocks other statements from executing.
-	s.mon.await(Confirmed{Seq: seq, Update: su})
+	s.tmplCounter(obs.MHomeUpdates, t.ID).Inc()
+	// The update is applied: confirm it. By the time the caller has the
+	// answer the DSSP's invalidation monitor acts on, the confirmation has
+	// been handed to the replica stream.
+	s.disp.push(Confirmed{Seq: seq, Update: su})
 	return n, seq, nil
 }
 
-// Confirmed is one update that has passed the monitoring gate: applied to
-// the master database at position Seq and confirmed to the DSSP tier. The
-// OnConfirm sink receives these in strict sequence order — the stream a
-// read replica replays to reconstruct the master database.
+// Confirmed is one update applied to the master database at position Seq
+// and confirmed to the DSSP tier. The OnConfirm sink receives these in
+// strict sequence order — the stream a read replica replays to
+// reconstruct the master database.
 type Confirmed struct {
 	Seq    uint64
 	Update wire.SealedUpdate
 }
 
 // OnConfirm registers the confirmation sink: it is invoked with each
-// contiguous, sequence-ordered batch of confirmed updates as the
-// monitoring gate releases them (per update when no interval is set).
-// Calls are serialized and ordered; an update is handed to the sink only
-// after its confirmation is released, never before. Set before serving
-// traffic.
+// contiguous, sequence-ordered run of confirmed updates. Calls are
+// serialized and ordered; an update is handed to the sink before its
+// caller has the confirmation. Set before serving traffic.
 func (s *Server) OnConfirm(sink func([]Confirmed)) {
 	s.disp.mu.Lock()
 	s.disp.sink = sink
@@ -321,8 +289,8 @@ func (s *Server) OnConfirm(sink func([]Confirmed)) {
 }
 
 // ConfirmedSeq reports the high-water confirmed sequence number: every
-// update at or below it has been released by the monitoring gate (and
-// delivered to the OnConfirm sink, if one is registered).
+// update at or below it has been delivered to the OnConfirm sink, if one
+// is registered.
 func (s *Server) ConfirmedSeq() uint64 { return s.confirmed.Load() }
 
 // AssignedSeq reports the highest sequence number assigned so far. When
@@ -330,18 +298,12 @@ func (s *Server) ConfirmedSeq() uint64 { return s.confirmed.Load() }
 // confirmation stream is fully drained — the graceful-shutdown condition.
 func (s *Server) AssignedSeq() uint64 { return s.seqCtr.Load() }
 
-// Flush releases the monitoring gate's current epoch immediately, without
-// waiting for the interval timer: every parked confirmation is delivered
-// now. Used by graceful shutdown so replica streams never end on a torn
-// interval.
-func (s *Server) Flush() { s.mon.flush() }
-
 // confirmDispatch reorders confirmations into strict sequence order
-// before handing them to the sink. Gate releases deliver whole epochs,
-// but two updates of one epoch park in whichever order their goroutines
-// reach the gate — and an update mid-execution at release time confirms
-// in a later epoch. The dispatcher buffers any out-of-order confirmation
-// and delivers the longest contiguous prefix each push.
+// before handing them to the sink. Sequence numbers are assigned under the
+// write lock but confirmed after it is released, so two concurrent updates
+// may reach the dispatcher in either order: it buffers a confirmation that
+// arrives ahead of its predecessor and delivers the longest contiguous
+// prefix each push — which is what keeps the replica stream gap-free.
 type confirmDispatch struct {
 	mu        sync.Mutex
 	next      uint64 // next sequence to deliver; 0 means "not started" (≡ 1)
@@ -350,14 +312,11 @@ type confirmDispatch struct {
 	confirmed *atomic.Uint64
 }
 
-// push buffers the batch and delivers the contiguous prefix, advancing
-// the confirmed high-water mark before the sink sees the batch. The sink
-// runs under the dispatcher lock, which is what serializes and orders its
+// push buffers c and delivers the contiguous prefix, advancing the
+// confirmed high-water mark before the sink sees the run. The sink runs
+// under the dispatcher lock, which is what serializes and orders its
 // invocations.
-func (d *confirmDispatch) push(batch []Confirmed) {
-	if len(batch) == 0 {
-		return
-	}
+func (d *confirmDispatch) push(c Confirmed) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.next == 0 {
@@ -366,9 +325,7 @@ func (d *confirmDispatch) push(batch []Confirmed) {
 	if d.buf == nil {
 		d.buf = make(map[uint64]Confirmed)
 	}
-	for _, c := range batch {
-		d.buf[c.Seq] = c
-	}
+	d.buf[c.Seq] = c
 	var out []Confirmed
 	for {
 		c, ok := d.buf[d.next]
@@ -385,75 +342,5 @@ func (d *confirmDispatch) push(batch []Confirmed) {
 	d.confirmed.Store(out[len(out)-1].Seq)
 	if d.sink != nil {
 		d.sink(out)
-	}
-}
-
-// monitorGate parks update confirmations until the monitoring interval
-// expires and then releases them together. The first update to arrive in
-// an idle interval opens an epoch (a channel all updates of the interval
-// wait on) and arms its timer; the timer closes the channel, releasing
-// every parked confirmation at once — and pushing the epoch's
-// confirmations through the dispatcher to the OnConfirm sink first, so by
-// the time an update's caller unblocks, its confirmation has been handed
-// to the replica stream.
-type monitorGate struct {
-	mu       sync.Mutex
-	interval time.Duration
-	epoch    chan struct{}
-	parked   []Confirmed
-	disp     *confirmDispatch
-	releases *obs.Counter
-}
-
-func (g *monitorGate) setInterval(d time.Duration) {
-	g.mu.Lock()
-	g.interval = d
-	g.mu.Unlock()
-}
-
-func (g *monitorGate) await(c Confirmed) {
-	g.mu.Lock()
-	if g.interval <= 0 {
-		g.mu.Unlock()
-		g.disp.push([]Confirmed{c})
-		return
-	}
-	if g.epoch == nil {
-		g.epoch = make(chan struct{})
-		ch := g.epoch
-		time.AfterFunc(g.interval, func() { g.release(ch) })
-	}
-	ch := g.epoch
-	g.parked = append(g.parked, c)
-	g.mu.Unlock()
-	<-ch
-}
-
-// release ends an epoch: exactly one caller (the timer, or a Flush racing
-// it) wins the identity check and delivers the epoch's confirmations.
-func (g *monitorGate) release(ch chan struct{}) {
-	g.mu.Lock()
-	if g.epoch != ch {
-		g.mu.Unlock()
-		return // a racing flush already released this epoch
-	}
-	g.epoch = nil
-	batch := g.parked
-	g.parked = nil
-	if g.releases != nil {
-		g.releases.Inc()
-	}
-	g.mu.Unlock()
-	g.disp.push(batch)
-	close(ch)
-}
-
-// flush releases the current epoch now, if one is open.
-func (g *monitorGate) flush() {
-	g.mu.Lock()
-	ch := g.epoch
-	g.mu.Unlock()
-	if ch != nil {
-		g.release(ch)
 	}
 }

@@ -3,11 +3,9 @@ package homeserver
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
-	"dssp/internal/obs"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -214,61 +212,4 @@ func TestConcurrentQueryUpdateSeal(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// TestMonitoringIntervalBatchesConfirmations checks the home-side monitor
-// gate: with an interval set, updates are applied immediately but their
-// confirmations are parked and released together, one release per
-// interval epoch.
-func TestMonitoringIntervalBatchesConfirmations(t *testing.T) {
-	s, codec, app := testServer(t)
-	for i := int64(6); i < 9; i++ {
-		if err := s.DB.Insert("toys", storage.Row{
-			sqlparse.IntVal(i), sqlparse.StringVal("spare"), sqlparse.IntVal(1),
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SetMonitoringInterval(80 * time.Millisecond)
-
-	const updates = 3
-	done := make(chan struct{}, updates)
-	start := time.Now()
-	for i := 0; i < updates; i++ {
-		su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(int64(6 + i))})
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() {
-			if _, _, err := s.ExecUpdate(su); err != nil {
-				t.Error(err)
-			}
-			done <- struct{}{}
-		}()
-	}
-
-	// The updates are applied (and visible) well before their
-	// confirmations release.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.UpdatesApplied() < updates {
-		if time.Now().After(deadline) {
-			t.Fatal("updates not applied")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	select {
-	case <-done:
-		t.Fatal("confirmation released before the interval expired")
-	case <-time.After(10 * time.Millisecond):
-	}
-
-	for i := 0; i < updates; i++ {
-		<-done
-	}
-	if elapsed := time.Since(start); elapsed < 80*time.Millisecond {
-		t.Errorf("confirmations released after %v, want >= interval", elapsed)
-	}
-	if n := s.Obs().Counter(obs.MHomeMonitorReleases).Value(); n != 1 {
-		t.Errorf("monitor releases = %d, want 1 (one epoch for the whole batch)", n)
-	}
 }

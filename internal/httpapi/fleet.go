@@ -113,7 +113,7 @@ func Start(spec Spec) (*Fleet, error) {
 			ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 			defer cancel()
 			shutdown := func(context.Context) error { srv.Close(); return nil }
-			if err := DrainHome(ctx, primary, shutdown, hub); err != nil {
+			if err := DrainHome(ctx, shutdown, hub); err != nil {
 				f.err = errors.Join(f.err, fmt.Errorf("partition %d: %w", p, err))
 			}
 		})
@@ -176,19 +176,16 @@ func (f *Fleet) Close() error {
 }
 
 // DrainHome is a primary's graceful shutdown, in the one order that
-// leaves no replica on a torn interval: new updates confirm inline and
-// the parked interval flushes; shutdown — the listener's, returning once
-// in-flight statements have drained — runs; and the replica streams (hub
-// may be nil) catch up to the confirmed high-water mark before the hub's
-// pushers stop. ctx bounds the whole drain.
-func DrainHome(ctx context.Context, primary *homeserver.Server, shutdown func(context.Context) error, hub *ReplicaHub) error {
-	primary.SetMonitoringInterval(0)
-	primary.Flush()
+// leaves no replica short of the primary: shutdown — the listener's,
+// returning once in-flight statements have drained, each confirmed to the
+// hub before it was answered — runs; then the replica streams (hub may be
+// nil) catch up to the confirmed high-water mark before the hub's pushers
+// stop. ctx bounds the whole drain.
+func DrainHome(ctx context.Context, shutdown func(context.Context) error, hub *ReplicaHub) error {
 	var errs []error
 	if err := shutdown(ctx); err != nil {
 		errs = append(errs, fmt.Errorf("draining in-flight statements: %w", err))
 	}
-	primary.Flush() // an update admitted during shutdown confirmed inline: a no-op, belt and braces
 	if hub != nil {
 		if err := hub.Drain(ctx); err != nil {
 			errs = append(errs, fmt.Errorf("draining replica streams (%+v): %w", hub.Status(), err))

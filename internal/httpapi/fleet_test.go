@@ -4,8 +4,12 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"dssp/internal/dssp"
+	"dssp/internal/pipeline"
 )
 
 // TestFleetCloseTwiceLeavesNothingBehind starts the widest topology a
@@ -57,6 +61,67 @@ func TestFleetCloseTwiceLeavesNothingBehind(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > before {
 		buf := make([]byte, 1<<16)
 		t.Errorf("%d goroutines before Start, %d after Close:\n%s", before, n, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// TestDrainHomeLeavesReplicasAtThePrimary closes a replicated fleet under
+// writers that post updates straight to the primary and keep posting until
+// it refuses them: whatever the primary assigned a sequence to before its
+// listener went — the statements DrainHome's shutdown waited out included —
+// every replica has applied by the time Close returns.
+func TestDrainHomeLeavesReplicasAtThePrimary(t *testing.T) {
+	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
+	u1 := f.spec.App.Update("U1")
+	home := newHTTPTransport(f.HTTP, f.HomeURLs[0], nil)
+
+	const writers, warm = 4, 20
+	confirmed := make(chan struct{}, warm) // sized to what the test receives; writers drop the rest
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				vals, err := dssp.Params(100*w + i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				su, err := f.spec.Codec.SealUpdate(u1, vals)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				home.ExecUpdate(context.Background(), su, func(_ pipeline.ExecUpdateResult, e error) { err = e })
+				if err != nil {
+					return // the primary is gone
+				}
+				select {
+				case confirmed <- struct{}{}:
+				default:
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < warm; i++ {
+		<-confirmed
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	assigned := f.Homes[0].AssignedSeq()
+	if assigned < warm {
+		t.Fatalf("primary assigned %d sequences, want at least %d", assigned, warm)
+	}
+	if got := f.Homes[0].ConfirmedSeq(); got != assigned {
+		t.Errorf("primary confirmed %d of the %d sequences it assigned", got, assigned)
+	}
+	for i, rep := range f.Replicas[0] {
+		if got := rep.Applied(); got != assigned {
+			t.Errorf("replica %d applied %d, primary assigned %d", i, got, assigned)
+		}
 	}
 }
 

@@ -299,8 +299,7 @@ func HomeHandler(home *homeserver.Server) http.Handler {
 
 // HomeHandlerWithHub is HomeHandler for a primary fronting read replicas:
 // hub (non-nil) adds the replica-registration endpoints, and registered
-// replicas receive every confirmed-update batch the moment the monitoring
-// gate releases it.
+// replicas receive every update the moment it is confirmed.
 func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	home.Tracer().SetStore(obs.NewSpanStore(0))
 	mux := http.NewServeMux()
@@ -408,10 +407,6 @@ type NodeOptions struct {
 	// name; empty for a singleton deployment).
 	NodeID string
 
-	// Leakage, when set, audits the sealed traffic at this node's trust
-	// boundary (the adversary's-eye measurement; nil disables).
-	Leakage pipeline.LeakageObserver
-
 	// Home describes the trusted tier this node fronts, one endpoint per
 	// partition in partition order; empty means the homeURL argument
 	// alone. Updates go to the owning partition's primary; misses spread
@@ -457,8 +452,7 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 		Node:   node,
 		Reg:    reg,
 		Tracer: tracer,
-		Pipe: pipeline.New(node, transport, tracer, pipeline.Options{
-			MonitorInterval: opts.MonitorInterval, Leakage: opts.Leakage, Fresh: fresh}),
+		Pipe:   pipeline.New(node, transport, tracer, pipeline.Options{MonitorInterval: opts.MonitorInterval, Fresh: fresh}),
 	}
 }
 

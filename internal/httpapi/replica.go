@@ -149,8 +149,8 @@ type ReplicaStreamInfo struct {
 }
 
 // ReplicaHub runs the primary side of the apply stream: it retains every
-// confirmed update (in sequence order — the confirmation gate delivers
-// contiguous batches) and pushes the unacknowledged suffix to each
+// confirmed update (in sequence order — the home server's dispatcher
+// delivers contiguous runs) and pushes the unacknowledged suffix to each
 // registered replica, retrying until acknowledged. Registration is
 // dynamic: a replica that joins late receives the whole retained log
 // first, so it converges from the shared populate state.
@@ -189,13 +189,13 @@ func NewReplicaHub(client *http.Client, reg *obs.Registry) *ReplicaHub {
 }
 
 // Confirm is the hub's confirmation sink: the home server calls it (under
-// the confirmation dispatcher's lock) with each contiguous batch the
-// monitoring gate releases. It only appends and wakes the pushers — the
-// network work happens on the per-replica goroutines, so the home
-// server's update path never blocks on a slow replica. A batch arriving
-// after Close is dropped: shutdown flushes and drains before closing, so
-// anything later is a stray dispatch racing SIGTERM, and appending it
-// would push to replicas after the hub promised to stop.
+// the confirmation dispatcher's lock) with each contiguous run of
+// confirmed updates. It only appends and wakes the pushers — the network
+// work happens on the per-replica goroutines, so the home server's update
+// path never blocks on a slow replica. A batch arriving after Close is
+// dropped: shutdown drains before closing, so anything later is a stray
+// dispatch racing SIGTERM, and appending it would push to replicas after
+// the hub promised to stop.
 func (h *ReplicaHub) Confirm(batch []homeserver.Confirmed) {
 	h.mu.Lock()
 	if h.closed {
@@ -313,8 +313,8 @@ func (h *ReplicaHub) Status() ReplicaHubStatus {
 
 // Drain blocks until every registered replica has acknowledged the whole
 // retained log, or ctx expires — the graceful-shutdown half of the
-// stream: flush the confirmation gate first, then drain, and no replica
-// is left mid-interval.
+// stream: stop taking statements first, then drain, and no replica is left
+// short of the primary.
 func (h *ReplicaHub) Drain(ctx context.Context) error {
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()

@@ -11,7 +11,6 @@ import (
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
-	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/wire"
 )
@@ -114,10 +113,6 @@ type RouterOptions struct {
 	// DefaultTimeout-bounded one.
 	Client *http.Client
 
-	// Leakage, when set, audits the sealed traffic at the router's trust
-	// boundary — the vantage point that sees the whole fleet's stream.
-	Leakage pipeline.LeakageObserver
-
 	// BlindCacheSize bounds the router's blind-key cache (sealed lookup
 	// key -> owning node). 0 means shard.DefaultBlindCacheSize; negative
 	// disables the cache.
@@ -139,11 +134,6 @@ type RouterServer struct {
 	Router *shard.Router
 	Reg    *obs.Registry
 	Tracer *obs.Tracer
-
-	// Pipe is the routed deployment's pathway: the shared pipeline over
-	// the router's cache/transport halves, which adds fleet-wide
-	// single-flight miss coalescing on top of the per-node pipelines.
-	Pipe *pipeline.Pipeline
 
 	// client builds NodeProxies for nodes joining after startup.
 	client *http.Client
@@ -183,7 +173,6 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 		Router: router,
 		Reg:    reg,
 		Tracer: tracer,
-		Pipe:   pipeline.New(router, router, tracer, pipeline.Options{Leakage: opts.Leakage}),
 		client: client,
 		urls:   urls,
 	}
@@ -209,12 +198,12 @@ func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
 		return
 	}
-	reply, err := s.Pipe.QuerySync(r.Context(), sq)
+	res, hit, err := s.Router.Query(r.Context(), sq)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeMessage(s.Reg, w, &QueryResponse{Result: reply.Result, Hit: reply.Hit})
+	writeMessage(s.Reg, w, &QueryResponse{Result: res, Hit: hit})
 }
 
 func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -222,12 +211,12 @@ func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
 		return
 	}
-	reply, err := s.Pipe.UpdateSync(r.Context(), su)
+	affected, invalidated, seq, err := s.Router.Update(r.Context(), su)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeMessage(s.Reg, w, &UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
+	writeMessage(s.Reg, w, &UpdateResponse{Affected: affected, Invalidated: invalidated, Seq: seq})
 }
 
 // RingJoinRequest admits a node process into the ring by its base URL.

@@ -45,7 +45,8 @@ const (
 	// Per-stage latency histogram (labels: stage, template).
 	MStageSeconds = "dssp_stage_seconds"
 
-	// End-to-end request latency at the node (labels: kind, template).
+	// End-to-end request latency at the node, and at the router in front
+	// of a fleet of them (labels: kind, template).
 	MRequestSeconds = "dssp_request_seconds"
 
 	// Home-server load counters (labels: template — always the real
@@ -65,12 +66,6 @@ const (
 	// mirrors both from its queueing model of the home CPU.
 	MHomeQueueDepth    = "dssp_home_queue_depth"
 	MHomeAdmissionWait = "dssp_home_admission_wait_seconds"
-
-	// Home-server update monitoring (§2.2): completed updates are
-	// confirmed in batches, once per monitoring interval. Counts interval
-	// releases; the per-release batch size lands in the node-side
-	// dssp_invalidation_batch_size histogram when the batch is applied.
-	MHomeMonitorReleases = "dssp_home_monitor_releases_total"
 
 	// HTTP deployment error counters, registered lazily on first error:
 	// response writes that failed mid-body (the client saw a truncated

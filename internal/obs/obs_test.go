@@ -148,7 +148,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestTracerSpans(t *testing.T) {
 	r := NewRegistry()
 	var now time.Duration
-	tr := NewTracer(r, ClockFunc(func() time.Duration { return now }))
+	tr := NewTracer(r, ClockFunc(func() time.Duration { return now })).SetStore(NewSpanStore(0))
 
 	id := NewTraceID()
 	sp := tr.Start(id, StageLookup, "Q1")
@@ -156,7 +156,7 @@ func TestTracerSpans(t *testing.T) {
 	sp.End()
 	tr.Observe(id, StageHomeExec, "Q1", now, 7*time.Millisecond)
 
-	spans := tr.Spans(id)
+	spans := tr.Store().Trace(id)
 	if len(spans) != 2 || spans[0].Stage != StageLookup || spans[0].Duration != 3*time.Millisecond {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -169,7 +169,7 @@ func TestTracerSpans(t *testing.T) {
 	var nilTr *Tracer
 	nilTr.Observe("x", StageSeal, "Q1", 0, 0)
 	nilTr.Start("x", StageSeal, "Q1").End()
-	if nilTr.Now() != 0 || nilTr.Registry() != nil || nilTr.Recent(10) != nil {
+	if nilTr.Now() != 0 || nilTr.Registry() != nil || nilTr.Store() != nil {
 		t.Fatal("nil tracer not inert")
 	}
 }
@@ -187,7 +187,7 @@ func TestTraceIDsUnique(t *testing.T) {
 
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
-	tr := NewTracer(r, WallClock())
+	tr := NewTracer(r, WallClock()).SetStore(NewSpanStore(0))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -199,7 +199,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				tr.Observe(NewTraceID(), StageOpen, "Q1", 0, time.Duration(w))
 				if i%100 == 0 {
 					_ = r.Snapshot()
-					_ = tr.Recent(16)
+					_ = tr.Store().All()
 				}
 			}
 		}(w)
@@ -224,8 +224,8 @@ func TestIDFormat(t *testing.T) {
 }
 
 // Spans are numbered when they start and named when they are read. Every
-// reader — Span.ID, ObserveSpan's return, Recent, Spans, the store's Trace
-// and All, and JSON over any of them — must show exactly what a tracer that
+// reader — Span.ID, ObserveSpan's return, the store's Trace and All, and
+// JSON over either — must show exactly what a tracer that
 // formatted each ID up front would have: here, records written out by hand
 // from the sequence numbers the script is known to draw.
 func TestSpanIDLazyFormat(t *testing.T) {
@@ -263,9 +263,6 @@ func TestSpanIDLazyFormat(t *testing.T) {
 		reader    string
 		got, want []SpanRecord
 	}{
-		{"Recent", tr.Recent(ringSize), want},
-		{"Recent(2)", tr.Recent(2), want[3:]},
-		{"Spans", tr.Spans("t1"), t1},
 		{"Store.Trace", tr.Store().Trace("t1"), t1},
 		{"Store.All", tr.Store().All(), byTrace},
 	} {
@@ -280,8 +277,8 @@ func TestSpanIDLazyFormat(t *testing.T) {
 	}
 	// Reading names copies; what is at rest stays numbered, and a second
 	// read renders the same text.
-	if again := tr.Recent(ringSize); !reflect.DeepEqual(again, want) {
-		t.Errorf("second Recent = %+v", again)
+	if again := tr.Store().All(); !reflect.DeepEqual(again, byTrace) {
+		t.Errorf("second All = %+v", again)
 	}
 }
 
@@ -293,13 +290,13 @@ func TestTracerStageCacheBounded(t *testing.T) {
 	r := NewRegistry()
 	r.SetLabelCap(4)
 	tr := NewTracer(r, WallClock())
-	const flood = 3 * stageCacheCap
+	const flood = 3 * DefaultLabelCap
 	for i := 0; i < flood; i++ {
 		tr.Observe("t", StageLookup, fmt.Sprintf("forged%d", i), 0, time.Millisecond)
 	}
 	tr.Observe("t", StageLookup, "forged0", 0, time.Millisecond) // a cached handle
-	if n := len(tr.hists); n > stageCacheCap {
-		t.Fatalf("handle cache holds %d entries, cap %d", n, stageCacheCap)
+	if n := tr.hists.Len(); n > DefaultLabelCap {
+		t.Fatalf("handle cache holds %d entries, cap %d", n, DefaultLabelCap)
 	}
 	snap := r.Snapshot()
 	first := snap.Find(MStageSeconds, map[string]string{LStage: StageLookup, LTemplate: "forged0"})

@@ -36,11 +36,11 @@ func NewTraceID() string { return formatID("-", traceSeq.Add(1)) }
 //
 // A span is numbered when it starts and named only when someone reads the
 // name: most spans are recorded, aggregated into their stage's histogram
-// and overwritten in the ring without their ID ever being looked at, so
-// the ring and the SpanStore keep the number, and the text is made by
-// Span.ID (for the one span per hop whose ID travels on as ParentSpan) and
-// by the readers — Recent, Spans, SpanStore.Trace and All — whose output,
-// JSON included, is what it was when every span carried its string.
+// and overwritten in the store without their ID ever being looked at, so
+// the SpanStore keeps the number, and the text is made by Span.ID (for the
+// one span per hop whose ID travels on as ParentSpan) and by the readers —
+// SpanStore.Trace and All — whose output, JSON included, is what it was
+// when every span carried its string.
 func formatSpanID(seq int64) string { return formatID("-s", seq) }
 
 // formatID renders <prefix><sep><seq, zero-padded to six digits> through a
@@ -61,9 +61,9 @@ func formatID(sep string, seq int64) string {
 // fleet member), so a stitched trace reads as a topology, not a flat list.
 type SpanRecord struct {
 	Trace string `json:"trace"`
-	// ID is the span's ID. A record at rest in a tracer's ring or a
-	// SpanStore may hold the sequence number in seq instead, ID empty;
-	// no exported function returns one in that form (see named).
+	// ID is the span's ID. A record at rest in a SpanStore may hold the
+	// sequence number in seq instead, ID empty; no exported function
+	// returns one in that form (see named).
 	ID       string        `json:"id,omitempty"`
 	Parent   string        `json:"parent,omitempty"`
 	Process  string        `json:"process,omitempty"`
@@ -88,10 +88,10 @@ func named(spans []SpanRecord) []SpanRecord {
 }
 
 // Tracer records per-stage spans: each span lands in the registry's
-// dssp_stage_seconds histogram (labels: stage, template), in a bounded
-// ring of recent SpanRecords, and — when a SpanStore is attached — in the
-// per-trace store the /v1/trace endpoints serve. A nil *Tracer is a valid
-// no-op, so instrumented code needs no nil checks.
+// dssp_stage_seconds histogram (labels: stage, template) and — when a
+// SpanStore is attached — in the per-trace store the /v1/trace endpoints
+// serve. A nil *Tracer is a valid no-op, so instrumented code needs no nil
+// checks.
 type Tracer struct {
 	reg   *Registry
 	clock Clock
@@ -102,51 +102,24 @@ type Tracer struct {
 
 	store *SpanStore
 
-	// hists caches the dssp_stage_seconds handle per (stage, template), so
-	// recording a span skips the registry's sort-labels-build-key-and-lock
-	// lookup. Read-mostly: a key is written once, on its first span.
-	histMu sync.RWMutex
-	hists  map[stageKey]*Histogram
-
-	mu   sync.Mutex
-	ring []SpanRecord
-	next int
-	full bool
+	// hists caches the dssp_stage_seconds handle per (stage, template).
+	hists HandleCache[stageKey, *Histogram]
 }
 
-// ringSize bounds the tracer's span log.
-const ringSize = 512
-
 type stageKey struct{ stage, tmpl string }
-
-// stageCacheCap bounds the handle cache. Template IDs reach a node from the
-// untrusted tier, so the cache must not grow with them; past the bound a
-// span goes through Registry.Histogram, whose label cap already coalesces
-// a flood of forged IDs into one overflow instrument.
-const stageCacheCap = DefaultLabelCap
 
 // NewTracer builds a tracer recording into reg against clock. A tracer
 // records into one registry for life (code that swaps registries builds a
 // new tracer), so its cached handles never go stale.
 func NewTracer(reg *Registry, clock Clock) *Tracer {
-	return &Tracer{reg: reg, clock: clock, ring: make([]SpanRecord, ringSize), hists: make(map[stageKey]*Histogram)}
+	return &Tracer{reg: reg, clock: clock}
 }
 
 // stageHist returns the stage-latency histogram for (stage, tmpl).
 func (t *Tracer) stageHist(stage, tmpl string) *Histogram {
-	k := stageKey{stage, tmpl}
-	t.histMu.RLock()
-	h := t.hists[k]
-	t.histMu.RUnlock()
-	if h == nil {
-		h = t.reg.Histogram(MStageSeconds, L(LStage, stage), L(LTemplate, tmpl))
-		t.histMu.Lock()
-		if len(t.hists) < stageCacheCap {
-			t.hists[k] = h
-		}
-		t.histMu.Unlock()
-	}
-	return h
+	return t.hists.Get(stageKey{stage, tmpl}, func() *Histogram {
+		return t.reg.Histogram(MStageSeconds, L(LStage, stage), L(LTemplate, tmpl))
+	})
 }
 
 // SetIdentity labels every span this tracer records with a process role
@@ -231,14 +204,6 @@ func (t *Tracer) record(rec SpanRecord) int64 {
 		rec.Node = t.node
 	}
 	t.stageHist(rec.Stage, rec.Template).Observe(rec.Duration)
-	t.mu.Lock()
-	t.ring[t.next] = rec
-	t.next++
-	if t.next == len(t.ring) {
-		t.next = 0
-		t.full = true
-	}
-	t.mu.Unlock()
 	if t.store != nil {
 		t.store.Add(rec)
 	}
@@ -301,59 +266,12 @@ func (s Span) End() {
 	})
 }
 
-// Spans returns the recorded spans of one trace, oldest first. When a
-// store is attached it is consulted first (it retains whole traces);
-// otherwise the bounded ring is scanned.
-func (t *Tracer) Spans(trace string) []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	if t.store != nil {
-		if spans := t.store.Trace(trace); len(spans) > 0 {
-			return spans
-		}
-	}
-	var out []SpanRecord
-	for _, r := range t.recent(ringSize) {
-		if r.Trace == trace {
-			out = append(out, r)
-		}
-	}
-	return named(out)
-}
-
-// Recent returns up to n most recent spans, oldest first.
-func (t *Tracer) Recent(n int) []SpanRecord {
-	if t == nil || n <= 0 {
-		return nil
-	}
-	return named(t.recent(n))
-}
-
-// recent is Recent with the records as the ring holds them.
-func (t *Tracer) recent(n int) []SpanRecord {
-	t.mu.Lock()
-	var all []SpanRecord
-	if t.full {
-		all = append(all, t.ring[t.next:]...)
-		all = append(all, t.ring[:t.next]...)
-	} else {
-		all = append(all, t.ring[:t.next]...)
-	}
-	t.mu.Unlock()
-	if len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
-}
-
 // DefaultStoreTraces bounds how many distinct traces a SpanStore retains;
 // storeMaxSpans bounds the spans kept per trace. Both caps make the store
 // safe to leave on in production: memory is O(traces × spans), not
 // O(requests). storeReuseSpans is the largest record array a slot hands on
-// to the next trace (a hop's usual span count: a router records three spans
-// per query, the other processes one or two), so one long trace cannot pin
-// its array in the ring.
+// to the next trace (a hop's usual span count: a process records one to three
+// spans per statement), so one long trace cannot pin its array in the ring.
 const (
 	DefaultStoreTraces = 256
 	storeMaxSpans      = 128

@@ -132,7 +132,7 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
 	_, fleets, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 2)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	driveSealedScript(t, "direct-partitioned-replicated", app, codec, tierPipe(node, tier))
+	driveSealedScript(t, "direct-partitioned-replicated", app, codec, shard.PipeBackend{Pipe: tierPipe(node, tier)})
 
 	for p, reps := range fleets {
 		served := 0
@@ -146,9 +146,9 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
 }
 
-// driveSealedScript replays partitionScript through a pipeline, sealing
-// at the client exactly as dssp.Client does.
-func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire.Codec, pipe *pipeline.Pipeline) {
+// driveSealedScript replays partitionScript through a node's pipeline or
+// a router, sealing at the client exactly as dssp.Client does.
+func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire.Codec, front sealedFront) {
 	t.Helper()
 	ctx := context.Background()
 	for _, op := range partitionScript {
@@ -161,11 +161,11 @@ func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire
 			if err != nil {
 				t.Fatal(err)
 			}
-			reply, err := pipe.QuerySync(ctx, sq)
+			res, _, err := front.Query(ctx, sq)
 			if err != nil {
 				t.Fatalf("%s %s(%v): %v", name, op.template, op.params, err)
 			}
-			if _, err := codec.OpenResult(reply.Result); err != nil {
+			if _, err := codec.OpenResult(res); err != nil {
 				t.Fatalf("%s %s(%v): open: %v", name, op.template, op.params, err)
 			}
 			continue
@@ -174,7 +174,7 @@ func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.UpdateSync(ctx, su); err != nil {
+		if _, _, _, err := front.Update(ctx, su); err != nil {
 			t.Fatalf("%s %s(%v): %v", name, op.template, op.params, err)
 		}
 	}
@@ -332,7 +332,7 @@ func runShardedPartitionedInproc(t *testing.T) []nodeState {
 		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
-	driveSealedScript(t, "sharded-partitioned", app, codec, pipeline.New(router, router, nil, pipeline.Options{}))
+	driveSealedScript(t, "sharded-partitioned", app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {
@@ -361,7 +361,7 @@ func runShardedSingleInproc(t *testing.T) []nodeState {
 		}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
-	driveSealedScript(t, "sharded-single", app, codec, pipeline.New(router, router, nil, pipeline.Options{}))
+	driveSealedScript(t, "sharded-single", app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

@@ -57,12 +57,6 @@ type ExecQueryResult struct {
 	Empty   bool
 	Scanned int
 
-	// Hit reports that a downstream cache served the query. Transports
-	// that talk straight to the home server leave it false; the shard
-	// router's transport fronts whole caching nodes and propagates the
-	// owning node's hit so the routed deployment reports hits faithfully.
-	Hit bool
-
 	// Applied is the serving backend's applied-update sequence at the
 	// time it answered, when the backend is a home read replica; 0 from
 	// the primary (definitionally current) and from caching tiers. The
@@ -155,8 +149,8 @@ type Options struct {
 }
 
 // LeakageObserver records what an untrusted observer at this pipeline's
-// vantage point (a DSSP node, or the shard router) learns from the
-// sealed traffic passing through. Implemented by leakage.Observer.
+// vantage point, a DSSP node, learns from the sealed traffic passing
+// through. Implemented by leakage.Observer.
 type LeakageObserver interface {
 	// ObserveQuery sees every sealed query arriving at the vantage point
 	// and whether the cache answered it (access-pattern leakage).
@@ -198,12 +192,8 @@ type Pipeline struct {
 	flights map[string]*flight
 
 	// hists caches the end-to-end request-histogram handles per
-	// (kind, template), so the hot path skips the registry's
-	// lock-and-lookup (which builds a label key per call). A plain map
-	// under an RWMutex, not a sync.Map: the struct key would be boxed
-	// into an interface — an allocation — on every sync.Map lookup.
-	histMu sync.RWMutex
-	hists  map[histKey]*obs.Histogram
+	// (kind, template).
+	hists obs.HandleCache[histKey, *obs.Histogram]
 
 	// batcher accumulates confirmed updates per monitoring interval; nil
 	// when Options.MonitorInterval is 0 (inline invalidation).
@@ -222,7 +212,6 @@ func New(cache Cache, transport Transport, tracer *obs.Tracer, opts Options) *Pi
 		reg:       tracer.Registry(),
 		opts:      opts,
 		flights:   make(map[string]*flight),
-		hists:     make(map[histKey]*obs.Histogram),
 	}
 	if p.reg != nil {
 		p.coalesced = p.reg.Counter(obs.MCoalescedMisses)
@@ -241,20 +230,9 @@ func (p *Pipeline) request(kind, tmpl string, start time.Duration) {
 	if p.reg == nil {
 		return
 	}
-	k := histKey{kind, tmpl}
-	p.histMu.RLock()
-	h := p.hists[k]
-	p.histMu.RUnlock()
-	if h == nil {
-		// First request for this (kind, template): register and cache the
-		// handle. Registry handles are stable per label set, so a racing
-		// registration resolves to the same instrument.
-		h = p.reg.Histogram(obs.MRequestSeconds, obs.L(obs.LKind, kind), obs.L(obs.LTemplate, tmpl))
-		p.histMu.Lock()
-		p.hists[k] = h
-		p.histMu.Unlock()
-	}
-	h.Observe(p.tracer.Now() - start)
+	p.hists.Get(histKey{kind, tmpl}, func() *obs.Histogram {
+		return p.reg.Histogram(obs.MRequestSeconds, obs.L(obs.LKind, kind), obs.L(obs.LTemplate, tmpl))
+	}).Observe(p.tracer.Now() - start)
 }
 
 // Query serves one sealed query: from the cache on a hit, through the
@@ -350,7 +328,7 @@ func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Du
 			return
 		}
 		p.request(obs.KindQuery, tmpl, start)
-		done(QueryReply{Result: er.Result, Hit: er.Hit, Scanned: er.Scanned}, nil)
+		done(QueryReply{Result: er.Result, Scanned: er.Scanned}, nil)
 		for _, w := range waiters {
 			w(QueryReply{Result: er.Result, Coalesced: true}, nil)
 		}

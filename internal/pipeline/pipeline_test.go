@@ -371,3 +371,31 @@ func TestQuerySyncAsyncTransport(t *testing.T) {
 	close(late.release)
 	late.wg.Wait()
 }
+
+// Template IDs reach a node in the clear header of messages the untrusted
+// tier sends, so a flood of forged ones must not grow the pipeline's cache
+// of request-histogram handles; the registry behind it folds the flood
+// into one overflow instrument, and every request is still counted.
+func TestForgedTemplateFloodLeavesHandleCacheBounded(t *testing.T) {
+	tr := &gateTransport{result: wire.SealedResult{Cipher: []byte("r")}}
+	p, _, reg := newTestPipeline(tr, Options{})
+	const flood = 10000
+	for i := 0; i < flood; i++ {
+		sq := wire.SealedQuery{TemplateID: fmt.Sprintf("forged%d", i), Key: fmt.Sprintf("k%d", i)}
+		if _, err := p.QuerySync(context.Background(), sq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := p.hists.Len(); n > obs.DefaultLabelCap {
+		t.Errorf("request-histogram handle cache holds %d entries after %d forged template IDs, cap %d", n, flood, obs.DefaultLabelCap)
+	}
+	var requests int64
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == obs.MRequestSeconds {
+			requests += m.Count
+		}
+	}
+	if requests != flood {
+		t.Errorf("%s holds %d observations, want %d", obs.MRequestSeconds, requests, flood)
+	}
+}

@@ -12,7 +12,6 @@ import (
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/httpapi"
-	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/simrun"
 	"dssp/internal/wire"
@@ -149,7 +148,7 @@ func runShardedReplicatedInproc(t *testing.T) []nodeState {
 		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
-	driveSealed(t, app, codec, pipeline.New(router, router, nil, pipeline.Options{}))
+	driveSealed(t, app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

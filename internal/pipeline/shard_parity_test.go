@@ -39,9 +39,17 @@ type nodeState struct {
 	stats     cache.Stats
 }
 
-// driveSealed replays the parity script through a routed pipeline,
-// sealing and opening at the client exactly as dssp.Client does.
-func driveSealed(t *testing.T, app *template.App, codec *wire.Codec, pipe *pipeline.Pipeline) {
+// sealedFront is a deployment's entry point as the drivers below need it:
+// the sealed half of shard.Backend, which a router is and — as a
+// shard.PipeBackend — so is one node's pipeline.
+type sealedFront interface {
+	Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error)
+	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
+}
+
+// driveSealed replays the parity script through a router, sealing and
+// opening at the client exactly as dssp.Client does.
+func driveSealed(t *testing.T, app *template.App, codec *wire.Codec, front sealedFront) {
 	t.Helper()
 	ctx := context.Background()
 	for _, op := range parityScript {
@@ -54,11 +62,11 @@ func driveSealed(t *testing.T, app *template.App, codec *wire.Codec, pipe *pipel
 			if err != nil {
 				t.Fatal(err)
 			}
-			reply, err := pipe.QuerySync(ctx, sq)
+			res, _, err := front.Query(ctx, sq)
 			if err != nil {
 				t.Fatalf("sharded %s(%v): %v", op.template, op.param, err)
 			}
-			if _, err := codec.OpenResult(reply.Result); err != nil {
+			if _, err := codec.OpenResult(res); err != nil {
 				t.Fatalf("sharded %s(%v): open: %v", op.template, op.param, err)
 			}
 			continue
@@ -71,7 +79,7 @@ func driveSealed(t *testing.T, app *template.App, codec *wire.Codec, pipe *pipel
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pipe.UpdateSync(ctx, su); err != nil {
+		if _, _, _, err := front.Update(ctx, su); err != nil {
 			t.Fatalf("sharded %s(%v): %v", op.template, op.param, err)
 		}
 	}
@@ -98,7 +106,7 @@ func runShardedInproc(t *testing.T) []nodeState {
 		}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
-	driveSealed(t, app, codec, pipeline.New(router, router, nil, pipeline.Options{}))
+	driveSealed(t, app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

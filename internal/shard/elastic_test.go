@@ -11,7 +11,6 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/obs"
-	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -172,9 +171,9 @@ func TestBlindCacheDropNode(t *testing.T) {
 // A blind key keeps hitting the node that built its entry across a join:
 // the ring owner may change, the warm pin must not.
 func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
-	r, fakes, pipe, reg := routedFixture(t, 3)
+	r, fakes, reg := routedFixture(t, 3)
 	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-7", TraceID: "t-b1"}
-	if _, err := pipe.QuerySync(context.Background(), sq); err != nil {
+	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
 	pinned := -1
@@ -189,7 +188,7 @@ func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 	if _, err := r.Join(context.Background(), &fakeBackend{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.QuerySync(context.Background(), sq); err != nil {
+	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fakes[pinned].queries); got != 2 {
@@ -203,9 +202,9 @@ func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 // After the pinned node leaves, the cache must never serve the stale
 // owner: the next lookup re-routes to a live member.
 func TestRouterBlindCacheNeverStaleAfterLeave(t *testing.T) {
-	r, fakes, pipe, _ := routedFixture(t, 3)
+	r, fakes, _ := routedFixture(t, 3)
 	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-9", TraceID: "t-b2"}
-	if _, err := pipe.QuerySync(context.Background(), sq); err != nil {
+	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
 	pinned := -1
@@ -217,7 +216,7 @@ func TestRouterBlindCacheNeverStaleAfterLeave(t *testing.T) {
 	if _, err := r.Leave(context.Background(), pinned, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pipe.QuerySync(context.Background(), sq); err != nil {
+	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fakes[pinned].queries); got != 1 {
@@ -257,7 +256,7 @@ func seedBuckets(r *Router, fakes map[int]*fakeBackend, perTemplate int) map[str
 }
 
 func TestRouterJoinWarmStreamsMovedBuckets(t *testing.T) {
-	r, fakes, _, reg := routedFixture(t, 2)
+	r, fakes, reg := routedFixture(t, 2)
 	byID := map[int]*fakeBackend{0: fakes[0], 1: fakes[1]}
 	const per = 3
 	before := seedBuckets(r, byID, per)
@@ -312,7 +311,7 @@ func TestRouterJoinWarmStreamsMovedBuckets(t *testing.T) {
 }
 
 func TestRouterLeaveWarmDrainsToSurvivors(t *testing.T) {
-	r, fakes, _, _ := routedFixture(t, 3)
+	r, fakes, _ := routedFixture(t, 3)
 	byID := map[int]*fakeBackend{0: fakes[0], 1: fakes[1], 2: fakes[2]}
 	const per = 2
 	before := seedBuckets(r, byID, per)
@@ -342,7 +341,7 @@ func TestRouterLeaveWarmDrainsToSurvivors(t *testing.T) {
 }
 
 func TestRouterLeaveLastNodeRejected(t *testing.T) {
-	r, _, _, _ := routedFixture(t, 1)
+	r, _, _ := routedFixture(t, 1)
 	if _, err := r.Leave(context.Background(), 0, false); err == nil {
 		t.Fatal("removing the last node must fail")
 	}
@@ -351,34 +350,132 @@ func TestRouterLeaveLastNodeRejected(t *testing.T) {
 	}
 }
 
-// The exec node leaving between an update's confirmation and its fan-out
-// must not lose the batch: the stashed exec result still counts and the
-// survivors still get their pushes.
-func TestRouterLeaveExecNodeMidBatch(t *testing.T) {
-	r, fakes, _, _ := routedFixture(t, 3)
-	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-mid"}
-	exec := r.Planner().ExecNode(su)
+// stagedBackend is a fakeBackend whose Update can be held at a gate and
+// whose invalidation counts are read off the update itself (its first
+// opaque byte n: n from Update, 10n from Invalidate), so updates in flight
+// together can be told apart by what comes back.
+type stagedBackend struct {
+	fakeBackend
+	entered chan struct{} // nil: no gate; else one send per Update before it waits
+	release chan struct{} // closed to let held Updates answer
+}
 
-	done := make(chan error, 1)
-	r.ExecUpdate(context.Background(), su, func(_ pipeline.ExecUpdateResult, err error) { done <- err })
-	if err := <-done; err != nil {
-		t.Fatal(err)
+func stagedCount(su wire.SealedUpdate) int {
+	if len(su.Opaque) == 0 {
+		return 1
 	}
+	return int(su.Opaque[0])
+}
+
+func (b *stagedBackend) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	affected, _, seq, err := b.fakeBackend.Update(ctx, su)
+	return affected, stagedCount(su), seq, err
+}
+
+func (b *stagedBackend) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
+	_, err := b.fakeBackend.Invalidate(ctx, su, seq)
+	return 10 * stagedCount(su), err
+}
+
+// stagedFixture is a fleet of stagedBackends in which the node that
+// executes su holds its Updates at the gate.
+func stagedFixture(fleet int, su wire.SealedUpdate) (*Router, []*stagedBackend, int) {
+	planner := NewPlanner(NewAffinity(fleet), core.Analyze(apps.Toystore(), core.DefaultOptions()))
+	exec := planner.ExecNode(su)
+	staged := make([]*stagedBackend, fleet)
+	backends := make([]Backend, fleet)
+	for i := range staged {
+		staged[i] = &stagedBackend{}
+		backends[i] = staged[i]
+	}
+	staged[exec].entered, staged[exec].release = make(chan struct{}, fleet), make(chan struct{})
+	return NewRouter(planner, backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()), Options{}), staged, exec
+}
+
+// Two updates in flight at once under one trace ID (clients that predate
+// tracing all send the empty one) each get back their own exec-node count
+// plus their own fan-out, not the other's.
+func TestRouterConcurrentUpdatesSameTraceID(t *testing.T) {
+	const fleet = 3
+	su := wire.SealedUpdate{TemplateID: "FORGED"} // unknown template: fans out to every other node
+	r, staged, exec := stagedFixture(fleet, su)
+
+	type outcome struct {
+		n, invalidated int
+		err            error
+	}
+	out := make(chan outcome, 2)
+	for _, n := range []byte{3, 5} {
+		u := su
+		u.Opaque = []byte{n}
+		go func() {
+			_, invalidated, _, err := r.Update(context.Background(), u)
+			out <- outcome{int(u.Opaque[0]), invalidated, err}
+		}()
+	}
+	<-staged[exec].entered
+	<-staged[exec].entered // both are past routing and held at the exec node
+	close(staged[exec].release)
+	for i := 0; i < 2; i++ {
+		o := <-out
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if want := o.n + (fleet-1)*10*o.n; o.invalidated != want {
+			t.Errorf("update %d: invalidated %d, want %d (its own exec count plus its own %d pushes)", o.n, o.invalidated, want, fleet-1)
+		}
+	}
+}
+
+// The exec node leaving while its Update is in flight must not lose the
+// update: the exec node's own count still comes back, and every survivor
+// the plan names gets exactly one push.
+func TestRouterLeaveDuringUpdate(t *testing.T) {
+	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-mid"}
+	r, staged, exec := stagedFixture(3, su)
+
+	type outcome struct {
+		invalidated int
+		err         error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		_, invalidated, _, err := r.Update(context.Background(), su)
+		out <- outcome{invalidated, err}
+	}()
+	<-staged[exec].entered
 	if _, err := r.Leave(context.Background(), exec, false); err != nil {
 		t.Fatal(err)
 	}
-	targets, _ := r.Planner().Targets(su)
-	total := r.OnUpdateCompleted(su)
-	if total < 1 {
-		t.Errorf("fleet invalidation count %d lost the exec node's own count", total)
+	close(staged[exec].release)
+	o := <-out
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
+
+	targets, _ := r.Planner().Targets(su)
+	survivors := 0
 	for _, ni := range targets {
 		if ni == exec {
 			continue
 		}
-		if got := len(fakes[ni].invalidates); got != 1 {
+		survivors++
+		if got := len(staged[ni].invalidates); got != 1 {
 			t.Errorf("survivor %d saw %d invalidations, want 1", ni, got)
 		}
+	}
+	if survivors == 0 {
+		t.Fatal("no survivor is a fan-out target: the test exercises nothing")
+	}
+	if got := len(staged[exec].invalidates); got != 0 {
+		t.Errorf("departed exec node saw %d invalidations, want 0", got)
+	}
+	if want := 1 + 10*survivors; o.invalidated != want {
+		t.Errorf("invalidated %d, want %d (the exec node's 1 plus 10 per survivor)", o.invalidated, want)
 	}
 }
 
@@ -392,7 +489,6 @@ func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
 	r := NewRouter(planner, []Backend{fakes[0], fakes[1]}, tracer, Options{RetryBackoff: time.Millisecond})
-	pipe := pipeline.New(r, r, tracer, pipeline.Options{})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -407,9 +503,9 @@ func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
 				default:
 				}
 				sq := wire.SealedQuery{TemplateID: "Q2", Key: fmt.Sprintf("Q2\x00%d", i%7), TraceID: fmt.Sprintf("t-%d-%d", w, i)}
-				_, _ = pipe.QuerySync(context.Background(), sq) // errors during churn are expected
+				_, _, _ = r.Query(context.Background(), sq) // errors during churn are expected
 				su := wire.SealedUpdate{TemplateID: "U1", TraceID: fmt.Sprintf("u-%d-%d", w, i)}
-				_, _ = pipe.UpdateSync(context.Background(), su)
+				_, _, _, _ = r.Update(context.Background(), su)
 			}
 		}(w)
 	}
@@ -469,13 +565,12 @@ func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
 	r := NewRouter(planner, backends, tracer, Options{RetryBackoff: time.Millisecond})
-	pipe := pipeline.New(r, r, tracer, pipeline.Options{})
 
-	reply, err := pipe.QuerySync(context.Background(), sq)
+	_, hit, err := r.Query(context.Background(), sq)
 	if err != nil {
 		t.Fatalf("transient failure leaked through the retry: %v", err)
 	}
-	if !reply.Hit {
+	if !hit {
 		t.Error("retried query lost the owning node's hit")
 	}
 	if n := reg.Counter(obs.MRouterQueryRetries).Value(); n != 1 {

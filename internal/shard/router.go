@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dssp/internal/obs"
-	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -63,14 +62,12 @@ type Options struct {
 	RetryBackoff time.Duration
 }
 
-// Router steers sealed traffic across a fleet of DSSP nodes. It
-// implements both pipeline.Cache and pipeline.Transport, so a pipeline
-// built as pipeline.New(r, r, …) is the routed deployment's pathway:
-// the cache half always misses (the router holds no entries of its own;
-// StoreResult is a no-op) and the transport half proxies to the owning
-// node — which means the pipeline's single-flight miss coalescing now
-// works fleet-wide, and the update pathway's confirm-then-monitor
-// ordering drives the fan-out at exactly the right moment.
+// Router steers sealed traffic across a fleet of DSSP nodes. To its
+// caller it is what one node is — Query and Update, the sealed half of
+// Backend — and it runs neither of Figure 2's pathways itself: it holds no
+// entries and monitors no updates, it forwards. Each owning node's pipeline
+// looks up, coalesces concurrent misses (a sealed key has one owner per
+// epoch), stores and invalidates.
 //
 // Queries go to the one node owning their template (or sealed key, for
 // blind traffic). An update executes through exactly one node's full
@@ -111,20 +108,11 @@ type Router struct {
 	fanoutSkipped *obs.Counter
 	broadcasts    *obs.Counter
 
-	// nodeHists caches the dssp_router_node_seconds handle per (node,
-	// kind), so recording a proxied call skips the registry's
-	// sort-labels-build-key-and-lock lookup. Node IDs are never reused, so
-	// a cached handle never goes stale; the map grows by three per join.
-	histMu    sync.RWMutex
-	nodeHists map[nodeKind]*obs.Histogram
-
-	// execInv stashes the exec node's invalidation count and the
-	// update's confirmed home sequence between the transport's
-	// ExecUpdate and the cache half's OnUpdateCompleted for the same
-	// update, keyed by trace ID. A stack per key keeps totals right even
-	// if trace IDs collide (e.g. pre-tracing messages with an empty ID).
-	mu      sync.Mutex
-	execInv map[string][]execResult
+	// Cached handles of dssp_router_node_seconds per (node, kind) and of
+	// dssp_request_seconds per (kind, template). Node IDs are never
+	// reused, so a cached handle never goes stale.
+	nodeHists obs.HandleCache[nodeKind, *obs.Histogram]
+	reqHists  obs.HandleCache[requestKey, *obs.Histogram]
 }
 
 type nodeKind struct {
@@ -132,12 +120,7 @@ type nodeKind struct {
 	kind string
 }
 
-// execResult is one confirmed update's exec-node outcome awaiting fan-out.
-type execResult struct {
-	inv  int
-	seq  uint64
-	exec int // the node whose pathway ran the update
-}
+type requestKey struct{ kind, tmpl string }
 
 // NewRouter builds a router over a fleet. backends must match the
 // planner's initial member list, index for index. tracer supplies the
@@ -154,13 +137,11 @@ func NewRouter(planner *Planner, backends []Backend, tracer *obs.Tracer, opts Op
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
 	r := &Router{
-		planner:   planner,
-		tracer:    tracer,
-		sem:       make(chan struct{}, opts.MaxFanout),
-		backoff:   opts.RetryBackoff,
-		backends:  make(map[int]Backend, len(backends)),
-		execInv:   make(map[string][]execResult),
-		nodeHists: make(map[nodeKind]*obs.Histogram),
+		planner:  planner,
+		tracer:   tracer,
+		sem:      make(chan struct{}, opts.MaxFanout),
+		backoff:  opts.RetryBackoff,
+		backends: make(map[int]Backend, len(backends)),
 	}
 	for i, b := range backends {
 		r.backends[members[i]] = b
@@ -220,17 +201,21 @@ func (r *Router) observeNode(ni int, kind string, start time.Duration) {
 	if r.reg == nil {
 		return
 	}
-	k := nodeKind{ni, kind}
-	r.histMu.RLock()
-	h := r.nodeHists[k]
-	r.histMu.RUnlock()
-	if h == nil {
-		h = r.reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LNode, strconv.Itoa(ni)), obs.L(obs.LKind, kind))
-		r.histMu.Lock()
-		r.nodeHists[k] = h
-		r.histMu.Unlock()
+	r.nodeHists.Get(nodeKind{ni, kind}, func() *obs.Histogram {
+		return r.reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LNode, strconv.Itoa(ni)), obs.L(obs.LKind, kind))
+	}).Observe(r.now() - start)
+}
+
+// request records one statement served end to end in dssp_request_seconds,
+// the histogram a node keeps for the same thing.
+func (r *Router) request(kind, templateID string, start time.Duration) {
+	if r.reg == nil {
+		return
 	}
-	h.Observe(r.now() - start)
+	tmpl := obs.Tmpl(templateID)
+	r.reqHists.Get(requestKey{kind, tmpl}, func() *obs.Histogram {
+		return r.reg.Histogram(obs.MRequestSeconds, obs.L(obs.LKind, kind), obs.L(obs.LTemplate, tmpl))
+	}).Observe(r.now() - start)
 }
 
 // proxyError counts one failed proxied call (after the backend's own
@@ -239,17 +224,6 @@ func (r *Router) observeNode(ni int, kind string, start time.Duration) {
 func (r *Router) proxyError(kind string) {
 	r.count(obs.MRouterProxyErrors, obs.L(obs.LKind, kind))
 }
-
-// HandleQuery implements pipeline.Cache. The router caches nothing
-// itself, so every query "misses" into the transport half, which proxies
-// it to the owning node's cache.
-func (r *Router) HandleQuery(wire.SealedQuery) (wire.SealedResult, bool) {
-	return wire.SealedResult{}, false
-}
-
-// StoreResult implements pipeline.Cache as a no-op: the owning node
-// already stored the result on its own miss path.
-func (r *Router) StoreResult(wire.SealedQuery, wire.SealedResult, bool) {}
 
 // routeQuery resolves a sealed query's target node. Template traffic
 // follows the current ring. Blind traffic consults the blind-key cache
@@ -291,16 +265,15 @@ func (r *Router) queryNode(ctx context.Context, ni int, sq wire.SealedQuery) (wi
 	return res, hit, err
 }
 
-// ExecQuery implements pipeline.Transport: proxy the sealed query to its
-// owning node and surface that node's hit/miss through the pipeline.
-// Queries are idempotent, so a failed proxy gets the same single
-// retry-with-backoff the invalidation fan-out already enjoys — after
-// re-resolving the owner, since the failure may be a membership change
-// (a just-joined node's listener still coming up, a killed node) that a
-// re-route fixes outright.
-func (r *Router) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
-	ni := r.routeQuery(sq)
-	res, hit, err := r.queryNode(ctx, ni, sq)
+// Query proxies the sealed query to its owning node and reports that
+// node's hit or miss. Queries are idempotent, so a failed proxy gets the
+// same single retry-with-backoff the invalidation fan-out already enjoys
+// — after re-resolving the owner, since the failure may be a membership
+// change (a just-joined node's listener still coming up, a killed node)
+// that a re-route fixes outright.
+func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+	start := r.now()
+	res, hit, err := r.queryNode(ctx, r.routeQuery(sq), sq)
 	if err != nil && ctx.Err() == nil {
 		r.count(obs.MRouterQueryRetries)
 		t := time.NewTimer(r.backoff)
@@ -315,102 +288,59 @@ func (r *Router) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(p
 	}
 	if err != nil {
 		r.proxyError(obs.KindQuery)
-		done(pipeline.ExecQueryResult{}, err)
-		return
+		return wire.SealedResult{}, false, err
 	}
-	done(pipeline.ExecQueryResult{Result: res, Hit: hit}, nil)
+	r.request(obs.KindQuery, sq.TemplateID, start)
+	return res, hit, nil
 }
 
-// ExecUpdate implements pipeline.Transport: route the update through one
-// node's full update pathway (home execution plus that node's own
-// invalidation) and stash the node's invalidation count for the fan-out
-// step to fold in. A failed exec means the update was never confirmed,
-// so no fan-out follows.
-func (r *Router) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+// Update routes the update through one node's full update pathway (home
+// execution plus that node's own invalidation) and, once that node reports
+// it confirmed, fans its invalidation out. invalidated is the fleet-wide
+// count. A failed exec means the update was never confirmed, so no fan-out
+// follows.
+func (r *Router) Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error) {
+	start := r.now()
 	exec := r.planner.ExecNode(su)
 	b := r.backend(exec)
 	if b == nil {
 		r.proxyError(obs.KindUpdate)
-		done(pipeline.ExecUpdateResult{}, fmt.Errorf("shard: exec node %d has no live backend", exec))
-		return
+		return 0, 0, 0, fmt.Errorf("shard: exec node %d has no live backend", exec)
 	}
+	esu := su
 	sp := r.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageRoute, obs.Tmpl(su.TemplateID)).
 		WithNode(strconv.Itoa(exec))
 	if id := sp.ID(); id != "" {
-		su.ParentSpan = id
+		esu.ParentSpan = id
 	}
-	start := r.now()
-	affected, invalidated, seq, err := b.Update(ctx, su)
+	nodeStart := r.now()
+	affected, invalidated, seq, err = b.Update(ctx, esu)
 	sp.End()
-	r.observeNode(exec, obs.KindUpdate, start)
+	r.observeNode(exec, obs.KindUpdate, nodeStart)
 	if err != nil {
 		r.proxyError(obs.KindUpdate)
-		done(pipeline.ExecUpdateResult{}, err)
-		return
+		return 0, 0, 0, err
 	}
-	r.mu.Lock()
-	r.execInv[su.TraceID] = append(r.execInv[su.TraceID], execResult{inv: invalidated, seq: seq, exec: exec})
-	r.mu.Unlock()
-	done(pipeline.ExecUpdateResult{Affected: affected, Seq: seq}, nil)
+	invalidated += r.fanOut(su, exec, seq)
+	r.request(obs.KindUpdate, su.TemplateID, start)
+	return affected, invalidated, seq, nil
 }
 
-// popExecInv retrieves the stashed exec-node result for an update the
-// pipeline just confirmed.
-func (r *Router) popExecInv(trace string) (execResult, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	stack := r.execInv[trace]
-	if len(stack) == 0 {
-		return execResult{}, false
-	}
-	n := stack[len(stack)-1]
-	if len(stack) == 1 {
-		delete(r.execInv, trace)
-	} else {
-		r.execInv[trace] = stack[:len(stack)-1]
-	}
-	return n, true
-}
-
-// OnUpdateCompleted implements pipeline.Cache: the pipeline calls it once
-// the home server (via the exec node) has confirmed the update, which is
-// exactly when the invalidation fan-out must run. Returns the fleet-wide
-// invalidation count.
-func (r *Router) OnUpdateCompleted(su wire.SealedUpdate) int {
-	return r.fanOut(su)
-}
-
-// OnUpdatesCompleted implements pipeline.Cache for a batched monitoring
-// interval at the router: each update fans out in turn.
-func (r *Router) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
-	counts := make([]int, len(us))
-	for i, su := range us {
-		counts[i] = r.fanOut(su)
-	}
-	return counts
-}
-
-// fanOut pushes one confirmed update's invalidation to every planned node
-// except the exec node (whose own pathway already invalidated), in
-// parallel under the concurrency bound. A node that fails after retries
-// is counted and skipped — the batch still reaches the surviving nodes.
-// Backends are captured before the goroutines start, so a node leaving
-// mid-batch still receives this batch's push (its pipeline outlives its
-// membership by exactly the in-flight work).
-func (r *Router) fanOut(su wire.SealedUpdate) int {
-	er, ok := r.popExecInv(su.TraceID)
-	exec := er.exec
-	if !ok {
-		// Nothing stashed (the exec node's pathway was bypassed); derive
-		// the exec node the same way ExecUpdate would today.
-		exec = r.planner.ExecNode(su)
-	}
+// fanOut pushes one update, confirmed at home sequence seq through node
+// exec, to every other planned node (exec's own pathway already
+// invalidated), in parallel under the concurrency bound, and returns what
+// those nodes dropped. A node that fails after retries is counted and
+// skipped — the batch still reaches the surviving nodes. Backends are
+// captured before the goroutines start, so a node leaving mid-batch still
+// receives this batch's push (its pipeline outlives its membership by
+// exactly the in-flight work).
+func (r *Router) fanOut(su wire.SealedUpdate, exec int, seq uint64) int {
 	targets, broadcast := r.planner.Targets(su)
 	if broadcast && r.broadcasts != nil {
 		r.broadcasts.Inc()
 	}
 
-	total := int64(er.inv)
+	var total atomic.Int64
 	touched := 1 // the exec node
 	var wg sync.WaitGroup
 	for _, ni := range targets {
@@ -434,14 +364,14 @@ func (r *Router) fanOut(su wire.SealedUpdate) int {
 				fsu.ParentSpan = id
 			}
 			start := r.now()
-			inv, err := b.Invalidate(context.Background(), fsu, er.seq)
+			inv, err := b.Invalidate(context.Background(), fsu, seq)
 			sp.End()
 			r.observeNode(ni, obs.KindInvalidate, start)
 			if err != nil {
 				r.proxyError(obs.KindInvalidate)
 				return
 			}
-			atomic.AddInt64(&total, int64(inv))
+			total.Add(int64(inv))
 		}()
 	}
 	wg.Wait()
@@ -454,7 +384,7 @@ func (r *Router) fanOut(su wire.SealedUpdate) int {
 	if skipped := r.planner.Nodes() - touched; skipped > 0 && r.fanoutSkipped != nil {
 		r.fanoutSkipped.Add(int64(skipped))
 	}
-	return int(atomic.LoadInt64(&total))
+	return int(total.Load())
 }
 
 // MigrationReport summarizes one committed membership change.

@@ -13,7 +13,6 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
-	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -154,6 +153,7 @@ type fakeBackend struct {
 	queries     []wire.SealedQuery
 	updates     []wire.SealedUpdate
 	invalidates []wire.SealedUpdate
+	invSeqs     []uint64 // the confirmed sequence each invalidation carried
 
 	hit         bool
 	affected    int
@@ -180,9 +180,10 @@ func (f *fakeBackend) Update(_ context.Context, su wire.SealedUpdate) (int, int,
 	return f.affected, f.invalidated, seq, f.fail
 }
 
-func (f *fakeBackend) Invalidate(_ context.Context, su wire.SealedUpdate, _ uint64) (int, error) {
+func (f *fakeBackend) Invalidate(_ context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
 	f.mu.Lock()
 	f.invalidates = append(f.invalidates, su)
+	f.invSeqs = append(f.invSeqs, seq)
 	f.mu.Unlock()
 	return f.invalidated, f.fail
 }
@@ -226,9 +227,8 @@ func (f *fakeBackend) DropBuckets(_ context.Context, ids []string) (int, error) 
 	return n, nil
 }
 
-// routedFixture builds a router over fake backends and the pipeline in
-// front of it, mirroring the real deployment's wiring.
-func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *pipeline.Pipeline, *obs.Registry) {
+// routedFixture builds a router over fake backends.
+func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *obs.Registry) {
 	t.Helper()
 	app := apps.Toystore()
 	planner := NewPlanner(NewAffinity(fleet), core.Analyze(app, core.DefaultOptions()))
@@ -240,21 +240,20 @@ func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *pipeline.
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	r := NewRouter(planner, backends, tracer, Options{})
-	return r, fakes, pipeline.New(r, r, tracer, pipeline.Options{}), reg
+	return NewRouter(planner, backends, tracer, Options{}), fakes, reg
 }
 
 func TestRouterQueryRoutesToOwner(t *testing.T) {
-	r, fakes, pipe, _ := routedFixture(t, 4)
+	r, fakes, _ := routedFixture(t, 4)
 	owner := r.Planner().Affinity().OwnerOfTemplate("Q1")
 	fakes[owner].hit = true
 
 	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
-	reply, err := pipe.QuerySync(context.Background(), sq)
+	_, hit, err := r.Query(context.Background(), sq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reply.Hit {
+	if !hit {
 		t.Error("owning node hit, but the routed reply reports a miss")
 	}
 	for i, f := range fakes {
@@ -269,12 +268,12 @@ func TestRouterQueryRoutesToOwner(t *testing.T) {
 }
 
 func TestRouterUpdateFanOut(t *testing.T) {
-	r, fakes, pipe, reg := routedFixture(t, 4)
+	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u1"}
 	exec := r.Planner().ExecNode(su)
 	targets, _ := r.Planner().Targets(su)
 
-	reply, err := pipe.UpdateSync(context.Background(), su)
+	_, invalidated, _, err := r.Update(context.Background(), su)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,8 +283,8 @@ func TestRouterUpdateFanOut(t *testing.T) {
 		touched[n] = true
 	}
 	wantInvalidated := len(touched) // each fake reports 1
-	if reply.Invalidated != wantInvalidated {
-		t.Errorf("invalidated %d, want %d (one per touched node)", reply.Invalidated, wantInvalidated)
+	if invalidated != wantInvalidated {
+		t.Errorf("invalidated %d, want %d (one per touched node)", invalidated, wantInvalidated)
 	}
 	for i, f := range fakes {
 		wantU, wantI := 0, 0
@@ -307,11 +306,40 @@ func TestRouterUpdateFanOut(t *testing.T) {
 	}
 }
 
+// The fan-out carries the sequence the exec node's home confirmed — each
+// target raises its freshness floor to it — and never goes back to the exec
+// node, whose own pathway already invalidated.
+func TestRouterFanOutCarriesConfirmedSeq(t *testing.T) {
+	r, fakes, _ := routedFixture(t, 4)
+	su := wire.SealedUpdate{TemplateID: "FORGED"} // unknown template: every node is a target
+	exec := r.Planner().ExecNode(su)
+	for want := uint64(1); want <= 3; want++ {
+		_, _, seq, err := r.Update(context.Background(), su)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq != want {
+			t.Fatalf("update %d confirmed at seq %d", want, seq)
+		}
+	}
+	for i, f := range fakes {
+		if i == exec {
+			if len(f.updates) != 3 || len(f.invalidates) != 0 {
+				t.Errorf("exec node %d: %d updates / %d invalidates, want 3 / 0", i, len(f.updates), len(f.invalidates))
+			}
+			continue
+		}
+		if got := fmt.Sprint(f.invSeqs); got != "[1 2 3]" {
+			t.Errorf("node %d was pushed seqs %s, want [1 2 3]", i, got)
+		}
+	}
+}
+
 // A node down during the fan-out must not stop the batch: surviving
 // nodes still get the invalidation, the failure is counted, and the
 // update itself still succeeds (it was confirmed before the fan-out).
 func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
-	r, fakes, pipe, reg := routedFixture(t, 4)
+	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-down"}
 	exec := r.Planner().ExecNode(su)
 	targets, _ := r.Planner().Targets(su)
@@ -328,7 +356,7 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 	}
 	fakes[down].fail = errors.New("connection refused")
 
-	reply, err := pipe.UpdateSync(context.Background(), su)
+	_, invalidated, _, err := r.Update(context.Background(), su)
 	if err != nil {
 		t.Fatalf("update failed outright; a down fan-out target must not fail the update: %v", err)
 	}
@@ -344,8 +372,8 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 	for _, n := range targets {
 		touched[n] = true
 	}
-	if want := len(touched) - 1; reply.Invalidated != want {
-		t.Errorf("invalidated %d, want %d (down node contributes nothing)", reply.Invalidated, want)
+	if want := len(touched) - 1; invalidated != want {
+		t.Errorf("invalidated %d, want %d (down node contributes nothing)", invalidated, want)
 	}
 	if n := reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, obs.KindInvalidate)).Value(); n != 1 {
 		t.Errorf("proxy_errors{kind=invalidate} = %d, want 1", n)
@@ -356,12 +384,12 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 // up — queries have exactly one home, so there is nothing to fail over
 // to.
 func TestRouterQueryNodeDown(t *testing.T) {
-	r, fakes, pipe, reg := routedFixture(t, 4)
+	r, fakes, reg := routedFixture(t, 4)
 	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x001", TraceID: "t-qd"}
 	owner := r.Planner().Affinity().OwnerOfQuery(sq)
 	fakes[owner].fail = errors.New("connection refused")
 
-	if _, err := pipe.QuerySync(context.Background(), sq); err == nil {
+	if _, _, err := r.Query(context.Background(), sq); err == nil {
 		t.Fatal("query to a down owning node must surface the error")
 	}
 	if n := reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, obs.KindQuery)).Value(); n != 1 {
@@ -370,11 +398,11 @@ func TestRouterQueryNodeDown(t *testing.T) {
 }
 
 func TestRouterForgedTemplateBroadcasts(t *testing.T) {
-	r, fakes, pipe, reg := routedFixture(t, 4)
+	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "FORGED", TraceID: "t-forged"}
 	exec := r.Planner().ExecNode(su)
 
-	if _, err := pipe.UpdateSync(context.Background(), su); err != nil {
+	if _, _, _, err := r.Update(context.Background(), su); err != nil {
 		t.Fatal(err)
 	}
 	for i, f := range fakes {
@@ -400,16 +428,16 @@ func TestRouterForgedTemplateBroadcasts(t *testing.T) {
 // a handle cached per (node, kind), which must pick exactly the instrument
 // a registry lookup would, for a node that joined after start-up too.
 func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
-	r, _, pipe, reg := routedFixture(t, 2)
+	r, _, reg := routedFixture(t, 2)
 	ctx := context.Background()
 	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u"}
 	for i := 0; i < 3; i++ {
-		if _, err := pipe.QuerySync(ctx, sq); err != nil {
+		if _, _, err := r.Query(ctx, sq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := pipe.UpdateSync(ctx, su); err != nil {
+	if _, _, _, err := r.Update(ctx, su); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := r.Join(ctx, &fakeBackend{}, false)

@@ -507,14 +507,9 @@ func Simulate(cfg Config) (*Result, error) {
 
 	// Admission-instrument mirrors, registered eagerly (like
 	// homeserver.SetObs does) so the snapshot's shape matches /v1/metrics.
-	// The monitor-release counter is mirrored too: in the simulator the
-	// interval is modeled at the node batcher on virtual time, so the
-	// home-side gate never fires, but the name must exist for shape
-	// parity.
 	queueDepth := reg.Gauge(obs.MHomeQueueDepth)
 	waitQ := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindQuery))
 	waitU := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindUpdate))
-	reg.Counter(obs.MHomeMonitorReleases)
 
 	// The shard planner, in Affinity mode: the same ownership map and
 	// pruned fan-out plan the HTTP router uses, so the simulated topology

@@ -91,8 +91,8 @@ echo "smoke: replicas served $served misses under the staleness protocol"
 curl -sf "http://localhost:$NODE0_PORT/v1/decisions" >"$OUT/node0.json"
 curl -sf "http://localhost:$NODE1_PORT/v1/decisions" >"$OUT/node1.json"
 
-# Graceful shutdown: SIGTERM the primary; it must flush the confirmation
-# gate, drain the replica streams, and exit 0 — no torn interval.
+# Graceful shutdown: SIGTERM the primary; it must wait out in-flight
+# statements, drain the replica streams, and exit 0.
 kill -TERM "$PRIMARY_PID"
 if ! wait "$PRIMARY_PID"; then
   echo "smoke: primary did not shut down gracefully on SIGTERM" >&2

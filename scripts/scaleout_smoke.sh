@@ -41,8 +41,9 @@ curl -sf "http://localhost:$NODE1_PORT/v1/decisions" >"$OUT/node1.json"
 
 # Fleet-wide trace: one more request, then fetch its spans back from
 # every process's /v1/trace endpoint. The client logs the trace ID; the
-# stitched union must carry that one ID through the router proxy, the
-# owning node's cache probe, and the home server's execution.
+# stitched union must carry that one ID through the router's route span
+# (its only one), the owning node's cache probe, and the home server's
+# execution.
 echo "smoke: stitching one request's trace across router, nodes, and home"
 TRACE=$("$BIN/dsspclient" -app toystore -key "$KEY" -node "http://localhost:$ROUTER_PORT" \
   -query Q2 -params 3 2>&1 >/dev/null | grep -o 'trace=[^ ]*' | head -1 | cut -d= -f2)
@@ -57,9 +58,15 @@ jq -s --arg id "$TRACE" '
   add
   | if (map(select(.trace != $id)) | length) > 0 then error("span with foreign trace ID") else . end
   | [.[].stage] as $stages
-  | if ($stages | contains(["route"]) and contains(["cache_lookup"]) and contains(["home_exec"]))
-    then "smoke: trace \($id) covers \($stages | join(", "))"
-    else error("trace misses a hop: \($stages | join(", "))") end' \
+  | if ($stages | contains(["route"]) and contains(["cache_lookup"]) and contains(["home_exec"])) | not
+    then error("trace misses a hop: \($stages | join(", "))") else . end
+  # The router forwards: its one span is the route, and the lookup belongs
+  # to the owning node.
+  | if any(.[]; .stage == "route" and .process == "router") | not
+    then error("no route span recorded by the router") else . end
+  | if any(.[]; .stage == "cache_lookup" and .process == "router")
+    then error("the router recorded a cache_lookup span: it is running a node pathway again") else . end
+  | "smoke: trace \($id) covers \($stages | join(", "))"' \
   -r "$OUT/spans.json"
 cleanup
 
