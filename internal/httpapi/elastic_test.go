@@ -118,7 +118,7 @@ func TestRingAdminWarmJoinMigratedEntriesHit(t *testing.T) {
 			t.Errorf("Q2(%d) missed after the warm join; handoff lost it", i)
 		}
 	}
-	q2Owner := shard.NewAffinityMembers(rep.Members).OwnerOfTemplate("Q2")
+	q2Owner := f.Router.Router.Planner().OwnerOfTemplate("Q2")
 	if q2Owner == rep.Node {
 		if rep.Entries == 0 {
 			t.Error("Q2 moved to the new node but the report streamed no entries")
@@ -190,7 +190,7 @@ func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	owner := shard.NewAffinity(2).OwnerOfTemplate("Q2")
+	owner := f.Router.Router.Planner().OwnerOfTemplate("Q2")
 	src, dst := f.NodeURLs[owner], f.NodeURLs[1-owner]
 	hc := f.HTTP
 

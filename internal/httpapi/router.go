@@ -159,8 +159,7 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 	for i, url := range nodeURLs {
 		backends[i] = NewNodeProxy(url, client, reg)
 	}
-	planner := shard.NewPlanner(shard.NewAffinity(len(nodeURLs)), analysis)
-	router := shard.NewRouter(planner, backends, tracer, shard.Options{
+	router := shard.NewRouter(analysis, backends, tracer, shard.Options{
 		MaxFanout:      opts.MaxFanout,
 		BlindCacheSize: opts.BlindCacheSize,
 		RetryBackoff:   opts.RetryBackoff,

@@ -331,7 +331,7 @@ func runShardedPartitionedInproc(t *testing.T) []nodeState {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
-	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
 	driveSealedScript(t, "sharded-partitioned", app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
@@ -360,7 +360,7 @@ func runShardedSingleInproc(t *testing.T) []nodeState {
 			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
-	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
 	driveSealedScript(t, "sharded-single", app, codec, router)
 
 	out := make([]nodeState, shardedFleet)

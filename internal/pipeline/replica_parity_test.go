@@ -147,7 +147,7 @@ func runShardedReplicatedInproc(t *testing.T) []nodeState {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
 	}
-	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
 	driveSealed(t, app, codec, router)
 
 	out := make([]nodeState, shardedFleet)

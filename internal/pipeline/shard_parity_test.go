@@ -105,7 +105,7 @@ func runShardedInproc(t *testing.T) []nodeState {
 			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
-	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
 	driveSealed(t, app, codec, router)
 
 	out := make([]nodeState, shardedFleet)
@@ -168,10 +168,10 @@ func runShardedHTTP(t *testing.T) []nodeState {
 
 // ownedDecisions filters the single-node reference log down to the
 // templates one fleet node owns.
-func ownedDecisions(ref []cache.Decision, aff *shard.Affinity, node int) []cache.Decision {
+func ownedDecisions(ref []cache.Decision, owners *shard.Planner, node int) []cache.Decision {
 	out := []cache.Decision{}
 	for _, d := range ref {
-		if aff.OwnerOfTemplate(d.QueryTemplate) == node {
+		if owners.OwnerOfTemplate(d.QueryTemplate) == node {
 			out = append(out, d)
 		}
 	}
@@ -180,7 +180,7 @@ func ownedDecisions(ref []cache.Decision, aff *shard.Affinity, node int) []cache
 
 func assertShardedParity(t *testing.T, name string, ref adapterResult, fleet []nodeState) {
 	t.Helper()
-	aff := shard.NewAffinity(len(fleet))
+	owners := shard.NewPlanner(len(fleet), core.Analyze(apps.Toystore(), core.DefaultOptions()))
 
 	var merged []string
 	for _, n := range fleet {
@@ -192,7 +192,7 @@ func assertShardedParity(t *testing.T, name string, ref adapterResult, fleet []n
 	}
 
 	for i, n := range fleet {
-		want := ownedDecisions(ref.decisions, aff, i)
+		want := ownedDecisions(ref.decisions, owners, i)
 		got := n.decisions
 		if got == nil {
 			got = []cache.Decision{}

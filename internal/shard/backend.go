@@ -22,6 +22,8 @@ type BucketStore interface {
 // deployment that keeps the whole fleet in one process. The HTTP
 // deployment's counterpart is httpapi.NodeProxy. Buckets is the node's
 // cache for warm handoff; a nil Buckets leaves the node cold-join only.
+// The simulator sets Buckets alone: it runs requests through the node
+// pipelines on virtual time and asks its router only to Join and Leave.
 type PipeBackend struct {
 	Pipe    *pipeline.Pipeline
 	Buckets BucketStore

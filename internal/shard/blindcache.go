@@ -14,11 +14,8 @@ const DefaultBlindCacheSize = 4096
 // had built up. The cache keeps routing a remembered key to its warm
 // node for as long as that node stays a member, and an entry whose node
 // has left is discarded on lookup, so the cache can never serve a stale
-// owner after an epoch flip.
-//
-// Entries are epoch-tagged for observability: the tag records the epoch
-// the assignment was made under, which tells an operator how much blind
-// traffic is still riding pre-rebalance affinity.
+// owner after an epoch flip. Pins to surviving nodes outlive every flip
+// by design.
 //
 // The router is untrusted, so the cache holds only what the router
 // already sees on every blind request: the sealed lookup key and the
@@ -35,7 +32,6 @@ type BlindCache struct {
 type blindEntry struct {
 	key        string
 	node       int
-	epoch      uint64
 	prev, next *blindEntry
 }
 
@@ -54,33 +50,33 @@ func NewBlindCache(capacity int) *BlindCache {
 // Lookup returns the node a sealed key is pinned to, if the pin is still
 // valid under the live predicate. An entry whose node is no longer live
 // is dropped — the next Put re-pins the key to the current ring owner.
-func (c *BlindCache) Lookup(key string, live func(int) bool) (node int, epoch uint64, ok bool) {
+func (c *BlindCache) Lookup(key string, live func(int) bool) (node int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
 	if e == nil {
-		return 0, 0, false
+		return 0, false
 	}
 	if !live(e.node) {
 		c.unlink(e)
 		delete(c.entries, key)
-		return 0, 0, false
+		return 0, false
 	}
 	c.moveToFront(e)
-	return e.node, e.epoch, true
+	return e.node, true
 }
 
-// Put pins a sealed key to a node under the given epoch, evicting the
-// least-recently-used pin when full.
-func (c *BlindCache) Put(key string, node int, epoch uint64) {
+// Put pins a sealed key to a node, evicting the least-recently-used pin
+// when full.
+func (c *BlindCache) Put(key string, node int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e := c.entries[key]; e != nil {
-		e.node, e.epoch = node, epoch
+		e.node = node
 		c.moveToFront(e)
 		return
 	}
-	e := &blindEntry{key: key, node: node, epoch: epoch}
+	e := &blindEntry{key: key, node: node}
 	c.entries[key] = e
 	c.pushFront(e)
 	if len(c.entries) > c.capacity {

@@ -3,7 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,65 +15,37 @@ import (
 	"dssp/internal/wire"
 )
 
-// movedFraction sums a diff's segment widths as a fraction of the hash
-// space.
-func movedFraction(segs []Segment) float64 {
-	total := 0.0
-	for _, s := range segs {
-		total += float64(s.Width())
-	}
-	return total / math.Exp2(64)
-}
-
 // A single join must move about 1/(n+1) of the key space and not a key
 // more than the variance of 64 virtual points allows — the minimality
-// property that makes elasticity cheap. Verified two ways: exactly, by
-// the diff's segment widths, and empirically, by sampling keys.
+// property that makes elasticity cheap — and every key it moves must move
+// to the new node. Measured by sampling keys through Owner.
 func TestRingJoinMovesMinimalFraction(t *testing.T) {
+	const samples = 20000
 	for _, n := range []int{2, 3, 4, 8} {
 		cur, next := NewRing(n), NewRing(n+1)
-		segs := cur.Diff(next)
-		if len(segs) == 0 {
-			t.Fatalf("n=%d: join diff is empty", n)
+		moved := 0
+		for i := 0; i < samples; i++ {
+			key := fmt.Sprintf("sample-key-%d", i)
+			from, to := cur.Owner(key), next.Owner(key)
+			if from == to {
+				continue
+			}
+			moved++
+			if to != n {
+				t.Fatalf("n=%d: key %q moved %d -> %d; a join may only move keys to the new node", n, key, from, to)
+			}
+		}
+		if moved == 0 {
+			t.Fatalf("n=%d: the join moved no key", n)
 		}
 		ideal := 1 / float64(n+1)
 		// 64 virtual points put the new node's share within ~ideal/sqrt(64)
 		// of ideal per standard deviation; 4 sigma is a deterministic-safe
-		// bound (the rings are fixed, this guards regressions in hashing).
+		// bound (the rings and the keys are fixed, this guards regressions
+		// in hashing).
 		bound := ideal + 4*ideal/8
-		if frac := movedFraction(segs); frac > bound {
+		if frac := float64(moved) / samples; frac > bound {
 			t.Errorf("n=%d: join moves %.4f of the key space, want <= %.4f (~1/%d)", n, frac, bound, n+1)
-		}
-		for _, s := range segs {
-			if s.To != n {
-				t.Errorf("n=%d: segment (%d,%d] moves %d -> %d; a join may only move keys to the new node",
-					n, s.Lo, s.Hi, s.From, s.To)
-			}
-		}
-
-		// The diff must characterize ownership change exactly: a key moved
-		// if and only if its hash lies in some returned segment.
-		const samples = 20000
-		moved := 0
-		for i := 0; i < samples; i++ {
-			key := fmt.Sprintf("sample-key-%d", i)
-			h := hash64(key)
-			inSeg := false
-			for _, s := range segs {
-				if s.Contains(h) {
-					inSeg = true
-					break
-				}
-			}
-			if changed := cur.Owner(key) != next.Owner(key); changed != inSeg {
-				t.Fatalf("n=%d: key %q moved=%v but segment membership=%v", n, key, changed, inSeg)
-			}
-			if inSeg {
-				moved++
-			}
-		}
-		if frac, sampled := movedFraction(segs), float64(moved)/samples; math.Abs(frac-sampled) > 0.02 {
-			t.Errorf("n=%d: segment widths say %.4f moved, sampling says %.4f", n, frac, sampled)
 		}
 	}
 }
@@ -81,17 +54,20 @@ func TestRingJoinMovesMinimalFraction(t *testing.T) {
 func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	cur := NewRing(4)
 	next := NewRingMembers([]int{0, 1, 3}) // node 2 leaves
-	for _, s := range cur.Diff(next) {
-		if s.From != 2 {
-			t.Errorf("segment (%d,%d] moves %d -> %d; a leave may only move the departed node's keys",
-				s.Lo, s.Hi, s.From, s.To)
-		}
-	}
+	moved := 0
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("leave-key-%d", i)
-		if from, to := cur.Owner(key), next.Owner(key); from != to && from != 2 {
+		from, to := cur.Owner(key), next.Owner(key)
+		if from == to {
+			continue
+		}
+		moved++
+		if from != 2 {
 			t.Fatalf("key %q moved %d -> %d though node 2 left", key, from, to)
 		}
+	}
+	if moved == 0 {
+		t.Fatal("the leave moved no key; node 2 owned nothing")
 	}
 }
 
@@ -114,56 +90,56 @@ func TestBlindCacheBoundedLRU(t *testing.T) {
 	c := NewBlindCache(3)
 	live := func(int) bool { return true }
 	for i := 0; i < 5; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i, 0)
+		c.Put(fmt.Sprintf("k%d", i), i)
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want capacity 3", c.Len())
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, ok := c.Lookup(fmt.Sprintf("k%d", i), live); ok {
+		if _, ok := c.Lookup(fmt.Sprintf("k%d", i), live); ok {
 			t.Errorf("k%d survived past capacity; LRU bound broken", i)
 		}
 	}
 	// Touch k2, insert one more: k3 (now least recent) is the victim.
-	if _, _, ok := c.Lookup("k2", live); !ok {
+	if _, ok := c.Lookup("k2", live); !ok {
 		t.Fatal("k2 missing")
 	}
-	c.Put("k5", 5, 1)
-	if _, _, ok := c.Lookup("k3", live); ok {
+	c.Put("k5", 5)
+	if _, ok := c.Lookup("k3", live); ok {
 		t.Error("k3 survived; recency order ignored")
 	}
-	if ni, epoch, ok := c.Lookup("k5", live); !ok || ni != 5 || epoch != 1 {
-		t.Errorf("k5 -> (%d, %d, %v), want (5, 1, true)", ni, epoch, ok)
+	if ni, ok := c.Lookup("k5", live); !ok || ni != 5 {
+		t.Errorf("k5 -> (%d, %v), want (5, true)", ni, ok)
 	}
 }
 
 func TestBlindCacheDropsDeadNodeOnLookup(t *testing.T) {
 	c := NewBlindCache(0)
-	c.Put("tok", 2, 0)
+	c.Put("tok", 2)
 	dead := func(ni int) bool { return ni != 2 }
-	if _, _, ok := c.Lookup("tok", dead); ok {
+	if _, ok := c.Lookup("tok", dead); ok {
 		t.Fatal("served a pin to a dead node")
 	}
-	// The stale pin is gone, not just masked: a re-put under the new
-	// epoch takes over cleanly.
-	c.Put("tok", 0, 1)
-	if ni, epoch, ok := c.Lookup("tok", dead); !ok || ni != 0 || epoch != 1 {
-		t.Errorf("re-pin -> (%d, %d, %v), want (0, 1, true)", ni, epoch, ok)
+	// The stale pin is gone, not just masked: a re-put to a live node
+	// takes over cleanly.
+	c.Put("tok", 0)
+	if ni, ok := c.Lookup("tok", dead); !ok || ni != 0 {
+		t.Errorf("re-pin -> (%d, %v), want (0, true)", ni, ok)
 	}
 }
 
 func TestBlindCacheDropNode(t *testing.T) {
 	c := NewBlindCache(0)
-	c.Put("a", 1, 0)
-	c.Put("b", 2, 0)
-	c.Put("c", 1, 0)
+	c.Put("a", 1)
+	c.Put("b", 2)
+	c.Put("c", 1)
 	if n := c.DropNode(1); n != 2 {
 		t.Fatalf("DropNode(1) = %d, want 2", n)
 	}
 	if c.Len() != 1 {
 		t.Errorf("Len = %d after drop, want 1", c.Len())
 	}
-	if _, _, ok := c.Lookup("b", func(int) bool { return true }); !ok {
+	if _, ok := c.Lookup("b", func(int) bool { return true }); !ok {
 		t.Error("unrelated pin b was dropped")
 	}
 }
@@ -239,7 +215,7 @@ func seedBuckets(r *Router, fakes map[int]*fakeBackend, perTemplate int) map[str
 	owners := make(map[string]int)
 	app := r.planner.analysis.App
 	for _, q := range app.Queries {
-		owner := r.planner.aff.OwnerOfTemplate(q.ID)
+		owner := r.planner.OwnerOfTemplate(q.ID)
 		owners[q.ID] = owner
 		f := fakes[owner]
 		if f.buckets == nil {
@@ -275,7 +251,7 @@ func TestRouterJoinWarmStreamsMovedBuckets(t *testing.T) {
 
 	moved := 0
 	for id, was := range before {
-		now := r.Planner().Affinity().OwnerOfTemplate(id)
+		now := r.Planner().OwnerOfTemplate(id)
 		if now == was {
 			if len(nb.buckets[id]) != 0 {
 				t.Errorf("%s did not move but its entries reached the new node", id)
@@ -327,7 +303,7 @@ func TestRouterLeaveWarmDrainsToSurvivors(t *testing.T) {
 		if was != 1 {
 			continue
 		}
-		now := r.Planner().Affinity().OwnerOfTemplate(id)
+		now := r.Planner().OwnerOfTemplate(id)
 		if now == 1 {
 			t.Fatalf("%s still owned by the departed node", id)
 		}
@@ -384,16 +360,39 @@ func (b *stagedBackend) Invalidate(ctx context.Context, su wire.SealedUpdate, se
 // stagedFixture is a fleet of stagedBackends in which the node that
 // executes su holds its Updates at the gate.
 func stagedFixture(fleet int, su wire.SealedUpdate) (*Router, []*stagedBackend, int) {
-	planner := NewPlanner(NewAffinity(fleet), core.Analyze(apps.Toystore(), core.DefaultOptions()))
-	exec := planner.ExecNode(su)
 	staged := make([]*stagedBackend, fleet)
 	backends := make([]Backend, fleet)
 	for i := range staged {
 		staged[i] = &stagedBackend{}
 		backends[i] = staged[i]
 	}
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()), Options{})
+	exec := r.Planner().ExecNode(su)
 	staged[exec].entered, staged[exec].release = make(chan struct{}, fleet), make(chan struct{})
-	return NewRouter(planner, backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()), Options{}), staged, exec
+	return r, staged, exec
+}
+
+// awaitParked returns once the goroutine running Router.<method> is
+// parked on the router's membership lock, or that call has returned (done
+// closed). Parked is read off the goroutine's stack, not its effects, so a
+// call that never waits returns by done and not by a race.
+func awaitParked(method string, done <-chan struct{}) {
+	buf := make([]byte, 1<<20)
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			lock := strings.Index(g, "sync.(*RWMutex).Lock(")
+			if lock >= 0 && strings.Contains(g[lock:], "shard.(*Router)."+method+"(") {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
 }
 
 // Two updates in flight at once under one trace ID (clients that predate
@@ -432,11 +431,13 @@ func TestRouterConcurrentUpdatesSameTraceID(t *testing.T) {
 }
 
 // The exec node leaving while its Update is in flight must not lose the
-// update: the exec node's own count still comes back, and every survivor
-// the plan names gets exactly one push.
+// update: the leave waits for the update's fan-out, the exec node's own
+// count still comes back, and every survivor the update's plan names gets
+// exactly one push.
 func TestRouterLeaveDuringUpdate(t *testing.T) {
-	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-mid"}
+	su := wire.SealedUpdate{TemplateID: "U2", TraceID: "t-mid"}
 	r, staged, exec := stagedFixture(3, su)
+	targets, _ := r.Planner().Targets(su) // the plan the update runs under
 
 	type outcome struct {
 		invalidated int
@@ -448,16 +449,22 @@ func TestRouterLeaveDuringUpdate(t *testing.T) {
 		out <- outcome{invalidated, err}
 	}()
 	<-staged[exec].entered
-	if _, err := r.Leave(context.Background(), exec, false); err != nil {
-		t.Fatal(err)
-	}
+	var leaveErr error
+	left := make(chan struct{})
+	go func() {
+		defer close(left)
+		_, leaveErr = r.Leave(context.Background(), exec, false)
+	}()
+	awaitParked("Leave", left)
 	close(staged[exec].release)
 	o := <-out
 	if o.err != nil {
 		t.Fatal(o.err)
 	}
+	if <-left; leaveErr != nil {
+		t.Fatal(leaveErr)
+	}
 
-	targets, _ := r.Planner().Targets(su)
 	survivors := 0
 	for _, ni := range targets {
 		if ni == exec {
@@ -479,16 +486,95 @@ func TestRouterLeaveDuringUpdate(t *testing.T) {
 	}
 }
 
+// invalidatingBackend is a fakeBackend whose Invalidate drops every entry
+// it holds — the most conservative invalidation — after waiting at an
+// optional gate, so a test can hold one push in flight.
+type invalidatingBackend struct {
+	fakeBackend
+	entered chan struct{} // nil: no gate; else one send per Invalidate before it waits
+	release chan struct{} // closed to let held Invalidates run
+}
+
+func (b *invalidatingBackend) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
+	if b.entered != nil {
+		b.entered <- struct{}{}
+		<-b.release
+	}
+	b.mu.Lock()
+	n := 0
+	for id, es := range b.buckets {
+		n += len(es)
+		delete(b.buckets, id)
+	}
+	b.mu.Unlock()
+	_, err := b.fakeBackend.Invalidate(ctx, su, seq)
+	return n, err
+}
+
+// A warm join racing an update must not copy a bucket out of its old
+// owner while the update's push to that owner is still in flight: the
+// joining node was not in the update's plan, so a copy taken before the
+// push lands would never be invalidated. The join waits for the fan-out.
+func TestRouterJoinDuringUpdateCopiesNoStaleEntry(t *testing.T) {
+	ctx := context.Background()
+	backs := []*invalidatingBackend{{}, {}}
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{backs[0], backs[1]}, nil, Options{})
+	owners := seedBuckets(r, map[int]*fakeBackend{0: &backs[0].fakeBackend, 1: &backs[1].fakeBackend}, 2)
+
+	// from is the old owner of a bucket the join moves to node 2.
+	next, from := NewRingMembers([]int{0, 1, 2}), -1
+	for _, q := range r.planner.analysis.App.Queries {
+		if templateOwner(next, q.ID) == 2 {
+			from = owners[q.ID]
+			break
+		}
+	}
+	if from == -1 {
+		t.Fatal("the join moves no bucket: the test exercises nothing")
+	}
+	// An unknown template broadcasts, so from gets a push unless it executes.
+	su := wire.SealedUpdate{TemplateID: "FORGED-0"}
+	for i := 1; r.Planner().ExecNode(su) == from; i++ {
+		su.TemplateID = fmt.Sprintf("FORGED-%d", i)
+	}
+	backs[from].entered, backs[from].release = make(chan struct{}, 1), make(chan struct{})
+
+	updated := make(chan error, 1)
+	go func() {
+		_, _, _, err := r.Update(ctx, su)
+		updated <- err
+	}()
+	<-backs[from].entered // the push to the old owner is in flight
+	nb := &invalidatingBackend{}
+	var joinErr error
+	joined := make(chan struct{})
+	go func() {
+		defer close(joined)
+		_, joinErr = r.Join(ctx, nb, true)
+	}()
+	awaitParked("Join", joined)
+	close(backs[from].release)
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+	if <-joined; joinErr != nil {
+		t.Fatal(joinErr)
+	}
+	for id, es := range nb.buckets {
+		if owners[id] == from && len(es) > 0 {
+			t.Errorf("joined node holds %d entries of %s copied from node %d before the update's push invalidated them", len(es), id, from)
+		}
+	}
+}
+
 // Membership churn under live fan-out and query traffic: exercised with
 // -race, the invariant is simply no data race, no deadlock, and a sane
 // final member set.
 func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
-	app := apps.Toystore()
-	planner := NewPlanner(NewAffinity(2), core.Analyze(app, core.DefaultOptions()))
 	fakes := []*fakeBackend{{invalidated: 1}, {invalidated: 1}}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	r := NewRouter(planner, []Backend{fakes[0], fakes[1]}, tracer, Options{RetryBackoff: time.Millisecond})
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{fakes[0], fakes[1]}, tracer, Options{RetryBackoff: time.Millisecond})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -554,17 +640,16 @@ func (f *flakyBackend) Query(ctx context.Context, sq wire.SealedQuery) (wire.Sea
 // A transient query failure is absorbed by the single retry: the caller
 // sees success, the retry counter ticks, and no proxy error is recorded.
 func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
-	app := apps.Toystore()
-	planner := NewPlanner(NewAffinity(2), core.Analyze(app, core.DefaultOptions()))
+	analysis := core.Analyze(apps.Toystore(), core.DefaultOptions())
 	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x003", TraceID: "t-flaky"}
-	owner := planner.Affinity().OwnerOfQuery(sq)
+	owner := NewPlanner(2, analysis).NoteQuery(sq)
 	flaky := &flakyBackend{nFail: 1}
 	flaky.hit = true
 	backends := []Backend{&fakeBackend{}, &fakeBackend{}}
 	backends[owner] = flaky
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	r := NewRouter(planner, backends, tracer, Options{RetryBackoff: time.Millisecond})
+	r := NewRouter(analysis, backends, tracer, Options{RetryBackoff: time.Millisecond})
 
 	_, hit, err := r.Query(context.Background(), sq)
 	if err != nil {

@@ -15,13 +15,12 @@
 // broadcast — conservative, like every other blind pathway in the
 // system.
 //
-// Ring membership is live: an Affinity stages a rebalance to a new
+// Ring membership is live: the Planner stages a rebalance to a new
 // member set, the router streams the moved template buckets' sealed
 // entries to their new owner, and then the epoch flips atomically.
 // Because a node's virtual points are keyed by its node ID alone, two
 // rings built for the same member set agree exactly, and a join or
-// leave moves only the ring segments adjacent to the changed node's
-// points.
+// leave moves only the keys adjacent to the changed node's points.
 package shard
 
 import (
@@ -61,7 +60,7 @@ func NewRing(n int) *Ring {
 // NewRingMembers builds the ring for an explicit member set. Node IDs
 // are stable across membership changes: node 3's virtual points are the
 // same whether the fleet is {0,1,2,3} or {3,7}, which is what makes a
-// join move only the new node's segments.
+// join move keys only onto the new node.
 func NewRingMembers(members []int) *Ring {
 	if len(members) == 0 {
 		panic("shard: ring needs at least one member")
@@ -117,101 +116,12 @@ func (r *Ring) Contains(node int) bool {
 // Owner maps a key to its owning node: the first virtual point at or
 // after the key's hash, wrapping around.
 func (r *Ring) Owner(key string) int {
-	return r.OwnerOfHash(hash64(key))
-}
-
-// OwnerOfHash maps a ring position to its owning node.
-func (r *Ring) OwnerOfHash(h uint64) int {
+	h := hash64(key)
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
 	}
 	return r.owners[i]
-}
-
-// Segment is one maximal arc of the hash space whose owner differs
-// between two rings: every key hashing into (Lo, Hi] moves From → To.
-// A segment with Hi < Lo wraps through zero.
-type Segment struct {
-	Lo, Hi uint64
-	From   int
-	To     int
-}
-
-// Width returns the segment's share of the 2^64 hash space. A segment
-// with Lo == Hi is the degenerate full-circle move (disjoint member
-// sets) and reports the maximum width.
-func (s Segment) Width() uint64 {
-	if s.Lo == s.Hi {
-		return ^uint64(0)
-	}
-	return s.Hi - s.Lo // wraps correctly in uint64 arithmetic
-}
-
-// Contains reports whether a ring position lies in the segment's
-// half-open arc (Lo, Hi].
-func (s Segment) Contains(h uint64) bool {
-	if s.Lo == s.Hi {
-		return true // full circle
-	}
-	if s.Lo < s.Hi {
-		return h > s.Lo && h <= s.Hi
-	}
-	return h > s.Lo || h <= s.Hi // wrapped through zero
-}
-
-// Diff computes exactly the hash-space arcs whose owner changes from r
-// to next, as maximal segments. The combined virtual points of both
-// rings partition the circle into arcs with constant ownership under
-// each ring; arcs where the two owners agree are untouched by the
-// rebalance, and adjacent moved arcs with the same From/To pair merge.
-// The sum of the returned widths over 2^64 is the exact fraction of
-// keys the rebalance moves — the quantity the minimality property test
-// bounds by ~1/(n+1) for a single join.
-func (r *Ring) Diff(next *Ring) []Segment {
-	bounds := make([]uint64, 0, len(r.hashes)+len(next.hashes))
-	bounds = append(bounds, r.hashes...)
-	bounds = append(bounds, next.hashes...)
-	sort.Slice(bounds, func(i, j int) bool { return bounds[i] < bounds[j] })
-	// Dedupe.
-	uniq := bounds[:0]
-	for i, b := range bounds {
-		if i == 0 || b != uniq[len(uniq)-1] {
-			uniq = append(uniq, b)
-		}
-	}
-	bounds = uniq
-	if len(bounds) == 0 {
-		return nil
-	}
-
-	var segs []Segment
-	// Arc i covers (bounds[i-1], bounds[i]], with arc 0 wrapping from
-	// bounds[len-1] through zero to bounds[0]. No virtual point of either
-	// ring lies strictly inside an arc, so ownership under each ring is
-	// constant across it and equals the owner of its upper bound.
-	for i := range bounds {
-		lo := bounds[(i+len(bounds)-1)%len(bounds)]
-		hi := bounds[i]
-		from, to := r.OwnerOfHash(hi), next.OwnerOfHash(hi)
-		if from == to {
-			continue
-		}
-		if n := len(segs); n > 0 && segs[n-1].Hi == lo && segs[n-1].From == from && segs[n-1].To == to {
-			segs[n-1].Hi = hi // extend the previous moved arc
-			continue
-		}
-		segs = append(segs, Segment{Lo: lo, Hi: hi, From: from, To: to})
-	}
-	// The wrap arc (index 0) may continue the final arc of the walk.
-	if n := len(segs); n > 1 {
-		first, last := segs[0], segs[n-1]
-		if last.Hi == first.Lo && last.From == first.From && last.To == first.To {
-			segs[0].Lo = last.Lo
-			segs = segs[:n-1]
-		}
-	}
-	return segs
 }
 
 // hash64 hashes a key onto the ring. Raw FNV-1a disperses short, similar

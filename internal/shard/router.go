@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dssp/internal/core"
 	"dssp/internal/obs"
 	"dssp/internal/wire"
 )
@@ -95,11 +96,16 @@ type Router struct {
 	bmu      sync.RWMutex
 	backends map[int]Backend
 
-	// migMu serializes membership changes; at most one join/leave/kill
-	// is in flight at a time. nextNode is the next never-used node ID —
-	// monotonic, so an ID freed by a leave is never minted again even
-	// after the fleet shrinks below it.
-	migMu    sync.Mutex
+	// migMu orders membership changes against updates. Join and Leave
+	// hold it for writing, so at most one is in flight and none stages
+	// while an update is between its exec and its fan-out: otherwise a
+	// bucket exported from its old owner before the update's push lands
+	// there would reach the new owner, which the update's plan never
+	// named, and stay stale. Update holds it for reading; queries never
+	// take it. nextNode is the next never-used node ID — monotonic, so an
+	// ID freed by a leave is never minted again even after the fleet
+	// shrinks below it.
+	migMu    sync.RWMutex
 	nextNode int
 
 	blind *BlindCache // nil when disabled
@@ -122,14 +128,10 @@ type nodeKind struct {
 
 type requestKey struct{ kind, tmpl string }
 
-// NewRouter builds a router over a fleet. backends must match the
-// planner's initial member list, index for index. tracer supplies the
-// clock and registry for the router's instruments; nil disables them.
-func NewRouter(planner *Planner, backends []Backend, tracer *obs.Tracer, opts Options) *Router {
-	members := planner.Members()
-	if len(backends) != len(members) {
-		panic("shard: backend count does not match planner fleet size")
-	}
+// NewRouter builds a router, and the Planner that is its ownership map,
+// over a fleet: backends[i] is node i. tracer supplies the clock and
+// registry for the router's instruments; nil disables them.
+func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer, opts Options) *Router {
 	if opts.MaxFanout <= 0 {
 		opts.MaxFanout = DefaultMaxFanout
 	}
@@ -137,16 +139,16 @@ func NewRouter(planner *Planner, backends []Backend, tracer *obs.Tracer, opts Op
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
 	r := &Router{
-		planner:  planner,
+		planner:  NewPlanner(len(backends), analysis),
 		tracer:   tracer,
 		sem:      make(chan struct{}, opts.MaxFanout),
 		backoff:  opts.RetryBackoff,
 		backends: make(map[int]Backend, len(backends)),
+		nextNode: len(backends),
 	}
 	for i, b := range backends {
-		r.backends[members[i]] = b
+		r.backends[i] = b
 	}
-	r.nextNode = members[len(members)-1] + 1
 	if opts.BlindCacheSize >= 0 {
 		r.blind = NewBlindCache(opts.BlindCacheSize)
 	}
@@ -164,7 +166,7 @@ func NewRouter(planner *Planner, backends []Backend, tracer *obs.Tracer, opts Op
 	return r
 }
 
-// Planner returns the router's fan-out planner.
+// Planner returns the router's ownership map and fan-out planner.
 func (r *Router) Planner() *Planner { return r.planner }
 
 // Epoch returns the current ring epoch.
@@ -235,14 +237,14 @@ func (r *Router) routeQuery(sq wire.SealedQuery) int {
 	if sq.TemplateID != "" || r.blind == nil {
 		return r.planner.NoteQuery(sq)
 	}
-	if ni, _, ok := r.blind.Lookup(sq.Key, r.planner.IsMember); ok {
+	if ni, ok := r.blind.Lookup(sq.Key, r.planner.IsMember); ok {
 		r.count(obs.MRouterBlindCacheHits)
 		r.planner.NoteBlind(ni)
 		return ni
 	}
 	r.count(obs.MRouterBlindCacheMiss)
 	ni := r.planner.NoteQuery(sq)
-	r.blind.Put(sq.Key, ni, r.planner.Epoch())
+	r.blind.Put(sq.Key, ni)
 	return ni
 }
 
@@ -298,9 +300,11 @@ func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedRes
 // execution plus that node's own invalidation) and, once that node reports
 // it confirmed, fans its invalidation out. invalidated is the fleet-wide
 // count. A failed exec means the update was never confirmed, so no fan-out
-// follows.
+// follows. No membership change stages between the exec and the fan-out.
 func (r *Router) Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error) {
 	start := r.now()
+	r.migMu.RLock()
+	defer r.migMu.RUnlock()
 	exec := r.planner.ExecNode(su)
 	b := r.backend(exec)
 	if b == nil {
@@ -405,7 +409,8 @@ type MigrationReport struct {
 // copies until after the flip), invalidation fans out to both owners
 // during the window, and the first post-flip query on a moved bucket is
 // a hit. Without warm, the new node starts cold and re-earns every entry
-// from the home tier.
+// from the home tier. Updates in flight finish their fan-out before the
+// rebalance stages, and new ones wait for the flip; queries never wait.
 func (r *Router) Join(ctx context.Context, b Backend, warm bool) (*MigrationReport, error) {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()

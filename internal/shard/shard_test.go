@@ -59,15 +59,15 @@ func TestRingGrowthMovesKeysOnlyToNewNode(t *testing.T) {
 }
 
 func TestAffinityOwnership(t *testing.T) {
-	aff := NewAffinity(4)
+	p := NewPlanner(4, core.Analyze(apps.Toystore(), core.DefaultOptions()))
 	exposed := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear"}
-	if got, want := aff.OwnerOfQuery(exposed), aff.OwnerOfTemplate("Q1"); got != want {
+	if got, want := p.NoteQuery(exposed), p.OwnerOfTemplate("Q1"); got != want {
 		t.Errorf("exposed query owner %d, template owner %d; template affinity broken", got, want)
 	}
 	// Blind queries spread by sealed key: same key -> same node, and the
 	// template owner is irrelevant (the router cannot see the template).
 	blind := wire.SealedQuery{TemplateID: "", Key: "tok-abc"}
-	if got := aff.OwnerOfQuery(blind); got != aff.OwnerOfQuery(blind) {
+	if got := p.NoteQuery(blind); got != p.NoteQuery(blind) {
 		t.Error("blind query owner not deterministic")
 	}
 }
@@ -77,7 +77,7 @@ func TestPlannerTargetsMatchAnalysis(t *testing.T) {
 	analysis := core.Analyze(app, core.DefaultOptions())
 	idx := invalidate.NewRouter(analysis)
 	const fleet = 4
-	p := NewPlanner(NewAffinity(fleet), analysis)
+	p := NewPlanner(fleet, analysis)
 
 	pruned := 0
 	for _, u := range app.Updates {
@@ -92,7 +92,7 @@ func TestPlannerTargetsMatchAnalysis(t *testing.T) {
 		}
 		want := make(map[int]bool)
 		for _, q := range ids {
-			want[p.Affinity().OwnerOfTemplate(q)] = true
+			want[p.OwnerOfTemplate(q)] = true
 		}
 		var wantSorted []int
 		for n := range want {
@@ -114,7 +114,7 @@ func TestPlannerTargetsMatchAnalysis(t *testing.T) {
 func TestPlannerBlindSeenJoinsEveryPlan(t *testing.T) {
 	app := apps.Toystore()
 	analysis := core.Analyze(app, core.DefaultOptions())
-	p := NewPlanner(NewAffinity(4), analysis)
+	p := NewPlanner(4, analysis)
 
 	blind := wire.SealedQuery{TemplateID: "", Key: "blind-token-1"}
 	ni := p.NoteQuery(blind)
@@ -134,7 +134,7 @@ func TestPlannerBlindSeenJoinsEveryPlan(t *testing.T) {
 
 func TestPlannerUnknownTemplateBroadcasts(t *testing.T) {
 	app := apps.Toystore()
-	p := NewPlanner(NewAffinity(3), core.Analyze(app, core.DefaultOptions()))
+	p := NewPlanner(3, core.Analyze(app, core.DefaultOptions()))
 	for _, id := range []string{"", "FORGED-TEMPLATE"} {
 		targets, broadcast := p.Targets(wire.SealedUpdate{TemplateID: id})
 		if !broadcast {
@@ -230,8 +230,6 @@ func (f *fakeBackend) DropBuckets(_ context.Context, ids []string) (int, error) 
 // routedFixture builds a router over fake backends.
 func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *obs.Registry) {
 	t.Helper()
-	app := apps.Toystore()
-	planner := NewPlanner(NewAffinity(fleet), core.Analyze(app, core.DefaultOptions()))
 	fakes := make([]*fakeBackend, fleet)
 	backends := make([]Backend, fleet)
 	for i := range fakes {
@@ -240,12 +238,12 @@ func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *obs.Regis
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	return NewRouter(planner, backends, tracer, Options{}), fakes, reg
+	return NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, tracer, Options{}), fakes, reg
 }
 
 func TestRouterQueryRoutesToOwner(t *testing.T) {
 	r, fakes, _ := routedFixture(t, 4)
-	owner := r.Planner().Affinity().OwnerOfTemplate("Q1")
+	owner := r.Planner().OwnerOfTemplate("Q1")
 	fakes[owner].hit = true
 
 	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
@@ -386,7 +384,7 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 func TestRouterQueryNodeDown(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
 	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x001", TraceID: "t-qd"}
-	owner := r.Planner().Affinity().OwnerOfQuery(sq)
+	owner := r.Planner().NoteQuery(sq)
 	fakes[owner].fail = errors.New("connection refused")
 
 	if _, _, err := r.Query(context.Background(), sq); err == nil {
@@ -449,7 +447,7 @@ func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
 	count := func(node int, kind string) int64 {
 		return reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LKind, kind), obs.L(obs.LNode, strconv.Itoa(node))).Count()
 	}
-	owner, exec := r.Planner().Affinity().OwnerOfTemplate("Q1"), r.Planner().ExecNode(su)
+	owner, exec := r.Planner().OwnerOfTemplate("Q1"), r.Planner().ExecNode(su)
 	if got := count(owner, obs.KindQuery); got != 3 {
 		t.Errorf("node %d query observations = %d, want 3", owner, got)
 	}

@@ -53,7 +53,7 @@ func TestFleetKillLosesEntries(t *testing.T) {
 		t.Errorf("kill migrated %d entries, want 0", kill.MigratedEntries)
 	}
 	if len(kill.PerNode) != 2 {
-		t.Fatalf("fleet tracked %d node slots, want 2 (the dead slot is skipped)", len(kill.PerNode))
+		t.Fatalf("fleet tracked %d node slots, want 2 (the killed node keeps its slot)", len(kill.PerNode))
 	}
 
 	drain, err := Simulate(fleetCfg(30, FleetEvent{At: 30 * time.Second, Kind: "leave", Node: 0, Warm: true}))
@@ -65,6 +65,26 @@ func TestFleetKillLosesEntries(t *testing.T) {
 	}
 	if drain.HitRate < kill.HitRate-0.03 {
 		t.Errorf("drained leave hit rate %.4f substantially below kill's %.4f", drain.HitRate, kill.HitRate)
+	}
+}
+
+// A join after the highest node was killed gets a fresh ID and a fresh
+// cache: reusing the dead node's ID would bring back a cache that stopped
+// seeing invalidations when the node left.
+func TestFleetJoinAfterKillNeverReusesID(t *testing.T) {
+	cfg := fleetCfg(30,
+		FleetEvent{At: 20 * time.Second, Kind: "kill", Node: 2},
+		FleetEvent{At: 40 * time.Second, Kind: "join", Warm: true})
+	cfg.Nodes = 3
+	r, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.PerNode) != 4 {
+		t.Fatalf("fleet tracked %d node slots, want 4 (nodes 0-2 plus the joined node 3)", len(r.PerNode))
+	}
+	if joined := r.PerNode[3]; joined.Hits+joined.Misses == 0 {
+		t.Error("joined node 3 served no lookups")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"time"
 
@@ -55,24 +54,26 @@ type Config struct {
 	// CPU but — without Affinity — fragment the cache.
 	Nodes int
 
-	// Affinity mirrors the shard router's scale-out topology: each
-	// operation is routed to the node owning its sealed statement
-	// (template affinity for exposed traffic, sealed key for blind), so
-	// every template's entries live on exactly one node and per-node hit
-	// rates match the single-node deployment. Completed updates fan out
-	// only to the nodes the shard planner could not prove untouched,
-	// instead of to everyone; the messages sent and saved land in
-	// Result.FanoutMessages/FanoutSkipped. Off, clients stick to their
-	// round-robin node and updates broadcast — the pre-scale-out model.
+	// Affinity puts a shard.Router in front of the nodes — the deployed
+	// scale-out topology: each operation is routed by the router's
+	// Planner to the node owning its sealed statement (template affinity
+	// for exposed traffic, sealed key for blind), so every template's
+	// entries live on exactly one node and per-node hit rates match the
+	// single-node deployment. Completed updates fan out only to the nodes
+	// the planner could not prove untouched, instead of to everyone; the
+	// messages sent and saved land in Result.FanoutMessages/FanoutSkipped.
+	// Off, clients stick to their round-robin node and updates broadcast
+	// — the pre-scale-out model.
 	Affinity bool
 
-	// Fleet schedules ring-membership changes on virtual time, mirroring
-	// the HTTP router's live join/leave/kill pathway in the simulator.
-	// Valid only with Affinity (membership is meaningless without the
-	// ownership ring). Events may be given in any order; each fires at
-	// its virtual offset. Migration itself is treated as a control-plane
-	// action with no virtual-time cost — what the simulation measures is
-	// the traffic's hit-rate response, not the handoff's bandwidth.
+	// Fleet schedules ring-membership changes on virtual time, each one a
+	// call to the router's own Join or Leave — the code path the HTTP
+	// router's /v1/ring endpoints run. Valid only with Affinity
+	// (membership is meaningless without the router). Events may be given
+	// in any order; each fires at its virtual offset. Migration itself is
+	// treated as a control-plane action with no virtual-time cost — what
+	// the simulation measures is the traffic's hit-rate response, not the
+	// handoff's bandwidth.
 	Fleet []FleetEvent
 
 	// MonitorInterval batches each node's invalidation per monitoring
@@ -121,12 +122,13 @@ type Config struct {
 }
 
 // FleetEvent is one scheduled ring-membership change. Kind "join" adds
-// a node (its ID is minted by the ring: one past the highest member ever
-// admitted); "leave" retires the named member; "kill" removes it as a
-// failure. Warm, on a join, streams the moved template buckets' sealed
-// entries from their old owners before the epoch flips; on a leave it
-// drains the departing node's buckets to their survivors. A kill never
-// migrates — the dead node's entries are simply lost and re-missed.
+// a node (its ID is minted by the router and never reused: one past the
+// highest ID ever admitted, so it gets a fresh slot in Result.PerNode);
+// "leave" retires the named member; "kill" removes it as a failure.
+// Warm, on a join, streams the moved template buckets' sealed entries
+// from their old owners before the epoch flips; on a leave it drains the
+// departing node's buckets to their survivors. A kill never migrates —
+// the dead node's entries are simply lost and re-missed.
 type FleetEvent struct {
 	At   time.Duration
 	Kind string // "join", "leave", or "kill"
@@ -185,8 +187,9 @@ type Result struct {
 	Decisions []cache.Decision
 	CacheDump []string
 
-	// PerNode holds each node's own cache counters, in fleet order — the
-	// per-node hit rates the sim↔HTTP scale-out parity test compares.
+	// PerNode holds each node's own cache counters, indexed by node ID —
+	// the per-node hit rates the sim↔HTTP scale-out parity test compares.
+	// Nodes that left or were killed keep their slot.
 	PerNode []cache.Stats
 
 	// MigratedEntries counts the sealed cache entries streamed between
@@ -229,9 +232,9 @@ type simTransport struct {
 	self     int
 	res      *Result
 
-	// planner, in Affinity mode, prunes the update fan-out to the nodes
-	// the shard analysis could not prove untouched; nil broadcasts to
-	// every other node (the pre-scale-out model).
+	// planner is the router's in Affinity mode: it prunes the update
+	// fan-out to the nodes the shard analysis could not prove untouched.
+	// nil broadcasts to every other node (the pre-scale-out model).
 	planner *shard.Planner
 
 	// Mirrors of the home server's admission instruments, fed from the
@@ -413,9 +416,10 @@ func Simulate(cfg Config) (*Result, error) {
 	if len(cfg.Fleet) > 0 && !cfg.Affinity {
 		return nil, fmt.Errorf("simrun: Fleet events need Affinity (membership is meaningless without the ownership ring)")
 	}
-	// Node IDs are never reused: every join mints one past the highest ID
-	// ever admitted, so the fleet arrays are sized for the whole run up
-	// front (slots beyond the live set stay nil until their join fires).
+	// The router never reuses a node ID: every join mints one past the
+	// highest ID ever admitted, so the fleet arrays are sized for the whole
+	// run up front (slots beyond the live set stay nil until their join
+	// fires).
 	maxNodes := cfg.Nodes + joins
 	nParts := cfg.HomePartitions
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -451,7 +455,6 @@ func Simulate(cfg Config) (*Result, error) {
 	nodeCPUs := make([]*sim.Server, maxNodes)
 	for i := 0; i < cfg.Nodes; i++ {
 		nodes[i] = dssp.NewNode(app, analysis, cacheOpts)
-		nodeCPUs[i] = sim.NewServer(&world, cfg.Costs.DSSPCapacity)
 	}
 
 	// The home tier: P partition primaries and K replicas behind each,
@@ -511,12 +514,21 @@ func Simulate(cfg Config) (*Result, error) {
 	waitQ := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindQuery))
 	waitU := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindUpdate))
 
-	// The shard planner, in Affinity mode: the same ownership map and
-	// pruned fan-out plan the HTTP router uses, so the simulated topology
-	// is the deployed one.
+	// The shard router, in Affinity mode: the same ownership map, pruned
+	// fan-out plan and membership changes the HTTP router uses, so the
+	// simulated topology is the deployed one. Its backends carry only the
+	// node caches, for warm handoff: requests run on virtual time through
+	// the node pipelines below, routed by the router's planner, so the
+	// router's synchronous Query and Update are never called here.
+	var router *shard.Router
 	var planner *shard.Planner
 	if cfg.Affinity {
-		planner = shard.NewPlanner(shard.NewAffinity(cfg.Nodes), analysis)
+		backends := make([]shard.Backend, cfg.Nodes)
+		for i := range backends {
+			backends[i] = shard.PipeBackend{Buckets: nodes[i].Cache}
+		}
+		router = shard.NewRouter(analysis, backends, nil, shard.Options{BlindCacheSize: -1})
+		planner = router.Planner()
 	}
 
 	// The adversary's-eye audit, shared by every node pipeline: the
@@ -535,10 +547,7 @@ func Simulate(cfg Config) (*Result, error) {
 	// is visible to every transport holding the slice.
 	pipes := make([]*pipeline.Pipeline, maxNodes)
 	buildNode := func(i int) {
-		if nodes[i] == nil {
-			nodes[i] = dssp.NewNode(app, analysis, cacheOpts)
-			nodeCPUs[i] = sim.NewServer(&world, cfg.Costs.DSSPCapacity)
-		}
+		nodeCPUs[i] = sim.NewServer(&world, cfg.Costs.DSSPCapacity)
 		nodeTracer := obs.NewTracer(reg, clock).
 			SetIdentity(obs.ProcNode, strconv.Itoa(i)).SetStore(store)
 		// One virtual-time transport per home partition, with a backend
@@ -575,57 +584,29 @@ func Simulate(cfg Config) (*Result, error) {
 		buildNode(i)
 	}
 
-	// Fleet events, on virtual time. Warm handoffs move sealed entries
-	// directly between node caches — the in-process mirror of the HTTP
-	// deployment's export/import streams — and the epoch flips only after
-	// the copies land, so a migrated entry is serving the moment its new
-	// owner first gets asked. Source buckets are dropped after the flip.
+	// Fleet events, on virtual time, through the router's own Join and
+	// Leave: warm handoffs stream sealed entries between node caches and
+	// the epoch flips only after the copies land, so a migrated entry is
+	// serving the moment its new owner first gets asked. A joining node is
+	// filed under the ID the router mints.
 	for _, ev := range cfg.Fleet {
 		ev := ev
 		world.After(ev.At, func() {
-			members := planner.Members()
-			switch ev.Kind {
-			case "join":
-				ni := members[len(members)-1] + 1
-				buildNode(ni)
-				plan, err := planner.StageRebalance(append(members, ni))
-				if err != nil {
-					panic(fmt.Sprintf("simrun: fleet join: %v", err))
+			var rep *shard.MigrationReport
+			var err error
+			if ev.Kind == "join" {
+				node := dssp.NewNode(app, analysis, cacheOpts)
+				if rep, err = router.Join(context.Background(), shard.PipeBackend{Buckets: node.Cache}, ev.Warm); err == nil {
+					nodes[rep.Node] = node
+					buildNode(rep.Node)
 				}
-				byFrom := plan.MovesByFrom()
-				if ev.Warm {
-					for _, from := range sortedKeys(byFrom) {
-						res.MigratedEntries += nodes[ni].Cache.ImportBuckets(nodes[from].Cache.ExportBuckets(byFrom[from]))
-					}
-				}
-				planner.CommitRebalance()
-				if ev.Warm {
-					for _, from := range sortedKeys(byFrom) {
-						nodes[from].Cache.DropBuckets(byFrom[from])
-					}
-				}
-			case "leave", "kill":
-				rest := make([]int, 0, len(members))
-				for _, m := range members {
-					if m != ev.Node {
-						rest = append(rest, m)
-					}
-				}
-				if len(rest) == len(members) || len(rest) == 0 {
-					panic(fmt.Sprintf("simrun: fleet %s: node %d not removable from members %v", ev.Kind, ev.Node, members))
-				}
-				plan, err := planner.StageRebalance(rest)
-				if err != nil {
-					panic(fmt.Sprintf("simrun: fleet %s: %v", ev.Kind, err))
-				}
-				if ev.Kind == "leave" && ev.Warm {
-					byTo := plan.MovesByTo()
-					for _, to := range sortedKeys(byTo) {
-						res.MigratedEntries += nodes[to].Cache.ImportBuckets(nodes[ev.Node].Cache.ExportBuckets(byTo[to]))
-					}
-				}
-				planner.CommitRebalance()
+			} else {
+				rep, err = router.Leave(context.Background(), ev.Node, ev.Kind == "leave" && ev.Warm)
 			}
+			if err != nil {
+				panic(fmt.Sprintf("simrun: fleet %s: %v", ev.Kind, err))
+			}
+			res.MigratedEntries += rep.Entries
 		})
 	}
 
@@ -772,18 +753,6 @@ func Simulate(cfg Config) (*Result, error) {
 		res.Leakage = &rep
 	}
 	return res, nil
-}
-
-// sortedKeys returns a migration group map's node keys in ascending
-// order, so warm handoffs run in a deterministic order (map iteration
-// would otherwise vary the import order, and with it replacement state).
-func sortedKeys(m map[int][]string) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // UniformExposures assigns one exposure level to every template (capped at
