@@ -55,6 +55,7 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/httpapi"
+	"dssp/internal/shard"
 )
 
 func main() {
@@ -86,11 +87,11 @@ func main() {
 		os.Exit(2)
 	}
 	analysis := core.Analyze(app, core.Options{UseIntegrityConstraints: *constraints})
-	srv := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{
+	srv := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{Options: shard.Options{
 		MaxFanout:      *maxFanout,
 		BlindCacheSize: *blindCache,
 		RetryBackoff:   *retryBackoff,
-	})
+	}})
 
 	servePprof(logger, *pprofAddr)
 	logger.Info("DSSP router listening",

@@ -5,12 +5,14 @@
 //
 // The node never holds encryption keys. Everything it learns comes from
 // the exposure levels chosen by the application's administrator; the rest
-// passes through as opaque ciphertext.
+// passes through as opaque ciphertext. Client is the other side of that
+// boundary: the only code that seals a statement or opens a result.
 package dssp
 
 import (
 	"context"
 	"sync"
+	"time"
 
 	"dssp/internal/cache"
 	"dssp/internal/core"
@@ -18,6 +20,8 @@ import (
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
+	"dssp/internal/shard"
+	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -61,30 +65,31 @@ func (n *Node) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
 	return n.Cache.OnUpdateBatchCounts(us)
 }
 
-// Client is the trusted, application-side driver of the in-process
-// deployment: it seals statements, routes them through the shared
-// pipeline (direct transport to the home server), and opens results. The
-// HTTP deployment and the discrete-event simulator route through the same
-// pipeline with their own transports.
+// Client is the trusted, application side of Figure 1, and the one place a
+// statement is sealed and its result opened: the keys stay in Codec, and
+// everything behind Front sees sealed messages only. httpapi.Client is this
+// client over an HTTP hop, and the simulator's emulated clients seal and
+// open through SealQuery, SealUpdate and Open on virtual time.
 type Client struct {
 	Codec *wire.Codec
-	Node  *Node
-	Home  *homeserver.Server
 
-	// Tracer, when set, records per-stage spans (seal, cache_lookup,
-	// network, invalidate, open) and the end-to-end request histogram for
-	// every statement routed through the client. nil disables tracing.
+	// Tracer, when set, records the seal span (every statement's trace
+	// root) and the open span under the true template ID, which only this
+	// side knows; the default Front records through it too. nil disables
+	// tracing.
 	Tracer *obs.Tracer
 
-	// Pipe is the client's query/update pathway. nil (the default) builds
-	// it on first use: Node straight to Home, inline invalidation. A
-	// deployment whose trusted tier is more than Home — replicas,
-	// partitions (pipeline.NewTierTransport), a delayed hop — or whose
-	// pipeline takes options sets its own over the same Node and Tracer,
-	// before the first statement.
-	Pipe *pipeline.Pipeline
+	// Front carries sealed statements to the untrusted tier. nil (the
+	// default) builds on first use Node's pipeline straight to Home; any
+	// other — a tier pipeline (pipeline.NewTierTransport), a router, an
+	// HTTP hop — is set before the first statement.
+	Front pipeline.Front
 
-	pipeOnce sync.Once
+	// Node and Home are the in-process deployment the default Front joins.
+	Node *Node
+	Home *homeserver.Server
+
+	frontOnce sync.Once
 }
 
 // NewClient assembles the in-process deployment of Figure 1 over a master
@@ -103,76 +108,111 @@ func NewClient(app *template.App, codec *wire.Codec, db *storage.Database) *Clie
 	}
 }
 
-// pipeline returns the client's query/update pathway, building the
-// default one on first use.
-func (c *Client) pipeline() *pipeline.Pipeline {
-	c.pipeOnce.Do(func() {
-		if c.Pipe == nil {
-			c.Pipe = pipeline.New(c.Node, pipeline.NewDirectTransport(c.Home), c.Tracer, pipeline.Options{})
+// front returns the client's Front, building the default one on first use.
+func (c *Client) front() pipeline.Front {
+	c.frontOnce.Do(func() {
+		if c.Front == nil {
+			c.Front = shard.PipeBackend{Pipe: pipeline.New(c.Node, pipeline.NewDirectTransport(c.Home), c.Tracer, pipeline.Options{})}
 		}
 	})
-	return c.Pipe
+	return c.Front
 }
 
 // QueryOutcome describes how a query was served.
 type QueryOutcome struct {
 	Hit     bool
 	Rows    int
-	Scanned int // base rows scanned at the home server (0 on a hit)
+	Scanned int // base rows scanned at the home server, as sealed into the result (0 on a hit)
 }
 
-// Query executes one query template instance end to end.
-func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResult, error) {
-	vals, err := Params(params...)
-	if err != nil {
-		return nil, err
-	}
+// SealQuery seals one query instance and records its seal span, the root
+// of the statement's trace: every downstream span nests under it through
+// the sealed message's ParentSpan.
+func (c *Client) SealQuery(t *template.Template, vals []sqlparse.Value) (wire.SealedQuery, error) {
 	start := c.Tracer.Now()
 	sq, err := c.Codec.SealQuery(t, vals)
 	if err != nil {
-		return nil, err
+		return sq, err
 	}
-	sq.ParentSpan = c.Tracer.ObserveSpan(obs.SpanRecord{
-		Trace: sq.TraceID, Stage: obs.StageSeal, Template: t.ID,
+	sq.ParentSpan = c.sealSpan(sq.TraceID, t, start)
+	return sq, nil
+}
+
+// SealUpdate seals one update instance and records its seal span.
+func (c *Client) SealUpdate(t *template.Template, vals []sqlparse.Value) (wire.SealedUpdate, error) {
+	start := c.Tracer.Now()
+	su, err := c.Codec.SealUpdate(t, vals)
+	if err != nil {
+		return su, err
+	}
+	su.ParentSpan = c.sealSpan(su.TraceID, t, start)
+	return su, nil
+}
+
+// sealSpan records the seal span of a statement sealed since start and
+// returns its ID.
+func (c *Client) sealSpan(trace string, t *template.Template, start time.Duration) string {
+	return c.Tracer.ObserveSpan(obs.SpanRecord{
+		Trace: trace, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
-	reply, err := c.pipeline().QuerySync(context.Background(), sq)
-	if err != nil {
-		return nil, err
-	}
-	op := c.Tracer.Start(sq.TraceID, obs.StageOpen, t.ID)
-	res, err := c.Codec.OpenResult(reply.Result)
+}
+
+// Open opens the sealed result the untrusted tier returned for sq,
+// recording the open span.
+func (c *Client) Open(t *template.Template, sq wire.SealedQuery, sealed wire.SealedResult, hit bool) (*QueryResult, error) {
+	op := c.Tracer.StartSpan(sq.TraceID, "", obs.StageOpen, t.ID)
+	res, err := c.Codec.OpenResult(sealed)
 	if err != nil {
 		return nil, err
 	}
 	op.End()
-	return &QueryResult{Result: res, Outcome: QueryOutcome{
-		Hit:     reply.Hit,
-		Rows:    res.Len(),
-		Scanned: reply.Scanned,
-	}}, nil
+	out := &QueryResult{Result: res, Outcome: QueryOutcome{Hit: hit, Rows: res.Len()}}
+	if !hit {
+		out.Outcome.Scanned = res.RowsScanned
+	}
+	return out, nil
+}
+
+// Query executes one query template instance end to end.
+func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResult, error) {
+	return c.QueryContext(context.Background(), t, params...)
+}
+
+// QueryContext is Query bounded by ctx.
+func (c *Client) QueryContext(ctx context.Context, t *template.Template, params ...interface{}) (*QueryResult, error) {
+	vals, err := Params(params...)
+	if err != nil {
+		return nil, err
+	}
+	sq, err := c.SealQuery(t, vals)
+	if err != nil {
+		return nil, err
+	}
+	sealed, hit, err := c.front().Query(ctx, sq)
+	if err != nil {
+		return nil, err
+	}
+	return c.Open(t, sq, sealed, hit)
 }
 
 // Update executes one update template instance end to end: the update is
 // routed (encrypted) via the DSSP to the home server, and the DSSP
 // invalidates after completion (Figure 2).
 func (c *Client) Update(t *template.Template, params ...interface{}) (affected, invalidated int, err error) {
+	return c.UpdateContext(context.Background(), t, params...)
+}
+
+// UpdateContext is Update bounded by ctx.
+func (c *Client) UpdateContext(ctx context.Context, t *template.Template, params ...interface{}) (affected, invalidated int, err error) {
 	vals, err := Params(params...)
 	if err != nil {
 		return 0, 0, err
 	}
-	start := c.Tracer.Now()
-	su, err := c.Codec.SealUpdate(t, vals)
+	su, err := c.SealUpdate(t, vals)
 	if err != nil {
 		return 0, 0, err
 	}
-	su.ParentSpan = c.Tracer.ObserveSpan(obs.SpanRecord{
-		Trace: su.TraceID, Stage: obs.StageSeal, Template: t.ID,
-		Start: start, Duration: c.Tracer.Now() - start,
-	})
-	reply, err := c.pipeline().UpdateSync(context.Background(), su)
-	if err != nil {
-		return 0, 0, err
-	}
-	return reply.Affected, reply.Invalidated, nil
+	affected, invalidated, _, err = c.front().Update(ctx, su)
+	return affected, invalidated, err
 }

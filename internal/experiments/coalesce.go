@@ -11,6 +11,7 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
+	"dssp/internal/shard"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
@@ -107,8 +108,8 @@ func stormClient(disableCoalescing bool, homeDelay time.Duration) (*dssp.Client,
 		return nil, err
 	}
 	c := dssp.NewClient(app, codec, db)
-	c.Pipe = pipeline.New(c.Node, pipeline.WithDelay(pipeline.NewDirectTransport(c.Home), homeDelay), c.Tracer,
-		pipeline.Options{DisableCoalescing: disableCoalescing})
+	c.Front = shard.PipeBackend{Pipe: pipeline.New(c.Node, pipeline.WithDelay(pipeline.NewDirectTransport(c.Home), homeDelay), c.Tracer,
+		pipeline.Options{DisableCoalescing: disableCoalescing})}
 	return c, nil
 }
 

@@ -170,11 +170,26 @@ func TestRingAdminLeaveByURLAndUnknowns(t *testing.T) {
 		t.Errorf("leave of unknown URL: %d, want %d", status, http.StatusNotFound)
 	}
 	node := 99
-	if status, _ := f.post(PathRingLeave, RingLeaveRequest{Node: &node}); status != http.StatusBadGateway {
-		t.Errorf("leave of unknown node ID: %d, want %d", status, http.StatusBadGateway)
+	if status, _ := f.post(PathRingLeave, RingLeaveRequest{Node: &node}); status != http.StatusNotFound {
+		t.Errorf("leave of unknown node ID: %d, want %d", status, http.StatusNotFound)
+	}
+	node = 1
+	if status, _ := f.post(PathRingLeave, RingLeaveRequest{Node: &node}); status != http.StatusNotFound {
+		t.Errorf("leave of a node that already left: %d, want %d", status, http.StatusNotFound)
 	}
 	if status, _ := f.post(PathRingJoin, RingJoinRequest{}); status != http.StatusBadRequest {
 		t.Errorf("join with no URL: %d, want %d", status, http.StatusBadRequest)
+	}
+
+	// The last node cannot leave: a refusal, not a failed node.
+	if status, body := f.post(PathRingLeave, RingLeaveRequest{URL: f.NodeURLs[0]}); status != http.StatusOK {
+		t.Fatalf("leave of node 0: %d %s", status, body)
+	}
+	if status, _ := f.post(PathRingLeave, RingLeaveRequest{URL: f.NodeURLs[2]}); status != http.StatusConflict {
+		t.Errorf("leave of the last node: %d, want %d", status, http.StatusConflict)
+	}
+	if rr := f.ring(); len(rr.Members) != 1 || rr.URLs[f.NodeURLs[2]] != 2 {
+		t.Errorf("ring view %+v after the refused leave, want node 2 alone", rr)
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 
 // hop is one endpoint of one peer, as the process that sends to it holds
 // it: everything about a round trip that does not change from one to the
-// next, worked out when the Client, NodeProxy, node transport or replica
+// next, worked out when the NodeProxy, node transport or replica
 // stream is built. Every POST between processes leaves through send.
 //
 // A hop goes straight onto the http.Client's Transport. Client.Do exists

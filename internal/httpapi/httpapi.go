@@ -40,6 +40,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"dssp/internal/cache"
@@ -47,6 +48,7 @@ import (
 	"dssp/internal/homeserver"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
+	"dssp/internal/shard"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -302,10 +304,7 @@ func HomeHandler(home *homeserver.Server) http.Handler {
 // replicas receive every update the moment it is confirmed.
 func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	home.Tracer().SetStore(obs.NewSpanStore(0))
-	mux := http.NewServeMux()
-	mux.Handle("GET "+PathMetrics, MetricsHandler(home.Obs()))
-	mux.Handle("GET "+PathTraces, TraceIDsHandler(home.Tracer().Store()))
-	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(home.Tracer().Store()))
+	mux := newMux(home.Obs(), home.Tracer().Store())
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
 		if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
@@ -458,31 +457,55 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 
 // Handler returns the node's HTTP API.
 func (s *NodeServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+PathQuery, s.handleQuery)
-	mux.HandleFunc("POST "+PathUpdate, s.handleUpdate)
+	mux := newMux(s.Reg, s.Tracer.Store())
+	serveFront(mux, shard.PipeBackend{Pipe: s.Pipe}, s.Reg)
 	mux.HandleFunc("POST "+PathInvalidate, s.handleInvalidate)
 	mux.HandleFunc("POST "+PathBucketExport, s.handleBucketExport)
 	mux.HandleFunc("POST "+PathBucketImport, s.handleBucketImport)
 	mux.HandleFunc("POST "+PathBucketDrop, s.handleBucketDrop)
 	mux.HandleFunc("GET "+PathDecisions, s.handleDecisions)
-	mux.Handle("GET "+PathMetrics, MetricsHandler(s.Reg))
-	mux.Handle("GET "+PathTraces, TraceIDsHandler(s.Tracer.Store()))
-	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(s.Tracer.Store()))
 	return mux
 }
 
-func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var sq wire.SealedQuery
-	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
-		return
-	}
-	reply, err := s.Pipe.QuerySync(r.Context(), sq)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	writeMessage(s.Reg, w, &QueryResponse{Result: reply.Result, Hit: reply.Hit})
+// newMux starts a process's HTTP API with its observability routes: the
+// registry's metrics snapshot and the span store's traces. Every process
+// — home, replica, node, router — builds its mux here.
+func newMux(reg *obs.Registry, store *obs.SpanStore) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("GET "+PathMetrics, MetricsHandler(reg))
+	mux.Handle("GET "+PathTraces, TraceIDsHandler(store))
+	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(store))
+	return mux
+}
+
+// serveFront serves sealed statements from front — a node's pipeline or
+// the shard router, which is why a client cannot tell the two apart. A
+// front that fails answers 502: the statement did not get through.
+func serveFront(mux *http.ServeMux, front pipeline.Front, reg *obs.Registry) {
+	mux.HandleFunc("POST "+PathQuery, func(w http.ResponseWriter, r *http.Request) {
+		var sq wire.SealedQuery
+		if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
+			return
+		}
+		res, hit, err := front.Query(r.Context(), sq)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		writeMessage(reg, w, &QueryResponse{Result: res, Hit: hit})
+	})
+	mux.HandleFunc("POST "+PathUpdate, func(w http.ResponseWriter, r *http.Request) {
+		var su wire.SealedUpdate
+		if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
+			return
+		}
+		affected, invalidated, seq, err := front.Update(r.Context(), su)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		writeMessage(reg, w, &UpdateResponse{Affected: affected, Invalidated: invalidated, Seq: seq})
+	})
 }
 
 // handleInvalidate monitors an update that was already confirmed at the
@@ -504,14 +527,12 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ch := make(chan int, 1)
-	s.Pipe.MonitorUpdate(su, seq, func(invalidated int) { ch <- invalidated })
-	select {
-	case n := <-ch:
-		writeMessage(s.Reg, w, &InvalidateResponse{Invalidated: n})
-	case <-r.Context().Done():
-		http.Error(w, r.Context().Err().Error(), http.StatusGatewayTimeout)
+	n, err := shard.PipeBackend{Pipe: s.Pipe}.Invalidate(r.Context(), su, seq)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusGatewayTimeout)
+		return
 	}
+	writeMessage(s.Reg, w, &InvalidateResponse{Invalidated: n})
 }
 
 // handleBucketExport streams the named template buckets' sealed entries
@@ -580,96 +601,48 @@ func (s *NodeServer) handleDecisions(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var su wire.SealedUpdate
-	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
-		return
-	}
-	reply, err := s.Pipe.UpdateSync(r.Context(), su)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	writeMessage(s.Reg, w, &UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
-}
-
-// Client is the trusted application side talking to a remote DSSP node:
-// it seals statements with the application's keyring, sends them to the
-// node, and opens the (possibly encrypted) results.
+// Client is the trusted application side talking to a remote DSSP node or
+// router: a dssp.Client whose Front is a NodeProxy to NodeURL, so a query
+// is retried once on a connection error and an update never is.
 type Client struct {
 	Codec   *wire.Codec
 	NodeURL string // the node's (or router's) base URL, as given to NewClient
 
-	// Tracer, when set, records the trusted-side stages (seal, open) of
-	// every statement. nil disables client-side tracing; the node and
-	// home server instrument their own sides regardless.
+	// Tracer, when set before the first statement, records the trusted-
+	// side stages (seal, open), and its registry counts retries. nil
+	// disables client-side tracing; the node and home server instrument
+	// their own sides regardless.
 	Tracer *obs.Tracer
 
-	query, update *hop
+	http *http.Client
+	once sync.Once
+	c    *dssp.Client
 }
 
 // NewClient builds a remote client. A nil httpClient gets a
 // DefaultTimeout-bounded one.
 func NewClient(codec *wire.Codec, nodeURL string, httpClient *http.Client) *Client {
-	return &Client{
-		Codec: codec, NodeURL: nodeURL,
-		query:  newHop(httpClient, nodeURL+PathQuery, wireContentTypeValue),
-		update: newHop(httpClient, nodeURL+PathUpdate, wireContentTypeValue),
-	}
+	return &Client{Codec: codec, NodeURL: nodeURL, http: httpClient}
+}
+
+// client returns the trusted client, built on first use so that it takes
+// the Tracer set after NewClient.
+func (c *Client) client() *dssp.Client {
+	c.once.Do(func() {
+		c.c = &dssp.Client{Codec: c.Codec, Tracer: c.Tracer,
+			Front: NewNodeProxy(c.NodeURL, c.http, c.Tracer.Registry())}
+	})
+	return c.c
 }
 
 // Query runs one query template instance through the remote node. The
-// context bounds the round trip; connection errors are retried once
-// (queries are idempotent).
+// context bounds the round trip.
 func (c *Client) Query(ctx context.Context, t *template.Template, params ...interface{}) (*dssp.QueryResult, error) {
-	vals, err := dssp.Params(params...)
-	if err != nil {
-		return nil, err
-	}
-	start := c.Tracer.Now()
-	sq, err := c.Codec.SealQuery(t, vals)
-	if err != nil {
-		return nil, err
-	}
-	// The seal span is the trace's root; every downstream hop nests under
-	// it via the sealed message's ParentSpan.
-	sq.ParentSpan = c.Tracer.ObserveSpan(obs.SpanRecord{
-		Trace: sq.TraceID, Stage: obs.StageSeal, Template: t.ID,
-		Start: start, Duration: c.Tracer.Now() - start,
-	})
-	var resp QueryResponse
-	if err := c.query.post(ctx, "", "", (*queryMsg)(&sq), &resp, true, c.Tracer.Registry()); err != nil {
-		return nil, err
-	}
-	op := c.Tracer.Start(sq.TraceID, obs.StageOpen, t.ID)
-	res, err := c.Codec.OpenResult(resp.Result)
-	if err != nil {
-		return nil, err
-	}
-	op.End()
-	return &dssp.QueryResult{Result: res, Outcome: dssp.QueryOutcome{Hit: resp.Hit, Rows: res.Len()}}, nil
+	return c.client().QueryContext(ctx, t, params...)
 }
 
 // Update routes one update through the remote node. The context bounds
-// the round trip; updates are never retried (a lost ack does not prove
-// the update was not applied).
+// the round trip.
 func (c *Client) Update(ctx context.Context, t *template.Template, params ...interface{}) (affected, invalidated int, err error) {
-	vals, err := dssp.Params(params...)
-	if err != nil {
-		return 0, 0, err
-	}
-	start := c.Tracer.Now()
-	su, err := c.Codec.SealUpdate(t, vals)
-	if err != nil {
-		return 0, 0, err
-	}
-	su.ParentSpan = c.Tracer.ObserveSpan(obs.SpanRecord{
-		Trace: su.TraceID, Stage: obs.StageSeal, Template: t.ID,
-		Start: start, Duration: c.Tracer.Now() - start,
-	})
-	var resp UpdateResponse
-	if err := c.update.post(ctx, "", "", (*updateMsg)(&su), &resp, false, c.Tracer.Registry()); err != nil {
-		return 0, 0, err
-	}
-	return resp.Affected, resp.Invalidated, nil
+	return c.client().UpdateContext(ctx, t, params...)
 }

@@ -52,10 +52,7 @@ type ReplicaStatusResponse struct {
 // stream's push endpoint) plus the standard metrics and trace surface.
 func ReplicaHandler(rep *home.Replica) http.Handler {
 	rep.Tracer().SetStore(obs.NewSpanStore(0))
-	mux := http.NewServeMux()
-	mux.Handle("GET "+PathMetrics, MetricsHandler(rep.Obs()))
-	mux.Handle("GET "+PathTraces, TraceIDsHandler(rep.Tracer().Store()))
-	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(rep.Tracer().Store()))
+	mux := newMux(rep.Obs(), rep.Tracer().Store())
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
 		if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {

@@ -3,11 +3,11 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
@@ -103,24 +103,12 @@ func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, 
 	return resp.Dropped, nil
 }
 
-// RouterOptions tune a router server.
+// RouterOptions tune a router server: the shard router's own Options,
+// and the HTTP client for all node round trips (nil gets a
+// DefaultTimeout-bounded one).
 type RouterOptions struct {
-	// MaxFanout caps concurrent invalidation pushes per update.
-	// 0 means shard.DefaultMaxFanout.
-	MaxFanout int
-
-	// Client is the HTTP client for all node round trips; nil gets a
-	// DefaultTimeout-bounded one.
+	shard.Options
 	Client *http.Client
-
-	// BlindCacheSize bounds the router's blind-key cache (sealed lookup
-	// key -> owning node). 0 means shard.DefaultBlindCacheSize; negative
-	// disables the cache.
-	BlindCacheSize int
-
-	// RetryBackoff is the pause before the router's single query retry.
-	// 0 means shard.DefaultRetryBackoff.
-	RetryBackoff time.Duration
 }
 
 // RouterServer fronts a fleet of dsspnode processes with the shard
@@ -159,11 +147,7 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 	for i, url := range nodeURLs {
 		backends[i] = NewNodeProxy(url, client, reg)
 	}
-	router := shard.NewRouter(analysis, backends, tracer, shard.Options{
-		MaxFanout:      opts.MaxFanout,
-		BlindCacheSize: opts.BlindCacheSize,
-		RetryBackoff:   opts.RetryBackoff,
-	})
+	router := shard.NewRouter(analysis, backends, tracer, opts.Options)
 	urls := make(map[string]int, len(nodeURLs))
 	for i, url := range nodeURLs {
 		urls[url] = i
@@ -180,42 +164,12 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 // Handler returns the router's HTTP API — the node API, served by the
 // fleet.
 func (s *RouterServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+PathQuery, s.handleQuery)
-	mux.HandleFunc("POST "+PathUpdate, s.handleUpdate)
+	mux := newMux(s.Reg, s.Tracer.Store())
+	serveFront(mux, s.Router, s.Reg)
 	mux.HandleFunc("POST "+PathRingJoin, s.handleRingJoin)
 	mux.HandleFunc("POST "+PathRingLeave, s.handleRingLeave)
 	mux.HandleFunc("GET "+PathRing, s.handleRing)
-	mux.Handle("GET "+PathMetrics, MetricsHandler(s.Reg))
-	mux.Handle("GET "+PathTraces, TraceIDsHandler(s.Tracer.Store()))
-	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(s.Tracer.Store()))
 	return mux
-}
-
-func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var sq wire.SealedQuery
-	if !readMessage(w, r, maxMessageBytes, (*queryMsg)(&sq)) {
-		return
-	}
-	res, hit, err := s.Router.Query(r.Context(), sq)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	writeMessage(s.Reg, w, &QueryResponse{Result: res, Hit: hit})
-}
-
-func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	var su wire.SealedUpdate
-	if !readMessage(w, r, maxMessageBytes, (*updateMsg)(&su)) {
-		return
-	}
-	affected, invalidated, seq, err := s.Router.Update(r.Context(), su)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	writeMessage(s.Reg, w, &UpdateResponse{Affected: affected, Invalidated: invalidated, Seq: seq})
 }
 
 // RingJoinRequest admits a node process into the ring by its base URL.
@@ -270,7 +224,9 @@ func (s *RouterServer) handleRingJoin(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(rep)
 }
 
-// handleRingLeave retires a member (warm drain) or declares it dead.
+// handleRingLeave retires a member (warm drain) or declares it dead. A
+// node that is not a member answers 404, like an unknown URL, and the
+// fleet's last node 409; 502 is kept for a node that failed the drain.
 func (s *RouterServer) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 	var req RingLeaveRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || (req.Node == nil && req.URL == "") {
@@ -294,7 +250,14 @@ func (s *RouterServer) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.Router.Leave(r.Context(), node, warm)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
+		status := http.StatusBadGateway // a node failed the warm drain
+		switch {
+		case errors.Is(err, shard.ErrNotMember):
+			status = http.StatusNotFound
+		case errors.Is(err, shard.ErrLastNode):
+			status = http.StatusConflict
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	for url, n := range s.urls {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"dssp/internal/apps"
 	"dssp/internal/core"
@@ -150,9 +151,26 @@ func randomParams(rng *rand.Rand, db *storage.Database, tm *template.Template) [
 // assumption the analysis relies on (the DSSP enforces the same policy by
 // never caching empty results).
 func TestStrategyCorrectness(t *testing.T) {
+	for _, seed := range propertySeeds(t, 42) {
+		strategyCorrectness(t, seed)
+	}
+}
+
+// propertySeeds is a property test's draws: the fixed seed it has always
+// run, then one from the clock, so that repeated runs (CI's -count=5) see
+// fresh databases. Each is logged, and every failure message quotes its
+// seed, so a failing draw can be replayed.
+func propertySeeds(t *testing.T, fixed int64) []int64 {
+	t.Helper()
+	seeds := []int64{fixed, time.Now().UnixNano()}
+	t.Logf("seeds %v", seeds)
+	return seeds
+}
+
+func strategyCorrectness(t *testing.T, seed int64) {
 	app := richToystore()
 	iv := newInvalidator(app)
-	rng := rand.New(rand.NewSource(42))
+	rng := rand.New(rand.NewSource(seed))
 	classes := []Class{Blind, TemplateInspection, StatementInspection, ViewInspection}
 	invalidations := make(map[Class]int)
 	checked := 0
@@ -170,7 +188,7 @@ func TestStrategyCorrectness(t *testing.T) {
 			params := randomParams(rng, db, q)
 			res, err := engine.ExecQuery(db, q.Stmt.(*sqlparse.SelectStmt), params)
 			if err != nil {
-				t.Fatalf("exec %s: %v", q.ID, err)
+				t.Fatalf("seed %d: exec %s: %v", seed, q.ID, err)
 			}
 			if res.Len() == 0 {
 				continue // §2.1 assumption: cached results are non-empty
@@ -195,7 +213,7 @@ func TestStrategyCorrectness(t *testing.T) {
 		for _, e := range cache {
 			after, err := engine.ExecQuery(db2, e.view.Template.Stmt.(*sqlparse.SelectStmt), e.view.Params)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 			changed := e.view.Result.Fingerprint(e.ordered) != after.Fingerprint(e.ordered)
 			for _, class := range classes {
@@ -204,32 +222,32 @@ func TestStrategyCorrectness(t *testing.T) {
 					invalidations[class]++
 				}
 				if changed && d == DNI {
-					t.Fatalf("trial %d: %v missed invalidation: update %s%v changed %s%v",
-						trial, class, u.ID, uParams, e.view.Template.ID, e.view.Params)
+					t.Fatalf("seed %d trial %d: %v missed invalidation: update %s%v changed %s%v",
+						seed, trial, class, u.ID, uParams, e.view.Template.ID, e.view.Params)
 				}
 			}
 			checked++
 		}
 	}
 	if checked < 1000 {
-		t.Fatalf("only %d pair checks ran; generator too weak", checked)
+		t.Fatalf("seed %d: only %d pair checks ran; generator too weak", seed, checked)
 	}
 	// Gradient (Property 3 at runtime): more information, fewer
 	// invalidations.
 	if !(invalidations[Blind] >= invalidations[TemplateInspection] &&
 		invalidations[TemplateInspection] >= invalidations[StatementInspection] &&
 		invalidations[StatementInspection] >= invalidations[ViewInspection]) {
-		t.Errorf("invalidation gradient violated: %v", invalidations)
+		t.Errorf("seed %d: invalidation gradient violated: %v", seed, invalidations)
 	}
 	// Each refinement must actually help on this workload.
 	if invalidations[TemplateInspection] == invalidations[Blind] {
-		t.Error("template inspection never helped")
+		t.Errorf("seed %d: template inspection never helped", seed)
 	}
 	if invalidations[StatementInspection] == invalidations[TemplateInspection] {
-		t.Error("statement inspection never helped")
+		t.Errorf("seed %d: statement inspection never helped", seed)
 	}
 	if invalidations[ViewInspection] == invalidations[StatementInspection] {
-		t.Error("view inspection never helped")
+		t.Errorf("seed %d: view inspection never helped", seed)
 	}
 }
 
@@ -632,9 +650,15 @@ func TestDecisionAndClassStrings(t *testing.T) {
 // class (correct blind ⊆ correct TIS ⊆ correct SIS ⊆ correct VIS in terms
 // of invalidation decisions).
 func TestStrategyContainment(t *testing.T) {
+	for _, seed := range propertySeeds(t, 7) {
+		strategyContainment(t, seed)
+	}
+}
+
+func strategyContainment(t *testing.T, seed int64) {
 	app := richToystore()
 	iv := newInvalidator(app)
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 200; trial++ {
 		db := randomToystoreDB(t, rng, app)
 		u := app.Updates[rng.Intn(len(app.Updates))]
@@ -643,7 +667,7 @@ func TestStrategyContainment(t *testing.T) {
 		qParams := randomParams(rng, db, q)
 		res, err := engine.ExecQuery(db, q.Stmt.(*sqlparse.SelectStmt), qParams)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ui := UpdateInstance{Template: u, Params: uParams}
 		view := CachedView{Template: q, Params: qParams, Result: res}
@@ -652,7 +676,8 @@ func TestStrategyContainment(t *testing.T) {
 		dS := decide(iv, StatementInspection, ui, view)
 		dV := decide(iv, ViewInspection, ui, view)
 		if dB < dT || dT < dS || dS < dV {
-			t.Fatalf("containment violated for %s/%s: B=%v T=%v S=%v V=%v", u.ID, q.ID, dB, dT, dS, dV)
+			t.Fatalf("seed %d trial %d: containment violated for %s%v/%s%v: B=%v T=%v S=%v V=%v",
+				seed, trial, u.ID, uParams, q.ID, qParams, dB, dT, dS, dV)
 		}
 	}
 }

@@ -151,10 +151,10 @@ func TestTracerSpans(t *testing.T) {
 	tr := NewTracer(r, ClockFunc(func() time.Duration { return now })).SetStore(NewSpanStore(0))
 
 	id := NewTraceID()
-	sp := tr.Start(id, StageLookup, "Q1")
+	sp := tr.StartSpan(id, "", StageLookup, "Q1")
 	now = 3 * time.Millisecond
 	sp.End()
-	tr.Observe(id, StageHomeExec, "Q1", now, 7*time.Millisecond)
+	tr.ObserveSpan(SpanRecord{Trace: id, Stage: StageHomeExec, Template: "Q1", Start: now, Duration: 7 * time.Millisecond})
 
 	spans := tr.Store().Trace(id)
 	if len(spans) != 2 || spans[0].Stage != StageLookup || spans[0].Duration != 3*time.Millisecond {
@@ -167,8 +167,8 @@ func TestTracerSpans(t *testing.T) {
 
 	// Nil tracers are inert.
 	var nilTr *Tracer
-	nilTr.Observe("x", StageSeal, "Q1", 0, 0)
-	nilTr.Start("x", StageSeal, "Q1").End()
+	nilTr.ObserveSpan(SpanRecord{Trace: "x", Stage: StageSeal, Template: "Q1"})
+	nilTr.StartSpan("x", "", StageSeal, "Q1").End()
 	if nilTr.Now() != 0 || nilTr.Registry() != nil || nilTr.Store() != nil {
 		t.Fatal("nil tracer not inert")
 	}
@@ -196,7 +196,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				r.Counter(MCacheHits, L(LTemplate, "Q1")).Inc()
 				r.Histogram(MStageSeconds, L(LStage, StageSeal), L(LTemplate, "Q1")).Observe(time.Duration(i))
-				tr.Observe(NewTraceID(), StageOpen, "Q1", 0, time.Duration(w))
+				tr.ObserveSpan(SpanRecord{Trace: NewTraceID(), Stage: StageOpen, Template: "Q1", Duration: time.Duration(w)})
 				if i%100 == 0 {
 					_ = r.Snapshot()
 					_ = tr.Store().All()
@@ -244,7 +244,7 @@ func TestSpanIDLazyFormat(t *testing.T) {
 	given := tr.ObserveSpan(SpanRecord{Trace: "t2", ID: "upstream-7", Parent: netID, Process: ProcHome, Stage: StageHomeExec, Template: "Q1"})
 	now = 5 * time.Millisecond
 	net.End()
-	tr.Observe("t2", StageOpen, "Q1", now, time.Millisecond)
+	tr.ObserveSpan(SpanRecord{Trace: "t2", Stage: StageOpen, Template: "Q1", Start: now, Duration: time.Millisecond})
 
 	if seal != id(1) || netID != id(3) || net.ID() != netID || given != "upstream-7" {
 		t.Fatalf("IDs handed out: seal %q, network %q then %q, given %q; want %q, %q, the same, upstream-7",
@@ -292,9 +292,9 @@ func TestTracerStageCacheBounded(t *testing.T) {
 	tr := NewTracer(r, WallClock())
 	const flood = 3 * DefaultLabelCap
 	for i := 0; i < flood; i++ {
-		tr.Observe("t", StageLookup, fmt.Sprintf("forged%d", i), 0, time.Millisecond)
+		tr.ObserveSpan(SpanRecord{Trace: "t", Stage: StageLookup, Template: fmt.Sprintf("forged%d", i), Duration: time.Millisecond})
 	}
-	tr.Observe("t", StageLookup, "forged0", 0, time.Millisecond) // a cached handle
+	tr.ObserveSpan(SpanRecord{Trace: "t", Stage: StageLookup, Template: "forged0", Duration: time.Millisecond}) // a cached handle
 	if n := tr.hists.Len(); n > DefaultLabelCap {
 		t.Fatalf("handle cache holds %d entries, cap %d", n, DefaultLabelCap)
 	}
@@ -406,7 +406,7 @@ func TestSpanStoreReusesEvictedSlots(t *testing.T) {
 // string and nothing else (BENCH_allocs.json gates it).
 func BenchmarkSpanStartEnd(b *testing.B) {
 	tr := NewTracer(NewRegistry(), WallClock()).SetIdentity(ProcNode, "n0")
-	tr.Start("t", StageLookup, "Q1").End()
+	tr.StartSpan("t", "", StageLookup, "Q1").End()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -169,13 +169,6 @@ func (t *Tracer) Now() time.Duration {
 	return t.clock.Now()
 }
 
-// Observe records one completed stage with an explicit start and
-// duration. The simulator uses this form to attach modeled (virtual)
-// service times; wall-clock code usually uses Start/End instead.
-func (t *Tracer) Observe(trace, stage, tmpl string, start, dur time.Duration) {
-	t.ObserveSpan(SpanRecord{Trace: trace, Stage: stage, Template: tmpl, Start: start, Duration: dur})
-}
-
 // ObserveSpan records one completed span wholesale, filling in the
 // tracer's identity where the record leaves Process/Node empty and
 // assigning a fresh span ID when the record has none. It returns the
@@ -222,14 +215,10 @@ type Span struct {
 	start        time.Duration
 }
 
-// Start opens a span for one stage of one traced request, with no parent.
-func (t *Tracer) Start(trace, stage, tmpl string) Span {
-	return t.StartSpan(trace, "", stage, tmpl)
-}
-
-// StartSpan opens a span under a parent span ID. The span's own ID is
-// assigned immediately — as a number; ID renders it — so it can be
-// propagated downstream (the sealed message's ParentSpan field) before End.
+// StartSpan opens a span for one stage of one traced request, under a
+// parent span ID ("" for a root). The span's own ID is assigned
+// immediately — as a number; ID renders it — so it can be propagated
+// downstream (the sealed message's ParentSpan field) before End.
 func (t *Tracer) StartSpan(trace, parent, stage, tmpl string) Span {
 	if t == nil {
 		return Span{}

@@ -17,6 +17,7 @@ import (
 	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
 	"dssp/internal/pipeline"
+	"dssp/internal/shard"
 	"dssp/internal/simrun"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -101,10 +102,11 @@ func inprocTier(t *testing.T, app *template.App, codec *wire.Codec, seed func(*t
 	return primaries, reps, hometier.TierParts(primaries, reps)
 }
 
-// tierPipe is one node's pipeline over the one node→home wiring.
-func tierPipe(node *dssp.Node, tier []pipeline.TierPart) *pipeline.Pipeline {
+// tierFront is one node's pipeline over the one node→home wiring, as the
+// Front a client or a router reaches it through.
+func tierFront(node *dssp.Node, tier []pipeline.TierPart) shard.PipeBackend {
 	transport, fresh := pipeline.NewTierTransport(tier, nil)
-	return pipeline.New(node, transport, nil, pipeline.Options{Fresh: fresh})
+	return shard.PipeBackend{Pipe: pipeline.New(node, transport, nil, pipeline.Options{Fresh: fresh})}
 }
 
 func runDirect(t *testing.T) adapterResult {
@@ -115,17 +117,24 @@ func runDirect(t *testing.T) adapterResult {
 	seedParityToys(t, db)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
 	home := homeserver.New(db, app, codec)
-	client := &dssp.Client{Codec: codec, Node: node, Home: home}
+	runScript(t, "direct", app, &dssp.Client{Codec: codec, Node: node, Home: home})
+	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
+}
+
+// runScript replays the parity script through one trusted client, over
+// whatever Front it has: its own node's pipeline, a tier pipeline, or a
+// router.
+func runScript(t *testing.T, name string, app *template.App, client *dssp.Client) {
+	t.Helper()
 	for _, op := range parityScript {
 		if op.query {
 			if _, err := client.Query(app.Query(op.template), op.param); err != nil {
-				t.Fatalf("direct %s(%v): %v", op.template, op.param, err)
+				t.Fatalf("%s %s(%v): %v", name, op.template, op.param, err)
 			}
 		} else if _, _, err := client.Update(app.Update(op.template), op.param); err != nil {
-			t.Fatalf("direct %s(%v): %v", op.template, op.param, err)
+			t.Fatalf("%s %s(%v): %v", name, op.template, op.param, err)
 		}
 	}
-	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
 }
 
 func runHTTP(t *testing.T) adapterResult {

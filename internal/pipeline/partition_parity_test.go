@@ -78,7 +78,9 @@ func seedPartitionToystore(t *testing.T, db *storage.Database) {
 	}
 }
 
-func runPartitionScriptDirect(t *testing.T, name string, client *dssp.Client, app *template.App) adapterResult {
+// drivePartitionScript replays partitionScript through one trusted
+// client, over whatever Front it has.
+func drivePartitionScript(t *testing.T, name string, app *template.App, client *dssp.Client) {
 	t.Helper()
 	for _, op := range partitionScript {
 		if op.query {
@@ -89,7 +91,6 @@ func runPartitionScriptDirect(t *testing.T, name string, client *dssp.Client, ap
 			t.Fatalf("%s %s(%v): %v", name, op.template, op.params, err)
 		}
 	}
-	return adapterResult{normalize(client.Node.Cache.Decisions()), client.Node.Cache.Dump()}
 }
 
 // runPartitionReference is the single-partition baseline: one master, one
@@ -101,8 +102,8 @@ func runPartitionReference(t *testing.T) adapterResult {
 	db := storage.NewDatabase(app.Schema)
 	seedPartitionToystore(t, db)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	client := &dssp.Client{Codec: codec, Node: node, Home: homeserver.New(db, app, codec)}
-	return runPartitionScriptDirect(t, "single-partition", client, app)
+	drivePartitionScript(t, "single-partition", app, &dssp.Client{Codec: codec, Node: node, Home: homeserver.New(db, app, codec)})
+	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
 }
 
 // runDirectPartitioned routes the in-process client through a two-master
@@ -113,14 +114,13 @@ func runDirectPartitioned(t *testing.T) adapterResult {
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
 	homes, _, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 0)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	client := &dssp.Client{Codec: codec, Node: node, Home: homes[0], Pipe: tierPipe(node, tier)}
-	res := runPartitionScriptDirect(t, "direct-partitioned", client, app)
+	drivePartitionScript(t, "direct-partitioned", app, &dssp.Client{Codec: codec, Front: tierFront(node, tier)})
 	for p, h := range homes {
 		if h.ConfirmedSeq() == 0 {
 			t.Errorf("direct-partitioned: partition %d confirmed no update; the script is not spanning the split", p)
 		}
 	}
-	return res
+	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
 }
 
 // runDirectPartitionedReplicated is runDirectPartitioned with each
@@ -132,7 +132,7 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
 	_, fleets, tier := inprocTier(t, app, codec, seedPartitionToystore, 2, 2)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	driveSealedScript(t, "direct-partitioned-replicated", app, codec, shard.PipeBackend{Pipe: tierPipe(node, tier)})
+	drivePartitionScript(t, "direct-partitioned-replicated", app, &dssp.Client{Codec: codec, Front: tierFront(node, tier)})
 
 	for p, reps := range fleets {
 		served := 0
@@ -144,40 +144,6 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 		}
 	}
 	return adapterResult{normalize(node.Cache.Decisions()), node.Cache.Dump()}
-}
-
-// driveSealedScript replays partitionScript through a node's pipeline or
-// a router, sealing at the client exactly as dssp.Client does.
-func driveSealedScript(t *testing.T, name string, app *template.App, codec *wire.Codec, front sealedFront) {
-	t.Helper()
-	ctx := context.Background()
-	for _, op := range partitionScript {
-		vals, err := dssp.Params(op.params...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if op.query {
-			sq, err := codec.SealQuery(app.Query(op.template), vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, _, err := front.Query(ctx, sq)
-			if err != nil {
-				t.Fatalf("%s %s(%v): %v", name, op.template, op.params, err)
-			}
-			if _, err := codec.OpenResult(res); err != nil {
-				t.Fatalf("%s %s(%v): open: %v", name, op.template, op.params, err)
-			}
-			continue
-		}
-		su, err := codec.SealUpdate(app.Update(op.template), vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := front.Update(ctx, su); err != nil {
-			t.Fatalf("%s %s(%v): %v", name, op.template, op.params, err)
-		}
-	}
 }
 
 // runHTTPPartitioned runs the script against an HTTP node fronting two
@@ -329,10 +295,10 @@ func runShardedPartitionedInproc(t *testing.T) []nodeState {
 	backends := make([]shard.Backend, shardedFleet)
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
-		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
+		backends[i] = tierFront(nodes[i], tier)
 	}
 	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
-	driveSealedScript(t, "sharded-partitioned", app, codec, router)
+	drivePartitionScript(t, "sharded-partitioned", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {
@@ -361,7 +327,7 @@ func runShardedSingleInproc(t *testing.T) []nodeState {
 		}
 	}
 	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
-	driveSealedScript(t, "sharded-single", app, codec, router)
+	drivePartitionScript(t, "sharded-single", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

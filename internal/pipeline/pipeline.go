@@ -85,6 +85,17 @@ type Transport interface {
 	ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error))
 }
 
+// Front is the sealed seam between the trusted client and the untrusted
+// tier: whatever answers a sealed query with a sealed result and carries a
+// sealed update to its confirmation. One node's pipeline is a Front (as a
+// shard.PipeBackend), so is a shard router, and so is an HTTP hop to
+// either (httpapi.NodeProxy). Nothing behind a Front holds a key: the
+// client seals before Query or Update and opens after.
+type Front interface {
+	Query(ctx context.Context, sq wire.SealedQuery) (res wire.SealedResult, hit bool, err error)
+	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
+}
+
 // QueryReply describes how the pipeline served one sealed query.
 type QueryReply struct {
 	Result wire.SealedResult

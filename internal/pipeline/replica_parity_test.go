@@ -30,18 +30,9 @@ func runDirectReplicated(t *testing.T) adapterResult {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	homes, reps, tier := inprocTier(t, app, codec, seedParityToys, 1, 2)
+	_, reps, tier := inprocTier(t, app, codec, seedParityToys, 1, 2)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	client := &dssp.Client{Codec: codec, Node: node, Home: homes[0], Pipe: tierPipe(node, tier)}
-	for _, op := range parityScript {
-		if op.query {
-			if _, err := client.Query(app.Query(op.template), op.param); err != nil {
-				t.Fatalf("direct-replicated %s(%v): %v", op.template, op.param, err)
-			}
-		} else if _, _, err := client.Update(app.Update(op.template), op.param); err != nil {
-			t.Fatalf("direct-replicated %s(%v): %v", op.template, op.param, err)
-		}
-	}
+	runScript(t, "direct-replicated", app, &dssp.Client{Codec: codec, Front: tierFront(node, tier)})
 	var served int
 	for _, r := range reps[0] {
 		served += r.QueriesServed()
@@ -145,10 +136,10 @@ func runShardedReplicatedInproc(t *testing.T) []nodeState {
 	backends := make([]shard.Backend, shardedFleet)
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
-		backends[i] = shard.PipeBackend{Pipe: tierPipe(nodes[i], tier)}
+		backends[i] = tierFront(nodes[i], tier)
 	}
 	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
-	driveSealed(t, app, codec, router)
+	runScript(t, "sharded-replicated", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

@@ -18,7 +18,6 @@ import (
 	"dssp/internal/shard"
 	"dssp/internal/simrun"
 	"dssp/internal/storage"
-	"dssp/internal/template"
 	"dssp/internal/wire"
 )
 
@@ -37,52 +36,6 @@ type nodeState struct {
 	decisions []cache.Decision
 	dump      []string
 	stats     cache.Stats
-}
-
-// sealedFront is a deployment's entry point as the drivers below need it:
-// the sealed half of shard.Backend, which a router is and — as a
-// shard.PipeBackend — so is one node's pipeline.
-type sealedFront interface {
-	Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error)
-	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
-}
-
-// driveSealed replays the parity script through a router, sealing and
-// opening at the client exactly as dssp.Client does.
-func driveSealed(t *testing.T, app *template.App, codec *wire.Codec, front sealedFront) {
-	t.Helper()
-	ctx := context.Background()
-	for _, op := range parityScript {
-		if op.query {
-			vals, err := dssp.Params(op.param)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sq, err := codec.SealQuery(app.Query(op.template), vals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, _, err := front.Query(ctx, sq)
-			if err != nil {
-				t.Fatalf("sharded %s(%v): %v", op.template, op.param, err)
-			}
-			if _, err := codec.OpenResult(res); err != nil {
-				t.Fatalf("sharded %s(%v): open: %v", op.template, op.param, err)
-			}
-			continue
-		}
-		vals, err := dssp.Params(op.param)
-		if err != nil {
-			t.Fatal(err)
-		}
-		su, err := codec.SealUpdate(app.Update(op.template), vals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := front.Update(ctx, su); err != nil {
-			t.Fatalf("sharded %s(%v): %v", op.template, op.param, err)
-		}
-	}
 }
 
 // runShardedInproc routes the script through a shard router over an
@@ -106,7 +59,7 @@ func runShardedInproc(t *testing.T) []nodeState {
 		}
 	}
 	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
-	driveSealed(t, app, codec, router)
+	runScript(t, "sharded", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)
 	for i, n := range nodes {

@@ -19,9 +19,11 @@ type BucketStore interface {
 
 // PipeBackend adapts one node's pipeline to the Backend interface for
 // in-process fleets — the parity tests, the scale-out experiment, and any
-// deployment that keeps the whole fleet in one process. The HTTP
-// deployment's counterpart is httpapi.NodeProxy. Buckets is the node's
-// cache for warm handoff; a nil Buckets leaves the node cold-join only.
+// deployment that keeps the whole fleet in one process — and is the
+// pipeline.Front through which the in-process client and the node's HTTP
+// handlers reach the pipeline. The HTTP deployment's counterpart is
+// httpapi.NodeProxy. Buckets is the node's cache for warm handoff; a nil
+// Buckets leaves the node cold-join only.
 // The simulator sets Buckets alone: it runs requests through the node
 // pipelines on virtual time and asks its router only to Join and Leave.
 type PipeBackend struct {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -318,11 +319,11 @@ func TestRouterLeaveWarmDrainsToSurvivors(t *testing.T) {
 
 func TestRouterLeaveLastNodeRejected(t *testing.T) {
 	r, _, _ := routedFixture(t, 1)
-	if _, err := r.Leave(context.Background(), 0, false); err == nil {
-		t.Fatal("removing the last node must fail")
+	if _, err := r.Leave(context.Background(), 0, false); !errors.Is(err, ErrLastNode) {
+		t.Fatalf("removing the last node: %v, want ErrLastNode", err)
 	}
-	if _, err := r.Leave(context.Background(), 7, false); err == nil {
-		t.Fatal("removing a non-member must fail")
+	if _, err := r.Leave(context.Background(), 7, false); !errors.Is(err, ErrNotMember) {
+		t.Fatalf("removing a non-member: %v, want ErrNotMember", err)
 	}
 }
 

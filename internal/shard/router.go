@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -11,20 +12,22 @@ import (
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
 // Backend is one DSSP node as the router sees it: a sealed-message
 // surface only, because the router — untrusted, like the nodes — never
-// opens anything. Invalidate is the fan-out half of the update pathway:
+// opens anything. Its Front is what a client sees of the node, and what
+// the router itself offers its clients. Invalidate is the fan-out half of
+// the update pathway:
 // the update is already confirmed at the home server and the node only
 // monitors it (no second execution). The bucket methods move sealed
 // cache entries between nodes during a ring rebalance: everything that
 // travels is ciphertext plus routing metadata, so the router can warm a
 // new owner without ever holding a key.
 type Backend interface {
-	Query(ctx context.Context, sq wire.SealedQuery) (res wire.SealedResult, hit bool, err error)
-	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
+	pipeline.Front
 	// Invalidate carries the update's confirmed home sequence so the
 	// target node can raise its freshness floor before it next serves a
 	// miss from a read replica.
@@ -445,6 +448,13 @@ func (r *Router) Join(ctx context.Context, b Backend, warm bool) (*MigrationRepo
 	return r.report("join", node, epoch, warm, plan, entries), nil
 }
 
+// Leave refuses a node that is not a member, and the fleet's last node:
+// the ring admin answers them 404 and 409, not as a node failure.
+var (
+	ErrNotMember = errors.New("not a member")
+	ErrLastNode  = errors.New("cannot remove the last node")
+)
+
 // Leave removes a live node from the ring. With warm set, the departing
 // node's buckets stream to their new owners before the flip — a graceful
 // drain. Without warm — a kill — the node's entries are simply lost and
@@ -460,10 +470,10 @@ func (r *Router) Leave(ctx context.Context, node int, warm bool) (*MigrationRepo
 		}
 	}
 	if len(rest) == len(members) {
-		return nil, fmt.Errorf("shard: node %d is not a member", node)
+		return nil, fmt.Errorf("shard: node %d: %w", node, ErrNotMember)
 	}
 	if len(rest) == 0 {
-		return nil, fmt.Errorf("shard: cannot remove the last node")
+		return nil, fmt.Errorf("shard: node %d: %w", node, ErrLastNode)
 	}
 	plan, err := r.planner.StageRebalance(rest)
 	if err != nil {

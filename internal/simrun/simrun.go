@@ -446,7 +446,9 @@ func Simulate(cfg Config) (*Result, error) {
 	reg := obs.NewRegistry()
 	store := obs.NewSpanStore(0)
 	clock := obs.ClockFunc(world.Now)
-	clientTracer := obs.NewTracer(reg, clock).SetIdentity(obs.ProcClient, "").SetStore(store)
+	// The emulated clients' trusted side: the client every deployment
+	// seals and opens through, on the virtual clock.
+	client := &dssp.Client{Codec: codec, Tracer: obs.NewTracer(reg, clock).SetIdentity(obs.ProcClient, "").SetStore(store)}
 	homeTracer := obs.NewTracer(reg, clock).SetIdentity(obs.ProcHome, "").SetStore(store)
 
 	cacheOpts := cfg.CacheOpts
@@ -631,9 +633,8 @@ func Simulate(cfg Config) (*Result, error) {
 	// — exactly how the shard router steers. Without affinity the op
 	// stays on the client's round-robin node.
 	runOp := func(ni int, op workload.Op, done func()) {
-		opStart := world.Now()
 		if op.Template.Kind == template.KQuery {
-			sq, err := codec.SealQuery(op.Template, op.Params)
+			sq, err := client.SealQuery(op.Template, op.Params)
 			if err != nil {
 				panic(err)
 			}
@@ -642,17 +643,15 @@ func Simulate(cfg Config) (*Result, error) {
 			}
 			clientDelay(cfg.Costs.RequestBytes, func() {
 				nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
-					// The seal span is the trace's root, exactly as in the
-					// HTTP client; node-side spans nest under it.
-					sq.ParentSpan = clientTracer.ObserveSpan(obs.SpanRecord{
-						Trace: sq.TraceID, Stage: obs.StageSeal, Template: op.Template.ID, Start: opStart})
 					pipes[ni].Query(context.Background(), sq, func(reply pipeline.QueryReply, err error) {
 						if err != nil {
 							panic(err)
 						}
 						res.Ops++
 						clientDelay(reply.Result.Size(), func() {
-							clientTracer.Observe(sq.TraceID, obs.StageOpen, op.Template.ID, world.Now(), 0)
+							if _, err := client.Open(op.Template, sq, reply.Result, reply.Hit); err != nil {
+								panic(fmt.Sprintf("simrun: open %s%v: %v", op.Template.ID, op.Params, err))
+							}
 							done()
 						})
 					})
@@ -662,7 +661,7 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		// Update: route to the home server; the DSSP monitors the
 		// completed update and invalidates (Figure 2).
-		su, err := codec.SealUpdate(op.Template, op.Params)
+		su, err := client.SealUpdate(op.Template, op.Params)
 		if err != nil {
 			panic(err)
 		}
@@ -671,8 +670,6 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		clientDelay(cfg.Costs.RequestBytes, func() {
 			nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
-				su.ParentSpan = clientTracer.ObserveSpan(obs.SpanRecord{
-					Trace: su.TraceID, Stage: obs.StageSeal, Template: op.Template.ID, Start: opStart})
 				pipes[ni].Update(context.Background(), su, func(reply pipeline.UpdateReply, err error) {
 					if err != nil {
 						panic(fmt.Sprintf("update %s%v: %v", op.Template.ID, op.Params, err))
