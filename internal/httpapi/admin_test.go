@@ -1,10 +1,17 @@
 package httpapi
 
 import (
+	"bufio"
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -17,31 +24,36 @@ import (
 )
 
 // stubRouter is a router over two nodes that exist only as a stub
-// Transport answering the migration routes — empty exports, nothing
-// imported or dropped — so a ring change runs its whole handoff without a
-// socket. A node whose host begins with "fail" answers 500.
+// Transport answering the migration frames POSTed through it — empty
+// exports, nothing imported or dropped — so a ring change runs its whole
+// handoff without a socket. A node whose host begins with "fail" answers
+// 500.
 func stubRouter(analysis *core.Analysis) *RouterServer {
 	stub := roundTripFunc(func(r *http.Request) (*http.Response, error) {
-		if r.Body != nil {
-			_, _ = io.Copy(io.Discard, r.Body)
-			r.Body.Close()
-		}
-		status, body := http.StatusOK, ""
+		var req frame
+		err := readFrame(bufio.NewReader(r.Body), &req, &wireBuf{}, dirRequest)
+		r.Body.Close()
+		var answer message
+		status := http.StatusOK
 		switch {
 		case strings.HasPrefix(r.URL.Hostname(), "fail"):
 			status = http.StatusInternalServerError
-		case r.URL.Path == PathBucketExport:
-			body = string(wire.AppendBucketEntries(nil, nil))
-		case r.URL.Path == PathBucketImport:
-			body = `{"imported":0}`
-		case r.URL.Path == PathBucketDrop:
-			body = `{"dropped":0}`
+		case err != nil || r.URL.Path != PathFrames:
+			status = http.StatusBadRequest
+		case req.op == OpBucketExport:
+			answer = new(bucketEntriesMsg)
+		case req.op == OpBucketImport, req.op == OpBucketDrop:
+			answer = new(bucketCountMsg)
 		default:
 			status = http.StatusNotFound
 		}
+		var body []byte
+		if answer != nil {
+			body = encodeFrame(&frame{op: req.op, stream: req.stream, body: answer.appendWire(nil)})
+		}
 		return &http.Response{
 			StatusCode: status, Status: http.StatusText(status), Header: http.Header{},
-			Body: io.NopCloser(strings.NewReader(body)), Request: r,
+			Body: io.NopCloser(bytes.NewReader(body)), Request: r,
 		}, nil
 	})
 	return NewRouterServer(analysis, []string{"http://n0.invalid", "http://n1.invalid"},
@@ -89,6 +101,148 @@ func TestAdminBodiesAreBounded(t *testing.T) {
 	if st := hub.Status(); len(st.Replicas) != 0 {
 		t.Errorf("refused registrations subscribed %d replicas", len(st.Replicas))
 	}
+	// The stub's nodes answer the migration frames, so a warm handoff runs
+	// without a socket, and a node that fails its part makes it 502. Over
+	// the stub's empty exports a join never calls the joining node, so the
+	// failing node joins cold, takes over a template, and is drained.
+	for _, steps := range [][]struct {
+		path, body string
+		want       int
+	}{
+		{{PathRingJoin, `{"url":"http://n2.invalid"}`, http.StatusOK}},
+		{{PathRingJoin, `{"url":"http://fail.invalid","warm":false}`, http.StatusOK},
+			{PathRingLeave, `{"url":"http://fail.invalid"}`, http.StatusBadGateway}},
+	} {
+		h := stubRouter(core.Analyze(app, core.DefaultOptions())).Handler()
+		for _, s := range steps {
+			if rec := postAdmin(h, s.path, []byte(s.body)); rec.Code != s.want {
+				t.Errorf("%s %s: %d (%s), want %d", s.path, s.body, rec.Code, rec.Body, s.want)
+			}
+		}
+	}
+}
+
+// TestHTTPCarriesOnlyAdminJSON pins what HTTP carries between processes:
+// PathFrames, the one route registered for every method, and beside it GET
+// routes and POST routes whose handler decodes its body through
+// decodeAdmin — JSON of at most maxAdminBytes, for people and tools. A
+// binary exchange is a frame op, never a route of its own. It reads every
+// route the package's non-test code registers on a mux.
+func TestHTTPCarriesOnlyAdminJSON(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	funcs := map[string]*ast.FuncDecl{} // by name, methods included
+	var parsed []*ast.File
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		file, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed = append(parsed, file)
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Body != nil {
+				funcs[fn.Name.Name] = fn
+			}
+		}
+	}
+	frameRoutes, postRoutes := 0, 0
+	for _, file := range parsed {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok || (sel.Sel.Name != "Handle" && sel.Sel.Name != "HandleFunc") || len(call.Args) != 2 {
+				return true
+			}
+			at, route := fset.Position(call.Pos()), types.ExprString(call.Args[0])
+			switch methodOf(call.Args[0]) {
+			case "":
+				if route != "PathFrames" {
+					t.Errorf("%s: route %s is registered for every method; only PathFrames is", at, route)
+				} else {
+					frameRoutes++
+				}
+			case http.MethodGet:
+			case http.MethodPost:
+				postRoutes++
+				if body := handlerBody(call.Args[1], funcs); body == nil {
+					t.Errorf("%s: route %s: cannot find its handler's body", at, route)
+				} else if !callsFunc(body, "decodeAdmin") {
+					t.Errorf("%s: route %s does not decode its body through decodeAdmin: a binary exchange is a frame op", at, route)
+				}
+			default:
+				t.Errorf("%s: route %s: want GET, or POST through decodeAdmin", at, route)
+			}
+			return true
+		})
+	}
+	if frameRoutes != 1 || postRoutes == 0 {
+		t.Errorf("found %d PathFrames routes and %d POST routes; want one and some", frameRoutes, postRoutes)
+	}
+}
+
+// methodOf reads the method of a mux pattern written as a sum of string
+// literals and path constants: "" when it starts with a constant or names
+// no method, "?" when it cannot be read.
+func methodOf(pattern ast.Expr) string {
+	for {
+		sum, ok := pattern.(*ast.BinaryExpr)
+		if !ok {
+			break
+		}
+		pattern = sum.X
+	}
+	switch x := pattern.(type) {
+	case *ast.Ident:
+		return ""
+	case *ast.BasicLit:
+		s, _ := strconv.Unquote(x.Value)
+		if method, _, ok := strings.Cut(s, " "); ok {
+			return method
+		}
+		return ""
+	}
+	return "?"
+}
+
+// handlerBody is the body of a route's handler: a function literal, or the
+// function or method it names.
+func handlerBody(x ast.Expr, funcs map[string]*ast.FuncDecl) *ast.BlockStmt {
+	switch x := x.(type) {
+	case *ast.FuncLit:
+		return x.Body
+	case *ast.Ident:
+		if fn := funcs[x.Name]; fn != nil {
+			return fn.Body
+		}
+	case *ast.SelectorExpr:
+		if fn := funcs[x.Sel.Name]; fn != nil {
+			return fn.Body
+		}
+	}
+	return nil
+}
+
+// callsFunc reports whether body calls the package function name.
+func callsFunc(body *ast.BlockStmt, name string) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == name {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
 }
 
 // FuzzRingAdmin fuzzes the ring admin handlers, which decode JSON from

@@ -6,10 +6,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -36,7 +34,6 @@ import (
 // nothing a refused frame does reaches them.
 type contractServers struct {
 	urls                map[string]string
-	node                http.Handler // for the migration routes, driven without sockets
 	nodeReg, replicaReg *obs.Registry
 	query, update       []byte // well-formed envelopes
 }
@@ -64,7 +61,6 @@ func newContractServers(t *testing.T) *contractServers {
 		urls: map[string]string{
 			"node": nodeSrv.URL, "router": routerSrv.URL, "home": homeSrv.URL, "replica": replicaSrv.URL,
 		},
-		node:       ns.Handler(),
 		nodeReg:    ns.Reg,
 		replicaReg: rep.Obs(),
 		query:      (*queryMsg)(&sq).appendWire(nil),
@@ -173,65 +169,40 @@ func TestFramesRefuseAPlainRequest(t *testing.T) {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 }
 
-// zeros is an endless body.
-type zeros struct{}
-
-func (zeros) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = 0
-	}
-	return len(p), nil
-}
-
-// TestRequestBodiesAreBounded: every statement op of every server refuses
-// a frame declaring more than its bound — answered too large on its
-// stream, before a byte of the body is sent, and the connection closes —
-// and a replica apply frame between the two bounds is read (and then
-// refused as malformed). The migration routes, still HTTP, cap what they
-// read and answer 413, whether the excess is declared in Content-Length or
-// only discovered while reading.
+// TestRequestBodiesAreBounded: every op of every server refuses a request
+// frame declaring more than its bound — answered too large on its stream,
+// before a byte of the body is sent, and the connection closes. A bucket
+// export or drop is bounded like a statement, at maxMessageBytes; a replica
+// apply or bucket import frame between the two bounds is read (and then
+// refused as malformed).
 func TestRequestBodiesAreBounded(t *testing.T) {
 	c := newContractServers(t)
-	for _, e := range append(sealedOps[:len(sealedOps):len(sealedOps)], sealedOp{"replica", OpReplicaApply, false}) {
+	ops := append(sealedOps[:len(sealedOps):len(sealedOps)], sealedOp{"replica", OpReplicaApply, false},
+		sealedOp{"node", OpBucketExport, false}, sealedOp{"node", OpBucketImport, false}, sealedOp{"node", OpBucketDrop, false})
+	for _, e := range ops {
+		bound := e.op.bound(dirRequest)
 		conn := dialFrames(t, c.urls[e.server])
-		b := append(uvarint32(e.op.bound()+1), byte(e.op), 0, 0, 0, 9)
+		b := append(uvarint32(bound+1), byte(e.op), 0, 0, 0, 9)
 		f := conn.exchange(t, b)
 		if f.status != statusTooLarge {
-			t.Errorf("%s %v, %d bytes declared: %v, want too large", e.server, e.op, e.op.bound()+1, f.status)
+			t.Errorf("%s %v, %d bytes declared: %v, want too large", e.server, e.op, bound+1, f.status)
 		}
 		if _, err := conn.recv(); err == nil {
 			t.Errorf("%s %v: the connection still frames after an oversized one", e.server, e.op)
 		}
 		if f := postFrame(t, c.urls[e.server], b); f.status != statusTooLarge {
-			t.Errorf("%s %v, %d bytes declared in a POST: %v, want too large", e.server, e.op, e.op.bound()+1, f.status)
+			t.Errorf("%s %v, %d bytes declared in a POST: %v, want too large", e.server, e.op, bound+1, f.status)
 		}
 	}
-	between := rawFrame(OpReplicaApply, 1, statusOK, []byte{0}, []byte{0}, make([]byte, maxMessageBytes+1))
-	if f := dialFrames(t, c.urls["replica"]).exchange(t, between); f.status != statusBadRequest {
-		t.Errorf("replica apply, %d bytes (within the batch bound): %v, want bad request", maxMessageBytes+1, f.status)
+	for _, op := range []Op{OpBucketExport, OpBucketDrop} {
+		if got := op.bound(dirRequest); got != maxMessageBytes+frameHeaderMax {
+			t.Errorf("%v request bound %d, want the statement bound %d", op, got, maxMessageBytes+frameHeaderMax)
+		}
 	}
-
-	for _, e := range []struct {
-		path  string
-		limit int64
-	}{{PathBucketExport, maxMessageBytes}, {PathBucketDrop, maxMessageBytes}, {PathBucketImport, maxBatchBytes}} {
-		post := func(body io.Reader, length int64) int {
-			req := httptest.NewRequest(http.MethodPost, e.path, body)
-			req.ContentLength = length
-			rec := httptest.NewRecorder()
-			c.node.ServeHTTP(rec, req)
-			return rec.Code
-		}
-		over := e.limit + 1
-		if code := post(io.LimitReader(zeros{}, over), over); code != http.StatusRequestEntityTooLarge {
-			t.Errorf("node %s, %d bytes declared: %d, want 413", e.path, over, code)
-		}
-		if e.limit == maxMessageBytes {
-			if code := post(io.LimitReader(zeros{}, over), -1); code != http.StatusRequestEntityTooLarge {
-				t.Errorf("node %s, %d bytes undeclared: %d, want 413", e.path, over, code)
-			}
-		} else if code := post(io.LimitReader(zeros{}, maxMessageBytes+1), -1); code != http.StatusBadRequest {
-			t.Errorf("node %s, %d bytes (within the batch bound): %d, want 400", e.path, maxMessageBytes+1, code)
+	for _, e := range []sealedOp{{"replica", OpReplicaApply, false}, {"node", OpBucketImport, false}} {
+		between := rawFrame(e.op, 1, statusOK, []byte{0}, []byte{0}, make([]byte, maxMessageBytes+1))
+		if f := dialFrames(t, c.urls[e.server]).exchange(t, between); f.status != statusBadRequest {
+			t.Errorf("%s %v, %d bytes (within the batch bound): %v, want bad request", e.server, e.op, maxMessageBytes+1, f.status)
 		}
 	}
 }
@@ -249,7 +220,7 @@ func postFrame(t *testing.T, base string, b []byte) frame {
 		t.Fatalf("POST of a frame: %s", resp.Status)
 	}
 	var f frame
-	if err := readFrame(bufio.NewReader(resp.Body), &f, &wireBuf{}); err != nil {
+	if err := readFrame(bufio.NewReader(resp.Body), &f, &wireBuf{}, dirAnswer); err != nil {
 		t.Fatal(err)
 	}
 	if sent := binary.BigEndian.Uint32(b[5:]); f.stream != sent || f.op != Op(b[4]) {

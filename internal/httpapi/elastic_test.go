@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"dssp/internal/apps"
@@ -193,9 +194,10 @@ func TestRingAdminLeaveByURLAndUnknowns(t *testing.T) {
 	}
 }
 
-// The node's bucket endpoints speak the raw migration encoding; a full
-// export → import → drop cycle between two node processes must preserve
-// the entries exactly.
+// A node serves bucket migration as frame ops; a full export → import →
+// drop cycle of Q2 between two node processes, through the NodeProxy the
+// router holds, must preserve the entries exactly. A malformed import
+// envelope is answered bad request, and the connection goes on framing.
 func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 	f := newElasticHTTPFleet(t, 2)
 	ctx := context.Background()
@@ -206,62 +208,40 @@ func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 		}
 	}
 	owner := f.Router.Router.Planner().OwnerOfTemplate("Q2")
-	src, dst := f.NodeURLs[owner], f.NodeURLs[1-owner]
-	hc := f.HTTP
+	src, dst := NewNodeProxy(f.NodeURLs[owner], f.HTTP, nil), NewNodeProxy(f.NodeURLs[1-owner], f.HTTP, nil)
 
-	post := func(url string, body []byte) (int, []byte) {
-		resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, out
-	}
-
-	status, raw := post(src+PathBucketExport, wire.AppendTemplateIDs(nil, []string{"Q2"}))
-	if status != http.StatusOK {
-		t.Fatalf("export: %d %s", status, raw)
-	}
-	entries, err := wire.DecodeBucketEntries(raw)
+	entries, err := src.ExportBuckets(ctx, []string{"Q2"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 4 {
 		t.Fatalf("exported %d entries, want 4", len(entries))
 	}
-
-	status, body := post(dst+PathBucketImport, wire.AppendBucketEntries(nil, entries))
-	if status != http.StatusOK {
-		t.Fatalf("import: %d %s", status, body)
+	if n, err := dst.ImportBuckets(ctx, entries); err != nil || n != 4 {
+		t.Fatalf("imported %d (err %v), want 4", n, err)
 	}
-	var imp BucketImportResponse
-	if err := json.Unmarshal(body, &imp); err != nil {
-		t.Fatal(err)
-	}
-	if imp.Imported != 4 {
-		t.Errorf("imported %d, want 4", imp.Imported)
-	}
-
-	status, body = post(src+PathBucketDrop, wire.AppendTemplateIDs(nil, []string{"Q2"}))
-	if status != http.StatusOK {
-		t.Fatalf("drop: %d %s", status, body)
-	}
-	var drop BucketDropResponse
-	if err := json.Unmarshal(body, &drop); err != nil {
-		t.Fatal(err)
-	}
-	if drop.Dropped != 4 {
-		t.Errorf("dropped %d, want 4", drop.Dropped)
+	if n, err := src.DropBuckets(ctx, []string{"Q2"}); err != nil || n != 4 {
+		t.Fatalf("dropped %d (err %v), want 4", n, err)
 	}
 	if got := f.Nodes[owner].Cache.Len(); got != 0 {
 		t.Errorf("source cache holds %d entries after the drop", got)
 	}
-	if got := f.Nodes[1-owner].Cache.Len(); got != 4 {
-		t.Errorf("destination cache holds %d entries, want 4", got)
+	moved, err := dst.ExportBuckets(ctx, []string{"Q2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(moved, entries) {
+		t.Errorf("the destination's Q2 bucket is not what the source exported:\n got %+v\nwant %+v", moved, entries)
 	}
 
-	if status, _ := post(src+PathBucketImport, []byte{0xff, 0xff, 0xff}); status != http.StatusBadRequest {
-		t.Errorf("malformed import body: %d, want %d", status, http.StatusBadRequest)
+	conn := dialFrames(t, f.NodeURLs[owner])
+	malformed := encodeFrame(&frame{op: OpBucketImport, stream: 1, body: []byte{kindBucketEntries, 0xff, 0xff, 0xff}})
+	if got := conn.exchange(t, malformed); got.status != statusBadRequest {
+		t.Errorf("malformed import envelope: %v (%s), want bad request", got.status, got.body)
+	}
+	ids := []string{"Q2"}
+	drop := encodeFrame(&frame{op: OpBucketDrop, stream: 2, body: (*bucketIDsMsg)(&ids).appendWire(nil)})
+	if got := conn.exchange(t, drop); got.status != statusOK {
+		t.Errorf("a drop after the malformed import: %v (%s), want ok", got.status, got.body)
 	}
 }

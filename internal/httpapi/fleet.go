@@ -52,16 +52,16 @@ type Spec struct {
 	// Replicas read replicas sit behind each, fed by its primary's hub.
 	Partitions, Replicas int
 
-	// Client's Timeout bounds every statement call between processes, and
-	// Client carries what stays HTTP (ring admin, replica registration,
-	// bucket migration); nil gets a DefaultTimeout-bounded one.
+	// Client's Timeout bounds every frame call between processes, and
+	// Client carries what stays HTTP (ring admin, replica registration);
+	// nil gets a DefaultTimeout-bounded one.
 	Client *http.Client
 
 	// Wrap, when set, decorates each process's frame dispatch — the
 	// experiments' service-time gate. It is asked once per process, with
 	// the process's role, for a hook; a non-nil hook runs before each
-	// statement frame the process answers, on that frame's goroutine,
-	// with the frame's op.
+	// frame the process answers, on that frame's goroutine, with the
+	// frame's op.
 	Wrap func(role string) func(Op)
 }
 

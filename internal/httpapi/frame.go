@@ -21,11 +21,11 @@ import (
 	"dssp/internal/wire"
 )
 
-// Frames: the statement traffic between processes. Every sealed exchange —
-// client → router → node → home, the router's invalidation fan-out, node →
-// replica, the hub's apply stream — rides one persistent connection per
-// peer, which the sender opens by an HTTP Upgrade on the listener the peer
-// already serves:
+// Frames: the binary traffic between processes. Every sealed exchange —
+// client → router → node → home, the router's invalidation fan-out and
+// bucket migration, node → replica, the hub's apply stream — rides one
+// persistent connection per peer, which the sender opens by an HTTP Upgrade
+// on the listener the peer already serves:
 //
 //	GET /v1/frames HTTP/1.1
 //	Connection: Upgrade
@@ -40,7 +40,7 @@ import (
 // whose body is not one frame 400, so a peer speaking anything else fails
 // loudly instead of being misread.
 //
-//	frame  = uint32(n) header body       n = len(header body), big-endian, at most the op's bound
+//	frame  = uint32(n) header body       n = len(header body), big-endian, at most the op's bound that way
 //	header = byte(op) uint32(stream) byte(status) uvarint(seq) uvarint(part)
 //	body   = message                     status ok: one envelope of message.go
 //	       | text                        any other status: why
@@ -60,7 +60,7 @@ const (
 	frameProtocol = "dssp-frames/1"
 )
 
-// Op names a frame's statement: what its request carries and which
+// Op names a frame's exchange: what its request carries and which
 // processes serve it.
 type Op byte
 
@@ -71,10 +71,14 @@ const (
 	OpExecQuery                  // home primary and replica: sealed query, seq the floor → ExecQueryResponse, seq the watermark
 	OpExecUpdate                 // home primary: sealed update → ExecUpdateResponse
 	OpReplicaApply               // replica: ReplicaApplyRequest → ReplicaApplyResponse
+	OpBucketExport               // node: template-ID list → the buckets' sealed entries (warm handoff)
+	OpBucketImport               // node: sealed bucket entries → how many it took
+	OpBucketDrop                 // node: template-ID list → how many entries it dropped (post-flip cleanup)
 	numOps
 )
 
-var opNames = [numOps]string{"", "query", "update", "invalidate", "exec query", "exec update", "replica apply"}
+var opNames = [numOps]string{"", "query", "update", "invalidate", "exec query", "exec update", "replica apply",
+	"bucket export", "bucket import", "bucket drop"}
 
 func (op Op) valid() bool { return op > 0 && op < numOps }
 
@@ -85,19 +89,46 @@ func (op Op) String() string {
 	return opNames[op]
 }
 
-// bound is the most a frame of op may declare as its length: one sealed
-// statement (maxMessageBytes), or a replica apply batch (maxBatchBytes),
-// plus the header.
-func (op Op) bound() uint32 {
-	if op == OpReplicaApply {
-		return maxBatchBytes + frameHeaderMax
+// dir is the way a frame travels: a request to the process serving its op,
+// or the answer back.
+type dir uint8
+
+const (
+	dirRequest dir = iota
+	dirAnswer
+)
+
+// opBounds is the most each op's frames may carry past the header, request
+// then answer: one sealed statement (maxMessageBytes), or maxBatchBytes for
+// what carries many — a replica apply batch, a bucket import and a bucket
+// export's answer.
+var opBounds = [numOps][2]uint32{
+	OpQuery:        {maxMessageBytes, maxMessageBytes},
+	OpUpdate:       {maxMessageBytes, maxMessageBytes},
+	OpInvalidate:   {maxMessageBytes, maxMessageBytes},
+	OpExecQuery:    {maxMessageBytes, maxMessageBytes},
+	OpExecUpdate:   {maxMessageBytes, maxMessageBytes},
+	OpReplicaApply: {maxBatchBytes, maxBatchBytes},
+	OpBucketExport: {maxMessageBytes, maxBatchBytes},
+	OpBucketImport: {maxBatchBytes, maxMessageBytes},
+	OpBucketDrop:   {maxMessageBytes, maxMessageBytes},
+}
+
+// bound is the most a frame of op travelling way d may declare as its
+// length: its opBounds entry plus the header. An unknown op gets the
+// smaller bound; its frame is refused once read.
+func (op Op) bound(d dir) uint32 {
+	if !op.valid() {
+		return maxMessageBytes + frameHeaderMax
 	}
-	return maxMessageBytes + frameHeaderMax
+	return opBounds[op][d] + frameHeaderMax
 }
 
 // idempotent reports whether a call of op may be sent again after its
 // connection failed: every op but the two updates, since a lost answer
-// does not prove an update was not applied.
+// does not prove an update was not applied. The bucket ops are idempotent
+// by construction: an export copies, an import skips keys the node already
+// holds, and a drop of an absent bucket is a no-op.
 func (op Op) idempotent() bool { return op != OpUpdate && op != OpExecUpdate }
 
 // status is a response frame's outcome; each refusal has the role an HTTP
@@ -178,16 +209,16 @@ func finishFrame(b []byte, f *frame) []byte {
 
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// readFrame reads one frame from r into f, the rest of its header and its
-// body into wb (f.body aliases wb.b). The declared length is checked
-// against the op's bound before a byte of the body is read, and the
-// buffer grows only with the bytes that arrive. A frame refused once it
-// was read whole — an unknown op or status, a garbled staleness field — is
-// errBadFrame with f.op and f.stream set, so it can be answered; a length
-// under the shortest header is errShortFrame and one over the bound
-// errTooLarge (f.op and f.stream set too), after both of which the stream
-// has lost its framing, as after any I/O error.
-func readFrame(r *bufio.Reader, f *frame, wb *wireBuf) error {
+// readFrame reads one frame travelling way d from r into f, the rest of its
+// header and its body into wb (f.body aliases wb.b). The declared length is
+// checked against the op's bound that way before a byte of the body is
+// read, and the buffer grows only with the bytes that arrive. A frame
+// refused once it was read whole — an unknown op or status, a garbled
+// staleness field — is errBadFrame with f.op and f.stream set, so it can
+// be answered; a length under the shortest header is errShortFrame and one
+// over the bound errTooLarge (f.op and f.stream set too), after both of
+// which the stream has lost its framing, as after any I/O error.
+func readFrame(r *bufio.Reader, f *frame, wb *wireBuf, d dir) error {
 	pre, err := r.Peek(4 + 1 + 4)
 	if err != nil {
 		if len(pre) > 0 && err == io.EOF {
@@ -201,7 +232,7 @@ func readFrame(r *bufio.Reader, f *frame, wb *wireBuf) error {
 	switch {
 	case n < frameHeaderMin:
 		return errShortFrame
-	case n > f.op.bound():
+	case n > f.op.bound(d):
 		return errTooLarge
 	}
 	rest := int(n) - 5
@@ -262,9 +293,9 @@ func (ops *frameOps) answer(ctx context.Context, gate func(Op), x *serverCall) [
 	} else {
 		resp.fail(statusBadRequest, fmt.Errorf("httpapi: %v is not served here", req.op))
 	}
-	if n := len(resp.body) - 4; n > int(req.op.bound()) {
+	if n, bound := len(resp.body)-4, req.op.bound(dirAnswer); n > int(bound) {
 		resp.seq, resp.part = 0, 0
-		resp.fail(statusTooLarge, fmt.Errorf("httpapi: a %v answer of %d bytes is over its bound of %d", req.op, n, req.op.bound()))
+		resp.fail(statusTooLarge, fmt.Errorf("httpapi: a %v answer of %d bytes is over its bound of %d", req.op, n, bound))
 	}
 	x.out.b = resp.body
 	return finishFrame(resp.body, resp)
@@ -367,7 +398,7 @@ func (s *frameServer) serveOne(w http.ResponseWriter, r *http.Request) {
 	x := serverCalls.Get().(*serverCall)
 	defer x.release()
 	br := bufio.NewReaderSize(r.Body, postReadBuf)
-	err := readFrame(br, &x.req, &x.in)
+	err := readFrame(br, &x.req, &x.in, dirRequest)
 	if err == nil && x.req.status != statusOK {
 		err = errBadFrame
 	}
@@ -442,7 +473,7 @@ func (c *serverConn) serve(r *bufio.Reader, done func()) {
 	defer done()
 	for {
 		x := serverCalls.Get().(*serverCall)
-		err := readFrame(r, &x.req, &x.in)
+		err := readFrame(r, &x.req, &x.in, dirRequest)
 		if err == nil && x.req.status != statusOK {
 			err = errBadFrame
 		}

@@ -104,7 +104,7 @@ func (c *rawConn) send(t *testing.T, b []byte) {
 // recv reads the next answer; its body is the rawConn's to keep.
 func (c *rawConn) recv() (frame, error) {
 	var f frame
-	err := readFrame(c.r, &f, &wireBuf{})
+	err := readFrame(c.r, &f, &wireBuf{}, dirAnswer)
 	return f, err
 }
 
@@ -134,7 +134,7 @@ func (c *rawConn) exchange(t *testing.T, b []byte) frame {
 // shorter frame; and a stream ID already in flight on the connection is
 // refused by the read loop's bookkeeping.
 func FuzzReadFrame(f *testing.F) {
-	ops := []Op{OpQuery, OpUpdate, OpInvalidate, OpExecQuery, OpExecUpdate, OpReplicaApply}
+	ops := []Op{OpQuery, OpUpdate, OpInvalidate, OpExecQuery, OpExecUpdate, OpReplicaApply, OpBucketExport, OpBucketImport, OpBucketDrop}
 	var stream uint32
 	for _, exp := range allExposures {
 		for i, e := range envelopes(f, exp) {
@@ -145,7 +145,7 @@ func FuzzReadFrame(f *testing.F) {
 	}
 	sq, _, _ := sealedAt(f, template.ExpStmt)
 	query := encodeFrame(&frame{op: OpQuery, stream: 1, body: (*queryMsg)(&sq).appendWire(nil)})
-	over := binary.BigEndian.AppendUint32(nil, OpQuery.bound()+1)
+	over := binary.BigEndian.AppendUint32(nil, OpQuery.bound(dirRequest)+1)
 	f.Add(append(over, byte(OpQuery), 0, 0, 0, 1))                                             // a length over the bound
 	f.Add(query[:7])                                                                           // a truncated header
 	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, []byte{0}, nil)[:4+frameHeaderMin-1])      // a header cut short of its length
@@ -166,12 +166,12 @@ func FuzzReadFrame(f *testing.F) {
 		for {
 			var fr frame
 			capBefore := cap(wb.b)
-			err := readFrame(r, &fr, wb)
+			err := readFrame(r, &fr, wb, dirRequest)
 			left := b[consumed:]
 			if err != nil {
 				if len(left) >= 9 {
 					n := binary.BigEndian.Uint32(left)
-					if n > Op(left[4]).bound() && (!errors.Is(err, errTooLarge) || cap(wb.b) != capBefore) {
+					if n > Op(left[4]).bound(dirRequest) && (!errors.Is(err, errTooLarge) || cap(wb.b) != capBefore) {
 						t.Fatalf("length %d over the bound: err %v, buffer %d → %d", n, err, capBefore, cap(wb.b))
 					}
 					if n < frameHeaderMin && !errors.Is(err, errShortFrame) {
@@ -210,7 +210,7 @@ func TestFrameFieldsRoundTrip(t *testing.T) {
 		t.Errorf("widest header: frame of %d bytes in a buffer of %d", len(enc), len(b))
 	}
 	var got frame
-	if err := readFrame(bufio.NewReader(bytes.NewReader(enc)), &got, &wireBuf{}); err != nil {
+	if err := readFrame(bufio.NewReader(bytes.NewReader(enc)), &got, &wireBuf{}, dirRequest); err != nil {
 		t.Fatal(err)
 	}
 	if got.op != want.op || got.stream != want.stream || got.status != want.status || got.seq != want.seq || got.part != want.part || !bytes.Equal(got.body, want.body) {

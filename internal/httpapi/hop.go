@@ -24,7 +24,8 @@ import (
 // where to dial, worked out once from the peer's base URL, and the one
 // persistent frame connection to it — dialed on the first call and again
 // after it dies, and shared by every call in between, however many are in
-// flight. Every statement between processes leaves through call.
+// flight. Every exchange between processes — statements, apply batches and
+// bucket migration — leaves through call.
 //
 // A hop dials and upgrades its connection itself, in place of the
 // http.Client's Transport when that is an *http.Transport or nil — the
@@ -234,7 +235,7 @@ func (h *hop) roundTrip(ctx context.Context, k *call, op Op, seq uint64) (lost b
 	}
 	br := bufio.NewReaderSize(resp.Body, postReadBuf)
 	k.in = getBuf()
-	if err := readFrame(br, &k.resp, k.in); err != nil {
+	if err := readFrame(br, &k.resp, k.in, dirAnswer); err != nil {
 		putBuf(k.in)
 		k.in = nil
 		if _, bad := refusal(&k.resp, err); bad && h.reg != nil {
@@ -408,7 +409,7 @@ func (c *clientConn) read() {
 	for {
 		in := getBuf()
 		var f frame
-		if err := readFrame(c.r, &f, in); err != nil {
+		if err := readFrame(c.r, &f, in, dirAnswer); err != nil {
 			putBuf(in)
 			if _, bad := refusal(&f, err); bad && c.reg != nil {
 				c.reg.Counter(obs.MHTTPBadFrames).Inc()

@@ -100,7 +100,7 @@ func (p *fakePeer) serve(nc net.Conn) {
 	var wmu sync.Mutex
 	for {
 		var req frame
-		if err := readFrame(r, &req, &wireBuf{}); err != nil {
+		if err := readFrame(r, &req, &wireBuf{}, dirRequest); err != nil {
 			return
 		}
 		p.mu.Lock()
@@ -645,7 +645,7 @@ func TestOversizedAnswerFailsOnlyItsCall(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	srv := startFrameServer(t, &frameOps{
 		OpQuery: func(_ context.Context, _, resp *frame) {
-			resp.body = append(resp.body, make([]byte, OpQuery.bound())...)
+			resp.body = append(resp.body, make([]byte, OpQuery.bound(dirAnswer))...)
 		},
 		OpUpdate: func(_ context.Context, _, resp *frame) {
 			close(entered)

@@ -7,16 +7,17 @@
 // Messages are the sealed types of package wire in the wire package's own
 // deterministic binary encoding, each under a one-byte kind tag
 // (message.go states the envelope grammar; wire/sealed.go the sealed-
-// message grammar it extends, which the migration stream of wire/bucket.go
-// shares). They travel as frames (frame.go) on one persistent connection
-// per peer, opened by an HTTP Upgrade on the listener every process
-// serves — client → router → node → home, the router's invalidation
-// fan-out, node → replica, and the hub's apply stream — or, from a sender
-// whose http.Client has a RoundTripper of its own, one frame per POST
-// through it; there is no negotiation. The node never holds keys: it
+// message grammar it extends, and wire/bucket.go the migration grammar).
+// They travel as frames (frame.go) on one persistent connection per peer,
+// opened by an HTTP Upgrade on the listener every process serves — client
+// → router → node → home, the router's invalidation fan-out and bucket
+// migration, node → replica, and the hub's apply stream — or, from a
+// sender whose http.Client has a RoundTripper of its own, one frame per
+// POST through it; there is no negotiation. The node never holds keys: it
 // receives sealed queries, serves them from its cache or forwards the
-// opaque payload to the home server, and monitors completed updates for
-// invalidation, exactly as in the in-process pathway.
+// opaque payload to the home server, monitors completed updates for
+// invalidation, exactly as in the in-process pathway, and hands sealed
+// buckets over when the ring changes.
 //
 // What a server refuses, and how: a request for PathFrames that neither
 // upgrades nor POSTs a frame is 426, and a POST whose body is not one
@@ -27,17 +28,18 @@
 // included, since a garbled freshness floor must never silently read as
 // "no floor" — is answered bad request.
 //
-// HTTP itself stays for what people and tools read: every process exposes
-// GET /v1/metrics — a snapshot of its obs.Registry in JSON (default) or
-// the Prometheus text exposition format (?format=prom, or Accept:
-// text/plain) — and its traces; a node its decision log and the bucket
-// migration routes; a router its ring admin; a primary and its replicas
-// the replica registration and status. A statement's trace ID and its
-// sender's span ID travel inside the sealed message (wire.WithTrace), so
-// one statement can be followed from client through node to home server.
+// HTTP itself stays only for JSON that people and tools read: every
+// process exposes GET /v1/metrics — a snapshot of its obs.Registry in JSON
+// (default) or the Prometheus text exposition format (?format=prom, or
+// Accept: text/plain) — and its traces; a node its decision log; a router
+// its ring admin; a primary and its replicas the replica registration and
+// status. Every POST route decodes a JSON body of at most maxAdminBytes
+// through decodeAdmin. A statement's trace ID and its sender's span ID
+// travel inside the sealed message (wire.WithTrace), so one statement can
+// be followed from client through node to home server.
 //
-// Every statement between processes is sent by hop.call (hop.go) and
-// answered by one frame dispatcher (frameOps.answer, frame.go).
+// Every frame between processes is sent by hop.call (hop.go) and answered
+// by one frame dispatcher (frameOps.answer, frame.go).
 package httpapi
 
 import (
@@ -45,7 +47,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -77,15 +78,12 @@ func defaultClient(client *http.Client) *http.Client {
 	return client
 }
 
-// Routes of the HTTP API beside PathFrames, the one statement route.
+// Routes of the HTTP API beside PathFrames, the one binary route.
 const (
 	PathDecisions       = "/v1/decisions"        // node: invalidation-decision log + cache dump, JSON (debugging, parity checks)
 	PathMetrics         = "/v1/metrics"          // every process: metrics snapshot (JSON or Prometheus text)
 	PathTrace           = "/v1/trace/"           // every process: one trace's spans, JSON ({id} appended)
 	PathTraces          = "/v1/traces"           // every process: retained trace IDs, JSON
-	PathBucketExport    = "/v1/buckets/export"   // node: template-ID list -> sealed bucket entries (warm handoff)
-	PathBucketImport    = "/v1/buckets/import"   // node: sealed bucket entries -> imported count
-	PathBucketDrop      = "/v1/buckets/drop"     // node: template-ID list -> dropped count (post-flip cleanup)
 	PathRing            = "/v1/ring"             // router: current membership + epoch, JSON
 	PathRingJoin        = "/v1/ring/join"        // router: admit a node URL into the ring (warm by default)
 	PathRingLeave       = "/v1/ring/leave"       // router: retire a node (warm drain) or declare it dead (warm=false)
@@ -122,17 +120,6 @@ type DecisionsResponse struct {
 	Decisions []cache.Decision `json:"decisions"`
 	Dump      []string         `json:"dump"`
 	Stats     cache.Stats      `json:"stats"`
-}
-
-// BucketImportResponse is the node's answer to a migration import: how
-// many sealed entries it took (keys it already held are skipped).
-type BucketImportResponse struct {
-	Imported int `json:"imported"`
-}
-
-// BucketDropResponse is the node's answer to a post-flip bucket drop.
-type BucketDropResponse struct {
-	Dropped int `json:"dropped"`
 }
 
 // ExecQueryResponse is the home server's answer to a forwarded query.
@@ -433,34 +420,10 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 	}
 }
 
-// Handler returns the node's HTTP API.
+// Handler returns the node's HTTP API: the node as a shard.Backend over
+// frames, and its decision log.
 func (s *NodeServer) Handler() http.Handler {
-	ops := serveFront(shard.PipeBackend{Pipe: s.Pipe})
-	// An invalidation-only frame — the shard router's pruned fan-out — is
-	// an update already confirmed at the home server through some other
-	// node. The node never re-executes it: the sealed update goes straight
-	// into the pipeline's invalidation monitor, joining the current batch
-	// when a monitoring interval is configured. The frame's seq is the
-	// update's confirmed home sequence; it raises this node's freshness
-	// floor (when the node fronts replicas) before invalidation runs, so no
-	// later miss is served by a replica that has not applied the update.
-	ops[OpInvalidate] = func(ctx context.Context, req, resp *frame) {
-		var su wire.SealedUpdate
-		if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
-			resp.fail(statusBadRequest, err)
-			return
-		}
-		n, err := shard.PipeBackend{Pipe: s.Pipe}.Invalidate(ctx, su, req.seq)
-		if err != nil {
-			resp.fail(statusBadGateway, err)
-			return
-		}
-		resp.body = (&InvalidateResponse{Invalidated: n}).appendWire(resp.body)
-	}
-	mux := newMux(s.Reg, s.Tracer.Store(), ops)
-	mux.HandleFunc("POST "+PathBucketExport, s.handleBucketExport)
-	mux.HandleFunc("POST "+PathBucketImport, s.handleBucketImport)
-	mux.HandleFunc("POST "+PathBucketDrop, s.handleBucketDrop)
+	mux := newMux(s.Reg, s.Tracer.Store(), serveBackend(shard.PipeBackend{Pipe: s.Pipe, Buckets: s.Node.Cache}))
 	mux.HandleFunc("GET "+PathDecisions, s.handleDecisions)
 	return mux
 }
@@ -513,59 +476,79 @@ func serveFront(front pipeline.Front) *frameOps {
 	}
 }
 
-// handleBucketExport streams the named template buckets' sealed entries
-// out for a warm handoff. The request body is a wire template-ID list,
-// the response the wire migration encoding — no keys, nothing the node
-// did not already hold sealed.
-func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) {
-	body := getBuf()
-	defer putBuf(body)
-	if !readBody(w, r, maxMessageBytes, body) {
-		return
+// serveBackend is everything a node serves over frames: a shard.Backend,
+// whose other end is NodeProxy — serveFront's query and update, the
+// router's invalidation fan-out, and the three bucket migration ops. A
+// backend that fails an invalidation answers bad gateway, like a front; one
+// that fails a bucket op (it has no bucket store) answers failed.
+//
+// An invalidation-only frame — the shard router's pruned fan-out — is an
+// update already confirmed at the home server through some other node.
+// The node never re-executes it: the sealed update goes straight into the
+// pipeline's invalidation monitor, joining the current batch when a
+// monitoring interval is configured. The frame's seq is the update's
+// confirmed home sequence; it raises the node's freshness floor (when the
+// node fronts replicas) before invalidation runs, so no later miss is
+// served by a replica that has not applied the update.
+//
+// The bucket ops move sealed entries between nodes when the ring changes:
+// what travels is ciphertext and routing metadata the node already held,
+// so the router warms a new owner without a key.
+func serveBackend(b shard.Backend) *frameOps {
+	ops := serveFront(b)
+	ops[OpInvalidate] = func(ctx context.Context, req, resp *frame) {
+		var su wire.SealedUpdate
+		if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		n, err := b.Invalidate(ctx, su, req.seq)
+		if err != nil {
+			resp.fail(statusBadGateway, err)
+			return
+		}
+		resp.body = (&InvalidateResponse{Invalidated: n}).appendWire(resp.body)
 	}
-	ids, err := wire.DecodeTemplateIDs(body.b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
+	ops[OpBucketExport] = func(ctx context.Context, req, resp *frame) {
+		var ids bucketIDsMsg
+		if err := ids.decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		entries, err := b.ExportBuckets(ctx, ids)
+		if err != nil {
+			resp.fail(statusFailed, err)
+			return
+		}
+		resp.body = (*bucketEntriesMsg)(&entries).appendWire(resp.body)
 	}
-	entries := s.Node.Cache.ExportBuckets(ids)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if _, err := w.Write(wire.AppendBucketEntries(nil, entries)); err != nil {
-		slog.Warn("httpapi: bucket export write failed", "entries", len(entries), "err", err)
-		s.Reg.Counter(obs.MHTTPWriteErrors).Inc()
+	ops[OpBucketImport] = func(ctx context.Context, req, resp *frame) {
+		var entries bucketEntriesMsg
+		if err := entries.decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		n, err := b.ImportBuckets(ctx, entries)
+		if err != nil {
+			resp.fail(statusFailed, err)
+			return
+		}
+		resp.body = (*bucketCountMsg)(&n).appendWire(resp.body)
 	}
-}
-
-// handleBucketImport takes migrated sealed entries into the node's cache.
-func (s *NodeServer) handleBucketImport(w http.ResponseWriter, r *http.Request) {
-	body := getBuf()
-	defer putBuf(body)
-	if !readBody(w, r, maxBatchBytes, body) {
-		return
+	ops[OpBucketDrop] = func(ctx context.Context, req, resp *frame) {
+		var ids bucketIDsMsg
+		if err := ids.decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		n, err := b.DropBuckets(ctx, ids)
+		if err != nil {
+			resp.fail(statusFailed, err)
+			return
+		}
+		resp.body = (*bucketCountMsg)(&n).appendWire(resp.body)
 	}
-	entries, err := wire.DecodeBucketEntries(body.b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BucketImportResponse{Imported: s.Node.Cache.ImportBuckets(entries)})
-}
-
-// handleBucketDrop removes migrated buckets after the epoch flip.
-func (s *NodeServer) handleBucketDrop(w http.ResponseWriter, r *http.Request) {
-	body := getBuf()
-	defer putBuf(body)
-	if !readBody(w, r, maxMessageBytes, body) {
-		return
-	}
-	ids, err := wire.DecodeTemplateIDs(body.b)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BucketDropResponse{Dropped: s.Node.Cache.DropBuckets(ids)})
+	return ops
 }
 
 // handleDecisions serves the node's decision log, cache dump, and counter

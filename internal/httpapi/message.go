@@ -3,19 +3,18 @@ package httpapi
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
-	"net/http"
 	"sync"
 
 	"dssp/internal/homeserver"
 	"dssp/internal/wire"
 )
 
-// Hop encoding: the body of every sealed frame between processes
-// (frame.go). It extends the sealed-message grammar of wire/sealed.go
-// (query, update, result — queries in their WithTrace form) with one
-// kind-tagged envelope per message type:
+// Hop encoding: the body of every frame between processes (frame.go). It
+// extends the sealed-message grammar of wire/sealed.go (query, update,
+// result — queries in their WithTrace form) and the migration grammar of
+// wire/bucket.go (ids, entries) with one kind-tagged envelope per message
+// type:
 //
 //	message = byte(kind) body
 //
@@ -29,6 +28,9 @@ import (
 //	0x07  ExecUpdateResponse    uvarint(affected) uvarint(seq)
 //	0x08  ReplicaApplyRequest   { uvarint(seq) update }*
 //	0x09  ReplicaApplyResponse  uvarint(applied)
+//	0x0a  template-ID list      ids                  bucket export and drop requests
+//	0x0b  bucket entries        entries              bucket import request, export answer
+//	0x0c  bucket count          uvarint(n)           bucket import and drop answers
 //
 //	bool  = 0x00 | 0x01
 //
@@ -38,12 +40,12 @@ import (
 // so every accepted body re-encodes to itself — and nothing decoded
 // aliases the input, which is a pooled buffer on both sides of a hop.
 
-// Size bounds. Every message is read whole before it is decoded, so each
-// read is capped: maxMessageBytes for one sealed statement (a frame of any
-// op but replica apply, either way; a migration request other than an
-// import), maxBatchBytes for what carries many — a replica apply batch and
-// a bucket import or export. A frame over its bound is answered too large;
-// a migration body over its bound 413.
+// Size bounds. Every frame is read whole before its message is decoded, so
+// each read is capped, per op and direction (opBounds in frame.go):
+// maxMessageBytes for one sealed statement, a template-ID list or a count,
+// maxBatchBytes for what carries many — a replica apply batch and the
+// entries of a bucket import or export. A frame over its bound is answered
+// too large.
 const (
 	maxMessageBytes = 8 << 20
 	maxBatchBytes   = 64 << 20
@@ -60,6 +62,9 @@ const (
 	kindExecUpdateResponse
 	kindReplicaApplyRequest
 	kindReplicaApplyResponse
+	kindBucketIDs
+	kindBucketEntries
+	kindBucketCount
 )
 
 var errMalformed = errors.New("httpapi: malformed message")
@@ -240,6 +245,55 @@ func (m *ReplicaApplyResponse) decodeWire(b []byte) error {
 	return closeMessage(b, err)
 }
 
+// The migration envelopes: wire/bucket.go's template-ID list and bucket
+// entries under their kind tags, and the count an import took or a drop
+// removed. Both wire decoders refuse trailing bytes themselves.
+type (
+	bucketIDsMsg     []string
+	bucketEntriesMsg []wire.BucketEntry
+	bucketCountMsg   int
+)
+
+func (m *bucketIDsMsg) appendWire(dst []byte) []byte {
+	return wire.AppendTemplateIDs(append(dst, kindBucketIDs), *m)
+}
+
+func (m *bucketIDsMsg) decodeWire(b []byte) error {
+	b, err := openMessage(b, kindBucketIDs)
+	if err != nil {
+		return err
+	}
+	*m, err = wire.DecodeTemplateIDs(b)
+	return err
+}
+
+func (m *bucketEntriesMsg) appendWire(dst []byte) []byte {
+	return wire.AppendBucketEntries(append(dst, kindBucketEntries), *m)
+}
+
+func (m *bucketEntriesMsg) decodeWire(b []byte) error {
+	b, err := openMessage(b, kindBucketEntries)
+	if err != nil {
+		return err
+	}
+	*m, err = wire.DecodeBucketEntries(b)
+	return err
+}
+
+func (m *bucketCountMsg) appendWire(dst []byte) []byte {
+	return appendInt(append(dst, kindBucketCount), int(*m))
+}
+
+func (m *bucketCountMsg) decodeWire(b []byte) error {
+	b, err := openMessage(b, kindBucketCount)
+	if err != nil {
+		return err
+	}
+	n, b, err := decodeInt(b)
+	*m = bucketCountMsg(n)
+	return closeMessage(b, err)
+}
+
 // openMessage strips the kind tag, refusing any other kind.
 func openMessage(b []byte, kind byte) ([]byte, error) {
 	if len(b) == 0 || b[0] != kind {
@@ -287,9 +341,9 @@ func decodeInt(b []byte) (int, []byte, error) {
 	return int(n), rest, nil
 }
 
-// wireBuf is pooled staging for one message body: frames are built in it
-// and read into it, and so are migration bodies. Nothing may retain b (or
-// a slice of it) past putBuf — decoders copy out what they return.
+// wireBuf is pooled staging for one frame: frames are built in it and read
+// into it. Nothing may retain b (or a slice of it) past putBuf — decoders
+// copy out what they return.
 type wireBuf struct{ b []byte }
 
 // maxPooledBuf bounds the capacity a returned buffer may keep: one large
@@ -306,52 +360,4 @@ func putBuf(wb *wireBuf) {
 	}
 }
 
-// readFrom replaces the buffer's contents with everything r yields, to
-// EOF and at most limit bytes; a longer stream is errTooLarge.
-func (wb *wireBuf) readFrom(r io.Reader, limit int64) error {
-	wb.b = wb.b[:0]
-	for {
-		if len(wb.b) == cap(wb.b) {
-			wb.b = append(wb.b, 0)[:len(wb.b)]
-		}
-		n, err := r.Read(wb.b[len(wb.b):cap(wb.b)])
-		wb.b = wb.b[:len(wb.b)+n]
-		if int64(len(wb.b)) > limit {
-			return errTooLarge
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
 var errTooLarge = errors.New("httpapi: message exceeds its size bound")
-
-// readBody reads a migration request body of at most limit bytes into wb. On failure
-// it has answered — 413 for an oversized body, 400 for a broken one — and
-// returns false.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64, wb *wireBuf) bool {
-	if r.ContentLength > limit {
-		http.Error(w, errTooLarge.Error(), http.StatusRequestEntityTooLarge)
-		return false
-	}
-	// MaxBytesReader fails the read at the bound — before readFrom's own
-	// check could — and tells the server to close the connection instead
-	// of draining the excess.
-	err := wb.readFrom(http.MaxBytesReader(w, r.Body, limit), limit)
-	if err == nil {
-		return true
-	}
-	// Declared past the return: errors.As makes it escape, and a body that
-	// read cleanly should not pay for the allocation.
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		http.Error(w, errTooLarge.Error(), http.StatusRequestEntityTooLarge)
-	} else {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	}
-	return false
-}

@@ -50,12 +50,17 @@ type envelopeCase struct {
 	empty func() message
 }
 
-// envelopes returns one populated instance of each of the nine hop
+// envelopes returns one populated instance of each of the twelve hop
 // messages at an exposure.
 func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 	sq, su, sr := sealedAt(t, exp)
 	su2 := su
 	su2.TraceID, su2.ParentSpan = "", "" // as the hub would resend it from a log without trace metadata
+	migrated := sq
+	migrated.TraceID, migrated.ParentSpan = "", "" // trace metadata does not migrate
+	ids := bucketIDsMsg{"Q2", "", "Q1"}
+	entries := bucketEntriesMsg{{Query: migrated, Result: sr, Ordinal: 1 << 20}, {Query: migrated, Result: wire.SealedResult{Cipher: []byte{}}}}
+	count := bucketCountMsg(4096)
 	return []envelopeCase{
 		{"query", (*queryMsg)(&sq), func() message { return new(queryMsg) }},
 		{"update", (*updateMsg)(&su), func() message { return new(updateMsg) }},
@@ -66,6 +71,9 @@ func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 		{"ExecUpdateResponse", &ExecUpdateResponse{Affected: 1, Seq: math.MaxUint64}, func() message { return new(ExecUpdateResponse) }},
 		{"ReplicaApplyRequest", &ReplicaApplyRequest{Batch: []homeserver.Confirmed{{Seq: 1, Update: su}, {Seq: math.MaxUint64, Update: su2}}}, func() message { return new(ReplicaApplyRequest) }},
 		{"ReplicaApplyResponse", &ReplicaApplyResponse{Applied: math.MaxUint64}, func() message { return new(ReplicaApplyResponse) }},
+		{"bucket IDs", &ids, func() message { return new(bucketIDsMsg) }},
+		{"bucket entries", &entries, func() message { return new(bucketEntriesMsg) }},
+		{"bucket count", &count, func() message { return new(bucketCountMsg) }},
 	}
 }
 
@@ -171,7 +179,12 @@ func FuzzDecodeMessage(f *testing.F) {
 			f.Add(e.msg.appendWire(nil))
 		}
 	}
+	f.Add([]byte{kindBucketEntries, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 2, 3}) // an entry count forged past the body
+	f.Add([]byte{kindBucketIDs, 0xff, 0xff, 0x03, 1, 'Q'})                  // an ID count forged past the body
 	empties := envelopes(f, template.ExpStmt)
+	for _, e := range empties {
+		f.Add(append(e.msg.appendWire(nil), 0)) // a byte after a whole envelope
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, e := range empties {
 			in := append([]byte(nil), b...)

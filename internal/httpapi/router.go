@@ -1,15 +1,12 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
-	"time"
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
@@ -18,25 +15,18 @@ import (
 )
 
 // NodeProxy is the HTTP deployment's shard.Backend: one remote dsspnode
-// process, its statements on the frame connection to it and its bucket
-// migration over HTTP. Queries and invalidations are idempotent and ride
-// the shared retry path (one retry with backoff after a connection
-// failure — replaying an invalidation against already-emptied buckets is
-// a no-op); updates are never retried, because a lost ack does not prove
-// the update was not applied.
-type NodeProxy struct {
-	frames *hop
-	base   string       // the node's base URL, for the migration routes
-	http   *http.Client // the caller's client, never following a redirect
-	reg    *obs.Registry
-}
+// process, every call a frame on the one connection to it, answered by the
+// node's serveBackend. Queries, invalidations and the bucket ops are
+// idempotent and ride the hop's retry (one retry with backoff after a
+// connection failure — replaying an invalidation against already-emptied
+// buckets is a no-op); updates are never retried, because a lost ack does
+// not prove the update was not applied.
+type NodeProxy struct{ frames *hop }
 
 // NewNodeProxy points a proxy at one node's base URL. A nil client gets a
 // DefaultTimeout-bounded one; reg (nil allowed) counts retries.
 func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy {
-	noRedirect := *defaultClient(client)
-	noRedirect.CheckRedirect = func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }
-	return NodeProxy{frames: newHop(client, url, reg), base: url, http: &noRedirect, reg: reg}
+	return NodeProxy{frames: newHop(client, url, reg)}
 }
 
 // Query proxies a sealed query to the node.
@@ -65,85 +55,25 @@ func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uin
 }
 
 // ExportBuckets pulls the named template buckets' sealed entries from the
-// node for a warm handoff. Request and response are the raw wire
-// migration encoding (wire/bucket.go).
+// node for a warm handoff.
 func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error) {
-	raw, err := p.migrate(ctx, PathBucketExport, wire.AppendTemplateIDs(nil, templateIDs))
-	if err != nil {
-		return nil, err
-	}
-	return wire.DecodeBucketEntries(raw)
+	var entries bucketEntriesMsg
+	_, err := p.frames.call(ctx, OpBucketExport, 0, (*bucketIDsMsg)(&templateIDs), &entries)
+	return entries, err
 }
 
 // ImportBuckets pushes migrated sealed entries into the node's cache.
 func (p NodeProxy) ImportBuckets(ctx context.Context, entries []wire.BucketEntry) (int, error) {
-	raw, err := p.migrate(ctx, PathBucketImport, wire.AppendBucketEntries(nil, entries))
-	if err != nil {
-		return 0, err
-	}
-	var resp BucketImportResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Imported, nil
+	var imported bucketCountMsg
+	_, err := p.frames.call(ctx, OpBucketImport, 0, (*bucketEntriesMsg)(&entries), &imported)
+	return int(imported), err
 }
 
 // DropBuckets removes migrated buckets from the node after the epoch flip.
 func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, error) {
-	raw, err := p.migrate(ctx, PathBucketDrop, wire.AppendTemplateIDs(nil, templateIDs))
-	if err != nil {
-		return 0, err
-	}
-	var resp BucketDropResponse
-	if err := json.Unmarshal(raw, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Dropped, nil
-}
-
-// migrate posts one migration request to the node's path and returns the
-// response body (at most maxBatchBytes of it). Bucket exports, imports and
-// drops are all idempotent (exports copy, imports skip keys the cache
-// already holds, drops of an absent bucket are no-ops), so a request that
-// got no response is sent once more after retryBackoff, like an
-// idempotent statement; a response, whatever its status, is not.
-func (p NodeProxy) migrate(ctx context.Context, path string, body []byte) ([]byte, error) {
-	if p.frames.err != nil { // the base URL was refused: no request can be built from it
-		return nil, fmt.Errorf("httpapi: %s: %w", p.base, p.frames.err)
-	}
-	resp, err := p.post(ctx, path, body)
-	if err != nil && ctx.Err() == nil {
-		if p.reg != nil {
-			p.reg.Counter(obs.MHTTPRetries).Inc()
-		}
-		select {
-		case <-time.After(retryBackoff):
-			resp, err = p.post(ctx, path, body)
-		case <-ctx.Done():
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096)) // best effort: the status alone is the error
-		return nil, fmt.Errorf("httpapi: %s%s: %s: %s", p.base, path, resp.Status, bytes.TrimSpace(msg))
-	}
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxBatchBytes+1))
-	if err == nil && len(raw) > maxBatchBytes {
-		err = errTooLarge
-	}
-	return raw, err
-}
-
-func (p NodeProxy) post(ctx context.Context, path string, body []byte) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	return p.http.Do(req)
+	var dropped bucketCountMsg
+	_, err := p.frames.call(ctx, OpBucketDrop, 0, (*bucketIDsMsg)(&templateIDs), &dropped)
+	return int(dropped), err
 }
 
 // RouterOptions tune a router server: the shard router's own Options,

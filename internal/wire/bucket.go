@@ -79,7 +79,8 @@ func DecodeBucketEntries(b []byte) ([]BucketEntry, error) {
 	return entries, nil
 }
 
-// AppendTemplateIDs appends a template-ID list (an export request body).
+// AppendTemplateIDs appends a template-ID list (a bucket export or drop
+// request).
 func AppendTemplateIDs(dst []byte, ids []string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {

@@ -7,6 +7,8 @@
 #   - the warm drain streams sealed buckets and every previously cached
 #     entry still hits — including entries rehomed onto the node that
 #     joined mid-run;
+#   - migration rides the frame connections: no node serves an HTTP
+#     migration route, and no process counted a refused frame;
 #   - the kill shrinks the ring and the fleet keeps serving;
 #   - after all the churn, the fleet's merged invalidation-decision log
 #     still diffs clean against a static single-node reference replay —
@@ -113,6 +115,23 @@ if (( node2_after == node2_before )); then
   exit 1
 fi
 echo "elastic_smoke: drain migrated $MIGRATED entries; joined node served $((node2_after - node2_before)) of them"
+
+# The drain rode the frame connections: a node serves no HTTP migration
+# route, and no process refused a frame along the way.
+code=$(curl -s -o /dev/null -w '%{http_code}' -X POST --data-binary x "http://localhost:$NODE0_PORT/v1/buckets/export")
+if [[ $code != 404 && $code != 405 ]]; then
+  echo "elastic_smoke: FAIL: POST /v1/buckets/export answered $code, want 404 or 405" >&2
+  exit 1
+fi
+for port in "$ROUTER_PORT" "$NODE0_PORT" "$NODE1_PORT" "$NODE2_PORT"; do
+  bad=$(curl -sf "http://localhost:$port/v1/metrics" |
+    jq '[.metrics[] | select(.name == "dssp_http_bad_frames_total") | .value // 0] | add // 0')
+  if (( bad != 0 )); then
+    echo "elastic_smoke: FAIL: the process on :$port refused $bad frames" >&2
+    exit 1
+  fi
+done
+echo "elastic_smoke: migration rode frames; no HTTP migration route, no refused frame"
 
 echo "elastic_smoke: killing node 0 (no drain)"
 curl -sf -X POST "http://localhost:$ROUTER_PORT/v1/ring/leave" \
