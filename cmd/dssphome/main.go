@@ -44,8 +44,6 @@ import (
 	"syscall"
 	"time"
 
-	_ "net/http/pprof"
-
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
@@ -93,7 +91,7 @@ func main() {
 	}
 	master := sha256.Sum256([]byte(*keyPhrase))
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(master[:]), nil)
-	servePprof(logger, *pprofAddr)
+	httpapi.ServePprof(logger, *pprofAddr)
 
 	if *partitions > 1 && (*partition < 0 || *partition >= *partitions) {
 		logger.Error("bad -partition", "partition", *partition, "partitions", *partitions)
@@ -206,20 +204,6 @@ func awaitSignal(logger *slog.Logger) {
 	signal.Notify(ch, syscall.SIGTERM, syscall.SIGINT)
 	sig := <-ch
 	logger.Info("signal received; shutting down", "signal", sig.String())
-}
-
-// servePprof exposes net/http/pprof's DefaultServeMux handlers on their
-// own listener, so profiling never shares a port with sealed traffic.
-func servePprof(logger *slog.Logger, addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof serve failed", "err", err)
-		}
-	}()
 }
 
 // populate builds the application's master database. Replicas call it

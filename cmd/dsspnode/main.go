@@ -34,8 +34,6 @@ import (
 	"os"
 	"strings"
 
-	_ "net/http/pprof"
-
 	"dssp/internal/apps"
 	"dssp/internal/cache"
 	"dssp/internal/core"
@@ -82,7 +80,7 @@ func main() {
 		Home:            tier,
 	})
 
-	servePprof(logger, *pprofAddr)
+	httpapi.ServePprof(logger, *pprofAddr)
 	logger.Info("DSSP node listening",
 		"app", app.Name, "addr", *addr, "home", tier[0].Primary, "home_partitions", len(tier),
 		"home_replicas", nReplicas,
@@ -92,20 +90,6 @@ func main() {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// servePprof exposes net/http/pprof's DefaultServeMux handlers on their
-// own listener, so profiling never shares a port with sealed traffic.
-func servePprof(logger *slog.Logger, addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof serve failed", "err", err)
-		}
-	}()
 }
 
 // parseHome reads the -home / -home-replicas pair (syntax in the package

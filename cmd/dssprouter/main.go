@@ -50,8 +50,6 @@ import (
 	"os"
 	"strings"
 
-	_ "net/http/pprof"
-
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/httpapi"
@@ -93,7 +91,7 @@ func main() {
 		RetryBackoff:   *retryBackoff,
 	}})
 
-	servePprof(logger, *pprofAddr)
+	httpapi.ServePprof(logger, *pprofAddr)
 	logger.Info("DSSP router listening",
 		"app", app.Name, "addr", *addr, "fleet", len(urls), "nodes", strings.Join(urls, ","),
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
@@ -101,18 +99,4 @@ func main() {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
-}
-
-// servePprof exposes net/http/pprof's DefaultServeMux handlers on their
-// own listener, so profiling never shares a port with sealed traffic.
-func servePprof(logger *slog.Logger, addr string) {
-	if addr == "" {
-		return
-	}
-	go func() {
-		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			logger.Error("pprof serve failed", "err", err)
-		}
-	}()
 }

@@ -43,7 +43,7 @@ func stubRouter(analysis *core.Analysis) *RouterServer {
 		case req.op == OpBucketExport:
 			answer = new(bucketEntriesMsg)
 		case req.op == OpBucketImport, req.op == OpBucketDrop:
-			answer = new(bucketCountMsg)
+			answer = new(countMsg)
 		default:
 			status = http.StatusNotFound
 		}

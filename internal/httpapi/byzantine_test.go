@@ -16,24 +16,23 @@ import (
 // DSSP must be prevented from tampering with master data. A malicious node
 // that fabricates or corrupts an encrypted result cannot get it past the
 // client: the SIV authentication fails on decryption. Nor can it hurt the
-// client with the envelope itself — a truncated body, another message's
-// kind tag, or trailing bytes are errors from the strict decoder, never
-// panics.
+// client with the envelope itself — a truncated body, another op's answer,
+// or trailing bytes are errors from the strict decoder, never panics.
 func TestByzantineNodeCannotForgeResults(t *testing.T) {
 	app := apps.Toystore()
 	exps := map[string]template.Exposure{"Q2": template.ExpStmt} // results encrypted
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
 
-	forged := (&QueryResponse{Result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, Hit: true}).appendWire(nil)
+	forged := (&queryAnswer{result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, hit: true}).appendWire(nil)
 	bodies := map[string][]byte{
 		"well-formed envelope, attacker-chosen ciphertext": forged,
 		"truncated mid-ciphertext":                         forged[:len(forged)/2],
-		"truncated to the kind tag":                        forged[:1],
+		"truncated to the result tag":                      forged[:1],
 		"empty":                                            nil,
 		"trailing byte":                                    append(append([]byte(nil), forged...), 0),
-		"wrong kind: an update ack":                        (&UpdateResponse{Affected: 1}).appendWire(nil),
-		"wrong kind: the home's answer":                    (&ExecQueryResponse{Result: wire.SealedResult{Cipher: []byte("x")}}).appendWire(nil),
-		"length past the end":                              {kindQueryResponse, 1, 0xff, 0xff, 0x03},
+		"another op's answer: an update's":                 (&updateAnswer{affected: 1}).appendWire(nil),
+		"another op's answer: the home's":                  (&execQueryMsg{Result: wire.SealedResult{Cipher: []byte("x")}}).appendWire(nil),
+		"length past the end":                              {1, 0xff, 0xff, 0x03},
 	}
 	for name, body := range bodies {
 		evil := startFrameServer(t, &frameOps{OpQuery: func(_ context.Context, _, resp *frame) {

@@ -83,29 +83,14 @@ var sealedOps = []sealedOp{
 	{"replica", OpExecQuery, false},
 }
 
-// answerTo is an empty message of the type op is answered with.
-func answerTo(op Op) message {
-	switch op {
-	case OpQuery:
-		return new(QueryResponse)
-	case OpUpdate:
-		return new(UpdateResponse)
-	case OpInvalidate:
-		return new(InvalidateResponse)
-	case OpExecQuery:
-		return new(ExecQueryResponse)
-	case OpExecUpdate:
-		return new(ExecUpdateResponse)
-	default:
-		return new(ReplicaApplyResponse)
-	}
-}
-
 // TestSealedEndpointsAnswerWellFormedRequests is the control for the
 // refusal tests below: well-formed frames of every op every server serves
-// are answered ok, with the answer's envelope.
+// are answered ok, with the answer's envelope — and an update's answer,
+// at the node, the router and the home, with the update's confirmed
+// sequence in seq, one past the last.
 func TestSealedEndpointsAnswerWellFormedRequests(t *testing.T) {
 	c := newContractServers(t)
+	confirmed := uint64(0)
 	for _, e := range sealedOps {
 		body := c.query
 		if e.update {
@@ -116,8 +101,13 @@ func TestSealedEndpointsAnswerWellFormedRequests(t *testing.T) {
 			t.Errorf("%s %v: %v (%s)", e.server, e.op, f.status, f.body)
 			continue
 		}
-		if err := answerTo(e.op).decodeWire(f.body); err != nil {
+		if err := envelope(e.op, dirAnswer).decodeWire(f.body); err != nil {
 			t.Errorf("%s %v: answer does not decode: %v", e.server, e.op, err)
+		}
+		if e.op == OpUpdate || e.op == OpExecUpdate {
+			if confirmed++; f.seq != confirmed {
+				t.Errorf("%s %v: answered with seq %d, want the confirmed sequence %d", e.server, e.op, f.seq, confirmed)
+			}
 		}
 	}
 }
@@ -284,7 +274,8 @@ func TestStalenessHeadersFailClosed(t *testing.T) {
 
 // TestGarbledFramesAreRefused: a frame that carries a status, one for an
 // op the server does not serve, and one whose envelope does not decode
-// are each answered bad request, and the connection goes on framing; a
+// under its own op — another op's request, or none — are each answered bad
+// request, and the connection goes on framing; a
 // frame naming no op (there is none to answer under), one shorter than
 // its header, and one reusing a stream ID still in flight — whose answer
 // would reach the wrong call — end the connection without an answer.
@@ -295,13 +286,14 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 		rawFrame(OpQuery, 1, statusBadGateway, []byte{0}, []byte{0}, c.query),
 		encodeFrame(&frame{op: OpExecUpdate, stream: 2, body: c.update}),
 		encodeFrame(&frame{op: OpQuery, stream: 3, body: c.update}),
-		encodeFrame(&frame{op: OpQuery, stream: 4}),
+		encodeFrame(&frame{op: OpInvalidate, stream: 4, body: c.query}),
+		encodeFrame(&frame{op: OpQuery, stream: 5}),
 	} {
 		if f := conn.exchange(t, b); f.status != statusBadRequest {
 			t.Errorf("garbled frame %d: %v (%s), want bad request", i, f.status, f.body)
 		}
 	}
-	if f := conn.exchange(t, encodeFrame(&frame{op: OpQuery, stream: 5, body: c.query})); f.status != statusOK {
+	if f := conn.exchange(t, encodeFrame(&frame{op: OpQuery, stream: 6, body: c.query})); f.status != statusOK {
 		t.Errorf("a well-formed frame after the garbled ones: %v (%s)", f.status, f.body)
 	}
 	// A POST carries one frame: bytes after it are a malformed request.
@@ -333,7 +325,7 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 		case <-release:
 		case <-ctx.Done():
 		}
-		resp.body = (&QueryResponse{}).appendWire(resp.body)
+		resp.body = (&queryAnswer{}).appendWire(resp.body)
 	}})
 	defer close(release)
 	dup := dialFrames(t, srv.URL)
@@ -357,7 +349,7 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 // primary) instead of reading as 0, and is counted.
 func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 	sq, _, sr := sealedAt(t, template.ExpStmt)
-	answer := (&ExecQueryResponse{Result: sr, Scanned: 1}).appendWire(nil)
+	answer := (&execQueryMsg{Result: sr, Scanned: 1}).appendWire(nil)
 	var next atomic.Pointer[func(stream uint32) []byte]
 	peer := newFakePeer(t, func(req *frame) []byte { return (*next.Load())(req.stream) })
 	reg := obs.NewRegistry()
@@ -415,7 +407,7 @@ func TestFitApplyBatch(t *testing.T) {
 	if len(fit) != 3 {
 		t.Fatalf("fit %d updates of %d bytes into a %d-byte body, want 3", len(fit), len(opaque), maxBatchBytes)
 	}
-	if n := len((&ReplicaApplyRequest{Batch: fit}).appendWire(nil)); n > maxBatchBytes {
+	if n := len((*applyMsg)(&fit).appendWire(nil)); n > maxBatchBytes {
 		t.Errorf("fitted batch encodes to %d bytes, over the %d-byte bound", n, maxBatchBytes)
 	}
 	if small := batch[:2]; len(fitApplyBatch(small)) != 2 {

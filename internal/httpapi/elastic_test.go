@@ -235,7 +235,7 @@ func TestNodeBucketEndpointsRoundTrip(t *testing.T) {
 	}
 
 	conn := dialFrames(t, f.NodeURLs[owner])
-	malformed := encodeFrame(&frame{op: OpBucketImport, stream: 1, body: []byte{kindBucketEntries, 0xff, 0xff, 0xff}})
+	malformed := encodeFrame(&frame{op: OpBucketImport, stream: 1, body: []byte{0xff, 0xff, 0xff}})
 	if got := conn.exchange(t, malformed); got.status != statusBadRequest {
 		t.Errorf("malformed import envelope: %v (%s), want bad request", got.status, got.body)
 	}

@@ -29,7 +29,7 @@ import (
 //
 //	GET /v1/frames HTTP/1.1
 //	Connection: Upgrade
-//	Upgrade: dssp-frames/1
+//	Upgrade: dssp-frames/2
 //
 // The peer answers 101 Switching Protocols and hijacks the connection;
 // from then on both directions carry frames and nothing else. A sender
@@ -42,43 +42,62 @@ import (
 //
 //	frame  = uint32(n) header body       n = len(header body), big-endian, at most the op's bound that way
 //	header = byte(op) uint32(stream) byte(status) uvarint(seq) uvarint(part)
-//	body   = message                     status ok: one envelope of message.go
+//	body   = message                     status ok: the envelope message.go names for the op and way
 //	       | text                        any other status: why
 //
 // A request frame has status ok; the server answers it on the same stream
-// ID, in whatever order its answers finish. seq and part are the staleness
-// values of the replicated home tier: an invalidation's seq is the
-// update's confirmed home sequence, which raises the target node's
-// freshness floor; an exec query's seq is the node's floor, below which a
-// replica must not answer, and the replica's answer carries its applied
-// watermark back in seq — and, when it refuses with statusLag, the home
-// partition whose stream that watermark counts in part. Decoding is as
-// strict as the envelopes': a uvarint that is not minimal, an unknown op
-// or status, is a refused frame, never a zero.
+// ID, in whatever order its answers finish. The op and the way a frame
+// travels name its body's grammar — the body has no tag of its own — and
+// seq and part are the staleness values of the replicated home tier:
+// message.go's table says, per op and way, what the body is and what seq
+// and part carry. Decoding is as strict as the envelopes': a uvarint that
+// is not minimal, an unknown op or status, is a refused frame, never a
+// zero.
 const (
 	PathFrames    = "/v1/frames"
-	frameProtocol = "dssp-frames/1"
+	frameProtocol = "dssp-frames/2"
 )
 
-// Op names a frame's exchange: what its request carries and which
-// processes serve it.
+// Op names a frame's exchange: what its request and its answer carry
+// (message.go) and which processes serve it.
 type Op byte
 
 const (
-	OpQuery        Op = 1 + iota // node and router: sealed query → QueryResponse
-	OpUpdate                     // node and router: sealed update → UpdateResponse
-	OpInvalidate                 // node: confirmed sealed update, seq its home sequence → InvalidateResponse
-	OpExecQuery                  // home primary and replica: sealed query, seq the floor → ExecQueryResponse, seq the watermark
-	OpExecUpdate                 // home primary: sealed update → ExecUpdateResponse
-	OpReplicaApply               // replica: ReplicaApplyRequest → ReplicaApplyResponse
-	OpBucketExport               // node: template-ID list → the buckets' sealed entries (warm handoff)
-	OpBucketImport               // node: sealed bucket entries → how many it took
-	OpBucketDrop                 // node: template-ID list → how many entries it dropped (post-flip cleanup)
+	OpQuery        Op = 1 + iota // node and router
+	OpUpdate                     // node and router
+	OpInvalidate                 // node: an update confirmed through another node (the router's fan-out)
+	OpExecQuery                  // home primary and replica
+	OpExecUpdate                 // home primary
+	OpReplicaApply               // replica: the hub's apply stream
+	OpBucketExport               // node: the old owner's side of a warm handoff
+	OpBucketImport               // node: the new owner's side
+	OpBucketDrop                 // node: post-flip cleanup
 	numOps
 )
 
-var opNames = [numOps]string{"", "query", "update", "invalidate", "exec query", "exec update", "replica apply",
-	"bucket export", "bucket import", "bucket drop"}
+// opTable is, per op, its name; the most its frames may carry past the
+// header, by dir — one sealed statement (maxMessageBytes), or
+// maxBatchBytes for what carries many: a replica apply batch, a bucket
+// import and a bucket export's answer; and whether a call of it may be sent
+// again after its connection failed. That is every op but the two updates,
+// since a lost answer does not prove an update was not applied; the bucket
+// ops are idempotent by construction: an export copies, an import skips
+// keys the node already holds, and a drop of an absent bucket is a no-op.
+var opTable = [numOps]struct {
+	name       string
+	bound      [2]uint32
+	idempotent bool
+}{
+	OpQuery:        {"query", [2]uint32{maxMessageBytes, maxMessageBytes}, true},
+	OpUpdate:       {"update", [2]uint32{maxMessageBytes, maxMessageBytes}, false},
+	OpInvalidate:   {"invalidate", [2]uint32{maxMessageBytes, maxMessageBytes}, true},
+	OpExecQuery:    {"exec query", [2]uint32{maxMessageBytes, maxMessageBytes}, true},
+	OpExecUpdate:   {"exec update", [2]uint32{maxMessageBytes, maxMessageBytes}, false},
+	OpReplicaApply: {"replica apply", [2]uint32{maxBatchBytes, maxBatchBytes}, true},
+	OpBucketExport: {"bucket export", [2]uint32{maxMessageBytes, maxBatchBytes}, true},
+	OpBucketImport: {"bucket import", [2]uint32{maxBatchBytes, maxMessageBytes}, true},
+	OpBucketDrop:   {"bucket drop", [2]uint32{maxMessageBytes, maxMessageBytes}, true},
+}
 
 func (op Op) valid() bool { return op > 0 && op < numOps }
 
@@ -86,7 +105,7 @@ func (op Op) String() string {
 	if !op.valid() {
 		return "op " + strconv.Itoa(int(op))
 	}
-	return opNames[op]
+	return opTable[op].name
 }
 
 // dir is the way a frame travels: a request to the process serving its op,
@@ -98,38 +117,15 @@ const (
 	dirAnswer
 )
 
-// opBounds is the most each op's frames may carry past the header, request
-// then answer: one sealed statement (maxMessageBytes), or maxBatchBytes for
-// what carries many — a replica apply batch, a bucket import and a bucket
-// export's answer.
-var opBounds = [numOps][2]uint32{
-	OpQuery:        {maxMessageBytes, maxMessageBytes},
-	OpUpdate:       {maxMessageBytes, maxMessageBytes},
-	OpInvalidate:   {maxMessageBytes, maxMessageBytes},
-	OpExecQuery:    {maxMessageBytes, maxMessageBytes},
-	OpExecUpdate:   {maxMessageBytes, maxMessageBytes},
-	OpReplicaApply: {maxBatchBytes, maxBatchBytes},
-	OpBucketExport: {maxMessageBytes, maxBatchBytes},
-	OpBucketImport: {maxBatchBytes, maxMessageBytes},
-	OpBucketDrop:   {maxMessageBytes, maxMessageBytes},
-}
-
 // bound is the most a frame of op travelling way d may declare as its
-// length: its opBounds entry plus the header. An unknown op gets the
+// length: its opTable bound plus the header. An unknown op gets the
 // smaller bound; its frame is refused once read.
 func (op Op) bound(d dir) uint32 {
 	if !op.valid() {
 		return maxMessageBytes + frameHeaderMax
 	}
-	return opBounds[op][d] + frameHeaderMax
+	return opTable[op].bound[d] + frameHeaderMax
 }
-
-// idempotent reports whether a call of op may be sent again after its
-// connection failed: every op but the two updates, since a lost answer
-// does not prove an update was not applied. The bucket ops are idempotent
-// by construction: an export copies, an import skips keys the node already
-// holds, and a drop of an absent bucket is a no-op.
-func (op Op) idempotent() bool { return op != OpUpdate && op != OpExecUpdate }
 
 // status is a response frame's outcome; each refusal has the role an HTTP
 // status had before frames.

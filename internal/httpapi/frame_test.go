@@ -134,12 +134,11 @@ func (c *rawConn) exchange(t *testing.T, b []byte) frame {
 // shorter frame; and a stream ID already in flight on the connection is
 // refused by the read loop's bookkeeping.
 func FuzzReadFrame(f *testing.F) {
-	ops := []Op{OpQuery, OpUpdate, OpInvalidate, OpExecQuery, OpExecUpdate, OpReplicaApply, OpBucketExport, OpBucketImport, OpBucketDrop}
 	var stream uint32
 	for _, exp := range allExposures {
 		for i, e := range envelopes(f, exp) {
 			stream++
-			f.Add(encodeFrame(&frame{op: ops[i%len(ops)], stream: stream, status: status(i) % numStatus,
+			f.Add(encodeFrame(&frame{op: e.op, stream: stream, status: status(i) % numStatus,
 				seq: uint64(i) << (7 * i), part: uint64(i), body: e.msg.appendWire(nil)}))
 		}
 	}
@@ -223,7 +222,7 @@ func TestFrameFieldsRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkFrameRoundTrip is one sealed query → QueryResponse through
+// BenchmarkFrameRoundTrip is one sealed query → query answer through
 // NodeProxy.Query over a framed loopback connection, under the
 // DefaultTimeout every deployment sets, to a handler that decodes the
 // query and answers the way every statement handler does: what one hop of
@@ -236,7 +235,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 			resp.fail(statusBadRequest, err)
 			return
 		}
-		resp.body = (&QueryResponse{Result: sr, Hit: true}).appendWire(resp.body)
+		resp.body = (&queryAnswer{result: sr, hit: true}).appendWire(resp.body)
 	}})
 	p := NewNodeProxy(srv.URL, &http.Client{Timeout: DefaultTimeout}, nil)
 	ctx := context.Background()
@@ -244,7 +243,7 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if hopSink.resp.Result, hopSink.resp.Hit, err = p.Query(ctx, sq); err != nil {
+		if hopSink.resp.result, hopSink.resp.hit, err = p.Query(ctx, sq); err != nil {
 			b.Fatal(err)
 		}
 	}

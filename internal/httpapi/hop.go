@@ -114,8 +114,8 @@ func (k *call) disarm() {
 }
 
 // call sends req under op, with seq as its staleness value, and decodes
-// the answer into resp; it returns the answer's staleness value (a
-// replica's applied watermark). A replica's lag refusal is a
+// the answer into resp; it returns the answer's seq (what it carries per
+// op is in message.go's table). A replica's lag refusal is a
 // *pipeline.LagError; any other refusal an error naming the status and the
 // peer's reason. The hop's timeout bounds the wait unless ctx's deadline
 // is sooner. When the connection fails before the answer arrives, an
@@ -129,7 +129,7 @@ func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (u
 	k := calls.Get().(*call)
 	k.out = req.appendWire(startFrame(k.out))
 	lost, keep, err := h.attempt(ctx, k, op, seq)
-	if lost && h.retry && op.idempotent() && ctx.Err() == nil {
+	if lost && h.retry && opTable[op].idempotent && ctx.Err() == nil {
 		if h.reg != nil {
 			h.reg.Counter(obs.MHTTPRetries).Inc()
 		}
@@ -141,15 +141,15 @@ func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (u
 			backoff.Stop()
 		}
 	}
-	var applied uint64
+	var answered uint64
 	if err == nil {
-		applied, err = h.open(k, op, seq, resp)
+		answered, err = h.open(k, op, seq, resp)
 	}
 	if keep && cap(k.out) <= maxPooledBuf {
 		k.resp, k.in, k.err = frame{}, nil, nil
 		calls.Put(k)
 	}
-	return applied, err
+	return answered, err
 }
 
 // attempt sends k's frame once, on the hop's connection, and waits for the
@@ -250,9 +250,11 @@ func (h *hop) roundTrip(ctx context.Context, k *call, op Op, seq uint64) (lost b
 	return false, nil
 }
 
-// open reads the answer k holds: resp decoded from an ok body, a lag
-// refusal as a *pipeline.LagError (want is the floor the request carried),
-// any other refusal as an error quoting the peer.
+// open reads the answer k holds: resp decoded from an ok body and the
+// answer's seq, a lag refusal as a *pipeline.LagError (want is the floor
+// the request carried), any other refusal as an error quoting the peer. An
+// answer under another op than the call's is refused whatever its body:
+// the op is what names the body's grammar.
 func (h *hop) open(k *call, op Op, want uint64, resp message) (uint64, error) {
 	defer putBuf(k.in)
 	f := &k.resp

@@ -131,17 +131,17 @@ func (p *fakePeer) connections() int {
 	return p.conns
 }
 
-// answerFor is a well-formed answer to req: a QueryResponse carrying sr,
-// or an UpdateResponse or InvalidateResponse by op.
+// answerFor is a well-formed answer to req: a query answer carrying sr,
+// or an update's or an invalidation's answer by op.
 func answerFor(req *frame, sr wire.SealedResult) []byte {
 	var body []byte
 	switch req.op {
 	case OpUpdate:
-		body = (&UpdateResponse{Affected: 1}).appendWire(nil)
+		body = (&updateAnswer{affected: 1}).appendWire(nil)
 	case OpInvalidate:
-		body = (&InvalidateResponse{Invalidated: 1}).appendWire(nil)
+		body = appendInt(nil, 1)
 	default:
-		body = (&QueryResponse{Result: sr, Hit: true}).appendWire(nil)
+		body = (&queryAnswer{result: sr, hit: true}).appendWire(nil)
 	}
 	return encodeFrame(&frame{op: req.op, stream: req.stream, body: body})
 }
@@ -166,7 +166,7 @@ func TestHopTimesOutOnHungPeer(t *testing.T) {
 	h := newHop(&http.Client{Timeout: timeout}, peer.url, nil)
 
 	start := time.Now()
-	_, err := h.call(context.Background(), OpUpdate, 0, (*updateMsg)(&su), new(UpdateResponse))
+	_, err := h.call(context.Background(), OpUpdate, 0, (*updateMsg)(&su), new(updateAnswer))
 	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took < timeout || took > 20*timeout {
 		t.Errorf("hung peer under a %v client timeout: err %v after %v", timeout, err, took)
 	}
@@ -181,7 +181,7 @@ func TestHopCallerDeadlineWinsWhenEarlier(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), deadline)
 	defer cancel()
 	start := time.Now()
-	_, err := h.call(ctx, OpUpdate, 0, (*updateMsg)(&su), new(UpdateResponse))
+	_, err := h.call(ctx, OpUpdate, 0, (*updateMsg)(&su), new(updateAnswer))
 	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took > 20*deadline {
 		t.Errorf("caller deadline of %v under a %v client timeout: err %v after %v", deadline, DefaultTimeout, err, took)
 	}
@@ -203,7 +203,7 @@ func TestHopDeadlineIsReleasedWithTheAnswer(t *testing.T) {
 	const timeout = 100 * time.Millisecond
 	h := newHop(&http.Client{Timeout: timeout}, peer.url, nil)
 	query := func(ctx context.Context) error {
-		_, err := h.call(ctx, OpQuery, 0, (*queryMsg)(&sq), new(QueryResponse))
+		_, err := h.call(ctx, OpQuery, 0, (*queryMsg)(&sq), new(queryAnswer))
 		return err
 	}
 	if err := query(context.Background()); err != nil {
@@ -338,7 +338,7 @@ func TestHopRequestShape(t *testing.T) {
 	peer := answerPeer(t)
 	sq, _, _ := sealedAt(t, template.ExpStmt)
 	h := newHop(nil, peer.url+"/base", nil)
-	if _, err := h.call(context.Background(), OpQuery, 3, (*queryMsg)(&sq), new(QueryResponse)); err != nil {
+	if _, err := h.call(context.Background(), OpQuery, 3, (*queryMsg)(&sq), new(queryAnswer)); err != nil {
 		t.Fatal(err)
 	}
 	up := peer.upgrades[0]
@@ -355,6 +355,29 @@ func TestHopRequestShape(t *testing.T) {
 	}
 }
 
+// TestHopRefusesAnAnswerUnderAnotherOp: a body has no tag of its own, so
+// the answer's op is what names its grammar. A peer that answers a query
+// under the invalidate op, with a body the query's answer grammar would
+// accept, fails the call, and nothing is decoded.
+func TestHopRefusesAnAnswerUnderAnotherOp(t *testing.T) {
+	sq, _, sr := sealedAt(t, template.ExpStmt)
+	body := (&queryAnswer{result: sr, hit: true}).appendWire(nil)
+	if err := new(queryAnswer).decodeWire(body); err != nil {
+		t.Fatalf("the body does not decode as a query answer: %v", err)
+	}
+	peer := newFakePeer(t, func(req *frame) []byte {
+		return encodeFrame(&frame{op: OpInvalidate, stream: req.stream, body: body})
+	})
+	var resp queryAnswer
+	_, err := newHop(nil, peer.url, nil).call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), &resp)
+	if err == nil || !strings.Contains(err.Error(), "answered as "+OpInvalidate.String()) {
+		t.Errorf("a query answered under %v: err %v, want a refusal naming the op", OpInvalidate, err)
+	}
+	if resp.hit || resp.result.Cipher != nil {
+		t.Errorf("an answer under another op was decoded: %+v", resp)
+	}
+}
+
 // TestHopReportsUnparsableURL: a base URL that does not parse, or names a
 // scheme other than plain http, fails every call without a dial.
 func TestHopReportsUnparsableURL(t *testing.T) {
@@ -362,7 +385,7 @@ func TestHopReportsUnparsableURL(t *testing.T) {
 	sq, _, _ := sealedAt(t, template.ExpStmt)
 	for _, base := range []string{"http://node\x7f.invalid", strings.Replace(peer.url, "http", "https", 1), strings.TrimPrefix(peer.url, "http://")} {
 		h := newHop(nil, base, nil)
-		if _, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), new(QueryResponse)); err == nil {
+		if _, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), new(queryAnswer)); err == nil {
 			t.Errorf("base URL %q carried a statement", base)
 		}
 	}
@@ -405,7 +428,7 @@ func TestConcurrentCallsShareOneConnection(t *testing.T) {
 	const calls = 10
 	peer := newFakePeer(t, func(req *frame) []byte {
 		time.Sleep(time.Duration(calls-req.seq) * 10 * time.Millisecond)
-		return encodeFrame(&frame{op: req.op, stream: req.stream, body: (&InvalidateResponse{Invalidated: int(req.seq)}).appendWire(nil)})
+		return encodeFrame(&frame{op: req.op, stream: req.stream, body: appendInt(nil, int(req.seq))})
 	})
 	_, su, _ := sealedAt(t, template.ExpStmt)
 	p := NewNodeProxy(peer.url, nil, nil)
@@ -480,10 +503,10 @@ func TestHopWithoutTransportUsesDefault(t *testing.T) {
 	peer := answerPeer(t)
 	sq, _, _ := sealedAt(t, template.ExpStmt)
 	for _, client := range []*http.Client{nil, {}, {Transport: &http.Transport{}}} {
-		var resp QueryResponse
+		var resp queryAnswer
 		h := newHop(client, peer.url, nil)
-		if _, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), &resp); err != nil || !resp.Hit {
-			t.Errorf("client %+v: hit %v, err %v", client, resp.Hit, err)
+		if _, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), &resp); err != nil || !resp.hit {
+			t.Errorf("client %+v: hit %v, err %v", client, resp.hit, err)
 		}
 		h.close()
 	}
@@ -576,7 +599,7 @@ func TestHopPostsFramesThroughTheClientsRoundTripper(t *testing.T) {
 	const timeout = 150 * time.Millisecond
 	h := newHop(&http.Client{Timeout: timeout, Transport: &countingTransport{inner: std}}, hung.URL, nil)
 	start := time.Now()
-	_, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), new(QueryResponse))
+	_, err := h.call(context.Background(), OpQuery, 0, (*queryMsg)(&sq), new(queryAnswer))
 	if took := time.Since(start); !errors.Is(err, context.DeadlineExceeded) || took < timeout || took > 20*timeout {
 		t.Errorf("a hung handler under a %v timeout: err %v after %v", timeout, err, took)
 	}
@@ -620,7 +643,7 @@ func TestHopWriteToAPeerThatStopsReadingTimesOut(t *testing.T) {
 	errs := make(chan error, 2)
 	for _, u := range []wire.SealedUpdate{big, su} {
 		go func() {
-			_, err := h.call(context.Background(), OpUpdate, 0, (*updateMsg)(&u), new(UpdateResponse))
+			_, err := h.call(context.Background(), OpUpdate, 0, (*updateMsg)(&u), new(updateAnswer))
 			errs <- err
 		}()
 		time.Sleep(timeout / 4) // the large frame's write goes first
@@ -650,7 +673,7 @@ func TestOversizedAnswerFailsOnlyItsCall(t *testing.T) {
 		OpUpdate: func(_ context.Context, _, resp *frame) {
 			close(entered)
 			<-release
-			resp.body = (&UpdateResponse{Affected: 1}).appendWire(resp.body)
+			resp.body = (&updateAnswer{affected: 1}).appendWire(resp.body)
 		},
 	})
 	sq, su, _ := sealedAt(t, template.ExpStmt)

@@ -5,7 +5,8 @@
 // becomes three processes connected by HTTP.
 //
 // Messages are the sealed types of package wire in the wire package's own
-// deterministic binary encoding, each under a one-byte kind tag
+// deterministic binary encoding, in envelopes named by their frame's op and
+// direction alone, with every sequence number in the frame header
 // (message.go states the envelope grammar; wire/sealed.go the sealed-
 // message grammar it extends, and wire/bucket.go the migration grammar).
 // They travel as frames (frame.go) on one persistent connection per peer,
@@ -47,7 +48,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
+	_ "net/http/pprof" // the handlers ServePprof serves
 	"strings"
 	"sync"
 	"time"
@@ -92,27 +95,6 @@ const (
 	PathReplicas        = "/v1/replicas"         // home primary: registered replicas + acked sequences, JSON
 )
 
-// QueryResponse is the node's answer to a sealed query.
-type QueryResponse struct {
-	Result wire.SealedResult
-	Hit    bool
-}
-
-// UpdateResponse is the node's answer to a sealed update. Seq is the
-// update's confirmed sequence in the home server's serialization order
-// (0 from pre-sequencing nodes).
-type UpdateResponse struct {
-	Affected    int
-	Invalidated int
-	Seq         uint64
-}
-
-// InvalidateResponse is the node's answer to a fanned-out invalidation:
-// the update was confirmed elsewhere and this node only monitored it.
-type InvalidateResponse struct {
-	Invalidated int
-}
-
 // DecisionsResponse is a node's invalidation-decision log and cache
 // fingerprint, served as JSON from PathDecisions so deployment checks
 // (the scale-out smoke test) can diff node state without process access.
@@ -120,19 +102,6 @@ type DecisionsResponse struct {
 	Decisions []cache.Decision `json:"decisions"`
 	Dump      []string         `json:"dump"`
 	Stats     cache.Stats      `json:"stats"`
-}
-
-// ExecQueryResponse is the home server's answer to a forwarded query.
-type ExecQueryResponse struct {
-	Result  wire.SealedResult
-	Empty   bool
-	Scanned int
-}
-
-// ExecUpdateResponse is the home server's answer to a forwarded update.
-type ExecUpdateResponse struct {
-	Affected int
-	Seq      uint64
 }
 
 // maxAdminBytes bounds the JSON body of an admin request (ring join and
@@ -173,6 +142,22 @@ func MetricsHandler(reg *obs.Registry) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(snap)
 	})
+}
+
+// ServePprof serves net/http/pprof's handlers, which its import registers
+// on http.DefaultServeMux, on a listener of their own at addr (empty: not
+// at all), so profiling never shares a port with sealed traffic. It is the
+// -pprof flag of every server binary.
+func ServePprof(logger *slog.Logger, addr string) {
+	if addr == "" {
+		return
+	}
+	go func() {
+		logger.Info("pprof listening", "addr", addr)
+		if err := http.ListenAndServe(addr, nil); err != nil {
+			logger.Error("pprof serve failed", "err", err)
+		}
+	}()
 }
 
 // TracesResponse lists the trace IDs a process's span store retains,
@@ -285,7 +270,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			resp.body = (&ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
+			resp.body = (&execQueryMsg{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
 		},
 		OpExecUpdate: func(_ context.Context, req, resp *frame) {
 			var su wire.SealedUpdate
@@ -298,7 +283,8 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			resp.body = (&ExecUpdateResponse{Affected: n, Seq: seq}).appendWire(resp.body)
+			resp.seq = seq
+			resp.body = (*countMsg)(&n).appendWire(resp.body)
 		},
 	})
 	if hub != nil {
@@ -348,15 +334,16 @@ type NodeServer struct {
 type homeTransport struct{ home *hop }
 
 func (t homeTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
-	var exec ExecQueryResponse
-	_, err := t.home.call(ctx, OpExecQuery, 0, (*queryMsg)(&sq), &exec)
-	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned}, err)
+	var res pipeline.ExecQueryResult
+	_, err := t.home.call(ctx, OpExecQuery, 0, (*queryMsg)(&sq), (*execQueryMsg)(&res))
+	done(res, err)
 }
 
 func (t homeTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
-	var exec ExecUpdateResponse
-	_, err := t.home.call(ctx, OpExecUpdate, 0, (*updateMsg)(&su), &exec)
-	done(pipeline.ExecUpdateResult{Affected: exec.Affected, Seq: exec.Seq}, err)
+	var res pipeline.ExecUpdateResult
+	var err error
+	res.Seq, err = t.home.call(ctx, OpExecUpdate, 0, (*updateMsg)(&su), (*countMsg)(&res.Affected))
+	done(res, err)
 }
 
 // NodeOptions tune a node server beyond its wiring.
@@ -458,7 +445,7 @@ func serveFront(front pipeline.Front) *frameOps {
 				resp.fail(statusBadGateway, err)
 				return
 			}
-			resp.body = (&QueryResponse{Result: res, Hit: hit}).appendWire(resp.body)
+			resp.body = (&queryAnswer{result: res, hit: hit}).appendWire(resp.body)
 		},
 		OpUpdate: func(ctx context.Context, req, resp *frame) {
 			var su wire.SealedUpdate
@@ -471,7 +458,8 @@ func serveFront(front pipeline.Front) *frameOps {
 				resp.fail(statusBadGateway, err)
 				return
 			}
-			resp.body = (&UpdateResponse{Affected: affected, Invalidated: invalidated, Seq: seq}).appendWire(resp.body)
+			resp.seq = seq
+			resp.body = (&updateAnswer{affected: affected, invalidated: invalidated}).appendWire(resp.body)
 		},
 	}
 }
@@ -507,7 +495,7 @@ func serveBackend(b shard.Backend) *frameOps {
 			resp.fail(statusBadGateway, err)
 			return
 		}
-		resp.body = (&InvalidateResponse{Invalidated: n}).appendWire(resp.body)
+		resp.body = (*countMsg)(&n).appendWire(resp.body)
 	}
 	ops[OpBucketExport] = func(ctx context.Context, req, resp *frame) {
 		var ids bucketIDsMsg
@@ -533,7 +521,7 @@ func serveBackend(b shard.Backend) *frameOps {
 			resp.fail(statusFailed, err)
 			return
 		}
-		resp.body = (*bucketCountMsg)(&n).appendWire(resp.body)
+		resp.body = (*countMsg)(&n).appendWire(resp.body)
 	}
 	ops[OpBucketDrop] = func(ctx context.Context, req, resp *frame) {
 		var ids bucketIDsMsg
@@ -546,7 +534,7 @@ func serveBackend(b shard.Backend) *frameOps {
 			resp.fail(statusFailed, err)
 			return
 		}
-		resp.body = (*bucketCountMsg)(&n).appendWire(resp.body)
+		resp.body = (*countMsg)(&n).appendWire(resp.body)
 	}
 	return ops
 }

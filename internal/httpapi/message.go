@@ -7,41 +7,44 @@ import (
 	"sync"
 
 	"dssp/internal/homeserver"
+	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
 // Hop encoding: the body of every frame between processes (frame.go). It
 // extends the sealed-message grammar of wire/sealed.go (query, update,
 // result — queries in their WithTrace form) and the migration grammar of
-// wire/bucket.go (ids, entries) with one kind-tagged envelope per message
-// type:
+// wire/bucket.go (ids, entries). A body carries no tag: the frame's op and
+// the way it travels name its grammar, and the header's seq is the one
+// place a sequence number rides.
 //
-//	message = byte(kind) body
-//
-//	kind  message               body
-//	0x01  sealed query          query
-//	0x02  sealed update         update
-//	0x03  QueryResponse         result bool(hit)
-//	0x04  UpdateResponse        uvarint(affected) uvarint(invalidated) uvarint(seq)
-//	0x05  InvalidateResponse    uvarint(invalidated)
-//	0x06  ExecQueryResponse     result bool(empty) uvarint(scanned)
-//	0x07  ExecUpdateResponse    uvarint(affected) uvarint(seq)
-//	0x08  ReplicaApplyRequest   { uvarint(seq) update }*
-//	0x09  ReplicaApplyResponse  uvarint(applied)
-//	0x0a  template-ID list      ids                  bucket export and drop requests
-//	0x0b  bucket entries        entries              bucket import request, export answer
-//	0x0c  bucket count          uvarint(n)           bucket import and drop answers
+//	op             request                   answer                              seq and part
+//	query          query                     result bool(hit)                    —
+//	update         update                    count(affected) count(invalidated)  answer seq: the update's confirmed sequence
+//	invalidate     update                    count(invalidated)                  request seq: the update's confirmed sequence
+//	exec query     query                     result bool(empty) count(scanned)   request seq: the node's freshness floor;
+//	                                                                             answer seq: a replica's applied watermark
+//	exec update    update                    count(affected)                     answer seq: the update's confirmed sequence
+//	replica apply  { uvarint(seq) update }*  (empty)                             answer seq: the replica's applied watermark
+//	bucket export  ids                       entries                             —
+//	bucket import  entries                   count(taken)                        —
+//	bucket drop    ids                       count(dropped)                      —
 //
 //	bool  = 0x00 | 0x01
+//	count = uvarint                          at most 2^31-1
+//
+// A replica's lag refusal of an exec query carries its applied watermark in
+// seq and the home partition that watermark counts in as part; every seq
+// and part the table does not name is 0.
 //
 // Decoding is strict in the way the wire package's is: lengths are checked
-// against the remaining input, non-minimal uvarints, unknown tags and
-// trailing bytes are rejected, counts that must fit an int are bounded,
-// so every accepted body re-encodes to itself — and nothing decoded
-// aliases the input, which is a pooled buffer on both sides of a hop.
+// against the remaining input, non-minimal uvarints and trailing bytes are
+// rejected, counts that must fit an int are bounded, so every accepted body
+// re-encodes to itself — and nothing decoded aliases the input, which is a
+// pooled buffer on both sides of a hop.
 
 // Size bounds. Every frame is read whole before its message is decoded, so
-// each read is capped, per op and direction (opBounds in frame.go):
+// each read is capped, per op and direction (opTable in frame.go):
 // maxMessageBytes for one sealed statement, a template-ID list or a count,
 // maxBatchBytes for what carries many — a replica apply batch and the
 // entries of a bucket import or export. A frame over its bound is answered
@@ -51,127 +54,89 @@ const (
 	maxBatchBytes   = 64 << 20
 )
 
-// Message kinds.
-const (
-	kindQuery byte = 1 + iota
-	kindUpdate
-	kindQueryResponse
-	kindUpdateResponse
-	kindInvalidateResponse
-	kindExecQueryResponse
-	kindExecUpdateResponse
-	kindReplicaApplyRequest
-	kindReplicaApplyResponse
-	kindBucketIDs
-	kindBucketEntries
-	kindBucketCount
-)
-
 var errMalformed = errors.New("httpapi: malformed message")
 
-// message is one hop envelope. appendWire appends the kind tag and body;
-// decodeWire accepts exactly one whole message of its own kind.
+// message is one hop envelope. appendWire appends its body; decodeWire
+// accepts exactly one whole body of its grammar.
 type message interface {
 	appendWire(dst []byte) []byte
 	decodeWire(b []byte) error
 }
 
-// queryMsg and updateMsg are the two sealed request bodies: the wire
-// types under their kind tags.
+// The envelopes. Where a grammar is another package's type, the envelope
+// is that type under a name of its own: the sealed statements, the exec
+// query answer (whose Applied rides the header), the apply batch and the
+// migration grammars.
 type (
-	queryMsg  wire.SealedQuery
-	updateMsg wire.SealedUpdate
+	queryMsg         wire.SealedQuery
+	updateMsg        wire.SealedUpdate
+	execQueryMsg     pipeline.ExecQueryResult
+	applyMsg         []homeserver.Confirmed
+	bucketIDsMsg     []string
+	bucketEntriesMsg []wire.BucketEntry
+	countMsg         int      // an invalidation's, an exec update's, a bucket import's or drop's answer
+	emptyMsg         struct{} // a replica apply's answer
 )
 
+// queryAnswer is a node's or router's answer to a sealed query.
+type queryAnswer struct {
+	result wire.SealedResult
+	hit    bool
+}
+
+// updateAnswer is a node's or router's answer to a sealed update.
+type updateAnswer struct{ affected, invalidated int }
+
 func (m *queryMsg) appendWire(dst []byte) []byte {
-	return wire.AppendSealedQuery(append(dst, kindQuery), (*wire.SealedQuery)(m), wire.WithTrace)
+	return wire.AppendSealedQuery(dst, (*wire.SealedQuery)(m), wire.WithTrace)
 }
 
 func (m *queryMsg) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindQuery)
-	if err != nil {
-		return err
-	}
 	sq, b, err := wire.DecodeSealedQuery(b, wire.WithTrace)
 	*m = queryMsg(sq)
 	return closeMessage(b, err)
 }
 
 func (m *updateMsg) appendWire(dst []byte) []byte {
-	return wire.AppendSealedUpdate(append(dst, kindUpdate), (*wire.SealedUpdate)(m))
+	return wire.AppendSealedUpdate(dst, (*wire.SealedUpdate)(m))
 }
 
 func (m *updateMsg) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindUpdate)
-	if err != nil {
-		return err
-	}
 	su, b, err := wire.DecodeSealedUpdate(b)
 	*m = updateMsg(su)
 	return closeMessage(b, err)
 }
 
-func (m *QueryResponse) appendWire(dst []byte) []byte {
-	dst = wire.AppendSealedResult(append(dst, kindQueryResponse), &m.Result)
-	return appendBool(dst, m.Hit)
+func (m *queryAnswer) appendWire(dst []byte) []byte {
+	return appendBool(wire.AppendSealedResult(dst, &m.result), m.hit)
 }
 
-func (m *QueryResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindQueryResponse)
-	if err != nil {
+func (m *queryAnswer) decodeWire(b []byte) (err error) {
+	if m.result, b, err = wire.DecodeSealedResult(b); err != nil {
 		return err
 	}
-	if m.Result, b, err = wire.DecodeSealedResult(b); err != nil {
-		return err
-	}
-	m.Hit, b, err = decodeBool(b)
+	m.hit, b, err = decodeBool(b)
 	return closeMessage(b, err)
 }
 
-func (m *UpdateResponse) appendWire(dst []byte) []byte {
-	dst = appendInt(append(dst, kindUpdateResponse), m.Affected)
-	dst = appendInt(dst, m.Invalidated)
-	return binary.AppendUvarint(dst, m.Seq)
+func (m *updateAnswer) appendWire(dst []byte) []byte {
+	return appendInt(appendInt(dst, m.affected), m.invalidated)
 }
 
-func (m *UpdateResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindUpdateResponse)
-	if err != nil {
+func (m *updateAnswer) decodeWire(b []byte) (err error) {
+	if m.affected, b, err = decodeInt(b); err != nil {
 		return err
 	}
-	if m.Affected, b, err = decodeInt(b); err != nil {
-		return err
-	}
-	if m.Invalidated, b, err = decodeInt(b); err != nil {
-		return err
-	}
-	m.Seq, b, err = wire.Uvarint(b)
+	m.invalidated, b, err = decodeInt(b)
 	return closeMessage(b, err)
 }
 
-func (m *InvalidateResponse) appendWire(dst []byte) []byte {
-	return appendInt(append(dst, kindInvalidateResponse), m.Invalidated)
-}
-
-func (m *InvalidateResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindInvalidateResponse)
-	if err != nil {
-		return err
-	}
-	m.Invalidated, b, err = decodeInt(b)
-	return closeMessage(b, err)
-}
-
-func (m *ExecQueryResponse) appendWire(dst []byte) []byte {
-	dst = wire.AppendSealedResult(append(dst, kindExecQueryResponse), &m.Result)
+func (m *execQueryMsg) appendWire(dst []byte) []byte {
+	dst = wire.AppendSealedResult(dst, &m.Result)
 	return appendInt(appendBool(dst, m.Empty), m.Scanned)
 }
 
-func (m *ExecQueryResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindExecQueryResponse)
-	if err != nil {
-		return err
-	}
+func (m *execQueryMsg) decodeWire(b []byte) (err error) {
 	if m.Result, b, err = wire.DecodeSealedResult(b); err != nil {
 		return err
 	}
@@ -182,29 +147,11 @@ func (m *ExecQueryResponse) decodeWire(b []byte) error {
 	return closeMessage(b, err)
 }
 
-func (m *ExecUpdateResponse) appendWire(dst []byte) []byte {
-	dst = appendInt(append(dst, kindExecUpdateResponse), m.Affected)
-	return binary.AppendUvarint(dst, m.Seq)
-}
-
-func (m *ExecUpdateResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindExecUpdateResponse)
-	if err != nil {
-		return err
-	}
-	if m.Affected, b, err = decodeInt(b); err != nil {
-		return err
-	}
-	m.Seq, b, err = wire.Uvarint(b)
-	return closeMessage(b, err)
-}
-
 // The apply batch is not counted: updates run to the end of the body, so
 // there is no count to forge and nothing for decode to pre-allocate.
-func (m *ReplicaApplyRequest) appendWire(dst []byte) []byte {
-	dst = append(dst, kindReplicaApplyRequest)
-	for i := range m.Batch {
-		dst = appendConfirmed(dst, &m.Batch[i])
+func (m *applyMsg) appendWire(dst []byte) []byte {
+	for i := range *m {
+		dst = appendConfirmed(dst, &(*m)[i])
 	}
 	return dst
 }
@@ -213,12 +160,8 @@ func appendConfirmed(dst []byte, c *homeserver.Confirmed) []byte {
 	return wire.AppendSealedUpdate(binary.AppendUvarint(dst, c.Seq), &c.Update)
 }
 
-func (m *ReplicaApplyRequest) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindReplicaApplyRequest)
-	if err != nil {
-		return err
-	}
-	m.Batch = nil
+func (m *applyMsg) decodeWire(b []byte) (err error) {
+	*m = nil
 	for len(b) > 0 {
 		var c homeserver.Confirmed
 		if c.Seq, b, err = wire.Uvarint(b); err != nil {
@@ -227,80 +170,38 @@ func (m *ReplicaApplyRequest) decodeWire(b []byte) error {
 		if c.Update, b, err = wire.DecodeSealedUpdate(b); err != nil {
 			return err
 		}
-		m.Batch = append(m.Batch, c)
+		*m = append(*m, c)
 	}
 	return nil
 }
 
-func (m *ReplicaApplyResponse) appendWire(dst []byte) []byte {
-	return binary.AppendUvarint(append(dst, kindReplicaApplyResponse), m.Applied)
-}
+// Both wire decoders of the migration grammar refuse trailing bytes
+// themselves.
+func (m *bucketIDsMsg) appendWire(dst []byte) []byte { return wire.AppendTemplateIDs(dst, *m) }
 
-func (m *ReplicaApplyResponse) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindReplicaApplyResponse)
-	if err != nil {
-		return err
-	}
-	m.Applied, b, err = wire.Uvarint(b)
-	return closeMessage(b, err)
-}
-
-// The migration envelopes: wire/bucket.go's template-ID list and bucket
-// entries under their kind tags, and the count an import took or a drop
-// removed. Both wire decoders refuse trailing bytes themselves.
-type (
-	bucketIDsMsg     []string
-	bucketEntriesMsg []wire.BucketEntry
-	bucketCountMsg   int
-)
-
-func (m *bucketIDsMsg) appendWire(dst []byte) []byte {
-	return wire.AppendTemplateIDs(append(dst, kindBucketIDs), *m)
-}
-
-func (m *bucketIDsMsg) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindBucketIDs)
-	if err != nil {
-		return err
-	}
+func (m *bucketIDsMsg) decodeWire(b []byte) (err error) {
 	*m, err = wire.DecodeTemplateIDs(b)
 	return err
 }
 
-func (m *bucketEntriesMsg) appendWire(dst []byte) []byte {
-	return wire.AppendBucketEntries(append(dst, kindBucketEntries), *m)
-}
+func (m *bucketEntriesMsg) appendWire(dst []byte) []byte { return wire.AppendBucketEntries(dst, *m) }
 
-func (m *bucketEntriesMsg) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindBucketEntries)
-	if err != nil {
-		return err
-	}
+func (m *bucketEntriesMsg) decodeWire(b []byte) (err error) {
 	*m, err = wire.DecodeBucketEntries(b)
 	return err
 }
 
-func (m *bucketCountMsg) appendWire(dst []byte) []byte {
-	return appendInt(append(dst, kindBucketCount), int(*m))
-}
+func (m *countMsg) appendWire(dst []byte) []byte { return appendInt(dst, int(*m)) }
 
-func (m *bucketCountMsg) decodeWire(b []byte) error {
-	b, err := openMessage(b, kindBucketCount)
-	if err != nil {
-		return err
-	}
+func (m *countMsg) decodeWire(b []byte) error {
 	n, b, err := decodeInt(b)
-	*m = bucketCountMsg(n)
+	*m = countMsg(n)
 	return closeMessage(b, err)
 }
 
-// openMessage strips the kind tag, refusing any other kind.
-func openMessage(b []byte, kind byte) ([]byte, error) {
-	if len(b) == 0 || b[0] != kind {
-		return nil, errMalformed
-	}
-	return b[1:], nil
-}
+func (emptyMsg) appendWire(dst []byte) []byte { return dst }
+
+func (emptyMsg) decodeWire(b []byte) error { return closeMessage(b, nil) }
 
 // closeMessage ends a decode: the last field's error, or trailing bytes.
 func closeMessage(rest []byte, err error) error {

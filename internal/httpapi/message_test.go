@@ -9,7 +9,6 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
-	"dssp/internal/homeserver"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -42,16 +41,57 @@ func sealedAt(t testing.TB, exp template.Exposure) (wire.SealedQuery, wire.Seale
 	return sq, su, codec.SealResult(app.Query("Q2"), res)
 }
 
-// envelopeCase is one populated hop message beside a constructor for an
-// empty one of its type to decode into.
+// envelopeCase is one populated envelope: the op and way whose grammar it
+// is.
 type envelopeCase struct {
-	name  string
-	msg   message
-	empty func() message
+	op  Op
+	dir dir
+	msg message
 }
 
-// envelopes returns one populated instance of each of the twelve hop
-// messages at an exposure.
+func (e envelopeCase) String() string {
+	if e.dir == dirRequest {
+		return e.op.String() + " request"
+	}
+	return e.op.String() + " answer"
+}
+
+// envelope is an empty envelope of the grammar op names for way d, to
+// decode into.
+func envelope(op Op, d dir) message {
+	if d == dirRequest {
+		switch op {
+		case OpQuery, OpExecQuery:
+			return new(queryMsg)
+		case OpUpdate, OpInvalidate, OpExecUpdate:
+			return new(updateMsg)
+		case OpReplicaApply:
+			return new(applyMsg)
+		case OpBucketImport:
+			return new(bucketEntriesMsg)
+		default: // bucket export and drop
+			return new(bucketIDsMsg)
+		}
+	}
+	switch op {
+	case OpQuery:
+		return new(queryAnswer)
+	case OpUpdate:
+		return new(updateAnswer)
+	case OpExecQuery:
+		return new(execQueryMsg)
+	case OpReplicaApply:
+		return new(emptyMsg)
+	case OpBucketExport:
+		return new(bucketEntriesMsg)
+	default: // invalidate, exec update, bucket import and drop
+		return new(countMsg)
+	}
+}
+
+// envelopes returns one populated envelope per (op, way) at an exposure,
+// in op order, the request before the answer: envelopes(…)[envelopeIndex(op, d)]
+// is op's way d.
 func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 	sq, su, sr := sealedAt(t, exp)
 	su2 := su
@@ -60,59 +100,60 @@ func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 	migrated.TraceID, migrated.ParentSpan = "", "" // trace metadata does not migrate
 	ids := bucketIDsMsg{"Q2", "", "Q1"}
 	entries := bucketEntriesMsg{{Query: migrated, Result: sr, Ordinal: 1 << 20}, {Query: migrated, Result: wire.SealedResult{Cipher: []byte{}}}}
-	count := bucketCountMsg(4096)
-	return []envelopeCase{
-		{"query", (*queryMsg)(&sq), func() message { return new(queryMsg) }},
-		{"update", (*updateMsg)(&su), func() message { return new(updateMsg) }},
-		{"QueryResponse", &QueryResponse{Result: sr, Hit: true}, func() message { return new(QueryResponse) }},
-		{"UpdateResponse", &UpdateResponse{Affected: 3, Invalidated: 200, Seq: math.MaxUint64}, func() message { return new(UpdateResponse) }},
-		{"InvalidateResponse", &InvalidateResponse{Invalidated: 129}, func() message { return new(InvalidateResponse) }},
-		{"ExecQueryResponse", &ExecQueryResponse{Result: sr, Empty: true, Scanned: 70000}, func() message { return new(ExecQueryResponse) }},
-		{"ExecUpdateResponse", &ExecUpdateResponse{Affected: 1, Seq: math.MaxUint64}, func() message { return new(ExecUpdateResponse) }},
-		{"ReplicaApplyRequest", &ReplicaApplyRequest{Batch: []homeserver.Confirmed{{Seq: 1, Update: su}, {Seq: math.MaxUint64, Update: su2}}}, func() message { return new(ReplicaApplyRequest) }},
-		{"ReplicaApplyResponse", &ReplicaApplyResponse{Applied: math.MaxUint64}, func() message { return new(ReplicaApplyResponse) }},
-		{"bucket IDs", &ids, func() message { return new(bucketIDsMsg) }},
-		{"bucket entries", &entries, func() message { return new(bucketEntriesMsg) }},
-		{"bucket count", &count, func() message { return new(bucketCountMsg) }},
+	count := func(n int) *countMsg { c := countMsg(n); return &c }
+	msgs := [numOps][2]message{
+		OpQuery:        {(*queryMsg)(&sq), &queryAnswer{result: sr, hit: true}},
+		OpUpdate:       {(*updateMsg)(&su), &updateAnswer{affected: 3, invalidated: 200}},
+		OpInvalidate:   {(*updateMsg)(&su2), count(129)},
+		OpExecQuery:    {(*queryMsg)(&sq), &execQueryMsg{Result: sr, Empty: true, Scanned: 70000}},
+		OpExecUpdate:   {(*updateMsg)(&su), count(1)},
+		OpReplicaApply: {&applyMsg{{Seq: 1, Update: su}, {Seq: math.MaxUint64, Update: su2}}, new(emptyMsg)},
+		OpBucketExport: {&ids, &entries},
+		OpBucketImport: {&entries, count(4096)},
+		OpBucketDrop:   {&ids, count(0)},
 	}
+	var cases []envelopeCase
+	for op := OpQuery; op < numOps; op++ {
+		for d, m := range msgs[op] {
+			cases = append(cases, envelopeCase{op, dir(d), m})
+		}
+	}
+	return cases
 }
 
-// TestEnvelopesRoundTrip: every envelope, at every exposure, decodes to
-// what was encoded; is refused by every other envelope's decoder (the
-// kind tag); and is refused truncated or with a trailing byte.
+func envelopeIndex(op Op, d dir) int { return 2*int(op-1) + int(d) }
+
+// TestEnvelopesRoundTrip: every envelope, at every exposure, decodes
+// under its op and way to what was encoded, and is refused truncated or
+// with a trailing byte.
 func TestEnvelopesRoundTrip(t *testing.T) {
 	for _, exp := range allExposures {
-		envs := envelopes(t, exp)
-		for _, e := range envs {
+		for _, e := range envelopes(t, exp) {
 			enc := e.msg.appendWire(nil)
-			got := e.empty()
+			got := envelope(e.op, e.dir)
 			if err := got.decodeWire(enc); err != nil {
-				t.Errorf("%v %s: decode: %v", exp, e.name, err)
+				t.Errorf("%v %v: decode: %v", exp, e, err)
 				continue
 			}
 			if !reflect.DeepEqual(got, e.msg) {
-				t.Errorf("%v %s round trip:\n got %+v\nwant %+v", exp, e.name, got, e.msg)
+				t.Errorf("%v %v round trip:\n got %+v\nwant %+v", exp, e, got, e.msg)
 			}
-			for _, other := range envs {
-				if other.name != e.name && other.empty().decodeWire(enc) == nil {
-					t.Errorf("%v: a %s body was accepted as %s", exp, e.name, other.name)
-				}
-			}
-			if e.empty().decodeWire(append(append([]byte(nil), enc...), 0)) == nil {
-				t.Errorf("%v %s: trailing byte accepted", exp, e.name)
+			if envelope(e.op, e.dir).decodeWire(append(append([]byte(nil), enc...), 0)) == nil {
+				t.Errorf("%v %v: trailing byte accepted", exp, e)
 			}
 			// The apply batch runs to the end of its body, so cutting it
 			// between updates leaves a shorter valid batch; anywhere else,
 			// and everywhere in the other envelopes, a cut must be refused.
 			valid := map[int]bool{}
-			if req, ok := e.msg.(*ReplicaApplyRequest); ok {
-				for n := range req.Batch {
-					valid[len((&ReplicaApplyRequest{Batch: req.Batch[:n]}).appendWire(nil))] = true
+			if batch, ok := e.msg.(*applyMsg); ok {
+				for n := range *batch {
+					prefix := (*batch)[:n]
+					valid[len((*applyMsg)(&prefix).appendWire(nil))] = true
 				}
 			}
 			for cut := 0; cut < len(enc); cut++ {
-				if err := e.empty().decodeWire(enc[:cut]); (err == nil) != valid[cut] {
-					t.Errorf("%v %s: truncation at %d of %d: err %v", exp, e.name, cut, len(enc), err)
+				if err := envelope(e.op, e.dir).decodeWire(enc[:cut]); (err == nil) != valid[cut] {
+					t.Errorf("%v %v: truncation at %d of %d: err %v", exp, e, cut, len(enc), err)
 				}
 			}
 		}
@@ -133,10 +174,10 @@ func TestEnvelopeFieldEdges(t *testing.T) {
 	}
 
 	for _, cipher := range [][]byte{nil, {}} {
-		want := QueryResponse{Result: wire.SealedResult{Cipher: cipher}}
-		var got QueryResponse
-		if err := got.decodeWire(want.appendWire(nil)); err != nil || (got.Result.Cipher == nil) != (cipher == nil) {
-			t.Errorf("Cipher %#v decoded as %#v (err %v)", cipher, got.Result.Cipher, err)
+		want := queryAnswer{result: wire.SealedResult{Cipher: cipher}}
+		var got queryAnswer
+		if err := got.decodeWire(want.appendWire(nil)); err != nil || (got.result.Cipher == nil) != (cipher == nil) {
+			t.Errorf("Cipher %#v decoded as %#v (err %v)", cipher, got.result.Cipher, err)
 		}
 	}
 
@@ -145,10 +186,10 @@ func TestEnvelopeFieldEdges(t *testing.T) {
 		t.Fatal("view exposure did not keep the result in the clear")
 	}
 	for _, empty := range []bool{false, true} {
-		want := ExecQueryResponse{Result: plain, Empty: empty, Scanned: 1}
-		var got ExecQueryResponse
+		want := execQueryMsg{Result: plain, Empty: empty, Scanned: 1}
+		var got execQueryMsg
 		if err := got.decodeWire(want.appendWire(nil)); err != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("view-exposure ExecQueryResponse (Empty=%v): got %+v (err %v)", empty, got, err)
+			t.Errorf("view-exposure exec query answer (Empty=%v): got %+v (err %v)", empty, got, err)
 		}
 		if got.Result.Result == plain.Result {
 			t.Error("decoded plaintext result is the encoder's object")
@@ -156,51 +197,58 @@ func TestEnvelopeFieldEdges(t *testing.T) {
 	}
 
 	// bool is 0 or 1; counts that land in an int are bounded.
-	if new(QueryResponse).decodeWire([]byte{kindQueryResponse, 0, 2}) == nil {
+	if new(queryAnswer).decodeWire([]byte{0, 2}) == nil {
 		t.Error("bool 0x02 accepted")
 	}
-	if new(InvalidateResponse).decodeWire([]byte{kindInvalidateResponse, 0x80, 0x80, 0x80, 0x80, 0x10}) == nil {
+	if new(countMsg).decodeWire([]byte{0x80, 0x80, 0x80, 0x80, 0x10}) == nil {
 		t.Error("count 2^32 accepted")
 	}
-	if new(InvalidateResponse).decodeWire((&InvalidateResponse{Invalidated: -1}).appendWire(nil)) == nil {
+	negative := countMsg(-1)
+	if new(countMsg).decodeWire(negative.appendWire(nil)) == nil {
 		t.Error("negative count survived the hop")
 	}
 }
 
 // FuzzDecodeMessage fuzzes every envelope decoder with arbitrary bodies
 // (ROADMAP: a fuzzer for every decoder that accepts bytes from the
-// untrusted tier). Never panics; an accepted body re-encodes to itself;
-// and the decoded message still does after the input — a pooled buffer in
+// untrusted tier): the first input byte picks the op and way, the rest is
+// the body. Never panics; an accepted body re-encodes to itself; and the
+// decoded message still does after the input — a pooled buffer in
 // production — is overwritten.
 func FuzzDecodeMessage(f *testing.F) {
-	f.Add([]byte{})
+	cases := envelopes(f, template.ExpStmt)
+	seed := func(op Op, d dir, body ...byte) { f.Add(append([]byte{byte(envelopeIndex(op, d))}, body...)) }
+	for _, e := range cases {
+		seed(e.op, e.dir)
+	}
 	for _, exp := range allExposures {
 		for _, e := range envelopes(f, exp) {
-			f.Add(e.msg.appendWire(nil))
+			seed(e.op, e.dir, e.msg.appendWire(nil)...)
 		}
 	}
-	f.Add([]byte{kindBucketEntries, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 2, 3}) // an entry count forged past the body
-	f.Add([]byte{kindBucketIDs, 0xff, 0xff, 0x03, 1, 'Q'})                  // an ID count forged past the body
-	empties := envelopes(f, template.ExpStmt)
-	for _, e := range empties {
-		f.Add(append(e.msg.appendWire(nil), 0)) // a byte after a whole envelope
+	seed(OpBucketImport, dirRequest, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 2, 3) // an entry count forged past the body
+	seed(OpBucketExport, dirRequest, 0xff, 0xff, 0x03, 1, 'Q')              // an ID count forged past the body
+	for _, e := range cases {
+		seed(e.op, e.dir, append(e.msg.appendWire(nil), 0)...) // a byte after a whole envelope
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, e := range empties {
-			in := append([]byte(nil), b...)
-			m := e.empty()
-			if m.decodeWire(in) != nil {
-				continue
-			}
-			if got := m.appendWire(nil); !bytes.Equal(got, b) {
-				t.Fatalf("%s: accepted body is not canonical:\n in: %x\nout: %x", e.name, b, got)
-			}
-			for i := range in {
-				in[i] ^= 0xA5
-			}
-			if got := m.appendWire(nil); !bytes.Equal(got, b) {
-				t.Fatalf("%s: decoded message aliases its input", e.name)
-			}
+		if len(b) == 0 {
+			return
+		}
+		e, body := cases[int(b[0])%len(cases)], b[1:]
+		in := append([]byte(nil), body...)
+		m := envelope(e.op, e.dir)
+		if m.decodeWire(in) != nil {
+			return
+		}
+		if got := m.appendWire(nil); !bytes.Equal(got, body) {
+			t.Fatalf("%v: accepted body is not canonical:\n in: %x\nout: %x", e, body, got)
+		}
+		for i := range in {
+			in[i] ^= 0xA5
+		}
+		if got := m.appendWire(nil); !bytes.Equal(got, body) {
+			t.Fatalf("%v: decoded message aliases its input", e)
 		}
 	})
 }
@@ -209,16 +257,16 @@ func FuzzDecodeMessage(f *testing.F) {
 // compiler cannot drop the work.
 var hopSink struct {
 	sq   wire.SealedQuery
-	resp QueryResponse
+	resp queryAnswer
 }
 
-// BenchmarkHopCodec is one sealed query → QueryResponse exchange with no
+// BenchmarkHopCodec is one sealed query → query answer exchange with no
 // socket: the request staged in a pooled buffer behind the frame header's
 // room as a call does, decoded as a handler does, the response staged the
 // same way, and decoded as the caller does. Gated in BENCH_allocs.json.
 func BenchmarkHopCodec(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
-	answer := QueryResponse{Result: sr, Hit: true}
+	answer := queryAnswer{result: sr, hit: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,21 +23,6 @@ type ReplicaRegisterRequest struct {
 	URL string `json:"url"`
 }
 
-// ReplicaApplyRequest is one confirmed-update batch pushed from the
-// primary's hub to a replica, in the hop encoding of the sealed traffic
-// it carries (message.go), as one apply frame.
-type ReplicaApplyRequest struct {
-	Batch []homeserver.Confirmed
-}
-
-// ReplicaApplyResponse acknowledges an apply push with the replica's
-// applied watermark — which may be behind the batch's tail if earlier
-// sequences are still missing (the replica buffers the gap; the hub
-// resends from the acknowledged point).
-type ReplicaApplyResponse struct {
-	Applied uint64
-}
-
 // ReplicaStatusResponse is a replica's applied watermark and query load,
 // served as JSON from PathReplicaStatus for smoke tests and operators.
 type ReplicaStatusResponse struct {
@@ -79,22 +64,26 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 			// above, so the answer never claims more freshness than the
 			// result has.
 			resp.seq = rep.Applied()
-			resp.body = (&ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
+			resp.body = (&execQueryMsg{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
 		},
 		OpReplicaApply: func(_ context.Context, req, resp *frame) {
-			var batch ReplicaApplyRequest
+			var batch applyMsg
 			if err := batch.decodeWire(req.body); err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			if err := rep.ApplyBatch(batch.Batch); err != nil {
+			if err := rep.ApplyBatch(batch); err != nil {
 				// An execution failure mid-batch is a consistency fault; the
 				// watermark stopped before the failing update, and the
 				// refusal keeps the hub retrying from there.
 				resp.fail(statusFailed, err)
 				return
 			}
-			resp.body = (&ReplicaApplyResponse{Applied: rep.Applied()}).appendWire(resp.body)
+			// The answer is the applied watermark — which may be behind the
+			// batch's tail if earlier sequences are still missing (the
+			// replica buffers the gap; the hub resends from the acknowledged
+			// point).
+			resp.seq = rep.Applied()
 		},
 	})
 	mux.HandleFunc("GET "+PathReplicaStatus, func(w http.ResponseWriter, _ *http.Request) {
@@ -248,9 +237,8 @@ func (h *ReplicaHub) run(st *replicaStream) {
 		// already holds would land after Close returned. DefaultTimeout
 		// bounds it whatever client the hub was given — one without a
 		// Timeout included — so a hung replica cannot hold Close up.
-		var ack ReplicaApplyResponse
 		ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
-		_, err := st.apply.call(ctx, OpReplicaApply, 0, &ReplicaApplyRequest{Batch: batch}, &ack)
+		applied, err := st.apply.call(ctx, OpReplicaApply, 0, (*applyMsg)(&batch), emptyMsg{})
 		cancel()
 		if err != nil {
 			if h.reg != nil {
@@ -263,7 +251,6 @@ func (h *ReplicaHub) run(st *replicaStream) {
 			}
 			continue
 		}
-		applied := ack.Applied
 		h.mu.Lock()
 		if applied > st.acked {
 			st.acked = applied
@@ -282,7 +269,7 @@ func (h *ReplicaHub) run(st *replicaStream) {
 func fitApplyBatch(batch []homeserver.Confirmed) []homeserver.Confirmed {
 	wb := getBuf()
 	defer putBuf(wb)
-	size := 1 // the kind tag
+	size := 0
 	for i := range batch {
 		wb.b = appendConfirmed(wb.b[:0], &batch[i])
 		if size += len(wb.b); size > maxBatchBytes && i > 0 {
@@ -370,7 +357,8 @@ func newReplicaProxy(client *http.Client, url string, reg *obs.Registry) replica
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
-	var exec ExecQueryResponse
-	applied, err := p.query.call(ctx, OpExecQuery, minSeq, (*queryMsg)(&sq), &exec)
-	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned, Applied: applied}, err)
+	var res pipeline.ExecQueryResult
+	var err error
+	res.Applied, err = p.query.call(ctx, OpExecQuery, minSeq, (*queryMsg)(&sq), (*execQueryMsg)(&res))
+	done(res, err)
 }

@@ -24,16 +24,16 @@ type ackingApplySink struct {
 
 func (s *ackingApplySink) start(t *testing.T) *httptest.Server {
 	return startFrameServer(t, &frameOps{OpReplicaApply: func(_ context.Context, req, resp *frame) {
-		var batch ReplicaApplyRequest
+		var batch applyMsg
 		if err := batch.decodeWire(req.body); err != nil {
 			resp.fail(statusBadRequest, err)
 			return
 		}
 		s.applies.Add(1)
-		if n := len(batch.Batch); n > 0 {
-			s.acked.Store(batch.Batch[n-1].Seq)
+		if n := len(batch); n > 0 {
+			s.acked.Store(batch[n-1].Seq)
 		}
-		resp.body = (&ReplicaApplyResponse{Applied: s.acked.Load()}).appendWire(resp.body)
+		resp.seq = s.acked.Load()
 	}})
 }
 

@@ -31,17 +31,17 @@ func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy 
 
 // Query proxies a sealed query to the node.
 func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
-	var resp QueryResponse
+	var resp queryAnswer
 	_, err := p.frames.call(ctx, OpQuery, 0, (*queryMsg)(&sq), &resp)
-	return resp.Result, resp.Hit, err
+	return resp.result, resp.hit, err
 }
 
 // Update proxies a sealed update through the node's full update pathway
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
-	var resp UpdateResponse
-	_, err := p.frames.call(ctx, OpUpdate, 0, (*updateMsg)(&su), &resp)
-	return resp.Affected, resp.Invalidated, resp.Seq, err
+	var resp updateAnswer
+	seq, err := p.frames.call(ctx, OpUpdate, 0, (*updateMsg)(&su), &resp)
+	return resp.affected, resp.invalidated, seq, err
 }
 
 // Invalidate pushes an already-confirmed update to the node's
@@ -49,9 +49,9 @@ func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, 
 // raises its replica-freshness floor. Failures surface in the router's
 // proxy-error counter and are returned to the fan-out's retry path.
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
-	var resp InvalidateResponse
-	_, err := p.frames.call(ctx, OpInvalidate, seq, (*updateMsg)(&su), &resp)
-	return resp.Invalidated, err
+	var n countMsg
+	_, err := p.frames.call(ctx, OpInvalidate, seq, (*updateMsg)(&su), &n)
+	return int(n), err
 }
 
 // ExportBuckets pulls the named template buckets' sealed entries from the
@@ -64,14 +64,14 @@ func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]w
 
 // ImportBuckets pushes migrated sealed entries into the node's cache.
 func (p NodeProxy) ImportBuckets(ctx context.Context, entries []wire.BucketEntry) (int, error) {
-	var imported bucketCountMsg
+	var imported countMsg
 	_, err := p.frames.call(ctx, OpBucketImport, 0, (*bucketEntriesMsg)(&entries), &imported)
 	return int(imported), err
 }
 
 // DropBuckets removes migrated buckets from the node after the epoch flip.
 func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, error) {
-	var dropped bucketCountMsg
+	var dropped countMsg
 	_, err := p.frames.call(ctx, OpBucketDrop, 0, (*bucketIDsMsg)(&templateIDs), &dropped)
 	return int(dropped), err
 }
