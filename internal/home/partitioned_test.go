@@ -114,7 +114,7 @@ func execQuery(tr pipeline.Transport, sq wire.SealedQuery) (err error) {
 // contiguous from 1, every update of a partition's group must be in its
 // — and only its — stream (the transport routes by group), and each
 // partition must end drained. Run under -race: the per-partition sequence
-// counters and dispatchers must not share state.
+// counters and confirm locks must not share state.
 func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
 	primaries, transport, codec, app := partitionedFixture(t, 2)
 
@@ -127,13 +127,11 @@ func TestPartitionedSequencesStayContiguousUnderConcurrency(t *testing.T) {
 	for p := range streams {
 		st := &stream{}
 		streams[p] = st
-		primaries[p].OnConfirm(func(batch []homeserver.Confirmed) {
+		primaries[p].OnConfirm(func(c homeserver.Confirmed) {
 			st.mu.Lock()
 			defer st.mu.Unlock()
-			for _, c := range batch {
-				st.seqs = append(st.seqs, c.Seq)
-				st.tpls = append(st.tpls, c.Update.TemplateID)
-			}
+			st.seqs = append(st.seqs, c.Seq)
+			st.tpls = append(st.tpls, c.Update.TemplateID)
 		})
 	}
 

@@ -19,30 +19,24 @@ import (
 // over its own copy of the master database, kept consistent by replaying
 // the primary's confirmed-update stream in strict sequence order. It
 // serves cache misses (ExecQuery) but never originates updates — its only
-// write path is Apply.
+// write path is ApplyBatch.
 //
-// Apply tolerates the transport's failure modes: batches may arrive out
-// of order (buffered until the gap fills) or more than once (duplicates
-// below the applied watermark are ignored), so a retrying stream is safe.
+// Every feed delivers the stream in sequence order, so ApplyBatch applies
+// the run that continues the watermark, skips what it has already applied
+// (a retrying stream's resend), and applies nothing from a batch that
+// starts past it (what a replica that restarted is sent) — the watermark
+// tells the feed where to resend from.
 type Replica struct {
 	name string
 	srv  *homeserver.Server
 
-	mu      sync.Mutex
-	next    uint64 // next sequence to apply; 0 means "not started" (≡ 1)
-	pending map[uint64]wire.SealedUpdate
-
+	mu      sync.Mutex // serializes ApplyBatch
 	applied atomic.Uint64
 
 	// delay, when positive, stalls each ApplyBatch — the
 	// -inject-replica-lag fault knob, for proving lagging replicas are
 	// bypassed rather than served stale.
 	delay atomic.Int64
-
-	// part is the home partition this replica mirrors (0 in an
-	// unpartitioned tier); lag refusals carry it so the node can tell
-	// which partition's stream the replica is behind on.
-	part int
 
 	appliedGauge *obs.Gauge
 	applyErrors  *obs.Counter
@@ -60,17 +54,10 @@ func NewReplica(name string, db *storage.Database, app *template.App, codec *wir
 // Name identifies the replica in metrics and selection.
 func (r *Replica) Name() string { return r.name }
 
-// SetPartition records which home partition this replica mirrors; its
-// engine then also refuses misrouted statements, exactly as the
-// partition's primary does.
-func (r *Replica) SetPartition(part, parts int) {
-	r.part = part
-	r.srv.SetPartition(part, parts)
-}
-
-// Partition reports which home partition this replica mirrors (0 when
-// unpartitioned).
-func (r *Replica) Partition() int { return r.part }
+// SetPartition declares which home partition this replica mirrors: its
+// engine then refuses misrouted statements, exactly as the partition's
+// primary does.
+func (r *Replica) SetPartition(part, parts int) { r.srv.SetPartition(part, parts) }
 
 // SetObs redirects the replica's instruments (its engine's, plus the
 // applied-sequence gauge and the apply-error counter) to the given
@@ -106,45 +93,35 @@ func (r *Replica) ExecQuery(sq wire.SealedQuery) (wire.SealedResult, bool, int, 
 // QueriesServed reports the replica's query load counter.
 func (r *Replica) QueriesServed() int { return r.srv.QueriesServed() }
 
-// ApplyBatch replays one confirmed batch. Updates apply in sequence
-// order; out-of-order batches are buffered, duplicates skipped. An
-// execution error is fatal for the replica's consistency: it is counted
-// (dssp_home_replica_apply_errors_total) and returned without advancing
-// the watermark past the failing update.
+// ApplyBatch replays a sequence-ordered run of the confirmed stream from
+// Applied()+1 on: updates at or below the watermark are skipped, and the
+// batch stops applying at the first sequence past Applied()+1 — all of a
+// batch that starts there — so the caller reads Applied() to learn where
+// to resend from. An execution error is fatal for the replica's
+// consistency: it is counted (dssp_home_replica_apply_errors_total) and
+// returned without advancing the watermark past the failing update.
 func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
 	if d := time.Duration(r.delay.Load()); d > 0 {
 		time.Sleep(d)
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.next == 0 {
-		r.next = 1
-	}
-	if r.pending == nil {
-		r.pending = make(map[uint64]wire.SealedUpdate)
-	}
 	for _, c := range batch {
-		if c.Seq < r.next {
-			continue // duplicate delivery — already applied
+		next := r.applied.Load() + 1
+		if c.Seq < next {
+			continue // a resend: already applied
 		}
-		r.pending[c.Seq] = c.Update
-	}
-	for {
-		su, ok := r.pending[r.next]
-		if !ok {
+		if c.Seq > next {
 			return nil
 		}
-		delete(r.pending, r.next)
-		if _, _, err := r.srv.ExecUpdate(su); err != nil {
+		if _, _, err := r.srv.ExecUpdate(c.Update); err != nil {
 			r.applyErrors.Inc()
-			return fmt.Errorf("replica %s: apply seq %d: %w", r.name, r.next, err)
+			return fmt.Errorf("replica %s: apply seq %d: %w", r.name, c.Seq, err)
 		}
-		r.applied.Store(r.next)
-		if r.appliedGauge != nil {
-			r.appliedGauge.Set(int64(r.next))
-		}
-		r.next++
+		r.applied.Store(c.Seq)
+		r.appliedGauge.Set(int64(c.Seq))
 	}
+	return nil
 }
 
 // QueryBackend adapts the replica to the pipeline's replica-set
@@ -161,7 +138,7 @@ type replicaQueryBackend struct{ r *Replica }
 
 func (b replicaQueryBackend) QueryAt(_ context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
 	if a := b.r.Applied(); a < minSeq {
-		done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: a, Want: minSeq, Part: b.r.part})
+		done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: a})
 		return
 	}
 	res, empty, scanned, err := b.r.ExecQuery(sq)

@@ -93,7 +93,7 @@ func sealedScan(t *testing.T, codec *wire.Codec, app *template.App,
 // race test: under concurrent writers a replica's applied watermark must
 // never pass the primary's confirmed high-water mark — an update must not
 // be visible on a replica before the home server has confirmed it to the
-// DSSP tier. Run under -race, it also pins the dispatcher's ordering locks.
+// DSSP tier. Run under -race, it also pins the primary's confirm lock.
 func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 	primary, reps, codec, app := fixture(t, 2)
 	home.TierParts([]*homeserver.Server{primary}, [][]*home.Replica{reps})
@@ -166,19 +166,16 @@ func TestReplicaNeverAheadOfConfirmation(t *testing.T) {
 	}
 }
 
-// TestConfirmStreamContiguous pins the dispatcher's ordering contract
-// under concurrency: whatever order racing updates reach it in, the
-// OnConfirm sink must see sequences 1..N in order without gaps or
-// duplicates.
+// TestConfirmStreamContiguous pins the primary's ordering contract under
+// concurrency: however racing updates interleave, the OnConfirm sink must
+// see sequences 1..N in order without gaps or duplicates.
 func TestConfirmStreamContiguous(t *testing.T) {
 	primary, _, codec, app := fixture(t, 0)
 	var mu sync.Mutex
 	var seqs []uint64
-	primary.OnConfirm(func(batch []homeserver.Confirmed) {
+	primary.OnConfirm(func(c homeserver.Confirmed) {
 		mu.Lock()
-		for _, c := range batch {
-			seqs = append(seqs, c.Seq)
-		}
+		seqs = append(seqs, c.Seq)
 		mu.Unlock()
 	})
 
@@ -217,16 +214,18 @@ func TestConfirmStreamContiguous(t *testing.T) {
 	}
 }
 
-// TestApplyBatchReordersAndDeduplicates drives a replica directly with a
-// scrambled, duplicated delivery of a confirmed stream — the transport
-// failure modes a retrying push stream can produce — and checks the
-// replica converges to the primary's exact state.
-func TestApplyBatchReordersAndDeduplicates(t *testing.T) {
+// TestApplyBatchResumesFromItsWatermark drives a replica directly with the
+// deliveries a retrying push stream produces — a batch past the watermark
+// (what a restarted replica is sent), the run that continues the
+// watermark, a duplicate, and the tail resent from before the watermark —
+// and checks the replica applies exactly the run from its watermark each
+// time and converges to the primary's exact state.
+func TestApplyBatchResumesFromItsWatermark(t *testing.T) {
 	primary, reps, codec, app := fixture(t, 1)
 	rep := reps[0]
 	var stream []homeserver.Confirmed
-	primary.OnConfirm(func(batch []homeserver.Confirmed) {
-		stream = append(stream, batch...)
+	primary.OnConfirm(func(c homeserver.Confirmed) {
+		stream = append(stream, c)
 	})
 	for i := 0; i < 10; i++ {
 		su, err := codec.SealUpdate(app.Update("U1"),
@@ -239,25 +238,22 @@ func TestApplyBatchReordersAndDeduplicates(t *testing.T) {
 		}
 	}
 
-	// Deliver the tail first (buffered, nothing applies), then the head
-	// (everything applies), then a stale duplicate (ignored).
-	if err := rep.ApplyBatch(stream[5:]); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Applied(); got != 0 {
-		t.Fatalf("replica applied %d before the gap filled, want 0", got)
-	}
-	if err := rep.ApplyBatch(stream[:5]); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Applied(); got != 10 {
-		t.Fatalf("replica applied %d after gap filled, want 10", got)
-	}
-	if err := rep.ApplyBatch(stream[2:4]); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Applied(); got != 10 {
-		t.Fatalf("replica applied %d after duplicate delivery, want 10", got)
+	for _, step := range []struct {
+		name  string
+		batch []homeserver.Confirmed
+		want  uint64
+	}{
+		{"the tail, past the watermark", stream[5:], 0},
+		{"the head", stream[:5], 5},
+		{"a duplicate", stream[2:4], 5},
+		{"the tail resent from before the watermark", stream[3:], 10},
+	} {
+		if err := rep.ApplyBatch(step.batch); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if got := rep.Applied(); got != step.want {
+			t.Fatalf("after %s the replica applied %d, want %d", step.name, got, step.want)
+		}
 	}
 
 	want := sealedScan(t, codec, app, primary.ExecQuery)
@@ -274,9 +270,9 @@ func TestApplyDelayInjectsLag(t *testing.T) {
 	rep := reps[0]
 	rep.SetApplyDelay(50 * time.Millisecond)
 	applied := make(chan struct{})
-	primary.OnConfirm(func(batch []homeserver.Confirmed) {
+	primary.OnConfirm(func(c homeserver.Confirmed) {
 		go func() {
-			if err := rep.ApplyBatch(batch); err != nil {
+			if err := rep.ApplyBatch([]homeserver.Confirmed{c}); err != nil {
 				t.Error(err)
 			}
 			close(applied)

@@ -53,8 +53,8 @@ func NewTier(app *template.App, codec *wire.Codec, newDB func() (*storage.Databa
 
 // TierParts is the in-process substrate's half of the node→home wiring:
 // over exactly what NewTier returns, it feeds each primary's confirmed
-// stream to that partition's replicas — every released batch, in sequence
-// order, on the confirming goroutine — and returns the endpoints
+// stream to that partition's replicas — every confirmed update, in
+// sequence order, on the confirming goroutine — and returns the endpoints
 // pipeline.NewTierTransport composes: a direct transport per primary, a
 // floor-checking backend per replica. Call before serving traffic; it
 // takes each replicated primary's one OnConfirm sink.
@@ -75,9 +75,9 @@ func TierParts(primaries []*homeserver.Server, replicas [][]*Replica) []pipeline
 				pipeline.ReplicaEndpoint{Name: r.Name(), Backend: r.QueryBackend()})
 		}
 		logged := make([]bool, len(reps)) // the sink's calls are serialized
-		primary.OnConfirm(func(batch []homeserver.Confirmed) {
+		primary.OnConfirm(func(c homeserver.Confirmed) {
 			for i, r := range reps {
-				if err := r.ApplyBatch(batch); err != nil && !logged[i] {
+				if err := r.ApplyBatch([]homeserver.Confirmed{c}); err != nil && !logged[i] {
 					logged[i] = true
 					slog.Error("home: replica apply failed; the replica serves no miss past this update", "replica", r.Name(), "err", err)
 				}

@@ -59,9 +59,11 @@ type Server struct {
 	// in order and without gaps.
 	confirmed atomic.Uint64
 
-	// disp delivers confirmations to the OnConfirm sink in strict
-	// sequence order, buffering any that arrive out of order.
-	disp confirmDispatch
+	// confirmMu orders confirmations: ExecUpdate takes it before it
+	// releases the write lock, so no later update can confirm ahead of an
+	// earlier one, and holds it while it stores confirmed and calls sink.
+	confirmMu sync.Mutex
+	sink      func(Confirmed)
 
 	queries atomic.Int64
 	updates atomic.Int64
@@ -100,7 +102,6 @@ func New(db *storage.Database, app *template.App, codec *wire.Codec) *Server {
 		plan, err := engine.Compile(db.Schema, q.Stmt.(*sqlparse.SelectStmt))
 		s.plans[q.ID] = queryPlan{plan, err}
 	}
-	s.disp.confirmed = &s.confirmed
 	s.SetObs(obs.NewRegistry(), obs.WallClock())
 	return s
 }
@@ -250,9 +251,13 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	n, execErr := engine.ExecUpdate(s.DB, t.Stmt, params)
 	var seq uint64
 	if execErr == nil {
-		// Assigned under the write lock, so sequence order is exactly
-		// the order updates hit the master database.
+		// Assigned under the write lock, so sequence order is exactly the
+		// order updates hit the master database; and the confirm mutex is
+		// taken before the write lock goes, so it is the confirmation
+		// order too — the next update cannot reach the sink ahead of this
+		// one.
 		seq = s.seqCtr.Add(1)
+		s.confirmMu.Lock()
 	}
 	s.mu.Unlock()
 	sp.End()
@@ -265,7 +270,11 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	// The update is applied: confirm it. By the time the caller has the
 	// answer the DSSP's invalidation monitor acts on, the confirmation has
 	// been handed to the replica stream.
-	s.disp.push(Confirmed{Seq: seq, Update: su})
+	s.confirmed.Store(seq)
+	if s.sink != nil {
+		s.sink(Confirmed{Seq: seq, Update: su})
+	}
+	s.confirmMu.Unlock()
 	return n, seq, nil
 }
 
@@ -279,13 +288,14 @@ type Confirmed struct {
 }
 
 // OnConfirm registers the confirmation sink: it is invoked with each
-// contiguous, sequence-ordered run of confirmed updates. Calls are
-// serialized and ordered; an update is handed to the sink before its
-// caller has the confirmation. Set before serving traffic.
-func (s *Server) OnConfirm(sink func([]Confirmed)) {
-	s.disp.mu.Lock()
-	s.disp.sink = sink
-	s.disp.mu.Unlock()
+// confirmed update, one call per update, in sequence order with no gaps.
+// Calls are serialized; an update is handed to the sink before its caller
+// has the confirmation, and the next update's confirmation waits for the
+// sink to return. Set before serving traffic.
+func (s *Server) OnConfirm(sink func(Confirmed)) {
+	s.confirmMu.Lock()
+	s.sink = sink
+	s.confirmMu.Unlock()
 }
 
 // ConfirmedSeq reports the high-water confirmed sequence number: every
@@ -297,50 +307,3 @@ func (s *Server) ConfirmedSeq() uint64 { return s.confirmed.Load() }
 // AssignedSeq() == ConfirmedSeq() and no statements are in flight, the
 // confirmation stream is fully drained — the graceful-shutdown condition.
 func (s *Server) AssignedSeq() uint64 { return s.seqCtr.Load() }
-
-// confirmDispatch reorders confirmations into strict sequence order
-// before handing them to the sink. Sequence numbers are assigned under the
-// write lock but confirmed after it is released, so two concurrent updates
-// may reach the dispatcher in either order: it buffers a confirmation that
-// arrives ahead of its predecessor and delivers the longest contiguous
-// prefix each push — which is what keeps the replica stream gap-free.
-type confirmDispatch struct {
-	mu        sync.Mutex
-	next      uint64 // next sequence to deliver; 0 means "not started" (≡ 1)
-	buf       map[uint64]Confirmed
-	sink      func([]Confirmed)
-	confirmed *atomic.Uint64
-}
-
-// push buffers c and delivers the contiguous prefix, advancing the
-// confirmed high-water mark before the sink sees the run. The sink runs
-// under the dispatcher lock, which is what serializes and orders its
-// invocations.
-func (d *confirmDispatch) push(c Confirmed) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.next == 0 {
-		d.next = 1
-	}
-	if d.buf == nil {
-		d.buf = make(map[uint64]Confirmed)
-	}
-	d.buf[c.Seq] = c
-	var out []Confirmed
-	for {
-		c, ok := d.buf[d.next]
-		if !ok {
-			break
-		}
-		delete(d.buf, d.next)
-		d.next++
-		out = append(out, c)
-	}
-	if len(out) == 0 {
-		return
-	}
-	d.confirmed.Store(out[len(out)-1].Seq)
-	if d.sink != nil {
-		d.sink(out)
-	}
-}

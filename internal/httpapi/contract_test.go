@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -190,7 +189,7 @@ func TestRequestBodiesAreBounded(t *testing.T) {
 		}
 	}
 	for _, e := range []sealedOp{{"replica", OpReplicaApply, false}, {"node", OpBucketImport, false}} {
-		between := rawFrame(e.op, 1, statusOK, []byte{0}, []byte{0}, make([]byte, maxMessageBytes+1))
+		between := rawFrame(e.op, 1, statusOK, []byte{0}, make([]byte, maxMessageBytes+1))
 		if f := dialFrames(t, c.urls[e.server]).exchange(t, between); f.status != statusBadRequest {
 			t.Errorf("%s %v, %d bytes (within the batch bound): %v, want bad request", e.server, e.op, maxMessageBytes+1, f.status)
 		}
@@ -233,7 +232,7 @@ var garbledUvarints = [][]byte{{0x80, 0x00}, {0x81, 0x80, 0x00}, bytes.Repeat([]
 // floor unraised) and on the replica's query op (where it would otherwise
 // let a lagging replica answer below the floor) — never read as 0, and
 // the connection goes on framing. A well-formed floor the replica has not
-// reached is a lag frame with its watermark and partition.
+// reached is a lag frame with its watermark.
 func TestStalenessHeadersFailClosed(t *testing.T) {
 	c := newContractServers(t)
 	cases := []struct {
@@ -250,7 +249,7 @@ func TestStalenessHeadersFailClosed(t *testing.T) {
 		stream := uint32(0)
 		send := func(seq []byte) status {
 			stream++
-			f := conn.exchange(t, rawFrame(tc.op, stream, statusOK, seq, []byte{0}, tc.body))
+			f := conn.exchange(t, rawFrame(tc.op, stream, statusOK, seq, tc.body))
 			return f.status
 		}
 		if st := send([]byte{0}); st != statusOK {
@@ -267,8 +266,8 @@ func TestStalenessHeadersFailClosed(t *testing.T) {
 	}
 	// The replica still refuses below a well-formed floor it has not reached.
 	f := dialFrames(t, c.urls["replica"]).exchange(t, encodeFrame(&frame{op: OpExecQuery, stream: 1, seq: 7, body: c.query}))
-	if f.status != statusLag || f.seq != 0 || f.part != 0 {
-		t.Errorf("replica at 0 answered a query with floor 7: %v, seq %d, part %d; want a lag frame at 0 of partition 0", f.status, f.seq, f.part)
+	if f.status != statusLag || f.seq != 0 {
+		t.Errorf("replica at 0 answered a query with floor 7: %v, seq %d; want a lag frame at 0", f.status, f.seq)
 	}
 }
 
@@ -283,7 +282,7 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 	c := newContractServers(t)
 	conn := dialFrames(t, c.urls["node"])
 	for i, b := range [][]byte{
-		rawFrame(OpQuery, 1, statusBadGateway, []byte{0}, []byte{0}, c.query),
+		rawFrame(OpQuery, 1, statusBadGateway, []byte{0}, c.query),
 		encodeFrame(&frame{op: OpExecUpdate, stream: 2, body: c.update}),
 		encodeFrame(&frame{op: OpQuery, stream: 3, body: c.update}),
 		encodeFrame(&frame{op: OpInvalidate, stream: 4, body: c.query}),
@@ -306,8 +305,8 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 	}
 
 	for i, b := range [][]byte{
-		rawFrame(0, 1, statusOK, []byte{0}, []byte{0}, c.query),
-		rawFrame(numOps, 1, statusOK, []byte{0}, []byte{0}, c.query),
+		rawFrame(0, 1, statusOK, []byte{0}, c.query),
+		rawFrame(numOps, 1, statusOK, []byte{0}, c.query),
 		append(uvarint32(3), byte(OpQuery), 0, 0, 0, 1),
 	} {
 		ended := dialFrames(t, c.urls["node"])
@@ -344,9 +343,9 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 }
 
 // TestReplicaProxyRefusesGarbledWatermark: the node reads the replica's
-// applied watermark and partition back from the answer's header; one that
-// does not parse fails the call (the replica set then falls back to the
-// primary) instead of reading as 0, and is counted.
+// applied watermark back from the answer's header; one that does not parse
+// fails the call (the replica set then falls back to the primary) instead
+// of reading as 0, and is counted.
 func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 	sq, _, sr := sealedAt(t, template.ExpStmt)
 	answer := (&execQueryMsg{Result: sr, Scanned: 1}).appendWire(nil)
@@ -362,35 +361,27 @@ func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 		return res, err
 	}
 
-	if res, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusOK, uvarint(12), []byte{0}, answer) }); err != nil || res.Applied != 12 || res.Scanned != 1 {
+	if res, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusOK, uvarint(12), answer) }); err != nil || res.Applied != 12 || res.Scanned != 1 {
 		t.Errorf("well-formed answer: %+v, %v", res, err)
 	}
 	var lag *pipeline.LagError
-	if _, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusLag, uvarint(4), uvarint(1), nil) }); !errors.As(err, &lag) || lag.Applied != 4 || lag.Part != 1 || lag.Want != 9 {
+	if _, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusLag, uvarint(4), nil) }); !errors.As(err, &lag) || lag.Applied != 4 {
 		t.Errorf("well-formed refusal: %v", err)
 	}
 	if got := badFrames(reg); got != 0 {
 		t.Fatalf("bad-frame counter %d before any garbled field", got)
 	}
 	for i, garbled := range garbledUvarints {
-		for _, g := range []struct {
-			st        status
-			seq, part []byte
-		}{{statusOK, garbled, []byte{0}}, {statusLag, garbled, []byte{1}}, {statusLag, uvarint(4), garbled}} {
+		for _, st := range []status{statusOK, statusLag} {
 			before := badFrames(reg)
-			_, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, g.st, g.seq, g.part, answer) })
+			_, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, st, garbled, answer) })
 			if err == nil || errors.As(err, &lag) {
-				t.Errorf("garbled field %d, %v seq %x part %x: err %v, want a plain error", i, g.st, g.seq, g.part, err)
+				t.Errorf("garbled field %d, %v seq %x: err %v, want a plain error", i, st, garbled, err)
 			}
 			if badFrames(reg) != before+1 {
-				t.Errorf("garbled field %d, %v seq %x part %x: not counted", i, g.st, g.seq, g.part)
+				t.Errorf("garbled field %d, %v seq %x: not counted", i, st, garbled)
 			}
 		}
-	}
-	if _, err := call(func(s uint32) []byte {
-		return rawFrame(OpExecQuery, s, statusLag, uvarint(4), uvarint(math.MaxInt32+1), nil)
-	}); err == nil || errors.As(err, &lag) {
-		t.Errorf("a partition past any int: err %v, want a plain error", err)
 	}
 }
 

@@ -318,8 +318,8 @@ func TestStartRefusesNodelessFleet(t *testing.T) {
 }
 
 // TestRegisterReplicaOverHTTP exercises the -replica-of handshake against
-// a fleet-built primary: re-registering a known replica is a no-op that
-// answers with both streams' positions.
+// a fleet-built primary: re-registering a known replica adds no stream,
+// and the answer carries both streams' positions.
 func TestRegisterReplicaOverHTTP(t *testing.T) {
 	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
 	defer f.Close()

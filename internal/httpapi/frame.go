@@ -29,7 +29,7 @@ import (
 //
 //	GET /v1/frames HTTP/1.1
 //	Connection: Upgrade
-//	Upgrade: dssp-frames/2
+//	Upgrade: dssp-frames/3
 //
 // The peer answers 101 Switching Protocols and hijacks the connection;
 // from then on both directions carry frames and nothing else. A sender
@@ -41,21 +41,20 @@ import (
 // loudly instead of being misread.
 //
 //	frame  = uint32(n) header body       n = len(header body), big-endian, at most the op's bound that way
-//	header = byte(op) uint32(stream) byte(status) uvarint(seq) uvarint(part)
+//	header = byte(op) uint32(stream) byte(status) uvarint(seq)
 //	body   = message                     status ok: the envelope message.go names for the op and way
 //	       | text                        any other status: why
 //
 // A request frame has status ok; the server answers it on the same stream
 // ID, in whatever order its answers finish. The op and the way a frame
 // travels name its body's grammar — the body has no tag of its own — and
-// seq and part are the staleness values of the replicated home tier:
-// message.go's table says, per op and way, what the body is and what seq
-// and part carry. Decoding is as strict as the envelopes': a uvarint that
-// is not minimal, an unknown op or status, is a refused frame, never a
-// zero.
+// seq is the staleness value of the replicated home tier: message.go's
+// table says, per op and way, what the body is and what seq carries.
+// Decoding is as strict as the envelopes': a uvarint that is not minimal,
+// an unknown op or status, is a refused frame, never a zero.
 const (
 	PathFrames    = "/v1/frames"
-	frameProtocol = "dssp-frames/2"
+	frameProtocol = "dssp-frames/3"
 )
 
 // Op names a frame's exchange: what its request and its answer carry
@@ -135,7 +134,7 @@ const (
 	statusOK         status = iota
 	statusBadRequest        // 400: the frame, its message or its statement was refused
 	statusBadGateway        // 502: the statement did not get through upstream
-	statusLag               // 409: a replica behind the request's floor; seq is its watermark, part its partition
+	statusLag               // 409: a replica behind the request's floor; seq is its watermark
 	statusTooLarge          // 413: the frame declared more than its op's bound; the connection closes after it
 	statusFailed            // 500: a well-formed statement failed where it ran
 	numStatus
@@ -158,7 +157,6 @@ type frame struct {
 	stream uint32
 	status status
 	seq    uint64
-	part   uint64
 	body   []byte
 }
 
@@ -171,10 +169,10 @@ func (f *frame) fail(st status, err error) {
 
 // frameHeaderMax is the room startFrame leaves in front of a body: the
 // length and the longest header. frameHeaderMin is the shortest length a
-// frame can declare: op, stream, status and two one-byte uvarints.
+// frame can declare: op, stream, status and a one-byte uvarint.
 const (
-	frameHeaderMax = 4 + 1 + 4 + 1 + 2*binary.MaxVarintLen64
-	frameHeaderMin = 1 + 4 + 1 + 1 + 1
+	frameHeaderMax = 4 + 1 + 4 + 1 + binary.MaxVarintLen64
+	frameHeaderMin = 1 + 4 + 1 + 1
 )
 
 var (
@@ -193,13 +191,12 @@ func startFrame(b []byte) []byte { return append(b[:0], make([]byte, frameHeader
 // b itself is untouched past the header room, so a frame can be finished
 // again under another stream ID.
 func finishFrame(b []byte, f *frame) []byte {
-	out := b[frameHeaderMax-(4+1+4+1+uvarintLen(f.seq)+uvarintLen(f.part)):]
+	out := b[frameHeaderMax-(4+1+4+1+uvarintLen(f.seq)):]
 	binary.BigEndian.PutUint32(out, uint32(len(out)-4))
 	out[4] = byte(f.op)
 	binary.BigEndian.PutUint32(out[5:], f.stream)
 	out[9] = byte(f.status)
-	n := 10 + binary.PutUvarint(out[10:], f.seq)
-	binary.PutUvarint(out[n:], f.part)
+	binary.PutUvarint(out[10:], f.seq)
 	return out
 }
 
@@ -247,14 +244,9 @@ func readFrame(r *bufio.Reader, f *frame, wb *wireBuf, d dir) error {
 		wb.b = wb.b[:end]
 	}
 	f.status = status(wb.b[0])
-	b := wb.b[1:]
-	if f.seq, b, err = wire.Uvarint(b); err != nil {
+	if f.seq, f.body, err = wire.Uvarint(wb.b[1:]); err != nil {
 		return errBadFrame
 	}
-	if f.part, b, err = wire.Uvarint(b); err != nil {
-		return errBadFrame
-	}
-	f.body = b
 	if !f.op.valid() || f.status >= numStatus {
 		return errBadFrame
 	}
@@ -264,8 +256,8 @@ func readFrame(r *bufio.Reader, f *frame, wb *wireBuf, d dir) error {
 // frameFunc answers one request frame. req.body is the request's envelope,
 // valid only during the call. The answer goes into resp: an envelope
 // appended to resp.body (which starts with the header room, so only append)
-// under status ok, or resp.fail's refusal — plus resp.seq and resp.part
-// where the op carries them.
+// under status ok, or resp.fail's refusal — plus resp.seq where the op
+// carries it.
 type frameFunc func(ctx context.Context, req, resp *frame)
 
 // frameOps is what one process serves over frames: a handler per op, nil
@@ -290,7 +282,7 @@ func (ops *frameOps) answer(ctx context.Context, gate func(Op), x *serverCall) [
 		resp.fail(statusBadRequest, fmt.Errorf("httpapi: %v is not served here", req.op))
 	}
 	if n, bound := len(resp.body)-4, req.op.bound(dirAnswer); n > int(bound) {
-		resp.seq, resp.part = 0, 0
+		resp.seq = 0
 		resp.fail(statusTooLarge, fmt.Errorf("httpapi: a %v answer of %d bytes is over its bound of %d", req.op, n, bound))
 	}
 	x.out.b = resp.body

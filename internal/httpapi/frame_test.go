@@ -49,13 +49,13 @@ func encodeFrame(f *frame) []byte {
 }
 
 // rawFrame is a frame assembled byte by byte, so a test can garble any
-// field: the staleness fields are given as their encoded bytes.
-func rawFrame(op Op, stream uint32, st status, seq, part, body []byte) []byte {
-	b := binary.BigEndian.AppendUint32(nil, uint32(1+4+1+len(seq)+len(part)+len(body)))
+// field: the staleness field is given as its encoded bytes.
+func rawFrame(op Op, stream uint32, st status, seq, body []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, uint32(1+4+1+len(seq)+len(body)))
 	b = append(b, byte(op))
 	b = binary.BigEndian.AppendUint32(b, stream)
 	b = append(b, byte(st))
-	return append(append(append(b, seq...), part...), body...)
+	return append(append(b, seq...), body...)
 }
 
 func uvarint(v uint64) []byte { return binary.AppendUvarint(nil, v) }
@@ -139,23 +139,23 @@ func FuzzReadFrame(f *testing.F) {
 		for i, e := range envelopes(f, exp) {
 			stream++
 			f.Add(encodeFrame(&frame{op: e.op, stream: stream, status: status(i) % numStatus,
-				seq: uint64(i) << (7 * i), part: uint64(i), body: e.msg.appendWire(nil)}))
+				seq: uint64(i) << (7 * i), body: e.msg.appendWire(nil)}))
 		}
 	}
 	sq, _, _ := sealedAt(f, template.ExpStmt)
 	query := encodeFrame(&frame{op: OpQuery, stream: 1, body: (*queryMsg)(&sq).appendWire(nil)})
 	over := binary.BigEndian.AppendUint32(nil, OpQuery.bound(dirRequest)+1)
-	f.Add(append(over, byte(OpQuery), 0, 0, 0, 1))                                             // a length over the bound
-	f.Add(query[:7])                                                                           // a truncated header
-	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, []byte{0}, nil)[:4+frameHeaderMin-1])      // a header cut short of its length
-	f.Add(binary.BigEndian.AppendUint32(nil, frameHeaderMin-1))                                // a length under the header
-	f.Add(rawFrame(numOps, 1, statusOK, []byte{0}, []byte{0}, nil))                            // an unknown op
-	f.Add(rawFrame(OpQuery, 1, numStatus, []byte{0}, []byte{0}, nil))                          // an unknown status
-	f.Add(rawFrame(OpInvalidate, 1, statusOK, []byte{0x80, 0x00}, []byte{0}, nil))             // a non-minimal seq
-	f.Add(rawFrame(OpInvalidate, 1, statusOK, bytes.Repeat([]byte{0xff}, 10), []byte{1}, nil)) // an overflowing seq
-	f.Add(rawFrame(OpExecQuery, 1, statusLag, []byte{4}, []byte{0x80}, nil))                   // a part that runs off the header
-	f.Add(append(append([]byte(nil), query...), query[:len(query)-1]...))                      // trailing bytes
-	f.Add(append(append([]byte(nil), query...), query...))                                     // a duplicate stream ID
+	f.Add(append(over, byte(OpQuery), 0, 0, 0, 1))                                        // a length over the bound
+	f.Add(query[:7])                                                                      // a truncated header
+	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, nil)[:4+frameHeaderMin-1])            // a header cut short of its length
+	f.Add(binary.BigEndian.AppendUint32(nil, frameHeaderMin-1))                           // a length under the header
+	f.Add(rawFrame(numOps, 1, statusOK, []byte{0}, nil))                                  // an unknown op
+	f.Add(rawFrame(OpQuery, 1, numStatus, []byte{0}, nil))                                // an unknown status
+	f.Add(rawFrame(OpInvalidate, 1, statusOK, []byte{0x80, 0x00}, nil))                   // a non-minimal seq
+	f.Add(rawFrame(OpInvalidate, 1, statusOK, bytes.Repeat([]byte{0xff}, 10), []byte{1})) // an overflowing seq
+	f.Add(rawFrame(OpExecQuery, 1, statusLag, []byte{0x80}, nil))                         // a seq that runs off the header
+	f.Add(append(append([]byte(nil), query...), query[:len(query)-1]...))                 // trailing bytes
+	f.Add(append(append([]byte(nil), query...), query...))                                // a duplicate stream ID
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bufio.NewReader(bytes.NewReader(b))
 		wb := &wireBuf{}
@@ -199,10 +199,10 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // TestFrameFieldsRoundTrip: the header fields take their full ranges —
-// the widest seq and part fill the header room exactly — and a frame
-// finished twice under two stream IDs differs only in the stream.
+// the widest seq fills the header room exactly — and a frame finished
+// twice under two stream IDs differs only in the stream.
 func TestFrameFieldsRoundTrip(t *testing.T) {
-	want := frame{op: OpReplicaApply, stream: math.MaxUint32, status: statusFailed, seq: math.MaxUint64, part: math.MaxUint64, body: []byte("x")}
+	want := frame{op: OpReplicaApply, stream: math.MaxUint32, status: statusFailed, seq: math.MaxUint64, body: []byte("x")}
 	b := append(startFrame(nil), want.body...)
 	enc := finishFrame(b, &want)
 	if len(enc) != len(b) {
@@ -212,7 +212,7 @@ func TestFrameFieldsRoundTrip(t *testing.T) {
 	if err := readFrame(bufio.NewReader(bytes.NewReader(enc)), &got, &wireBuf{}, dirRequest); err != nil {
 		t.Fatal(err)
 	}
-	if got.op != want.op || got.stream != want.stream || got.status != want.status || got.seq != want.seq || got.part != want.part || !bytes.Equal(got.body, want.body) {
+	if got.op != want.op || got.stream != want.stream || got.status != want.status || got.seq != want.seq || !bytes.Equal(got.body, want.body) {
 		t.Errorf("round trip: got %+v, want %+v", got, want)
 	}
 	first := append([]byte(nil), finishFrame(b, &frame{op: OpQuery, stream: 1})...)

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/url"
@@ -143,7 +142,7 @@ func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (u
 	}
 	var answered uint64
 	if err == nil {
-		answered, err = h.open(k, op, seq, resp)
+		answered, err = h.open(k, op, resp)
 	}
 	if keep && cap(k.out) <= maxPooledBuf {
 		k.resp, k.in, k.err = frame{}, nil, nil
@@ -251,11 +250,10 @@ func (h *hop) roundTrip(ctx context.Context, k *call, op Op, seq uint64) (lost b
 }
 
 // open reads the answer k holds: resp decoded from an ok body and the
-// answer's seq, a lag refusal as a *pipeline.LagError (want is the floor
-// the request carried), any other refusal as an error quoting the peer. An
-// answer under another op than the call's is refused whatever its body:
-// the op is what names the body's grammar.
-func (h *hop) open(k *call, op Op, want uint64, resp message) (uint64, error) {
+// answer's seq, a lag refusal as a *pipeline.LagError, any other refusal
+// as an error quoting the peer. An answer under another op than the call's
+// is refused whatever its body: the op is what names the body's grammar.
+func (h *hop) open(k *call, op Op, resp message) (uint64, error) {
 	defer putBuf(k.in)
 	f := &k.resp
 	switch {
@@ -266,8 +264,8 @@ func (h *hop) open(k *call, op Op, want uint64, resp message) (uint64, error) {
 			return 0, fmt.Errorf("httpapi: %s: response: %w", h.target, err)
 		}
 		return f.seq, nil
-	case f.status == statusLag && f.part <= math.MaxInt32:
-		return 0, &pipeline.LagError{Applied: f.seq, Want: want, Part: int(f.part)}
+	case f.status == statusLag:
+		return 0, &pipeline.LagError{Applied: f.seq}
 	default:
 		return 0, fmt.Errorf("httpapi: %s: %v: %s", h.target, f.status, bytes.TrimSpace(f.body))
 	}

@@ -350,8 +350,8 @@ func TestHopRequestShape(t *testing.T) {
 	}
 	f := peer.requests()[0]
 	want := (*queryMsg)(&sq).appendWire(nil)
-	if f.op != OpQuery || f.stream != 1 || f.status != statusOK || f.seq != 3 || f.part != 0 || !bytes.Equal(f.body, want) {
-		t.Errorf("frame %v stream %d status %v seq %d part %d body %x, want query 1 ok 3 0 %x", f.op, f.stream, f.status, f.seq, f.part, f.body, want)
+	if f.op != OpQuery || f.stream != 1 || f.status != statusOK || f.seq != 3 || !bytes.Equal(f.body, want) {
+		t.Errorf("frame %v stream %d status %v seq %d body %x, want query 1 ok 3 %x", f.op, f.stream, f.status, f.seq, f.body, want)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // the way it travels name its grammar, and the header's seq is the one
 // place a sequence number rides.
 //
-//	op             request                   answer                              seq and part
+//	op             request                   answer                              seq
 //	query          query                     result bool(hit)                    —
 //	update         update                    count(affected) count(invalidated)  answer seq: the update's confirmed sequence
 //	invalidate     update                    count(invalidated)                  request seq: the update's confirmed sequence
@@ -34,8 +34,7 @@ import (
 //	count = uvarint                          at most 2^31-1
 //
 // A replica's lag refusal of an exec query carries its applied watermark in
-// seq and the home partition that watermark counts in as part; every seq
-// and part the table does not name is 0.
+// seq; every seq the table does not name is 0.
 //
 // Decoding is strict in the way the wire package's is: lengths are checked
 // against the remaining input, non-minimal uvarints and trailing bytes are

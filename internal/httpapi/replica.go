@@ -49,9 +49,8 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 				// already invalidated for. The lag status keeps the refusal
 				// distinct from a failure, and the applied watermark rides
 				// back so the node can stop asking until the replica catches
-				// up — with the partition whose stream it counts in, since
-				// sequences are per partition in a partitioned home tier.
-				resp.seq, resp.part = applied, uint64(rep.Partition())
+				// up.
+				resp.seq = applied
 				resp.fail(statusLag, fmt.Errorf("replica lagging: applied %d < floor %d", applied, req.seq))
 				return
 			}
@@ -79,10 +78,9 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 				resp.fail(statusFailed, err)
 				return
 			}
-			// The answer is the applied watermark — which may be behind the
-			// batch's tail if earlier sequences are still missing (the
-			// replica buffers the gap; the hub resends from the acknowledged
-			// point).
+			// The answer is the applied watermark — behind the batch's tail
+			// when the batch started past it (the replica restarted), and
+			// the hub resends from there.
 			resp.seq = rep.Applied()
 		},
 	})
@@ -131,12 +129,12 @@ type ReplicaStreamInfo struct {
 }
 
 // ReplicaHub runs the primary side of the apply stream: it retains every
-// confirmed update (in sequence order — the home server's dispatcher
-// delivers contiguous runs) and pushes the unacknowledged suffix to each
-// registered replica, as apply frames on one connection per replica,
-// retrying until acknowledged. Registration is
-// dynamic: a replica that joins late receives the whole retained log
-// first, so it converges from the shared populate state.
+// confirmed update (in sequence order — the home server confirms in that
+// order) and pushes the unacknowledged suffix to each registered replica,
+// as apply frames on one connection per replica, retrying until
+// acknowledged. Registration is dynamic: a replica that joins late
+// receives the whole retained log first, so it converges from the shared
+// populate state.
 type ReplicaHub struct {
 	client *http.Client
 	reg    *obs.Registry
@@ -154,8 +152,9 @@ type ReplicaHub struct {
 	wg   sync.WaitGroup
 }
 
-// replicaStream is one replica's pusher state; acked counts the log
-// prefix the replica has acknowledged applying.
+// replicaStream is one replica's pusher state; acked is the watermark the
+// replica last answered, the log prefix it holds (0 again when it
+// registers anew).
 type replicaStream struct {
 	url   string
 	apply *hop
@@ -171,36 +170,37 @@ func NewReplicaHub(client *http.Client, reg *obs.Registry) *ReplicaHub {
 	return h
 }
 
-// Confirm is the hub's confirmation sink: the home server calls it (under
-// the confirmation dispatcher's lock) with each contiguous run of
-// confirmed updates. It only appends and wakes the pushers — the network
-// work happens on the per-replica goroutines, so the home server's update
-// path never blocks on a slow replica. A batch arriving after Close is
-// dropped: shutdown drains before closing, so anything later is a stray
-// dispatch racing SIGTERM, and appending it would push to replicas after
-// the hub promised to stop.
-func (h *ReplicaHub) Confirm(batch []homeserver.Confirmed) {
+// Confirm is the hub's confirmation sink: the home server calls it with
+// each confirmed update, in sequence order. It only appends and wakes the
+// pushers — the network work happens on the per-replica goroutines, so the
+// home server's update path never blocks on a slow replica. An update
+// confirmed after Close is dropped: shutdown drains before closing, so
+// anything later is a stray confirmation racing SIGTERM, and appending it
+// would push to replicas after the hub promised to stop.
+func (h *ReplicaHub) Confirm(c homeserver.Confirmed) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return
 	}
-	h.log = append(h.log, batch...)
+	h.log = append(h.log, c)
 	h.mu.Unlock()
 	h.cond.Broadcast()
 }
 
-// Register subscribes a replica URL to the stream. Registering an
-// already-known URL is a no-op (a restarted replica re-registers; its
-// stream resumes from the acknowledged point, and the apply endpoint
-// skips duplicates below its watermark anyway).
+// Register subscribes a replica URL to the stream. A replica registers
+// when its process starts, from the populate state, so registering a
+// known URL — a restarted replica — resends its stream from the start;
+// the replica's answer moves it on to the watermark the replica holds.
 func (h *ReplicaHub) Register(url string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return
 	}
-	if _, ok := h.streams[url]; ok {
+	if st, ok := h.streams[url]; ok {
+		st.acked = 0
+		h.cond.Broadcast()
 		return
 	}
 	// The push loop is the apply stream's retry: the hop's own would resend
@@ -212,8 +212,10 @@ func (h *ReplicaHub) Register(url string) {
 	go h.run(st)
 }
 
-// run is one replica's push loop: send the unacknowledged log suffix,
-// advance on acknowledgment, back off and resend on failure. The loop
+// run is one replica's push loop: send the log past the replica's
+// watermark, take the watermark it answers — lower than before, too, when
+// the replica restarted, so the next push resends from there — and back
+// off and resend on failure. The loop
 // exits as soon as the hub closes — even mid-backoff against an
 // unreachable replica — because Close is only called after Drain has
 // confirmed every reachable replica acked the log; retrying past Close
@@ -252,9 +254,7 @@ func (h *ReplicaHub) run(st *replicaStream) {
 			continue
 		}
 		h.mu.Lock()
-		if applied > st.acked {
-			st.acked = applied
-		}
+		st.acked = applied
 		h.mu.Unlock()
 		h.cond.Broadcast()
 	}
@@ -343,8 +343,8 @@ func (h *ReplicaHub) Close() {
 
 // replicaProxy is the node side of a remote replica: a
 // pipeline.ReplicaBackend over its hop. A refusal surfaces as
-// pipeline.LagError carrying the replica's applied watermark and home
-// partition from the refusal frame; failures are returned as they are, a
+// pipeline.LagError carrying the replica's applied watermark from the
+// refusal frame; failures are returned as they are, a
 // garbled staleness field among them — the replica set treats it like
 // any failed call. No retry: the replica set's primary fallback is the
 // retry.

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"dssp/internal/obs"
+	"dssp/internal/schema"
 	"dssp/internal/wire"
 )
 
@@ -20,10 +21,9 @@ import (
 // never invalidated again.
 //
 // Entries are indexed by table group (the wire-level routing hint); a
-// group maps to its partition's slot via schema.PartitionOf's rule
-// (group mod partitions), applied internally — so an update only ever
-// raises the floor of the partition it executed on, and a miss only
-// checks the floor of the partition that will serve it.
+// group maps to its partition's slot by schema.PartitionOf — so an update
+// only ever raises the floor of the partition it executed on, and a miss
+// only checks the floor of the partition that will serve it.
 type Freshness struct {
 	floors []atomic.Uint64
 }
@@ -43,10 +43,7 @@ func (f *Freshness) Parts() int { return len(f.floors) }
 
 // slot maps a table group to its partition's floor entry.
 func (f *Freshness) slot(group int) *atomic.Uint64 {
-	if group <= 0 || len(f.floors) == 1 {
-		return &f.floors[0]
-	}
-	return &f.floors[group%len(f.floors)]
+	return &f.floors[schema.PartitionOf(group, len(f.floors))]
 }
 
 // Raise lifts the floor of group's partition to seq if it is higher; it
@@ -70,18 +67,11 @@ func (f *Freshness) Floors() []uint64 {
 // LagError is a replica's refusal to serve a query because it has not yet
 // applied the caller's freshness floor. Applied is the replica's current
 // applied sequence — the caller uses it to refresh its view of the
-// replica before falling back to the primary. Part identifies the home
-// partition the refusal is about (0 in an unpartitioned tier): sequences
-// are per-partition, so the pair (Part, Applied) is what positions the
-// replica in its stream.
-type LagError struct {
-	Applied uint64
-	Want    uint64
-	Part    int
-}
+// replica before falling back to the primary.
+type LagError struct{ Applied uint64 }
 
 func (e *LagError) Error() string {
-	return fmt.Sprintf("replica lagging: partition %d applied %d, want %d", e.Part, e.Applied, e.Want)
+	return fmt.Sprintf("replica lagging: applied %d", e.Applied)
 }
 
 // ReplicaBackend serves cache misses from one home read replica, subject

@@ -41,7 +41,7 @@ func (r *fakeReplica) QueryAt(_ context.Context, _ wire.SealedQuery, minSeq uint
 		return
 	}
 	if r.applied < minSeq {
-		done(ExecQueryResult{}, &LagError{Applied: r.applied, Want: minSeq})
+		done(ExecQueryResult{}, &LagError{Applied: r.applied})
 		return
 	}
 	done(ExecQueryResult{Result: wire.SealedResult{Cipher: []byte("replica")}, Applied: r.applied}, nil)

@@ -103,12 +103,6 @@ type Config struct {
 	// single-master topology.
 	HomePartitions int
 
-	// ReplicaApplyLag delays each confirmed batch's application on the
-	// replicas by this much virtual time — the simulator's replica-lag
-	// fault injection. While a batch is in flight, misses needing it
-	// bypass to the primary.
-	ReplicaApplyLag time.Duration
-
 	// AnalysisOpts controls the static analysis the DSSP's
 	// template-inspection level uses (integrity constraints on/off).
 	AnalysisOpts core.Options
@@ -366,7 +360,7 @@ func (b *simReplicaBackend) QueryAt(_ context.Context, sq wire.SealedQuery, minS
 	b.toHome.Send(b.costs.RequestBytes+len(sq.Opaque), func() {
 		if a := b.rep.Applied(); a < minSeq {
 			b.fromHome.Send(64, func() {
-				done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: a, Want: minSeq, Part: b.rep.Partition()})
+				done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: a})
 			})
 			return
 		}
@@ -489,8 +483,11 @@ func Simulate(cfg Config) (*Result, error) {
 	res := &Result{Users: cfg.Users}
 
 	// Each replica fleet sits behind the shared trusted-tier links and
-	// applies its partition primary's confirmed stream — ReplicaApplyLag of
-	// virtual time after each gate release.
+	// applies its partition primary's confirmed stream. The apply is its own
+	// event, at the instant of the confirmation but after it: on a real tier
+	// the two are separate steps, so an event already due at that instant —
+	// a miss reaching a replica — still finds the replica before the update,
+	// and applying inside the confirmation would reorder such events.
 	repCPUs := make([][]*sim.Server, nParts)
 	for p, fleet := range reps {
 		repCPUs[p] = make([]*sim.Server, len(fleet))
@@ -498,10 +495,10 @@ func Simulate(cfg Config) (*Result, error) {
 			repCPUs[p][k] = sim.NewServer(&world, cfg.Costs.HomeCapacity)
 		}
 		if len(fleet) > 0 {
-			homes[p].OnConfirm(func(batch []homeserver.Confirmed) {
-				world.After(cfg.ReplicaApplyLag, func() {
+			homes[p].OnConfirm(func(c homeserver.Confirmed) {
+				world.After(0, func() {
 					for _, rep := range fleet {
-						if err := rep.ApplyBatch(batch); err != nil {
+						if err := rep.ApplyBatch([]homeserver.Confirmed{c}); err != nil {
 							panic(fmt.Sprintf("simrun: replica apply: %v", err))
 						}
 					}

@@ -8,8 +8,9 @@
 # indistinguishable: the replicated fleet's merged invalidation-decision
 # log and cache dump diff clean against the reference's. Along the way the
 # script asserts the apply stream actually converged (both replicas report
-# the confirmed watermark), that replicas served misses, and that SIGTERM
-# shuts the primary down gracefully (exit 0, streams drained).
+# the confirmed watermark), that a replica killed and restarted catches up
+# again, that replicas served misses, and that SIGTERM shuts the primary
+# down gracefully (exit 0, streams drained).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,8 +43,12 @@ echo "smoke: replicated home tier (primary + 2 replicas + router + 2 nodes)"
 "$BIN/dssphome" -app toystore -key "$KEY" -addr ":$HOME_PORT" -replicas &
 PRIMARY_PID=$!
 wait_up "http://localhost:$HOME_PORT"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$REP0_PORT" \
-  -replica-of "http://localhost:$HOME_PORT" -advertise "http://localhost:$REP0_PORT" &
+start_rep0() {
+  "$BIN/dssphome" -app toystore -key "$KEY" -addr ":$REP0_PORT" \
+    -replica-of "http://localhost:$HOME_PORT" -advertise "http://localhost:$REP0_PORT" &
+  REP0_PID=$!
+}
+start_rep0
 "$BIN/dssphome" -app toystore -key "$KEY" -addr ":$REP1_PORT" \
   -replica-of "http://localhost:$HOME_PORT" -advertise "http://localhost:$REP1_PORT" &
 wait_up "http://localhost:$REP0_PORT"
@@ -74,6 +79,25 @@ for port in "$REP0_PORT" "$REP1_PORT"; do
   fi
 done
 echo "smoke: confirmed-update stream converged on both replicas"
+
+# A replica that crashes comes back empty, from the seed state, and
+# registers again: the primary must resend it the stream from its own
+# watermark until it holds every confirmed update.
+kill -9 "$REP0_PID"
+wait "$REP0_PID" 2>/dev/null || true
+start_rep0
+wait_up "http://localhost:$REP0_PORT"
+confirmed=$(curl -sf "http://localhost:$HOME_PORT/v1/replicas" | jq -r .confirmed)
+for _ in $(seq 1 100); do
+  applied=$(curl -sf "http://localhost:$REP0_PORT/v1/replica/status" | jq -r .applied)
+  [ "$applied" = "$confirmed" ] && break
+  sleep 0.1
+done
+if [ "$applied" != "$confirmed" ]; then
+  echo "smoke: restarted replica on :$REP0_PORT applied $applied, want $confirmed (stream never resent)" >&2
+  exit 1
+fi
+echo "smoke: restarted replica caught up to the confirmed stream ($confirmed)"
 
 replay_post "http://localhost:$ROUTER_PORT"
 
