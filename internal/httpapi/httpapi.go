@@ -431,10 +431,18 @@ func newMux(reg *obs.Registry, store *obs.SpanStore, ops *frameOps) *http.ServeM
 // serveFront is the one place sealed statements are served from: a front
 // — a node's pipeline or the shard router, which is why a client cannot
 // tell the two apart — behind the query and update frames. A front that
-// fails answers bad gateway: the statement did not get through.
+// fails answers bad gateway: the statement did not get through. The shard
+// router is served bytes: it routes each statement from its head and
+// forwards it as it came (forwardQuery, forwardUpdate); every other front
+// is handed the decoded statement.
 func serveFront(front pipeline.Front) *frameOps {
+	router, forwards := front.(*shard.Router)
 	return &frameOps{
 		OpQuery: func(ctx context.Context, req, resp *frame) {
+			if forwards {
+				forwardQuery(ctx, router, req, resp)
+				return
+			}
 			var sq wire.SealedQuery
 			if err := (*queryMsg)(&sq).decodeWire(req.body); err != nil {
 				resp.fail(statusBadRequest, err)
@@ -448,6 +456,10 @@ func serveFront(front pipeline.Front) *frameOps {
 			resp.body = (&queryAnswer{result: res, hit: hit}).appendWire(resp.body)
 		},
 		OpUpdate: func(ctx context.Context, req, resp *frame) {
+			if forwards {
+				forwardUpdate(ctx, router, req, resp)
+				return
+			}
 			var su wire.SealedUpdate
 			if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
 				resp.fail(statusBadRequest, err)

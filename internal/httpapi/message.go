@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"dssp/internal/homeserver"
+	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
@@ -76,6 +77,44 @@ type (
 	countMsg         int      // an invalidation's, an exec update's, a bucket import's or drop's answer
 	emptyMsg         struct{} // a replica apply's answer
 )
+
+// forwardMsg is a sealed statement a router forwards as the bytes it
+// arrived in, with parent — the router's route span's ID — as its parent
+// span, and, for a query, the answer the router passes back unread:
+// decodeWire appends the node's answer body, whatever it holds, to answer.
+// One pooled value is both ends of the call, so forwarding allocates
+// nothing of its own.
+type forwardMsg struct {
+	raw    wire.Raw
+	parent []byte // in id
+	id     [40]byte
+	answer []byte
+}
+
+var forwards = sync.Pool{New: func() any { return new(forwardMsg) }}
+
+// newForward takes a forwardMsg from the pool; release returns it once
+// every call it went out on has returned, after which the hop holds
+// nothing of it.
+func newForward() *forwardMsg { return forwards.Get().(*forwardMsg) }
+
+func (m *forwardMsg) release() {
+	*m = forwardMsg{}
+	forwards.Put(m)
+}
+
+// under sets the route span whose ID the statement goes out under.
+func (m *forwardMsg) under(route obs.Span) *forwardMsg {
+	m.parent = route.AppendID(m.id[:0])
+	return m
+}
+
+func (m *forwardMsg) appendWire(dst []byte) []byte { return m.raw.Append(dst, m.parent) }
+
+func (m *forwardMsg) decodeWire(b []byte) error {
+	m.answer = append(m.answer, b...)
+	return nil
+}
 
 // queryAnswer is a node's or router's answer to a sealed query.
 type queryAnswer struct {

@@ -39,8 +39,12 @@ func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedR
 // Update proxies a sealed update through the node's full update pathway
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
+	return p.update(ctx, (*updateMsg)(&su))
+}
+
+func (p NodeProxy) update(ctx context.Context, su message) (int, int, uint64, error) {
 	var resp updateAnswer
-	seq, err := p.frames.call(ctx, OpUpdate, 0, (*updateMsg)(&su), &resp)
+	seq, err := p.frames.call(ctx, OpUpdate, 0, su, &resp)
 	return resp.affected, resp.invalidated, seq, err
 }
 
@@ -49,8 +53,12 @@ func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, 
 // raises its replica-freshness floor. Failures surface in the router's
 // proxy-error counter and are returned to the fan-out's retry path.
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
+	return p.invalidate(ctx, (*updateMsg)(&su), seq)
+}
+
+func (p NodeProxy) invalidate(ctx context.Context, su message, seq uint64) (int, error) {
 	var n countMsg
-	_, err := p.frames.call(ctx, OpInvalidate, seq, (*updateMsg)(&su), &n)
+	_, err := p.frames.call(ctx, OpInvalidate, seq, su, &n)
 	return int(n), err
 }
 
@@ -74,6 +82,83 @@ func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, 
 	var dropped countMsg
 	_, err := p.frames.call(ctx, OpBucketDrop, 0, (*bucketIDsMsg)(&templateIDs), &dropped)
 	return int(dropped), err
+}
+
+// forwardQuery answers a query frame at a router without decoding the
+// query or the node's answer. The router routes the query from its head,
+// read in place from the frame (wire.Raw.ReadQuery); the node is sent the
+// frame's body with only its parent span rewritten, and the node's answer
+// goes back to the client as it came — only the client, which opens the
+// result, decodes it. A query the head reader refuses is bad request, one
+// that does not get through bad gateway, as at any front.
+func forwardQuery(ctx context.Context, r *shard.Router, req, resp *frame) {
+	m := newForward()
+	defer m.release()
+	if err := m.raw.ReadQuery(req.body); err != nil {
+		resp.fail(statusBadRequest, err)
+		return
+	}
+	m.answer = resp.body
+	err := r.RouteQuery(ctx, &m.raw.Head, func(ctx context.Context, b shard.Backend, route obs.Span) error {
+		p, err := proxyOf(b)
+		if err != nil {
+			return err
+		}
+		_, err = p.frames.call(ctx, OpQuery, 0, m.under(route), m)
+		return err
+	})
+	if err != nil {
+		resp.fail(statusBadGateway, err)
+		return
+	}
+	resp.body = m.answer
+}
+
+// forwardUpdate answers an update frame at a router the way forwardQuery
+// does a query: the exec node and every node of the fan-out are sent the
+// frame's body under their own route span. The answers, two counts or one,
+// are read: the router sums the fleet's invalidations.
+func forwardUpdate(ctx context.Context, r *shard.Router, req, resp *frame) {
+	m := newForward()
+	defer m.release()
+	if err := m.raw.ReadUpdate(req.body); err != nil {
+		resp.fail(statusBadRequest, err)
+		return
+	}
+	affected, invalidated, seq, err := r.RouteUpdate(ctx, &m.raw.Head,
+		func(ctx context.Context, b shard.Backend, route obs.Span) (int, int, uint64, error) {
+			p, err := proxyOf(b)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			return p.update(ctx, m.under(route))
+		},
+		func(ctx context.Context, b shard.Backend, route obs.Span, seq uint64) (int, error) {
+			p, err := proxyOf(b)
+			if err != nil {
+				return 0, err
+			}
+			push := newForward() // the pushes go out at once, each under its own span
+			defer push.release()
+			push.raw = m.raw
+			return p.invalidate(ctx, push.under(route), seq)
+		})
+	if err != nil {
+		resp.fail(statusBadGateway, err)
+		return
+	}
+	resp.seq = seq
+	resp.body = (&updateAnswer{affected: affected, invalidated: invalidated}).appendWire(resp.body)
+}
+
+// proxyOf is the node behind one of a router server's backends, every one
+// of which the server built as a NodeProxy (NewRouterServer, ring join).
+func proxyOf(b shard.Backend) (NodeProxy, error) {
+	p, ok := b.(NodeProxy)
+	if !ok {
+		return NodeProxy{}, fmt.Errorf("httpapi: a %T backend cannot be forwarded bytes", b)
+	}
+	return p, nil
 }
 
 // RouterOptions tune a router server: the shard router's own Options,

@@ -47,12 +47,17 @@ func formatSpanID(seq int64) string { return formatID("-s", seq) }
 // stack buffer, so the only allocation is the string itself.
 func formatID(sep string, seq int64) string {
 	var buf [40]byte
-	b := append(buf[:0], tracePrefix...)
+	return string(appendID(buf[:0], sep, seq))
+}
+
+// appendID appends what formatID renders to b.
+func appendID(b []byte, sep string, seq int64) []byte {
+	b = append(b, tracePrefix...)
 	b = append(b, sep...)
 	for pad := int64(100000); pad > seq; pad /= 10 {
 		b = append(b, '0')
 	}
-	return string(strconv.AppendInt(b, seq, 10))
+	return strconv.AppendInt(b, seq, 10)
 }
 
 // SpanRecord is one completed stage of one traced request. ID and Parent
@@ -234,6 +239,16 @@ func (s Span) ID() string {
 		return ""
 	}
 	return formatSpanID(s.seq)
+}
+
+// AppendID appends the span's ID to b, or nothing for a no-op span: ID
+// without the string, for a sender that writes the ID straight into the
+// message it forwards.
+func (s Span) AppendID(b []byte) []byte {
+	if s.tr == nil {
+		return b
+	}
+	return appendID(b, "-s", s.seq)
 }
 
 // WithNode overrides the span's node label (e.g. the router labels its

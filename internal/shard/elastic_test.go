@@ -368,7 +368,7 @@ func stagedFixture(fleet int, su wire.SealedUpdate) (*Router, []*stagedBackend, 
 		backends[i] = staged[i]
 	}
 	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()), Options{})
-	exec := r.Planner().ExecNode(su)
+	exec := r.Planner().ExecNode(su.Head())
 	staged[exec].entered, staged[exec].release = make(chan struct{}, fleet), make(chan struct{})
 	return r, staged, exec
 }
@@ -438,7 +438,7 @@ func TestRouterConcurrentUpdatesSameTraceID(t *testing.T) {
 func TestRouterLeaveDuringUpdate(t *testing.T) {
 	su := wire.SealedUpdate{TemplateID: "U2", TraceID: "t-mid"}
 	r, staged, exec := stagedFixture(3, su)
-	targets, _ := r.Planner().Targets(su) // the plan the update runs under
+	targets, _ := r.Planner().Targets(su.TemplateID) // the plan the update runs under
 
 	type outcome struct {
 		invalidated int
@@ -535,7 +535,7 @@ func TestRouterJoinDuringUpdateCopiesNoStaleEntry(t *testing.T) {
 	}
 	// An unknown template broadcasts, so from gets a push unless it executes.
 	su := wire.SealedUpdate{TemplateID: "FORGED-0"}
-	for i := 1; r.Planner().ExecNode(su) == from; i++ {
+	for i := 1; r.Planner().ExecNode(su.Head()) == from; i++ {
 		su.TemplateID = fmt.Sprintf("FORGED-%d", i)
 	}
 	backs[from].entered, backs[from].release = make(chan struct{}, 1), make(chan struct{})
@@ -643,7 +643,7 @@ func (f *flakyBackend) Query(ctx context.Context, sq wire.SealedQuery) (wire.Sea
 func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
 	analysis := core.Analyze(apps.Toystore(), core.DefaultOptions())
 	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x003", TraceID: "t-flaky"}
-	owner := NewPlanner(2, analysis).NoteQuery(sq)
+	owner := NewPlanner(2, analysis).NoteQuery(sq.Head())
 	flaky := &flakyBackend{nFail: 1}
 	flaky.hit = true
 	backends := []Backend{&fakeBackend{}, &fakeBackend{}}

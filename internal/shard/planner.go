@@ -107,7 +107,7 @@ func NewPlanner(n int, analysis *core.Analysis) *Planner {
 
 // templateOwner returns the node owning a query template's bucket on a
 // ring.
-func templateOwner(r *Ring, id string) int { return r.Owner("tmpl\x00" + id) }
+func templateOwner(r *Ring, id string) int { return ownerOf(r, "tmpl\x00", id) }
 
 // ownersFor computes the per-update-template target node sets under one
 // ring.
@@ -173,14 +173,15 @@ func (p *Planner) OwnerOfTemplate(id string) int {
 	return templateOwner(p.ring, id)
 }
 
-// NoteQuery returns the node that owns a sealed query, recording blind
-// traffic so later updates know which hidden buckets exist where.
-func (p *Planner) NoteQuery(sq wire.SealedQuery) int {
-	if sq.TemplateID != "" {
-		return p.OwnerOfTemplate(sq.TemplateID)
+// NoteQuery returns the node that owns a sealed query, by its head,
+// recording blind traffic so later updates know which hidden buckets exist
+// where.
+func (p *Planner) NoteQuery(h wire.Head) int {
+	if h.TemplateID != "" {
+		return p.OwnerOfTemplate(h.TemplateID)
 	}
 	p.mu.RLock()
-	ni := p.ring.Owner("blind\x00" + sq.Key)
+	ni := ownerOf(p.ring, "blind\x00", h.Key)
 	p.mu.RUnlock()
 	p.NoteBlind(ni)
 	return ni
@@ -201,19 +202,19 @@ func (p *Planner) NoteBlind(ni int) {
 	p.mu.Unlock()
 }
 
-// ExecNode returns the node that forwards a sealed update to the home
-// server. Any deterministic choice is correct (the home server executes
-// the update wherever it arrives from); spreading by template — or by the
+// ExecNode returns the node that forwards a sealed update, by its head, to
+// the home server. Any deterministic choice is correct (the home server
+// executes the update wherever it arrives from); spreading by template — or by the
 // opaque ciphertext when the template is hidden, which deterministic
 // encryption keeps stable per statement — keeps update forwarding load
 // off any single node.
-func (p *Planner) ExecNode(su wire.SealedUpdate) int {
+func (p *Planner) ExecNode(h wire.Head) int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	if su.TemplateID == "" {
-		return p.ring.Owner("blindu\x00" + string(su.Opaque))
+	if h.TemplateID == "" {
+		return ownerOf(p.ring, "blindu\x00", h.Opaque)
 	}
-	return p.ring.Owner("upd\x00" + su.TemplateID)
+	return ownerOf(p.ring, "upd\x00", h.TemplateID)
 }
 
 // StageRebalance stages a membership change to a new member set and
@@ -270,18 +271,18 @@ func (p *Planner) AbortRebalance() {
 }
 
 // Targets returns the sorted set of nodes whose caches a completed update
-// must be monitored on, and whether the plan is a blind broadcast (hidden
-// or unknown update template — every node must see it). The exec node is
-// not implicitly included: callers that route the update's execution
+// of template updateID must be monitored on, and whether the plan is a
+// blind broadcast (a hidden or unknown template — every node must see it).
+// The exec node is not implicitly included: callers that route the update's execution
 // through a node's own update pathway get that node's invalidation for
 // free and fan the rest out. During a staged rebalance the set is the
 // union over both rings, so entries already streamed to their next owner
 // never miss an invalidation.
-func (p *Planner) Targets(su wire.SealedUpdate) (nodes []int, broadcast bool) {
+func (p *Planner) Targets(updateID string) (nodes []int, broadcast bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	owned, known := p.owners[su.TemplateID]
-	if su.TemplateID == "" || !known {
+	owned, known := p.owners[updateID]
+	if updateID == "" || !known {
 		set := make(map[int]bool)
 		for _, m := range p.ring.members {
 			set[m] = true
@@ -293,7 +294,7 @@ func (p *Planner) Targets(su wire.SealedUpdate) (nodes []int, broadcast bool) {
 		}
 		return sortedSet(set), true
 	}
-	stagedOwned := p.stagedOwners[su.TemplateID] // nil when not staged
+	stagedOwned := p.stagedOwners[updateID] // nil when not staged
 	set := make(map[int]bool, len(owned)+len(stagedOwned)+len(p.blindSeen))
 	for _, n := range owned {
 		set[n] = true

@@ -115,8 +115,14 @@ func (r *Ring) Contains(node int) bool {
 
 // Owner maps a key to its owning node: the first virtual point at or
 // after the key's hash, wrapping around.
-func (r *Ring) Owner(key string) int {
-	h := hash64(key)
+func (r *Ring) Owner(key string) int { return r.owner(mix(fnv(fnvOffset, key))) }
+
+// ownerOf is r.Owner(prefix + string(key)), without building the key.
+func ownerOf[K string | []byte](r *Ring, prefix string, key K) int {
+	return r.owner(mix(fnv(fnv(fnvOffset, prefix), key)))
+}
+
+func (r *Ring) owner(h uint64) int {
 	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= h })
 	if i == len(r.hashes) {
 		i = 0
@@ -127,15 +133,23 @@ func (r *Ring) Owner(key string) int {
 // hash64 hashes a key onto the ring. Raw FNV-1a disperses short, similar
 // strings ("node-0-rep-1", template IDs) poorly — their hashes cluster in
 // a narrow band, which collapses the ring onto one node — so the FNV
-// value is passed through a 64-bit avalanche finalizer to spread it over
-// the full space. The FNV loop is inlined (offset basis and prime from
-// hash/fnv) so routing a key never touches the allocator.
-func hash64(s string) uint64 {
-	x := uint64(14695981039346656037)
+// value is passed through a 64-bit avalanche finalizer (mix) to spread it
+// over the full space. The FNV loop is inlined (offset basis and prime
+// from hash/fnv) so routing a key never touches the allocator; FNV runs
+// byte by byte, so a key hashed in parts hashes as their concatenation.
+func hash64(s string) uint64 { return mix(fnv(fnvOffset, s)) }
+
+const fnvOffset = uint64(14695981039346656037)
+
+func fnv[K string | []byte](x uint64, s K) uint64 {
 	for i := 0; i < len(s); i++ {
 		x ^= uint64(s[i])
 		x *= 1099511628211
 	}
+	return x
+}
+
+func mix(x uint64) uint64 {
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

@@ -230,55 +230,74 @@ func (r *Router) proxyError(kind string) {
 	r.count(obs.MRouterProxyErrors, obs.L(obs.LKind, kind))
 }
 
-// routeQuery resolves a sealed query's target node. Template traffic
-// follows the current ring. Blind traffic consults the blind-key cache
-// first: a remembered key keeps going to the node that built its entry
-// for as long as that node is live, so a ring change doesn't orphan warm
-// blind entries; the pin is re-recorded as blind-seen so invalidation
-// fan-out keeps covering it.
-func (r *Router) routeQuery(sq wire.SealedQuery) int {
-	if sq.TemplateID != "" || r.blind == nil {
-		return r.planner.NoteQuery(sq)
+// routeQuery resolves a query's target node. Template traffic follows the
+// current ring. Blind traffic consults the blind-key cache first: a
+// remembered key keeps going to the node that built its entry for as long
+// as that node is live, so a ring change doesn't orphan warm blind
+// entries; the pin is re-recorded as blind-seen so invalidation fan-out
+// keeps covering it.
+func (r *Router) routeQuery(h *wire.Head) int {
+	if h.TemplateID != "" || r.blind == nil {
+		return r.planner.NoteQuery(*h)
 	}
-	if ni, ok := r.blind.Lookup(sq.Key, r.planner.IsMember); ok {
+	if ni, ok := r.blind.Lookup(h.Key, r.planner.IsMember); ok {
 		r.count(obs.MRouterBlindCacheHits)
 		r.planner.NoteBlind(ni)
 		return ni
 	}
 	r.count(obs.MRouterBlindCacheMiss)
-	ni := r.planner.NoteQuery(sq)
-	r.blind.Put(sq.Key, ni)
+	ni := r.planner.NoteQuery(*h)
+	r.blind.Put(h.Key, ni)
 	return ni
 }
 
-// queryNode runs one proxied query attempt against a node, with its own
-// route span and latency sample.
-func (r *Router) queryNode(ctx context.Context, ni int, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+// queryNode runs one routed query attempt against its owning node, with
+// its own route span and latency sample.
+func (r *Router) queryNode(ctx context.Context, h *wire.Head, send func(context.Context, Backend, obs.Span) error) error {
+	ni := r.routeQuery(h)
 	b := r.backend(ni)
 	if b == nil {
-		return wire.SealedResult{}, false, fmt.Errorf("shard: node %d has no live backend", ni)
+		return fmt.Errorf("shard: node %d has no live backend", ni)
 	}
-	sp := r.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageRoute, obs.Tmpl(sq.TemplateID)).
+	sp := r.tracer.StartSpan(h.TraceID, h.ParentSpan, obs.StageRoute, obs.Tmpl(h.TemplateID)).
 		WithNode(strconv.Itoa(ni))
-	if id := sp.ID(); id != "" {
-		sq.ParentSpan = id
-	}
 	start := r.now()
-	res, hit, err := b.Query(ctx, sq)
+	err := send(ctx, b, sp)
 	sp.End()
 	r.observeNode(ni, obs.KindQuery, start)
-	return res, hit, err
+	return err
 }
 
 // Query proxies the sealed query to its owning node and reports that
-// node's hit or miss. Queries are idempotent, so a failed proxy gets the
-// same single retry-with-backoff the invalidation fan-out already enjoys
-// — after re-resolving the owner, since the failure may be a membership
-// change (a just-joined node's listener still coming up, a killed node)
-// that a re-route fixes outright.
-func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+// node's hit or miss.
+func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (res wire.SealedResult, hit bool, err error) {
+	h := sq.Head()
+	err = r.RouteQuery(ctx, &h, func(ctx context.Context, b Backend, route obs.Span) (err error) {
+		q := sq
+		q.ParentSpan = parentSpan(route, sq.ParentSpan)
+		res, hit, err = b.Query(ctx, q)
+		return err
+	})
+	if err != nil {
+		return wire.SealedResult{}, false, err
+	}
+	return res, hit, nil
+}
+
+// RouteQuery routes the query whose routing fields are h, and send
+// carries it to the owning node's backend b: Query for a caller that holds
+// the statement some other way than as a wire.SealedQuery — a router
+// serving frames forwards the bytes it was sent. route is the router's
+// span for the hop, whose ID is the statement's parent span from there on
+// (a no-op span has none, and the statement keeps its own). The router
+// keeps h's strings in its spans and its blind-key cache. Queries are
+// idempotent, so a failed send gets one retry with backoff — after
+// re-resolving the owner, since the failure may be a membership change (a
+// just-joined node's listener still coming up, a killed node) that a
+// re-route fixes outright.
+func (r *Router) RouteQuery(ctx context.Context, h *wire.Head, send func(ctx context.Context, b Backend, route obs.Span) error) error {
 	start := r.now()
-	res, hit, err := r.queryNode(ctx, r.routeQuery(sq), sq)
+	err := r.queryNode(ctx, h, send)
 	if err != nil && ctx.Err() == nil {
 		r.count(obs.MRouterQueryRetries)
 		t := time.NewTimer(r.backoff)
@@ -288,49 +307,78 @@ func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedRes
 			t.Stop()
 		}
 		if ctx.Err() == nil {
-			res, hit, err = r.queryNode(ctx, r.routeQuery(sq), sq)
+			err = r.queryNode(ctx, h, send)
 		}
 	}
 	if err != nil {
 		r.proxyError(obs.KindQuery)
-		return wire.SealedResult{}, false, err
+		return err
 	}
-	r.request(obs.KindQuery, sq.TemplateID, start)
-	return res, hit, nil
+	r.request(obs.KindQuery, h.TemplateID, start)
+	return nil
 }
 
 // Update routes the update through one node's full update pathway (home
 // execution plus that node's own invalidation) and, once that node reports
 // it confirmed, fans its invalidation out. invalidated is the fleet-wide
-// count. A failed exec means the update was never confirmed, so no fan-out
-// follows. No membership change stages between the exec and the fan-out.
+// count.
 func (r *Router) Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error) {
+	routed := func(route obs.Span) wire.SealedUpdate {
+		u := su
+		u.ParentSpan = parentSpan(route, su.ParentSpan)
+		return u
+	}
+	h := su.Head()
+	return r.RouteUpdate(ctx, &h,
+		func(ctx context.Context, b Backend, route obs.Span) (int, int, uint64, error) {
+			return b.Update(ctx, routed(route))
+		},
+		func(ctx context.Context, b Backend, route obs.Span, seq uint64) (int, error) {
+			return b.Invalidate(ctx, routed(route), seq)
+		})
+}
+
+// RouteUpdate is Update for a caller that carries the statement itself,
+// as RouteQuery is Query: exec takes it through the exec node's full
+// update pathway, and push, run on several nodes at once, is the
+// fan-out's invalidation of the update confirmed at home sequence seq. A
+// failed exec means the update was never confirmed, so no fan-out
+// follows. No membership change stages between the exec and the fan-out.
+func (r *Router) RouteUpdate(ctx context.Context, h *wire.Head,
+	exec func(ctx context.Context, b Backend, route obs.Span) (affected, invalidated int, seq uint64, err error),
+	push func(ctx context.Context, b Backend, route obs.Span, seq uint64) (invalidated int, err error),
+) (affected, invalidated int, seq uint64, err error) {
 	start := r.now()
 	r.migMu.RLock()
 	defer r.migMu.RUnlock()
-	exec := r.planner.ExecNode(su)
-	b := r.backend(exec)
+	ni := r.planner.ExecNode(*h)
+	b := r.backend(ni)
 	if b == nil {
 		r.proxyError(obs.KindUpdate)
-		return 0, 0, 0, fmt.Errorf("shard: exec node %d has no live backend", exec)
+		return 0, 0, 0, fmt.Errorf("shard: exec node %d has no live backend", ni)
 	}
-	esu := su
-	sp := r.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageRoute, obs.Tmpl(su.TemplateID)).
-		WithNode(strconv.Itoa(exec))
-	if id := sp.ID(); id != "" {
-		esu.ParentSpan = id
-	}
+	sp := r.tracer.StartSpan(h.TraceID, h.ParentSpan, obs.StageRoute, obs.Tmpl(h.TemplateID)).
+		WithNode(strconv.Itoa(ni))
 	nodeStart := r.now()
-	affected, invalidated, seq, err = b.Update(ctx, esu)
+	affected, invalidated, seq, err = exec(ctx, b, sp)
 	sp.End()
-	r.observeNode(exec, obs.KindUpdate, nodeStart)
+	r.observeNode(ni, obs.KindUpdate, nodeStart)
 	if err != nil {
 		r.proxyError(obs.KindUpdate)
 		return 0, 0, 0, err
 	}
-	invalidated += r.fanOut(su, exec, seq)
-	r.request(obs.KindUpdate, su.TemplateID, start)
+	invalidated += r.fanOut(h, push, ni, seq)
+	r.request(obs.KindUpdate, h.TemplateID, start)
 	return affected, invalidated, seq, nil
+}
+
+// parentSpan is a statement's parent span past the router: the route
+// span's ID, or its own parent when the span is a no-op.
+func parentSpan(route obs.Span, own string) string {
+	if id := route.ID(); id != "" {
+		return id
+	}
+	return own
 }
 
 // fanOut pushes one update, confirmed at home sequence seq through node
@@ -341,8 +389,8 @@ func (r *Router) Update(ctx context.Context, su wire.SealedUpdate) (affected, in
 // captured before the goroutines start, so a node leaving mid-batch still
 // receives this batch's push (its pipeline outlives its membership by
 // exactly the in-flight work).
-func (r *Router) fanOut(su wire.SealedUpdate, exec int, seq uint64) int {
-	targets, broadcast := r.planner.Targets(su)
+func (r *Router) fanOut(h *wire.Head, push func(context.Context, Backend, obs.Span, uint64) (int, error), exec int, seq uint64) int {
+	targets, broadcast := r.planner.Targets(h.TemplateID)
 	if broadcast && r.broadcasts != nil {
 		r.broadcasts.Inc()
 	}
@@ -364,14 +412,10 @@ func (r *Router) fanOut(su wire.SealedUpdate, exec int, seq uint64) int {
 		r.sem <- struct{}{}
 		go func() {
 			defer func() { <-r.sem; wg.Done() }()
-			fsu := su
-			sp := r.tracer.StartSpan(fsu.TraceID, fsu.ParentSpan, obs.StageRoute, obs.Tmpl(fsu.TemplateID)).
+			sp := r.tracer.StartSpan(h.TraceID, h.ParentSpan, obs.StageRoute, obs.Tmpl(h.TemplateID)).
 				WithNode(strconv.Itoa(ni))
-			if id := sp.ID(); id != "" {
-				fsu.ParentSpan = id
-			}
 			start := r.now()
-			inv, err := b.Invalidate(context.Background(), fsu, seq)
+			inv, err := push(context.Background(), b, sp, seq)
 			sp.End()
 			r.observeNode(ni, obs.KindInvalidate, start)
 			if err != nil {

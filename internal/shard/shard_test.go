@@ -58,16 +58,38 @@ func TestRingGrowthMovesKeysOnlyToNewNode(t *testing.T) {
 	}
 }
 
+// A key hashed in parts lands where the whole key does, so routing a blind
+// statement by prefix and sealed key moves nothing; and it builds no key:
+// the planner routes a blind query or update without allocating.
+func TestRingOwnerOfParts(t *testing.T) {
+	r := NewRing(5)
+	for i := 0; i < 1000; i++ {
+		key := fmt.Sprintf("sealed-key-%d-%s", i, strconv.Itoa(i*i))
+		if got, want := ownerOf(r, "blind\x00", key), r.Owner("blind\x00"+key); got != want {
+			t.Fatalf("key %q: in parts %d, whole %d", key, got, want)
+		}
+		if got, want := ownerOf(r, "blindu\x00", []byte(key)), r.Owner("blindu\x00"+key); got != want {
+			t.Fatalf("payload %q: in parts %d, whole %d", key, got, want)
+		}
+	}
+	p := NewPlanner(4, core.Analyze(apps.Toystore(), core.DefaultOptions()))
+	blindQuery := wire.Head{Key: "a sealed lookup key longer than any stack buffer for a string"}
+	blindUpdate := wire.Head{Opaque: make([]byte, 96)}
+	if n := testing.AllocsPerRun(100, func() { p.NoteQuery(blindQuery); p.ExecNode(blindUpdate) }); n != 0 {
+		t.Errorf("routing a blind query and update: %v allocations, want 0", n)
+	}
+}
+
 func TestAffinityOwnership(t *testing.T) {
 	p := NewPlanner(4, core.Analyze(apps.Toystore(), core.DefaultOptions()))
 	exposed := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear"}
-	if got, want := p.NoteQuery(exposed), p.OwnerOfTemplate("Q1"); got != want {
+	if got, want := p.NoteQuery(exposed.Head()), p.OwnerOfTemplate("Q1"); got != want {
 		t.Errorf("exposed query owner %d, template owner %d; template affinity broken", got, want)
 	}
 	// Blind queries spread by sealed key: same key -> same node, and the
 	// template owner is irrelevant (the router cannot see the template).
 	blind := wire.SealedQuery{TemplateID: "", Key: "tok-abc"}
-	if got := p.NoteQuery(blind); got != p.NoteQuery(blind) {
+	if got := p.NoteQuery(blind.Head()); got != p.NoteQuery(blind.Head()) {
 		t.Error("blind query owner not deterministic")
 	}
 }
@@ -82,7 +104,7 @@ func TestPlannerTargetsMatchAnalysis(t *testing.T) {
 	pruned := 0
 	for _, u := range app.Updates {
 		su := wire.SealedUpdate{TemplateID: u.ID}
-		targets, broadcast := p.Targets(su)
+		targets, broadcast := p.Targets(su.TemplateID)
 		if broadcast {
 			t.Fatalf("%s: known template must not broadcast", u.ID)
 		}
@@ -117,9 +139,9 @@ func TestPlannerBlindSeenJoinsEveryPlan(t *testing.T) {
 	p := NewPlanner(4, analysis)
 
 	blind := wire.SealedQuery{TemplateID: "", Key: "blind-token-1"}
-	ni := p.NoteQuery(blind)
+	ni := p.NoteQuery(blind.Head())
 	for _, u := range app.Updates {
-		targets, _ := p.Targets(wire.SealedUpdate{TemplateID: u.ID})
+		targets, _ := p.Targets(u.ID)
 		found := false
 		for _, n := range targets {
 			if n == ni {
@@ -136,7 +158,7 @@ func TestPlannerUnknownTemplateBroadcasts(t *testing.T) {
 	app := apps.Toystore()
 	p := NewPlanner(3, core.Analyze(app, core.DefaultOptions()))
 	for _, id := range []string{"", "FORGED-TEMPLATE"} {
-		targets, broadcast := p.Targets(wire.SealedUpdate{TemplateID: id})
+		targets, broadcast := p.Targets(id)
 		if !broadcast {
 			t.Errorf("template %q: want broadcast fallback", id)
 		}
@@ -268,8 +290,8 @@ func TestRouterQueryRoutesToOwner(t *testing.T) {
 func TestRouterUpdateFanOut(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u1"}
-	exec := r.Planner().ExecNode(su)
-	targets, _ := r.Planner().Targets(su)
+	exec := r.Planner().ExecNode(su.Head())
+	targets, _ := r.Planner().Targets(su.TemplateID)
 
 	_, invalidated, _, err := r.Update(context.Background(), su)
 	if err != nil {
@@ -310,7 +332,7 @@ func TestRouterUpdateFanOut(t *testing.T) {
 func TestRouterFanOutCarriesConfirmedSeq(t *testing.T) {
 	r, fakes, _ := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "FORGED"} // unknown template: every node is a target
-	exec := r.Planner().ExecNode(su)
+	exec := r.Planner().ExecNode(su.Head())
 	for want := uint64(1); want <= 3; want++ {
 		_, _, seq, err := r.Update(context.Background(), su)
 		if err != nil {
@@ -339,8 +361,8 @@ func TestRouterFanOutCarriesConfirmedSeq(t *testing.T) {
 func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-down"}
-	exec := r.Planner().ExecNode(su)
-	targets, _ := r.Planner().Targets(su)
+	exec := r.Planner().ExecNode(su.Head())
+	targets, _ := r.Planner().Targets(su.TemplateID)
 
 	var down int = -1
 	for _, n := range targets {
@@ -384,7 +406,7 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 func TestRouterQueryNodeDown(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
 	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x001", TraceID: "t-qd"}
-	owner := r.Planner().NoteQuery(sq)
+	owner := r.Planner().NoteQuery(sq.Head())
 	fakes[owner].fail = errors.New("connection refused")
 
 	if _, _, err := r.Query(context.Background(), sq); err == nil {
@@ -398,7 +420,7 @@ func TestRouterQueryNodeDown(t *testing.T) {
 func TestRouterForgedTemplateBroadcasts(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
 	su := wire.SealedUpdate{TemplateID: "FORGED", TraceID: "t-forged"}
-	exec := r.Planner().ExecNode(su)
+	exec := r.Planner().ExecNode(su.Head())
 
 	if _, _, _, err := r.Update(context.Background(), su); err != nil {
 		t.Fatal(err)
@@ -447,7 +469,7 @@ func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
 	count := func(node int, kind string) int64 {
 		return reg.Histogram(obs.MRouterNodeSeconds, obs.L(obs.LKind, kind), obs.L(obs.LNode, strconv.Itoa(node))).Count()
 	}
-	owner, exec := r.Planner().OwnerOfTemplate("Q1"), r.Planner().ExecNode(su)
+	owner, exec := r.Planner().OwnerOfTemplate("Q1"), r.Planner().ExecNode(su.Head())
 	if got := count(owner, obs.KindQuery); got != 3 {
 		t.Errorf("node %d query observations = %d, want 3", owner, got)
 	}
@@ -463,7 +485,7 @@ func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
 			total += m.Count
 		}
 	}
-	targets, _ := r.Planner().Targets(su)
+	targets, _ := r.Planner().Targets(su.TemplateID)
 	invalidated := 0
 	for _, n := range targets {
 		if n != exec {

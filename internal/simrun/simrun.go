@@ -305,7 +305,7 @@ func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done 
 			// broadcasts, the pre-scale-out model.
 			targets := make([]int, 0, len(t.pipes))
 			if t.planner != nil {
-				planned, _ := t.planner.Targets(su)
+				planned, _ := t.planner.Targets(su.TemplateID)
 				for _, oi := range planned {
 					if oi != t.self {
 						targets = append(targets, oi)
@@ -636,7 +636,7 @@ func Simulate(cfg Config) (*Result, error) {
 				panic(err)
 			}
 			if planner != nil {
-				ni = planner.NoteQuery(sq)
+				ni = planner.NoteQuery(sq.Head())
 			}
 			clientDelay(cfg.Costs.RequestBytes, func() {
 				nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
@@ -663,7 +663,7 @@ func Simulate(cfg Config) (*Result, error) {
 			panic(err)
 		}
 		if planner != nil {
-			ni = planner.ExecNode(su)
+			ni = planner.ExecNode(su.Head())
 		}
 		clientDelay(cfg.Costs.RequestBytes, func() {
 			nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {

@@ -190,6 +190,78 @@ func decodeSealed(b []byte, trace, key bool) (f sealedFields, rest []byte, err e
 	return f, rest, nil
 }
 
+// Raw is a sealed statement, in its WithTrace form, kept as the bytes it
+// arrived in: what a router forwards without decoding it. Its Head is
+// copied out — the strings in one allocation, so they may be kept — but
+// Opaque, and the message Append copies from, alias the input: a Raw is
+// valid only as long as the buffer it was read from.
+type Raw struct {
+	Head
+	msg          []byte
+	parent, rest int // the parent span field, length included, is msg[parent:rest]
+}
+
+// ReadQuery reads into r the one sealed query b holds, in place. It
+// accepts exactly what DecodeSealedQuery(b, WithTrace) accepts with no
+// bytes left.
+func (r *Raw) ReadQuery(b []byte) error { return r.read(b, true) }
+
+// ReadUpdate reads into r the one sealed update b holds, in place. It
+// accepts exactly what DecodeSealedUpdate accepts with no bytes left.
+func (r *Raw) ReadUpdate(b []byte) error { return r.read(b, false) }
+
+// read fills r in place rather than returning a Raw: a router reads a
+// statement deep in a goroutine per frame, whose stack a copy of Raw in
+// every frame on the way would grow.
+func (r *Raw) read(b []byte, key bool) error {
+	*r = Raw{}
+	_, head, end, err := measureSealed(b, WithTrace, key)
+	if err != nil {
+		return err
+	}
+	if end != len(b) {
+		return errMalformed
+	}
+	// What measureSealed accepted: no step below can fail.
+	arena := string(b[:head])
+	copyOf := func(str, after []byte) string {
+		e := end - len(after)
+		return arena[e-len(str) : e]
+	}
+	r.msg = b
+	var str []byte
+	p := b[1:]
+	str, p, _ = splitString(p)
+	r.TraceID, r.parent = copyOf(str, p), end-len(p)
+	str, p, _ = splitString(p)
+	r.ParentSpan, r.rest = copyOf(str, p), end-len(p)
+	str, p, _ = splitString(p)
+	r.TemplateID = copyOf(str, p)
+	_, p, _ = Uvarint(p)
+	n, p, _ := decodeCount(p)
+	for i := 0; i < n; i++ {
+		_, _, p, _ = splitValue(p)
+	}
+	if key {
+		str, p, _ = splitString(p)
+		r.Key = copyOf(str, p)
+	}
+	r.Opaque, _, _ = splitString(p)
+	return nil
+}
+
+// Append appends the statement to dst as it arrived, but with parentSpan
+// in its parent span field; an empty parentSpan leaves the field as it was.
+func (r *Raw) Append(dst, parentSpan []byte) []byte {
+	if len(parentSpan) == 0 {
+		return append(dst, r.msg...)
+	}
+	dst = append(dst, r.msg[:r.parent]...)
+	dst = binary.AppendUvarint(dst, uint64(len(parentSpan)))
+	dst = append(dst, parentSpan...)
+	return append(dst, r.msg[r.rest:]...)
+}
+
 // Result tags of the sealed-result grammar.
 const (
 	resultNone   = 0

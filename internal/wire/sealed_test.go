@@ -421,6 +421,97 @@ func FuzzDecodeSealedUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeSealedUpdate(t, b) })
 }
 
+// checkReadRaw holds the in-place readers to the decoders on one input:
+// ReadQuery and ReadUpdate accept exactly what DecodeSealedQuery (WithTrace)
+// and DecodeSealedUpdate accept with nothing left over; the head is the
+// decoded statement's, and its strings do not alias the input; Append
+// without a parent gives the input back, and with one the statement
+// re-encoded under that parent.
+func checkReadRaw(t *testing.T, b []byte) {
+	t.Helper()
+	sq, rest, err := DecodeSealedQuery(b, WithTrace)
+	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, sq.Head(), wholeMessage(rest, err), func(parent string) []byte {
+		sq.ParentSpan = parent
+		return AppendSealedQuery(nil, &sq, WithTrace)
+	})
+	su, rest, err := DecodeSealedUpdate(b)
+	checkRaw(t, "ReadUpdate", b, (*Raw).ReadUpdate, su.Head(), wholeMessage(rest, err), func(parent string) []byte {
+		su.ParentSpan = parent
+		return AppendSealedUpdate(nil, &su)
+	})
+}
+
+func wholeMessage(rest []byte, err error) error {
+	if err == nil && len(rest) != 0 {
+		return errMalformed
+	}
+	return err
+}
+
+func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error, want Head, wantErr error, reencode func(parent string) []byte) {
+	t.Helper()
+	in := bytes.Clone(b)
+	var r Raw
+	err := read(&r, in)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s(%x): err %v, the decoder: %v", name, b, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if !bytes.Equal(r.Opaque, want.Opaque) {
+		t.Fatalf("%s(%x): opaque %x, decoded %x", name, b, r.Opaque, want.Opaque)
+	}
+	if got := r.Append(nil, nil); !bytes.Equal(got, b) {
+		t.Fatalf("%s(%x): Append without a parent gives %x", name, b, got)
+	}
+	if got, want := r.Append(nil, []byte("router-s000042")), reencode("router-s000042"); !bytes.Equal(got, want) {
+		t.Fatalf("%s(%x): Append under a parent gives %x, re-encoded %x", name, b, got, want)
+	}
+	clear(in)
+	got := r.Head
+	got.Opaque, want.Opaque = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s(%x): head %+v, decoded %+v (after the input was cleared)", name, b, got, want)
+	}
+}
+
+// TestReadRawMatchesDecoders runs checkReadRaw on the corpus and every
+// truncation of it, and pins what reading in place costs: one allocation,
+// the head's strings, where decoding takes three.
+func TestReadRawMatchesDecoders(t *testing.T) {
+	for _, b := range append(sealedQueryForms(t), sealedUpdateForm(t)...) {
+		for n := 0; n <= len(b); n++ {
+			checkReadRaw(t, b[:n])
+		}
+	}
+	sq, su, _ := sealedAt(t, template.ExpStmt)
+	q, u := AppendSealedQuery(nil, &sq, WithTrace), AppendSealedUpdate(nil, &su)
+	var r Raw
+	for name, read := range map[string]func() error{
+		"ReadQuery":  func() error { return r.ReadQuery(q) },
+		"ReadUpdate": func() error { return r.ReadUpdate(u) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := read(); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 1 {
+			t.Errorf("%s: %v allocations, want <= 1", name, n)
+		}
+	}
+}
+
+// FuzzReadRaw runs checkReadRaw on arbitrary input: the reader a router
+// runs on every statement it forwards never panics and accepts exactly
+// what the decoders do.
+func FuzzReadRaw(f *testing.F) {
+	for _, b := range append(sealedQueryForms(f), sealedUpdateForm(f)...) {
+		f.Add(b)
+	}
+	f.Fuzz(checkReadRaw)
+}
+
 func seedSealed(f *testing.F, enc func(sq SealedQuery, su SealedUpdate, sr SealedResult) []byte) {
 	f.Add([]byte{})
 	for _, exp := range allExposures {

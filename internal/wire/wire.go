@@ -109,6 +109,24 @@ type SealedUpdate struct {
 	Opaque     []byte
 }
 
+// Head is what a router reads of a sealed statement: the fields it routes
+// and traces by. The parameters and the payload it only forwards.
+type Head struct {
+	TraceID, ParentSpan, TemplateID string
+	Key                             string // a query's lookup key; "" for an update
+	Opaque                          []byte // the payload: a blind update is routed by it
+}
+
+// Head returns sq's routing fields.
+func (sq *SealedQuery) Head() Head {
+	return Head{TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID, Key: sq.Key, Opaque: sq.Opaque}
+}
+
+// Head returns su's routing fields.
+func (su *SealedUpdate) Head() Head {
+	return Head{TraceID: su.TraceID, ParentSpan: su.ParentSpan, TemplateID: su.TemplateID, Opaque: su.Opaque}
+}
+
 // SealedResult is a query result as cached by the DSSP: plaintext at view
 // exposure, ciphertext otherwise.
 type SealedResult struct {
