@@ -307,8 +307,8 @@ func refusal(req *frame, err error) (st status, bad bool) {
 }
 
 // frameWindow bounds the frames one connection may have in flight at a
-// server: with that many being answered, the read loop stops reading
-// until one is.
+// server: with that many being answered, the read loop reads no further
+// frame until one is. It bounds the connection's workers too (dispatch).
 const frameWindow = 256
 
 // frameWriteTimeout bounds one answer's write at a server: a peer that has
@@ -362,7 +362,8 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &serverConn{
 		nc: nc, ops: s.ops, reg: s.reg, gate: gate, ctx: ctx, cancel: cancel,
-		window: make(chan struct{}, frameWindow), streams: make(map[uint32]struct{}),
+		window: make(chan struct{}, frameWindow), handoff: make(chan *serverCall),
+		streams: make(map[uint32]struct{}),
 	}
 	if !conns.add(c) {
 		cancel()
@@ -432,34 +433,38 @@ func headerHasToken(h http.Header, name, token string) bool {
 	return false
 }
 
-// serverConn is one upgraded connection at the server: a read loop, and a
-// goroutine per frame in flight answering it.
+// serverConn is one upgraded connection at the server: a read loop, and
+// the workers that answer the frames it reads, each parked between frames.
 type serverConn struct {
-	nc     net.Conn
-	ops    *frameOps
-	reg    *obs.Registry
-	gate   func(Op) // nil: ungated
-	ctx    context.Context
-	cancel context.CancelFunc
-	window chan struct{} // one slot per frame in flight
+	nc      net.Conn
+	ops     *frameOps
+	reg     *obs.Registry
+	gate    func(Op) // nil: ungated
+	ctx     context.Context
+	cancel  context.CancelFunc
+	window  chan struct{}    // one slot per frame in flight
+	handoff chan *serverCall // unbuffered: a frame passes only to a parked worker
+	workers int              // started; the read loop's alone
 
 	wmu sync.Mutex // one frame written at a time
 
 	mu       sync.Mutex
 	streams  map[uint32]struct{} // stream IDs in flight
-	busy     sync.WaitGroup
+	busy     sync.WaitGroup      // the workers
 	stopping atomic.Bool
 }
 
 // serve is the read loop: it reads frames until the peer goes, the
-// framing breaks or stop is called, answering each on its own goroutine,
-// then waits for the answers in flight and closes the connection. When the
-// peer went away it cancels the in-flight statements' context first, as a
-// server cancels the request of a client that disconnected; stop lets them
-// finish. done runs last.
+// framing breaks or stop is called, each once a window slot is free, and
+// hands each to a worker; then it lets the workers go, waits for the
+// answers in flight and closes the connection. When the peer went away it
+// cancels the in-flight statements' context first, as a server cancels the
+// request of a client that disconnected; stop lets them finish. done runs
+// last.
 func (c *serverConn) serve(r *bufio.Reader, done func()) {
 	defer done()
 	for {
+		c.window <- struct{}{}
 		x := serverCalls.Get().(*serverCall)
 		err := readFrame(r, &x.req, &x.in, dirRequest)
 		if err == nil && x.req.status != statusOK {
@@ -469,6 +474,7 @@ func (c *serverConn) serve(r *bufio.Reader, done func()) {
 			err = errDuplicateStream
 		}
 		if err != nil {
+			<-c.window
 			goOn := c.refuse(x, err)
 			x.release()
 			if goOn {
@@ -476,16 +482,44 @@ func (c *serverConn) serve(r *bufio.Reader, done func()) {
 			}
 			break
 		}
-		c.window <- struct{}{}
-		c.busy.Add(1)
-		go c.answer(x)
+		c.dispatch(x)
 	}
+	close(c.handoff)
 	if !c.stopping.Load() {
 		c.cancel()
 	}
 	c.busy.Wait()
 	c.nc.Close()
 	c.cancel()
+}
+
+// dispatch hands x, which holds a window slot, to a parked worker, and
+// starts one only when none is parked. With frameWindow workers started it
+// waits for one instead: the slot x holds leaves at most frameWindow-1 of
+// them answering, so one is on its way back to park. A worker answers
+// frame after frame on the stack it has grown, so a frame costs neither a
+// goroutine nor the growth of a fresh one's stack.
+func (c *serverConn) dispatch(x *serverCall) {
+	select {
+	case c.handoff <- x:
+		return
+	default:
+	}
+	if c.workers == frameWindow {
+		c.handoff <- x
+		return
+	}
+	c.workers++
+	c.busy.Add(1)
+	go c.work(x)
+}
+
+// work answers x, then each frame handed to it, until the read loop ends.
+func (c *serverConn) work(x *serverCall) {
+	defer c.busy.Done()
+	for ok := true; ok; x, ok = <-c.handoff {
+		c.answer(x)
+	}
 }
 
 // refuse answers a frame the read loop refused, where it can, and reports
@@ -552,7 +586,8 @@ func (x *serverCall) refused(st status, err error) []byte {
 	return finishFrame(x.resp.body, &x.resp)
 }
 
-// answer answers one frame in flight and writes the answer.
+// answer answers one frame in flight, writes the answer and frees the
+// frame's window slot.
 //
 // The handler runs under the connection's context, not one of its own:
 // a sender that gives up on a call withdraws it at its end only, and the
@@ -565,7 +600,6 @@ func (c *serverConn) answer(x *serverCall) {
 	c.mu.Unlock()
 	x.release()
 	<-c.window
-	c.busy.Done()
 }
 
 // write sends one whole frame within frameWriteTimeout. A failed write

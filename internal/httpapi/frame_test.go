@@ -12,9 +12,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sync"
 	"testing"
 	"time"
 
+	"dssp/internal/pipeline"
 	"dssp/internal/template"
 )
 
@@ -222,6 +224,76 @@ func TestFrameFieldsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameAnswersDoNotWaitForEachOther: frames on one connection are
+// answered as their handlers finish, not in the order they came: while the
+// handler of stream 1 is held, stream 2 is answered.
+func TestFrameAnswersDoNotWaitForEachOther(t *testing.T) {
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	srv := startFrameServer(t, &frameOps{OpInvalidate: func(_ context.Context, req, resp *frame) {
+		if req.stream == 1 {
+			<-held
+		}
+		resp.body = appendInt(resp.body, int(req.stream))
+	}})
+	t.Cleanup(release) // before the server's shutdown, which waits for the handler
+	conn := dialFrames(t, srv.URL)
+	conn.send(t, encodeFrame(&frame{op: OpInvalidate, stream: 1}))
+	conn.exchange(t, encodeFrame(&frame{op: OpInvalidate, stream: 2}))
+	release()
+	if f, err := conn.recv(); err != nil || f.stream != 1 {
+		t.Errorf("after its handler returned: stream %d, err %v, want stream 1's answer", f.stream, err)
+	}
+}
+
+// TestFrameWindowHoldsTheNextFrame: with frameWindow handlers of one
+// connection held, the next frame is not read — its handler does not run —
+// until one of them returns; then it is, and every frame is answered.
+func TestFrameWindowHoldsTheNextFrame(t *testing.T) {
+	entered := make(chan uint32, frameWindow+1)
+	held := make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	srv := startFrameServer(t, &frameOps{OpInvalidate: func(_ context.Context, req, resp *frame) {
+		entered <- req.stream
+		<-held
+		resp.body = appendInt(resp.body, 0)
+	}})
+	t.Cleanup(release)
+	conn := dialFrames(t, srv.URL)
+	for stream := uint32(1); stream <= frameWindow+1; stream++ {
+		conn.send(t, encodeFrame(&frame{op: OpInvalidate, stream: stream}))
+	}
+	wait := func() uint32 {
+		select {
+		case stream := <-entered:
+			return stream
+		case <-time.After(10 * time.Second):
+			t.Fatal("a frame inside the window was not handed to a handler")
+			return 0
+		}
+	}
+	for i := 0; i < frameWindow; i++ {
+		if stream := wait(); stream > frameWindow {
+			t.Fatalf("stream %d ran with the window full", stream)
+		}
+	}
+	select {
+	case stream := <-entered:
+		t.Fatalf("stream %d ran while %d handlers held the window", stream, frameWindow)
+	case <-time.After(100 * time.Millisecond):
+	}
+	held <- struct{}{} // one handler returns
+	if stream := wait(); stream != frameWindow+1 {
+		t.Fatalf("after a handler returned, stream %d ran, want %d", stream, frameWindow+1)
+	}
+	release()
+	for i := 0; i <= frameWindow; i++ {
+		if _, err := conn.recv(); err != nil {
+			t.Fatalf("answer %d: %v", i, err)
+		}
+	}
+}
+
 // BenchmarkFrameRoundTrip is one sealed query → query answer through
 // NodeProxy.Query over a framed loopback connection, under the
 // DefaultTimeout every deployment sets, to a handler that decodes the
@@ -244,6 +316,59 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		if hopSink.resp.result, hopSink.resp.hit, err = p.Query(ctx, sq); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNodeUpdate is one sealed update → update answer through
+// NodeProxy.Update, the way a client or a router sends one to a node, over
+// a framed loopback connection under DefaultTimeout, to a handler that
+// decodes the update and answers its counts and sequence. Gated in
+// BENCH_allocs.json.
+func BenchmarkNodeUpdate(b *testing.B) {
+	_, su, _ := sealedAt(b, template.ExpStmt)
+	srv := startFrameServer(b, &frameOps{OpUpdate: func(_ context.Context, req, resp *frame) {
+		if err := (*updateMsg)(&hopSink.su).decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		resp.seq = 7
+		resp.body = (&updateAnswer{affected: 1, invalidated: 2}).appendWire(resp.body)
+	}})
+	p := NewNodeProxy(srv.URL, &http.Client{Timeout: DefaultTimeout}, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, seq, err := p.Update(ctx, su); err != nil || seq != 7 {
+			b.Fatal(seq, err)
+		}
+	}
+}
+
+// BenchmarkExecQueryRoundTrip is a node's miss hop: one sealed query →
+// exec query answer through homeTransport.ExecQuery over a framed loopback
+// connection under DefaultTimeout, to a handler that decodes the query and
+// answers a sealed result the way the home server does. Gated in
+// BENCH_allocs.json.
+func BenchmarkExecQueryRoundTrip(b *testing.B) {
+	sq, _, sr := sealedAt(b, template.ExpStmt)
+	srv := startFrameServer(b, &frameOps{OpExecQuery: func(_ context.Context, req, resp *frame) {
+		if err := (*queryMsg)(&hopSink.sq).decodeWire(req.body); err != nil {
+			resp.fail(statusBadRequest, err)
+			return
+		}
+		resp.body = (&execQueryMsg{Result: sr, Scanned: 1}).appendWire(resp.body)
+	}})
+	t := homeTransport{newHop(&http.Client{Timeout: DefaultTimeout}, srv.URL, nil)}
+	ctx := context.Background()
+	var err error
+	done := func(res pipeline.ExecQueryResult, e error) { hopSink.exec, err = res, e }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if t.ExecQuery(ctx, sq, done); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // persistent frame connection to it — dialed on the first call and again
 // after it dies, and shared by every call in between, however many are in
 // flight. Every exchange between processes — statements, apply batches and
-// bucket migration — leaves through call.
+// bucket migration — leaves through send.
 //
 // A hop dials and upgrades its connection itself, in place of the
 // http.Client's Transport when that is an *http.Transport or nil — the
@@ -84,17 +84,47 @@ func newHop(client *http.Client, base string, reg *obs.Registry) *hop {
 
 // call is one request in flight, pooled with everything it needs: the
 // request frame, the timer that bounds it, and the slot the connection's
-// reader puts the answer in.
+// reader puts the answer in. A call is three steps around it, so that the
+// caller's envelopes stay in its own frame and nothing of the call's own is
+// allocated: takeCall, then the request's envelope appended to out by its
+// concrete type; send, which returns the answer's body; and release, once
+// the caller has decoded the body.
 type call struct {
-	out   []byte        // the request frame: header room, then the envelope
-	timer *time.Timer   // the hop's timeout, re-armed per attempt
-	done  chan struct{} // the answer arrived, or the connection died (capacity 1)
-	resp  frame         // the answer; resp.body lies in in
-	in    *wireBuf
-	err   error // why the connection died before the answer
+	out       []byte        // the request frame: header room, then the envelope
+	timer     *time.Timer   // the hop's timeout, re-armed per attempt
+	done      chan struct{} // the answer arrived, or the connection died (capacity 1)
+	resp      frame         // the answer; resp.body lies in in
+	in        *wireBuf
+	err       error // why the connection died before the answer
+	abandoned bool  // the caller gave up while a reader may still hand the call its answer
 }
 
 var calls = sync.Pool{New: func() any { return &call{timer: stoppedTimer(), done: make(chan struct{}, 1)} }}
+
+// takeCall returns a pooled call whose out holds the frame header's room;
+// the caller appends the request's envelope after it.
+func takeCall() *call {
+	k := calls.Get().(*call)
+	k.out = startFrame(k.out)
+	return k
+}
+
+// release returns k to the pool with the buffer its answer was read into,
+// so the body send returned is gone after it. An abandoned call is left to
+// the collector, never reused: a connection's reader may still be handing
+// it an answer.
+func (k *call) release() {
+	if k.abandoned {
+		return
+	}
+	if k.in != nil {
+		putBuf(k.in)
+	}
+	if cap(k.out) <= maxPooledBuf {
+		k.resp, k.in, k.err = frame{}, nil, nil
+		calls.Put(k)
+	}
+}
 
 func stoppedTimer() *time.Timer {
 	t := time.NewTimer(time.Hour)
@@ -112,21 +142,20 @@ func (k *call) disarm() {
 	}
 }
 
-// call sends req under op, with seq as its staleness value, and decodes
-// the answer into resp; it returns the answer's seq (what it carries per
-// op is in message.go's table). A replica's lag refusal is a
-// *pipeline.LagError; any other refusal an error naming the status and the
-// peer's reason. The hop's timeout bounds the wait unless ctx's deadline
-// is sooner. When the connection fails before the answer arrives, an
-// idempotent op is sent once more — the same envelope, after retryBackoff,
-// on a fresh connection — and counted under http_retries; an answer,
-// whatever it says, is never retried, and neither is an update.
-func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (uint64, error) {
+// send sends the request k holds under op, with seq as its staleness
+// value, and returns the answer's body and seq (what the seq carries per op
+// is in message.go's table); the body is valid until k is released. A
+// replica's lag refusal is a *pipeline.LagError; any other refusal an error
+// naming the status and the peer's reason. The hop's timeout bounds the
+// wait unless ctx's deadline is sooner. When the connection fails before
+// the answer arrives, an idempotent op is sent once more — the same
+// envelope, after retryBackoff, on a fresh connection — and counted under
+// http_retries; an answer, whatever it says, is never retried, and neither
+// is an update.
+func (h *hop) send(ctx context.Context, k *call, op Op, seq uint64) ([]byte, uint64, error) {
 	if h.err != nil {
-		return 0, fmt.Errorf("httpapi: %s: %w", h.target, h.err)
+		return nil, 0, fmt.Errorf("httpapi: %s: %w", h.target, h.err)
 	}
-	k := calls.Get().(*call)
-	k.out = req.appendWire(startFrame(k.out))
 	lost, keep, err := h.attempt(ctx, k, op, seq)
 	if lost && h.retry && opTable[op].idempotent && ctx.Err() == nil {
 		if h.reg != nil {
@@ -140,15 +169,34 @@ func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (u
 			backoff.Stop()
 		}
 	}
-	var answered uint64
-	if err == nil {
-		answered, err = h.open(k, op, resp)
+	k.abandoned = !keep
+	if err != nil {
+		return nil, 0, err
 	}
-	if keep && cap(k.out) <= maxPooledBuf {
-		k.resp, k.in, k.err = frame{}, nil, nil
-		calls.Put(k)
+	return h.open(k, op)
+}
+
+// decoded is the error of decoding an answer's body, naming the peer.
+func (h *hop) decoded(err error) error {
+	if err != nil {
+		return fmt.Errorf("httpapi: %s: response: %w", h.target, err)
 	}
-	return answered, err
+	return nil
+}
+
+// call is takeCall, send and release in one, for the exchanges whose
+// envelopes may go to the heap as message interfaces: the bucket
+// migration ops, which are rare and carry many entries. It decodes the
+// answer into resp and returns its seq.
+func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (uint64, error) {
+	k := takeCall()
+	defer k.release()
+	k.out = req.appendWire(k.out)
+	body, answered, err := h.send(ctx, k, op, seq)
+	if err != nil {
+		return 0, err
+	}
+	return answered, h.decoded(resp.decodeWire(body))
 }
 
 // attempt sends k's frame once, on the hop's connection, and waits for the
@@ -157,6 +205,11 @@ func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (u
 // up on an answer a reader may still be handing over, so k must not go back
 // to the pool.
 func (h *hop) attempt(ctx context.Context, k *call, op Op, seq uint64) (lost, keep bool, err error) {
+	if err := ctx.Err(); err != nil {
+		// A write under a deadline already past would fail, and a failed
+		// write kills the connection every other call is on.
+		return false, true, fmt.Errorf("httpapi: %s: %w", h.target, err)
+	}
 	if h.rt != nil {
 		if lost, err = h.roundTrip(ctx, k, op, seq); err != nil {
 			err = fmt.Errorf("httpapi: %s: %w", h.target, err)
@@ -249,25 +302,21 @@ func (h *hop) roundTrip(ctx context.Context, k *call, op Op, seq uint64) (lost b
 	return false, nil
 }
 
-// open reads the answer k holds: resp decoded from an ok body and the
-// answer's seq, a lag refusal as a *pipeline.LagError, any other refusal
-// as an error quoting the peer. An answer under another op than the call's
-// is refused whatever its body: the op is what names the body's grammar.
-func (h *hop) open(k *call, op Op, resp message) (uint64, error) {
-	defer putBuf(k.in)
+// open reads the answer k holds: an ok answer's body and seq, a lag
+// refusal as a *pipeline.LagError, any other refusal as an error quoting
+// the peer. An answer under another op than the call's is refused whatever
+// its body: the op is what names the body's grammar.
+func (h *hop) open(k *call, op Op) ([]byte, uint64, error) {
 	f := &k.resp
 	switch {
 	case f.op != op:
-		return 0, fmt.Errorf("httpapi: %s: a %v call was answered as %v", h.target, op, f.op)
+		return nil, 0, fmt.Errorf("httpapi: %s: a %v call was answered as %v", h.target, op, f.op)
 	case f.status == statusOK:
-		if err := resp.decodeWire(f.body); err != nil {
-			return 0, fmt.Errorf("httpapi: %s: response: %w", h.target, err)
-		}
-		return f.seq, nil
+		return f.body, f.seq, nil
 	case f.status == statusLag:
-		return 0, &pipeline.LagError{Applied: f.seq}
+		return nil, 0, &pipeline.LagError{Applied: f.seq}
 	default:
-		return 0, fmt.Errorf("httpapi: %s: %v: %s", h.target, f.status, bytes.TrimSpace(f.body))
+		return nil, 0, fmt.Errorf("httpapi: %s: %v: %s", h.target, f.status, bytes.TrimSpace(f.body))
 	}
 }
 

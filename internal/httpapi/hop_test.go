@@ -692,3 +692,97 @@ func TestOversizedAnswerFailsOnlyItsCall(t *testing.T) {
 		t.Errorf("the update in flight beside the oversized answer: %v", err)
 	}
 }
+
+// TestCallPastItsDeadlineLeavesTheConnection: a call whose deadline has
+// already passed fails without writing — a write under that deadline would
+// fail and take the connection down — so an update in flight on the same
+// connection, which could not be resent, is still answered.
+func TestCallPastItsDeadlineLeavesTheConnection(t *testing.T) {
+	_, su, sr := sealedAt(t, template.ExpStmt)
+	entered, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	t.Cleanup(release)
+	peer := newFakePeer(t, func(req *frame) []byte {
+		if req.op == OpUpdate {
+			close(entered)
+			<-held
+		}
+		return answerFor(req, sr)
+	})
+	p := NewNodeProxy(peer.url, nil, nil)
+	updated := make(chan error, 1)
+	go func() {
+		_, _, _, err := p.Update(context.Background(), su)
+		updated <- err
+	}()
+	<-entered
+	past, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := p.Invalidate(past, su, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("a call past its deadline: err %v", err)
+	}
+	release()
+	if err := <-updated; err != nil {
+		t.Errorf("the update in flight beside it: %v", err)
+	}
+	if n := peer.connections(); n != 1 {
+		t.Errorf("%d connections dialed, want 1", n)
+	}
+}
+
+// TestAbandonedCallsAreNeverReused runs calls on one connection whose
+// callers give up at about the time their answers arrive (run it under
+// -race). A call given up on while the connection's reader was handing it
+// its answer is never taken from the pool again, and every answer a caller
+// gets is its own: each carries back the seq its call went out with.
+func TestAbandonedCallsAreNeverReused(t *testing.T) {
+	srv := startFrameServer(t, &frameOps{OpInvalidate: func(_ context.Context, req, resp *frame) {
+		time.Sleep(time.Duration(req.seq%4) * 250 * time.Microsecond)
+		resp.body = appendInt(resp.body, int(req.seq))
+	}})
+	h := newHop(nil, srv.URL, nil)
+	defer h.close()
+	var (
+		abandoned        sync.Map // *call → true
+		next             atomic.Uint64
+		answered, gaveUp atomic.Int64
+		wg               sync.WaitGroup
+	)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 250; i++ {
+				seq := next.Add(1)
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(seq%5)*500*time.Microsecond)
+				k := takeCall()
+				if _, ok := abandoned.Load(k); ok {
+					t.Error("an abandoned call was taken from the pool again")
+				}
+				k.out = append(k.out, byte(seq))
+				body, _, err := h.send(ctx, k, OpInvalidate, seq)
+				cancel()
+				if k.abandoned {
+					abandoned.Store(k, true)
+				}
+				if err == nil {
+					var n countMsg
+					if err := n.decodeWire(body); err != nil || uint64(n) != seq {
+						t.Errorf("the call with seq %d was answered %d (err %v)", seq, n, err)
+					}
+					answered.Add(1)
+				} else {
+					gaveUp.Add(1)
+				}
+				k.release()
+			}
+		}()
+	}
+	wg.Wait()
+	if answered.Load() == 0 || gaveUp.Load() == 0 {
+		t.Errorf("%d calls answered, %d given up: the test wants both", answered.Load(), gaveUp.Load())
+	}
+	n := 0
+	abandoned.Range(func(any, any) bool { n++; return true })
+	t.Logf("%d answered, %d given up, %d of them while their answer was being handed over", answered.Load(), gaveUp.Load(), n)
+}

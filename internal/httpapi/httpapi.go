@@ -39,7 +39,7 @@
 // travel inside the sealed message (wire.WithTrace), so one statement can
 // be followed from client through node to home server.
 //
-// Every frame between processes is sent by hop.call (hop.go) and answered
+// Every frame between processes is sent by hop.send (hop.go) and answered
 // by one frame dispatcher (frameOps.answer, frame.go).
 package httpapi
 
@@ -334,16 +334,37 @@ type NodeServer struct {
 type homeTransport struct{ home *hop }
 
 func (t homeTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
-	var res pipeline.ExecQueryResult
-	_, err := t.home.call(ctx, OpExecQuery, 0, (*queryMsg)(&sq), (*execQueryMsg)(&res))
-	done(res, err)
+	done(execQuery(ctx, t.home, &sq, 0))
 }
 
 func (t homeTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
-	var res pipeline.ExecUpdateResult
-	var err error
-	res.Seq, err = t.home.call(ctx, OpExecUpdate, 0, (*updateMsg)(&su), (*countMsg)(&res.Affected))
-	done(res, err)
+	done(execUpdate(ctx, t.home, &su))
+}
+
+// execUpdate sends one exec update to a home primary over h.
+func execUpdate(ctx context.Context, h *hop, su *wire.SealedUpdate) (res pipeline.ExecUpdateResult, err error) {
+	k := takeCall()
+	defer k.release()
+	k.out = (*updateMsg)(su).appendWire(k.out)
+	var body []byte
+	if body, res.Seq, err = h.send(ctx, k, OpExecUpdate, 0); err == nil {
+		err = h.decoded((*countMsg)(&res.Affected).decodeWire(body))
+	}
+	return res, err
+}
+
+// execQuery sends one exec query to a home primary or replica over h, with
+// floor — the node's freshness floor, 0 for a primary — as its staleness
+// value; a replica's answer carries its applied watermark, a primary's 0.
+func execQuery(ctx context.Context, h *hop, sq *wire.SealedQuery, floor uint64) (res pipeline.ExecQueryResult, err error) {
+	k := takeCall()
+	defer k.release()
+	k.out = (*queryMsg)(sq).appendWire(k.out)
+	var body []byte
+	if body, res.Applied, err = h.send(ctx, k, OpExecQuery, floor); err == nil {
+		err = h.decoded((*execQueryMsg)(&res).decodeWire(body))
+	}
+	return res, err
 }
 
 // NodeOptions tune a node server beyond its wiring.

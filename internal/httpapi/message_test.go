@@ -9,6 +9,7 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
+	"dssp/internal/pipeline"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -257,7 +258,9 @@ func FuzzDecodeMessage(f *testing.F) {
 // compiler cannot drop the work.
 var hopSink struct {
 	sq   wire.SealedQuery
+	su   wire.SealedUpdate
 	resp queryAnswer
+	exec pipeline.ExecQueryResult
 }
 
 // BenchmarkHopCodec is one sealed query → query answer exchange with no

@@ -240,7 +240,7 @@ func (h *ReplicaHub) run(st *replicaStream) {
 		// bounds it whatever client the hub was given — one without a
 		// Timeout included — so a hung replica cannot hold Close up.
 		ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
-		applied, err := st.apply.call(ctx, OpReplicaApply, 0, (*applyMsg)(&batch), emptyMsg{})
+		applied, err := st.push(ctx, batch)
 		cancel()
 		if err != nil {
 			if h.reg != nil {
@@ -258,6 +258,19 @@ func (h *ReplicaHub) run(st *replicaStream) {
 		h.mu.Unlock()
 		h.cond.Broadcast()
 	}
+}
+
+// push sends one apply batch and returns the watermark the replica
+// answers.
+func (st *replicaStream) push(ctx context.Context, batch applyMsg) (uint64, error) {
+	k := takeCall()
+	defer k.release()
+	k.out = batch.appendWire(k.out)
+	body, applied, err := st.apply.send(ctx, k, OpReplicaApply, 0)
+	if err == nil {
+		err = st.apply.decoded(emptyMsg{}.decodeWire(body))
+	}
+	return applied, err
 }
 
 // fitApplyBatch trims batch to the longest prefix whose encoding fits one
@@ -357,8 +370,5 @@ func newReplicaProxy(client *http.Client, url string, reg *obs.Registry) replica
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
-	var res pipeline.ExecQueryResult
-	var err error
-	res.Applied, err = p.query.call(ctx, OpExecQuery, minSeq, (*queryMsg)(&sq), (*execQueryMsg)(&res))
-	done(res, err)
+	done(execQuery(ctx, p.query, &sq, minSeq))
 }

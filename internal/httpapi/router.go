@@ -31,20 +31,33 @@ func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy 
 
 // Query proxies a sealed query to the node.
 func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+	k := takeCall()
+	defer k.release()
+	k.out = (*queryMsg)(&sq).appendWire(k.out)
 	var resp queryAnswer
-	_, err := p.frames.call(ctx, OpQuery, 0, (*queryMsg)(&sq), &resp)
+	body, _, err := p.frames.send(ctx, k, OpQuery, 0)
+	if err == nil {
+		err = p.frames.decoded(resp.decodeWire(body))
+	}
 	return resp.result, resp.hit, err
 }
 
 // Update proxies a sealed update through the node's full update pathway
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
-	return p.update(ctx, (*updateMsg)(&su))
+	k := takeCall()
+	k.out = (*updateMsg)(&su).appendWire(k.out)
+	return p.update(ctx, k)
 }
 
-func (p NodeProxy) update(ctx context.Context, su message) (int, int, uint64, error) {
+// update sends the update k holds, and releases k.
+func (p NodeProxy) update(ctx context.Context, k *call) (int, int, uint64, error) {
+	defer k.release()
 	var resp updateAnswer
-	seq, err := p.frames.call(ctx, OpUpdate, 0, su, &resp)
+	body, seq, err := p.frames.send(ctx, k, OpUpdate, 0)
+	if err == nil {
+		err = p.frames.decoded(resp.decodeWire(body))
+	}
 	return resp.affected, resp.invalidated, seq, err
 }
 
@@ -53,12 +66,19 @@ func (p NodeProxy) update(ctx context.Context, su message) (int, int, uint64, er
 // raises its replica-freshness floor. Failures surface in the router's
 // proxy-error counter and are returned to the fan-out's retry path.
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
-	return p.invalidate(ctx, (*updateMsg)(&su), seq)
+	k := takeCall()
+	k.out = (*updateMsg)(&su).appendWire(k.out)
+	return p.invalidate(ctx, k, seq)
 }
 
-func (p NodeProxy) invalidate(ctx context.Context, su message, seq uint64) (int, error) {
+// invalidate sends the update k holds as an invalidation, and releases k.
+func (p NodeProxy) invalidate(ctx context.Context, k *call, seq uint64) (int, error) {
+	defer k.release()
 	var n countMsg
-	_, err := p.frames.call(ctx, OpInvalidate, seq, su, &n)
+	body, _, err := p.frames.send(ctx, k, OpInvalidate, seq)
+	if err == nil {
+		err = p.frames.decoded(n.decodeWire(body))
+	}
 	return int(n), err
 }
 
@@ -84,6 +104,49 @@ func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, 
 	return int(dropped), err
 }
 
+// forward is a sealed statement a router forwards as the bytes it arrived
+// in: its head, read in place, and the fan-out's push for an update, bound
+// to the value once when the pool makes it — a closure made per update
+// would go to the heap, since the fan-out runs it on goroutines of its own.
+type forward struct {
+	raw  wire.Raw
+	push func(ctx context.Context, b shard.Backend, route obs.Span, seq uint64) (int, error)
+}
+
+var forwards = sync.Pool{New: func() any {
+	m := new(forward)
+	m.push = m.invalidate
+	return m
+}}
+
+func newForward() *forward { return forwards.Get().(*forward) }
+
+// release returns m to the pool once every call it went out on has
+// returned.
+func (m *forward) release() {
+	m.raw = wire.Raw{}
+	forwards.Put(m)
+}
+
+// under returns a call holding the statement under route — its parent
+// span rewritten to the route span's ID, every other byte as it came.
+func (m *forward) under(route obs.Span) *call {
+	var id [40]byte
+	k := takeCall()
+	k.out = m.raw.Append(k.out, route.AppendID(id[:0]))
+	return k
+}
+
+// invalidate is the fan-out's push: the update to one more node, under the
+// route span of its own.
+func (m *forward) invalidate(ctx context.Context, b shard.Backend, route obs.Span, seq uint64) (int, error) {
+	p, err := proxyOf(b)
+	if err != nil {
+		return 0, err
+	}
+	return p.invalidate(ctx, m.under(route), seq)
+}
+
 // forwardQuery answers a query frame at a router without decoding the
 // query or the node's answer. The router routes the query from its head,
 // read in place from the frame (wire.Raw.ReadQuery); the node is sent the
@@ -98,20 +161,22 @@ func forwardQuery(ctx context.Context, r *shard.Router, req, resp *frame) {
 		resp.fail(statusBadRequest, err)
 		return
 	}
-	m.answer = resp.body
 	err := r.RouteQuery(ctx, &m.raw.Head, func(ctx context.Context, b shard.Backend, route obs.Span) error {
 		p, err := proxyOf(b)
 		if err != nil {
 			return err
 		}
-		_, err = p.frames.call(ctx, OpQuery, 0, m.under(route), m)
+		k := m.under(route)
+		defer k.release()
+		body, _, err := p.frames.send(ctx, k, OpQuery, 0)
+		if err == nil {
+			resp.body = append(resp.body, body...)
+		}
 		return err
 	})
 	if err != nil {
 		resp.fail(statusBadGateway, err)
-		return
 	}
-	resp.body = m.answer
 }
 
 // forwardUpdate answers an update frame at a router the way forwardQuery
@@ -133,16 +198,7 @@ func forwardUpdate(ctx context.Context, r *shard.Router, req, resp *frame) {
 			}
 			return p.update(ctx, m.under(route))
 		},
-		func(ctx context.Context, b shard.Backend, route obs.Span, seq uint64) (int, error) {
-			p, err := proxyOf(b)
-			if err != nil {
-				return 0, err
-			}
-			push := newForward() // the pushes go out at once, each under its own span
-			defer push.release()
-			push.raw = m.raw
-			return p.invalidate(ctx, push.under(route), seq)
-		})
+		m.push)
 	if err != nil {
 		resp.fail(statusBadGateway, err)
 		return

@@ -211,8 +211,8 @@ func (r *Raw) ReadQuery(b []byte) error { return r.read(b, true) }
 func (r *Raw) ReadUpdate(b []byte) error { return r.read(b, false) }
 
 // read fills r in place rather than returning a Raw: a router reads a
-// statement deep in a goroutine per frame, whose stack a copy of Raw in
-// every frame on the way would grow.
+// statement deep in a frame handler's call chain, whose stack a copy of Raw
+// in every frame on the way would grow.
 func (r *Raw) read(b []byte, key bool) error {
 	*r = Raw{}
 	_, head, end, err := measureSealed(b, WithTrace, key)
