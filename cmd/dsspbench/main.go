@@ -158,9 +158,7 @@ func runScaleout(app, out string, opts experiments.RunOptions) error {
 // HTTP fleet and, when asked, writes the committed benchmark artifact
 // (BENCH_elastic.json shape).
 func runElastic(out string, opts experiments.RunOptions) error {
-	o := experiments.DefaultElasticOptions()
-	o.Seed = opts.Seed
-	r, err := experiments.Elastic(o)
+	r, err := experiments.Elastic(opts.Seed)
 	if err != nil {
 		return err
 	}

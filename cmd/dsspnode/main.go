@@ -48,7 +48,6 @@ func main() {
 	homeReplicas := flag.String("home-replicas", "", "home read-replica base URLs to spread misses across: comma-separated within a partition, ';'-separated between partitions (aligned with -home)")
 	nodeID := flag.String("id", "", "this node's fleet position, labelling its spans in stitched traces")
 	capacity := flag.Int("capacity", 0, "cache capacity in entries (0 = unbounded); when full, entries not hit since they were stored go first, and dssp_cache_ghost_readmits_total counts the misses a slightly larger cache would have served")
-	constraints := flag.Bool("constraints", true, "use integrity constraints in the analysis (§4.5)")
 	monitor := flag.Duration("monitor-interval", 0, "batch invalidation per monitoring interval (0 = invalidate inline per update)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
@@ -72,7 +71,7 @@ func main() {
 	for _, ep := range tier {
 		nReplicas += len(ep.Replicas)
 	}
-	analysis := core.Analyze(app, core.Options{UseIntegrityConstraints: *constraints})
+	analysis := core.Analyze(app, core.DefaultOptions())
 	node := dssp.NewNode(app, analysis, cache.Options{Capacity: *capacity})
 	srv := httpapi.NewNodeServerWithOptions(node, tier[0].Primary, nil, httpapi.NodeOptions{
 		MonitorInterval: *monitor,

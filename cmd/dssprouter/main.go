@@ -14,7 +14,12 @@
 //
 // The node list is ordered: every process fronting the same fleet must
 // pass the same -nodes value, because ownership is derived from the
-// node's position in the list.
+// node's position in the list. An empty or repeated URL exits 2 rather
+// than being dropped or given a second ring position.
+//
+// The router analyzes the application with the same options every node
+// does (core.DefaultOptions), so its fan-out plan and the nodes' own
+// invalidation agree on which templates an update can touch.
 //
 // -nodes only sets the initial fleet. Membership is live: the ring admin
 // endpoints grow and shrink it without a restart, re-deriving ownership
@@ -39,12 +44,13 @@
 // Usage:
 //
 //	dssprouter -app toystore -addr :8399 -nodes http://n0:8400,http://n1:8410
-//	dssprouter -app auction -addr :8399 -nodes http://n0:8400,http://n1:8410,http://n2:8420,http://n3:8430 -max-fanout 8
+//	dssprouter -app auction -addr :8399 -nodes http://n0:8400,http://n1:8410,http://n2:8420,http://n3:8430
 //	dssprouter -app toystore -addr :8399 -nodes http://n0:8400 -pprof localhost:6061
 package main
 
 import (
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
@@ -53,17 +59,12 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/httpapi"
-	"dssp/internal/shard"
 )
 
 func main() {
 	appName := flag.String("app", "toystore", "application: toystore|auction|bboard|bookstore")
 	addr := flag.String("addr", ":8399", "listen address")
 	nodes := flag.String("nodes", "", "comma-separated node base URLs, in fleet order (same order on every router)")
-	maxFanout := flag.Int("max-fanout", 0, "max concurrent invalidation pushes per update (0 = default)")
-	blindCache := flag.Int("blind-cache", 0, "blind-key routing cache entries (0 = default)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "pause before the single query retry after a proxy failure (0 = default)")
-	constraints := flag.Bool("constraints", true, "use integrity constraints in the analysis (must match the nodes)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
@@ -74,22 +75,13 @@ func main() {
 		os.Exit(2)
 	}
 	app := b.App()
-	var urls []string
-	for _, u := range strings.Split(*nodes, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			urls = append(urls, u)
-		}
-	}
-	if len(urls) == 0 {
-		logger.Error("-nodes requires at least one node URL")
+	urls, err := parseNodes(*nodes)
+	if err != nil {
+		logger.Error("bad fleet", "err", err)
 		os.Exit(2)
 	}
-	analysis := core.Analyze(app, core.Options{UseIntegrityConstraints: *constraints})
-	srv := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{Options: shard.Options{
-		MaxFanout:      *maxFanout,
-		BlindCacheSize: *blindCache,
-		RetryBackoff:   *retryBackoff,
-	}})
+	analysis := core.Analyze(app, core.DefaultOptions())
+	srv := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{})
 
 	httpapi.ServePprof(logger, *pprofAddr)
 	logger.Info("DSSP router listening",
@@ -99,4 +91,25 @@ func main() {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
+}
+
+// parseNodes reads -nodes into the fleet's URLs in ring order, refusing an
+// empty or repeated URL: a repeated one would be two ring nodes over one
+// process, and the ring admin endpoints, which know a node by its URL,
+// could name only one of them.
+func parseNodes(nodes string) ([]string, error) {
+	var urls []string
+	seen := make(map[string]bool)
+	for _, u := range strings.Split(nodes, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			return nil, fmt.Errorf("-nodes %q: empty node URL", nodes)
+		}
+		if seen[u] {
+			return nil, fmt.Errorf("-nodes %q: %s named twice", nodes, u)
+		}
+		seen[u] = true
+		urls = append(urls, u)
+	}
+	return urls, nil
 }

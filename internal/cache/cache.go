@@ -6,8 +6,9 @@
 //
 // Per the §2.1 assumption the static analysis relies on ("no query whose
 // result is subject to invalidation by an insertion or a deletion returns
-// an empty result set"), the cache refuses to store empty results; see
-// Options.CacheEmptyResults.
+// an empty result set"), the cache refuses to store empty results: the
+// A = 0 facts the analysis draws from integrity constraints are sound only
+// under it.
 //
 // The cache is safe for concurrent use and built for it: the HTTP
 // deployment serves queries and updates from concurrent handlers. Template
@@ -79,12 +80,6 @@ func (e *Entry) view(app *template.App) invalidate.CachedView {
 
 // Options configures cache behaviour.
 type Options struct {
-	// CacheEmptyResults permits storing empty results. The default
-	// (false) upholds the §2.1 assumption; enabling it is only safe when
-	// the exposure assignment never relies on integrity-constraint-based
-	// A=0 facts.
-	CacheEmptyResults bool
-
 	// Capacity bounds the number of cached entries; when full, entries
 	// that were not hit since they were stored go first (replacement.go).
 	// 0 means unbounded (the paper's configuration).
@@ -425,14 +420,10 @@ func resultLen(r wire.SealedResult) int {
 }
 
 // Store caches a sealed result fetched from the home server. Empty results
-// are rejected unless configured otherwise; encrypted results (whose
-// cardinality the DSSP cannot see) carry an EmptyHint from the trusted
-// side instead.
+// are rejected (§2.1); encrypted results (whose cardinality the DSSP cannot
+// see) carry an EmptyHint from the trusted side instead.
 func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
-	if empty && !c.opts.CacheEmptyResults {
-		return
-	}
-	if n := resultLen(r); n == 0 && !c.opts.CacheEmptyResults {
+	if empty || resultLen(r) == 0 {
 		return
 	}
 	e := newEntry(q, r)

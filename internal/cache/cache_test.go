@@ -83,13 +83,6 @@ func TestEmptyResultsNotCached(t *testing.T) {
 	if c2.Len() != 0 {
 		t.Error("encrypted empty result cached")
 	}
-	// Opt-in permits caching them.
-	c3, codec3, app3 := testStack(t, nil, Options{CacheEmptyResults: true})
-	q3 := app3.Query("Q2")
-	c3.Store(seal(t, codec3, q3, sqlparse.IntVal(5)), codec3.SealResult(q3, result()), true)
-	if c3.Len() != 1 {
-		t.Error("opt-in empty caching ignored")
-	}
 }
 
 func TestOnUpdateTemplateLevel(t *testing.T) {

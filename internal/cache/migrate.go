@@ -103,7 +103,7 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 	imported := 0
 	for i := range sorted {
 		q, r := sorted[i].Query, sorted[i].Result
-		if n := resultLen(r); n == 0 && !c.opts.CacheEmptyResults {
+		if resultLen(r) == 0 {
 			continue // mirror Store's empty-result policy
 		}
 		e := newEntry(q, r)

@@ -6,6 +6,7 @@ import (
 
 	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
+	"dssp/internal/wire"
 )
 
 func TestExportBucketsOrdinalsFollowEvictionOrder(t *testing.T) {
@@ -73,18 +74,14 @@ func TestImportBucketsSkipsExistingAndIsNotAStore(t *testing.T) {
 	}
 }
 
+// No cache can store an empty result, so the migrated one is built by hand:
+// a peer that sends one anyway is refused as Store would refuse it.
 func TestImportBucketsRespectsEmptyResultPolicy(t *testing.T) {
-	src, codec, app := testStack(t, nil, Options{CacheEmptyResults: true})
+	dst, codec, app := testStack(t, nil, Options{})
 	q := app.Query("Q2")
-	sq := seal(t, codec, q, sqlparse.IntVal(9))
-	src.Store(sq, codec.SealResult(q, result()), true)
-	exported := src.ExportBuckets([]string{"Q2"})
-	if len(exported) != 1 {
-		t.Fatalf("exported %d, want the 1 empty-result entry", len(exported))
-	}
-	dst, _, _ := testStack(t, nil, Options{}) // empties not cached here
-	if got := dst.ImportBuckets(exported); got != 0 {
-		t.Errorf("imported %d empty-result entries into a cache that rejects them", got)
+	empty := wire.BucketEntry{Query: seal(t, codec, q, sqlparse.IntVal(9)), Result: codec.SealResult(q, result())}
+	if got := dst.ImportBuckets([]wire.BucketEntry{empty}); got != 0 || dst.Len() != 0 {
+		t.Errorf("imported %d empty-result entries (Len %d); the cache rejects them", got, dst.Len())
 	}
 }
 

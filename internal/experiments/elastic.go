@@ -15,38 +15,22 @@ import (
 	"dssp/internal/template"
 )
 
-// ElasticOptions configures the elastic-fleet recovery experiment.
-type ElasticOptions struct {
-	// IntervalOps is the measurement granularity: hit rate is sampled per
-	// interval of this many driver operations.
-	IntervalOps int
-
-	// SteadyIntervals is how many intervals establish the steady-state
-	// hit rate before each membership event.
-	SteadyIntervals int
-
-	// MaxIntervals bounds how long a recovery is watched before giving up.
-	MaxIntervals int
-
-	// Threshold is the recovery band: recovered means the interval hit
-	// rate is within this much of steady state (the issue's 2%).
-	Threshold float64
-
-	// Seed drives data population and the uniform working-set driver.
-	Seed int64
-}
-
-// DefaultElasticOptions returns the committed BENCH_elastic.json
-// configuration.
-func DefaultElasticOptions() ElasticOptions {
-	return ElasticOptions{
-		IntervalOps:     500,
-		SteadyIntervals: 4,
-		MaxIntervals:    40,
-		Threshold:       0.02,
-		Seed:            1,
-	}
-}
+// The elastic-fleet recovery experiment's shape, as committed in
+// BENCH_elastic.json.
+const (
+	// elasticIntervalOps is the measurement granularity: hit rate is
+	// sampled per interval of this many driver operations.
+	elasticIntervalOps = 500
+	// elasticSteadyIntervals is how many intervals establish the
+	// steady-state hit rate before each membership event.
+	elasticSteadyIntervals = 4
+	// elasticMaxIntervals bounds how long a recovery is watched before
+	// giving up.
+	elasticMaxIntervals = 40
+	// elasticThreshold is the recovery band: recovered means the interval
+	// hit rate is within this much of steady state.
+	elasticThreshold = 0.02
+)
 
 // ElasticPhase is one membership event's measured recovery.
 type ElasticPhase struct {
@@ -72,7 +56,7 @@ type ElasticPhase struct {
 	Epoch          uint64 `json:"epoch"`
 
 	// Rates is the per-interval aggregate hit-rate series from the event
-	// until recovery (or MaxIntervals).
+	// until recovery (or elasticMaxIntervals).
 	Rates []float64 `json:"interval_hit_rates"`
 }
 
@@ -194,32 +178,32 @@ func (f elasticFleet) warm(set []elasticOp) error {
 }
 
 // steady measures the steady-state hit rate as the mean over
-// SteadyIntervals intervals.
-func (f elasticFleet) steady(set []elasticOp, rng *rand.Rand, o ElasticOptions) (float64, error) {
+// elasticSteadyIntervals intervals.
+func (f elasticFleet) steady(set []elasticOp, rng *rand.Rand) (float64, error) {
 	sum := 0.0
-	for i := 0; i < o.SteadyIntervals; i++ {
-		r, _, err := f.interval(set, rng, o.IntervalOps)
+	for i := 0; i < elasticSteadyIntervals; i++ {
+		r, _, err := f.interval(set, rng, elasticIntervalOps)
 		if err != nil {
 			return 0, err
 		}
 		sum += r
 	}
-	return sum / float64(o.SteadyIntervals), nil
+	return sum / elasticSteadyIntervals, nil
 }
 
 // recover watches intervals after a membership event until the hit rate
 // re-enters the threshold band around steady, filling in the phase's
 // recovery fields.
-func (f elasticFleet) recover(set []elasticOp, rng *rand.Rand, o ElasticOptions, ph *ElasticPhase) error {
-	for i := 1; i <= o.MaxIntervals; i++ {
-		rate, misses, err := f.interval(set, rng, o.IntervalOps)
+func (f elasticFleet) recover(set []elasticOp, rng *rand.Rand, ph *ElasticPhase) error {
+	for i := 1; i <= elasticMaxIntervals; i++ {
+		rate, misses, err := f.interval(set, rng, elasticIntervalOps)
 		if err != nil {
 			return err
 		}
 		ph.Rates = append(ph.Rates, rate)
 		ph.EntriesRemissed += misses
 		ph.RecoveryIntervals = i
-		if rate >= ph.SteadyHitRate-o.Threshold {
+		if rate >= ph.SteadyHitRate-elasticThreshold {
 			ph.Recovered = true
 			return nil
 		}
@@ -234,22 +218,20 @@ func (f elasticFleet) recover(set []elasticOp, rng *rand.Rand, o ElasticOptions,
 // seeded fleet it joins the third node cold. Each event reports how many
 // intervals the aggregate hit rate took to climb back within the
 // threshold of steady state, and what the event cost in entries migrated
-// versus re-missed.
-func Elastic(o ElasticOptions) (*ElasticResult, error) {
-	if o.IntervalOps == 0 {
-		o = DefaultElasticOptions()
-	}
+// versus re-missed. seed drives data population and the uniform
+// working-set driver.
+func Elastic(seed int64) (*ElasticResult, error) {
 	res := &ElasticResult{
 		Benchmark:    "bookstore",
 		InitialNodes: 2,
-		IntervalOps:  o.IntervalOps,
-		Threshold:    o.Threshold,
+		IntervalOps:  elasticIntervalOps,
+		Threshold:    elasticThreshold,
 	}
 
 	runEvent := func(f elasticFleet, set []elasticOp, rng *rand.Rand, kind string, fire func() (*shard.MigrationReport, error)) (ElasticPhase, error) {
 		ph := ElasticPhase{Kind: kind}
 		var err error
-		if ph.SteadyHitRate, err = f.steady(set, rng, o); err != nil {
+		if ph.SteadyHitRate, err = f.steady(set, rng); err != nil {
 			return ph, err
 		}
 		rep, err := fire()
@@ -259,21 +241,21 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 		ph.EntriesMigrated = rep.Entries
 		ph.MovedTemplates = rep.Moved
 		ph.Epoch = rep.Epoch
-		if err := f.recover(set, rng, o, &ph); err != nil {
+		if err := f.recover(set, rng, &ph); err != nil {
 			return ph, err
 		}
 		return ph, nil
 	}
 
 	// Fleet A: warm join, then a kill.
-	fa, err := newElasticFleet(2, o.Seed)
+	fa, err := newElasticFleet(2, seed)
 	if err != nil {
 		return nil, err
 	}
 	defer fa.Close()
 	set := elasticWorkingSet(apps.NewBookstore().App())
 	res.WorkingSet = len(set)
-	rng := rand.New(rand.NewSource(o.Seed + 7))
+	rng := rand.New(rand.NewSource(seed + 7))
 	if err := fa.warm(set); err != nil {
 		return nil, err
 	}
@@ -295,12 +277,12 @@ func Elastic(o ElasticOptions) (*ElasticResult, error) {
 	res.Phases = append(res.Phases, kill)
 
 	// Fleet B: the same join, cold — the baseline the warm handoff beats.
-	fb, err := newElasticFleet(2, o.Seed)
+	fb, err := newElasticFleet(2, seed)
 	if err != nil {
 		return nil, err
 	}
 	defer fb.Close()
-	rngB := rand.New(rand.NewSource(o.Seed + 7))
+	rngB := rand.New(rand.NewSource(seed + 7))
 	if err := fb.warm(set); err != nil {
 		return nil, err
 	}

@@ -46,9 +46,14 @@ type Replica struct {
 // the primary's database at sequence 0 (populate both from the same
 // application seed).
 func NewReplica(name string, db *storage.Database, app *template.App, codec *wire.Codec) *Replica {
-	r := &Replica{name: name, srv: homeserver.New(db, app, codec)}
-	r.SetObs(r.srv.Obs(), obs.WallClock())
-	return r
+	srv := homeserver.New(db, app, codec)
+	reg := srv.Obs()
+	return &Replica{
+		name:         name,
+		srv:          srv,
+		appliedGauge: reg.Gauge(obs.MHomeReplicaApplied, obs.L(obs.LReplica, name)),
+		applyErrors:  reg.Counter(obs.MHomeReplicaApplyErrors, obs.L(obs.LReplica, name)),
+	}
 }
 
 // Name identifies the replica in metrics and selection.
@@ -58,15 +63,6 @@ func (r *Replica) Name() string { return r.name }
 // engine then refuses misrouted statements, exactly as the partition's
 // primary does.
 func (r *Replica) SetPartition(part, parts int) { r.srv.SetPartition(part, parts) }
-
-// SetObs redirects the replica's instruments (its engine's, plus the
-// applied-sequence gauge and the apply-error counter) to the given
-// registry and clock.
-func (r *Replica) SetObs(reg *obs.Registry, clock obs.Clock) {
-	r.srv.SetObs(reg, clock)
-	r.appliedGauge = reg.Gauge(obs.MHomeReplicaApplied, obs.L(obs.LReplica, r.name))
-	r.applyErrors = reg.Counter(obs.MHomeReplicaApplyErrors, obs.L(obs.LReplica, r.name))
-}
 
 // Obs returns the registry the replica's instruments live in.
 func (r *Replica) Obs() *obs.Registry { return r.srv.Obs() }

@@ -184,21 +184,6 @@ func (h *hop) decoded(err error) error {
 	return nil
 }
 
-// call is takeCall, send and release in one, for the exchanges whose
-// envelopes may go to the heap as message interfaces: the bucket
-// migration ops, which are rare and carry many entries. It decodes the
-// answer into resp and returns its seq.
-func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (uint64, error) {
-	k := takeCall()
-	defer k.release()
-	k.out = req.appendWire(k.out)
-	body, answered, err := h.send(ctx, k, op, seq)
-	if err != nil {
-		return 0, err
-	}
-	return answered, h.decoded(resp.decodeWire(body))
-}
-
 // attempt sends k's frame once, on the hop's connection, and waits for the
 // answer. lost reports a connection that failed before the answer — the
 // one failure a second attempt can cure. keep is false when the caller gave

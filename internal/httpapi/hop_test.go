@@ -27,6 +27,20 @@ import (
 // redirect, the one idempotent retry, the shape of the upgrade and of a
 // frame, and the one connection every call shares.
 
+// call is takeCall, send and release in one, over message envelopes: it
+// sends req under op and seq, decodes the answer into resp and returns its
+// seq.
+func (h *hop) call(ctx context.Context, op Op, seq uint64, req, resp message) (uint64, error) {
+	k := takeCall()
+	defer k.release()
+	k.out = req.appendWire(k.out)
+	body, answered, err := h.send(ctx, k, op, seq)
+	if err != nil {
+		return 0, err
+	}
+	return answered, h.decoded(resp.decodeWire(body))
+}
+
 // fakePeer is a scripted frame peer on a loopback listener: it upgrades
 // every connection, records the upgrade requests and every request frame,
 // and answers each frame on its own goroutine with what answer returns —

@@ -55,14 +55,8 @@ const (
 
 var errMalformed = errors.New("httpapi: malformed message")
 
-// message is one hop envelope. appendWire appends its body; decodeWire
-// accepts exactly one whole body of its grammar.
-type message interface {
-	appendWire(dst []byte) []byte
-	decodeWire(b []byte) error
-}
-
-// The envelopes. Where a grammar is another package's type, the envelope
+// The envelopes. Each has appendWire, which appends its body, and
+// decodeWire, which accepts exactly one whole body of its grammar. Where a grammar is another package's type, the envelope
 // is that type under a name of its own: the sealed statements, the exec
 // query answer (whose Applied rides the header), the apply batch and the
 // migration grammars.

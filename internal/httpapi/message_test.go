@@ -42,6 +42,14 @@ func sealedAt(t testing.TB, exp template.Exposure) (wire.SealedQuery, wire.Seale
 	return sq, su, codec.SealResult(app.Query("Q2"), res)
 }
 
+// message is what the tests handle every hop envelope as, whatever its
+// grammar: product code appends and decodes each by its concrete type, so
+// that none goes to the heap behind an interface.
+type message interface {
+	appendWire(dst []byte) []byte
+	decodeWire(b []byte) error
+}
+
 // envelopeCase is one populated envelope: the op and way whose grammar it
 // is.
 type envelopeCase struct {

@@ -68,14 +68,15 @@ func (p NodeProxy) update(ctx context.Context, k *call) (int, int, uint64, error
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
 	k := takeCall()
 	k.out = (*updateMsg)(&su).appendWire(k.out)
-	return p.invalidate(ctx, k, seq)
+	return p.count(ctx, k, OpInvalidate, seq)
 }
 
-// invalidate sends the update k holds as an invalidation, and releases k.
-func (p NodeProxy) invalidate(ctx context.Context, k *call, seq uint64) (int, error) {
+// count sends the request k holds under op, whose answer is a count —
+// an invalidation, a bucket import or a bucket drop — and releases k.
+func (p NodeProxy) count(ctx context.Context, k *call, op Op, seq uint64) (int, error) {
 	defer k.release()
 	var n countMsg
-	body, _, err := p.frames.send(ctx, k, OpInvalidate, seq)
+	body, _, err := p.frames.send(ctx, k, op, seq)
 	if err == nil {
 		err = p.frames.decoded(n.decodeWire(body))
 	}
@@ -85,23 +86,29 @@ func (p NodeProxy) invalidate(ctx context.Context, k *call, seq uint64) (int, er
 // ExportBuckets pulls the named template buckets' sealed entries from the
 // node for a warm handoff.
 func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error) {
+	k := takeCall()
+	defer k.release()
+	k.out = (*bucketIDsMsg)(&templateIDs).appendWire(k.out)
 	var entries bucketEntriesMsg
-	_, err := p.frames.call(ctx, OpBucketExport, 0, (*bucketIDsMsg)(&templateIDs), &entries)
+	body, _, err := p.frames.send(ctx, k, OpBucketExport, 0)
+	if err == nil {
+		err = p.frames.decoded(entries.decodeWire(body))
+	}
 	return entries, err
 }
 
 // ImportBuckets pushes migrated sealed entries into the node's cache.
 func (p NodeProxy) ImportBuckets(ctx context.Context, entries []wire.BucketEntry) (int, error) {
-	var imported countMsg
-	_, err := p.frames.call(ctx, OpBucketImport, 0, (*bucketEntriesMsg)(&entries), &imported)
-	return int(imported), err
+	k := takeCall()
+	k.out = (*bucketEntriesMsg)(&entries).appendWire(k.out)
+	return p.count(ctx, k, OpBucketImport, 0)
 }
 
 // DropBuckets removes migrated buckets from the node after the epoch flip.
 func (p NodeProxy) DropBuckets(ctx context.Context, templateIDs []string) (int, error) {
-	var dropped countMsg
-	_, err := p.frames.call(ctx, OpBucketDrop, 0, (*bucketIDsMsg)(&templateIDs), &dropped)
-	return int(dropped), err
+	k := takeCall()
+	k.out = (*bucketIDsMsg)(&templateIDs).appendWire(k.out)
+	return p.count(ctx, k, OpBucketDrop, 0)
 }
 
 // forward is a sealed statement a router forwards as the bytes it arrived
@@ -144,7 +151,7 @@ func (m *forward) invalidate(ctx context.Context, b shard.Backend, route obs.Spa
 	if err != nil {
 		return 0, err
 	}
-	return p.invalidate(ctx, m.under(route), seq)
+	return p.count(ctx, m.under(route), OpInvalidate, seq)
 }
 
 // forwardQuery answers a query frame at a router without decoding the
@@ -217,11 +224,9 @@ func proxyOf(b shard.Backend) (NodeProxy, error) {
 	return p, nil
 }
 
-// RouterOptions tune a router server: the shard router's own Options,
-// and the HTTP client for all node round trips (nil gets a
-// DefaultTimeout-bounded one).
+// RouterOptions tune a router server: the HTTP client for all node round
+// trips (nil gets a DefaultTimeout-bounded one).
 type RouterOptions struct {
-	shard.Options
 	Client *http.Client
 }
 
@@ -261,7 +266,7 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 	for i, url := range nodeURLs {
 		backends[i] = NewNodeProxy(url, client, reg)
 	}
-	router := shard.NewRouter(analysis, backends, tracer, opts.Options)
+	router := shard.NewRouter(analysis, backends, tracer)
 	urls := make(map[string]int, len(nodeURLs))
 	for i, url := range nodeURLs {
 		urls[url] = i

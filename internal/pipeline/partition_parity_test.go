@@ -297,7 +297,7 @@ func runShardedPartitionedInproc(t *testing.T) []nodeState {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = tierFront(nodes[i], tier)
 	}
-	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil)
 	drivePartitionScript(t, "sharded-partitioned", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)
@@ -326,7 +326,7 @@ func runShardedSingleInproc(t *testing.T) []nodeState {
 			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
-	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil)
 	drivePartitionScript(t, "sharded-single", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)

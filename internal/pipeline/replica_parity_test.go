@@ -138,7 +138,7 @@ func runShardedReplicatedInproc(t *testing.T) []nodeState {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = tierFront(nodes[i], tier)
 	}
-	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil)
 	runScript(t, "sharded-replicated", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)

@@ -58,7 +58,7 @@ func runShardedInproc(t *testing.T) []nodeState {
 			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
-	router := shard.NewRouter(analysis, backends, nil, shard.Options{})
+	router := shard.NewRouter(analysis, backends, nil)
 	runScript(t, "sharded", app, &dssp.Client{Codec: codec, Front: router})
 
 	out := make([]nodeState, shardedFleet)

@@ -2,10 +2,10 @@ package shard
 
 import "sync"
 
-// DefaultBlindCacheSize bounds the router's blind-key cache. Each entry
-// is one sealed lookup key and a node index — small — so the default is
-// generous enough to cover a warm blind working set.
-const DefaultBlindCacheSize = 4096
+// blindCacheSize bounds the router's blind-key cache. Each entry is one
+// sealed lookup key and a node index — small — so the bound is generous
+// enough to cover a warm blind working set.
+const blindCacheSize = 4096
 
 // BlindCache pins recently-routed blind sealed lookup keys to the node
 // that served them. Blind traffic has no template affinity — the ring
@@ -35,12 +35,8 @@ type blindEntry struct {
 	prev, next *blindEntry
 }
 
-// NewBlindCache builds a bounded blind-key cache. capacity <= 0 uses
-// DefaultBlindCacheSize.
+// NewBlindCache builds a blind-key cache holding at most capacity pins.
 func NewBlindCache(capacity int) *BlindCache {
-	if capacity <= 0 {
-		capacity = DefaultBlindCacheSize
-	}
 	return &BlindCache{
 		capacity: capacity,
 		entries:  make(map[string]*blindEntry, capacity),

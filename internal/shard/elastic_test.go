@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dssp/internal/apps"
 	"dssp/internal/core"
@@ -115,7 +114,7 @@ func TestBlindCacheBoundedLRU(t *testing.T) {
 }
 
 func TestBlindCacheDropsDeadNodeOnLookup(t *testing.T) {
-	c := NewBlindCache(0)
+	c := NewBlindCache(blindCacheSize)
 	c.Put("tok", 2)
 	dead := func(ni int) bool { return ni != 2 }
 	if _, ok := c.Lookup("tok", dead); ok {
@@ -130,7 +129,7 @@ func TestBlindCacheDropsDeadNodeOnLookup(t *testing.T) {
 }
 
 func TestBlindCacheDropNode(t *testing.T) {
-	c := NewBlindCache(0)
+	c := NewBlindCache(blindCacheSize)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	c.Put("c", 1)
@@ -367,7 +366,7 @@ func stagedFixture(fleet int, su wire.SealedUpdate) (*Router, []*stagedBackend, 
 		staged[i] = &stagedBackend{}
 		backends[i] = staged[i]
 	}
-	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()), Options{})
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, obs.NewTracer(obs.NewRegistry(), obs.WallClock()))
 	exec := r.Planner().ExecNode(su.Head())
 	staged[exec].entered, staged[exec].release = make(chan struct{}, fleet), make(chan struct{})
 	return r, staged, exec
@@ -519,7 +518,7 @@ func (b *invalidatingBackend) Invalidate(ctx context.Context, su wire.SealedUpda
 func TestRouterJoinDuringUpdateCopiesNoStaleEntry(t *testing.T) {
 	ctx := context.Background()
 	backs := []*invalidatingBackend{{}, {}}
-	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{backs[0], backs[1]}, nil, Options{})
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{backs[0], backs[1]}, nil)
 	owners := seedBuckets(r, map[int]*fakeBackend{0: &backs[0].fakeBackend, 1: &backs[1].fakeBackend}, 2)
 
 	// from is the old owner of a bucket the join moves to node 2.
@@ -575,7 +574,7 @@ func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
 	fakes := []*fakeBackend{{invalidated: 1}, {invalidated: 1}}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{fakes[0], fakes[1]}, tracer, Options{RetryBackoff: time.Millisecond})
+	r := NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), []Backend{fakes[0], fakes[1]}, tracer)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -650,7 +649,7 @@ func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
 	backends[owner] = flaky
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	r := NewRouter(analysis, backends, tracer, Options{RetryBackoff: time.Millisecond})
+	r := NewRouter(analysis, backends, tracer)
 
 	_, hit, err := r.Query(context.Background(), sq)
 	if err != nil {

@@ -44,27 +44,13 @@ type Backend interface {
 	DropBuckets(ctx context.Context, templateIDs []string) (int, error)
 }
 
-// DefaultMaxFanout bounds how many invalidation pushes one update issues
+// maxFanout bounds how many invalidation pushes one update issues
 // concurrently.
-const DefaultMaxFanout = 4
+const maxFanout = 4
 
-// DefaultRetryBackoff is the pause before the router's single re-send of
-// a failed idempotent proxied query.
-const DefaultRetryBackoff = 100 * time.Millisecond
-
-// Options tune a Router.
-type Options struct {
-	// MaxFanout caps concurrent invalidation pushes per update batch.
-	// 0 means DefaultMaxFanout.
-	MaxFanout int
-	// BlindCacheSize bounds the router-side blind-key cache (sealed
-	// lookup key → node pins that survive ring changes). 0 means
-	// DefaultBlindCacheSize; negative disables the cache.
-	BlindCacheSize int
-	// RetryBackoff is the pause before the query path's single retry.
-	// 0 means DefaultRetryBackoff.
-	RetryBackoff time.Duration
-}
+// retryBackoff is the pause before the router's single re-send of a
+// failed idempotent proxied query.
+const retryBackoff = 100 * time.Millisecond
 
 // Router steers sealed traffic across a fleet of DSSP nodes. To its
 // caller it is what one node is — Query and Update, the sealed half of
@@ -92,7 +78,6 @@ type Router struct {
 	tracer  *obs.Tracer
 	reg     *obs.Registry
 	sem     chan struct{}
-	backoff time.Duration
 
 	// bmu guards backends, keyed by node ID. IDs are never reused, so a
 	// ring point always refers to at most one backend ever.
@@ -111,7 +96,7 @@ type Router struct {
 	migMu    sync.RWMutex
 	nextNode int
 
-	blind *BlindCache // nil when disabled
+	blind *BlindCache
 
 	fanoutNodes   *obs.Histogram
 	fanoutSkipped *obs.Counter
@@ -134,26 +119,17 @@ type requestKey struct{ kind, tmpl string }
 // NewRouter builds a router, and the Planner that is its ownership map,
 // over a fleet: backends[i] is node i. tracer supplies the clock and
 // registry for the router's instruments; nil disables them.
-func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer, opts Options) *Router {
-	if opts.MaxFanout <= 0 {
-		opts.MaxFanout = DefaultMaxFanout
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = DefaultRetryBackoff
-	}
+func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer) *Router {
 	r := &Router{
 		planner:  NewPlanner(len(backends), analysis),
 		tracer:   tracer,
-		sem:      make(chan struct{}, opts.MaxFanout),
-		backoff:  opts.RetryBackoff,
+		sem:      make(chan struct{}, maxFanout),
 		backends: make(map[int]Backend, len(backends)),
 		nextNode: len(backends),
+		blind:    NewBlindCache(blindCacheSize),
 	}
 	for i, b := range backends {
 		r.backends[i] = b
-	}
-	if opts.BlindCacheSize >= 0 {
-		r.blind = NewBlindCache(opts.BlindCacheSize)
 	}
 	if tracer != nil {
 		r.reg = tracer.Registry()
@@ -237,7 +213,7 @@ func (r *Router) proxyError(kind string) {
 // entries; the pin is re-recorded as blind-seen so invalidation fan-out
 // keeps covering it.
 func (r *Router) routeQuery(h *wire.Head) int {
-	if h.TemplateID != "" || r.blind == nil {
+	if h.TemplateID != "" {
 		return r.planner.NoteQuery(*h)
 	}
 	if ni, ok := r.blind.Lookup(h.Key, r.planner.IsMember); ok {
@@ -300,7 +276,7 @@ func (r *Router) RouteQuery(ctx context.Context, h *wire.Head, send func(ctx con
 	err := r.queryNode(ctx, h, send)
 	if err != nil && ctx.Err() == nil {
 		r.count(obs.MRouterQueryRetries)
-		t := time.NewTimer(r.backoff)
+		t := time.NewTimer(retryBackoff)
 		select {
 		case <-t.C:
 		case <-ctx.Done():
@@ -537,9 +513,7 @@ func (r *Router) Leave(ctx context.Context, node int, warm bool) (*MigrationRepo
 	r.bmu.Lock()
 	delete(r.backends, node)
 	r.bmu.Unlock()
-	if r.blind != nil {
-		r.blind.DropNode(node)
-	}
+	r.blind.DropNode(node)
 	kind := "leave"
 	if !warm {
 		kind = "kill"

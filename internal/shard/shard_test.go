@@ -260,7 +260,7 @@ func routedFixture(t *testing.T, fleet int) (*Router, []*fakeBackend, *obs.Regis
 	}
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracer(reg, obs.WallClock())
-	return NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, tracer, Options{}), fakes, reg
+	return NewRouter(core.Analyze(apps.Toystore(), core.DefaultOptions()), backends, tracer), fakes, reg
 }
 
 func TestRouterQueryRoutesToOwner(t *testing.T) {

@@ -526,7 +526,7 @@ func Simulate(cfg Config) (*Result, error) {
 		for i := range backends {
 			backends[i] = shard.PipeBackend{Buckets: nodes[i].Cache}
 		}
-		router = shard.NewRouter(analysis, backends, nil, shard.Options{BlindCacheSize: -1})
+		router = shard.NewRouter(analysis, backends, nil)
 		planner = router.Planner()
 	}
 

@@ -58,11 +58,15 @@ func AppendSealedQuery(dst []byte, sq *SealedQuery, trace bool) []byte {
 
 // DecodeSealedQuery consumes one sealed query of the given form.
 func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
-	f, rest, err := decodeSealed(b, trace, true)
+	var r Raw
+	end, err := r.walk(b, trace, true)
+	if err != nil {
+		return SealedQuery{}, nil, err
+	}
 	return SealedQuery{
-		Exposure: f.exposure, TraceID: f.traceID, ParentSpan: f.parentSpan,
-		TemplateID: f.templateID, Group: f.group, Params: f.params, Key: f.key, Opaque: f.opaque,
-	}, rest, err
+		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
+		Group: r.group, Params: r.decodeParams(), Key: r.Key, Opaque: cloneOpaque(r.Opaque),
+	}, b[end:], nil
 }
 
 // AppendSealedUpdate appends su to dst.
@@ -76,118 +80,15 @@ func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 
 // DecodeSealedUpdate consumes one sealed update.
 func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
-	f, rest, err := decodeSealed(b, WithTrace, false)
-	return SealedUpdate{
-		Exposure: f.exposure, TraceID: f.traceID, ParentSpan: f.parentSpan,
-		TemplateID: f.templateID, Group: f.group, Params: f.params, Opaque: f.opaque,
-	}, rest, err
-}
-
-// sealedFields is what a sealed query or update decodes to; an update has
-// no key.
-type sealedFields struct {
-	exposure                             template.Exposure
-	traceID, parentSpan, templateID, key string
-	group                                int
-	params                               []sqlparse.Value
-	opaque                               []byte
-}
-
-// measureSealed is pass one of decodeSealed: it checks the front of b
-// against the statement grammar — minimal uvarints, every length and the
-// parameter count bounded by the input left, the group within an int32 —
-// and reports the parameter count, the offset at which the opaque field
-// starts (everything before it is the part the strings lie in) and the
-// offset at which the message ends.
-func measureSealed(b []byte, trace, key bool) (nparams, head, end int, err error) {
-	total := len(b)
-	if total == 0 {
-		return 0, 0, 0, errMalformed
-	}
-	b = b[1:] // exposure
-	lead := 1 // templateID
-	if trace {
-		lead = 3 // traceID, parentSpan, templateID
-	}
-	for i := 0; i < lead; i++ {
-		if _, b, err = splitString(b); err != nil {
-			return 0, 0, 0, errMalformed
-		}
-	}
-	g, b, err := Uvarint(b)
-	if err != nil || g > math.MaxInt32 {
-		return 0, 0, 0, errMalformed
-	}
-	if nparams, b, err = decodeCount(b); err != nil {
-		return 0, 0, 0, errMalformed
-	}
-	for i := 0; i < nparams; i++ {
-		if _, _, b, err = splitValue(b); err != nil {
-			return 0, 0, 0, errMalformed
-		}
-	}
-	if key {
-		if _, b, err = splitString(b); err != nil {
-			return 0, 0, 0, errMalformed
-		}
-	}
-	head = total - len(b)
-	if _, b, err = splitString(b); err != nil {
-		return 0, 0, 0, errMalformed
-	}
-	return nparams, head, total - len(b), nil
-}
-
-// decodeSealed decodes a sealed statement in two passes, the way
-// decodeResult does, so that a message costs three allocations whatever it
-// carries: measureSealed validates and finds the extents, then every string
-// — trace metadata, template ID, key, string parameters — is a substring of
-// one copy of the bytes before the opaque field, the parameters are one
-// slice and the opaque payload one more copy. Nothing returned aliases b;
-// the strings of one message do share their copy, so holding one (a cache
-// entry holds its query's key) holds them all, trace metadata included.
-func decodeSealed(b []byte, trace, key bool) (f sealedFields, rest []byte, err error) {
-	nparams, head, end, err := measureSealed(b, trace, key)
+	var r Raw
+	end, err := r.walk(b, WithTrace, false)
 	if err != nil {
-		return f, nil, err
+		return SealedUpdate{}, nil, err
 	}
-	// Pass two reads what pass one accepted: no step below can fail.
-	arena := string(b[:head])
-	b, rest = b[:end], b[end:]
-	// copyOf maps str, which ends where after begins in b, to its copy.
-	copyOf := func(str, after []byte) string {
-		e := end - len(after)
-		return arena[e-len(str) : e]
-	}
-	f.exposure, b = template.Exposure(b[0]), b[1:]
-	var str []byte
-	if trace {
-		str, b, _ = splitString(b)
-		f.traceID = copyOf(str, b)
-		str, b, _ = splitString(b)
-		f.parentSpan = copyOf(str, b)
-	}
-	str, b, _ = splitString(b)
-	f.templateID = copyOf(str, b)
-	g, b, _ := Uvarint(b)
-	f.group = int(g)
-	_, b, _ = decodeCount(b)
-	if nparams > 0 {
-		f.params = make([]sqlparse.Value, nparams)
-		for i := range f.params {
-			if f.params[i], str, b, _ = splitValue(b); f.params[i].Kind == sqlparse.KindString {
-				f.params[i].Str = copyOf(str, b)
-			}
-		}
-	}
-	if key {
-		str, b, _ = splitString(b)
-		f.key = copyOf(str, b)
-	}
-	if str, _, _ = splitString(b); len(str) > 0 {
-		f.opaque = bytes.Clone(str)
-	}
-	return f, rest, nil
+	return SealedUpdate{
+		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
+		Group: r.group, Params: r.decodeParams(), Opaque: cloneOpaque(r.Opaque),
+	}, b[end:], nil
 }
 
 // Raw is a sealed statement, in its WithTrace form, kept as the bytes it
@@ -195,10 +96,19 @@ func decodeSealed(b []byte, trace, key bool) (f sealedFields, rest []byte, err e
 // copied out — the strings in one allocation, so they may be kept — but
 // Opaque, and the message Append copies from, alias the input: a Raw is
 // valid only as long as the buffer it was read from.
+//
+// Reading a Raw is also the first step of decoding a statement: the
+// decoders add the parameters and a copy of the payload to it.
 type Raw struct {
 	Head
 	msg          []byte
 	parent, rest int // the parent span field, length included, is msg[parent:rest]
+
+	exposure template.Exposure
+	group    int
+	arena    string // the copy the head's strings lie in: msg up to the opaque field
+	nparams  int
+	params   int // the offset in msg at which the parameters start
 }
 
 // ReadQuery reads into r the one sealed query b holds, in place. It
@@ -214,40 +124,114 @@ func (r *Raw) ReadUpdate(b []byte) error { return r.read(b, false) }
 // statement deep in a frame handler's call chain, whose stack a copy of Raw
 // in every frame on the way would grow.
 func (r *Raw) read(b []byte, key bool) error {
+	end, err := r.walk(b, WithTrace, key)
+	if err == nil && end != len(b) {
+		*r = Raw{}
+		err = errMalformed
+	}
+	return err
+}
+
+// walk is the one pass over the grammar: it checks the sealed statement
+// of the given form at the front of b — minimal uvarints, every length and
+// the parameter count bounded by the input left, the group within an
+// int32 — and returns the offset at which it ends. Only an accepted
+// statement fills r, at the cost of one allocation: the head's strings are
+// substrings of one copy of the bytes before the opaque field, and the
+// parameters are left where they lie, for decodeParams. So a decoded
+// statement costs three allocations whatever it carries — that copy, the
+// parameter slice and the payload's copy — and the strings of one
+// statement share their copy: holding one (a cache entry holds its query's
+// key) holds them all, trace metadata included.
+func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
 	*r = Raw{}
-	_, head, end, err := measureSealed(b, WithTrace, key)
+	if len(b) == 0 {
+		return 0, errMalformed
+	}
+	p := b[1:] // exposure
+	at := func() int { return len(b) - len(p) }
+	// Each string is found by its bytes and the offset at which it ends.
+	var traceID, parentSpan, templateID, keyStr []byte
+	var traceEnd, parentEnd int
+	if trace {
+		if traceID, p, err = splitString(p); err != nil {
+			return 0, errMalformed
+		}
+		traceEnd = at()
+		if parentSpan, p, err = splitString(p); err != nil {
+			return 0, errMalformed
+		}
+		parentEnd = at()
+	}
+	if templateID, p, err = splitString(p); err != nil {
+		return 0, errMalformed
+	}
+	templateEnd := at()
+	g, p, err := Uvarint(p)
+	if err != nil || g > math.MaxInt32 {
+		return 0, errMalformed
+	}
+	nparams, p, err := decodeCount(p)
 	if err != nil {
-		return err
+		return 0, errMalformed
 	}
-	if end != len(b) {
-		return errMalformed
-	}
-	// What measureSealed accepted: no step below can fail.
-	arena := string(b[:head])
-	copyOf := func(str, after []byte) string {
-		e := end - len(after)
-		return arena[e-len(str) : e]
-	}
-	r.msg = b
-	var str []byte
-	p := b[1:]
-	str, p, _ = splitString(p)
-	r.TraceID, r.parent = copyOf(str, p), end-len(p)
-	str, p, _ = splitString(p)
-	r.ParentSpan, r.rest = copyOf(str, p), end-len(p)
-	str, p, _ = splitString(p)
-	r.TemplateID = copyOf(str, p)
-	_, p, _ = Uvarint(p)
-	n, p, _ := decodeCount(p)
-	for i := 0; i < n; i++ {
-		_, _, p, _ = splitValue(p)
+	params := at()
+	for i := 0; i < nparams; i++ {
+		if _, _, p, err = splitValue(p); err != nil {
+			return 0, errMalformed
+		}
 	}
 	if key {
-		str, p, _ = splitString(p)
-		r.Key = copyOf(str, p)
+		if keyStr, p, err = splitString(p); err != nil {
+			return 0, errMalformed
+		}
 	}
-	r.Opaque, _, _ = splitString(p)
-	return nil
+	head := at()
+	opaque, p, err := splitString(p)
+	if err != nil {
+		return 0, errMalformed
+	}
+	end = at()
+
+	arena := string(b[:head])
+	copyOf := func(str []byte, end int) string { return arena[end-len(str) : end] }
+	*r = Raw{
+		Head: Head{
+			TraceID: copyOf(traceID, traceEnd), ParentSpan: copyOf(parentSpan, parentEnd),
+			TemplateID: copyOf(templateID, templateEnd), Key: copyOf(keyStr, head), Opaque: opaque,
+		},
+		msg: b[:end], parent: traceEnd, rest: parentEnd,
+		exposure: template.Exposure(b[0]), group: int(g), arena: arena, nparams: nparams, params: params,
+	}
+	return end, nil
+}
+
+// decodeParams returns the parameters walk accepted: one slice, whose
+// string values are substrings of the head's copy; nil when there are
+// none.
+func (r *Raw) decodeParams() []sqlparse.Value {
+	if r.nparams == 0 {
+		return nil
+	}
+	vs := make([]sqlparse.Value, r.nparams)
+	p := r.msg[r.params:]
+	for i := range vs {
+		var str []byte
+		if vs[i], str, p, _ = splitValue(p); vs[i].Kind == sqlparse.KindString {
+			e := len(r.msg) - len(p)
+			vs[i].Str = r.arena[e-len(str) : e]
+		}
+	}
+	return vs
+}
+
+// cloneOpaque copies a statement's payload out of its input; an empty one
+// decodes as nil.
+func cloneOpaque(b []byte) []byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Clone(b)
 }
 
 // Append appends the statement to dst as it arrived, but with parentSpan

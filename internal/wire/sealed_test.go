@@ -137,7 +137,7 @@ func TestSealedDecodersRejectMalformed(t *testing.T) {
 }
 
 // referenceDecodeSealedQuery and referenceDecodeSealedUpdate are the
-// field-by-field decoders decodeSealed replaced, kept verbatim as the
+// field-by-field decoders the one-walk ones replaced, kept verbatim as the
 // reference for what is accepted and what it decodes to: one string per
 // field, one per string parameter.
 func referenceDecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
