@@ -256,9 +256,20 @@ func BenchmarkDeterministicSeal(b *testing.B) {
 	}
 }
 
-func BenchmarkSystemQueryHit(b *testing.B) {
+// BenchmarkSystemQueryHit is one cache hit through the in-process client
+// at the default, view exposure: seal, lookup, and a copy of the cached
+// plaintext result. BenchmarkSystemQueryHitSealed is the same hit at stmt
+// exposure, where the client decrypts and decodes the result instead. Both
+// are gated in BENCH_allocs.json with no headroom.
+func BenchmarkSystemQueryHit(b *testing.B) { benchmarkQueryHit(b, nil) }
+
+func BenchmarkSystemQueryHitSealed(b *testing.B) {
+	benchmarkQueryHit(b, ExposureAssignment{"Q2": ExpStmt})
+}
+
+func benchmarkQueryHit(b *testing.B, exps ExposureAssignment) {
 	app := apps.Toystore()
-	sys, err := NewSystem(app, make([]byte, KeySize), nil)
+	sys, err := NewSystem(app, make([]byte, KeySize), exps)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func main() {
 		SetStore(store)
 	lastTrace := func() string {
 		if ids := store.TraceIDs(1); len(ids) == 1 {
-			return ids[0]
+			return ids[0].String()
 		}
 		return ""
 	}

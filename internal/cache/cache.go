@@ -57,11 +57,10 @@ type Entry struct {
 // newEntry builds the stored form of a result. The query is kept as the
 // DSSP may inspect it, less what belonged to the one request that happened
 // to fetch it: an entry outlives that request, and must not show its trace
-// and span IDs to whoever reads or exports the bucket. (Over HTTP their
-// bytes do stay allocated: a decoded query's strings share one copy of the
-// message's head, which the entry's key holds — wire.decodeSealed.)
+// and span IDs to whoever reads or exports the bucket. The IDs are numbers,
+// so clearing them is all it takes.
 func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
-	q.TraceID, q.ParentSpan = "", ""
+	q.TraceID, q.ParentSpan = obs.TraceID{}, obs.SpanID{}
 	return &Entry{Query: q, Result: r}
 }
 
@@ -127,7 +126,7 @@ type Stats struct {
 // which strategy class, and how many entries it killed (0 = inspected and
 // kept). Trace is the update's trace ID.
 type Decision struct {
-	Trace          string
+	Trace          obs.TraceID
 	UpdateTemplate string // obs.BlindTemplate when hidden
 	QueryTemplate  string // obs.BlindTemplate when hidden
 	Class          string

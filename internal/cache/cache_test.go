@@ -8,6 +8,7 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
 	"dssp/internal/invalidate"
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -171,10 +172,10 @@ func TestEntriesDropRequestMetadata(t *testing.T) {
 	c, codec, app := testStack(t, nil, Options{})
 	q := app.Query("Q2")
 	sq := seal(t, codec, q, sqlparse.IntVal(5))
-	if sq.TraceID == "" {
+	if sq.TraceID.IsZero() {
 		t.Fatal("a sealed query should carry a trace ID (the hazard under test)")
 	}
-	sq.ParentSpan = "client-s000001"
+	sq.ParentSpan = obs.SpanID{Proc: 1, Seq: 1}
 	c.Store(sq, codec.SealResult(q, result(25)), false)
 
 	carried := c.ExportBuckets([]string{"Q2"})
@@ -185,8 +186,8 @@ func TestEntriesDropRequestMetadata(t *testing.T) {
 	}
 	for name, cache := range map[string]*Cache{"stored": c, "imported": dst} {
 		cache.Entries(func(e *Entry) {
-			if e.Query.TraceID != "" || e.Query.ParentSpan != "" {
-				t.Errorf("%s entry keeps trace %q, parent span %q", name, e.Query.TraceID, e.Query.ParentSpan)
+			if !e.Query.TraceID.IsZero() || !e.Query.ParentSpan.IsZero() {
+				t.Errorf("%s entry keeps trace %v, parent span %v", name, e.Query.TraceID, e.Query.ParentSpan)
 			}
 			if e.Query.Key != sq.Key || e.Query.TemplateID != "Q2" || len(e.Query.Params) != 1 {
 				t.Errorf("%s entry lost what the invalidator reads: %+v", name, e.Query)

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/wire"
 )
@@ -78,7 +79,7 @@ func protocolFixture(t *testing.T) (*Cache, wire.SealedQuery, func(id string, pa
 	c.Store(q1, r1, false)
 	// A sealed update with an unknown template: the blind invalidation
 	// path, without needing a blind exposure setup.
-	blind := wire.SealedUpdate{TraceID: "t-blind"}
+	blind := wire.SealedUpdate{TraceID: obs.TraceID{Proc: 1, Seq: 1}}
 	return c, q1, mk, blind
 }
 

@@ -118,7 +118,7 @@ func (c *Cache) dropWholeBucket(id string) int {
 // insert into the map being ranged over, a fatal concurrent map
 // read/write. Deleting the current key during range is defined behaviour,
 // and unlink only takes lruMu, which nests under shard locks.
-func (c *Cache) dropAllBuckets(trace, uLbl string) int {
+func (c *Cache) dropAllBuckets(trace obs.TraceID, uLbl string) int {
 	counts := make(map[string]int)
 	for _, s := range c.shards {
 		s.mu.Lock()

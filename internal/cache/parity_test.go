@@ -220,7 +220,7 @@ func TestWalkMatchesOracleUnderRandomGrouping(t *testing.T) {
 	}
 	mid := &rounds[len(rounds)/2]
 	mid.queue = append([]wire.SealedUpdate{{
-		Exposure: template.ExpStmt, TraceID: "forged", TemplateID: "U99",
+		Exposure: template.ExpStmt, TraceID: forgedTrace, TemplateID: "U99",
 		Params: []sqlparse.Value{sqlparse.IntVal(1)},
 	}}, mid.queue...)
 
@@ -261,7 +261,7 @@ func TestWalkMatchesOracleUnderRandomGrouping(t *testing.T) {
 				classes[d.Class] = true
 				hidden = hidden || (d.QueryTemplate == obs.BlindTemplate && d.Dropped > 0)
 				blindUpdate = blindUpdate || (d.UpdateTemplate == obs.BlindTemplate && d.QueryTemplate != obs.BlindTemplate)
-				forged = forged || d.Trace == "forged"
+				forged = forged || d.Trace == forgedTrace
 			}
 			for _, cl := range []invalidate.Class{invalidate.Blind, invalidate.TemplateInspection, invalidate.StatementInspection, invalidate.ViewInspection} {
 				if !classes[cl.String()] {

@@ -5,6 +5,7 @@ import (
 
 	"dssp/internal/apps"
 	"dssp/internal/invalidate"
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -105,6 +106,10 @@ func TestOnUpdateSkipsAZeroBuckets(t *testing.T) {
 	}
 }
 
+// forgedTrace is the trace of a forged update, so its decisions can be
+// told apart in a log.
+var forgedTrace = obs.TraceID{Proc: 0xf0, Seq: 1}
+
 // TestOnUpdateUnknownTemplateDropsAll: an update claiming a template ID
 // the application does not define (only a byzantine client can produce
 // one) reveals nothing to route by, so the cache must conservatively
@@ -115,7 +120,7 @@ func TestOnUpdateUnknownTemplateDropsAll(t *testing.T) {
 	c.Store(seal(t, codec, app.Query("Q3"), sqlparse.StringVal("15213")), codec.SealResult(app.Query("Q3"), result(7)), false)
 	dropped := c.OnUpdate(wire.SealedUpdate{
 		Exposure:   template.ExpStmt,
-		TraceID:    "forged",
+		TraceID:    forgedTrace,
 		TemplateID: "U99",
 		Params:     []sqlparse.Value{sqlparse.IntVal(1)},
 	})

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/wire"
 )
@@ -121,7 +122,7 @@ func TestConcurrentStress(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					blind := wire.SealedUpdate{TraceID: "stress-blind"}
+					blind := wire.SealedUpdate{TraceID: obs.TraceID{Proc: 1, Seq: 1}}
 					for i := 0; i < blindOps; i++ {
 						c.OnUpdate(blind)
 					}

@@ -16,6 +16,7 @@ import (
 
 	"dssp/internal/cache"
 	"dssp/internal/core"
+	"dssp/internal/engine"
 	"dssp/internal/homeserver"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
@@ -151,7 +152,7 @@ func (c *Client) SealUpdate(t *template.Template, vals []sqlparse.Value) (wire.S
 
 // sealSpan records the seal span of a statement sealed since start and
 // returns its ID.
-func (c *Client) sealSpan(trace string, t *template.Template, start time.Duration) string {
+func (c *Client) sealSpan(trace obs.TraceID, t *template.Template, start time.Duration) obs.SpanID {
 	return c.Tracer.ObserveSpan(obs.SpanRecord{
 		Trace: trace, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
@@ -159,19 +160,26 @@ func (c *Client) sealSpan(trace string, t *template.Template, start time.Duratio
 }
 
 // Open opens the sealed result the untrusted tier returned for sq,
-// recording the open span.
+// recording the open span. The QueryResult and the result it points to
+// are one allocation.
 func (c *Client) Open(t *template.Template, sq wire.SealedQuery, sealed wire.SealedResult, hit bool) (*QueryResult, error) {
-	op := c.Tracer.StartSpan(sq.TraceID, "", obs.StageOpen, t.ID)
-	res, err := c.Codec.OpenResult(sealed)
-	if err != nil {
+	op := c.Tracer.StartSpan(sq.TraceID, obs.SpanID{}, obs.StageOpen, t.ID)
+	out := new(openedResult)
+	if err := c.Codec.OpenResultInto(sealed, &out.res); err != nil {
 		return nil, err
 	}
 	op.End()
-	out := &QueryResult{Result: res, Outcome: QueryOutcome{Hit: hit, Rows: res.Len()}}
+	out.QueryResult = QueryResult{Result: &out.res, Outcome: QueryOutcome{Hit: hit, Rows: out.res.Len()}}
 	if !hit {
-		out.Outcome.Scanned = res.RowsScanned
+		out.Outcome.Scanned = out.res.RowsScanned
 	}
-	return out, nil
+	return &out.QueryResult, nil
+}
+
+// openedResult is what Open allocates: a QueryResult and its result.
+type openedResult struct {
+	QueryResult
+	res engine.Result
 }
 
 // Query executes one query template instance end to end.

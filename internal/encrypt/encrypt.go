@@ -229,9 +229,17 @@ func (k *Keyring) OpenAppend(dst []byte, domain string, ciphertext []byte) ([]by
 // output alone, with no decryption capability. The DSSP uses tokens as
 // cache lookup keys for encrypted statements and parameters.
 func (k *Keyring) Token(domain string, plaintext []byte) string {
+	var b [sha256.Size]byte
+	return string(k.TokenAppend(b[:0], domain, plaintext))
+}
+
+// TokenAppend appends Token's bytes to dst, so a caller can make a key of
+// a prefix and the token in one string. The token is computed before
+// anything is appended: plaintext may lie in dst's spare capacity.
+func (k *Keyring) TokenAppend(dst []byte, domain string, plaintext []byte) []byte {
 	s := k.scratch.Get().(*sealScratch)
 	k.prf(s, domain, 1, plaintext)
-	t := string(s.sum[:])
+	dst = append(dst, s.sum[:]...)
 	k.scratch.Put(s)
-	return t
+	return dst
 }

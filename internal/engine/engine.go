@@ -57,12 +57,20 @@ func (r *Result) Len() int { return len(r.Rows) }
 // handed to a client, who may do with it as it likes, and the original's
 // Columns may be a plan's.
 func (r *Result) Clone() *Result {
-	cp := &Result{
+	cp := new(Result)
+	r.CloneInto(cp)
+	return cp
+}
+
+// CloneInto is Clone into a result the caller allocated, which it
+// overwrites.
+func (r *Result) CloneInto(cp *Result) {
+	*cp = Result{
 		Columns:     append([]string(nil), r.Columns...),
 		RowsScanned: r.RowsScanned,
 	}
 	if r.Rows == nil {
-		return cp
+		return
 	}
 	nvals := 0
 	for _, row := range r.Rows {
@@ -74,7 +82,6 @@ func (r *Result) Clone() *Result {
 		n := copy(slab, row)
 		cp.Rows[i], slab = slab[:n:n], slab[n:]
 	}
-	return cp
 }
 
 // Fingerprint returns a canonical encoding of the result under multiset

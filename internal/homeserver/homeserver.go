@@ -166,14 +166,13 @@ func (s *Server) checkPartition(t *template.Template) error {
 
 // admit acquires an execution slot, recording the wait both in the
 // admission histogram and as an admission_wait span of the request's
-// trace, and returns the release function.
-func (s *Server) admit(wait *obs.Histogram, trace, parent, tmpl string) func() {
+// trace. The caller releases the slot with s.adm.release.
+func (s *Server) admit(wait *obs.Histogram, trace obs.TraceID, parent obs.SpanID, tmpl string) {
 	sp := s.tracer.StartSpan(trace, parent, obs.StageAdmission, tmpl)
 	start := s.tracer.Now()
 	s.adm.acquire(s.queueDepth)
 	wait.Observe(s.tracer.Now() - start)
 	sp.End()
-	return func() { s.adm.release(s.queueDepth) }
 }
 
 // Obs returns the registry the server's instruments live in.
@@ -210,13 +209,13 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	if qp.err != nil {
 		return wire.SealedResult{}, false, 0, qp.err
 	}
-	release := s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
+	s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
 	r, execErr := qp.plan.Run(s.DB, params)
 	s.mu.RUnlock()
 	sp.End()
-	release()
+	s.adm.release(s.queueDepth)
 	if execErr != nil {
 		return wire.SealedResult{}, false, 0, execErr
 	}
@@ -245,7 +244,7 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	if err := s.checkPartition(t); err != nil {
 		return 0, 0, err
 	}
-	release := s.admit(s.waitU, su.TraceID, su.ParentSpan, t.ID)
+	s.admit(s.waitU, su.TraceID, su.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.Lock()
 	n, execErr := engine.ExecUpdate(s.DB, t.Stmt, params)
@@ -261,7 +260,7 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	}
 	s.mu.Unlock()
 	sp.End()
-	release()
+	s.adm.release(s.queueDepth)
 	if execErr != nil {
 		return 0, 0, execErr
 	}

@@ -213,3 +213,27 @@ func TestConcurrentQueryUpdateSeal(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// A warm ExecQuery costs what the statement's parameters, the plan's run
+// and the sealed result take — five allocations here — and nothing of the
+// server's own: admission, spans and counters allocate nothing (a
+// closure to release the admission slot would be a sixth).
+func TestExecQueryAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector defeats sync.Pool reuse; allocation counts are meaningless")
+	}
+	s, codec, app := testServer(t)
+	sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func() {
+		if _, _, _, err := s.ExecQuery(sq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exec()
+	if n := testing.AllocsPerRun(100, exec); n > 5 {
+		t.Errorf("warm ExecQuery: %v allocations, want <= 5", n)
+	}
+}

@@ -11,6 +11,7 @@ import (
 
 	"dssp/internal/apps"
 	"dssp/internal/core"
+	"dssp/internal/obs"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -47,8 +48,8 @@ func (s *stubNodes) sent(op Op) [][]byte {
 }
 
 // routeSpans is the IDs of the router's route spans in a trace.
-func routeSpans(rs *RouterServer, trace string) map[string]bool {
-	ids := map[string]bool{}
+func routeSpans(rs *RouterServer, trace obs.TraceID) map[obs.SpanID]bool {
+	ids := map[obs.SpanID]bool{}
 	for _, sp := range rs.Tracer.Store().Trace(trace) {
 		ids[sp.ID] = true
 	}
@@ -68,7 +69,7 @@ func TestRouterForwardsQueryBytes(t *testing.T) {
 	stream := uint32(0)
 	for _, exp := range allExposures {
 		sq, _, sr := sealedAt(t, exp)
-		sq.TraceID = "trace-" + exp.String()
+		sq.TraceID = obs.TraceID{Proc: 0x7e, Seq: uint64(exp) + 1}
 		for _, a := range [][]byte{(&queryAnswer{result: sr, hit: true}).appendWire(nil), []byte("not a query answer")} {
 			answer.Store(&a)
 			stream++
@@ -83,7 +84,7 @@ func TestRouterForwardsQueryBytes(t *testing.T) {
 				t.Fatalf("%v: node was sent an undecodable query: %v", exp, err)
 			}
 			if !routeSpans(rs, sq.TraceID)[fwd.ParentSpan] {
-				t.Errorf("%v: forwarded parent span %q is no route span of the router", exp, fwd.ParentSpan)
+				t.Errorf("%v: forwarded parent span %v is no route span of the router", exp, fwd.ParentSpan)
 			}
 			want := sq
 			want.ParentSpan = fwd.ParentSpan
@@ -110,7 +111,7 @@ func TestRouterForwardsUpdateBytes(t *testing.T) {
 	})
 	rs := NewRouterServer(core.Analyze(apps.Toystore(), core.DefaultOptions()), nodes.urls, RouterOptions{})
 	_, su, _ := sealedAt(t, template.ExpBlind) // a blind update is broadcast: every node hears of it
-	su.TraceID = "trace-update"
+	su.TraceID = obs.TraceID{Proc: 0x7e, Seq: 100}
 	p := NewNodeProxy(startServer(t, rs.Handler()).URL, &http.Client{Timeout: DefaultTimeout}, nil)
 	affected, invalidated, seq, err := p.Update(context.Background(), su)
 	if err != nil {
@@ -125,14 +126,14 @@ func TestRouterForwardsUpdateBytes(t *testing.T) {
 		t.Fatalf("%d pushes for targets %v: the test wants a fan-out past the exec node", len(pushes), targets)
 	}
 	routes := routeSpans(rs, su.TraceID)
-	parents := map[string]bool{}
+	parents := map[obs.SpanID]bool{}
 	for _, b := range append(nodes.sent(OpUpdate), pushes...) {
 		fwd, _, err := wire.DecodeSealedUpdate(b)
 		if err != nil {
 			t.Fatalf("node was sent an undecodable update: %v", err)
 		}
 		if !routes[fwd.ParentSpan] || parents[fwd.ParentSpan] {
-			t.Errorf("forwarded parent span %q: not a route span of its own", fwd.ParentSpan)
+			t.Errorf("forwarded parent span %v: not a route span of its own", fwd.ParentSpan)
 		}
 		parents[fwd.ParentSpan] = true
 		want := su
@@ -151,7 +152,7 @@ func TestRouterForwardsUpdateBytes(t *testing.T) {
 // BENCH_allocs.json.
 func BenchmarkRouterQuery(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
-	sq.TraceID = "trace-bench"
+	sq.TraceID = obs.NewTraceID()
 	answer := (&queryAnswer{result: sr, hit: true}).appendWire(nil)
 	node := startFrameServer(b, &frameOps{OpQuery: func(_ context.Context, _, resp *frame) {
 		resp.body = append(resp.body, answer...)

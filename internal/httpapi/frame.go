@@ -29,7 +29,7 @@ import (
 //
 //	GET /v1/frames HTTP/1.1
 //	Connection: Upgrade
-//	Upgrade: dssp-frames/3
+//	Upgrade: dssp-frames/4
 //
 // The peer answers 101 Switching Protocols and hijacks the connection;
 // from then on both directions carry frames and nothing else. A sender
@@ -54,7 +54,7 @@ import (
 // an unknown op or status, is a refused frame, never a zero.
 const (
 	PathFrames    = "/v1/frames"
-	frameProtocol = "dssp-frames/3"
+	frameProtocol = "dssp-frames/4"
 )
 
 // Op names a frame's exchange: what its request and its answer carry

@@ -147,17 +147,18 @@ func FuzzReadFrame(f *testing.F) {
 	sq, _, _ := sealedAt(f, template.ExpStmt)
 	query := encodeFrame(&frame{op: OpQuery, stream: 1, body: (*queryMsg)(&sq).appendWire(nil)})
 	over := binary.BigEndian.AppendUint32(nil, OpQuery.bound(dirRequest)+1)
-	f.Add(append(over, byte(OpQuery), 0, 0, 0, 1))                                        // a length over the bound
-	f.Add(query[:7])                                                                      // a truncated header
-	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, nil)[:4+frameHeaderMin-1])            // a header cut short of its length
-	f.Add(binary.BigEndian.AppendUint32(nil, frameHeaderMin-1))                           // a length under the header
-	f.Add(rawFrame(numOps, 1, statusOK, []byte{0}, nil))                                  // an unknown op
-	f.Add(rawFrame(OpQuery, 1, numStatus, []byte{0}, nil))                                // an unknown status
-	f.Add(rawFrame(OpInvalidate, 1, statusOK, []byte{0x80, 0x00}, nil))                   // a non-minimal seq
-	f.Add(rawFrame(OpInvalidate, 1, statusOK, bytes.Repeat([]byte{0xff}, 10), []byte{1})) // an overflowing seq
-	f.Add(rawFrame(OpExecQuery, 1, statusLag, []byte{0x80}, nil))                         // a seq that runs off the header
-	f.Add(append(append([]byte(nil), query...), query[:len(query)-1]...))                 // trailing bytes
-	f.Add(append(append([]byte(nil), query...), query...))                                // a duplicate stream ID
+	f.Add(append(over, byte(OpQuery), 0, 0, 0, 1))                                           // a length over the bound
+	f.Add(query[:7])                                                                         // a truncated header
+	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, nil)[:4+frameHeaderMin-1])               // a header cut short of its length
+	f.Add(binary.BigEndian.AppendUint32(nil, frameHeaderMin-1))                              // a length under the header
+	f.Add(rawFrame(numOps, 1, statusOK, []byte{0}, nil))                                     // an unknown op
+	f.Add(rawFrame(OpQuery, 1, numStatus, []byte{0}, nil))                                   // an unknown status
+	f.Add(rawFrame(OpInvalidate, 1, statusOK, []byte{0x80, 0x00}, nil))                      // a non-minimal seq
+	f.Add(rawFrame(OpInvalidate, 1, statusOK, bytes.Repeat([]byte{0xff}, 10), []byte{1}))    // an overflowing seq
+	f.Add(rawFrame(OpExecQuery, 1, statusLag, []byte{0x80}, nil))                            // a seq that runs off the header
+	f.Add(append(append([]byte(nil), query...), query[:len(query)-1]...))                    // trailing bytes
+	f.Add(append(append([]byte(nil), query...), query...))                                   // a duplicate stream ID
+	f.Add(rawFrame(OpQuery, 1, statusOK, []byte{0}, (*queryMsg)(&sq).appendWire(nil)[:1+4])) // a query whose trace ID is cut short
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bufio.NewReader(bytes.NewReader(b))
 		wb := &wireBuf{}

@@ -163,15 +163,20 @@ func ServePprof(logger *slog.Logger, addr string) {
 // TracesResponse lists the trace IDs a process's span store retains,
 // oldest first.
 type TracesResponse struct {
-	Traces []string `json:"traces"`
+	Traces []obs.TraceID `json:"traces"`
 }
 
 // TraceHandler serves one trace's spans from a process's span store as
-// JSON ({id} path parameter). Unknown or evicted traces answer 404; a
-// process without a store answers 404 for everything.
+// JSON ({id} path parameter, a trace ID's text). Unknown, evicted and
+// malformed traces answer 404; a process without a store answers 404 for
+// everything.
 func TraceHandler(store *obs.SpanStore) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		spans := store.Trace(r.PathValue("id"))
+		id, err := obs.ParseTraceID(r.PathValue("id"))
+		var spans []obs.SpanRecord
+		if err == nil {
+			spans = store.Trace(id)
+		}
 		if len(spans) == 0 {
 			http.NotFound(w, r)
 			return
@@ -192,9 +197,9 @@ func TraceIDsHandler(store *obs.SpanStore) http.Handler {
 // FetchTrace retrieves one trace's spans from a process's /v1/trace
 // endpoint. A 404 (trace unknown there) returns an empty slice and no
 // error, so callers can sweep a whole fleet and stitch what they get.
-func FetchTrace(client *http.Client, baseURL, traceID string) ([]obs.SpanRecord, error) {
+func FetchTrace(client *http.Client, baseURL string, traceID obs.TraceID) ([]obs.SpanRecord, error) {
 	client = defaultClient(client)
-	resp, err := client.Get(baseURL + PathTrace + traceID)
+	resp, err := client.Get(baseURL + PathTrace + traceID.String())
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +218,7 @@ func FetchTrace(client *http.Client, baseURL, traceID string) ([]obs.SpanRecord,
 // StitchFleet fetches one trace from every process of a fleet (client-
 // side spans may be passed in local) and stitches the union into one
 // tree. Processes that never saw the trace contribute nothing.
-func StitchFleet(client *http.Client, baseURLs []string, traceID string, local []obs.SpanRecord) (obs.StitchedTrace, error) {
+func StitchFleet(client *http.Client, baseURLs []string, traceID obs.TraceID, local []obs.SpanRecord) (obs.StitchedTrace, error) {
 	all := append([]obs.SpanRecord(nil), local...)
 	for _, base := range baseURLs {
 		spans, err := FetchTrace(client, base, traceID)

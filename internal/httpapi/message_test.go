@@ -9,6 +9,7 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
+	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
@@ -29,7 +30,7 @@ func sealedAt(t testing.TB, exp template.Exposure) (wire.SealedQuery, wire.Seale
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq.ParentSpan = "client/1"
+	sq.ParentSpan = obs.SpanID{Proc: 0xc1, Seq: 1}
 	su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +105,9 @@ func envelope(op Op, d dir) message {
 func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 	sq, su, sr := sealedAt(t, exp)
 	su2 := su
-	su2.TraceID, su2.ParentSpan = "", "" // as the hub would resend it from a log without trace metadata
+	su2.TraceID, su2.ParentSpan = obs.TraceID{}, obs.SpanID{} // as the hub would resend it from a log without trace metadata
 	migrated := sq
-	migrated.TraceID, migrated.ParentSpan = "", "" // trace metadata does not migrate
+	migrated.TraceID, migrated.ParentSpan = obs.TraceID{}, obs.SpanID{} // trace metadata does not migrate
 	ids := bucketIDsMsg{"Q2", "", "Q1"}
 	entries := bucketEntriesMsg{{Query: migrated, Result: sr, Ordinal: 1 << 20}, {Query: migrated, Result: wire.SealedResult{Cipher: []byte{}}}}
 	count := func(n int) *countMsg { c := countMsg(n); return &c }
@@ -237,6 +238,11 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	seed(OpBucketImport, dirRequest, 0xff, 0xff, 0xff, 0xff, 0x07, 1, 2, 3) // an entry count forged past the body
 	seed(OpBucketExport, dirRequest, 0xff, 0xff, 0x03, 1, 'Q')              // an ID count forged past the body
+	for _, op := range []Op{OpQuery, OpUpdate} {
+		body := cases[envelopeIndex(op, dirRequest)].msg.appendWire(nil)
+		seed(op, dirRequest, body[:1+4]...)        // the trace ID cut short
+		seed(op, dirRequest, body[:1+12+4+8-1]...) // the parent span cut short
+	}
 	for _, e := range cases {
 		seed(e.op, e.dir, append(e.msg.appendWire(nil), 0)...) // a byte after a whole envelope
 	}

@@ -138,9 +138,8 @@ func (m *forward) release() {
 // under returns a call holding the statement under route — its parent
 // span rewritten to the route span's ID, every other byte as it came.
 func (m *forward) under(route obs.Span) *call {
-	var id [40]byte
 	k := takeCall()
-	k.out = m.raw.Append(k.out, route.AppendID(id[:0]))
+	k.out = m.raw.Append(k.out, route.ID())
 	return k
 }
 

@@ -55,7 +55,7 @@ type Observer struct {
 	// pending maps an observed update's trace ID to its arrival time, so
 	// the matching invalidation yields the update→invalidation delay the
 	// adversary can measure.
-	pending    map[string]time.Duration
+	pending    map[obs.TraceID]time.Duration
 	delaySum   time.Duration
 	delayCount int64
 }
@@ -72,7 +72,7 @@ func NewObserver(vantage string, clock obs.Clock) *Observer {
 		clock:        clock,
 		keyAccess:    make(map[string]int64),
 		templateFreq: make(map[string]int64),
-		pending:      make(map[string]time.Duration),
+		pending:      make(map[obs.TraceID]time.Duration),
 	}
 }
 
@@ -126,7 +126,7 @@ func (o *Observer) ObserveUpdate(su wire.SealedUpdate) {
 		o.plaintext += int64(len(v.String()))
 	}
 	o.sealed += int64(len(su.Opaque))
-	if su.TraceID != "" && len(o.pending) < pendingCap {
+	if !su.TraceID.IsZero() && len(o.pending) < pendingCap {
 		o.pending[su.TraceID] = o.clock.Now()
 	}
 }

@@ -21,7 +21,7 @@ type StitchedSpan struct {
 // tree in depth-first order plus the per-stage critical-path breakdown
 // (each span's self time — where the request actually spent its life).
 type StitchedTrace struct {
-	Trace string
+	Trace TraceID
 	Spans []StitchedSpan
 
 	// Total is the sum of self times: the end-to-end work of the request
@@ -36,10 +36,10 @@ type StitchedTrace struct {
 // Cross-process wall clocks share no epoch, so ordering relies on parent
 // links and input order, and timing math only ever subtracts durations.
 func Stitch(spans []SpanRecord) []StitchedTrace {
-	var order []string
-	byTrace := make(map[string][]SpanRecord)
+	var order []TraceID
+	byTrace := make(map[TraceID][]SpanRecord)
 	for _, r := range spans {
-		if r.Trace == "" {
+		if r.Trace.IsZero() {
 			continue
 		}
 		if _, ok := byTrace[r.Trace]; !ok {
@@ -54,17 +54,17 @@ func Stitch(spans []SpanRecord) []StitchedTrace {
 	return out
 }
 
-func stitchOne(trace string, spans []SpanRecord) StitchedTrace {
-	present := make(map[string]bool, len(spans))
+func stitchOne(trace TraceID, spans []SpanRecord) StitchedTrace {
+	present := make(map[SpanID]bool, len(spans))
 	for _, r := range spans {
-		if r.ID != "" {
+		if !r.ID.IsZero() {
 			present[r.ID] = true
 		}
 	}
-	children := make(map[string][]int)
+	children := make(map[SpanID][]int)
 	var roots []int
 	for i, r := range spans {
-		if r.Parent != "" && present[r.Parent] && r.Parent != r.ID {
+		if !r.Parent.IsZero() && present[r.Parent] && r.Parent != r.ID {
 			children[r.Parent] = append(children[r.Parent], i)
 		} else {
 			roots = append(roots, i)

@@ -1,95 +1,25 @@
 package obs
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
-
-// Trace IDs are cheap process-unique strings: a random per-process prefix
-// plus a sequence number. They ride inside wire sealed messages, so one
-// query or update can be followed across client, router, node, and home
-// server. They never become metric labels
-// (that would be unbounded cardinality); they key the tracer's span log.
-var (
-	traceSeq    atomic.Int64
-	spanSeq     atomic.Int64
-	tracePrefix = func() string {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return "trace"
-		}
-		return hex.EncodeToString(b[:])
-	}()
-)
-
-// NewTraceID returns a fresh process-unique trace ID.
-func NewTraceID() string { return formatID("-", traceSeq.Add(1)) }
-
-// formatSpanID renders a span's sequence number as its process-unique ID.
-// Span IDs link a request's stages into a tree: each hop records its spans
-// with the upstream span as parent, carried in the sealed message's
-// ParentSpan field.
-//
-// A span is numbered when it starts and named only when someone reads the
-// name: most spans are recorded, aggregated into their stage's histogram
-// and overwritten in the store without their ID ever being looked at, so
-// the SpanStore keeps the number, and the text is made by Span.ID (for the
-// one span per hop whose ID travels on as ParentSpan) and by the readers —
-// SpanStore.Trace and All — whose output, JSON included, is what it was
-// when every span carried its string.
-func formatSpanID(seq int64) string { return formatID("-s", seq) }
-
-// formatID renders <prefix><sep><seq, zero-padded to six digits> through a
-// stack buffer, so the only allocation is the string itself.
-func formatID(sep string, seq int64) string {
-	var buf [40]byte
-	return string(appendID(buf[:0], sep, seq))
-}
-
-// appendID appends what formatID renders to b.
-func appendID(b []byte, sep string, seq int64) []byte {
-	b = append(b, tracePrefix...)
-	b = append(b, sep...)
-	for pad := int64(100000); pad > seq; pad /= 10 {
-		b = append(b, '0')
-	}
-	return strconv.AppendInt(b, seq, 10)
-}
 
 // SpanRecord is one completed stage of one traced request. ID and Parent
 // link spans into a per-trace tree across processes; Process and Node say
 // where the span was recorded (client, router, node, home — and which
 // fleet member), so a stitched trace reads as a topology, not a flat list.
+// The IDs are numbers at rest and text in JSON (TraceID, SpanID).
 type SpanRecord struct {
-	Trace string `json:"trace"`
-	// ID is the span's ID. A record at rest in a SpanStore may hold the
-	// sequence number in seq instead, ID empty; no exported function
-	// returns one in that form (see named).
-	ID       string        `json:"id,omitempty"`
-	Parent   string        `json:"parent,omitempty"`
+	Trace    TraceID       `json:"trace"`
+	ID       SpanID        `json:"id,omitzero"`
+	Parent   SpanID        `json:"parent,omitzero"`
 	Process  string        `json:"process,omitempty"`
 	Node     string        `json:"node,omitempty"`
 	Stage    string        `json:"stage"`
 	Template string        `json:"template"`
 	Start    time.Duration `json:"start_ns"`
 	Duration time.Duration `json:"duration_ns"`
-
-	seq int64
-}
-
-// named gives every record of spans its ID as text, in place, and returns
-// spans; the slice must be the caller's own copy.
-func named(spans []SpanRecord) []SpanRecord {
-	for i := range spans {
-		if r := &spans[i]; r.ID == "" && r.seq != 0 {
-			r.ID, r.seq = formatSpanID(r.seq), 0
-		}
-	}
-	return spans
 }
 
 // Tracer records per-stage spans: each span lands in the registry's
@@ -175,26 +105,20 @@ func (t *Tracer) Now() time.Duration {
 }
 
 // ObserveSpan records one completed span wholesale, filling in the
-// tracer's identity where the record leaves Process/Node empty and
-// assigning a fresh span ID when the record has none. It returns the
-// span's ID so callers can hand it to downstream hops as their parent.
-func (t *Tracer) ObserveSpan(rec SpanRecord) string {
+// tracer's identity where the record leaves Process/Node empty, and gives
+// it a fresh ID, which it returns so callers can hand it to downstream
+// hops as their parent.
+func (t *Tracer) ObserveSpan(rec SpanRecord) SpanID {
 	if t == nil {
-		return ""
+		return SpanID{}
 	}
-	seq := t.record(rec)
-	if rec.ID != "" {
-		return rec.ID
-	}
-	return formatSpanID(seq)
+	rec.ID = newSpanID()
+	t.record(rec)
+	return rec.ID
 }
 
-// record is ObserveSpan without the ID's text: it numbers the span unless
-// the record brings a number or an ID of its own, and returns the number.
-func (t *Tracer) record(rec SpanRecord) int64 {
-	if rec.ID == "" && rec.seq == 0 {
-		rec.seq = spanSeq.Add(1)
-	}
+// record lands one numbered span in its stage histogram and the store.
+func (t *Tracer) record(rec SpanRecord) {
 	if rec.Process == "" {
 		rec.Process = t.process
 	}
@@ -205,51 +129,33 @@ func (t *Tracer) record(rec SpanRecord) int64 {
 	if t.store != nil {
 		t.store.Add(rec)
 	}
-	return rec.seq
 }
 
 // Span is an in-progress stage measurement. The zero Span (from a nil
 // tracer) is a no-op.
 type Span struct {
-	tr           *Tracer
-	trace, stage string
-	tmpl         string
-	seq          int64
-	parent       string
-	node         string
-	start        time.Duration
+	tr          *Tracer
+	trace       TraceID
+	id, parent  SpanID
+	stage, tmpl string
+	node        string
+	start       time.Duration
 }
 
 // StartSpan opens a span for one stage of one traced request, under a
-// parent span ID ("" for a root). The span's own ID is assigned
-// immediately — as a number; ID renders it — so it can be propagated
-// downstream (the sealed message's ParentSpan field) before End.
-func (t *Tracer) StartSpan(trace, parent, stage, tmpl string) Span {
+// parent span (zero for a root). The span's own ID is assigned
+// immediately, so it can be propagated downstream (the sealed message's
+// ParentSpan field) before End.
+func (t *Tracer) StartSpan(trace TraceID, parent SpanID, stage, tmpl string) Span {
 	if t == nil {
 		return Span{}
 	}
-	return Span{tr: t, trace: trace, stage: stage, tmpl: tmpl,
-		seq: spanSeq.Add(1), parent: parent, start: t.clock.Now()}
+	return Span{tr: t, trace: trace, id: newSpanID(), parent: parent,
+		stage: stage, tmpl: tmpl, start: t.clock.Now()}
 }
 
-// ID returns the span's pre-assigned ID ("" for a no-op span). Each call
-// makes the string: ask once, and only for a span whose ID goes somewhere.
-func (s Span) ID() string {
-	if s.tr == nil {
-		return ""
-	}
-	return formatSpanID(s.seq)
-}
-
-// AppendID appends the span's ID to b, or nothing for a no-op span: ID
-// without the string, for a sender that writes the ID straight into the
-// message it forwards.
-func (s Span) AppendID(b []byte) []byte {
-	if s.tr == nil {
-		return b
-	}
-	return appendID(b, "-s", s.seq)
-}
+// ID returns the span's pre-assigned ID (zero for a no-op span).
+func (s Span) ID() SpanID { return s.id }
 
 // WithNode overrides the span's node label (e.g. the router labels its
 // route spans with the target node instead of its own identity).
@@ -264,7 +170,7 @@ func (s Span) End() {
 		return
 	}
 	s.tr.record(SpanRecord{
-		Trace: s.trace, seq: s.seq, Parent: s.parent, Node: s.node,
+		Trace: s.trace, ID: s.id, Parent: s.parent, Node: s.node,
 		Stage: s.stage, Template: s.tmpl,
 		Start: s.start, Duration: s.tr.clock.Now() - s.start,
 	})
@@ -297,13 +203,13 @@ const (
 type SpanStore struct {
 	mu    sync.Mutex
 	max   int
-	index map[string]int // trace ID -> its slot
-	slots []storedTrace  // grows to max, then a ring: slots[next] is the oldest
-	next  int            // the slot the next new trace takes once the ring is full
+	index map[TraceID]int // trace ID -> its slot
+	slots []storedTrace   // grows to max, then a ring: slots[next] is the oldest
+	next  int             // the slot the next new trace takes once the ring is full
 }
 
 type storedTrace struct {
-	id    string
+	id    TraceID
 	spans []SpanRecord
 }
 
@@ -313,13 +219,13 @@ func NewSpanStore(maxTraces int) *SpanStore {
 	if maxTraces <= 0 {
 		maxTraces = DefaultStoreTraces
 	}
-	return &SpanStore{max: maxTraces, index: make(map[string]int)}
+	return &SpanStore{max: maxTraces, index: make(map[TraceID]int)}
 }
 
 // Add indexes one span under its trace ID. Spans without a trace ID are
 // not indexable and are dropped.
 func (s *SpanStore) Add(r SpanRecord) {
-	if s == nil || r.Trace == "" {
+	if s == nil || r.Trace.IsZero() {
 		return
 	}
 	s.mu.Lock()
@@ -335,7 +241,7 @@ func (s *SpanStore) Add(r SpanRecord) {
 
 // claim gives a new trace its slot: a fresh one while the store is filling,
 // then the oldest trace's, evicting it.
-func (s *SpanStore) claim(id string) int {
+func (s *SpanStore) claim(id TraceID) int {
 	i := len(s.slots)
 	if i < s.max {
 		s.slots = append(s.slots, storedTrace{id: id})
@@ -347,7 +253,7 @@ func (s *SpanStore) claim(id string) int {
 		if cap(t.spans) > storeReuseSpans {
 			t.spans = nil
 		}
-		clear(t.spans) // the evicted trace's strings go with it
+		clear(t.spans) // the evicted trace's label strings go with it
 		t.id, t.spans = id, t.spans[:0]
 	}
 	s.index[id] = i
@@ -356,7 +262,7 @@ func (s *SpanStore) claim(id string) int {
 
 // Trace returns a copy of one trace's spans in arrival order (nil when
 // the trace is unknown or evicted).
-func (s *SpanStore) Trace(id string) []SpanRecord {
+func (s *SpanStore) Trace(id TraceID) []SpanRecord {
 	if s == nil {
 		return nil
 	}
@@ -366,7 +272,7 @@ func (s *SpanStore) Trace(id string) []SpanRecord {
 		spans = append(spans, s.slots[i].spans...)
 	}
 	s.mu.Unlock()
-	return named(spans)
+	return spans
 }
 
 // oldestFirst calls f on every retained trace in arrival order. The caller
@@ -382,13 +288,13 @@ func (s *SpanStore) oldestFirst(f func(*storedTrace)) {
 }
 
 // TraceIDs returns up to n retained trace IDs, oldest first.
-func (s *SpanStore) TraceIDs(n int) []string {
+func (s *SpanStore) TraceIDs(n int) []TraceID {
 	if s == nil || n <= 0 {
 		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.slots))
+	ids := make([]TraceID, 0, len(s.slots))
 	s.oldestFirst(func(t *storedTrace) { ids = append(ids, t.id) })
 	if len(ids) > n {
 		ids = ids[len(ids)-n:]
@@ -406,5 +312,5 @@ func (s *SpanStore) All() []SpanRecord {
 	var out []SpanRecord
 	s.oldestFirst(func(t *storedTrace) { out = append(out, t.spans...) })
 	s.mu.Unlock()
-	return named(out)
+	return out
 }

@@ -16,6 +16,7 @@ import (
 	hometier "dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
+	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/simrun"
@@ -74,7 +75,7 @@ func seedParityToys(t *testing.T, db *storage.Database) {
 func normalize(ds []cache.Decision) []cache.Decision {
 	out := make([]cache.Decision, len(ds))
 	for i, d := range ds {
-		d.Trace = ""
+		d.Trace = obs.TraceID{}
 		out[i] = d
 	}
 	return out

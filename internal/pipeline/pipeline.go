@@ -309,7 +309,7 @@ func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Du
 	}
 
 	net := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageNetwork, tmpl)
-	if id := net.ID(); id != "" {
+	if id := net.ID(); !id.IsZero() {
 		sq.ParentSpan = id // downstream hops (transport, home) nest under the network span
 	}
 	p.transport.ExecQuery(ctx, sq, func(er ExecQueryResult, err error) {
@@ -358,7 +358,7 @@ func (p *Pipeline) Update(ctx context.Context, su wire.SealedUpdate, done func(U
 		p.opts.Leakage.ObserveUpdate(su)
 	}
 	net := p.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageNetwork, tmpl)
-	if id := net.ID(); id != "" {
+	if id := net.ID(); !id.IsZero() {
 		su.ParentSpan = id
 	}
 	p.transport.ExecUpdate(ctx, su, func(ur ExecUpdateResult, err error) {

@@ -148,7 +148,7 @@ func TestBlindCacheDropNode(t *testing.T) {
 // the ring owner may change, the warm pin must not.
 func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 3)
-	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-7", TraceID: "t-b1"}
+	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-7", TraceID: obs.NewTraceID()}
 	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 // owner: the next lookup re-routes to a live member.
 func TestRouterBlindCacheNeverStaleAfterLeave(t *testing.T) {
 	r, fakes, _ := routedFixture(t, 3)
-	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-9", TraceID: "t-b2"}
+	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-9", TraceID: obs.NewTraceID()}
 	if _, _, err := r.Query(context.Background(), sq); err != nil {
 		t.Fatal(err)
 	}
@@ -395,8 +395,8 @@ func awaitParked(method string, done <-chan struct{}) {
 	}
 }
 
-// Two updates in flight at once under one trace ID (clients that predate
-// tracing all send the empty one) each get back their own exec-node count
+// Two updates in flight at once under one trace ID (a client that does not
+// trace sends the zero one) each get back their own exec-node count
 // plus their own fan-out, not the other's.
 func TestRouterConcurrentUpdatesSameTraceID(t *testing.T) {
 	const fleet = 3
@@ -435,7 +435,7 @@ func TestRouterConcurrentUpdatesSameTraceID(t *testing.T) {
 // count still comes back, and every survivor the update's plan names gets
 // exactly one push.
 func TestRouterLeaveDuringUpdate(t *testing.T) {
-	su := wire.SealedUpdate{TemplateID: "U2", TraceID: "t-mid"}
+	su := wire.SealedUpdate{TemplateID: "U2", TraceID: obs.NewTraceID()}
 	r, staged, exec := stagedFixture(3, su)
 	targets, _ := r.Planner().Targets(su.TemplateID) // the plan the update runs under
 
@@ -588,9 +588,9 @@ func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
 					return
 				default:
 				}
-				sq := wire.SealedQuery{TemplateID: "Q2", Key: fmt.Sprintf("Q2\x00%d", i%7), TraceID: fmt.Sprintf("t-%d-%d", w, i)}
+				sq := wire.SealedQuery{TemplateID: "Q2", Key: fmt.Sprintf("Q2\x00%d", i%7), TraceID: obs.NewTraceID()}
 				_, _, _ = r.Query(context.Background(), sq) // errors during churn are expected
-				su := wire.SealedUpdate{TemplateID: "U1", TraceID: fmt.Sprintf("u-%d-%d", w, i)}
+				su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 				_, _, _, _ = r.Update(context.Background(), su)
 			}
 		}(w)
@@ -641,7 +641,7 @@ func (f *flakyBackend) Query(ctx context.Context, sq wire.SealedQuery) (wire.Sea
 // sees success, the retry counter ticks, and no proxy error is recorded.
 func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
 	analysis := core.Analyze(apps.Toystore(), core.DefaultOptions())
-	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x003", TraceID: "t-flaky"}
+	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x003", TraceID: obs.NewTraceID()}
 	owner := NewPlanner(2, analysis).NoteQuery(sq.Head())
 	flaky := &flakyBackend{nFail: 1}
 	flaky.hit = true

@@ -350,8 +350,8 @@ func (r *Router) RouteUpdate(ctx context.Context, h *wire.Head,
 
 // parentSpan is a statement's parent span past the router: the route
 // span's ID, or its own parent when the span is a no-op.
-func parentSpan(route obs.Span, own string) string {
-	if id := route.ID(); id != "" {
+func parentSpan(route obs.Span, own obs.SpanID) obs.SpanID {
+	if id := route.ID(); !id.IsZero() {
 		return id
 	}
 	return own

@@ -268,7 +268,7 @@ func TestRouterQueryRoutesToOwner(t *testing.T) {
 	owner := r.Planner().OwnerOfTemplate("Q1")
 	fakes[owner].hit = true
 
-	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
+	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: obs.NewTraceID()}
 	_, hit, err := r.Query(context.Background(), sq)
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestRouterQueryRoutesToOwner(t *testing.T) {
 
 func TestRouterUpdateFanOut(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
-	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u1"}
+	su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 	exec := r.Planner().ExecNode(su.Head())
 	targets, _ := r.Planner().Targets(su.TemplateID)
 
@@ -360,7 +360,7 @@ func TestRouterFanOutCarriesConfirmedSeq(t *testing.T) {
 // update itself still succeeds (it was confirmed before the fan-out).
 func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
-	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-down"}
+	su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 	exec := r.Planner().ExecNode(su.Head())
 	targets, _ := r.Planner().Targets(su.TemplateID)
 
@@ -405,7 +405,7 @@ func TestRouterFanOutSurvivesNodeDown(t *testing.T) {
 // to.
 func TestRouterQueryNodeDown(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
-	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x001", TraceID: "t-qd"}
+	sq := wire.SealedQuery{TemplateID: "Q2", Key: "Q2\x001", TraceID: obs.NewTraceID()}
 	owner := r.Planner().NoteQuery(sq.Head())
 	fakes[owner].fail = errors.New("connection refused")
 
@@ -419,7 +419,7 @@ func TestRouterQueryNodeDown(t *testing.T) {
 
 func TestRouterForgedTemplateBroadcasts(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 4)
-	su := wire.SealedUpdate{TemplateID: "FORGED", TraceID: "t-forged"}
+	su := wire.SealedUpdate{TemplateID: "FORGED", TraceID: obs.NewTraceID()}
 	exec := r.Planner().ExecNode(su.Head())
 
 	if _, _, _, err := r.Update(context.Background(), su); err != nil {
@@ -450,8 +450,8 @@ func TestRouterForgedTemplateBroadcasts(t *testing.T) {
 func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
 	r, _, reg := routedFixture(t, 2)
 	ctx := context.Background()
-	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: "t-q"}
-	su := wire.SealedUpdate{TemplateID: "U1", TraceID: "t-u"}
+	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: obs.NewTraceID()}
+	su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 	for i := 0; i < 3; i++ {
 		if _, _, err := r.Query(ctx, sq); err != nil {
 			t.Fatal(err)

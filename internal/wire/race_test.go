@@ -1,0 +1,8 @@
+//go:build race
+
+package wire
+
+// raceEnabled reports that this test binary was built with the race
+// detector, which deliberately defeats sync.Pool reuse — allocation-count
+// assertions are meaningless under it.
+const raceEnabled = true

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 )
@@ -21,7 +22,8 @@ import (
 //	         uvarint(nparams) value* str(key) str(opaque)
 //	update = byte(exposure) trace str(templateID) uvarint(group)
 //	         uvarint(nparams) value* str(opaque)
-//	trace  = str(traceID) str(parentSpan)
+//	trace  = id(traceID) id(parentSpan)
+//	id     = u32(process) u64(sequence)  (big-endian; all zero: none)
 //	result = 0x00                      (none)
 //	       | 0x01 str(cipher)          (sealed result)
 //	       | 0x02 str(result-encoding) (view-exposure plaintext)
@@ -31,7 +33,9 @@ import (
 // (WithTrace); a cache entry in flight between nodes does not (NoTrace) —
 // TraceID/ParentSpan are per-request observability, and the migration
 // stream's bytes predate and omit them. Updates only ever travel as
-// requests, so they have the one form.
+// requests, so they have the one form. The trace fields are numbers of a
+// fixed width (obs.TraceID, obs.SpanID), so they sit at a fixed offset
+// and a router rewrites the parent span in place (Raw.Append).
 //
 // Decoders consume one message from the front of b and return the
 // remainder; the caller that owns the whole input rejects trailing
@@ -44,12 +48,18 @@ const (
 	NoTrace   = false
 )
 
+// idLen is the width of one id field; parentAt is the offset of the parent
+// span in a statement's WithTrace form.
+const (
+	idLen    = 4 + 8
+	parentAt = 1 + idLen
+)
+
 // AppendSealedQuery appends sq to dst; trace selects the form.
 func AppendSealedQuery(dst []byte, sq *SealedQuery, trace bool) []byte {
 	dst = append(dst, byte(sq.Exposure))
 	if trace {
-		dst = appendString(dst, sq.TraceID)
-		dst = appendString(dst, sq.ParentSpan)
+		dst = appendTrace(dst, sq.TraceID, sq.ParentSpan)
 	}
 	dst = appendStatement(dst, sq.TemplateID, sq.Group, sq.Params)
 	dst = appendString(dst, sq.Key)
@@ -72,8 +82,7 @@ func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
 // AppendSealedUpdate appends su to dst.
 func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 	dst = append(dst, byte(su.Exposure))
-	dst = appendString(dst, su.TraceID)
-	dst = appendString(dst, su.ParentSpan)
+	dst = appendTrace(dst, su.TraceID, su.ParentSpan)
 	dst = appendStatement(dst, su.TemplateID, su.Group, su.Params)
 	return appendBytes(dst, su.Opaque)
 }
@@ -93,16 +102,15 @@ func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
 
 // Raw is a sealed statement, in its WithTrace form, kept as the bytes it
 // arrived in: what a router forwards without decoding it. Its Head is
-// copied out — the strings in one allocation, so they may be kept — but
-// Opaque, and the message Append copies from, alias the input: a Raw is
-// valid only as long as the buffer it was read from.
+// copied out — the IDs are numbers, the strings in one allocation, so they
+// may be kept — but Opaque, and the message Append copies from, alias the
+// input: a Raw is valid only as long as the buffer it was read from.
 //
 // Reading a Raw is also the first step of decoding a statement: the
 // decoders add the parameters and a copy of the payload to it.
 type Raw struct {
 	Head
-	msg          []byte
-	parent, rest int // the parent span field, length included, is msg[parent:rest]
+	msg []byte
 
 	exposure template.Exposure
 	group    int
@@ -135,14 +143,15 @@ func (r *Raw) read(b []byte, key bool) error {
 // walk is the one pass over the grammar: it checks the sealed statement
 // of the given form at the front of b — minimal uvarints, every length and
 // the parameter count bounded by the input left, the group within an
-// int32 — and returns the offset at which it ends. Only an accepted
-// statement fills r, at the cost of one allocation: the head's strings are
-// substrings of one copy of the bytes before the opaque field, and the
-// parameters are left where they lie, for decodeParams. So a decoded
+// int32 — and returns the offset at which it ends. The trace IDs are read
+// as the numbers they are. Only an accepted statement fills r, at the cost
+// of one allocation: the head's strings are substrings of one copy of the
+// bytes before the opaque field, and the parameters are left where they
+// lie, for decodeParams. So a decoded
 // statement costs three allocations whatever it carries — that copy, the
 // parameter slice and the payload's copy — and the strings of one
 // statement share their copy: holding one (a cache entry holds its query's
-// key) holds them all, trace metadata included.
+// key) holds them all.
 func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
 	*r = Raw{}
 	if len(b) == 0 {
@@ -150,19 +159,18 @@ func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
 	}
 	p := b[1:] // exposure
 	at := func() int { return len(b) - len(p) }
-	// Each string is found by its bytes and the offset at which it ends.
-	var traceID, parentSpan, templateID, keyStr []byte
-	var traceEnd, parentEnd int
+	var traceID obs.TraceID
+	var parentSpan obs.SpanID
 	if trace {
-		if traceID, p, err = splitString(p); err != nil {
+		if len(p) < 2*idLen {
 			return 0, errMalformed
 		}
-		traceEnd = at()
-		if parentSpan, p, err = splitString(p); err != nil {
-			return 0, errMalformed
-		}
-		parentEnd = at()
+		traceID.Proc, traceID.Seq = readID(p)
+		parentSpan.Proc, parentSpan.Seq = readID(p[idLen:])
+		p = p[2*idLen:]
 	}
+	// Each string is found by its bytes and the offset at which it ends.
+	var templateID, keyStr []byte
 	if templateID, p, err = splitString(p); err != nil {
 		return 0, errMalformed
 	}
@@ -197,10 +205,10 @@ func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
 	copyOf := func(str []byte, end int) string { return arena[end-len(str) : end] }
 	*r = Raw{
 		Head: Head{
-			TraceID: copyOf(traceID, traceEnd), ParentSpan: copyOf(parentSpan, parentEnd),
+			TraceID: traceID, ParentSpan: parentSpan,
 			TemplateID: copyOf(templateID, templateEnd), Key: copyOf(keyStr, head), Opaque: opaque,
 		},
-		msg: b[:end], parent: traceEnd, rest: parentEnd,
+		msg:      b[:end],
 		exposure: template.Exposure(b[0]), group: int(g), arena: arena, nparams: nparams, params: params,
 	}
 	return end, nil
@@ -234,16 +242,16 @@ func cloneOpaque(b []byte) []byte {
 	return bytes.Clone(b)
 }
 
-// Append appends the statement to dst as it arrived, but with parentSpan
-// in its parent span field; an empty parentSpan leaves the field as it was.
-func (r *Raw) Append(dst, parentSpan []byte) []byte {
-	if len(parentSpan) == 0 {
-		return append(dst, r.msg...)
+// Append appends the statement to dst as it arrived, but with parent in
+// its parent span field, overwritten in place; a zero parent leaves the
+// field as it was.
+func (r *Raw) Append(dst []byte, parent obs.SpanID) []byte {
+	at := len(dst) + parentAt
+	dst = append(dst, r.msg...)
+	if !parent.IsZero() {
+		putID(dst[at:], parent.Proc, parent.Seq)
 	}
-	dst = append(dst, r.msg[:r.parent]...)
-	dst = binary.AppendUvarint(dst, uint64(len(parentSpan)))
-	dst = append(dst, parentSpan...)
-	return append(dst, r.msg[r.rest:]...)
+	return dst
 }
 
 // Result tags of the sealed-result grammar.
@@ -306,6 +314,26 @@ func appendStatement(dst []byte, templateID string, group int, params []sqlparse
 	dst = binary.AppendUvarint(dst, uint64(group))
 	dst = binary.AppendUvarint(dst, uint64(len(params)))
 	return appendParams(dst, params)
+}
+
+// appendTrace appends a statement's trace fields.
+func appendTrace(dst []byte, trace obs.TraceID, parent obs.SpanID) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, trace.Proc)
+	dst = binary.BigEndian.AppendUint64(dst, trace.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, parent.Proc)
+	return binary.BigEndian.AppendUint64(dst, parent.Seq)
+}
+
+// readID reads the id field at the front of b, which holds at least idLen
+// bytes.
+func readID(b []byte) (proc uint32, seq uint64) {
+	return binary.BigEndian.Uint32(b), binary.BigEndian.Uint64(b[4:idLen])
+}
+
+// putID overwrites the id field at the front of b.
+func putID(b []byte, proc uint32, seq uint64) {
+	binary.BigEndian.PutUint32(b, proc)
+	binary.BigEndian.PutUint64(b[4:idLen], seq)
 }
 
 func appendString(dst []byte, s string) []byte {

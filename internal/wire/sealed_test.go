@@ -2,11 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
 
 	"dssp/internal/engine"
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 )
@@ -24,7 +26,7 @@ func sealedAt(t testing.TB, exp template.Exposure) (SealedQuery, SealedUpdate, S
 	if err != nil {
 		t.Fatal(err)
 	}
-	sq.ParentSpan = "client/1"
+	sq.ParentSpan = obs.SpanID{Proc: 0xc1, Seq: 1}
 	su, err := c.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +63,7 @@ func TestSealedMessagesRoundTrip(t *testing.T) {
 		for _, trace := range []bool{WithTrace, NoTrace} {
 			want := sq
 			if !trace {
-				want.TraceID, want.ParentSpan = "", ""
+				want.TraceID, want.ParentSpan = obs.TraceID{}, obs.SpanID{}
 			}
 			enc := AppendSealedQuery([]byte("prefix"), &sq, trace)[len("prefix"):]
 			got, rest, err := DecodeSealedQuery(append(enc, "rest"...), trace)
@@ -123,12 +125,17 @@ func TestSealedDecodersRejectMalformed(t *testing.T) {
 			}
 		}
 	}
-	// exposure, then a trace-ID length in the non-minimal form 0x80 0x00.
-	if _, _, err := DecodeSealedQuery([]byte{2, 0x80, 0x00, 0, 0, 0, 0, 0, 0}, WithTrace); err == nil {
+	// exposure and a trace ID one byte short of its width.
+	if _, _, err := DecodeSealedQuery(make([]byte, 1+idLen-1), WithTrace); err == nil {
+		t.Error("truncated trace ID accepted")
+	}
+	// exposure and zero trace fields, then a template-ID length in the
+	// non-minimal form 0x80 0x00.
+	if _, _, err := DecodeSealedQuery(traced(0x80, 0x00, 0, 0, 0, 0, 0), WithTrace); err == nil {
 		t.Error("non-minimal uvarint accepted")
 	}
-	// exposure, empty trace, parent and template, then group 2^32.
-	if _, _, err := DecodeSealedUpdate([]byte{2, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0}); err == nil {
+	// exposure, zero trace fields, empty template, then group 2^32.
+	if _, _, err := DecodeSealedUpdate(traced(0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0)); err == nil {
 		t.Error("group beyond int32 accepted")
 	}
 	if _, _, err := DecodeSealedResult([]byte{3}); err == nil {
@@ -136,8 +143,14 @@ func TestSealedDecodersRejectMalformed(t *testing.T) {
 	}
 }
 
+// traced is a statement's WithTrace form up to its trace fields, all zero —
+// exposure 2 — followed by tail.
+func traced(tail ...byte) []byte {
+	return append(append([]byte{2}, make([]byte, 2*idLen)...), tail...)
+}
+
 // referenceDecodeSealedQuery and referenceDecodeSealedUpdate are the
-// field-by-field decoders the one-walk ones replaced, kept verbatim as the
+// field-by-field decoders the one-walk ones replaced, kept as the
 // reference for what is accepted and what it decodes to: one string per
 // field, one per string parameter.
 func referenceDecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
@@ -148,10 +161,7 @@ func referenceDecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, erro
 	sq.Exposure, b = template.Exposure(b[0]), b[1:]
 	var err error
 	if trace {
-		if sq.TraceID, b, err = decodeString(b); err != nil {
-			return sq, nil, errMalformed
-		}
-		if sq.ParentSpan, b, err = decodeString(b); err != nil {
+		if sq.TraceID, sq.ParentSpan, b, err = referenceDecodeTrace(b); err != nil {
 			return sq, nil, errMalformed
 		}
 	}
@@ -174,10 +184,7 @@ func referenceDecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
 	}
 	su.Exposure, b = template.Exposure(b[0]), b[1:]
 	var err error
-	if su.TraceID, b, err = decodeString(b); err != nil {
-		return su, nil, errMalformed
-	}
-	if su.ParentSpan, b, err = decodeString(b); err != nil {
+	if su.TraceID, su.ParentSpan, b, err = referenceDecodeTrace(b); err != nil {
 		return su, nil, errMalformed
 	}
 	if su.TemplateID, su.Group, su.Params, b, err = referenceDecodeStatement(b); err != nil {
@@ -187,6 +194,16 @@ func referenceDecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
 		return su, nil, errMalformed
 	}
 	return su, b, nil
+}
+
+// referenceDecodeTrace reads the two fixed-width trace fields.
+func referenceDecodeTrace(b []byte) (trace obs.TraceID, parent obs.SpanID, rest []byte, err error) {
+	if len(b) < 24 {
+		return trace, parent, nil, errMalformed
+	}
+	trace = obs.TraceID{Proc: binary.BigEndian.Uint32(b[0:4]), Seq: binary.BigEndian.Uint64(b[4:12])}
+	parent = obs.SpanID{Proc: binary.BigEndian.Uint32(b[12:16]), Seq: binary.BigEndian.Uint64(b[16:24])}
+	return trace, parent, b[24:], nil
 }
 
 func referenceDecodeStatement(b []byte) (templateID string, group int, params []sqlparse.Value, rest []byte, err error) {
@@ -227,8 +244,10 @@ func referenceDecodeOpaque(b []byte) ([]byte, []byte, error) {
 // bounds — every string empty, no opaque payload, a parameter count at and
 // past what the input left can hold, a wide parameter list of every kind —
 // and one input for each way of breaking it. enc renders a query (the
-// update is the same statement without its key) in the form under test.
-func sealedCorpus(t testing.TB, enc func(SealedQuery) []byte) [][]byte {
+// update is the same statement without its key) in the form under test;
+// trace says whether that form has the trace fields, which lead each
+// broken input.
+func sealedCorpus(t testing.TB, enc func(SealedQuery) []byte, trace bool) [][]byte {
 	var corpus [][]byte
 	for _, exp := range allExposures {
 		sq, _, _ := sealedAt(t, exp)
@@ -242,9 +261,15 @@ func sealedCorpus(t testing.TB, enc func(SealedQuery) []byte) [][]byte {
 		}[i%5])
 	}
 	nulls := SealedQuery{Params: make([]sqlparse.Value, 64)} // a count as large as its values are short
+	ids := SealedQuery{TraceID: obs.TraceID{Proc: math.MaxUint32, Seq: math.MaxUint64}, ParentSpan: obs.SpanID{Proc: 1}, TemplateID: "Q1", Key: "k"}
+	lead := []byte{2}
+	if trace {
+		lead = traced()
+	}
+	broken := func(tail ...byte) []byte { return append(bytes.Clone(lead), tail...) }
 	return append(corpus,
-		enc(SealedQuery{}), // every string empty, no parameters, no opaque payload
-		enc(SealedQuery{TraceID: "t", ParentSpan: "p", TemplateID: "Q1", Key: "k"}), // strings, still no opaque
+		enc(SealedQuery{}), // zero IDs, every string empty, no parameters, no opaque payload
+		enc(ids),           // the widest IDs and strings, still no opaque
 		enc(SealedQuery{Opaque: []byte("only")}),
 		enc(SealedQuery{Params: []sqlparse.Value{sqlparse.StringVal("")}, Key: "k"}), // an empty string parameter
 		enc(wide),
@@ -252,13 +277,15 @@ func sealedCorpus(t testing.TB, enc func(SealedQuery) []byte) [][]byte {
 		append(enc(nulls), "rest"...),
 		[]byte{},
 		[]byte{2},
-		[]byte{2, 0x80, 0x00, 0, 0, 0, 0, 0, 0}, // non-minimal uvarint
-		[]byte{2, 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0}, // group 2^32
-		[]byte{2, 0, 0, 0, 0, 9, 0, 0, 0},                         // parameter count above the input left
-		[]byte{2, 0, 0, 0, 0, 1, 7, 0, 0},                         // unknown value kind
-		[]byte{2, 0, 0, 0, 0, 1, 1, 0, 0, 0},                      // truncated integer parameter
-		[]byte{2, 0, 0, 0, 0, 1, 3, 5, 'a', 0, 0},                 // string parameter running off the end
-		[]byte{2, 0, 0, 0, 0, 0, 0, 4, 'a'},                       // opaque running off the end
+		traced()[:idLen],                  // the trace ID cut short
+		traced()[:2*idLen],                // the parent span cut short
+		broken(0x80, 0x00, 0, 0, 0, 0, 0), // non-minimal uvarint
+		broken(0, 0x80, 0x80, 0x80, 0x80, 0x10, 0, 0, 0), // group 2^32
+		broken(0, 0, 9, 0, 0, 0),                         // parameter count above the input left
+		broken(0, 0, 1, 7, 0, 0),                         // unknown value kind
+		broken(0, 0, 1, 1, 0, 0, 0),                      // truncated integer parameter
+		broken(0, 0, 1, 3, 5, 'a', 0, 0),                 // string parameter running off the end
+		broken(0, 0, 0, 0, 4, 'a'),                       // opaque running off the end
 	)
 }
 
@@ -328,15 +355,15 @@ func checkDecodeSealedUpdate(t *testing.T, b []byte) {
 // statement decoder reads.
 func sealedQueryForms(t testing.TB) [][]byte {
 	return append(
-		sealedCorpus(t, func(sq SealedQuery) []byte { return AppendSealedQuery(nil, &sq, WithTrace) }),
-		sealedCorpus(t, func(sq SealedQuery) []byte { return AppendSealedQuery(nil, &sq, NoTrace) })...)
+		sealedCorpus(t, func(sq SealedQuery) []byte { return AppendSealedQuery(nil, &sq, WithTrace) }, WithTrace),
+		sealedCorpus(t, func(sq SealedQuery) []byte { return AppendSealedQuery(nil, &sq, NoTrace) }, NoTrace)...)
 }
 
 func sealedUpdateForm(t testing.TB) [][]byte {
 	return sealedCorpus(t, func(sq SealedQuery) []byte {
 		return AppendSealedUpdate(nil, &SealedUpdate{Exposure: sq.Exposure, TraceID: sq.TraceID, ParentSpan: sq.ParentSpan,
 			TemplateID: sq.TemplateID, Group: sq.Group, Params: sq.Params, Opaque: sq.Opaque})
-	})
+	}, WithTrace)
 }
 
 // TestSealedDecodersMatchReference: on the corpus and every truncation of
@@ -426,16 +453,17 @@ func FuzzDecodeSealedUpdate(f *testing.F) {
 // and DecodeSealedUpdate accept with nothing left over; the head is the
 // decoded statement's, and its strings do not alias the input; Append
 // without a parent gives the input back, and with one the statement
-// re-encoded under that parent.
+// re-encoded under that parent, written over the field in place after
+// whatever dst held.
 func checkReadRaw(t *testing.T, b []byte) {
 	t.Helper()
 	sq, rest, err := DecodeSealedQuery(b, WithTrace)
-	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, sq.Head(), wholeMessage(rest, err), func(parent string) []byte {
+	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, sq.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
 		sq.ParentSpan = parent
 		return AppendSealedQuery(nil, &sq, WithTrace)
 	})
 	su, rest, err := DecodeSealedUpdate(b)
-	checkRaw(t, "ReadUpdate", b, (*Raw).ReadUpdate, su.Head(), wholeMessage(rest, err), func(parent string) []byte {
+	checkRaw(t, "ReadUpdate", b, (*Raw).ReadUpdate, su.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
 		su.ParentSpan = parent
 		return AppendSealedUpdate(nil, &su)
 	})
@@ -448,7 +476,7 @@ func wholeMessage(rest []byte, err error) error {
 	return err
 }
 
-func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error, want Head, wantErr error, reencode func(parent string) []byte) {
+func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error, want Head, wantErr error, reencode func(parent obs.SpanID) []byte) {
 	t.Helper()
 	in := bytes.Clone(b)
 	var r Raw
@@ -462,10 +490,11 @@ func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error
 	if !bytes.Equal(r.Opaque, want.Opaque) {
 		t.Fatalf("%s(%x): opaque %x, decoded %x", name, b, r.Opaque, want.Opaque)
 	}
-	if got := r.Append(nil, nil); !bytes.Equal(got, b) {
+	if got := r.Append([]byte("prefix"), obs.SpanID{}); !bytes.Equal(got, append([]byte("prefix"), b...)) {
 		t.Fatalf("%s(%x): Append without a parent gives %x", name, b, got)
 	}
-	if got, want := r.Append(nil, []byte("router-s000042")), reencode("router-s000042"); !bytes.Equal(got, want) {
+	router := obs.SpanID{Proc: 0x4f, Seq: 42}
+	if got, want := r.Append([]byte("prefix"), router), append([]byte("prefix"), reencode(router)...); !bytes.Equal(got, want) {
 		t.Fatalf("%s(%x): Append under a parent gives %x, re-encoded %x", name, b, got, want)
 	}
 	clear(in)

@@ -270,9 +270,20 @@ func measureResult(b []byte) (ncols, nrows, nvals int, err error) {
 // substring of one copy of the body. Nothing returned aliases b; the
 // strings of one result do share that copy, so holding one holds them all.
 func decodeResult(b []byte) (*engine.Result, error) {
+	r := new(engine.Result)
+	if err := decodeResultInto(b, r); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// decodeResultInto is decodeResult into a result the caller allocated —
+// one that shares an allocation with its holder. r is overwritten only
+// when b is accepted.
+func decodeResultInto(b []byte, r *engine.Result) error {
 	ncols, nrows, nvals, err := measureResult(b)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Pass two reads what pass one accepted: no step below can fail.
 	arena := string(b)
@@ -281,7 +292,7 @@ func decodeResult(b []byte) (*engine.Result, error) {
 		end := len(arena) - len(rest)
 		return arena[end-len(str) : end]
 	}
-	r := &engine.Result{}
+	*r = engine.Result{}
 	var str []byte
 	_, b, _ = decodeCount(b)
 	if ncols > 0 {
@@ -310,5 +321,5 @@ func decodeResult(b []byte) (*engine.Result, error) {
 	}
 	scanned, _, _ := Uvarint(b)
 	r.RowsScanned = int(scanned)
-	return r, nil
+	return nil
 }

@@ -66,13 +66,13 @@ type SealedQuery struct {
 	// TraceID identifies this request across client, node, and home
 	// server. It is observability metadata, not part of the cache key,
 	// and reveals nothing about the statement.
-	TraceID string
+	TraceID obs.TraceID
 
 	// ParentSpan is the span ID of the upstream hop's in-progress stage:
 	// each process records its spans under it and overwrites it with its
 	// own span ID before forwarding, so the fleet's spans stitch into one
 	// tree. Like TraceID, it is observability metadata only.
-	ParentSpan string
+	ParentSpan obs.SpanID
 
 	// TemplateID is exposed at template exposure and above.
 	TemplateID string
@@ -101,8 +101,8 @@ type SealedQuery struct {
 // level.
 type SealedUpdate struct {
 	Exposure   template.Exposure
-	TraceID    string // observability metadata, as in SealedQuery
-	ParentSpan string // observability metadata, as in SealedQuery
+	TraceID    obs.TraceID // observability metadata, as in SealedQuery
+	ParentSpan obs.SpanID  // observability metadata, as in SealedQuery
 	TemplateID string
 	Group      int // table-group routing hint, as in SealedQuery
 	Params     []sqlparse.Value
@@ -112,9 +112,11 @@ type SealedUpdate struct {
 // Head is what a router reads of a sealed statement: the fields it routes
 // and traces by. The parameters and the payload it only forwards.
 type Head struct {
-	TraceID, ParentSpan, TemplateID string
-	Key                             string // a query's lookup key; "" for an update
-	Opaque                          []byte // the payload: a blind update is routed by it
+	TraceID    obs.TraceID
+	ParentSpan obs.SpanID
+	TemplateID string
+	Key        string // a query's lookup key; "" for an update
+	Opaque     []byte // the payload: a blind update is routed by it
 }
 
 // Head returns sq's routing fields.
@@ -190,9 +192,15 @@ func (c *Codec) SealQuery(t *template.Template, params []sqlparse.Value) (Sealed
 		eb.b = appendStmt(eb.b[:0], t.SQL, params)
 		sq.Key = c.kr.Token(domStmt, eb.b)
 	case template.ExpTemplate:
+		// The key is the template ID, a NUL and the parameters' token: the
+		// token is appended over the parameters it is made of, and the key
+		// is one string.
 		sq.TemplateID = t.ID
-		eb.b = appendParams(eb.b[:0], params)
-		sq.Key = t.ID + "\x00" + c.kr.Token(domParams, eb.b)
+		eb.b = append(append(eb.b[:0], t.ID...), 0)
+		n := len(eb.b)
+		eb.b = appendParams(eb.b, params)
+		eb.b = c.kr.TokenAppend(eb.b[:n], domParams, eb.b[n:])
+		sq.Key = string(eb.b)
 	default: // stmt or view
 		sq.TemplateID = t.ID
 		sq.Params = params
@@ -276,21 +284,32 @@ func (c *Codec) SealResult(t *template.Template, res *engine.Result) SealedResul
 // pointer — it is a deep copy, so a caller mutating its result can never
 // corrupt the cache (the engine.Result no-aliasing invariant).
 func (c *Codec) OpenResult(sr SealedResult) (*engine.Result, error) {
+	res := new(engine.Result)
+	if err := c.OpenResultInto(sr, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// OpenResultInto is OpenResult into a result the caller allocated, so a
+// caller can hold the result in the same allocation as what it returns
+// the result in. res is overwritten only when the result opens.
+func (c *Codec) OpenResultInto(sr SealedResult, res *engine.Result) error {
 	if sr.Result != nil {
-		return sr.Result.Clone(), nil
+		sr.Result.CloneInto(res)
+		return nil
 	}
 	eb := getBuf()
 	defer putBuf(eb)
 	b, err := c.kr.OpenAppend(eb.b[:0], domResult, sr.Cipher)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	eb.b = b[:0]
-	res, err := decodeResult(b)
-	if err != nil {
-		return nil, fmt.Errorf("wire: decode result: %w", err)
+	if err := decodeResultInto(b, res); err != nil {
+		return fmt.Errorf("wire: decode result: %w", err)
 	}
-	return res, nil
+	return nil
 }
 
 // Size estimates the wire size of a sealed result in bytes, for the

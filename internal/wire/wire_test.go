@@ -75,6 +75,69 @@ func TestSealQueryTemplate(t *testing.T) {
 	}
 }
 
+// The lookup keys are what every cache entry is found by, so building them
+// more cheaply must not move a byte: at every exposure, for every bookstore
+// query, each key is the one the expressions below — the code that built
+// them one string per part — give. A template-exposure key is one
+// allocation, as a stmt-exposure one is.
+func TestSealQueryKeysUnchanged(t *testing.T) {
+	app := apps.NewBookstore().App()
+	kr := encrypt.MustNewKeyring(make([]byte, encrypt.KeySize))
+	want := map[template.Exposure]func(q *template.Template, params []sqlparse.Value) string{
+		template.ExpBlind: func(q *template.Template, params []sqlparse.Value) string {
+			return kr.Token(domStmt, appendStmt(nil, q.SQL, params))
+		},
+		template.ExpTemplate: func(q *template.Template, params []sqlparse.Value) string {
+			return q.ID + "\x00" + kr.Token(domParams, appendParams(nil, params))
+		},
+		template.ExpStmt: func(q *template.Template, params []sqlparse.Value) string {
+			return string(appendParams(append([]byte(q.ID), 0), params))
+		},
+	}
+	want[template.ExpView] = want[template.ExpStmt]
+	for exp, key := range want {
+		exps := map[string]template.Exposure{}
+		for _, q := range app.Queries {
+			exps[q.ID] = exp
+		}
+		c := NewCodec(app, kr, exps)
+		for _, q := range app.Queries {
+			for _, params := range [][]sqlparse.Value{
+				bookstoreParams(q.NumParams, func(i int) sqlparse.Value { return sqlparse.IntVal(int64(i) + 1) }),
+				bookstoreParams(q.NumParams, func(i int) sqlparse.Value { return sqlparse.StringVal(strings.Repeat("k\x00", i)) }),
+			} {
+				sq, err := c.SealQuery(q, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := key(q, params); sq.Key != w {
+					t.Errorf("%v %s%v: key %x, want %x", exp, q.ID, params, sq.Key, w)
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return // the race detector defeats sync.Pool reuse; allocation counts are meaningless
+	}
+	q := app.Queries[0]
+	params := bookstoreParams(q.NumParams, func(i int) sqlparse.Value { return sqlparse.IntVal(int64(i)) })
+	allocs := func(exp template.Exposure) float64 {
+		c := NewCodec(app, kr, map[string]template.Exposure{q.ID: exp})
+		return testing.AllocsPerRun(100, func() { _, _ = c.SealQuery(q, params) })
+	}
+	if tmpl, stmt := allocs(template.ExpTemplate), allocs(template.ExpStmt); tmpl != stmt {
+		t.Errorf("SealQuery at template exposure: %v allocations, at stmt %v; want the same", tmpl, stmt)
+	}
+}
+
+func bookstoreParams(n int, v func(i int) sqlparse.Value) []sqlparse.Value {
+	params := make([]sqlparse.Value, n)
+	for i := range params {
+		params[i] = v(i)
+	}
+	return params
+}
+
 func TestSealQueryBlind(t *testing.T) {
 	c, app := testCodec(t, map[string]template.Exposure{"Q2": template.ExpBlind})
 	sq, _ := c.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
