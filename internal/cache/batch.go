@@ -29,9 +29,10 @@ import (
 // (the plans, the merged visit set) lives in a pooled batchScratch, visit
 // lists are the router's own slices or the cache's precomputed
 // all-queries list (both immutable), per-update membership tests go to
-// the routing index's A = 0 table instead of a per-plan set, and each
-// update's inspection work is prepared once (invalidate.Prepare) instead
-// of once per cached entry.
+// the routing index's A = 0 table instead of a per-plan set, each update's
+// inspection work is prepared once (invalidate.PrepareInto, into the
+// plan's own PreparedUpdate) instead of once per cached entry, and the
+// entries a bucket loses are gathered in the scratch's removed slice.
 
 // updatePlan is one batch member's routing decision, made before any lock
 // is taken, plus its share of the batch's outcome, emitted to the decision
@@ -39,7 +40,7 @@ import (
 type updatePlan struct {
 	u    wire.SealedUpdate
 	uLbl string
-	pu   *invalidate.PreparedUpdate
+	pu   invalidate.PreparedUpdate // its arrays are kept across walks
 
 	// blind marks an update the cache cannot steer by: a hidden template
 	// ID, or one this application does not know — which only a byzantine
@@ -55,13 +56,12 @@ type updatePlan struct {
 }
 
 // reset readies a recycled plan slot for a new update, keeping the decs
-// backing array.
+// backing array; walk prepares pu for the update, or leaves it unread.
 func (p *updatePlan) reset(u wire.SealedUpdate) {
 	clear(p.decs)
 	p.decs = p.decs[:0]
 	p.u = u
 	p.uLbl = obs.Tmpl(u.TemplateID)
-	p.pu = nil
 	p.blind = false
 	p.routed = false
 	p.ids = nil
@@ -74,6 +74,16 @@ type batchScratch struct {
 	plans    []updatePlan
 	seen     map[string]bool
 	perShard [numShards][]string
+	removed  []*Entry // one bucket's dead entries; empty between uses
+}
+
+// dropped counts the entries a bucket just lost and empties removed for
+// the next bucket, clearing it so the pool holds no dead entry.
+func (bs *batchScratch) dropped(removed []*Entry) int {
+	n := len(removed)
+	clear(removed)
+	bs.removed = removed[:0]
+	return n
 }
 
 func (c *Cache) getBatchScratch(n int) *batchScratch {
@@ -146,7 +156,7 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 			ids = c.allQueryIDs
 		}
 		p.ids = ids
-		p.pu = c.inv.Prepare(invalidate.UpdateInstance{Template: ut, Params: u.Params})
+		c.inv.PrepareInto(&p.pu, invalidate.UpdateInstance{Template: ut, Params: u.Params})
 	}
 
 	// Hidden-template entries can only be handled blindly; every update
@@ -158,15 +168,16 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 		s.mu.Lock()
 		c.countWalk()
 		if bucket := s.buckets[""]; len(bucket) > 0 {
-			removed := collect(bucket)
+			removed := collect(bs.removed, bucket)
 			delete(s.buckets, "")
 			c.unlink(removed)
 			s.mu.Unlock()
-			c.entries.Add(int64(-len(removed)))
+			n := bs.dropped(removed)
+			c.entries.Add(int64(-n))
 			p := &plans[0]
-			p.hidden = Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: obs.BlindTemplate, Class: invalidate.Blind.String(), Dropped: len(removed)}
+			p.hidden = Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: obs.BlindTemplate, Class: invalidate.Blind.String(), Dropped: n}
 			p.hasHidden = true
-			counts[0] += len(removed)
+			counts[0] += n
 		} else {
 			s.mu.Unlock()
 		}
@@ -220,12 +231,13 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 				}
 				p := &plans[k]
 				if p.blind {
-					removed := collect(bucket)
+					removed := collect(bs.removed, bucket)
 					delete(s.buckets, id)
 					c.unlink(removed)
-					freed += len(removed)
-					counts[k] += len(removed)
-					p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: invalidate.Blind.String(), Dropped: len(removed)})
+					n := bs.dropped(removed)
+					freed += n
+					counts[k] += n
+					p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: invalidate.Blind.String(), Dropped: n})
 					bucket = nil
 					continue
 				}
@@ -235,10 +247,11 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 				if qt == nil || (p.routed && router.AZero(p.u.TemplateID, id)) {
 					continue // not an affected bucket for this update
 				}
-				class, removed := c.applyToBucket(s, id, qt, p.u, p.pu, bucket, router)
-				freed += len(removed)
-				counts[k] += len(removed)
-				p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: class.String(), Dropped: len(removed)})
+				class, removed := c.applyToBucket(s, id, qt, p.u, &p.pu, bucket, router, bs.removed)
+				n := bs.dropped(removed)
+				freed += n
+				counts[k] += n
+				p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: class.String(), Dropped: n})
 				if _, live := s.buckets[id]; !live {
 					bucket = nil // whole-bucket drop
 				}

@@ -68,7 +68,8 @@ func sealSteadyU3(b *testing.B, codec *wire.Codec, app *template.App) wire.Seale
 // every deployment without a monitoring interval runs per update — over a
 // populated cache: the routed walk consults the precomputed A > 0 index
 // and visits only the union-relation buckets. BENCH_allocs.json budgets
-// its allocations: the one-element batch must stay on OnUpdate's stack.
+// it at no allocations: the one-element batch stays on OnUpdate's stack
+// and the update is prepared into the pooled plan.
 func BenchmarkCacheOnUpdate(b *testing.B) {
 	b.Run("routed", func(b *testing.B) {
 		c, codec, app := benchBBoard(b, Options{}, 64)

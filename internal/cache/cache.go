@@ -439,8 +439,10 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	// Link into a replacement queue inside the same critical section as the
 	// bucket insert, so no invalidation can observe the entry in its bucket
 	// but not in a queue (or vice versa). Victims are evicted after the lock
-	// drops — evict takes the victim's own shard lock.
-	victims := c.trackInsert(e, old)
+	// drops — evict takes the victim's own shard lock. A store evicts one
+	// entry or two as a rule, so they are gathered on the stack.
+	var buf [4]*Entry
+	victims := c.trackInsert(e, old, buf[:0])
 	s.mu.Unlock()
 	if old == nil {
 		c.entries.Add(1)
@@ -472,11 +474,12 @@ func (c *Cache) OnUpdate(u wire.SealedUpdate) int {
 // it picks the strategy class from the exposure pair, drops whole buckets
 // or individual entries accordingly, and unlinks whatever died from its
 // replacement queue. Called under the bucket's shard lock; the caller owns
-// the entries gauge and the decision log. walk is its one production
-// caller; the test oracle funnels through here too, so the two can differ
-// only in which buckets they visit and in what order, which is what the
-// parity tests check.
-func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router) (invalidate.Class, []*Entry) {
+// the entries gauge and the decision log. The dead entries are appended to
+// removed, which the caller passes empty and may reuse once it has counted
+// them. walk is its one production caller; the test oracle funnels through
+// here too, so the two can differ only in which buckets they visit and in
+// what order, which is what the parity tests check.
+func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router, removed []*Entry) (invalidate.Class, []*Entry) {
 	// All entries in a bucket share a template and hence an exposure.
 	var sample *Entry
 	for _, e := range bucket {
@@ -484,14 +487,13 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 		break
 	}
 	class := router.Class(u.Exposure, sample.Query.Exposure)
-	var removed []*Entry
 	switch class {
 	case invalidate.Blind:
-		removed = collect(bucket)
+		removed = collect(removed, bucket)
 		delete(s.buckets, id)
 	case invalidate.TemplateInspection:
 		if c.inv.DecidePrepared(class, pu, invalidate.CachedView{Template: qt}) == invalidate.Invalidate {
-			removed = collect(bucket)
+			removed = collect(removed, bucket)
 			delete(s.buckets, id)
 		}
 	default: // statement or view inspection: per-entry decisions
@@ -506,14 +508,13 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 	return class, removed
 }
 
-// collect snapshots a bucket's entries. Called under the bucket's shard
-// lock.
-func collect(bucket map[string]*Entry) []*Entry {
-	out := make([]*Entry, 0, len(bucket))
+// collect appends a bucket's entries to dst. Called under the bucket's
+// shard lock.
+func collect(dst []*Entry, bucket map[string]*Entry) []*Entry {
 	for _, e := range bucket {
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }
 
 // Entries calls f for every cached entry (for consistency audits in

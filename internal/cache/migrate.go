@@ -152,7 +152,7 @@ func (c *Cache) DropBuckets(ids []string) int {
 			s.mu.Unlock()
 			continue
 		}
-		removed := collect(bucket)
+		removed := collect(make([]*Entry, 0, len(bucket)), bucket)
 		delete(s.buckets, id)
 		c.unlink(removed)
 		s.mu.Unlock()

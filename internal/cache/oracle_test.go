@@ -83,7 +83,7 @@ func (c *Cache) visitBucket(id string, u wire.SealedUpdate, pu *invalidate.Prepa
 		s.mu.Unlock()
 		return 0
 	}
-	class, removed := c.applyToBucket(s, id, qt, u, pu, bucket, router)
+	class, removed := c.applyToBucket(s, id, qt, u, pu, bucket, router, nil)
 	s.mu.Unlock()
 	if len(removed) > 0 {
 		c.entries.Add(int64(-len(removed)))
@@ -103,7 +103,7 @@ func (c *Cache) dropWholeBucket(id string) int {
 		s.mu.Unlock()
 		return 0
 	}
-	removed := collect(bucket)
+	removed := collect(make([]*Entry, 0, len(bucket)), bucket)
 	delete(s.buckets, id)
 	c.unlink(removed)
 	s.mu.Unlock()
@@ -127,7 +127,7 @@ func (c *Cache) dropAllBuckets(trace obs.TraceID, uLbl string) int {
 			if len(bucket) == 0 {
 				continue
 			}
-			removed := collect(bucket)
+			removed := collect(make([]*Entry, 0, len(bucket)), bucket)
 			delete(s.buckets, id)
 			c.unlink(removed)
 			counts[id] = len(removed)

@@ -174,11 +174,12 @@ func (c *Cache) touch(e *Entry) {
 // count; a key the ghost remembers goes to main; anything else to small.
 // Called under the storing shard's lock, in the same critical section as
 // the bucket insert, so no invalidation can run between the two and
-// resurrect a dead entry. The victims are returned for the caller to evict
-// after releasing the shard lock (evict takes the victim's own shard lock).
-func (c *Cache) trackInsert(e, replaced *Entry) []*Entry {
+// resurrect a dead entry. The victims are appended to victims and returned
+// for the caller to evict after releasing the shard lock (evict takes the
+// victim's own shard lock).
+func (c *Cache) trackInsert(e, replaced *Entry, victims []*Entry) []*Entry {
 	if c.opts.Capacity <= 0 {
-		return nil
+		return victims
 	}
 	c.lruMu.Lock()
 	switch {
@@ -195,7 +196,7 @@ func (c *Cache) trackInsert(e, replaced *Entry) []*Entry {
 		c.small.pushFront(e)
 	}
 	e.inLRU = true
-	victims := c.shrink()
+	victims = c.shrink(victims)
 	c.lruMu.Unlock()
 	return victims
 }
@@ -210,15 +211,14 @@ func (c *Cache) linkWarm(e *Entry) []*Entry {
 	c.lruMu.Lock()
 	e.inMain, e.inLRU = true, true
 	c.main.pushFront(e)
-	victims := c.shrink()
+	victims := c.shrink(nil)
 	c.lruMu.Unlock()
 	return victims
 }
 
 // shrink unlinks entries until the queues hold at most Capacity, and
-// returns the ones to evict. Called under lruMu.
-func (c *Cache) shrink() []*Entry {
-	var victims []*Entry
+// appends the ones to evict to victims. Called under lruMu.
+func (c *Cache) shrink(victims []*Entry) []*Entry {
 	for c.small.len+c.main.len > c.opts.Capacity {
 		if c.small.len > c.smallCap || c.main.len == 0 {
 			v := c.small.tail

@@ -142,9 +142,9 @@ func execDelete(db *storage.Database, s *sqlparse.DeleteStmt, params []sqlparse.
 	return n, err
 }
 
-// ModificationKey extracts the primary-key values selected by a
+// ModificationKey appends to dst the primary-key values selected by a
 // modification statement, in primary-key order.
-func ModificationKey(db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.Value) ([]sqlparse.Value, error) {
+func ModificationKey(dst []sqlparse.Value, db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.Value) ([]sqlparse.Value, error) {
 	t := db.Table(s.Table)
 	if t == nil {
 		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
@@ -161,15 +161,14 @@ func ModificationKey(db *storage.Database, s *sqlparse.UpdateStmt, params []sqlp
 		}
 		byCol[col.Col.Column] = v
 	}
-	keyVals := make([]sqlparse.Value, 0, len(t.Meta.PrimaryKey))
 	for _, k := range t.Meta.PrimaryKey {
 		v, ok := byCol[k]
 		if !ok {
 			return nil, fmt.Errorf("engine: modification of %q does not bind key column %q", s.Table, k)
 		}
-		keyVals = append(keyVals, v)
+		dst = append(dst, v)
 	}
-	return keyVals, nil
+	return dst, nil
 }
 
 func execModify(db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.Value) (int, error) {
@@ -177,7 +176,10 @@ func execModify(db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.
 	if t == nil {
 		return 0, fmt.Errorf("engine: unknown table %q", s.Table)
 	}
-	keyVals, err := ModificationKey(db, s, params)
+	// The applications' keys have one or two columns; a wider one
+	// spills to the heap inside append.
+	var key [4]sqlparse.Value
+	keyVals, err := ModificationKey(key[:0], db, s, params)
 	if err != nil {
 		return 0, err
 	}

@@ -59,14 +59,17 @@ func (cs *consSet) sat() bool {
 
 // PreparedUpdate carries an update instance together with its prepared
 // inspection state: the parsed WHERE range constraints, the modification
-// post-image, and the materialized inserted row. It is immutable after
-// Prepare and safe to share across goroutines deciding different entries.
+// post-image, and the materialized inserted row. It is immutable between
+// one Prepare (or PrepareInto) and the next, and safe to share across
+// goroutines deciding different entries in between.
 type PreparedUpdate struct {
 	u      UpdateInstance
 	row    []sqlparse.Value // insertions: the materialized new row (nil if malformed)
 	consOK bool             // deletions/modifications: WHERE parsed into before
 	before consSet          // deletions/modifications: WHERE constraints
 	after  consSet          // modifications: post-image constraints
+
+	rowBuf []sqlparse.Value // row's backing array, kept across PrepareInto
 }
 
 // Update returns the instance the prepared update was built from.
@@ -76,10 +79,22 @@ func (pu *PreparedUpdate) Update() UpdateInstance { return pu.u }
 // DecidePrepared calls against many cached views do no per-entry parsing
 // or allocation.
 func (iv *Invalidator) Prepare(u UpdateInstance) *PreparedUpdate {
-	pu := &PreparedUpdate{u: u}
+	pu := &PreparedUpdate{}
+	iv.PrepareInto(pu, u)
+	return pu
+}
+
+// PrepareInto is Prepare into a caller-owned PreparedUpdate: it resets pu
+// for u, reusing the backing arrays of its constraint sets and of its row,
+// so a pu kept across updates makes preparation allocation-free once they
+// have grown to the application's widest statement.
+func (iv *Invalidator) PrepareInto(pu *PreparedUpdate, u UpdateInstance) {
+	pu.u, pu.row, pu.consOK = u, nil, false
+	pu.before.reset()
+	pu.after.reset()
 	switch s := u.Template.Stmt.(type) {
 	case *sqlparse.InsertStmt:
-		pu.row = insertedRow(iv.app.Schema, s, u.Params)
+		pu.row = insertedRowInto(&pu.rowBuf, iv.app.Schema, s, u.Params)
 	case *sqlparse.DeleteStmt:
 		pu.consOK = updateConsInto(&pu.before, s.Where, u.Params)
 	case *sqlparse.UpdateStmt:
@@ -99,7 +114,6 @@ func (iv *Invalidator) Prepare(u UpdateInstance) *PreparedUpdate {
 			}
 		}
 	}
-	return pu
 }
 
 // DecidePrepared returns the decision of the given strategy class for a

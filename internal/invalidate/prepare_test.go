@@ -102,3 +102,52 @@ func TestPreparedUpdateConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPrepareIntoReusesItsArrays: one PreparedUpdate prepared in place for
+// update after update — inserts, deletions and modifications in turn, so
+// each finds the arrays an earlier kind left — decides what a fresh
+// Prepare of the same instance decides, at every class, and once its
+// arrays have grown, preparing allocates nothing.
+func TestPrepareIntoReusesItsArrays(t *testing.T) {
+	app := richToystore()
+	iv := newInvalidator(app)
+	rng := rand.New(rand.NewSource(11))
+	db := randomToystoreDB(t, rng, app)
+
+	var views []CachedView
+	for _, q := range app.Queries {
+		params := randomParams(rng, db, q)
+		res, err := engine.ExecQuery(db, q.Stmt.(*sqlparse.SelectStmt), params)
+		if err != nil || res.Len() == 0 {
+			continue
+		}
+		views = append(views, CachedView{Template: q, Params: params, Result: res})
+	}
+	var reused PreparedUpdate
+	var instances []UpdateInstance
+	for round := 0; round < 20; round++ {
+		for _, u := range app.Updates {
+			ui := UpdateInstance{Template: u, Params: randomParams(rng, db, u)}
+			instances = append(instances, ui)
+			iv.PrepareInto(&reused, ui)
+			fresh := iv.Prepare(ui)
+			for _, class := range []Class{TemplateInspection, StatementInspection, ViewInspection} {
+				for _, v := range views {
+					if got, want := iv.DecidePrepared(class, &reused, v), iv.DecidePrepared(class, fresh, v); got != want {
+						t.Fatalf("%s under %v against %s: reused %v, fresh %v", u.ID, class, v.Template.ID, got, want)
+					}
+				}
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, ui := range instances {
+			iv.PrepareInto(&reused, ui)
+		}
+	}); allocs != 0 {
+		t.Errorf("PrepareInto allocated %.1f times per pass over %d warm updates, want 0", allocs, len(instances))
+	}
+}

@@ -12,7 +12,9 @@
 // transport resolves on virtual-time events, not on the caller's stack.
 // Synchronous transports (direct in-process calls, framed round trips)
 // invoke the callback before returning; QuerySync and UpdateSync wrap the
-// callback form for callers that want a plain blocking call.
+// callback form for callers that want a plain blocking call. Each miss and
+// each update runs as one pooled call object (call.go), so the stages'
+// hand-offs allocate nothing.
 //
 // On the miss path the pipeline coalesces concurrent misses for the same
 // sealed cache key into a single home-server execution (single-flight).
@@ -25,7 +27,6 @@ package pipeline
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dssp/internal/obs"
@@ -181,12 +182,6 @@ type LeakageObserver interface {
 	ObserveInvalidation(su wire.SealedUpdate, invalidated int)
 }
 
-// flight is one in-progress home-server fetch that concurrent misses on
-// the same sealed key attach to.
-type flight struct {
-	waiters []func(QueryReply, error)
-}
-
 // Pipeline is the shared query/update pathway of one DSSP node.
 type Pipeline struct {
 	cache     Cache
@@ -200,7 +195,10 @@ type Pipeline struct {
 	coalesced *obs.Counter
 
 	mu      sync.Mutex
-	flights map[string]*flight
+	flights map[string]*missCall // each sealed key's leading miss (call.go)
+
+	// missPool and updatePool recycle the calls of call.go.
+	missPool, updatePool sync.Pool
 
 	// hists caches the end-to-end request-histogram handles per
 	// (kind, template).
@@ -222,8 +220,10 @@ func New(cache Cache, transport Transport, tracer *obs.Tracer, opts Options) *Pi
 		tracer:    tracer,
 		reg:       tracer.Registry(),
 		opts:      opts,
-		flights:   make(map[string]*flight),
+		flights:   make(map[string]*missCall),
 	}
+	p.missPool.New = p.newMissCall
+	p.updatePool.New = p.newUpdateCall
 	if p.reg != nil {
 		p.coalesced = p.reg.Counter(obs.MCoalescedMisses)
 	}
@@ -257,11 +257,11 @@ func (p *Pipeline) Query(ctx context.Context, sq wire.SealedQuery, done func(Que
 		done(reply, nil)
 		return
 	}
-	p.fetch(ctx, sq, start, done)
+	p.fetch(ctx, p.takeMiss(sq, start, done))
 }
 
 // lookup is the first stage of a query, the whole of it on a hit: it needs
-// no continuation, so QuerySync answers a hit without making one.
+// no continuation, so QuerySync answers a hit without taking a call.
 func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply, bool) {
 	tmpl := obs.Tmpl(sq.TemplateID)
 	lk := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageLookup, tmpl)
@@ -281,22 +281,25 @@ func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply,
 }
 
 // fetch is the rest of a query that missed: join the flight already
-// fetching this key, or lead one through the transport.
-func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Duration, done func(QueryReply, error)) {
-	tmpl := obs.Tmpl(sq.TemplateID)
+// fetching this key, or lead one through the transport, the call itself
+// being the flight.
+func (p *Pipeline) fetch(ctx context.Context, c *missCall) {
 	if !p.opts.DisableCoalescing {
 		p.mu.Lock()
-		if f, ok := p.flights[sq.Key]; ok {
+		if f, ok := p.flights[c.sq.Key]; ok {
 			// Join the in-flight fetch; the leader resolves us. The wait
 			// is a real pipeline stage — the whole point of coalescing is
-			// that this span replaces a home round trip.
-			cw := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageCoalesceWait, tmpl)
+			// that this span replaces a home round trip. The closure is
+			// the one allocation left on the miss path, and only a miss
+			// that overlaps another of the same key makes it.
+			cw := p.tracer.StartSpan(c.sq.TraceID, c.sq.ParentSpan, obs.StageCoalesceWait, c.tmpl)
 			f.waiters = append(f.waiters, func(r QueryReply, err error) {
 				cw.End()
 				if err == nil {
-					p.request(obs.KindQuery, tmpl, start)
+					p.request(obs.KindQuery, c.tmpl, c.start)
 				}
-				done(r, err)
+				c.done(r, err)
+				c.release()
 			})
 			p.mu.Unlock()
 			if p.coalesced != nil {
@@ -304,46 +307,15 @@ func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Du
 			}
 			return
 		}
-		p.flights[sq.Key] = &flight{}
+		p.flights[c.sq.Key] = c
 		p.mu.Unlock()
 	}
 
-	net := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageNetwork, tmpl)
-	if id := net.ID(); !id.IsZero() {
-		sq.ParentSpan = id // downstream hops (transport, home) nest under the network span
+	c.net = p.tracer.StartSpan(c.sq.TraceID, c.sq.ParentSpan, obs.StageNetwork, c.tmpl)
+	if id := c.net.ID(); !id.IsZero() {
+		c.sq.ParentSpan = id // downstream hops (transport, home) nest under the network span
 	}
-	p.transport.ExecQuery(ctx, sq, func(er ExecQueryResult, err error) {
-		net.End()
-		if err == nil {
-			p.cache.StoreResult(sq, er.Result, er.Empty)
-			if p.opts.Leakage != nil {
-				p.opts.Leakage.ObserveResult(sq, er.Result)
-			}
-		}
-
-		var waiters []func(QueryReply, error)
-		if !p.opts.DisableCoalescing {
-			p.mu.Lock()
-			if f := p.flights[sq.Key]; f != nil {
-				waiters = f.waiters
-				delete(p.flights, sq.Key)
-			}
-			p.mu.Unlock()
-		}
-
-		if err != nil {
-			done(QueryReply{}, err)
-			for _, w := range waiters {
-				w(QueryReply{}, err)
-			}
-			return
-		}
-		p.request(obs.KindQuery, tmpl, start)
-		done(QueryReply{Result: er.Result, Scanned: er.Scanned}, nil)
-		for _, w := range waiters {
-			w(QueryReply{Result: er.Result, Coalesced: true}, nil)
-		}
-	})
+	p.transport.ExecQuery(ctx, c.sq, c.resolveFn)
 }
 
 // Update routes one sealed update through the transport and, after the
@@ -352,26 +324,21 @@ func (p *Pipeline) fetch(ctx context.Context, sq wire.SealedQuery, start time.Du
 // configured. done is called exactly once, with the update's exact
 // invalidation count either way.
 func (p *Pipeline) Update(ctx context.Context, su wire.SealedUpdate, done func(UpdateReply, error)) {
-	tmpl := obs.Tmpl(su.TemplateID)
-	start := p.tracer.Now()
+	p.forward(ctx, p.takeUpdate(su, done))
+}
+
+// forward sends an update's call to the home server; confirmed takes it
+// from there.
+func (p *Pipeline) forward(ctx context.Context, c *updateCall) {
+	c.tmpl, c.start, c.forward = obs.Tmpl(c.su.TemplateID), p.tracer.Now(), true
 	if p.opts.Leakage != nil {
-		p.opts.Leakage.ObserveUpdate(su)
+		p.opts.Leakage.ObserveUpdate(c.su)
 	}
-	net := p.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageNetwork, tmpl)
-	if id := net.ID(); !id.IsZero() {
-		su.ParentSpan = id
+	c.net = p.tracer.StartSpan(c.su.TraceID, c.su.ParentSpan, obs.StageNetwork, c.tmpl)
+	if id := c.net.ID(); !id.IsZero() {
+		c.su.ParentSpan = id
 	}
-	p.transport.ExecUpdate(ctx, su, func(ur ExecUpdateResult, err error) {
-		net.End()
-		if err != nil {
-			done(UpdateReply{}, err)
-			return
-		}
-		p.MonitorUpdate(su, ur.Seq, func(invalidated int) {
-			p.request(obs.KindUpdate, tmpl, start)
-			done(UpdateReply{Affected: ur.Affected, Invalidated: invalidated, Seq: ur.Seq}, nil)
-		})
-	})
+	p.transport.ExecUpdate(ctx, c.su, c.confirmedFn)
 }
 
 // QuerySync is the blocking form of Query. It returns early with ctx's
@@ -382,55 +349,31 @@ func (p *Pipeline) QuerySync(ctx context.Context, sq wire.SealedQuery) (QueryRep
 	if reply, hit := p.lookup(sq, start); hit {
 		return reply, nil
 	}
-	var c syncCall[QueryReply]
-	p.fetch(ctx, sq, start, c.done)
-	return c.wait(ctx)
+	c := p.takeMiss(sq, start, nil)
+	p.fetch(ctx, c)
+	reply, err := c.sc.wait(ctx)
+	c.release()
+	return reply, err
 }
 
 // UpdateSync is the blocking form of Update.
 func (p *Pipeline) UpdateSync(ctx context.Context, su wire.SealedUpdate) (UpdateReply, error) {
-	var c syncCall[UpdateReply]
-	p.Update(ctx, su, c.done)
-	return c.wait(ctx)
+	c := p.takeUpdate(su, nil)
+	p.forward(ctx, c)
+	reply, err := c.sc.wait(ctx)
+	c.release()
+	return reply, err
 }
 
-// syncCall carries the outcome of one Query or Update from its continuation
-// to the caller blocked in the Sync form. A transport that resolves before
-// it returns has run the continuation by the time the caller looks: it then
-// reads the outcome and is gone, and only a caller that finds the call still
-// pending makes a channel to wait on.
-type syncCall[R any] struct {
-	reply R
-	err   error
-	state atomic.Int32  // callPending, then callDone or callWaiting, whichever side moves first
-	ch    chan struct{} // set before state becomes callWaiting; closed by done
-}
-
-const (
-	callPending int32 = iota
-	callDone          // the continuation ran first: reply and err are set
-	callWaiting       // the caller got there first and waits on ch
-)
-
-func (c *syncCall[R]) done(reply R, err error) {
-	c.reply, c.err = reply, err
-	if !c.state.CompareAndSwap(callPending, callDone) {
-		close(c.ch)
-	}
-}
-
-func (c *syncCall[R]) wait(ctx context.Context) (R, error) {
-	if c.state.Load() != callDone {
-		c.ch = make(chan struct{})
-		if c.state.CompareAndSwap(callPending, callWaiting) {
-			select {
-			case <-c.ch:
-			case <-ctx.Done():
-				// done may still run, and write reply: do not read it.
-				var none R
-				return none, ctx.Err()
-			}
-		}
-	}
-	return c.reply, c.err
+// MonitorSync is the blocking form of MonitorUpdate: it feeds an update
+// confirmed elsewhere (at home sequence seq) into this node's
+// invalidation monitor and returns its count — at the next flush when
+// the node batches per monitoring interval, at once otherwise — or ctx's
+// error if the context ends first.
+func (p *Pipeline) MonitorSync(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
+	c := p.takeUpdate(su, nil)
+	p.MonitorUpdate(su, seq, c.invalidatedFn)
+	reply, err := c.sc.wait(ctx)
+	c.release()
+	return reply.Invalidated, err
 }

@@ -48,14 +48,7 @@ func (b PipeBackend) Update(ctx context.Context, su wire.SealedUpdate) (int, int
 // count — at the next flush when the node batches per monitoring
 // interval, immediately otherwise.
 func (b PipeBackend) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
-	ch := make(chan int, 1)
-	b.Pipe.MonitorUpdate(su, seq, func(invalidated int) { ch <- invalidated })
-	select {
-	case n := <-ch:
-		return n, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
-	}
+	return b.Pipe.MonitorSync(ctx, su, seq)
 }
 
 // ExportBuckets copies the named template buckets' sealed entries for a

@@ -168,7 +168,7 @@ func TestInvalidationPrecision(t *testing.T) {
 		if !ok {
 			return ""
 		}
-		key, err := engine.ModificationKey(db, s, op.Params)
+		key, err := engine.ModificationKey(nil, db, s, op.Params)
 		if err != nil {
 			t.Fatal(err)
 		}

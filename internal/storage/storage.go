@@ -170,25 +170,55 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 
 func (t *Table) indexAdd(i int, r Row) {
 	for ci, idx := range t.sec {
-		k := Key(r[ci : ci+1])
-		idx[k] = append(idx[k], i)
+		indexInsert(idx, i, r[ci])
 	}
 }
 
 func (t *Table) indexRemove(i int, r Row) {
 	for ci, idx := range t.sec {
-		k := Key(r[ci : ci+1])
-		rows := idx[k]
-		for j, ri := range rows {
-			if ri == i {
-				rows[j] = rows[len(rows)-1]
-				idx[k] = rows[:len(rows)-1]
-				break
-			}
+		indexDelete(idx, i, r[ci])
+	}
+}
+
+// indexInsert adds row slot i under v in one secondary index.
+func indexInsert(idx map[string][]int, i int, v sqlparse.Value) {
+	var buf [keyBufSize]byte
+	k := string(AppendKey(buf[:0], v))
+	idx[k] = append(idx[k], i)
+}
+
+// indexMoveToEnd moves row slot i to the end of v's list in one
+// secondary index, in place: an indexDelete and indexInsert of the same
+// value leave the list so, but re-key it.
+func indexMoveToEnd(idx map[string][]int, i int, v sqlparse.Value) {
+	var buf [keyBufSize]byte
+	rows := idx[string(AppendKey(buf[:0], v))]
+	for j, ri := range rows {
+		if ri == i {
+			last := len(rows) - 1
+			rows[j], rows[last] = rows[last], rows[j]
+			return
 		}
-		if len(idx[k]) == 0 {
-			delete(idx, k)
+	}
+}
+
+// indexDelete takes row slot i out from under v in one secondary index,
+// probing with a key encoded on the stack.
+func indexDelete(idx map[string][]int, i int, v sqlparse.Value) {
+	var buf [keyBufSize]byte
+	k := AppendKey(buf[:0], v)
+	rows := idx[string(k)]
+	for j, ri := range rows {
+		if ri == i {
+			rows[j] = rows[len(rows)-1]
+			rows = rows[:len(rows)-1]
+			break
 		}
+	}
+	if len(rows) == 0 {
+		delete(idx, string(k))
+	} else {
+		idx[string(k)] = rows
 	}
 }
 
@@ -293,11 +323,21 @@ func (db *Database) UpdateByPK(table string, keyVals []sqlparse.Value, set map[i
 				table, t.Meta.Columns[ci].Name, t.Meta.Columns[ci].Type, v.Kind)
 		}
 	}
-	t.indexRemove(i, r)
+	// Only the indexes on a column SET assigns are re-keyed. In the others
+	// the row moves to the end of its list, where taking it out and
+	// putting it back would leave it: the order an index yields rows in is
+	// the order of every result read through it.
+	for ci, idx := range t.sec {
+		if v, ok := set[ci]; ok {
+			indexDelete(idx, i, r[ci])
+			indexInsert(idx, i, v)
+		} else {
+			indexMoveToEnd(idx, i, r[ci])
+		}
+	}
 	for ci, v := range set {
 		r[ci] = v
 	}
-	t.indexAdd(i, r)
 	return 1, nil
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -148,6 +149,70 @@ func TestUpdateByPK(t *testing.T) {
 	n, err = db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(404)}, map[int]sqlparse.Value{2: sqlparse.IntVal(1)})
 	if err != nil || n != 0 {
 		t.Errorf("update of missing row = %d, %v", n, err)
+	}
+}
+
+// A modification re-keys only the indexes on the columns it sets, and
+// leaves every index holding what CreateIndex would build. A modified row
+// moves to the end of its list in every index, as taking it out and
+// putting it back did before, because the order an index yields rows in
+// is the order of the results read through it; and a modification of an
+// unindexed column allocates nothing.
+func TestUpdateByPKReindexesOnlyWhatChanged(t *testing.T) {
+	db := toyDB(t)
+	tab := db.Table("toys")
+	for i := int64(1); i <= 12; i++ {
+		_ = db.Insert("toys", toyRow(i, fmt.Sprintf("name%d", i%3), i))
+	}
+	if err := tab.CreateIndex("toy_name"); err != nil {
+		t.Fatal(err)
+	}
+	name, qty := tab.Meta.ColumnIndex("toy_name"), tab.Meta.ColumnIndex("qty")
+	ids := func(tab *Table, v string) []int64 {
+		var out []int64
+		tab.LookupIndex(name, sqlparse.StringVal(v), func(r Row) bool { out = append(out, r[0].Int); return true })
+		return out
+	}
+	update := func(id int64, col int, v sqlparse.Value) {
+		t.Helper()
+		if n, err := db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(id)}, map[int]sqlparse.Value{col: v}); err != nil || n != 1 {
+			t.Fatalf("UpdateByPK(%d) = %d, %v", id, n, err)
+		}
+	}
+	sameRows := func(when string) {
+		t.Helper()
+		fresh := db.Clone().Table("toys")
+		for _, v := range []string{"name0", "name1", "name2", "renamed"} {
+			got := ids(tab, v)
+			slices.Sort(got)
+			if want := ids(fresh, v); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("after %s, LookupIndex(%s) = %v, a fresh index reads %v", when, v, got, want)
+			}
+		}
+	}
+
+	update(1, qty, sqlparse.IntVal(101))
+	if got := ids(tab, "name1"); fmt.Sprint(got) != "[10 4 7 1]" {
+		t.Errorf("after modifying qty of toy 1, LookupIndex(name1) = %v, want [10 4 7 1]", got)
+	}
+	for _, id := range []int64{4, 7, 4} {
+		update(id, qty, sqlparse.IntVal(100+id))
+	}
+	sameRows("modifying qty")
+
+	for _, id := range []int64{1, 5, 10} {
+		update(id, name, sqlparse.StringVal("renamed"))
+	}
+	update(4, name, sqlparse.StringVal("name1")) // the value it had
+	sameRows("modifying toy_name")
+	if got := ids(tab, "renamed"); len(got) != 3 {
+		t.Errorf("LookupIndex(renamed) = %v, want 3 rows", got)
+	}
+
+	key := []sqlparse.Value{sqlparse.IntVal(7)}
+	set := map[int]sqlparse.Value{qty: sqlparse.IntVal(0)}
+	if n := testing.AllocsPerRun(100, func() { _, _ = db.UpdateByPK("toys", key, set) }); n != 0 {
+		t.Errorf("modifying an unindexed column allocates %v times, want 0", n)
 	}
 }
 
