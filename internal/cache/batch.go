@@ -31,8 +31,10 @@ import (
 // all-queries list (both immutable), per-update membership tests go to
 // the routing index's A = 0 table instead of a per-plan set, each update's
 // inspection work is prepared once (invalidate.PrepareInto, into the
-// plan's own PreparedUpdate) instead of once per cached entry, and the
-// entries a bucket loses are gathered in the scratch's removed slice.
+// plan's own PreparedUpdate) instead of once per cached entry, what the
+// (update, query template) pair fixes is resolved once per bucket
+// (applyToBucket takes the pair's invalidate.PairPlan), and the entries a
+// bucket loses are gathered in the scratch's removed slice.
 
 // updatePlan is one batch member's routing decision, made before any lock
 // is taken, plus its share of the batch's outcome, emitted to the decision

@@ -136,3 +136,35 @@ func benchConcurrentLookup(b *testing.B, opts Options) {
 		}
 	})
 }
+
+// BenchmarkOnUpdateLargeBucket measures one inline invalidation pass whose
+// whole cost is a large statement-inspection bucket: bboard's U5 (UPDATE
+// users SET u_rating=? WHERE u_id=?) against 4 000 cached instances of Q5
+// (… FROM users WHERE u_id=?), its only A > 0 query template. The update's
+// key is outside every entry's, so statement inspection keeps them all and
+// each iteration decides all 4 000 again: the row prices one per-entry
+// decision, and BENCH_allocs.json budgets it at no allocations.
+func BenchmarkOnUpdateLargeBucket(b *testing.B) {
+	const entries = 4000
+	c, codec, app := benchBBoard(b, Options{}, 0)
+	q5 := app.Query("Q5")
+	for i := int64(0); i < entries; i++ {
+		c.Store(seal(b, codec, q5, sqlparse.IntVal(i)), codec.SealResult(q5, result(i)), false)
+	}
+	su, err := codec.SealUpdate(app.Update("U5"), []sqlparse.Value{sqlparse.IntVal(3), sqlparse.IntVal(1 << 30)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if dropped := c.OnUpdate(su); dropped != 0 || c.Len() != entries {
+		b.Fatalf("steady-state update dropped %d of %d entries", dropped, entries)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.OnUpdate(su)
+	}
+	b.StopTimer()
+	if c.Len() != entries {
+		b.Fatalf("cache drifted: %d -> %d entries", entries, c.Len())
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dssp/internal/engine"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
 	"dssp/internal/template"
@@ -62,19 +61,6 @@ type Entry struct {
 func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
 	q.TraceID, q.ParentSpan = obs.TraceID{}, obs.SpanID{}
 	return &Entry{Query: q, Result: r}
-}
-
-// view renders the entry for the invalidator.
-func (e *Entry) view(app *template.App) invalidate.CachedView {
-	var t *template.Template
-	if e.Query.TemplateID != "" {
-		t = app.Query(e.Query.TemplateID)
-	}
-	return invalidate.CachedView{
-		Template: t,
-		Params:   e.Query.Params,
-		Result:   e.Result.Result, // nil unless view exposure
-	}
 }
 
 // Options configures cache behaviour.
@@ -471,8 +457,9 @@ func (c *Cache) OnUpdate(u wire.SealedUpdate) int {
 }
 
 // applyToBucket applies one update instance against one non-empty bucket:
-// it picks the strategy class from the exposure pair, drops whole buckets
-// or individual entries accordingly, and unlinks whatever died from its
+// it picks the strategy class from the exposure pair, resolves the
+// (update, query template) pair's plan once, drops whole buckets or
+// individual entries accordingly, and unlinks whatever died from its
 // replacement queue. Called under the bucket's shard lock; the caller owns
 // the entries gauge and the decision log. The dead entries are appended to
 // removed, which the caller passes empty and may reuse once it has counted
@@ -487,18 +474,19 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 		break
 	}
 	class := router.Class(u.Exposure, sample.Query.Exposure)
+	plan := c.inv.Plan(pu.Update().Template, qt)
 	switch class {
 	case invalidate.Blind:
 		removed = collect(removed, bucket)
 		delete(s.buckets, id)
 	case invalidate.TemplateInspection:
-		if c.inv.DecidePrepared(class, pu, invalidate.CachedView{Template: qt}) == invalidate.Invalidate {
+		if plan.Decide(class, pu, nil, nil) == invalidate.Invalidate {
 			removed = collect(removed, bucket)
 			delete(s.buckets, id)
 		}
 	default: // statement or view inspection: per-entry decisions
 		for key, e := range bucket {
-			if c.inv.DecidePrepared(class, pu, e.view(c.app)) == invalidate.Invalidate {
+			if plan.Decide(class, pu, e.Query.Params, e.Result.Result) == invalidate.Invalidate {
 				delete(bucket, key)
 				removed = append(removed, e)
 			}
@@ -542,7 +530,3 @@ func (c *Cache) Dump() []string {
 	sort.Strings(out)
 	return out
 }
-
-// PlaintextResult returns the entry's result when it is stored in the
-// clear (view exposure), and nil otherwise.
-func (e *Entry) PlaintextResult() *engine.Result { return e.Result.Result }

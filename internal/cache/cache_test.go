@@ -156,7 +156,7 @@ func TestEntriesVisitor(t *testing.T) {
 	n := 0
 	c.Entries(func(e *Entry) {
 		n++
-		if e.PlaintextResult() == nil {
+		if e.Result.Result == nil {
 			t.Error("view-exposed entry lost its plaintext")
 		}
 	})

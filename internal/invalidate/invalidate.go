@@ -14,7 +14,6 @@ package invalidate
 
 import (
 	"fmt"
-	"sync"
 
 	"dssp/internal/core"
 	"dssp/internal/engine"
@@ -104,22 +103,20 @@ type Invalidator struct {
 	analysis *core.Analysis
 	router   *Router
 
-	// qinfo caches the prepared per-query-template inspection structure
-	// (keyed by *template.Template). It lives on the instance so that an
-	// invalidator's working set dies with it: a package-global cache would
-	// retain one entry per template per constructed App for the life of
-	// the process (every simulation trial builds a fresh App).
-	qinfo sync.Map
-
-	// satScratch pools *consSet merge scratch for satisfiability checks,
-	// keeping the per-entry decision path off the allocator.
-	satScratch sync.Pool
+	// plans holds the compiled plan of every (update template, query
+	// template) pair of app (plan.go). It lives on the instance, keyed by
+	// template pointer, so two apps with identically named templates never
+	// read each other's, and the plans die with the invalidator: every
+	// simulation trial builds a fresh App.
+	plans map[pairKey]*PairPlan
 }
 
 // New builds an Invalidator. The analysis must have been computed over the
 // same application.
 func New(app *template.App, analysis *core.Analysis) *Invalidator {
-	return &Invalidator{app: app, analysis: analysis, router: NewRouter(analysis)}
+	iv := &Invalidator{app: app, analysis: analysis, router: NewRouter(analysis)}
+	iv.compilePlans()
+	return iv
 }
 
 // Analysis returns the static analysis the invalidator consults.
@@ -129,16 +126,3 @@ func (iv *Invalidator) Analysis() *core.Analysis { return iv.analysis }
 // analysis. The cache's OnUpdate fast path visits only the buckets the
 // router names.
 func (iv *Invalidator) Router() *Router { return iv.router }
-
-// templateDecide is the minimal template-inspection strategy: invalidate
-// iff the static analysis could not establish A = 0 for the pair.
-func (iv *Invalidator) templateDecide(u, q *template.Template) Decision {
-	pa, ok := iv.analysis.Pair(u.ID, q.ID)
-	if !ok {
-		return Invalidate // unknown pair: conservative
-	}
-	if pa.AZero {
-		return DNI
-	}
-	return Invalidate
-}

@@ -9,10 +9,10 @@ import (
 // against every cached entry of an affected bucket — hundreds of decisions
 // with the same UpdateInstance — and the original implementation
 // re-parsed the update's WHERE clause into freshly allocated constraint
-// maps on every call. Prepare does that work once; DecidePrepared then
-// runs allocation-free per entry, using slice-backed constraint sets
-// (column counts are tiny, so linear search beats a map and needs no heap)
-// and pooled merge scratch.
+// maps on every call. Prepare does that work once, into slice-backed
+// constraint sets (column counts are tiny, so linear search beats a map
+// and needs no heap); the per-pair half lives in the pair's plan
+// (plan.go), and a decision combines the two without allocating.
 
 // consSet is a set of per-column range constraints backed by a small
 // slice: statements constrain a handful of columns at most, so linear
@@ -46,16 +46,6 @@ func (cs *consSet) copyFrom(src *consSet) {
 }
 
 func (cs *consSet) reset() { cs.cols = cs.cols[:0] }
-
-// sat reports whether every column's constraints are satisfiable.
-func (cs *consSet) sat() bool {
-	for i := range cs.cols {
-		if !cs.cols[i].rc.sat() {
-			return false
-		}
-	}
-	return true
-}
 
 // PreparedUpdate carries an update instance together with its prepared
 // inspection state: the parsed WHERE range constraints, the modification
@@ -118,39 +108,11 @@ func (iv *Invalidator) PrepareInto(pu *PreparedUpdate, u UpdateInstance) {
 
 // DecidePrepared returns the decision of the given strategy class for a
 // prepared update against a cached view; it is the package's one decision
-// entry. Information above the class's level is ignored even if present.
-// The per-entry path allocates nothing.
+// entry: the pair's plan (Plan), then its per-entry evaluation
+// (PairPlan.Decide), which is all the cache's walk repeats per entry once
+// it has resolved the plan for a bucket. Information above the class's
+// level is ignored even if present. It allocates nothing for templates of
+// the invalidator's application.
 func (iv *Invalidator) DecidePrepared(class Class, pu *PreparedUpdate, q CachedView) Decision {
-	switch class {
-	case Blind:
-		return Invalidate
-	case TemplateInspection:
-		return iv.templateDecide(pu.u.Template, q.Template)
-	case StatementInspection:
-		if iv.templateDecide(pu.u.Template, q.Template) == DNI {
-			return DNI
-		}
-		return iv.statementDecide(pu, q)
-	case ViewInspection:
-		if iv.templateDecide(pu.u.Template, q.Template) == DNI {
-			return DNI
-		}
-		if iv.statementDecide(pu, q) == DNI {
-			return DNI
-		}
-		return iv.viewDecide(pu, q)
-	default:
-		return Invalidate
-	}
+	return iv.Plan(pu.u.Template, q.Template).Decide(class, pu, q.Params, q.Result)
 }
-
-// getScratch and putScratch pool consSet merge scratch across decisions
-// (the pool lives on the invalidator so its arenas die with it).
-func (iv *Invalidator) getScratch() *consSet {
-	if v := iv.satScratch.Get(); v != nil {
-		return v.(*consSet)
-	}
-	return &consSet{}
-}
-
-func (iv *Invalidator) putScratch(cs *consSet) { iv.satScratch.Put(cs) }

@@ -23,7 +23,6 @@ type Router struct {
 	affected map[string][]string        // update ID -> query IDs with A > 0, in app order
 	azero    map[string]map[string]bool // update ID -> set of query IDs with A = 0
 	classes  [4][4]Class                // [update exposure][query exposure] -> class
-	queries  int                        // total query templates, for stats
 }
 
 // NewRouter precomputes the routing index from a static analysis.
@@ -31,7 +30,6 @@ func NewRouter(a *core.Analysis) *Router {
 	r := &Router{
 		affected: make(map[string][]string, len(a.App.Updates)),
 		azero:    make(map[string]map[string]bool, len(a.App.Updates)),
-		queries:  len(a.App.Queries),
 	}
 	for eu := template.ExpBlind; eu <= template.ExpView; eu++ {
 		for eq := template.ExpBlind; eq <= template.ExpView; eq++ {
@@ -75,9 +73,6 @@ func (r *Router) Skipped(updateID string) (int, bool) {
 	cold, ok := r.azero[updateID]
 	return len(cold), ok
 }
-
-// NumQueries returns the number of query templates the index covers.
-func (r *Router) NumQueries() int { return r.queries }
 
 // Class returns the strategy class for an exposure pair via the
 // precomputed Figure 6 table. Out-of-range exposures (corrupt messages)

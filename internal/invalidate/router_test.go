@@ -19,9 +19,6 @@ func TestRouterIndex(t *testing.T) {
 	a := core.Analyze(app, core.DefaultOptions())
 	r := NewRouter(a)
 
-	if r.NumQueries() != len(app.Queries) {
-		t.Fatalf("NumQueries = %d, want %d", r.NumQueries(), len(app.Queries))
-	}
 	sawAZero := false
 	for i, u := range app.Updates {
 		ids, ok := r.Affected(u.ID)
@@ -85,11 +82,11 @@ func TestRouterIndex(t *testing.T) {
 	}
 }
 
-// TestQueryInfoNoCrossContamination (the instance-scoped queryInfo cache):
-// two applications with identically named templates over different schemas
-// must each reason with their own statement structure. The old
+// TestQueryInfoNoCrossContamination (the instance-scoped pair plans): two
+// applications with identically named templates over different schemas
+// must each reason with their own statement structure. An old
 // package-global memo additionally leaked one entry per template for the
-// process lifetime; an instance memo dies with its invalidator.
+// process lifetime; an invalidator's plans die with it.
 func TestQueryInfoNoCrossContamination(t *testing.T) {
 	mkApp := func(name, querySQL string) *template.App {
 		s := schema.New()
@@ -124,7 +121,7 @@ func TestQueryInfoNoCrossContamination(t *testing.T) {
 	uB := UpdateInstance{Template: appB.Updates[0], Params: u.Params}
 	qB := CachedView{Template: appB.Queries[0], Params: []sqlparse.Value{sqlparse.IntVal(3)}}
 
-	for i := 0; i < 3; i++ { // repeat so both memos are warm
+	for i := 0; i < 3; i++ { // repeat: no decision may depend on an earlier one
 		if d := decide(ivA, StatementInspection, u, qA); d != DNI {
 			t.Fatalf("round %d: appA decision = %v, want DNI", i, d)
 		}

@@ -1,8 +1,6 @@
 package invalidate
 
 import (
-	"sync"
-
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
@@ -18,11 +16,6 @@ type queryInfo struct {
 	joinPreds []joinPred          // column-vs-column predicates
 	evalErr   bool                // resolution failed; force conservative decisions
 	outIdx    map[schema.Attr]int // first result-column index per preserved attr
-
-	// modify memoizes what view inspection of a modification resolves from
-	// the (update template, this query template) pair alone: update
-	// *template.Template → *modifyInfo.
-	modify sync.Map
 }
 
 // instPred is a single-instance predicate `col op value` with the column on
@@ -39,20 +32,6 @@ type joinPred struct {
 	op           sqlparse.CompareOp
 	lFrom, rFrom int
 	lAttr, rAttr schema.Attr
-}
-
-// infoFor returns the prepared inspection structure for a query template,
-// memoized on the invalidator instance (keyed by template pointer, so two
-// apps with identically named templates can never cross-contaminate, and
-// the memo is released with the invalidator instead of leaking for the
-// process lifetime).
-func (iv *Invalidator) infoFor(q *template.Template) *queryInfo {
-	if v, ok := iv.qinfo.Load(q); ok {
-		return v.(*queryInfo)
-	}
-	qi := buildQueryInfo(iv.app.Schema, q)
-	iv.qinfo.Store(q, qi)
-	return qi
 }
 
 func buildQueryInfo(sch *schema.Schema, q *template.Template) *queryInfo {
@@ -182,26 +161,194 @@ func (r *rangeCons) sat() bool {
 	return true
 }
 
-// statementDecide is the minimal statement-inspection strategy beyond the
+// statement is the minimal statement-inspection strategy beyond the
 // template level: it exploits bound parameter values (and, for insertions
 // and modifications, the revealed new attribute values) to rule out
-// interaction between the update and the cached query instance. All
-// per-update state comes prepared; this path allocates nothing per entry.
-func (iv *Invalidator) statementDecide(pu *PreparedUpdate, q CachedView) Decision {
-	qi := iv.infoFor(q.Template)
-	if qi.evalErr {
-		return Invalidate
-	}
-	switch s := pu.u.Template.Stmt.(type) {
-	case *sqlparse.InsertStmt:
-		return iv.stmtInsert(qi, s, pu, q)
-	case *sqlparse.DeleteStmt:
-		return iv.stmtDelete(qi, s, pu, q)
-	case *sqlparse.UpdateStmt:
-		return iv.stmtModify(qi, s, pu, q)
+// interaction between the update and the cached query instance whose
+// parameters are params.
+//
+// Insertion: the new row is fully specified. A query instance of the
+// inserted relation is unaffected if the row fails one of the instance's
+// predicates, or if the instance is shielded by a foreign-key join on a
+// fresh primary key (§4.5 reasoning at statement level). The insertion is
+// ignorable iff every instance is unaffected.
+//
+// Deletion: the deletion removes rows satisfying its predicate. A query
+// instance is unaffected if the conjunction of the deletion predicate and
+// the instance's predicates is unsatisfiable over a single row.
+//
+// Modification: the modified row's primary key and new attribute values
+// are known. A query instance is unaffected if neither the pre-image (key
+// bound, other attributes free) nor the post-image (key and SET attributes
+// bound) can satisfy the instance's predicates.
+func (p *PairPlan) statement(pu *PreparedUpdate, params []sqlparse.Value) Decision {
+	switch p.kind {
+	case kindInsert:
+		if pu.row == nil {
+			return Invalidate
+		}
+		for i := range p.insts {
+			if !p.insts[i].excludes(pu.row, params) {
+				return Invalidate
+			}
+		}
+		return DNI
+	case kindDelete, kindModify:
+		if !pu.consOK {
+			return Invalidate
+		}
+		for i := range p.insts {
+			in := &p.insts[i]
+			if in.sat(&pu.before, before, params) || (p.kind == kindModify && in.sat(&pu.after, after, params)) {
+				return Invalidate
+			}
+		}
+		return DNI
 	default:
 		return Invalidate
 	}
+}
+
+// The two constraint sets of a prepared update, as planInst indexes them.
+const (
+	before = 0 // the WHERE clause: a deletion's rows, a modification's pre-image
+	after  = 1 // a modification's post-image
+)
+
+// planInst is one FROM instance of the query over the updated table,
+// compiled against the update's statement.
+type planInst struct {
+	preds    []instPred // the instance's value predicates, in WHERE order
+	shielded bool       // FK-shielded on a freshly inserted primary key (insertions)
+
+	// Deletions and modifications: the predicates grouped by column, each
+	// group's column located in the prepared update's constraint sets, and
+	// the update's columns no group constrains. need is the parameter count
+	// the predicates bind; unbound marks an operand that binds nothing.
+	groups  []predGroup
+	only    [2][]int
+	need    int
+	unbound bool
+}
+
+// predGroup is an instance's predicates over one column, in WHERE order,
+// and where the update's constraint on that column sits in its before and
+// after sets (-1: the update does not constrain it).
+type predGroup struct {
+	col   string
+	idx   [2]int
+	preds []instPred
+}
+
+// compileInst compiles the query's FROM instance fi, over the updated
+// table, against the layout of the update's constraint sets.
+func compileInst(sch *schema.Schema, qi *queryInfo, fi int, table string, layout [2][]string) planInst {
+	in := planInst{preds: qi.instPreds[fi], shielded: fkShielded(sch, qi, fi, table)}
+	for _, pr := range in.preds {
+		switch pr.val.Kind {
+		case sqlparse.OpParam:
+			in.need = max(in.need, pr.val.Param+1)
+		case sqlparse.OpConst:
+		default:
+			in.unbound = true
+		}
+		gi := len(in.groups)
+		for i := range in.groups {
+			if in.groups[i].col == pr.attr.Column {
+				gi = i
+			}
+		}
+		if gi == len(in.groups) {
+			g := predGroup{col: pr.attr.Column}
+			for side := range layout {
+				g.idx[side] = indexOf(layout[side], g.col)
+			}
+			in.groups = append(in.groups, g)
+		}
+		in.groups[gi].preds = append(in.groups[gi].preds, pr)
+	}
+	for side := range layout {
+		for i, col := range layout[side] {
+			constrained := false
+			for _, g := range in.groups {
+				constrained = constrained || g.col == col
+			}
+			if !constrained {
+				in.only[side] = append(in.only[side], i)
+			}
+		}
+	}
+	return in
+}
+
+func indexOf(cols []string, col string) int {
+	for i, c := range cols {
+		if c == col {
+			return i
+		}
+	}
+	return -1
+}
+
+// excludes reports whether the instance cannot use the inserted row:
+// either it is shielded by a foreign-key join on the fresh primary key, or
+// some value predicate of the instance fails on the row.
+func (in *planInst) excludes(row, params []sqlparse.Value) bool {
+	if in.shielded {
+		return true
+	}
+	for _, pr := range in.preds {
+		v, ok := bindVal(pr.val, params)
+		if !ok {
+			continue // unknown comparison value: cannot exclude through it
+		}
+		rv := row[pr.colIdx]
+		if rv.IsNull() || v.IsNull() || !pr.op.Holds(rv.Compare(v)) {
+			return true
+		}
+	}
+	return false
+}
+
+// sat reports whether the update's constraint set cs (its side of the
+// prepared update) and the instance's predicates, bound to params, admit a
+// common row. Each column's constraint starts from the update's own and
+// takes the instance's predicates in WHERE order, so what is decided is
+// what merging the predicates into a copy of cs would decide; the copy
+// lives on the stack, one column at a time.
+func (in *planInst) sat(cs *consSet, side int, params []sqlparse.Value) bool {
+	if in.unbound || len(params) < in.need {
+		return true // an unknown value: assume satisfiable
+	}
+	for gi := range in.groups {
+		g := &in.groups[gi]
+		var rc rangeCons
+		if i := g.idx[side]; i >= 0 {
+			uc := &cs.cols[i].rc
+			// Two equalities that differ refute the column before any
+			// copy: what add would find on the first predicate, and the
+			// common case — WHERE k = ? against an entry's other k.
+			if p0 := g.preds[0]; p0.op == sqlparse.OpEq && uc.hasEq {
+				if v, _ := bindVal(p0.val, params); !uc.eq.Equal(v) {
+					return false
+				}
+			}
+			rc = *uc
+		}
+		for _, pr := range g.preds {
+			v, _ := bindVal(pr.val, params)
+			rc.add(pr.op, v)
+		}
+		if !rc.sat() {
+			return false
+		}
+	}
+	for _, i := range in.only[side] {
+		if !cs.cols[i].rc.sat() {
+			return false
+		}
+	}
+	return true
 }
 
 // insertedRowInto materializes the row an insertion adds (in column
@@ -236,56 +383,10 @@ func insertedRowInto(buf *[]sqlparse.Value, sch *schema.Schema, s *sqlparse.Inse
 	return row
 }
 
-// stmtInsert: the new row is fully specified. A query instance of the
-// inserted relation is unaffected if the row fails one of the instance's
-// predicates, or if the instance is shielded by a foreign-key join on a
-// fresh primary key (§4.5 reasoning at statement level). The insertion is
-// ignorable iff every instance is unaffected.
-func (iv *Invalidator) stmtInsert(qi *queryInfo, s *sqlparse.InsertStmt, pu *PreparedUpdate, q CachedView) Decision {
-	row := pu.row
-	if row == nil {
-		return Invalidate
-	}
-	touched := false
-	for fi, f := range qi.sel.From {
-		if f.Table != s.Table {
-			continue
-		}
-		touched = true
-		if !iv.insertExcluded(qi, fi, s.Table, row, q.Params) {
-			return Invalidate
-		}
-	}
-	if !touched {
-		// The insertion's relation is not referenced; template inspection
-		// normally catches this, but COUNT(*) pairs can reach here.
-		return DNI
-	}
-	return DNI
-}
-
-// insertExcluded reports whether FROM instance fi cannot use the inserted
-// row: either some value predicate of the instance fails on the row, or the
-// instance is shielded by a foreign-key join on the fresh primary key.
-func (iv *Invalidator) insertExcluded(qi *queryInfo, fi int, table string, row, qParams []sqlparse.Value) bool {
-	for _, p := range qi.instPreds[fi] {
-		v, ok := bindVal(p.val, qParams)
-		if !ok {
-			continue // unknown comparison value: cannot exclude through it
-		}
-		rv := row[p.colIdx]
-		if rv.IsNull() || v.IsNull() || !p.op.Holds(rv.Compare(v)) {
-			return true
-		}
-	}
-	return iv.fkShielded(qi, fi, table)
-}
-
 // fkShielded reports whether instance fi joins the relation's single-column
 // primary key against a declared foreign-key column, so a freshly inserted
 // key cannot match any existing child row.
-func (iv *Invalidator) fkShielded(qi *queryInfo, fi int, table string) bool {
-	sch := iv.app.Schema
+func fkShielded(sch *schema.Schema, qi *queryInfo, fi int, table string) bool {
 	meta := sch.Table(table)
 	if meta == nil || len(meta.PrimaryKey) != 1 {
 		return false
@@ -313,44 +414,6 @@ func (iv *Invalidator) fkShielded(qi *queryInfo, fi int, table string) bool {
 	return false
 }
 
-// stmtDelete: the deletion removes rows satisfying its predicate. A query
-// instance is unaffected if the conjunction of the deletion predicate and
-// the instance's predicates is unsatisfiable over a single row.
-func (iv *Invalidator) stmtDelete(qi *queryInfo, s *sqlparse.DeleteStmt, pu *PreparedUpdate, q CachedView) Decision {
-	if !pu.consOK {
-		return Invalidate
-	}
-	for fi, f := range qi.sel.From {
-		if f.Table != s.Table {
-			continue
-		}
-		if iv.combinedSat(&pu.before, qi.instPreds[fi], q.Params) {
-			return Invalidate
-		}
-	}
-	return DNI
-}
-
-// stmtModify: the modified row's primary key and new attribute values are
-// known. A query instance is unaffected if neither the pre-image (key
-// bound, other attributes free) nor the post-image (key and SET attributes
-// bound) can satisfy the instance's predicates.
-func (iv *Invalidator) stmtModify(qi *queryInfo, s *sqlparse.UpdateStmt, pu *PreparedUpdate, q CachedView) Decision {
-	if !pu.consOK {
-		return Invalidate
-	}
-	for fi, f := range qi.sel.From {
-		if f.Table != s.Table {
-			continue
-		}
-		if iv.combinedSat(&pu.before, qi.instPreds[fi], q.Params) ||
-			iv.combinedSat(&pu.after, qi.instPreds[fi], q.Params) {
-			return Invalidate
-		}
-	}
-	return DNI
-}
-
 // updateConsInto converts an update's single-table predicate into
 // per-column range constraints, resetting cs first. It fails (false) for
 // column-column predicates, which the range model cannot express.
@@ -371,21 +434,4 @@ func updateConsInto(cs *consSet, where []sqlparse.Predicate, params []sqlparse.V
 		cs.get(col.Col.Column).add(op, v)
 	}
 	return true
-}
-
-// combinedSat reports whether the update constraints plus the query
-// instance's predicates admit a common row. The merge runs in pooled
-// scratch; uCons is never mutated.
-func (iv *Invalidator) combinedSat(uCons *consSet, preds []instPred, qParams []sqlparse.Value) bool {
-	m := iv.getScratch()
-	defer iv.putScratch(m)
-	m.copyFrom(uCons)
-	for _, p := range preds {
-		v, ok := bindVal(p.val, qParams)
-		if !ok {
-			return true // unknown value: assume satisfiable
-		}
-		m.get(p.attr.Column).add(p.op, v)
-	}
-	return m.sat()
 }

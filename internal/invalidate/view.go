@@ -3,30 +3,27 @@ package invalidate
 import (
 	"math"
 
+	"dssp/internal/engine"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 )
 
-// viewDecide is the minimal view-inspection strategy beyond the statement
-// level: it inspects the cached result itself. It is invoked only after
-// statement inspection has decided to invalidate, and may overturn that
-// decision when the result proves the update cannot change it.
-func (iv *Invalidator) viewDecide(pu *PreparedUpdate, q CachedView) Decision {
-	if q.Result == nil {
+// view is the minimal view-inspection strategy beyond the statement level:
+// it inspects the cached result itself. It is invoked only after statement
+// inspection has decided to invalidate, and may overturn that decision
+// when the result proves the update cannot change it.
+func (p *PairPlan) view(pu *PreparedUpdate, params []sqlparse.Value, res *engine.Result) Decision {
+	if res == nil {
 		return Invalidate
 	}
-	qi := iv.infoFor(q.Template)
-	if qi.evalErr {
-		return Invalidate
-	}
-	switch s := pu.u.Template.Stmt.(type) {
-	case *sqlparse.DeleteStmt:
-		return iv.viewDelete(qi, s, pu.u.Params, q)
-	case *sqlparse.InsertStmt:
-		return iv.viewInsert(qi, s, pu, q)
-	case *sqlparse.UpdateStmt:
-		return iv.viewModify(qi, s, pu, q)
+	switch p.kind {
+	case kindDelete:
+		return p.viewDelete(pu.u.Params, res)
+	case kindInsert:
+		return p.viewInsert(pu.row, res)
+	case kindModify:
+		return p.viewModify(pu, params, res)
 	default:
 		return Invalidate
 	}
@@ -37,33 +34,26 @@ func (iv *Invalidator) viewDecide(pu *PreparedUpdate, q CachedView) Decision {
 // contributing row's relevant attribute values appear in the result when
 // they are preserved. If the deletion predicate can be evaluated over the
 // preserved attributes and no result row satisfies it, the result is
-// untouched (this also holds under ORDER BY and LIMIT: removing rows at or
-// beyond the cutoff never changes the top k... removing rows beyond the
-// cutoff; removals at the cutoff are caught because those rows are in the
-// result).
-func (iv *Invalidator) viewDelete(qi *queryInfo, s *sqlparse.DeleteStmt, params []sqlparse.Value, q CachedView) Decision {
-	if q.Template.HasAggregate || q.Template.InstanceCount(s.Table) != 1 {
+// untouched. This also holds under ORDER BY and LIMIT: a row that sorts
+// past the cutoff does not contribute, so removing it changes nothing,
+// and a contributing row is in the result, where the check finds it.
+func (p *PairPlan) viewDelete(params []sqlparse.Value, res *engine.Result) Decision {
+	if !p.del.ok {
 		return Invalidate
 	}
-	// Map every attribute the deletion predicate references to a result
-	// column.
-	colOf := func(col sqlparse.ColumnRef) (int, bool) {
-		a := schema.Attr{Table: s.Table, Column: col.Column}
-		i, ok := qi.outIdx[a]
-		return i, ok
-	}
-	for _, row := range q.Result.Rows {
+	for _, row := range res.Rows {
 		matches := true
-		for _, p := range s.Where {
-			lv, ok := predSide(p.Left, params, row, colOf)
+		for i := range p.del.preds {
+			dp := &p.del.preds[i]
+			lv, ok := dp.l.value(row, params)
 			if !ok {
 				return Invalidate
 			}
-			rv, ok := predSide(p.Right, params, row, colOf)
+			rv, ok := dp.r.value(row, params)
 			if !ok {
 				return Invalidate
 			}
-			if lv.IsNull() || rv.IsNull() || !p.Op.Holds(lv.Compare(rv)) {
+			if lv.IsNull() || rv.IsNull() || !dp.op.Holds(lv.Compare(rv)) {
 				matches = false
 				break
 			}
@@ -75,18 +65,58 @@ func (iv *Invalidator) viewDelete(qi *queryInfo, s *sqlparse.DeleteStmt, params 
 	return DNI
 }
 
-// predSide evaluates one predicate operand against a result row, using the
-// preserved-attribute mapping for columns.
-func predSide(o sqlparse.Operand, params []sqlparse.Value, row []sqlparse.Value,
-	colOf func(sqlparse.ColumnRef) (int, bool)) (sqlparse.Value, bool) {
-	if o.Kind == sqlparse.OpColumn {
-		i, ok := colOf(o.Col)
-		if !ok {
-			return sqlparse.Value{}, false
-		}
-		return row[i], true
+// deleteView is what viewDelete resolves from the pair alone: whether the
+// query is a plain SPJ over one instance of the deleted table (ok), and
+// each of the deletion's predicates with its column operands mapped to the
+// result columns preserving them.
+type deleteView struct {
+	ok    bool
+	preds []deletePred
+}
+
+type deletePred struct {
+	op   sqlparse.CompareOp
+	l, r viewOperand
+}
+
+// viewOperand is one side of a deletion predicate read against a result
+// row: a column of the deleted table, at result column out (-1: not
+// preserved), or a parameter or constant of the deletion.
+type viewOperand struct {
+	col bool
+	out int
+	val sqlparse.Operand
+}
+
+func (o *viewOperand) value(row, params []sqlparse.Value) (sqlparse.Value, bool) {
+	if !o.col {
+		return bindVal(o.val, params)
 	}
-	return bindVal(o, params)
+	if o.out < 0 {
+		return sqlparse.Value{}, false
+	}
+	return row[o.out], true
+}
+
+func compileDeleteView(qi *queryInfo, q *template.Template, s *sqlparse.DeleteStmt) deleteView {
+	if q.HasAggregate || q.InstanceCount(s.Table) != 1 {
+		return deleteView{}
+	}
+	operand := func(o sqlparse.Operand) viewOperand {
+		if o.Kind != sqlparse.OpColumn {
+			return viewOperand{val: o}
+		}
+		out, ok := qi.outIdx[schema.Attr{Table: s.Table, Column: o.Col.Column}]
+		if !ok {
+			out = -1
+		}
+		return viewOperand{col: true, out: out}
+	}
+	dv := deleteView{ok: true}
+	for _, pr := range s.Where {
+		dv.preds = append(dv.preds, deletePred{pr.Op, operand(pr.Left), operand(pr.Right)})
+	}
+	return dv
 }
 
 // viewInsert handles the two §4.4 cases where view inspection beats
@@ -94,78 +124,113 @@ func predSide(o sqlparse.Operand, params []sqlparse.Value, row []sqlparse.Value,
 // aggregates over a single relation. The inserted row is fully known and —
 // for single-relation queries — already known to satisfy the selection
 // predicates (statement inspection would otherwise have excluded it).
-func (iv *Invalidator) viewInsert(qi *queryInfo, s *sqlparse.InsertStmt, pu *PreparedUpdate, q CachedView) Decision {
-	t := q.Template
-	if len(qi.sel.From) != 1 || qi.sel.From[0].Table != s.Table || t.HasGroupBy {
-		return Invalidate
-	}
-	row := pu.row
+func (p *PairPlan) viewInsert(row []sqlparse.Value, res *engine.Result) Decision {
 	if row == nil {
 		return Invalidate
 	}
-	meta := iv.app.Schema.Table(s.Table)
-
-	// MIN/MAX aggregate: compare the inserted value against the cached
-	// extremum (§4.4 example b).
-	if t.HasAggregate {
-		if len(qi.sel.Select) != 1 {
+	switch iv := &p.ins; iv.mode {
+	case insertExtremum:
+		// Compare the inserted value against the cached extremum (§4.4
+		// example b).
+		if res.Len() != 1 {
 			return Invalidate
 		}
-		e := qi.sel.Select[0]
-		if e.Star || (e.Agg != sqlparse.AggMin && e.Agg != sqlparse.AggMax) {
-			return Invalidate
-		}
-		if q.Result.Len() != 1 {
-			return Invalidate
-		}
-		cached := q.Result.Rows[0][0]
+		cached := res.Rows[0][0]
 		if cached.IsNull() {
 			return Invalidate // empty input: the new row defines the extremum
 		}
-		ci := meta.ColumnIndex(e.Col.Column)
-		if ci < 0 {
-			return Invalidate
-		}
-		nv := row[ci]
+		nv := row[iv.col]
 		if nv.IsNull() {
 			return DNI // NULLs do not participate in aggregates
 		}
-		if e.Agg == sqlparse.AggMax && nv.Compare(cached) <= 0 {
+		if iv.agg == sqlparse.AggMax && nv.Compare(cached) <= 0 {
 			return DNI
 		}
-		if e.Agg == sqlparse.AggMin && nv.Compare(cached) >= 0 {
+		if iv.agg == sqlparse.AggMin && nv.Compare(cached) >= 0 {
 			return DNI
 		}
 		return Invalidate
+	case insertTopK:
+		// If the result already holds k rows and the new row sorts
+		// strictly after the last cached row, the first k rows are
+		// unchanged. Full-key ties are conservative: the engine breaks ties
+		// on tuple content, which the view may not preserve, so the new
+		// row could sort either side of the cutoff.
+		if res.Len() < p.limit {
+			return Invalidate // room below the cutoff: the row enters
+		}
+		if res.Len() == 0 {
+			return Invalidate // LIMIT 0 never caches anything useful
+		}
+		last := res.Rows[res.Len()-1]
+		for _, k := range iv.keys {
+			if d, decided := pastCutoff(row[k.col], last[k.out], k.desc); decided {
+				return d
+			}
+			// Equal on this key: compare the next one.
+		}
+		return Invalidate // tied on every key, or the next key is not preserved
+	default:
+		return Invalidate
 	}
+}
 
-	// Top-k: if the result already holds k rows and the new row sorts
-	// strictly after the last cached row, the first k rows are unchanged.
-	// Full-key ties are conservative: the engine breaks ties on tuple
-	// content, which the view may not preserve, so the new row could sort
-	// either side of the cutoff.
+// insertView is what viewInsert resolves from the pair alone.
+type insertView struct {
+	mode insertMode
+	agg  sqlparse.AggFunc // insertExtremum: AggMin or AggMax
+	col  int              // insertExtremum: the aggregated column in the inserted row
+	// insertTopK: the ORDER BY keys up to the first one the result does
+	// not preserve, past which the walk cannot go.
+	keys []insertKey
+}
+
+type insertMode uint8
+
+const (
+	insertNone     insertMode = iota // neither case: invalidate
+	insertExtremum                   // SELECT MIN(c) or MAX(c) over the inserted table alone
+	insertTopK                       // ORDER BY … LIMIT k over the inserted table alone
+)
+
+type insertKey struct {
+	col  int // the key's column in the inserted row
+	out  int // the result column preserving it
+	desc bool
+}
+
+func compileInsertView(sch *schema.Schema, qi *queryInfo, q *template.Template, s *sqlparse.InsertStmt) insertView {
+	meta := sch.Table(s.Table)
+	if len(qi.sel.From) != 1 || qi.sel.From[0].Table != s.Table || q.HasGroupBy || meta == nil {
+		return insertView{}
+	}
+	if q.HasAggregate {
+		if len(qi.sel.Select) != 1 {
+			return insertView{}
+		}
+		e := qi.sel.Select[0]
+		if e.Star || (e.Agg != sqlparse.AggMin && e.Agg != sqlparse.AggMax) {
+			return insertView{}
+		}
+		ci := meta.ColumnIndex(e.Col.Column)
+		if ci < 0 {
+			return insertView{}
+		}
+		return insertView{mode: insertExtremum, agg: e.Agg, col: ci}
+	}
 	if qi.sel.Limit < 0 || len(qi.sel.OrderBy) == 0 {
-		return Invalidate
+		return insertView{}
 	}
-	if q.Result.Len() < qi.sel.Limit {
-		return Invalidate // room below the cutoff: the row enters
-	}
-	if q.Result.Len() == 0 {
-		return Invalidate // LIMIT 0 never caches anything useful
-	}
-	last := q.Result.Rows[q.Result.Len()-1]
+	iv := insertView{mode: insertTopK}
 	for _, k := range qi.sel.OrderBy {
 		ci := meta.ColumnIndex(k.Col.Column)
 		oi, ok := qi.outIdx[schema.Attr{Table: s.Table, Column: k.Col.Column}]
 		if ci < 0 || !ok {
-			return Invalidate // order key not preserved in the result
+			break // order key not preserved in the result
 		}
-		if d, decided := pastCutoff(row[ci], last[oi], k.Desc); decided {
-			return d
-		}
-		// Equal on this key: compare the next one.
+		iv.keys = append(iv.keys, insertKey{ci, oi, k.Desc})
 	}
-	return Invalidate // tied on every key: cutoff position unknown
+	return iv
 }
 
 // viewModify is the §4.4 modification logic. A modification `UPDATE t SET …
@@ -194,8 +259,8 @@ func (iv *Invalidator) viewInsert(qi *queryInfo, s *sqlparse.InsertStmt, pu *Pre
 // Row identity is Value.Compare, the engine's own equality: 5 and 5.0 are
 // one key, and a NaN compares equal to everything, so every doubtful case
 // reads as present.
-func (iv *Invalidator) viewModify(qi *queryInfo, s *sqlparse.UpdateStmt, pu *PreparedUpdate, q CachedView) Decision {
-	mi := iv.modifyInfoFor(qi, q.Template, pu.u.Template, s)
+func (p *PairPlan) viewModify(pu *PreparedUpdate, params []sqlparse.Value, res *engine.Result) Decision {
+	mi := p.mod
 	if !mi.identifiable {
 		return Invalidate
 	}
@@ -203,15 +268,16 @@ func (iv *Invalidator) viewModify(qi *queryInfo, s *sqlparse.UpdateStmt, pu *Pre
 	if !ok {
 		return Invalidate
 	}
-	rows := q.Result.Rows
+	rows := res.Rows
 	for _, row := range rows {
 		if row[mi.keyOut].Compare(key) == 0 {
 			return Invalidate // the modified row is in the cached result
 		}
 	}
-	bound := qi.sel.Limit >= 0 && len(rows) >= qi.sel.Limit
+	bound := p.limit >= 0 && len(rows) >= p.limit
 	if mi.setInWhere {
-		if pu.consOK && !iv.combinedSat(&pu.after, qi.instPreds[mi.from], q.Params) {
+		// The modified table's one instance is the plan's only one.
+		if pu.consOK && !p.insts[0].sat(&pu.after, after, params) {
 			return DNI // the post-image fails the predicates, whether or not LIMIT binds
 		}
 		if !bound {
@@ -260,8 +326,7 @@ func pastCutoff(nv, lv sqlparse.Value, desc bool) (d Decision, decided bool) {
 
 func isNaN(v sqlparse.Value) bool { return v.Kind == sqlparse.KindFloat && math.IsNaN(v.Float) }
 
-// modifyInfo is the part of viewModify that depends only on the (update
-// template, query template) pair, resolved once per pair.
+// modifyInfo is what viewModify resolves from the pair alone.
 type modifyInfo struct {
 	// identifiable: one instance of the modified table, no aggregation or
 	// grouping, a single-column primary key that the update binds by
@@ -281,17 +346,6 @@ type modifyOrderKey struct {
 	val  sqlparse.Operand // post-image value
 	out  int              // result column preserving the key
 	desc bool
-}
-
-// modifyInfoFor returns the pair's modifyInfo, memoized on the query's
-// queryInfo under the update template's pointer.
-func (iv *Invalidator) modifyInfoFor(qi *queryInfo, q, u *template.Template, s *sqlparse.UpdateStmt) *modifyInfo {
-	if v, ok := qi.modify.Load(u); ok {
-		return v.(*modifyInfo)
-	}
-	mi := buildModifyInfo(iv.app.Schema, qi, q, s)
-	qi.modify.Store(u, mi)
-	return mi
 }
 
 func buildModifyInfo(sch *schema.Schema, qi *queryInfo, q *template.Template, s *sqlparse.UpdateStmt) *modifyInfo {

@@ -191,7 +191,7 @@ func TestInvalidationPrecision(t *testing.T) {
 				q := r.app.Query(e.Query.TemplateID)
 				limit := q.Stmt.(*sqlparse.SelectStmt).Limit
 				k := pair{op.Template.ID, q.ID, invalidate.ClassFor(r.exps[op.Template.ID], r.exps[q.ID]).String(),
-					limit >= 0 && e.PlaintextResult().Len() >= limit}
+					limit >= 0 && e.Result.Result.Len() >= limit}
 				if drops[k] == nil {
 					drops[k] = &tally{}
 				}
