@@ -31,7 +31,7 @@ func TestSystemQueryUpdateFlow(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("first query: hit=%v err=%v", hit, err)
 	}
-	if res.Rows[0][0].Int != 25 {
+	if res.Rows[0][0].Int() != 25 {
 		t.Fatalf("result %v", res.Rows)
 	}
 	_, hit, err = sys.QueryOutcome("Q2", 5)
@@ -76,7 +76,7 @@ func TestSystemWithMethodologyAssignment(t *testing.T) {
 	// Q2 runs at stmt exposure (result encrypted at the DSSP) but the
 	// client still gets plaintext.
 	res, err := sys.Query("Q2", 5)
-	if err != nil || res.Rows[0][0].Int != 25 {
+	if err != nil || res.Rows[0][0].Int() != 25 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
 	if _, err := sys.Query("Q2", 5); err != nil {
@@ -105,7 +105,7 @@ func TestFacadeAnalyze(t *testing.T) {
 }
 
 func TestFacadeValues(t *testing.T) {
-	if Int(5).Int != 5 || Float(2.5).Float != 2.5 || String("x").Str != "x" {
+	if Int(5).Int() != 5 || Float(2.5).Float() != 2.5 || String("x").Str != "x" {
 		t.Error("value constructors broken")
 	}
 }

@@ -169,8 +169,8 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 		s := c.shardFor("")
 		s.mu.Lock()
 		c.countWalk()
-		if bucket := s.buckets[""]; len(bucket) > 0 {
-			removed := collect(bs.removed, bucket)
+		if b := s.buckets[""]; b != nil && len(b.entries) > 0 {
+			removed := collect(bs.removed, b)
 			delete(s.buckets, "")
 			c.unlink(removed)
 			s.mu.Unlock()
@@ -222,25 +222,25 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 		freed := 0
 		for _, id := range ids {
 			c.countWalk()
-			bucket := s.buckets[id]
-			if len(bucket) == 0 {
+			b := s.buckets[id]
+			if b == nil || len(b.entries) == 0 {
 				continue
 			}
 			qt := c.app.Query(id)
 			for k := range plans {
-				if len(bucket) == 0 {
+				if b == nil || len(b.entries) == 0 {
 					break // emptied by an earlier update of this batch
 				}
 				p := &plans[k]
 				if p.blind {
-					removed := collect(bs.removed, bucket)
+					removed := collect(bs.removed, b)
 					delete(s.buckets, id)
 					c.unlink(removed)
 					n := bs.dropped(removed)
 					freed += n
 					counts[k] += n
 					p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: invalidate.Blind.String(), Dropped: n})
-					bucket = nil
+					b = nil
 					continue
 				}
 				// Membership in this update's affected set: for a routed
@@ -249,13 +249,13 @@ func (c *Cache) walk(us []wire.SealedUpdate, counts []int) {
 				if qt == nil || (p.routed && router.AZero(p.u.TemplateID, id)) {
 					continue // not an affected bucket for this update
 				}
-				class, removed := c.applyToBucket(s, id, qt, p.u, &p.pu, bucket, router, bs.removed)
+				class, removed := c.applyToBucket(s, id, qt, p.u, &p.pu, b, router, bs.removed)
 				n := bs.dropped(removed)
 				freed += n
 				counts[k] += n
 				p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: class.String(), Dropped: n})
 				if _, live := s.buckets[id]; !live {
-					bucket = nil // whole-bucket drop
+					b = nil // whole-bucket drop
 				}
 			}
 		}

@@ -2,7 +2,11 @@
 // (views). Entries are organized per query template so that invalidation
 // can drop whole template buckets in O(1) at the template-inspection level
 // and visit individual entries only when statement or view inspection is
-// permitted (§2.2–§2.3).
+// permitted (§2.2–§2.3). Even then it visits only the entries an update
+// can affect: each bucket is indexed by the parameter its decisions
+// compare by equality (index.go), so an update that binds that column
+// decides the entries holding its value, and scans the bucket only when
+// the pair's plan has no such parameter to probe.
 //
 // Per the §2.1 assumption the static analysis relies on ("no query whose
 // result is subject to invalidation by an insertion or a deletion returns
@@ -45,12 +49,19 @@ type Entry struct {
 	// paths (invalidation, eviction, replacement) can race safely, inMain
 	// says which queue; those and the links are guarded by the cache's
 	// lruMu. freq is the saturating hit count, bumped by Lookup without that
-	// lock. The three small fields share one word, so a bounded cache costs
-	// an unbounded one no bytes per entry.
+	// lock.
 	prev, next *Entry
-	inLRU      bool
-	inMain     bool
-	freq       atomic.Uint32
+
+	// Bucket index hooks (index.go), guarded by the shard lock: the links
+	// of the entry's chain, or of the loose list when loose is set.
+	ixPrev, ixNext *Entry
+
+	// The small fields of both share one word, so a bounded cache costs an
+	// unbounded one no bytes per entry, and the loose flag costs none.
+	inLRU  bool
+	inMain bool
+	loose  bool
+	freq   atomic.Uint32
 }
 
 // newEntry builds the stored form of a result. The query is kept as the
@@ -139,7 +150,7 @@ type tmplInstruments struct {
 // instrument handles for those buckets.
 type shard struct {
 	mu      sync.Mutex
-	buckets map[string]map[string]*Entry // template ID ("" = hidden) -> key -> entry
+	buckets map[string]*bucket // template ID ("" = hidden) -> its entries
 	perTmpl map[string]*tmplInstruments
 
 	hits, misses, stores int
@@ -242,7 +253,7 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			buckets: make(map[string]map[string]*Entry),
+			buckets: make(map[string]*bucket),
 			perTmpl: make(map[string]*tmplInstruments),
 		}
 	}
@@ -268,6 +279,17 @@ func shardIndex(templateID string) int {
 // shardFor maps a template ID (empty = hidden) to its lock stripe.
 func (c *Cache) shardFor(templateID string) *shard {
 	return c.shards[shardIndex(templateID)]
+}
+
+// bucket returns the bucket of a template ID, creating it if absent.
+// Called under the ID's shard lock.
+func (c *Cache) bucket(s *shard, id string) *bucket {
+	b := s.buckets[id]
+	if b == nil {
+		b = newBucket(c.app.Query(id))
+		s.buckets[id] = b
+	}
+	return b
 }
 
 // tmpl returns the cached per-template instruments. Called under s.mu.
@@ -365,7 +387,7 @@ func (c *Cache) Len() int {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for _, b := range s.buckets {
-			n += len(b)
+			n += len(b.entries)
 		}
 		s.mu.Unlock()
 	}
@@ -379,7 +401,7 @@ func (c *Cache) Lookup(q wire.SealedQuery) (wire.SealedResult, bool) {
 	ti := s.tmpl(c, obs.Tmpl(q.TemplateID))
 	var e *Entry
 	if b := s.buckets[q.TemplateID]; b != nil {
-		e = b[q.Key]
+		e = b.entries[q.Key]
 	}
 	if e == nil {
 		s.misses++
@@ -414,13 +436,7 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	e := newEntry(q, r)
 	s := c.shardFor(q.TemplateID)
 	s.mu.Lock()
-	b := s.buckets[q.TemplateID]
-	if b == nil {
-		b = make(map[string]*Entry)
-		s.buckets[q.TemplateID] = b
-	}
-	old := b[q.Key]
-	b[q.Key] = e
+	old := c.bucket(s, q.TemplateID).put(e)
 	s.stores++
 	// Link into a replacement queue inside the same critical section as the
 	// bucket insert, so no invalidation can observe the entry in its bucket
@@ -459,17 +475,18 @@ func (c *Cache) OnUpdate(u wire.SealedUpdate) int {
 // applyToBucket applies one update instance against one non-empty bucket:
 // it picks the strategy class from the exposure pair, resolves the
 // (update, query template) pair's plan once, drops whole buckets or
-// individual entries accordingly, and unlinks whatever died from its
-// replacement queue. Called under the bucket's shard lock; the caller owns
-// the entries gauge and the decision log. The dead entries are appended to
-// removed, which the caller passes empty and may reuse once it has counted
-// them. walk is its one production caller; the test oracle funnels through
-// here too, so the two can differ only in which buckets they visit and in
-// what order, which is what the parity tests check.
-func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router, removed []*Entry) (invalidate.Class, []*Entry) {
+// decides the entries the plan's probe names (index.go) — every entry
+// when it names none — and unlinks whatever died from its replacement
+// queue. Called under the bucket's shard lock; the caller owns the
+// entries gauge and the decision log. The dead entries are appended to
+// removed, which the caller passes empty and may reuse once it has
+// counted them. walk is its one caller; the test oracle decides every
+// entry of a statement- or view-inspection bucket instead, so comparing
+// the two checks the index as well as the walk.
+func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, b *bucket, router *invalidate.Router, removed []*Entry) (invalidate.Class, []*Entry) {
 	// All entries in a bucket share a template and hence an exposure.
 	var sample *Entry
-	for _, e := range bucket {
+	for _, e := range b.entries {
 		sample = e
 		break
 	}
@@ -477,19 +494,27 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 	plan := c.inv.Plan(pu.Update().Template, qt)
 	switch class {
 	case invalidate.Blind:
-		removed = collect(removed, bucket)
+		removed = collect(removed, b)
 		delete(s.buckets, id)
 	case invalidate.TemplateInspection:
 		if plan.Decide(class, pu, nil, nil) == invalidate.Invalidate {
-			removed = collect(removed, bucket)
+			removed = collect(removed, b)
 			delete(s.buckets, id)
 		}
 	default: // statement or view inspection: per-entry decisions
-		for key, e := range bucket {
-			if plan.Decide(class, pu, e.Query.Params, e.Result.Result) == invalidate.Invalidate {
-				delete(bucket, key)
-				removed = append(removed, e)
+		keys, n, probed := plan.Probe(pu)
+		if !probed {
+			for _, e := range b.entries {
+				if plan.Decide(class, pu, e.Query.Params, e.Result.Result) == invalidate.Invalidate {
+					b.remove(e)
+					removed = append(removed, e)
+				}
 			}
+			break
+		}
+		removed = b.decideChain(b.loose, plan, class, pu, removed)
+		for _, k := range keys[:n] {
+			removed = b.decideChain(b.chains[k], plan, class, pu, removed)
 		}
 	}
 	c.unlink(removed)
@@ -498,8 +523,8 @@ func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire
 
 // collect appends a bucket's entries to dst. Called under the bucket's
 // shard lock.
-func collect(dst []*Entry, bucket map[string]*Entry) []*Entry {
-	for _, e := range bucket {
+func collect(dst []*Entry, b *bucket) []*Entry {
+	for _, e := range b.entries {
 		dst = append(dst, e)
 	}
 	return dst
@@ -511,7 +536,7 @@ func (c *Cache) Entries(f func(*Entry)) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for _, b := range s.buckets {
-			for _, e := range b {
+			for _, e := range b.entries {
 				f(e)
 			}
 		}

@@ -52,7 +52,7 @@ func TestLookupStoreHitMiss(t *testing.T) {
 	if !hit {
 		t.Fatal("miss after store")
 	}
-	if got.Result.Rows[0][0].Int != 25 {
+	if got.Result.Rows[0][0].Int() != 25 {
 		t.Errorf("wrong result: %v", got.Result.Rows)
 	}
 	// A different parameter is a different entry.

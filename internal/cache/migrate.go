@@ -39,10 +39,12 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 		seen[id] = true
 		s := c.shardFor(id)
 		s.mu.Lock()
-		for _, e := range s.buckets[id] {
-			// Query and Result are shared immutably with the live entry;
-			// the cache never mutates either in place.
-			out = append(out, exported{wire.BucketEntry{Query: e.Query, Result: e.Result}, e})
+		if b := s.buckets[id]; b != nil {
+			for _, e := range b.entries {
+				// Query and Result are shared immutably with the live
+				// entry; the cache never mutates either in place.
+				out = append(out, exported{wire.BucketEntry{Query: e.Query, Result: e.Result}, e})
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -109,16 +111,12 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 		e := newEntry(q, r)
 		s := c.shardFor(q.TemplateID)
 		s.mu.Lock()
-		b := s.buckets[q.TemplateID]
-		if b == nil {
-			b = make(map[string]*Entry)
-			s.buckets[q.TemplateID] = b
-		}
-		if b[q.Key] != nil {
+		b := c.bucket(s, q.TemplateID)
+		if b.entries[q.Key] != nil {
 			s.mu.Unlock()
 			continue
 		}
-		b[q.Key] = e
+		b.put(e)
 		victims := c.linkWarm(e)
 		s.mu.Unlock()
 		c.entries.Add(1)
@@ -147,12 +145,12 @@ func (c *Cache) DropBuckets(ids []string) int {
 		seen[id] = true
 		s := c.shardFor(id)
 		s.mu.Lock()
-		bucket := s.buckets[id]
-		if len(bucket) == 0 {
+		b := s.buckets[id]
+		if b == nil || len(b.entries) == 0 {
 			s.mu.Unlock()
 			continue
 		}
-		removed := collect(make([]*Entry, 0, len(bucket)), bucket)
+		removed := collect(make([]*Entry, 0, len(b.entries)), b)
 		delete(s.buckets, id)
 		c.unlink(removed)
 		s.mu.Unlock()

@@ -30,7 +30,7 @@ func TestExportBucketsOrdinalsFollowEvictionOrder(t *testing.T) {
 		if e.Ordinal != i {
 			t.Errorf("entry %d has ordinal %d; export must be sorted by ordinal", i, e.Ordinal)
 		}
-		got = append(got, e.Query.Params[0].Int)
+		got = append(got, e.Query.Params[0].Int())
 	}
 	if want := []int64{2, 3, 4, 0}; !reflect.DeepEqual(got, want) {
 		t.Errorf("exported in order %v, want eviction order %v (small oldest first, then main)", got, want)
@@ -59,7 +59,7 @@ func TestImportBucketsSkipsExistingAndIsNotAStore(t *testing.T) {
 	if got := dst.ImportBuckets(exported); got != 2 {
 		t.Fatalf("imported %d, want 2 (one key already held)", got)
 	}
-	if res, hit := dst.Lookup(localSQ); !hit || res.Result.Rows[0][0].Int != 999 {
+	if res, hit := dst.Lookup(localSQ); !hit || res.Result.Rows[0][0].Int() != 999 {
 		t.Error("import overwrote the destination's local copy")
 	}
 	for _, i := range []int64{0, 2} {

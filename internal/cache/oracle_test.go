@@ -5,16 +5,20 @@ import (
 
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
+	"dssp/internal/template"
 	"dssp/internal/wire"
 )
 
 // The reference invalidation walk. This is the update-by-update pass the
 // cache ran in production until the batch walk (Cache.walk) took over both
 // entry points; it moved here unchanged, and only tests may call it. It
-// shares applyToBucket, record and the counters with the production walk,
-// so comparing the two checks what the production walk adds — merging
-// visit sets, holding a shard across several updates, replaying the log
-// update-major — and nothing they have in common.
+// shares record and the counters with the production walk, and decides a
+// bucket the way applyToBucket did before the bucket index (index.go):
+// every entry of a statement- or view-inspection bucket, not the ones the
+// plan's probe names. Comparing the two checks what the production walk
+// adds — merging visit sets, holding a shard across several updates,
+// replaying the log update-major, probing the index — and nothing they
+// have in common.
 //
 // unrouted makes the oracle ignore the routing index and visit every
 // query template's bucket, computing a decision for each, as the
@@ -78,12 +82,12 @@ func (c *Cache) visitBucket(id string, u wire.SealedUpdate, pu *invalidate.Prepa
 	s := c.shardFor(id)
 	s.mu.Lock()
 	c.countWalk()
-	bucket := s.buckets[id]
-	if len(bucket) == 0 {
+	b := s.buckets[id]
+	if b == nil || len(b.entries) == 0 {
 		s.mu.Unlock()
 		return 0
 	}
-	class, removed := c.applyToBucket(s, id, qt, u, pu, bucket, router, nil)
+	class, removed := c.scanBucket(s, id, qt, u, pu, b, router)
 	s.mu.Unlock()
 	if len(removed) > 0 {
 		c.entries.Add(int64(-len(removed)))
@@ -92,18 +96,52 @@ func (c *Cache) visitBucket(id string, u wire.SealedUpdate, pu *invalidate.Prepa
 	return len(removed)
 }
 
+// scanBucket applies one update against one non-empty bucket as
+// applyToBucket did before the bucket index: a statement- or
+// view-inspection bucket has every entry decided. Called under the
+// bucket's shard lock.
+func (c *Cache) scanBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, b *bucket, router *invalidate.Router) (invalidate.Class, []*Entry) {
+	var sample *Entry
+	for _, e := range b.entries {
+		sample = e
+		break
+	}
+	class := router.Class(u.Exposure, sample.Query.Exposure)
+	plan := c.inv.Plan(pu.Update().Template, qt)
+	var removed []*Entry
+	switch class {
+	case invalidate.Blind:
+		removed = collect(removed, b)
+		delete(s.buckets, id)
+	case invalidate.TemplateInspection:
+		if plan.Decide(class, pu, nil, nil) == invalidate.Invalidate {
+			removed = collect(removed, b)
+			delete(s.buckets, id)
+		}
+	default:
+		for _, e := range b.entries {
+			if plan.Decide(class, pu, e.Query.Params, e.Result.Result) == invalidate.Invalidate {
+				b.remove(e)
+				removed = append(removed, e)
+			}
+		}
+	}
+	c.unlink(removed)
+	return class, removed
+}
+
 // dropWholeBucket removes every entry of one bucket and returns how many
 // died. It records nothing — callers own the decision log entry.
 func (c *Cache) dropWholeBucket(id string) int {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	c.countWalk()
-	bucket := s.buckets[id]
-	if len(bucket) == 0 {
+	b := s.buckets[id]
+	if b == nil || len(b.entries) == 0 {
 		s.mu.Unlock()
 		return 0
 	}
-	removed := collect(make([]*Entry, 0, len(bucket)), bucket)
+	removed := collect(make([]*Entry, 0, len(b.entries)), b)
 	delete(s.buckets, id)
 	c.unlink(removed)
 	s.mu.Unlock()
@@ -122,12 +160,12 @@ func (c *Cache) dropAllBuckets(trace obs.TraceID, uLbl string) int {
 	counts := make(map[string]int)
 	for _, s := range c.shards {
 		s.mu.Lock()
-		for id, bucket := range s.buckets {
+		for id, b := range s.buckets {
 			c.countWalk()
-			if len(bucket) == 0 {
+			if len(b.entries) == 0 {
 				continue
 			}
-			removed := collect(make([]*Entry, 0, len(bucket)), bucket)
+			removed := collect(make([]*Entry, 0, len(b.entries)), b)
 			delete(s.buckets, id)
 			c.unlink(removed)
 			counts[id] = len(removed)

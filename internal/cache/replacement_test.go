@@ -129,13 +129,13 @@ func TestStoreOverwriteInheritsQueueAndCount(t *testing.T) {
 		t.Errorf("main = %v after overwrites, want %v", got, main)
 	}
 	c.Entries(func(e *Entry) {
-		switch e.Query.Params[0].Int {
+		switch e.Query.Params[0].Int() {
 		case 1, 3:
 			if e.freq.Load() != 1 {
-				t.Errorf("entry %d restarted with hit count %d, want the replaced entry's 1", e.Query.Params[0].Int, e.freq.Load())
+				t.Errorf("entry %d restarted with hit count %d, want the replaced entry's 1", e.Query.Params[0].Int(), e.freq.Load())
 			}
-			if e.Result.Result.Rows[0][0].Int < 100 {
-				t.Errorf("entry %d kept the replaced result", e.Query.Params[0].Int)
+			if e.Result.Result.Rows[0][0].Int() < 100 {
+				t.Errorf("entry %d kept the replaced result", e.Query.Params[0].Int())
 			}
 		}
 	})

@@ -300,7 +300,7 @@ func TestParamsConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[0].Int != 1 || vals[1].Int != 2 || vals[2].Float != 3.5 || vals[3].Str != "x" || !vals[4].IsNull() {
+	if vals[0].Int() != 1 || vals[1].Int() != 2 || vals[2].Float() != 3.5 || vals[3].Str != "x" || !vals[4].IsNull() {
 		t.Errorf("vals = %v", vals)
 	}
 	if _, err := Params(struct{}{}); err == nil {

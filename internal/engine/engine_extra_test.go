@@ -53,7 +53,7 @@ func TestCompositeKeyModification(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM lines WHERE order_id=? AND line_no=?", sqlparse.IntVal(2), sqlparse.IntVal(3))
-	if res.Rows[0][0].Int != 99 {
+	if res.Rows[0][0].Int() != 99 {
 		t.Errorf("qty = %v", res.Rows[0][0])
 	}
 }
@@ -78,7 +78,7 @@ func TestThreeWayJoin(t *testing.T) {
 		mustInsert(t, db, "c", storage.Row{sqlparse.IntVal(i + 20), sqlparse.IntVal(i + 10)})
 	}
 	res := query(t, db, "SELECT av, ci FROM a, b, c WHERE ba=ai AND cb=bi AND ai=?", sqlparse.IntVal(2))
-	if res.Len() != 1 || res.Rows[0][0].Str != "v2" || res.Rows[0][1].Int != 22 {
+	if res.Len() != 1 || res.Rows[0][0].Str != "v2" || res.Rows[0][1].Int() != 22 {
 		t.Fatalf("res = %+v", res.Rows)
 	}
 }
@@ -95,12 +95,12 @@ func TestFloatColumns(t *testing.T) {
 		t.Errorf("rows = %d", res.Len())
 	}
 	res = query(t, db, "SELECT AVG(x) FROM m")
-	if res.Rows[0][0].Float != 1.5 {
+	if res.Rows[0][0].Float() != 1.5 {
 		t.Errorf("avg = %v", res.Rows[0][0])
 	}
 	// Mixed int/float comparison.
 	res = query(t, db, "SELECT id FROM m WHERE x=?", sqlparse.IntVal(2))
-	if res.Len() != 1 || res.Rows[0][0].Int != 4 {
+	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
 		t.Errorf("int-float equality: %v", res.Rows)
 	}
 }
@@ -111,7 +111,7 @@ func TestOrderByMultiKeyMixedDirections(t *testing.T) {
 	// bear(10), bear(7), doll(3), kite(25), truck(3)
 	want := [][2]interface{}{{"bear", int64(10)}, {"bear", int64(7)}, {"doll", int64(3)}, {"kite", int64(25)}, {"truck", int64(3)}}
 	for i, w := range want {
-		if res.Rows[i][0].Str != w[0].(string) || res.Rows[i][1].Int != w[1].(int64) {
+		if res.Rows[i][0].Str != w[0].(string) || res.Rows[i][1].Int() != w[1].(int64) {
 			t.Fatalf("row %d = %v", i, res.Rows[i])
 		}
 	}
@@ -142,7 +142,7 @@ func TestGroupByMultipleAggregates(t *testing.T) {
 			bear = r
 		}
 	}
-	if bear == nil || bear[1].Int != 7 || bear[2].Int != 10 || bear[3].Int != 2 || bear[4].Float != 8.5 {
+	if bear == nil || bear[1].Int() != 7 || bear[2].Int() != 10 || bear[3].Int() != 2 || bear[4].Float() != 8.5 {
 		t.Errorf("bear = %v", bear)
 	}
 }
@@ -152,7 +152,7 @@ func TestCountStarVersusCountColumn(t *testing.T) {
 	mustInsert(t, db, "toys", storage.Row{sqlparse.IntVal(50), sqlparse.Null(), sqlparse.IntVal(1)})
 	star := query(t, db, "SELECT COUNT(*) FROM toys")
 	col := query(t, db, "SELECT COUNT(toy_name) FROM toys")
-	if star.Rows[0][0].Int != col.Rows[0][0].Int+1 {
+	if star.Rows[0][0].Int() != col.Rows[0][0].Int()+1 {
 		t.Errorf("COUNT(*)=%v COUNT(col)=%v", star.Rows[0][0], col.Rows[0][0])
 	}
 }
@@ -164,7 +164,7 @@ func TestSelfJoinAliasesIndependent(t *testing.T) {
 	if res.Len() != 1 { // bear ids (1,3)
 		t.Fatalf("rows = %+v", res.Rows)
 	}
-	if res.Rows[0][0].Int != 1 || res.Rows[0][1].Int != 3 {
+	if res.Rows[0][0].Int() != 1 || res.Rows[0][1].Int() != 3 {
 		t.Errorf("pair = %v", res.Rows[0])
 	}
 }
@@ -230,7 +230,7 @@ func TestRandomizedEngineConsistency(t *testing.T) {
 func TestProjectionDuplicateColumns(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT qty, qty FROM toys WHERE toy_id=?", sqlparse.IntVal(5))
-	if len(res.Columns) != 2 || res.Rows[0][0].Int != 25 || res.Rows[0][1].Int != 25 {
+	if len(res.Columns) != 2 || res.Rows[0][0].Int() != 25 || res.Rows[0][1].Int() != 25 {
 		t.Errorf("res = %+v", res)
 	}
 }

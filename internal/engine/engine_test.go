@@ -82,7 +82,7 @@ func TestSelectEqualityParam(t *testing.T) {
 	}
 	ids := map[int64]bool{}
 	for _, r := range res.Rows {
-		ids[r[0].Int] = true
+		ids[r[0].Int()] = true
 	}
 	if !ids[1] || !ids[3] {
 		t.Errorf("ids = %v", ids)
@@ -92,7 +92,7 @@ func TestSelectEqualityParam(t *testing.T) {
 func TestSelectByPrimaryKeyUsesIndex(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(5))
-	if res.Len() != 1 || res.Rows[0][0].Int != 25 {
+	if res.Len() != 1 || res.Rows[0][0].Int() != 25 {
 		t.Fatalf("res = %+v", res.Rows)
 	}
 	if res.RowsScanned != 1 {
@@ -144,7 +144,7 @@ func TestOrderByAndLimit(t *testing.T) {
 	res := query(t, db, "SELECT toy_id, qty FROM toys ORDER BY qty DESC, toy_id LIMIT 3")
 	want := []int64{5, 1, 3}
 	for i, r := range res.Rows {
-		if r[0].Int != want[i] {
+		if r[0].Int() != want[i] {
 			t.Errorf("row %d = %v, want toy %d", i, r, want[i])
 		}
 	}
@@ -156,7 +156,7 @@ func TestOrderByAscStableTies(t *testing.T) {
 	// qty: 3(truck,id2) 3(doll,id4) 7 10 25; ties keep insertion order.
 	want := []int64{2, 4, 3, 1, 5}
 	for i, r := range res.Rows {
-		if r[0].Int != want[i] {
+		if r[0].Int() != want[i] {
 			t.Fatalf("order = %v", res.Rows)
 		}
 	}
@@ -165,7 +165,7 @@ func TestOrderByAscStableTies(t *testing.T) {
 func TestAggregateMax(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT MAX(qty) FROM toys")
-	if res.Len() != 1 || res.Rows[0][0].Int != 25 {
+	if res.Len() != 1 || res.Rows[0][0].Int() != 25 {
 		t.Fatalf("res = %+v", res.Rows)
 	}
 }
@@ -177,7 +177,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Fatalf("MAX over empty = %+v", res.Rows)
 	}
 	res = query(t, db, "SELECT COUNT(*) FROM toys WHERE toy_name=?", sqlparse.StringVal("nosuch"))
-	if res.Rows[0][0].Int != 0 {
+	if res.Rows[0][0].Int() != 0 {
 		t.Fatalf("COUNT over empty = %+v", res.Rows)
 	}
 }
@@ -188,7 +188,7 @@ func TestGroupBy(t *testing.T) {
 	if res.Len() != 4 {
 		t.Fatalf("groups = %d: %+v", res.Len(), res.Rows)
 	}
-	if res.Rows[0][0].Str != "kite" || res.Rows[0][1].Int != 25 {
+	if res.Rows[0][0].Str != "kite" || res.Rows[0][1].Int() != 25 {
 		t.Errorf("top group = %v", res.Rows[0])
 	}
 	// bear: 10+7=17, 2 rows
@@ -198,7 +198,7 @@ func TestGroupBy(t *testing.T) {
 			bear = r
 		}
 	}
-	if bear == nil || bear[1].Int != 17 || bear[2].Int != 2 {
+	if bear == nil || bear[1].Int() != 17 || bear[2].Int() != 2 {
 		t.Errorf("bear group = %v", bear)
 	}
 }
@@ -218,11 +218,11 @@ func TestAvgAndSumFloat(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT AVG(qty) FROM toys")
 	want := (10.0 + 3 + 7 + 3 + 25) / 5
-	if res.Rows[0][0].Float != want {
+	if res.Rows[0][0].Float() != want {
 		t.Errorf("avg = %v, want %v", res.Rows[0][0], want)
 	}
 	res = query(t, db, "SELECT SUM(qty) FROM toys")
-	if res.Rows[0][0].Kind != sqlparse.KindInt || res.Rows[0][0].Int != 48 {
+	if res.Rows[0][0].Kind != sqlparse.KindInt || res.Rows[0][0].Int() != 48 {
 		t.Errorf("sum = %v", res.Rows[0][0])
 	}
 }
@@ -243,7 +243,7 @@ func TestInsertExec(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(6))
-	if res.Len() != 1 || res.Rows[0][0].Int != 4 {
+	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
 		t.Errorf("res = %+v", res.Rows)
 	}
 }
@@ -253,7 +253,7 @@ func TestInsertColumnOrderIndependent(t *testing.T) {
 	update(t, db, "INSERT INTO toys (qty, toy_id, toy_name) VALUES (?, ?, ?)",
 		sqlparse.IntVal(4), sqlparse.IntVal(7), sqlparse.StringVal("ball"))
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(7))
-	if res.Len() != 1 || res.Rows[0][0].Int != 4 {
+	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
 		t.Errorf("res = %+v", res.Rows)
 	}
 }
@@ -284,7 +284,7 @@ func TestModifyExec(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(2))
-	if res.Rows[0][0].Int != 100 {
+	if res.Rows[0][0].Int() != 100 {
 		t.Errorf("qty = %v", res.Rows[0][0])
 	}
 	// Modifying a missing row affects nothing.
@@ -300,7 +300,7 @@ func TestInsertedRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0].Int != 9 || row[1].Str != "x" || row[2].Int != 4 {
+	if row[0].Int() != 9 || row[1].Str != "x" || row[2].Int() != 4 {
 		t.Errorf("row = %v", row)
 	}
 }
@@ -332,7 +332,7 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 	mustInsert(t, db, "toys", storage.Row{sqlparse.IntVal(99), sqlparse.Null(), sqlparse.IntVal(1)})
 	res := query(t, db, "SELECT toy_id FROM toys WHERE toy_name=?", sqlparse.StringVal("bear"))
 	for _, r := range res.Rows {
-		if r[0].Int == 99 {
+		if r[0].Int() == 99 {
 			t.Error("NULL name matched equality")
 		}
 	}

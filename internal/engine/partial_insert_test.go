@@ -19,7 +19,7 @@ func TestPartialInsertNullFill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0].Int != 8 || row[1].Str != "glider" || !row[2].IsNull() {
+	if row[0].Int() != 8 || row[1].Str != "glider" || !row[2].IsNull() {
 		t.Fatalf("row = %v, want qty NULL", row)
 	}
 	if n, err := ExecUpdate(db, s, params); err != nil || n != 1 {
@@ -41,7 +41,7 @@ func TestPartialInsertNullFill(t *testing.T) {
 	}
 	// ...and does not perturb aggregates over qty.
 	before := query(t, db, "SELECT MAX(qty) FROM toys")
-	if before.Rows[0][0].Int != 25 {
+	if before.Rows[0][0].Int() != 25 {
 		t.Errorf("MAX(qty) = %v, want 25 (NULL must not participate)", before.Rows[0][0])
 	}
 }

@@ -38,8 +38,8 @@ func sameResult(got, want *Result) error {
 		g, w := got.Rows[i], want.Rows[i]
 		same := len(g) == len(w)
 		for j := 0; same && j < len(g); j++ {
-			same = g[j].Kind == w[j].Kind && g[j].Int == w[j].Int && g[j].Str == w[j].Str &&
-				math.Float64bits(g[j].Float) == math.Float64bits(w[j].Float)
+			same = g[j].Kind == w[j].Kind && g[j].Int() == w[j].Int() && g[j].Str == w[j].Str &&
+				math.Float64bits(g[j].Float()) == math.Float64bits(w[j].Float())
 		}
 		if !same {
 			return fmt.Errorf("row %d = %v, want %v", i, g, w)
@@ -470,9 +470,9 @@ func fuzzParams(rng *rand.Rand, s *schema.Schema, q *sqlparse.SelectStmt) []sqlp
 			v := fuzzValue(rng, res.Tables()[rc.FromIndex].Columns[rc.ColIndex].Type)
 			switch {
 			case v.Kind == sqlparse.KindInt && rng.Intn(4) == 0:
-				v = sqlparse.FloatVal(float64(v.Int))
-			case v.Kind == sqlparse.KindFloat && v.Float == math.Trunc(v.Float) && rng.Intn(4) == 0:
-				v = sqlparse.IntVal(int64(v.Float))
+				v = sqlparse.FloatVal(float64(v.Int()))
+			case v.Kind == sqlparse.KindFloat && v.Float() == math.Trunc(v.Float()) && rng.Intn(4) == 0:
+				v = sqlparse.IntVal(int64(v.Float()))
 			}
 			params[side[0].Param] = v
 		}

@@ -61,17 +61,6 @@ func (r *BatchResult) Passed() bool {
 	return true
 }
 
-// WalkRatio reports size-1 walks over the given batch size's walks — the
-// amortization factor the monitoring interval buys.
-func (r *BatchResult) WalkRatio(size int) float64 {
-	for _, run := range r.Runs {
-		if run.Size == size && run.BucketWalks > 0 {
-			return float64(r.Runs[0].BucketWalks) / float64(run.BucketWalks)
-		}
-	}
-	return 0
-}
-
 // parityExposures assigns a deterministic mix of exposure levels so the
 // replay exercises every strategy class, including blind entries and
 // blind updates.

@@ -27,6 +27,17 @@ func TestBatchParity(t *testing.T) {
 	}
 }
 
+// walkRatio reports size-1 walks over the given batch size's walks — the
+// amortization factor the monitoring interval buys.
+func walkRatio(r *BatchResult, size int) float64 {
+	for _, run := range r.Runs {
+		if run.Size == size && run.BucketWalks > 0 {
+			return float64(r.Runs[0].BucketWalks) / float64(run.BucketWalks)
+		}
+	}
+	return 0
+}
+
 // TestBatchAmortizationFloor pins the headline number: batch size 8 on the
 // auction workload amortizes at least 2x of the size-1 bucket walks.
 func TestBatchAmortizationFloor(t *testing.T) {
@@ -37,7 +48,7 @@ func TestBatchAmortizationFloor(t *testing.T) {
 	if !r.Passed() {
 		t.Fatalf("diverged:\n%s", r.Format())
 	}
-	if ratio := r.WalkRatio(8); ratio < 2 {
+	if ratio := walkRatio(r, 8); ratio < 2 {
 		t.Errorf("walk ratio at batch 8 = %.2fx, want >= 2x\n%s", ratio, r.Format())
 	}
 }

@@ -41,7 +41,7 @@ func TestExecQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Rows[0][0].Int != 25 {
+	if plain.Rows[0][0].Int() != 25 {
 		t.Errorf("result %v", plain.Rows)
 	}
 	if s.QueriesServed() != 1 {

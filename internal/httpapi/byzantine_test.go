@@ -76,7 +76,7 @@ func TestPlaintextResultIntegrityCaveat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rows[0][0].Int != 9999 {
+	if got.Rows[0][0].Int() != 9999 {
 		t.Fatal("plaintext pass-through broken")
 	}
 }

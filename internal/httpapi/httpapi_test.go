@@ -63,7 +63,7 @@ func TestNetworkQueryUpdateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Outcome.Hit || r.Result.Rows[0][0].Int != 25 {
+	if r.Outcome.Hit || r.Result.Rows[0][0].Int() != 25 {
 		t.Fatalf("first query: %+v", r)
 	}
 	r, err = client.Query(context.Background(), app.Query("Q2"), 5)
@@ -98,7 +98,7 @@ func TestNetworkEncryptedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result.Rows[0][0].Int != 25 {
+	if r.Result.Rows[0][0].Int() != 25 {
 		t.Errorf("decrypted result wrong: %v", r.Result.Rows)
 	}
 	// The node's copy is ciphertext: fetch the raw cached entry via a

@@ -151,7 +151,7 @@ func TestViewModifyExhaustive(t *testing.T) {
 func dump(db *storage.Database) string {
 	var out string
 	db.Table("t").Scan(func(r storage.Row) bool {
-		out += fmt.Sprint(r[0].Int, r[1].Int, r[2].Int, ";")
+		out += fmt.Sprint(r[0].Int(), r[1].Int(), r[2].Int(), ";")
 		return true
 	})
 	return out

@@ -93,8 +93,8 @@ func randomParams(rng *rand.Rand, db *storage.Database, tm *template.Template) [
 	nextID := func(table string) int64 {
 		max := int64(0)
 		db.Table(table).Scan(func(r storage.Row) bool {
-			if r[0].Int > max {
-				max = r[0].Int
+			if r[0].Int() > max {
+				max = r[0].Int()
 			}
 			return true
 		})

@@ -30,6 +30,11 @@ type PairPlan struct {
 	kind  updateKind
 	insts []planInst
 
+	// The probe of the query template's index (probe.go): how a prepared
+	// update's keys at the template's slot are read, and from where.
+	probe   probeKind
+	probeAt int
+
 	// View inspection.
 	limit int         // the query's LIMIT, -1 when absent
 	del   deleteView  // deletions
@@ -109,6 +114,7 @@ func (iv *Invalidator) compile(u, q *template.Template, qi *queryInfo) *PairPlan
 			p.insts = append(p.insts, compileInst(sch, qi, fi, table, layout))
 		}
 	}
+	p.compileProbe(SlotOf(q))
 	return p
 }
 

@@ -35,12 +35,14 @@ func planApps(t testing.TB) []*template.App {
 
 // collidingValues are drawn for parameters and result cells: values that
 // Compare calls equal across kinds (5 and 5.0, -0.0 and 0.0, a NaN, which
-// compares equal to everything), NULL, and a few that order around them.
+// compares equal to everything, 2^53 and 2^53+1), NULL, and a few that
+// order around them.
 var collidingValues = []sqlparse.Value{
 	sqlparse.IntVal(5), sqlparse.FloatVal(5), sqlparse.FloatVal(math.Copysign(0, -1)),
 	sqlparse.FloatVal(0), sqlparse.IntVal(0), sqlparse.FloatVal(math.NaN()), sqlparse.Null(),
 	sqlparse.IntVal(-3), sqlparse.IntVal(7), sqlparse.FloatVal(6.5), sqlparse.StringVal("5"),
 	sqlparse.StringVal("bear"), sqlparse.IntVal(1), sqlparse.IntVal(2),
+	sqlparse.IntVal(1 << 53), sqlparse.IntVal(1<<53 + 1), sqlparse.FloatVal(1 << 53), sqlparse.FloatVal(math.Inf(1)),
 }
 
 // drawParams draws a parameter list for a template: usually its arity,
@@ -92,6 +94,34 @@ func checkPairAgainstReference(t *testing.T, iv *Invalidator, ref *reference, u,
 				t.Fatalf("%s(%v) against %s(%v) with result %v under %v: plan %v, reference %v",
 					u.ID, pu.u.Params, q.ID, view.Params, view.Result, class, got, want)
 			}
+		}
+		checkProbeHidesOnlyDNI(t, iv.Plan(u, q), SlotOf(q), pu, view)
+	}
+}
+
+// checkProbeHidesOnlyDNI fails if the plan's probe leaves out an entry
+// that statement or view inspection would invalidate: an entry is left
+// out when the probe names keys, the entry has the slot's parameters and
+// a key at its position, and that key is none of them.
+func checkProbeHidesOnlyDNI(t *testing.T, p *PairPlan, sl Slot, pu *PreparedUpdate, view CachedView) {
+	t.Helper()
+	keys, n, ok := p.Probe(pu)
+	if !ok || len(view.Params) < sl.Need {
+		return
+	}
+	k, keyed := KeyOf(view.Params[sl.Pos])
+	if !keyed {
+		return
+	}
+	for _, pk := range keys[:n] {
+		if pk == k {
+			return
+		}
+	}
+	for _, class := range []Class{StatementInspection, ViewInspection} {
+		if d := p.Decide(class, pu, view.Params, view.Result); d != DNI {
+			t.Fatalf("%s(%v) against %s(%v) under %v: the probe names %v, leaving out an entry decided %v",
+				pu.u.Template.ID, pu.u.Params, view.Template.ID, view.Params, class, keys[:n], d)
 		}
 	}
 }

@@ -115,7 +115,7 @@ func TestRangeConsStringValues(t *testing.T) {
 func TestBindVal(t *testing.T) {
 	params := []sqlparse.Value{sqlparse.IntVal(7)}
 	v, ok := bindVal(sqlparse.Operand{Kind: sqlparse.OpParam, Param: 0}, params)
-	if !ok || v.Int != 7 {
+	if !ok || v.Int() != 7 {
 		t.Errorf("param bind: %v %v", v, ok)
 	}
 	if _, ok := bindVal(sqlparse.Operand{Kind: sqlparse.OpParam, Param: 3}, params); ok {

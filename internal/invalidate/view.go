@@ -324,7 +324,7 @@ func pastCutoff(nv, lv sqlparse.Value, desc bool) (d Decision, decided bool) {
 	return Invalidate, false
 }
 
-func isNaN(v sqlparse.Value) bool { return v.Kind == sqlparse.KindFloat && math.IsNaN(v.Float) }
+func isNaN(v sqlparse.Value) bool { return v.Kind == sqlparse.KindFloat && math.IsNaN(v.Float()) }
 
 // modifyInfo is what viewModify resolves from the pair alone.
 type modifyInfo struct {

@@ -6,6 +6,14 @@ import (
 	"time"
 )
 
+// setLabelCap bounds distinct labeled instruments per metric name below
+// DefaultLabelCap, so a test reaches the cap in a few instruments.
+func setLabelCap(r *Registry, n int) {
+	r.mu.Lock()
+	r.labelCap = n
+	r.mu.Unlock()
+}
+
 // TestRegistryCardinalityCap is the regression test for the bounded
 // metric registry: a storm of forged template IDs (label values come
 // from sealed traffic, so an adversary controls them) must not grow the
@@ -13,7 +21,7 @@ import (
 // instrument per name, and nothing is lost from the totals.
 func TestRegistryCardinalityCap(t *testing.T) {
 	r := NewRegistry()
-	r.SetLabelCap(8)
+	setLabelCap(r, 8)
 	for i := 0; i < 100; i++ {
 		r.Counter("dssp_cache_hits", L(LTemplate, fmt.Sprintf("forged%03d", i))).Inc()
 	}
@@ -64,7 +72,7 @@ func TestRegistryCardinalityCap(t *testing.T) {
 // overflow instrument keeps observing, so a storm stays measurable.
 func TestRegistryCardinalityCapHistograms(t *testing.T) {
 	r := NewRegistry()
-	r.SetLabelCap(2)
+	setLabelCap(r, 2)
 	for i := 0; i < 10; i++ {
 		r.Histogram("dssp_stage_seconds", L(LTemplate, fmt.Sprintf("t%d", i))).
 			Observe(time.Millisecond)

@@ -155,17 +155,6 @@ func NewRegistry() *Registry {
 	return &Registry{inst: make(map[string]*instrument), labelCap: DefaultLabelCap, perName: make(map[string]int)}
 }
 
-// SetLabelCap bounds distinct labeled instruments per metric name
-// (n <= 0 restores DefaultLabelCap). Call before serving traffic.
-func (r *Registry) SetLabelCap(n int) {
-	if n <= 0 {
-		n = DefaultLabelCap
-	}
-	r.mu.Lock()
-	r.labelCap = n
-	r.mu.Unlock()
-}
-
 func sortLabels(labels []Label) []Label {
 	out := make([]Label, len(labels))
 	copy(out, labels)

@@ -368,7 +368,7 @@ func TestSpanIDLazyFormat(t *testing.T) {
 // would have picked, the overflow one included.
 func TestTracerStageCacheBounded(t *testing.T) {
 	r := NewRegistry()
-	r.SetLabelCap(4)
+	setLabelCap(r, 4)
 	tr := NewTracer(r, WallClock())
 	const flood = 3 * DefaultLabelCap
 	for i := 0; i < flood; i++ {

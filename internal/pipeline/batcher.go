@@ -112,12 +112,3 @@ func (p *Pipeline) MonitorUpdate(su wire.SealedUpdate, seq uint64, done func(inv
 	}
 	p.batcher.add(su, done)
 }
-
-// FlushUpdates forces the batcher to apply everything pending now,
-// without waiting for the interval timer. No-op when no interval is
-// configured.
-func (p *Pipeline) FlushUpdates() {
-	if p.batcher != nil {
-		p.batcher.flush()
-	}
-}

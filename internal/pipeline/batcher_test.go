@@ -120,7 +120,7 @@ func TestFlushUpdatesForcesPendingBatch(t *testing.T) {
 		t.Fatal("update resolved without a flush")
 	default:
 	}
-	p.FlushUpdates()
+	p.batcher.flush()
 	r := <-resolved
 	if r.Affected != 2 {
 		t.Errorf("reply = %+v", r)
@@ -146,8 +146,6 @@ func TestMonitorUpdateInlineWithoutInterval(t *testing.T) {
 	if !fired {
 		t.Fatal("inline MonitorUpdate must resolve before returning")
 	}
-	// FlushUpdates without a batcher is a no-op.
-	p.FlushUpdates()
 }
 
 func TestUpdateSyncWithRealTimerFlush(t *testing.T) {

@@ -225,7 +225,7 @@ func TestUpdateSyncResolvesAtTheFlush(t *testing.T) {
 	if _, err := p.MonitorSync(ctx, wire.SealedUpdate{TemplateID: "U9"}, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MonitorSync under a cancelled context = %v", err)
 	}
-	p.FlushUpdates()
+	p.batcher.flush()
 }
 
 // The leader's call is the flight: joiners get its result, and it leaves

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,9 +37,18 @@ func TestPipeBackendInvalidateWaitsForTheCount(t *testing.T) {
 		t.Fatalf("inline Invalidate = %d, %v; want 3", n, err)
 	}
 
-	// The interval never fires on its own: the test flushes by hand.
-	never := func(time.Duration, func()) {}
-	batched := PipeBackend{Pipe: pipeline.New(countingCache{n: 2}, nil, nil, pipeline.Options{MonitorInterval: time.Hour, After: never})}
+	// The interval never fires on its own: the test keeps the flush the
+	// batcher arms and calls it by hand.
+	var (
+		mu    sync.Mutex
+		flush func()
+	)
+	keep := func(_ time.Duration, fn func()) {
+		mu.Lock()
+		flush = fn
+		mu.Unlock()
+	}
+	batched := PipeBackend{Pipe: pipeline.New(countingCache{n: 2}, nil, nil, pipeline.Options{MonitorInterval: time.Hour, After: keep})}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -56,7 +66,12 @@ func TestPipeBackendInvalidateWaitsForTheCount(t *testing.T) {
 	// Flush until the second update has joined a batch and been answered.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		batched.Pipe.FlushUpdates()
+		mu.Lock()
+		fn := flush
+		mu.Unlock()
+		if fn != nil {
+			fn()
+		}
 		select {
 		case n := <-got:
 			if n != 2 {

@@ -120,7 +120,7 @@ func TestMetricShapeParityWithHTTP(t *testing.T) {
 				if v.Kind == sqlparse.KindString {
 					params[i] = v.Str
 				} else {
-					params[i] = v.Int
+					params[i] = v.Int()
 				}
 			}
 			if op.Template.Kind == template.KQuery {

@@ -79,7 +79,7 @@ func TestTraceShapeParityWithHTTP(t *testing.T) {
 				if v.Kind == sqlparse.KindString {
 					params[i] = v.Str
 				} else {
-					params[i] = v.Int
+					params[i] = v.Int()
 				}
 			}
 			if op.Template.Kind == template.KQuery {

@@ -402,20 +402,6 @@ func NumParams(stmt Statement) int {
 	return n
 }
 
-// HasEmbeddedConstant reports whether the statement embeds a literal
-// constant in a comparison predicate or SET/VALUES position. Templates with
-// embedded constants violate the paper's §2.1.1 simplifying assumptions and
-// receive the conservative no-encryption treatment.
-func HasEmbeddedConstant(stmt Statement) bool {
-	found := false
-	walkOperands(stmt, func(o Operand) {
-		if o.Kind == OpConst {
-			found = true
-		}
-	})
-	return found
-}
-
 func walkOperands(stmt Statement, f func(Operand)) {
 	walkPreds := func(where []Predicate) {
 		for _, p := range where {

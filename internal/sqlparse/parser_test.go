@@ -127,14 +127,11 @@ func TestParseInsert(t *testing.T) {
 
 func TestParseInsertWithConstants(t *testing.T) {
 	s := MustParse("INSERT INTO toys (toy_id, toy_name, qty) VALUES (15, 'toyb', 10)").(*InsertStmt)
-	if s.Values[0].Const.Int != 15 {
+	if s.Values[0].Const.Int() != 15 {
 		t.Errorf("value 0 = %v", s.Values[0])
 	}
 	if s.Values[1].Const.Str != "toyb" {
 		t.Errorf("value 1 = %v", s.Values[1])
-	}
-	if !HasEmbeddedConstant(s) {
-		t.Error("HasEmbeddedConstant = false")
 	}
 }
 
@@ -333,18 +330,6 @@ func TestParseCaseInsensitiveKeywords(t *testing.T) {
 	s := MustParse("select a from t where b=? order by a limit 5").(*SelectStmt)
 	if s.Limit != 5 || len(s.OrderBy) != 1 {
 		t.Errorf("%+v", s)
-	}
-}
-
-func TestHasEmbeddedConstant(t *testing.T) {
-	if HasEmbeddedConstant(MustParse("SELECT a FROM t WHERE b=?")) {
-		t.Error("param-only template reported as having constants")
-	}
-	if !HasEmbeddedConstant(MustParse("SELECT a FROM t WHERE b=5")) {
-		t.Error("constant predicate not detected")
-	}
-	if !HasEmbeddedConstant(MustParse("UPDATE t SET a=3 WHERE id=?")) {
-		t.Error("constant SET value not detected")
 	}
 }
 

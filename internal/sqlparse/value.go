@@ -10,6 +10,7 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -41,21 +42,43 @@ func (k ValueKind) String() string {
 }
 
 // Value is a dynamically typed SQL value. The zero Value is NULL.
+//
+// A value is 32 bytes: its kind, one 8-byte payload and Str. The payload
+// holds an int's two's complement or a float's IEEE 754 bits, which Int
+// and Float read back. Rows, results and parameter lists are slices of
+// values, so every column the engine, the wire decoder and the cache hold
+// pays for the layout.
 type Value struct {
-	Kind  ValueKind
-	Int   int64
-	Float float64
-	Str   string
+	Kind ValueKind
+	bits uint64
+	Str  string
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // IntVal returns an integer Value.
-func IntVal(v int64) Value { return Value{Kind: KindInt, Int: v} }
+func IntVal(v int64) Value { return Value{Kind: KindInt, bits: uint64(v)} }
 
 // FloatVal returns a floating-point Value.
-func FloatVal(v float64) Value { return Value{Kind: KindFloat, Float: v} }
+func FloatVal(v float64) Value { return Value{Kind: KindFloat, bits: math.Float64bits(v)} }
+
+// Int returns an integer value's int64, and 0 for any other kind.
+func (v Value) Int() int64 {
+	if v.Kind != KindInt {
+		return 0
+	}
+	return int64(v.bits)
+}
+
+// Float returns a floating-point value's float64, and 0 for any other
+// kind.
+func (v Value) Float() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(v.bits)
+}
 
 // StringVal returns a string Value.
 func StringVal(v string) Value { return Value{Kind: KindString, Str: v} }
@@ -68,9 +91,9 @@ func (v Value) IsNull() bool { return v.Kind == KindNull }
 func (v Value) AsFloat() float64 {
 	switch v.Kind {
 	case KindInt:
-		return float64(v.Int)
+		return float64(int64(v.bits))
 	case KindFloat:
-		return v.Float
+		return math.Float64frombits(v.bits)
 	default:
 		panic("sqlparse: AsFloat on non-numeric value " + v.Kind.String())
 	}
@@ -92,10 +115,10 @@ func (v Value) Compare(o Value) int {
 		return 1
 	case vn && on:
 		if v.Kind == KindInt && o.Kind == KindInt {
-			switch {
-			case v.Int < o.Int:
+			switch a, b := int64(v.bits), int64(o.bits); {
+			case a < b:
 				return -1
-			case v.Int > o.Int:
+			case a > b:
 				return 1
 			default:
 				return 0
@@ -128,9 +151,9 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.Str, "'", "''") + "'"
 	default:

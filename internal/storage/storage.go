@@ -49,10 +49,10 @@ func AppendKey(dst []byte, vals ...sqlparse.Value) []byte {
 			dst = append(dst, 'n')
 		case sqlparse.KindInt:
 			dst = append(dst, 'i')
-			dst = strconv.AppendInt(dst, v.Int, 10)
+			dst = strconv.AppendInt(dst, v.Int(), 10)
 		case sqlparse.KindFloat:
 			dst = append(dst, 'f')
-			dst = strconv.AppendFloat(dst, v.Float, 'g', -1, 64)
+			dst = strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 		case sqlparse.KindString:
 			dst = append(dst, 's')
 			dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)

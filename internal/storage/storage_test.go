@@ -48,7 +48,7 @@ func TestInsertAndScan(t *testing.T) {
 	}
 	var seen []int64
 	tab.Scan(func(r Row) bool {
-		seen = append(seen, r[0].Int)
+		seen = append(seen, r[0].Int())
 		return true
 	})
 	for i, id := range seen {
@@ -123,7 +123,7 @@ func TestDelete(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
 		_ = db.Insert("toys", toyRow(i, "x", i))
 	}
-	n, err := db.Delete("toys", func(r Row) bool { return r[2].Int > 5 })
+	n, err := db.Delete("toys", func(r Row) bool { return r[2].Int() > 5 })
 	if err != nil || n != 5 {
 		t.Fatalf("Delete = %d, %v", n, err)
 	}
@@ -143,7 +143,7 @@ func TestUpdateByPK(t *testing.T) {
 	if err != nil || n != 1 {
 		t.Fatalf("UpdateByPK = %d, %v", n, err)
 	}
-	if r := db.Table("toys").LookupPK([]sqlparse.Value{sqlparse.IntVal(1)}); r[2].Int != 99 {
+	if r := db.Table("toys").LookupPK([]sqlparse.Value{sqlparse.IntVal(1)}); r[2].Int() != 99 {
 		t.Errorf("qty = %v", r[2])
 	}
 	n, err = db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(404)}, map[int]sqlparse.Value{2: sqlparse.IntVal(1)})
@@ -170,7 +170,7 @@ func TestUpdateByPKReindexesOnlyWhatChanged(t *testing.T) {
 	name, qty := tab.Meta.ColumnIndex("toy_name"), tab.Meta.ColumnIndex("qty")
 	ids := func(tab *Table, v string) []int64 {
 		var out []int64
-		tab.LookupIndex(name, sqlparse.StringVal(v), func(r Row) bool { out = append(out, r[0].Int); return true })
+		tab.LookupIndex(name, sqlparse.StringVal(v), func(r Row) bool { out = append(out, r[0].Int()); return true })
 		return out
 	}
 	update := func(id int64, col int, v sqlparse.Value) {
@@ -240,7 +240,7 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Errorf("count(name1) = %d, want 7", got)
 	}
 	// Index stays correct across delete/insert/update.
-	_, _ = db.Delete("toys", func(r Row) bool { return r[0].Int == 1 }) // name1
+	_, _ = db.Delete("toys", func(r Row) bool { return r[0].Int() == 1 }) // name1
 	if got := count("name1"); got != 6 {
 		t.Errorf("after delete count = %d, want 6", got)
 	}
@@ -272,7 +272,7 @@ func TestInsertClonesRow(t *testing.T) {
 	r := toyRow(1, "a", 1)
 	_ = db.Insert("toys", r)
 	r[2] = sqlparse.IntVal(999) // caller mutation must not leak in
-	if got := db.Table("toys").LookupPK([]sqlparse.Value{sqlparse.IntVal(1)}); got[2].Int != 1 {
+	if got := db.Table("toys").LookupPK([]sqlparse.Value{sqlparse.IntVal(1)}); got[2].Int() != 1 {
 		t.Error("insert did not copy the row")
 	}
 }

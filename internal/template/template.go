@@ -452,18 +452,3 @@ func (a *App) Update(id string) *Template {
 	}
 	return nil
 }
-
-// TemplateBySQL finds a template (query or update) by its canonical SQL.
-func (a *App) TemplateBySQL(sql string) *Template {
-	for _, t := range a.Queries {
-		if t.SQL == sql {
-			return t
-		}
-	}
-	for _, t := range a.Updates {
-		if t.SQL == sql {
-			return t
-		}
-	}
-	return nil
-}

@@ -316,15 +316,6 @@ func TestAppLookups(t *testing.T) {
 	if app.Update("U1") == nil || app.Update("U9") != nil {
 		t.Error("Update lookup wrong")
 	}
-	if app.TemplateBySQL(app.Queries[0].SQL) != app.Queries[0] {
-		t.Error("TemplateBySQL query lookup wrong")
-	}
-	if app.TemplateBySQL(app.Updates[0].SQL) != app.Updates[0] {
-		t.Error("TemplateBySQL update lookup wrong")
-	}
-	if app.TemplateBySQL("SELECT nothing") != nil {
-		t.Error("TemplateBySQL miss wrong")
-	}
 }
 
 func TestNewRejectsInvalid(t *testing.T) {

@@ -297,8 +297,8 @@ func identicalParams(a, b []sqlparse.Value) bool {
 	}
 	for i, va := range a {
 		vb := b[i]
-		if va.Kind != vb.Kind || va.Int != vb.Int || va.Str != vb.Str ||
-			math.Float64bits(va.Float) != math.Float64bits(vb.Float) {
+		if va.Kind != vb.Kind || va.Int() != vb.Int() || va.Str != vb.Str ||
+			math.Float64bits(va.Float()) != math.Float64bits(vb.Float()) {
 			return false
 		}
 	}

@@ -63,9 +63,9 @@ func appendValue(dst []byte, v sqlparse.Value) []byte {
 	switch v.Kind {
 	case sqlparse.KindNull:
 	case sqlparse.KindInt:
-		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(v.Int()))
 	case sqlparse.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float))
+		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.Float()))
 	case sqlparse.KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
 		dst = append(dst, v.Str...)

@@ -69,6 +69,41 @@ func injectivityCorpus() [][]sqlparse.Value {
 // with equal renderings (e.g. INT 5 and FLOAT 5, both "5") produced equal
 // cache-key material; the kind-tagged length-delimited encoding must give
 // every distinct list a distinct byte string.
+// TestValueWireBytes pins the value encoding across the value's layout:
+// a kind byte, then an int's two's complement or a float's IEEE 754 bits
+// big-endian — -0.0, a NaN's payload and the infinities included — and
+// each decodes to the same bits.
+func TestValueWireBytes(t *testing.T) {
+	for _, c := range []struct {
+		v    sqlparse.Value
+		want string
+	}{
+		{sqlparse.FloatVal(math.Copysign(0, -1)), "028000000000000000"},
+		{sqlparse.FloatVal(math.Float64frombits(0x7ff8000000000001)), "027ff8000000000001"},
+		{sqlparse.FloatVal(math.Inf(1)), "027ff0000000000000"},
+		{sqlparse.FloatVal(math.Inf(-1)), "02fff0000000000000"},
+		{sqlparse.IntVal(math.MinInt64), "018000000000000000"},
+		{sqlparse.IntVal(math.MaxInt64), "017fffffffffffffff"},
+		{sqlparse.IntVal(-1), "01ffffffffffffffff"},
+		{sqlparse.Null(), "00"},
+		{sqlparse.StringVal("5"), "030135"},
+	} {
+		b := appendValue(nil, c.v)
+		if got := fmt.Sprintf("%x", b); got != c.want {
+			t.Errorf("%v %v encodes as %s, want %s", c.v.Kind, c.v, got, c.want)
+		}
+		v, str, rest, err := splitValue(b)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("%s: decode: %v, %d bytes left", c.want, err, len(rest))
+		}
+		v.Str = string(str)
+		if v.Kind != c.v.Kind || v.Int() != c.v.Int() || v.Str != c.v.Str ||
+			math.Float64bits(v.Float()) != math.Float64bits(c.v.Float()) {
+			t.Errorf("%s decodes to %v %v", c.want, v.Kind, v)
+		}
+	}
+}
+
 func TestEncodeParamsInjective(t *testing.T) {
 	corpus := injectivityCorpus()
 
@@ -121,8 +156,8 @@ func hasListPrefix(list, prefix []sqlparse.Value) bool {
 	}
 	for i, v := range prefix {
 		lv := list[i]
-		if v.Kind != lv.Kind || v.Int != lv.Int || v.Str != lv.Str ||
-			math.Float64bits(v.Float) != math.Float64bits(lv.Float) {
+		if v.Kind != lv.Kind || v.Int() != lv.Int() || v.Str != lv.Str ||
+			math.Float64bits(v.Float()) != math.Float64bits(lv.Float()) {
 			return false
 		}
 	}
@@ -194,10 +229,10 @@ func TestPayloadRoundTrip(t *testing.T) {
 			t.Fatalf("param count %d != %d", len(got), len(params))
 		}
 		for i := range params {
-			if math.Float64bits(got[i].Float) != math.Float64bits(params[i].Float) {
+			if math.Float64bits(got[i].Float()) != math.Float64bits(params[i].Float()) {
 				t.Fatalf("param %d float bits changed", i)
 			}
-			if got[i].Kind != params[i].Kind || got[i].Int != params[i].Int || got[i].Str != params[i].Str {
+			if got[i].Kind != params[i].Kind || got[i].Int() != params[i].Int() || got[i].Str != params[i].Str {
 				t.Fatalf("param %d round trip: %v != %v", i, got[i], params[i])
 			}
 		}
@@ -341,8 +376,8 @@ func identicalResults(a, b *engine.Result) bool {
 		}
 		for j, va := range ra {
 			vb := rb[j]
-			if va.Kind != vb.Kind || va.Int != vb.Int || va.Str != vb.Str ||
-				math.Float64bits(va.Float) != math.Float64bits(vb.Float) {
+			if va.Kind != vb.Kind || va.Int() != vb.Int() || va.Str != vb.Str ||
+				math.Float64bits(va.Float()) != math.Float64bits(vb.Float()) {
 				return false
 			}
 		}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Alloc-regression gate: run the hot-path micro-benchmarks with -benchmem
 # and fail if any benchmark's steady-state allocs/op — or, for the rows
-# under "byte_budgets", B/op — exceeds its budget in BENCH_allocs.json.
+# under "byte_budgets", B/op, and for those under "ns_budgets", ns/op —
+# exceeds its budget in BENCH_allocs.json.
 # Budgets carry headroom over the measured baseline so a noisy run does not
 # flap, but sit an order of magnitude below the pre-pooling numbers — a
 # pooling regression (a dropped sync.Pool, a reintroduced per-entry parse)
@@ -43,7 +44,10 @@ measured() {
 # gate KEY UNIT holds every benchmark named under KEY in the JSON to its
 # budget in UNIT. "budgets" bounds allocs/op; "byte_budgets" (optional: a
 # row belongs there when what it guards is the size of what is allocated,
-# not the count) bounds B/op.
+# not the count) bounds B/op; "ns_budgets" (optional: a row belongs there
+# when what it guards is an order of growth — a walk that must not become
+# linear in a bucket again — so its budget sits far above the measured
+# time and far below the old one) bounds ns/op, which may be fractional.
 fail=0
 gate() {
     local key=$1 unit=$2 name budget got
@@ -52,7 +56,7 @@ gate() {
         if [[ -z "$got" ]]; then
             echo "alloc_smoke: FAIL $name: benchmark did not run" >&2
             fail=1
-        elif (( got > budget )); then
+        elif awk -v g="$got" -v b="$budget" 'BEGIN { exit !(g > b) }'; then
             echo "alloc_smoke: FAIL $name: $got $unit > budget $budget" >&2
             fail=1
         else
@@ -62,5 +66,6 @@ gate() {
 }
 gate budgets allocs/op
 gate byte_budgets B/op
+gate ns_budgets ns/op
 
 exit "$fail"
