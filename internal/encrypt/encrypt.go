@@ -16,15 +16,15 @@
 // schedule is expanded once per keyring, and all per-call working state
 // (the HMAC transcript, the PRF output, the CTR counter and keystream
 // blocks) lives in a sync.Pool of scratch structures. The only allocation
-// a Seal or Open makes is the output buffer itself — and the Append
-// variants let callers supply even that.
+// a Seal or Open makes is the output buffer itself — and OpenAppend
+// lets callers supply even that.
 //
 // Buffer ownership rules:
 //
 //   - Seal and Open return freshly allocated buffers; the caller owns them
 //     outright and no later call mutates them.
-//   - SealAppend and OpenAppend append to the caller's buffer and return
-//     the extended slice, which aliases dst's array whenever capacity
+//   - OpenAppend appends to the caller's buffer and returns the extended
+//     slice, which aliases dst's array whenever capacity
 //     sufficed. The caller owns dst before and after; the keyring retains
 //     no reference to it.
 //   - Token returns an immutable string.
@@ -169,20 +169,6 @@ func (k *Keyring) Seal(domain string, plaintext []byte) []byte {
 	k.seal(out, domain, plaintext)
 	return out
 }
-
-// SealAppend appends the sealed message for plaintext to dst and returns
-// the extended slice. When dst has capacity for SealedSize(len(plaintext))
-// more bytes no allocation occurs; the result then aliases dst's array.
-func (k *Keyring) SealAppend(dst []byte, domain string, plaintext []byte) []byte {
-	off := len(dst)
-	n := ivSize + len(plaintext)
-	dst = slices.Grow(dst, n)[:off+n]
-	k.seal(dst[off:], domain, plaintext)
-	return dst
-}
-
-// SealedSize returns the sealed length of an n-byte plaintext.
-func SealedSize(n int) int { return ivSize + n }
 
 // seal fills out (of length ivSize+len(plaintext)) with the sealed
 // message.

@@ -71,28 +71,16 @@ func TestSealMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSealAppendOwnership pins the Append-variant ownership rules: the
-// prefix already in dst is preserved, the returned slice extends it, and
-// with sufficient capacity no new array is allocated.
-func TestSealAppendOwnership(t *testing.T) {
+// TestOpenAppendOwnership pins the Append variant's ownership rules: the
+// prefix already in dst is preserved and the returned slice extends it,
+// also when the message fails to open.
+func TestOpenAppendOwnership(t *testing.T) {
 	k := testKeyring(t)
 	msg := []byte("SELECT qty FROM toys WHERE toy_id=?")
+	sealed := k.Seal("stmt", msg)
 
 	prefix := []byte("hdr:")
-	buf := make([]byte, len(prefix), len(prefix)+SealedSize(len(msg)))
-	copy(buf, prefix)
-	out := k.SealAppend(buf, "stmt", msg)
-	if !bytes.Equal(out[:len(prefix)], prefix) {
-		t.Error("SealAppend clobbered the existing prefix")
-	}
-	if !bytes.Equal(out[len(prefix):], k.Seal("stmt", msg)) {
-		t.Error("SealAppend produced different bytes than Seal")
-	}
-	if &out[0] != &buf[0] {
-		t.Error("SealAppend reallocated despite sufficient capacity")
-	}
-
-	pt, err := k.OpenAppend(prefix[:len(prefix):len(prefix)], "stmt", out[len(prefix):])
+	pt, err := k.OpenAppend(prefix[:len(prefix):len(prefix)], "stmt", sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +92,7 @@ func TestSealAppendOwnership(t *testing.T) {
 	}
 
 	// Tampered input: dst's committed prefix must survive untouched.
-	bad := bytes.Clone(out[len(prefix):])
+	bad := bytes.Clone(sealed)
 	bad[0] ^= 1
 	keep := bytes.Clone(prefix)
 	if _, err := k.OpenAppend(prefix[:len(prefix):len(prefix)], "stmt", bad); err != ErrTampered {

@@ -1,28 +1,38 @@
 // Package leakage is the adversary's-eye audit of the reproduction: an
-// observer standing at a trust boundary (a DSSP node, or the shard
-// router) that records exactly what the sealed traffic reveals to the
-// untrusted infrastructure at each exposure level (§2.3 of the paper).
+// observer standing where the untrusted DSSP stands, at a node's sealed
+// seams, that records exactly what the sealed traffic reveals to it at
+// each exposure level (§2.3 of the paper).
 //
-// The observer sees only what the DSSP sees — sealed queries, sealed
-// updates, sealed results, and invalidation decisions — and tallies the
-// structure an adversary could extract from them: distinct sealed-key
-// access frequencies, template-frequency histograms (only for templates
-// the exposure level leaves visible), parameter values in the clear,
-// update→invalidation timing correlations, and the plaintext/sealed
-// byte split of everything that transits the boundary.
+// The observer has two inputs, both decorators on the interfaces a node's
+// pipeline is built from. Observer.Cache wraps the node's pipeline.Cache:
+// it sees each sealed query and whether the cache answered it, each
+// sealed result that crosses the node (a hit served, or a miss's answer
+// stored on its way back from home), and each update's invalidation with
+// the entries it dropped — the node's own updates and those fanned out
+// from other nodes alike. Observer.Transport wraps the node's
+// pipeline.Transport: it sees each sealed update the node forwards home,
+// and when. The pipeline itself does not know the audit exists.
+//
+// From that traffic the observer tallies the structure an adversary could
+// extract: distinct sealed-key access frequencies, template-frequency
+// histograms (only for templates the exposure level leaves visible),
+// parameter values in the clear, update→invalidation timing
+// correlations, and the plaintext/sealed byte split of everything that
+// transits the boundary.
 //
 // These numbers are deliberately NOT obs metrics: the obs registry's
 // shape is held identical between the simulator and the HTTP deployment
 // by a parity test, and the audit is an experiment instrument, not a
-// production signal. It hangs off pipeline.Options.Leakage and reports
-// through its own Report struct.
+// production signal. It reports through its own Report struct.
 package leakage
 
 import (
+	"context"
 	"sync"
 	"time"
 
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -30,8 +40,9 @@ import (
 // timing: an adversary correlating in real time would use a window too.
 const pendingCap = 4096
 
-// Observer implements pipeline.LeakageObserver at one vantage point.
-// Safe for concurrent use.
+// Observer tallies what one vantage point sees. Safe for concurrent use:
+// one observer may watch several nodes, as an adversary who controls the
+// whole DSSP does.
 type Observer struct {
 	vantage string
 	clock   obs.Clock
@@ -60,8 +71,8 @@ type Observer struct {
 	delayCount int64
 }
 
-// NewObserver builds an observer for one vantage point ("node", "node-2",
-// "router", ...). clock supplies the timing for update→invalidation
+// NewObserver builds an observer for one vantage point ("node",
+// "node-2", ...). clock supplies the timing for update→invalidation
 // correlation; nil uses a wall clock (the simulator passes virtual time).
 func NewObserver(vantage string, clock obs.Clock) *Observer {
 	if clock == nil {
@@ -76,8 +87,70 @@ func NewObserver(vantage string, clock obs.Clock) *Observer {
 	}
 }
 
-// ObserveQuery implements pipeline.LeakageObserver.
-func (o *Observer) ObserveQuery(sq wire.SealedQuery, hit bool) {
+// Cache wraps a node's cache so the observer sees the queries, results
+// and invalidations that pass through it. Wrapping the cache, not the
+// node's pipeline.Front, is what lets the observer see fan-out: other
+// nodes' updates reach this node's invalidation monitor through
+// Pipeline.MonitorUpdate, never through its Front. A coalesced flight
+// stores its result once, so the observer sees one result per flight.
+func (o *Observer) Cache(c pipeline.Cache) pipeline.Cache { return auditedCache{c, o} }
+
+// Transport wraps a node's transport so the observer sees each update the
+// node forwards home, and when; queries pass straight through.
+func (o *Observer) Transport(t pipeline.Transport) pipeline.Transport {
+	return auditedTransport{t, o}
+}
+
+type auditedCache struct {
+	inner pipeline.Cache
+	o     *Observer
+}
+
+func (c auditedCache) HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool) {
+	res, hit := c.inner.HandleQuery(q)
+	c.o.query(q, hit)
+	if hit {
+		c.o.result(res)
+	}
+	return res, hit
+}
+
+func (c auditedCache) StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool) {
+	c.inner.StoreResult(q, r, empty)
+	c.o.result(r)
+}
+
+func (c auditedCache) OnUpdateCompleted(u wire.SealedUpdate) int {
+	n := c.inner.OnUpdateCompleted(u)
+	c.o.invalidation(u, n)
+	return n
+}
+
+func (c auditedCache) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
+	counts := c.inner.OnUpdatesCompleted(us)
+	for i, u := range us {
+		c.o.invalidation(u, counts[i])
+	}
+	return counts
+}
+
+type auditedTransport struct {
+	inner pipeline.Transport
+	o     *Observer
+}
+
+func (t auditedTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+	t.inner.ExecQuery(ctx, sq, done)
+}
+
+func (t auditedTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+	t.o.update(su)
+	t.inner.ExecUpdate(ctx, su, done)
+}
+
+// query records a sealed query arriving at the node and whether the cache
+// answered it: the access pattern.
+func (o *Observer) query(sq wire.SealedQuery, hit bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.queries++
@@ -101,8 +174,8 @@ func (o *Observer) ObserveQuery(sq wire.SealedQuery, hit bool) {
 	}
 }
 
-// ObserveResult implements pipeline.LeakageObserver.
-func (o *Observer) ObserveResult(sq wire.SealedQuery, res wire.SealedResult) {
+// result records a sealed result crossing the node.
+func (o *Observer) result(res wire.SealedResult) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if res.Result != nil {
@@ -112,8 +185,8 @@ func (o *Observer) ObserveResult(sq wire.SealedQuery, res wire.SealedResult) {
 	}
 }
 
-// ObserveUpdate implements pipeline.LeakageObserver.
-func (o *Observer) ObserveUpdate(su wire.SealedUpdate) {
+// update records a sealed update forwarded home, and its arrival time.
+func (o *Observer) update(su wire.SealedUpdate) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.updates++
@@ -131,8 +204,9 @@ func (o *Observer) ObserveUpdate(su wire.SealedUpdate) {
 	}
 }
 
-// ObserveInvalidation implements pipeline.LeakageObserver.
-func (o *Observer) ObserveInvalidation(su wire.SealedUpdate, invalidated int) {
+// invalidation records a completed update's invalidation at the node and
+// the entries it dropped: the update→invalidation correlation.
+func (o *Observer) invalidation(su wire.SealedUpdate, invalidated int) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.invalidations++
@@ -231,50 +305,4 @@ func (o *Observer) Report() Report {
 		r.MeanInvalidationDelay = o.delaySum / time.Duration(o.delayCount)
 	}
 	return r
-}
-
-// Merge folds several vantage points' reports into one fleet-wide view
-// (the adversary controls the whole DSSP, so it sees all of them).
-func Merge(vantage string, reports ...Report) Report {
-	out := Report{Vantage: vantage}
-	var delaySum time.Duration
-	var delayN int64
-	for _, r := range reports {
-		out.Queries += r.Queries
-		out.Hits += r.Hits
-		out.Updates += r.Updates
-		out.DistinctKeys += r.DistinctKeys
-		out.KeyAccesses += r.KeyAccesses
-		if r.MaxKeyAccesses > out.MaxKeyAccesses {
-			out.MaxKeyAccesses = r.MaxKeyAccesses
-		}
-		out.VisibleParams += r.VisibleParams
-		out.PlaintextBytes += r.PlaintextBytes
-		out.SealedBytes += r.SealedBytes
-		out.Invalidations += r.Invalidations
-		out.InvalidatedEntries += r.InvalidatedEntries
-		out.CorrelatedInvalidations += r.CorrelatedInvalidations
-		for k, v := range r.TemplateFreq {
-			if out.TemplateFreq == nil {
-				out.TemplateFreq = make(map[string]int64)
-			}
-			out.TemplateFreq[k] += v
-		}
-		if r.MeanInvalidationDelay > 0 {
-			delaySum += r.MeanInvalidationDelay
-			delayN++
-		}
-	}
-	for k := range out.TemplateFreq {
-		if k != obs.BlindTemplate {
-			out.VisibleTemplates++
-		}
-	}
-	if total := out.PlaintextBytes + out.SealedBytes; total > 0 {
-		out.PlaintextFrac = float64(out.PlaintextBytes) / float64(total)
-	}
-	if delayN > 0 {
-		out.MeanInvalidationDelay = delaySum / time.Duration(delayN)
-	}
-	return out
 }

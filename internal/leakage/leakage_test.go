@@ -1,17 +1,25 @@
 package leakage_test
 
 import (
+	"context"
+	"fmt"
 	"maps"
 	"testing"
 	"time"
 
 	"dssp/internal/apps"
+	"dssp/internal/cache"
+	"dssp/internal/core"
+	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
+	"dssp/internal/homeserver"
 	"dssp/internal/leakage"
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/simrun"
 	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -47,12 +55,53 @@ var (
 	}
 )
 
+// stubNode is a node that does what the trace says: its cache hits or
+// misses as the op says and drops the op's count, and its home confirms
+// every update.
+type stubNode struct {
+	res     wire.SealedResult
+	hit     bool
+	dropped int
+}
+
+func (n *stubNode) HandleQuery(wire.SealedQuery) (wire.SealedResult, bool) {
+	if !n.hit {
+		return wire.SealedResult{}, false
+	}
+	return n.res, true
+}
+
+func (n *stubNode) StoreResult(wire.SealedQuery, wire.SealedResult, bool) {}
+
+func (n *stubNode) OnUpdateCompleted(wire.SealedUpdate) int { return n.dropped }
+
+func (n *stubNode) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
+	counts := make([]int, len(us))
+	for i := range counts {
+		counts[i] = n.dropped
+	}
+	return counts
+}
+
+func (n *stubNode) ExecQuery(_ context.Context, _ wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+	done(pipeline.ExecQueryResult{Result: n.res}, nil)
+}
+
+func (n *stubNode) ExecUpdate(_ context.Context, _ wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+	done(pipeline.ExecUpdateResult{}, nil)
+}
+
 // feed seals each op under the codec's exposure assignment — so the
 // observer sees exactly what real sealing reveals at that level — and
-// plays it to the observer the way the pipeline does. It returns the bytes
-// of the results that crossed, which are plaintext only at view exposure.
+// plays it through the observer's decorators of a stub node's cache and
+// transport, in the order a node's pipeline calls them: a query's lookup,
+// and on a miss the store of home's answer; an update's forward home, and
+// its invalidation once confirmed. It returns the bytes of the results
+// that crossed, which are plaintext only at view exposure.
 func feed(t *testing.T, o *leakage.Observer, now *time.Duration, codec *wire.Codec, app *template.App, ops []traceOp) (resultBytes int64) {
 	t.Helper()
+	node := &stubNode{}
+	nodeCache, home := o.Cache(node), o.Transport(node)
 	for _, op := range ops {
 		params := []sqlparse.Value{op.param}
 		if q := app.Query(op.tmpl); q != nil {
@@ -64,20 +113,22 @@ func feed(t *testing.T, o *leakage.Observer, now *time.Duration, codec *wire.Cod
 			for _, v := range op.rows {
 				res.Rows = append(res.Rows, []sqlparse.Value{iv(v)})
 			}
-			sealed := codec.SealResult(q, res)
-			o.ObserveQuery(sq, op.hit)
-			o.ObserveResult(sq, sealed)
-			resultBytes += int64(sealed.Size())
+			node.res, node.hit = codec.SealResult(q, res), op.hit
+			if _, hit := nodeCache.HandleQuery(sq); !hit {
+				nodeCache.StoreResult(sq, node.res, false)
+			}
+			resultBytes += int64(node.res.Size())
 			continue
 		}
 		su, err := codec.SealUpdate(app.Update(op.tmpl), params)
 		if err != nil {
 			t.Fatal(err)
 		}
+		node.dropped = op.dropped
 		*now = op.sentAt
-		o.ObserveUpdate(su)
+		home.ExecUpdate(context.Background(), su, func(pipeline.ExecUpdateResult, error) {})
 		*now = op.invalidatedAt
-		o.ObserveInvalidation(su, op.dropped)
+		nodeCache.OnUpdateCompleted(su)
 	}
 	return resultBytes
 }
@@ -165,42 +216,144 @@ func TestReportByExposure(t *testing.T) {
 	}
 }
 
-// TestMergeTwoVantagePoints splits the trace across two nodes and checks
-// the fleet-wide view: counts and bytes add, the hottest key is the
-// hotter node's, a template seen on both nodes is one visible template,
-// and the fractions are recomputed from the merged bytes.
-func TestMergeTwoVantagePoints(t *testing.T) {
-	a, _ := observe(t, "node-0", template.ExpStmt, trace[:4]) // Q1 bear ×2, Q2, the dropping U1
-	b, _ := observe(t, "node-1", template.ExpStmt, trace[4:]) // Q1 kite, the idle U1
-	m := leakage.Merge("fleet", a, b)
-	whole, _ := observe(t, "fleet", template.ExpStmt, trace)
+// holdingTransport parks the queries it reaches while hold is set, until
+// release, so that a second miss of the same key joins the first's flight.
+type holdingTransport struct {
+	inner  pipeline.Transport
+	hold   bool
+	parked []func()
+}
 
-	if m.Vantage != "fleet" || m.Queries != 4 || m.Hits != 1 || m.Updates != 2 {
-		t.Errorf("merged: vantage %q, %d queries, %d hits, %d updates; want fleet, 4, 1, 2", m.Vantage, m.Queries, m.Hits, m.Updates)
+func (t *holdingTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+	if t.hold {
+		t.parked = append(t.parked, func() { t.inner.ExecQuery(ctx, sq, done) })
+		return
 	}
-	if m.DistinctKeys != 3 || m.KeyAccesses != 4 || m.MaxKeyAccesses != 2 {
-		t.Errorf("merged: %d distinct keys, %d accesses, hottest %d; want 3, 4, 2", m.DistinctKeys, m.KeyAccesses, m.MaxKeyAccesses)
+	t.inner.ExecQuery(ctx, sq, done)
+}
+
+func (t *holdingTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+	t.inner.ExecUpdate(ctx, su, done)
+}
+
+func (t *holdingTransport) release() {
+	t.hold = false
+	for _, f := range t.parked {
+		f()
 	}
-	if a.VisibleTemplates != 3 || b.VisibleTemplates != 2 || m.VisibleTemplates != 3 ||
-		!maps.Equal(m.TemplateFreq, map[string]int64{"Q1": 3, "Q2": 1, "U1": 2}) {
-		t.Errorf("visible templates %d + %d merged to %d %v; want 3 + 2 → 3 (Q1 and U1 are on both nodes)",
-			a.VisibleTemplates, b.VisibleTemplates, m.VisibleTemplates, m.TemplateFreq)
-	}
-	if m.VisibleParams != whole.VisibleParams || m.PlaintextBytes != whole.PlaintextBytes ||
-		m.SealedBytes != whole.SealedBytes || m.PlaintextFrac != whole.PlaintextFrac {
-		t.Errorf("merged bytes (%d params, %d plain, %d sealed, frac %v) differ from one observer of the whole trace (%d, %d, %d, %v)",
-			m.VisibleParams, m.PlaintextBytes, m.SealedBytes, m.PlaintextFrac,
-			whole.VisibleParams, whole.PlaintextBytes, whole.SealedBytes, whole.PlaintextFrac)
-	}
-	if m.Invalidations != 2 || m.InvalidatedEntries != 2 || m.CorrelatedInvalidations != 1 {
-		t.Errorf("merged: %d invalidations dropping %d entries, %d correlated; want 2, 2, 1",
-			m.Invalidations, m.InvalidatedEntries, m.CorrelatedInvalidations)
-	}
-	// 15 ms at node-0, 10 ms at node-1: the mean of the vantage means.
-	if want := 12500 * time.Microsecond; m.MeanInvalidationDelay != want {
-		t.Errorf("merged mean delay %v, want %v", m.MeanInvalidationDelay, want)
-	}
-	if got := leakage.Merge("empty"); got.Vantage != "empty" || got.PlaintextFrac != 0 || got.TemplateFreq != nil {
-		t.Errorf("merge of nothing = %+v, want a zero report", got)
+	t.parked = nil
+}
+
+// TestAuditSeesWhatTheNodeDoes drives a real node pipeline built over the
+// observer's decorators, invalidating inline and per monitoring interval,
+// through a coalesced miss and an update fanned in from another node. The
+// report must count what the node's cache counted, and every sealed byte
+// that crossed the node: each query's statement and lookup token, each
+// result once (a hit served, or a flight's answer stored), and each
+// update the node forwarded home.
+func TestAuditSeesWhatTheNodeDoes(t *testing.T) {
+	for _, interval := range []time.Duration{0, time.Second} {
+		t.Run(fmt.Sprintf("interval=%v", interval), func(t *testing.T) {
+			app := apps.Toystore()
+			codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), simrun.UniformExposures(app, template.ExpBlind))
+			db := storage.NewDatabase(app.Schema)
+			for _, toy := range []storage.Row{{iv(1), sv("bear"), iv(10)}, {iv(2), sv("truck"), iv(3)}, {iv(3), sv("bear"), iv(7)}, {iv(5), sv("kite"), iv(25)}} {
+				if err := db.Insert("toys", toy); err != nil {
+					t.Fatal(err)
+				}
+			}
+			home := homeserver.New(db, app, codec)
+			node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+			held := &holdingTransport{inner: pipeline.NewDirectTransport(home)}
+			var flush func()
+			o := leakage.NewObserver("node", nil)
+			p := pipeline.New(o.Cache(node), o.Transport(held), nil, pipeline.Options{
+				MonitorInterval: interval,
+				After:           func(_ time.Duration, fn func()) { flush = fn },
+			})
+			ctx := context.Background()
+
+			var queries, hits, coalesced, invalidated, sealed int64
+			ask := func(tmpl string, param sqlparse.Value) {
+				sq, err := codec.SealQuery(app.Query(tmpl), []sqlparse.Value{param})
+				if err != nil {
+					t.Fatal(err)
+				}
+				queries++
+				sealed += int64(len(sq.Opaque) + len(sq.Key))
+				p.Query(ctx, sq, func(r pipeline.QueryReply, err error) {
+					switch {
+					case err != nil:
+						t.Error(err)
+					case r.Coalesced:
+						coalesced++
+					default:
+						sealed += int64(len(r.Result.Cipher))
+						if r.Hit {
+							hits++
+						}
+					}
+				})
+			}
+			sealUpdate := func(id int64) wire.SealedUpdate {
+				su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{iv(id)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return su
+			}
+
+			ask("Q2", iv(1)) // miss
+			ask("Q2", iv(1)) // hit
+			ask("Q1", sv("bear"))
+			held.hold = true
+			ask("Q2", iv(3)) // miss, parked at home
+			ask("Q2", iv(3)) // joins its flight
+			held.release()
+			ask("Q2", iv(3)) // hit
+
+			su := sealUpdate(2)
+			sealed += int64(len(su.Opaque))
+			p.Update(ctx, su, func(r pipeline.UpdateReply, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				invalidated += int64(r.Invalidated)
+			})
+			// Another node forwarded this one: it reaches this node only as
+			// fan-out into its invalidation monitor.
+			fan := sealUpdate(5)
+			_, seq, err := home.ExecUpdate(fan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.MonitorUpdate(fan, seq, func(n int) { invalidated += int64(n) })
+			if interval > 0 {
+				if flush == nil {
+					t.Fatal("no flush was scheduled")
+				}
+				flush()
+			}
+			ask("Q2", iv(1)) // miss: blind updates drop every entry
+
+			st := node.Cache.Stats()
+			r := o.Report()
+			if hits != 2 || coalesced != 1 || invalidated == 0 {
+				t.Fatalf("the script made %d hits, %d coalesced misses and %d invalidations; want 2, 1 and some", hits, coalesced, invalidated)
+			}
+			if r.Queries != queries || r.Queries != int64(st.Hits+st.Misses) || r.Hits != hits || r.Hits != int64(st.Hits) {
+				t.Errorf("audit saw %d queries, %d hits; %d were asked, the cache counted %d hits and %d misses", r.Queries, r.Hits, queries, st.Hits, st.Misses)
+			}
+			if r.Updates != 1 {
+				t.Errorf("audit saw %d updates forwarded, want 1", r.Updates)
+			}
+			if r.Invalidations != 2 || r.Invalidations != int64(st.UpdatesSeen) || r.InvalidatedEntries != invalidated || r.InvalidatedEntries != int64(st.Invalidations) {
+				t.Errorf("audit saw %d invalidations dropping %d entries; want 2 (the cache saw %d updates) dropping %d (the cache counted %d)",
+					r.Invalidations, r.InvalidatedEntries, st.UpdatesSeen, invalidated, st.Invalidations)
+			}
+			if r.PlaintextBytes != 0 || r.SealedBytes != sealed {
+				t.Errorf("audit saw %d plaintext and %d sealed bytes; want 0 and %d", r.PlaintextBytes, r.SealedBytes, sealed)
+			}
+		})
 	}
 }

@@ -78,9 +78,6 @@ func (b *batcher) flush() {
 			Stage: obs.StageInvalidate, Template: obs.Tmpl(us[i].TemplateID),
 			Start: start, Duration: share,
 		})
-		if b.p.opts.Leakage != nil {
-			b.p.opts.Leakage.ObserveInvalidation(us[i], counts[i])
-		}
 		pu.done(counts[i])
 	}
 }
@@ -104,9 +101,6 @@ func (p *Pipeline) MonitorUpdate(su wire.SealedUpdate, seq uint64, done func(inv
 		inv := p.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageInvalidate, obs.Tmpl(su.TemplateID))
 		n := p.cache.OnUpdateCompleted(su)
 		inv.End()
-		if p.opts.Leakage != nil {
-			p.opts.Leakage.ObserveInvalidation(su, n)
-		}
 		done(n)
 		return
 	}

@@ -83,9 +83,6 @@ func (c *missCall) resolve(er ExecQueryResult, err error) {
 	c.net.End()
 	if err == nil {
 		p.cache.StoreResult(c.sq, er.Result, er.Empty)
-		if p.opts.Leakage != nil {
-			p.opts.Leakage.ObserveResult(c.sq, er.Result)
-		}
 	}
 
 	var waiters []func(QueryReply, error)

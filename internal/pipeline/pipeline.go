@@ -145,12 +145,6 @@ type Options struct {
 	// the interval elapses on the simulated clock.
 	After func(d time.Duration, fn func())
 
-	// Leakage, when set, is the adversary's-eye audit at this node's
-	// trust boundary: it sees exactly the sealed traffic the pipeline
-	// sees, never plaintext the exposure level hides. nil disables the
-	// audit (the production default — it is a measurement instrument).
-	Leakage LeakageObserver
-
 	// Fresh is the node's freshness floor — the vector NewTierTransport
 	// returned with the transport, whose replica sets share it: every
 	// confirmed update the node learns of — its own updates' responses
@@ -158,28 +152,6 @@ type Options struct {
 	// miss may be served by a replica that hasn't applied up to it. nil
 	// (the default, single-home deployments) disables floor tracking.
 	Fresh *Freshness
-}
-
-// LeakageObserver records what an untrusted observer at this pipeline's
-// vantage point, a DSSP node, learns from the sealed traffic passing
-// through. Implemented by leakage.Observer.
-type LeakageObserver interface {
-	// ObserveQuery sees every sealed query arriving at the vantage point
-	// and whether the cache answered it (access-pattern leakage).
-	ObserveQuery(sq wire.SealedQuery, hit bool)
-
-	// ObserveResult sees every sealed result transiting the vantage
-	// point: a hit served from the cache, or a miss returning from home.
-	ObserveResult(sq wire.SealedQuery, res wire.SealedResult)
-
-	// ObserveUpdate sees every sealed update routed through the vantage
-	// point.
-	ObserveUpdate(su wire.SealedUpdate)
-
-	// ObserveInvalidation sees each completed update's invalidation
-	// applied at this vantage point, with the entry count it dropped
-	// (update→invalidation correlation leakage).
-	ObserveInvalidation(su wire.SealedUpdate, invalidated int)
 }
 
 // Pipeline is the shared query/update pathway of one DSSP node.
@@ -267,14 +239,8 @@ func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply,
 	lk := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageLookup, tmpl)
 	res, hit := p.cache.HandleQuery(sq)
 	lk.End()
-	if p.opts.Leakage != nil {
-		p.opts.Leakage.ObserveQuery(sq, hit)
-	}
 	if !hit {
 		return QueryReply{}, false
-	}
-	if p.opts.Leakage != nil {
-		p.opts.Leakage.ObserveResult(sq, res)
 	}
 	p.request(obs.KindQuery, tmpl, start)
 	return QueryReply{Result: res, Hit: true}, true
@@ -331,9 +297,6 @@ func (p *Pipeline) Update(ctx context.Context, su wire.SealedUpdate, done func(U
 // from there.
 func (p *Pipeline) forward(ctx context.Context, c *updateCall) {
 	c.tmpl, c.start, c.forward = obs.Tmpl(c.su.TemplateID), p.tracer.Now(), true
-	if p.opts.Leakage != nil {
-		p.opts.Leakage.ObserveUpdate(c.su)
-	}
 	c.net = p.tracer.StartSpan(c.su.TraceID, c.su.ParentSpan, obs.StageNetwork, c.tmpl)
 	if id := c.net.ID(); !id.IsZero() {
 		c.su.ParentSpan = id

@@ -109,9 +109,11 @@ type Config struct {
 
 	CacheOpts cache.Options
 
-	// Leakage, when true, attaches an adversary's-eye observer at the
-	// node trust boundary (on virtual time); the audit lands in
-	// Result.Leakage.
+	// Leakage, when true, puts one adversary's-eye observer (on virtual
+	// time) on every node's sealed seams: each node's pipeline is built
+	// over the observer's decorators of its cache and its transport
+	// (leakage.Observer.Cache and .Transport), so the audit sees fan-out
+	// invalidations too. The audit lands in Result.Leakage.
 	Leakage bool
 }
 
@@ -530,9 +532,9 @@ func Simulate(cfg Config) (*Result, error) {
 		planner = router.Planner()
 	}
 
-	// The adversary's-eye audit, shared by every node pipeline: the
-	// observer stands at the node trust boundary, and an adversary who
-	// controls the DSSP sees all nodes at once.
+	// The adversary's-eye audit, shared by every node: the observer
+	// stands at each node's sealed seams, and an adversary who controls
+	// the DSSP sees all nodes at once.
 	var audit *leakage.Observer
 	if cfg.Leakage {
 		audit = leakage.NewObserver("node", clock)
@@ -569,15 +571,15 @@ func Simulate(cfg Config) (*Result, error) {
 			}
 		}
 		transport, fresh := pipeline.NewTierTransport(parts, reg)
-		popts := pipeline.Options{
+		var nodeCache pipeline.Cache = nodes[i]
+		if audit != nil {
+			nodeCache, transport = audit.Cache(nodeCache), audit.Transport(transport)
+		}
+		pipes[i] = pipeline.New(nodeCache, transport, nodeTracer, pipeline.Options{
 			MonitorInterval: cfg.MonitorInterval,
 			After:           func(d time.Duration, fn func()) { world.After(d, fn) },
 			Fresh:           fresh,
-		}
-		if audit != nil {
-			popts.Leakage = audit
-		}
-		pipes[i] = pipeline.New(nodes[i], transport, nodeTracer, popts)
+		})
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		buildNode(i)
