@@ -68,9 +68,13 @@ type Entry struct {
 // DSSP may inspect it, less what belonged to the one request that happened
 // to fetch it: an entry outlives that request, and must not show its trace
 // and span IDs to whoever reads or exports the bucket. The IDs are numbers,
-// so clearing them is all it takes.
+// so clearing them is all it takes. The payload goes too: nothing at a
+// node reads an entry's — lookup, invalidation and migration read the key,
+// the template, the parameters and the result — and a query served from a
+// frame only lends it (pipeline.Front), so keeping it would keep the
+// frame's bytes. A bucket export therefore carries no payload.
 func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
-	q.TraceID, q.ParentSpan = obs.TraceID{}, obs.SpanID{}
+	q.TraceID, q.ParentSpan, q.Opaque = obs.TraceID{}, obs.SpanID{}, nil
 	return &Entry{Query: q, Result: r}
 }
 

@@ -11,6 +11,7 @@ package dssp
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -163,23 +164,52 @@ func (c *Client) sealSpan(trace obs.TraceID, t *template.Template, start time.Du
 // recording the open span. The QueryResult and the result it points to
 // are one allocation.
 func (c *Client) Open(t *template.Template, sq wire.SealedQuery, sealed wire.SealedResult, hit bool) (*QueryResult, error) {
-	op := c.Tracer.StartSpan(sq.TraceID, obs.SpanID{}, obs.StageOpen, t.ID)
-	out := new(openedResult)
-	if err := c.Codec.OpenResultInto(sealed, &out.res); err != nil {
-		return nil, err
-	}
-	op.End()
-	out.QueryResult = QueryResult{Result: &out.res, Outcome: QueryOutcome{Hit: hit, Rows: out.res.Len()}}
-	if !hit {
-		out.Outcome.Scanned = out.res.RowsScanned
-	}
-	return &out.QueryResult, nil
+	out := c.opener(t, sq)
+	out.Reply(sealed, hit)
+	return out.result()
 }
 
-// openedResult is what Open allocates: a QueryResult and its result.
+// opener returns the Replier that opens the answer to sq.
+func (c *Client) opener(t *template.Template, sq wire.SealedQuery) *openedResult {
+	return &openedResult{c: c, t: t, trace: sq.TraceID, err: errNoReply}
+}
+
+// errNoReply is a front that answered a query without a result.
+var errNoReply = errors.New("dssp: the front answered the query without a result")
+
+// openedResult is what a query allocates: a QueryResult and its result,
+// and the pipeline.Replier that opens the front's answer into them while
+// the answer is still lent — straight from the frame it arrived in, over a
+// hop.
 type openedResult struct {
 	QueryResult
 	res engine.Result
+
+	c     *Client
+	t     *template.Template
+	trace obs.TraceID
+	err   error // the open's, or errNoReply until Reply runs
+}
+
+// Reply opens the sealed result and records the open span.
+func (o *openedResult) Reply(sealed wire.SealedResult, hit bool) {
+	op := o.c.Tracer.StartSpan(o.trace, obs.SpanID{}, obs.StageOpen, o.t.ID)
+	if o.err = o.c.Codec.OpenResultInto(sealed, &o.res); o.err != nil {
+		return
+	}
+	op.End()
+	o.QueryResult = QueryResult{Result: &o.res, Outcome: QueryOutcome{Hit: hit, Rows: o.res.Len()}}
+	if !hit {
+		o.Outcome.Scanned = o.res.RowsScanned
+	}
+}
+
+// result is what the query returns once the front answered.
+func (o *openedResult) result() (*QueryResult, error) {
+	if o.err != nil {
+		return nil, o.err
+	}
+	return &o.QueryResult, nil
 }
 
 // Query executes one query template instance end to end.
@@ -197,11 +227,11 @@ func (c *Client) QueryContext(ctx context.Context, t *template.Template, params 
 	if err != nil {
 		return nil, err
 	}
-	sealed, hit, err := c.front().Query(ctx, sq)
-	if err != nil {
+	out := c.opener(t, sq)
+	if err := c.front().Query(ctx, sq, out); err != nil {
 		return nil, err
 	}
-	return c.Open(t, sq, sealed, hit)
+	return out.result()
 }
 
 // Update executes one update template instance end to end: the update is

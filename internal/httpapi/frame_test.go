@@ -16,8 +16,14 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/apps"
+	"dssp/internal/cache"
+	"dssp/internal/core"
+	"dssp/internal/dssp"
 	"dssp/internal/pipeline"
+	"dssp/internal/shard"
 	"dssp/internal/template"
+	"dssp/internal/wire"
 )
 
 // startServer serves h on a loopback listener until the test ends, then
@@ -298,9 +304,9 @@ func TestFrameWindowHoldsTheNextFrame(t *testing.T) {
 // BenchmarkFrameRoundTrip is one sealed query → query answer through
 // NodeProxy.Query over a framed loopback connection, under the
 // DefaultTimeout every deployment sets, to a handler that decodes the
-// query and answers the way every statement handler does: what one hop of
-// the fleet costs before any cache or engine work. Gated in
-// BENCH_allocs.json.
+// query and answers a sealed result, which the caller reads in place and
+// hands to a Replier that keeps nothing: what one hop of the fleet costs
+// before any cache or engine work. Gated in BENCH_allocs.json.
 func BenchmarkFrameRoundTrip(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
 	srv := startFrameServer(b, &frameOps{OpQuery: func(_ context.Context, req, resp *frame) {
@@ -315,11 +321,46 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var err error
-		if hopSink.resp.result, hopSink.resp.hit, err = p.Query(ctx, sq); err != nil {
+		if err := p.Query(ctx, sq, &hopSink.drop); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNodeQueryHit is one sealed query frame at stmt exposure through
+// a node's own frame handlers (serveBackend over a shard.PipeBackend) to a
+// cache that holds its entry, from NodeProxy.Query with a Replier that
+// keeps nothing: what a node costs a hit. The query is read in place, so
+// what the row counts is its head's copy and its parameter slice; the
+// answer is appended from the entry straight into the answer frame. Gated
+// in BENCH_allocs.json, at the exact count.
+func BenchmarkNodeQueryHit(b *testing.B) {
+	sq, _, sr := sealedAt(b, template.ExpStmt)
+	app := apps.Toystore()
+	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+	node.Cache.Store(sq, sr, false)
+	pipe := pipeline.New(node, noHome{}, nil, pipeline.Options{})
+	srv := startFrameServer(b, serveBackend(shard.PipeBackend{Pipe: pipe, Buckets: node.Cache}))
+	p := NewNodeProxy(srv.URL, &http.Client{Timeout: DefaultTimeout}, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.Query(ctx, sq, &hopSink.drop); err != nil || !hopSink.drop.hit {
+			b.Fatalf("hit %v, err %v", hopSink.drop.hit, err)
+		}
+	}
+}
+
+// noHome is the transport of a node whose every query hits.
+type noHome struct{}
+
+func (noHome) ExecQuery(_ context.Context, _ wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+	done(pipeline.ExecQueryResult{}, errors.New("a hit reached the home"))
+}
+
+func (noHome) ExecUpdate(_ context.Context, _ wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+	done(pipeline.ExecUpdateResult{}, errors.New("no home"))
 }
 
 // BenchmarkNodeUpdate is one sealed update → update answer through
@@ -350,13 +391,15 @@ func BenchmarkNodeUpdate(b *testing.B) {
 
 // BenchmarkExecQueryRoundTrip is a node's miss hop: one sealed query →
 // exec query answer through homeTransport.ExecQuery over a framed loopback
-// connection under DefaultTimeout, to a handler that decodes the query and
-// answers a sealed result the way the home server does. Gated in
+// connection under DefaultTimeout, to a handler that reads the query as
+// the home server does (readExecQuery: its head, the payload lent) and
+// answers a sealed result, which the node decodes to keep. Gated in
 // BENCH_allocs.json.
 func BenchmarkExecQueryRoundTrip(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
 	srv := startFrameServer(b, &frameOps{OpExecQuery: func(_ context.Context, req, resp *frame) {
-		if err := (*queryMsg)(&hopSink.sq).decodeWire(req.body); err != nil {
+		var err error
+		if hopSink.sq, err = readExecQuery(req.body); err != nil {
 			resp.fail(statusBadRequest, err)
 			return
 		}

@@ -294,7 +294,7 @@ func TestHopRetriesIdempotentCallsOnce(t *testing.T) {
 	}
 
 	p, peer, reg := proxy(1)
-	if _, hit, err := p.Query(context.Background(), sq); err != nil || !hit {
+	if _, hit, err := query(context.Background(), p, sq); err != nil || !hit {
 		t.Errorf("query after one connection failure: hit %v, err %v", hit, err)
 	}
 	if reqs := peer.requests(); !sameTwice(reqs) || peer.connections() != 2 || retries(reg) != 1 {
@@ -324,7 +324,7 @@ func TestHopRetriesIdempotentCallsOnce(t *testing.T) {
 	}
 
 	p, peer, _ = proxy(2)
-	if _, _, err := p.Query(context.Background(), sq); err == nil {
+	if _, _, err := query(context.Background(), p, sq); err == nil {
 		t.Error("query after two connection failures: no error")
 	}
 	if n := len(peer.requests()); n != 2 {
@@ -415,7 +415,7 @@ func TestSequentialHopsShareOneConnection(t *testing.T) {
 	sq, su, _ := sealedAt(t, template.ExpStmt)
 	p := NewNodeProxy(peer.url, nil, nil)
 	for i := 0; i < 20; i++ {
-		if _, _, err := p.Query(context.Background(), sq); err != nil {
+		if _, _, err := query(context.Background(), p, sq); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, _, err := p.Update(context.Background(), su); err != nil {
@@ -580,7 +580,7 @@ func TestHopPostsFramesThroughTheClientsRoundTripper(t *testing.T) {
 
 	for _, server := range []string{"node", "router"} {
 		p, rt, _ := proxy(c.urls[server], 0)
-		if res, _, err := p.Query(context.Background(), sq); err != nil || res.Size() == 0 {
+		if res, _, err := query(context.Background(), p, sq); err != nil || res.Size() == 0 {
 			t.Errorf("%s: query: %d result bytes, err %v", server, res.Size(), err)
 		}
 		if _, _, _, err := p.Update(context.Background(), su); err != nil {
@@ -592,7 +592,7 @@ func TestHopPostsFramesThroughTheClientsRoundTripper(t *testing.T) {
 	}
 
 	p, rt, reg := proxy(c.urls["node"], 1)
-	if _, _, err := p.Query(context.Background(), sq); err != nil || len(rt.carried()) != 2 || retries(reg) != 1 {
+	if _, _, err := query(context.Background(), p, sq); err != nil || len(rt.carried()) != 2 || retries(reg) != 1 {
 		t.Errorf("query after one lost request: err %v, %d requests, %d retries", err, len(rt.carried()), retries(reg))
 	}
 	p, rt, reg = proxy(c.urls["node"], 1)
@@ -602,7 +602,7 @@ func TestHopPostsFramesThroughTheClientsRoundTripper(t *testing.T) {
 
 	gone := startServer(t, http.NotFoundHandler())
 	p, rt, _ = proxy(gone.URL, 0)
-	if _, _, err := p.Query(context.Background(), sq); err == nil || !strings.Contains(err.Error(), "404") || len(rt.carried()) != 1 {
+	if _, _, err := query(context.Background(), p, sq); err == nil || !strings.Contains(err.Error(), "404") || len(rt.carried()) != 1 {
 		t.Errorf("a peer without frames: err %v after %d requests, want one naming 404", err, len(rt.carried()))
 	}
 
@@ -698,7 +698,7 @@ func TestOversizedAnswerFailsOnlyItsCall(t *testing.T) {
 		updated <- err
 	}()
 	<-entered
-	if _, _, err := p.Query(context.Background(), sq); err == nil || !strings.Contains(err.Error(), statusTooLarge.String()) {
+	if _, _, err := query(context.Background(), p, sq); err == nil || !strings.Contains(err.Error(), statusTooLarge.String()) {
 		t.Errorf("an oversized answer: err %v, want a too large refusal", err)
 	}
 	close(release)

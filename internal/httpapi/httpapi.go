@@ -265,8 +265,8 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	home.Tracer().SetStore(obs.NewSpanStore(0))
 	mux := newMux(home.Obs(), home.Tracer().Store(), &frameOps{
 		OpExecQuery: func(_ context.Context, req, resp *frame) {
-			var sq wire.SealedQuery
-			if err := (*queryMsg)(&sq).decodeWire(req.body); err != nil {
+			sq, err := readExecQuery(req.body)
+			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
@@ -313,6 +313,16 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 		})
 	}
 	return mux
+}
+
+// readExecQuery reads an exec query frame's statement in place, as far as
+// a home reads it: homeserver.Server.ExecQuery reads the trace fields and
+// the payload alone, and is done with them when it returns, so the payload
+// is lent from the frame and the rest of the statement is not decoded.
+func readExecQuery(body []byte) (wire.SealedQuery, error) {
+	var raw wire.Raw
+	err := raw.ReadQuery(body)
+	return wire.SealedQuery{TraceID: raw.TraceID, ParentSpan: raw.ParentSpan, Opaque: raw.Opaque}, err
 }
 
 // NodeServer serves an application's traffic from a DSSP node through the
@@ -459,8 +469,10 @@ func newMux(reg *obs.Registry, store *obs.SpanStore, ops *frameOps) *http.ServeM
 // tell the two apart — behind the query and update frames. A front that
 // fails answers bad gateway: the statement did not get through. The shard
 // router is served bytes: it routes each statement from its head and
-// forwards it as it came (forwardQuery, forwardUpdate); every other front
-// is handed the decoded statement.
+// forwards it as it came (forwardQuery, forwardUpdate). Every other front
+// is handed a query read in place, its payload lent from the frame
+// (pipeline.Front), and answers into the answer frame (queryReply); an
+// update it is handed decoded.
 func serveFront(front pipeline.Front) *frameOps {
 	router, forwards := front.(*shard.Router)
 	return &frameOps{
@@ -469,17 +481,14 @@ func serveFront(front pipeline.Front) *frameOps {
 				forwardQuery(ctx, router, req, resp)
 				return
 			}
-			var sq wire.SealedQuery
-			if err := (*queryMsg)(&sq).decodeWire(req.body); err != nil {
+			var raw wire.Raw
+			if err := raw.ReadQuery(req.body); err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			res, hit, err := front.Query(ctx, sq)
-			if err != nil {
+			if err := front.Query(ctx, raw.Query(), (*queryReply)(resp)); err != nil {
 				resp.fail(statusBadGateway, err)
-				return
 			}
-			resp.body = (&queryAnswer{result: res, hit: hit}).appendWire(resp.body)
 		},
 		OpUpdate: func(ctx context.Context, req, resp *frame) {
 			if forwards {
@@ -500,6 +509,15 @@ func serveFront(front pipeline.Front) *frameOps {
 			resp.body = (&updateAnswer{affected: affected, invalidated: invalidated}).appendWire(resp.body)
 		},
 	}
+}
+
+// queryReply is a query frame's answer under construction, as the
+// pipeline.Replier a front answers into: the result is appended to the
+// frame while it is lent.
+type queryReply frame
+
+func (f *queryReply) Reply(res wire.SealedResult, hit bool) {
+	f.body = (&queryAnswer{result: res, hit: hit}).appendWire(f.body)
 }
 
 // serveBackend is everything a node serves over frames: a shard.Backend,

@@ -1,0 +1,194 @@
+package httpapi
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"testing"
+
+	"dssp/internal/apps"
+	"dssp/internal/cache"
+	"dssp/internal/core"
+	"dssp/internal/dssp"
+	"dssp/internal/encrypt"
+	"dssp/internal/homeserver"
+	"dssp/internal/storage"
+	"dssp/internal/template"
+	"dssp/internal/wire"
+	"dssp/internal/workload"
+)
+
+// scrambleAfter makes every frame handler the process h serves overwrite
+// its request's body (each byte XORed with 0xA5) the moment it returns, as
+// the next frame read into the pooled buffer would: a byte of a request
+// kept past its handler then reads as garbage at once. h is a process's
+// handler, as newMux builds it.
+func scrambleAfter(h http.Handler) http.Handler {
+	fh, _ := h.(*http.ServeMux).Handler(httptest.NewRequest(http.MethodGet, PathFrames, nil))
+	fs := fh.(*frameServer)
+	ops := *fs.ops
+	for op, serve := range ops {
+		if serve == nil {
+			continue
+		}
+		ops[op] = func(ctx context.Context, req, resp *frame) {
+			serve(ctx, req, resp)
+			for i := range req.body {
+				req.body[i] ^= 0xA5
+			}
+		}
+	}
+	fs.ops = &ops
+	return h
+}
+
+// lendingFleet is a client, a node and a home over frames, with bboard
+// populated from seed 1 and every template at exp; scramble wraps the
+// node's and the home's frame handlers in scrambleAfter.
+func lendingFleet(t *testing.T, exp template.Exposure, scramble bool) (*Client, *dssp.Node) {
+	t.Helper()
+	bench := apps.NewBBoard()
+	app := bench.App()
+	exps := map[string]template.Exposure{}
+	for _, q := range app.Queries {
+		exps[q.ID] = exp
+	}
+	for _, u := range app.Updates {
+		exps[u.ID] = exp
+	}
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
+	db := storage.NewDatabase(app.Schema)
+	if err := bench.Populate(db, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	wrap := func(h http.Handler) http.Handler { return h }
+	if scramble {
+		wrap = scrambleAfter
+	}
+	homeSrv := startServer(t, wrap(HomeHandler(homeserver.New(db, app, codec))))
+	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+	nodeSrv := startServer(t, wrap(NewNodeServerWithOptions(node, homeSrv.URL, nil, NodeOptions{}).Handler()))
+	return NewClient(codec, nodeSrv.URL, nil), node
+}
+
+// bboardScript is a bboard session's first pages: browsing with the
+// session's posts and moderation among it.
+func bboardScript(pages int) []workload.Op {
+	bench := apps.NewBBoard()
+	if err := bench.Populate(storage.NewDatabase(bench.App().Schema), rand.New(rand.NewSource(1))); err != nil {
+		panic(err)
+	}
+	session := bench.NewSession(rand.New(rand.NewSource(2)))
+	var ops []workload.Op
+	for p := 0; p < pages; p++ {
+		ops = append(ops, session.NextPage()...)
+	}
+	return ops
+}
+
+// run runs op through c and renders what it answered.
+func run(t *testing.T, c *Client, op workload.Op) string {
+	t.Helper()
+	params := make([]interface{}, len(op.Params))
+	for i, v := range op.Params {
+		params[i] = v
+	}
+	if op.Template.Kind == template.KQuery {
+		r, err := c.Query(context.Background(), op.Template, params...)
+		if err != nil {
+			t.Fatalf("%s: %v", op.Template.ID, err)
+		}
+		return fmt.Sprintf("%s %+v %q", op.Template.ID, r.Outcome, r.Result.Fingerprint(false))
+	}
+	affected, invalidated, err := c.Update(context.Background(), op.Template, params...)
+	if err != nil {
+		t.Fatalf("%s: %v", op.Template.ID, err)
+	}
+	return fmt.Sprintf("%s %d %d", op.Template.ID, affected, invalidated)
+}
+
+// TestHopsLendOnlyForTheCall: a fleet whose node and home overwrite every
+// request body the moment its handler returns answers a mixed bboard
+// script, at every exposure level, exactly as a fleet that does not, and
+// ends with the same cache, down to every exported entry's payload. So
+// nothing a node or a home keeps past a frame's handler — a cache entry's
+// statement above all, which a query frame only lends — holds a byte of
+// the frame.
+func TestHopsLendOnlyForTheCall(t *testing.T) {
+	script := bboardScript(40)
+	for _, exp := range allExposures {
+		ref, refNode := lendingFleet(t, exp, false)
+		got, gotNode := lendingFleet(t, exp, true)
+		queries, updates := 0, 0
+		for i, op := range script {
+			want := run(t, ref, op)
+			if answer := run(t, got, op); answer != want {
+				t.Fatalf("%v: op %d answered %q, want %q", exp, i, answer, want)
+			}
+			if op.Template.Kind == template.KQuery {
+				queries++
+			} else {
+				updates++
+			}
+		}
+		if queries == 0 || updates == 0 {
+			t.Fatalf("script of %d queries and %d updates is not mixed", queries, updates)
+		}
+		if got, want := gotNode.Cache.Dump(), refNode.Cache.Dump(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: cache dump of %d entries, want %d", exp, len(got), len(want))
+		}
+		var ids []string
+		for _, q := range refNode.App.Queries {
+			ids = append(ids, q.ID)
+		}
+		if got, want := gotNode.Cache.ExportBuckets(ids), refNode.Cache.ExportBuckets(ids); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: exported buckets differ", exp)
+		}
+	}
+}
+
+// TestClientKeepsItsResults: a client over a framed hop opens each answer
+// inside the frame it arrived in, and what it returns is its own — at
+// every exposure level, 200 results held across 1 000 further queries,
+// whose answers are read into the pooled buffers the 200 were opened
+// from, keep the fingerprints they had on receipt.
+func TestClientKeepsItsResults(t *testing.T) {
+	var queries []workload.Op
+	for _, op := range bboardScript(100) {
+		if op.Template.Kind == template.KQuery {
+			queries = append(queries, op)
+		}
+	}
+	for _, exp := range allExposures {
+		c, _ := lendingFleet(t, exp, false)
+		var held []*dssp.QueryResult
+		var prints []string
+		rows := 0
+		for i := 0; i < 1200; i++ {
+			op := queries[i%len(queries)]
+			params := make([]interface{}, len(op.Params))
+			for j, v := range op.Params {
+				params[j] = v
+			}
+			r, err := c.Query(context.Background(), op.Template, params...)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", exp, op.Template.ID, err)
+			}
+			if i < 200 {
+				held, prints = append(held, r), append(prints, r.Result.Fingerprint(false))
+				rows += r.Outcome.Rows
+			}
+		}
+		if rows == 0 {
+			t.Fatalf("%v: the held results have no rows", exp)
+		}
+		for i, r := range held {
+			if got := r.Result.Fingerprint(false); got != prints[i] {
+				t.Fatalf("%v: held result %d (%s) changed after later queries:\n got %q\nwant %q", exp, i, queries[i%len(queries)].Template.ID, got, prints[i])
+			}
+		}
+	}
+}

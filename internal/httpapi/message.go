@@ -39,8 +39,18 @@ import (
 // Decoding is strict in the way the wire package's is: lengths are checked
 // against the remaining input, non-minimal uvarints and trailing bytes are
 // rejected, counts that must fit an int are bounded, so every accepted body
-// re-encodes to itself — and nothing decoded aliases the input, which is a
-// pooled buffer on both sides of a hop.
+// re-encodes to itself.
+//
+// The input is a pooled buffer on both sides of a hop, lent to whoever
+// reads it for as long as its handler or its call runs, and only what is
+// kept past that is copied. A query, which a node serves and a home
+// executes within the handler, is read in place (wire.Raw): its payload
+// stays in the frame. A query answer, which the client opens within its
+// call, is read in place too (queryAnswer.readWire). Everything else — an
+// update, which a node's batcher and a home's replica hub keep; an exec
+// query answer, which a node caches; bucket entries and ids — is decoded,
+// and nothing decoded aliases the input. DESIGN.md's "A hop lends; only
+// the keeper copies" lists what each process copies.
 
 // Size bounds. Every frame is read whole before its message is decoded, so
 // each read is capped, per op and direction (opTable in frame.go):
@@ -84,6 +94,10 @@ func (m *queryMsg) appendWire(dst []byte) []byte {
 	return wire.AppendSealedQuery(dst, (*wire.SealedQuery)(m), wire.WithTrace)
 }
 
+// decodeWire decodes a query whole, payload copied. Product code reads
+// every query frame in place (wire.Raw); this owning form is kept for the
+// envelope contract tests, which hold every envelope to a decoder that
+// copies.
 func (m *queryMsg) decodeWire(b []byte) error {
 	sq, b, err := wire.DecodeSealedQuery(b, wire.WithTrace)
 	*m = queryMsg(sq)
@@ -104,12 +118,24 @@ func (m *queryAnswer) appendWire(dst []byte) []byte {
 	return appendBool(wire.AppendSealedResult(dst, &m.result), m.hit)
 }
 
-func (m *queryAnswer) decodeWire(b []byte) (err error) {
-	if m.result, b, err = wire.DecodeSealedResult(b); err != nil {
+// readWire is decodeWire in place: the result is lent, as
+// wire.ReadSealedResult lends it, and valid only as long as b. It is how
+// NodeProxy.Query reads an answer.
+func (m *queryAnswer) readWire(b []byte) (err error) {
+	if m.result, b, err = wire.ReadSealedResult(b); err != nil {
 		return err
 	}
 	m.hit, b, err = decodeBool(b)
 	return closeMessage(b, err)
+}
+
+// decodeWire is readWire with the result owned. Product code reads every
+// query answer in place; this owning form is kept for the envelope
+// contract tests, which hold every envelope to a decoder that copies.
+func (m *queryAnswer) decodeWire(b []byte) error {
+	err := m.readWire(b)
+	m.result = m.result.Own()
+	return err
 }
 
 func (m *updateAnswer) appendWire(dst []byte) []byte {

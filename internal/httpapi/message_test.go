@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -274,7 +275,26 @@ var hopSink struct {
 	sq   wire.SealedQuery
 	su   wire.SealedUpdate
 	resp queryAnswer
+	drop dropReply
 	exec pipeline.ExecQueryResult
+}
+
+// dropReply is a pipeline.Replier that keeps nothing of an answer but its
+// hit: what a benchmark of a hop alone reads of it.
+type dropReply struct{ hit bool }
+
+func (r *dropReply) Reply(_ wire.SealedResult, hit bool) { r.hit = hit }
+
+// keptReply is a pipeline.Replier that keeps an owned copy of an answer.
+type keptReply queryAnswer
+
+func (r *keptReply) Reply(res wire.SealedResult, hit bool) { r.result, r.hit = res.Own(), hit }
+
+// query runs sq through f and returns its answer, owned.
+func query(ctx context.Context, f pipeline.Front, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+	var r keptReply
+	err := f.Query(ctx, sq, &r)
+	return r.result, r.hit, err
 }
 
 // BenchmarkHopCodec is one sealed query → query answer exchange with no

@@ -38,8 +38,8 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 	rep.Tracer().SetStore(obs.NewSpanStore(0))
 	mux := newMux(rep.Obs(), rep.Tracer().Store(), &frameOps{
 		OpExecQuery: func(_ context.Context, req, resp *frame) {
-			var sq wire.SealedQuery
-			if err := (*queryMsg)(&sq).decodeWire(req.body); err != nil {
+			sq, err := readExecQuery(req.body)
+			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}

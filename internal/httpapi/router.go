@@ -10,6 +10,7 @@ import (
 
 	"dssp/internal/core"
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/wire"
 )
@@ -29,17 +30,22 @@ func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy 
 	return NodeProxy{frames: newHop(client, url, reg)}
 }
 
-// Query proxies a sealed query to the node.
-func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+// Query proxies a sealed query to the node and hands r the answer as it
+// lies in the answer frame, before the frame's buffer goes back to the
+// pool.
+func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	k := takeCall()
 	defer k.release()
 	k.out = (*queryMsg)(&sq).appendWire(k.out)
 	var resp queryAnswer
 	body, _, err := p.frames.send(ctx, k, OpQuery, 0)
 	if err == nil {
-		err = p.frames.decoded(resp.decodeWire(body))
+		err = p.frames.decoded(resp.readWire(body))
 	}
-	return resp.result, resp.hit, err
+	if err == nil {
+		r.Reply(resp.result, resp.hit)
+	}
+	return err
 }
 
 // Update proxies a sealed update through the node's full update pathway

@@ -92,9 +92,26 @@ type Transport interface {
 // shard.PipeBackend), so is a shard router, and so is a framed hop to
 // either (httpapi.NodeProxy). Nothing behind a Front holds a key: the
 // client seals before Query or Update and opens after.
+//
+// Query lends in both directions. sq may be lent — a node serving a frame
+// passes the query read in place (wire.Raw.Query), whose Opaque lies in
+// the frame — so a Front reads the payload only before Query returns, and
+// whatever keeps the statement past that drops or copies it (a cache
+// entry drops it). The answer is lent back: Query hands it to r.Reply,
+// once and only on success, and res is valid only during that call — a
+// hop hands over the result as it lies in the answer frame, so the
+// trusted client opens it there, and a node appends it to its own answer
+// frame. An error means Reply was not called.
 type Front interface {
-	Query(ctx context.Context, sq wire.SealedQuery) (res wire.SealedResult, hit bool, err error)
+	Query(ctx context.Context, sq wire.SealedQuery, r Replier) error
 	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
+}
+
+// Replier takes a Front's answer to a query. res is valid only during
+// Reply: a Replier that keeps the result copies it (wire.SealedResult.Own)
+// or opens it.
+type Replier interface {
+	Reply(res wire.SealedResult, hit bool)
 }
 
 // QueryReply describes how the pipeline served one sealed query.

@@ -32,9 +32,12 @@ type PipeBackend struct {
 }
 
 // Query serves a sealed query through the node's pipeline.
-func (b PipeBackend) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+func (b PipeBackend) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	reply, err := b.Pipe.QuerySync(ctx, sq)
-	return reply.Result, reply.Hit, err
+	if err == nil {
+		r.Reply(reply.Result, reply.Hit)
+	}
+	return err
 }
 
 // Update routes a sealed update through the node's full update pathway.

@@ -12,6 +12,7 @@ import (
 	"dssp/internal/apps"
 	"dssp/internal/core"
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -149,7 +150,7 @@ func TestBlindCacheDropNode(t *testing.T) {
 func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 	r, fakes, reg := routedFixture(t, 3)
 	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-7", TraceID: obs.NewTraceID()}
-	if _, _, err := r.Query(context.Background(), sq); err != nil {
+	if _, _, err := query(context.Background(), r, sq); err != nil {
 		t.Fatal(err)
 	}
 	pinned := -1
@@ -164,7 +165,7 @@ func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 	if _, err := r.Join(context.Background(), &fakeBackend{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Query(context.Background(), sq); err != nil {
+	if _, _, err := query(context.Background(), r, sq); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fakes[pinned].queries); got != 2 {
@@ -180,7 +181,7 @@ func TestRouterBlindKeyStickyAcrossJoin(t *testing.T) {
 func TestRouterBlindCacheNeverStaleAfterLeave(t *testing.T) {
 	r, fakes, _ := routedFixture(t, 3)
 	sq := wire.SealedQuery{TemplateID: "", Key: "blind-tok-9", TraceID: obs.NewTraceID()}
-	if _, _, err := r.Query(context.Background(), sq); err != nil {
+	if _, _, err := query(context.Background(), r, sq); err != nil {
 		t.Fatal(err)
 	}
 	pinned := -1
@@ -192,7 +193,7 @@ func TestRouterBlindCacheNeverStaleAfterLeave(t *testing.T) {
 	if _, err := r.Leave(context.Background(), pinned, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r.Query(context.Background(), sq); err != nil {
+	if _, _, err := query(context.Background(), r, sq); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fakes[pinned].queries); got != 1 {
@@ -589,7 +590,7 @@ func TestRouterMembershipChurnUnderTraffic(t *testing.T) {
 				default:
 				}
 				sq := wire.SealedQuery{TemplateID: "Q2", Key: fmt.Sprintf("Q2\x00%d", i%7), TraceID: obs.NewTraceID()}
-				_, _, _ = r.Query(context.Background(), sq) // errors during churn are expected
+				_, _, _ = query(context.Background(), r, sq) // errors during churn are expected
 				su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 				_, _, _, _ = r.Update(context.Background(), su)
 			}
@@ -626,15 +627,15 @@ type flakyBackend struct {
 	nFail int
 }
 
-func (f *flakyBackend) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+func (f *flakyBackend) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	f.mu2.Lock()
 	if f.nFail > 0 {
 		f.nFail--
 		f.mu2.Unlock()
-		return wire.SealedResult{}, false, fmt.Errorf("transient: connection reset")
+		return fmt.Errorf("transient: connection reset")
 	}
 	f.mu2.Unlock()
-	return f.fakeBackend.Query(ctx, sq)
+	return f.fakeBackend.Query(ctx, sq, r)
 }
 
 // A transient query failure is absorbed by the single retry: the caller
@@ -651,12 +652,12 @@ func TestRouterQueryRetryAbsorbsTransientFailure(t *testing.T) {
 	tracer := obs.NewTracer(reg, obs.WallClock())
 	r := NewRouter(analysis, backends, tracer)
 
-	_, hit, err := r.Query(context.Background(), sq)
-	if err != nil {
+	var a answer
+	if err := r.Query(context.Background(), sq, &a); err != nil {
 		t.Fatalf("transient failure leaked through the retry: %v", err)
 	}
-	if !hit {
-		t.Error("retried query lost the owning node's hit")
+	if !a.hit || a.replies != 1 {
+		t.Errorf("retried query answered %d times, hit %v: want once, with the owning node's hit", a.replies, a.hit)
 	}
 	if n := reg.Counter(obs.MRouterQueryRetries).Value(); n != 1 {
 		t.Errorf("%s = %d, want 1", obs.MRouterQueryRetries, n)

@@ -244,20 +244,16 @@ func (r *Router) queryNode(ctx context.Context, h *wire.Head, send func(context.
 	return err
 }
 
-// Query proxies the sealed query to its owning node and reports that
-// node's hit or miss.
-func (r *Router) Query(ctx context.Context, sq wire.SealedQuery) (res wire.SealedResult, hit bool, err error) {
+// Query proxies the sealed query to its owning node, whose answer —
+// with that node's hit or miss — goes to rep as it comes. A retry follows
+// only an error, so rep is answered once.
+func (r *Router) Query(ctx context.Context, sq wire.SealedQuery, rep pipeline.Replier) error {
 	h := sq.Head()
-	err = r.RouteQuery(ctx, &h, func(ctx context.Context, b Backend, route obs.Span) (err error) {
+	return r.RouteQuery(ctx, &h, func(ctx context.Context, b Backend, route obs.Span) error {
 		q := sq
 		q.ParentSpan = parentSpan(route, sq.ParentSpan)
-		res, hit, err = b.Query(ctx, q)
-		return err
+		return b.Query(ctx, q, rep)
 	})
-	if err != nil {
-		return wire.SealedResult{}, false, err
-	}
-	return res, hit, nil
 }
 
 // RouteQuery routes the query whose routing fields are h, and send

@@ -13,6 +13,7 @@ import (
 	"dssp/internal/core"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
+	"dssp/internal/pipeline"
 	"dssp/internal/wire"
 )
 
@@ -187,11 +188,33 @@ type fakeBackend struct {
 	buckets map[string][]wire.BucketEntry
 }
 
-func (f *fakeBackend) Query(_ context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+func (f *fakeBackend) Query(_ context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	f.mu.Lock()
 	f.queries = append(f.queries, sq)
 	f.mu.Unlock()
-	return wire.SealedResult{}, f.hit, f.fail
+	if f.fail == nil {
+		r.Reply(wire.SealedResult{}, f.hit)
+	}
+	return f.fail
+}
+
+// answer is a pipeline.Replier that keeps what a front answered, owned,
+// and counts the replies.
+type answer struct {
+	res     wire.SealedResult
+	hit     bool
+	replies int
+}
+
+func (a *answer) Reply(res wire.SealedResult, hit bool) {
+	a.res, a.hit, a.replies = res.Own(), hit, a.replies+1
+}
+
+// query runs sq through f and returns its answer.
+func query(ctx context.Context, f pipeline.Front, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
+	var a answer
+	err := f.Query(ctx, sq, &a)
+	return a.res, a.hit, err
 }
 
 func (f *fakeBackend) Update(_ context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
@@ -269,7 +292,7 @@ func TestRouterQueryRoutesToOwner(t *testing.T) {
 	fakes[owner].hit = true
 
 	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: obs.NewTraceID()}
-	_, hit, err := r.Query(context.Background(), sq)
+	_, hit, err := query(context.Background(), r, sq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +432,7 @@ func TestRouterQueryNodeDown(t *testing.T) {
 	owner := r.Planner().NoteQuery(sq.Head())
 	fakes[owner].fail = errors.New("connection refused")
 
-	if _, _, err := r.Query(context.Background(), sq); err == nil {
+	if _, _, err := query(context.Background(), r, sq); err == nil {
 		t.Fatal("query to a down owning node must surface the error")
 	}
 	if n := reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, obs.KindQuery)).Value(); n != 1 {
@@ -453,7 +476,7 @@ func TestRouterNodeSecondsPerNodeAndKind(t *testing.T) {
 	sq := wire.SealedQuery{TemplateID: "Q1", Key: "Q1\x00bear", TraceID: obs.NewTraceID()}
 	su := wire.SealedUpdate{TemplateID: "U1", TraceID: obs.NewTraceID()}
 	for i := 0; i < 3; i++ {
-		if _, _, err := r.Query(ctx, sq); err != nil {
+		if _, _, err := query(ctx, r, sq); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -39,10 +39,15 @@ import (
 //
 // Decoders consume one message from the front of b and return the
 // remainder; the caller that owns the whole input rejects trailing
-// bytes. Nothing returned aliases b, so b may be a pooled buffer. An
-// absent and an empty Params (or Opaque) share an encoding and decode as
-// nil; a nil Cipher is "no result", an empty one is a sealed result of
-// no bytes.
+// bytes. Two kinds of reader share the one walk of each grammar. A Decode
+// function returns what the caller may keep: nothing it returns aliases b,
+// so b may be a pooled buffer. A Read function (Raw.ReadQuery, Raw.Query,
+// ReadSealedResult) lends: the payload, the cipher and a view result's
+// encoding alias b, and are valid only as long as b is — what a hop reads
+// once and forwards or opens before its buffer goes back to the pool. The
+// Decode functions are the Read functions followed by a copy. An absent
+// and an empty Params (or Opaque) share an encoding and decode as nil; a
+// nil Cipher is "no result", an empty one is a sealed result of no bytes.
 const (
 	WithTrace = true
 	NoTrace   = false
@@ -73,10 +78,9 @@ func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
 	if err != nil {
 		return SealedQuery{}, nil, err
 	}
-	return SealedQuery{
-		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
-		Group: r.group, Params: r.decodeParams(), Key: r.Key, Opaque: cloneOpaque(r.Opaque),
-	}, b[end:], nil
+	sq := r.Query()
+	sq.Opaque = cloneOpaque(sq.Opaque)
+	return sq, b[end:], nil
 }
 
 // AppendSealedUpdate appends su to dst.
@@ -214,6 +218,17 @@ func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
 	return end, nil
 }
 
+// Query returns the query r read (ReadQuery) as a statement: its
+// parameters decoded, at the cost of their one slice, and its Opaque lent —
+// it aliases the buffer r was read from, as r does. A caller that keeps
+// the statement past that buffer copies the payload or drops it.
+func (r *Raw) Query() SealedQuery {
+	return SealedQuery{
+		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
+		Group: r.group, Params: r.decodeParams(), Key: r.Key, Opaque: r.Opaque,
+	}
+}
+
 // decodeParams returns the parameters walk accepted: one slice, whose
 // string values are substrings of the head's copy; nil when there are
 // none.
@@ -262,11 +277,14 @@ const (
 )
 
 // AppendSealedResult appends sr to dst. A view-exposure plaintext result
-// is staged in pooled scratch so its length can lead it.
+// is staged in pooled scratch so its length can lead it; a lent one is its
+// encoding already.
 func AppendSealedResult(dst []byte, sr *SealedResult) []byte {
 	switch {
 	case sr.Cipher != nil:
 		return appendBytes(append(dst, resultCipher), sr.Cipher)
+	case sr.view != nil:
+		return appendBytes(append(dst, resultPlain), sr.view)
 	case sr.Result != nil:
 		eb := getBuf()
 		eb.b = appendResult(eb.b[:0], sr.Result)
@@ -278,33 +296,60 @@ func AppendSealedResult(dst []byte, sr *SealedResult) []byte {
 	}
 }
 
-// DecodeSealedResult consumes one sealed result.
-func DecodeSealedResult(b []byte) (SealedResult, []byte, error) {
-	var sr SealedResult
+// ReadSealedResult reads one sealed result in place and lends it: a
+// cipher aliases b, and a view-exposure result is checked against the
+// result grammar but left as its encoding in b, which Codec.OpenResultInto
+// decodes straight into the caller's result. What it returns is valid
+// only as long as b; Own copies it out. It accepts exactly what
+// DecodeSealedResult accepts.
+func ReadSealedResult(b []byte) (SealedResult, []byte, error) {
 	if len(b) == 0 {
-		return sr, nil, errMalformed
+		return SealedResult{}, nil, errMalformed
 	}
 	tag, b := b[0], b[1:]
-	switch tag {
-	case resultNone:
-	case resultCipher:
-		var err error
-		if sr.Cipher, b, err = decodeBytes(b); err != nil {
-			return sr, nil, errMalformed
-		}
-	case resultPlain:
-		n, rest, err := Uvarint(b)
-		if err != nil || n > uint64(len(rest)) {
-			return sr, nil, errMalformed
-		}
-		if sr.Result, err = decodeResult(rest[:n]); err != nil {
-			return sr, nil, errMalformed
-		}
-		b = rest[n:]
-	default:
-		return sr, nil, errMalformed
+	if tag == resultNone {
+		return SealedResult{}, b, nil
 	}
-	return sr, b, nil
+	body, rest, err := splitString(b)
+	switch {
+	case err != nil:
+		return SealedResult{}, nil, errMalformed
+	case tag == resultCipher:
+		return SealedResult{Cipher: body}, rest, nil
+	case tag == resultPlain:
+		if _, _, _, err := measureResult(body); err != nil {
+			return SealedResult{}, nil, errMalformed
+		}
+		return SealedResult{view: body}, rest, nil
+	default:
+		return SealedResult{}, nil, errMalformed
+	}
+}
+
+// DecodeSealedResult consumes one sealed result: ReadSealedResult, then
+// Own.
+func DecodeSealedResult(b []byte) (SealedResult, []byte, error) {
+	sr, rest, err := ReadSealedResult(b)
+	if err != nil {
+		return SealedResult{}, nil, err
+	}
+	return sr.Own(), rest, nil
+}
+
+// Own returns sr in a form its holder may keep whatever becomes of the
+// bytes it was read from: the cipher copied, and a lent view result
+// decoded. A result object is shared as it is, as a view result in the
+// cache is.
+func (sr SealedResult) Own() SealedResult {
+	switch {
+	case sr.view != nil:
+		res, _ := decodeResult(sr.view) // ReadSealedResult checked it
+		return SealedResult{Result: res}
+	case sr.Cipher != nil:
+		return SealedResult{Cipher: bytes.Clone(sr.Cipher)}
+	default:
+		return sr
+	}
 }
 
 // appendStatement appends the part queries and updates share: the exposed
@@ -344,16 +389,4 @@ func appendString(dst []byte, s string) []byte {
 func appendBytes(dst, p []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(p)))
 	return append(dst, p...)
-}
-
-// decodeBytes consumes one length-prefixed byte string into a fresh
-// slice, non-nil even when empty.
-func decodeBytes(b []byte) ([]byte, []byte, error) {
-	n, rest, err := Uvarint(b)
-	if err != nil || n > uint64(len(rest)) {
-		return nil, nil, errMalformed
-	}
-	out := make([]byte, n)
-	copy(out, rest)
-	return out, rest[n:], nil
 }

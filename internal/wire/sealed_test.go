@@ -229,14 +229,18 @@ func referenceDecodeStatement(b []byte) (templateID string, group int, params []
 	return templateID, int(g), params, b, nil
 }
 
-// referenceDecodeOpaque is decodeBytes for the statement payload, whose
-// empty encoding means absent.
+// referenceDecodeOpaque decodes the statement payload into a fresh slice;
+// its empty encoding means absent.
 func referenceDecodeOpaque(b []byte) ([]byte, []byte, error) {
-	opaque, rest, err := decodeBytes(b)
-	if len(opaque) == 0 {
-		opaque = nil
+	n, rest, err := Uvarint(b)
+	if err != nil || n > uint64(len(rest)) {
+		return nil, nil, errMalformed
 	}
-	return opaque, rest, err
+	var opaque []byte
+	if n > 0 {
+		opaque = append([]byte(nil), rest[:n]...)
+	}
+	return opaque, rest[n:], nil
 }
 
 // sealedCorpus seeds the differential tests of the statement decoders:
@@ -458,6 +462,9 @@ func FuzzDecodeSealedUpdate(f *testing.F) {
 func checkReadRaw(t *testing.T, b []byte) {
 	t.Helper()
 	sq, rest, err := DecodeSealedQuery(b, WithTrace)
+	if wholeMessage(rest, err) == nil {
+		checkRawQuery(t, b, sq)
+	}
 	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, sq.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
 		sq.ParentSpan = parent
 		return AppendSealedQuery(nil, &sq, WithTrace)
@@ -467,6 +474,30 @@ func checkReadRaw(t *testing.T, b []byte) {
 		su.ParentSpan = parent
 		return AppendSealedUpdate(nil, &su)
 	})
+}
+
+// checkRawQuery holds Raw.Query to the decoder on one whole query, want:
+// the same statement, but with its payload lent — it lies in the input —
+// and everything else its own.
+func checkRawQuery(t *testing.T, b []byte, want SealedQuery) {
+	t.Helper()
+	in := bytes.Clone(b)
+	var r Raw
+	if err := r.ReadQuery(in); err != nil {
+		t.Fatalf("ReadQuery(%x): %v", b, err)
+	}
+	got := r.Query()
+	if !bytes.Equal(got.Opaque, want.Opaque) {
+		t.Fatalf("Query(%x): opaque %x, decoded %x", b, got.Opaque, want.Opaque)
+	}
+	if len(got.Opaque) > 0 && &got.Opaque[0] != &in[len(in)-len(got.Opaque)] {
+		t.Fatalf("Query(%x): the opaque payload is a copy, not lent", b)
+	}
+	clear(in)
+	got.Opaque, want.Opaque = nil, nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Query(%x): %+v, decoded %+v (after the input was cleared)", b, got, want)
+	}
 }
 
 func wholeMessage(rest []byte, err error) error {
@@ -561,4 +592,73 @@ func FuzzDecodeSealedResult(f *testing.F) {
 		}
 		checkCanonical(t, in, rest, func() []byte { return AppendSealedResult(nil, &sr) })
 	})
+}
+
+// FuzzReadSealedResult holds the in-place result reader to the decoder:
+// ReadSealedResult accepts exactly what DecodeSealedResult accepts,
+// consumes as much, and its lent result owns, sizes and re-encodes as the
+// decoded one does — and re-encodes to the input, which it lies in.
+func FuzzReadSealedResult(f *testing.F) {
+	seedSealed(f, func(_ SealedQuery, _ SealedUpdate, sr SealedResult) []byte {
+		return AppendSealedResult(nil, &sr)
+	})
+	f.Add(AppendSealedResult(nil, &SealedResult{Cipher: []byte{}}))
+	f.Add([]byte{resultPlain, 0})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		in := bytes.Clone(b)
+		lent, rest, err := ReadSealedResult(in)
+		want, wantRest, wantErr := DecodeSealedResult(b)
+		if (err == nil) != (wantErr == nil) || len(rest) != len(wantRest) {
+			t.Fatalf("ReadSealedResult(%x): %d left, err %v; the decoder: %d left, err %v", b, len(rest), err, len(wantRest), wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if got := lent.Own(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ReadSealedResult(%x) owned: %+v, decoded %+v", b, got, want)
+		}
+		if got, want := lent.Size(), want.Size(); got != want {
+			t.Fatalf("ReadSealedResult(%x): Size %d, decoded %d", b, got, want)
+		}
+		enc := AppendSealedResult(nil, &lent)
+		if wantEnc := AppendSealedResult(nil, &want); !bytes.Equal(enc, wantEnc) {
+			t.Fatalf("ReadSealedResult(%x) re-encodes to %x, decoded to %x", b, enc, wantEnc)
+		}
+		if !bytes.Equal(enc, b[:len(b)-len(rest)]) {
+			t.Fatalf("ReadSealedResult(%x) re-encodes to %x", b, enc)
+		}
+	})
+}
+
+// TestReadSealedResultLends pins what reading a result in place buys: no
+// allocation, at any exposure, and a lent view result opens straight into
+// the caller's result as the decoded one does.
+func TestReadSealedResultLends(t *testing.T) {
+	c, app := testCodec(t, map[string]template.Exposure{"Q2": template.ExpView})
+	for _, exp := range allExposures {
+		_, _, sr := sealedAt(t, exp)
+		enc := AppendSealedResult(nil, &sr)
+		if n := testing.AllocsPerRun(100, func() {
+			if _, _, err := ReadSealedResult(enc); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v: ReadSealedResult: %v allocations, want 0", exp, n)
+		}
+	}
+	res := &engine.Result{Columns: []string{"toy_id"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("kite")}}, RowsScanned: 2}
+	sealed := c.SealResult(app.Query("Q2"), res)
+	enc := AppendSealedResult(nil, &sealed)
+	lent, _, err := ReadSealedResult(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got engine.Result
+	if err := c.OpenResultInto(lent, &got); err != nil {
+		t.Fatal(err)
+	}
+	clear(enc)
+	if !reflect.DeepEqual(&got, res) {
+		t.Errorf("lent view result opened to %+v, want %+v", &got, res)
+	}
 }

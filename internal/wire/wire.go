@@ -37,7 +37,9 @@
 //
 // All encode scratch comes from a package-level buffer pool; sealed
 // outputs (Opaque, Cipher, Key) are freshly allocated or immutable
-// strings, owned by the caller, and never alias pooled memory.
+// strings, owned by the caller, and never alias pooled memory. What is
+// read off a byte stream is owned when decoded and lent when read in
+// place (sealed.go).
 package wire
 
 import (
@@ -132,8 +134,12 @@ func (su *SealedUpdate) Head() Head {
 // SealedResult is a query result as cached by the DSSP: plaintext at view
 // exposure, ciphertext otherwise.
 type SealedResult struct {
-	Result *engine.Result // non-nil iff the query's exposure is view
+	Result *engine.Result // a view-exposure query's plaintext, unless it is lent (view)
 	Cipher []byte
+
+	// view is a view-exposure result lent as its encoding, in place of
+	// Result: ReadSealedResult leaves it in the bytes it read.
+	view []byte
 }
 
 // Codec seals and opens messages. It lives on the trusted side: clients
@@ -293,9 +299,14 @@ func (c *Codec) OpenResult(sr SealedResult) (*engine.Result, error) {
 
 // OpenResultInto is OpenResult into a result the caller allocated, so a
 // caller can hold the result in the same allocation as what it returns
-// the result in. res is overwritten only when the result opens.
+// the result in. A lent view result (ReadSealedResult) is decoded straight
+// into res, with no copy between. res is overwritten only when the result
+// opens.
 func (c *Codec) OpenResultInto(sr SealedResult, res *engine.Result) error {
-	if sr.Result != nil {
+	switch {
+	case sr.view != nil:
+		return decodeResultInto(sr.view, res)
+	case sr.Result != nil:
 		sr.Result.CloneInto(res)
 		return nil
 	}
@@ -313,10 +324,15 @@ func (c *Codec) OpenResultInto(sr SealedResult, res *engine.Result) error {
 }
 
 // Size estimates the wire size of a sealed result in bytes, for the
-// simulator's bandwidth model.
+// simulator's bandwidth model; no result is 0.
 func (sr SealedResult) Size() int {
-	if sr.Cipher != nil {
+	switch {
+	case sr.Cipher != nil:
 		return len(sr.Cipher)
+	case sr.view != nil:
+		return sr.Own().Size()
+	case sr.Result == nil:
+		return 0
 	}
 	n := 64
 	for _, c := range sr.Result.Columns {
