@@ -15,8 +15,8 @@
 //	dsspbench -exp figure8                # scalability per invalidation strategy
 //	dsspbench -exp security               # §5.4 security-enhancement summary
 //	dsspbench -exp coalesce               # single-flight miss coalescing under a hot-key storm
-//	dsspbench -exp scaleout -app auction  # routed fleet throughput at 1/2/4 nodes (-out writes JSON)
-//	dsspbench -exp homescale              # trusted-tier miss throughput at 0/2/4 read replicas (-out writes JSON)
+//	dsspbench -exp scaleout -app auction  # simulated routed fleet throughput at 1/2/4 nodes (-out writes JSON)
+//	dsspbench -exp homescale              # simulated trusted-tier throughput at 0/2/4 replicas, 1/2/4 partitions (-out writes JSON)
 //	dsspbench -exp obs -app bboard        # short run's metrics snapshot (-format json|prom)
 //	dsspbench -exp leakage -apps auction,bboard,bookstore,toystore
 //	                                      # adversary's-eye leakage audit per exposure level (-out writes JSON)
@@ -51,7 +51,7 @@ func main() {
 	maxUsers := flag.Int("maxusers", 4000, "cap for the scalability search")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	format := flag.String("format", "prom", "output format for -exp obs: prom|json")
-	out := flag.String("out", "", "for -exp scaleout/leakage: also write the results as JSON to this file")
+	out := flag.String("out", "", "for -exp scaleout/homescale/leakage/elastic: also write the results as JSON to this file")
 	appList := flag.String("apps", "", "comma-separated application list for -exp leakage (default: -app)")
 	flag.Parse()
 
@@ -135,21 +135,20 @@ func runObs(app, format string, opts experiments.RunOptions) error {
 	}
 }
 
-// runScaleout sweeps the routed fleet sizes in real time and, when asked,
+// runScaleout simulates the routed fleet at each size and, when asked,
 // writes the committed benchmark artifact (BENCH_scaleout.json shape).
 func runScaleout(app, out string, opts experiments.RunOptions) error {
-	o := experiments.DefaultScaleoutOptions()
-	o.Seed = opts.Seed
-	r, err := experiments.Scaleout(app, o)
+	r, err := experiments.Scaleout(app, opts.Seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(r.Format())
 	return artifact{
 		Description: fmt.Sprintf("Scale-out throughput of the routed fleet: go run ./cmd/dsspbench -exp scaleout -app %s. "+
-			"One shared home server; each node capacity-gated to one %v service slot so a single host measures the fleet honestly; "+
-			"%d closed-loop clients; hit rates over the measure window; fanout_skipped counts invalidation pushes the static analysis saved vs naive broadcast.",
-			app, o.Service, o.Clients),
+			"The simulator's run (%v virtual, deterministic) of a shard router in front of 1, 2 and 4 nodes over one shared home tier; "+
+			"each node is one CPU spending %v on every statement it serves; %d back-to-back clients; hit rates count from a cold start; "+
+			"fanout_skipped counts invalidation pushes the static analysis saved vs naive broadcast.",
+			app, r.Run, r.Service, r.Clients),
 		Scaleout: r,
 	}.write(out)
 }
@@ -173,29 +172,26 @@ func runElastic(out string, opts experiments.RunOptions) error {
 	}.write(out)
 }
 
-// runHomescale sweeps the trusted tier's read-replica counts under a
-// sustained miss storm, then its partition counts under an update-heavy
-// workload, and, when asked, writes the committed benchmark artifact
-// (BENCH_homescale.json shape).
+// runHomescale simulates the trusted tier at each read-replica count
+// under a sustained miss storm, then at each partition count under an
+// update-heavy workload, and, when asked, writes the committed benchmark
+// artifact (BENCH_homescale.json shape).
 func runHomescale(out string, opts experiments.RunOptions) error {
-	o := experiments.DefaultHomescaleOptions()
-	o.Seed = opts.Seed
-	r, err := experiments.Homescale(o)
+	r, err := experiments.Homescale(opts.Seed)
 	if err != nil {
 		return err
 	}
 	fmt.Println(r.Format())
 	return artifact{
 		Description: fmt.Sprintf("Trusted-tier scale-out with confirmed-update read replicas: "+
-			"go run ./cmd/dsspbench -exp homescale. One node drives an uncacheable miss storm (every query "+
-			"asks for a non-existent row; empty results never cache) plus 1 update per %d ops; the primary "+
-			"and each replica are capacity-gated to one %v service slot so a single host measures the tier "+
-			"honestly. Rows report aggregate miss throughput and speedup vs the replica-free baseline, where "+
-			"each miss executed, freshness-floor bypasses, and the widest sampled replica lag. The "+
-			"update_heavy sweep partitions the master per table group (wideshop4, four independent groups, "+
-			"every op an update, one gated slot per partition) and reports write throughput and speedup vs "+
-			"the single-master baseline.",
-			o.UpdateEvery, o.Service),
+			"go run ./cmd/dsspbench -exp homescale. The simulator's run (%v virtual, deterministic) of one node "+
+			"driving an uncacheable miss storm (every query asks for a non-existent row; empty results never cache) "+
+			"plus 1 update per %d ops from %d back-to-back clients; the primary and each replica are one CPU spending "+
+			"%v on every statement they execute. Rows report aggregate miss throughput and speedup vs the replica-free "+
+			"baseline and where each miss executed. The update_heavy sweep partitions the master per table group "+
+			"(wideshop4, four independent groups, every op an update, one such CPU per partition) and reports write "+
+			"throughput and speedup vs the single-master baseline.",
+			r.Run, r.UpdateEvery, r.Clients, r.Service),
 		Homescale: r,
 	}.write(out)
 }

@@ -1,66 +1,54 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dssp/internal/apps"
-	"dssp/internal/cache"
-	"dssp/internal/httpapi"
 	"dssp/internal/obs"
-	"dssp/internal/template"
+	"dssp/internal/simrun"
 	"dssp/internal/workload"
 )
 
-// ScaleoutOptions configures the scale-out throughput experiment.
-type ScaleoutOptions struct {
-	// Fleets lists the fleet sizes to measure, e.g. {1, 2, 4}.
-	Fleets []int
+// The committed BENCH_scaleout.json configuration: 64 clients issuing
+// statements back to back against 1, 2 and 4 router-fronted nodes, each
+// node one CPU that spends 5 ms on every query and update it serves, in
+// front of a home tier fast and wide enough never to be the bottleneck.
+const (
+	scaleoutClients  = 64
+	scaleoutRun      = 120 * time.Second
+	scaleoutService  = 5 * time.Millisecond
+	scaleoutHomeCost = 100 * time.Microsecond
+)
 
-	// Clients is the number of closed-loop driver goroutines (shared
-	// across the fleet — the offered load is the same at every size).
-	Clients int
+var scaleoutFleets = []int{1, 2, 4}
 
-	// Service is the modelled CPU cost of one query or update at a node.
-	// All fleet sizes run on one machine, so real node CPUs cannot scale;
-	// instead each node holds a single service slot for this long per
-	// request, which makes per-node capacity explicit and identical
-	// across fleet sizes. It must dwarf the real per-op CPU cost, or the
-	// host's own cores become the bottleneck and mask the fleet.
-	// Invalidation-only pushes cost a tenth of this — dropping buckets is
-	// far cheaper than executing a query.
-	Service time.Duration
+// shapeLink is the one-way latency of every link in the topology-shape
+// runs. Their bandwidth is unlimited: the shape is the servers' to set.
+const shapeLink = 100 * time.Microsecond
 
-	// WarmOps is how many operations to run before the counted window,
-	// with the capacity gate disarmed: warming is driven by the number of
-	// operations the caches have seen, so gating it would just hand the
-	// bigger fleets a warmer start.
-	WarmOps int
-
-	// Measure is the counted window.
-	Measure time.Duration
-
-	// Seed drives data population and the client sessions.
-	Seed int64
+// shapeConfig is a simulated run of b in which clients issue statements
+// back to back (a 1 µs think time) for run of virtual time, so the service
+// slots in costs are what the run's throughput measures.
+func shapeConfig(b workload.Benchmark, clients int, run time.Duration, costs workload.CostModel, seed int64) simrun.Config {
+	cfg := simrun.DefaultConfig(b, clients)
+	cfg.Duration, cfg.ThinkMean, cfg.Seed = run, time.Microsecond, seed
+	cfg.Network = workload.NetworkModel{ClientLatency: shapeLink, HomeLatency: shapeLink}
+	cfg.Costs = costs
+	return cfg
 }
 
-// DefaultScaleoutOptions returns the committed BENCH_scaleout.json
-// configuration.
-func DefaultScaleoutOptions() ScaleoutOptions {
-	return ScaleoutOptions{
-		Fleets:  []int{1, 2, 4},
-		Clients: 64,
-		Service: 5 * time.Millisecond,
-		WarmOps: 16000,
-		Measure: 8 * time.Second,
-		Seed:    1,
+// requests counts the statements of kind (obs.KindQuery or
+// obs.KindUpdate) the run's nodes answered.
+func requests(r *simrun.Result, kind string) int64 {
+	var n int64
+	for _, m := range r.Metrics.Metrics {
+		if m.Name == obs.MRequestSeconds && m.Labels[obs.LKind] == kind {
+			n += m.Count
+		}
 	}
+	return n
 }
 
 // ScaleoutRow is one fleet size's measurement.
@@ -71,7 +59,7 @@ type ScaleoutRow struct {
 	QPS     float64 `json:"qps"`
 	Speedup float64 `json:"speedup_vs_1"`
 
-	// HitRate is the fleet-wide cache hit rate over the measure window;
+	// HitRate is the fleet-wide cache hit rate from a cold start;
 	// PerNodeHit breaks it down by node. Template affinity keeps every
 	// template's bucket whole on one node, so the aggregate rate should
 	// track the single-node deployment.
@@ -81,10 +69,8 @@ type ScaleoutRow struct {
 	// FanoutSent counts invalidation-only pushes actually sent;
 	// FanoutSkipped counts the pushes the static analysis proved
 	// unnecessary — the messages a naive broadcast would have sent.
-	FanoutSent    int64 `json:"fanout_sent"`
-	FanoutSkipped int64 `json:"fanout_skipped"`
-	Broadcasts    int64 `json:"broadcasts"`
-	ProxyErrors   int64 `json:"proxy_errors"`
+	FanoutSent    int `json:"fanout_sent"`
+	FanoutSkipped int `json:"fanout_skipped"`
 }
 
 // ScaleoutResult is the full sweep.
@@ -92,138 +78,54 @@ type ScaleoutResult struct {
 	Benchmark string        `json:"benchmark"`
 	Clients   int           `json:"clients"`
 	Service   time.Duration `json:"service_per_op_ns"`
-	WarmOps   int           `json:"warm_ops"`
-	Measure   time.Duration `json:"measure_ns"`
+	Run       time.Duration `json:"virtual_run_ns"`
 	Rows      []ScaleoutRow `json:"results"`
 }
 
-// Scaleout measures routed throughput as real nodes are added: for each
-// fleet size it stands up the full HTTP deployment — dssprouter's
-// RouterServer fronting capacity-gated NodeServer processes over one
-// shared home server — and drives it with closed-loop client sessions.
-// The single-machine capacity gate (one service slot per node) is what
-// lets one host measure a fleet honestly: adding a node adds exactly one
-// slot, and the consistent-hash split decides how much of the offered
-// load each slot absorbs.
-func Scaleout(appName string, o ScaleoutOptions) (*ScaleoutResult, error) {
-	if len(o.Fleets) == 0 {
-		o = DefaultScaleoutOptions()
+// Scaleout measures routed throughput as nodes are added: for each fleet
+// size it simulates the deployed topology — a shard router steering every
+// statement to the node that owns it, over one shared home tier — with
+// each node a single service slot. Adding a node adds exactly one slot,
+// and the ownership split decides how much of the offered load each slot
+// absorbs. The run is deterministic for a seed.
+func Scaleout(appName string, seed int64) (*ScaleoutResult, error) {
+	res := &ScaleoutResult{Benchmark: appName, Clients: scaleoutClients, Service: scaleoutService, Run: scaleoutRun}
+	costs := workload.CostModel{
+		HomeCapacity:   scaleoutClients,
+		HomeQueryBase:  scaleoutHomeCost,
+		HomeUpdateCost: scaleoutHomeCost,
+		DSSPCapacity:   1,
+		DSSPOpCost:     scaleoutService,
 	}
-	if _, err := apps.ByName(appName); err != nil {
-		return nil, err
-	}
-	res := &ScaleoutResult{
-		Benchmark: appName,
-		Clients:   o.Clients,
-		Service:   o.Service,
-		WarmOps:   o.WarmOps,
-		Measure:   o.Measure,
-	}
-	for _, n := range o.Fleets {
-		row, err := runScaleoutFleet(appName, n, o)
+	for _, n := range scaleoutFleets {
+		b, err := apps.ByName(appName)
+		if err != nil {
+			return nil, err
+		}
+		cfg := shapeConfig(b, scaleoutClients, scaleoutRun, costs, seed)
+		cfg.Nodes, cfg.Affinity = n, true
+		r, err := simrun.Simulate(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet of %d: %w", n, err)
 		}
-		if len(res.Rows) > 0 && res.Rows[0].Nodes == 1 && res.Rows[0].QPS > 0 {
-			row.Speedup = row.QPS / res.Rows[0].QPS
-		} else if n == 1 {
-			row.Speedup = 1
+		row := ScaleoutRow{
+			Nodes:         n,
+			Queries:       requests(r, obs.KindQuery),
+			Updates:       requests(r, obs.KindUpdate),
+			HitRate:       r.HitRate,
+			FanoutSent:    r.FanoutMessages,
+			FanoutSkipped: r.FanoutSkipped,
+		}
+		row.QPS = float64(row.Queries+row.Updates) / scaleoutRun.Seconds()
+		for _, st := range r.PerNode {
+			row.PerNodeHit = append(row.PerNodeHit, rate(int64(st.Hits), int64(st.Misses)))
 		}
 		res.Rows = append(res.Rows, row)
 	}
+	for i := range res.Rows {
+		res.Rows[i].Speedup = res.Rows[i].QPS / res.Rows[0].QPS
+	}
 	return res, nil
-}
-
-// runScaleoutFleet measures one fleet size. Queries and updates pay the
-// full service time at a node, invalidation-only pushes a tenth —
-// dropping buckets is far cheaper than executing a query.
-func runScaleoutFleet(appName string, nodes int, o ScaleoutOptions) (ScaleoutRow, error) {
-	row := ScaleoutRow{Nodes: nodes}
-	b, err := apps.ByName(appName)
-	if err != nil {
-		return row, err
-	}
-	var gateArmed atomic.Bool
-	spec := benchSpec(b, o.Seed)
-	spec.Nodes, spec.Router = nodes, true
-	spec.Wrap = serviceGate(&gateArmed, map[httpapi.Op]time.Duration{
-		httpapi.OpQuery:      o.Service,
-		httpapi.OpUpdate:     o.Service,
-		httpapi.OpInvalidate: o.Service / 10,
-	}, httpapi.RoleNode)
-	f, err := httpapi.Start(spec)
-	if err != nil {
-		return row, err
-	}
-	defer f.Close()
-
-	stats := func() []cache.Stats {
-		st := make([]cache.Stats, nodes)
-		for i, n := range f.Nodes {
-			st[i] = n.Cache.Stats()
-		}
-		return st
-	}
-	var (
-		pre, post []cache.Stats
-		sessMu    sync.Mutex // benchmark session state is single-threaded by contract
-	)
-	open := func() {
-		pre = stats()
-		gateArmed.Store(true)
-	}
-	shut := func() {
-		post = stats()
-		reg := f.Router.Reg
-		fanout := reg.Histogram(obs.MRouterFanoutNodes)
-		// The histogram encodes an n-node fan-out as n microseconds; the exec
-		// node is always among them, so pushes sent = total touched − updates.
-		row.FanoutSent = fanout.Sum().Microseconds() - fanout.Count()
-		row.FanoutSkipped = reg.Counter(obs.MRouterFanoutSkipped).Value()
-		row.Broadcasts = reg.Counter(obs.MRouterBroadcasts).Value()
-		for _, kind := range []string{obs.KindQuery, obs.KindUpdate, obs.KindInvalidate} {
-			row.ProxyErrors += reg.Counter(obs.MRouterProxyErrors, obs.L(obs.LKind, kind)).Value()
-		}
-	}
-	var elapsed time.Duration
-	row.Queries, row.Updates, elapsed, err = closedLoop(context.Background(), o.Clients, o.WarmOps, o.Measure, open, shut,
-		func(c int) func(context.Context) (bool, error) {
-			sess := b.NewSession(rand.New(rand.NewSource(o.Seed + 1000 + int64(c))))
-			var page []workload.Op
-			return func(ctx context.Context) (bool, error) {
-				for len(page) == 0 {
-					sessMu.Lock()
-					page = sess.NextPage()
-					sessMu.Unlock()
-				}
-				op := page[0]
-				page = page[1:]
-				if op.Template.Kind == template.KQuery {
-					_, err := f.Client.Query(ctx, op.Template, opArgs(op)...)
-					return false, err
-				}
-				_, _, err := f.Client.Update(ctx, op.Template, opArgs(op)...)
-				return true, err
-			}
-		})
-	if err != nil {
-		return row, err
-	}
-	if row.ProxyErrors > 0 {
-		return row, errors.New("proxied calls failed during a healthy-fleet run")
-	}
-
-	row.QPS = float64(row.Queries+row.Updates) / elapsed.Seconds()
-	var hits, misses int64
-	for i := range post {
-		h := int64(post[i].Hits - pre[i].Hits)
-		m := int64(post[i].Misses - pre[i].Misses)
-		hits += h
-		misses += m
-		row.PerNodeHit = append(row.PerNodeHit, rate(h, m))
-	}
-	row.HitRate = rate(hits, misses)
-	return row, nil
 }
 
 func rate(hits, misses int64) float64 {
@@ -238,9 +140,9 @@ func rate(hits, misses int64) float64 {
 // messages the analysis saved over a naive broadcast.
 func (r *ScaleoutResult) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Scale-out: %s, %d closed-loop clients, %v service slot per node\n",
-		r.Benchmark, r.Clients, r.Service)
-	rows := [][]string{{"nodes", "qps", "speedup", "hit rate", "per-node hit rate", "inv sent", "inv skipped", "broadcasts"}}
+	fmt.Fprintf(&b, "Scale-out: %s, %d back-to-back clients, %v service slot per node, %v virtual\n",
+		r.Benchmark, r.Clients, r.Service, r.Run)
+	rows := [][]string{{"nodes", "qps", "speedup", "hit rate", "per-node hit rate", "inv sent", "inv skipped"}}
 	for _, row := range r.Rows {
 		var per []string
 		for _, h := range row.PerNodeHit {
@@ -248,13 +150,12 @@ func (r *ScaleoutResult) Format() string {
 		}
 		rows = append(rows, []string{
 			fmt.Sprintf("%d", row.Nodes),
-			fmt.Sprintf("%.0f", row.QPS),
+			fmt.Sprintf("%.1f", row.QPS),
 			fmt.Sprintf("%.2fx", row.Speedup),
 			fmt.Sprintf("%.1f%%", 100*row.HitRate),
 			strings.Join(per, " "),
 			fmt.Sprintf("%d", row.FanoutSent),
 			fmt.Sprintf("%d", row.FanoutSkipped),
-			fmt.Sprintf("%d", row.Broadcasts),
 		})
 	}
 	table(&b, rows)

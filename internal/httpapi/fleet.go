@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -18,14 +17,6 @@ import (
 	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
-)
-
-// Roles a Spec's Wrap hook is offered, one per kind of process.
-const (
-	RoleHome    = "home"
-	RoleReplica = "replica"
-	RoleNode    = "node"
-	RoleRouter  = "router"
 )
 
 // Spec describes one HTTP deployment of the paper's Figure 1: clients,
@@ -56,13 +47,6 @@ type Spec struct {
 	// Client carries what stays HTTP (ring admin, replica registration);
 	// nil gets a DefaultTimeout-bounded one.
 	Client *http.Client
-
-	// Wrap, when set, decorates each process's frame dispatch — the
-	// experiments' service-time gate. It is asked once per process, with
-	// the process's role, for a hook; a non-nil hook runs before each
-	// frame the process answers, on that frame's goroutine, with the
-	// frame's op.
-	Wrap func(role string) func(Op)
 }
 
 // Fleet is a started Spec: every process behind its own loopback
@@ -110,11 +94,11 @@ func Start(spec Spec) (*Fleet, error) {
 			primary.OnConfirm(hub.Confirm)
 		}
 		for _, rep := range replicas[p] {
-			url := f.serve(RoleReplica, ReplicaHandler(rep))
+			url := f.serve(ReplicaHandler(rep))
 			hub.Register(url)
 			f.tier[p].Replicas = append(f.tier[p].Replicas, url)
 		}
-		srv := f.listen(RoleHome, HomeHandlerWithHub(primary, hub))
+		srv := httptest.NewServer(HomeHandlerWithHub(primary, hub))
 		f.stops = append(f.stops, func() error {
 			ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 			defer cancel()
@@ -134,30 +118,17 @@ func Start(spec Spec) (*Fleet, error) {
 	f.URL = f.NodeURLs[0]
 	if spec.Router {
 		f.Router = NewRouterServer(f.analysis, f.NodeURLs, RouterOptions{Client: f.HTTP})
-		f.URL = f.serve(RoleRouter, f.Router.Handler())
+		f.URL = f.serve(f.Router.Handler())
 	}
 	f.Client = NewClient(spec.Codec, f.URL, f.HTTP)
 	return f, nil
 }
 
-// listen puts one process's handler behind its own listener, its frames
-// gated as the spec asks; serve also leaves closing it — which returns once
-// its in-flight requests and frames have — to Close, and returns the base
-// URL.
-func (f *Fleet) listen(role string, h http.Handler) *httptest.Server {
-	srv := httptest.NewUnstartedServer(h)
-	if f.spec.Wrap != nil {
-		if gate := f.spec.Wrap(role); gate != nil {
-			ctx := context.WithValue(context.Background(), gateKey{}, gate)
-			srv.Config.BaseContext = func(net.Listener) context.Context { return ctx }
-		}
-	}
-	srv.Start()
-	return srv
-}
-
-func (f *Fleet) serve(role string, h http.Handler) string {
-	srv := f.listen(role, h)
+// serve puts one process's handler behind its own listener, leaves closing
+// it — which returns once its in-flight requests and frames have — to
+// Close, and returns the base URL.
+func (f *Fleet) serve(h http.Handler) string {
+	srv := httptest.NewServer(h)
 	f.stops = append(f.stops, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 		defer cancel()
@@ -179,7 +150,7 @@ func (f *Fleet) AddNode() string {
 		opts.NodeID = strconv.Itoa(len(f.Nodes))
 	}
 	node := dssp.NewNode(f.spec.App, f.analysis, cache.Options{})
-	url := f.serve(RoleNode, NewNodeServerWithOptions(node, "", f.HTTP, opts).Handler())
+	url := f.serve(NewNodeServerWithOptions(node, "", f.HTTP, opts).Handler())
 	f.Nodes, f.NodeURLs = append(f.Nodes, node), append(f.NodeURLs, url)
 	return url
 }

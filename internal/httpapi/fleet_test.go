@@ -246,25 +246,22 @@ func TestDrainHomeLeavesReplicasAtThePrimary(t *testing.T) {
 }
 
 // TestDrainHomeAnswersTheUpdateInFlight: an update the primary is
-// executing when DrainHome begins — held at the gate until the primary's
-// listener is gone — is answered, not cut off, and has reached the
-// replica by the time Close returns: the SIGTERM path leaves no torn
-// interval between what the primary confirmed and what its replicas
-// applied.
+// executing when DrainHome begins — held in its confirmation sink, before
+// its answer is sent, until the primary's listener is gone — is answered,
+// not cut off, and has reached the replica by the time Close returns: the
+// SIGTERM path leaves no torn interval between what the primary confirmed
+// and what its replicas applied.
 func TestDrainHomeAnswersTheUpdateInFlight(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	var held atomic.Bool
-	f := startToystore(t, Spec{Nodes: 1, Replicas: 1, Wrap: func(role string) func(Op) {
-		if role != RoleHome {
-			return nil
+	f := startToystore(t, Spec{Nodes: 1, Replicas: 1}, nil)
+	f.Homes[0].OnConfirm(func(c homeserver.Confirmed) {
+		if held.CompareAndSwap(false, true) {
+			close(entered)
+			<-release
 		}
-		return func(op Op) {
-			if op == OpExecUpdate && held.CompareAndSwap(false, true) {
-				close(entered)
-				<-release
-			}
-		}
-	}}, nil)
+		f.Hubs[0].Confirm(c)
+	})
 	vals, err := dssp.Params(1)
 	if err != nil {
 		t.Fatal(err)

@@ -264,17 +264,14 @@ type frameFunc func(ctx context.Context, req, resp *frame)
 // for an op it does not serve.
 type frameOps [numOps]frameFunc
 
-// answer runs req's handler — after gate, when there is one — and builds
-// its answer in x, returning the frame to send. It is the one place a frame
-// is dispatched by its op. An answer over its op's bound would be refused
-// by the sender's reader, which cannot tell it from a broken stream and
-// fails every call on the connection with it, so it is replaced by a too
-// large refusal on its own stream.
-func (ops *frameOps) answer(ctx context.Context, gate func(Op), x *serverCall) []byte {
+// answer runs req's handler and builds its answer in x, returning the
+// frame to send. It is the one place a frame is dispatched by its op. An
+// answer over its op's bound would be refused by the sender's reader,
+// which cannot tell it from a broken stream and fails every call on the
+// connection with it, so it is replaced by a too large refusal on its own
+// stream.
+func (ops *frameOps) answer(ctx context.Context, x *serverCall) []byte {
 	req, resp := &x.req, &x.resp
-	if gate != nil {
-		gate(req.op)
-	}
 	*resp = frame{op: req.op, stream: req.stream, body: startFrame(x.out.b)}
 	if h := ops[req.op]; h != nil {
 		h(ctx, req, resp)
@@ -324,10 +321,6 @@ type frameServer struct {
 	reg *obs.Registry
 }
 
-// gateKey carries, in a server's base context, a hook run before each
-// frame the server's connections answer (Spec.Wrap).
-type gateKey struct{}
-
 func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		s.serveOne(w, r)
@@ -358,10 +351,9 @@ func (s *frameServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		nc.Close()
 		return
 	}
-	gate, _ := r.Context().Value(gateKey{}).(func(Op))
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &serverConn{
-		nc: nc, ops: s.ops, reg: s.reg, gate: gate, ctx: ctx, cancel: cancel,
+		nc: nc, ops: s.ops, reg: s.reg, ctx: ctx, cancel: cancel,
 		window: make(chan struct{}, frameWindow), handoff: make(chan *serverCall),
 		streams: make(map[uint32]struct{}),
 	}
@@ -398,8 +390,7 @@ func (s *frameServer) serveOne(w http.ResponseWriter, r *http.Request) {
 	}
 	var out []byte
 	if err == nil {
-		gate, _ := r.Context().Value(gateKey{}).(func(Op))
-		out = s.ops.answer(r.Context(), gate, x)
+		out = s.ops.answer(r.Context(), x)
 	} else {
 		st, bad := refusal(&x.req, err)
 		if bad && s.reg != nil {
@@ -439,7 +430,6 @@ type serverConn struct {
 	nc      net.Conn
 	ops     *frameOps
 	reg     *obs.Registry
-	gate    func(Op) // nil: ungated
 	ctx     context.Context
 	cancel  context.CancelFunc
 	window  chan struct{}    // one slot per frame in flight
@@ -594,7 +584,7 @@ func (x *serverCall) refused(st status, err error) []byte {
 // work goes on — holding its window slot — until it finishes or the
 // connection goes. What bounds it is the downstream hops' own timeouts.
 func (c *serverConn) answer(x *serverCall) {
-	c.write(c.ops.answer(c.ctx, c.gate, x))
+	c.write(c.ops.answer(c.ctx, x))
 	c.mu.Lock()
 	delete(c.streams, x.req.stream)
 	c.mu.Unlock()

@@ -85,15 +85,12 @@ func (c *missCall) resolve(er ExecQueryResult, err error) {
 		p.cache.StoreResult(c.sq, er.Result, er.Empty)
 	}
 
-	var waiters []func(QueryReply, error)
-	if !p.opts.DisableCoalescing {
-		p.mu.Lock()
-		if p.flights[c.sq.Key] == c {
-			delete(p.flights, c.sq.Key)
-		}
-		waiters = c.waiters // no miss joins once the call left the map
-		p.mu.Unlock()
+	p.mu.Lock()
+	if p.flights[c.sq.Key] == c {
+		delete(p.flights, c.sq.Key)
 	}
+	waiters := c.waiters // no miss joins once the call left the map
+	p.mu.Unlock()
 
 	if err != nil {
 		c.done(QueryReply{}, err)

@@ -139,12 +139,6 @@ type UpdateReply struct {
 
 // Options configures a pipeline.
 type Options struct {
-	// DisableCoalescing turns off single-flight miss coalescing, so every
-	// concurrent miss issues its own home-server execution — the
-	// pre-pipeline behaviour, kept for the coalescing benchmark's
-	// baseline.
-	DisableCoalescing bool
-
 	// MonitorInterval batches invalidation per the paper's §2.2
 	// monitoring model: confirmed updates accumulate in the pipeline's
 	// batcher and are applied together — via Cache.OnUpdatesCompleted,
@@ -267,32 +261,30 @@ func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply,
 // fetching this key, or lead one through the transport, the call itself
 // being the flight.
 func (p *Pipeline) fetch(ctx context.Context, c *missCall) {
-	if !p.opts.DisableCoalescing {
-		p.mu.Lock()
-		if f, ok := p.flights[c.sq.Key]; ok {
-			// Join the in-flight fetch; the leader resolves us. The wait
-			// is a real pipeline stage — the whole point of coalescing is
-			// that this span replaces a home round trip. The closure is
-			// the one allocation left on the miss path, and only a miss
-			// that overlaps another of the same key makes it.
-			cw := p.tracer.StartSpan(c.sq.TraceID, c.sq.ParentSpan, obs.StageCoalesceWait, c.tmpl)
-			f.waiters = append(f.waiters, func(r QueryReply, err error) {
-				cw.End()
-				if err == nil {
-					p.request(obs.KindQuery, c.tmpl, c.start)
-				}
-				c.done(r, err)
-				c.release()
-			})
-			p.mu.Unlock()
-			if p.coalesced != nil {
-				p.coalesced.Inc()
+	p.mu.Lock()
+	if f, ok := p.flights[c.sq.Key]; ok {
+		// Join the in-flight fetch; the leader resolves us. The wait
+		// is a real pipeline stage — the whole point of coalescing is
+		// that this span replaces a home round trip. The closure is
+		// the one allocation left on the miss path, and only a miss
+		// that overlaps another of the same key makes it.
+		cw := p.tracer.StartSpan(c.sq.TraceID, c.sq.ParentSpan, obs.StageCoalesceWait, c.tmpl)
+		f.waiters = append(f.waiters, func(r QueryReply, err error) {
+			cw.End()
+			if err == nil {
+				p.request(obs.KindQuery, c.tmpl, c.start)
 			}
-			return
-		}
-		p.flights[c.sq.Key] = c
+			c.done(r, err)
+			c.release()
+		})
 		p.mu.Unlock()
+		if p.coalesced != nil {
+			p.coalesced.Inc()
+		}
+		return
 	}
+	p.flights[c.sq.Key] = c
+	p.mu.Unlock()
 
 	c.net = p.tracer.StartSpan(c.sq.TraceID, c.sq.ParentSpan, obs.StageNetwork, c.tmpl)
 	if id := c.net.ID(); !id.IsZero() {

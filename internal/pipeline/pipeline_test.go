@@ -205,33 +205,6 @@ func TestCoalescingErrorPropagatesAndClearsFlight(t *testing.T) {
 	}
 }
 
-func TestDisableCoalescing(t *testing.T) {
-	tr := &gateTransport{gate: make(chan struct{}), result: wire.SealedResult{Cipher: []byte("r")}}
-	p, _, reg := newTestPipeline(tr, Options{DisableCoalescing: true})
-	sq := wire.SealedQuery{Key: "hot"}
-
-	done := make(chan QueryReply, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			r, err := p.QuerySync(context.Background(), sq)
-			if err != nil {
-				t.Error(err)
-			}
-			done <- r
-		}()
-	}
-	waitFor(t, "both misses to reach transport", func() bool { return tr.execs.Load() == 2 })
-	close(tr.gate)
-	for i := 0; i < 2; i++ {
-		if r := <-done; r.Coalesced {
-			t.Fatalf("got coalesced reply with coalescing disabled: %+v", r)
-		}
-	}
-	if n := reg.Counter(obs.MCoalescedMisses).Value(); n != 0 {
-		t.Fatalf("coalesced counter = %d, want 0", n)
-	}
-}
-
 func TestCoalescingIsPerKey(t *testing.T) {
 	tr := &gateTransport{gate: make(chan struct{}), result: wire.SealedResult{Cipher: []byte("r")}}
 	p, _, reg := newTestPipeline(tr, Options{})
