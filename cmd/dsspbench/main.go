@@ -14,10 +14,9 @@
 //	dsspbench -exp batch -app auction     # batched invalidation: identical decisions, amortized walks
 //	dsspbench -exp figure8                # scalability per invalidation strategy
 //	dsspbench -exp security               # §5.4 security-enhancement summary
-//	dsspbench -exp coalesce               # single-flight miss coalescing under a hot-key storm
+//	dsspbench -exp coalesce               # simulated single-flight miss coalescing under a hot-key storm
 //	dsspbench -exp scaleout -app auction  # simulated routed fleet throughput at 1/2/4 nodes (-out writes JSON)
 //	dsspbench -exp homescale              # simulated trusted-tier throughput at 0/2/4 replicas, 1/2/4 partitions (-out writes JSON)
-//	dsspbench -exp obs -app bboard        # short run's metrics snapshot (-format json|prom)
 //	dsspbench -exp leakage -apps auction,bboard,bookstore,toystore
 //	                                      # adversary's-eye leakage audit per exposure level (-out writes JSON)
 //	dsspbench -exp trace -app bboard      # stitched fleet-wide traces through router + 2 nodes + home
@@ -40,17 +39,15 @@ import (
 
 	"dssp/internal/apps"
 	"dssp/internal/experiments"
-	"dssp/internal/simrun"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|obs|leakage|trace|elastic|all")
-	app := flag.String("app", "bboard", "application for figure4/batch/obs/scaleout/trace/leakage/ablation/capacity/nodes: auction|bboard|bookstore|toystore")
+	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|leakage|trace|elastic|all")
+	app := flag.String("app", "bboard", "application for figure4/batch/scaleout/trace/leakage/ablation/capacity/nodes: auction|bboard|bookstore|toystore")
 	pair := flag.String("pair", "U1/Q2", "toystore template pair for figure6, e.g. U1/Q2")
 	full := flag.Bool("full", false, "use the paper's full 10-minute simulation runs")
 	maxUsers := flag.Int("maxusers", 4000, "cap for the scalability search")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	format := flag.String("format", "prom", "output format for -exp obs: prom|json")
 	out := flag.String("out", "", "for -exp scaleout/homescale/leakage/elastic: also write the results as JSON to this file")
 	appList := flag.String("apps", "", "comma-separated application list for -exp leakage (default: -app)")
 	flag.Parse()
@@ -60,7 +57,7 @@ func main() {
 	opts.MaxUsers = *maxUsers
 	opts.Seed = *seed
 
-	if err := run(*exp, *app, *pair, *format, *out, *appList, opts); err != nil {
+	if err := run(*exp, *app, *pair, *out, *appList, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsspbench:", err)
 		os.Exit(1)
 	}
@@ -104,35 +101,6 @@ func runTrace(app string, opts experiments.RunOptions) error {
 	}
 	fmt.Println(r.Format())
 	return nil
-}
-
-// runObs runs one short simulation and prints its metrics snapshot — the
-// same names and labels a deployed node's /v1/metrics serves.
-func runObs(app, format string, opts experiments.RunOptions) error {
-	b, err := apps.ByName(app)
-	if err != nil {
-		return err
-	}
-	cfg := simrun.DefaultConfig(b, 50)
-	cfg.Seed = opts.Seed
-	cfg.Duration = 60 * time.Second
-	if opts.Full {
-		cfg.Duration = 10 * time.Minute
-	}
-	res, err := simrun.Simulate(cfg)
-	if err != nil {
-		return err
-	}
-	switch format {
-	case "json":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res.Metrics)
-	case "prom", "prometheus":
-		return res.Metrics.WritePrometheus(os.Stdout)
-	default:
-		return fmt.Errorf("unknown -format %q (want prom or json)", format)
-	}
 }
 
 // runScaleout simulates the routed fleet at each size and, when asked,
@@ -199,10 +167,8 @@ func runHomescale(out string, opts experiments.RunOptions) error {
 // run dispatches one experiment. Every experiment that takes -app
 // resolves it through apps.ByName, so an unknown name is the same error
 // whichever experiment meets it.
-func run(exp, app, pair, format, out, appList string, opts experiments.RunOptions) error {
+func run(exp, app, pair, out, appList string, opts experiments.RunOptions) error {
 	switch exp {
-	case "obs":
-		return runObs(app, format, opts)
 	case "scaleout":
 		return runScaleout(app, out, opts)
 	case "homescale":
@@ -283,7 +249,7 @@ func run(exp, app, pair, format, out, appList string, opts experiments.RunOption
 		}
 		fmt.Println(r.Format())
 	case "coalesce":
-		r, err := experiments.Coalesce(32, 5)
+		r, err := experiments.Coalesce(opts.Seed)
 		if err != nil {
 			return err
 		}
@@ -303,7 +269,7 @@ func run(exp, app, pair, format, out, appList string, opts experiments.RunOption
 		}
 	case "all":
 		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity", "nodes"} {
-			if err := run(e, app, pair, format, out, appList, opts); err != nil {
+			if err := run(e, app, pair, out, appList, opts); err != nil {
 				return err
 			}
 		}

@@ -34,7 +34,6 @@ import (
 	"context"
 	"crypto/sha256"
 	"flag"
-	"fmt"
 	"log/slog"
 	"math/rand"
 	"net/http"
@@ -49,7 +48,6 @@ import (
 	"dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/httpapi"
-	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -67,7 +65,6 @@ func main() {
 	partitions := flag.Int("partitions", 1, "total home partitions; >1 makes this server refuse statements whose table group pins elsewhere")
 	replicaOf := flag.String("replica-of", "", "run as a read replica of this primary's base URL")
 	advertise := flag.String("advertise", "", "base URL this replica registers with the primary (default http://localhost<addr>)")
-	injectLag := flag.Duration("inject-replica-lag", 0, "replica mode: stall every apply batch by this much (fault injection)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget for in-flight statements and replica streams")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
@@ -99,7 +96,7 @@ func main() {
 	}
 
 	if *replicaOf != "" {
-		runReplica(logger, app, db, codec, *addr, *replicaOf, *advertise, *maxConcurrent, *partition, *partitions, *injectLag, *drainTimeout)
+		runReplica(logger, app, db, codec, *addr, *replicaOf, *advertise, *maxConcurrent, *partition, *partitions, *drainTimeout)
 		return
 	}
 
@@ -146,15 +143,11 @@ func main() {
 // seeded database, serving sealed queries under the staleness protocol
 // and applying the primary's confirmed-update stream.
 func runReplica(logger *slog.Logger, app *template.App, db *storage.Database, codec *wire.Codec,
-	addr, primaryURL, advertise string, maxConcurrent, partition, partitions int, injectLag, drainTimeout time.Duration) {
+	addr, primaryURL, advertise string, maxConcurrent, partition, partitions int, drainTimeout time.Duration) {
 	rep := home.NewReplica(replicaName(addr), db, app, codec)
 	rep.SetAdmissionLimit(maxConcurrent)
 	if partitions > 1 {
 		rep.SetPartition(partition, partitions)
-	}
-	if injectLag > 0 {
-		rep.SetApplyDelay(injectLag)
-		logger.Warn("fault injection active", "inject_replica_lag", injectLag)
 	}
 
 	srv := &http.Server{Addr: addr, Handler: httpapi.ReplicaHandler(rep)}
@@ -214,28 +207,7 @@ func awaitSignal(logger *slog.Logger) {
 func populate(b workload.Benchmark, seed int64) (*storage.Database, error) {
 	db := storage.NewDatabase(b.App().Schema)
 	if b.Name() == "toystore" {
-		seedToystore(db)
-		return db, nil
+		return db, apps.SeedToystore(db)
 	}
 	return db, b.Populate(db, rand.New(rand.NewSource(seed)))
-}
-
-func seedToystore(db *storage.Database) {
-	iv, sv := sqlparse.IntVal, sqlparse.StringVal
-	toys := []struct {
-		id   int64
-		name string
-		qty  int64
-	}{{1, "bear", 10}, {2, "truck", 3}, {3, "bear", 7}, {5, "kite", 25}}
-	for _, t := range toys {
-		_ = db.Insert("toys", storage.Row{iv(t.id), sv(t.name), iv(t.qty)})
-	}
-	// Customer 4 has no card on file: an insert target for U2 that
-	// satisfies both the credit_card primary key and its foreign key.
-	for i := int64(1); i <= 4; i++ {
-		_ = db.Insert("customers", storage.Row{iv(i), sv(fmt.Sprintf("cust%d", i))})
-		if i <= 3 {
-			_ = db.Insert("credit_card", storage.Row{iv(i), sv("4111"), sv("15213")})
-		}
-	}
 }

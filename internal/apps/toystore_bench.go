@@ -10,6 +10,37 @@ import (
 	"dssp/internal/workload"
 )
 
+// SeedToystore inserts the hand-seeded Table 3 toystore that dssphome
+// serves (and so the smoke scripts replay against) and the coalescing and
+// home-scale storms run on: toys (1,bear,10), (2,truck,3), (3,bear,7) and
+// (5,kite,25); customers 1–4, each of the first three with a card on file.
+// Customer 4 has none: an insert target for U2 that satisfies both the
+// credit_card primary key and its foreign key.
+func SeedToystore(db *storage.Database) error {
+	iv, sv := sqlparse.IntVal, sqlparse.StringVal
+	toys := []struct {
+		id   int64
+		name string
+		qty  int64
+	}{{1, "bear", 10}, {2, "truck", 3}, {3, "bear", 7}, {5, "kite", 25}}
+	for _, t := range toys {
+		if err := db.Insert("toys", storage.Row{iv(t.id), sv(t.name), iv(t.qty)}); err != nil {
+			return err
+		}
+	}
+	for i := int64(1); i <= 4; i++ {
+		if err := db.Insert("customers", storage.Row{iv(i), sv(fmt.Sprintf("cust%d", i))}); err != nil {
+			return err
+		}
+		if i <= 3 {
+			if err := db.Insert("credit_card", storage.Row{iv(i), sv("4111"), sv("15213")}); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // ToystoreBench drives the Table 3 toystore as a runnable benchmark, so
 // the paper's running example works everywhere the three §5.1
 // applications do (simulator, leakage audit, CI smoke runs). Sessions

@@ -107,12 +107,12 @@ func Homescale(seed int64) (*HomescaleResult, error) {
 		Run:         homescaleRun,
 	}
 	toystore := apps.Toystore()
-	reads := &storm{name: res.Benchmark, app: toystore, populate: seedToys,
-		next: func(_ *rand.Rand, i int) *template.Template {
+	reads := &storm{name: res.Benchmark, app: toystore, populate: apps.SeedToystore,
+		next: func(rng *rand.Rand, i int) workload.Op {
 			if i%homescaleUpdateEvery == 0 {
-				return toystore.Update("U1")
+				return absent(toystore.Update("U1"), rng)
 			}
-			return toystore.Query("Q2")
+			return absent(toystore.Query("Q2"), rng)
 		}}
 	for _, k := range homescaleReplicas {
 		cfg := shapeConfig(reads, homescaleClients, homescaleRun, homescaleCosts(), seed)
@@ -142,7 +142,7 @@ func Homescale(seed int64) (*HomescaleResult, error) {
 	shop := wideshopApp()
 	groups := template.AppGroups(shop)
 	writes := &storm{name: shop.Name, app: shop, populate: populateWideshop,
-		next: func(rng *rand.Rand, _ int) *template.Template { return shop.Updates[rng.Intn(len(shop.Updates))] }}
+		next: func(rng *rand.Rand, _ int) workload.Op { return absent(shop.Updates[rng.Intn(len(shop.Updates))], rng) }}
 	for _, parts := range homescalePartitions {
 		cfg := shapeConfig(writes, homescaleClients, homescaleRun, homescaleCosts(), seed)
 		cfg.HomePartitions = parts
@@ -174,15 +174,12 @@ func counter(r *simrun.Result, name, label, value string) int64 {
 }
 
 // storm is a synthetic workload.Benchmark whose every page is one
-// statement on an id far outside the populated range: a query's result is
-// empty and so never cached, and an update affects no row but still takes
-// a confirmed sequence and runs the whole monitoring pathway. next picks
-// the template of a session's i-th statement (counted from 1).
+// statement: next picks a session's i-th (counted from 1).
 type storm struct {
 	name     string
 	app      *template.App
 	populate func(*storage.Database) error
-	next     func(rng *rand.Rand, i int) *template.Template
+	next     func(rng *rand.Rand, i int) workload.Op
 }
 
 func (s *storm) Name() string                                      { return s.name }
@@ -199,9 +196,14 @@ type stormSession struct {
 
 func (s *stormSession) NextPage() []workload.Op {
 	s.i++
-	t := s.next(s.rng, s.i)
-	id := sqlparse.IntVal(1_000_000 + s.rng.Int63n(1_000_000_000))
-	return []workload.Op{{Template: t, Params: []sqlparse.Value{id}}}
+	return []workload.Op{s.next(s.rng, s.i)}
+}
+
+// absent is t on an id far outside the populated range: a query's result
+// is empty and so never cached, and an update affects no row but still
+// takes a confirmed sequence and runs the whole monitoring pathway.
+func absent(t *template.Template, rng *rand.Rand) workload.Op {
+	return workload.Op{Template: t, Params: []sqlparse.Value{sqlparse.IntVal(1_000_000 + rng.Int63n(1_000_000_000))}}
 }
 
 // wideshopApp returns a synthetic application with wideshopGroups

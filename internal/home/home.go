@@ -2,8 +2,8 @@
 // the read-replica engine that serves misses and replays the primary's
 // confirmed-update stream in strict sequence order; NewTier, the one
 // builder of a tier's primaries (*homeserver.Server) and replicas; and
-// TierParts, the in-process substrate's endpoints for
-// pipeline.NewTierTransport.
+// TierParts, the in-process endpoints for pipeline.NewTierTransport that
+// the home and pipeline tests build their tiers with.
 //
 // Topology: a primary executes every update of its partition and assigns
 // each a sequence number under the master database's write lock, and the

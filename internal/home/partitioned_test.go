@@ -90,8 +90,8 @@ func partitionedFixture(t *testing.T, parts int) ([]*homeserver.Server, pipeline
 	t.Helper()
 	primaries, replicas, codec, app := twoGroupTier(t, parts, 0)
 	transport, fresh := pipeline.NewTierTransport(home.TierParts(primaries, replicas), nil)
-	if fresh == nil || fresh.Parts() != parts {
-		t.Fatalf("freshness vector = %v, want one floor per partition (%d)", fresh, parts)
+	if fresh == nil {
+		t.Fatalf("no freshness vector for a %d-partition tier", parts)
 	}
 	return primaries, transport, codec, app
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dssp/internal/homeserver"
 	"dssp/internal/obs"
@@ -32,11 +31,6 @@ type Replica struct {
 
 	mu      sync.Mutex // serializes ApplyBatch
 	applied atomic.Uint64
-
-	// delay, when positive, stalls each ApplyBatch — the
-	// -inject-replica-lag fault knob, for proving lagging replicas are
-	// bypassed rather than served stale.
-	delay atomic.Int64
 
 	appliedGauge *obs.Gauge
 	applyErrors  *obs.Counter
@@ -74,9 +68,6 @@ func (r *Replica) Tracer() *obs.Tracer { return r.srv.Tracer() }
 // mirroring the primary's admission control.
 func (r *Replica) SetAdmissionLimit(n int) { r.srv.SetAdmissionLimit(n) }
 
-// SetApplyDelay injects d of lag into every ApplyBatch (0 disables).
-func (r *Replica) SetApplyDelay(d time.Duration) { r.delay.Store(int64(d)) }
-
 // Applied reports the replica's applied-sequence watermark: every
 // confirmed update at or below it is reflected in the replica's database.
 func (r *Replica) Applied() uint64 { return r.applied.Load() }
@@ -97,9 +88,6 @@ func (r *Replica) QueriesServed() int { return r.srv.QueriesServed() }
 // consistency: it is counted (dssp_home_replica_apply_errors_total) and
 // returned without advancing the watermark past the failing update.
 func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
-	if d := time.Duration(r.delay.Load()); d > 0 {
-		time.Sleep(d)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, c := range batch {

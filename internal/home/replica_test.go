@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
@@ -259,38 +258,6 @@ func TestApplyBatchResumesFromItsWatermark(t *testing.T) {
 	want := sealedScan(t, codec, app, primary.ExecQuery)
 	if got := sealedScan(t, codec, app, rep.ExecQuery); !bytes.Equal(got, want) {
 		t.Error("replica database diverged from the primary")
-	}
-}
-
-// TestApplyDelayInjectsLag pins the -inject-replica-lag knob: with a
-// delay set, a replica's watermark trails the confirmed stream while the
-// delay elapses.
-func TestApplyDelayInjectsLag(t *testing.T) {
-	primary, reps, codec, app := fixture(t, 1)
-	rep := reps[0]
-	rep.SetApplyDelay(50 * time.Millisecond)
-	applied := make(chan struct{})
-	primary.OnConfirm(func(c homeserver.Confirmed) {
-		go func() {
-			if err := rep.ApplyBatch([]homeserver.Confirmed{c}); err != nil {
-				t.Error(err)
-			}
-			close(applied)
-		}()
-	})
-	su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(9), sqlparse.IntVal(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := primary.ExecUpdate(su); err != nil {
-		t.Fatal(err)
-	}
-	if got := rep.Applied(); got != 0 {
-		t.Fatalf("replica applied %d during injected lag, want 0", got)
-	}
-	<-applied
-	if got := rep.Applied(); got != 1 {
-		t.Fatalf("replica applied %d after injected lag elapsed, want 1", got)
 	}
 }
 

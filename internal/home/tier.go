@@ -57,7 +57,8 @@ func NewTier(app *template.App, codec *wire.Codec, newDB func() (*storage.Databa
 // sequence order, on the confirming goroutine — and returns the endpoints
 // pipeline.NewTierTransport composes: a direct transport per primary, a
 // floor-checking backend per replica. Call before serving traffic; it
-// takes each replicated primary's one OnConfirm sink.
+// takes each replicated primary's one OnConfirm sink. No deployment runs
+// on it: it is the fixture the home and pipeline tests build tiers with.
 //
 // A replica whose apply fails stops advancing, so every miss that needs
 // the failed update bypasses to the primary; ApplyBatch counts the

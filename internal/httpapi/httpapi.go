@@ -234,22 +234,6 @@ func StitchFleet(client *http.Client, baseURLs []string, traceID obs.TraceID, lo
 	return stitched[0], nil
 }
 
-// FetchMetrics retrieves a process's /v1/metrics snapshot as JSON.
-func FetchMetrics(client *http.Client, baseURL string) (obs.Snapshot, error) {
-	client = defaultClient(client)
-	var snap obs.Snapshot
-	resp, err := client.Get(baseURL + PathMetrics)
-	if err != nil {
-		return snap, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return snap, fmt.Errorf("httpapi: %s%s: %s", baseURL, PathMetrics, resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&snap)
-	return snap, err
-}
-
 // HomeHandler exposes a home server over HTTP, including its metrics and
 // traces. Building the handler attaches a span store to the home tracer,
 // so the home-side spans (admission_wait, home_exec) of every trace are

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,6 +26,21 @@ func metricsStack(t *testing.T, exps map[string]template.Exposure) (client *Clie
 	f := startToystore(t, Spec{Nodes: 1}, exps)
 	f.Client.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock())
 	return f.Client, f.NodeURLs[0], f.HomeURLs[0], func() { f.Close() }
+}
+
+// fetchMetrics retrieves a process's /v1/metrics snapshot as JSON.
+func fetchMetrics(client *http.Client, baseURL string) (obs.Snapshot, error) {
+	var snap obs.Snapshot
+	resp, err := defaultClient(client).Get(baseURL + PathMetrics)
+	if err != nil {
+		return snap, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return snap, fmt.Errorf("%s%s: %s", baseURL, PathMetrics, resp.Status)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	return snap, err
 }
 
 // startToystore starts spec's topology over the seeded toystore, so the
@@ -69,7 +85,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatalf("U1: invalidated=%d err=%v", invalidated, err)
 	}
 
-	snap, err := FetchMetrics(nil, nodeURL)
+	snap, err := fetchMetrics(nil, nodeURL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +157,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	// The home server's own endpoint reports trusted-side execution.
-	homeSnap, err := FetchMetrics(nil, homeURL)
+	homeSnap, err := fetchMetrics(nil, homeURL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestConcurrentNodeTraffic(t *testing.T) {
 
 			// The run must also have produced coherent counters.
 			total := func(url string, names ...string) int64 {
-				snap, err := FetchMetrics(http.DefaultClient, url)
+				snap, err := fetchMetrics(http.DefaultClient, url)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -306,12 +306,20 @@ func (h *ReplicaHub) Status() ReplicaHubStatus {
 // Drain blocks until every registered replica has acknowledged the whole
 // retained log, or ctx expires — the graceful-shutdown half of the
 // stream: stop taking statements first, then drain, and no replica is left
-// short of the primary.
+// short of the primary. It waits on the hub's cond, which every ack
+// broadcasts, and ctx's end broadcasts too.
 func (h *ReplicaHub) Drain(ctx context.Context) error {
-	tick := time.NewTicker(5 * time.Millisecond)
-	defer tick.Stop()
-	for {
+	stop := context.AfterFunc(ctx, func() {
+		// Under the lock, so the wake-up cannot land between the check
+		// below and the Wait.
 		h.mu.Lock()
+		defer h.mu.Unlock()
+		h.cond.Broadcast()
+	})
+	defer stop()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for {
 		done := true
 		for _, s := range h.streams {
 			if s.acked < uint64(len(h.log)) {
@@ -319,15 +327,13 @@ func (h *ReplicaHub) Drain(ctx context.Context) error {
 				break
 			}
 		}
-		h.mu.Unlock()
 		if done {
 			return nil
 		}
-		select {
-		case <-tick.C:
-		case <-ctx.Done():
-			return ctx.Err()
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		h.cond.Wait()
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"dssp/internal/apps"
+	"dssp/internal/cache"
+	"dssp/internal/core"
 	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
@@ -18,11 +20,11 @@ import (
 // replicatedStack boots the full replicated home tier as HTTP processes:
 // a primary with the confirmed-update hub, two replica servers registered
 // with it, and a node spreading misses across them. Returns the client,
-// replicas, the node's registry (for bypass counters), and the hub.
-func replicatedStack(t *testing.T) (*Client, []*home.Replica, *obs.Registry, *ReplicaHub, func()) {
+// replicas, and the hub.
+func replicatedStack(t *testing.T) (*Client, []*home.Replica, *ReplicaHub, func()) {
 	t.Helper()
 	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
-	return f.Client, f.Replicas[0], f.Nodes[0].Cache.Obs(), f.Hubs[0], func() {
+	return f.Client, f.Replicas[0], f.Hubs[0], func() {
 		if err := f.Close(); err != nil {
 			t.Errorf("fleet close: %v", err)
 		}
@@ -34,7 +36,7 @@ func replicatedStack(t *testing.T) (*Client, []*home.Replica, *obs.Registry, *Re
 // replicas, and once applied a subsequent miss is served by a replica —
 // with the correct, post-update rows.
 func TestReplicaServesMissAfterStream(t *testing.T) {
-	client, reps, _, hub, done := replicatedStack(t)
+	client, reps, hub, done := replicatedStack(t)
 	defer done()
 	app := apps.Toystore()
 	ctx := context.Background()
@@ -73,25 +75,44 @@ func TestReplicaServesMissAfterStream(t *testing.T) {
 }
 
 // TestLaggingReplicaBypassedToPrimary pins the staleness protocol over
-// real HTTP: with apply lag injected into every replica (the
-// -inject-replica-lag knob), a miss issued after an update finds every
-// replica behind the node's freshness floor — each refuses with 409 — and
-// the node serves the miss from the primary, counting the bypass. The
-// stale replica result is never used.
+// real HTTP: a node spreads misses over two replicas the primary's hub
+// does not stream to yet, so an update confirmed at the primary leaves
+// both at watermark 0 behind the node's freshness floor. A miss then finds
+// every replica refusing — lag, not failure — and the node serves it from
+// the primary, counting the bypass; the stale replica result is never
+// used. Once the replicas register and the stream drains, they are
+// rediscovered and serve again.
 func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
-	client, reps, reg, hub, done := replicatedStack(t)
-	defer done()
 	app := apps.Toystore()
-	ctx := context.Background()
-	for _, rep := range reps {
-		rep.SetApplyDelay(2 * time.Second)
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	primaries, replicas, err := home.NewTier(app, codec, func() (*storage.Database, error) {
+		db := storage.NewDatabase(app.Schema)
+		seedToys(t, db)
+		return db, nil
+	}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
+	primary, reps := primaries[0], replicas[0]
+	hub := NewReplicaHub(nil, primary.Obs())
+	primary.OnConfirm(hub.Confirm)
+	var repURLs []string
+	for _, rep := range reps {
+		repURLs = append(repURLs, startServer(t, ReplicaHandler(rep)).URL)
+	}
+	homeURL := startServer(t, HomeHandlerWithHub(primary, hub)).URL
+	t.Cleanup(hub.Close)
+	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+	nodeURL := startServer(t, NewNodeServerWithOptions(node, "", nil,
+		NodeOptions{Home: []HomeEndpoint{{Primary: homeURL, Replicas: repURLs}}}).Handler()).URL
+	client := NewClient(codec, nodeURL, nil)
+	ctx := context.Background()
 
 	if _, _, err := client.Update(ctx, app.Update("U1"), 1); err != nil {
 		t.Fatal(err)
 	}
-	// The update confirmed (floor raised at the node), but the injected
-	// lag holds both replicas at watermark 0.
+	// The update confirmed (floor raised at the node), but no replica
+	// has been streamed it.
 	res, err := client.Query(ctx, app.Query("Q1"), "bear")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +120,7 @@ func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 	if res.Result.Len() != 0 {
 		t.Errorf("stale rows served during replica lag: %d rows", res.Result.Len())
 	}
-	if n := reg.Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "lag")).Value(); n == 0 {
+	if n := node.Cache.Obs().Counter(obs.MHomeReplicaBypasses, obs.L(obs.LReason, "lag")).Value(); n == 0 {
 		t.Error("lag bypass not counted; the miss was not refused by a lagging replica")
 	}
 	for _, rep := range reps {
@@ -108,10 +129,10 @@ func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 		}
 	}
 
-	// Once the injected lag elapses and the stream drains, replicas are
-	// rediscovered and serve again.
-	for _, rep := range reps {
-		rep.SetApplyDelay(0)
+	// Registered, the replicas are streamed the retained log, catch up,
+	// and are rediscovered.
+	for _, u := range repURLs {
+		hub.Register(u)
 	}
 	drainCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()

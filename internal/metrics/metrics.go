@@ -49,18 +49,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 	return s.vals[rank-1]
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() time.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, v := range s.vals {
-		sum += v
-	}
-	return sum / time.Duration(len(s.vals))
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() time.Duration {
 	if len(s.vals) == 0 {

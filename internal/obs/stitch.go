@@ -102,26 +102,6 @@ func stitchOne(trace TraceID, spans []SpanRecord) StitchedTrace {
 	return st
 }
 
-// Stages returns the trace's stage names in tree (depth-first) order —
-// the shape the sim↔HTTP trace parity test compares.
-func (t StitchedTrace) Stages() []string {
-	out := make([]string, len(t.Spans))
-	for i, s := range t.Spans {
-		out[i] = s.Stage
-	}
-	return out
-}
-
-// HasStage reports whether any span of the trace recorded the stage.
-func (t StitchedTrace) HasStage(stage string) bool {
-	for _, s := range t.Spans {
-		if s.Stage == stage {
-			return true
-		}
-	}
-	return false
-}
-
 // where renders a span's process/node coordinates.
 func where(s SpanRecord) string {
 	switch {

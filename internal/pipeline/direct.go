@@ -2,7 +2,6 @@ package pipeline
 
 import (
 	"context"
-	"time"
 
 	"dssp/internal/wire"
 )
@@ -37,39 +36,4 @@ func (t directTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done 
 func (t directTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error)) {
 	n, seq, err := t.home.ExecUpdate(su)
 	done(ExecUpdateResult{Affected: n, Seq: seq}, err)
-}
-
-// delayTransport adds a fixed one-way delay before forwarding, modelling
-// the WAN hop between a DSSP node and a distant home server for
-// experiments and benchmarks that need misses to overlap in real time.
-type delayTransport struct {
-	inner Transport
-	delay time.Duration
-}
-
-// WithDelay wraps a transport with a fixed pre-forward delay.
-func WithDelay(inner Transport, delay time.Duration) Transport {
-	if delay <= 0 {
-		return inner
-	}
-	return delayTransport{inner: inner, delay: delay}
-}
-
-func (t delayTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(ExecQueryResult, error)) {
-	sleep(ctx, t.delay)
-	t.inner.ExecQuery(ctx, sq, done)
-}
-
-func (t delayTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error)) {
-	sleep(ctx, t.delay)
-	t.inner.ExecUpdate(ctx, su, done)
-}
-
-func sleep(ctx context.Context, d time.Duration) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }

@@ -38,9 +38,6 @@ func NewFreshnessParts(parts int) *Freshness {
 	return &Freshness{floors: make([]atomic.Uint64, parts)}
 }
 
-// Parts reports the number of partition slots.
-func (f *Freshness) Parts() int { return len(f.floors) }
-
 // slot maps a table group to its partition's floor entry.
 func (f *Freshness) slot(group int) *atomic.Uint64 {
 	return &f.floors[schema.PartitionOf(group, len(f.floors))]
@@ -54,15 +51,6 @@ func (f *Freshness) Raise(group int, seq uint64) {
 
 // Floor reports the confirmed-update floor of group's partition.
 func (f *Freshness) Floor(group int) uint64 { return f.slot(group).Load() }
-
-// Floors snapshots every partition's floor, in partition order.
-func (f *Freshness) Floors() []uint64 {
-	out := make([]uint64, len(f.floors))
-	for i := range f.floors {
-		out[i] = f.floors[i].Load()
-	}
-	return out
-}
 
 // LagError is a replica's refusal to serve a query because it has not yet
 // applied the caller's freshness floor. Applied is the replica's current

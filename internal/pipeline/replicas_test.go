@@ -91,8 +91,8 @@ func TestFreshnessVectorIsPerPartition(t *testing.T) {
 	if got := f.Floor(1); got != 7 {
 		t.Fatalf("partition 1 floor moved to %d on a partition-0 raise", got)
 	}
-	if got, want := f.Floors(), []uint64{100, 7}; got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Floors() = %v, want %v", got, want)
+	if got, want := []uint64{f.floors[0].Load(), f.floors[1].Load()}, []uint64{100, 7}; got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("floors = %v, want %v", got, want)
 	}
 	// Unhinted messages (group <= 0) conservatively use partition 0.
 	if got := f.Floor(-1); got != 100 {

@@ -46,7 +46,7 @@ func TestTierTransportShapes(t *testing.T) {
 		primary, rep := &fakePrimary{}, &fakeReplica{applied: 1}
 		tr, fresh := NewTierTransport([]TierPart{{Primary: primary,
 			Replicas: []ReplicaEndpoint{{Name: "a", Backend: rep}}}}, obs.NewRegistry())
-		if fresh == nil || fresh.Parts() != 1 {
+		if fresh == nil || len(fresh.floors) != 1 {
 			t.Fatalf("vector = %v, want one floor", fresh)
 		}
 		if got := query(tr, 0); got != "replica" {
@@ -64,7 +64,7 @@ func TestTierTransportShapes(t *testing.T) {
 			{Primary: p0},
 			{Primary: p1, Replicas: []ReplicaEndpoint{{Name: "p1-0", Backend: rep}}},
 		}, nil)
-		if fresh == nil || fresh.Parts() != 2 {
+		if fresh == nil || len(fresh.floors) != 2 {
 			t.Fatalf("vector = %v, want one floor per partition", fresh)
 		}
 		fresh.Raise(0, 7) // partition 0's stream is no business of partition 1's replica

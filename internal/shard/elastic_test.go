@@ -19,7 +19,7 @@ import (
 // A single join must move about 1/(n+1) of the key space and not a key
 // more than the variance of 64 virtual points allows — the minimality
 // property that makes elasticity cheap — and every key it moves must move
-// to the new node. Measured by sampling keys through Owner.
+// to the new node. Measured by sampling keys through ownerOf.
 func TestRingJoinMovesMinimalFraction(t *testing.T) {
 	const samples = 20000
 	for _, n := range []int{2, 3, 4, 8} {
@@ -27,7 +27,7 @@ func TestRingJoinMovesMinimalFraction(t *testing.T) {
 		moved := 0
 		for i := 0; i < samples; i++ {
 			key := fmt.Sprintf("sample-key-%d", i)
-			from, to := cur.Owner(key), next.Owner(key)
+			from, to := ownerOf(cur, "", key), ownerOf(next, "", key)
 			if from == to {
 				continue
 			}
@@ -58,7 +58,7 @@ func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	moved := 0
 	for i := 0; i < 5000; i++ {
 		key := fmt.Sprintf("leave-key-%d", i)
-		from, to := cur.Owner(key), next.Owner(key)
+		from, to := ownerOf(cur, "", key), ownerOf(next, "", key)
 		if from == to {
 			continue
 		}
@@ -72,7 +72,7 @@ func TestRingLeaveMovesOnlyDepartedKeys(t *testing.T) {
 	}
 }
 
-// Owner is on every routed request; it must never touch the allocator.
+// ownerOf is on every routed request; it must never touch the allocator.
 // scripts/alloc_smoke.sh holds this at exactly 0 allocs/op.
 func BenchmarkRingOwner(b *testing.B) {
 	r := NewRing(8)
@@ -83,7 +83,7 @@ func BenchmarkRingOwner(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Owner(keys[i&511])
+		ownerOf(r, "", keys[i&511])
 	}
 }
 

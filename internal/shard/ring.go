@@ -113,11 +113,9 @@ func (r *Ring) Contains(node int) bool {
 	return i < len(r.members) && r.members[i] == node
 }
 
-// Owner maps a key to its owning node: the first virtual point at or
-// after the key's hash, wrapping around.
-func (r *Ring) Owner(key string) int { return r.owner(mix(fnv(fnvOffset, key))) }
-
-// ownerOf is r.Owner(prefix + string(key)), without building the key.
+// ownerOf maps the key prefix + string(key) to its owning node, without
+// building the key: the first virtual point at or after the key's hash,
+// wrapping around.
 func ownerOf[K string | []byte](r *Ring, prefix string, key K) int {
 	return r.owner(mix(fnv(fnv(fnvOffset, prefix), key)))
 }

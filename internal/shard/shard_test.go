@@ -22,7 +22,7 @@ func TestRingDeterministicAndComplete(t *testing.T) {
 	seen := make(map[int]bool)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		oa, ob := a.Owner(key), b.Owner(key)
+		oa, ob := ownerOf(a, "", key), ownerOf(b, "", key)
 		if oa != ob {
 			t.Fatalf("ring not deterministic: key %q -> %d vs %d", key, oa, ob)
 		}
@@ -46,7 +46,7 @@ func TestRingGrowthMovesKeysOnlyToNewNode(t *testing.T) {
 	moved := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		o3, o4 := r3.Owner(key), r4.Owner(key)
+		o3, o4 := ownerOf(r3, "", key), ownerOf(r4, "", key)
 		if o3 != o4 {
 			moved++
 			if o4 != 3 {
@@ -66,10 +66,10 @@ func TestRingOwnerOfParts(t *testing.T) {
 	r := NewRing(5)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("sealed-key-%d-%s", i, strconv.Itoa(i*i))
-		if got, want := ownerOf(r, "blind\x00", key), r.Owner("blind\x00"+key); got != want {
+		if got, want := ownerOf(r, "blind\x00", key), ownerOf(r, "", "blind\x00"+key); got != want {
 			t.Fatalf("key %q: in parts %d, whole %d", key, got, want)
 		}
-		if got, want := ownerOf(r, "blindu\x00", []byte(key)), r.Owner("blindu\x00"+key); got != want {
+		if got, want := ownerOf(r, "blindu\x00", []byte(key)), ownerOf(r, "", "blindu\x00"+key); got != want {
 			t.Fatalf("payload %q: in parts %d, whole %d", key, got, want)
 		}
 	}

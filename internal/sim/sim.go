@@ -58,9 +58,6 @@ func (s *Sim) Run(until time.Duration) time.Duration {
 	return s.now
 }
 
-// Pending returns the number of scheduled events.
-func (s *Sim) Pending() int { return len(s.events) }
-
 type event struct {
 	at  time.Duration
 	seq int64
@@ -96,7 +93,6 @@ type Server struct {
 	queue    []job
 
 	busyTime time.Duration // aggregate slot-busy time, for utilization
-	served   int64
 }
 
 type job struct {
@@ -124,7 +120,6 @@ func (sv *Server) Submit(service time.Duration, done func()) {
 func (sv *Server) start(j job) {
 	sv.busy++
 	sv.busyTime += j.service
-	sv.served++
 	sv.sim.After(j.service, func() {
 		sv.busy--
 		if len(sv.queue) > 0 {
@@ -139,9 +134,6 @@ func (sv *Server) start(j job) {
 // QueueLen returns the number of jobs waiting (excluding in service).
 func (sv *Server) QueueLen() int { return len(sv.queue) }
 
-// Served returns the number of jobs started.
-func (sv *Server) Served() int64 { return sv.served }
-
 // BusyTime returns aggregate slot-busy time (divide by capacity × elapsed
 // for utilization).
 func (sv *Server) BusyTime() time.Duration { return sv.busyTime }
@@ -154,8 +146,6 @@ type Link struct {
 	latency   time.Duration
 	bytesPerS float64
 	busyUntil time.Duration
-
-	bytesSent int64
 }
 
 // NewLink creates a link. bitsPerSecond <= 0 means infinite bandwidth.
@@ -175,9 +165,5 @@ func (l *Link) Send(size int, done func()) {
 		tx = time.Duration(float64(size) / l.bytesPerS * float64(time.Second))
 	}
 	l.busyUntil = start + tx
-	l.bytesSent += int64(size)
 	l.sim.At(l.busyUntil+l.latency, done)
 }
-
-// BytesSent returns the total payload bytes transmitted.
-func (l *Link) BytesSent() int64 { return l.bytesSent }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -132,10 +133,14 @@ func TestTraceShapeParityWithHTTP(t *testing.T) {
 func shapeSet(traces []obs.StitchedTrace) map[string]bool {
 	out := make(map[string]bool)
 	for _, tr := range traces {
-		if !tr.HasStage(obs.StageOpen) && !tr.HasStage(obs.StageInvalidate) {
+		stages := make([]string, len(tr.Spans))
+		for i, s := range tr.Spans {
+			stages[i] = s.Stage
+		}
+		if !slices.Contains(stages, obs.StageOpen) && !slices.Contains(stages, obs.StageInvalidate) {
 			continue
 		}
-		out[strings.Join(tr.Stages(), "→")] = true
+		out[strings.Join(stages, "→")] = true
 	}
 	return out
 }
