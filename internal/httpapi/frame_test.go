@@ -330,10 +330,11 @@ func BenchmarkFrameRoundTrip(b *testing.B) {
 // BenchmarkNodeQueryHit is one sealed query frame at stmt exposure through
 // a node's own frame handlers (serveBackend over a shard.PipeBackend) to a
 // cache that holds its entry, from NodeProxy.Query with a Replier that
-// keeps nothing: what a node costs a hit. The query is read in place, so
-// what the row counts is its head's copy and its parameter slice; the
-// answer is appended from the entry straight into the answer frame. Gated
-// in BENCH_allocs.json, at the exact count.
+// keeps nothing: what a node costs a hit. The query is read in place and
+// its parameters are left encoded, which only a miss decodes, so what the
+// row counts is the one copy of its head, whose key the cache looks up;
+// the answer is appended from the entry straight into the answer frame.
+// Gated in BENCH_allocs.json, at the exact count.
 func BenchmarkNodeQueryHit(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
 	app := apps.Toystore()

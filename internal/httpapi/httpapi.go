@@ -300,13 +300,12 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 }
 
 // readExecQuery reads an exec query frame's statement in place, as far as
-// a home reads it: homeserver.Server.ExecQuery reads the trace fields and
-// the payload alone, and is done with them when it returns, so the payload
-// is lent from the frame and the rest of the statement is not decoded.
+// a home reads it (wire.ReadQueryPayload): homeserver.Server.ExecQuery
+// reads the trace fields and the payload alone, and is done with them when
+// it returns, so the payload is lent from the frame and no string of the
+// statement is read. It allocates nothing.
 func readExecQuery(body []byte) (wire.SealedQuery, error) {
-	var raw wire.Raw
-	err := raw.ReadQuery(body)
-	return wire.SealedQuery{TraceID: raw.TraceID, ParentSpan: raw.ParentSpan, Opaque: raw.Opaque}, err
+	return wire.ReadQueryPayload(body)
 }
 
 // NodeServer serves an application's traffic from a DSSP node through the
@@ -454,9 +453,10 @@ func newMux(reg *obs.Registry, store *obs.SpanStore, ops *frameOps) *http.ServeM
 // fails answers bad gateway: the statement did not get through. The shard
 // router is served bytes: it routes each statement from its head and
 // forwards it as it came (forwardQuery, forwardUpdate). Every other front
-// is handed a query read in place, its payload lent from the frame
-// (pipeline.Front), and answers into the answer frame (queryReply); an
-// update it is handed decoded.
+// is handed a query read in place (wire.ReadSealedQuery: its strings in
+// one copy, its parameters still encoded in it until a miss decodes them,
+// its payload lent from the frame — pipeline.Front), and answers into the
+// answer frame (queryReply); an update it is handed decoded.
 func serveFront(front pipeline.Front) *frameOps {
 	router, forwards := front.(*shard.Router)
 	return &frameOps{
@@ -465,12 +465,12 @@ func serveFront(front pipeline.Front) *frameOps {
 				forwardQuery(ctx, router, req, resp)
 				return
 			}
-			var raw wire.Raw
-			if err := raw.ReadQuery(req.body); err != nil {
+			sq, err := wire.ReadSealedQuery(req.body)
+			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			if err := front.Query(ctx, raw.Query(), (*queryReply)(resp)); err != nil {
+			if err := front.Query(ctx, sq, (*queryReply)(resp)); err != nil {
 				resp.fail(statusBadGateway, err)
 			}
 		},

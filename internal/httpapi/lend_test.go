@@ -45,10 +45,27 @@ func scrambleAfter(h http.Handler) http.Handler {
 	return h
 }
 
-// lendingFleet is a client, a node and a home over frames, with bboard
-// populated from seed 1 and every template at exp; scramble wraps the
-// node's and the home's frame handlers in scrambleAfter.
+// lendingFleet is a client, a router, a node and a home over frames, with
+// bboard populated from seed 1 and every template at exp; scramble wraps
+// the router's, the node's and the home's frame handlers in scrambleAfter.
 func lendingFleet(t *testing.T, exp template.Exposure, scramble bool) (*Client, *dssp.Node) {
+	t.Helper()
+	app, codec, db := lendingApp(t, exp)
+	wrap := func(h http.Handler) http.Handler { return h }
+	if scramble {
+		wrap = scrambleAfter
+	}
+	analysis := core.Analyze(app, core.DefaultOptions())
+	homeSrv := startServer(t, wrap(HomeHandler(homeserver.New(db, app, codec))))
+	node := dssp.NewNode(app, analysis, cache.Options{})
+	nodeSrv := startServer(t, wrap(NewNodeServerWithOptions(node, homeSrv.URL, nil, NodeOptions{}).Handler()))
+	routerSrv := startServer(t, wrap(NewRouterServer(analysis, []string{nodeSrv.URL}, RouterOptions{}).Handler()))
+	return NewClient(codec, routerSrv.URL, nil), node
+}
+
+// lendingApp is bboard with every template at exp, a codec under the zero
+// key, and a database populated from seed 1.
+func lendingApp(t *testing.T, exp template.Exposure) (*template.App, *wire.Codec, *storage.Database) {
 	t.Helper()
 	bench := apps.NewBBoard()
 	app := bench.App()
@@ -64,14 +81,7 @@ func lendingFleet(t *testing.T, exp template.Exposure, scramble bool) (*Client, 
 	if err := bench.Populate(db, rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
-	wrap := func(h http.Handler) http.Handler { return h }
-	if scramble {
-		wrap = scrambleAfter
-	}
-	homeSrv := startServer(t, wrap(HomeHandler(homeserver.New(db, app, codec))))
-	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	nodeSrv := startServer(t, wrap(NewNodeServerWithOptions(node, homeSrv.URL, nil, NodeOptions{}).Handler()))
-	return NewClient(codec, nodeSrv.URL, nil), node
+	return app, codec, db
 }
 
 // bboardScript is a bboard session's first pages: browsing with the
@@ -92,31 +102,38 @@ func bboardScript(pages int) []workload.Op {
 // run runs op through c and renders what it answered.
 func run(t *testing.T, c *Client, op workload.Op) string {
 	t.Helper()
+	return runOn(t, c.client(), op)
+}
+
+// runOn runs op through a trusted client and renders what it answered.
+func runOn(t *testing.T, c *dssp.Client, op workload.Op) string {
+	t.Helper()
 	params := make([]interface{}, len(op.Params))
 	for i, v := range op.Params {
 		params[i] = v
 	}
 	if op.Template.Kind == template.KQuery {
-		r, err := c.Query(context.Background(), op.Template, params...)
+		r, err := c.QueryContext(context.Background(), op.Template, params...)
 		if err != nil {
 			t.Fatalf("%s: %v", op.Template.ID, err)
 		}
 		return fmt.Sprintf("%s %+v %q", op.Template.ID, r.Outcome, r.Result.Fingerprint(false))
 	}
-	affected, invalidated, err := c.Update(context.Background(), op.Template, params...)
+	affected, invalidated, err := c.UpdateContext(context.Background(), op.Template, params...)
 	if err != nil {
 		t.Fatalf("%s: %v", op.Template.ID, err)
 	}
 	return fmt.Sprintf("%s %d %d", op.Template.ID, affected, invalidated)
 }
 
-// TestHopsLendOnlyForTheCall: a fleet whose node and home overwrite every
-// request body the moment its handler returns answers a mixed bboard
-// script, at every exposure level, exactly as a fleet that does not, and
-// ends with the same cache, down to every exported entry's payload. So
-// nothing a node or a home keeps past a frame's handler — a cache entry's
-// statement above all, which a query frame only lends — holds a byte of
-// the frame.
+// TestHopsLendOnlyForTheCall: a fleet whose router, node and home
+// overwrite every request body the moment its handler returns answers a
+// mixed bboard script, at every exposure level, exactly as a fleet that
+// does not, and ends with the same cache, down to every exported entry's
+// payload. So nothing a router, a node or a home keeps past a frame's
+// handler — a cache entry's statement above all, which a query frame only
+// lends, and at blind exposure the key the router's blind-key cache
+// keeps — holds a byte of the frame.
 func TestHopsLendOnlyForTheCall(t *testing.T) {
 	script := bboardScript(40)
 	for _, exp := range allExposures {
@@ -148,6 +165,53 @@ func TestHopsLendOnlyForTheCall(t *testing.T) {
 			t.Fatalf("%v: exported buckets differ", exp)
 		}
 	}
+}
+
+// TestFrameEntriesKeepTheirParams: every entry a node serving frames
+// holds after a bboard script carries the statement an in-process node fed
+// the same script holds, parameters included, at every exposure level —
+// though the node read each query in place and decoded its parameters
+// only on a miss, and with no encoded form of them left. The invalidation
+// walk binds what an entry's parameters say, and Cache.Dump compares only
+// template and key.
+func TestFrameEntriesKeepTheirParams(t *testing.T) {
+	script := bboardScript(40)
+	for _, exp := range allExposures {
+		c, node := lendingFleet(t, exp, false)
+		local := dssp.NewClient(lendingApp(t, exp))
+		for _, op := range script {
+			run(t, c, op)
+			runOn(t, local, op)
+		}
+		got, want := entryQueries(node.Cache), entryQueries(local.Node.Cache)
+		if len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: %d entries differ from the in-process node's %d:\n got %+v\nwant %+v", exp, len(got), len(want), got, want)
+		}
+		withParams := 0
+		for _, q := range want {
+			if len(q.Params) > 0 {
+				withParams++
+			}
+		}
+		if (withParams > 0) != (exp >= template.ExpStmt) {
+			t.Fatalf("%v: %d of %d entries have parameters", exp, withParams, len(want))
+		}
+	}
+}
+
+// entryQueries maps each entry of c, by template and key, to its
+// statement; no parameters read as nil, since the sealed grammar does not
+// tell an empty list from an absent one.
+func entryQueries(c *cache.Cache) map[string]wire.SealedQuery {
+	queries := map[string]wire.SealedQuery{}
+	c.Entries(func(e *cache.Entry) {
+		q := e.Query
+		if len(q.Params) == 0 {
+			q.Params = nil
+		}
+		queries[q.TemplateID+"|"+q.Key] = q
+	})
+	return queries
 }
 
 // TestClientKeepsItsResults: a client over a framed hop opens each answer

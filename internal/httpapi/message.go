@@ -43,13 +43,15 @@ import (
 //
 // The input is a pooled buffer on both sides of a hop, lent to whoever
 // reads it for as long as its handler or its call runs, and only what is
-// kept past that is copied. A query, which a node serves and a home
-// executes within the handler, is read in place (wire.Raw): its payload
-// stays in the frame. A query answer, which the client opens within its
-// call, is read in place too (queryAnswer.readWire). Everything else — an
-// update, which a node's batcher and a home's replica hub keep; an exec
-// query answer, which a node caches; bucket entries and ids — is decoded,
-// and nothing decoded aliases the input. DESIGN.md's "A hop lends; only
+// kept past that is copied. A query, which a router forwards, a node
+// serves and a home executes within the handler, is read in place, each
+// reading only what it routes or serves by (wire.Raw.ReadQuery,
+// wire.ReadSealedQuery, wire.ReadQueryPayload): its payload stays in the
+// frame. A query answer, which the client opens within its call, is read
+// in place too (queryAnswer.readWire). Everything else a node or a home
+// reads — an update, which a node's batcher and a home's replica hub keep;
+// an exec query answer, which a node caches; bucket entries and ids — is
+// decoded, and nothing decoded aliases the input. DESIGN.md's "A hop lends; only
 // the keeper copies" lists what each process copies.
 
 // Size bounds. Every frame is read whole before its message is decoded, so
@@ -95,7 +97,7 @@ func (m *queryMsg) appendWire(dst []byte) []byte {
 }
 
 // decodeWire decodes a query whole, payload copied. Product code reads
-// every query frame in place (wire.Raw); this owning form is kept for the
+// every query frame in place (above); this owning form is kept for the
 // envelope contract tests, which hold every envelope to a decoder that
 // copies.
 func (m *queryMsg) decodeWire(b []byte) error {

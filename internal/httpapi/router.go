@@ -161,7 +161,9 @@ func (m *forward) invalidate(ctx context.Context, b shard.Backend, route obs.Spa
 
 // forwardQuery answers a query frame at a router without decoding the
 // query or the node's answer. The router routes the query from its head,
-// read in place from the frame (wire.Raw.ReadQuery); the node is sent the
+// read in place from the frame (wire.Raw.ReadQuery: the template ID
+// interned against the router's, a key copied only for a blind query, so
+// an exposed query's head costs nothing); the node is sent the
 // frame's body with only its parent span rewritten, and the node's answer
 // goes back to the client as it came — only the client, which opens the
 // result, decodes it. A query the head reader refuses is bad request, one
@@ -169,7 +171,7 @@ func (m *forward) invalidate(ctx context.Context, b shard.Backend, route obs.Spa
 func forwardQuery(ctx context.Context, r *shard.Router, req, resp *frame) {
 	m := newForward()
 	defer m.release()
-	if err := m.raw.ReadQuery(req.body); err != nil {
+	if err := m.raw.ReadQuery(req.body, r.TemplateIDs()); err != nil {
 		resp.fail(statusBadRequest, err)
 		return
 	}
@@ -198,7 +200,7 @@ func forwardQuery(ctx context.Context, r *shard.Router, req, resp *frame) {
 func forwardUpdate(ctx context.Context, r *shard.Router, req, resp *frame) {
 	m := newForward()
 	defer m.release()
-	if err := m.raw.ReadUpdate(req.body); err != nil {
+	if err := m.raw.ReadUpdate(req.body, r.TemplateIDs()); err != nil {
 		resp.fail(statusBadRequest, err)
 		return
 	}

@@ -98,6 +98,10 @@ type Router struct {
 
 	blind *BlindCache
 
+	// ids maps each of the application's template IDs to itself
+	// (TemplateIDs).
+	ids map[string]string
+
 	fanoutNodes   *obs.Histogram
 	fanoutSkipped *obs.Counter
 	broadcasts    *obs.Counter
@@ -127,6 +131,13 @@ func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer) 
 		backends: make(map[int]Backend, len(backends)),
 		nextNode: len(backends),
 		blind:    NewBlindCache(blindCacheSize),
+		ids:      make(map[string]string, len(analysis.App.Queries)+len(analysis.App.Updates)),
+	}
+	for _, q := range analysis.App.Queries {
+		r.ids[q.ID] = q.ID
+	}
+	for _, u := range analysis.App.Updates {
+		r.ids[u.ID] = u.ID
 	}
 	for i, b := range backends {
 		r.backends[i] = b
@@ -144,6 +155,12 @@ func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer) 
 	}
 	return r
 }
+
+// TemplateIDs maps each of the application's template IDs to itself: the
+// table a router serving frames interns a statement's template ID against
+// (wire.Raw.ReadQuery), so the strings it keeps in its spans and
+// histograms are these, not copies of the frame. It is read-only.
+func (r *Router) TemplateIDs() map[string]string { return r.ids }
 
 // Planner returns the router's ownership map and fan-out planner.
 func (r *Router) Planner() *Planner { return r.planner }
@@ -262,8 +279,10 @@ func (r *Router) Query(ctx context.Context, sq wire.SealedQuery, rep pipeline.Re
 // serving frames forwards the bytes it was sent. route is the router's
 // span for the hop, whose ID is the statement's parent span from there on
 // (a no-op span has none, and the statement keeps its own). The router
-// keeps h's strings in its spans and its blind-key cache. Queries are
-// idempotent, so a failed send gets one retry with backoff — after
+// keeps h's template ID in its spans and histograms, and a blind query's
+// key in its blind-key cache; a query with a template ID is routed by it
+// alone, and its key is not read. Queries are idempotent, so a failed
+// send gets one retry with backoff — after
 // re-resolving the owner, since the failure may be a membership change (a
 // just-joined node's listener still coming up, a killed node) that a
 // re-route fixes outright.

@@ -41,11 +41,14 @@ import (
 // remainder; the caller that owns the whole input rejects trailing
 // bytes. Two kinds of reader share the one walk of each grammar. A Decode
 // function returns what the caller may keep: nothing it returns aliases b,
-// so b may be a pooled buffer. A Read function (Raw.ReadQuery, Raw.Query,
-// ReadSealedResult) lends: the payload, the cipher and a view result's
-// encoding alias b, and are valid only as long as b is — what a hop reads
-// once and forwards or opens before its buffer goes back to the pool. The
-// Decode functions are the Read functions followed by a copy. An absent
+// so b may be a pooled buffer. A Read function (ReadSealedQuery,
+// ReadQueryPayload, Raw.ReadQuery, ReadSealedResult) lends: the payload,
+// the cipher and a view result's encoding alias b, and are valid only as
+// long as b is — what a hop reads once and forwards or opens before its
+// buffer goes back to the pool. Each Read function copies only what its
+// hop keeps: a node the strings a cache entry holds, a router the
+// template IDs it does not know and a blind key, a home nothing. The
+// Decode functions are ReadSealedQuery's walk followed by a copy. An absent
 // and an empty Params (or Opaque) share an encoding and decode as nil; a
 // nil Cipher is "no result", an empty one is a sealed result of no bytes.
 const (
@@ -73,14 +76,14 @@ func AppendSealedQuery(dst []byte, sq *SealedQuery, trace bool) []byte {
 
 // DecodeSealedQuery consumes one sealed query of the given form.
 func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
-	var r Raw
-	end, err := r.walk(b, trace, true)
+	s, err := walk(b, trace, true)
 	if err != nil {
 		return SealedQuery{}, nil, err
 	}
-	sq := r.Query()
+	sq := s.query(b)
+	sq.DecodeParams()
 	sq.Opaque = cloneOpaque(sq.Opaque)
-	return sq, b[end:], nil
+	return sq, b[s.end:], nil
 }
 
 // AppendSealedUpdate appends su to dst.
@@ -93,157 +96,213 @@ func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 
 // DecodeSealedUpdate consumes one sealed update.
 func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
-	var r Raw
-	end, err := r.walk(b, WithTrace, false)
+	s, err := walk(b, WithTrace, false)
 	if err != nil {
 		return SealedUpdate{}, nil, err
 	}
+	sq := s.query(b)
 	return SealedUpdate{
-		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
-		Group: r.group, Params: r.decodeParams(), Opaque: cloneOpaque(r.Opaque),
-	}, b[end:], nil
+		Exposure: sq.Exposure, TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID,
+		Group: sq.Group, Params: decodeParams(sq.params), Opaque: cloneOpaque(sq.Opaque),
+	}, b[s.end:], nil
+}
+
+// ReadSealedQuery reads the one sealed query b holds, in its WithTrace
+// form, in place, as a node serves it. It accepts exactly what
+// DecodeSealedQuery(b, WithTrace) accepts with no bytes left, and costs
+// one allocation: the template ID and the key are substrings of one copy
+// of the bytes from the template ID to the payload, and the parameters are
+// left encoded in that copy, for DecodeParams — a hit reads the key alone,
+// and only a miss, which keeps its statement, decodes them. The payload is
+// lent: it aliases b, and is valid only as long as b is.
+func ReadSealedQuery(b []byte) (SealedQuery, error) {
+	s, err := walkWhole(b, true)
+	if err != nil {
+		return SealedQuery{}, err
+	}
+	return s.query(b), nil
+}
+
+// ReadQueryPayload reads the one sealed query b holds, in its WithTrace
+// form, as far as a home executes it: the trace fields, which are numbers,
+// and the payload, lent from b. It allocates nothing, and accepts exactly
+// what ReadSealedQuery accepts.
+func ReadQueryPayload(b []byte) (SealedQuery, error) {
+	s, err := walkWhole(b, true)
+	return SealedQuery{TraceID: s.traceID, ParentSpan: s.parentSpan, Opaque: s.opaque}, err
+}
+
+// DecodeParams decodes the parameters a query read in place carries still
+// encoded (ReadSealedQuery) into Params, and drops the encoded form, with
+// or without parameters in it: the query is then what DecodeSealedQuery
+// returns, but for its lent payload. Their strings are substrings of the
+// copy the query's other strings lie in, so the only allocation is the
+// slice. A query that carries no encoded form is left as it is.
+func (sq *SealedQuery) DecodeParams() {
+	if sq.params != "" {
+		sq.Params = decodeParams(sq.params)
+	}
+	sq.params = ""
 }
 
 // Raw is a sealed statement, in its WithTrace form, kept as the bytes it
-// arrived in: what a router forwards without decoding it. Its Head is
-// copied out — the IDs are numbers, the strings in one allocation, so they
-// may be kept — but Opaque, and the message Append copies from, alias the
-// input: a Raw is valid only as long as the buffer it was read from.
-//
-// Reading a Raw is also the first step of decoding a statement: the
-// decoders add the parameters and a copy of the payload to it.
+// arrived in: what a router forwards without decoding it. Its Head holds
+// what the router routes and traces by, and nothing that aliases the
+// input but the payload: the IDs are numbers, the template ID is interned
+// or copied, and a key is copied only for a blind query. Opaque, and the
+// message Append copies from, alias the input: a Raw is valid only as long
+// as the buffer it was read from.
 type Raw struct {
 	Head
 	msg []byte
-
-	exposure template.Exposure
-	group    int
-	arena    string // the copy the head's strings lie in: msg up to the opaque field
-	nparams  int
-	params   int // the offset in msg at which the parameters start
 }
 
 // ReadQuery reads into r the one sealed query b holds, in place. It
 // accepts exactly what DecodeSealedQuery(b, WithTrace) accepts with no
-// bytes left.
-func (r *Raw) ReadQuery(b []byte) error { return r.read(b, true) }
+// bytes left. The template ID is the string ids maps it to — a lookup that
+// allocates nothing — and a copy only when ids does not hold it; the key
+// is copied when the template ID is empty, since only blind routing reads
+// it, and left empty otherwise. So a query of a template in ids costs
+// nothing to read.
+func (r *Raw) ReadQuery(b []byte, ids map[string]string) error { return r.read(b, true, ids) }
 
-// ReadUpdate reads into r the one sealed update b holds, in place. It
-// accepts exactly what DecodeSealedUpdate accepts with no bytes left.
-func (r *Raw) ReadUpdate(b []byte) error { return r.read(b, false) }
+// ReadUpdate reads into r the one sealed update b holds, in place, as
+// ReadQuery does a query. It accepts exactly what DecodeSealedUpdate
+// accepts with no bytes left.
+func (r *Raw) ReadUpdate(b []byte, ids map[string]string) error { return r.read(b, false, ids) }
 
 // read fills r in place rather than returning a Raw: a router reads a
 // statement deep in a frame handler's call chain, whose stack a copy of Raw
 // in every frame on the way would grow.
-func (r *Raw) read(b []byte, key bool) error {
-	end, err := r.walk(b, WithTrace, key)
-	if err == nil && end != len(b) {
-		*r = Raw{}
-		err = errMalformed
+func (r *Raw) read(b []byte, key bool, ids map[string]string) error {
+	*r = Raw{}
+	s, err := walkWhole(b, key)
+	if err != nil {
+		return err
 	}
-	return err
+	tid := b[s.templateID.at:s.templateID.end]
+	id, ok := ids[string(tid)]
+	if !ok {
+		id = string(tid)
+	}
+	r.Head = Head{TraceID: s.traceID, ParentSpan: s.parentSpan, TemplateID: id, Opaque: s.opaque}
+	if key && id == "" {
+		r.Key = string(b[s.key.at:s.key.end])
+	}
+	r.msg = b
+	return nil
 }
+
+// statement is where walk found each field of one sealed statement in its
+// input: the numbers it read, the places of the strings and the encoded
+// parameters, and the payload, which lies in the input.
+type statement struct {
+	exposure   template.Exposure
+	traceID    obs.TraceID
+	parentSpan obs.SpanID
+	group      int
+	templateID field
+	params     field // uvarint(nparams) value*
+	key        field // empty, where the parameters end, for an update
+	opaque     []byte
+	end        int // the offset at which the statement ends
+}
+
+// field is the bytes of a statement's input from offset at to end.
+type field struct{ at, end int }
 
 // walk is the one pass over the grammar: it checks the sealed statement
 // of the given form at the front of b — minimal uvarints, every length and
 // the parameter count bounded by the input left, the group within an
-// int32 — and returns the offset at which it ends. The trace IDs are read
-// as the numbers they are. Only an accepted statement fills r, at the cost
-// of one allocation: the head's strings are substrings of one copy of the
-// bytes before the opaque field, and the parameters are left where they
-// lie, for decodeParams. So a decoded
-// statement costs three allocations whatever it carries — that copy, the
-// parameter slice and the payload's copy — and the strings of one
-// statement share their copy: holding one (a cache entry holds its query's
-// key) holds them all.
-func (r *Raw) walk(b []byte, trace, key bool) (end int, err error) {
-	*r = Raw{}
+// int32 — and returns where its fields lie. It copies nothing: each reader
+// copies what its caller keeps, and nothing else.
+func walk(b []byte, trace, key bool) (s statement, err error) {
 	if len(b) == 0 {
-		return 0, errMalformed
+		return statement{}, errMalformed
 	}
 	p := b[1:] // exposure
 	at := func() int { return len(b) - len(p) }
-	var traceID obs.TraceID
-	var parentSpan obs.SpanID
 	if trace {
 		if len(p) < 2*idLen {
-			return 0, errMalformed
+			return statement{}, errMalformed
 		}
-		traceID.Proc, traceID.Seq = readID(p)
-		parentSpan.Proc, parentSpan.Seq = readID(p[idLen:])
+		s.traceID.Proc, s.traceID.Seq = readID(p)
+		s.parentSpan.Proc, s.parentSpan.Seq = readID(p[idLen:])
 		p = p[2*idLen:]
 	}
 	// Each string is found by its bytes and the offset at which it ends.
-	var templateID, keyStr []byte
-	if templateID, p, err = splitString(p); err != nil {
-		return 0, errMalformed
+	var str []byte
+	if str, p, err = splitString(p); err != nil {
+		return statement{}, errMalformed
 	}
-	templateEnd := at()
+	s.templateID = field{at() - len(str), at()}
 	g, p, err := Uvarint(p)
 	if err != nil || g > math.MaxInt32 {
-		return 0, errMalformed
+		return statement{}, errMalformed
 	}
+	s.params.at = at()
 	nparams, p, err := decodeCount(p)
 	if err != nil {
-		return 0, errMalformed
+		return statement{}, errMalformed
 	}
-	params := at()
 	for i := 0; i < nparams; i++ {
 		if _, _, p, err = splitValue(p); err != nil {
-			return 0, errMalformed
+			return statement{}, errMalformed
 		}
 	}
+	s.params.end = at()
+	s.key = field{s.params.end, s.params.end}
 	if key {
-		if keyStr, p, err = splitString(p); err != nil {
-			return 0, errMalformed
+		if str, p, err = splitString(p); err != nil {
+			return statement{}, errMalformed
 		}
+		s.key = field{at() - len(str), at()}
 	}
-	head := at()
-	opaque, p, err := splitString(p)
-	if err != nil {
-		return 0, errMalformed
+	if s.opaque, p, err = splitString(p); err != nil {
+		return statement{}, errMalformed
 	}
-	end = at()
-
-	arena := string(b[:head])
-	copyOf := func(str []byte, end int) string { return arena[end-len(str) : end] }
-	*r = Raw{
-		Head: Head{
-			TraceID: traceID, ParentSpan: parentSpan,
-			TemplateID: copyOf(templateID, templateEnd), Key: copyOf(keyStr, head), Opaque: opaque,
-		},
-		msg:      b[:end],
-		exposure: template.Exposure(b[0]), group: int(g), arena: arena, nparams: nparams, params: params,
-	}
-	return end, nil
+	s.exposure, s.group, s.end = template.Exposure(b[0]), int(g), at()
+	return s, nil
 }
 
-// Query returns the query r read (ReadQuery) as a statement: its
-// parameters decoded, at the cost of their one slice, and its Opaque lent —
-// it aliases the buffer r was read from, as r does. A caller that keeps
-// the statement past that buffer copies the payload or drops it.
-func (r *Raw) Query() SealedQuery {
+// walkWhole is walk of a WithTrace statement that must be the whole of b:
+// a frame's body.
+func walkWhole(b []byte, key bool) (statement, error) {
+	s, err := walk(b, WithTrace, key)
+	if err == nil && s.end != len(b) {
+		return statement{}, errMalformed
+	}
+	return s, err
+}
+
+// query returns the statement walk found in b as a query read in place:
+// its strings, and its parameters still encoded, are substrings of one
+// copy of the bytes from the template ID to the payload — so the strings
+// of one statement share their copy, and holding one (a cache entry holds
+// its query's key) holds them all — and its payload is lent.
+func (s *statement) query(b []byte) SealedQuery {
+	from := s.templateID.at
+	head := string(b[from:s.key.end])
+	in := func(f field) string { return head[f.at-from : f.end-from] }
 	return SealedQuery{
-		Exposure: r.exposure, TraceID: r.TraceID, ParentSpan: r.ParentSpan, TemplateID: r.TemplateID,
-		Group: r.group, Params: r.decodeParams(), Key: r.Key, Opaque: r.Opaque,
+		Exposure: s.exposure, TraceID: s.traceID, ParentSpan: s.parentSpan, TemplateID: in(s.templateID),
+		Group: s.group, Key: in(s.key), Opaque: s.opaque, params: in(s.params),
 	}
 }
 
-// decodeParams returns the parameters walk accepted: one slice, whose
-// string values are substrings of the head's copy; nil when there are
-// none.
-func (r *Raw) decodeParams() []sqlparse.Value {
-	if r.nparams == 0 {
+// decodeParams decodes parameters walk accepted, encoded as
+// uvarint(nparams) value*: one slice, whose string values are substrings
+// of params; nil when there are none.
+func decodeParams(params string) []sqlparse.Value {
+	n, p, _ := decodeCount(params)
+	if n == 0 {
 		return nil
 	}
-	vs := make([]sqlparse.Value, r.nparams)
-	p := r.msg[r.params:]
+	vs := make([]sqlparse.Value, n)
 	for i := range vs {
-		var str []byte
-		if vs[i], str, p, _ = splitValue(p); vs[i].Kind == sqlparse.KindString {
-			e := len(r.msg) - len(p)
-			vs[i].Str = r.arena[e-len(str) : e]
-		}
+		var str string
+		vs[i], str, p, _ = splitValue(p)
+		vs[i].Str = str // empty but for a string
 	}
 	return vs
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/engine"
 	"dssp/internal/obs"
@@ -452,20 +453,35 @@ func FuzzDecodeSealedUpdate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkDecodeSealedUpdate(t, b) })
 }
 
-// checkReadRaw holds the in-place readers to the decoders on one input:
-// ReadQuery and ReadUpdate accept exactly what DecodeSealedQuery (WithTrace)
-// and DecodeSealedUpdate accept with nothing left over; the head is the
-// decoded statement's, and its strings do not alias the input; Append
-// without a parent gives the input back, and with one the statement
-// re-encoded under that parent, written over the field in place after
-// whatever dst held.
+// routerIDs is a router's table of template IDs: the fixtures' Q1, Q2
+// and U1 are in it, the corpus's Q9 is not.
+var routerIDs = map[string]string{"Q1": "Q1", "Q2": "Q2", "U1": "U1"}
+
+// checkReadRaw holds the in-place readers to the decoders on one input.
+// Each accepts exactly what DecodeSealedQuery (WithTrace) or
+// DecodeSealedUpdate accepts with nothing left over, and what it returns
+// reads as the decoded statement after the input was cleared, but for the
+// payload, which is lent:
+//   - ReadSealedQuery (a node's read): the whole query once DecodeParams
+//     has run, Params included, with no encoded form left;
+//   - ReadQueryPayload (a home's): the trace fields and the payload, and
+//     nothing else;
+//   - Raw.ReadQuery and Raw.ReadUpdate (a router's): the head, its
+//     template ID the table's own string when the table holds it, and a
+//     key exactly when the template ID is empty. Append without a parent
+//     gives the input back, and with one the statement re-encoded under
+//     that parent, written over the field in place after whatever dst held.
 func checkReadRaw(t *testing.T, b []byte) {
 	t.Helper()
 	sq, rest, err := DecodeSealedQuery(b, WithTrace)
-	if wholeMessage(rest, err) == nil {
-		checkRawQuery(t, b, sq)
+	wantErr := wholeMessage(rest, err)
+	checkReadSealedQuery(t, b, sq, wantErr)
+	checkReadQueryPayload(t, b, sq, wantErr)
+	want := sq.Head()
+	if want.TemplateID != "" {
+		want.Key = ""
 	}
-	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, sq.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
+	checkRaw(t, "ReadQuery", b, (*Raw).ReadQuery, want, wantErr, func(parent obs.SpanID) []byte {
 		sq.ParentSpan = parent
 		return AppendSealedQuery(nil, &sq, WithTrace)
 	})
@@ -476,27 +492,59 @@ func checkReadRaw(t *testing.T, b []byte) {
 	})
 }
 
-// checkRawQuery holds Raw.Query to the decoder on one whole query, want:
-// the same statement, but with its payload lent — it lies in the input —
-// and everything else its own.
-func checkRawQuery(t *testing.T, b []byte, want SealedQuery) {
+// checkReadSealedQuery holds ReadSealedQuery, then DecodeParams, to the
+// decoder on one input, whose decoded query is want.
+func checkReadSealedQuery(t *testing.T, b []byte, want SealedQuery, wantErr error) {
 	t.Helper()
 	in := bytes.Clone(b)
-	var r Raw
-	if err := r.ReadQuery(in); err != nil {
-		t.Fatalf("ReadQuery(%x): %v", b, err)
+	got, err := ReadSealedQuery(in)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("ReadSealedQuery(%x): err %v, the decoder: %v", b, err, wantErr)
 	}
-	got := r.Query()
-	if !bytes.Equal(got.Opaque, want.Opaque) {
-		t.Fatalf("Query(%x): opaque %x, decoded %x", b, got.Opaque, want.Opaque)
+	if err != nil {
+		return
 	}
-	if len(got.Opaque) > 0 && &got.Opaque[0] != &in[len(in)-len(got.Opaque)] {
-		t.Fatalf("Query(%x): the opaque payload is a copy, not lent", b)
-	}
+	checkLent(t, "ReadSealedQuery", b, in, got.Opaque, want.Opaque)
 	clear(in)
-	got.Opaque, want.Opaque = nil, nil
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Query(%x): %+v, decoded %+v (after the input was cleared)", b, got, want)
+	if got.Params != nil {
+		t.Fatalf("ReadSealedQuery(%x): parameters decoded before DecodeParams", b)
+	}
+	got.DecodeParams()
+	gotP, wantP := got.Params, want.Params
+	got.Params, want.Params, got.Opaque, want.Opaque = nil, nil, nil, nil
+	if !reflect.DeepEqual(got, want) || !identicalParams(gotP, wantP) {
+		t.Fatalf("ReadSealedQuery(%x) then DecodeParams: %#v %v, decoded %#v %v (after the input was cleared)", b, got, gotP, want, wantP)
+	}
+}
+
+// checkReadQueryPayload holds ReadQueryPayload to the decoder on one
+// input, whose decoded query is want.
+func checkReadQueryPayload(t *testing.T, b []byte, want SealedQuery, wantErr error) {
+	t.Helper()
+	in := bytes.Clone(b)
+	got, err := ReadQueryPayload(in)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("ReadQueryPayload(%x): err %v, the decoder: %v", b, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	checkLent(t, "ReadQueryPayload", b, in, got.Opaque, want.Opaque)
+	got.Opaque = nil
+	if want := (SealedQuery{TraceID: want.TraceID, ParentSpan: want.ParentSpan}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ReadQueryPayload(%x): %#v, want its trace fields alone %#v", b, got, want)
+	}
+}
+
+// checkLent fails unless a reader's payload, got, equals the decoded one
+// and lies at the end of in, the input the reader was given.
+func checkLent(t *testing.T, name string, b, in, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s(%x): opaque %x, decoded %x", name, b, got, want)
+	}
+	if len(got) > 0 && &got[0] != &in[len(in)-len(got)] {
+		t.Fatalf("%s(%x): the opaque payload is a copy, not lent", name, b)
 	}
 }
 
@@ -507,19 +555,20 @@ func wholeMessage(rest []byte, err error) error {
 	return err
 }
 
-func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error, want Head, wantErr error, reencode func(parent obs.SpanID) []byte) {
+func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte, map[string]string) error, want Head, wantErr error, reencode func(parent obs.SpanID) []byte) {
 	t.Helper()
 	in := bytes.Clone(b)
 	var r Raw
-	err := read(&r, in)
+	err := read(&r, in, routerIDs)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("%s(%x): err %v, the decoder: %v", name, b, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
-	if !bytes.Equal(r.Opaque, want.Opaque) {
-		t.Fatalf("%s(%x): opaque %x, decoded %x", name, b, r.Opaque, want.Opaque)
+	checkLent(t, name, b, in, r.Opaque, want.Opaque)
+	if id, ok := routerIDs[r.TemplateID]; ok && unsafe.StringData(id) != unsafe.StringData(r.TemplateID) {
+		t.Fatalf("%s(%x): template ID %q is not the table's", name, b, r.TemplateID)
 	}
 	if got := r.Append([]byte("prefix"), obs.SpanID{}); !bytes.Equal(got, append([]byte("prefix"), b...)) {
 		t.Fatalf("%s(%x): Append without a parent gives %x", name, b, got)
@@ -537,8 +586,10 @@ func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte) error
 }
 
 // TestReadRawMatchesDecoders runs checkReadRaw on the corpus and every
-// truncation of it, and pins what reading in place costs: one allocation,
-// the head's strings, where decoding takes three.
+// truncation of it, and pins what reading in place costs: nothing for a
+// router reading a statement of a template it knows or a home reading a
+// query, and for a node the one copy of the head, then only on a miss the
+// parameter slice — where decoding takes three.
 func TestReadRawMatchesDecoders(t *testing.T) {
 	for _, b := range append(sealedQueryForms(t), sealedUpdateForm(t)...) {
 		for n := 0; n <= len(b); n++ {
@@ -547,24 +598,40 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 	}
 	sq, su, _ := sealedAt(t, template.ExpStmt)
 	q, u := AppendSealedQuery(nil, &sq, WithTrace), AppendSealedUpdate(nil, &su)
+	blindQ, _, _ := sealedAt(t, template.ExpBlind)
+	blind := AppendSealedQuery(nil, &blindQ, WithTrace)
 	var r Raw
-	for name, read := range map[string]func() error{
-		"ReadQuery":  func() error { return r.ReadQuery(q) },
-		"ReadUpdate": func() error { return r.ReadUpdate(u) },
+	for _, c := range []struct {
+		name string
+		read func() error
+		want float64
+	}{
+		{"Raw.ReadQuery", func() error { return r.ReadQuery(q, routerIDs) }, 0},
+		{"Raw.ReadUpdate", func() error { return r.ReadUpdate(u, routerIDs) }, 0},
+		{"Raw.ReadQuery of a blind query", func() error { return r.ReadQuery(blind, routerIDs) }, 1},
+		{"Raw.ReadQuery of a template not in the table", func() error { return r.ReadQuery(q, nil) }, 1},
+		{"ReadQueryPayload", func() error { _, err := ReadQueryPayload(q); return err }, 0},
+		{"ReadSealedQuery", func() error { _, err := ReadSealedQuery(q); return err }, 1},
+		{"ReadSealedQuery and DecodeParams", func() error {
+			sq, err := ReadSealedQuery(q)
+			sq.DecodeParams()
+			return err
+		}, 2},
 	} {
 		if n := testing.AllocsPerRun(100, func() {
-			if err := read(); err != nil {
+			if err := c.read(); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 1 {
-			t.Errorf("%s: %v allocations, want <= 1", name, n)
+		}); n != c.want {
+			t.Errorf("%s: %v allocations, want %v", c.name, n, c.want)
 		}
 	}
 }
 
-// FuzzReadRaw runs checkReadRaw on arbitrary input: the reader a router
-// runs on every statement it forwards never panics and accepts exactly
-// what the decoders do.
+// FuzzReadRaw runs checkReadRaw on arbitrary input: the readers a router,
+// a node and a home run on every statement they are sent never panic and
+// accept exactly what the decoders do. The seeds hold template IDs in the
+// router's table (Q1, Q2) and out of it (Q9), and blind queries.
 func FuzzReadRaw(f *testing.F) {
 	for _, b := range append(sealedQueryForms(f), sealedUpdateForm(f)...) {
 		f.Add(b)

@@ -82,43 +82,72 @@ func appendValue(dst []byte, v sqlparse.Value) []byte {
 // the accepted language canonical: every valid encoding decodes to values
 // that re-encode to exactly it. Exported for the envelope codecs of
 // package httpapi, which extend this grammar and must share the rule.
-func Uvarint(b []byte) (uint64, []byte, error) {
-	n, w := binary.Uvarint(b)
-	if w <= 0 || (w > 1 && n>>(7*(w-1)) == 0) {
-		return 0, nil, errMalformed
+func Uvarint(b []byte) (uint64, []byte, error) { return uvarint(b) }
+
+// text is what the grammar is read from: the bytes of a frame, or a copy
+// of them kept as a string — a query read in place keeps its parameters
+// encoded in the copy its other strings lie in (SealedQuery.DecodeParams).
+// The readers below take either, so the grammar is checked in one place
+// whichever it is read from.
+type text interface{ ~string | ~[]byte }
+
+// uvarint is Uvarint over either kind of text: binary.Uvarint's loop,
+// which takes bytes only, with the minimal-form rule — a last byte of 0
+// after the first adds nothing.
+func uvarint[T text](b T) (uint64, T, error) {
+	var n uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		if c < 0x80 {
+			if (i == binary.MaxVarintLen64-1 && c > 1) || (i > 0 && c == 0) {
+				break // overflow, or not minimal
+			}
+			return n | uint64(c)<<(7*i), b[i+1:], nil
+		}
+		n |= uint64(c&0x7f) << (7 * i)
 	}
-	return n, b[w:], nil
+	var none T
+	return 0, none, errMalformed
+}
+
+// be64 is binary.BigEndian.Uint64 over either kind of text; b holds at
+// least 8 bytes.
+func be64[T text](b T) uint64 {
+	_ = b[7]
+	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
+		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
 }
 
 // splitValue consumes one value from b and returns the remainder. A
 // string's bytes come back as str, still aliasing b, with v.Str left empty:
 // the caller decides where the copy lives. This is the one place the value
 // grammar is checked.
-func splitValue(b []byte) (v sqlparse.Value, str, rest []byte, err error) {
+func splitValue[T text](b T) (v sqlparse.Value, str, rest T, err error) {
+	var none T
 	if len(b) == 0 {
-		return sqlparse.Value{}, nil, nil, errMalformed
+		return sqlparse.Value{}, none, none, errMalformed
 	}
 	kind, b := sqlparse.ValueKind(b[0]), b[1:]
 	switch kind {
 	case sqlparse.KindNull:
-		return sqlparse.Null(), nil, b, nil
+		return sqlparse.Null(), none, b, nil
 	case sqlparse.KindInt:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, nil, errMalformed
+			return sqlparse.Value{}, none, none, errMalformed
 		}
-		return sqlparse.IntVal(int64(binary.BigEndian.Uint64(b))), nil, b[8:], nil
+		return sqlparse.IntVal(int64(be64(b))), none, b[8:], nil
 	case sqlparse.KindFloat:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, nil, errMalformed
+			return sqlparse.Value{}, none, none, errMalformed
 		}
-		return sqlparse.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(b))), nil, b[8:], nil
+		return sqlparse.FloatVal(math.Float64frombits(be64(b))), none, b[8:], nil
 	case sqlparse.KindString:
 		if str, rest, err = splitString(b); err != nil {
-			return sqlparse.Value{}, nil, nil, errMalformed
+			return sqlparse.Value{}, none, none, errMalformed
 		}
 		return sqlparse.Value{Kind: sqlparse.KindString}, str, rest, nil
 	default:
-		return sqlparse.Value{}, nil, nil, errMalformed
+		return sqlparse.Value{}, none, none, errMalformed
 	}
 }
 
@@ -161,10 +190,11 @@ func appendPayload(dst []byte, templateID string, params []sqlparse.Value) []byt
 
 // splitString consumes one uvarint-length-prefixed string and returns its
 // bytes, still aliasing b.
-func splitString(b []byte) (str, rest []byte, err error) {
-	n, rest, err := Uvarint(b)
+func splitString[T text](b T) (str, rest T, err error) {
+	n, rest, err := uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
-		return nil, nil, errMalformed
+		var none T
+		return none, none, errMalformed
 	}
 	return rest[:n], rest[n:], nil
 }
@@ -179,10 +209,11 @@ func decodeString(b []byte) (string, []byte, error) {
 // every counted element costs at least one encoded byte, so any larger
 // count is corrupt — rejecting it here keeps decode from pre-allocating
 // unbounded slices for forged payloads.
-func decodeCount(b []byte) (int, []byte, error) {
-	n, rest, err := Uvarint(b)
+func decodeCount[T text](b T) (int, T, error) {
+	n, rest, err := uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
-		return 0, nil, errMalformed
+		var none T
+		return 0, none, errMalformed
 	}
 	return int(n), rest, nil
 }

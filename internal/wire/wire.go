@@ -97,6 +97,11 @@ type SealedQuery struct {
 
 	// Opaque is the encrypted statement payload for the home server.
 	Opaque []byte
+
+	// params is Params still encoded, as a query read in place carries
+	// them until DecodeParams; "" once decoded, and for a query sealed or
+	// decoded whole.
+	params string
 }
 
 // SealedUpdate is an update as the DSSP sees it. Updates have no view
