@@ -17,11 +17,16 @@
 //	dsspbench -exp coalesce               # simulated single-flight miss coalescing under a hot-key storm
 //	dsspbench -exp scaleout -app auction  # simulated routed fleet throughput at 1/2/4 nodes (-out writes JSON)
 //	dsspbench -exp homescale              # simulated trusted-tier throughput at 0/2/4 replicas, 1/2/4 partitions (-out writes JSON)
-//	dsspbench -exp leakage -apps auction,bboard,bookstore,toystore
+//	dsspbench -exp leakage -app auction,bboard,bookstore,toystore
 //	                                      # adversary's-eye leakage audit per exposure level (-out writes JSON)
 //	dsspbench -exp trace -app bboard      # stitched fleet-wide traces through router + 2 nodes + home
 //	dsspbench -exp elastic                # warm vs cold membership-change recovery (-out writes JSON)
 //	dsspbench -exp all                    # everything (simulations included)
+//
+// -exp leakage reads -app as a comma-separated list of applications; every
+// other experiment that takes -app resolves it as one name. Scale-out is
+// one topology: -exp scaleout simulates a shard router in front of 1, 2
+// and 4 nodes, the fleet -exp trace and -exp elastic run over HTTP.
 //
 // Simulation-based experiments (figure3, figure8) accept -full for the
 // paper's 10-minute runs; the default quick mode uses 150-second runs that
@@ -42,14 +47,13 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|nodes|coalesce|scaleout|homescale|leakage|trace|elastic|all")
-	app := flag.String("app", "bboard", "application for figure4/batch/scaleout/trace/leakage/ablation/capacity/nodes: auction|bboard|bookstore|toystore")
+	exp := flag.String("exp", "all", "experiment: table2|table4|table7|figure3|figure4|figure6|figure7|figure8|batch|security|ablation|capacity|coalesce|scaleout|homescale|leakage|trace|elastic|all")
+	app := flag.String("app", "bboard", "application for figure4/batch/scaleout/trace/ablation/capacity: auction|bboard|bookstore|toystore; for leakage, a comma-separated list of them")
 	pair := flag.String("pair", "U1/Q2", "toystore template pair for figure6, e.g. U1/Q2")
 	full := flag.Bool("full", false, "use the paper's full 10-minute simulation runs")
 	maxUsers := flag.Int("maxusers", 4000, "cap for the scalability search")
 	seed := flag.Int64("seed", 1, "simulation seed")
 	out := flag.String("out", "", "for -exp scaleout/homescale/leakage/elastic: also write the results as JSON to this file")
-	appList := flag.String("apps", "", "comma-separated application list for -exp leakage (default: -app)")
 	flag.Parse()
 
 	opts := experiments.DefaultRunOptions()
@@ -57,7 +61,7 @@ func main() {
 	opts.MaxUsers = *maxUsers
 	opts.Seed = *seed
 
-	if err := run(*exp, *app, *pair, *out, *appList, opts); err != nil {
+	if err := run(*exp, *app, *pair, *out, opts); err != nil {
 		fmt.Fprintln(os.Stderr, "dsspbench:", err)
 		os.Exit(1)
 	}
@@ -83,7 +87,7 @@ func runLeakage(appNames []string, out string, opts experiments.RunOptions) erro
 	}
 	return artifact{
 		Description: fmt.Sprintf("Adversary's-eye leakage audit at the DSSP trust boundary: "+
-			"go run ./cmd/dsspbench -exp leakage -apps %s. Each application simulated under every uniform "+
+			"go run ./cmd/dsspbench -exp leakage -app %s. Each application simulated under every uniform "+
 			"exposure level with a leakage observer on the node's sealed traffic; rows report what the "+
 			"adversary sees (distinct keys, template/parameter visibility, plaintext fraction, "+
 			"update-invalidation correlation) alongside the hit rate that exposure level buys.",
@@ -165,20 +169,16 @@ func runHomescale(out string, opts experiments.RunOptions) error {
 }
 
 // run dispatches one experiment. Every experiment that takes -app
-// resolves it through apps.ByName, so an unknown name is the same error
-// whichever experiment meets it.
-func run(exp, app, pair, out, appList string, opts experiments.RunOptions) error {
+// resolves it through apps.ByName — -exp leakage each name of its list —
+// so an unknown name is the same error whichever experiment meets it.
+func run(exp, app, pair, out string, opts experiments.RunOptions) error {
 	switch exp {
 	case "scaleout":
 		return runScaleout(app, out, opts)
 	case "homescale":
 		return runHomescale(out, opts)
 	case "leakage":
-		names := []string{app}
-		if appList != "" {
-			names = strings.Split(appList, ",")
-		}
-		return runLeakage(names, out, opts)
+		return runLeakage(strings.Split(app, ","), out, opts)
 	case "trace":
 		return runTrace(app, opts)
 	case "elastic":
@@ -242,12 +242,6 @@ func run(exp, app, pair, out, appList string, opts experiments.RunOptions) error
 			return err
 		}
 		fmt.Println(r.Format())
-	case "nodes":
-		r, err := experiments.NodeSweep(app, 200, []int{1, 2, 4, 8}, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(r.Format())
 	case "coalesce":
 		r, err := experiments.Coalesce(opts.Seed)
 		if err != nil {
@@ -268,8 +262,8 @@ func run(exp, app, pair, out, appList string, opts experiments.RunOptions) error
 			return fmt.Errorf("batched invalidation diverged")
 		}
 	case "all":
-		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity", "nodes"} {
-			if err := run(e, app, pair, out, appList, opts); err != nil {
+		for _, e := range []string{"table2", "table4", "table7", "figure4", "figure6", "figure7", "batch", "security", "coalesce", "figure3", "figure8", "ablation", "capacity"} {
+			if err := run(e, app, pair, out, opts); err != nil {
 				return err
 			}
 		}

@@ -48,22 +48,15 @@ type Result struct {
 // Len returns the number of result rows.
 func (r *Result) Len() int { return len(r.Rows) }
 
-// Clone returns a deep copy of the result, built the way Run builds one:
-// the rows in one exactly-sized array, whatever their number. Copying the
-// value structs severs every mutable link between the copy and the
-// original; the wire codec uses this to uphold the ownership invariant for
-// plaintext (view-exposure) results, whose sealed form would otherwise
-// alias the DSSP's cached object. Columns is copied too: the clone is
-// handed to a client, who may do with it as it likes, and the original's
-// Columns may be a plan's.
-func (r *Result) Clone() *Result {
-	cp := new(Result)
-	r.CloneInto(cp)
-	return cp
-}
-
-// CloneInto is Clone into a result the caller allocated, which it
-// overwrites.
+// CloneInto makes cp, which the caller allocated and which it overwrites,
+// a deep copy of the result, built the way Run builds one: the rows in one
+// exactly-sized array, whatever their number. Copying the value structs
+// severs every mutable link between the copy and the original; the wire
+// codec uses this to uphold the ownership invariant for plaintext
+// (view-exposure) results, whose sealed form would otherwise alias the
+// DSSP's cached object. Columns is copied too: the copy is handed to a
+// client, who may do with it as it likes, and the original's Columns may
+// be a plan's.
 func (r *Result) CloneInto(cp *Result) {
 	*cp = Result{
 		Columns:     append([]string(nil), r.Columns...),
@@ -96,16 +89,6 @@ func (r *Result) Fingerprint(ordered bool) string {
 		sort.Strings(enc)
 	}
 	return strings.Join(enc, "\n")
-}
-
-// ColumnIndex returns the ordinal of the named output column, or -1.
-func (r *Result) ColumnIndex(name string) int {
-	for i, c := range r.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // ExecQuery evaluates a select statement with the given parameter values:

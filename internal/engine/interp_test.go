@@ -489,6 +489,16 @@ func (ex *queryExec) aggregate(tuples []tuple) (*Result, error) {
 	return out, nil
 }
 
+// ColumnIndex returns the ordinal of the named output column, or -1.
+func (r *Result) ColumnIndex(name string) int {
+	for i, c := range r.Columns {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
 type aggOrderKey struct {
 	col  int
 	desc bool

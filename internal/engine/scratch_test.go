@@ -176,6 +176,14 @@ func TestPlanScratchGoesBackClean(t *testing.T) {
 	}
 }
 
+// Clone returns a deep copy of the result in a result of its own: what
+// the wire codec's CloneInto gives a client.
+func (r *Result) Clone() *Result {
+	cp := new(Result)
+	r.CloneInto(cp)
+	return cp
+}
+
 var cloneSink *Result
 
 // BenchmarkResultClone is what a view-exposure cache hit pays to give the

@@ -43,25 +43,3 @@ func quickOptsForTest() RunOptions {
 	o.MaxUsers = 100
 	return o
 }
-
-func TestNodeSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	r, err := NodeSweep("bboard", 60, []int{1, 4}, quickOptsForTest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, four := r.Points[0], r.Points[1]
-	// Splitting the cache across nodes cannot raise the aggregate hit
-	// rate, and the update fan-out multiplies invalidation work.
-	if four.HitRate > one.HitRate+0.02 {
-		t.Errorf("fragmented cache hit rate rose: %.3f vs %.3f", four.HitRate, one.HitRate)
-	}
-	if four.Invalidations < one.Invalidations {
-		t.Errorf("invalidation fan-out missing: %d vs %d", four.Invalidations, one.Invalidations)
-	}
-	if !strings.Contains(r.Format(), "node-count") {
-		t.Error("Format missing header")
-	}
-}

@@ -118,7 +118,7 @@ type elasticFleet struct{ *httpapi.Fleet }
 
 func newElasticFleet(nodes int, seed int64) (elasticFleet, error) {
 	spec := benchSpec(apps.NewBookstore(), seed)
-	spec.Nodes, spec.Router = nodes, true
+	spec.Nodes = nodes
 	f, err := httpapi.Start(spec)
 	return elasticFleet{f}, err
 }

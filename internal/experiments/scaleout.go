@@ -103,7 +103,7 @@ func Scaleout(appName string, seed int64) (*ScaleoutResult, error) {
 			return nil, err
 		}
 		cfg := shapeConfig(b, scaleoutClients, scaleoutRun, costs, seed)
-		cfg.Nodes, cfg.Affinity = n, true
+		cfg.Nodes = n
 		r, err := simrun.Simulate(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fleet of %d: %w", n, err)

@@ -42,7 +42,7 @@ func TraceDemo(appName string, seed int64) (*TraceResult, error) {
 		return nil, err
 	}
 	spec := benchSpec(b, seed)
-	spec.Nodes, spec.Router = 2, true
+	spec.Nodes = 2
 	f, err := httpapi.Start(spec)
 	if err != nil {
 		return nil, err

@@ -108,16 +108,12 @@ func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
 	return nil
 }
 
-// QueryBackend adapts the replica to the pipeline's replica-set
-// transport: it answers when the replica has applied the caller's
-// freshness floor and refuses with a pipeline.LagError otherwise.
-// Applies are monotone, so a watermark at or past the floor at check
-// time guarantees the database already contains every update the floor
-// covers.
-func (r *Replica) QueryBackend() pipeline.ReplicaBackend {
-	return replicaQueryBackend{r}
-}
-
+// replicaQueryBackend adapts a replica to the pipeline's replica-set
+// transport for TierParts: it answers when the replica has applied the
+// caller's freshness floor and refuses with a pipeline.LagError
+// otherwise. Applies are monotone, so a watermark at or past the floor at
+// check time guarantees the database already contains every update the
+// floor covers.
 type replicaQueryBackend struct{ r *Replica }
 
 func (b replicaQueryBackend) QueryAt(_ context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {

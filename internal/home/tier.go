@@ -73,7 +73,7 @@ func TierParts(primaries []*homeserver.Server, replicas [][]*Replica) []pipeline
 		}
 		for _, r := range reps {
 			parts[p].Replicas = append(parts[p].Replicas,
-				pipeline.ReplicaEndpoint{Name: r.Name(), Backend: r.QueryBackend()})
+				pipeline.ReplicaEndpoint{Name: r.Name(), Backend: replicaQueryBackend{r}})
 		}
 		logged := make([]bool, len(reps)) // the sink's calls are serialized
 		primary.OnConfirm(func(c homeserver.Confirmed) {

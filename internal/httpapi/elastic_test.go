@@ -32,7 +32,7 @@ func newElasticHTTPFleet(t *testing.T, fleet int) *elasticHTTPFleet {
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
 	f, err := Start(Spec{
-		App: app, Codec: codec, Nodes: fleet, Router: true,
+		App: app, Codec: codec, Nodes: fleet,
 		NewDB: func() (*storage.Database, error) {
 			db := storage.NewDatabase(app.Schema)
 			for i := int64(1); i <= 8; i++ {

@@ -20,11 +20,11 @@ import (
 )
 
 // Spec describes one HTTP deployment of the paper's Figure 1: clients,
-// untrusted DSSP nodes (optionally behind a shard router), and the
-// application's trusted home tier. Start is the only place that picture
-// is wired, so it is the one place to review where the trust boundary
-// runs: Codec — the application's keys — goes to the home primaries,
-// their replicas and the client, and to nothing else.
+// untrusted DSSP nodes (behind a shard router when there are several),
+// and the application's trusted home tier. Start is the only place that
+// picture is wired, so it is the one place to review where the trust
+// boundary runs: Codec — the application's keys — goes to the home
+// primaries, their replicas and the client, and to nothing else.
 type Spec struct {
 	App   *template.App
 	Codec *wire.Codec
@@ -33,11 +33,11 @@ type Spec struct {
 	// primary and replica and must return byte-identical copies.
 	NewDB func() (*storage.Database, error)
 
-	// Nodes DSSP nodes (at least 1) serve the application. With Router a
-	// shard router fronts them, is the clients' entry point and names each
-	// node by its fleet position; without, clients talk to node 0.
-	Nodes  int
-	Router bool
+	// Nodes DSSP nodes (at least 1) serve the application. More than one
+	// means a shard router fronts them, is the clients' entry point and
+	// names each node by its fleet position; one node is the entry point
+	// itself.
+	Nodes int
 
 	// Partitions masters split the home tier by table group (0 = 1);
 	// Replicas read replicas sit behind each, fed by its primary's hub.
@@ -56,7 +56,7 @@ type Fleet struct {
 	Replicas [][]*home.Replica    // [partition][replica]
 	Hubs     []*ReplicaHub        // per partition; nil entries without replicas
 	Nodes    []*dssp.Node         // a node's registry is its Cache.Obs()
-	Router   *RouterServer        // nil without Spec.Router
+	Router   *RouterServer        // nil for a one-node fleet
 
 	HomeURLs, NodeURLs []string
 	URL                string       // the clients' entry point: the router, or node 0
@@ -116,7 +116,7 @@ func Start(spec Spec) (*Fleet, error) {
 		f.AddNode()
 	}
 	f.URL = f.NodeURLs[0]
-	if spec.Router {
+	if spec.Nodes > 1 {
 		f.Router = NewRouterServer(f.analysis, f.NodeURLs, RouterOptions{Client: f.HTTP})
 		f.URL = f.serve(f.Router.Handler())
 	}
@@ -146,7 +146,7 @@ func (f *Fleet) serve(h http.Handler) string {
 // serves but owns nothing until the router admits it (PathRingJoin).
 func (f *Fleet) AddNode() string {
 	opts := NodeOptions{Home: f.tier}
-	if f.spec.Router {
+	if f.spec.Nodes > 1 {
 		opts.NodeID = strconv.Itoa(len(f.Nodes))
 	}
 	node := dssp.NewNode(f.spec.App, f.analysis, cache.Options{})

@@ -36,7 +36,7 @@ import (
 func TestFleetCloseTwiceLeavesNothingBehind(t *testing.T) {
 	before := runtime.NumGoroutine()
 	hc := &http.Client{Timeout: DefaultTimeout, Transport: &http.Transport{}}
-	f := startToystore(t, Spec{Nodes: 2, Router: true, Partitions: 2, Replicas: 1, Client: hc}, nil)
+	f := startToystore(t, Spec{Nodes: 2, Partitions: 2, Replicas: 1, Client: hc}, nil)
 	collected := watchCollection(f.Nodes[0].Cache)
 	if len(f.Homes) != 2 || len(f.Replicas[1]) != 1 || f.Hubs[1] == nil || len(f.Nodes) != 2 || f.Router == nil {
 		t.Fatalf("fleet = %d homes, %d replicas behind partition 1, %d nodes, router %v; want 2, 1, 2 and a router",

@@ -68,10 +68,13 @@ const (
 var errMalformed = errors.New("httpapi: malformed message")
 
 // The envelopes. Each has appendWire, which appends its body, and
-// decodeWire, which accepts exactly one whole body of its grammar. Where a grammar is another package's type, the envelope
-// is that type under a name of its own: the sealed statements, the exec
-// query answer (whose Applied rides the header), the apply batch and the
-// migration grammars.
+// decodeWire, which accepts exactly one whole body of its grammar, where
+// product code sends or decodes it: a query and its answer are read in
+// place (above), an empty answer is never appended, and the tests hold
+// the rest of each envelope (message_test.go). Where a grammar
+// is another package's type, the envelope is that type under a name of
+// its own: the sealed statements, the exec query answer (whose Applied
+// rides the header), the apply batch and the migration grammars.
 type (
 	queryMsg         wire.SealedQuery
 	updateMsg        wire.SealedUpdate
@@ -96,16 +99,6 @@ func (m *queryMsg) appendWire(dst []byte) []byte {
 	return wire.AppendSealedQuery(dst, (*wire.SealedQuery)(m), wire.WithTrace)
 }
 
-// decodeWire decodes a query whole, payload copied. Product code reads
-// every query frame in place (above); this owning form is kept for the
-// envelope contract tests, which hold every envelope to a decoder that
-// copies.
-func (m *queryMsg) decodeWire(b []byte) error {
-	sq, b, err := wire.DecodeSealedQuery(b, wire.WithTrace)
-	*m = queryMsg(sq)
-	return closeMessage(b, err)
-}
-
 func (m *updateMsg) appendWire(dst []byte) []byte {
 	return wire.AppendSealedUpdate(dst, (*wire.SealedUpdate)(m))
 }
@@ -120,7 +113,7 @@ func (m *queryAnswer) appendWire(dst []byte) []byte {
 	return appendBool(wire.AppendSealedResult(dst, &m.result), m.hit)
 }
 
-// readWire is decodeWire in place: the result is lent, as
+// readWire reads a query answer in place: the result is lent, as
 // wire.ReadSealedResult lends it, and valid only as long as b. It is how
 // NodeProxy.Query reads an answer.
 func (m *queryAnswer) readWire(b []byte) (err error) {
@@ -129,15 +122,6 @@ func (m *queryAnswer) readWire(b []byte) (err error) {
 	}
 	m.hit, b, err = decodeBool(b)
 	return closeMessage(b, err)
-}
-
-// decodeWire is readWire with the result owned. Product code reads every
-// query answer in place; this owning form is kept for the envelope
-// contract tests, which hold every envelope to a decoder that copies.
-func (m *queryAnswer) decodeWire(b []byte) error {
-	err := m.readWire(b)
-	m.result = m.result.Own()
-	return err
 }
 
 func (m *updateAnswer) appendWire(dst []byte) []byte {
@@ -219,8 +203,6 @@ func (m *countMsg) decodeWire(b []byte) error {
 	*m = countMsg(n)
 	return closeMessage(b, err)
 }
-
-func (emptyMsg) appendWire(dst []byte) []byte { return dst }
 
 func (emptyMsg) decodeWire(b []byte) error { return closeMessage(b, nil) }
 

@@ -52,6 +52,26 @@ type message interface {
 	decodeWire(b []byte) error
 }
 
+// The envelopes product code only ever reads in place, or only reads, get
+// the rest of message here.
+
+// decodeWire decodes a query whole, payload copied: the owning form the
+// envelope contract holds every envelope to.
+func (m *queryMsg) decodeWire(b []byte) error {
+	sq, b, err := wire.DecodeSealedQuery(b, wire.WithTrace)
+	*m = queryMsg(sq)
+	return closeMessage(b, err)
+}
+
+// decodeWire is readWire with the result owned.
+func (m *queryAnswer) decodeWire(b []byte) error {
+	err := m.readWire(b)
+	m.result = m.result.Own()
+	return err
+}
+
+func (emptyMsg) appendWire(dst []byte) []byte { return dst }
+
 // envelopeCase is one populated envelope: the op and way whose grammar it
 // is.
 type envelopeCase struct {

@@ -29,7 +29,7 @@ func TestConcurrentNodeTraffic(t *testing.T) {
 			return client, []string{client.NodeURL}, done
 		}},
 		{"routed fleet", func(t *testing.T) (*Client, []string, func()) {
-			f := startToystore(t, Spec{Nodes: 2, Router: true, Partitions: 2, Replicas: 1}, nil)
+			f := startToystore(t, Spec{Nodes: 2, Partitions: 2, Replicas: 1}, nil)
 			return f.Client, f.NodeURLs, func() {
 				if err := f.Close(); err != nil {
 					t.Error(err)

@@ -40,7 +40,7 @@ func getJSON(t *testing.T, url string, v any) {
 // decision log, a stitched trace — must still see string IDs of the form it
 // always saw, and a {id} that is no trace ID's text is an unknown trace.
 func TestTraceJSONKeepsTextIDs(t *testing.T) {
-	f := startToystore(t, Spec{Nodes: 2, Router: true}, nil)
+	f := startToystore(t, Spec{Nodes: 2}, nil)
 	defer f.Close()
 	store := obs.NewSpanStore(0)
 	f.Client.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock()).SetIdentity(obs.ProcClient, "").SetStore(store)

@@ -119,9 +119,6 @@ func New(app *template.App, analysis *core.Analysis) *Invalidator {
 	return iv
 }
 
-// Analysis returns the static analysis the invalidator consults.
-func (iv *Invalidator) Analysis() *core.Analysis { return iv.analysis }
-
 // Router returns the invalidation routing index precomputed from the
 // analysis. The cache's OnUpdate fast path visits only the buckets the
 // router names.

@@ -49,15 +49,6 @@ func (s *Sample) Percentile(p float64) time.Duration {
 	return s.vals[rank-1]
 }
 
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() time.Duration {
-	if len(s.vals) == 0 {
-		return 0
-	}
-	s.sortVals()
-	return s.vals[len(s.vals)-1]
-}
-
 // SLA is the paper's responsiveness criterion.
 type SLA struct {
 	Percentile float64       // e.g. 90

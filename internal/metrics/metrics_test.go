@@ -41,20 +41,21 @@ func TestPercentileUnsortedInput(t *testing.T) {
 		t.Errorf("p50 = %v", got)
 	}
 	s.Add(6 * time.Second) // adding after a percentile query must resort
-	if got := s.Max(); got != 6*time.Second {
-		t.Errorf("Max = %v", got)
+	if got := s.Percentile(100); got != 6*time.Second {
+		t.Errorf("p100 = %v", got)
 	}
 }
 
+// The 100th percentile is the largest observation.
 func TestMax(t *testing.T) {
 	var s Sample
-	if s.Max() != 0 {
+	if s.Percentile(100) != 0 {
 		t.Error("empty sample max")
 	}
 	s.Add(1 * time.Second)
 	s.Add(3 * time.Second)
-	if s.Max() != 3*time.Second {
-		t.Errorf("Max = %v", s.Max())
+	if s.Percentile(100) != 3*time.Second {
+		t.Errorf("p100 = %v", s.Percentile(100))
 	}
 	if s.N() != 2 {
 		t.Errorf("N = %d", s.N())

@@ -100,7 +100,7 @@ func startParityFleet(t *testing.T, spec httpapi.Spec, seed func(*testing.T, *st
 func runShardedHTTP(t *testing.T) []nodeState {
 	t.Helper()
 	app := apps.Toystore()
-	f := startParityFleet(t, httpapi.Spec{App: app, Nodes: shardedFleet, Router: true}, seedParityToys)
+	f := startParityFleet(t, httpapi.Spec{App: app, Nodes: shardedFleet}, seedParityToys)
 	ctx := context.Background()
 	for _, op := range parityScript {
 		if op.query {
@@ -163,15 +163,14 @@ func TestShardedAdapterParity(t *testing.T) {
 	assertShardedParity(t, "http", ref, runShardedHTTP(t))
 }
 
-// The simulator's Affinity mode and the HTTP router must agree node for
-// node: same ownership map, same exec-node choice, same pruned fan-out —
+// The simulator's routed fleet and the HTTP router must agree node for
+// node: same route, same exec-node choice, same pruned fan-out —
 // so replaying the same script leaves identical per-node cache counters.
 func TestSimHTTPPerNodeParity(t *testing.T) {
 	cfg := simrun.DefaultConfig(&scriptBench{app: apps.Toystore()}, 1)
 	cfg.Duration = 30 * time.Second
 	cfg.ThinkMean = time.Millisecond
 	cfg.Nodes = shardedFleet
-	cfg.Affinity = true
 	r, err := simrun.Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)

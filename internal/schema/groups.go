@@ -1,10 +1,5 @@
 package schema
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Groups is a partition of a schema's tables into disjoint groups: the
 // connected components of the graph whose edges are the schema's foreign
 // keys plus any caller-supplied co-reference sets (typically the relation
@@ -99,9 +94,6 @@ func DeriveGroups(s *Schema, coRefs [][]string) *Groups {
 	return g
 }
 
-// Count reports the number of groups.
-func (g *Groups) Count() int { return len(g.names) }
-
 // OfTable reports the group of the named table, or -1 if the table is not
 // part of the schema the groups were derived from.
 func (g *Groups) OfTable(name string) int {
@@ -109,29 +101,6 @@ func (g *Groups) OfTable(name string) int {
 		return id
 	}
 	return -1
-}
-
-// Tables returns group id's member tables in declaration order. The
-// returned slice is shared; callers must not mutate it.
-func (g *Groups) Tables(id int) []string {
-	if id < 0 || id >= len(g.names) {
-		return nil
-	}
-	return g.names[id]
-}
-
-// String renders the grouping as {g0: a b, g1: c}, for diagnostics.
-func (g *Groups) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for id, names := range g.names {
-		if id > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "g%d: %s", id, strings.Join(names, " "))
-	}
-	b.WriteByte('}')
-	return b.String()
 }
 
 // PartitionOf maps a table group to its home partition when the master

@@ -19,8 +19,8 @@ func toySchema(t *testing.T) *Schema {
 func TestDeriveGroupsToystore(t *testing.T) {
 	s := toySchema(t)
 	g := DeriveGroups(s, [][]string{{"customers", "credit_card"}})
-	if g.Count() != 2 {
-		t.Fatalf("toystore groups = %d (%v), want 2", g.Count(), g)
+	if len(g.names) != 2 {
+		t.Fatalf("toystore groups = %d (%v), want 2", len(g.names), g)
 	}
 	if g.OfTable("toys") != 0 {
 		t.Errorf("toys in group %d, want 0 (first declared)", g.OfTable("toys"))
@@ -31,7 +31,7 @@ func TestDeriveGroupsToystore(t *testing.T) {
 	if g.OfTable("nope") != -1 {
 		t.Errorf("unknown table got group %d, want -1", g.OfTable("nope"))
 	}
-	if got := g.Tables(1); len(got) != 2 || got[0] != "customers" || got[1] != "credit_card" {
+	if got := g.names[1]; len(got) != 2 || got[0] != "customers" || got[1] != "credit_card" {
 		t.Errorf("group 1 tables = %v, want [customers credit_card] in declaration order", got)
 	}
 }
@@ -42,7 +42,7 @@ func TestDeriveGroupsToystore(t *testing.T) {
 func TestDeriveGroupsCoRefMergesComponents(t *testing.T) {
 	s := toySchema(t)
 	g := DeriveGroups(s, [][]string{{"toys", "credit_card"}})
-	if g.Count() != 1 {
+	if len(g.names) != 1 {
 		t.Fatalf("co-referenced components not merged: %v", g)
 	}
 }
@@ -99,13 +99,13 @@ func TestDeriveGroupsProperties(t *testing.T) {
 		seen := make(map[int]bool)
 		for _, n := range names {
 			id := g.OfTable(n)
-			if id < 0 || id >= g.Count() {
-				t.Fatalf("seed %d: table %s got group %d outside [0,%d)", seed, n, id, g.Count())
+			if id < 0 || id >= len(g.names) {
+				t.Fatalf("seed %d: table %s got group %d outside [0,%d)", seed, n, id, len(g.names))
 			}
 			seen[id] = true
 		}
-		if len(seen) != g.Count() {
-			t.Fatalf("seed %d: %d distinct groups assigned, Count() = %d", seed, len(seen), g.Count())
+		if len(seen) != len(g.names) {
+			t.Fatalf("seed %d: %d distinct groups assigned, Count() = %d", seed, len(seen), len(g.names))
 		}
 		for _, fk := range s.ForeignKeys {
 			if g.OfTable(fk.Table) != g.OfTable(fk.RefTable) {

@@ -217,12 +217,6 @@ func NewAttrSet(attrs ...Attr) AttrSet {
 // Add inserts an attribute.
 func (s AttrSet) Add(a Attr) { s[a] = struct{}{} }
 
-// Contains reports membership.
-func (s AttrSet) Contains(a Attr) bool {
-	_, ok := s[a]
-	return ok
-}
-
 // Intersects reports whether the two sets share any attribute.
 func (s AttrSet) Intersects(o AttrSet) bool {
 	small, large := s, o
@@ -247,19 +241,6 @@ func (s AttrSet) Union(o AttrSet) AttrSet {
 		u[a] = struct{}{}
 	}
 	return u
-}
-
-// Equal reports whether the sets hold exactly the same attributes.
-func (s AttrSet) Equal(o AttrSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for a := range s {
-		if _, ok := o[a]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // Sorted returns the attributes in lexicographic order, for stable output.

@@ -223,13 +223,14 @@ func (r *Router) proxyError(kind string) {
 	r.count(obs.MRouterProxyErrors, obs.L(obs.LKind, kind))
 }
 
-// routeQuery resolves a query's target node. Template traffic follows the
-// current ring. Blind traffic consults the blind-key cache first: a
-// remembered key keeps going to the node that built its entry for as long
-// as that node is live, so a ring change doesn't orphan warm blind
-// entries; the pin is re-recorded as blind-seen so invalidation fan-out
-// keeps covering it.
-func (r *Router) routeQuery(h *wire.Head) int {
+// Route resolves the node a query with routing fields h goes to — the
+// choice RouteQuery makes, for a caller that carries the query itself, as
+// the simulator does. Template traffic follows the current ring. Blind
+// traffic consults the blind-key cache first: a remembered key keeps going
+// to the node that built its entry for as long as that node is live, so a
+// ring change doesn't orphan warm blind entries; the pin is re-recorded as
+// blind-seen so invalidation fan-out keeps covering it.
+func (r *Router) Route(h *wire.Head) int {
 	if h.TemplateID != "" {
 		return r.planner.NoteQuery(*h)
 	}
@@ -247,7 +248,7 @@ func (r *Router) routeQuery(h *wire.Head) int {
 // queryNode runs one routed query attempt against its owning node, with
 // its own route span and latency sample.
 func (r *Router) queryNode(ctx context.Context, h *wire.Head, send func(context.Context, Backend, obs.Span) error) error {
-	ni := r.routeQuery(h)
+	ni := r.Route(h)
 	b := r.backend(ni)
 	if b == nil {
 		return fmt.Errorf("shard: node %d has no live backend", ni)

@@ -1,14 +1,22 @@
 package simrun
 
 import (
+	"errors"
+	"math/rand"
 	"testing"
 	"time"
+
+	"dssp/internal/apps"
+	"dssp/internal/shard"
+	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
+	"dssp/internal/template"
+	"dssp/internal/workload"
 )
 
 func fleetCfg(users int, events ...FleetEvent) Config {
 	cfg := quickCfg(users)
 	cfg.Nodes = 2
-	cfg.Affinity = true
 	cfg.Fleet = events
 	return cfg
 }
@@ -106,13 +114,67 @@ func TestFleetEventsDeterministic(t *testing.T) {
 }
 
 func TestFleetEventsValidation(t *testing.T) {
-	cfg := quickCfg(10)
-	cfg.Fleet = []FleetEvent{{At: time.Second, Kind: "join"}}
-	if _, err := Simulate(cfg); err == nil {
-		t.Error("fleet events without Affinity accepted")
+	// A kill the router refuses is the run's error, not a panic.
+	_, err := Simulate(fleetCfg(10, FleetEvent{At: time.Second, Kind: "kill", Node: 7}))
+	if !errors.Is(err, shard.ErrNotMember) {
+		t.Errorf("kill of a non-member: err = %v, want %v", err, shard.ErrNotMember)
 	}
-	cfg = fleetCfg(10, FleetEvent{At: time.Second, Kind: "explode"})
-	if _, err := Simulate(cfg); err == nil {
+	if _, err := Simulate(fleetCfg(10, FleetEvent{At: time.Second, Kind: "explode"})); err == nil {
 		t.Error("unknown event kind accepted")
+	}
+}
+
+// blindKeysBench is one user re-reading toystore's Q2(k), k = 1..40, a
+// page of all 40 keys at a time, over a database that holds every one.
+type blindKeysBench struct{ app *template.App }
+
+const blindKeys = 40
+
+func (b blindKeysBench) Name() string                             { return "blind-keys" }
+func (b blindKeysBench) App() *template.App                       { return b.app }
+func (b blindKeysBench) Compulsory() map[string]template.Exposure { return nil }
+
+func (b blindKeysBench) Populate(db *storage.Database, _ *rand.Rand) error {
+	for k := int64(1); k <= blindKeys; k++ {
+		if err := db.Insert("toys", storage.Row{sqlparse.IntVal(k), sqlparse.StringVal("toy"), sqlparse.IntVal(k)}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (b blindKeysBench) NewSession(*rand.Rand) workload.Session { return blindKeysSession{b.app} }
+
+type blindKeysSession struct{ app *template.App }
+
+func (s blindKeysSession) NextPage() []workload.Op {
+	ops := make([]workload.Op, blindKeys)
+	for k := range ops {
+		ops[k] = workload.Op{Template: s.app.Query("Q2"), Params: []sqlparse.Value{sqlparse.IntVal(int64(k + 1))}}
+	}
+	return ops
+}
+
+// A blind key stays on the node that built its entry across a join, as
+// the HTTP router's blind-key cache keeps it: only each key's first read
+// misses. Routing blind queries by the ring alone would re-hash some keys
+// onto the joined node, where they miss again.
+func TestSimBlindKeysStickyAcrossJoin(t *testing.T) {
+	b := blindKeysBench{apps.Toystore()}
+	cfg := DefaultConfig(b, 1)
+	cfg.Duration = 60 * time.Second
+	cfg.ThinkMean = time.Second
+	cfg.Exposures = map[string]template.Exposure{"Q2": template.ExpBlind}
+	cfg.Nodes = 2
+	cfg.Fleet = []FleetEvent{{At: 30 * time.Second, Kind: "join", Warm: true}}
+	r, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.PerNode) != 3 {
+		t.Fatalf("fleet ended with %d nodes, want 3", len(r.PerNode))
+	}
+	if r.Cache.Misses != blindKeys || r.Cache.Hits == 0 {
+		t.Errorf("misses %d (hits %d), want %d: only each key's first read may miss", r.Cache.Misses, r.Cache.Hits, blindKeys)
 	}
 }

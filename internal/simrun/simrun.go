@@ -48,32 +48,24 @@ type Config struct {
 	Costs   workload.CostModel
 
 	// Nodes is the number of DSSP nodes (Figure 1 shows several; the
-	// paper's prototype used one). Clients are spread round-robin across
-	// nodes; every node monitors completed updates for invalidation, the
-	// non-issuing nodes one home-link latency later. More nodes add DSSP
-	// CPU but — without Affinity — fragment the cache.
+	// paper's prototype used one), fronted by a shard.Router as in the
+	// deployed fleet: each query goes to the node the router's own route
+	// picks (template affinity for exposed traffic, the blind-key cache
+	// and then the sealed key for blind), each update executes through the
+	// router's exec node, and a completed update fans out only to the
+	// nodes the router's planner could not prove untouched. A client's
+	// page charge stays on its round-robin node. One node takes all the
+	// traffic.
 	Nodes int
-
-	// Affinity puts a shard.Router in front of the nodes — the deployed
-	// scale-out topology: each operation is routed by the router's
-	// Planner to the node owning its sealed statement (template affinity
-	// for exposed traffic, sealed key for blind), so every template's
-	// entries live on exactly one node and per-node hit rates match the
-	// single-node deployment. Completed updates fan out only to the nodes
-	// the planner could not prove untouched, instead of to everyone; the
-	// messages sent and saved land in Result.FanoutMessages/FanoutSkipped.
-	// Off, clients stick to their round-robin node and updates broadcast
-	// — the pre-scale-out model.
-	Affinity bool
 
 	// Fleet schedules ring-membership changes on virtual time, each one a
 	// call to the router's own Join or Leave — the code path the HTTP
-	// router's /v1/ring endpoints run. Valid only with Affinity
-	// (membership is meaningless without the router). Events may be given
-	// in any order; each fires at its virtual offset. Migration itself is
-	// treated as a control-plane action with no virtual-time cost — what
-	// the simulation measures is the traffic's hit-rate response, not the
-	// handoff's bandwidth.
+	// router's /v1/ring endpoints run. Events may be given in any order;
+	// each fires at its virtual offset, and the first one the router
+	// refuses is Simulate's error. Migration itself is treated as a
+	// control-plane action with no virtual-time cost — what the simulation
+	// measures is the traffic's hit-rate response, not the handoff's
+	// bandwidth.
 	Fleet []FleetEvent
 
 	// MonitorInterval batches each node's invalidation per monitoring
@@ -192,10 +184,11 @@ type Result struct {
 	// node caches by warm Fleet events (joins and drains).
 	MigratedEntries int
 
-	// FanoutMessages and FanoutSkipped count, in Affinity mode, the
-	// cross-node invalidation messages actually sent versus the ones the
-	// planner's A>0 index proved unnecessary (a naive deployment would
-	// have broadcast them). Both zero when Affinity is off.
+	// FanoutMessages and FanoutSkipped count the router's cross-node
+	// invalidation messages actually sent versus the ones the planner's
+	// A>0 index proved unnecessary (a broadcast would have sent them).
+	// Each update accounts for one less than the live node count between
+	// them, outside a handoff window; both are zero on one node.
 	FanoutMessages int
 	FanoutSkipped  int
 }
@@ -209,10 +202,11 @@ type Result struct {
 // being omniscient, opens sealed payloads to attribute home-side load to
 // true template IDs, exactly as the trusted side does in a real
 // deployment. It also fans each completed update out to the other nodes'
-// invalidation monitors one home-link propagation later (Figure 1 shows
-// several nodes; consistency is per-node): through each node's pipeline
-// monitor, so a configured monitoring interval batches the foreign
-// updates exactly like the node's own.
+// invalidation monitors the router's planner names, one home-link
+// propagation later (Figure 1 shows several nodes; consistency is
+// per-node): through each node's pipeline monitor, so a configured
+// monitoring interval batches the foreign updates exactly like the
+// node's own.
 type simTransport struct {
 	world    *sim.Sim
 	reg      *obs.Registry
@@ -228,9 +222,8 @@ type simTransport struct {
 	self     int
 	res      *Result
 
-	// planner is the router's in Affinity mode: it prunes the update
-	// fan-out to the nodes the shard analysis could not prove untouched.
-	// nil broadcasts to every other node (the pre-scale-out model).
+	// planner is the router's: it prunes the update fan-out to the nodes
+	// the shard analysis could not prove untouched.
 	planner *shard.Planner
 
 	// Mirrors of the home server's admission instruments, fed from the
@@ -297,36 +290,26 @@ func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done 
 			t.tracer.ObserveSpan(obs.SpanRecord{Trace: su.TraceID, Parent: su.ParentSpan,
 				Stage: obs.StageHomeExec, Template: tID, Start: t.world.Now() - t.costs.HomeUpdateCost, Duration: t.costs.HomeUpdateCost})
 			t.reg.Counter(obs.MHomeUpdates, obs.L(obs.LTemplate, tID)).Inc()
-			// Other nodes monitor the completed update too, one home-link
-			// propagation later, through their pipeline monitors — which
-			// record the invalidate span and, with a monitoring interval
-			// configured, batch it with the node's own stream. The issuing
-			// node invalidates in the pipeline when done resolves. With a
-			// planner (Affinity mode) the fan-out reaches only the nodes
-			// the A>0 index could not prove untouched; without one it
-			// broadcasts, the pre-scale-out model.
-			targets := make([]int, 0, len(t.pipes))
-			if t.planner != nil {
-				planned, _ := t.planner.Targets(su.TemplateID)
-				for _, oi := range planned {
-					if oi != t.self {
-						targets = append(targets, oi)
-					}
+			// The other nodes the router's planner names monitor the
+			// completed update too, one home-link propagation later,
+			// through their pipeline monitors — which record the
+			// invalidate span and, with a monitoring interval configured,
+			// batch it with the node's own stream. The issuing node
+			// invalidates in the pipeline when done resolves.
+			planned, _ := t.planner.Targets(su.TemplateID)
+			targets := make([]int, 0, len(planned))
+			for _, oi := range planned {
+				if oi != t.self {
+					targets = append(targets, oi)
 				}
-				t.res.FanoutMessages += len(targets)
-				// Skipped counts against the live member count, not the
-				// preallocated fleet arrays — nodes that have left (or not
-				// yet joined) were never candidates. During a handoff
-				// window the union plan can exceed the live set, so clamp.
-				if skipped := t.planner.Nodes() - len(targets) - 1; skipped > 0 {
-					t.res.FanoutSkipped += skipped
-				}
-			} else {
-				for oi := range t.pipes {
-					if oi != t.self {
-						targets = append(targets, oi)
-					}
-				}
+			}
+			t.res.FanoutMessages += len(targets)
+			// Skipped counts against the live member count, not the
+			// preallocated fleet arrays — nodes that have left (or not
+			// yet joined) were never candidates. During a handoff window
+			// the union plan can exceed the live set, so clamp.
+			if skipped := t.planner.Nodes() - len(targets) - 1; skipped > 0 {
+				t.res.FanoutSkipped += skipped
 			}
 			for _, oi := range targets {
 				oi := oi
@@ -408,9 +391,6 @@ func Simulate(cfg Config) (*Result, error) {
 		default:
 			return nil, fmt.Errorf("simrun: fleet event kind %q (want join, leave, or kill)", ev.Kind)
 		}
-	}
-	if len(cfg.Fleet) > 0 && !cfg.Affinity {
-		return nil, fmt.Errorf("simrun: Fleet events need Affinity (membership is meaningless without the ownership ring)")
 	}
 	// The router never reuses a node ID: every join mints one past the
 	// highest ID ever admitted, so the fleet arrays are sized for the whole
@@ -515,22 +495,18 @@ func Simulate(cfg Config) (*Result, error) {
 	waitQ := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindQuery))
 	waitU := reg.Histogram(obs.MHomeAdmissionWait, obs.L(obs.LKind, obs.KindUpdate))
 
-	// The shard router, in Affinity mode: the same ownership map, pruned
-	// fan-out plan and membership changes the HTTP router uses, so the
-	// simulated topology is the deployed one. Its backends carry only the
-	// node caches, for warm handoff: requests run on virtual time through
-	// the node pipelines below, routed by the router's planner, so the
+	// The shard router: the same route, ownership map, pruned fan-out plan
+	// and membership changes the HTTP router uses, so the simulated
+	// topology is the deployed one. Its backends carry only the node
+	// caches, for warm handoff: requests run on virtual time through the
+	// node pipelines below, sent where the router routes them, so the
 	// router's synchronous Query and Update are never called here.
-	var router *shard.Router
-	var planner *shard.Planner
-	if cfg.Affinity {
-		backends := make([]shard.Backend, cfg.Nodes)
-		for i := range backends {
-			backends[i] = shard.PipeBackend{Buckets: nodes[i].Cache}
-		}
-		router = shard.NewRouter(analysis, backends, nil)
-		planner = router.Planner()
+	backends := make([]shard.Backend, cfg.Nodes)
+	for i := range backends {
+		backends[i] = shard.PipeBackend{Buckets: nodes[i].Cache}
 	}
+	router := shard.NewRouter(analysis, backends, nil)
+	planner := router.Planner()
 
 	// The adversary's-eye audit, shared by every node: the observer
 	// stands at each node's sealed seams, and an adversary who controls
@@ -589,7 +565,9 @@ func Simulate(cfg Config) (*Result, error) {
 	// Leave: warm handoffs stream sealed entries between node caches and
 	// the epoch flips only after the copies land, so a migrated entry is
 	// serving the moment its new owner first gets asked. A joining node is
-	// filed under the ID the router mints.
+	// filed under the ID the router mints. The first event the router
+	// refuses is the run's error.
+	var fleetErr error
 	for _, ev := range cfg.Fleet {
 		ev := ev
 		world.After(ev.At, func() {
@@ -605,7 +583,10 @@ func Simulate(cfg Config) (*Result, error) {
 				rep, err = router.Leave(context.Background(), ev.Node, ev.Kind == "leave" && ev.Warm)
 			}
 			if err != nil {
-				panic(fmt.Sprintf("simrun: fleet %s: %v", ev.Kind, err))
+				if fleetErr == nil {
+					fleetErr = fmt.Errorf("simrun: fleet %s at %v: %w", ev.Kind, ev.At, err)
+				}
+				return
 			}
 			res.MigratedEntries += rep.Entries
 		})
@@ -621,25 +602,23 @@ func Simulate(cfg Config) (*Result, error) {
 		world.After(d, fn)
 	}
 
-	// runOp performs one DB operation against a node and calls done at
-	// the client when the op's response arrives. The emulated client
-	// seals and opens (trusted-side stages under the true template ID);
-	// everything between rides the node's shared pipeline, which records
-	// the node-side stages under whatever the sealed message reveals.
-	// Sealing happens up front (it costs no virtual time and consumes no
-	// simulation randomness) because in Affinity mode the sealed form
-	// decides the node: the owner for queries, the exec node for updates
-	// — exactly how the shard router steers. Without affinity the op
-	// stays on the client's round-robin node.
-	runOp := func(ni int, op workload.Op, done func()) {
+	// runOp performs one DB operation and calls done at the client when
+	// the op's response arrives. The emulated client seals and opens
+	// (trusted-side stages under the true template ID); everything between
+	// rides the shared pipeline of the node the router picks, which
+	// records the node-side stages under whatever the sealed message
+	// reveals. Sealing happens up front (it costs no virtual time and
+	// consumes no simulation randomness) because the sealed form decides
+	// the node, as it does at the shard router: its route for a query, its
+	// exec node for an update.
+	runOp := func(op workload.Op, done func()) {
 		if op.Template.Kind == template.KQuery {
 			sq, err := client.SealQuery(op.Template, op.Params)
 			if err != nil {
 				panic(err)
 			}
-			if planner != nil {
-				ni = planner.NoteQuery(sq.Head())
-			}
+			h := sq.Head()
+			ni := router.Route(&h)
 			clientDelay(cfg.Costs.RequestBytes, func() {
 				nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
 					pipes[ni].Query(context.Background(), sq, func(reply pipeline.QueryReply, err error) {
@@ -664,9 +643,7 @@ func Simulate(cfg Config) (*Result, error) {
 		if err != nil {
 			panic(err)
 		}
-		if planner != nil {
-			ni = planner.ExecNode(su.Head())
-		}
+		ni := planner.ExecNode(su.Head())
 		clientDelay(cfg.Costs.RequestBytes, func() {
 			nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
 				pipes[ni].Update(context.Background(), su, func(reply pipeline.UpdateReply, err error) {
@@ -681,9 +658,10 @@ func Simulate(cfg Config) (*Result, error) {
 		})
 	}
 
-	// Each user: think, request a page (its ops run sequentially plus one
-	// page-execution charge at the DSSP), repeat. Users stick to one node
-	// (CDNs route clients to their nearest node).
+	// Each user: think, request a page (its ops run sequentially, each on
+	// the node the router picks, plus one page-execution charge at the
+	// user's own node), repeat. Users are spread round-robin over the
+	// initial nodes for that charge.
 	var startUser func(ni int, s workload.Session)
 	startUser = func(ni int, s workload.Session) {
 		think := time.Duration(rng.ExpFloat64() * float64(cfg.ThinkMean))
@@ -702,7 +680,7 @@ func Simulate(cfg Config) (*Result, error) {
 					})
 					return
 				}
-				runOp(ni, ops[i], func() { step(i + 1) })
+				runOp(ops[i], func() { step(i + 1) })
 			}
 			step(0)
 		})
@@ -712,6 +690,9 @@ func Simulate(cfg Config) (*Result, error) {
 	}
 
 	world.Run(cfg.Duration)
+	if fleetErr != nil {
+		return nil, fleetErr
+	}
 
 	for _, n := range nodes {
 		if n == nil {

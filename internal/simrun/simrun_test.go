@@ -218,13 +218,14 @@ func TestMultiNodeSimulation(t *testing.T) {
 	if r.Pages != r2.Pages || r.Cache != r2.Cache {
 		t.Error("multi-node simulation nondeterministic")
 	}
-	// Fan-out: all nodes see every update.
-	single := quickCfg(40)
-	s1, err := Simulate(single)
-	if err != nil {
-		t.Fatal(err)
+	// Fan-out: every update reaches each node but its exec node, or the
+	// router's planner proved that node untouched; the static analysis
+	// spares some.
+	if got, want := r.FanoutMessages+r.FanoutSkipped, 3*r.HomeUpdates; got != want || r.HomeUpdates == 0 {
+		t.Errorf("fan-out accounting: sent %d + skipped %d = %d, want 3 × %d updates",
+			r.FanoutMessages, r.FanoutSkipped, got, r.HomeUpdates)
 	}
-	if r.Cache.UpdatesSeen < 3*s1.Cache.UpdatesSeen {
-		t.Errorf("update fan-out missing: %d vs %d", r.Cache.UpdatesSeen, s1.Cache.UpdatesSeen)
+	if r.FanoutSkipped == 0 {
+		t.Error("the planner pruned no fan-out message")
 	}
 }

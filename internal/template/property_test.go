@@ -119,7 +119,7 @@ func TestClassificationInvariants(t *testing.T) {
 		}
 
 		for a := range q.ParamSel {
-			if !q.Sel.Contains(a) {
+			if !has(q.Sel, a) {
 				t.Fatalf("trial %d: ParamSel %v not in Sel %v", trial, a, q.Sel)
 			}
 		}
@@ -149,7 +149,7 @@ func TestClassificationInvariants(t *testing.T) {
 			}
 		}
 		for i, a := range q.OutAttrs {
-			if q.OutAggs[i] == 0 /* AggNone */ && a != (schema.Attr{}) && !q.Pres.Contains(a) {
+			if q.OutAggs[i] == 0 /* AggNone */ && a != (schema.Attr{}) && !has(q.Pres, a) {
 				t.Fatalf("trial %d: output attr %v not preserved", trial, a)
 			}
 		}

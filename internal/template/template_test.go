@@ -1,6 +1,7 @@
 package template
 
 import (
+	"maps"
 	"testing"
 
 	"dssp/internal/schema"
@@ -35,22 +36,28 @@ func attrs(pairs ...string) schema.AttrSet {
 	return s
 }
 
+// has reports whether s holds a.
+func has(s schema.AttrSet, a schema.Attr) bool {
+	_, ok := s[a]
+	return ok
+}
+
 // TestPaperSection41Sets checks the exact attribute sets the paper lists
 // for the toystore application in §4.1.
 func TestPaperSection41Sets(t *testing.T) {
 	s := toySchema(t)
 	q1 := MustNew("Q1", s, "SELECT toy_id FROM toys WHERE toy_name=?")
-	if !q1.Sel.Equal(attrs("toys", "toy_name")) {
+	if !maps.Equal(q1.Sel, attrs("toys", "toy_name")) {
 		t.Errorf("S(Q1) = %v", q1.Sel)
 	}
-	if !q1.Pres.Equal(attrs("toys", "toy_id")) {
+	if !maps.Equal(q1.Pres, attrs("toys", "toy_id")) {
 		t.Errorf("P(Q1) = %v", q1.Pres)
 	}
 	u1 := MustNew("U1", s, "DELETE FROM toys WHERE toy_id=?")
-	if !u1.Sel.Equal(attrs("toys", "toy_id")) {
+	if !maps.Equal(u1.Sel, attrs("toys", "toy_id")) {
 		t.Errorf("S(U1) = %v", u1.Sel)
 	}
-	if !u1.Mod.Equal(attrs("toys", "toy_id", "toys", "toy_name", "toys", "qty")) {
+	if !maps.Equal(u1.Mod, attrs("toys", "toy_id", "toys", "toy_name", "toys", "qty")) {
 		t.Errorf("M(U1) = %v", u1.Mod)
 	}
 }
@@ -83,7 +90,7 @@ func TestInsertionSets(t *testing.T) {
 	if len(u.Sel) != 0 {
 		t.Errorf("S of insertion = %v, want empty", u.Sel)
 	}
-	if !u.Mod.Equal(attrs("credit_card", "cid", "credit_card", "number", "credit_card", "zip_code")) {
+	if !maps.Equal(u.Mod, attrs("credit_card", "cid", "credit_card", "number", "credit_card", "zip_code")) {
 		t.Errorf("M = %v", u.Mod)
 	}
 }
@@ -91,10 +98,10 @@ func TestInsertionSets(t *testing.T) {
 func TestModificationSets(t *testing.T) {
 	s := toySchema(t)
 	u := MustNew("U", s, "UPDATE toys SET qty=? WHERE toy_id=?")
-	if !u.Sel.Equal(attrs("toys", "toy_id")) {
+	if !maps.Equal(u.Sel, attrs("toys", "toy_id")) {
 		t.Errorf("S = %v", u.Sel)
 	}
-	if !u.Mod.Equal(attrs("toys", "qty")) {
+	if !maps.Equal(u.Mod, attrs("toys", "qty")) {
 		t.Errorf("M = %v", u.Mod)
 	}
 }
@@ -103,13 +110,13 @@ func TestQueryJoinSets(t *testing.T) {
 	s := toySchema(t)
 	q := MustNew("Q3", s, "SELECT cust_name FROM customers, credit_card WHERE cust_id=cid AND zip_code=?")
 	wantSel := attrs("customers", "cust_id", "credit_card", "cid", "credit_card", "zip_code")
-	if !q.Sel.Equal(wantSel) {
+	if !maps.Equal(q.Sel, wantSel) {
 		t.Errorf("S(Q3) = %v, want %v", q.Sel, wantSel)
 	}
-	if !q.Pres.Equal(attrs("customers", "cust_name")) {
+	if !maps.Equal(q.Pres, attrs("customers", "cust_name")) {
 		t.Errorf("P(Q3) = %v", q.Pres)
 	}
-	if !q.ParamSel.Equal(attrs("credit_card", "zip_code")) {
+	if !maps.Equal(q.ParamSel, attrs("credit_card", "zip_code")) {
 		t.Errorf("ParamSel(Q3) = %v", q.ParamSel)
 	}
 	if !q.EqJoinsOnly || !q.NoTopK {
@@ -123,7 +130,7 @@ func TestQueryJoinSets(t *testing.T) {
 func TestOrderByCountsAsSelection(t *testing.T) {
 	s := toySchema(t)
 	q := MustNew("Q", s, "SELECT toy_name FROM toys ORDER BY qty DESC LIMIT 5")
-	if !q.Sel.Contains(schema.Attr{Table: "toys", Column: "qty"}) {
+	if !has(q.Sel, schema.Attr{Table: "toys", Column: "qty"}) {
 		t.Errorf("ORDER BY attr missing from S: %v", q.Sel)
 	}
 	if q.NoTopK {
@@ -183,7 +190,7 @@ func TestAggregateClassification(t *testing.T) {
 	if q.NoTopK {
 		t.Error("aggregate classified as no-top-k (MAX behaves like top-1)")
 	}
-	if !q.AggAttrs.Equal(attrs("toys", "qty")) {
+	if !maps.Equal(q.AggAttrs, attrs("toys", "qty")) {
 		t.Errorf("AggAttrs = %v", q.AggAttrs)
 	}
 	if len(q.Pres) != 0 {
@@ -197,10 +204,10 @@ func TestGroupByClassification(t *testing.T) {
 	if !q.HasGroupBy || !q.HasAggregate {
 		t.Error("group-by flags wrong")
 	}
-	if !q.Sel.Contains(schema.Attr{Table: "toys", Column: "toy_name"}) {
+	if !has(q.Sel, schema.Attr{Table: "toys", Column: "toy_name"}) {
 		t.Errorf("GROUP BY attr missing from S: %v", q.Sel)
 	}
-	if !q.Pres.Contains(schema.Attr{Table: "toys", Column: "toy_name"}) {
+	if !has(q.Pres, schema.Attr{Table: "toys", Column: "toy_name"}) {
 		t.Errorf("group key should be preserved: %v", q.Pres)
 	}
 }

@@ -38,9 +38,6 @@ func NewZipf(n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf}
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws a rank in [1, N]; rank 1 is the most popular.
 func (z *Zipf) Sample(rng *rand.Rand) int {
 	u := rng.Float64()

@@ -15,8 +15,8 @@ func TestZipfRange(t *testing.T) {
 			t.Fatalf("rank %d out of range", r)
 		}
 	}
-	if z.N() != 100 {
-		t.Errorf("N = %d", z.N())
+	if len(z.cdf) != 100 {
+		t.Errorf("ranks = %d", len(z.cdf))
 	}
 }
 
