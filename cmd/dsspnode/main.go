@@ -8,31 +8,29 @@
 // invalidation counters plus per-stage latency histograms, as JSON or
 // (with ?format=prom) the Prometheus text format.
 //
+// The node finds its place in the deployment's topology file (-topology,
+// the one description every fleet binary reads; its format is
+// httpapi.Topology) by its own base URL, -as, and listens on that URL's
+// port. It fronts the trusted tier the file describes — updates go to the
+// owning partition's primary, misses spread across that partition's
+// replicas — and labels its spans with its position in the file's nodes.
+// A node the file does not list is a spare: it serves, but owns nothing
+// until the router admits it with a ring join.
+//
+// On SIGTERM/SIGINT the node stops taking connections and answers the
+// frames in flight before it exits.
+//
 // Usage:
 //
-//	dsspnode -app toystore -addr :8400 -home http://localhost:8401
-//	dsspnode -app bookstore -addr :8400 -home http://home:8401 -capacity 100000
-//	dsspnode -app toystore -addr :8400 -id 0 -pprof localhost:6060
-//
-// -home lists the home tier's partition primaries in partition order;
-// -home-replicas lists each partition's read replicas in the same order,
-// ',' within a partition and ';' between (an empty group = none there):
-//
-//	dsspnode -home http://p0 -home-replicas http://r0,http://r1                        # one primary, two replicas
-//	dsspnode -home http://p0,http://p1 -home-replicas "http://r0;http://r1,http://r2"  # p0 has r0; p1 has r1, r2
-//	dsspnode -home http://p0,http://p1 -home-replicas ";http://r1"                     # only p1 is replicated
-//
-// An empty primary, or more replica groups than primaries, exits 2 rather
-// than being dropped; the start-up log counts the replicas actually wired.
+//	dsspnode -topology fleet.json -as http://localhost:8400
+//	dsspnode -topology fleet.json -as http://localhost:8400 -capacity 100000
+//	dsspnode -topology fleet.json -as http://localhost:8400 -pprof localhost:6060
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"strings"
 
 	"dssp/internal/apps"
 	"dssp/internal/cache"
@@ -42,79 +40,40 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "toystore", "application: toystore|auction|bboard|bookstore")
-	addr := flag.String("addr", ":8400", "listen address")
-	home := flag.String("home", "http://localhost:8401", "home server base URL; comma-separated partition primaries in partition order for a partitioned home tier")
-	homeReplicas := flag.String("home-replicas", "", "home read-replica base URLs to spread misses across: comma-separated within a partition, ';'-separated between partitions (aligned with -home)")
-	nodeID := flag.String("id", "", "this node's fleet position, labelling its spans in stitched traces")
+	topology := flag.String("topology", "", "the deployment's topology file (JSON, httpapi.Topology)")
+	as := flag.String("as", "", "this node's base URL: one of the topology's nodes, or a spare a ring join admits later")
 	capacity := flag.Int("capacity", 0, "cache capacity in entries (0 = unbounded); when full, entries not hit since they were stored go first, and dssp_cache_ghost_readmits_total counts the misses a slightly larger cache would have served")
 	monitor := flag.Duration("monitor-interval", 0, "batch invalidation per monitoring interval (0 = invalidate inline per update)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("proc", "dsspnode")
-	if *nodeID != "" {
-		logger = logger.With("node", *nodeID)
-	}
-	b, err := apps.ByName(*appName)
+	t, role, err := httpapi.LoadTopology(*topology, httpapi.KindNode, *as)
 	if err != nil {
-		logger.Error("bad application", "err", err)
+		logger.Error("bad topology", "err", err)
 		os.Exit(2)
 	}
+	if role.NodeID != "" {
+		logger = logger.With("node", role.NodeID)
+	}
+	b, _ := apps.ByName(t.App) // LoadTopology validated the name
 	app := b.App()
-	tier, err := parseHome(*home, *homeReplicas)
-	if err != nil {
-		logger.Error("bad home tier", "err", err)
-		os.Exit(2)
-	}
-	nReplicas := 0
-	for _, ep := range tier {
-		nReplicas += len(ep.Replicas)
-	}
 	analysis := core.Analyze(app, core.DefaultOptions())
 	node := dssp.NewNode(app, analysis, cache.Options{Capacity: *capacity})
-	srv := httpapi.NewNodeServerWithOptions(node, tier[0].Primary, nil, httpapi.NodeOptions{
+	srv := httpapi.NewNodeServerWithOptions(node, "", nil, httpapi.NodeOptions{
 		MonitorInterval: *monitor,
-		NodeID:          *nodeID,
-		Home:            tier,
+		NodeID:          role.NodeID,
+		Home:            t.Home,
 	})
 
 	httpapi.ServePprof(logger, *pprofAddr)
 	logger.Info("DSSP node listening",
-		"app", app.Name, "addr", *addr, "home", tier[0].Primary, "home_partitions", len(tier),
-		"home_replicas", nReplicas,
+		"app", app.Name, "as", *as, "home_partitions", len(t.Home),
 		"capacity", *capacity, "monitor_interval", *monitor,
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
-		logger.Error("serve failed", "err", err)
+	if err := httpapi.Serve(logger, role.Addr, srv.Handler(), httpapi.DefaultTimeout, httpapi.Shutdown); err != nil {
+		logger.Error("serve", "err", err)
 		os.Exit(1)
 	}
-}
-
-// parseHome reads the -home / -home-replicas pair (syntax in the package
-// comment) into the node's view of the home tier, refusing what cannot be
-// aligned instead of dropping it.
-func parseHome(home, replicas string) ([]httpapi.HomeEndpoint, error) {
-	var tier []httpapi.HomeEndpoint
-	for _, u := range strings.Split(home, ",") {
-		if u = strings.TrimSpace(u); u == "" {
-			return nil, fmt.Errorf("-home %q: empty primary URL", home)
-		}
-		tier = append(tier, httpapi.HomeEndpoint{Primary: u})
-	}
-	if replicas == "" {
-		return tier, nil
-	}
-	groups := strings.Split(replicas, ";")
-	if len(groups) > len(tier) {
-		return nil, fmt.Errorf("-home-replicas names %d partitions' replicas but -home has %d primaries", len(groups), len(tier))
-	}
-	for p, group := range groups {
-		for _, u := range strings.Split(group, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				tier[p].Replicas = append(tier[p].Replicas, u)
-			}
-		}
-	}
-	return tier, nil
+	logger.Info("DSSP node stopped")
 }

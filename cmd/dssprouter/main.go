@@ -12,16 +12,18 @@
 // IDs fall back conservatively — blind queries spread by sealed key,
 // blind or forged updates broadcast to every node.
 //
-// The node list is ordered: every process fronting the same fleet must
-// pass the same -nodes value, because ownership is derived from the
-// node's position in the list. An empty or repeated URL exits 2 rather
-// than being dropped or given a second ring position.
+// The router is the router of the deployment's topology file (-topology,
+// the one description every fleet binary reads; its format is
+// httpapi.Topology): it listens on the port of the file's router URL and
+// fronts the file's nodes in the file's order, because ownership is
+// derived from a node's position in that list. A topology the validator
+// refuses — an empty or repeated URL among them — exits 2.
 //
 // The router analyzes the application with the same options every node
 // does (core.DefaultOptions), so its fan-out plan and the nodes' own
 // invalidation agree on which templates an update can touch.
 //
-// -nodes only sets the initial fleet. Membership is live: the ring admin
+// The file only sets the initial fleet. Membership is live: the ring admin
 // endpoints grow and shrink it without a restart, re-deriving ownership
 // on a consistent hash ring so each change only moves the buckets it
 // must.
@@ -41,18 +43,18 @@
 // moved_templates, entries_migrated, members}); GET /v1/ring serves the
 // current epoch and membership.
 //
+// On SIGTERM/SIGINT the router stops taking connections and answers the
+// frames in flight before it exits.
+//
 // Usage:
 //
-//	dssprouter -app toystore -addr :8399 -nodes http://n0:8400,http://n1:8410
-//	dssprouter -app auction -addr :8399 -nodes http://n0:8400,http://n1:8410,http://n2:8420,http://n3:8430
-//	dssprouter -app toystore -addr :8399 -nodes http://n0:8400 -pprof localhost:6061
+//	dssprouter -topology fleet.json
+//	dssprouter -topology fleet.json -pprof localhost:6061
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 
@@ -62,54 +64,28 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "toystore", "application: toystore|auction|bboard|bookstore")
-	addr := flag.String("addr", ":8399", "listen address")
-	nodes := flag.String("nodes", "", "comma-separated node base URLs, in fleet order (same order on every router)")
+	topology := flag.String("topology", "", "the deployment's topology file (JSON, httpapi.Topology); this process is its router")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = disabled)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("proc", "dssprouter")
-	b, err := apps.ByName(*appName)
+	t, role, err := httpapi.LoadTopology(*topology, httpapi.KindRouter, "")
 	if err != nil {
-		logger.Error("bad application", "err", err)
+		logger.Error("bad topology", "err", err)
 		os.Exit(2)
 	}
+	b, _ := apps.ByName(t.App) // LoadTopology validated the name
 	app := b.App()
-	urls, err := parseNodes(*nodes)
-	if err != nil {
-		logger.Error("bad fleet", "err", err)
-		os.Exit(2)
-	}
 	analysis := core.Analyze(app, core.DefaultOptions())
-	srv := httpapi.NewRouterServer(analysis, urls, httpapi.RouterOptions{})
+	srv := httpapi.NewRouterServer(analysis, t.Nodes, httpapi.RouterOptions{})
 
 	httpapi.ServePprof(logger, *pprofAddr)
 	logger.Info("DSSP router listening",
-		"app", app.Name, "addr", *addr, "fleet", len(urls), "nodes", strings.Join(urls, ","),
+		"app", app.Name, "as", t.Router, "fleet", len(t.Nodes), "nodes", strings.Join(t.Nodes, ","),
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
-		logger.Error("serve failed", "err", err)
+	if err := httpapi.Serve(logger, role.Addr, srv.Handler(), httpapi.DefaultTimeout, httpapi.Shutdown); err != nil {
+		logger.Error("serve", "err", err)
 		os.Exit(1)
 	}
-}
-
-// parseNodes reads -nodes into the fleet's URLs in ring order, refusing an
-// empty or repeated URL: a repeated one would be two ring nodes over one
-// process, and the ring admin endpoints, which know a node by its URL,
-// could name only one of them.
-func parseNodes(nodes string) ([]string, error) {
-	var urls []string
-	seen := make(map[string]bool)
-	for _, u := range strings.Split(nodes, ",") {
-		u = strings.TrimSpace(u)
-		if u == "" {
-			return nil, fmt.Errorf("-nodes %q: empty node URL", nodes)
-		}
-		if seen[u] {
-			return nil, fmt.Errorf("-nodes %q: %s named twice", nodes, u)
-		}
-		seen[u] = true
-		urls = append(urls, u)
-	}
-	return urls, nil
+	logger.Info("DSSP router stopped")
 }

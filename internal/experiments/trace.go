@@ -76,7 +76,7 @@ func TraceDemo(appName string, seed int64) (*TraceResult, error) {
 	}
 
 	res := &TraceResult{App: appName}
-	fleet := append(append([]string{f.URL}, f.NodeURLs...), f.HomeURLs...)
+	fleet := f.Topology.URLs()
 	run := func(kind string, do func() error, tmpl string) error {
 		before := len(store.TraceIDs(1 << 20))
 		if err := do(); err != nil {

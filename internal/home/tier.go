@@ -14,14 +14,13 @@ import (
 
 // NewTier builds a whole trusted tier — the one builder behind the HTTP
 // fleet assembler and the simulator: parts partition primaries, in
-// partition order, and replicas read replicas mirroring each, all armed
-// with the misroute guard. newDB is called once per engine, primaries
-// first, and must return byte-identical databases (same application
-// seed), which is what lets a replica replay its primary's confirmed
-// stream from sequence 0. A replica's name, its metric label, is its
-// index, prefixed with the partition in a partitioned tier. Feeding each
-// primary's confirmed stream to its replicas is the caller's: that part
-// differs by substrate (TierParts is the in-process one).
+// partition order, and replicas read replicas mirroring each
+// (NewTierReplica), all armed with the misroute guard. newDB is called
+// once per engine, primaries first, and must return byte-identical
+// databases (same application seed), which is what lets a replica replay
+// its primary's confirmed stream from sequence 0. Feeding each primary's
+// confirmed stream to its replicas is the caller's: that part differs by
+// substrate (TierParts is the in-process one).
 func NewTier(app *template.App, codec *wire.Codec, newDB func() (*storage.Database, error), parts, replicas int) ([]*homeserver.Server, [][]*Replica, error) {
 	primaries := make([]*homeserver.Server, parts)
 	for p := range primaries {
@@ -39,16 +38,23 @@ func NewTier(app *template.App, codec *wire.Codec, newDB func() (*storage.Databa
 			if err != nil {
 				return nil, nil, err
 			}
-			name := strconv.Itoa(k)
-			if parts > 1 {
-				name = fmt.Sprintf("p%d-%d", p, k)
-			}
-			rep := NewReplica(name, db, app, codec)
-			rep.SetPartition(p, parts)
-			reps[p] = append(reps[p], rep)
+			reps[p] = append(reps[p], NewTierReplica(db, app, codec, p, parts, k))
 		}
 	}
 	return primaries, reps, nil
+}
+
+// NewTierReplica is replica k of partition p in a tier of parts
+// partitions over db, as NewTier and a dssphome replica build it: named —
+// its metric label — k, prefixed with the partition in a partitioned tier.
+func NewTierReplica(db *storage.Database, app *template.App, codec *wire.Codec, p, parts, k int) *Replica {
+	name := strconv.Itoa(k)
+	if parts > 1 {
+		name = fmt.Sprintf("p%d-%d", p, k)
+	}
+	rep := NewReplica(name, db, app, codec)
+	rep.SetPartition(p, parts)
+	return rep
 }
 
 // TierParts is the in-process substrate's half of the node→home wiring:

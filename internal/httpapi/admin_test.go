@@ -74,10 +74,10 @@ func postAdmin(h http.Handler, path string, body []byte) *httptest.ResponseRecor
 func TestAdminBodiesAreBounded(t *testing.T) {
 	app := apps.Toystore()
 	router := stubRouter(core.Analyze(app, core.DefaultOptions())).Handler()
-	hub := NewReplicaHub(nil, nil)
-	defer hub.Close()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	primary := HomeHandlerWithHub(homeserver.New(storage.NewDatabase(app.Schema), app, codec), hub)
+	listed := Topology{Home: []HomeEndpoint{{Replicas: []string{"http://r0.invalid:1"}}}}
+	primary, hub := listed.PrimaryHandler(0, homeserver.New(storage.NewDatabase(app.Schema), app, codec), nil)
+	defer hub.Close()
 	giant := []byte(`{"url": "http://` + strings.Repeat("x", maxAdminBytes) + `.invalid"}`)
 	for _, tc := range []struct {
 		name, path string
@@ -98,8 +98,8 @@ func TestAdminBodiesAreBounded(t *testing.T) {
 			}
 		})
 	}
-	if st := hub.Status(); len(st.Replicas) != 0 {
-		t.Errorf("refused registrations subscribed %d replicas", len(st.Replicas))
+	if st := hub.Status(); len(st.Replicas) != 1 {
+		t.Errorf("after refused hellos the hub streams to %d replicas, want the 1 listed", len(st.Replicas))
 	}
 	// The stub's nodes answer the migration frames, so a warm handoff runs
 	// without a socket, and a node that fails its part makes it 502. Over

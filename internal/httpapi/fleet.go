@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 
 	"dssp/internal/cache"
@@ -44,8 +43,8 @@ type Spec struct {
 	Partitions, Replicas int
 
 	// Client's Timeout bounds every frame call between processes, and
-	// Client carries what stays HTTP (ring admin, replica registration);
-	// nil gets a DefaultTimeout-bounded one.
+	// Client carries what stays HTTP (ring admin, a replica's hello); nil
+	// gets a DefaultTimeout-bounded one.
 	Client *http.Client
 }
 
@@ -58,102 +57,128 @@ type Fleet struct {
 	Nodes    []*dssp.Node         // a node's registry is its Cache.Obs()
 	Router   *RouterServer        // nil for a one-node fleet
 
-	HomeURLs, NodeURLs []string
-	URL                string       // the clients' entry point: the router, or node 0
-	Client             *Client      // the trusted application side, pointed at URL
-	HTTP               *http.Client // Spec.Client, or its default
+	// Topology names every process Start booted by its URL, and is what
+	// wired them. NodeURLs lists the nodes', then the spares AddNode stood
+	// up since.
+	Topology Topology
+	NodeURLs []string
+	URL      string       // the clients' entry point: the router, or node 0
+	Client   *Client      // the trusted application side, pointed at URL
+	HTTP     *http.Client // Spec.Client, or its default
 
 	spec     Spec
 	analysis *core.Analysis
-	tier     []HomeEndpoint
 	stops    []func() error // in boot order; Close runs them in reverse
 	once     sync.Once
 	err      error
 }
 
-// Start boots the deployment back to front — per partition its replicas
-// and then the primary whose hub feeds them, then nodes, then the router
-// — so every process's upstream is listening before it is.
+// Start opens every process's loopback listener first, describes the
+// deployment by their URLs in a Topology, validates it as a topology file
+// is validated, and wires every process from it. It boots back to front —
+// per partition its replicas and then the primary whose hub feeds them,
+// then nodes, then the router — so every process's upstream is serving
+// before it is.
 func Start(spec Spec) (*Fleet, error) {
-	if spec.Nodes < 1 {
-		return nil, fmt.Errorf("httpapi: fleet needs at least one node, got %d", spec.Nodes)
+	f := &Fleet{Topology: Topology{Home: make([]HomeEndpoint, max(spec.Partitions, 1))}, spec: spec}
+	t := &f.Topology
+	if spec.App != nil {
+		t.App = spec.App.Name
 	}
-	homes, replicas, err := home.NewTier(spec.App, spec.Codec, spec.NewDB, max(spec.Partitions, 1), spec.Replicas)
+	lns := make(map[string]*httptest.Server)
+	listen := func() string {
+		srv, url := newListener()
+		lns[url] = srv
+		return url
+	}
+	for p := range t.Home {
+		for k := 0; k < spec.Replicas; k++ {
+			t.Home[p].Replicas = append(t.Home[p].Replicas, listen())
+		}
+		t.Home[p].Primary = listen()
+	}
+	for i := 0; i < spec.Nodes; i++ {
+		t.Nodes = append(t.Nodes, listen())
+	}
+	if spec.Nodes > 1 {
+		t.Router = listen()
+	}
+	err := t.validate()
+	if err == nil {
+		f.Homes, f.Replicas, err = home.NewTier(spec.App, spec.Codec, spec.NewDB, len(t.Home), spec.Replicas)
+	}
 	if err != nil {
-		return nil, err
-	}
-	f := &Fleet{
-		Homes: homes, Replicas: replicas, Hubs: make([]*ReplicaHub, len(homes)),
-		HTTP: defaultClient(spec.Client), spec: spec,
-		analysis: core.Analyze(spec.App, core.DefaultOptions()), tier: make([]HomeEndpoint, len(homes)),
-	}
-	for p, primary := range homes {
-		var hub *ReplicaHub
-		if spec.Replicas > 0 {
-			hub = NewReplicaHub(f.HTTP, primary.Obs())
-			primary.OnConfirm(hub.Confirm)
-		}
-		for _, rep := range replicas[p] {
-			url := f.serve(ReplicaHandler(rep))
-			hub.Register(url)
-			f.tier[p].Replicas = append(f.tier[p].Replicas, url)
-		}
-		srv := httptest.NewServer(HomeHandlerWithHub(primary, hub))
-		f.stops = append(f.stops, func() error {
-			ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
-			defer cancel()
-			err := DrainHome(ctx, srv.Config, hub)
+		for _, srv := range lns {
 			srv.Close()
-			if err != nil {
+		}
+		return nil, fmt.Errorf("httpapi: %w", err)
+	}
+
+	f.Hubs, f.HTTP = make([]*ReplicaHub, len(t.Home)), defaultClient(spec.Client)
+	f.analysis = core.Analyze(spec.App, core.DefaultOptions())
+	for p, ep := range t.Home {
+		for k, u := range ep.Replicas {
+			f.serve(lns[u], ReplicaHandler(f.Replicas[p][k]), Shutdown)
+		}
+		h, hub := t.PrimaryHandler(p, f.Homes[p], f.HTTP)
+		f.serve(lns[ep.Primary], h, func(ctx context.Context, srv *http.Server) error {
+			if err := DrainHome(ctx, srv, hub); err != nil {
 				return fmt.Errorf("partition %d: %w", p, err)
 			}
 			return nil
 		})
-		f.Hubs[p], f.tier[p].Primary = hub, srv.URL
-		f.HomeURLs = append(f.HomeURLs, srv.URL)
+		f.Hubs[p] = hub
 	}
-	for i := 0; i < spec.Nodes; i++ {
-		f.AddNode()
+	for _, u := range t.Nodes {
+		f.startNode(lns[u], u)
 	}
-	f.URL = f.NodeURLs[0]
-	if spec.Nodes > 1 {
-		f.Router = NewRouterServer(f.analysis, f.NodeURLs, RouterOptions{Client: f.HTTP})
-		f.URL = f.serve(f.Router.Handler())
+	f.URL = t.Nodes[0]
+	if t.Router != "" {
+		f.Router = NewRouterServer(f.analysis, t.Nodes, RouterOptions{Client: f.HTTP})
+		f.serve(lns[t.Router], f.Router.Handler(), Shutdown)
+		f.URL = t.Router
 	}
 	f.Client = NewClient(spec.Codec, f.URL, f.HTTP)
 	return f, nil
 }
 
-// serve puts one process's handler behind its own listener, leaves closing
-// it — which returns once its in-flight requests and frames have — to
-// Close, and returns the base URL.
-func (f *Fleet) serve(h http.Handler) string {
-	srv := httptest.NewServer(h)
+// newListener opens one process's loopback listener and returns it, not
+// yet serving, with its base URL.
+func newListener() (*httptest.Server, string) {
+	srv := httptest.NewUnstartedServer(nil)
+	return srv, "http://" + srv.Listener.Addr().String()
+}
+
+// serve starts h on srv's listener and leaves stopping it to Close: stop
+// is Shutdown or a primary's DrainHome, which return once the requests
+// and frames in flight have been answered (httptest.Server.Close never
+// calls Shutdown, so it would leave the frame connections open).
+func (f *Fleet) serve(srv *httptest.Server, h http.Handler, stop func(context.Context, *http.Server) error) {
+	srv.Config.Handler = h
+	srv.Start()
 	f.stops = append(f.stops, func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 		defer cancel()
-		// httptest.Server.Close never calls Shutdown, so it would leave the
-		// frame connections open.
-		err := Shutdown(ctx, srv.Config)
+		err := stop(ctx, srv.Config)
 		srv.Close()
 		return err
 	})
-	return srv.URL
 }
 
-// AddNode stands up one more node over the same home tier and returns
-// its base URL. After Start it is the elastic join's first half: the node
-// serves but owns nothing until the router admits it (PathRingJoin).
-func (f *Fleet) AddNode() string {
-	opts := NodeOptions{Home: f.tier}
-	if f.spec.Nodes > 1 {
-		opts.NodeID = strconv.Itoa(len(f.Nodes))
-	}
+// startNode serves a node at url over the home tier the topology names,
+// with the span label its place in the topology gives it, and returns url.
+func (f *Fleet) startNode(srv *httptest.Server, url string) string {
 	node := dssp.NewNode(f.spec.App, f.analysis, cache.Options{})
-	url := f.serve(NewNodeServerWithOptions(node, "", f.HTTP, opts).Handler())
+	opts := NodeOptions{Home: f.Topology.Home, NodeID: f.Topology.nodeID(url)}
+	f.serve(srv, NewNodeServerWithOptions(node, "", f.HTTP, opts).Handler(), Shutdown)
 	f.Nodes, f.NodeURLs = append(f.Nodes, node), append(f.NodeURLs, url)
 	return url
 }
+
+// AddNode stands up a spare node over the same home tier and returns its
+// base URL: the elastic join's first half. The node serves but owns
+// nothing until the router admits it (PathRingJoin).
+func (f *Fleet) AddNode() string { return f.startNode(newListener()) }
 
 // Close shuts the deployment down in reverse boot order, front to back:
 // router, nodes, then each primary through DrainHome while its replicas

@@ -42,10 +42,7 @@ func TestFleetCloseTwiceLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("fleet = %d homes, %d replicas behind partition 1, %d nodes, router %v; want 2, 1, 2 and a router",
 			len(f.Homes), len(f.Replicas[1]), len(f.Nodes), f.Router != nil)
 	}
-	urls := append(append([]string{f.URL}, f.NodeURLs...), f.HomeURLs...)
-	for _, hub := range f.Hubs {
-		urls = append(urls, hub.Status().Replicas[0].URL)
-	}
+	urls := f.Topology.URLs()
 
 	ctx := context.Background()
 	if _, _, err := f.Client.Update(ctx, f.spec.App.Update("U1"), 1); err != nil { // partition 0
@@ -192,7 +189,7 @@ func TestNothingOutlivesABareShutdown(t *testing.T) {
 func TestDrainHomeLeavesReplicasAtThePrimary(t *testing.T) {
 	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
 	u1 := f.spec.App.Update("U1")
-	home := homeTransport{newHop(f.HTTP, f.HomeURLs[0], nil)}
+	home := homeTransport{newHop(f.HTTP, f.Topology.Home[0].Primary, nil)}
 
 	const writers, warm = 4, 20
 	confirmed := make(chan struct{}, warm) // sized to what the test receives; writers drop the rest
@@ -270,7 +267,7 @@ func TestDrainHomeAnswersTheUpdateInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	home := homeTransport{newHop(f.HTTP, f.HomeURLs[0], nil)}
+	home := homeTransport{newHop(f.HTTP, f.Topology.Home[0].Primary, nil)}
 	answered := make(chan error, 1)
 	go home.ExecUpdate(context.Background(), su, func(r pipeline.ExecUpdateResult, err error) {
 		if err == nil && r.Affected != 1 {
@@ -282,7 +279,7 @@ func TestDrainHomeAnswersTheUpdateInFlight(t *testing.T) {
 
 	closed := make(chan error, 1)
 	go func() { closed <- f.Close() }()
-	addr := strings.TrimPrefix(f.HomeURLs[0], "http://")
+	addr := strings.TrimPrefix(f.Topology.Home[0].Primary, "http://")
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -307,25 +304,51 @@ func TestDrainHomeAnswersTheUpdateInFlight(t *testing.T) {
 }
 
 // TestStartRefusesNodelessFleet: a deployment without a node has no
-// entry point for the client.
+// entry point for the client, and Start's topology fails the validator a
+// topology file does.
 func TestStartRefusesNodelessFleet(t *testing.T) {
-	if _, err := Start(Spec{}); err == nil {
-		t.Fatal("Start accepted a spec with no nodes")
+	if _, err := Start(Spec{App: apps.Toystore()}); err == nil || !strings.Contains(err.Error(), "no node") {
+		t.Fatalf("Start(no nodes) = %v, want the validator's refusal", err)
 	}
 }
 
-// TestRegisterReplicaOverHTTP exercises the -replica-of handshake against
-// a fleet-built primary: re-registering a known replica adds no stream,
-// and the answer carries both streams' positions.
+// TestRegisterReplicaOverHTTP exercises a replica's hello against a
+// fleet-built primary: the hello of a listed replica adds no stream, and
+// the hub lists both streams in the topology's order.
 func TestRegisterReplicaOverHTTP(t *testing.T) {
 	f := startToystore(t, Spec{Nodes: 1, Replicas: 2}, nil)
 	defer f.Close()
-	known := f.Hubs[0].Status().Replicas
-	st, err := RegisterReplica(f.HTTP, f.HomeURLs[0], known[0].URL)
-	if err != nil {
+	listed := f.Topology.Home[0].Replicas
+	if err := RegisterReplica(f.HTTP, f.Topology.Home[0].Primary, listed[0]); err != nil {
 		t.Fatal(err)
 	}
-	if len(st.Replicas) != 2 {
-		t.Errorf("hub lists %d replicas after a duplicate registration, want 2", len(st.Replicas))
+	if st := f.Hubs[0].Status(); len(st.Replicas) != 2 || st.Replicas[0].URL != listed[0] || st.Replicas[1].URL != listed[1] {
+		t.Errorf("hub lists %+v after a hello, want the topology's %v", st.Replicas, listed)
+	}
+}
+
+// TestHelloFromAnUnlistedReplicaIsRefused: a primary streams its confirmed
+// sealed updates to the replicas the topology lists for its partition and
+// to no other caller of its listener. A hello from an unlisted URL is
+// refused, starts no stream, and so leaves nothing for Close to wait out.
+func TestHelloFromAnUnlistedReplicaIsRefused(t *testing.T) {
+	f := startToystore(t, Spec{Nodes: 1, Replicas: 1}, nil)
+	defer f.Close()
+	err := RegisterReplica(f.HTTP, f.Topology.Home[0].Primary, "http://127.0.0.1:1")
+	if err == nil || !strings.Contains(err.Error(), "403") {
+		t.Errorf("hello from an unlisted URL: %v, want 403", err)
+	}
+	if st := f.Hubs[0].Status(); len(st.Replicas) != 1 {
+		t.Errorf("the hub streams to %d replicas, want the 1 the topology lists", len(st.Replicas))
+	}
+	if _, _, err := f.Client.Update(context.Background(), f.spec.App.Update("U1"), 1); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > DefaultTimeout/3 {
+		t.Errorf("Close took %v", d)
 	}
 }

@@ -33,8 +33,8 @@
 // process exposes GET /v1/metrics — a snapshot of its obs.Registry in JSON
 // (default) or the Prometheus text exposition format (?format=prom, or
 // Accept: text/plain) — and its traces; a node its decision log; a router
-// its ring admin; a primary and its replicas the replica registration and
-// status. Every POST route decodes a JSON body of at most maxAdminBytes
+// its ring admin; a primary its replicas' hello and positions, a replica
+// its status. Every POST route decodes a JSON body of at most maxAdminBytes
 // through decodeAdmin. A statement's trace ID and its sender's span ID
 // travel inside the sealed message (wire.WithTrace), so one statement can
 // be followed from client through node to home server.
@@ -49,10 +49,14 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // the handlers ServePprof serves
+	"os"
+	"os/signal"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"dssp/internal/cache"
@@ -91,8 +95,8 @@ const (
 	PathRingJoin        = "/v1/ring/join"        // router: admit a node URL into the ring (warm by default)
 	PathRingLeave       = "/v1/ring/leave"       // router: retire a node (warm drain) or declare it dead (warm=false)
 	PathReplicaStatus   = "/v1/replica/status"   // replica: applied watermark, JSON
-	PathReplicaRegister = "/v1/replica/register" // home primary: subscribe a replica to the confirmed stream, JSON
-	PathReplicas        = "/v1/replicas"         // home primary: registered replicas + acked sequences, JSON
+	PathReplicaRegister = "/v1/replica/register" // home primary: a listed replica's hello, resending its stream, JSON
+	PathReplicas        = "/v1/replicas"         // home primary: its replicas + acked sequences, JSON
 )
 
 // DecisionsResponse is a node's invalidation-decision log and cache
@@ -105,7 +109,7 @@ type DecisionsResponse struct {
 }
 
 // maxAdminBytes bounds the JSON body of an admin request (ring join and
-// leave, replica registration): a URL and a flag or two.
+// leave, a replica's hello): a URL and a flag or two.
 const maxAdminBytes = 4 << 10
 
 // decodeAdmin decodes an admin request's JSON body into v. On failure it
@@ -158,6 +162,33 @@ func ServePprof(logger *slog.Logger, addr string) {
 			logger.Error("pprof serve failed", "err", err)
 		}
 	}()
+}
+
+// Serve is every server binary's life: it listens on addr, serves h
+// until SIGTERM or SIGINT, and then stops through stop — Shutdown, or a
+// primary's DrainHome — under timeout, so the frames in flight are
+// answered rather than cut. It returns the listen or serve error, or
+// stop's.
+func Serve(logger *slog.Logger, addr string, h http.Handler, timeout time.Duration, stop func(context.Context, *http.Server) error) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: h}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT)
+	defer signal.Stop(sigs)
+	select {
+	case err := <-served:
+		return err
+	case sig := <-sigs:
+		logger.Info("signal received; shutting down", "signal", sig.String())
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return stop(ctx, srv)
 }
 
 // TracesResponse lists the trace IDs a process's span store retains,
@@ -238,14 +269,10 @@ func StitchFleet(client *http.Client, baseURLs []string, traceID obs.TraceID, lo
 // traces. Building the handler attaches a span store to the home tracer,
 // so the home-side spans (admission_wait, home_exec) of every trace are
 // servable; call it after SetObs, which replaces the tracer.
-func HomeHandler(home *homeserver.Server) http.Handler {
-	return HomeHandlerWithHub(home, nil)
-}
+func HomeHandler(home *homeserver.Server) http.Handler { return homeMux(home) }
 
-// HomeHandlerWithHub is HomeHandler for a primary fronting read replicas:
-// hub (non-nil) adds the replica-registration endpoints, and registered
-// replicas receive every update the moment it is confirmed.
-func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
+// homeMux is HomeHandler's mux, which PrimaryHandler adds routes to.
+func homeMux(home *homeserver.Server) *http.ServeMux {
 	home.Tracer().SetStore(obs.NewSpanStore(0))
 	mux := newMux(home.Obs(), home.Tracer().Store(), &frameOps{
 		OpExecQuery: func(_ context.Context, req, resp *frame) {
@@ -276,27 +303,44 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 			resp.body = (*countMsg)(&n).appendWire(resp.body)
 		},
 	})
-	if hub != nil {
-		mux.HandleFunc("POST "+PathReplicaRegister, func(w http.ResponseWriter, r *http.Request) {
-			const usage = "replica register: need JSON body {\"url\": ...}"
-			var req ReplicaRegisterRequest
-			if !decodeAdmin(w, r, &req, usage) {
-				return
-			}
-			if req.URL == "" {
-				http.Error(w, usage, http.StatusBadRequest)
-				return
-			}
-			hub.Register(req.URL)
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(hub.Status())
-		})
-		mux.HandleFunc("GET "+PathReplicas, func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(hub.Status())
-		})
-	}
 	return mux
+}
+
+// PrimaryHandler is HomeHandler for partition p's primary as t describes
+// it: when t lists replicas for p, hub streams the primary's confirmed
+// updates to exactly those from now on, and the handler serves their hello
+// and positions. A hello from a URL the hub does not stream to is refused
+// with 403 and starts nothing: no caller of the listener can subscribe
+// itself to the confirmed sealed updates.
+func (t Topology) PrimaryHandler(p int, primary *homeserver.Server, client *http.Client) (http.Handler, *ReplicaHub) {
+	mux := homeMux(primary)
+	if len(t.Home[p].Replicas) == 0 {
+		return mux, nil
+	}
+	hub := NewReplicaHub(client, primary.Obs(), t.Home[p].Replicas)
+	primary.OnConfirm(hub.Confirm)
+	mux.HandleFunc("POST "+PathReplicaRegister, func(w http.ResponseWriter, r *http.Request) {
+		const usage = "replica register: need JSON body {\"url\": ...}"
+		var req ReplicaRegisterRequest
+		if !decodeAdmin(w, r, &req, usage) {
+			return
+		}
+		if req.URL == "" {
+			http.Error(w, usage, http.StatusBadRequest)
+			return
+		}
+		if !hub.Resend(req.URL) {
+			http.Error(w, fmt.Sprintf("replica register: the topology lists no replica %s here", req.URL), http.StatusForbidden)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(hub.Status())
+	})
+	mux.HandleFunc("GET "+PathReplicas, func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_ = json.NewEncoder(w).Encode(hub.Status())
+	})
+	return mux, hub
 }
 
 // readExecQuery reads an exec query frame's statement in place, as far as
@@ -378,21 +422,14 @@ type NodeOptions struct {
 	NodeID string
 
 	// Home describes the trusted tier this node fronts, one endpoint per
-	// partition in partition order; empty means the homeURL argument
-	// alone. Updates go to the owning partition's primary; misses spread
-	// across that partition's replicas, subject to the node's freshness
-	// floor, with primary fallback when a replica lags or fails. With
-	// more than one partition, statements route to the partition owning
-	// their table group and the floor becomes a per-partition vector.
+	// partition in partition order (Topology.Home); empty means the
+	// homeURL argument alone. Updates go to the owning partition's
+	// primary; misses spread across that partition's replicas, subject to
+	// the node's freshness floor, with primary fallback when a replica
+	// lags or fails. With more than one partition, statements route to
+	// the partition owning their table group and the floor becomes a
+	// per-partition vector.
 	Home []HomeEndpoint
-}
-
-// HomeEndpoint is one home partition as a node sees it: the primary's
-// base URL and the base URLs of its read replicas (none = every miss
-// goes to the primary).
-type HomeEndpoint struct {
-	Primary  string
-	Replicas []string
 }
 
 // NewNodeServerWithOptions wires a node to its home tier: opts.Home, or

@@ -25,7 +25,7 @@ func metricsStack(t *testing.T, exps map[string]template.Exposure) (client *Clie
 	t.Helper()
 	f := startToystore(t, Spec{Nodes: 1}, exps)
 	f.Client.Tracer = obs.NewTracer(obs.NewRegistry(), obs.WallClock())
-	return f.Client, f.NodeURLs[0], f.HomeURLs[0], func() { f.Close() }
+	return f.Client, f.NodeURLs[0], f.Topology.Home[0].Primary, func() { f.Close() }
 }
 
 // fetchMetrics retrieves a process's /v1/metrics snapshot as JSON.

@@ -17,8 +17,8 @@ import (
 	"dssp/internal/wire"
 )
 
-// ReplicaRegisterRequest subscribes a replica (by its base URL) to the
-// primary's confirmed-update stream.
+// ReplicaRegisterRequest is a replica's hello (RegisterReplica): its base
+// URL, which must be one the primary streams to.
 type ReplicaRegisterRequest struct {
 	URL string `json:"url"`
 }
@@ -91,32 +91,30 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 	return mux
 }
 
-// RegisterReplica subscribes replicaURL to primaryURL's confirmed-update
-// stream (the -replica-of handshake). The primary replies with its
-// current hub status.
-func RegisterReplica(client *http.Client, primaryURL, replicaURL string) (ReplicaHubStatus, error) {
-	client = defaultClient(client)
+// RegisterReplica is a replica's hello to its primary, sent when the
+// replica process starts: the primary resends replicaURL, which its
+// topology must list, the stream from the start, and the replica's answer
+// moves it on to the watermark the replica holds.
+func RegisterReplica(client *http.Client, primaryURL, replicaURL string) error {
 	body, err := json.Marshal(ReplicaRegisterRequest{URL: replicaURL})
 	if err != nil {
-		return ReplicaHubStatus{}, err
+		return err
 	}
-	resp, err := client.Post(primaryURL+PathReplicaRegister, "application/json", bytes.NewReader(body))
+	resp, err := defaultClient(client).Post(primaryURL+PathReplicaRegister, "application/json", bytes.NewReader(body))
 	if err != nil {
-		return ReplicaHubStatus{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return ReplicaHubStatus{}, fmt.Errorf("httpapi: %s%s: %s: %s", primaryURL, PathReplicaRegister, resp.Status, msg)
+		return fmt.Errorf("httpapi: %s%s: %s: %s", primaryURL, PathReplicaRegister, resp.Status, msg)
 	}
-	var st ReplicaHubStatus
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	return st, err
+	return nil
 }
 
 // ReplicaHubStatus reports the hub's stream positions: how many
-// confirmed updates exist and how far each registered replica has
-// acknowledged.
+// confirmed updates exist and how far each replica has acknowledged, in
+// the topology's order.
 type ReplicaHubStatus struct {
 	Confirmed uint64              `json:"confirmed"`
 	Replicas  []ReplicaStreamInfo `json:"replicas"`
@@ -130,19 +128,19 @@ type ReplicaStreamInfo struct {
 
 // ReplicaHub runs the primary side of the apply stream: it retains every
 // confirmed update (in sequence order — the home server confirms in that
-// order) and pushes the unacknowledged suffix to each registered replica,
-// as apply frames on one connection per replica, retrying until
-// acknowledged. Registration is dynamic: a replica that joins late
-// receives the whole retained log first, so it converges from the shared
-// populate state.
+// order) and pushes the unacknowledged suffix to each of a fixed set of
+// replicas — the ones the topology lists for the primary's partition — as
+// apply frames on one connection per replica, retrying until acknowledged.
+// A replica that comes up late receives the whole retained log first, so
+// it converges from the shared populate state. No other URL is ever sent
+// the stream.
 type ReplicaHub struct {
-	client *http.Client
-	reg    *obs.Registry
+	reg *obs.Registry
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	log     []homeserver.Confirmed // log[i].Seq == uint64(i)+1
-	streams map[string]*replicaStream
+	streams []*replicaStream       // in the topology's order
 	closed  bool
 
 	// stop unblocks pushers sleeping in a retry backoff at Close time —
@@ -153,20 +151,30 @@ type ReplicaHub struct {
 }
 
 // replicaStream is one replica's pusher state; acked is the watermark the
-// replica last answered, the log prefix it holds (0 again when it
-// registers anew).
+// replica last answered, the log prefix it holds (0 again when it says
+// hello anew).
 type replicaStream struct {
 	url   string
 	apply *hop
 	acked uint64
 }
 
-// NewReplicaHub builds a hub. Attach it to the primary with
+// NewReplicaHub builds a hub streaming to the replicas at urls, a push
+// loop each from now on. Attach it to the primary with
 // primary.OnConfirm(hub.Confirm); reg (nil allowed) counts stream push
 // errors.
-func NewReplicaHub(client *http.Client, reg *obs.Registry) *ReplicaHub {
-	h := &ReplicaHub{client: defaultClient(client), reg: reg, streams: make(map[string]*replicaStream), stop: make(chan struct{})}
+func NewReplicaHub(client *http.Client, reg *obs.Registry, urls []string) *ReplicaHub {
+	h := &ReplicaHub{reg: reg, stop: make(chan struct{})}
 	h.cond = sync.NewCond(&h.mu)
+	for _, url := range urls {
+		// The push loop is the apply stream's retry: the hop's own would
+		// resend a batch uncounted, on top of it.
+		st := &replicaStream{url: url, apply: newHop(client, url, nil)}
+		st.apply.retry = false
+		h.streams = append(h.streams, st)
+		h.wg.Add(1)
+		go h.run(st)
+	}
 	return h
 }
 
@@ -188,28 +196,22 @@ func (h *ReplicaHub) Confirm(c homeserver.Confirmed) {
 	h.cond.Broadcast()
 }
 
-// Register subscribes a replica URL to the stream. A replica registers
-// when its process starts, from the populate state, so registering a
-// known URL — a restarted replica — resends its stream from the start;
-// the replica's answer moves it on to the watermark the replica holds.
-func (h *ReplicaHub) Register(url string) {
+// Resend answers a listed replica's hello. The replica says it when its
+// process starts, from the populate state, so its stream is resent from
+// the start; the replica's answer moves it on to the watermark it holds.
+// It reports false, and changes nothing, for a URL the hub does not
+// stream to.
+func (h *ReplicaHub) Resend(url string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
+	for _, st := range h.streams {
+		if st.url == url {
+			st.acked = 0
+			h.cond.Broadcast()
+			return true
+		}
 	}
-	if st, ok := h.streams[url]; ok {
-		st.acked = 0
-		h.cond.Broadcast()
-		return
-	}
-	// The push loop is the apply stream's retry: the hop's own would resend
-	// a batch uncounted, on top of it.
-	st := &replicaStream{url: url, apply: newHop(h.client, url, nil)}
-	st.apply.retry = false
-	h.streams[url] = st
-	h.wg.Add(1)
-	go h.run(st)
+	return false
 }
 
 // run is one replica's push loop: send the log past the replica's
@@ -303,7 +305,7 @@ func (h *ReplicaHub) Status() ReplicaHubStatus {
 	return st
 }
 
-// Drain blocks until every registered replica has acknowledged the whole
+// Drain blocks until every replica has acknowledged the whole
 // retained log, or ctx expires — the graceful-shutdown half of the
 // stream: stop taking statements first, then drain, and no replica is left
 // short of the primary. It waits on the hub's cond, which every ack

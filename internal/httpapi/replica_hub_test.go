@@ -86,13 +86,12 @@ func (s *restartingReplica) state() (uint64, []uint64) {
 // watermark 0; the hub takes that watermark and resends the log from seq 1
 // — once, not the same batch over and over — so the replica converges and
 // the pushes stop while nothing new is confirmed. A replica that restarted
-// with nothing new confirmed registers again, and that resends it the log.
+// with nothing new confirmed says hello again, and that resends it the log.
 func TestHubResendsToARestartedReplica(t *testing.T) {
 	rep := &restartingReplica{}
 	srv := rep.start(t)
-	hub := NewReplicaHub(nil, nil)
+	hub := NewReplicaHub(nil, nil, []string{srv.URL})
 	defer hub.Close()
-	hub.Register(srv.URL)
 	drain := func(when string) {
 		t.Helper()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -120,10 +119,12 @@ func TestHubResendsToARestartedReplica(t *testing.T) {
 	}
 
 	rep.restart()
-	hub.Register(srv.URL)
-	drain("after registering again")
+	if !hub.Resend(srv.URL) {
+		t.Fatal("the hub does not know the replica it streams to")
+	}
+	drain("after the hello")
 	if applied, _ := rep.state(); applied != 4 {
-		t.Errorf("a replica that registered again after a restart is at %d, want 4", applied)
+		t.Errorf("a replica that said hello after a restart is at %d, want 4", applied)
 	}
 }
 
@@ -145,8 +146,7 @@ func TestHubCloseStopsStreamToUnreachableReplica(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close() // connection refused from now on
 
-	hub := NewReplicaHub(nil, nil)
-	hub.Register(deadURL)
+	hub := NewReplicaHub(nil, nil, []string{deadURL})
 	confirmRange(hub, 1, 3)
 
 	// Give the push loop time to fail at least once and park in its
@@ -178,8 +178,7 @@ func TestHubConfirmAfterCloseIsDropped(t *testing.T) {
 	sink := &ackingApplySink{}
 	srv := sink.start(t)
 
-	hub := NewReplicaHub(nil, nil)
-	hub.Register(srv.URL)
+	hub := NewReplicaHub(nil, nil, []string{srv.URL})
 	confirmRange(hub, 1, 2)
 	if err := hub.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
@@ -205,8 +204,7 @@ func TestHubCloseRacesConfirmDispatch(t *testing.T) {
 	sink := &ackingApplySink{}
 	srv := sink.start(t)
 
-	hub := NewReplicaHub(nil, nil)
-	hub.Register(srv.URL)
+	hub := NewReplicaHub(nil, nil, []string{srv.URL})
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})

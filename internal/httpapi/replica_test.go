@@ -2,6 +2,9 @@ package httpapi
 
 import (
 	"context"
+	"errors"
+	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,8 +21,8 @@ import (
 )
 
 // replicatedStack boots the full replicated home tier as HTTP processes:
-// a primary with the confirmed-update hub, two replica servers registered
-// with it, and a node spreading misses across them. Returns the client,
+// a primary whose confirmed-update hub streams to two replica servers,
+// and a node spreading misses across them. Returns the client,
 // replicas, and the hub.
 func replicatedStack(t *testing.T) (*Client, []*home.Replica, *ReplicaHub, func()) {
 	t.Helper()
@@ -76,12 +79,12 @@ func TestReplicaServesMissAfterStream(t *testing.T) {
 
 // TestLaggingReplicaBypassedToPrimary pins the staleness protocol over
 // real HTTP: a node spreads misses over two replicas the primary's hub
-// does not stream to yet, so an update confirmed at the primary leaves
-// both at watermark 0 behind the node's freshness floor. A miss then finds
-// every replica refusing — lag, not failure — and the node serves it from
-// the primary, counting the bypass; the stale replica result is never
-// used. Once the replicas register and the stream drains, they are
-// rediscovered and serve again.
+// cannot reach yet (linkDown), so an update confirmed at the primary
+// leaves both at watermark 0 behind the node's freshness floor. A miss
+// then finds every replica refusing — lag, not failure — and the node
+// serves it from the primary, counting the bypass; the stale replica
+// result is never used. Once the link is up and the stream drains, the
+// replicas are rediscovered and serve again.
 func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
@@ -94,13 +97,13 @@ func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	primary, reps := primaries[0], replicas[0]
-	hub := NewReplicaHub(nil, primary.Obs())
-	primary.OnConfirm(hub.Confirm)
 	var repURLs []string
 	for _, rep := range reps {
 		repURLs = append(repURLs, startServer(t, ReplicaHandler(rep)).URL)
 	}
-	homeURL := startServer(t, HomeHandlerWithHub(primary, hub)).URL
+	link, up := linkDown()
+	h, hub := Topology{Home: []HomeEndpoint{{Replicas: repURLs}}}.PrimaryHandler(0, primary, link)
+	homeURL := startServer(t, h).URL
 	t.Cleanup(hub.Close)
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
 	nodeURL := startServer(t, NewNodeServerWithOptions(node, "", nil,
@@ -129,11 +132,9 @@ func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 		}
 	}
 
-	// Registered, the replicas are streamed the retained log, catch up,
+	// Reachable, the replicas are streamed the retained log, catch up,
 	// and are rediscovered.
-	for _, u := range repURLs {
-		hub.Register(u)
-	}
+	up()
 	drainCtx, cancel := context.WithTimeout(ctx, 20*time.Second)
 	defer cancel()
 	if err := hub.Drain(drainCtx); err != nil {
@@ -153,15 +154,19 @@ func TestLaggingReplicaBypassedToPrimary(t *testing.T) {
 	}
 }
 
-// TestHubStreamsToLateRegistrant checks a replica that registers after
-// updates have already confirmed receives the whole retained log.
+// TestHubStreamsToLateRegistrant checks a replica the hub reaches only
+// after updates have already confirmed receives the whole retained log.
 func TestHubStreamsToLateRegistrant(t *testing.T) {
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
 	db := storage.NewDatabase(app.Schema)
 	seedToys(t, db)
 	primary := homeserver.New(db, app, codec)
-	hub := NewReplicaHub(nil, nil)
+	rdb := storage.NewDatabase(app.Schema)
+	seedToys(t, rdb)
+	rep := home.NewReplica("late", rdb, app, codec)
+	link, up := linkDown()
+	hub := NewReplicaHub(link, nil, []string{startServer(t, ReplicaHandler(rep)).URL})
 	defer hub.Close()
 	primary.OnConfirm(hub.Confirm)
 
@@ -179,11 +184,7 @@ func TestHubStreamsToLateRegistrant(t *testing.T) {
 		}
 	}
 
-	rdb := storage.NewDatabase(app.Schema)
-	seedToys(t, rdb)
-	rep := home.NewReplica("late", rdb, app, codec)
-	srv := startServer(t, ReplicaHandler(rep))
-	hub.Register(srv.URL)
+	up()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -191,6 +192,18 @@ func TestHubStreamsToLateRegistrant(t *testing.T) {
 		t.Fatalf("hub drain: %v", err)
 	}
 	if got := rep.Applied(); got != 2 {
-		t.Fatalf("late registrant applied %d, want 2", got)
+		t.Fatalf("the late replica applied %d, want 2", got)
 	}
+}
+
+// linkDown is a client over which every call fails until up is called:
+// a hub given it cannot reach its replicas until then, and retries.
+func linkDown() (client *http.Client, up func()) {
+	var isUp atomic.Bool
+	return &http.Client{Timeout: DefaultTimeout, Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if !isUp.Load() {
+			return nil, errors.New("link down")
+		}
+		return http.DefaultTransport.RoundTrip(r)
+	})}, func() { isUp.Store(true) }
 }

@@ -57,7 +57,7 @@ func TestTraceJSONKeepsTextIDs(t *testing.T) {
 	}
 	query, update := ids[0].String(), ids[1].String()
 
-	fleet := append(append([]string{f.URL}, f.NodeURLs...), f.HomeURLs...)
+	fleet := f.Topology.URLs()
 	for _, base := range fleet {
 		var traces struct{ Traces []string }
 		getJSON(t, base+PathTraces, &traces)

@@ -69,24 +69,32 @@ assert_probe_hits() {
 }
 
 echo "elastic_smoke: routed fleet (dssprouter + 2 dsspnode + dssphome)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$HOME_PORT" &
-wait_up "http://localhost:$HOME_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$NODE0_PORT" -home "http://localhost:$HOME_PORT" &
-"$BIN/dsspnode" -app toystore -addr ":$NODE1_PORT" -home "http://localhost:$HOME_PORT" &
-wait_up "http://localhost:$NODE0_PORT"
-wait_up "http://localhost:$NODE1_PORT"
-"$BIN/dssprouter" -app toystore -addr ":$ROUTER_PORT" \
-  -nodes "http://localhost:$NODE0_PORT,http://localhost:$NODE1_PORT" &
-wait_up "http://localhost:$ROUTER_PORT"
+# Node 2 is not in the file: it is a spare, serving but owning nothing
+# until the router admits it.
+FLEET=$OUT/fleet_topology.json
+cat >"$FLEET" <<JSON
+{"app": "toystore", "seed": 1,
+ "home": [{"primary": "$(url $HOME_PORT)"}],
+ "nodes": ["$(url $NODE0_PORT)", "$(url $NODE1_PORT)"],
+ "router": "$(url $ROUTER_PORT)"}
+JSON
+"$BIN/dssphome" -topology "$FLEET" -as "$(url $HOME_PORT)" -key "$KEY" &
+wait_up "$(url $HOME_PORT)"
+"$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE0_PORT)" &
+"$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE1_PORT)" &
+wait_up "$(url $NODE0_PORT)"
+wait_up "$(url $NODE1_PORT)"
+"$BIN/dssprouter" -topology "$FLEET" &
+wait_up "$(url $ROUTER_PORT)"
 
 replay "http://localhost:$ROUTER_PORT"
 
 echo "elastic_smoke: joining a third node mid-run"
-"$BIN/dsspnode" -app toystore -addr ":$NODE2_PORT" -home "http://localhost:$HOME_PORT" &
-wait_up "http://localhost:$NODE2_PORT"
-curl -sf -X POST "http://localhost:$ROUTER_PORT/v1/ring/join" \
+"$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE2_PORT)" &
+wait_up "$(url $NODE2_PORT)"
+curl -sf -X POST "$(url $ROUTER_PORT)/v1/ring/join" \
   -H 'Content-Type: application/json' \
-  -d "{\"url\":\"http://localhost:$NODE2_PORT\",\"warm\":true}" >"$OUT/join.json"
+  -d "{\"url\":\"$(url $NODE2_PORT)\",\"warm\":true}" >"$OUT/join.json"
 jq -e '.kind == "join" and .warm and .epoch == 1 and (.members == [0, 1, 2])' "$OUT/join.json" >/dev/null ||
   { echo "elastic_smoke: bad join report:" >&2; cat "$OUT/join.json" >&2; exit 1; }
 assert_probe_hits "after the join" 2
@@ -158,10 +166,11 @@ jq -s -S '{decisions: (map(.decisions // []) | add
 cleanup
 
 echo "elastic_smoke: static single-node reference (dsspnode + dssphome)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_HOME_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$SOLO_NODE_PORT" -home "http://localhost:$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_NODE_PORT"
+solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
+"$BIN/dssphome" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_HOME_PORT)" -key "$KEY" &
+wait_up "$(url $SOLO_HOME_PORT)"
+"$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
+wait_up "$(url $SOLO_NODE_PORT)"
 replay "http://localhost:$SOLO_NODE_PORT"
 # The fleet probed its warm entries twice (after the join and after the
 # drain) and then served Q2(2); replay the identical tail here so both

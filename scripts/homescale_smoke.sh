@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Distributed-home-tier smoke test: replay the same toystore script once
 # through a fleet whose trusted tier is replicated — a dssphome primary
-# (-replicas) streaming confirmed updates to two dssphome read replicas
-# (-replica-of), fronted by a dssprouter and two dsspnode processes
-# spreading misses across the replicas (-home-replicas) — and once through
-# a single-home, single-node reference. The deployments must be
+# streaming confirmed updates to the two dssphome read replicas its
+# topology file lists, fronted by a dssprouter and two dsspnode processes
+# spreading misses across the replicas — and once through a single-home,
+# single-node reference. The deployments must be
 # indistinguishable: the replicated fleet's merged invalidation-decision
 # log and cache dump diff clean against the reference's. Along the way the
 # script asserts the apply stream actually converged (both replicas report
@@ -40,33 +40,35 @@ replay_post() {
 }
 
 echo "smoke: replicated home tier (primary + 2 replicas + router + 2 nodes)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$HOME_PORT" -replicas &
+FLEET=$OUT/fleet_topology.json
+cat >"$FLEET" <<JSON
+{"app": "toystore", "seed": 1,
+ "home": [{"primary": "$(url $HOME_PORT)", "replicas": ["$(url $REP0_PORT)", "$(url $REP1_PORT)"]}],
+ "nodes": ["$(url $NODE0_PORT)", "$(url $NODE1_PORT)"],
+ "router": "$(url $ROUTER_PORT)"}
+JSON
+"$BIN/dssphome" -topology "$FLEET" -as "$(url $HOME_PORT)" -key "$KEY" &
 PRIMARY_PID=$!
-wait_up "http://localhost:$HOME_PORT"
+wait_up "$(url $HOME_PORT)"
 start_rep0() {
-  "$BIN/dssphome" -app toystore -key "$KEY" -addr ":$REP0_PORT" \
-    -replica-of "http://localhost:$HOME_PORT" -advertise "http://localhost:$REP0_PORT" &
+  "$BIN/dssphome" -topology "$FLEET" -as "$(url $REP0_PORT)" -key "$KEY" &
   REP0_PID=$!
 }
 start_rep0
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$REP1_PORT" \
-  -replica-of "http://localhost:$HOME_PORT" -advertise "http://localhost:$REP1_PORT" &
-wait_up "http://localhost:$REP0_PORT"
-wait_up "http://localhost:$REP1_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$NODE0_PORT" -home "http://localhost:$HOME_PORT" \
-  -home-replicas "http://localhost:$REP0_PORT,http://localhost:$REP1_PORT" &
-"$BIN/dsspnode" -app toystore -addr ":$NODE1_PORT" -home "http://localhost:$HOME_PORT" \
-  -home-replicas "http://localhost:$REP0_PORT,http://localhost:$REP1_PORT" &
-wait_up "http://localhost:$NODE0_PORT"
-wait_up "http://localhost:$NODE1_PORT"
-"$BIN/dssprouter" -app toystore -addr ":$ROUTER_PORT" \
-  -nodes "http://localhost:$NODE0_PORT,http://localhost:$NODE1_PORT" &
-wait_up "http://localhost:$ROUTER_PORT"
+"$BIN/dssphome" -topology "$FLEET" -as "$(url $REP1_PORT)" -key "$KEY" &
+wait_up "$(url $REP0_PORT)"
+wait_up "$(url $REP1_PORT)"
+"$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE0_PORT)" &
+"$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE1_PORT)" &
+wait_up "$(url $NODE0_PORT)"
+wait_up "$(url $NODE1_PORT)"
+"$BIN/dssprouter" -topology "$FLEET" &
+wait_up "$(url $ROUTER_PORT)"
 
-replay_pre "http://localhost:$ROUTER_PORT"
+replay_pre "$(url $ROUTER_PORT)"
 
 # The update confirmed at the primary; wait for the stream to land it on
-# both replicas (registration retries once a second, so allow a few).
+# both replicas.
 for port in "$REP0_PORT" "$REP1_PORT"; do
   for _ in $(seq 1 100); do
     applied=$(curl -sf "http://localhost:$port/v1/replica/status" | jq -r .applied)
@@ -80,8 +82,8 @@ for port in "$REP0_PORT" "$REP1_PORT"; do
 done
 echo "smoke: confirmed-update stream converged on both replicas"
 
-# A replica that crashes comes back empty, from the seed state, and
-# registers again: the primary must resend it the stream from its own
+# A replica that crashes comes back empty, from the seed state, and says
+# hello to its primary: the primary must resend it the stream from its own
 # watermark until it holds every confirmed update.
 kill -9 "$REP0_PID"
 wait "$REP0_PID" 2>/dev/null || true
@@ -135,10 +137,11 @@ jq -s -S '{decisions: (map(.decisions // []) | add
   "$OUT/node0.json" "$OUT/node1.json" >"$OUT/fleet.json"
 
 echo "smoke: single-home reference (dsspnode + dssphome)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_HOME_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$SOLO_NODE_PORT" -home "http://localhost:$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_NODE_PORT"
+solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
+"$BIN/dssphome" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_HOME_PORT)" -key "$KEY" &
+wait_up "$(url $SOLO_HOME_PORT)"
+"$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
+wait_up "$(url $SOLO_NODE_PORT)"
 replay_pre "http://localhost:$SOLO_NODE_PORT"
 replay_post "http://localhost:$SOLO_NODE_PORT"
 curl -sf "http://localhost:$SOLO_NODE_PORT/v1/decisions" |

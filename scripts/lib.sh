@@ -1,7 +1,8 @@
 # Shared harness of the process smokes (scripts/*_smoke.sh): source it
 # after `set -euo pipefail` and `cd` to the repository root. It builds the
-# four binaries into $BIN, creates the scratch directory $OUT, and
-# installs the cleanup trap. SMOKE names the script in failure messages.
+# four binaries into $BIN, creates the scratch directory $OUT — where each
+# smoke writes the topology files its processes read — and installs the
+# cleanup trap. SMOKE names the script in failure messages.
 : "${SMOKE:=smoke}"
 BIN=$(mktemp -d) OUT=$(mktemp -d)
 
@@ -22,4 +23,16 @@ wait_up() {
   done
   echo "$SMOKE: server at $1 did not come up" >&2
   exit 1
+}
+
+# url is the base URL of the smoke's process listening on port $1: the name
+# a topology file gives it, and its -as.
+url() { echo "http://localhost:$1"; }
+
+# solo_topology writes to file $1 the single-home, single-node reference
+# deployment every smoke diffs against: the home on port $2, the node on $3.
+solo_topology() {
+  cat >"$1" <<JSON
+{"app": "toystore", "seed": 1, "home": [{"primary": "$(url "$2")"}], "nodes": ["$(url "$3")"]}
+JSON
 }

@@ -3,7 +3,9 @@
 # dssprouter fronting two dsspnode processes and once through a single
 # node. The deployments must be indistinguishable: the fleet's merged
 # invalidation-decision log and cache dump (served by /v1/decisions) diff
-# clean against the single-node run's.
+# clean against the single-node run's. Each deployment is one topology
+# file every process reads. At the end the router and a node must drain and
+# exit 0 on SIGTERM.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,15 +27,22 @@ replay() {
 }
 
 echo "smoke: routed fleet (dssprouter + 2 dsspnode + dssphome)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$HOME_PORT" &
-wait_up "http://localhost:$HOME_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$NODE0_PORT" -home "http://localhost:$HOME_PORT" &
-"$BIN/dsspnode" -app toystore -addr ":$NODE1_PORT" -home "http://localhost:$HOME_PORT" &
-wait_up "http://localhost:$NODE0_PORT"
-wait_up "http://localhost:$NODE1_PORT"
-"$BIN/dssprouter" -app toystore -addr ":$ROUTER_PORT" \
-  -nodes "http://localhost:$NODE0_PORT,http://localhost:$NODE1_PORT" &
-wait_up "http://localhost:$ROUTER_PORT"
+cat >"$OUT/fleet_topology.json" <<JSON
+{"app": "toystore", "seed": 1,
+ "home": [{"primary": "$(url $HOME_PORT)"}],
+ "nodes": ["$(url $NODE0_PORT)", "$(url $NODE1_PORT)"],
+ "router": "$(url $ROUTER_PORT)"}
+JSON
+"$BIN/dssphome" -topology "$OUT/fleet_topology.json" -as "$(url $HOME_PORT)" -key "$KEY" &
+wait_up "$(url $HOME_PORT)"
+"$BIN/dsspnode" -topology "$OUT/fleet_topology.json" -as "$(url $NODE0_PORT)" &
+NODE0_PID=$!
+"$BIN/dsspnode" -topology "$OUT/fleet_topology.json" -as "$(url $NODE1_PORT)" &
+wait_up "$(url $NODE0_PORT)"
+wait_up "$(url $NODE1_PORT)"
+"$BIN/dssprouter" -topology "$OUT/fleet_topology.json" &
+ROUTER_PID=$!
+wait_up "$(url $ROUTER_PORT)"
 
 replay "http://localhost:$ROUTER_PORT"
 curl -sf "http://localhost:$NODE0_PORT/v1/decisions" >"$OUT/node0.json"
@@ -68,6 +77,17 @@ jq -s --arg id "$TRACE" '
     then error("the router recorded a cache_lookup span: it is running a node pathway again") else . end
   | "smoke: trace \($id) covers \($stages | join(", "))"' \
   -r "$OUT/spans.json"
+
+# Graceful shutdown: SIGTERM the router, then a node; each must answer the
+# frames in flight, close its connections and exit 0.
+for pid in "$ROUTER_PID" "$NODE0_PID"; do
+  kill -TERM "$pid"
+  if ! wait "$pid"; then
+    echo "smoke: process $pid did not shut down gracefully on SIGTERM" >&2
+    exit 1
+  fi
+done
+echo "smoke: router and node drained and exited cleanly on SIGTERM"
 cleanup
 
 # Canonical observable state: merge the fleet's logs, drop the per-run
@@ -79,10 +99,11 @@ jq -s -S '{decisions: (map(.decisions // []) | add
   "$OUT/node0.json" "$OUT/node1.json" >"$OUT/fleet.json"
 
 echo "smoke: single-node reference (dsspnode + dssphome)"
-"$BIN/dssphome" -app toystore -key "$KEY" -addr ":$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_HOME_PORT"
-"$BIN/dsspnode" -app toystore -addr ":$SOLO_NODE_PORT" -home "http://localhost:$SOLO_HOME_PORT" &
-wait_up "http://localhost:$SOLO_NODE_PORT"
+solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
+"$BIN/dssphome" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_HOME_PORT)" -key "$KEY" &
+wait_up "$(url $SOLO_HOME_PORT)"
+"$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
+wait_up "$(url $SOLO_NODE_PORT)"
 replay "http://localhost:$SOLO_NODE_PORT"
 curl -sf "http://localhost:$SOLO_NODE_PORT/v1/decisions" |
   jq -s -S '{decisions: (map(.decisions // []) | add
