@@ -1,12 +1,14 @@
 // Command dsspclient is the trusted application side of the networked
 // deployment: it seals a query or update with the application's key,
-// sends it to a DSSP node, and prints the decrypted answer.
+// sends it to the entry point of the topology file every fleet binary
+// reads (the router, or else the one node; a file the loader refuses
+// exits 2), and prints the decrypted answer.
 //
 // Usage (with dssphome and dsspnode running):
 //
-//	dsspclient -app toystore -key secret -query Q2 -params 5
-//	dsspclient -app toystore -key secret -update U1 -params 5
-//	dsspclient -app toystore -key secret -query Q1 -params bear -exposure Q1=stmt
+//	dsspclient -topology fleet.json -key secret -query Q2 -params 5
+//	dsspclient -topology fleet.json -key secret -update U1 -params 5
+//	dsspclient -topology fleet.json -key secret -query Q1 -params bear -exposure Q1=stmt
 package main
 
 import (
@@ -28,8 +30,7 @@ import (
 )
 
 func main() {
-	appName := flag.String("app", "toystore", "application: toystore|auction|bboard|bookstore")
-	node := flag.String("node", "http://localhost:8400", "DSSP node base URL")
+	topology := flag.String("topology", "", "the deployment's topology file (JSON, httpapi.Topology): its application and entry point")
 	keyPhrase := flag.String("key", "", "key phrase shared with the home server (required)")
 	queryID := flag.String("query", "", "query template ID to execute")
 	updateID := flag.String("update", "", "update template ID to execute")
@@ -39,26 +40,25 @@ func main() {
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("proc", "dsspclient")
-	fatal := func(msg string, err error) {
-		logger.Error(msg, "err", err)
-		os.Exit(1)
-	}
 	if *keyPhrase == "" || (*queryID == "") == (*updateID == "") {
 		logger.Error("-key and exactly one of -query/-update are required")
 		os.Exit(2)
 	}
-	b, err := apps.ByName(*appName)
+	topo, _, err := httpapi.LoadTopology(*topology, httpapi.KindClient, "")
 	if err != nil {
-		fatal("bad application", err)
+		logger.Error("bad topology", "err", err)
+		os.Exit(2)
 	}
+	b, _ := apps.ByName(topo.App) // LoadTopology validated the name
 	app := b.App()
 	exps, err := parseExposures(*exposures)
 	if err != nil {
-		fatal("bad exposure override", err)
+		logger.Error("bad exposure override", "err", err)
+		os.Exit(1)
 	}
 	master := sha256.Sum256([]byte(*keyPhrase))
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(master[:]), exps)
-	client := httpapi.NewClient(codec, *node, nil)
+	client := httpapi.NewClient(codec, topo.Entry(), nil)
 	// A local span store captures each request's trace ID, so the log line
 	// names the trace that the fleet's /v1/trace endpoints can resolve.
 	store := obs.NewSpanStore(0)

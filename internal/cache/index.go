@@ -2,14 +2,15 @@ package cache
 
 import (
 	"dssp/internal/invalidate"
+	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 )
 
 // The bucket index (DESIGN.md, "The bucket index"). A bucket of a query
 // template with an index slot (invalidate.SlotOf) chains its entries by
 // their key at the slot, through the entries themselves, so a store
-// allocates nothing beyond the chain map's growth; entries with no key
-// there, or too few parameters, sit on a loose list of always-candidates.
+// allocates nothing beyond the chain map's growth; entries with too few
+// parameters sit on a loose list of always-candidates.
 // The walk decides the loose list and the chains of the keys a pair's plan
 // names (PairPlan.Probe), or every entry when it names none. The index
 // changes only under the shard lock, with the bucket: put and remove keep
@@ -21,8 +22,8 @@ type bucket struct {
 	entries map[string]*Entry
 	slot    invalidate.Slot // Pos < 0: the template has no slot; chains and loose stay empty
 
-	chains map[invalidate.ProbeKey]*Entry // key at the slot -> the chain's first entry; nil until one is keyed
-	loose  *Entry                         // the always-candidates
+	chains map[sqlparse.Key]*Entry // key at the slot -> the chain's first entry; nil until one is keyed
+	loose  *Entry                  // the always-candidates
 }
 
 // newBucket makes an empty bucket for the query template qt, which is
@@ -56,11 +57,11 @@ func (b *bucket) remove(e *Entry) {
 
 // keyOf returns e's key at the slot, and false when e belongs on the
 // loose list.
-func (b *bucket) keyOf(e *Entry) (invalidate.ProbeKey, bool) {
+func (b *bucket) keyOf(e *Entry) (sqlparse.Key, bool) {
 	if p := e.Query.Params; len(p) >= b.slot.Need {
-		return invalidate.KeyOf(p[b.slot.Pos])
+		return p[b.slot.Pos].Key(), true
 	}
-	return invalidate.ProbeKey{}, false
+	return sqlparse.Key{}, false
 }
 
 // index links e at the head of its chain, or of the loose list.
@@ -75,7 +76,7 @@ func (b *bucket) index(e *Entry) {
 		next, b.loose = b.loose, e
 	} else {
 		if b.chains == nil {
-			b.chains = make(map[invalidate.ProbeKey]*Entry)
+			b.chains = make(map[sqlparse.Key]*Entry)
 		}
 		next = b.chains[k]
 		b.chains[k] = e

@@ -19,7 +19,7 @@ import (
 
 // checkIndex checks the bucket index at a quiescent point: every entry of
 // an indexed bucket sits in exactly one chain — the one of its key at the
-// slot — or on the loose list when it has no key there, the links run
+// slot — or on the loose list when it has too few parameters, the links run
 // both ways, no chain is empty, and nothing else is linked. A bucket
 // without a slot links nothing.
 func checkIndex(t testing.TB, c *Cache) {
@@ -32,7 +32,7 @@ func checkIndex(t testing.TB, c *Cache) {
 				t.Errorf("bucket %q: slot %+v, the template's is %+v", id, b.slot, slot)
 			}
 			seen := make(map[*Entry]bool, len(b.entries))
-			walkChain := func(head *Entry, key *invalidate.ProbeKey) {
+			walkChain := func(head *Entry, key *sqlparse.Key) {
 				if head == nil {
 					t.Errorf("bucket %q: an empty chain is kept", id)
 				}

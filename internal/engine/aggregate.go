@@ -10,7 +10,7 @@ import (
 )
 
 // aggSink folds joined tuples into per-group accumulators as they arrive;
-// no tuple is kept. Groups are identified by storage.AppendKey's encoding
+// no tuple is kept. Groups are identified by sqlparse.AppendKey's encoding
 // of their GROUP BY values and numbered in first-seen order. Without GROUP
 // BY the whole input is one group, which Run creates up front: it exists
 // even when the input is empty (COUNT of nothing is 0; the other aggregates
@@ -52,7 +52,7 @@ func (s *aggSink) add(p *Plan, tup []storage.Row) {
 	if len(p.groupBy) > 0 {
 		key := s.keyBuf[:0]
 		for _, g := range p.groupBy {
-			key = storage.AppendKey(key, tup[g.from][g.col])
+			key = sqlparse.AppendKey(key, tup[g.from][g.col])
 		}
 		s.keyBuf = key
 		group = s.group(key, len(p.outs))

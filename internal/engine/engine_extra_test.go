@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -102,6 +103,21 @@ func TestFloatColumns(t *testing.T) {
 	res = query(t, db, "SELECT id FROM m WHERE x=?", sqlparse.IntVal(2))
 	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
 		t.Errorf("int-float equality: %v", res.Rows)
+	}
+}
+
+// TestFloatZerosGroupTogether: -0.0 and 0.0 compare equal, so they are
+// one GROUP BY group, as they are one ORDER BY key.
+func TestFloatZerosGroupTogether(t *testing.T) {
+	s := schema.New()
+	s.MustAddTable("m", []schema.Column{{Name: "id", Type: schema.TInt}, {Name: "x", Type: schema.TFloat}}, "id")
+	db := storage.NewDatabase(s)
+	for i, x := range []float64{0, math.Copysign(0, -1), 1} {
+		mustInsert(t, db, "m", storage.Row{sqlparse.IntVal(int64(i)), sqlparse.FloatVal(x)})
+	}
+	res := query(t, db, "SELECT x, COUNT(*) FROM m GROUP BY x ORDER BY x")
+	if res.Len() != 2 || res.Rows[0][1].Int() != 2 || res.Rows[1][1].Int() != 1 {
+		t.Errorf("GROUP BY over 0.0, -0.0, 1.0 = %v, want two groups of 2 and 1", res.Rows)
 	}
 }
 

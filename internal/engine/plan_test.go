@@ -525,7 +525,7 @@ func FuzzPlanMatchesInterpreter(f *testing.F) {
 		// partial_insert_test.go
 		"SELECT toy_id FROM toys WHERE qty<? AND toy_id=?",
 		"SELECT toy_id FROM toys WHERE qty>=? AND toy_id=?",
-		// Float group keys (-0.0, 0.0 and NaN are three groups), float order
+		// Float group keys (-0.0 and 0.0 are one group, NaN another), float order
 		// keys, constants, LIMIT without ORDER BY, ORDER BY … LIMIT 0.
 		"SELECT x, COUNT(*), MIN(id) FROM m GROUP BY x ORDER BY x DESC LIMIT 3",
 		"SELECT x, SUM(x), MAX(x) FROM m GROUP BY x",

@@ -132,12 +132,11 @@ func Start(spec Spec) (*Fleet, error) {
 	for _, u := range t.Nodes {
 		f.startNode(lns[u], u)
 	}
-	f.URL = t.Nodes[0]
 	if t.Router != "" {
 		f.Router = NewRouterServer(f.analysis, t.Nodes, RouterOptions{Client: f.HTTP})
 		f.serve(lns[t.Router], f.Router.Handler(), Shutdown)
-		f.URL = t.Router
 	}
+	f.URL = t.Entry()
 	f.Client = NewClient(spec.Codec, f.URL, f.HTTP)
 	return f, nil
 }

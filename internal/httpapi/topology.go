@@ -18,8 +18,9 @@ import (
 // partitions in partition order (each primary with its read replicas), the
 // DSSP nodes in ring order, and the shard router in front of them when
 // there are several. Start builds one from the listeners it opens (Seed
-// stays 0: Spec.NewDB populates); dssphome, dsspnode and dssprouter read
-// one from a file and find their role in it (LoadTopology).
+// stays 0: Spec.NewDB populates); dssphome, dsspnode, dssprouter and
+// dsspclient read one from a file and find their role in it
+// (LoadTopology).
 type Topology struct {
 	App    string         `json:"app"`
 	Seed   int64          `json:"seed"`
@@ -43,6 +44,7 @@ const (
 	KindNode   Kind = "node"
 	KindHome   Kind = "home"
 	KindRouter Kind = "router"
+	KindClient Kind = "client" // serves nothing: it sends to the Entry
 )
 
 // Role is where one process sits in a Topology: its listen address (its
@@ -58,7 +60,7 @@ type Role struct {
 // field Topology does not name, and finds the process of kind at URL as in
 // it. A node the file does not list is a spare: it serves, but owns
 // nothing until a ring join admits it. A router is the file's router, and
-// passes no URL.
+// a client has no role; neither passes a URL.
 func LoadTopology(path string, kind Kind, as string) (t Topology, role Role, err error) {
 	f, err := os.Open(path)
 	if err == nil {
@@ -79,6 +81,14 @@ func LoadTopology(path string, kind Kind, as string) (t Topology, role Role, err
 		return Topology{}, Role{}, fmt.Errorf("topology %s: %w", path, err)
 	}
 	return t, role, nil
+}
+
+// Entry is the clients' entry point: the router, or else the one node.
+func (t Topology) Entry() string {
+	if t.Router != "" {
+		return t.Router
+	}
+	return t.Nodes[0]
 }
 
 // URLs lists every process the topology names, front to back.
@@ -126,7 +136,10 @@ func (t Topology) validate() error {
 
 // role finds the process of kind at URL as in t.
 func (t Topology) role(kind Kind, as string) (Role, error) {
-	if kind == KindRouter {
+	switch kind {
+	case KindClient:
+		return Role{}, nil
+	case KindRouter:
 		if as = t.Router; as == "" {
 			return Role{}, errors.New("no router: a one-node deployment's node is its entry point")
 		}

@@ -12,8 +12,9 @@ import (
 
 // TestLoadTopology is the topology loader's table: what a file may say,
 // what the validator refuses instead of dropping or guessing, and the role
-// each kind of binary finds in it. A case without a kind runs as a node,
-// and one without as as the file's first node.
+// each kind of binary finds in it, a client's entry point included. A
+// case without a kind runs as a node, and one without as as the file's
+// first node.
 func TestLoadTopology(t *testing.T) {
 	const (
 		one   = `"app": "toystore", "home": [{"primary": "http://p0:1"}], "nodes": ["http://n0:2"]`
@@ -31,6 +32,7 @@ func TestLoadTopology(t *testing.T) {
 		as         string
 		wantHome   []HomeEndpoint
 		want       *Role
+		entry      string
 		wantErr    string
 	}{
 		{name: "single home", file: `{` + one + `}`,
@@ -106,6 +108,8 @@ func TestLoadTopology(t *testing.T) {
 			wantErr: "not in the topology"},
 		{name: "no -as", file: `{` + fleet + `}`, kind: KindHome, wantErr: "empty URL"},
 		{name: "router of a one-node topology", file: `{` + one + `}`, kind: KindRouter, wantErr: "no router"},
+		{name: "a client enters at the router", file: `{` + fleet + `}`, kind: KindClient, want: &Role{}, entry: "http://rt:8399"},
+		{name: "a client enters at the one node", file: `{` + one + `}`, kind: KindClient, want: &Role{}, entry: "http://n0:2"},
 	}
 	dir := t.TempDir()
 	for i, c := range cases {
@@ -136,6 +140,9 @@ func TestLoadTopology(t *testing.T) {
 		}
 		if c.want != nil && role != *c.want {
 			t.Errorf("%s: role %+v, want %+v", c.name, role, *c.want)
+		}
+		if c.entry != "" && got.Entry() != c.entry {
+			t.Errorf("%s: entry %s, want %s", c.name, got.Entry(), c.entry)
 		}
 	}
 }

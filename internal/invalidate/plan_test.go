@@ -34,9 +34,9 @@ func planApps(t testing.TB) []*template.App {
 }
 
 // collidingValues are drawn for parameters and result cells: values that
-// Compare calls equal across kinds (5 and 5.0, -0.0 and 0.0, a NaN, which
-// compares equal to everything, 2^53 and 2^53+1), NULL, and a few that
-// order around them.
+// Compare calls equal across kinds (5 and 5.0, -0.0 and 0.0), a NaN, which
+// equals only NaN, 2^53 and 2^53+1 as int and float, which the order tells
+// apart exactly, NULL, and a few that order around them.
 var collidingValues = []sqlparse.Value{
 	sqlparse.IntVal(5), sqlparse.FloatVal(5), sqlparse.FloatVal(math.Copysign(0, -1)),
 	sqlparse.FloatVal(0), sqlparse.IntVal(0), sqlparse.FloatVal(math.NaN()), sqlparse.Null(),
@@ -101,18 +101,15 @@ func checkPairAgainstReference(t *testing.T, iv *Invalidator, ref *reference, u,
 
 // checkProbeHidesOnlyDNI fails if the plan's probe leaves out an entry
 // that statement or view inspection would invalidate: an entry is left
-// out when the probe names keys, the entry has the slot's parameters and
-// a key at its position, and that key is none of them.
+// out when the probe names keys, the entry has the slot's parameters, and
+// its key at the slot is none of them.
 func checkProbeHidesOnlyDNI(t *testing.T, p *PairPlan, sl Slot, pu *PreparedUpdate, view CachedView) {
 	t.Helper()
 	keys, n, ok := p.Probe(pu)
 	if !ok || len(view.Params) < sl.Need {
 		return
 	}
-	k, keyed := KeyOf(view.Params[sl.Pos])
-	if !keyed {
-		return
-	}
+	k := view.Params[sl.Pos].Key()
 	for _, pk := range keys[:n] {
 		if pk == k {
 			return

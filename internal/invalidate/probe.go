@@ -1,8 +1,6 @@
 package invalidate
 
 import (
-	"math"
-
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 )
@@ -12,66 +10,14 @@ import (
 // whose parameter differs before it reads anything else. The cache
 // indexes each bucket on one such parameter per query template (Slot),
 // and a pair's plan names the keys a prepared update can affect there
-// (PairPlan.Probe). The key follows the invalidator's own equality,
-// Value.Compare: two keyable values have equal keys exactly when Compare
-// calls them equal. Compare is transitive only where every number is a
-// float64 exactly, so NaN (equal to everything) and numbers beyond ±2^53
-// (IntVal(2^53+1) equals FloatVal(2^53), which equals IntVal(2^53)) have
-// no key: an entry holding one is always a candidate, and an update
-// binding one scans.
-
-// ProbeKey is a value's canonical key under Value.Compare. It is
-// comparable and allocates nothing beyond the string it shares.
-type ProbeKey struct {
-	kind uint8
-	n    uint64
-	s    string
-}
-
-// The kinds of key. An integral float and -0.0 take the int key of their
-// value, so 5 and 5.0, or 0 and -0.0, are one key.
-const (
-	keyNull uint8 = iota
-	keyNum        // an int, or an integral float, as its int64
-	keyFrac       // a finite float with a fraction, as its bits
-	keyStr
-)
-
-// maxExact bounds the numbers with a key: every integer of at most this
-// magnitude is a float64 exactly.
-const maxExact = 1 << 53
-
-// KeyOf returns v's probe key, and false when v has none: a NaN, a number
-// beyond ±2^53 (infinities included) or a kind the SQL subset does not
-// define.
-func KeyOf(v sqlparse.Value) (ProbeKey, bool) {
-	switch v.Kind {
-	case sqlparse.KindNull:
-		return ProbeKey{kind: keyNull}, true
-	case sqlparse.KindInt:
-		if i := v.Int(); i >= -maxExact && i <= maxExact {
-			return ProbeKey{kind: keyNum, n: uint64(i)}, true
-		}
-	case sqlparse.KindFloat:
-		f := v.Float()
-		if !(f >= -maxExact && f <= maxExact) { // NaN fails both
-			break
-		}
-		if f == math.Trunc(f) {
-			return ProbeKey{kind: keyNum, n: uint64(int64(f))}, true
-		}
-		return ProbeKey{kind: keyFrac, n: math.Float64bits(f)}, true
-	case sqlparse.KindString:
-		return ProbeKey{kind: keyStr, s: v.Str}, true
-	}
-	return ProbeKey{}, false
-}
+// (PairPlan.Probe). The key is sqlparse.Key, which follows the
+// invalidator's own equality, Value.Compare.
 
 // Slot is where the cache indexes a query template's entries: Pos is the
 // parameter the first `col = ?` of its WHERE clause binds (-1: none, and
 // the template's buckets are not indexed), and Need the parameter count
 // an entry must have for every predicate of the clause to bind. An entry
-// with fewer parameters, or with no key at Pos, is always a candidate.
+// with fewer parameters is always a candidate.
 type Slot struct {
 	Pos, Need int
 }
@@ -156,16 +102,16 @@ func (p *PairPlan) compileProbe(sl Slot) {
 // statement or view inspection: n of them, at most two, with ok false
 // when the plan or this update's values call for a scan. An entry whose
 // key at the slot is none of them is decided DNI by Decide in both
-// classes; an entry with no key there, or with fewer parameters than the
-// slot's Need, must be decided like a candidate. It allocates nothing.
-func (p *PairPlan) Probe(pu *PreparedUpdate) (keys [2]ProbeKey, n int, ok bool) {
+// classes; an entry with fewer parameters than the slot's Need must be
+// decided like a candidate. It allocates nothing.
+func (p *PairPlan) Probe(pu *PreparedUpdate) (keys [2]sqlparse.Key, n int, ok bool) {
 	switch p.probe {
 	case probeInsert:
 		if pu.row == nil {
 			return keys, 0, false
 		}
-		keys[0], ok = KeyOf(pu.row[p.probeAt])
-		return keys, 1, ok
+		keys[0] = pu.row[p.probeAt].Key()
+		return keys, 1, true
 	case probeWhere:
 		if !pu.consOK {
 			return keys, 0, false
@@ -186,10 +132,10 @@ func (p *PairPlan) Probe(pu *PreparedUpdate) (keys [2]ProbeKey, n int, ok bool) 
 }
 
 // eqKey returns the key of the equality the constraint set holds on its
-// column i, and false when it holds none or the value has no key.
-func eqKey(cs *consSet, i int) (ProbeKey, bool) {
+// column i, and false when it holds none.
+func eqKey(cs *consSet, i int) (sqlparse.Key, bool) {
 	if rc := &cs.cols[i].rc; rc.hasEq {
-		return KeyOf(rc.eq)
+		return rc.eq.Key(), true
 	}
-	return ProbeKey{}, false
+	return sqlparse.Key{}, false
 }

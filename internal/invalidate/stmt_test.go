@@ -132,13 +132,12 @@ func TestBindVal(t *testing.T) {
 
 // TestStatementInspectionNumericKinds pins how statement inspection treats
 // numeric parameters of mixed kind, which is Value.Compare's: an int and a
-// float of the same magnitude are one value, -0.0 is 0.0, and a NaN is
-// unordered against every number, so no equality with it is refutable.
-// Any index that narrows the per-entry scan to candidates (ROADMAP item
-// one) must key on an encoding that is canonical under Compare — a
-// kind-tagged key like storage.AppendKey's would file Int(5) and Float(5)
-// apart and miss the first four invalidations below. An entry with fewer
-// parameters than its template binds nothing; it cannot be refuted either.
+// float of the same magnitude are one value, -0.0 is 0.0, and a NaN equals
+// only NaN. The bucket index narrows the per-entry scan by sqlparse.Key,
+// which follows that equality — a kind-tagged key would file Int(5) and
+// Float(5) apart and miss the first three invalidations below. An entry
+// with fewer parameters than its template binds nothing; it cannot be
+// refuted either.
 func TestStatementInspectionNumericKinds(t *testing.T) {
 	app := apps.Toystore()
 	iv := newInvalidator(app)
@@ -152,7 +151,8 @@ func TestStatementInspectionNumericKinds(t *testing.T) {
 		{"float update, int entry", sqlparse.FloatVal(5), []sqlparse.Value{sqlparse.IntVal(5)}, Invalidate},
 		{"int update, float entry", sqlparse.IntVal(5), []sqlparse.Value{sqlparse.FloatVal(5)}, Invalidate},
 		{"negative zero", sqlparse.FloatVal(math.Copysign(0, -1)), []sqlparse.Value{sqlparse.FloatVal(0)}, Invalidate},
-		{"NaN update", sqlparse.FloatVal(math.NaN()), []sqlparse.Value{sqlparse.IntVal(7)}, Invalidate},
+		{"NaN update, NaN entry", sqlparse.FloatVal(math.NaN()), []sqlparse.Value{sqlparse.FloatVal(math.NaN())}, Invalidate},
+		{"NaN update, int entry", sqlparse.FloatVal(math.NaN()), []sqlparse.Value{sqlparse.IntVal(7)}, DNI},
 		{"distinct ints", sqlparse.IntVal(5), []sqlparse.Value{sqlparse.IntVal(6)}, DNI},
 		{"entry short of its template's arity", sqlparse.IntVal(5), nil, Invalidate},
 	} {

@@ -1,8 +1,6 @@
 package invalidate
 
 import (
-	"math"
-
 	"dssp/internal/engine"
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
@@ -257,8 +255,7 @@ func compileInsertView(sch *schema.Schema, qi *queryInfo, q *template.Template, 
 // result does not preserve.
 //
 // Row identity is Value.Compare, the engine's own equality: 5 and 5.0 are
-// one key, and a NaN compares equal to everything, so every doubtful case
-// reads as present.
+// one key.
 func (p *PairPlan) viewModify(pu *PreparedUpdate, params []sqlparse.Value, res *engine.Result) Decision {
 	mi := p.mod
 	if !mi.identifiable {
@@ -305,10 +302,10 @@ func (p *PairPlan) viewModify(pu *PreparedUpdate, params []sqlparse.Value, res *
 // pastCutoff compares one ORDER BY key of a row image against the last row
 // of a full top-k result. It is decided when the key settles which side of
 // the cutoff the image sorts: DNI strictly after, Invalidate strictly
-// before or when either value is NULL or NaN (no order to rely on). A tie
+// before or when either value is NULL (no order to rely on). A tie
 // is undecided: the next key breaks it.
 func pastCutoff(nv, lv sqlparse.Value, desc bool) (d Decision, decided bool) {
-	if nv.IsNull() || lv.IsNull() || isNaN(nv) || isNaN(lv) {
+	if nv.IsNull() || lv.IsNull() {
 		return Invalidate, true
 	}
 	c := nv.Compare(lv)
@@ -323,8 +320,6 @@ func pastCutoff(nv, lv sqlparse.Value, desc bool) (d Decision, decided bool) {
 	}
 	return Invalidate, false
 }
-
-func isNaN(v sqlparse.Value) bool { return v.Kind == sqlparse.KindFloat && math.IsNaN(v.Float()) }
 
 // modifyInfo is what viewModify resolves from the pair alone.
 type modifyInfo struct {

@@ -382,23 +382,11 @@ func parentSpan(route obs.Span, own obs.SpanID) obs.SpanID {
 // receives this batch's push (its pipeline outlives its membership by
 // exactly the in-flight work).
 func (r *Router) fanOut(h *wire.Head, push func(context.Context, Backend, obs.Span, uint64) (int, error), exec int, seq uint64) int {
-	targets, broadcast := r.planner.Targets(h.TemplateID)
-	if broadcast && r.broadcasts != nil {
-		r.broadcasts.Inc()
-	}
-
+	targets, skipped := r.FanoutPlan(h.TemplateID, exec)
 	var total atomic.Int64
-	touched := 1 // the exec node
 	var wg sync.WaitGroup
 	for _, ni := range targets {
-		if ni == exec {
-			continue
-		}
 		b := r.backend(ni)
-		if b == nil {
-			continue
-		}
-		touched++
 		ni := ni
 		wg.Add(1)
 		r.sem <- struct{}{}
@@ -421,13 +409,31 @@ func (r *Router) fanOut(h *wire.Head, push func(context.Context, Backend, obs.Sp
 
 	if r.fanoutNodes != nil {
 		// Encoded like the batch-size histogram: an n-node fan-out is
-		// recorded as n microseconds.
-		r.fanoutNodes.Observe(time.Duration(touched) * time.Microsecond)
+		// recorded as n microseconds, the exec node included.
+		r.fanoutNodes.Observe(time.Duration(1+len(targets)) * time.Microsecond)
 	}
-	if skipped := r.planner.Nodes() - touched; skipped > 0 && r.fanoutSkipped != nil {
+	if skipped > 0 && r.fanoutSkipped != nil {
 		r.fanoutSkipped.Add(int64(skipped))
 	}
 	return int(total.Load())
+}
+
+// FanoutPlan is the fan-out of an update of template id that node exec
+// ran, for RouteUpdate and the simulator alike: the other planned nodes
+// with a live backend, and how many live nodes it spares (never below
+// zero: a handoff's union plan can name more nodes than are live).
+func (r *Router) FanoutPlan(id string, exec int) (targets []int, skipped int) {
+	planned, broadcast := r.planner.Targets(id)
+	if broadcast && r.broadcasts != nil {
+		r.broadcasts.Inc()
+	}
+	targets = planned[:0] // Targets returns a fresh slice
+	for _, ni := range planned {
+		if ni != exec && r.backend(ni) != nil {
+			targets = append(targets, ni)
+		}
+	}
+	return targets, max(r.planner.Nodes()-len(targets)-1, 0)
 }
 
 // MigrationReport summarizes one committed membership change.

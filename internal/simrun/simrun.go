@@ -202,7 +202,7 @@ type Result struct {
 // being omniscient, opens sealed payloads to attribute home-side load to
 // true template IDs, exactly as the trusted side does in a real
 // deployment. It also fans each completed update out to the other nodes'
-// invalidation monitors the router's planner names, one home-link
+// invalidation monitors the router's fan-out plan names, one home-link
 // propagation later (Figure 1 shows several nodes; consistency is
 // per-node): through each node's pipeline monitor, so a configured
 // monitoring interval batches the foreign updates exactly like the
@@ -222,9 +222,9 @@ type simTransport struct {
 	self     int
 	res      *Result
 
-	// planner is the router's: it prunes the update fan-out to the nodes
-	// the shard analysis could not prove untouched.
-	planner *shard.Planner
+	// router plans the update fan-out: the nodes the shard analysis
+	// could not prove untouched.
+	router *shard.Router
 
 	// Mirrors of the home server's admission instruments, fed from the
 	// simulated home CPU queue so the snapshot has the same shape as
@@ -290,27 +290,15 @@ func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done 
 			t.tracer.ObserveSpan(obs.SpanRecord{Trace: su.TraceID, Parent: su.ParentSpan,
 				Stage: obs.StageHomeExec, Template: tID, Start: t.world.Now() - t.costs.HomeUpdateCost, Duration: t.costs.HomeUpdateCost})
 			t.reg.Counter(obs.MHomeUpdates, obs.L(obs.LTemplate, tID)).Inc()
-			// The other nodes the router's planner names monitor the
+			// The other nodes the router's fan-out plan names monitor the
 			// completed update too, one home-link propagation later,
 			// through their pipeline monitors — which record the
 			// invalidate span and, with a monitoring interval configured,
 			// batch it with the node's own stream. The issuing node
 			// invalidates in the pipeline when done resolves.
-			planned, _ := t.planner.Targets(su.TemplateID)
-			targets := make([]int, 0, len(planned))
-			for _, oi := range planned {
-				if oi != t.self {
-					targets = append(targets, oi)
-				}
-			}
+			targets, skipped := t.router.FanoutPlan(su.TemplateID, t.self)
 			t.res.FanoutMessages += len(targets)
-			// Skipped counts against the live member count, not the
-			// preallocated fleet arrays — nodes that have left (or not
-			// yet joined) were never candidates. During a handoff window
-			// the union plan can exceed the live set, so clamp.
-			if skipped := t.planner.Nodes() - len(targets) - 1; skipped > 0 {
-				t.res.FanoutSkipped += skipped
-			}
+			t.res.FanoutSkipped += skipped
 			for _, oi := range targets {
 				oi := oi
 				t.world.After(t.network.HomeLatency, func() {
@@ -536,7 +524,7 @@ func Simulate(cfg Config) (*Result, error) {
 				world: &world, reg: reg, tracer: homeTracer, codec: codec,
 				home: homes[p], homeCPU: homeCPUs[p], toHome: toHome, fromHome: fromHome,
 				costs: cfg.Costs, network: cfg.Network, pipes: pipes, self: i, res: res,
-				planner:    planner,
+				router:     router,
 				queueDepth: queueDepth, waitQ: waitQ, waitU: waitU,
 			}
 			for k, rep := range reps[p] {

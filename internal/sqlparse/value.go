@@ -9,6 +9,7 @@
 package sqlparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -99,47 +100,111 @@ func (v Value) AsFloat() float64 {
 	}
 }
 
-// Compare orders two values. NULL sorts before everything; numeric kinds
-// compare numerically across int/float; strings compare lexicographically.
-// Comparing a string with a number orders the number first (a total order is
-// required for sorting; mixed-kind comparisons never arise in well-typed
-// workloads).
+// Compare is the one total order on values, and Compare(o) == 0 the one
+// equality (DESIGN.md, "One equality"): scans, predicates, ORDER BY,
+// MIN/MAX, GROUP BY, primary-key and index probes, and every invalidation
+// decision use it. NULL sorts first, then numbers, then strings, which
+// compare bytewise. Clients bind parameters of either numeric kind
+// against columns of either, so an int and a float compare by their exact
+// values, not through float64: 5 equals 5.0 and -0.0 equals 0, but
+// 2^53+1 is above the float 2^53. NaN equals only NaN and sorts after
+// every number, +Inf included, as in PostgreSQL. SQL's NULL rule (a
+// comparison with NULL holds for no operator) is the callers'.
 func (v Value) Compare(o Value) int {
-	vn, on := v.Kind == KindInt || v.Kind == KindFloat, o.Kind == KindInt || o.Kind == KindFloat
-	switch {
-	case v.Kind == KindNull && o.Kind == KindNull:
-		return 0
-	case v.Kind == KindNull:
-		return -1
-	case o.Kind == KindNull:
-		return 1
-	case vn && on:
-		if v.Kind == KindInt && o.Kind == KindInt {
-			switch a, b := int64(v.bits), int64(o.bits); {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			default:
-				return 0
-			}
-		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	case vn:
-		return -1
-	case on:
-		return 1
-	default:
-		return strings.Compare(v.Str, o.Str)
+	if v.Kind == KindInt && o.Kind == KindInt {
+		return cmp.Compare(int64(v.bits), int64(o.bits))
 	}
+	if c := cmp.Compare(v.Kind.rank(), o.Kind.rank()); c != 0 {
+		return c
+	}
+	switch {
+	case v.Kind == KindNull:
+		return 0
+	case v.Kind == KindString:
+		return strings.Compare(v.Str, o.Str)
+	case v.Kind == KindInt:
+		return -compareFloatInt(o.Float(), v.Int())
+	case o.Kind == KindInt:
+		return compareFloatInt(v.Float(), o.Int())
+	}
+	// cmp.Compare sorts NaN first: negating both operands and the result
+	// keeps every other order and sorts it last.
+	return -cmp.Compare(-v.Float(), -o.Float())
+}
+
+// rank orders the kinds as declared, NULL, INT, STRING, with FLOAT one
+// rank with INT.
+func (k ValueKind) rank() ValueKind {
+	if k == KindFloat {
+		return KindInt
+	}
+	return k
+}
+
+// compareFloatInt orders a float against an int exactly: by the float's
+// integral part, which an int64 holds once the float is within its range,
+// then by its fraction.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f >= 0x1p63:
+		return 1
+	case f < -0x1p63:
+		return -1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
+}
+
+// Key is a value's class under Compare, as a value in canonical form:
+// comparable, and equal for two values exactly when Compare calls them
+// equal. A float that is an int64 (-0.0 included) takes that int's form,
+// and every NaN one NaN; every other value is its own key.
+type Key Value
+
+// Key returns v's key.
+func (v Value) Key() Key {
+	if v.Kind == KindFloat {
+		switch f := v.Float(); {
+		case f == math.Trunc(f) && f >= -0x1p63 && f < 0x1p63:
+			return Key(IntVal(int64(f)))
+		case f != f:
+			return Key(FloatVal(math.NaN()))
+		}
+	}
+	return Key(v)
+}
+
+// AppendKey appends the byte form of the values' keys to dst: two lists
+// of values have equal forms exactly when their keys are equal, pairwise,
+// so the form keys a map by a list of values (storage's primary-key and
+// secondary indexes, the engine's GROUP BY). A key is 'n' for NULL, 'i'
+// and its decimal digits for an int, 'f' and its shortest decimal for any
+// other number ("fNaN" for NaN), or 's', its length, ':' and its bytes for
+// a string, and ends in '|'. A probe over a stack buffer,
+// m[string(AppendKey(buf[:0], v))], allocates nothing.
+func AppendKey(dst []byte, vals ...Value) []byte {
+	for _, v := range vals {
+		switch k := v.Key(); k.Kind {
+		case KindNull:
+			dst = append(dst, 'n')
+		case KindInt:
+			dst = append(dst, 'i')
+			dst = strconv.AppendInt(dst, int64(k.bits), 10)
+		case KindFloat:
+			dst = append(dst, 'f')
+			dst = strconv.AppendFloat(dst, math.Float64frombits(k.bits), 'g', -1, 64)
+		case KindString:
+			dst = append(dst, 's')
+			dst = strconv.AppendInt(dst, int64(len(k.Str)), 10)
+			dst = append(dst, ':')
+			dst = append(dst, k.Str...)
+		}
+		dst = append(dst, '|')
+	}
+	return dst
 }
 
 // Equal reports whether two values compare equal.

@@ -11,7 +11,6 @@ package storage
 
 import (
 	"fmt"
-	"strconv"
 
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
@@ -27,42 +26,19 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// Key encodes values into a string usable as a hash-index key. The
-// encoding is injective.
+// Key encodes values into a string usable as a hash-index key
+// (sqlparse.AppendKey's form). The encoding is injective up to
+// Value.Compare: two lists have one key exactly when their values compare
+// equal pairwise.
 func Key(vals []sqlparse.Value) string {
 	var buf [keyBufSize]byte
-	return string(AppendKey(buf[:0], vals...))
+	return string(sqlparse.AppendKey(buf[:0], vals...))
 }
 
 // keyBufSize sizes the stack buffers index probes encode their key into:
 // enough for the keys the applications build (a few integers or a short
 // string); a longer key spills to the heap inside append.
 const keyBufSize = 64
-
-// AppendKey appends the Key encoding of vals to dst and returns the
-// extended buffer. A map lookup m[string(AppendKey(buf[:0], v))] over a
-// stack buffer allocates nothing, which is how every index probe runs.
-func AppendKey(dst []byte, vals ...sqlparse.Value) []byte {
-	for _, v := range vals {
-		switch v.Kind {
-		case sqlparse.KindNull:
-			dst = append(dst, 'n')
-		case sqlparse.KindInt:
-			dst = append(dst, 'i')
-			dst = strconv.AppendInt(dst, v.Int(), 10)
-		case sqlparse.KindFloat:
-			dst = append(dst, 'f')
-			dst = strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
-		case sqlparse.KindString:
-			dst = append(dst, 's')
-			dst = strconv.AppendInt(dst, int64(len(v.Str)), 10)
-			dst = append(dst, ':')
-			dst = append(dst, v.Str...)
-		}
-		dst = append(dst, '|')
-	}
-	return dst
-}
 
 // Table stores the rows of one relation. Deleted rows leave nil tombstones
 // so row indexes remain stable within a run; iteration skips tombstones and
@@ -104,7 +80,7 @@ func (t *Table) pkKey(r Row) string {
 	var buf [keyBufSize]byte
 	k := buf[:0]
 	for _, ci := range t.Meta.PKIndexes() {
-		k = AppendKey(k, r[ci])
+		k = sqlparse.AppendKey(k, r[ci])
 	}
 	return string(k)
 }
@@ -112,7 +88,7 @@ func (t *Table) pkKey(r Row) string {
 // pkSlot returns the row slot holding the given primary-key values.
 func (t *Table) pkSlot(keyVals []sqlparse.Value) (int, bool) {
 	var buf [keyBufSize]byte
-	i, ok := t.pk[string(AppendKey(buf[:0], keyVals...))]
+	i, ok := t.pk[string(sqlparse.AppendKey(buf[:0], keyVals...))]
 	return i, ok
 }
 
@@ -157,7 +133,7 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 		return false
 	}
 	var buf [keyBufSize]byte
-	for _, i := range idx[string(AppendKey(buf[:0], v))] {
+	for _, i := range idx[string(sqlparse.AppendKey(buf[:0], v))] {
 		if t.rows[i] == nil {
 			continue
 		}
@@ -183,7 +159,7 @@ func (t *Table) indexRemove(i int, r Row) {
 // indexInsert adds row slot i under v in one secondary index.
 func indexInsert(idx map[string][]int, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	k := string(AppendKey(buf[:0], v))
+	k := string(sqlparse.AppendKey(buf[:0], v))
 	idx[k] = append(idx[k], i)
 }
 
@@ -192,7 +168,7 @@ func indexInsert(idx map[string][]int, i int, v sqlparse.Value) {
 // value leave the list so, but re-key it.
 func indexMoveToEnd(idx map[string][]int, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	rows := idx[string(AppendKey(buf[:0], v))]
+	rows := idx[string(sqlparse.AppendKey(buf[:0], v))]
 	for j, ri := range rows {
 		if ri == i {
 			last := len(rows) - 1
@@ -206,7 +182,7 @@ func indexMoveToEnd(idx map[string][]int, i int, v sqlparse.Value) {
 // probing with a key encoded on the stack.
 func indexDelete(idx map[string][]int, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	k := AppendKey(buf[:0], v)
+	k := sqlparse.AppendKey(buf[:0], v)
 	rows := idx[string(k)]
 	for j, ri := range rows {
 		if ri == i {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -77,6 +78,20 @@ func TestPrimaryKeyUniqueness(t *testing.T) {
 	}
 	if err := db.Insert("toys", toyRow(1, "b", 2)); err == nil {
 		t.Error("duplicate primary key accepted")
+	}
+}
+
+// TestPrimaryKeyNegativeZero: -0.0 and 0.0 compare equal, so they are one
+// primary key.
+func TestPrimaryKeyNegativeZero(t *testing.T) {
+	s := schema.New()
+	s.MustAddTable("m", []schema.Column{{Name: "x", Type: schema.TFloat}}, "x")
+	db := NewDatabase(s)
+	if err := db.Insert("m", Row{sqlparse.FloatVal(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Insert("m", Row{sqlparse.FloatVal(math.Copysign(0, -1))}); err == nil {
+		t.Error("-0.0 accepted beside 0.0 as a second primary key")
 	}
 }
 

@@ -40,27 +40,27 @@ fleet_hits() {
 # The pipeline parity script: miss/store, miss/store, hit, invalidating
 # update, re-miss/store, miss/store. Leaves Q1(bear) and Q2(5) cached.
 replay() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -update U1 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 5 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -update U1 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 5 >/dev/null
 }
 
 # Re-query both entries replay() left cached; each must hit somewhere.
 probe_warm_entries() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 5 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 5 >/dev/null
 }
 
 # Run a probe and require exactly $2 fresh fleet-wide hits.
 assert_probe_hits() {
   local label=$1 want=$2 before after
   before=$(fleet_hits "$NODE0_PORT" "$NODE1_PORT" "$NODE2_PORT")
-  probe_warm_entries "http://localhost:$ROUTER_PORT"
+  probe_warm_entries "$FLEET"
   after=$(fleet_hits "$NODE0_PORT" "$NODE1_PORT" "$NODE2_PORT")
   if (( after - before != want )); then
     echo "elastic_smoke: FAIL: $((after - before)) of $want warm entries hit $label (re-missed)" >&2
@@ -87,7 +87,7 @@ wait_up "$(url $NODE1_PORT)"
 "$BIN/dssprouter" -topology "$FLEET" &
 wait_up "$(url $ROUTER_PORT)"
 
-replay "http://localhost:$ROUTER_PORT"
+replay "$FLEET"
 
 echo "elastic_smoke: joining a third node mid-run"
 "$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE2_PORT)" &
@@ -150,7 +150,7 @@ curl -sf "http://localhost:$ROUTER_PORT/v1/ring" >"$OUT/ring.json"
 jq -e '.epoch == 3 and (.members == [2])' "$OUT/ring.json" >/dev/null ||
   { echo "elastic_smoke: ring view disagrees:" >&2; cat "$OUT/ring.json" >&2; exit 1; }
 # The shrunken fleet still serves.
-"$BIN/dsspclient" -app toystore -key "$KEY" -node "http://localhost:$ROUTER_PORT" -query Q2 -params 2 >/dev/null
+"$BIN/dsspclient" -topology "$FLEET" -key "$KEY" -query Q2 -params 2 >/dev/null
 echo "elastic_smoke: single-survivor fleet serving at epoch 3"
 
 # Decision-log parity across all the churn. The de-ringed node processes
@@ -171,13 +171,13 @@ solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
 wait_up "$(url $SOLO_HOME_PORT)"
 "$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
 wait_up "$(url $SOLO_NODE_PORT)"
-replay "http://localhost:$SOLO_NODE_PORT"
+replay "$OUT/solo_topology.json"
 # The fleet probed its warm entries twice (after the join and after the
 # drain) and then served Q2(2); replay the identical tail here so both
 # sides saw the same op sequence.
-probe_warm_entries "http://localhost:$SOLO_NODE_PORT"
-probe_warm_entries "http://localhost:$SOLO_NODE_PORT"
-"$BIN/dsspclient" -app toystore -key "$KEY" -node "http://localhost:$SOLO_NODE_PORT" -query Q2 -params 2 >/dev/null
+probe_warm_entries "$OUT/solo_topology.json"
+probe_warm_entries "$OUT/solo_topology.json"
+"$BIN/dsspclient" -topology "$OUT/solo_topology.json" -key "$KEY" -query Q2 -params 2 >/dev/null
 curl -sf "http://localhost:$SOLO_NODE_PORT/v1/decisions" |
   jq -s -S '{decisions: (map(.decisions // []) | add
                          | map({UpdateTemplate, QueryTemplate, Class, Dropped}) | sort)}' >"$OUT/solo.json"

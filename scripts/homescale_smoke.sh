@@ -25,18 +25,18 @@ source scripts/lib.sh
 # then the invalidating update; afterwards the re-misses and fresh misses
 # that a converged replica may serve.
 replay_pre() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -update U1 -params 1 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -update U1 -params 1 >/dev/null
 }
 replay_post() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 5 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 2 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 3 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 5 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 2 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 3 >/dev/null
 }
 
 echo "smoke: replicated home tier (primary + 2 replicas + router + 2 nodes)"
@@ -65,7 +65,7 @@ wait_up "$(url $NODE1_PORT)"
 "$BIN/dssprouter" -topology "$FLEET" &
 wait_up "$(url $ROUTER_PORT)"
 
-replay_pre "$(url $ROUTER_PORT)"
+replay_pre "$FLEET"
 
 # The update confirmed at the primary; wait for the stream to land it on
 # both replicas.
@@ -101,7 +101,7 @@ if [ "$applied" != "$confirmed" ]; then
 fi
 echo "smoke: restarted replica caught up to the confirmed stream ($confirmed)"
 
-replay_post "http://localhost:$ROUTER_PORT"
+replay_post "$FLEET"
 
 # The post-update misses must have been spread to the (now fresh)
 # replicas, not all bounced to the primary.
@@ -142,8 +142,8 @@ solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
 wait_up "$(url $SOLO_HOME_PORT)"
 "$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
 wait_up "$(url $SOLO_NODE_PORT)"
-replay_pre "http://localhost:$SOLO_NODE_PORT"
-replay_post "http://localhost:$SOLO_NODE_PORT"
+replay_pre "$OUT/solo_topology.json"
+replay_post "$OUT/solo_topology.json"
 curl -sf "http://localhost:$SOLO_NODE_PORT/v1/decisions" |
   jq -s -S '{decisions: (map(.decisions // []) | add
                          | map({UpdateTemplate, QueryTemplate, Class, Dropped}) | sort),

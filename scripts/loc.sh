@@ -7,7 +7,7 @@
 # adds a flag raises the ceiling in its own diff and says what it deletes.
 set -euo pipefail
 
-flag_ceiling=30
+flag_ceiling=29
 cd "$(dirname "$0")/.."
 
 count() { # lines of the tracked .go files on stdin

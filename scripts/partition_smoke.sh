@@ -25,17 +25,17 @@ source scripts/lib.sh
 # joins customers and credit_card (group 1, zip codes are strings); Q1/Q2
 # and U1 are the toys group (group 0); U2 inserts a card (group 1).
 replay() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q3 -params s:15213 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q3 -params s:15213 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -update U1 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q3 -params s:15213 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -update U2 -params "4,s:4111,s:15213" >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q3 -params s:15213 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 3 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q3 -params s:15213 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q3 -params s:15213 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -update U1 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q3 -params s:15213 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -update U2 -params "4,s:4111,s:15213" >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q3 -params s:15213 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 3 >/dev/null
 }
 
 # canonical extracts the observable state a deployment must agree on.
@@ -67,7 +67,7 @@ done
 "$BIN/dsspnode" -topology "$FLEET" -as "$(url $NODE_PORT)" &
 wait_up "$(url $NODE_PORT)"
 
-replay "$(url $NODE_PORT)"
+replay "$FLEET"
 
 # The write stream must have split: U1 confirmed on partition 0's master,
 # U2 on partition 1's — each exactly one update, neither on the other.
@@ -106,7 +106,7 @@ solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
 wait_up "$(url $SOLO_HOME_PORT)"
 "$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
 wait_up "$(url $SOLO_NODE_PORT)"
-replay "$(url $SOLO_NODE_PORT)"
+replay "$OUT/solo_topology.json"
 curl -sf "$(url $SOLO_NODE_PORT)/v1/decisions" | canonical >"$OUT/solo.json"
 
 diff -u "$OUT/solo.json" "$OUT/partitioned.json"

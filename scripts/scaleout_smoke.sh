@@ -17,13 +17,13 @@ source scripts/lib.sh
 # The pipeline parity script: miss/store, miss/store, hit, invalidating
 # update, re-miss, miss/store.
 replay() {
-  local url=$1
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -update U1 -params 1 >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q1 -params bear >/dev/null
-  "$BIN/dsspclient" -app toystore -key "$KEY" -node "$url" -query Q2 -params 5 >/dev/null
+  local topology=$1
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -update U1 -params 1 >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q1 -params bear >/dev/null
+  "$BIN/dsspclient" -topology "$topology" -key "$KEY" -query Q2 -params 5 >/dev/null
 }
 
 echo "smoke: routed fleet (dssprouter + 2 dsspnode + dssphome)"
@@ -44,7 +44,7 @@ wait_up "$(url $NODE1_PORT)"
 ROUTER_PID=$!
 wait_up "$(url $ROUTER_PORT)"
 
-replay "http://localhost:$ROUTER_PORT"
+replay "$OUT/fleet_topology.json"
 curl -sf "http://localhost:$NODE0_PORT/v1/decisions" >"$OUT/node0.json"
 curl -sf "http://localhost:$NODE1_PORT/v1/decisions" >"$OUT/node1.json"
 
@@ -54,7 +54,7 @@ curl -sf "http://localhost:$NODE1_PORT/v1/decisions" >"$OUT/node1.json"
 # (its only one), the owning node's cache probe, and the home server's
 # execution.
 echo "smoke: stitching one request's trace across router, nodes, and home"
-TRACE=$("$BIN/dsspclient" -app toystore -key "$KEY" -node "http://localhost:$ROUTER_PORT" \
+TRACE=$("$BIN/dsspclient" -topology "$OUT/fleet_topology.json" -key "$KEY" \
   -query Q2 -params 3 2>&1 >/dev/null | grep -o 'trace=[^ ]*' | head -1 | cut -d= -f2)
 [ -n "$TRACE" ] || { echo "smoke: dsspclient logged no trace ID" >&2; exit 1; }
 : >"$OUT/spans.json"
@@ -104,7 +104,7 @@ solo_topology "$OUT/solo_topology.json" "$SOLO_HOME_PORT" "$SOLO_NODE_PORT"
 wait_up "$(url $SOLO_HOME_PORT)"
 "$BIN/dsspnode" -topology "$OUT/solo_topology.json" -as "$(url $SOLO_NODE_PORT)" &
 wait_up "$(url $SOLO_NODE_PORT)"
-replay "http://localhost:$SOLO_NODE_PORT"
+replay "$OUT/solo_topology.json"
 curl -sf "http://localhost:$SOLO_NODE_PORT/v1/decisions" |
   jq -s -S '{decisions: (map(.decisions // []) | add
                          | map({UpdateTemplate, QueryTemplate, Class, Dropped}) | sort),
