@@ -11,6 +11,7 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
 	"dssp/internal/homeserver"
+	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
@@ -305,5 +306,49 @@ func TestParamsConversion(t *testing.T) {
 	}
 	if _, err := Params(struct{}{}); err == nil {
 		t.Error("unsupported type accepted")
+	}
+}
+
+// A modification whose WHERE does not hold for the row its key names
+// changes nothing, so no exposure level may keep serving an entry the
+// invalidator reasoned about over the whole WHERE: after Q1(10) is cached
+// and U1("teddy", 1, 5) runs against toy 1, whose qty is 10, the next
+// Q1(10) equals the master's answer.
+func TestModificationOfNoRowKeepsCacheConsistent(t *testing.T) {
+	s := schema.New()
+	s.MustAddTable("toys", []schema.Column{
+		{Name: "toy_id", Type: schema.TInt}, {Name: "toy_name", Type: schema.TString}, {Name: "qty", Type: schema.TInt},
+	}, "toy_id")
+	app := &template.App{
+		Name:    "one-table",
+		Schema:  s,
+		Queries: []*template.Template{template.MustNew("Q1", s, "SELECT toy_name FROM toys WHERE qty=?")},
+		Updates: []*template.Template{template.MustNew("U1", s, "UPDATE toys SET toy_name=? WHERE toy_id=? AND qty=?")},
+	}
+	q, u := app.Query("Q1"), app.Update("U1")
+	for _, e := range []template.Exposure{template.ExpBlind, template.ExpTemplate, template.ExpStmt, template.ExpView} {
+		t.Run(e.String(), func(t *testing.T) {
+			client, db := newStack(t, app, map[string]template.Exposure{"Q1": e, "U1": min(e, template.ExpStmt)})
+			if err := db.Insert("toys", storage.Row{sqlparse.IntVal(1), sqlparse.StringVal("bear"), sqlparse.IntVal(10)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := client.Query(q, 10); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := client.Update(u, "teddy", 1, 5); err != nil {
+				t.Fatal(err)
+			}
+			got, err := client.Query(q, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := engine.ExecQuery(db, q.Stmt.(*sqlparse.SelectStmt), []sqlparse.Value{sqlparse.IntVal(10)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Result.Fingerprint(false) != want.Fingerprint(false) {
+				t.Errorf("Q1(10) answered %v (hit=%v); the master holds %v", got.Result.Rows, got.Outcome.Hit, want.Rows)
+			}
+		})
 	}
 }

@@ -3,8 +3,9 @@
 // optional GROUP BY/aggregation, ORDER BY, and top-k (LIMIT), plus the
 // three update kinds (insertion, deletion, modification).
 //
-// A select statement is compiled once into a Plan (Compile) and executed
-// any number of times (Plan.Run); ExecQuery does both for one-off callers.
+// A statement is compiled once — a select into a Plan (Compile), an update
+// into an Update (CompileUpdate) — and Run any number of times; ExecQuery
+// and ExecUpdate do both for one-off callers.
 //
 // Execution is deterministic: scans follow insertion order and sorts are
 // stable, so repeated evaluation of a query over an unchanged database

@@ -295,8 +295,11 @@ func TestModifyExec(t *testing.T) {
 
 func TestInsertedRow(t *testing.T) {
 	db := toyDB(t)
-	s := sqlparse.MustParse("INSERT INTO toys (qty, toy_id, toy_name) VALUES (?, ?, ?)").(*sqlparse.InsertStmt)
-	row, err := InsertedRow(db, s, []sqlparse.Value{sqlparse.IntVal(4), sqlparse.IntVal(9), sqlparse.StringVal("x")})
+	u, err := CompileUpdate(db.Schema, sqlparse.MustParse("INSERT INTO toys (qty, toy_id, toy_name) VALUES (?, ?, ?)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := u.InsertedRow(nil, []sqlparse.Value{sqlparse.IntVal(4), sqlparse.IntVal(9), sqlparse.StringVal("x")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,17 +308,79 @@ func TestInsertedRow(t *testing.T) {
 	}
 }
 
+// A row matches a deletion's WHERE, and is removed, exactly when the
+// predicate holds for it under the statement's parameters.
 func TestRowMatches(t *testing.T) {
-	db := toyDB(t)
-	where := sqlparse.MustParse("DELETE FROM toys WHERE qty>?").(*sqlparse.DeleteStmt).Where
-	row := storage.Row{sqlparse.IntVal(1), sqlparse.StringVal("a"), sqlparse.IntVal(10)}
-	ok, err := RowMatches(db, "toys", where, []sqlparse.Value{sqlparse.IntVal(5)}, row)
-	if err != nil || !ok {
-		t.Errorf("RowMatches = %v, %v", ok, err)
+	for _, c := range []struct {
+		bound int64
+		left  string
+	}{{5, "[2 4]"}, {50, "[1 2 3 4 5]"}} {
+		db := toyDB(t)
+		u, err := CompileUpdate(db.Schema, sqlparse.MustParse("DELETE FROM toys WHERE qty>?"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := u.Run(db, []sqlparse.Value{sqlparse.IntVal(c.bound)}); err != nil {
+			t.Fatal(err)
+		}
+		var left []int64
+		db.Table("toys").Scan(func(r storage.Row) bool { left = append(left, r[0].Int()); return true })
+		if got := fmt.Sprint(left); got != c.left {
+			t.Errorf("DELETE WHERE qty>%d leaves toys %s, want %s", c.bound, got, c.left)
+		}
 	}
-	ok, _ = RowMatches(db, "toys", where, []sqlparse.Value{sqlparse.IntVal(50)}, row)
-	if ok {
-		t.Error("RowMatches should be false")
+}
+
+// A modification changes a row only when every predicate of its WHERE
+// holds, not only the key equality its access path probes by.
+func TestModificationChecksEveryPredicate(t *testing.T) {
+	db := toyDB(t)
+	if n := update(t, db, "UPDATE toys SET qty=? WHERE toy_id=? AND qty=?",
+		sqlparse.IntVal(99), sqlparse.IntVal(1), sqlparse.IntVal(5)); n != 0 {
+		t.Errorf("qty=5 against toy 1's qty 10: %d rows affected, want 0", n)
+	}
+	if n := update(t, db, "UPDATE toys SET toy_name=? WHERE toy_id=? AND toy_id=?",
+		sqlparse.StringVal("teddy"), sqlparse.IntVal(1), sqlparse.IntVal(2)); n != 0 {
+		t.Errorf("toy_id=1 AND toy_id=2: %d rows affected, want 0", n)
+	}
+	res := query(t, db, "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id<=? ORDER BY toy_id", sqlparse.IntVal(2))
+	if got := res.Fingerprint(true); got != query(t, toyDB(t), "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id<=? ORDER BY toy_id", sqlparse.IntVal(2)).Fingerprint(true) {
+		t.Errorf("toys 1 and 2 changed: %v", res.Rows)
+	}
+	// A range over the key is not a modification the validator accepts,
+	// and the engine refuses it too, where it used to modify the row its
+	// bound names.
+	if n, err := ExecUpdate(db, sqlparse.MustParse("UPDATE toys SET qty=? WHERE toy_id<?"),
+		[]sqlparse.Value{sqlparse.IntVal(0), sqlparse.IntVal(3)}); err == nil {
+		t.Errorf("toy_id<3 ran, %d rows affected", n)
+	}
+	if res := query(t, db, "SELECT toy_id FROM toys WHERE qty=?", sqlparse.IntVal(0)); res.Len() != 0 {
+		t.Errorf("rows at qty 0: %v, want none", res.Rows)
+	}
+}
+
+func TestCompileUpdateRejects(t *testing.T) {
+	db := toyDB(t)
+	stmts := []sqlparse.Statement{
+		// The parser refuses this one; a hand-built template could not.
+		&sqlparse.InsertStmt{Table: "toys", Columns: []string{"toy_id", "toy_id"},
+			Values: []sqlparse.Operand{{Kind: sqlparse.OpParam, Param: 0}, {Kind: sqlparse.OpParam, Param: 1}}},
+	}
+	for _, src := range []string{
+		"UPDATE toys SET toy_id=? WHERE toy_id=?",
+		"UPDATE toys SET qty=?, qty=? WHERE toy_id=?",
+		"UPDATE toys SET nosuch=? WHERE toy_id=?",
+		"UPDATE toys SET qty=? WHERE nosuch=?",
+		"INSERT INTO toys (toy_name) VALUES (?)",
+		"DELETE FROM nosuch WHERE a=?",
+		"SELECT qty FROM toys",
+	} {
+		stmts = append(stmts, sqlparse.MustParse(src))
+	}
+	for _, st := range stmts {
+		if _, err := CompileUpdate(db.Schema, st); err == nil {
+			t.Errorf("%s compiled", st)
+		}
 	}
 }
 

@@ -15,7 +15,11 @@ func TestPartialInsertNullFill(t *testing.T) {
 	db := toyDB(t)
 	s := sqlparse.MustParse("INSERT INTO toys (toy_id, toy_name) VALUES (?, ?)").(*sqlparse.InsertStmt)
 	params := []sqlparse.Value{sqlparse.IntVal(8), sqlparse.StringVal("glider")}
-	row, err := InsertedRow(db, s, params)
+	u, err := CompileUpdate(db.Schema, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := u.InsertedRow(nil, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +54,8 @@ func TestPartialInsertRequiresKey(t *testing.T) {
 	db := toyDB(t)
 	s := sqlparse.MustParse("INSERT INTO toys (toy_name, qty) VALUES (?, ?)").(*sqlparse.InsertStmt)
 	params := []sqlparse.Value{sqlparse.StringVal("orphan"), sqlparse.IntVal(1)}
-	if _, err := InsertedRow(db, s, params); err == nil || !strings.Contains(err.Error(), "key column") {
-		t.Errorf("InsertedRow err = %v, want key-column error", err)
+	if _, err := CompileUpdate(db.Schema, s); err == nil || !strings.Contains(err.Error(), "key column") {
+		t.Errorf("CompileUpdate err = %v, want key-column error", err)
 	}
 	if _, err := ExecUpdate(db, s, params); err == nil {
 		t.Error("ExecUpdate accepted an insert without its primary key")

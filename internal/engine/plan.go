@@ -45,6 +45,10 @@ type Plan struct {
 	groupBy  []colRef
 	outs     []aggOut
 	outOrder []outOrderKey
+
+	// collect marks the one-level plan of a deletion or modification
+	// (Update): a run keeps the storage rows it visits, to change them.
+	collect bool
 }
 
 // colRef addresses one column of the joined tuple.
@@ -69,6 +73,15 @@ type operand struct {
 	col   colRef         // OpColumn
 	param int            // OpParam
 	val   sqlparse.Value // OpConst
+}
+
+// bind evaluates a parameter or constant operand; the zero operand binds
+// to NULL.
+func (o operand) bind(params []sqlparse.Value) sqlparse.Value {
+	if o.kind == sqlparse.OpParam {
+		return params[o.param]
+	}
+	return o.val
 }
 
 type pred struct {

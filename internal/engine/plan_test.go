@@ -414,29 +414,30 @@ func fuzzDB(t testing.TB, rng *rand.Rand) *storage.Database {
 	for _, tab := range s.Tables() {
 		name := tab.Name
 		victim := sqlparse.IntVal(int64(rng.Intn(6)))
-		if _, err := db.Delete(name, func(r storage.Row) bool { return r[tab.PKIndexes()[0]].Equal(victim) }); err != nil {
-			t.Fatal(err)
-		}
-		var keys [][]sqlparse.Value
+		var victims, rows []storage.Row
 		db.Table(name).Scan(func(r storage.Row) bool {
-			var key []sqlparse.Value
-			for _, ci := range tab.PKIndexes() {
-				key = append(key, r[ci])
+			if r[tab.PKIndexes()[0]].Equal(victim) {
+				victims = append(victims, r)
+			} else {
+				rows = append(rows, r)
 			}
-			keys = append(keys, key)
 			return true
 		})
-		for _, key := range keys {
+		if _, err := db.Delete(name, victims); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
 			if rng.Intn(3) != 0 {
 				continue
 			}
-			set := map[int]sqlparse.Value{}
+			var cols []int
+			var vals []sqlparse.Value
 			for ci, col := range tab.Columns {
 				if !tab.IsPrimaryKeyColumn(col.Name) {
-					set[ci] = fuzzValue(rng, col.Type)
+					cols, vals = append(cols, ci), append(vals, fuzzValue(rng, col.Type))
 				}
 			}
-			if _, err := db.UpdateByPK(name, key, set); err != nil {
+			if _, err := db.Update(name, []storage.Row{r}, cols, vals); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,8 +36,9 @@ type exec struct {
 	// len(plan.proj) values each.
 	vals  []sqlparse.Value
 	nrows int
-	ord   orderedSink // ORDER BY over joined tuples
-	agg   aggSink     // aggregate/GROUP BY
+	ord   orderedSink   // ORDER BY over joined tuples
+	agg   aggSink       // aggregate/GROUP BY
+	hits  []storage.Row // the rows a deletion or modification changes
 
 	tabArr [stackLevels]*storage.Table
 	tupArr [stackLevels]storage.Row
@@ -61,8 +62,9 @@ func (x *exec) release() {
 	clear(x.tabs)
 	clear(x.tup)
 	clear(x.vals)
+	clear(x.hits)
 	x.plan, x.params, x.tabs, x.tup = nil, nil, nil, nil
-	x.vals, x.scanned, x.nrows = x.vals[:0], 0, 0
+	x.vals, x.hits, x.scanned, x.nrows = x.vals[:0], x.hits[:0], 0, 0
 	x.ord.reset()
 	x.agg.reset()
 	execPool.Put(x)
@@ -73,12 +75,6 @@ func (x *exec) release() {
 // must exclude concurrent writers to db for the duration of the call (the
 // home server holds its read lock); the returned Result owns its rows.
 func (p *Plan) Run(db *storage.Database, params []sqlparse.Value) (*Result, error) {
-	if db.Schema != p.schema {
-		return nil, fmt.Errorf("engine: plan run against a database of another schema")
-	}
-	if len(params) != p.NumParams {
-		return nil, fmt.Errorf("engine: statement requires parameter count %d but %d bound", p.NumParams, len(params))
-	}
 	x := execPool.Get().(*exec)
 	defer x.release()
 	return x.run(p, db, params)
@@ -86,18 +82,10 @@ func (p *Plan) Run(db *storage.Database, params []sqlparse.Value) (*Result, erro
 
 // run is Run on scratch x, which the caller releases whatever happens here.
 func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value) (*Result, error) {
-	x.plan, x.params = p, params
-	if n := len(p.levels); n <= stackLevels {
-		x.tabs, x.tup = x.tabArr[:n], x.tupArr[:n]
-	} else {
-		x.tabs, x.tup = make([]*storage.Table, n), make([]storage.Row, n)
+	if err := x.start(p, db, params); err != nil {
+		return nil, err
 	}
 	x.ord.width, x.ord.keep, x.ord.order = len(p.levels), p.limit, p.order
-	for i := range p.levels {
-		if x.tabs[i] = db.Table(p.levels[i].table); x.tabs[i] == nil {
-			return nil, fmt.Errorf("engine: database has no table %q", p.levels[i].table)
-		}
-	}
 	if len(p.outs) > 0 && len(p.groupBy) == 0 {
 		x.agg.newGroup(len(p.outs))
 	}
@@ -117,6 +105,30 @@ func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value) (*Res
 		}
 	}
 	return out, nil
+}
+
+// start binds x to a run of p: its parameters and the tables of its
+// levels. It refuses a database of another schema and a parameter list of
+// the wrong length.
+func (x *exec) start(p *Plan, db *storage.Database, params []sqlparse.Value) error {
+	if db.Schema != p.schema {
+		return fmt.Errorf("engine: plan run against a database of another schema")
+	}
+	if len(params) != p.NumParams {
+		return fmt.Errorf("engine: statement requires parameter count %d but %d bound", p.NumParams, len(params))
+	}
+	x.plan, x.params = p, params
+	if n := len(p.levels); n <= stackLevels {
+		x.tabs, x.tup = x.tabArr[:n], x.tupArr[:n]
+	} else {
+		x.tabs, x.tup = make([]*storage.Table, n), make([]storage.Row, n)
+	}
+	for i := range p.levels {
+		if x.tabs[i] = db.Table(p.levels[i].table); x.tabs[i] == nil {
+			return fmt.Errorf("engine: database has no table %q", p.levels[i].table)
+		}
+	}
+	return nil
 }
 
 // newRows makes the rows of one result: n rows of width values, carved out
@@ -181,14 +193,10 @@ func (x *exec) visit(i int, row storage.Row) {
 // guarantees that a column operand's level is bound and a parameter's
 // ordinal is in range.
 func (x *exec) value(o operand) sqlparse.Value {
-	switch o.kind {
-	case sqlparse.OpColumn:
+	if o.kind == sqlparse.OpColumn {
 		return x.tup[o.col.from][o.col.col]
-	case sqlparse.OpParam:
-		return x.params[o.param]
-	default:
-		return o.val
 	}
+	return o.bind(x.params)
 }
 
 // holds evaluates a predicate under SQL semantics: any comparison
@@ -205,6 +213,8 @@ func (x *exec) holds(p *pred) bool {
 func (x *exec) emit() {
 	p := x.plan
 	switch {
+	case p.collect:
+		x.hits = append(x.hits, x.tup[0])
 	case len(p.outs) > 0:
 		x.agg.add(p, x.tup)
 	case len(p.order) > 0:

@@ -3,197 +3,139 @@ package engine
 import (
 	"fmt"
 
+	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 )
 
-// ExecUpdate applies an insertion, deletion, or modification with the
-// given parameter values and returns the number of rows affected.
-func ExecUpdate(db *storage.Database, stmt sqlparse.Statement, params []sqlparse.Value) (int, error) {
-	switch s := stmt.(type) {
+// Update is an insertion, deletion or modification compiled against a
+// schema, as Compile compiles a query. The rows a deletion or modification
+// touches are those its one-level plan visits, by the plan's access path,
+// with every WHERE predicate holding under the plan's evaluator. An Update
+// is immutable after CompileUpdate and safe to Run from any goroutine.
+type Update struct {
+	// sel is the one-level plan over the table, which selects the rows of
+	// a deletion or a modification.
+	sel   Plan
+	table string
+	kind  updateKind
+
+	row []operand // insertions: the new row's values, in column order
+
+	setCols []int     // modifications: the columns SET assigns,
+	setVals []operand // and their values
+}
+
+type updateKind uint8
+
+const (
+	kindInsert updateKind = iota
+	kindDelete
+	kindModify
+)
+
+// CompileUpdate resolves an insertion, deletion or modification against a
+// schema. It refuses what schema.Validate refuses, so a statement runs
+// only if it could be a template: every name resolves, an INSERT or a SET
+// assigns each column once and a value, an INSERT sets the whole primary
+// key, and a modification names it by equalities and sets none of it.
+func CompileUpdate(s *schema.Schema, stmt sqlparse.Statement) (*Update, error) {
+	if err := schema.Validate(s, stmt); err != nil {
+		return nil, err
+	}
+	u := &Update{sel: Plan{NumParams: sqlparse.NumParams(stmt), schema: s, limit: -1, collect: true}}
+	var where []sqlparse.Predicate
+	var cols []string
+	var vals []sqlparse.Operand
+	switch st := stmt.(type) {
 	case *sqlparse.InsertStmt:
-		return execInsert(db, s, params)
+		// A column the statement does not name keeps the zero operand,
+		// whose bind is NULL, as in SQL for a table without defaults.
+		u.kind, u.table, cols, vals = kindInsert, st.Table, st.Columns, st.Values
+		u.row = make([]operand, len(s.Table(st.Table).Columns))
 	case *sqlparse.DeleteStmt:
-		return execDelete(db, s, params)
+		u.kind, u.table, where = kindDelete, st.Table, st.Where
 	case *sqlparse.UpdateStmt:
-		return execModify(db, s, params)
+		u.kind, u.table, where = kindModify, st.Table, st.Where
+		for _, a := range st.Set {
+			cols, vals = append(cols, a.Column), append(vals, a.Value)
+		}
 	default:
-		return 0, fmt.Errorf("engine: %T is not an update statement", stmt)
+		return nil, fmt.Errorf("engine: %T is not an update statement", stmt)
 	}
-}
-
-func bindOperand(o sqlparse.Operand, params []sqlparse.Value) (sqlparse.Value, error) {
-	switch o.Kind {
-	case sqlparse.OpConst:
-		return o.Const, nil
-	case sqlparse.OpParam:
-		if o.Param >= len(params) {
-			return sqlparse.Value{}, fmt.Errorf("engine: statement requires parameter %d but only %d bound", o.Param, len(params))
-		}
-		return params[o.Param], nil
-	default:
-		return sqlparse.Value{}, fmt.Errorf("engine: operand %s is not a value", o)
-	}
-}
-
-// InsertedRow materializes the full row (in column order) that an insertion
-// statement adds, binding parameters. Columns the statement does not name
-// are NULL — matching SQL semantics for tables without defaults — except
-// primary-key columns, which every row must bind. The DSSP's
-// statement-inspection strategy reasons over this row, so its NULL
-// semantics (a NULL never satisfies a predicate, never joins, and never
-// enters an aggregate) must agree with the engine's; see RowMatches.
-func InsertedRow(db *storage.Database, s *sqlparse.InsertStmt, params []sqlparse.Value) (storage.Row, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
-	}
-	row := make(storage.Row, len(t.Meta.Columns))
-	seen := make([]bool, len(row))
-	for i, c := range s.Columns {
-		ci := t.Meta.ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %q has no column %q", s.Table, c)
-		}
-		v, err := bindOperand(s.Values[i], params)
-		if err != nil {
-			return nil, err
-		}
-		row[ci] = v
-		seen[ci] = true
-	}
-	for ci, ok := range seen {
-		if !ok {
-			name := t.Meta.Columns[ci].Name
-			if t.Meta.IsPrimaryKeyColumn(name) {
-				return nil, fmt.Errorf("engine: INSERT into %q does not set key column %q", s.Table, name)
-			}
-			// Unnamed non-key column: the zero Value is NULL.
-		}
-	}
-	return row, nil
-}
-
-func execInsert(db *storage.Database, s *sqlparse.InsertStmt, params []sqlparse.Value) (int, error) {
-	row, err := InsertedRow(db, s, params)
+	res, err := schema.NewResolver(s, []sqlparse.TableRef{{Table: u.table}})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	if err := db.Insert(s.Table, row); err != nil {
-		return 0, err
-	}
-	return 1, nil
-}
-
-// RowMatches evaluates a conjunctive single-table predicate list against a
-// row of the named table. Both the deletion path and the view-inspection
-// invalidation strategy use it.
-func RowMatches(db *storage.Database, table string, where []sqlparse.Predicate, params []sqlparse.Value, row storage.Row) (bool, error) {
-	t := db.Table(table)
-	if t == nil {
-		return false, fmt.Errorf("engine: unknown table %q", table)
-	}
-	for _, p := range where {
-		l, err := sideValue(t, p.Left, params, row)
-		if err != nil {
-			return false, err
-		}
-		r, err := sideValue(t, p.Right, params, row)
-		if err != nil {
-			return false, err
-		}
-		if l.IsNull() || r.IsNull() {
-			return false, nil
-		}
-		if !p.Op.Holds(l.Compare(r)) {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-func sideValue(t *storage.Table, o sqlparse.Operand, params []sqlparse.Value, row storage.Row) (sqlparse.Value, error) {
-	if o.Kind == sqlparse.OpColumn {
-		ci := t.Meta.ColumnIndex(o.Col.Column)
-		if ci < 0 {
-			return sqlparse.Value{}, fmt.Errorf("engine: table %q has no column %q", t.Meta.Name, o.Col.Column)
-		}
-		return row[ci], nil
-	}
-	return bindOperand(o, params)
-}
-
-func execDelete(db *storage.Database, s *sqlparse.DeleteStmt, params []sqlparse.Value) (int, error) {
-	var evalErr error
-	n, err := db.Delete(s.Table, func(row storage.Row) bool {
-		if evalErr != nil {
-			return false
-		}
-		ok, err := RowMatches(db, s.Table, s.Where, params, row)
-		if err != nil {
-			evalErr = err
-			return false
-		}
-		return ok
-	})
-	if evalErr != nil {
-		return 0, evalErr
-	}
-	return n, err
-}
-
-// ModificationKey appends to dst the primary-key values selected by a
-// modification statement, in primary-key order.
-func ModificationKey(dst []sqlparse.Value, db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.Value) ([]sqlparse.Value, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: unknown table %q", s.Table)
-	}
-	byCol := make(map[string]sqlparse.Value, len(s.Where))
-	for _, p := range s.Where {
-		col, other := p.Left, p.Right
-		if col.Kind != sqlparse.OpColumn {
-			col, other = p.Right, p.Left
-		}
-		v, err := bindOperand(other, params)
+	t := res.Tables()[0]
+	u.sel.levels = []level{{table: u.table}}
+	for i, c := range cols {
+		v, err := u.sel.resolveOperand(res, vals[i])
 		if err != nil {
 			return nil, err
 		}
-		byCol[col.Col.Column] = v
-	}
-	for _, k := range t.Meta.PrimaryKey {
-		v, ok := byCol[k]
-		if !ok {
-			return nil, fmt.Errorf("engine: modification of %q does not bind key column %q", s.Table, k)
+		if ci := t.ColumnIndex(c); u.kind == kindInsert {
+			u.row[ci] = v
+		} else {
+			u.setCols, u.setVals = append(u.setCols, ci), append(u.setVals, v)
 		}
-		dst = append(dst, v)
+	}
+	for _, wp := range where {
+		if err := u.sel.addPredicate(res, wp); err != nil {
+			return nil, err
+		}
+	}
+	return u, nil
+}
+
+// Run applies the statement to db, of the schema it was compiled against,
+// with exactly its number of parameters, and returns the number of rows
+// affected. The caller excludes every other user of db (the home server
+// holds its write lock).
+func (u *Update) Run(db *storage.Database, params []sqlparse.Value) (int, error) {
+	x := execPool.Get().(*exec)
+	defer x.release()
+	if err := x.start(&u.sel, db, params); err != nil {
+		return 0, err
+	}
+	if u.kind == kindInsert {
+		x.vals, _ = u.InsertedRow(x.vals, params) // start checked the parameters
+		if err := db.Insert(u.table, x.vals); err != nil {
+			return 0, err
+		}
+		return 1, nil
+	}
+	// The rows are collected before any changes: a modification re-keys
+	// the index the access path may be walking.
+	x.join(0)
+	if u.kind == kindDelete {
+		return db.Delete(u.table, x.hits)
+	}
+	for _, o := range u.setVals {
+		x.vals = append(x.vals, o.bind(params))
+	}
+	return db.Update(u.table, x.hits, u.setCols, x.vals)
+}
+
+// InsertedRow appends to dst the row an insertion adds, in column order,
+// with params bound: the row Run stores, and the row statement inspection
+// reasons over, so the two cannot disagree on which columns it leaves NULL.
+func (u *Update) InsertedRow(dst, params []sqlparse.Value) ([]sqlparse.Value, error) {
+	if len(params) != u.sel.NumParams {
+		return dst, fmt.Errorf("engine: statement requires parameter count %d but %d bound", u.sel.NumParams, len(params))
+	}
+	for _, o := range u.row {
+		dst = append(dst, o.bind(params))
 	}
 	return dst, nil
 }
 
-func execModify(db *storage.Database, s *sqlparse.UpdateStmt, params []sqlparse.Value) (int, error) {
-	t := db.Table(s.Table)
-	if t == nil {
-		return 0, fmt.Errorf("engine: unknown table %q", s.Table)
-	}
-	// The applications' keys have one or two columns; a wider one
-	// spills to the heap inside append.
-	var key [4]sqlparse.Value
-	keyVals, err := ModificationKey(key[:0], db, s, params)
+// ExecUpdate is CompileUpdate followed by Run, for a statement run once;
+// the home server compiles each update template once and keeps it.
+func ExecUpdate(db *storage.Database, stmt sqlparse.Statement, params []sqlparse.Value) (int, error) {
+	u, err := CompileUpdate(db.Schema, stmt)
 	if err != nil {
 		return 0, err
 	}
-	set := make(map[int]sqlparse.Value, len(s.Set))
-	for _, a := range s.Set {
-		ci := t.Meta.ColumnIndex(a.Column)
-		if ci < 0 {
-			return 0, fmt.Errorf("engine: table %q has no column %q", s.Table, a.Column)
-		}
-		v, err := bindOperand(a.Value, params)
-		if err != nil {
-			return 0, err
-		}
-		set[ci] = v
-	}
-	return db.UpdateByPK(s.Table, keyVals, set)
+	return u.Run(db, params)
 }

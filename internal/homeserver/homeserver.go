@@ -39,11 +39,11 @@ type Server struct {
 
 	mu sync.RWMutex // guards DB during statement execution
 
-	// plans holds every query template of App compiled against DB's
-	// schema, by template ID. Built once by New and never written again,
-	// so the execution path reads it without a lock; replicas and
-	// partition masters are Servers and get theirs the same way.
-	plans map[string]queryPlan
+	// plans holds every template of App compiled against DB's schema, by
+	// template ID. Built once by New and never written again, so the
+	// execution path reads it without a lock; replicas and partition
+	// masters are Servers and get theirs the same way.
+	plans map[string]compiled
 
 	adm admission // bounds concurrent executions, FIFO
 
@@ -97,21 +97,34 @@ type tmplMetric struct{ metric, id string }
 // use SetObs to share a registry (and, in the simulator, a virtual
 // clock).
 func New(db *storage.Database, app *template.App, codec *wire.Codec) *Server {
-	s := &Server{DB: db, App: app, Codec: codec, plans: make(map[string]queryPlan, len(app.Queries))}
+	s := &Server{DB: db, App: app, Codec: codec, plans: make(map[string]compiled, len(app.Queries)+len(app.Updates))}
 	for _, q := range app.Queries {
 		plan, err := engine.Compile(db.Schema, q.Stmt.(*sqlparse.SelectStmt))
-		s.plans[q.ID] = queryPlan{plan, err}
+		s.plans[q.ID] = compiled{query: plan, err: err}
+	}
+	for _, u := range app.Updates {
+		up, err := engine.CompileUpdate(db.Schema, u.Stmt)
+		s.plans[u.ID] = compiled{update: up, err: err}
 	}
 	s.SetObs(obs.NewRegistry(), obs.WallClock())
 	return s
 }
 
-// queryPlan is one query template's compiled plan, or why it has none: a
-// template the engine cannot compile fails each of its executions with
-// that error, as it did when statements were interpreted per call.
-type queryPlan struct {
-	plan *engine.Plan
-	err  error
+// compiled is a template compiled by the engine, or why it is not: such a
+// template fails each of its executions with that error.
+type compiled struct {
+	query  *engine.Plan
+	update *engine.Update
+	err    error
+}
+
+// lookup returns t's entry in plans, or why t cannot run.
+func (s *Server) lookup(t *template.Template) (compiled, error) {
+	c, ok := s.plans[t.ID]
+	if !ok {
+		return c, fmt.Errorf("homeserver: %s is not a template of %s", t.ID, s.App.Name)
+	}
+	return c, c.err
 }
 
 // SetObs redirects the server's instruments to the given registry and
@@ -202,17 +215,14 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	if err := s.checkPartition(t); err != nil {
 		return wire.SealedResult{}, false, 0, err
 	}
-	qp, ok := s.plans[t.ID]
-	if !ok {
-		return wire.SealedResult{}, false, 0, fmt.Errorf("homeserver: query %s is not a template of %s", t.ID, s.App.Name)
-	}
-	if qp.err != nil {
-		return wire.SealedResult{}, false, 0, qp.err
+	c, err := s.lookup(t)
+	if err != nil {
+		return wire.SealedResult{}, false, 0, err
 	}
 	s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
-	r, execErr := qp.plan.Run(s.DB, params)
+	r, execErr := c.query.Run(s.DB, params)
 	s.mu.RUnlock()
 	sp.End()
 	s.adm.release(s.queueDepth)
@@ -244,10 +254,14 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	if err := s.checkPartition(t); err != nil {
 		return 0, 0, err
 	}
+	c, err := s.lookup(t)
+	if err != nil {
+		return 0, 0, err
+	}
 	s.admit(s.waitU, su.TraceID, su.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.Lock()
-	n, execErr := engine.ExecUpdate(s.DB, t.Stmt, params)
+	n, execErr := c.update.Run(s.DB, params)
 	var seq uint64
 	if execErr == nil {
 		// Assigned under the write lock, so sequence order is exactly the

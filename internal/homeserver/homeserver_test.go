@@ -106,6 +106,45 @@ func TestExecUpdate(t *testing.T) {
 	}
 }
 
+// New compiles every update template as it compiles every query: a
+// statement with the wrong number of parameters fails before any row is
+// read, and a template the engine refuses fails each of its executions.
+func TestExecUpdateRefusals(t *testing.T) {
+	app := apps.Toystore()
+	// A template assembled by hand, past the validator, that assigns a
+	// column twice.
+	u3 := *template.MustNew("U3", app.Schema, "UPDATE toys SET qty=?, toy_name=? WHERE toy_id=?")
+	u3.Stmt = sqlparse.MustParse("UPDATE toys SET qty=?, qty=? WHERE toy_id=?")
+	app.Updates = append(app.Updates, &u3)
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	db := storage.NewDatabase(app.Schema)
+	if err := db.Insert("toys", storage.Row{sqlparse.IntVal(5), sqlparse.StringVal("kite"), sqlparse.IntVal(25)}); err != nil {
+		t.Fatal(err)
+	}
+	s := New(db, app, codec)
+	iv := sqlparse.IntVal
+	for _, tc := range []struct {
+		id     string
+		params []sqlparse.Value
+	}{
+		{"U1", nil},
+		{"U1", []sqlparse.Value{iv(5), iv(5)}},
+		{"U3", []sqlparse.Value{iv(1), iv(2), iv(5)}},
+		{"U3", []sqlparse.Value{iv(1), iv(2), iv(5)}},
+	} {
+		su, err := codec.SealUpdate(app.Update(tc.id), tc.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.ExecUpdate(su); err == nil {
+			t.Errorf("%s%v executed", tc.id, tc.params)
+		}
+	}
+	if s.UpdatesApplied() != 0 || db.Table("toys").LookupPK([]sqlparse.Value{iv(5)})[2].Int() != 25 {
+		t.Errorf("refused updates changed the database: %d applied", s.UpdatesApplied())
+	}
+}
+
 func TestKindMismatchRejected(t *testing.T) {
 	s, codec, app := testServer(t)
 	sq, _ := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})

@@ -109,13 +109,21 @@ type Invalidator struct {
 	// read each other's, and the plans die with the invalidator: every
 	// simulation trial builds a fresh App.
 	plans map[pairKey]*PairPlan
+	// inserts holds app's insertion templates compiled by the engine (nil
+	// for one that does not compile), which build a prepared row.
+	inserts map[*template.Template]*engine.Update
 }
 
 // New builds an Invalidator. The analysis must have been computed over the
 // same application.
 func New(app *template.App, analysis *core.Analysis) *Invalidator {
-	iv := &Invalidator{app: app, analysis: analysis, router: NewRouter(analysis)}
+	iv := &Invalidator{app: app, analysis: analysis, router: NewRouter(analysis), inserts: map[*template.Template]*engine.Update{}}
 	iv.compilePlans()
+	for _, u := range app.Updates {
+		if _, ok := u.Stmt.(*sqlparse.InsertStmt); ok {
+			iv.inserts[u], _ = engine.CompileUpdate(app.Schema, u.Stmt)
+		}
+	}
 	return iv
 }
 

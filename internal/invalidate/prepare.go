@@ -1,6 +1,7 @@
 package invalidate
 
 import (
+	"dssp/internal/engine"
 	"dssp/internal/sqlparse"
 )
 
@@ -84,7 +85,7 @@ func (iv *Invalidator) PrepareInto(pu *PreparedUpdate, u UpdateInstance) {
 	pu.after.reset()
 	switch s := u.Template.Stmt.(type) {
 	case *sqlparse.InsertStmt:
-		pu.row = insertedRowInto(&pu.rowBuf, iv.app.Schema, s, u.Params)
+		pu.row = iv.insertedRow(&pu.rowBuf, u)
 	case *sqlparse.DeleteStmt:
 		pu.consOK = updateConsInto(&pu.before, s.Where, u.Params)
 	case *sqlparse.UpdateStmt:
@@ -104,6 +105,26 @@ func (iv *Invalidator) PrepareInto(pu *PreparedUpdate, u UpdateInstance) {
 			}
 		}
 	}
+}
+
+// insertedRow builds in *buf the row insertion u adds, through the
+// engine's compiled insertion, or returns nil — the conservative
+// Invalidate — when u does not compile or bind. A template apart from the
+// application, as tests build them, is compiled on the spot.
+func (iv *Invalidator) insertedRow(buf *[]sqlparse.Value, u UpdateInstance) []sqlparse.Value {
+	ins, ok := iv.inserts[u.Template]
+	if !ok {
+		ins, _ = engine.CompileUpdate(iv.app.Schema, u.Template.Stmt)
+	}
+	if ins == nil {
+		return nil
+	}
+	row, err := ins.InsertedRow((*buf)[:0], u.Params)
+	if err != nil {
+		return nil
+	}
+	*buf = row
+	return row
 }
 
 // DecidePrepared returns the decision of the given strategy class for a

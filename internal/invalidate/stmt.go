@@ -351,38 +351,6 @@ func (in *planInst) sat(cs *consSet, side int, params []sqlparse.Value) bool {
 	return true
 }
 
-// insertedRowInto materializes the row an insertion adds (in column
-// order, unspecified columns NULL — the engine's semantics for
-// partial-column inserts) in *buf's backing array, growing it if it is
-// too short, or returns nil if parameters are missing or the statement is
-// malformed. The parser rejects mismatched column/value counts, but
-// templates can also be built from hand-assembled ASTs, and a nil return
-// must stay the conservative Invalidate rather than a panic inside the
-// cache's invalidation pass.
-func insertedRowInto(buf *[]sqlparse.Value, sch *schema.Schema, s *sqlparse.InsertStmt, params []sqlparse.Value) []sqlparse.Value {
-	t := sch.Table(s.Table)
-	if t == nil || len(s.Columns) != len(s.Values) {
-		return nil
-	}
-	if cap(*buf) < len(t.Columns) {
-		*buf = make([]sqlparse.Value, len(t.Columns))
-	}
-	row := (*buf)[:len(t.Columns)]
-	clear(row)
-	for i, c := range s.Columns {
-		ci := t.ColumnIndex(c)
-		if ci < 0 {
-			return nil
-		}
-		v, ok := bindVal(s.Values[i], params)
-		if !ok {
-			return nil
-		}
-		row[ci] = v
-	}
-	return row
-}
-
 // fkShielded reports whether instance fi joins the relation's single-column
 // primary key against a declared foreign-key column, so a freshly inserted
 // key cannot match any existing child row.

@@ -105,12 +105,13 @@ func fromOf(stmt sqlparse.Statement) []sqlparse.TableRef {
 }
 
 // Validate type-checks a statement against the schema: all relations and
-// columns must exist, inserted rows must bind every primary-key column
+// columns must exist, an INSERT or a SET assigns each column once and a
+// value, inserted rows must bind every primary-key column
 // (columns left unnamed become NULL, so the new row is still fully
 // specified — the paper's insertion model), updates must modify only
-// non-key attributes and select rows by an equality predicate over the
-// full primary key, and deletions/queries may use arbitrary conjunctive
-// arithmetic predicates.
+// non-key attributes and select rows by equalities of a column with a
+// value, which name every primary-key column and may name others, and
+// deletions/queries may use arbitrary conjunctive arithmetic predicates.
 func Validate(s *Schema, stmt sqlparse.Statement) error {
 	r, err := NewResolver(s, fromOf(stmt))
 	if err != nil {
@@ -129,6 +130,21 @@ func Validate(s *Schema, stmt sqlparse.Statement) error {
 				return fmt.Errorf("schema: predicate %s compares no column", p)
 			}
 		}
+		return nil
+	}
+	// assign checks a column an INSERT or a SET assigns: it exists, it is
+	// assigned once, and what it is assigned is a value, not a column.
+	assigned := make(map[string]bool)
+	assign := func(t *Table, c string, v sqlparse.Operand) error {
+		switch {
+		case t.ColumnIndex(c) < 0:
+			return fmt.Errorf("schema: table %q has no column %q", t.Name, c)
+		case assigned[c]:
+			return fmt.Errorf("schema: column %q assigned twice", c)
+		case v.Kind == sqlparse.OpColumn:
+			return fmt.Errorf("schema: column %q is assigned column %s, not a value", c, v)
+		}
+		assigned[c] = true
 		return nil
 	}
 	switch st := stmt.(type) {
@@ -162,18 +178,16 @@ func Validate(s *Schema, stmt sqlparse.Statement) error {
 		return nil
 	case *sqlparse.InsertStmt:
 		t := r.Tables()[0]
-		seen := make(map[string]bool, len(st.Columns))
-		for _, c := range st.Columns {
-			if t.ColumnIndex(c) < 0 {
-				return fmt.Errorf("schema: table %q has no column %q", t.Name, c)
+		if len(st.Columns) != len(st.Values) {
+			return fmt.Errorf("schema: INSERT into %s names %d columns and gives %d values", t.Name, len(st.Columns), len(st.Values))
+		}
+		for i, c := range st.Columns {
+			if err := assign(t, c, st.Values[i]); err != nil {
+				return err
 			}
-			if seen[c] {
-				return fmt.Errorf("schema: duplicate column %q in INSERT", c)
-			}
-			seen[c] = true
 		}
 		for _, k := range t.PrimaryKey {
-			if !seen[k] {
+			if !assigned[k] {
 				return fmt.Errorf("schema: INSERT into %s must set key column %q", t.Name, k)
 			}
 		}
@@ -183,8 +197,8 @@ func Validate(s *Schema, stmt sqlparse.Statement) error {
 	case *sqlparse.UpdateStmt:
 		t := r.Tables()[0]
 		for _, a := range st.Set {
-			if t.ColumnIndex(a.Column) < 0 {
-				return fmt.Errorf("schema: table %q has no column %q", t.Name, a.Column)
+			if err := assign(t, a.Column, a.Value); err != nil {
+				return err
 			}
 			if t.IsPrimaryKeyColumn(a.Column) {
 				return fmt.Errorf("schema: modification of primary key column %s.%s is not permitted", t.Name, a.Column)
@@ -205,7 +219,7 @@ func Validate(s *Schema, stmt sqlparse.Statement) error {
 				col, other = p.Right, p.Left
 			}
 			if col.Kind != sqlparse.OpColumn || other.Kind == sqlparse.OpColumn {
-				return fmt.Errorf("schema: modification predicate %s must compare a key column with a value", p)
+				return fmt.Errorf("schema: modification predicate %s must compare a column with a value", p)
 			}
 			keyed[col.Col.Column] = true
 		}

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"dssp/internal/sqlparse"
@@ -187,6 +188,7 @@ func TestValidateAccepts(t *testing.T) {
 		"INSERT INTO credit_card (cid, number, zip_code) VALUES (?, ?, ?)",
 		"INSERT INTO toys (toy_id, toy_name) VALUES (?, ?)", // partial: qty becomes NULL
 		"UPDATE toys SET qty=? WHERE toy_id=?",
+		"UPDATE toys SET toy_name=? WHERE toy_id=? AND qty=?", // a non-key equality beside the key
 	}
 	for _, src := range good {
 		if err := Validate(s, sqlparse.MustParse(src)); err != nil {
@@ -203,14 +205,21 @@ func TestValidateRejects(t *testing.T) {
 		"SELECT toy_id FROM toys WHERE ? = ?",            // no column in predicate
 		"INSERT INTO toys (toy_name, qty) VALUES (?, ?)", // does not bind the primary key
 		"INSERT INTO toys (toy_id, missing) VALUES (?, ?)",
-		"UPDATE toys SET toy_id=? WHERE toy_id=?", // modifies the key
-		"UPDATE toys SET qty=? WHERE toy_name=?",  // not keyed on PK
-		"UPDATE toys SET qty=? WHERE toy_id>?",    // non-equality key predicate
+		"UPDATE toys SET toy_id=? WHERE toy_id=?",     // modifies the key
+		"UPDATE toys SET qty=?, qty=? WHERE toy_id=?", // assigns a column twice
+		"UPDATE toys SET qty=? WHERE toy_name=?",      // not keyed on PK
+		"UPDATE toys SET qty=? WHERE toy_id>?",        // non-equality key predicate
 		"DELETE FROM toys WHERE missing=?",
 	}
 	for _, src := range bad {
 		if err := Validate(s, sqlparse.MustParse(src)); err == nil {
 			t.Errorf("Validate(%q) should fail", src)
 		}
+	}
+	// A modification's equality must have a value on one side: the
+	// column on the other need not be a key column.
+	err := Validate(s, sqlparse.MustParse("UPDATE toys SET toy_name=? WHERE toy_id=? AND qty=toy_id"))
+	if err == nil || !strings.Contains(err.Error(), "must compare a column with a value") {
+		t.Errorf("a column-to-column modification predicate: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package simrun_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -162,17 +163,30 @@ func TestInvalidationPrecision(t *testing.T) {
 		r.client.Node.Cache.Entries(func(e *cache.Entry) { out = append(out, e) })
 		return out
 	}
-	// modified returns the row a modification addresses, as db holds it.
+	// modified returns the rows a modification addresses, as db holds
+	// them: its WHERE run as a query over every column. SET's parameters
+	// come first, so the WHERE's are renumbered from 0.
 	modified := func(db *storage.Database, op workload.Op) string {
 		s, ok := op.Template.Stmt.(*sqlparse.UpdateStmt)
 		if !ok {
 			return ""
 		}
-		key, err := engine.ModificationKey(nil, db, s, op.Params)
+		set := sqlparse.NumParams(&sqlparse.UpdateStmt{Set: s.Set})
+		where := slices.Clone(s.Where)
+		for i := range where {
+			for _, o := range []*sqlparse.Operand{&where[i].Left, &where[i].Right} {
+				if o.Kind == sqlparse.OpParam {
+					o.Param -= set
+				}
+			}
+		}
+		sel := &sqlparse.SelectStmt{Select: []sqlparse.SelectExpr{{Star: true}},
+			From: []sqlparse.TableRef{{Table: s.Table}}, Where: where, Limit: -1}
+		res, err := engine.ExecQuery(db, sel, op.Params[set:])
 		if err != nil {
 			t.Fatal(err)
 		}
-		return storage.Key(db.Table(s.Table).LookupPK(key))
+		return res.Fingerprint(false)
 	}
 
 	r.run(t, 12000, func(op workload.Op) {

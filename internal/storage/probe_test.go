@@ -72,12 +72,17 @@ func probeTable(t *testing.T, seed int64) *Table {
 		switch rng.Intn(4) {
 		case 0:
 			v := drawValue(rng, cols[0].Type)
-			if _, err := db.Delete("t", func(r Row) bool { return r[0].Compare(v) == 0 }); err != nil {
+			if _, err := db.Delete("t", scanEqual(tab, 0, v)); err != nil {
 				t.Fatal(err)
 			}
 		case 1:
 			ci := 1 + rng.Intn(len(cols)-1)
-			if _, err := db.UpdateByPK("t", []sqlparse.Value{drawValue(rng, cols[0].Type)}, map[int]sqlparse.Value{ci: drawValue(rng, cols[ci].Type)}); err != nil {
+			key := []sqlparse.Value{drawValue(rng, cols[0].Type)}
+			var rows []Row
+			if r := tab.LookupPK(key); r != nil {
+				rows = append(rows, r)
+			}
+			if _, err := db.Update("t", rows, []int{ci}, []sqlparse.Value{drawValue(rng, cols[ci].Type)}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -11,6 +11,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 
 	"dssp/internal/schema"
 	"dssp/internal/sqlparse"
@@ -50,6 +51,8 @@ type Table struct {
 	live int
 	pk   map[string]int           // PK key -> row index
 	sec  map[int]map[string][]int // column ordinal -> value key -> row indexes
+
+	slots []int // Delete's and Update's scratch: the slots they change
 }
 
 func newTable(meta *schema.Table) *Table {
@@ -76,25 +79,18 @@ func (t *Table) Scan(f func(Row) bool) {
 	}
 }
 
-func (t *Table) pkKey(r Row) string {
-	var buf [keyBufSize]byte
-	k := buf[:0]
+// appendPK appends the primary-key encoding of row r to dst.
+func (t *Table) appendPK(dst []byte, r Row) []byte {
 	for _, ci := range t.Meta.PKIndexes() {
-		k = sqlparse.AppendKey(k, r[ci])
+		dst = sqlparse.AppendKey(dst, r[ci])
 	}
-	return string(k)
-}
-
-// pkSlot returns the row slot holding the given primary-key values.
-func (t *Table) pkSlot(keyVals []sqlparse.Value) (int, bool) {
-	var buf [keyBufSize]byte
-	i, ok := t.pk[string(sqlparse.AppendKey(buf[:0], keyVals...))]
-	return i, ok
+	return dst
 }
 
 // LookupPK returns the row with the given primary-key values, or nil.
 func (t *Table) LookupPK(keyVals []sqlparse.Value) Row {
-	if i, ok := t.pkSlot(keyVals); ok {
+	var buf [keyBufSize]byte
+	if i, ok := t.pk[string(sqlparse.AppendKey(buf[:0], keyVals...))]; ok {
 		return t.rows[i]
 	}
 	return nil
@@ -142,18 +138,6 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 		}
 	}
 	return true
-}
-
-func (t *Table) indexAdd(i int, r Row) {
-	for ci, idx := range t.sec {
-		indexInsert(idx, i, r[ci])
-	}
-}
-
-func (t *Table) indexRemove(i int, r Row) {
-	for ci, idx := range t.sec {
-		indexDelete(idx, i, r[ci])
-	}
 }
 
 // indexInsert adds row slot i under v in one secondary index.
@@ -232,7 +216,8 @@ func (db *Database) Insert(table string, r Row) error {
 				table, t.Meta.Columns[i].Name, t.Meta.Columns[i].Type, v.Kind)
 		}
 	}
-	key := t.pkKey(r)
+	var buf [keyBufSize]byte
+	key := string(t.appendPK(buf[:0], r))
 	if _, dup := t.pk[key]; dup {
 		return fmt.Errorf("storage: duplicate primary key %v in table %q", key, table)
 	}
@@ -255,66 +240,88 @@ func (db *Database) Insert(table string, r Row) error {
 	t.rows = append(t.rows, r)
 	t.pk[key] = i
 	t.live++
-	t.indexAdd(i, r)
+	for ci, idx := range t.sec {
+		indexInsert(idx, i, r[ci])
+	}
 	return nil
 }
 
-// Delete removes every live row for which match returns true and returns
-// the number of rows removed.
-func (db *Database) Delete(table string, match func(Row) bool) (int, error) {
+// Delete removes rows — live rows of the table, as its scans and probes
+// yield them — and returns the number removed.
+func (db *Database) Delete(table string, rows []Row) (int, error) {
 	t := db.tables[table]
 	if t == nil {
 		return 0, fmt.Errorf("storage: unknown table %q", table)
 	}
-	n := 0
-	for i, r := range t.rows {
-		if r == nil || !match(r) {
-			continue
+	slots := t.slotsOf(rows)
+	for _, i := range slots {
+		r := t.rows[i]
+		var buf [keyBufSize]byte
+		delete(t.pk, string(t.appendPK(buf[:0], r)))
+		for ci, idx := range t.sec {
+			indexDelete(idx, i, r[ci])
 		}
-		delete(t.pk, t.pkKey(r))
-		t.indexRemove(i, r)
 		t.rows[i] = nil
 		t.live--
-		n++
 	}
-	return n, nil
+	return len(slots), nil
 }
 
-// UpdateByPK modifies the row with the given primary-key values by applying
-// set (column ordinal -> new value). It returns the number of rows changed
-// (0 or 1). Primary-key columns must not appear in set.
-func (db *Database) UpdateByPK(table string, keyVals []sqlparse.Value, set map[int]sqlparse.Value) (int, error) {
+// Update assigns vals[k] to column cols[k] of each of rows — live rows of
+// the table, as for Delete — and returns the number of rows changed. A
+// column appears in cols at most once and is not a primary-key column; a
+// value of the wrong type changes no row.
+func (db *Database) Update(table string, rows []Row, cols []int, vals []sqlparse.Value) (int, error) {
 	t := db.tables[table]
 	if t == nil {
 		return 0, fmt.Errorf("storage: unknown table %q", table)
 	}
-	i, ok := t.pkSlot(keyVals)
-	if !ok {
+	if len(rows) == 0 {
 		return 0, nil
 	}
-	r := t.rows[i]
-	for ci, v := range set {
-		if !v.IsNull() && v.Kind != t.Meta.Columns[ci].Type.Kind() {
+	for k, ci := range cols {
+		if v := vals[k]; !v.IsNull() && v.Kind != t.Meta.Columns[ci].Type.Kind() {
 			return 0, fmt.Errorf("storage: %s.%s expects %s, got %s",
 				table, t.Meta.Columns[ci].Name, t.Meta.Columns[ci].Type, v.Kind)
 		}
 	}
-	// Only the indexes on a column SET assigns are re-keyed. In the others
-	// the row moves to the end of its list, where taking it out and
-	// putting it back would leave it: the order an index yields rows in is
-	// the order of every result read through it.
-	for ci, idx := range t.sec {
-		if v, ok := set[ci]; ok {
-			indexDelete(idx, i, r[ci])
-			indexInsert(idx, i, v)
-		} else {
-			indexMoveToEnd(idx, i, r[ci])
+	slots := t.slotsOf(rows)
+	for _, i := range slots {
+		r := t.rows[i]
+		// Only the indexes on an assigned column are re-keyed. In the
+		// others the row moves to the end of its list, where taking it out
+		// and putting it back would leave it: the order an index yields
+		// rows in is the order of every result read through it.
+		for ci, idx := range t.sec {
+			if k := slices.Index(cols, ci); k >= 0 {
+				indexDelete(idx, i, r[ci])
+				indexInsert(idx, i, vals[k])
+			} else {
+				indexMoveToEnd(idx, i, r[ci])
+			}
+		}
+		for k, ci := range cols {
+			r[ci] = vals[k]
 		}
 	}
-	for ci, v := range set {
-		r[ci] = v
+	return len(slots), nil
+}
+
+// slotsOf returns the slots of rows, ascending and each once, in the
+// table's scratch: Delete and Update change rows in the order a scan meets
+// them, whatever order they came in, since the order of changes to an
+// index is the order its probes later yield rows in.
+func (t *Table) slotsOf(rows []Row) []int {
+	t.slots = t.slots[:0]
+	for _, r := range rows {
+		var buf [keyBufSize]byte
+		if i, ok := t.pk[string(t.appendPK(buf[:0], r))]; ok {
+			t.slots = append(t.slots, i)
+		}
 	}
-	return 1, nil
+	slices.Sort(t.slots)
+	t.slots = slices.Compact(t.slots)
+	return t.slots
 }
 
 // Clone deep-copies the database. Used by tests that compare query results
@@ -330,7 +337,7 @@ func (db *Database) Clone() *Database {
 			nr := r.Clone()
 			i := len(ct.rows)
 			ct.rows = append(ct.rows, nr)
-			ct.pk[ct.pkKey(nr)] = i
+			ct.pk[string(ct.appendPK(nil, nr))] = i
 			ct.live++
 		}
 		for ci := range t.sec {

@@ -138,7 +138,7 @@ func TestDelete(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
 		_ = db.Insert("toys", toyRow(i, "x", i))
 	}
-	n, err := db.Delete("toys", func(r Row) bool { return r[2].Int() > 5 })
+	n, err := deleteWhere(db, "toys", func(r Row) bool { return r[2].Int() > 5 })
 	if err != nil || n != 5 {
 		t.Fatalf("Delete = %d, %v", n, err)
 	}
@@ -151,19 +151,98 @@ func TestDelete(t *testing.T) {
 	}
 }
 
+// deleteWhere deletes the rows of table that match, as a scan finds them.
+func deleteWhere(db *Database, table string, match func(Row) bool) (int, error) {
+	var rows []Row
+	if t := db.Table(table); t != nil {
+		t.Scan(func(r Row) bool {
+			if match(r) {
+				rows = append(rows, r)
+			}
+			return true
+		})
+	}
+	return db.Delete(table, rows)
+}
+
+// updateKey assigns v to column col of the row with primary key id, if
+// there is one.
+func updateKey(db *Database, table string, id int64, col int, v sqlparse.Value) (int, error) {
+	var rows []Row
+	if r := db.Table(table).LookupPK([]sqlparse.Value{sqlparse.IntVal(id)}); r != nil {
+		rows = append(rows, r)
+	}
+	return db.Update(table, rows, []int{col}, []sqlparse.Value{v})
+}
+
 func TestUpdateByPK(t *testing.T) {
 	db := toyDB(t)
 	_ = db.Insert("toys", toyRow(1, "bear", 3))
-	n, err := db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(1)}, map[int]sqlparse.Value{2: sqlparse.IntVal(99)})
+	n, err := updateKey(db, "toys", 1, 2, sqlparse.IntVal(99))
 	if err != nil || n != 1 {
-		t.Fatalf("UpdateByPK = %d, %v", n, err)
+		t.Fatalf("Update = %d, %v", n, err)
 	}
 	if r := db.Table("toys").LookupPK([]sqlparse.Value{sqlparse.IntVal(1)}); r[2].Int() != 99 {
 		t.Errorf("qty = %v", r[2])
 	}
-	n, err = db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(404)}, map[int]sqlparse.Value{2: sqlparse.IntVal(1)})
+	n, err = updateKey(db, "toys", 404, 2, sqlparse.IntVal(1))
 	if err != nil || n != 0 {
 		t.Errorf("update of missing row = %d, %v", n, err)
+	}
+	if n, err := updateKey(db, "toys", 1, 2, sqlparse.StringVal("x")); err == nil || n != 0 {
+		t.Errorf("update with a string into an INT column = %d, %v", n, err)
+	}
+}
+
+// Delete and Update change rows in slot order whatever order they are
+// handed in, so a statement's rows found through an index leave every
+// index as the same rows found by a scan would.
+func TestChangesGoInSlotOrder(t *testing.T) {
+	build := func() *Database {
+		db := toyDB(t)
+		for i := int64(1); i <= 12; i++ {
+			_ = db.Insert("toys", toyRow(i, fmt.Sprintf("name%d", i%2), i%3))
+		}
+		_ = db.Table("toys").CreateIndex("toy_name")
+		_ = db.Table("toys").CreateIndex("qty")
+		return db
+	}
+	order := func(db *Database) string {
+		var out []int64
+		tab := db.Table("toys")
+		for _, v := range []string{"name0", "name1"} {
+			tab.LookupIndex(1, sqlparse.StringVal(v), func(r Row) bool { out = append(out, r[0].Int()); return true })
+		}
+		for q := int64(0); q < 3; q++ {
+			tab.LookupIndex(2, sqlparse.IntVal(q), func(r Row) bool { out = append(out, r[0].Int()); return true })
+		}
+		return fmt.Sprint(out)
+	}
+	for _, change := range []func(db *Database, rows []Row) (int, error){
+		func(db *Database, rows []Row) (int, error) { return db.Delete("toys", rows) },
+		func(db *Database, rows []Row) (int, error) {
+			return db.Update("toys", rows, []int{2}, []sqlparse.Value{sqlparse.IntVal(7)})
+		},
+	} {
+		scanned, probed := build(), build()
+		var byScan, byIndex []Row
+		scanned.Table("toys").Scan(func(r Row) bool {
+			if r[1].Str == "name0" {
+				byScan = append(byScan, r)
+			}
+			return true
+		})
+		probed.Table("toys").LookupIndex(1, sqlparse.StringVal("name0"), func(r Row) bool { byIndex = append(byIndex, r); return true })
+		slices.Reverse(byIndex)
+		if _, err := change(scanned, byScan); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := change(probed, byIndex); err != nil || n != len(byScan) {
+			t.Fatalf("changed %d rows, %v; want %d", n, err, len(byScan))
+		}
+		if a, b := order(scanned), order(probed); a != b {
+			t.Errorf("rows in scan order leave the indexes yielding %s, in reverse probe order %s", a, b)
+		}
 	}
 }
 
@@ -190,8 +269,8 @@ func TestUpdateByPKReindexesOnlyWhatChanged(t *testing.T) {
 	}
 	update := func(id int64, col int, v sqlparse.Value) {
 		t.Helper()
-		if n, err := db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(id)}, map[int]sqlparse.Value{col: v}); err != nil || n != 1 {
-			t.Fatalf("UpdateByPK(%d) = %d, %v", id, n, err)
+		if n, err := updateKey(db, "toys", id, col, v); err != nil || n != 1 {
+			t.Fatalf("Update(%d) = %d, %v", id, n, err)
 		}
 	}
 	sameRows := func(when string) {
@@ -224,9 +303,9 @@ func TestUpdateByPKReindexesOnlyWhatChanged(t *testing.T) {
 		t.Errorf("LookupIndex(renamed) = %v, want 3 rows", got)
 	}
 
-	key := []sqlparse.Value{sqlparse.IntVal(7)}
-	set := map[int]sqlparse.Value{qty: sqlparse.IntVal(0)}
-	if n := testing.AllocsPerRun(100, func() { _, _ = db.UpdateByPK("toys", key, set) }); n != 0 {
+	rows := []Row{tab.LookupPK([]sqlparse.Value{sqlparse.IntVal(7)})}
+	cols, vals := []int{qty}, []sqlparse.Value{sqlparse.IntVal(0)}
+	if n := testing.AllocsPerRun(100, func() { _, _ = db.Update("toys", rows, cols, vals) }); n != 0 {
 		t.Errorf("modifying an unindexed column allocates %v times, want 0", n)
 	}
 }
@@ -255,7 +334,7 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Errorf("count(name1) = %d, want 7", got)
 	}
 	// Index stays correct across delete/insert/update.
-	_, _ = db.Delete("toys", func(r Row) bool { return r[0].Int() == 1 }) // name1
+	_, _ = deleteWhere(db, "toys", func(r Row) bool { return r[0].Int() == 1 }) // name1
 	if got := count("name1"); got != 6 {
 		t.Errorf("after delete count = %d, want 6", got)
 	}
@@ -263,8 +342,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if got := count("name1"); got != 7 {
 		t.Errorf("after insert count = %d, want 7", got)
 	}
-	_, _ = db.UpdateByPK("toys", []sqlparse.Value{sqlparse.IntVal(100)},
-		map[int]sqlparse.Value{1: sqlparse.StringVal("renamed")})
+	_, _ = updateKey(db, "toys", 100, 1, sqlparse.StringVal("renamed"))
 	if got := count("name1"); got != 6 {
 		t.Errorf("after rename count = %d, want 6", got)
 	}
@@ -299,7 +377,7 @@ func TestClone(t *testing.T) {
 	}
 	_ = db.Table("toys").CreateIndex("qty")
 	c := db.Clone()
-	_, _ = db.Delete("toys", func(Row) bool { return true })
+	_, _ = deleteWhere(db, "toys", func(Row) bool { return true })
 	if c.Table("toys").Len() != 5 {
 		t.Errorf("clone affected by original: %d", c.Table("toys").Len())
 	}
@@ -315,10 +393,10 @@ func TestUnknownTableErrors(t *testing.T) {
 	if err := db.Insert("nope", Row{}); err == nil {
 		t.Error("insert into unknown table accepted")
 	}
-	if _, err := db.Delete("nope", func(Row) bool { return true }); err == nil {
+	if _, err := db.Delete("nope", nil); err == nil {
 		t.Error("delete from unknown table accepted")
 	}
-	if _, err := db.UpdateByPK("nope", nil, nil); err == nil {
+	if _, err := db.Update("nope", nil, nil, nil); err == nil {
 		t.Error("update of unknown table accepted")
 	}
 }
