@@ -295,6 +295,43 @@ func benchmarkQueryHit(b *testing.B, exps ExposureAssignment) {
 	}
 }
 
+// BenchmarkSystemQueryMiss is one cache miss through the in-process
+// client at the default, view exposure: each iteration invalidates Q2(5)
+// at the node, untimed, and queries it again, so the miss is a home
+// execution and a store. It is gated in BENCH_allocs.json with no
+// headroom: the client lends the query it sealed, and the miss copies
+// what it keeps — the key and the parameters — once, beside the home's
+// result, the cache entry and the client's opened result.
+func BenchmarkSystemQueryMiss(b *testing.B) {
+	app := apps.Toystore()
+	sys, err := NewSystem(app, make([]byte, KeySize), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := sys.DB.Insert("toys", []Value{Int(5), String("kite"), Int(25)}); err != nil {
+		b.Fatal(err)
+	}
+	su, err := sys.Client.Codec.SealUpdate(app.Update("U1"), []Value{Int(5)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Query("Q2", 5); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if sys.Client.Node.OnUpdateCompleted(su) != 1 {
+			b.Fatal("the update did not invalidate Q2(5)")
+		}
+		b.StartTimer()
+		if _, hit, err := sys.QueryOutcome("Q2", 5); err != nil || hit {
+			b.Fatalf("Q2(5): hit %v, err %v; want a miss", hit, err)
+		}
+	}
+}
+
 func BenchmarkSimulatedSecond(b *testing.B) {
 	// Cost of simulating one virtual second of the bboard at 100 users.
 	bench := apps.NewBBoard()

@@ -92,6 +92,37 @@ type Client struct {
 	Home *homeserver.Server
 
 	frontOnce sync.Once
+
+	// scratch pools the *queryScratch each query is sealed into.
+	scratch sync.Pool
+}
+
+// queryScratch is what one query is sealed into: its parameter values, and
+// its payload and key (wire.Scratch). The sealed query lends all three to
+// the front for the length of the call (pipeline.Front), and the client
+// takes the scratch back when the call returns: only a keeper behind the
+// front copies what it keeps (wire.SealedQuery.Keep). release clears the
+// values, which hold the caller's strings, as the engine's exec is cleared,
+// so an idle scratch pins nothing; the bytes it keeps grown hold no
+// reference.
+type queryScratch struct {
+	vals []sqlparse.Value
+	seal wire.Scratch
+}
+
+// takeScratch returns a pooled scratch, or a new one.
+func (c *Client) takeScratch() *queryScratch {
+	if s, ok := c.scratch.Get().(*queryScratch); ok {
+		return s
+	}
+	return new(queryScratch)
+}
+
+// release clears s and returns it to the pool.
+func (c *Client) release(s *queryScratch) {
+	clear(s.vals)
+	s.vals = s.vals[:0]
+	c.scratch.Put(s)
 }
 
 // NewClient assembles the in-process deployment of Figure 1 over a master
@@ -194,7 +225,7 @@ type openedResult struct {
 // Reply opens the sealed result and records the open span.
 func (o *openedResult) Reply(sealed wire.SealedResult, hit bool) {
 	op := o.c.Tracer.StartSpan(o.trace, obs.SpanID{}, obs.StageOpen, o.t.ID)
-	if o.err = o.c.Codec.OpenResultInto(sealed, &o.res); o.err != nil {
+	if o.err = o.c.Codec.OpenResultInto(o.t, sealed, &o.res); o.err != nil {
 		return
 	}
 	op.End()
@@ -217,16 +248,22 @@ func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResul
 	return c.QueryContext(context.Background(), t, params...)
 }
 
-// QueryContext is Query bounded by ctx.
+// QueryContext is Query bounded by ctx. The query is sealed into pooled
+// scratch and lent to the front for the call, so a hit allocates only the
+// result it returns.
 func (c *Client) QueryContext(ctx context.Context, t *template.Template, params ...interface{}) (*QueryResult, error) {
-	vals, err := Params(params...)
+	s := c.takeScratch()
+	defer c.release(s)
+	var err error
+	if s.vals, err = appendParams(s.vals[:0], params); err != nil {
+		return nil, err
+	}
+	start := c.Tracer.Now()
+	sq, err := c.Codec.LendQuery(t, s.vals, &s.seal)
 	if err != nil {
 		return nil, err
 	}
-	sq, err := c.SealQuery(t, vals)
-	if err != nil {
-		return nil, err
-	}
+	sq.ParentSpan = c.sealSpan(sq.TraceID, t, start)
 	out := c.opener(t, sq)
 	if err := c.front().Query(ctx, sq, out); err != nil {
 		return nil, err

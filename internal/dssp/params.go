@@ -16,22 +16,31 @@ type QueryResult struct {
 // Params converts Go values to SQL parameter values. Supported types:
 // int, int64, float64, string, and sqlparse.Value (passed through).
 func Params(args ...interface{}) ([]sqlparse.Value, error) {
-	vals := make([]sqlparse.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case int:
-			vals[i] = sqlparse.IntVal(int64(v))
-		case int64:
-			vals[i] = sqlparse.IntVal(v)
-		case float64:
-			vals[i] = sqlparse.FloatVal(v)
-		case string:
-			vals[i] = sqlparse.StringVal(v)
-		case sqlparse.Value:
-			vals[i] = v
-		default:
-			return nil, fmt.Errorf("dssp: unsupported parameter type %T", a)
-		}
+	vals, err := appendParams(make([]sqlparse.Value, 0, len(args)), args)
+	if err != nil {
+		return nil, err
 	}
 	return vals, nil
+}
+
+// appendParams appends args, converted as Params converts them, to dst:
+// a query converts its parameters into its pooled scratch.
+func appendParams(dst []sqlparse.Value, args []interface{}) ([]sqlparse.Value, error) {
+	for _, a := range args {
+		switch v := a.(type) {
+		case int:
+			dst = append(dst, sqlparse.IntVal(int64(v)))
+		case int64:
+			dst = append(dst, sqlparse.IntVal(v))
+		case float64:
+			dst = append(dst, sqlparse.FloatVal(v))
+		case string:
+			dst = append(dst, sqlparse.StringVal(v))
+		case sqlparse.Value:
+			dst = append(dst, v)
+		default:
+			return dst, fmt.Errorf("dssp: unsupported parameter type %T", a)
+		}
+	}
+	return dst, nil
 }

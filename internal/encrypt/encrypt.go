@@ -16,18 +16,18 @@
 // schedule is expanded once per keyring, and all per-call working state
 // (the HMAC transcript, the PRF output, the CTR counter and keystream
 // blocks) lives in a sync.Pool of scratch structures. The only allocation
-// a Seal or Open makes is the output buffer itself — and OpenAppend
-// lets callers supply even that.
+// a Seal or Open makes is the output buffer itself — and SealAppend and
+// OpenAppend let callers supply even that.
 //
 // Buffer ownership rules:
 //
 //   - Seal and Open return freshly allocated buffers; the caller owns them
 //     outright and no later call mutates them.
-//   - OpenAppend appends to the caller's buffer and returns the extended
-//     slice, which aliases dst's array whenever capacity
+//   - SealAppend and OpenAppend append to the caller's buffer and return
+//     the extended slice, which aliases dst's array whenever capacity
 //     sufficed. The caller owns dst before and after; the keyring retains
 //     no reference to it.
-//   - Token returns an immutable string.
+//   - TokenAppend appends to the caller's buffer as SealAppend does.
 //
 // Pooled scratch never escapes a call, enforced by the ownership stress
 // test: bytes returned to a caller are never overwritten by later calls.
@@ -165,19 +165,23 @@ func (k *Keyring) ctrXOR(s *sealScratch, dst, src, iv []byte) {
 // equal plaintexts, so e.g. statements and results never collide). The
 // returned buffer is freshly allocated and owned by the caller.
 func (k *Keyring) Seal(domain string, plaintext []byte) []byte {
-	out := make([]byte, ivSize+len(plaintext))
-	k.seal(out, domain, plaintext)
-	return out
+	return k.SealAppend(make([]byte, 0, ivSize+len(plaintext)), domain, plaintext)
 }
 
-// seal fills out (of length ivSize+len(plaintext)) with the sealed
-// message.
-func (k *Keyring) seal(out []byte, domain string, plaintext []byte) {
+// SealAppend appends Seal's ciphertext to dst and returns the extended
+// slice, which aliases dst's array whenever capacity sufficed: a caller
+// that seals into scratch of its own allocates nothing. plaintext must not
+// overlap dst's spare capacity.
+func (k *Keyring) SealAppend(dst []byte, domain string, plaintext []byte) []byte {
+	off := len(dst)
+	dst = slices.Grow(dst, ivSize+len(plaintext))[:off+ivSize+len(plaintext)]
+	out := dst[off:]
 	s := k.scratch.Get().(*sealScratch)
 	k.prf(s, domain, 0, plaintext)
 	copy(out, s.sum[:ivSize])
 	k.ctrXOR(s, out[ivSize:], plaintext, out[:ivSize])
 	k.scratch.Put(s)
+	return dst
 }
 
 // Open decrypts and authenticates a ciphertext produced by Seal with the
@@ -211,17 +215,12 @@ func (k *Keyring) OpenAppend(dst []byte, domain string, ciphertext []byte) ([]by
 	return dst, nil
 }
 
-// Token returns a deterministic opaque token for the plaintext: the PRF
-// output alone, with no decryption capability. The DSSP uses tokens as
-// cache lookup keys for encrypted statements and parameters.
-func (k *Keyring) Token(domain string, plaintext []byte) string {
-	var b [sha256.Size]byte
-	return string(k.TokenAppend(b[:0], domain, plaintext))
-}
-
-// TokenAppend appends Token's bytes to dst, so a caller can make a key of
-// a prefix and the token in one string. The token is computed before
-// anything is appended: plaintext may lie in dst's spare capacity.
+// TokenAppend appends a deterministic opaque token for the plaintext to
+// dst: the PRF output alone, with no decryption capability. The DSSP uses
+// tokens as cache lookup keys for encrypted statements and parameters, so
+// a caller makes a key of a prefix and the token in one buffer. The token
+// is computed before anything is appended: plaintext may lie in dst's
+// spare capacity.
 func (k *Keyring) TokenAppend(dst []byte, domain string, plaintext []byte) []byte {
 	s := k.scratch.Get().(*sealScratch)
 	k.prf(s, domain, 1, plaintext)

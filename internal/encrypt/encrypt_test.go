@@ -6,6 +6,11 @@ import (
 	"testing/quick"
 )
 
+// Token is TokenAppend's token as a string of its own.
+func (k *Keyring) Token(domain string, plaintext []byte) string {
+	return string(k.TokenAppend(nil, domain, plaintext))
+}
+
 func testKeyring(t testing.TB) *Keyring {
 	t.Helper()
 	master := make([]byte, KeySize)
@@ -162,5 +167,22 @@ func BenchmarkOpen(b *testing.B) {
 		if _, err := k.Open("result", ct); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// SealAppend is Seal appended after whatever dst holds, and into room dst
+// already has it writes in place: the trusted client seals each query's
+// payload into pooled scratch (BenchmarkSystemQueryHit's budget holds it
+// to no allocation).
+func TestSealAppend(t *testing.T) {
+	k := testKeyring(t)
+	msg := []byte("SELECT qty FROM toys WHERE toy_id=?")
+	got := k.SealAppend([]byte("prefix"), "stmt", msg)
+	if want := append([]byte("prefix"), k.Seal("stmt", msg)...); !bytes.Equal(got, want) {
+		t.Fatalf("SealAppend after a prefix: %x, want %x", got, want)
+	}
+	buf := make([]byte, 0, 256)
+	if got := k.SealAppend(buf, "stmt", msg); &got[0] != &buf[:1][0] || !bytes.Equal(got, k.Seal("stmt", msg)) {
+		t.Fatalf("SealAppend into room enough: %x, not in place", got)
 	}
 }

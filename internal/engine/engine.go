@@ -14,6 +14,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,8 +37,11 @@ import (
 // array; each is capped to its own length, so appending to a row never
 // writes into its neighbour.
 type Result struct {
-	// Columns is shared by every result of one Plan, which never changes
-	// it after Compile: read it, never write it. (A Clone has its own.)
+	// Columns is shared, so read it, never write it: by every result of
+	// one Plan, which never changes it after Compile, and by every result
+	// of one query template that a trusted client opens (wire.Codec keeps
+	// each template's names once). A result whose names differ from its
+	// template's has a copy of its own.
 	Columns []string
 	Rows    [][]sqlparse.Value
 
@@ -55,14 +59,15 @@ func (r *Result) Len() int { return len(r.Rows) }
 // severs every mutable link between the copy and the original; the wire
 // codec uses this to uphold the ownership invariant for plaintext
 // (view-exposure) results, whose sealed form would otherwise alias the
-// DSSP's cached object. Columns is copied too: the copy is handed to a
-// client, who may do with it as it likes, and the original's Columns may
-// be a plan's.
-func (r *Result) CloneInto(cp *Result) {
-	*cp = Result{
-		Columns:     append([]string(nil), r.Columns...),
-		RowsScanned: r.RowsScanned,
+// DSSP's cached object. The copy's Columns is columns when r's names are
+// those — the names the caller shares among the results it makes, a
+// template's at the codec — and a copy of r's otherwise, since the
+// original's may be a plan's.
+func (r *Result) CloneInto(cp *Result, columns []string) {
+	if !slices.Equal(r.Columns, columns) {
+		columns = append([]string(nil), r.Columns...)
 	}
+	*cp = Result{Columns: columns, RowsScanned: r.RowsScanned}
 	if r.Rows == nil {
 		return
 	}

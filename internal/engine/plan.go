@@ -51,6 +51,10 @@ type Plan struct {
 	collect bool
 }
 
+// Columns returns the column names of every Result the plan returns, the
+// one slice they share: read it, never write it.
+func (p *Plan) Columns() []string { return p.columns }
+
 // colRef addresses one column of the joined tuple.
 type colRef struct {
 	from, col int

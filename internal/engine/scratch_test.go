@@ -180,7 +180,7 @@ func TestPlanScratchGoesBackClean(t *testing.T) {
 // the wire codec's CloneInto gives a client.
 func (r *Result) Clone() *Result {
 	cp := new(Result)
-	r.CloneInto(cp)
+	r.CloneInto(cp, nil)
 	return cp
 }
 

@@ -341,7 +341,7 @@ func BenchmarkNodeQueryHit(b *testing.B) {
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
 	node.Cache.Store(sq, sr, false)
 	pipe := pipeline.New(node, noHome{}, nil, pipeline.Options{})
-	srv := startFrameServer(b, serveBackend(shard.PipeBackend{Pipe: pipe, Buckets: node.Cache}))
+	srv := startFrameServer(b, serveBackend(shard.PipeBackend{Pipe: pipe, Buckets: node.Cache}, node.App.IDs()))
 	p := NewNodeProxy(srv.URL, &http.Client{Timeout: DefaultTimeout}, nil)
 	ctx := context.Background()
 	b.ReportAllocs()

@@ -466,7 +466,7 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 // Handler returns the node's HTTP API: the node as a shard.Backend over
 // frames, and its decision log.
 func (s *NodeServer) Handler() http.Handler {
-	mux := newMux(s.Reg, s.Tracer.Store(), serveBackend(shard.PipeBackend{Pipe: s.Pipe, Buckets: s.Node.Cache}))
+	mux := newMux(s.Reg, s.Tracer.Store(), serveBackend(shard.PipeBackend{Pipe: s.Pipe, Buckets: s.Node.Cache}, s.Node.App.IDs()))
 	mux.HandleFunc("GET "+PathDecisions, s.handleDecisions)
 	return mux
 }
@@ -490,11 +490,12 @@ func newMux(reg *obs.Registry, store *obs.SpanStore, ops *frameOps) *http.ServeM
 // fails answers bad gateway: the statement did not get through. The shard
 // router is served bytes: it routes each statement from its head and
 // forwards it as it came (forwardQuery, forwardUpdate). Every other front
-// is handed a query read in place (wire.ReadSealedQuery: its strings in
-// one copy, its parameters still encoded in it until a miss decodes them,
-// its payload lent from the frame — pipeline.Front), and answers into the
-// answer frame (queryReply); an update it is handed decoded.
-func serveFront(front pipeline.Front) *frameOps {
+// is handed a query read in place (wire.ReadSealedQuery: its template ID
+// interned against ids, the application's, and its key, its parameters,
+// still encoded until a miss copies and decodes them, and its payload lent
+// from the frame — pipeline.Front), and answers into the answer frame
+// (queryReply); an update it is handed decoded.
+func serveFront(front pipeline.Front, ids map[string]string) *frameOps {
 	router, forwards := front.(*shard.Router)
 	return &frameOps{
 		OpQuery: func(ctx context.Context, req, resp *frame) {
@@ -502,7 +503,7 @@ func serveFront(front pipeline.Front) *frameOps {
 				forwardQuery(ctx, router, req, resp)
 				return
 			}
-			sq, err := wire.ReadSealedQuery(req.body)
+			sq, err := wire.ReadSealedQuery(req.body, ids)
 			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
@@ -559,8 +560,8 @@ func (f *queryReply) Reply(res wire.SealedResult, hit bool) {
 // The bucket ops move sealed entries between nodes when the ring changes:
 // what travels is ciphertext and routing metadata the node already held,
 // so the router warms a new owner without a key.
-func serveBackend(b shard.Backend) *frameOps {
-	ops := serveFront(b)
+func serveBackend(b shard.Backend, ids map[string]string) *frameOps {
+	ops := serveFront(b, ids)
 	ops[OpInvalidate] = func(ctx context.Context, req, resp *frame) {
 		var su wire.SealedUpdate
 		if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {

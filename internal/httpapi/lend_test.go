@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/apps"
 	"dssp/internal/cache"
@@ -218,7 +219,9 @@ func entryQueries(c *cache.Cache) map[string]wire.SealedQuery {
 // inside the frame it arrived in, and what it returns is its own — at
 // every exposure level, 200 results held across 1 000 further queries,
 // whose answers are read into the pooled buffers the 200 were opened
-// from, keep the fingerprints they had on receipt.
+// from, keep the fingerprints and column names they had on receipt. The
+// results of one template share its column names (wire.Codec), so the
+// names are read, never written.
 func TestClientKeepsItsResults(t *testing.T) {
 	var queries []workload.Op
 	for _, op := range bboardScript(100) {
@@ -231,6 +234,8 @@ func TestClientKeepsItsResults(t *testing.T) {
 		var held []*dssp.QueryResult
 		var prints []string
 		rows := 0
+		columns := map[string]*string{} // each template's first held result's names
+		shared := 0
 		for i := 0; i < 1200; i++ {
 			op := queries[i%len(queries)]
 			params := make([]interface{}, len(op.Params))
@@ -242,15 +247,23 @@ func TestClientKeepsItsResults(t *testing.T) {
 				t.Fatalf("%v: %s: %v", exp, op.Template.ID, err)
 			}
 			if i < 200 {
-				held, prints = append(held, r), append(prints, r.Result.Fingerprint(false))
+				held, prints = append(held, r), append(prints, fmt.Sprintf("%q %s", r.Result.Columns, r.Result.Fingerprint(false)))
 				rows += r.Outcome.Rows
+				if first, ok := columns[op.Template.ID]; !ok {
+					columns[op.Template.ID] = unsafe.SliceData(r.Result.Columns)
+				} else if first == unsafe.SliceData(r.Result.Columns) {
+					shared++
+				}
 			}
 		}
 		if rows == 0 {
 			t.Fatalf("%v: the held results have no rows", exp)
 		}
+		if shared == 0 {
+			t.Fatalf("%v: no two held results of a template share its column names", exp)
+		}
 		for i, r := range held {
-			if got := r.Result.Fingerprint(false); got != prints[i] {
+			if got := fmt.Sprintf("%q %s", r.Result.Columns, r.Result.Fingerprint(false)); got != prints[i] {
 				t.Fatalf("%v: held result %d (%s) changed after later queries:\n got %q\nwant %q", exp, i, queries[i%len(queries)].Template.ID, got, prints[i])
 			}
 		}

@@ -290,7 +290,7 @@ func NewRouterServer(analysis *core.Analysis, nodeURLs []string, opts RouterOpti
 // Handler returns the router's HTTP API — the node API, served by the
 // fleet.
 func (s *RouterServer) Handler() http.Handler {
-	mux := newMux(s.Reg, s.Tracer.Store(), serveFront(s.Router))
+	mux := newMux(s.Reg, s.Tracer.Store(), serveFront(s.Router, s.Router.TemplateIDs()))
 	mux.HandleFunc("POST "+PathRingJoin, s.handleRingJoin)
 	mux.HandleFunc("POST "+PathRingLeave, s.handleRingLeave)
 	mux.HandleFunc("GET "+PathRing, s.handleRing)

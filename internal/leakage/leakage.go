@@ -28,6 +28,7 @@ package leakage
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,9 +53,9 @@ type Observer struct {
 	queries, hits int64
 	updates       int64
 
-	keyAccess    map[string]int64 // sealed lookup key -> accesses
-	templateFreq map[string]int64 // visible template label -> occurrences
-	params       int64            // parameter values seen in the clear
+	keyAccess    map[string]*int64 // sealed lookup key -> accesses
+	templateFreq map[string]int64  // visible template label -> occurrences
+	params       int64             // parameter values seen in the clear
 
 	plaintext int64 // bytes readable at this vantage point
 	sealed    int64 // bytes that transit as ciphertext/tokens
@@ -81,7 +82,7 @@ func NewObserver(vantage string, clock obs.Clock) *Observer {
 	return &Observer{
 		vantage:      vantage,
 		clock:        clock,
-		keyAccess:    make(map[string]int64),
+		keyAccess:    make(map[string]*int64),
 		templateFreq: make(map[string]int64),
 		pending:      make(map[obs.TraceID]time.Duration),
 	}
@@ -157,7 +158,15 @@ func (o *Observer) query(sq wire.SealedQuery, hit bool) {
 	if hit {
 		o.hits++
 	}
-	o.keyAccess[sq.Key]++
+	// The key may be lent (wire.SealedQuery.Keep): the map keeps a copy,
+	// made when it gains the key, and an access counts through a pointer,
+	// since an assignment to a string key stores the string it is given.
+	n := o.keyAccess[sq.Key]
+	if n == nil {
+		n = new(int64)
+		o.keyAccess[strings.Clone(sq.Key)] = n
+	}
+	*n++
 	o.templateFreq[obs.Tmpl(sq.TemplateID)]++
 	if sq.TemplateID != "" {
 		o.plaintext += int64(len(sq.TemplateID))
@@ -283,7 +292,8 @@ func (o *Observer) Report() Report {
 		InvalidatedEntries:      o.invalidatedEntries,
 		CorrelatedInvalidations: o.correlated,
 	}
-	for _, n := range o.keyAccess {
+	for _, p := range o.keyAccess {
+		n := *p
 		r.KeyAccesses += n
 		if n > r.MaxKeyAccesses {
 			r.MaxKeyAccesses = n

@@ -54,13 +54,16 @@ func (p *Pipeline) newMissCall() any {
 // is QuerySync's: the call answers its syncCall, and the caller waiting on
 // that holds the call beside the continuation.
 //
-// The miss owns its statement, and it is the only way a query reaches
-// StoreResult and the home: so it is here that a query read in place from
-// a frame has its parameters decoded (wire.SealedQuery.DecodeParams),
-// which a hit never reads.
+// The miss owns its statement past the call, in flights and the cache,
+// and it is the only way a query reaches StoreResult and the home: so it
+// is here that a lent query — sealed into a client's scratch or read in
+// place from a frame — has its key and parameters copied, once
+// (wire.SealedQuery.Keep), and a query read in place has its parameters
+// decoded (wire.SealedQuery.DecodeParams), which a hit never reads.
 func (p *Pipeline) takeMiss(sq wire.SealedQuery, start time.Duration, done func(QueryReply, error)) *missCall {
 	c := p.missPool.Get().(*missCall)
 	c.sq, c.tmpl, c.start, c.done = sq, obs.Tmpl(sq.TemplateID), start, done
+	c.sq.Keep()
 	c.sq.DecodeParams()
 	c.holders.Store(1)
 	if done == nil {

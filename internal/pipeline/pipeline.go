@@ -37,9 +37,9 @@ import (
 // store halves of the query path, and invalidation monitoring for the
 // update path — one update at a time, or a whole monitoring interval's
 // batch at once. *dssp.Node implements it. HandleQuery may be handed a
-// query whose parameters are still encoded (Front): a lookup reads the
-// template ID and the key. StoreResult is handed the miss's statement,
-// its parameters decoded.
+// lent query whose parameters are still encoded (Front): a lookup reads
+// the template ID and the key, and keeps neither. StoreResult is handed
+// the miss's statement, kept and its parameters decoded.
 type Cache interface {
 	HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool)
 	StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool)
@@ -96,17 +96,21 @@ type Transport interface {
 // either (httpapi.NodeProxy). Nothing behind a Front holds a key: the
 // client seals before Query or Update and opens after.
 //
-// Query lends in both directions. sq may be lent — a node serving a frame
-// passes the query read in place (wire.ReadSealedQuery), whose Opaque lies
-// in the frame and whose parameters are still encoded until
-// SealedQuery.DecodeParams — so a Front reads the payload only before
-// Query returns, whatever keeps the statement past that drops or copies
-// it (a cache entry drops it), and whatever reads or sends the parameters
-// decodes them first (the pipeline's miss does). The answer is lent back:
-// Query hands it to r.Reply, once and only on success, and res is valid
-// only during that call — a hop hands over the result as it lies in the
-// answer frame, so the trusted client opens it there, and a node appends
-// it to its own answer frame. An error means Reply was not called.
+// Query lends in both directions. sq may be lent — the trusted client
+// passes a query sealed into its pooled scratch (wire.Codec.LendQuery), and
+// a node serving a frame the query read in place (wire.ReadSealedQuery),
+// whose key, payload and parameters lie in the frame, the parameters still
+// encoded until SealedQuery.DecodeParams — so a Front reads them only
+// before Query returns: whatever keeps the statement past that copies its
+// key and parameters once (SealedQuery.Keep, in the pipeline's miss) and
+// drops the payload (a cache entry does), whatever keeps a key alone
+// copies it (the router's blind-key cache), and whatever reads or sends
+// the parameters decodes them first (the pipeline's miss does). The
+// answer is lent back: Query hands it to r.Reply, once and only on
+// success, and res is valid only during that call — a hop hands over the
+// result as it lies in the answer frame, so the trusted client opens it
+// there, and a node appends it to its own answer frame. An error means
+// Reply was not called.
 type Front interface {
 	Query(ctx context.Context, sq wire.SealedQuery, r Replier) error
 	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)

@@ -1,6 +1,9 @@
 package shard
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // blindCacheSize bounds the router's blind-key cache. Each entry is one
 // sealed lookup key and a node index — small — so the bound is generous
@@ -63,7 +66,8 @@ func (c *BlindCache) Lookup(key string, live func(int) bool) (node int, ok bool)
 }
 
 // Put pins a sealed key to a node, evicting the least-recently-used pin
-// when full.
+// when full. The key may be lent — read in place from a frame, or sealed
+// into a client's scratch — so a pin the cache gains holds a copy of it.
 func (c *BlindCache) Put(key string, node int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -72,6 +76,7 @@ func (c *BlindCache) Put(key string, node int) {
 		c.moveToFront(e)
 		return
 	}
+	key = strings.Clone(key)
 	e := &blindEntry{key: key, node: node}
 	c.entries[key] = e
 	c.pushFront(e)

@@ -131,13 +131,7 @@ func NewRouter(analysis *core.Analysis, backends []Backend, tracer *obs.Tracer) 
 		backends: make(map[int]Backend, len(backends)),
 		nextNode: len(backends),
 		blind:    NewBlindCache(blindCacheSize),
-		ids:      make(map[string]string, len(analysis.App.Queries)+len(analysis.App.Updates)),
-	}
-	for _, q := range analysis.App.Queries {
-		r.ids[q.ID] = q.ID
-	}
-	for _, u := range analysis.App.Updates {
-		r.ids[u.ID] = u.ID
+		ids:      analysis.App.IDs(),
 	}
 	for i, b := range backends {
 		r.backends[i] = b

@@ -49,8 +49,8 @@ type Table struct {
 
 	rows []Row
 	live int
-	pk   map[string]int           // PK key -> row index
-	sec  map[int]map[string][]int // column ordinal -> value key -> row indexes
+	pk   map[string]int              // PK key -> row index
+	sec  map[int]map[string]postings // column ordinal -> value key -> row indexes
 
 	slots []int // Delete's and Update's scratch: the slots they change
 }
@@ -59,7 +59,7 @@ func newTable(meta *schema.Table) *Table {
 	return &Table{
 		Meta: meta,
 		pk:   make(map[string]int),
-		sec:  make(map[int]map[string][]int),
+		sec:  make(map[int]map[string]postings),
 	}
 }
 
@@ -103,13 +103,11 @@ func (t *Table) CreateIndex(column string) error {
 	if ci < 0 {
 		return fmt.Errorf("storage: table %q has no column %q", t.Meta.Name, column)
 	}
-	idx := make(map[string][]int)
+	idx := make(map[string]postings)
 	for i, r := range t.rows {
-		if r == nil {
-			continue
+		if r != nil {
+			indexInsert(idx, i, r[ci])
 		}
-		k := Key(r[ci : ci+1])
-		idx[k] = append(idx[k], i)
 	}
 	t.sec[ci] = idx
 	return nil
@@ -129,7 +127,7 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 		return false
 	}
 	var buf [keyBufSize]byte
-	for _, i := range idx[string(sqlparse.AppendKey(buf[:0], v))] {
+	for _, i := range idx[string(sqlparse.AppendKey(buf[:0], v))].rows {
 		if t.rows[i] == nil {
 			continue
 		}
@@ -140,19 +138,33 @@ func (t *Table) LookupIndex(colIdx int, v sqlparse.Value, f func(Row) bool) bool
 	return true
 }
 
+// postings is one value's row slots in a secondary index, beside the key
+// the index holds them under: a change to the list is stored back under
+// that string, so only a key the index gains allocates one. (An assignment
+// idx[string(k)] = rows allocates its key whether or not the map has it.)
+type postings struct {
+	key  string
+	rows []int
+}
+
 // indexInsert adds row slot i under v in one secondary index.
-func indexInsert(idx map[string][]int, i int, v sqlparse.Value) {
+func indexInsert(idx map[string]postings, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	k := string(sqlparse.AppendKey(buf[:0], v))
-	idx[k] = append(idx[k], i)
+	k := sqlparse.AppendKey(buf[:0], v)
+	p, ok := idx[string(k)]
+	if !ok {
+		p.key = string(k)
+	}
+	p.rows = append(p.rows, i)
+	idx[p.key] = p
 }
 
 // indexMoveToEnd moves row slot i to the end of v's list in one
 // secondary index, in place: an indexDelete and indexInsert of the same
 // value leave the list so, but re-key it.
-func indexMoveToEnd(idx map[string][]int, i int, v sqlparse.Value) {
+func indexMoveToEnd(idx map[string]postings, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	rows := idx[string(sqlparse.AppendKey(buf[:0], v))]
+	rows := idx[string(sqlparse.AppendKey(buf[:0], v))].rows
 	for j, ri := range rows {
 		if ri == i {
 			last := len(rows) - 1
@@ -164,21 +176,23 @@ func indexMoveToEnd(idx map[string][]int, i int, v sqlparse.Value) {
 
 // indexDelete takes row slot i out from under v in one secondary index,
 // probing with a key encoded on the stack.
-func indexDelete(idx map[string][]int, i int, v sqlparse.Value) {
+func indexDelete(idx map[string]postings, i int, v sqlparse.Value) {
 	var buf [keyBufSize]byte
-	k := sqlparse.AppendKey(buf[:0], v)
-	rows := idx[string(k)]
-	for j, ri := range rows {
+	p, ok := idx[string(sqlparse.AppendKey(buf[:0], v))]
+	if !ok {
+		return
+	}
+	for j, ri := range p.rows {
 		if ri == i {
-			rows[j] = rows[len(rows)-1]
-			rows = rows[:len(rows)-1]
+			p.rows[j] = p.rows[len(p.rows)-1]
+			p.rows = p.rows[:len(p.rows)-1]
 			break
 		}
 	}
-	if len(rows) == 0 {
-		delete(idx, string(k))
+	if len(p.rows) == 0 {
+		delete(idx, p.key)
 	} else {
-		idx[string(k)] = rows
+		idx[p.key] = p
 	}
 }
 

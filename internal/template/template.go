@@ -433,6 +433,22 @@ type App struct {
 	Updates []*Template
 }
 
+// IDs maps each of the application's template IDs to itself: the table a
+// process that reads statements in place interns their template IDs
+// against (wire.Raw.ReadQuery, wire.ReadSealedQuery), so that the strings
+// it keeps in its spans, histograms and caches are these, not copies of a
+// frame. A new map on every call; its holder only reads it.
+func (a *App) IDs() map[string]string {
+	ids := make(map[string]string, len(a.Queries)+len(a.Updates))
+	for _, t := range a.Queries {
+		ids[t.ID] = t.ID
+	}
+	for _, t := range a.Updates {
+		ids[t.ID] = t.ID
+	}
+	return ids
+}
+
 // Query returns the query template with the given ID, or nil.
 func (a *App) Query(id string) *Template {
 	for _, t := range a.Queries {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"slices"
+	"strings"
+	"unsafe"
 
 	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
@@ -43,12 +46,13 @@ import (
 // function returns what the caller may keep: nothing it returns aliases b,
 // so b may be a pooled buffer. A Read function (ReadSealedQuery,
 // ReadQueryPayload, Raw.ReadQuery, ReadSealedResult) lends: the payload,
-// the cipher and a view result's encoding alias b, and are valid only as
-// long as b is — what a hop reads once and forwards or opens before its
-// buffer goes back to the pool. Each Read function copies only what its
-// hop keeps: a node the strings a cache entry holds, a router the
-// template IDs it does not know and a blind key, a home nothing. The
-// Decode functions are ReadSealedQuery's walk followed by a copy. An absent
+// the cipher, a view result's encoding and a query's key and parameters
+// alias b, and are valid only as long as b is — what a hop reads once and
+// forwards or opens before its buffer goes back to the pool. A Read
+// function copies only a template ID its table does not hold; whoever
+// keeps a lent string past the hop copies it — a node's miss the key and
+// the parameters (SealedQuery.Keep), a router's blind-key cache a key. The
+// Decode functions are the same walk followed by a copy. An absent
 // and an empty Params (or Opaque) share an encoding and decode as nil; a
 // nil Cipher is "no result", an empty one is a sealed result of no bytes.
 const (
@@ -80,7 +84,7 @@ func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
 	if err != nil {
 		return SealedQuery{}, nil, err
 	}
-	sq := s.query(b)
+	sq := s.query(string(s.head(b)))
 	sq.DecodeParams()
 	sq.Opaque = cloneOpaque(sq.Opaque)
 	return sq, b[s.end:], nil
@@ -100,7 +104,7 @@ func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
 	if err != nil {
 		return SealedUpdate{}, nil, err
 	}
-	sq := s.query(b)
+	sq := s.query(string(s.head(b)))
 	return SealedUpdate{
 		Exposure: sq.Exposure, TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID,
 		Group: sq.Group, Params: decodeParams(sq.params), Opaque: cloneOpaque(sq.Opaque),
@@ -109,18 +113,22 @@ func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
 
 // ReadSealedQuery reads the one sealed query b holds, in its WithTrace
 // form, in place, as a node serves it. It accepts exactly what
-// DecodeSealedQuery(b, WithTrace) accepts with no bytes left, and costs
-// one allocation: the template ID and the key are substrings of one copy
-// of the bytes from the template ID to the payload, and the parameters are
-// left encoded in that copy, for DecodeParams — a hit reads the key alone,
-// and only a miss, which keeps its statement, decodes them. The payload is
-// lent: it aliases b, and is valid only as long as b is.
-func ReadSealedQuery(b []byte) (SealedQuery, error) {
+// DecodeSealedQuery(b, WithTrace) accepts with no bytes left. The template
+// ID is interned against ids, as Raw.ReadQuery's is, and copied only when
+// ids does not hold it; the key, the parameters, left encoded for
+// DecodeParams, and the payload are lent: they lie in b, and are valid
+// only as long as b is. A hit reads the key alone, and only a miss, which
+// keeps its statement, copies the key and the parameters (Keep) and
+// decodes them. So a query of a template in ids costs nothing to read.
+func ReadSealedQuery(b []byte, ids map[string]string) (SealedQuery, error) {
 	s, err := walkWhole(b, true)
 	if err != nil {
 		return SealedQuery{}, err
 	}
-	return s.query(b), nil
+	sq := s.query(lend(s.head(b)))
+	sq.TemplateID = intern(b[s.templateID.at:s.templateID.end], ids)
+	sq.lent = true
+	return sq, nil
 }
 
 // ReadQueryPayload reads the one sealed query b holds, in its WithTrace
@@ -136,13 +144,52 @@ func ReadQueryPayload(b []byte) (SealedQuery, error) {
 // encoded (ReadSealedQuery) into Params, and drops the encoded form, with
 // or without parameters in it: the query is then what DecodeSealedQuery
 // returns, but for its lent payload. Their strings are substrings of the
-// copy the query's other strings lie in, so the only allocation is the
-// slice. A query that carries no encoded form is left as it is.
+// string the encoded form lies in, so the only allocation is the slice; a
+// lent query's are lent with it. A query that carries no encoded form is
+// left as it is.
 func (sq *SealedQuery) DecodeParams() {
 	if sq.params != "" {
 		sq.Params = decodeParams(sq.params)
 	}
 	sq.params = ""
+}
+
+// Keep makes sq its holder's to keep past the call it was lent for. A lent
+// query's key and parameters are copied: the key and any parameters still
+// encoded into one string, and a decoded parameter slice into a slice of
+// its own (its values' strings are immutable, and no scratch's). A query
+// that is not lent is left as it is, so nothing is copied twice. The
+// payload stays lent: it is read only during the call (pipeline.Front).
+func (sq *SealedQuery) Keep() {
+	if !sq.lent {
+		return
+	}
+	var b strings.Builder
+	b.Grow(len(sq.params) + len(sq.Key))
+	b.WriteString(sq.params)
+	b.WriteString(sq.Key)
+	own := b.String()
+	sq.params, sq.Key = own[:len(sq.params)], own[len(sq.params):]
+	sq.Params = slices.Clone(sq.Params)
+	sq.lent = false
+}
+
+// lend returns b's bytes as a string without copying them: the one place
+// the package makes a string of bytes that are not its own to freeze. The
+// string reads whatever b holds, so it is valid only until b is written
+// again — for the call a query is lent for, after which its sender reuses
+// b. Every holder that keeps a lent string past that call copies it: the
+// pipeline's miss (SealedQuery.Keep), shard.BlindCache and
+// leakage.Observer, which keep a key without its query.
+func lend(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// intern returns the string ids maps tid to — a lookup that allocates
+// nothing — or a copy of tid when ids does not hold it.
+func intern(tid []byte, ids map[string]string) string {
+	if id, ok := ids[string(tid)]; ok {
+		return id
+	}
+	return string(tid)
 }
 
 // Raw is a sealed statement, in its WithTrace form, kept as the bytes it
@@ -180,14 +227,10 @@ func (r *Raw) read(b []byte, key bool, ids map[string]string) error {
 	if err != nil {
 		return err
 	}
-	tid := b[s.templateID.at:s.templateID.end]
-	id, ok := ids[string(tid)]
-	if !ok {
-		id = string(tid)
-	}
+	id := intern(b[s.templateID.at:s.templateID.end], ids)
 	r.Head = Head{TraceID: s.traceID, ParentSpan: s.parentSpan, TemplateID: id, Opaque: s.opaque}
 	if key && id == "" {
-		r.Key = string(b[s.key.at:s.key.end])
+		r.Key = lend(b[s.key.at:s.key.end])
 	}
 	r.msg = b
 	return nil
@@ -275,14 +318,17 @@ func walkWhole(b []byte, key bool) (statement, error) {
 	return s, err
 }
 
-// query returns the statement walk found in b as a query read in place:
-// its strings, and its parameters still encoded, are substrings of one
-// copy of the bytes from the template ID to the payload — so the strings
-// of one statement share their copy, and holding one (a cache entry holds
-// its query's key) holds them all — and its payload is lent.
-func (s *statement) query(b []byte) SealedQuery {
+// head is the bytes of b from the statement's template ID to the end of
+// its key: the strings a query keeps, and its parameters, still encoded.
+func (s *statement) head(b []byte) []byte { return b[s.templateID.at:s.key.end] }
+
+// query returns the statement walk found as a query whose strings, and
+// whose parameters still encoded, are substrings of head — s.head of the
+// input, copied or lent — so the strings of one statement share it, and
+// holding one (a cache entry holds its query's key) holds them all. Its
+// payload lies in the input.
+func (s *statement) query(head string) SealedQuery {
 	from := s.templateID.at
-	head := string(b[from:s.key.end])
 	in := func(f field) string { return head[f.at-from : f.end-from] }
 	return SealedQuery{
 		Exposure: s.exposure, TraceID: s.traceID, ParentSpan: s.parentSpan, TemplateID: in(s.templateID),

@@ -492,12 +492,15 @@ func checkReadRaw(t *testing.T, b []byte) {
 	})
 }
 
-// checkReadSealedQuery holds ReadSealedQuery, then DecodeParams, to the
-// decoder on one input, whose decoded query is want.
+// checkReadSealedQuery holds ReadSealedQuery, then Keep and DecodeParams,
+// to the decoder on one input, whose decoded query is want: the template
+// ID is the table's own string when the table holds it, and what the read
+// lends — the key and the parameters, still encoded — lies in the input
+// until Keep copies it.
 func checkReadSealedQuery(t *testing.T, b []byte, want SealedQuery, wantErr error) {
 	t.Helper()
 	in := bytes.Clone(b)
-	got, err := ReadSealedQuery(in)
+	got, err := ReadSealedQuery(in, routerIDs)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("ReadSealedQuery(%x): err %v, the decoder: %v", b, err, wantErr)
 	}
@@ -505,15 +508,33 @@ func checkReadSealedQuery(t *testing.T, b []byte, want SealedQuery, wantErr erro
 		return
 	}
 	checkLent(t, "ReadSealedQuery", b, in, got.Opaque, want.Opaque)
-	clear(in)
+	checkLentString(t, "ReadSealedQuery", b, in, got.Key, want.Key)
+	if id, ok := routerIDs[got.TemplateID]; ok && unsafe.StringData(id) != unsafe.StringData(got.TemplateID) {
+		t.Fatalf("ReadSealedQuery(%x): template ID %q is not the table's", b, got.TemplateID)
+	}
 	if got.Params != nil {
 		t.Fatalf("ReadSealedQuery(%x): parameters decoded before DecodeParams", b)
 	}
+	got.Keep()
+	clear(in)
 	got.DecodeParams()
 	gotP, wantP := got.Params, want.Params
 	got.Params, want.Params, got.Opaque, want.Opaque = nil, nil, nil, nil
 	if !reflect.DeepEqual(got, want) || !identicalParams(gotP, wantP) {
-		t.Fatalf("ReadSealedQuery(%x) then DecodeParams: %#v %v, decoded %#v %v (after the input was cleared)", b, got, gotP, want, wantP)
+		t.Fatalf("ReadSealedQuery(%x) then Keep and DecodeParams: %#v %v, decoded %#v %v (after the input was cleared)", b, got, gotP, want, wantP)
+	}
+}
+
+// checkLentString fails unless a string a reader lends, got, equals the
+// decoded one, want, and lies in in, the input the reader was given.
+func checkLentString(t *testing.T, name string, b, in []byte, got, want string) {
+	t.Helper()
+	if got != want {
+		t.Fatalf("%s(%x): %q, decoded %q", name, b, got, want)
+	}
+	at := uintptr(unsafe.Pointer(unsafe.StringData(got)))
+	if lo := uintptr(unsafe.Pointer(unsafe.SliceData(in))); got != "" && (at < lo || at+uintptr(len(got)) > lo+uintptr(len(in))) {
+		t.Fatalf("%s(%x): %q is a copy, not lent", name, b, got)
 	}
 }
 
@@ -577,9 +598,10 @@ func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte, map[s
 	if got, want := r.Append([]byte("prefix"), router), append([]byte("prefix"), reencode(router)...); !bytes.Equal(got, want) {
 		t.Fatalf("%s(%x): Append under a parent gives %x, re-encoded %x", name, b, got, want)
 	}
+	checkLentString(t, name, b, in, r.Key, want.Key)
 	clear(in)
 	got := r.Head
-	got.Opaque, want.Opaque = nil, nil
+	got.Opaque, want.Opaque, got.Key, want.Key = nil, nil, "", ""
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s(%x): head %+v, decoded %+v (after the input was cleared)", name, b, got, want)
 	}
@@ -587,9 +609,10 @@ func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte, map[s
 
 // TestReadRawMatchesDecoders runs checkReadRaw on the corpus and every
 // truncation of it, and pins what reading in place costs: nothing for a
-// router reading a statement of a template it knows or a home reading a
-// query, and for a node the one copy of the head, then only on a miss the
-// parameter slice — where decoding takes three.
+// router reading a statement of a template it knows or a blind query, for
+// a home reading a query, or for a node reading a query of a template it
+// knows, and only on a miss the copy of the key and the parameters and
+// the parameter slice — where decoding takes three.
 func TestReadRawMatchesDecoders(t *testing.T) {
 	for _, b := range append(sealedQueryForms(t), sealedUpdateForm(t)...) {
 		for n := 0; n <= len(b); n++ {
@@ -608,12 +631,14 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 	}{
 		{"Raw.ReadQuery", func() error { return r.ReadQuery(q, routerIDs) }, 0},
 		{"Raw.ReadUpdate", func() error { return r.ReadUpdate(u, routerIDs) }, 0},
-		{"Raw.ReadQuery of a blind query", func() error { return r.ReadQuery(blind, routerIDs) }, 1},
+		{"Raw.ReadQuery of a blind query", func() error { return r.ReadQuery(blind, routerIDs) }, 0},
 		{"Raw.ReadQuery of a template not in the table", func() error { return r.ReadQuery(q, nil) }, 1},
 		{"ReadQueryPayload", func() error { _, err := ReadQueryPayload(q); return err }, 0},
-		{"ReadSealedQuery", func() error { _, err := ReadSealedQuery(q); return err }, 1},
-		{"ReadSealedQuery and DecodeParams", func() error {
-			sq, err := ReadSealedQuery(q)
+		{"ReadSealedQuery", func() error { _, err := ReadSealedQuery(q, routerIDs); return err }, 0},
+		{"ReadSealedQuery of a template not in the table", func() error { _, err := ReadSealedQuery(q, nil); return err }, 1},
+		{"ReadSealedQuery, Keep and DecodeParams", func() error {
+			sq, err := ReadSealedQuery(q, routerIDs)
+			sq.Keep()
 			sq.DecodeParams()
 			return err
 		}, 2},
@@ -721,7 +746,7 @@ func TestReadSealedResultLends(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got engine.Result
-	if err := c.OpenResultInto(lent, &got); err != nil {
+	if err := c.OpenResultInto(app.Query("Q2"), lent, &got); err != nil {
 		t.Fatal(err)
 	}
 	clear(enc)

@@ -302,35 +302,45 @@ func measureResult(b []byte) (ncols, nrows, nvals int, err error) {
 // strings of one result do share that copy, so holding one holds them all.
 func decodeResult(b []byte) (*engine.Result, error) {
 	r := new(engine.Result)
-	if err := decodeResultInto(b, r); err != nil {
+	if err := decodeResultInto(b, r, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
 // decodeResultInto is decodeResult into a result the caller allocated —
-// one that shares an allocation with its holder. r is overwritten only
-// when b is accepted.
-func decodeResultInto(b []byte, r *engine.Result) error {
+// one that shares an allocation with its holder — whose Columns is columns
+// when the names b holds are those: the names the caller shares among the
+// results it opens. Then the copy of the body starts after the names. r is
+// overwritten only when b is accepted.
+func decodeResultInto(b []byte, r *engine.Result, columns []string) error {
 	ncols, nrows, nvals, err := measureResult(b)
 	if err != nil {
 		return err
 	}
 	// Pass two reads what pass one accepted: no step below can fail.
-	arena := string(b)
+	*r = engine.Result{}
+	var str []byte
+	_, b, _ = decodeCount(b)
+	names, shared := b, ncols > 0 && ncols == len(columns)
+	for i := 0; i < ncols; i++ {
+		str, b, _ = splitString(b)
+		shared = shared && string(str) == columns[i]
+	}
+	if shared {
+		r.Columns, names = columns, b
+	}
+	arena := string(names)
 	// copyOf maps str, which ends where rest begins in b, to its copy.
 	copyOf := func(str, rest []byte) string {
 		end := len(arena) - len(rest)
 		return arena[end-len(str) : end]
 	}
-	*r = engine.Result{}
-	var str []byte
-	_, b, _ = decodeCount(b)
-	if ncols > 0 {
+	if ncols > 0 && !shared {
 		r.Columns = make([]string, ncols)
 		for i := range r.Columns {
-			str, b, _ = splitString(b)
-			r.Columns[i] = copyOf(str, b)
+			str, names, _ = splitString(names)
+			r.Columns[i] = copyOf(str, names)
 		}
 	}
 	_, b, _ = decodeCount(b)

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/engine"
 	"dssp/internal/sqlparse"
@@ -403,6 +405,26 @@ func checkDecodeResult(t *testing.T, b []byte) {
 	}
 	if !bytes.Equal(appendResult(nil, got), b) {
 		t.Fatalf("accepted result is not canonical: %x", b)
+	}
+	// Given a holder's column names (Codec.OpenResultInto), the result is
+	// the same, and its Columns is the holder's slice exactly when the
+	// names are those.
+	if len(want.Columns) == 0 {
+		return
+	}
+	renamed := slices.Clone(want.Columns)
+	renamed[0] += "'"
+	for _, cols := range [][]string{slices.Clone(want.Columns), renamed} {
+		var r engine.Result
+		if err := decodeResultInto(b, &r, cols); err != nil {
+			t.Fatalf("decodeResultInto(%x, %q): %v", b, cols, err)
+		}
+		if !identicalResults(&r, want) {
+			t.Fatalf("decodeResultInto(%x, %q) = %#v, reference decoded %#v", b, cols, &r, want)
+		}
+		if shared := unsafe.SliceData(r.Columns) == unsafe.SliceData(cols); shared != slices.Equal(cols, want.Columns) {
+			t.Fatalf("decodeResultInto(%x, %q): columns shared %v", b, cols, shared)
+		}
 	}
 }
 

@@ -37,13 +37,15 @@
 //
 // All encode scratch comes from a package-level buffer pool; sealed
 // outputs (Opaque, Cipher, Key) are freshly allocated or immutable
-// strings, owned by the caller, and never alias pooled memory. What is
-// read off a byte stream is owned when decoded and lent when read in
-// place (sealed.go).
+// strings, owned by the caller, and never alias pooled memory — but for a
+// query sealed with LendQuery, whose key and payload lie in the caller's
+// Scratch and are lent. What is read off a byte stream is owned when
+// decoded and lent when read in place (sealed.go).
 package wire
 
 import (
 	"fmt"
+	"strings"
 
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
@@ -102,6 +104,12 @@ type SealedQuery struct {
 	// them until DecodeParams; "" once decoded, and for a query sealed or
 	// decoded whole.
 	params string
+
+	// lent marks a query whose key and parameters, encoded or not, lie in
+	// memory its sender reuses once the call it was lent for returns: a
+	// client's scratch (Codec.LendQuery) or a frame (ReadSealedQuery).
+	// Keep copies them for whoever keeps the query past the call.
+	lent bool
 }
 
 // SealedUpdate is an update as the DSSP sees it. Updates have no view
@@ -126,7 +134,8 @@ type Head struct {
 	Opaque     []byte // the payload: a blind update is routed by it
 }
 
-// Head returns sq's routing fields.
+// Head returns sq's routing fields. The key is lent when sq is: a keeper
+// of the key alone copies it (shard.BlindCache).
 func (sq *SealedQuery) Head() Head {
 	return Head{TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID, Key: sq.Key, Opaque: sq.Opaque}
 }
@@ -157,6 +166,11 @@ type Codec struct {
 	// groups assigns each template its table group (via its relations) —
 	// the partition-routing hint stamped into every sealed message.
 	groups map[string]int
+
+	// columns holds each query template's result column names once, as
+	// its compiled plan names them: every result of the template opened
+	// here shares the slice (OpenResultInto). Read it, never write it.
+	columns map[string][]string
 }
 
 // NewCodec builds a codec for an application under an exposure assignment
@@ -171,7 +185,15 @@ func NewCodec(app *template.App, kr *encrypt.Keyring, exps map[string]template.E
 	for _, t := range app.Updates {
 		groups[t.ID] = template.GroupOf(g, t)
 	}
-	return &Codec{app: app, kr: kr, exps: exps, groups: groups}
+	columns := make(map[string][]string, len(app.Queries))
+	for _, t := range app.Queries {
+		if sel, ok := t.Stmt.(*sqlparse.SelectStmt); ok {
+			if p, err := engine.Compile(app.Schema, sel); err == nil {
+				columns[t.ID] = p.Columns()
+			}
+		}
+	}
+	return &Codec{app: app, kr: kr, exps: exps, groups: groups, columns: columns}
 }
 
 // GroupOf reports the table group stamped into sealed instances of a
@@ -186,40 +208,71 @@ func (c *Codec) ExposureOf(t *template.Template) template.Exposure {
 	return template.MaxExposure(t.Kind)
 }
 
-// SealQuery prepares a query instance for the DSSP.
+// SealQuery prepares a query instance for the DSSP. The query is the
+// caller's to keep, and it may outlive every call it is passed to (the
+// simulator's virtual-time transport reads its payload later): the key and
+// the payload are its own, and Params is params.
 func (c *Codec) SealQuery(t *template.Template, params []sqlparse.Value) (SealedQuery, error) {
+	eb := getBuf()
+	sq, err := c.sealQuery(t, params, nil, &eb.b)
+	sq.Key = strings.Clone(sq.Key)
+	putBuf(eb)
+	return sq, err
+}
+
+// Scratch is the memory a lent query is sealed into (Codec.LendQuery): its
+// payload and its key. Its holder seals the next query into it only once
+// the call the last one was lent for has returned. The zero value is ready
+// to use.
+type Scratch struct{ opaque, key []byte }
+
+// LendQuery is SealQuery into s, for a caller that passes the query to one
+// call and is done with it when that returns — the trusted client's
+// Front.Query: the payload and the key lie in s and Params is params, all
+// lent for the call (pipeline.Front). Whatever keeps the query past the
+// call copies what it keeps (SealedQuery.Keep). So a query sealed into
+// warm scratch allocates nothing.
+func (c *Codec) LendQuery(t *template.Template, params []sqlparse.Value, s *Scratch) (SealedQuery, error) {
+	sq, err := c.sealQuery(t, params, s.opaque[:0], &s.key)
+	if err != nil {
+		return SealedQuery{}, err
+	}
+	s.opaque, sq.lent = sq.Opaque, true
+	return sq, nil
+}
+
+// sealQuery seals a query instance: the payload is appended to opaque, and
+// *key first stages the payload's plaintext, then holds the key, which
+// sq.Key lends.
+func (c *Codec) sealQuery(t *template.Template, params []sqlparse.Value, opaque []byte, key *[]byte) (SealedQuery, error) {
 	if t.Kind != template.KQuery {
 		return SealedQuery{}, fmt.Errorf("wire: %s is not a query template", t.ID)
 	}
 	exp := c.ExposureOf(t)
-	eb := getBuf()
-	eb.b = appendPayload(eb.b[:0], t.ID, params)
-	sq := SealedQuery{Exposure: exp, TraceID: obs.NewTraceID(), Group: c.groups[t.ID], Opaque: c.kr.Seal(domOpaque, eb.b)}
+	b := appendPayload((*key)[:0], t.ID, params)
+	sq := SealedQuery{Exposure: exp, TraceID: obs.NewTraceID(), Group: c.groups[t.ID], Opaque: c.kr.SealAppend(opaque, domOpaque, b)}
 	switch exp {
 	case template.ExpBlind:
-		// The encrypted statement is the lookup key: the whole statement
-		// (length-prefixed SQL, then the parameter encoding) in one pass
-		// through the pooled buffer.
-		eb.b = appendStmt(eb.b[:0], t.SQL, params)
-		sq.Key = c.kr.Token(domStmt, eb.b)
+		// The key is the token of the whole statement (length-prefixed
+		// SQL, then the parameter encoding), appended over the statement.
+		b = appendStmt(b[:0], t.SQL, params)
+		b = c.kr.TokenAppend(b[:0], domStmt, b)
 	case template.ExpTemplate:
 		// The key is the template ID, a NUL and the parameters' token: the
-		// token is appended over the parameters it is made of, and the key
-		// is one string.
+		// token is appended over the parameters it is made of.
 		sq.TemplateID = t.ID
-		eb.b = append(append(eb.b[:0], t.ID...), 0)
-		n := len(eb.b)
-		eb.b = appendParams(eb.b, params)
-		eb.b = c.kr.TokenAppend(eb.b[:n], domParams, eb.b[n:])
-		sq.Key = string(eb.b)
+		b = append(append(b[:0], t.ID...), 0)
+		n := len(b)
+		b = appendParams(b, params)
+		b = c.kr.TokenAppend(b[:n], domParams, b[n:])
 	default: // stmt or view
 		sq.TemplateID = t.ID
 		sq.Params = params
-		eb.b = append(append(eb.b[:0], t.ID...), 0)
-		eb.b = appendParams(eb.b, params)
-		sq.Key = string(eb.b)
+		b = append(append(b[:0], t.ID...), 0)
+		b = appendParams(b, params)
 	}
-	putBuf(eb)
+	*key = b
+	sq.Key = lend(b)
 	return sq, nil
 }
 
@@ -293,26 +346,36 @@ func (c *Codec) SealResult(t *template.Template, res *engine.Result) SealedResul
 // for encrypted results it is freshly decoded, and for view-exposure
 // results — where the sealed form carries the DSSP's cached object by
 // pointer — it is a deep copy, so a caller mutating its result can never
-// corrupt the cache (the engine.Result no-aliasing invariant).
-func (c *Codec) OpenResult(sr SealedResult) (*engine.Result, error) {
-	res := new(engine.Result)
-	if err := c.OpenResultInto(sr, res); err != nil {
-		return nil, err
+// corrupt the cache (the engine.Result no-aliasing invariant). Its column
+// names are its own too: OpenResultInto shares a template's. (Its form
+// keeps it within the inliner's budget, so a caller that drops the result
+// does not allocate it.)
+func (c *Codec) OpenResult(sr SealedResult) (res *engine.Result, err error) {
+	res = new(engine.Result)
+	if err = c.OpenResultInto(nil, sr, res); err != nil {
+		res = nil
 	}
-	return res, nil
+	return
 }
 
-// OpenResultInto is OpenResult into a result the caller allocated, so a
-// caller can hold the result in the same allocation as what it returns
-// the result in. A lent view result (ReadSealedResult) is decoded straight
-// into res, with no copy between. res is overwritten only when the result
-// opens.
-func (c *Codec) OpenResultInto(sr SealedResult, res *engine.Result) error {
+// OpenResultInto is OpenResult of a result of query template t into a
+// result the caller allocated, so a caller can hold the result in the same
+// allocation as what it returns the result in. A lent view result
+// (ReadSealedResult) is decoded straight into res, with no copy between.
+// When the result's column names are t's, res.Columns is the codec's one
+// slice of them, shared by every result of t opened here: read it, never
+// write it (engine.Result). Other names, or a nil t, get a copy. res is
+// overwritten only when the result opens.
+func (c *Codec) OpenResultInto(t *template.Template, sr SealedResult, res *engine.Result) error {
+	var columns []string
+	if t != nil {
+		columns = c.columns[t.ID]
+	}
 	switch {
 	case sr.view != nil:
-		return decodeResultInto(sr.view, res)
+		return decodeResultInto(sr.view, res, columns)
 	case sr.Result != nil:
-		sr.Result.CloneInto(res)
+		sr.Result.CloneInto(res, columns)
 		return nil
 	}
 	eb := getBuf()
@@ -322,7 +385,7 @@ func (c *Codec) OpenResultInto(sr SealedResult, res *engine.Result) error {
 		return err
 	}
 	eb.b = b[:0]
-	if err := decodeResultInto(b, res); err != nil {
+	if err := decodeResultInto(b, res, columns); err != nil {
 		return fmt.Errorf("wire: decode result: %w", err)
 	}
 	return nil

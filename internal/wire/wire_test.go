@@ -1,8 +1,10 @@
 package wire
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
@@ -85,10 +87,10 @@ func TestSealQueryKeysUnchanged(t *testing.T) {
 	kr := encrypt.MustNewKeyring(make([]byte, encrypt.KeySize))
 	want := map[template.Exposure]func(q *template.Template, params []sqlparse.Value) string{
 		template.ExpBlind: func(q *template.Template, params []sqlparse.Value) string {
-			return kr.Token(domStmt, appendStmt(nil, q.SQL, params))
+			return string(kr.TokenAppend(nil, domStmt, appendStmt(nil, q.SQL, params)))
 		},
 		template.ExpTemplate: func(q *template.Template, params []sqlparse.Value) string {
-			return q.ID + "\x00" + kr.Token(domParams, appendParams(nil, params))
+			return q.ID + "\x00" + string(kr.TokenAppend(nil, domParams, appendParams(nil, params)))
 		},
 		template.ExpStmt: func(q *template.Template, params []sqlparse.Value) string {
 			return string(appendParams(append([]byte(q.ID), 0), params))
@@ -240,5 +242,53 @@ func TestBlindKeyIncludesParams(t *testing.T) {
 	y, _ := c2.SealQuery(app2.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
 	if x.Key == y.Key {
 		t.Error("blind keys collide across templates")
+	}
+}
+
+// An opened result of a query template shares the codec's one slice of
+// the template's column names when its names are those, on each path a
+// result opens by — decrypted, a view result by pointer, a view result
+// lent in its encoding — and has a copy of its own otherwise, never the
+// shared slice: a result whose names differ from its template's reads its
+// own names, and a holder that writes to them reaches no other result.
+func TestOpenedResultsShareTheirTemplatesColumns(t *testing.T) {
+	for _, exp := range []template.Exposure{template.ExpStmt, template.ExpView} {
+		c, app := testCodec(t, map[string]template.Exposure{"Q2": exp})
+		q := app.Query("Q2")
+		shared := c.columns[q.ID]
+		if !reflect.DeepEqual(shared, []string{"qty"}) {
+			t.Fatalf("the codec holds Q2's columns as %q, want [qty]", shared)
+		}
+		for _, cols := range [][]string{{"qty"}, {"quantity"}, {"qty", "toy_id"}} {
+			res := &engine.Result{Columns: cols, Rows: [][]sqlparse.Value{{sqlparse.IntVal(25), sqlparse.StringVal("kite")}}, RowsScanned: 1}
+			sealed := c.SealResult(q, res)
+			forms := map[string]SealedResult{"sealed": sealed}
+			if exp == template.ExpView {
+				lent, _, err := ReadSealedResult(AppendSealedResult(nil, &sealed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				forms["lent"] = lent
+			}
+			for form, sr := range forms {
+				var got engine.Result
+				if err := c.OpenResultInto(q, sr, &got); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got.Columns, cols) {
+					t.Fatalf("%v %s %q: opened with columns %q", exp, form, cols, got.Columns)
+				}
+				isShared := unsafe.SliceData(got.Columns) == unsafe.SliceData(shared)
+				if want := reflect.DeepEqual(cols, shared); isShared != want {
+					t.Fatalf("%v %s %q: columns shared with the template's: %v, want %v", exp, form, cols, isShared, want)
+				}
+				if !isShared {
+					got.Columns[0] = "written"
+					if shared[0] != "qty" || cols[0] == "written" {
+						t.Fatalf("%v %s %q: writing an opened result's own columns reached another's", exp, form, cols)
+					}
+				}
+			}
+		}
 	}
 }
