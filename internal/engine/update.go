@@ -117,6 +117,9 @@ func (u *Update) Run(db *storage.Database, params []sqlparse.Value) (int, error)
 	return db.Update(u.table, x.hits, u.setCols, x.vals)
 }
 
+// NumParams is the number of parameters the statement binds.
+func (u *Update) NumParams() int { return u.sel.NumParams }
+
 // InsertedRow appends to dst the row an insertion adds, in column order,
 // with params bound: the row Run stores, and the row statement inspection
 // reasons over, so the two cannot disagree on which columns it leaves NULL.

@@ -47,6 +47,9 @@ type Server struct {
 
 	adm admission // bounds concurrent executions, FIFO
 
+	// scratch pools the *execScratch each statement is read into.
+	scratch sync.Pool
+
 	// seqCtr assigns each applied update its position in the master
 	// database's serialization order. It is incremented while the write
 	// lock is held, so sequence order equals apply order — the property a
@@ -116,6 +119,32 @@ type compiled struct {
 	query  *engine.Plan
 	update *engine.Update
 	err    error
+}
+
+// execScratch is what one statement is read into (wire.Codec.ReadPayload):
+// its decrypted payload and its parameters, a query's strings lent from the
+// payload. ExecQuery and ExecUpdate hold it for the call — read, run, seal
+// the result — and give it back when they return. putScratch clears the
+// parameters, which hold an update's strings, so an idle scratch pins
+// nothing; the payload bytes keep their capacity.
+type execScratch struct {
+	plain  []byte
+	params []sqlparse.Value
+}
+
+// takeScratch returns a pooled scratch, or a new one.
+func (s *Server) takeScratch() *execScratch {
+	if sc, ok := s.scratch.Get().(*execScratch); ok {
+		return sc
+	}
+	return new(execScratch)
+}
+
+// putScratch clears sc and returns it to the pool.
+func (s *Server) putScratch(sc *execScratch) {
+	clear(sc.params)
+	sc.params = sc.params[:0]
+	s.scratch.Put(sc)
 }
 
 // lookup returns t's entry in plans, or why t cannot run.
@@ -205,7 +234,9 @@ func (s *Server) UpdatesApplied() int { return int(s.updates.Load()) }
 // zero so the DSSP can uphold the no-empty-results caching policy) and the
 // number of base rows scanned (the simulator's cost model input).
 func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bool, scanned int, err error) {
-	t, params, err := s.Codec.OpenPayload(sq.Opaque)
+	sc := s.takeScratch()
+	defer s.putScratch(sc)
+	t, err := s.Codec.ReadPayload(sq.Opaque, &sc.plain, &sc.params)
 	if err != nil {
 		return wire.SealedResult{}, false, 0, err
 	}
@@ -222,7 +253,7 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
-	r, execErr := c.query.Run(s.DB, params)
+	r, execErr := c.query.Run(s.DB, sc.params)
 	s.mu.RUnlock()
 	sp.End()
 	s.adm.release(s.queueDepth)
@@ -235,7 +266,8 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	// invariant guarantees result rows never alias storage rows, so a
 	// concurrent ExecUpdate mutating the same table cannot race with the
 	// serialization here (regression-tested under -race in
-	// TestConcurrentQueryUpdateSeal).
+	// TestConcurrentQueryUpdateSeal). Nor do they alias the parameters, so
+	// the scratch goes back as this returns.
 	return s.Codec.SealResult(t, r), r.Len() == 0, r.RowsScanned, nil
 }
 
@@ -244,7 +276,9 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 // in the master database's serialization order — the position replicas
 // replay it at.
 func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
-	t, params, err := s.Codec.OpenPayload(su.Opaque)
+	sc := s.takeScratch()
+	defer s.putScratch(sc)
+	t, err := s.Codec.ReadPayload(su.Opaque, &sc.plain, &sc.params)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -261,7 +295,7 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	s.admit(s.waitU, su.TraceID, su.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.Lock()
-	n, execErr := c.update.Run(s.DB, params)
+	n, execErr := c.update.Run(s.DB, sc.params)
 	var seq uint64
 	if execErr == nil {
 		// Assigned under the write lock, so sequence order is exactly the

@@ -110,21 +110,20 @@ func (iv *Invalidator) PrepareInto(pu *PreparedUpdate, u UpdateInstance) {
 // insertedRow builds in *buf the row insertion u adds, through the
 // engine's compiled insertion, or returns nil — the conservative
 // Invalidate — when u does not compile or bind. A template apart from the
-// application, as tests build them, is compiled on the spot.
+// application, as tests build them, is compiled on the spot. An insertion
+// whose parameters the node does not see (template or blind exposure)
+// binds none, and is turned away by its count, before InsertedRow builds
+// an error to say so.
 func (iv *Invalidator) insertedRow(buf *[]sqlparse.Value, u UpdateInstance) []sqlparse.Value {
 	ins, ok := iv.inserts[u.Template]
 	if !ok {
 		ins, _ = engine.CompileUpdate(iv.app.Schema, u.Template.Stmt)
 	}
-	if ins == nil {
+	if ins == nil || len(u.Params) != ins.NumParams() {
 		return nil
 	}
-	row, err := ins.InsertedRow((*buf)[:0], u.Params)
-	if err != nil {
-		return nil
-	}
-	*buf = row
-	return row
+	*buf, _ = ins.InsertedRow((*buf)[:0], u.Params) // the count is checked above
+	return *buf
 }
 
 // DecidePrepared returns the decision of the given strategy class for a

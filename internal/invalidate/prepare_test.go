@@ -143,3 +143,20 @@ func TestPrepareIntoReusesItsArrays(t *testing.T) {
 		t.Errorf("PrepareInto allocated %.1f times per pass over %d warm updates, want 0", allocs, len(instances))
 	}
 }
+
+// BenchmarkPrepareHiddenInsert prepares an insertion whose parameters the
+// node does not see — a template- or blind-exposure INSERT carries none —
+// into a reused PreparedUpdate. It is gated in BENCH_allocs.json at 0
+// allocations: the parameter count turns the insertion away before the
+// engine would build an error to say the parameters are missing.
+func BenchmarkPrepareHiddenInsert(b *testing.B) {
+	app := richToystore()
+	iv := newInvalidator(app)
+	ui := UpdateInstance{Template: app.Update("U3")}
+	var pu PreparedUpdate
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		iv.PrepareInto(&pu, ui)
+	}
+}

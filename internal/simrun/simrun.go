@@ -233,10 +233,11 @@ type simTransport struct {
 	waitQ, waitU *obs.Histogram
 }
 
-// trueTemplate opens a sealed payload to recover the true template ID for
-// trusted-side (home server) attribution.
+// trueTemplate reads the template of a sealed payload, and nothing more,
+// to recover the true template ID for trusted-side (home server)
+// attribution.
 func (t *simTransport) trueTemplate(opaque []byte) string {
-	tpl, _, err := t.codec.OpenPayload(opaque)
+	tpl, err := t.codec.PayloadTemplate(opaque)
 	if err != nil {
 		panic(err)
 	}

@@ -422,7 +422,7 @@ func ReadSealedResult(b []byte) (SealedResult, []byte, error) {
 	case tag == resultCipher:
 		return SealedResult{Cipher: body}, rest, nil
 	case tag == resultPlain:
-		if _, _, _, err := measureResult(body); err != nil {
+		if _, err := measureResult(body); err != nil {
 			return SealedResult{}, nil, errMalformed
 		}
 		return SealedResult{view: body}, rest, nil

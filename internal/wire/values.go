@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 
 	"dssp/internal/engine"
@@ -22,7 +23,8 @@ import (
 //     INT of equal numeric value share one encoding.
 //   - the opaque payload and sealed results: encode/decode sits on the
 //     per-message hot path, so encoding appends to caller-supplied
-//     (pooled) buffers and decoding allocates only the returned values.
+//     (pooled) buffers and decoding allocates only the returned values —
+//     or nothing, where the reader lends them (Codec.ReadPayload).
 //
 // Wire grammar:
 //
@@ -151,16 +153,6 @@ func splitValue[T text](b T) (v sqlparse.Value, str, rest T, err error) {
 	}
 }
 
-// decodeValue consumes one value from b and returns the remainder. The
-// returned value's string data is copied out of b.
-func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
-	v, str, rest, err := splitValue(b)
-	if v.Kind == sqlparse.KindString {
-		v.Str = string(str)
-	}
-	return v, rest, err
-}
-
 // appendParams appends the parameter encoding. Values are self-delimiting,
 // so plain concatenation is injective with no separator or count.
 func appendParams(dst []byte, params []sqlparse.Value) []byte {
@@ -218,29 +210,42 @@ func decodeCount[T text](b T) (int, T, error) {
 	return int(n), rest, nil
 }
 
-// decodePayload decodes an opaque statement payload. Everything returned
-// is freshly allocated — nothing aliases b.
-func decodePayload(b []byte) (templateID string, params []sqlparse.Value, err error) {
-	templateID, b, err = decodeString(b)
-	if err != nil {
-		return "", nil, errMalformed
+// splitPayload consumes an opaque statement payload's head: its template
+// ID, still aliasing b, and its parameter count, bounded by the input left.
+func splitPayload(b []byte) (templateID []byte, n int, rest []byte, err error) {
+	if templateID, b, err = splitString(b); err != nil {
+		return nil, 0, nil, errMalformed
 	}
-	n, b, err := decodeCount(b)
-	if err != nil {
-		return "", nil, errMalformed
+	if n, b, err = decodeCount(b); err != nil {
+		return nil, 0, nil, errMalformed
 	}
-	if n > 0 {
-		params = make([]sqlparse.Value, n)
-		for i := range params {
-			if params[i], b, err = decodeValue(b); err != nil {
-				return "", nil, errMalformed
+	return templateID, n, b, nil
+}
+
+// readParams appends to dst the n values b holds and requires b to hold
+// nothing after them: trailing bytes are not a canonical encoding. A
+// string's bytes are lent from b when lent is set (lend), and copied
+// otherwise. dst grows by n at most once.
+func readParams(dst []sqlparse.Value, n int, b []byte, lent bool) ([]sqlparse.Value, error) {
+	dst = slices.Grow(dst, n)
+	for ; n > 0; n-- {
+		v, str, rest, err := splitValue(b)
+		if err != nil {
+			return dst, errMalformed
+		}
+		if v.Kind == sqlparse.KindString {
+			if lent {
+				v.Str = lend(str)
+			} else {
+				v.Str = string(str)
 			}
 		}
+		dst, b = append(dst, v), rest
 	}
 	if len(b) != 0 {
-		return "", nil, errMalformed // trailing bytes: not a canonical encoding
+		return dst, errMalformed
 	}
-	return templateID, params, nil
+	return dst, nil
 }
 
 // appendResult appends a materialized query result.
@@ -258,40 +263,45 @@ func appendResult(dst []byte, r *engine.Result) []byte {
 	return binary.AppendUvarint(dst, uint64(r.RowsScanned))
 }
 
+// shape is what measureResult counts in a result: its columns, its rows,
+// its values over all rows, and the bytes of its string values.
+type shape struct{ ncols, nrows, nvals, strBytes int }
+
 // measureResult is pass one of decodeResult: it checks b against the whole
 // result grammar — minimal uvarints, every count bounded by the input left,
-// no trailing bytes — and reports how many columns, rows and values (over
-// all rows) it holds. Every counted element costs at least one byte, so
-// none of the three exceeds len(b).
-func measureResult(b []byte) (ncols, nrows, nvals int, err error) {
-	if ncols, b, err = decodeCount(b); err != nil {
-		return 0, 0, 0, errMalformed
+// no trailing bytes — and reports its shape. Every counted element costs
+// at least one byte, so no count exceeds len(b).
+func measureResult(b []byte) (sh shape, err error) {
+	if sh.ncols, b, err = decodeCount(b); err != nil {
+		return shape{}, errMalformed
 	}
-	for i := 0; i < ncols; i++ {
+	for i := 0; i < sh.ncols; i++ {
 		if _, b, err = splitString(b); err != nil {
-			return 0, 0, 0, errMalformed
+			return shape{}, errMalformed
 		}
 	}
-	if nrows, b, err = decodeCount(b); err != nil {
-		return 0, 0, 0, errMalformed
+	if sh.nrows, b, err = decodeCount(b); err != nil {
+		return shape{}, errMalformed
 	}
-	for i := 0; i < nrows; i++ {
+	for i := 0; i < sh.nrows; i++ {
 		var width int
 		if width, b, err = decodeCount(b); err != nil {
-			return 0, 0, 0, errMalformed
+			return shape{}, errMalformed
 		}
-		nvals += width
+		sh.nvals += width
 		for j := 0; j < width; j++ {
-			if _, _, b, err = splitValue(b); err != nil {
-				return 0, 0, 0, errMalformed
+			var str []byte
+			if _, str, b, err = splitValue(b); err != nil {
+				return shape{}, errMalformed
 			}
+			sh.strBytes += len(str)
 		}
 	}
 	scanned, rest, err := Uvarint(b)
 	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
-		return 0, 0, 0, errMalformed
+		return shape{}, errMalformed
 	}
-	return ncols, nrows, nvals, nil
+	return sh, nil
 }
 
 // decodeResult decodes a sealed result body in two passes, so that the
@@ -311,10 +321,11 @@ func decodeResult(b []byte) (*engine.Result, error) {
 // decodeResultInto is decodeResult into a result the caller allocated —
 // one that shares an allocation with its holder — whose Columns is columns
 // when the names b holds are those: the names the caller shares among the
-// results it opens. Then the copy of the body starts after the names. r is
+// results it opens. Then the copy of the body starts after the names, and
+// there is none when no string value has a byte to point into it. r is
 // overwritten only when b is accepted.
 func decodeResultInto(b []byte, r *engine.Result, columns []string) error {
-	ncols, nrows, nvals, err := measureResult(b)
+	sh, err := measureResult(b)
 	if err != nil {
 		return err
 	}
@@ -322,31 +333,37 @@ func decodeResultInto(b []byte, r *engine.Result, columns []string) error {
 	*r = engine.Result{}
 	var str []byte
 	_, b, _ = decodeCount(b)
-	names, shared := b, ncols > 0 && ncols == len(columns)
-	for i := 0; i < ncols; i++ {
+	names, shared := b, sh.ncols > 0 && sh.ncols == len(columns)
+	for i := 0; i < sh.ncols; i++ {
 		str, b, _ = splitString(b)
 		shared = shared && string(str) == columns[i]
 	}
+	var arena string
 	if shared {
 		r.Columns, names = columns, b
 	}
-	arena := string(names)
+	if !shared || sh.strBytes > 0 {
+		arena = string(names)
+	}
 	// copyOf maps str, which ends where rest begins in b, to its copy.
 	copyOf := func(str, rest []byte) string {
+		if len(str) == 0 {
+			return ""
+		}
 		end := len(arena) - len(rest)
 		return arena[end-len(str) : end]
 	}
-	if ncols > 0 && !shared {
-		r.Columns = make([]string, ncols)
+	if sh.ncols > 0 && !shared {
+		r.Columns = make([]string, sh.ncols)
 		for i := range r.Columns {
 			str, names, _ = splitString(names)
 			r.Columns[i] = copyOf(str, names)
 		}
 	}
 	_, b, _ = decodeCount(b)
-	if nrows > 0 {
-		r.Rows = make([][]sqlparse.Value, nrows)
-		slab := make([]sqlparse.Value, nvals)
+	if sh.nrows > 0 {
+		r.Rows = make([][]sqlparse.Value, sh.nrows)
+		slab := make([]sqlparse.Value, sh.nvals)
 		for i := range r.Rows {
 			var width int
 			width, b, _ = decodeCount(b)

@@ -215,6 +215,30 @@ func TestStmtEncodingInjective(t *testing.T) {
 	}
 }
 
+// decodeValue consumes one value from b and returns the remainder, its
+// string data copied out of b: the value reader of the reference decoders.
+func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
+	v, str, rest, err := splitValue(b)
+	if v.Kind == sqlparse.KindString {
+		v.Str = string(str)
+	}
+	return v, rest, err
+}
+
+// decodePayload is the payload grammar read whole and owned, as
+// Codec.ReadPayload reads it for an update, but for any template ID.
+func decodePayload(b []byte) (string, []sqlparse.Value, error) {
+	tid, n, b, err := splitPayload(b)
+	if err != nil {
+		return "", nil, err
+	}
+	params, err := readParams(nil, n, b, false)
+	if err != nil {
+		return "", nil, err
+	}
+	return string(tid), params, nil
+}
+
 // TestPayloadRoundTrip round-trips payloads through the binary codec and
 // rejects non-canonical input.
 func TestPayloadRoundTrip(t *testing.T) {
@@ -478,6 +502,30 @@ func TestDecodeResultAllocations(t *testing.T) {
 			}
 		}); n > 5 {
 			t.Errorf("decodeResult of %d rows: %v allocations, want <= 5", nrows, n)
+		}
+	}
+	// With the names shared, a result with no string byte among its values
+	// has nothing to point into a copy of the body, and makes none: Rows
+	// and the slab alone. One string value brings the copy back.
+	columns := []string{"i_id", "i_cost"}
+	for _, c := range []struct {
+		title string
+		want  float64
+	}{{"", 2}, {"x", 3}} {
+		b := appendResult(nil, &engine.Result{Columns: columns, Rows: [][]sqlparse.Value{
+			{sqlparse.IntVal(1), sqlparse.FloatVal(2)},
+			{sqlparse.StringVal(c.title), sqlparse.Null()},
+		}})
+		var r engine.Result
+		if n := testing.AllocsPerRun(100, func() {
+			if err := decodeResultInto(b, &r, columns); err != nil {
+				t.Fatal(err)
+			}
+		}); n != c.want {
+			t.Errorf("decodeResultInto with shared names and a string value %q: %v allocations, want %v", c.title, n, c.want)
+		}
+		if r.Rows[1][0].Str != c.title || r.Rows[1][0].Kind != sqlparse.KindString {
+			t.Errorf("decodeResultInto: %v, want the string %q", r.Rows[1][0], c.title)
 		}
 	}
 }

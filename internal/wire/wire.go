@@ -159,7 +159,6 @@ type SealedResult struct {
 // Codec seals and opens messages. It lives on the trusted side: clients
 // seal queries and updates; the home server opens them and seals results.
 type Codec struct {
-	app  *template.App
 	kr   *encrypt.Keyring
 	exps map[string]template.Exposure
 
@@ -171,6 +170,10 @@ type Codec struct {
 	// its compiled plan names them: every result of the template opened
 	// here shares the slice (OpenResultInto). Read it, never write it.
 	columns map[string][]string
+
+	// templates resolves a payload's template ID to the application's
+	// template (ReadPayload): a lookup by the ID's bytes, with no copy.
+	templates map[string]*template.Template
 }
 
 // NewCodec builds a codec for an application under an exposure assignment
@@ -179,11 +182,12 @@ type Codec struct {
 func NewCodec(app *template.App, kr *encrypt.Keyring, exps map[string]template.Exposure) *Codec {
 	g := template.AppGroups(app)
 	groups := make(map[string]int, len(app.Queries)+len(app.Updates))
-	for _, t := range app.Queries {
-		groups[t.ID] = template.GroupOf(g, t)
-	}
-	for _, t := range app.Updates {
-		groups[t.ID] = template.GroupOf(g, t)
+	templates := make(map[string]*template.Template, len(app.Queries)+len(app.Updates))
+	for _, ts := range [][]*template.Template{app.Queries, app.Updates} {
+		for _, t := range ts {
+			groups[t.ID] = template.GroupOf(g, t)
+			templates[t.ID] = t
+		}
 	}
 	columns := make(map[string][]string, len(app.Queries))
 	for _, t := range app.Queries {
@@ -193,7 +197,7 @@ func NewCodec(app *template.App, kr *encrypt.Keyring, exps map[string]template.E
 			}
 		}
 	}
-	return &Codec{app: app, kr: kr, exps: exps, groups: groups, columns: columns}
+	return &Codec{kr: kr, exps: exps, groups: groups, columns: columns, templates: templates}
 }
 
 // GroupOf reports the table group stamped into sealed instances of a
@@ -303,29 +307,74 @@ func (c *Codec) SealUpdate(t *template.Template, params []sqlparse.Value) (Seale
 	return su, nil
 }
 
-// OpenPayload decrypts an opaque statement payload (home-server side) and
-// resolves its template. The returned parameters are freshly allocated;
-// they never alias the pooled decrypt scratch.
+// OpenPayload decrypts an opaque statement payload and resolves its
+// template: ReadPayload into pooled scratch, followed by a copy of a
+// query's strings, so the parameters are the caller's own and never alias
+// the scratch.
 func (c *Codec) OpenPayload(opaque []byte) (*template.Template, []sqlparse.Value, error) {
 	eb := getBuf()
 	defer putBuf(eb)
-	b, err := c.kr.OpenAppend(eb.b[:0], domOpaque, opaque)
+	var params []sqlparse.Value
+	t, err := c.ReadPayload(opaque, &eb.b, &params)
 	if err != nil {
 		return nil, nil, err
 	}
-	eb.b = b[:0]
-	tid, params, err := decodePayload(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	t := c.app.Query(tid)
-	if t == nil {
-		t = c.app.Update(tid)
-	}
-	if t == nil {
-		return nil, nil, fmt.Errorf("wire: unknown template %q in payload", tid)
+	if t.Kind == template.KQuery {
+		for i := range params {
+			params[i].Str = strings.Clone(params[i].Str)
+		}
 	}
 	return t, params, nil
+}
+
+// ReadPayload is OpenPayload in place, for the home server, which runs the
+// statement and is done with it when the run returns: the payload is
+// decrypted into *plain and its parameters read into *params, both reused
+// from the last statement read into them. A query's string parameters are
+// lent from *plain, valid until it is reused; an update's are copied,
+// because storage keeps the values an update inserts or sets. The template
+// is the application's own, found with no copy of its ID. So a query read
+// into warm scratch allocates nothing.
+func (c *Codec) ReadPayload(opaque []byte, plain *[]byte, params *[]sqlparse.Value) (*template.Template, error) {
+	t, n, b, err := c.openHead(opaque, plain)
+	if err != nil {
+		return nil, err
+	}
+	*params, err = readParams((*params)[:0], n, b, t.Kind == template.KQuery)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// PayloadTemplate is the template of an opaque statement payload, read as
+// ReadPayload reads it, with the parameters left unread: what a trusted
+// observer attributing home load to true templates needs (the simulator).
+// It allocates nothing.
+func (c *Codec) PayloadTemplate(opaque []byte) (*template.Template, error) {
+	eb := getBuf()
+	defer putBuf(eb)
+	t, _, _, err := c.openHead(opaque, &eb.b)
+	return t, err
+}
+
+// openHead decrypts opaque into *plain and reads the payload's head: the
+// template its ID names, and the parameter count and encoding that follow.
+func (c *Codec) openHead(opaque []byte, plain *[]byte) (*template.Template, int, []byte, error) {
+	b, err := c.kr.OpenAppend((*plain)[:0], domOpaque, opaque)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	*plain = b
+	tid, n, params, err := splitPayload(b)
+	if err != nil {
+		return nil, 0, nil, err
+	}
+	t := c.templates[string(tid)]
+	if t == nil {
+		return nil, 0, nil, fmt.Errorf("wire: unknown template %q in payload", tid)
+	}
+	return t, n, params, nil
 }
 
 // SealResult seals a query result according to the query's exposure: view
