@@ -89,7 +89,8 @@ func main() {
 		logger.Info("query done", "template", *queryID, "trace", lastTrace(),
 			"hit", r.Outcome.Hit, "rows", r.Outcome.Rows)
 		fmt.Printf("%s  (cache hit: %v)\n", strings.Join(r.Result.Columns, "\t"), r.Outcome.Hit)
-		for _, row := range r.Result.Rows {
+		for n := range r.Result.Len() {
+			row := r.Result.Row(n)
 			cells := make([]string, len(row))
 			for i, v := range row {
 				cells[i] = v.String()

@@ -31,8 +31,8 @@ func TestSystemQueryUpdateFlow(t *testing.T) {
 	if err != nil || hit {
 		t.Fatalf("first query: hit=%v err=%v", hit, err)
 	}
-	if res.Rows[0][0].Int() != 25 {
-		t.Fatalf("result %v", res.Rows)
+	if res.Row(0)[0].Int() != 25 {
+		t.Fatalf("result %v", res.Vals)
 	}
 	_, hit, err = sys.QueryOutcome("Q2", 5)
 	if err != nil || !hit {
@@ -76,7 +76,7 @@ func TestSystemWithMethodologyAssignment(t *testing.T) {
 	// Q2 runs at stmt exposure (result encrypted at the DSSP) but the
 	// client still gets plaintext.
 	res, err := sys.Query("Q2", 5)
-	if err != nil || res.Rows[0][0].Int() != 25 {
+	if err != nil || res.Row(0)[0].Int() != 25 {
 		t.Fatalf("res=%v err=%v", res, err)
 	}
 	if _, err := sys.Query("Q2", 5); err != nil {

@@ -39,14 +39,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("home: customer %v %v\n", res.Rows[0][1], res.Rows[0][2])
+	fmt.Printf("home: customer %v %v\n", res.Vals[1], res.Vals[2])
 
 	for i := 0; i < 2; i++ {
 		res, hit, err := sys.QueryOutcome("Q5", 1) // most popular book
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("product detail %q cost=%v (cache hit: %v)\n", res.Rows[0][0].Str, res.Rows[0][1], hit)
+		fmt.Printf("product detail %q cost=%v (cache hit: %v)\n", res.Vals[0].Str, res.Vals[1], hit)
 	}
 
 	fmt.Println("\n--- checkout ---")

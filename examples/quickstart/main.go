@@ -65,7 +65,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nQ2(5) -> qty=%v (cache hit: %v)", res.Rows[0][0], hit)
+		fmt.Printf("\nQ2(5) -> qty=%v (cache hit: %v)", res.Vals[0], hit)
 	}
 
 	// Delete toy 5: the DSSP monitors the update and invalidates exactly

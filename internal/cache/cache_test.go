@@ -35,7 +35,7 @@ func seal(t testing.TB, codec *wire.Codec, tm *template.Template, params ...sqlp
 func result(rows ...int64) *engine.Result {
 	r := &engine.Result{Columns: []string{"v"}}
 	for _, v := range rows {
-		r.Rows = append(r.Rows, []sqlparse.Value{sqlparse.IntVal(v)})
+		r.Vals = append(r.Vals, sqlparse.IntVal(v))
 	}
 	return r
 }
@@ -52,8 +52,8 @@ func TestLookupStoreHitMiss(t *testing.T) {
 	if !hit {
 		t.Fatal("miss after store")
 	}
-	if got.Result.Rows[0][0].Int() != 25 {
-		t.Errorf("wrong result: %v", got.Result.Rows)
+	if got.Result.Row(0)[0].Int() != 25 {
+		t.Errorf("wrong result: %v", got.Result.Vals)
 	}
 	// A different parameter is a different entry.
 	if _, hit := c.Lookup(seal(t, codec, q, sqlparse.IntVal(6))); hit {

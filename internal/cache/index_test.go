@@ -224,13 +224,9 @@ func FuzzIndexedWalkMatchesScan(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res := &engine.Result{}
-				for i := 1 + rng.Intn(4); i > 0; i-- {
-					row := make([]sqlparse.Value, len(q.OutAttrs))
-					for j := range row {
-						row[j] = indexValues[rng.Intn(len(indexValues))]
-					}
-					res.Rows = append(res.Rows, row)
+				res := &engine.Result{Columns: make([]string, len(q.OutAttrs))}
+				for i := (1 + rng.Intn(4)) * len(q.OutAttrs); i > 0; i-- {
+					res.Vals = append(res.Vals, indexValues[rng.Intn(len(indexValues))])
 				}
 				sr := fx.codec.SealResult(q, res)
 				c.Store(sq, sr, false)

@@ -59,7 +59,7 @@ func TestImportBucketsSkipsExistingAndIsNotAStore(t *testing.T) {
 	if got := dst.ImportBuckets(exported); got != 2 {
 		t.Fatalf("imported %d, want 2 (one key already held)", got)
 	}
-	if res, hit := dst.Lookup(localSQ); !hit || res.Result.Rows[0][0].Int() != 999 {
+	if res, hit := dst.Lookup(localSQ); !hit || res.Result.Row(0)[0].Int() != 999 {
 		t.Error("import overwrote the destination's local copy")
 	}
 	for _, i := range []int64{0, 2} {

@@ -134,7 +134,7 @@ func TestStoreOverwriteInheritsQueueAndCount(t *testing.T) {
 			if e.freq.Load() != 1 {
 				t.Errorf("entry %d restarted with hit count %d, want the replaced entry's 1", e.Query.Params[0].Int(), e.freq.Load())
 			}
-			if e.Result.Result.Rows[0][0].Int() < 100 {
+			if e.Result.Result.Row(0)[0].Int() < 100 {
 				t.Errorf("entry %d kept the replaced result", e.Query.Params[0].Int())
 			}
 		}

@@ -138,7 +138,7 @@ func TestEndToEndConsistency(t *testing.T) {
 					ordered := len(q.Stmt.(*sqlparse.SelectStmt).OrderBy) > 0
 					if got.Result.Fingerprint(ordered) != want.Fingerprint(ordered) {
 						t.Fatalf("step %d: stale answer for %s%v (hit=%v):\n got: %v\nwant: %v",
-							step, q.ID, params, got.Outcome.Hit, got.Result.Rows, want.Rows)
+							step, q.ID, params, got.Outcome.Hit, got.Result.Vals, want.Vals)
 					}
 				} else {
 					u, params := updateParams(rng, app, app.Updates[rng.Intn(len(app.Updates))], st)
@@ -347,7 +347,7 @@ func TestModificationOfNoRowKeepsCacheConsistent(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.Result.Fingerprint(false) != want.Fingerprint(false) {
-				t.Errorf("Q1(10) answered %v (hit=%v); the master holds %v", got.Result.Rows, got.Outcome.Hit, want.Rows)
+				t.Errorf("Q1(10) answered %v (hit=%v); the master holds %v", got.Result.Vals, got.Outcome.Hit, want.Vals)
 			}
 		})
 	}

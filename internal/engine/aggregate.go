@@ -188,9 +188,9 @@ func (a *aggAcc) result(o *aggOut) sqlparse.Value {
 
 // rows computes one output row per group, in first-seen order, applies
 // ORDER BY and LIMIT over those rows, and copies the ones that remain into
-// the result's own, exactly-sized array: a LIMIT k answer holds k rows of
-// memory, however many groups were ranked to choose them.
-func (s *aggSink) rows(p *Plan) [][]sqlparse.Value {
+// vals (sized): a LIMIT k answer holds k rows of memory, however many
+// groups were ranked to choose them.
+func (s *aggSink) rows(p *Plan, vals []sqlparse.Value) []sqlparse.Value {
 	outs := len(p.outs)
 	for i := range s.accs {
 		s.out = append(s.out, s.accs[i].result(&p.outs[i%outs]))
@@ -209,11 +209,11 @@ func (s *aggSink) rows(p *Plan) [][]sqlparse.Value {
 	if p.limit >= 0 && len(ranked) > p.limit {
 		ranked = ranked[:p.limit]
 	}
-	rows := newRows(len(ranked), outs)
-	for i, row := range rows {
-		copy(row, ranked[i])
+	vals = sized(vals, len(ranked)*outs)
+	for i, row := range ranked {
+		copy(vals[i*outs:], row)
 	}
-	return rows
+	return vals
 }
 
 // compareOut orders two output rows of an aggregate query by the ORDER BY

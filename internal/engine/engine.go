@@ -24,8 +24,12 @@ import (
 
 // Result is a materialized query result: the view cached by the DSSP.
 //
-// Ownership invariant: Rows never aliases storage, nor any scratch a later
-// run reuses. Every execution path copies result rows into one array made
+// Its rows lie end to end in Vals, row-major, len(Columns) values each:
+// row i is Vals[i*w:(i+1)*w] for w = len(Columns), and Row(i) returns it.
+// A result of no columns has no rows.
+//
+// Ownership invariant: Vals never aliases storage, nor any scratch a later
+// run reuses. Every execution path copies result values into one array made
 // for this result and sized to it exactly (projection copies value structs
 // out of base rows; aggregation rows are computed), and a sqlparse.Value
 // points at nothing mutable: its string, like every Go string, is
@@ -33,9 +37,10 @@ import (
 // of the base tables it was computed from, and to the plan's next run —
 // callers may hold, serialize, or seal a Result after releasing the
 // database lock. The homeserver relies on this to seal query results
-// outside its read lock. The rows of one result share that one backing
-// array; each is capped to its own length, so appending to a row never
-// writes into its neighbour.
+// outside its read lock. The one exception is a result the caller runs
+// into itself (Plan.RunInto), which reuses the array it already has: the
+// caller owns that array, and with it the duty not to lend it further than
+// it keeps it.
 type Result struct {
 	// Columns is shared, so read it, never write it: by every result of
 	// one Plan, which never changes it after Compile, and by every result
@@ -43,7 +48,7 @@ type Result struct {
 	// each template's names once). A result whose names differ from its
 	// template's has a copy of its own.
 	Columns []string
-	Rows    [][]sqlparse.Value
+	Vals    []sqlparse.Value
 
 	// RowsScanned counts base-table rows visited while computing the
 	// result; the simulator uses it to charge data-dependent service time.
@@ -51,45 +56,43 @@ type Result struct {
 }
 
 // Len returns the number of result rows.
-func (r *Result) Len() int { return len(r.Rows) }
+func (r *Result) Len() int {
+	if len(r.Columns) == 0 {
+		return 0
+	}
+	return len(r.Vals) / len(r.Columns)
+}
+
+// Row returns row i, capped to its own length, so appending to it never
+// writes into row i+1.
+func (r *Result) Row(i int) []sqlparse.Value {
+	w := len(r.Columns)
+	return r.Vals[i*w : (i+1)*w : (i+1)*w]
+}
 
 // CloneInto makes cp, which the caller allocated and which it overwrites,
-// a deep copy of the result, built the way Run builds one: the rows in one
-// exactly-sized array, whatever their number. Copying the value structs
-// severs every mutable link between the copy and the original; the wire
-// codec uses this to uphold the ownership invariant for plaintext
-// (view-exposure) results, whose sealed form would otherwise alias the
-// DSSP's cached object. The copy's Columns is columns when r's names are
-// those — the names the caller shares among the results it makes, a
-// template's at the codec — and a copy of r's otherwise, since the
-// original's may be a plan's.
+// a deep copy of the result: its values in one exactly-sized array, as Run
+// builds them. Copying the value structs severs every mutable link between
+// the copy and the original; the wire codec uses this to uphold the
+// ownership invariant for plaintext (view-exposure) results, whose sealed
+// form would otherwise alias the DSSP's cached object. The copy's Columns
+// is columns when r's names are those — the names the caller shares among
+// the results it makes, a template's at the codec — and a copy of r's
+// otherwise, since the original's may be a plan's.
 func (r *Result) CloneInto(cp *Result, columns []string) {
 	if !slices.Equal(r.Columns, columns) {
 		columns = append([]string(nil), r.Columns...)
 	}
-	*cp = Result{Columns: columns, RowsScanned: r.RowsScanned}
-	if r.Rows == nil {
-		return
-	}
-	nvals := 0
-	for _, row := range r.Rows {
-		nvals += len(row)
-	}
-	slab := make([]sqlparse.Value, nvals)
-	cp.Rows = make([][]sqlparse.Value, len(r.Rows))
-	for i, row := range r.Rows {
-		n := copy(slab, row)
-		cp.Rows[i], slab = slab[:n:n], slab[n:]
-	}
+	*cp = Result{Columns: columns, Vals: slices.Clone(r.Vals), RowsScanned: r.RowsScanned}
 }
 
 // Fingerprint returns a canonical encoding of the result under multiset
 // semantics: row order is ignored unless ordered is true. Two results are
 // semantically equal iff their fingerprints are equal.
 func (r *Result) Fingerprint(ordered bool) string {
-	enc := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		enc[i] = storage.Key(row)
+	enc := make([]string, r.Len())
+	for i := range enc {
+		enc[i] = storage.Key(r.Row(i))
 	}
 	if !ordered {
 		sort.Strings(enc)

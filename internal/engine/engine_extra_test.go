@@ -54,8 +54,8 @@ func TestCompositeKeyModification(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM lines WHERE order_id=? AND line_no=?", sqlparse.IntVal(2), sqlparse.IntVal(3))
-	if res.Rows[0][0].Int() != 99 {
-		t.Errorf("qty = %v", res.Rows[0][0])
+	if res.Row(0)[0].Int() != 99 {
+		t.Errorf("qty = %v", res.Row(0)[0])
 	}
 }
 
@@ -79,8 +79,8 @@ func TestThreeWayJoin(t *testing.T) {
 		mustInsert(t, db, "c", storage.Row{sqlparse.IntVal(i + 20), sqlparse.IntVal(i + 10)})
 	}
 	res := query(t, db, "SELECT av, ci FROM a, b, c WHERE ba=ai AND cb=bi AND ai=?", sqlparse.IntVal(2))
-	if res.Len() != 1 || res.Rows[0][0].Str != "v2" || res.Rows[0][1].Int() != 22 {
-		t.Fatalf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Str != "v2" || res.Row(0)[1].Int() != 22 {
+		t.Fatalf("res = %+v", res.Vals)
 	}
 }
 
@@ -96,13 +96,13 @@ func TestFloatColumns(t *testing.T) {
 		t.Errorf("rows = %d", res.Len())
 	}
 	res = query(t, db, "SELECT AVG(x) FROM m")
-	if res.Rows[0][0].Float() != 1.5 {
-		t.Errorf("avg = %v", res.Rows[0][0])
+	if res.Row(0)[0].Float() != 1.5 {
+		t.Errorf("avg = %v", res.Row(0)[0])
 	}
 	// Mixed int/float comparison.
 	res = query(t, db, "SELECT id FROM m WHERE x=?", sqlparse.IntVal(2))
-	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
-		t.Errorf("int-float equality: %v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Int() != 4 {
+		t.Errorf("int-float equality: %v", res.Vals)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestFloatZerosGroupTogether(t *testing.T) {
 		mustInsert(t, db, "m", storage.Row{sqlparse.IntVal(int64(i)), sqlparse.FloatVal(x)})
 	}
 	res := query(t, db, "SELECT x, COUNT(*) FROM m GROUP BY x ORDER BY x")
-	if res.Len() != 2 || res.Rows[0][1].Int() != 2 || res.Rows[1][1].Int() != 1 {
-		t.Errorf("GROUP BY over 0.0, -0.0, 1.0 = %v, want two groups of 2 and 1", res.Rows)
+	if res.Len() != 2 || res.Row(0)[1].Int() != 2 || res.Row(1)[1].Int() != 1 {
+		t.Errorf("GROUP BY over 0.0, -0.0, 1.0 = %v, want two groups of 2 and 1", res.Vals)
 	}
 }
 
@@ -127,8 +127,8 @@ func TestOrderByMultiKeyMixedDirections(t *testing.T) {
 	// bear(10), bear(7), doll(3), kite(25), truck(3)
 	want := [][2]interface{}{{"bear", int64(10)}, {"bear", int64(7)}, {"doll", int64(3)}, {"kite", int64(25)}, {"truck", int64(3)}}
 	for i, w := range want {
-		if res.Rows[i][0].Str != w[0].(string) || res.Rows[i][1].Int() != w[1].(int64) {
-			t.Fatalf("row %d = %v", i, res.Rows[i])
+		if res.Row(i)[0].Str != w[0].(string) || res.Row(i)[1].Int() != w[1].(int64) {
+			t.Fatalf("row %d = %v", i, res.Row(i))
 		}
 	}
 }
@@ -153,7 +153,8 @@ func TestGroupByMultipleAggregates(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT toy_name, MIN(qty), MAX(qty), COUNT(qty), AVG(qty) FROM toys GROUP BY toy_name ORDER BY toy_name")
 	var bear []sqlparse.Value
-	for _, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		if r[0].Str == "bear" {
 			bear = r
 		}
@@ -168,8 +169,8 @@ func TestCountStarVersusCountColumn(t *testing.T) {
 	mustInsert(t, db, "toys", storage.Row{sqlparse.IntVal(50), sqlparse.Null(), sqlparse.IntVal(1)})
 	star := query(t, db, "SELECT COUNT(*) FROM toys")
 	col := query(t, db, "SELECT COUNT(toy_name) FROM toys")
-	if star.Rows[0][0].Int() != col.Rows[0][0].Int()+1 {
-		t.Errorf("COUNT(*)=%v COUNT(col)=%v", star.Rows[0][0], col.Rows[0][0])
+	if star.Row(0)[0].Int() != col.Row(0)[0].Int()+1 {
+		t.Errorf("COUNT(*)=%v COUNT(col)=%v", star.Row(0)[0], col.Row(0)[0])
 	}
 }
 
@@ -178,10 +179,10 @@ func TestSelfJoinAliasesIndependent(t *testing.T) {
 	// Pairs of distinct toys with the same name.
 	res := query(t, db, "SELECT t1.toy_id, t2.toy_id FROM toys AS t1, toys AS t2 WHERE t1.toy_name=t2.toy_name AND t1.toy_id<t2.toy_id")
 	if res.Len() != 1 { // bear ids (1,3)
-		t.Fatalf("rows = %+v", res.Rows)
+		t.Fatalf("rows = %+v", res.Vals)
 	}
-	if res.Rows[0][0].Int() != 1 || res.Rows[0][1].Int() != 3 {
-		t.Errorf("pair = %v", res.Rows[0])
+	if res.Row(0)[0].Int() != 1 || res.Row(0)[1].Int() != 3 {
+		t.Errorf("pair = %v", res.Row(0))
 	}
 }
 
@@ -246,7 +247,7 @@ func TestRandomizedEngineConsistency(t *testing.T) {
 func TestProjectionDuplicateColumns(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT qty, qty FROM toys WHERE toy_id=?", sqlparse.IntVal(5))
-	if len(res.Columns) != 2 || res.Rows[0][0].Int() != 25 || res.Rows[0][1].Int() != 25 {
+	if len(res.Columns) != 2 || res.Row(0)[0].Int() != 25 || res.Row(0)[1].Int() != 25 {
 		t.Errorf("res = %+v", res)
 	}
 }

@@ -81,7 +81,8 @@ func TestSelectEqualityParam(t *testing.T) {
 		t.Fatalf("rows = %d, want 2", res.Len())
 	}
 	ids := map[int64]bool{}
-	for _, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		ids[r[0].Int()] = true
 	}
 	if !ids[1] || !ids[3] {
@@ -92,8 +93,8 @@ func TestSelectEqualityParam(t *testing.T) {
 func TestSelectByPrimaryKeyUsesIndex(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(5))
-	if res.Len() != 1 || res.Rows[0][0].Int() != 25 {
-		t.Fatalf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Int() != 25 {
+		t.Fatalf("res = %+v", res.Vals)
 	}
 	if res.RowsScanned != 1 {
 		t.Errorf("RowsScanned = %d, want 1 (PK path)", res.RowsScanned)
@@ -106,8 +107,8 @@ func TestSelectStar(t *testing.T) {
 	if len(res.Columns) != 3 || res.Columns[1] != "toy_name" {
 		t.Errorf("columns = %v", res.Columns)
 	}
-	if res.Rows[0][1].Str != "truck" {
-		t.Errorf("row = %v", res.Rows[0])
+	if res.Row(0)[1].Str != "truck" {
+		t.Errorf("row = %v", res.Row(0))
 	}
 }
 
@@ -123,8 +124,8 @@ func TestEquiJoinWithForeignKey(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT cust_name FROM customers, credit_card WHERE cust_id=cid AND zip_code=?",
 		sqlparse.StringVal("15202"))
-	if res.Len() != 1 || res.Rows[0][0].Str != "cust2" {
-		t.Fatalf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Str != "cust2" {
+		t.Fatalf("res = %+v", res.Vals)
 	}
 }
 
@@ -135,7 +136,7 @@ func TestSelfJoinInequality(t *testing.T) {
 		"SELECT t1.toy_id, t1.qty, t2.toy_id, t2.qty FROM toys AS t1, toys AS t2 WHERE t1.toy_name=? AND t2.toy_name=? AND t1.qty>t2.qty",
 		sqlparse.StringVal("bear"), sqlparse.StringVal("truck"))
 	if res.Len() != 2 { // (1,10)>(2,3) and (3,7)>(2,3)
-		t.Fatalf("rows = %d, want 2: %+v", res.Len(), res.Rows)
+		t.Fatalf("rows = %d, want 2: %+v", res.Len(), res.Vals)
 	}
 }
 
@@ -143,7 +144,8 @@ func TestOrderByAndLimit(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT toy_id, qty FROM toys ORDER BY qty DESC, toy_id LIMIT 3")
 	want := []int64{5, 1, 3}
-	for i, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		if r[0].Int() != want[i] {
 			t.Errorf("row %d = %v, want toy %d", i, r, want[i])
 		}
@@ -155,9 +157,10 @@ func TestOrderByAscStableTies(t *testing.T) {
 	res := query(t, db, "SELECT toy_id FROM toys ORDER BY qty")
 	// qty: 3(truck,id2) 3(doll,id4) 7 10 25; ties keep insertion order.
 	want := []int64{2, 4, 3, 1, 5}
-	for i, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		if r[0].Int() != want[i] {
-			t.Fatalf("order = %v", res.Rows)
+			t.Fatalf("order = %v", res.Vals)
 		}
 	}
 }
@@ -165,20 +168,20 @@ func TestOrderByAscStableTies(t *testing.T) {
 func TestAggregateMax(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT MAX(qty) FROM toys")
-	if res.Len() != 1 || res.Rows[0][0].Int() != 25 {
-		t.Fatalf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Int() != 25 {
+		t.Fatalf("res = %+v", res.Vals)
 	}
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT MAX(qty) FROM toys WHERE toy_name=?", sqlparse.StringVal("nosuch"))
-	if res.Len() != 1 || !res.Rows[0][0].IsNull() {
-		t.Fatalf("MAX over empty = %+v", res.Rows)
+	if res.Len() != 1 || !res.Row(0)[0].IsNull() {
+		t.Fatalf("MAX over empty = %+v", res.Vals)
 	}
 	res = query(t, db, "SELECT COUNT(*) FROM toys WHERE toy_name=?", sqlparse.StringVal("nosuch"))
-	if res.Rows[0][0].Int() != 0 {
-		t.Fatalf("COUNT over empty = %+v", res.Rows)
+	if res.Row(0)[0].Int() != 0 {
+		t.Fatalf("COUNT over empty = %+v", res.Vals)
 	}
 }
 
@@ -186,14 +189,15 @@ func TestGroupBy(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT toy_name, SUM(qty) AS total, COUNT(*) AS n FROM toys GROUP BY toy_name ORDER BY total DESC")
 	if res.Len() != 4 {
-		t.Fatalf("groups = %d: %+v", res.Len(), res.Rows)
+		t.Fatalf("groups = %d: %+v", res.Len(), res.Vals)
 	}
-	if res.Rows[0][0].Str != "kite" || res.Rows[0][1].Int() != 25 {
-		t.Errorf("top group = %v", res.Rows[0])
+	if res.Row(0)[0].Str != "kite" || res.Row(0)[1].Int() != 25 {
+		t.Errorf("top group = %v", res.Row(0))
 	}
 	// bear: 10+7=17, 2 rows
 	var bear []sqlparse.Value
-	for _, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		if r[0].Str == "bear" {
 			bear = r
 		}
@@ -209,8 +213,8 @@ func TestGroupByTopK(t *testing.T) {
 	if res.Len() != 2 {
 		t.Fatalf("rows = %d", res.Len())
 	}
-	if res.Rows[0][0].Str != "kite" || res.Rows[1][0].Str != "bear" {
-		t.Errorf("rows = %+v", res.Rows)
+	if res.Row(0)[0].Str != "kite" || res.Row(1)[0].Str != "bear" {
+		t.Errorf("rows = %+v", res.Vals)
 	}
 }
 
@@ -218,12 +222,12 @@ func TestAvgAndSumFloat(t *testing.T) {
 	db := toyDB(t)
 	res := query(t, db, "SELECT AVG(qty) FROM toys")
 	want := (10.0 + 3 + 7 + 3 + 25) / 5
-	if res.Rows[0][0].Float() != want {
-		t.Errorf("avg = %v, want %v", res.Rows[0][0], want)
+	if res.Row(0)[0].Float() != want {
+		t.Errorf("avg = %v, want %v", res.Row(0)[0], want)
 	}
 	res = query(t, db, "SELECT SUM(qty) FROM toys")
-	if res.Rows[0][0].Kind != sqlparse.KindInt || res.Rows[0][0].Int() != 48 {
-		t.Errorf("sum = %v", res.Rows[0][0])
+	if res.Row(0)[0].Kind != sqlparse.KindInt || res.Row(0)[0].Int() != 48 {
+		t.Errorf("sum = %v", res.Row(0)[0])
 	}
 }
 
@@ -243,8 +247,8 @@ func TestInsertExec(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(6))
-	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
-		t.Errorf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Int() != 4 {
+		t.Errorf("res = %+v", res.Vals)
 	}
 }
 
@@ -253,8 +257,8 @@ func TestInsertColumnOrderIndependent(t *testing.T) {
 	update(t, db, "INSERT INTO toys (qty, toy_id, toy_name) VALUES (?, ?, ?)",
 		sqlparse.IntVal(4), sqlparse.IntVal(7), sqlparse.StringVal("ball"))
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(7))
-	if res.Len() != 1 || res.Rows[0][0].Int() != 4 {
-		t.Errorf("res = %+v", res.Rows)
+	if res.Len() != 1 || res.Row(0)[0].Int() != 4 {
+		t.Errorf("res = %+v", res.Vals)
 	}
 }
 
@@ -284,8 +288,8 @@ func TestModifyExec(t *testing.T) {
 		t.Fatalf("n = %d", n)
 	}
 	res := query(t, db, "SELECT qty FROM toys WHERE toy_id=?", sqlparse.IntVal(2))
-	if res.Rows[0][0].Int() != 100 {
-		t.Errorf("qty = %v", res.Rows[0][0])
+	if res.Row(0)[0].Int() != 100 {
+		t.Errorf("qty = %v", res.Row(0)[0])
 	}
 	// Modifying a missing row affects nothing.
 	if n := update(t, db, "UPDATE toys SET qty=? WHERE toy_id=?", sqlparse.IntVal(1), sqlparse.IntVal(404)); n != 0 {
@@ -345,7 +349,7 @@ func TestModificationChecksEveryPredicate(t *testing.T) {
 	}
 	res := query(t, db, "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id<=? ORDER BY toy_id", sqlparse.IntVal(2))
 	if got := res.Fingerprint(true); got != query(t, toyDB(t), "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id<=? ORDER BY toy_id", sqlparse.IntVal(2)).Fingerprint(true) {
-		t.Errorf("toys 1 and 2 changed: %v", res.Rows)
+		t.Errorf("toys 1 and 2 changed: %v", res.Vals)
 	}
 	// A range over the key is not a modification the validator accepts,
 	// and the engine refuses it too, where it used to modify the row its
@@ -355,7 +359,7 @@ func TestModificationChecksEveryPredicate(t *testing.T) {
 		t.Errorf("toy_id<3 ran, %d rows affected", n)
 	}
 	if res := query(t, db, "SELECT toy_id FROM toys WHERE qty=?", sqlparse.IntVal(0)); res.Len() != 0 {
-		t.Errorf("rows at qty 0: %v, want none", res.Rows)
+		t.Errorf("rows at qty 0: %v, want none", res.Vals)
 	}
 }
 
@@ -396,7 +400,8 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 	db := toyDB(t)
 	mustInsert(t, db, "toys", storage.Row{sqlparse.IntVal(99), sqlparse.Null(), sqlparse.IntVal(1)})
 	res := query(t, db, "SELECT toy_id FROM toys WHERE toy_name=?", sqlparse.StringVal("bear"))
-	for _, r := range res.Rows {
+	for i := range res.Len() {
+		r := res.Row(i)
 		if r[0].Int() == 99 {
 			t.Error("NULL name matched equality")
 		}
@@ -404,15 +409,16 @@ func TestNullComparisonsAreFalse(t *testing.T) {
 }
 
 func TestFingerprintMultisetSemantics(t *testing.T) {
-	a := &Result{Rows: [][]sqlparse.Value{{sqlparse.IntVal(1)}, {sqlparse.IntVal(2)}}}
-	b := &Result{Rows: [][]sqlparse.Value{{sqlparse.IntVal(2)}, {sqlparse.IntVal(1)}}}
+	col := []string{"n"}
+	a := &Result{Columns: col, Vals: []sqlparse.Value{sqlparse.IntVal(1), sqlparse.IntVal(2)}}
+	b := &Result{Columns: col, Vals: []sqlparse.Value{sqlparse.IntVal(2), sqlparse.IntVal(1)}}
 	if a.Fingerprint(false) != b.Fingerprint(false) {
 		t.Error("unordered fingerprints differ")
 	}
 	if a.Fingerprint(true) == b.Fingerprint(true) {
 		t.Error("ordered fingerprints should differ")
 	}
-	c := &Result{Rows: [][]sqlparse.Value{{sqlparse.IntVal(1)}, {sqlparse.IntVal(1)}, {sqlparse.IntVal(2)}}}
+	c := &Result{Columns: col, Vals: []sqlparse.Value{sqlparse.IntVal(1), sqlparse.IntVal(1), sqlparse.IntVal(2)}}
 	if a.Fingerprint(false) == c.Fingerprint(false) {
 		t.Error("duplicate row counts must matter (multiset)")
 	}

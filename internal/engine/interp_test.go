@@ -10,6 +10,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dssp/internal/schema"
@@ -131,8 +132,8 @@ func (ex *queryExec) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ex.q.Limit >= 0 && len(out.Rows) > ex.q.Limit {
-		out.Rows = out.Rows[:ex.q.Limit]
+	if ex.q.Limit >= 0 && out.Len() > ex.q.Limit {
+		out.Vals = out.Vals[:ex.q.Limit*len(out.Columns)]
 	}
 	out.RowsScanned = ex.scanned
 	return out, nil
@@ -286,7 +287,7 @@ func (ex *queryExec) plain(tuples []tuple) (*Result, error) {
 		for i, p := range proj {
 			row[i] = t[p.fromIndex][p.colIndex]
 		}
-		out.Rows = append(out.Rows, row)
+		out.Vals = append(out.Vals, row...)
 	}
 	return out, nil
 }
@@ -444,6 +445,7 @@ func (ex *queryExec) aggregate(tuples []tuple) (*Result, error) {
 	for _, oc := range outs {
 		out.Columns = append(out.Columns, oc.name)
 	}
+	var rows [][]sqlparse.Value
 	for _, k := range order {
 		gr := groups[k]
 		row := make([]sqlparse.Value, len(outs))
@@ -454,7 +456,7 @@ func (ex *queryExec) aggregate(tuples []tuple) (*Result, error) {
 			}
 			row[i] = computeAgg(oc.agg, oc.star, oc.sel, gr.tuples)
 		}
-		out.Rows = append(out.Rows, row)
+		rows = append(rows, row)
 	}
 
 	if len(ex.q.OrderBy) > 0 {
@@ -481,11 +483,12 @@ func (ex *queryExec) aggregate(tuples []tuple) (*Result, error) {
 			return false
 		}
 		if ex.q.Limit >= 0 {
-			out.Rows = interpTopK(out.Rows, ex.q.Limit, less)
+			rows = interpTopK(rows, ex.q.Limit, less)
 		} else {
-			sort.SliceStable(out.Rows, func(a, b int) bool { return less(out.Rows[a], out.Rows[b]) })
+			sort.SliceStable(rows, func(a, b int) bool { return less(rows[a], rows[b]) })
 		}
 	}
+	out.Vals = slices.Concat(rows...)
 	return out, nil
 }
 
@@ -580,7 +583,7 @@ func computeAgg(agg sqlparse.AggFunc, star bool, sel colSel, tuples []tuple) sql
 }
 
 func fingerprintVals(vals []sqlparse.Value) string {
-	r := Result{Rows: [][]sqlparse.Value{vals}}
+	r := Result{Columns: make([]string, len(vals)), Vals: vals}
 	return r.Fingerprint(true)
 }
 

@@ -32,7 +32,7 @@ func TestPartialInsertNullFill(t *testing.T) {
 
 	// The row exists...
 	if res := query(t, db, "SELECT toy_id FROM toys WHERE toy_id=?", sqlparse.IntVal(8)); res.Len() != 1 {
-		t.Errorf("inserted row not found: %+v", res.Rows)
+		t.Errorf("inserted row not found: %+v", res.Vals)
 	}
 	// ...but its NULL qty satisfies no predicate in either direction...
 	for _, src := range []string{
@@ -40,13 +40,13 @@ func TestPartialInsertNullFill(t *testing.T) {
 		"SELECT toy_id FROM toys WHERE qty>=? AND toy_id=?",
 	} {
 		if res := query(t, db, src, sqlparse.IntVal(1000), sqlparse.IntVal(8)); res.Len() != 0 {
-			t.Errorf("%s matched the NULL row: %+v", src, res.Rows)
+			t.Errorf("%s matched the NULL row: %+v", src, res.Vals)
 		}
 	}
 	// ...and does not perturb aggregates over qty.
 	before := query(t, db, "SELECT MAX(qty) FROM toys")
-	if before.Rows[0][0].Int() != 25 {
-		t.Errorf("MAX(qty) = %v, want 25 (NULL must not participate)", before.Rows[0][0])
+	if before.Row(0)[0].Int() != 25 {
+		t.Errorf("MAX(qty) = %v, want 25 (NULL must not participate)", before.Row(0)[0])
 	}
 }
 

@@ -23,7 +23,7 @@ func benchmarks() []workload.Benchmark {
 // sameResult compares two results field by field, floats by bit pattern:
 // stricter than reflect.DeepEqual (which calls -0.0 and 0.0 equal) and
 // usable on NaN (which DeepEqual calls unequal to itself). A nil and an
-// empty Rows are the same result: zero rows.
+// empty Vals are the same result: zero rows.
 func sameResult(got, want *Result) error {
 	if !reflect.DeepEqual(got.Columns, want.Columns) {
 		return fmt.Errorf("Columns = %v, want %v", got.Columns, want.Columns)
@@ -31,11 +31,11 @@ func sameResult(got, want *Result) error {
 	if got.RowsScanned != want.RowsScanned {
 		return fmt.Errorf("RowsScanned = %d, want %d", got.RowsScanned, want.RowsScanned)
 	}
-	if len(got.Rows) != len(want.Rows) {
-		return fmt.Errorf("%d rows, want %d\n got: %v\nwant: %v", len(got.Rows), len(want.Rows), got.Rows, want.Rows)
+	if got.Len() != want.Len() {
+		return fmt.Errorf("%d rows, want %d\n got: %v\nwant: %v", got.Len(), want.Len(), got.Vals, want.Vals)
 	}
-	for i := range got.Rows {
-		g, w := got.Rows[i], want.Rows[i]
+	for i := range got.Len() {
+		g, w := got.Row(i), want.Row(i)
 		same := len(g) == len(w)
 		for j := 0; same && j < len(g); j++ {
 			same = g[j].Kind == w[j].Kind && g[j].Int() == w[j].Int() && g[j].Str == w[j].Str &&
@@ -582,9 +582,9 @@ func FuzzPlanMatchesInterpreter(f *testing.F) {
 		case err != nil && strings.Contains(err.Error(), "over string column"):
 			// The interpreter only notices when a row reaches the aggregate.
 		case err != nil:
-			t.Fatalf("%s %v: plan failed (%v), interpreter returned %v", q, params, err, want.Rows)
+			t.Fatalf("%s %v: plan failed (%v), interpreter returned %v", q, params, err, want.Vals)
 		case werr != nil:
-			t.Fatalf("%s %v: interpreter failed (%v), plan returned %v", q, params, werr, got.Rows)
+			t.Fatalf("%s %v: interpreter failed (%v), plan returned %v", q, params, werr, got.Vals)
 		default:
 			if err := sameResult(got, want); err != nil {
 				t.Fatalf("%s %v: %v", q, params, err)

@@ -75,15 +75,30 @@ func (x *exec) release() {
 // must exclude concurrent writers to db for the duration of the call (the
 // home server holds its read lock); the returned Result owns its rows.
 func (p *Plan) Run(db *storage.Database, params []sqlparse.Value) (*Result, error) {
-	x := execPool.Get().(*exec)
-	defer x.release()
-	return x.run(p, db, params)
+	out := new(Result)
+	if err := p.RunInto(db, params, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// run is Run on scratch x, which the caller releases whatever happens here.
-func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value) (*Result, error) {
+// RunInto is Run into a result the caller holds, whose Vals array it
+// reuses when that is large enough for the answer; a new result's gets one
+// of exactly the answer's size. So a caller that runs into the same result
+// over and over — the home server, for a result it seals before its next
+// run — allocates no result at all. out is overwritten only when the run
+// succeeds.
+func (p *Plan) RunInto(db *storage.Database, params []sqlparse.Value, out *Result) error {
+	x := execPool.Get().(*exec)
+	defer x.release()
+	return x.run(p, db, params, out)
+}
+
+// run is RunInto on scratch x, which the caller releases whatever happens
+// here.
+func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value, out *Result) error {
 	if err := x.start(p, db, params); err != nil {
-		return nil, err
+		return err
 	}
 	x.ord.width, x.ord.keep, x.ord.order = len(p.levels), p.limit, p.order
 	if len(p.outs) > 0 && len(p.groupBy) == 0 {
@@ -92,19 +107,18 @@ func (x *exec) run(p *Plan, db *storage.Database, params []sqlparse.Value) (*Res
 
 	x.join(0)
 
-	out := &Result{Columns: p.columns, RowsScanned: x.scanned}
+	vals := out.Vals
 	switch {
 	case len(p.outs) > 0:
-		out.Rows = x.agg.rows(p)
+		vals = x.agg.rows(p, vals)
 	case len(p.order) > 0:
-		out.Rows = x.orderedRows()
+		vals = x.orderedRows(vals)
 	default:
-		out.Rows = newRows(x.nrows, len(p.proj))
-		for i, row := range out.Rows {
-			copy(row, x.vals[i*len(row):])
-		}
+		vals = sized(vals, len(x.vals))
+		copy(vals, x.vals)
 	}
-	return out, nil
+	*out = Result{Columns: p.columns, Vals: vals, RowsScanned: x.scanned}
+	return nil
 }
 
 // start binds x to a run of p: its parameters and the tables of its
@@ -131,19 +145,14 @@ func (x *exec) start(p *Plan, db *storage.Database, params []sqlparse.Value) err
 	return nil
 }
 
-// newRows makes the rows of one result: n rows of width values, carved out
-// of a single array of exactly n×width. Each row is capped to its own
-// length, so appending to one never reaches its neighbour.
-func newRows(n, width int) [][]sqlparse.Value {
-	if n == 0 {
-		return nil
+// sized returns n values to write a result into: vals' own array when it
+// holds n, else a new one of exactly n. A result of no values keeps vals,
+// cut to nothing.
+func sized(vals []sqlparse.Value, n int) []sqlparse.Value {
+	if cap(vals) >= n {
+		return vals[:n]
 	}
-	slab := make([]sqlparse.Value, n*width)
-	rows := make([][]sqlparse.Value, n)
-	for i := range rows {
-		rows[i] = slab[i*width : (i+1)*width : (i+1)*width]
-	}
-	return rows
+	return make([]sqlparse.Value, n)
 }
 
 // join binds FROM entry i for the current partial tuple, visiting every
@@ -230,16 +239,20 @@ func (x *exec) emit() {
 	}
 }
 
-func (x *exec) orderedRows() [][]sqlparse.Value {
+// orderedRows projects the ordered sink's surviving tuples, in result
+// order, into vals (sized).
+func (x *exec) orderedRows(vals []sqlparse.Value) []sqlparse.Value {
 	slots := x.ord.sorted()
-	rows := newRows(len(slots), len(x.plan.proj))
-	for i, row := range rows {
-		tup := x.ord.tuple(slots[i])
-		for j, c := range x.plan.proj {
-			row[j] = tup[c.from][c.col]
+	vals = sized(vals, len(slots)*len(x.plan.proj))
+	i := 0
+	for _, slot := range slots {
+		tup := x.ord.tuple(slot)
+		for _, c := range x.plan.proj {
+			vals[i] = tup[c.from][c.col]
+			i++
 		}
 	}
-	return rows
+	return vals
 }
 
 // orderedSink collects the joined tuples of an ORDER BY query — all of

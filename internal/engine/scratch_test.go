@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
-	"unsafe"
 
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
@@ -34,10 +33,10 @@ func compileShape(t testing.TB, db *storage.Database, sql string) *Plan {
 	return p
 }
 
-// A result's rows lie end to end in an array no longer than they are: a
-// LIMIT k aggregate used to hand out k rows sliced from the table of every
-// group's output, and so kept all of it alive for as long as a cache entry
-// or a client kept the k.
+// A result's values lie in an array no longer than they are: a LIMIT k
+// aggregate used to hand out k rows sliced from the table of every group's
+// output, and so kept all of it alive for as long as a cache entry or a
+// client kept the k.
 func TestResultRowsAreOneExactSlab(t *testing.T) {
 	for _, sql := range resultShapes {
 		db := toyDB(t)
@@ -48,18 +47,59 @@ func TestResultRowsAreOneExactSlab(t *testing.T) {
 		if res.Len() == 0 {
 			t.Fatalf("%q: empty result proves nothing", sql)
 		}
-		width := len(res.Columns)
-		for i, row := range res.Rows {
-			if len(row) != width || cap(row) != width {
-				t.Errorf("%q: row %d has len %d cap %d, want both %d", sql, i, len(row), cap(row), width)
-			}
-			if i > 0 {
-				prev := unsafe.Pointer(&res.Rows[i-1][0])
-				if unsafe.Pointer(&row[0]) != unsafe.Add(prev, uintptr(width)*unsafe.Sizeof(row[0])) {
-					t.Errorf("%q: row %d does not start where row %d ends", sql, i, i-1)
-				}
-			}
+		if len(res.Vals) != res.Len()*len(res.Columns) || cap(res.Vals) != len(res.Vals) {
+			t.Errorf("%q: %d rows of %d columns in len %d cap %d", sql, res.Len(), len(res.Columns), len(res.Vals), cap(res.Vals))
 		}
+	}
+}
+
+// checkRowCap fails t unless appending to each row of r but the last
+// leaves every other row as it was: Row caps each row to its own length.
+// r is left as it was.
+func checkRowCap(t *testing.T, r *Result) {
+	t.Helper()
+	if r.Len() < 2 {
+		t.Fatalf("a result of %d rows proves nothing", r.Len())
+	}
+	want := r.Fingerprint(true)
+	for i := range r.Len() - 1 {
+		row := r.Row(i)
+		if len(row) != len(r.Columns) || cap(row) != len(row) {
+			t.Fatalf("row %d has len %d cap %d, want both %d", i, len(row), cap(row), len(r.Columns))
+		}
+		_ = append(row, sqlparse.StringVal("appended"))
+		if got := r.Fingerprint(true); got != want {
+			t.Fatalf("appending to row %d rewrote the result:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
+// Appending to a row never writes into the next, whether the result came
+// from Run, from RunInto over a result whose array was larger than the
+// answer, or from CloneInto. (wire's TestDecodedRowsAreCapped covers a
+// decoded result.)
+func TestRowIsCapped(t *testing.T) {
+	for _, sql := range resultShapes {
+		db := toyDB(t)
+		p := compileShape(t, db, sql)
+		res, err := p.Run(db, []sqlparse.Value{sqlparse.IntVal(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() < 2 {
+			continue
+		}
+		t.Run(sql, func(t *testing.T) {
+			checkRowCap(t, res)
+			into := &Result{Vals: make([]sqlparse.Value, 0, len(res.Vals)+8)}
+			if err := p.RunInto(db, []sqlparse.Value{sqlparse.IntVal(0)}, into); err != nil {
+				t.Fatal(err)
+			}
+			checkRowCap(t, into)
+			var cp Result
+			res.CloneInto(&cp, nil)
+			checkRowCap(t, &cp)
+		})
 	}
 }
 
@@ -164,7 +204,7 @@ func TestPlanScratchGoesBackClean(t *testing.T) {
 			db   *storage.Database
 		}{{"ok", db}, {"error", &storage.Database{Schema: db.Schema}}} {
 			x := execPool.Get().(*exec)
-			_, err := x.run(p, c.db, []sqlparse.Value{sqlparse.IntVal(0)})
+			err := x.run(p, c.db, []sqlparse.Value{sqlparse.IntVal(0)}, new(Result))
 			if (err != nil) != (c.name == "error") {
 				t.Fatalf("%q (%s): err = %v", sql, c.name, err)
 			}
@@ -191,9 +231,7 @@ var cloneSink *Result
 func BenchmarkResultClone(b *testing.B) {
 	r := &Result{Columns: []string{"i_id", "i_title", "i_cost"}, RowsScanned: 40}
 	for i := 0; i < 10; i++ {
-		r.Rows = append(r.Rows, []sqlparse.Value{
-			sqlparse.IntVal(int64(i)), sqlparse.StringVal("title " + strconv.Itoa(i)), sqlparse.FloatVal(9.99),
-		})
+		r.Vals = append(r.Vals, sqlparse.IntVal(int64(i)), sqlparse.StringVal("title "+strconv.Itoa(i)), sqlparse.FloatVal(9.99))
 	}
 	b.Run("rows=10", func(b *testing.B) {
 		b.ReportAllocs()

@@ -123,13 +123,16 @@ type compiled struct {
 
 // execScratch is what one statement is read into (wire.Codec.ReadPayload):
 // its decrypted payload and its parameters, a query's strings lent from the
-// payload. ExecQuery and ExecUpdate hold it for the call — read, run, seal
-// the result — and give it back when they return. putScratch clears the
-// parameters, which hold an update's strings, so an idle scratch pins
-// nothing; the payload bytes keep their capacity.
+// payload — and, for a query whose result is sealed, the result it runs
+// into, which lives only until it is encrypted. ExecQuery and ExecUpdate
+// hold it for the call — read, run, seal the result — and give it back
+// when they return. putScratch clears the parameters and the result's
+// values, which hold strings, so an idle scratch pins nothing; the payload
+// bytes and the value array keep their capacity.
 type execScratch struct {
 	plain  []byte
 	params []sqlparse.Value
+	res    engine.Result
 }
 
 // takeScratch returns a pooled scratch, or a new one.
@@ -143,7 +146,9 @@ func (s *Server) takeScratch() *execScratch {
 // putScratch clears sc and returns it to the pool.
 func (s *Server) putScratch(sc *execScratch) {
 	clear(sc.params)
+	clear(sc.res.Vals)
 	sc.params = sc.params[:0]
+	sc.res = engine.Result{Vals: sc.res.Vals[:0]}
 	s.scratch.Put(sc)
 }
 
@@ -250,10 +255,17 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	if err != nil {
 		return wire.SealedResult{}, false, 0, err
 	}
+	// A view result goes to the node's cache by pointer, so it gets an
+	// array of its own; any other is encrypted before this returns, so it
+	// runs into the scratch.
+	r := &sc.res
+	if s.Codec.ExposureOf(t) == template.ExpView {
+		r = new(engine.Result)
+	}
 	s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
-	r, execErr := c.query.Run(s.DB, sc.params)
+	execErr := c.query.RunInto(s.DB, sc.params, r)
 	s.mu.RUnlock()
 	sp.End()
 	s.adm.release(s.queueDepth)
@@ -266,8 +278,9 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	// invariant guarantees result rows never alias storage rows, so a
 	// concurrent ExecUpdate mutating the same table cannot race with the
 	// serialization here (regression-tested under -race in
-	// TestConcurrentQueryUpdateSeal). Nor do they alias the parameters, so
-	// the scratch goes back as this returns.
+	// TestConcurrentQueryUpdateSeal). Nor do they alias the parameters, and
+	// a scratch result is in the ciphertext by the time SealResult returns,
+	// so the scratch goes back as this returns.
 	return s.Codec.SealResult(t, r), r.Len() == 0, r.RowsScanned, nil
 }
 

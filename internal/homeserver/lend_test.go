@@ -3,6 +3,7 @@ package homeserver
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
@@ -14,9 +15,10 @@ import (
 )
 
 // scrambleScratch overwrites the scratch the server read its last statement
-// into, to its capacity, and keeps it out of the pool, so a byte of that
-// statement held past its exec reads as garbage for good. It reports
-// whether the pool gave a scratch back.
+// into and ran its last sealed result into, each to its capacity, and keeps
+// it out of the pool, so a byte of that statement or a value of that result
+// held past its exec reads as garbage for good. It reports whether the pool
+// gave a scratch back.
 func scrambleScratch(s *Server) bool {
 	sc, ok := s.scratch.Get().(*execScratch)
 	if !ok {
@@ -26,6 +28,11 @@ func scrambleScratch(s *Server) bool {
 	for i := range b {
 		b[i] ^= 0xA5
 	}
+	vals := sc.res.Vals[:cap(sc.res.Vals)]
+	for i := range vals {
+		vals[i] = sqlparse.StringVal("scrambled")
+	}
+	sc.res.Columns = []string{"scrambled"}
 	return true
 }
 
@@ -34,8 +41,9 @@ func scrambleScratch(s *Server) bool {
 // exposure (the result by pointer) and at stmt exposure (sealed), as the
 // statements ask, and keeps in the master database exactly the strings its
 // insertions and modifications carried. So a query's lent parameters are
-// read only during its exec, and an update's strings, which storage keeps,
-// are copies.
+// read only during its exec, a sealed result leaves the scratch it ran into
+// inside its ciphertext, a view result is not in the scratch at all, and an
+// update's strings, which storage keeps, are copies.
 func TestHomeLendsOnlyForTheCall(t *testing.T) {
 	app := apps.Toystore()
 	app.Queries = append(app.Queries,
@@ -98,12 +106,12 @@ func TestHomeLendsOnlyForTheCall(t *testing.T) {
 		want[i] = [2]string{number, zip}
 	}
 	for i := int64(0); i < n; i++ {
-		if r := query("Q1", sv("kite")); len(r.Rows) != 1 || r.Rows[0][0].Int() != 5 {
-			t.Fatalf("Q1(kite) = %v, want [[5]]", r.Rows)
+		if r := query("Q1", sv("kite")); r.Len() != 1 || r.Row(0)[0].Int() != 5 {
+			t.Fatalf("Q1(kite) = %v, want [[5]]", r.Vals)
 		}
 		w := want[i]
-		if r := query("Q4", sv(w[1])); len(r.Rows) != 1 || r.Rows[0][0].Str != w[0] || r.Rows[0][1].Str != w[1] {
-			t.Fatalf("Q4(%s) = %v, want [%q]", w[1], r.Rows, w)
+		if r := query("Q4", sv(w[1])); r.Len() != 1 || r.Row(0)[0].Str != w[0] || r.Row(0)[1].Str != w[1] {
+			t.Fatalf("Q4(%s) = %v, want [%q]", w[1], r.Vals, w)
 		}
 	}
 	if scrambled == 0 {
@@ -113,6 +121,40 @@ func TestHomeLendsOnlyForTheCall(t *testing.T) {
 		row := db.Table("credit_card").LookupPK([]sqlparse.Value{iv(i)})
 		if row == nil || row[1].Str != w[0] || row[2].Str != w[1] {
 			t.Fatalf("credit card %d reads %v from the master, want %q", i, row, w)
+		}
+	}
+}
+
+// TestHomeKeepsNoViewResult: the node keeps every view result the home
+// returns, by pointer, so no two ExecQuery calls return results that share
+// an array, and the first still holds its rows after the second has run —
+// a view result never runs into the scratch the next call takes over.
+func TestHomeKeepsNoViewResult(t *testing.T) {
+	s, codec, app := exposedServer(t, nil) // Q2 is at view exposure
+	exec := func(id int64) *engine.Result {
+		t.Helper()
+		sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, _, _, err := s.ExecQuery(sq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr.Result == nil {
+			t.Fatal("a view result came back sealed: the test proves nothing")
+		}
+		return sr.Result
+	}
+	for i := 0; i < 10; i++ {
+		first := exec(5)
+		want := first.Fingerprint(true)
+		second := exec(5)
+		if first == second || unsafe.SliceData(first.Vals) == unsafe.SliceData(second.Vals) {
+			t.Fatalf("two view results share their values: %p and %p", first, second)
+		}
+		if first.Len() != 1 || first.Fingerprint(true) != want || first.Row(0)[0].Int() != 25 {
+			t.Fatalf("the first view result reads %v after the second exec, want [[25]]", first.Vals)
 		}
 	}
 }

@@ -71,12 +71,12 @@ func TestByzantineNodeCannotSubstituteOpaque(t *testing.T) {
 func TestPlaintextResultIntegrityCaveat(t *testing.T) {
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
-	forged := &engine.Result{Columns: []string{"qty"}, Rows: [][]sqlparse.Value{{sqlparse.IntVal(9999)}}}
+	forged := &engine.Result{Columns: []string{"qty"}, Vals: []sqlparse.Value{sqlparse.IntVal(9999)}}
 	got, err := codec.OpenResult(wire.SealedResult{Result: forged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rows[0][0].Int() != 9999 {
+	if got.Row(0)[0].Int() != 9999 {
 		t.Fatal("plaintext pass-through broken")
 	}
 }

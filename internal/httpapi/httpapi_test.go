@@ -63,7 +63,7 @@ func TestNetworkQueryUpdateFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Outcome.Hit || r.Result.Rows[0][0].Int() != 25 {
+	if r.Outcome.Hit || r.Result.Row(0)[0].Int() != 25 {
 		t.Fatalf("first query: %+v", r)
 	}
 	r, err = client.Query(context.Background(), app.Query("Q2"), 5)
@@ -98,8 +98,8 @@ func TestNetworkEncryptedResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Result.Rows[0][0].Int() != 25 {
-		t.Errorf("decrypted result wrong: %v", r.Result.Rows)
+	if r.Result.Row(0)[0].Int() != 25 {
+		t.Errorf("decrypted result wrong: %v", r.Result.Vals)
 	}
 	// The node's copy is ciphertext: fetch the raw cached entry via a
 	// fresh query and check the Hit path still decrypts fine.

@@ -38,7 +38,7 @@ func sealedAt(t testing.TB, exp template.Exposure) (wire.SealedQuery, wire.Seale
 	}
 	res := &engine.Result{
 		Columns:     []string{"toy_id", "toy_name", "qty"},
-		Rows:        [][]sqlparse.Value{{sqlparse.IntVal(5), sqlparse.StringVal("kite"), sqlparse.IntVal(25)}},
+		Vals:        []sqlparse.Value{sqlparse.IntVal(5), sqlparse.StringVal("kite"), sqlparse.IntVal(25)},
 		RowsScanned: 1,
 	}
 	return sq, su, codec.SealResult(app.Query("Q2"), res)

@@ -294,16 +294,16 @@ func TestHomeAnswersByValue(t *testing.T) {
 	db := paperDB(t, app)
 	q2 := app.Query("Q2")
 	for _, id := range []sqlparse.Value{sqlparse.IntVal(3), sqlparse.FloatVal(3)} {
-		if res := mustExec(t, db, q2, id); len(res.Rows) != 1 || res.Rows[0][0].Int() != 7 {
-			t.Errorf("Q2(%v %v) = %v, want toy 3's qty 7", id.Kind, id, res.Rows)
+		if res := mustExec(t, db, q2, id); res.Len() != 1 || res.Row(0)[0].Int() != 7 {
+			t.Errorf("Q2(%v %v) = %v, want toy 3's qty 7", id.Kind, id, res.Vals)
 		}
 	}
 	n, err := engine.ExecUpdate(db, app.Update("U4").Stmt, []sqlparse.Value{sqlparse.IntVal(99), sqlparse.FloatVal(3)})
 	if err != nil || n != 1 {
 		t.Fatalf("U4(99, 3.0) affected %d rows (%v), want 1", n, err)
 	}
-	if res := mustExec(t, db, q2, sqlparse.IntVal(3)); len(res.Rows) != 1 || res.Rows[0][0].Int() != 99 {
-		t.Errorf("after U4(99, 3.0), Q2(3) = %v, want 99", res.Rows)
+	if res := mustExec(t, db, q2, sqlparse.IntVal(3)); res.Len() != 1 || res.Row(0)[0].Int() != 99 {
+		t.Errorf("after U4(99, 3.0), Q2(3) = %v, want 99", res.Vals)
 	}
 }
 
@@ -526,7 +526,7 @@ func TestViewModify(t *testing.T) {
 	q11 := app.Query("Q11")
 	v11 := CachedView{Template: q11,
 		Params: []sqlparse.Value{sqlparse.IntVal(11), sqlparse.IntVal(14)},
-		Result: &engine.Result{Columns: []string{"toy_name"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("bear")}}}}
+		Result: &engine.Result{Columns: []string{"toy_name"}, Vals: []sqlparse.Value{sqlparse.StringVal("bear")}}}
 	if decide(iv, ViewInspection, u, v11) != Invalidate {
 		t.Error("MVIS must stay conservative without a preserved key")
 	}

@@ -68,13 +68,9 @@ func drawResult(rng *rand.Rand, q *template.Template) *engine.Result {
 	if rng.Intn(6) == 0 {
 		return nil
 	}
-	res := &engine.Result{}
-	for i := rng.Intn(6); i > 0; i-- {
-		row := make([]sqlparse.Value, len(q.OutAttrs))
-		for j := range row {
-			row[j] = collidingValues[rng.Intn(len(collidingValues))]
-		}
-		res.Rows = append(res.Rows, row)
+	res := &engine.Result{Columns: make([]string, len(q.OutAttrs))}
+	for i := rng.Intn(6) * len(q.OutAttrs); i > 0; i-- {
+		res.Vals = append(res.Vals, collidingValues[rng.Intn(len(collidingValues))])
 	}
 	return res
 }

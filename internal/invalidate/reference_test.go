@@ -234,7 +234,8 @@ func (r *reference) viewDelete(qi *queryInfo, s *sqlparse.DeleteStmt, params []s
 		i, ok := qi.outIdx[a]
 		return i, ok
 	}
-	for _, row := range q.Result.Rows {
+	for i := range q.Result.Len() {
+		row := q.Result.Row(i)
 		matches := true
 		for _, p := range s.Where {
 			lv, ok := predSide(p.Left, params, row, colOf)
@@ -295,7 +296,7 @@ func (r *reference) viewInsert(qi *queryInfo, s *sqlparse.InsertStmt, pu *Prepar
 		if q.Result.Len() != 1 {
 			return Invalidate
 		}
-		cached := q.Result.Rows[0][0]
+		cached := q.Result.Row(0)[0]
 		if cached.IsNull() {
 			return Invalidate // empty input: the new row defines the extremum
 		}
@@ -327,7 +328,7 @@ func (r *reference) viewInsert(qi *queryInfo, s *sqlparse.InsertStmt, pu *Prepar
 	if q.Result.Len() == 0 {
 		return Invalidate // LIMIT 0 never caches anything useful
 	}
-	last := q.Result.Rows[q.Result.Len()-1]
+	last := q.Result.Row(q.Result.Len() - 1)
 	for _, k := range qi.sel.OrderBy {
 		ci := meta.ColumnIndex(k.Col.Column)
 		oi, ok := qi.outIdx[schema.Attr{Table: s.Table, Column: k.Col.Column}]
@@ -351,13 +352,13 @@ func (r *reference) viewModify(qi *queryInfo, s *sqlparse.UpdateStmt, pu *Prepar
 	if !ok {
 		return Invalidate
 	}
-	rows := q.Result.Rows
-	for _, row := range rows {
-		if row[mi.keyOut].Compare(key) == 0 {
+	n := q.Result.Len()
+	for i := range n {
+		if q.Result.Row(i)[mi.keyOut].Compare(key) == 0 {
 			return Invalidate // the modified row is in the cached result
 		}
 	}
-	bound := qi.sel.Limit >= 0 && len(rows) >= qi.sel.Limit
+	bound := qi.sel.Limit >= 0 && n >= qi.sel.Limit
 	if mi.setInWhere {
 		if pu.consOK && !r.combinedSat(&pu.after, qi.instPreds[mi.from], q.Params) {
 			return DNI // the post-image fails the predicates, whether or not LIMIT binds
@@ -368,10 +369,10 @@ func (r *reference) viewModify(qi *queryInfo, s *sqlparse.UpdateStmt, pu *Prepar
 	} else if !bound {
 		return DNI // frame rule: outside before, outside after
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		return Invalidate // LIMIT 0 never caches anything useful
 	}
-	last := rows[len(rows)-1]
+	last := q.Result.Row(n - 1)
 	for _, k := range mi.order {
 		nv, ok := bindVal(k.val, pu.u.Params)
 		if !ok {

@@ -39,8 +39,8 @@ func (p *PairPlan) viewDelete(params []sqlparse.Value, res *engine.Result) Decis
 	if !p.del.ok {
 		return Invalidate
 	}
-	for _, row := range res.Rows {
-		matches := true
+	for r := range res.Len() {
+		row, matches := res.Row(r), true
 		for i := range p.del.preds {
 			dp := &p.del.preds[i]
 			lv, ok := dp.l.value(row, params)
@@ -133,7 +133,7 @@ func (p *PairPlan) viewInsert(row []sqlparse.Value, res *engine.Result) Decision
 		if res.Len() != 1 {
 			return Invalidate
 		}
-		cached := res.Rows[0][0]
+		cached := res.Vals[0]
 		if cached.IsNull() {
 			return Invalidate // empty input: the new row defines the extremum
 		}
@@ -160,7 +160,7 @@ func (p *PairPlan) viewInsert(row []sqlparse.Value, res *engine.Result) Decision
 		if res.Len() == 0 {
 			return Invalidate // LIMIT 0 never caches anything useful
 		}
-		last := res.Rows[res.Len()-1]
+		last := res.Row(res.Len() - 1)
 		for _, k := range iv.keys {
 			if d, decided := pastCutoff(row[k.col], last[k.out], k.desc); decided {
 				return d
@@ -265,13 +265,13 @@ func (p *PairPlan) viewModify(pu *PreparedUpdate, params []sqlparse.Value, res *
 	if !ok {
 		return Invalidate
 	}
-	rows := res.Rows
-	for _, row := range rows {
-		if row[mi.keyOut].Compare(key) == 0 {
+	n := res.Len()
+	for i := range n {
+		if res.Row(i)[mi.keyOut].Compare(key) == 0 {
 			return Invalidate // the modified row is in the cached result
 		}
 	}
-	bound := p.limit >= 0 && len(rows) >= p.limit
+	bound := p.limit >= 0 && n >= p.limit
 	if mi.setInWhere {
 		// The modified table's one instance is the plan's only one.
 		if pu.consOK && !p.insts[0].sat(&pu.after, after, params) {
@@ -283,10 +283,10 @@ func (p *PairPlan) viewModify(pu *PreparedUpdate, params []sqlparse.Value, res *
 	} else if !bound {
 		return DNI // frame rule: outside before, outside after
 	}
-	if len(rows) == 0 {
+	if n == 0 {
 		return Invalidate // LIMIT 0 never caches anything useful
 	}
-	last := rows[len(rows)-1]
+	last := res.Row(n - 1)
 	for _, k := range mi.order {
 		nv, ok := bindVal(k.val, pu.u.Params)
 		if !ok {

@@ -111,7 +111,7 @@ func feed(t *testing.T, o *leakage.Observer, now *time.Duration, codec *wire.Cod
 			}
 			res := &engine.Result{Columns: []string{"c"}}
 			for _, v := range op.rows {
-				res.Rows = append(res.Rows, []sqlparse.Value{iv(v)})
+				res.Vals = append(res.Vals, iv(v))
 			}
 			node.res, node.hit = codec.SealResult(q, res), op.hit
 			if _, hit := nodeCache.HandleQuery(sq); !hit {

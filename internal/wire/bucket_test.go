@@ -33,7 +33,7 @@ func bucketFixtures() []BucketEntry {
 			},
 			Result: SealedResult{Result: &engine.Result{
 				Columns: []string{"toy_id"},
-				Rows:    [][]sqlparse.Value{{sqlparse.IntVal(7)}},
+				Vals:    []sqlparse.Value{sqlparse.IntVal(7)},
 			}},
 			Ordinal: 1,
 		},

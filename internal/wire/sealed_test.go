@@ -34,7 +34,7 @@ func sealedAt(t testing.TB, exp template.Exposure) (SealedQuery, SealedUpdate, S
 	}
 	res := &engine.Result{
 		Columns:     []string{"toy_id", "qty"},
-		Rows:        [][]sqlparse.Value{{sqlparse.IntVal(5), sqlparse.StringVal("kite\x00")}, {sqlparse.Null(), sqlparse.FloatVal(2.5)}},
+		Vals:        []sqlparse.Value{sqlparse.IntVal(5), sqlparse.StringVal("kite\x00"), sqlparse.Null(), sqlparse.FloatVal(2.5)},
 		RowsScanned: 4,
 	}
 	return sq, su, c.SealResult(app.Query("Q2"), res)
@@ -738,7 +738,7 @@ func TestReadSealedResultLends(t *testing.T) {
 			t.Errorf("%v: ReadSealedResult: %v allocations, want 0", exp, n)
 		}
 	}
-	res := &engine.Result{Columns: []string{"toy_id"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("kite")}}, RowsScanned: 2}
+	res := &engine.Result{Columns: []string{"toy_id"}, Vals: []sqlparse.Value{sqlparse.StringVal("kite")}, RowsScanned: 2}
 	sealed := c.SealResult(app.Query("Q2"), res)
 	enc := AppendSealedResult(nil, &sealed)
 	lent, _, err := ReadSealedResult(enc)

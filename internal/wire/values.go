@@ -38,6 +38,9 @@ import (
 //	result  = uvarint(ncols) { uvarint(len) name }*
 //	          uvarint(nrows) { uvarint(width) value* }*
 //	          uvarint(rowsScanned)
+//
+// where every row's width is ncols, and a result of no columns has no rows
+// (engine.Result holds its rows as one array of ncols values each).
 
 var errMalformed = errors.New("wire: malformed encoding")
 
@@ -255,8 +258,10 @@ func appendResult(dst []byte, r *engine.Result) []byte {
 		dst = binary.AppendUvarint(dst, uint64(len(c)))
 		dst = append(dst, c...)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(r.Rows)))
-	for _, row := range r.Rows {
+	n := r.Len()
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := range n {
+		row := r.Row(i)
 		dst = binary.AppendUvarint(dst, uint64(len(row)))
 		dst = appendParams(dst, row)
 	}
@@ -264,13 +269,14 @@ func appendResult(dst []byte, r *engine.Result) []byte {
 }
 
 // shape is what measureResult counts in a result: its columns, its rows,
-// its values over all rows, and the bytes of its string values.
-type shape struct{ ncols, nrows, nvals, strBytes int }
+// and the bytes of its string values.
+type shape struct{ ncols, nrows, strBytes int }
 
 // measureResult is pass one of decodeResult: it checks b against the whole
 // result grammar — minimal uvarints, every count bounded by the input left,
-// no trailing bytes — and reports its shape. Every counted element costs
-// at least one byte, so no count exceeds len(b).
+// every row as wide as the columns, no rows without columns, no trailing
+// bytes — and reports its shape. Every counted element costs at least one
+// byte, so no count exceeds len(b).
 func measureResult(b []byte) (sh shape, err error) {
 	if sh.ncols, b, err = decodeCount(b); err != nil {
 		return shape{}, errMalformed
@@ -280,15 +286,14 @@ func measureResult(b []byte) (sh shape, err error) {
 			return shape{}, errMalformed
 		}
 	}
-	if sh.nrows, b, err = decodeCount(b); err != nil {
+	if sh.nrows, b, err = decodeCount(b); err != nil || (sh.nrows > 0 && sh.ncols == 0) {
 		return shape{}, errMalformed
 	}
 	for i := 0; i < sh.nrows; i++ {
 		var width int
-		if width, b, err = decodeCount(b); err != nil {
+		if width, b, err = decodeCount(b); err != nil || width != sh.ncols {
 			return shape{}, errMalformed
 		}
-		sh.nvals += width
 		for j := 0; j < width; j++ {
 			var str []byte
 			if _, str, b, err = splitValue(b); err != nil {
@@ -306,8 +311,8 @@ func measureResult(b []byte) (sh shape, err error) {
 
 // decodeResult decodes a sealed result body in two passes, so that the
 // result costs the same handful of allocations whatever its row count:
-// measureResult validates and counts, then the rows are carved out of one
-// exactly-sized value slab and every string — column names included — is a
+// measureResult validates and counts, then the values are read into one
+// exactly-sized array and every string — column names included — is a
 // substring of one copy of the body. Nothing returned aliases b; the
 // strings of one result do share that copy, so holding one holds them all.
 func decodeResult(b []byte) (*engine.Result, error) {
@@ -362,19 +367,14 @@ func decodeResultInto(b []byte, r *engine.Result, columns []string) error {
 	}
 	_, b, _ = decodeCount(b)
 	if sh.nrows > 0 {
-		r.Rows = make([][]sqlparse.Value, sh.nrows)
-		slab := make([]sqlparse.Value, sh.nvals)
-		for i := range r.Rows {
-			var width int
-			width, b, _ = decodeCount(b)
-			row := slab[:width:width]
-			slab = slab[width:]
-			for j := range row {
+		r.Vals = make([]sqlparse.Value, sh.nrows*sh.ncols)
+		for row := r.Vals; len(row) > 0; row = row[sh.ncols:] {
+			_, b, _ = decodeCount(b) // the row's width, which is ncols
+			for j := range sh.ncols {
 				if row[j], str, b, _ = splitValue(b); row[j].Kind == sqlparse.KindString {
 					row[j].Str = copyOf(str, b)
 				}
 			}
-			r.Rows[i] = row
 		}
 	}
 	scanned, _, _ := Uvarint(b)

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -13,8 +14,10 @@ import (
 	"testing"
 	"unsafe"
 
+	"dssp/internal/apps"
 	"dssp/internal/engine"
 	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
 	"dssp/internal/template"
 )
 
@@ -284,10 +287,9 @@ func TestResultCodecRoundTrip(t *testing.T) {
 		{Columns: []string{"qty"}, RowsScanned: 3},
 		{
 			Columns: []string{"toy_id", "name", "price"},
-			Rows: [][]sqlparse.Value{
-				{sqlparse.IntVal(1), sqlparse.StringVal("robot\x00toy"), sqlparse.FloatVal(9.99)},
-				{sqlparse.IntVal(2), sqlparse.Null(), sqlparse.FloatVal(math.Inf(1))},
-				{},
+			Vals: []sqlparse.Value{
+				sqlparse.IntVal(1), sqlparse.StringVal("robot\x00toy"), sqlparse.FloatVal(9.99),
+				sqlparse.IntVal(2), sqlparse.Null(), sqlparse.FloatVal(math.Inf(1)),
 			},
 			RowsScanned: 128,
 		},
@@ -313,8 +315,10 @@ func TestResultCodecRoundTrip(t *testing.T) {
 }
 
 // referenceDecodeResult is the one-pass result decoder decodeResult
-// replaced, kept verbatim as the reference for what is accepted and what it
-// decodes to: one slice per row, one string per value.
+// replaced, kept as the reference for what is accepted and what it decodes
+// to: one string per value, appended to Vals as it is read. It holds the
+// grammar's two rules on the row width as it meets each row: a row is as
+// wide as the columns, and a result of no columns has no rows.
 func referenceDecodeResult(b []byte) (*engine.Result, error) {
 	var err error
 	r := &engine.Result{}
@@ -334,20 +338,17 @@ func referenceDecodeResult(b []byte) (*engine.Result, error) {
 	if err != nil {
 		return nil, errMalformed
 	}
-	if nrows > 0 {
-		r.Rows = make([][]sqlparse.Value, nrows)
-		for i := range r.Rows {
-			var width int
-			if width, b, err = decodeCount(b); err != nil {
+	for i := 0; i < nrows; i++ {
+		var width int
+		if width, b, err = decodeCount(b); err != nil || width != ncols || width == 0 {
+			return nil, errMalformed
+		}
+		for j := 0; j < width; j++ {
+			var v sqlparse.Value
+			if v, b, err = decodeValue(b); err != nil {
 				return nil, errMalformed
 			}
-			row := make([]sqlparse.Value, width)
-			for j := range row {
-				if row[j], b, err = decodeValue(b); err != nil {
-					return nil, errMalformed
-				}
-			}
-			r.Rows[i] = row
+			r.Vals = append(r.Vals, v)
 		}
 	}
 	scanned, rest, err := Uvarint(b)
@@ -358,33 +359,139 @@ func referenceDecodeResult(b []byte) (*engine.Result, error) {
 	return r, nil
 }
 
+// encodeRows encodes a result in the result grammar with rows of any
+// width — what appendResult writes when every row is as wide as cols, and
+// otherwise an input the decoders must refuse.
+func encodeRows(cols []string, rows ...[]sqlparse.Value) []byte {
+	b := binary.AppendUvarint(nil, uint64(len(cols)))
+	for _, c := range cols {
+		b = binary.AppendUvarint(b, uint64(len(c)))
+		b = append(b, c...)
+	}
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for _, row := range rows {
+		b = binary.AppendUvarint(b, uint64(len(row)))
+		b = appendParams(b, row)
+	}
+	return binary.AppendUvarint(b, 0)
+}
+
+// raggedResults are inputs in the result grammar whose rows are not as
+// wide as the columns: each a result engine.Result cannot hold.
+func raggedResults() [][]byte {
+	v := sqlparse.IntVal
+	return [][]byte{
+		encodeRows(nil, []sqlparse.Value{}, []sqlparse.Value{}, []sqlparse.Value{}),                // rows, no columns
+		encodeRows([]string{"a", "b"}, []sqlparse.Value{v(1)}, []sqlparse.Value{v(2), v(3), v(4)}), // short, then long
+		encodeRows([]string{"a", "b"}, []sqlparse.Value{v(1), v(2)}, []sqlparse.Value{}),           // a trailing empty row
+		encodeRows([]string{"a"}, []sqlparse.Value{v(1), v(2)}),                                    // all the values in one row
+	}
+}
+
 // decodeResultCorpus seeds the differential tests: every shape the grammar
 // allows, and one input for each way of breaking it.
 func decodeResultCorpus() [][]byte {
 	enc := func(r *engine.Result) []byte { return appendResult(nil, r) }
-	v := sqlparse.IntVal
-	return [][]byte{
+	corpus := [][]byte{
 		enc(&engine.Result{}),
 		enc(&engine.Result{Columns: []string{"qty"}, RowsScanned: 3}),
-		enc(&engine.Result{Rows: [][]sqlparse.Value{{}, {}, {}}}),                                                  // zero-width rows
-		enc(&engine.Result{Columns: []string{"a", "b"}, Rows: [][]sqlparse.Value{{v(1)}, {v(2), v(3), v(4)}, {}}}), // ragged
-		enc(&engine.Result{Columns: []string{"", "n"}, Rows: [][]sqlparse.Value{
-			{sqlparse.Null(), sqlparse.StringVal("")},
-			{sqlparse.FloatVal(math.Inf(-1)), sqlparse.StringVal("robot\x00toy")},
-			{sqlparse.FloatVal(math.NaN()), sqlparse.StringVal("nan")},
+		enc(&engine.Result{Columns: []string{"", "n"}, Vals: []sqlparse.Value{
+			sqlparse.Null(), sqlparse.StringVal(""),
+			sqlparse.FloatVal(math.Inf(-1)), sqlparse.StringVal("robot\x00toy"),
+			sqlparse.FloatVal(math.NaN()), sqlparse.StringVal("nan"),
 		}, RowsScanned: math.MaxInt32}),
 		// a string ending at the last byte of the rows (then the scan count)
-		enc(&engine.Result{Columns: []string{"s"}, Rows: [][]sqlparse.Value{{sqlparse.StringVal("tail")}}}),
+		enc(&engine.Result{Columns: []string{"s"}, Vals: []sqlparse.Value{sqlparse.StringVal("tail")}}),
 		{},
-		{0x80, 0x00, 0x00, 0x00},             // non-minimal uvarint column count
-		{0x00, 0x05, 0x00},                   // row count above the input left
-		{0x00, 0x01, 0x02, 0x00, 0x00},       // row width above the input left
-		{0x01, 0x09, 'a', 0x00, 0x00},        // column name running off the end
-		{0x00, 0x01, 0x01, 0x03, 0x02, 'a'},  // string value running off the end
-		{0x00, 0x01, 0x01, 0x07, 0x00},       // unknown value kind
-		{0x00, 0x01, 0x01, 0x01, 0x00, 0x00}, // truncated integer
+		{0x80, 0x00, 0x00, 0x00},       // non-minimal uvarint column count
+		{0x00, 0x05, 0x00},             // row count above the input left
+		{0x00, 0x01, 0x02, 0x00, 0x00}, // row width above the input left
+		{0x01, 0x09, 'a', 0x00, 0x00},  // column name running off the end
+		{0x01, 0x00, 0x01, 0x01, 0x03, 0x02, 'a'},                // string value running off the end
+		{0x01, 0x00, 0x01, 0x01, 0x07, 0x00},                     // unknown value kind
+		{0x01, 0x00, 0x01, 0x01, 0x01, 0x00, 0x00},               // truncated integer
 		append(enc(&engine.Result{Columns: []string{"qty"}}), 0), // trailing byte
 		{0x00, 0x00, 0x80, 0x80, 0x80, 0x80, 0x08},               // scan count above MaxInt32
+	}
+	return append(corpus, raggedResults()...)
+}
+
+// TestDecodersRefuseRaggedRows: a row not as wide as the columns is
+// malformed to both decoders, and so is a row of a result with no columns.
+func TestDecodersRefuseRaggedRows(t *testing.T) {
+	for _, b := range raggedResults() {
+		if _, err := decodeResult(b); err == nil {
+			t.Errorf("decodeResult accepted ragged rows %x", b)
+		}
+		if _, err := referenceDecodeResult(b); err == nil {
+			t.Errorf("the reference accepted ragged rows %x", b)
+		}
+	}
+}
+
+// TestResultRoundTripKeepsEngineResults: what the engine returns, of no
+// row, one row and many, decodes from appendResult's bytes to the same
+// Columns, Vals and RowsScanned, and those bytes are the rows in the
+// grammar, each carrying its width.
+func TestResultRoundTripKeepsEngineResults(t *testing.T) {
+	app := apps.Toystore()
+	db := storage.NewDatabase(app.Schema)
+	if err := apps.SeedToystore(db); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql    string
+		params []sqlparse.Value
+		rows   int
+	}{
+		{"SELECT toy_id, qty FROM toys WHERE toy_id=?", []sqlparse.Value{sqlparse.IntVal(999)}, 0},
+		{"SELECT toy_name, qty FROM toys WHERE toy_id=?", []sqlparse.Value{sqlparse.IntVal(5)}, 1},
+		{"SELECT toy_id, toy_name, qty FROM toys ORDER BY toy_id", nil, -1},
+		{"SELECT toy_name, COUNT(*), MAX(qty) FROM toys GROUP BY toy_name", nil, -1},
+	} {
+		res, err := engine.ExecQuery(db, sqlparse.MustParse(c.sql).(*sqlparse.SelectStmt), c.params)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if c.rows >= 0 && res.Len() != c.rows || c.rows < 0 && res.Len() < 2 {
+			t.Fatalf("%s: %d rows, want %d (-1: many)", c.sql, res.Len(), c.rows)
+		}
+		b := appendResult(nil, res)
+		got, err := decodeResult(b)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if !reflect.DeepEqual(got.Columns, res.Columns) || !slices.Equal(got.Vals, res.Vals) || got.RowsScanned != res.RowsScanned {
+			t.Fatalf("%s: decoded %+v, want %+v", c.sql, got, res)
+		}
+		rows := make([][]sqlparse.Value, res.Len())
+		for i := range rows {
+			rows[i] = res.Row(i)
+		}
+		want := encodeRows(res.Columns, rows...)
+		want = binary.AppendUvarint(want[:len(want)-1], uint64(res.RowsScanned))
+		if !bytes.Equal(b, want) {
+			t.Fatalf("%s: appendResult wrote %x, want %x", c.sql, b, want)
+		}
+	}
+}
+
+// TestDecodedRowsAreCapped: appending to a row of a decoded result never
+// writes into the next one.
+func TestDecodedRowsAreCapped(t *testing.T) {
+	r, err := decodeResult(appendResult(nil, benchResult(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := r.Fingerprint(true)
+	for i := range r.Len() - 1 {
+		if row := r.Row(i); cap(row) != len(r.Columns) {
+			t.Fatalf("row %d has cap %d, want %d", i, cap(row), len(r.Columns))
+		}
+		_ = append(r.Row(i), sqlparse.StringVal("appended"))
+		if r.Fingerprint(true) != want {
+			t.Fatalf("appending to row %d rewrote the result", i)
+		}
 	}
 }
 
@@ -392,20 +499,14 @@ func decodeResultCorpus() [][]byte {
 // one — except that floats compare by their bits, so a NaN equals itself.
 func identicalResults(a, b *engine.Result) bool {
 	if !reflect.DeepEqual(a.Columns, b.Columns) || a.RowsScanned != b.RowsScanned ||
-		(a.Rows == nil) != (b.Rows == nil) || len(a.Rows) != len(b.Rows) {
+		(a.Vals == nil) != (b.Vals == nil) || len(a.Vals) != len(b.Vals) {
 		return false
 	}
-	for i, ra := range a.Rows {
-		rb := b.Rows[i]
-		if (ra == nil) != (rb == nil) || len(ra) != len(rb) {
+	for i, va := range a.Vals {
+		vb := b.Vals[i]
+		if va.Kind != vb.Kind || va.Int() != vb.Int() || va.Str != vb.Str ||
+			math.Float64bits(va.Float()) != math.Float64bits(vb.Float()) {
 			return false
-		}
-		for j, va := range ra {
-			vb := rb[j]
-			if va.Kind != vb.Kind || va.Int() != vb.Int() || va.Str != vb.Str ||
-				math.Float64bits(va.Float()) != math.Float64bits(vb.Float()) {
-				return false
-			}
 		}
 	}
 	return true
@@ -492,7 +593,7 @@ func TestDecodeResultDoesNotAliasInput(t *testing.T) {
 }
 
 // TestDecodeResultAllocations pins what the two passes buy: the body copy,
-// Columns, Rows, one value slab and the Result — whatever the row count.
+// Columns, one value array and the Result — whatever the row count.
 func TestDecodeResultAllocations(t *testing.T) {
 	for _, nrows := range []int{1, 50} {
 		b := appendResult(nil, benchResult(nrows))
@@ -500,21 +601,21 @@ func TestDecodeResultAllocations(t *testing.T) {
 			if _, err := decodeResult(b); err != nil {
 				t.Fatal(err)
 			}
-		}); n > 5 {
-			t.Errorf("decodeResult of %d rows: %v allocations, want <= 5", nrows, n)
+		}); n > 4 {
+			t.Errorf("decodeResult of %d rows: %v allocations, want <= 4", nrows, n)
 		}
 	}
 	// With the names shared, a result with no string byte among its values
-	// has nothing to point into a copy of the body, and makes none: Rows
-	// and the slab alone. One string value brings the copy back.
+	// has nothing to point into a copy of the body, and makes none: the
+	// value array alone. One string value brings the copy back.
 	columns := []string{"i_id", "i_cost"}
 	for _, c := range []struct {
 		title string
 		want  float64
-	}{{"", 2}, {"x", 3}} {
-		b := appendResult(nil, &engine.Result{Columns: columns, Rows: [][]sqlparse.Value{
-			{sqlparse.IntVal(1), sqlparse.FloatVal(2)},
-			{sqlparse.StringVal(c.title), sqlparse.Null()},
+	}{{"", 1}, {"x", 2}} {
+		b := appendResult(nil, &engine.Result{Columns: columns, Vals: []sqlparse.Value{
+			sqlparse.IntVal(1), sqlparse.FloatVal(2),
+			sqlparse.StringVal(c.title), sqlparse.Null(),
 		}})
 		var r engine.Result
 		if n := testing.AllocsPerRun(100, func() {
@@ -524,8 +625,8 @@ func TestDecodeResultAllocations(t *testing.T) {
 		}); n != c.want {
 			t.Errorf("decodeResultInto with shared names and a string value %q: %v allocations, want %v", c.title, n, c.want)
 		}
-		if r.Rows[1][0].Str != c.title || r.Rows[1][0].Kind != sqlparse.KindString {
-			t.Errorf("decodeResultInto: %v, want the string %q", r.Rows[1][0], c.title)
+		if r.Row(1)[0].Str != c.title || r.Row(1)[0].Kind != sqlparse.KindString {
+			t.Errorf("decodeResultInto: %v, want the string %q", r.Row(1)[0], c.title)
 		}
 	}
 }
@@ -535,9 +636,7 @@ func TestDecodeResultAllocations(t *testing.T) {
 func benchResult(n int) *engine.Result {
 	r := &engine.Result{Columns: []string{"i_id", "i_title", "i_cost"}, RowsScanned: 4 * n}
 	for i := 0; i < n; i++ {
-		r.Rows = append(r.Rows, []sqlparse.Value{
-			sqlparse.IntVal(int64(i)), sqlparse.StringVal("title " + strconv.Itoa(i)), sqlparse.FloatVal(9.99),
-		})
+		r.Vals = append(r.Vals, sqlparse.IntVal(int64(i)), sqlparse.StringVal("title "+strconv.Itoa(i)), sqlparse.FloatVal(9.99))
 	}
 	return r
 }
@@ -575,7 +674,7 @@ func TestOpenResultNoAliasing(t *testing.T) {
 	c, app := testCodec(t, nil) // Q2 defaults to view exposure
 	cached := &engine.Result{
 		Columns:     []string{"qty", "name"},
-		Rows:        [][]sqlparse.Value{{sqlparse.IntVal(25), sqlparse.StringVal("robot")}},
+		Vals:        []sqlparse.Value{sqlparse.IntVal(25), sqlparse.StringVal("robot")},
 		RowsScanned: 1,
 	}
 	want := cached.Fingerprint(true)
@@ -593,8 +692,8 @@ func TestOpenResultNoAliasing(t *testing.T) {
 	}
 	// Mutate every level of the opened copy.
 	opened.Columns[0] = "corrupted"
-	opened.Rows[0][0] = sqlparse.IntVal(-999)
-	opened.Rows = append(opened.Rows[:0], nil)
+	opened.Row(0)[0] = sqlparse.IntVal(-999)
+	opened.Vals = append(opened.Vals[:0], sqlparse.Null())
 	opened.RowsScanned = 0
 	if cached.Fingerprint(true) != want || cached.RowsScanned != 1 {
 		t.Fatal("mutating the opened result corrupted the cached object")
@@ -609,7 +708,7 @@ func TestOpenResultNoAliasingConcurrent(t *testing.T) {
 	c, app := testCodec(t, nil)
 	cached := &engine.Result{
 		Columns: []string{"qty"},
-		Rows:    [][]sqlparse.Value{{sqlparse.IntVal(25)}},
+		Vals:    []sqlparse.Value{sqlparse.IntVal(25)},
 	}
 	want := cached.Fingerprint(true)
 	sr := c.SealResult(app.Query("Q2"), cached)
@@ -626,7 +725,7 @@ func TestOpenResultNoAliasingConcurrent(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				r.Rows[0][0] = sqlparse.IntVal(int64(w*1000 + i))
+				r.Row(0)[0] = sqlparse.IntVal(int64(w*1000 + i))
 				r.Columns[0] = fmt.Sprintf("w%d", w)
 			}
 		}()

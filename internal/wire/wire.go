@@ -455,12 +455,10 @@ func (sr SealedResult) Size() int {
 	for _, c := range sr.Result.Columns {
 		n += len(c) + 4
 	}
-	for _, row := range sr.Result.Rows {
-		for _, v := range row {
-			n += 10
-			if v.Kind == sqlparse.KindString {
-				n += len(v.Str)
-			}
+	for _, v := range sr.Result.Vals {
+		n += 10
+		if v.Kind == sqlparse.KindString {
+			n += len(v.Str)
 		}
 	}
 	return n

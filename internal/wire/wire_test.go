@@ -203,7 +203,7 @@ func TestOpenPayloadRoundTrip(t *testing.T) {
 func TestSealResultRoundTrip(t *testing.T) {
 	res := &engine.Result{
 		Columns: []string{"qty"},
-		Rows:    [][]sqlparse.Value{{sqlparse.IntVal(25)}},
+		Vals:    []sqlparse.Value{sqlparse.IntVal(25)},
 	}
 	// Encrypted at stmt exposure.
 	c, app := testCodec(t, map[string]template.Exposure{"Q2": template.ExpStmt})
@@ -260,7 +260,7 @@ func TestOpenedResultsShareTheirTemplatesColumns(t *testing.T) {
 			t.Fatalf("the codec holds Q2's columns as %q, want [qty]", shared)
 		}
 		for _, cols := range [][]string{{"qty"}, {"quantity"}, {"qty", "toy_id"}} {
-			res := &engine.Result{Columns: cols, Rows: [][]sqlparse.Value{{sqlparse.IntVal(25), sqlparse.StringVal("kite")}}, RowsScanned: 1}
+			res := &engine.Result{Columns: cols, Vals: []sqlparse.Value{sqlparse.IntVal(25), sqlparse.StringVal("kite")}, RowsScanned: 1}
 			sealed := c.SealResult(q, res)
 			forms := map[string]SealedResult{"sealed": sealed}
 			if exp == template.ExpView {
