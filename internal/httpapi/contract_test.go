@@ -348,7 +348,7 @@ func TestGarbledFramesAreRefused(t *testing.T) {
 // of reading as 0, and is counted.
 func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 	sq, _, sr := sealedAt(t, template.ExpStmt)
-	answer := (&execQueryMsg{Result: sr, Scanned: 1}).appendWire(nil)
+	answer := (&execQueryMsg{Result: sr}).appendWire(nil)
 	var next atomic.Pointer[func(stream uint32) []byte]
 	peer := newFakePeer(t, func(req *frame) []byte { return (*next.Load())(req.stream) })
 	reg := obs.NewRegistry()
@@ -361,7 +361,7 @@ func TestReplicaProxyRefusesGarbledWatermark(t *testing.T) {
 		return res, err
 	}
 
-	if res, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusOK, uvarint(12), answer) }); err != nil || res.Applied != 12 || res.Scanned != 1 {
+	if res, err := call(func(s uint32) []byte { return rawFrame(OpExecQuery, s, statusOK, uvarint(12), answer) }); err != nil || res.Applied != 12 || res.Result.Size() != sr.Size() {
 		t.Errorf("well-formed answer: %+v, %v", res, err)
 	}
 	var lag *pipeline.LagError

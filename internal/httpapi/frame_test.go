@@ -404,7 +404,7 @@ func BenchmarkExecQueryRoundTrip(b *testing.B) {
 			resp.fail(statusBadRequest, err)
 			return
 		}
-		resp.body = (&execQueryMsg{Result: sr, Scanned: 1}).appendWire(resp.body)
+		resp.body = (&execQueryMsg{Result: sr}).appendWire(resp.body)
 	}})
 	t := homeTransport{newHop(&http.Client{Timeout: DefaultTimeout}, srv.URL, nil)}
 	ctx := context.Background()

@@ -281,12 +281,12 @@ func homeMux(home *homeserver.Server) *http.ServeMux {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			res, empty, scanned, err := home.ExecQuery(sq)
+			res, empty, _, err := home.ExecQuery(sq)
 			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			resp.body = (&execQueryMsg{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
+			resp.body = (&execQueryMsg{Result: res, Empty: empty}).appendWire(resp.body)
 		},
 		OpExecUpdate: func(_ context.Context, req, resp *frame) {
 			var su wire.SealedUpdate

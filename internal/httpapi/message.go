@@ -22,7 +22,7 @@ import (
 //	query          query                     result bool(hit)                    —
 //	update         update                    count(affected) count(invalidated)  answer seq: the update's confirmed sequence
 //	invalidate     update                    count(invalidated)                  request seq: the update's confirmed sequence
-//	exec query     query                     result bool(empty) count(scanned)   request seq: the node's freshness floor;
+//	exec query     query                     result bool(empty)                  request seq: the node's freshness floor;
 //	                                                                             answer seq: a replica's applied watermark
 //	exec update    update                    count(affected)                     answer seq: the update's confirmed sequence
 //	replica apply  { uvarint(seq) update }*  (empty)                             answer seq: the replica's applied watermark
@@ -74,7 +74,8 @@ var errMalformed = errors.New("httpapi: malformed message")
 // the rest of each envelope (message_test.go). Where a grammar
 // is another package's type, the envelope is that type under a name of
 // its own: the sealed statements, the exec query answer (whose Applied
-// rides the header), the apply batch and the migration grammars.
+// rides the header and whose Scanned stays at the home), the apply batch
+// and the migration grammars.
 type (
 	queryMsg         wire.SealedQuery
 	updateMsg        wire.SealedUpdate
@@ -137,18 +138,14 @@ func (m *updateAnswer) decodeWire(b []byte) (err error) {
 }
 
 func (m *execQueryMsg) appendWire(dst []byte) []byte {
-	dst = wire.AppendSealedResult(dst, &m.Result)
-	return appendInt(appendBool(dst, m.Empty), m.Scanned)
+	return appendBool(wire.AppendSealedResult(dst, &m.Result), m.Empty)
 }
 
 func (m *execQueryMsg) decodeWire(b []byte) (err error) {
 	if m.Result, b, err = wire.DecodeSealedResult(b); err != nil {
 		return err
 	}
-	if m.Empty, b, err = decodeBool(b); err != nil {
-		return err
-	}
-	m.Scanned, b, err = decodeInt(b)
+	m.Empty, b, err = decodeBool(b)
 	return closeMessage(b, err)
 }
 

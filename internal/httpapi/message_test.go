@@ -136,7 +136,7 @@ func envelopes(t testing.TB, exp template.Exposure) []envelopeCase {
 		OpQuery:        {(*queryMsg)(&sq), &queryAnswer{result: sr, hit: true}},
 		OpUpdate:       {(*updateMsg)(&su), &updateAnswer{affected: 3, invalidated: 200}},
 		OpInvalidate:   {(*updateMsg)(&su2), count(129)},
-		OpExecQuery:    {(*queryMsg)(&sq), &execQueryMsg{Result: sr, Empty: true, Scanned: 70000}},
+		OpExecQuery:    {(*queryMsg)(&sq), &execQueryMsg{Result: sr, Empty: true}},
 		OpExecUpdate:   {(*updateMsg)(&su), count(1)},
 		OpReplicaApply: {&applyMsg{{Seq: 1, Update: su}, {Seq: math.MaxUint64, Update: su2}}, new(emptyMsg)},
 		OpBucketExport: {&ids, &entries},
@@ -217,7 +217,7 @@ func TestEnvelopeFieldEdges(t *testing.T) {
 		t.Fatal("view exposure did not keep the result in the clear")
 	}
 	for _, empty := range []bool{false, true} {
-		want := execQueryMsg{Result: plain, Empty: empty, Scanned: 1}
+		want := execQueryMsg{Result: plain, Empty: empty}
 		var got execQueryMsg
 		if err := got.decodeWire(want.appendWire(nil)); err != nil || !reflect.DeepEqual(got, want) {
 			t.Errorf("view-exposure exec query answer (Empty=%v): got %+v (err %v)", empty, got, err)
@@ -225,6 +225,12 @@ func TestEnvelopeFieldEdges(t *testing.T) {
 		if got.Result.Result == plain.Result {
 			t.Error("decoded plaintext result is the encoder's object")
 		}
+	}
+	// The rows the home scanned stay at the home: the answer leaves them
+	// out.
+	scanned := execQueryMsg{Result: plain, Scanned: 70000}
+	if enc, want := scanned.appendWire(nil), (&execQueryMsg{Result: plain}).appendWire(nil); !bytes.Equal(enc, want) {
+		t.Errorf("exec query answer with Scanned set encodes to %x, want %x", enc, want)
 	}
 
 	// bool is 0 or 1; counts that land in an int are bounded.

@@ -54,7 +54,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 				resp.fail(statusLag, fmt.Errorf("replica lagging: applied %d < floor %d", applied, req.seq))
 				return
 			}
-			res, empty, scanned, err := rep.ExecQuery(sq)
+			res, empty, _, err := rep.ExecQuery(sq)
 			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
@@ -63,7 +63,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 			// above, so the answer never claims more freshness than the
 			// result has.
 			resp.seq = rep.Applied()
-			resp.body = (&execQueryMsg{Result: res, Empty: empty, Scanned: scanned}).appendWire(resp.body)
+			resp.body = (&execQueryMsg{Result: res, Empty: empty}).appendWire(resp.body)
 		},
 		OpReplicaApply: func(_ context.Context, req, resp *frame) {
 			var batch applyMsg

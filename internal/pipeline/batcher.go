@@ -11,9 +11,9 @@ import (
 // batcher is the pipeline's monitoring-interval stage: confirmed updates
 // accumulate here, in confirmation order, and are applied to the cache as
 // one batch when the interval expires. The first update of an idle period
-// arms the flush timer (on the deployment's clock — wall time, or the
-// simulator's virtual time), so an empty node schedules no work and a
-// busy one flushes exactly once per interval.
+// arms the flush timer (Options.After: wall time, or a test's hand-stepped
+// clock), so an empty node schedules no work and a busy one flushes exactly
+// once per interval.
 type batcher struct {
 	p        *Pipeline
 	interval time.Duration

@@ -54,8 +54,11 @@ type Cache interface {
 
 // ExecQueryResult is the home server's answer to a forwarded query: the
 // sealed result, the trusted side's emptiness hint (for the no-empty-
-// results caching policy), and the base rows scanned (the simulator's cost
-// model input).
+// results caching policy), and the base rows scanned. Scanned is filled in
+// only where the home runs in the node's process (DirectTransport, the
+// simulator's transports, whose cost model reads the home's own return
+// value, not this field); the framed hop does not carry it, so a node
+// learns the rows scanned only inside a view-exposed result.
 type ExecQueryResult struct {
 	Result  wire.SealedResult
 	Empty   bool
@@ -132,8 +135,8 @@ type QueryReply struct {
 	// home-server execution instead of issuing its own.
 	Coalesced bool
 
-	// Scanned is the base rows scanned at the home server (0 on a hit or
-	// a coalesced miss).
+	// Scanned is the base rows scanned at the home server (0 on a hit, a
+	// coalesced miss, or a home across a hop: ExecQueryResult.Scanned).
 	Scanned int
 }
 
@@ -161,8 +164,8 @@ type Options struct {
 	MonitorInterval time.Duration
 
 	// After schedules fn after d for the batcher's flush timer. nil uses
-	// time.AfterFunc; the simulator passes its virtual-time scheduler so
-	// the interval elapses on the simulated clock.
+	// time.AfterFunc; tests pass a scheduler of their own to step the
+	// flushes by hand.
 	After func(d time.Duration, fn func())
 
 	// Fresh is the node's freshness floor — the vector NewTierTransport

@@ -327,6 +327,75 @@ func TestRouterLeaveLastNodeRejected(t *testing.T) {
 	}
 }
 
+// A join after the highest member is killed mints a fresh ID, one past the
+// highest ever admitted: reusing the dead node's would file the new node
+// under an ID that blind-key pins and in-flight fan-out still name. After
+// the flip the killed node gets no query, pinned or routed, and no fan-out.
+func TestRouterJoinAfterKillMintsFreshID(t *testing.T) {
+	r, fakes, _ := routedFixture(t, 3)
+	ctx := context.Background()
+	blind := func(k int) wire.SealedQuery {
+		return wire.SealedQuery{Key: fmt.Sprintf("blind-tok-%d", k), TraceID: obs.NewTraceID()}
+	}
+	const keys = 32
+	for k := 0; k < keys; k++ {
+		if _, _, err := query(ctx, r, blind(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	killed := fakes[2]
+	if len(killed.queries) == 0 {
+		t.Fatal("no blind key pinned to node 2; nothing was tested")
+	}
+	before := len(killed.queries)
+	if _, err := r.Leave(ctx, 2, false); err != nil {
+		t.Fatal(err)
+	}
+	joined := &fakeBackend{affected: 1, invalidated: 1}
+	rep, err := r.Join(ctx, joined, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Node != 3 {
+		t.Fatalf("join after killing node 2 minted ID %d, want 3", rep.Node)
+	}
+	if got := fmt.Sprint(r.Members()); got != "[0 1 3]" {
+		t.Errorf("members after the join = %s, want [0 1 3]", got)
+	}
+	if r.backend(3) != Backend(joined) {
+		t.Error("ID 3 does not name the joined backend")
+	}
+
+	app := r.planner.analysis.App
+	for k := 0; k < keys; k++ {
+		if _, _, err := query(ctx, r, blind(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range app.Queries {
+		if _, _, err := query(ctx, r, wire.SealedQuery{TemplateID: q.ID, Key: q.ID, TraceID: obs.NewTraceID()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	updates := []string{"FORGED"} // a forged template broadcasts
+	for _, u := range app.Updates {
+		updates = append(updates, u.ID)
+	}
+	for _, id := range updates {
+		if _, _, _, err := r.Update(ctx, wire.SealedUpdate{TemplateID: id, TraceID: obs.NewTraceID()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(killed.queries) - before; got != 0 || len(killed.updates)+len(killed.invalidates) != 0 {
+		t.Errorf("killed node 2 got %d queries, %d updates and %d invalidations after the join, want none",
+			got, len(killed.updates), len(killed.invalidates))
+	}
+	if len(joined.queries) == 0 || len(joined.invalidates)+len(joined.updates) == 0 {
+		t.Errorf("joined node 3 got %d queries and %d updates or invalidations, want some of each",
+			len(joined.queries), len(joined.invalidates)+len(joined.updates))
+	}
+}
+
 // stagedBackend is a fakeBackend whose Update can be held at a gate and
 // whose invalidation counts are read off the update itself (its first
 // opaque byte n: n from Update, 10n from Invalidate), so updates in flight

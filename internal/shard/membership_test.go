@@ -12,8 +12,8 @@ import (
 
 // Ring membership changes in one place: the planner's rebalance steps
 // have production callers only in Router.Join and Router.Leave, and the
-// simulator, which changes membership through a Router, moves no bucket
-// itself.
+// simulator, whose fleet is fixed for the run and which only routes and
+// plans fan-out through a Router, moves no bucket.
 func TestMembershipChangesOnce(t *testing.T) {
 	rebalance := map[string]bool{"StageRebalance": true, "CommitRebalance": true, "AbortRebalance": true}
 	buckets := map[string]bool{"ExportBuckets": true, "ImportBuckets": true, "DropBuckets": true}
@@ -58,7 +58,7 @@ func TestMembershipChangesOnce(t *testing.T) {
 						fset.Position(call.Pos()), fn.Name.Name, name)
 				}
 				if buckets[name] && filepath.Dir(path) == simrun {
-					t.Errorf("%s: %s calls %s; the simulator migrates buckets through Router.Join and Router.Leave",
+					t.Errorf("%s: %s calls %s; the simulator moves no bucket",
 						fset.Position(call.Pos()), fn.Name.Name, name)
 				}
 				return true

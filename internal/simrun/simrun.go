@@ -58,24 +58,6 @@ type Config struct {
 	// traffic.
 	Nodes int
 
-	// Fleet schedules ring-membership changes on virtual time, each one a
-	// call to the router's own Join or Leave — the code path the HTTP
-	// router's /v1/ring endpoints run. Events may be given in any order;
-	// each fires at its virtual offset, and the first one the router
-	// refuses is Simulate's error. Migration itself is treated as a
-	// control-plane action with no virtual-time cost — what the simulation
-	// measures is the traffic's hit-rate response, not the handoff's
-	// bandwidth.
-	Fleet []FleetEvent
-
-	// MonitorInterval batches each node's invalidation per monitoring
-	// interval, on virtual time: confirmed updates accumulate in the
-	// node's pipeline batcher and are applied together when the interval
-	// expires, exactly as the wall-clock deployments do (the simulator
-	// models the interval at the node batcher; the home server's
-	// wall-clock gate stays off). 0 invalidates inline per update.
-	MonitorInterval time.Duration
-
 	// HomeReplicas adds K trusted read replicas behind each home
 	// partition, mirroring the HTTP deployment's replicated home tier:
 	// each replica starts from a database populated identically to the
@@ -107,21 +89,6 @@ type Config struct {
 	// (leakage.Observer.Cache and .Transport), so the audit sees fan-out
 	// invalidations too. The audit lands in Result.Leakage.
 	Leakage bool
-}
-
-// FleetEvent is one scheduled ring-membership change. Kind "join" adds
-// a node (its ID is minted by the router and never reused: one past the
-// highest ID ever admitted, so it gets a fresh slot in Result.PerNode);
-// "leave" retires the named member; "kill" removes it as a failure.
-// Warm, on a join, streams the moved template buckets' sealed entries
-// from their old owners before the epoch flips; on a leave it drains the
-// departing node's buckets to their survivors. A kill never migrates —
-// the dead node's entries are simply lost and re-missed.
-type FleetEvent struct {
-	At   time.Duration
-	Kind string // "join", "leave", or "kill"
-	Node int    // the member to remove (leave/kill); ignored for join
-	Warm bool
 }
 
 // DefaultConfig fills in the paper's §5.2 parameters for a benchmark.
@@ -177,18 +144,13 @@ type Result struct {
 
 	// PerNode holds each node's own cache counters, indexed by node ID —
 	// the per-node hit rates the sim↔HTTP scale-out parity test compares.
-	// Nodes that left or were killed keep their slot.
 	PerNode []cache.Stats
-
-	// MigratedEntries counts the sealed cache entries streamed between
-	// node caches by warm Fleet events (joins and drains).
-	MigratedEntries int
 
 	// FanoutMessages and FanoutSkipped count the router's cross-node
 	// invalidation messages actually sent versus the ones the planner's
 	// A>0 index proved unnecessary (a broadcast would have sent them).
-	// Each update accounts for one less than the live node count between
-	// them, outside a handoff window; both are zero on one node.
+	// Each update accounts for one less than the node count between them;
+	// both are zero on one node.
 	FanoutMessages int
 	FanoutSkipped  int
 }
@@ -199,19 +161,17 @@ type Result struct {
 // on the caller's stack. The transport plays both roles of the deployment
 // — it charges the cost model for the home server's CPU (mirroring the
 // queue into the admission metrics the real home server registers) and,
-// being omniscient, opens sealed payloads to attribute home-side load to
-// true template IDs, exactly as the trusted side does in a real
-// deployment. It also fans each completed update out to the other nodes'
-// invalidation monitors the router's fan-out plan names, one home-link
-// propagation later (Figure 1 shows several nodes; consistency is
-// per-node): through each node's pipeline monitor, so a configured
-// monitoring interval batches the foreign updates exactly like the
-// node's own.
+// being omniscient, attributes home-side load to true template IDs, exactly
+// as the trusted side does in a real deployment: the template runOp sealed
+// rides the call's context (tplKey), so the payload is decrypted once, by
+// the home server that runs it. It also fans each completed update out to
+// the other nodes' invalidation monitors the router's fan-out plan names,
+// one home-link propagation later (Figure 1 shows several nodes;
+// consistency is per-node), through each node's pipeline monitor.
 type simTransport struct {
 	world    *sim.Sim
 	reg      *obs.Registry
 	tracer   *obs.Tracer
-	codec    *wire.Codec
 	home     *homeserver.Server
 	homeCPU  *sim.Server
 	toHome   *sim.Link
@@ -233,18 +193,13 @@ type simTransport struct {
 	waitQ, waitU *obs.Histogram
 }
 
-// trueTemplate reads the template of a sealed payload, and nothing more,
-// to recover the true template ID for trusted-side (home server)
-// attribution.
-func (t *simTransport) trueTemplate(opaque []byte) string {
-	tpl, err := t.codec.PayloadTemplate(opaque)
-	if err != nil {
-		panic(err)
-	}
-	return tpl.ID
-}
+// tplKey keys the template of the statement a call carries on the call's
+// context. runOp puts it there; it passes unchanged through the pipeline
+// (a coalesced miss's leader carries the same template as its joiners),
+// the replica set, the partitioned transport and the leakage decorator.
+type tplKey struct{}
 
-func (t *simTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+func (t *simTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
 	t.toHome.Send(t.costs.RequestBytes+len(sq.Opaque), func() {
 		sealed, empty, scanned, err := t.home.ExecQuery(sq)
 		if err != nil {
@@ -257,7 +212,7 @@ func (t *simTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done fu
 			t.waitQ.Observe(wait)
 			t.queueDepth.Set(int64(t.homeCPU.QueueLen()))
 			t.res.HomeQueries++
-			tID := t.trueTemplate(sq.Opaque)
+			tID := ctx.Value(tplKey{}).(*template.Template).ID
 			// Home-side spans mirror the real home server's admit-then-
 			// execute order, parented to the node's network span.
 			t.tracer.ObserveSpan(obs.SpanRecord{Trace: sq.TraceID, Parent: sq.ParentSpan,
@@ -273,7 +228,7 @@ func (t *simTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done fu
 	})
 }
 
-func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+func (t *simTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
 	t.toHome.Send(t.costs.RequestBytes+len(su.Opaque), func() {
 		submit := t.world.Now()
 		t.homeCPU.Submit(t.costs.HomeUpdateCost, func() {
@@ -285,7 +240,7 @@ func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done 
 				panic(fmt.Sprintf("simrun: update: %v", err))
 			}
 			t.res.HomeUpdates++
-			tID := t.trueTemplate(su.Opaque)
+			tID := ctx.Value(tplKey{}).(*template.Template).ID
 			t.tracer.ObserveSpan(obs.SpanRecord{Trace: su.TraceID, Parent: su.ParentSpan,
 				Stage: obs.StageAdmission, Template: tID, Start: submit, Duration: wait})
 			t.tracer.ObserveSpan(obs.SpanRecord{Trace: su.TraceID, Parent: su.ParentSpan,
@@ -293,10 +248,9 @@ func (t *simTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done 
 			t.reg.Counter(obs.MHomeUpdates, obs.L(obs.LTemplate, tID)).Inc()
 			// The other nodes the router's fan-out plan names monitor the
 			// completed update too, one home-link propagation later,
-			// through their pipeline monitors — which record the
-			// invalidate span and, with a monitoring interval configured,
-			// batch it with the node's own stream. The issuing node
-			// invalidates in the pipeline when done resolves.
+			// through their pipeline monitors, which record the
+			// invalidate span. The issuing node invalidates in the
+			// pipeline when done resolves.
 			targets, skipped := t.router.FanoutPlan(su.TemplateID, t.self)
 			t.res.FanoutMessages += len(targets)
 			t.res.FanoutSkipped += skipped
@@ -371,21 +325,6 @@ func Simulate(cfg Config) (*Result, error) {
 	if cfg.HomePartitions <= 0 {
 		cfg.HomePartitions = 1
 	}
-	joins := 0
-	for _, ev := range cfg.Fleet {
-		switch ev.Kind {
-		case "join":
-			joins++
-		case "leave", "kill":
-		default:
-			return nil, fmt.Errorf("simrun: fleet event kind %q (want join, leave, or kill)", ev.Kind)
-		}
-	}
-	// The router never reuses a node ID: every join mints one past the
-	// highest ID ever admitted, so the fleet arrays are sized for the whole
-	// run up front (slots beyond the live set stay nil until their join
-	// fires).
-	maxNodes := cfg.Nodes + joins
 	nParts := cfg.HomePartitions
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	app := cfg.Benchmark.App()
@@ -415,14 +354,6 @@ func Simulate(cfg Config) (*Result, error) {
 	// seals and opens through, on the virtual clock.
 	client := &dssp.Client{Codec: codec, Tracer: obs.NewTracer(reg, clock).SetIdentity(obs.ProcClient, "").SetStore(store)}
 	homeTracer := obs.NewTracer(reg, clock).SetIdentity(obs.ProcHome, "").SetStore(store)
-
-	cacheOpts := cfg.CacheOpts
-	cacheOpts.Obs = reg
-	nodes := make([]*dssp.Node, maxNodes)
-	nodeCPUs := make([]*sim.Server, maxNodes)
-	for i := 0; i < cfg.Nodes; i++ {
-		nodes[i] = dssp.NewNode(app, analysis, cacheOpts)
-	}
 
 	// The home tier: P partition primaries and K replicas behind each,
 	// every one a full engine over its own same-seed database and its own
@@ -486,13 +417,13 @@ func Simulate(cfg Config) (*Result, error) {
 
 	// The shard router: the same route, ownership map, pruned fan-out plan
 	// and membership changes the HTTP router uses, so the simulated
-	// topology is the deployed one. Its backends carry only the node
-	// caches, for warm handoff: requests run on virtual time through the
-	// node pipelines below, sent where the router routes them, so the
+	// topology is the deployed one. It only routes and plans fan-out, so
+	// its backends carry nothing: requests run on virtual time through the
+	// node pipelines below, sent where the router routes them, and the
 	// router's synchronous Query and Update are never called here.
 	backends := make([]shard.Backend, cfg.Nodes)
 	for i := range backends {
-		backends[i] = shard.PipeBackend{Buckets: nodes[i].Cache}
+		backends[i] = shard.PipeBackend{}
 	}
 	router := shard.NewRouter(analysis, backends, nil)
 	planner := router.Planner()
@@ -508,11 +439,14 @@ func Simulate(cfg Config) (*Result, error) {
 	// One pipeline per node — the same pathway every other deployment
 	// routes through — over a virtual-time transport. The pipes slice is
 	// shared with every transport before it is filled: fan-out only runs
-	// once the world does, when all pipelines exist. buildNode also serves
-	// joins mid-run: a joining node's slot was preallocated, so filling it
-	// is visible to every transport holding the slice.
-	pipes := make([]*pipeline.Pipeline, maxNodes)
-	buildNode := func(i int) {
+	// once the world does, when all pipelines exist.
+	cacheOpts := cfg.CacheOpts
+	cacheOpts.Obs = reg
+	nodes := make([]*dssp.Node, cfg.Nodes)
+	nodeCPUs := make([]*sim.Server, cfg.Nodes)
+	pipes := make([]*pipeline.Pipeline, cfg.Nodes)
+	for i := range pipes {
+		nodes[i] = dssp.NewNode(app, analysis, cacheOpts)
 		nodeCPUs[i] = sim.NewServer(&world, cfg.Costs.DSSPCapacity)
 		nodeTracer := obs.NewTracer(reg, clock).
 			SetIdentity(obs.ProcNode, strconv.Itoa(i)).SetStore(store)
@@ -522,7 +456,7 @@ func Simulate(cfg Config) (*Result, error) {
 		parts := make([]pipeline.TierPart, nParts)
 		for p := range parts {
 			parts[p].Primary = &simTransport{
-				world: &world, reg: reg, tracer: homeTracer, codec: codec,
+				world: &world, reg: reg, tracer: homeTracer,
 				home: homes[p], homeCPU: homeCPUs[p], toHome: toHome, fromHome: fromHome,
 				costs: cfg.Costs, network: cfg.Network, pipes: pipes, self: i, res: res,
 				router:     router,
@@ -540,45 +474,7 @@ func Simulate(cfg Config) (*Result, error) {
 		if audit != nil {
 			nodeCache, transport = audit.Cache(nodeCache), audit.Transport(transport)
 		}
-		pipes[i] = pipeline.New(nodeCache, transport, nodeTracer, pipeline.Options{
-			MonitorInterval: cfg.MonitorInterval,
-			After:           func(d time.Duration, fn func()) { world.After(d, fn) },
-			Fresh:           fresh,
-		})
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		buildNode(i)
-	}
-
-	// Fleet events, on virtual time, through the router's own Join and
-	// Leave: warm handoffs stream sealed entries between node caches and
-	// the epoch flips only after the copies land, so a migrated entry is
-	// serving the moment its new owner first gets asked. A joining node is
-	// filed under the ID the router mints. The first event the router
-	// refuses is the run's error.
-	var fleetErr error
-	for _, ev := range cfg.Fleet {
-		ev := ev
-		world.After(ev.At, func() {
-			var rep *shard.MigrationReport
-			var err error
-			if ev.Kind == "join" {
-				node := dssp.NewNode(app, analysis, cacheOpts)
-				if rep, err = router.Join(context.Background(), shard.PipeBackend{Buckets: node.Cache}, ev.Warm); err == nil {
-					nodes[rep.Node] = node
-					buildNode(rep.Node)
-				}
-			} else {
-				rep, err = router.Leave(context.Background(), ev.Node, ev.Kind == "leave" && ev.Warm)
-			}
-			if err != nil {
-				if fleetErr == nil {
-					fleetErr = fmt.Errorf("simrun: fleet %s at %v: %w", ev.Kind, ev.At, err)
-				}
-				return
-			}
-			res.MigratedEntries += rep.Entries
-		})
+		pipes[i] = pipeline.New(nodeCache, transport, nodeTracer, pipeline.Options{Fresh: fresh})
 	}
 
 	// clientDelay models the per-client duplex access link (no cross-
@@ -601,6 +497,7 @@ func Simulate(cfg Config) (*Result, error) {
 	// the node, as it does at the shard router: its route for a query, its
 	// exec node for an update.
 	runOp := func(op workload.Op, done func()) {
+		ctx := context.WithValue(context.Background(), tplKey{}, op.Template)
 		if op.Template.Kind == template.KQuery {
 			sq, err := client.SealQuery(op.Template, op.Params)
 			if err != nil {
@@ -610,7 +507,7 @@ func Simulate(cfg Config) (*Result, error) {
 			ni := router.Route(&h)
 			clientDelay(cfg.Costs.RequestBytes, func() {
 				nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
-					pipes[ni].Query(context.Background(), sq, func(reply pipeline.QueryReply, err error) {
+					pipes[ni].Query(ctx, sq, func(reply pipeline.QueryReply, err error) {
 						if err != nil {
 							panic(err)
 						}
@@ -635,7 +532,7 @@ func Simulate(cfg Config) (*Result, error) {
 		ni := planner.ExecNode(su.Head())
 		clientDelay(cfg.Costs.RequestBytes, func() {
 			nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
-				pipes[ni].Update(context.Background(), su, func(reply pipeline.UpdateReply, err error) {
+				pipes[ni].Update(ctx, su, func(reply pipeline.UpdateReply, err error) {
 					if err != nil {
 						panic(fmt.Sprintf("update %s%v: %v", op.Template.ID, op.Params, err))
 					}
@@ -679,14 +576,8 @@ func Simulate(cfg Config) (*Result, error) {
 	}
 
 	world.Run(cfg.Duration)
-	if fleetErr != nil {
-		return nil, fleetErr
-	}
 
 	for _, n := range nodes {
-		if n == nil {
-			continue // preallocated slot whose join never fired
-		}
 		st := n.Cache.Stats()
 		res.PerNode = append(res.PerNode, st)
 		res.Cache.Hits += st.Hits

@@ -164,42 +164,6 @@ func TestMaxUsersSLA(t *testing.T) {
 	}
 }
 
-func TestMonitorIntervalBatchesInvalidation(t *testing.T) {
-	// A monitoring interval batches invalidation work: the same workload
-	// sees the same logical routing decisions (updates seen) with fewer
-	// physical bucket walks, because each bucket is probed once per batch
-	// instead of once per update.
-	cfg := quickCfg(50)
-	cfg.Nodes = 2
-	seq, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MonitorInterval = 500 * time.Millisecond
-	batched, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Pages == 0 || batched.Cache.UpdatesSeen == 0 {
-		t.Fatalf("batched run did no work: %+v", batched)
-	}
-	if seq.Cache.BucketWalks == 0 {
-		t.Fatal("sequential run recorded no bucket walks")
-	}
-	if batched.Cache.BucketWalks >= seq.Cache.BucketWalks {
-		t.Errorf("batching did not amortize walks: batched %d, sequential %d",
-			batched.Cache.BucketWalks, seq.Cache.BucketWalks)
-	}
-	// Virtual time keeps batching deterministic too.
-	batched2, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Pages != batched2.Pages || batched.Cache != batched2.Cache {
-		t.Error("batched simulation nondeterministic")
-	}
-}
-
 func TestMultiNodeSimulation(t *testing.T) {
 	cfg := quickCfg(40)
 	cfg.Nodes = 4

@@ -32,10 +32,9 @@ func lies(s string, b []byte) bool {
 
 // checkReadPayload holds the home's lending read to OpenPayload on one
 // payload plaintext b: both accept it or both refuse it; an accepted one
-// names the same template, PayloadTemplate's too, and the same parameters,
-// and re-encodes to b. A query's non-empty strings lie in the scratch the
-// payload was read into; an update's lie outside it and survive the scratch
-// being overwritten.
+// names the same template and the same parameters, and re-encodes to b. A
+// query's non-empty strings lie in the scratch the payload was read into;
+// an update's lie outside it and survive the scratch being overwritten.
 func checkReadPayload(t *testing.T, c *Codec, b []byte) {
 	t.Helper()
 	opaque := c.kr.Seal(domOpaque, b)
@@ -51,9 +50,6 @@ func checkReadPayload(t *testing.T, c *Codec, b []byte) {
 	}
 	if got != want {
 		t.Fatalf("ReadPayload(%x): template %s, OpenPayload %s", b, got.ID, want.ID)
-	}
-	if tm, err := c.PayloadTemplate(opaque); err != nil || tm != want {
-		t.Fatalf("PayloadTemplate(%x): %v, %v; want %s", b, tm, err, want.ID)
 	}
 	if !identicalParams(params, wantParams) {
 		t.Fatalf("ReadPayload(%x): %v, OpenPayload %v", b, params, wantParams)
@@ -102,8 +98,7 @@ func FuzzReadPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkReadPayload(t, c, b) })
 }
 
-// A query read into warm scratch allocates nothing, and neither does a
-// read of the template alone.
+// A query read into warm scratch allocates nothing.
 func TestReadPayloadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -121,13 +116,6 @@ func TestReadPayloadAllocations(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("ReadPayload of a query: %v allocations, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if tm, err := c.PayloadTemplate(sq.Opaque); err != nil || tm.ID != "Q1" {
-			t.Fatal(tm, err)
-		}
-	}); n != 0 {
-		t.Errorf("PayloadTemplate: %v allocations, want 0", n)
 	}
 }
 

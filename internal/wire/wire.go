@@ -347,17 +347,6 @@ func (c *Codec) ReadPayload(opaque []byte, plain *[]byte, params *[]sqlparse.Val
 	return t, nil
 }
 
-// PayloadTemplate is the template of an opaque statement payload, read as
-// ReadPayload reads it, with the parameters left unread: what a trusted
-// observer attributing home load to true templates needs (the simulator).
-// It allocates nothing.
-func (c *Codec) PayloadTemplate(opaque []byte) (*template.Template, error) {
-	eb := getBuf()
-	defer putBuf(eb)
-	t, _, _, err := c.openHead(opaque, &eb.b)
-	return t, err
-}
-
 // openHead decrypts opaque into *plain and reads the payload's head: the
 // template its ID names, and the parameter count and encoding that follow.
 func (c *Codec) openHead(opaque []byte, plain *[]byte) (*template.Template, int, []byte, error) {
