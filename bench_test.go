@@ -332,6 +332,42 @@ func BenchmarkSystemQueryMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkSystemUpdate is one update through the in-process client: a
+// modification of toystore's toys by id at stmt exposure, warm, sealed
+// into the client's scratch, forwarded and kept by the pipeline's update
+// call, run at the home and walked against the cache, which holds Q2 of
+// another toy. It is gated in BENCH_allocs.json at the exact count.
+func BenchmarkSystemUpdate(b *testing.B) {
+	app := apps.Toystore()
+	u, err := NewTemplate("U3", app.Schema, "UPDATE toys SET qty=? WHERE toy_id=?")
+	if err != nil {
+		b.Fatal(err)
+	}
+	app.Updates = append(app.Updates, u)
+	sys, err := NewSystem(app, make([]byte, KeySize), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, id := range []int64{5, 7} {
+		if err := sys.DB.Insert("toys", []Value{Int(id), String("kite"), Int(25)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := sys.Query("Q2", 7); err != nil {
+		b.Fatal(err)
+	}
+	if n, _, err := sys.Update("U3", 30, 5); err != nil || n != 1 {
+		b.Fatal(n, err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sys.Update("U3", 30, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSimulatedSecond(b *testing.B) {
 	// Cost of simulating one virtual second of the bboard at 100 users.
 	bench := apps.NewBBoard()

@@ -93,15 +93,16 @@ type Client struct {
 
 	frontOnce sync.Once
 
-	// scratch pools the *queryScratch each query is sealed into.
+	// scratch pools the *queryScratch each statement is sealed into.
 	scratch sync.Pool
 }
 
-// queryScratch is what one query is sealed into: its parameter values, and
-// its payload and key (wire.Scratch). The sealed query lends all three to
-// the front for the length of the call (pipeline.Front), and the client
-// takes the scratch back when the call returns: only a keeper behind the
-// front copies what it keeps (wire.SealedQuery.Keep). release clears the
+// queryScratch is what one statement is sealed into: its parameter values,
+// and its payload and, for a query, its key (wire.Scratch). The sealed
+// statement lends them to the front for the length of the call
+// (pipeline.Front), and the client takes the scratch back when the call
+// returns: only a keeper behind the front copies what it keeps
+// (wire.SealedQuery.Keep, wire.SealedUpdate.KeepIn). release clears the
 // values, which hold the caller's strings, as the engine's exec is cleared,
 // so an idle scratch pins nothing; the bytes it keeps grown hold no
 // reference.
@@ -278,16 +279,22 @@ func (c *Client) Update(t *template.Template, params ...interface{}) (affected, 
 	return c.UpdateContext(context.Background(), t, params...)
 }
 
-// UpdateContext is Update bounded by ctx.
+// UpdateContext is Update bounded by ctx. The update is sealed into pooled
+// scratch and lent to the front for the call, as a query is, so a warm
+// update allocates nothing here: the front's one keeper of an update, the
+// pipeline's update call, copies it (pipeline.Front).
 func (c *Client) UpdateContext(ctx context.Context, t *template.Template, params ...interface{}) (affected, invalidated int, err error) {
-	vals, err := Params(params...)
+	s := c.takeScratch()
+	defer c.release(s)
+	if s.vals, err = appendParams(s.vals[:0], params); err != nil {
+		return 0, 0, err
+	}
+	start := c.Tracer.Now()
+	su, err := c.Codec.LendUpdate(t, s.vals, &s.seal)
 	if err != nil {
 		return 0, 0, err
 	}
-	su, err := c.SealUpdate(t, vals)
-	if err != nil {
-		return 0, 0, err
-	}
+	su.ParentSpan = c.sealSpan(su.TraceID, t, start)
 	affected, invalidated, _, err = c.front().Update(ctx, su)
 	return affected, invalidated, err
 }

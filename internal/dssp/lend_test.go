@@ -20,12 +20,24 @@ import (
 	"dssp/internal/wire"
 )
 
-// scrambleFront is a front that overwrites what a query lends it — the
-// client's scratch: the key and payload bytes, each XORed with 0xA5, and
-// the parameter values — the moment Query returns, as the client's next
-// query sealed into the same scratch would. A keeper that holds a byte of
-// the scratch past the call then reads garbage at once.
+// scrambleFront is a front that overwrites what a statement lends it —
+// the client's scratch: a query's key and payload bytes and an update's
+// payload bytes, each XORed with 0xA5, and the parameter values — the
+// moment Query or Update returns, as the client's next statement sealed
+// into the same scratch would. A keeper that holds a byte of the scratch
+// past the call then reads garbage at once.
 type scrambleFront struct{ pipeline.Front }
+
+func (f scrambleFront) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
+	affected, invalidated, seq, err := f.Front.Update(ctx, su)
+	for i := range su.Opaque {
+		su.Opaque[i] ^= 0xA5
+	}
+	for i := range su.Params {
+		su.Params[i] = sqlparse.StringVal("\xa5")
+	}
+	return affected, invalidated, seq, err
+}
 
 func (f scrambleFront) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	err := f.Front.Query(ctx, sq, r)
@@ -168,16 +180,17 @@ func (r lendingRun) leftBehind() (dumps [][]string, decisions [][]cache.Decision
 }
 
 // TestClientLendsOnlyForTheCall: a client whose scratch is overwritten
-// the moment each query returns answers a mixed script, under every
+// the moment each statement returns answers a mixed script, under every
 // exposure scenario, exactly as one whose scratch is left alone, and
 // leaves the same cache dumps and decision logs behind — in process over
 // one node's pipeline, with inline and with batched invalidation, and over
 // a router of two nodes, with a blind template and a third node joining
 // half-way, where the blind-key cache must hit and miss alike too. So
-// nothing behind the front holds a byte of a sealed query past the call
+// nothing behind the front holds a byte of a sealed statement past the call
 // it was lent for: the pipeline's miss copies the key and the parameters
-// it keeps in flights and the cache (takeMiss), and the router the blind
-// keys it pins.
+// it keeps in flights and the cache (takeMiss), the router the blind
+// keys it pins, and the pipeline's update call the update it holds until
+// its invalidation, across the batcher's interval too (takeUpdate).
 func TestClientLendsOnlyForTheCall(t *testing.T) {
 	app := richApp()
 	script := lendingScript(app, 600)

@@ -24,6 +24,8 @@ type Update struct {
 
 	setCols []int     // modifications: the columns SET assigns,
 	setVals []operand // and their values
+
+	stored []int // the parameters whose values Run stores (StoredParams)
 }
 
 type updateKind uint8
@@ -79,6 +81,9 @@ func CompileUpdate(s *schema.Schema, stmt sqlparse.Statement) (*Update, error) {
 		} else {
 			u.setCols, u.setVals = append(u.setCols, ci), append(u.setVals, v)
 		}
+		if v.kind == sqlparse.OpParam {
+			u.stored = append(u.stored, v.param)
+		}
 	}
 	for _, wp := range where {
 		if err := u.sel.addPredicate(res, wp); err != nil {
@@ -119,6 +124,13 @@ func (u *Update) Run(db *storage.Database, params []sqlparse.Value) (int, error)
 
 // NumParams is the number of parameters the statement binds.
 func (u *Update) NumParams() int { return u.sel.NumParams }
+
+// StoredParams returns the positions of the parameters whose values Run
+// stores in the database — an insertion's values, a modification's SET
+// values — and not those only its WHERE clause compares. A caller that
+// lends Run its parameters copies the strings at these positions, and
+// only these, since storage keeps them. Read it, never write it.
+func (u *Update) StoredParams() []int { return u.stored }
 
 // InsertedRow appends to dst the row an insertion adds, in column order,
 // with params bound: the row Run stores, and the row statement inspection

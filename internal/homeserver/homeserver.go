@@ -19,6 +19,7 @@ package homeserver
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -287,7 +288,9 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 // ExecUpdate opens a sealed update and applies it to the master database.
 // It returns the number of rows affected and the update's sequence number
 // in the master database's serialization order — the position replicas
-// replay it at.
+// replay it at. su may be lent for the call, its payload in a frame: the
+// payload is read into scratch, and only the strings storage keeps are
+// copied (keepStored).
 func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	sc := s.takeScratch()
 	defer s.putScratch(sc)
@@ -305,6 +308,7 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	keepStored(sc.params, c.update.StoredParams())
 	s.admit(s.waitU, su.TraceID, su.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.Lock()
@@ -338,10 +342,43 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 	return n, seq, nil
 }
 
+// keepStored copies the strings at positions stored of params, which lie in
+// the scratch the payload was read into, into one string of their own:
+// storage keeps the values an update stores, and the scratch is reused
+// once the exec returns. A WHERE clause's strings stay lent, and an update
+// that stores no string allocates nothing.
+func keepStored(params []sqlparse.Value, stored []int) {
+	n := 0
+	for _, i := range stored {
+		if i < len(params) {
+			n += len(params[i].Str)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, i := range stored {
+		if i < len(params) {
+			b.WriteString(params[i].Str)
+		}
+	}
+	own := b.String()
+	for _, i := range stored {
+		if i < len(params) {
+			params[i].Str, own = own[:len(params[i].Str)], own[len(params[i].Str):]
+		}
+	}
+}
+
 // Confirmed is one update applied to the master database at position Seq
 // and confirmed to the DSSP tier. The OnConfirm sink receives these in
 // strict sequence order — the stream a read replica replays to
-// reconstruct the master database.
+// reconstruct the master database. Update is the update ExecUpdate was
+// handed, lent for the sink's call as it was lent to ExecUpdate (read in
+// place from a frame, or a pipeline call's): a sink that keeps it past
+// the call copies it (wire.SealedUpdate.Own).
 type Confirmed struct {
 	Seq    uint64
 	Update wire.SealedUpdate

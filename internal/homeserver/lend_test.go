@@ -2,6 +2,7 @@ package homeserver
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -40,16 +41,20 @@ func scrambleScratch(s *Server) bool {
 // the moment each statement returns answers string-keyed queries, at view
 // exposure (the result by pointer) and at stmt exposure (sealed), as the
 // statements ask, and keeps in the master database exactly the strings its
-// insertions and modifications carried. So a query's lent parameters are
-// read only during its exec, a sealed result leaves the scratch it ran into
-// inside its ciphertext, a view result is not in the scratch at all, and an
-// update's strings, which storage keeps, are copies.
+// insertions and modifications carried — a modification selecting its
+// rows by a string, and a deletion by one, among them. So a query's lent
+// parameters are read only during its exec, a sealed result leaves the
+// scratch it ran into inside its ciphertext, a view result is not in the
+// scratch at all, and of an update's strings, all lent, the ones storage
+// keeps are copied.
 func TestHomeLendsOnlyForTheCall(t *testing.T) {
 	app := apps.Toystore()
 	app.Queries = append(app.Queries,
 		template.MustNew("Q4", app.Schema, "SELECT number, zip_code FROM credit_card WHERE zip_code=?"))
 	app.Updates = append(app.Updates,
-		template.MustNew("U3", app.Schema, "UPDATE credit_card SET number=?, zip_code=? WHERE cid=?"))
+		template.MustNew("U3", app.Schema, "UPDATE credit_card SET number=?, zip_code=? WHERE cid=?"),
+		template.MustNew("U4", app.Schema, "UPDATE credit_card SET number=? WHERE cid=? AND zip_code=?"),
+		template.MustNew("U5", app.Schema, "DELETE FROM credit_card WHERE zip_code=?"))
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), map[string]template.Exposure{"Q4": template.ExpStmt})
 	db := storage.NewDatabase(app.Schema)
 	if err := db.Insert("toys", storage.Row{sqlparse.IntVal(5), sqlparse.StringVal("kite"), sqlparse.IntVal(25)}); err != nil {
@@ -105,11 +110,23 @@ func TestHomeLendsOnlyForTheCall(t *testing.T) {
 		update("U3", sv(number), sv(zip), iv(i))
 		want[i] = [2]string{number, zip}
 	}
+	for i := int64(0); i < n; i += 3 {
+		number := fmt.Sprint("by-zip-", i)
+		update("U4", sv(number), iv(i), sv(want[i][1]))
+		want[i] = [2]string{number, want[i][1]}
+	}
+	for i := int64(1); i < n; i += 5 {
+		update("U5", sv(want[i][1]))
+		delete(want, i)
+	}
 	for i := int64(0); i < n; i++ {
 		if r := query("Q1", sv("kite")); r.Len() != 1 || r.Row(0)[0].Int() != 5 {
 			t.Fatalf("Q1(kite) = %v, want [[5]]", r.Vals)
 		}
-		w := want[i]
+		w, ok := want[i]
+		if !ok {
+			continue
+		}
 		if r := query("Q4", sv(w[1])); r.Len() != 1 || r.Row(0)[0].Str != w[0] || r.Row(0)[1].Str != w[1] {
 			t.Fatalf("Q4(%s) = %v, want [%q]", w[1], r.Vals, w)
 		}
@@ -117,12 +134,78 @@ func TestHomeLendsOnlyForTheCall(t *testing.T) {
 	if scrambled == 0 {
 		t.Fatal("no scratch came back from the pool: the test proves nothing")
 	}
+	if got := db.Table("credit_card").Len(); got != len(want) {
+		t.Fatalf("the master holds %d credit cards, want %d", got, len(want))
+	}
 	for i, w := range want {
 		row := db.Table("credit_card").LookupPK([]sqlparse.Value{iv(i)})
 		if row == nil || row[1].Str != w[0] || row[2].Str != w[1] {
 			t.Fatalf("credit card %d reads %v from the master, want %q", i, row, w)
 		}
 	}
+}
+
+// TestHomeCopiesOnlyWhatItStores: of an update's parameters, lent from the
+// scratch its payload was read into, the home copies the strings storage
+// keeps — an insertion's values, a modification's SET values — into one
+// allocation, and leaves a WHERE clause's, and a deletion's, lent; an
+// update that stores no string allocates nothing.
+func TestHomeCopiesOnlyWhatItStores(t *testing.T) {
+	app := apps.Toystore()
+	sch := app.Schema
+	iv, sv := sqlparse.IntVal, sqlparse.StringVal
+	for _, c := range []struct {
+		sql    string
+		params []sqlparse.Value
+		stored []bool // by position
+		allocs float64
+	}{
+		{"INSERT INTO credit_card (cid, number, zip_code) VALUES (?, ?, ?)", []sqlparse.Value{iv(1), sv("4111"), sv("15213")}, []bool{true, true, true}, 1},
+		{"UPDATE credit_card SET number=? WHERE cid=? AND zip_code=?", []sqlparse.Value{sv("4111"), iv(1), sv("15213")}, []bool{true, false, false}, 1},
+		{"UPDATE toys SET qty=? WHERE toy_id=? AND toy_name=?", []sqlparse.Value{iv(3), iv(5), sv("kite")}, []bool{true, false, false}, 0},
+		{"DELETE FROM credit_card WHERE zip_code=?", []sqlparse.Value{sv("15213")}, []bool{false}, 0},
+		{"DELETE FROM toys WHERE toy_id=?", []sqlparse.Value{iv(5)}, []bool{false}, 0},
+	} {
+		u, err := engine.CompileUpdate(sch, template.MustNew("U", sch, c.sql).Stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var plain []byte
+		for _, v := range c.params {
+			plain = append(plain, v.Str...)
+		}
+		lent := func() []sqlparse.Value {
+			params, at := slices.Clone(c.params), 0
+			for i := range params {
+				if n := len(params[i].Str); n > 0 {
+					params[i].Str, at = unsafe.String(&plain[at], n), at+n
+				}
+			}
+			return params
+		}
+		params := lent()
+		keepStored(params, u.StoredParams())
+		for i, v := range params {
+			if v.Str == "" {
+				continue
+			}
+			if in := lies(v.Str, plain); in == c.stored[i] || v.Str != c.params[i].Str {
+				t.Fatalf("%s: parameter %d %q lies in the scratch: %v, want %v", c.sql, i, v.Str, in, !c.stored[i])
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(100, func() { keepStored(lent(), u.StoredParams()) }); n-1 != c.allocs {
+			t.Errorf("%s: keepStored allocates %v times, want %v", c.sql, n-1, c.allocs)
+		}
+	}
+}
+
+// lies reports whether s's bytes lie in b.
+func lies(s string, b []byte) bool {
+	at, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	return at >= lo && at+uintptr(len(s)) <= lo+uintptr(cap(b))
 }
 
 // TestHomeKeepsNoViewResult: the node keeps every view result the home

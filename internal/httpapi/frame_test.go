@@ -367,12 +367,17 @@ func (noHome) ExecUpdate(_ context.Context, _ wire.SealedUpdate, done func(pipel
 // BenchmarkNodeUpdate is one sealed update → update answer through
 // NodeProxy.Update, the way a client or a router sends one to a node, over
 // a framed loopback connection under DefaultTimeout, to a handler that
-// decodes the update and answers its counts and sequence. Gated in
-// BENCH_allocs.json.
+// reads the update in place as a node's does (wire.ReadSealedUpdate: the
+// template ID interned, the parameters and the payload lent from the
+// frame) and answers its counts and sequence. Gated in BENCH_allocs.json
+// at the exact count: a handler that decodes the update whole again fails
+// it.
 func BenchmarkNodeUpdate(b *testing.B) {
 	_, su, _ := sealedAt(b, template.ExpStmt)
+	ids := apps.Toystore().IDs()
 	srv := startFrameServer(b, &frameOps{OpUpdate: func(_ context.Context, req, resp *frame) {
-		if err := (*updateMsg)(&hopSink.su).decodeWire(req.body); err != nil {
+		var err error
+		if hopSink.su, err = wire.ReadSealedUpdate(req.body, ids); err != nil {
 			resp.fail(statusBadRequest, err)
 			return
 		}

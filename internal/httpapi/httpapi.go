@@ -274,6 +274,7 @@ func HomeHandler(home *homeserver.Server) http.Handler { return homeMux(home) }
 // homeMux is HomeHandler's mux, which PrimaryHandler adds routes to.
 func homeMux(home *homeserver.Server) *http.ServeMux {
 	home.Tracer().SetStore(obs.NewSpanStore(0))
+	ids := home.App.IDs()
 	mux := newMux(home.Obs(), home.Tracer().Store(), &frameOps{
 		OpExecQuery: func(_ context.Context, req, resp *frame) {
 			sq, err := readExecQuery(req.body)
@@ -288,9 +289,13 @@ func homeMux(home *homeserver.Server) *http.ServeMux {
 			}
 			resp.body = (&execQueryMsg{Result: res, Empty: empty}).appendWire(resp.body)
 		},
+		// An update is read in place, as a node reads it: the home reads
+		// the payload and the trace fields, and lends the whole update to
+		// its confirmation sink, which copies it if it keeps it
+		// (ReplicaHub.Confirm).
 		OpExecUpdate: func(_ context.Context, req, resp *frame) {
-			var su wire.SealedUpdate
-			if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
+			su, err := wire.ReadSealedUpdate(req.body, ids)
+			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
@@ -494,7 +499,9 @@ func newMux(reg *obs.Registry, store *obs.SpanStore, ops *frameOps) *http.ServeM
 // interned against ids, the application's, and its key, its parameters,
 // still encoded until a miss copies and decodes them, and its payload lent
 // from the frame — pipeline.Front), and answers into the answer frame
-// (queryReply); an update it is handed decoded.
+// (queryReply); an update it is handed read in place too
+// (wire.ReadSealedUpdate: its parameters encoded and its payload lent
+// until the pipeline's update call copies them).
 func serveFront(front pipeline.Front, ids map[string]string) *frameOps {
 	router, forwards := front.(*shard.Router)
 	return &frameOps{
@@ -517,8 +524,8 @@ func serveFront(front pipeline.Front, ids map[string]string) *frameOps {
 				forwardUpdate(ctx, router, req, resp)
 				return
 			}
-			var su wire.SealedUpdate
-			if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
+			su, err := wire.ReadSealedUpdate(req.body, ids)
+			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
@@ -563,8 +570,8 @@ func (f *queryReply) Reply(res wire.SealedResult, hit bool) {
 func serveBackend(b shard.Backend, ids map[string]string) *frameOps {
 	ops := serveFront(b, ids)
 	ops[OpInvalidate] = func(ctx context.Context, req, resp *frame) {
-		var su wire.SealedUpdate
-		if err := (*updateMsg)(&su).decodeWire(req.body); err != nil {
+		su, err := wire.ReadSealedUpdate(req.body, ids)
+		if err != nil {
 			resp.fail(statusBadRequest, err)
 			return
 		}

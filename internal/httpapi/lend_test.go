@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -25,9 +26,10 @@ import (
 // scrambleAfter makes every frame handler the process h serves overwrite
 // its request's body (each byte XORed with 0xA5) the moment it returns, as
 // the next frame read into the pooled buffer would: a byte of a request
-// kept past its handler then reads as garbage at once. h is a process's
+// kept past its handler then reads as garbage at once. Each frame it
+// scrambles is counted in scrambled under its op. h is a process's
 // handler, as newMux builds it.
-func scrambleAfter(h http.Handler) http.Handler {
+func scrambleAfter(h http.Handler, scrambled *[numOps]atomic.Int64) http.Handler {
 	fh, _ := h.(*http.ServeMux).Handler(httptest.NewRequest(http.MethodGet, PathFrames, nil))
 	fs := fh.(*frameServer)
 	ops := *fs.ops
@@ -40,28 +42,35 @@ func scrambleAfter(h http.Handler) http.Handler {
 			for i := range req.body {
 				req.body[i] ^= 0xA5
 			}
+			scrambled[op].Add(1)
 		}
 	}
 	fs.ops = &ops
 	return h
 }
 
-// lendingFleet is a client, a router, a node and a home over frames, with
-// bboard populated from seed 1 and every template at exp; scramble wraps
-// the router's, the node's and the home's frame handlers in scrambleAfter.
-func lendingFleet(t *testing.T, exp template.Exposure, scramble bool) (*Client, *dssp.Node) {
+// lendingFleet is a client, a router, nodes nodes and a home over frames,
+// with bboard populated from seed 1 and every template at exp. A non-nil
+// scrambled wraps the router's, the nodes' and the home's frame handlers
+// in scrambleAfter, which counts in it.
+func lendingFleet(t *testing.T, exp template.Exposure, nodes int, scrambled *[numOps]atomic.Int64) (*Client, []*dssp.Node) {
 	t.Helper()
 	app, codec, db := lendingApp(t, exp)
 	wrap := func(h http.Handler) http.Handler { return h }
-	if scramble {
-		wrap = scrambleAfter
+	if scrambled != nil {
+		wrap = func(h http.Handler) http.Handler { return scrambleAfter(h, scrambled) }
 	}
 	analysis := core.Analyze(app, core.DefaultOptions())
 	homeSrv := startServer(t, wrap(HomeHandler(homeserver.New(db, app, codec))))
-	node := dssp.NewNode(app, analysis, cache.Options{})
-	nodeSrv := startServer(t, wrap(NewNodeServerWithOptions(node, homeSrv.URL, nil, NodeOptions{}).Handler()))
-	routerSrv := startServer(t, wrap(NewRouterServer(analysis, []string{nodeSrv.URL}, RouterOptions{}).Handler()))
-	return NewClient(codec, routerSrv.URL, nil), node
+	var ns []*dssp.Node
+	var urls []string
+	for range nodes {
+		node := dssp.NewNode(app, analysis, cache.Options{})
+		nodeSrv := startServer(t, wrap(NewNodeServerWithOptions(node, homeSrv.URL, nil, NodeOptions{}).Handler()))
+		ns, urls = append(ns, node), append(urls, nodeSrv.URL)
+	}
+	routerSrv := startServer(t, wrap(NewRouterServer(analysis, urls, RouterOptions{}).Handler()))
+	return NewClient(codec, routerSrv.URL, nil), ns
 }
 
 // lendingApp is bboard with every template at exp, a codec under the zero
@@ -127,19 +136,23 @@ func runOn(t *testing.T, c *dssp.Client, op workload.Op) string {
 	return fmt.Sprintf("%s %d %d", op.Template.ID, affected, invalidated)
 }
 
-// TestHopsLendOnlyForTheCall: a fleet whose router, node and home
+// TestHopsLendOnlyForTheCall: a fleet whose router, two nodes and home
 // overwrite every request body the moment its handler returns answers a
 // mixed bboard script, at every exposure level, exactly as a fleet that
-// does not, and ends with the same cache, down to every exported entry's
+// does not, and ends with the same caches, down to every exported entry's
 // payload. So nothing a router, a node or a home keeps past a frame's
 // handler — a cache entry's statement above all, which a query frame only
-// lends, and at blind exposure the key the router's blind-key cache
-// keeps — holds a byte of the frame.
+// lends, at blind exposure the key the router's blind-key cache keeps,
+// and an update a node's pipeline holds until its invalidation, which an
+// update frame (the exec node's), an invalidation frame (the fan-out's)
+// and an exec update frame (the home's) only lend — holds a byte of the
+// frame. Every one of those ops must have been scrambled.
 func TestHopsLendOnlyForTheCall(t *testing.T) {
 	script := bboardScript(40)
 	for _, exp := range allExposures {
-		ref, refNode := lendingFleet(t, exp, false)
-		got, gotNode := lendingFleet(t, exp, true)
+		var scrambled [numOps]atomic.Int64
+		ref, refNodes := lendingFleet(t, exp, 2, nil)
+		got, gotNodes := lendingFleet(t, exp, 2, &scrambled)
 		queries, updates := 0, 0
 		for i, op := range script {
 			want := run(t, ref, op)
@@ -155,15 +168,29 @@ func TestHopsLendOnlyForTheCall(t *testing.T) {
 		if queries == 0 || updates == 0 {
 			t.Fatalf("script of %d queries and %d updates is not mixed", queries, updates)
 		}
-		if got, want := gotNode.Cache.Dump(), refNode.Cache.Dump(); len(want) == 0 || !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: cache dump of %d entries, want %d", exp, len(got), len(want))
+		for _, op := range []Op{OpQuery, OpUpdate, OpInvalidate, OpExecQuery, OpExecUpdate} {
+			if scrambled[op].Load() == 0 {
+				t.Fatalf("%v: no %v frame was scrambled: the test proves nothing", exp, op)
+			}
 		}
-		var ids []string
-		for _, q := range refNode.App.Queries {
-			ids = append(ids, q.ID)
+		entries := 0
+		for n, refNode := range refNodes {
+			gotNode := gotNodes[n]
+			want := refNode.Cache.Dump()
+			entries += len(want)
+			if got := gotNode.Cache.Dump(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: node %d's cache dump of %d entries, want %d", exp, n, len(got), len(want))
+			}
+			var ids []string
+			for _, q := range refNode.App.Queries {
+				ids = append(ids, q.ID)
+			}
+			if got, want := gotNode.Cache.ExportBuckets(ids), refNode.Cache.ExportBuckets(ids); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v: node %d's exported buckets differ", exp, n)
+			}
 		}
-		if got, want := gotNode.Cache.ExportBuckets(ids), refNode.Cache.ExportBuckets(ids); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: exported buckets differ", exp)
+		if entries == 0 {
+			t.Fatalf("%v: the caches are empty", exp)
 		}
 	}
 }
@@ -178,7 +205,8 @@ func TestHopsLendOnlyForTheCall(t *testing.T) {
 func TestFrameEntriesKeepTheirParams(t *testing.T) {
 	script := bboardScript(40)
 	for _, exp := range allExposures {
-		c, node := lendingFleet(t, exp, false)
+		c, nodes := lendingFleet(t, exp, 1, nil)
+		node := nodes[0]
 		local := dssp.NewClient(lendingApp(t, exp))
 		for _, op := range script {
 			run(t, c, op)
@@ -230,7 +258,7 @@ func TestClientKeepsItsResults(t *testing.T) {
 		}
 	}
 	for _, exp := range allExposures {
-		c, _ := lendingFleet(t, exp, false)
+		c, _ := lendingFleet(t, exp, 1, nil)
 		var held []*dssp.QueryResult
 		var prints []string
 		rows := 0

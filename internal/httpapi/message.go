@@ -43,16 +43,18 @@ import (
 //
 // The input is a pooled buffer on both sides of a hop, lent to whoever
 // reads it for as long as its handler or its call runs, and only what is
-// kept past that is copied. A query, which a router forwards, a node
+// kept past that is copied. A statement, which a router forwards, a node
 // serves and a home executes within the handler, is read in place, each
-// reading only what it routes or serves by (wire.Raw.ReadQuery,
-// wire.ReadSealedQuery, wire.ReadQueryPayload): its payload stays in the
-// frame. A query answer, which the client opens within its call, is read
-// in place too (queryAnswer.readWire). Everything else a node or a home
-// reads — an update, which a node's batcher and a home's replica hub keep;
-// an exec query answer, which a node caches; bucket entries and ids — is
-// decoded, and nothing decoded aliases the input. DESIGN.md's "A hop lends; only
-// the keeper copies" lists what each process copies.
+// reading only what it routes or serves by (wire.Raw.ReadQuery and
+// ReadUpdate, wire.ReadSealedQuery, wire.ReadSealedUpdate,
+// wire.ReadQueryPayload): its payload stays in the frame, and the one
+// keeper of an update past its handler — a node's update call, a home's
+// replica hub — copies it. A query answer, which the client opens within
+// its call, is read in place too (queryAnswer.readWire). Everything else a
+// node or a home reads — an exec query answer, which a node caches; a
+// replica's apply batch; bucket entries and ids — is decoded, and nothing
+// decoded aliases the input. DESIGN.md's "A hop lends; only the keeper
+// copies" lists what each process copies.
 
 // Size bounds. Every frame is read whole before its message is decoded, so
 // each read is capped, per op and direction (opTable in frame.go):
@@ -69,9 +71,9 @@ var errMalformed = errors.New("httpapi: malformed message")
 
 // The envelopes. Each has appendWire, which appends its body, and
 // decodeWire, which accepts exactly one whole body of its grammar, where
-// product code sends or decodes it: a query and its answer are read in
-// place (above), an empty answer is never appended, and the tests hold
-// the rest of each envelope (message_test.go). Where a grammar
+// product code sends or decodes it: a statement and a query's answer are
+// read in place (above), an empty answer is never appended, and the tests
+// hold the rest of each envelope (message_test.go). Where a grammar
 // is another package's type, the envelope is that type under a name of
 // its own: the sealed statements, the exec query answer (whose Applied
 // rides the header and whose Scanned stays at the home), the apply batch
@@ -102,12 +104,6 @@ func (m *queryMsg) appendWire(dst []byte) []byte {
 
 func (m *updateMsg) appendWire(dst []byte) []byte {
 	return wire.AppendSealedUpdate(dst, (*wire.SealedUpdate)(m))
-}
-
-func (m *updateMsg) decodeWire(b []byte) error {
-	su, b, err := wire.DecodeSealedUpdate(b)
-	*m = updateMsg(su)
-	return closeMessage(b, err)
 }
 
 func (m *queryAnswer) appendWire(dst []byte) []byte {

@@ -63,6 +63,14 @@ func (m *queryMsg) decodeWire(b []byte) error {
 	return closeMessage(b, err)
 }
 
+// decodeWire decodes an update whole, payload copied, as queryMsg's does a
+// query.
+func (m *updateMsg) decodeWire(b []byte) error {
+	su, b, err := wire.DecodeSealedUpdate(b)
+	*m = updateMsg(su)
+	return closeMessage(b, err)
+}
+
 // decodeWire is readWire with the result owned.
 func (m *queryAnswer) decodeWire(b []byte) error {
 	err := m.readWire(b)

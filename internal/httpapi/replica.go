@@ -184,8 +184,10 @@ func NewReplicaHub(client *http.Client, reg *obs.Registry, urls []string) *Repli
 // home server's update path never blocks on a slow replica. An update
 // confirmed after Close is dropped: shutdown drains before closing, so
 // anything later is a stray confirmation racing SIGTERM, and appending it
-// would push to replicas after the hub promised to stop.
+// would push to replicas after the hub promised to stop. The update is
+// lent for the call (homeserver.Confirmed): the log keeps a copy of it.
 func (h *ReplicaHub) Confirm(c homeserver.Confirmed) {
+	c.Update = c.Update.Own()
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()

@@ -3,7 +3,9 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +18,7 @@ import (
 	"dssp/internal/home"
 	"dssp/internal/homeserver"
 	"dssp/internal/obs"
+	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/wire"
 )
@@ -206,4 +209,90 @@ func linkDown() (client *http.Client, up func()) {
 		}
 		return http.DefaultTransport.RoundTrip(r)
 	})}, func() { isUp.Store(true) }
+}
+
+// TestHubKeepsItsConfirmedUpdates: the home lends the hub each confirmed
+// update for the call (homeserver.Confirmed) — here read in place from a
+// frame, as the home's exec update handler reads it — and the frame is
+// overwritten the moment ExecUpdate returns, while the hub, whose link is
+// down, still holds every update in its log. Once the link is up, the
+// replica applies exactly what the primary applied: the same rows, down
+// to the strings an insertion stored. So the hub keeps a copy of its own,
+// and nothing of the frame.
+func TestHubKeepsItsConfirmedUpdates(t *testing.T) {
+	app := apps.Toystore()
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	seed := func() *storage.Database {
+		db := storage.NewDatabase(app.Schema)
+		seedToys(t, db)
+		for i := int64(1); i <= 3; i++ {
+			if err := db.Insert("customers", storage.Row{sqlparse.IntVal(i), sqlparse.StringVal(fmt.Sprint("customer-", i))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	db := seed()
+	primary := homeserver.New(db, app, codec)
+	rdb := seed()
+	rep := home.NewReplica("replica", rdb, app, codec)
+	link, up := linkDown()
+	hub := NewReplicaHub(link, nil, []string{startServer(t, ReplicaHandler(rep)).URL})
+	defer hub.Close()
+	primary.OnConfirm(hub.Confirm)
+
+	ids := app.IDs()
+	updates := []struct {
+		id     string
+		params []sqlparse.Value
+	}{
+		{"U2", []sqlparse.Value{sqlparse.IntVal(1), sqlparse.StringVal("4111-1"), sqlparse.StringVal("15213")}},
+		{"U1", []sqlparse.Value{sqlparse.IntVal(2)}},
+		{"U2", []sqlparse.Value{sqlparse.IntVal(3), sqlparse.StringVal("4111-3"), sqlparse.StringVal("10001")}},
+	}
+	for _, u := range updates {
+		su, err := codec.SealUpdate(app.Update(u.id), u.params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := wire.AppendSealedUpdate(nil, &su)
+		lent, err := wire.ReadSealedUpdate(frame, ids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := primary.ExecUpdate(lent); err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			frame[i] ^= 0xA5
+		}
+	}
+
+	up()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := hub.Drain(ctx); err != nil {
+		t.Fatalf("hub drain: %v", err)
+	}
+	if got := rep.Applied(); got != uint64(len(updates)) {
+		t.Fatalf("the replica applied %d updates, want %d", got, len(updates))
+	}
+	for _, table := range []string{"toys", "customers", "credit_card"} {
+		if got, want := tableRows(rdb, table), tableRows(db, table); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the replica's %s holds %q, the primary's %q", table, got, want)
+		}
+	}
+	if n := len(tableRows(db, "credit_card")); n != 2 {
+		t.Fatalf("the primary holds %d credit cards, want 2: the test proves nothing", n)
+	}
+}
+
+// tableRows renders every row of a table, in the table's order.
+func tableRows(db *storage.Database, table string) []string {
+	var rows []string
+	db.Table(table).Scan(func(r storage.Row) bool {
+		rows = append(rows, fmt.Sprint(r))
+		return true
+	})
+	return rows
 }

@@ -25,7 +25,8 @@ type batcher struct {
 }
 
 // pendingUpdate is one confirmed update waiting for the interval flush,
-// with the completion callback that resolves its caller.
+// with the completion callback that resolves its caller. The update is
+// its call's (updateCall.su), which the call holds until done runs.
 type pendingUpdate struct {
 	su   wire.SealedUpdate
 	done func(invalidated int)
@@ -92,7 +93,8 @@ func (b *batcher) flush() {
 // the home partition that executed it (0 when unknown); it raises the
 // node's freshness floor for that partition — identified by the sealed
 // update's table group — so no later miss of the same partition is
-// served by a replica that hasn't applied it.
+// served by a replica that hasn't applied it. su must stay as it is until
+// done runs: a caller that lends it keeps it in a call (MonitorSync).
 func (p *Pipeline) MonitorUpdate(su wire.SealedUpdate, seq uint64, done func(invalidated int)) {
 	if p.opts.Fresh != nil {
 		p.opts.Fresh.Raise(su.Group, seq)

@@ -121,6 +121,7 @@ func (c *missCall) resolve(er ExecQueryResult, err error) {
 type updateCall struct {
 	p        *Pipeline
 	su       wire.SealedUpdate
+	buf      wire.UpdateBuf // what su reads once a lent update is kept (takeUpdate)
 	tmpl     string
 	start    time.Duration
 	net      obs.Span
@@ -148,9 +149,21 @@ func (p *Pipeline) newUpdateCall() any {
 
 // takeUpdate readies a pooled call as takeMiss does; a nil done is
 // UpdateSync's or MonitorSync's.
+//
+// The call is the one keeper of an update past the call it was lent for:
+// it is held by the transport until the home confirms it, by the batcher
+// until the interval's flush, and through the walk that invalidates it,
+// while a Sync caller may give up on ctx.Done() and reuse what it lent
+// before any of that is done — a walk over reused bytes would miss an
+// invalidation. So it is here that a lent update — sealed into a
+// client's scratch or read in place from a frame — has its parameters,
+// their strings and its payload copied, once, into memory the pooled
+// call owns and reuses (wire.SealedUpdate.KeepIn), and everything after
+// reads c.su alone.
 func (p *Pipeline) takeUpdate(su wire.SealedUpdate, done func(UpdateReply, error)) *updateCall {
 	c := p.updatePool.Get().(*updateCall)
 	c.su, c.done = su, done
+	c.su.KeepIn(&c.buf)
 	c.holders.Store(1)
 	if done == nil {
 		c.done = c.syncDone

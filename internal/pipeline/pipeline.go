@@ -114,6 +114,16 @@ type Transport interface {
 // result as it lies in the answer frame, so the trusted client opens it
 // there, and a node appends it to its own answer frame. An error means
 // Reply was not called.
+//
+// Update lends as Query does: su may be sealed into the trusted client's
+// pooled scratch (wire.Codec.LendUpdate) or read in place from a frame
+// (wire.ReadSealedUpdate), its payload and parameters, encoded or not,
+// lent for the call. A front reads them only before Update returns. The
+// one keeper of an update past its call is the pipeline's update call,
+// which the home's confirmation, the batcher's flush and the walk outlive
+// a caller that gives up: takeUpdate copies the update into memory the
+// pooled call owns (wire.SealedUpdate.KeepIn), and nothing else copies
+// it. A hop appends it to its frame, and a router forwards it.
 type Front interface {
 	Query(ctx context.Context, sq wire.SealedQuery, r Replier) error
 	Update(ctx context.Context, su wire.SealedUpdate) (affected, invalidated int, seq uint64, err error)
@@ -356,7 +366,7 @@ func (p *Pipeline) UpdateSync(ctx context.Context, su wire.SealedUpdate) (Update
 // error if the context ends first.
 func (p *Pipeline) MonitorSync(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
 	c := p.takeUpdate(su, nil)
-	p.MonitorUpdate(su, seq, c.invalidatedFn)
+	p.MonitorUpdate(c.su, seq, c.invalidatedFn)
 	reply, err := c.sc.wait(ctx)
 	c.release()
 	return reply.Invalidated, err

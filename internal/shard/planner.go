@@ -277,11 +277,17 @@ func (p *Planner) AbortRebalance() {
 // through a node's own update pathway get that node's invalidation for
 // free and fan the rest out. During a staged rebalance the set is the
 // union over both rings, so entries already streamed to their next owner
-// never miss an invalidation.
+// never miss an invalidation. In the common case — a known template,
+// nothing staged and no blind query routed yet — the set is the plan's
+// own precomputed slice, with nothing made per update: read it, never
+// write it.
 func (p *Planner) Targets(updateID string) (nodes []int, broadcast bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	owned, known := p.owners[updateID]
+	if known && p.staged == nil && len(p.blindSeen) == 0 {
+		return owned, false
+	}
 	if updateID == "" || !known {
 		set := make(map[int]bool)
 		for _, m := range p.ring.members {

@@ -369,37 +369,39 @@ func parentSpan(route obs.Span, own obs.SpanID) obs.SpanID {
 
 // fanOut pushes one update, confirmed at home sequence seq through node
 // exec, to every other planned node (exec's own pathway already
-// invalidated), in parallel under the concurrency bound, and returns what
-// those nodes dropped. A node that fails after retries is counted and
-// skipped — the batch still reaches the surviving nodes. Backends are
-// captured before the goroutines start, so a node leaving mid-batch still
+// invalidated), under the concurrency bound, and returns what those nodes
+// dropped. A node that fails after retries is counted and skipped — the
+// batch still reaches the surviving nodes. One target is pushed on the
+// calling goroutine; several in parallel, one goroutine each. Backends
+// are captured before the pushes start, so a node leaving mid-batch still
 // receives this batch's push (its pipeline outlives its membership by
 // exactly the in-flight work).
 func (r *Router) fanOut(h *wire.Head, push func(context.Context, Backend, obs.Span, uint64) (int, error), exec int, seq uint64) int {
-	targets, skipped := r.FanoutPlan(h.TemplateID, exec)
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for _, ni := range targets {
-		b := r.backend(ni)
-		ni := ni
-		wg.Add(1)
+	var buf [8]int
+	targets, skipped := r.FanoutPlan(h.TemplateID, exec, buf[:0])
+	total := 0
+	switch len(targets) {
+	case 0:
+	case 1:
+		ni := targets[0]
 		r.sem <- struct{}{}
-		go func() {
-			defer func() { <-r.sem; wg.Done() }()
-			sp := r.tracer.StartSpan(h.TraceID, h.ParentSpan, obs.StageRoute, obs.Tmpl(h.TemplateID)).
-				WithNode(strconv.Itoa(ni))
-			start := r.now()
-			inv, err := push(context.Background(), b, sp, seq)
-			sp.End()
-			r.observeNode(ni, obs.KindInvalidate, start)
-			if err != nil {
-				r.proxyError(obs.KindInvalidate)
-				return
-			}
-			total.Add(int64(inv))
-		}()
+		total = r.pushTo(h, push, ni, r.backend(ni), seq)
+		<-r.sem
+	default:
+		var sum atomic.Int64
+		var wg sync.WaitGroup
+		for _, ni := range targets {
+			b := r.backend(ni)
+			wg.Add(1)
+			r.sem <- struct{}{}
+			go func() {
+				defer func() { <-r.sem; wg.Done() }()
+				sum.Add(int64(r.pushTo(h, push, ni, b, seq)))
+			}()
+		}
+		wg.Wait()
+		total = int(sum.Load())
 	}
-	wg.Wait()
 
 	if r.fanoutNodes != nil {
 		// Encoded like the batch-size histogram: an n-node fan-out is
@@ -409,19 +411,37 @@ func (r *Router) fanOut(h *wire.Head, push func(context.Context, Backend, obs.Sp
 	if skipped > 0 && r.fanoutSkipped != nil {
 		r.fanoutSkipped.Add(int64(skipped))
 	}
-	return int(total.Load())
+	return total
+}
+
+// pushTo is one node's push of the fan-out, node ni behind b: its route
+// span, its latency, and what it dropped — 0 when it fails, which the
+// proxy-error counter counts.
+func (r *Router) pushTo(h *wire.Head, push func(context.Context, Backend, obs.Span, uint64) (int, error), ni int, b Backend, seq uint64) int {
+	sp := r.tracer.StartSpan(h.TraceID, h.ParentSpan, obs.StageRoute, obs.Tmpl(h.TemplateID)).
+		WithNode(strconv.Itoa(ni))
+	start := r.now()
+	inv, err := push(context.Background(), b, sp, seq)
+	sp.End()
+	r.observeNode(ni, obs.KindInvalidate, start)
+	if err != nil {
+		r.proxyError(obs.KindInvalidate)
+		return 0
+	}
+	return inv
 }
 
 // FanoutPlan is the fan-out of an update of template id that node exec
 // ran, for RouteUpdate and the simulator alike: the other planned nodes
-// with a live backend, and how many live nodes it spares (never below
-// zero: a handoff's union plan can name more nodes than are live).
-func (r *Router) FanoutPlan(id string, exec int) (targets []int, skipped int) {
+// with a live backend, appended to dst[:0], and how many live nodes it
+// spares (never below zero: a handoff's union plan can name more nodes
+// than are live).
+func (r *Router) FanoutPlan(id string, exec int, dst []int) (targets []int, skipped int) {
 	planned, broadcast := r.planner.Targets(id)
 	if broadcast && r.broadcasts != nil {
 		r.broadcasts.Inc()
 	}
-	targets = planned[:0] // Targets returns a fresh slice
+	targets = dst[:0]
 	for _, ni := range planned {
 		if ni != exec && r.backend(ni) != nil {
 			targets = append(targets, ni)

@@ -251,7 +251,7 @@ func (t *simTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, don
 			// through their pipeline monitors, which record the
 			// invalidate span. The issuing node invalidates in the
 			// pipeline when done resolves.
-			targets, skipped := t.router.FanoutPlan(su.TemplateID, t.self)
+			targets, skipped := t.router.FanoutPlan(su.TemplateID, t.self, nil)
 			t.res.FanoutMessages += len(targets)
 			t.res.FanoutSkipped += skipped
 			for _, oi := range targets {
@@ -398,6 +398,7 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		if len(fleet) > 0 {
 			homes[p].OnConfirm(func(c homeserver.Confirmed) {
+				c.Update = c.Update.Own() // lent for the call; applied later
 				world.After(0, func() {
 					for _, rep := range fleet {
 						if err := rep.ApplyBatch([]homeserver.Confirmed{c}); err != nil {

@@ -2,11 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"dssp/internal/sqlparse"
-	"dssp/internal/template"
 )
 
 // payloadCorpus is payload plaintexts of toystore statements — a query and
@@ -32,9 +32,10 @@ func lies(s string, b []byte) bool {
 
 // checkReadPayload holds the home's lending read to OpenPayload on one
 // payload plaintext b: both accept it or both refuse it; an accepted one
-// names the same template and the same parameters, and re-encodes to b. A
-// query's non-empty strings lie in the scratch the payload was read into;
-// an update's lie outside it and survive the scratch being overwritten.
+// names the same template and the same parameters, and re-encodes to b.
+// Its non-empty strings, a query's and an update's, lie in the scratch the
+// payload was read into, and OpenPayload's, which survive the scratch
+// being overwritten, do not.
 func checkReadPayload(t *testing.T, c *Codec, b []byte) {
 	t.Helper()
 	opaque := c.kr.Seal(domOpaque, b)
@@ -58,19 +59,20 @@ func checkReadPayload(t *testing.T, c *Codec, b []byte) {
 		t.Fatalf("ReadPayload(%x) re-encodes to %x", b, enc)
 	}
 	for _, v := range params {
-		if v.Str != "" && lies(v.Str, plain) != (got.Kind == template.KQuery) {
-			t.Fatalf("ReadPayload(%x) of %s: %q lent %v, want lent exactly for a query", b, got.ID, v.Str, lies(v.Str, plain))
+		if v.Str != "" && !lies(v.Str, plain) {
+			t.Fatalf("ReadPayload(%x) of %s: %q is a copy, not lent", b, got.ID, v.Str)
 		}
 		if lies(v.Str, opaque) {
 			t.Fatalf("ReadPayload(%x): %q lies in the sealed payload", b, v.Str)
 		}
 	}
+	owned := slices.Clone(wantParams)
 	scratch := plain[:cap(plain)]
 	for i := range scratch {
 		scratch[i] ^= 0xA5
 	}
-	if got.Kind != template.KQuery && !identicalParams(params, wantParams) {
-		t.Fatalf("ReadPayload(%x) of %s: %v after its scratch was overwritten, want %v", b, got.ID, params, wantParams)
+	if !identicalParams(wantParams, owned) {
+		t.Fatalf("OpenPayload(%x) of %s: %v after the scratch was overwritten, want %v", b, got.ID, wantParams, owned)
 	}
 }
 
@@ -87,8 +89,7 @@ func TestReadPayloadMatchesOpenPayload(t *testing.T) {
 
 // FuzzReadPayload runs checkReadPayload on arbitrary payload plaintexts:
 // the read the home server runs on every statement it executes never
-// panics, accepts exactly what OpenPayload does, and lends exactly a
-// query's strings.
+// panics, accepts exactly what OpenPayload does, and lends every string.
 func FuzzReadPayload(f *testing.F) {
 	for _, b := range payloadCorpus() {
 		f.Add(b)
@@ -98,7 +99,8 @@ func FuzzReadPayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { checkReadPayload(t, c, b) })
 }
 
-// A query read into warm scratch allocates nothing.
+// A statement read into warm scratch allocates nothing: a query's strings
+// and an update's are lent alike.
 func TestReadPayloadAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -108,14 +110,23 @@ func TestReadPayloadAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	su, err := c.SealUpdate(app.Update("U2"), []sqlparse.Value{sqlparse.IntVal(7), sqlparse.StringVal("4111"), sqlparse.StringVal("10001")})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var plain []byte
 	var params []sqlparse.Value
-	if n := testing.AllocsPerRun(100, func() {
-		if tm, err := c.ReadPayload(sq.Opaque, &plain, &params); err != nil || tm.ID != "Q1" {
-			t.Fatal(tm, err)
+	for _, c2 := range []struct {
+		id     string
+		opaque []byte
+	}{{"Q1", sq.Opaque}, {"U2", su.Opaque}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if tm, err := c.ReadPayload(c2.opaque, &plain, &params); err != nil || tm.ID != c2.id {
+				t.Fatal(tm, err)
+			}
+		}); n != 0 {
+			t.Errorf("ReadPayload of %s: %v allocations, want 0", c2.id, n)
 		}
-	}); n != 0 {
-		t.Errorf("ReadPayload of a query: %v allocations, want 0", n)
 	}
 }
 

@@ -45,14 +45,16 @@ import (
 // bytes. Two kinds of reader share the one walk of each grammar. A Decode
 // function returns what the caller may keep: nothing it returns aliases b,
 // so b may be a pooled buffer. A Read function (ReadSealedQuery,
-// ReadQueryPayload, Raw.ReadQuery, ReadSealedResult) lends: the payload,
-// the cipher, a view result's encoding and a query's key and parameters
-// alias b, and are valid only as long as b is — what a hop reads once and
-// forwards or opens before its buffer goes back to the pool. A Read
-// function copies only a template ID its table does not hold; whoever
-// keeps a lent string past the hop copies it — a node's miss the key and
-// the parameters (SealedQuery.Keep), a router's blind-key cache a key. The
-// Decode functions are the same walk followed by a copy. An absent
+// ReadSealedUpdate, ReadQueryPayload, Raw.ReadQuery, ReadSealedResult)
+// lends: the payload, the cipher, a view result's encoding and a
+// statement's key and parameters alias b, and are valid only as long as b
+// is — what a hop reads once and forwards or opens before its buffer goes
+// back to the pool. A Read function copies only a template ID its table
+// does not hold; whoever keeps a lent string past the hop copies it — a
+// node's miss the key and the parameters (SealedQuery.Keep), a node's
+// update call the parameters and the payload (SealedUpdate.KeepIn), a
+// router's blind-key cache a key. The Decode functions are the same walk
+// followed by a copy. An absent
 // and an empty Params (or Opaque) share an encoding and decode as nil; a
 // nil Cipher is "no result", an empty one is a sealed result of no bytes.
 const (
@@ -73,7 +75,7 @@ func AppendSealedQuery(dst []byte, sq *SealedQuery, trace bool) []byte {
 	if trace {
 		dst = appendTrace(dst, sq.TraceID, sq.ParentSpan)
 	}
-	dst = appendStatement(dst, sq.TemplateID, sq.Group, sq.Params)
+	dst = appendStatement(dst, sq.TemplateID, sq.Group, sq.Params, sq.params)
 	dst = appendString(dst, sq.Key)
 	return appendBytes(dst, sq.Opaque)
 }
@@ -94,7 +96,7 @@ func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
 func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 	dst = append(dst, byte(su.Exposure))
 	dst = appendTrace(dst, su.TraceID, su.ParentSpan)
-	dst = appendStatement(dst, su.TemplateID, su.Group, su.Params)
+	dst = appendStatement(dst, su.TemplateID, su.Group, su.Params, su.params)
 	return appendBytes(dst, su.Opaque)
 }
 
@@ -129,6 +131,82 @@ func ReadSealedQuery(b []byte, ids map[string]string) (SealedQuery, error) {
 	sq.TemplateID = intern(b[s.templateID.at:s.templateID.end], ids)
 	sq.lent = true
 	return sq, nil
+}
+
+// ReadSealedUpdate reads the one sealed update b holds in place, as a node
+// serves an update or an invalidation and a home executes one, as
+// ReadSealedQuery reads a query. It accepts exactly what
+// DecodeSealedUpdate accepts with no bytes left. The template ID is
+// interned against ids, and copied only when ids does not hold it; the
+// parameters, left encoded, and the payload are lent: they lie in b, and
+// are valid only as long as b is. Only the update's one keeper past its
+// call, the pipeline's update call, copies and decodes them (KeepIn). So
+// an update of a template in ids costs nothing to read.
+func ReadSealedUpdate(b []byte, ids map[string]string) (SealedUpdate, error) {
+	s, err := walkWhole(b, false)
+	if err != nil {
+		return SealedUpdate{}, err
+	}
+	return SealedUpdate{
+		Exposure: s.exposure, TraceID: s.traceID, ParentSpan: s.parentSpan,
+		TemplateID: intern(b[s.templateID.at:s.templateID.end], ids), Group: s.group,
+		Opaque: s.opaque, params: lend(b[s.params.at:s.params.end]), lent: true,
+	}, nil
+}
+
+// UpdateBuf is the memory a lent update is copied into (KeepIn): its
+// parameters, their strings and its payload, each reused from the update
+// copied in last. Its holder copies the next update into it only once it
+// is done with the last. The zero value is ready to use.
+type UpdateBuf struct {
+	params []sqlparse.Value
+	strs   []byte
+	opaque []byte
+}
+
+// KeepIn makes su its holder's for as long as buf is not reused: a lent
+// update's parameters — decoded, if they are still encoded — their
+// strings and its payload are copied into buf, and su reads them there.
+// An update that is not lent is left as it is, so nothing is copied
+// twice. The template ID is never lent: it is the application's, interned,
+// or a copy. So an update kept in warm memory allocates nothing.
+func (su *SealedUpdate) KeepIn(buf *UpdateBuf) {
+	if !su.lent {
+		return
+	}
+	buf.strs = buf.strs[:0]
+	if su.params != "" {
+		buf.strs = append(buf.strs, su.params...)
+		buf.params = readEncodedParams(buf.params[:0], lend(buf.strs))
+	} else {
+		for _, v := range su.Params {
+			buf.strs = append(buf.strs, v.Str...)
+		}
+		strs, at := lend(buf.strs), 0
+		buf.params = append(buf.params[:0], su.Params...)
+		for i := range buf.params {
+			n := len(buf.params[i].Str)
+			buf.params[i].Str, at = strs[at:at+n], at+n
+		}
+	}
+	su.Params = nil
+	if len(buf.params) > 0 {
+		su.Params = buf.params
+	}
+	if su.Opaque != nil {
+		buf.opaque = append(buf.opaque[:0], su.Opaque...)
+		su.Opaque = buf.opaque
+	}
+	su.params, su.lent = "", false
+}
+
+// Own returns a copy of su its holder may keep whatever becomes of the
+// memory su lies in, lent or not: a sink that keeps a confirmed update the
+// home lent it for the call (homeserver.Confirmed) owns it so.
+func (su SealedUpdate) Own() SealedUpdate {
+	su.lent = true
+	su.KeepIn(new(UpdateBuf))
+	return su
 }
 
 // ReadQueryPayload reads the one sealed query b holds, in its WithTrace
@@ -340,17 +418,25 @@ func (s *statement) query(head string) SealedQuery {
 // uvarint(nparams) value*: one slice, whose string values are substrings
 // of params; nil when there are none.
 func decodeParams(params string) []sqlparse.Value {
-	n, p, _ := decodeCount(params)
+	n, _, _ := decodeCount(params)
 	if n == 0 {
 		return nil
 	}
-	vs := make([]sqlparse.Value, n)
-	for i := range vs {
+	return readEncodedParams(make([]sqlparse.Value, 0, n), params)
+}
+
+// readEncodedParams appends to dst the parameters walk accepted, as
+// decodeParams decodes them.
+func readEncodedParams(dst []sqlparse.Value, params string) []sqlparse.Value {
+	n, p, _ := decodeCount(params)
+	for ; n > 0; n-- {
+		var v sqlparse.Value
 		var str string
-		vs[i], str, p, _ = splitValue(p)
-		vs[i].Str = str // empty but for a string
+		v, str, p, _ = splitValue(p)
+		v.Str = str // empty but for a string
+		dst = append(dst, v)
 	}
-	return vs
+	return dst
 }
 
 // cloneOpaque copies a statement's payload out of its input; an empty one
@@ -458,10 +544,14 @@ func (sr SealedResult) Own() SealedResult {
 }
 
 // appendStatement appends the part queries and updates share: the exposed
-// template identity, the routing group, and the exposed parameters.
-func appendStatement(dst []byte, templateID string, group int, params []sqlparse.Value) []byte {
+// template identity, the routing group, and the exposed parameters — as
+// encoded, when a statement read in place still carries them so.
+func appendStatement(dst []byte, templateID string, group int, params []sqlparse.Value, encoded string) []byte {
 	dst = appendString(dst, templateID)
 	dst = binary.AppendUvarint(dst, uint64(group))
+	if encoded != "" {
+		return append(dst, encoded...)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(params)))
 	return appendParams(dst, params)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -486,10 +487,55 @@ func checkReadRaw(t *testing.T, b []byte) {
 		return AppendSealedQuery(nil, &sq, WithTrace)
 	})
 	su, rest, err := DecodeSealedUpdate(b)
+	checkReadSealedUpdate(t, b, su, wholeMessage(rest, err))
 	checkRaw(t, "ReadUpdate", b, (*Raw).ReadUpdate, su.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
 		su.ParentSpan = parent
 		return AppendSealedUpdate(nil, &su)
 	})
+}
+
+// checkReadSealedUpdate holds ReadSealedUpdate, then KeepIn or Own, to the
+// decoder on one input, whose decoded update is want: the template ID is
+// the table's own string when the table holds it, what the read lends —
+// the payload and the parameters, still encoded — lies in the input and
+// re-encodes to it, and once kept the update reads as the decoded one
+// after the input was cleared.
+func checkReadSealedUpdate(t *testing.T, b []byte, want SealedUpdate, wantErr error) {
+	t.Helper()
+	in := bytes.Clone(b)
+	got, err := ReadSealedUpdate(in, routerIDs)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("ReadSealedUpdate(%x): err %v, the decoder: %v", b, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	checkLent(t, "ReadSealedUpdate", b, in, got.Opaque, want.Opaque)
+	if id, ok := routerIDs[got.TemplateID]; ok && unsafe.StringData(id) != unsafe.StringData(got.TemplateID) {
+		t.Fatalf("ReadSealedUpdate(%x): template ID %q is not the table's", b, got.TemplateID)
+	}
+	if got.Params != nil {
+		t.Fatalf("ReadSealedUpdate(%x): parameters decoded before KeepIn", b)
+	}
+	if enc := AppendSealedUpdate(nil, &got); !bytes.Equal(enc, b) {
+		t.Fatalf("ReadSealedUpdate(%x) re-encodes to %x", b, enc)
+	}
+	owned := got.Own()
+	var buf UpdateBuf
+	got.KeepIn(&buf)
+	clear(in)
+	wantP := want.Params
+	want.Params = nil
+	for _, kept := range []struct {
+		name string
+		su   SealedUpdate
+	}{{"KeepIn", got}, {"Own", owned}} {
+		gotP := kept.su.Params
+		kept.su.Params = nil
+		if !reflect.DeepEqual(kept.su, want) || !identicalParams(gotP, wantP) {
+			t.Fatalf("ReadSealedUpdate(%x) then %s: %#v %v, decoded %#v %v (after the input was cleared)", b, kept.name, kept.su, gotP, want, wantP)
+		}
+	}
 }
 
 // checkReadSealedQuery holds ReadSealedQuery, then Keep and DecodeParams,
@@ -642,6 +688,12 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 			sq.DecodeParams()
 			return err
 		}, 2},
+		{"ReadSealedUpdate", func() error { _, err := ReadSealedUpdate(u, routerIDs); return err }, 0},
+		{"ReadSealedUpdate and KeepIn warm memory", func() error {
+			su, err := ReadSealedUpdate(u, routerIDs)
+			su.KeepIn(&keptBuf)
+			return err
+		}, 0},
 	} {
 		if n := testing.AllocsPerRun(100, func() {
 			if err := c.read(); err != nil {
@@ -650,6 +702,77 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 		}); n != c.want {
 			t.Errorf("%s: %v allocations, want %v", c.name, n, c.want)
 		}
+	}
+}
+
+// keptBuf is the warm memory TestReadRawMatchesDecoders keeps updates in.
+var keptBuf UpdateBuf
+
+// FuzzReadSealedUpdate holds the in-place update reader a node and a home
+// run on every update they are sent to the decoder on arbitrary input:
+// ReadSealedUpdate never panics and accepts exactly what DecodeSealedUpdate
+// accepts with nothing left over, and what it reads, kept, is the decoded
+// update (checkReadSealedUpdate).
+func FuzzReadSealedUpdate(f *testing.F) {
+	for _, b := range append(sealedUpdateForm(f), sealedQueryForms(f)...) {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		su, rest, err := DecodeSealedUpdate(b)
+		checkReadSealedUpdate(t, b, su, wholeMessage(rest, err))
+	})
+}
+
+// TestLendUpdateMatchesSealUpdate: an update sealed into scratch is the
+// update SealUpdate seals — its fields, its payload's plaintext, and its
+// encoding but for the trace ID — with its payload in the scratch, and
+// sealing into warm scratch allocates nothing. KeepIn copies a lent update
+// out of the scratch and the caller's parameter slice, its strings too.
+func TestLendUpdateMatchesSealUpdate(t *testing.T) {
+	c, app := testCodec(t, nil)
+	params := []sqlparse.Value{sqlparse.IntVal(7), sqlparse.StringVal("4111"), sqlparse.StringVal("10001")}
+	var s Scratch
+	for _, id := range []string{"U1", "U2"} {
+		tm := app.Update(id)
+		ps := params[:tm.NumParams]
+		want, err := c.SealUpdate(tm, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.LendUpdate(tm, ps, &s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.lent || &got.Opaque[0] != &s.opaque[0] {
+			t.Fatalf("%s: LendUpdate's update is not lent from the scratch", id)
+		}
+		got.TraceID = want.TraceID
+		if a, b := AppendSealedUpdate(nil, &got), AppendSealedUpdate(nil, &want); !bytes.Equal(a, b) {
+			t.Fatalf("%s: LendUpdate encodes to %x, SealUpdate to %x", id, a, b)
+		}
+		var buf UpdateBuf
+		got.KeepIn(&buf)
+		for i := range s.opaque {
+			s.opaque[i] ^= 0xA5
+		}
+		vals := slices.Clone(ps)
+		for i := range ps {
+			ps[i] = sqlparse.StringVal("\xa5")
+		}
+		if !bytes.Equal(got.Opaque, want.Opaque) || !identicalParams(got.Params, vals) {
+			t.Fatalf("%s: kept %x %v after the scratch was overwritten, want %x %v", id, got.Opaque, got.Params, want.Opaque, vals)
+		}
+		copy(ps, vals)
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := c.LendUpdate(app.Update("U2"), params, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("LendUpdate into warm scratch: %v allocations, want 0", n)
 	}
 }
 

@@ -227,9 +227,8 @@ func splitPayload(b []byte) (templateID []byte, n int, rest []byte, err error) {
 
 // readParams appends to dst the n values b holds and requires b to hold
 // nothing after them: trailing bytes are not a canonical encoding. A
-// string's bytes are lent from b when lent is set (lend), and copied
-// otherwise. dst grows by n at most once.
-func readParams(dst []sqlparse.Value, n int, b []byte, lent bool) ([]sqlparse.Value, error) {
+// string's bytes are lent from b (lend). dst grows by n at most once.
+func readParams(dst []sqlparse.Value, n int, b []byte) ([]sqlparse.Value, error) {
 	dst = slices.Grow(dst, n)
 	for ; n > 0; n-- {
 		v, str, rest, err := splitValue(b)
@@ -237,11 +236,7 @@ func readParams(dst []sqlparse.Value, n int, b []byte, lent bool) ([]sqlparse.Va
 			return dst, errMalformed
 		}
 		if v.Kind == sqlparse.KindString {
-			if lent {
-				v.Str = lend(str)
-			} else {
-				v.Str = string(str)
-			}
+			v.Str = lend(str)
 		}
 		dst, b = append(dst, v), rest
 	}

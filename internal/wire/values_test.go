@@ -229,15 +229,18 @@ func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
 }
 
 // decodePayload is the payload grammar read whole and owned, as
-// Codec.ReadPayload reads it for an update, but for any template ID.
+// Codec.OpenPayload reads it, but for any template ID.
 func decodePayload(b []byte) (string, []sqlparse.Value, error) {
 	tid, n, b, err := splitPayload(b)
 	if err != nil {
 		return "", nil, err
 	}
-	params, err := readParams(nil, n, b, false)
+	params, err := readParams(nil, n, b)
 	if err != nil {
 		return "", nil, err
+	}
+	for i := range params {
+		params[i].Str = strings.Clone(params[i].Str)
 	}
 	return string(tid), params, nil
 }

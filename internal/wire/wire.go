@@ -38,9 +38,10 @@
 // All encode scratch comes from a package-level buffer pool; sealed
 // outputs (Opaque, Cipher, Key) are freshly allocated or immutable
 // strings, owned by the caller, and never alias pooled memory — but for a
-// query sealed with LendQuery, whose key and payload lie in the caller's
-// Scratch and are lent. What is read off a byte stream is owned when
-// decoded and lent when read in place (sealed.go).
+// statement sealed with LendQuery or LendUpdate, whose payload (and a
+// query's key) lie in the caller's Scratch and are lent. What is read off
+// a byte stream is owned when decoded and lent when read in place
+// (sealed.go).
 package wire
 
 import (
@@ -122,6 +123,18 @@ type SealedUpdate struct {
 	Group      int // table-group routing hint, as in SealedQuery
 	Params     []sqlparse.Value
 	Opaque     []byte
+
+	// params is Params still encoded, as an update read in place carries
+	// them until its keeper copies them (KeepIn); "" once decoded, and for
+	// an update sealed or decoded whole.
+	params string
+
+	// lent marks an update whose parameters, encoded or not, and payload
+	// lie in memory its sender reuses once the call it was lent for
+	// returns: a client's scratch (Codec.LendUpdate) or a frame
+	// (ReadSealedUpdate). KeepIn copies them for the one keeper of an
+	// update past its call, the pipeline's update call.
+	lent bool
 }
 
 // Head is what a router reads of a sealed statement: the fields it routes
@@ -224,10 +237,10 @@ func (c *Codec) SealQuery(t *template.Template, params []sqlparse.Value) (Sealed
 	return sq, err
 }
 
-// Scratch is the memory a lent query is sealed into (Codec.LendQuery): its
-// payload and its key. Its holder seals the next query into it only once
-// the call the last one was lent for has returned. The zero value is ready
-// to use.
+// Scratch is the memory a lent statement is sealed into (Codec.LendQuery,
+// Codec.LendUpdate): its payload and, for a query, its key. Its holder
+// seals the next statement into it only once the call the last one was
+// lent for has returned. The zero value is ready to use.
 type Scratch struct{ opaque, key []byte }
 
 // LendQuery is SealQuery into s, for a caller that passes the query to one
@@ -280,24 +293,44 @@ func (c *Codec) sealQuery(t *template.Template, params []sqlparse.Value, opaque 
 	return sq, nil
 }
 
-// SealUpdate prepares an update instance for the DSSP.
+// SealUpdate prepares an update instance for the DSSP. The update is the
+// caller's to keep, as SealQuery's query is: the payload is its own, and
+// Params is params.
 func (c *Codec) SealUpdate(t *template.Template, params []sqlparse.Value) (SealedUpdate, error) {
+	eb := getBuf()
+	su, err := c.sealUpdate(t, params, nil, &eb.b)
+	putBuf(eb)
+	return su, err
+}
+
+// LendUpdate is SealUpdate into s, as LendQuery is SealQuery: the payload
+// lies in s and Params is params, both lent for the one call the update
+// is passed to (pipeline.Front), and the one keeper of an update past its
+// call, the pipeline's update call, copies it (SealedUpdate.KeepIn). So
+// an update sealed into warm scratch allocates nothing.
+func (c *Codec) LendUpdate(t *template.Template, params []sqlparse.Value, s *Scratch) (SealedUpdate, error) {
+	su, err := c.sealUpdate(t, params, s.opaque[:0], &s.key)
+	if err != nil {
+		return SealedUpdate{}, err
+	}
+	s.opaque, su.lent = su.Opaque, true
+	return su, nil
+}
+
+// sealUpdate seals an update instance: the payload is appended to opaque,
+// and *plain stages the payload's plaintext.
+func (c *Codec) sealUpdate(t *template.Template, params []sqlparse.Value, opaque []byte, plain *[]byte) (SealedUpdate, error) {
 	if !t.Kind.IsUpdate() {
 		return SealedUpdate{}, fmt.Errorf("wire: %s is not an update template", t.ID)
 	}
-	exp := c.ExposureOf(t)
-	if exp > template.ExpStmt {
-		exp = template.ExpStmt
-	}
-	eb := getBuf()
-	eb.b = appendPayload(eb.b[:0], t.ID, params)
+	exp := min(c.ExposureOf(t), template.ExpStmt)
+	*plain = appendPayload((*plain)[:0], t.ID, params)
 	su := SealedUpdate{
 		Exposure: exp,
 		TraceID:  obs.NewTraceID(),
 		Group:    c.groups[t.ID],
-		Opaque:   c.kr.Seal(domOpaque, eb.b),
+		Opaque:   c.kr.SealAppend(opaque, domOpaque, *plain),
 	}
-	putBuf(eb)
 	if exp >= template.ExpTemplate {
 		su.TemplateID = t.ID
 	}
@@ -308,9 +341,9 @@ func (c *Codec) SealUpdate(t *template.Template, params []sqlparse.Value) (Seale
 }
 
 // OpenPayload decrypts an opaque statement payload and resolves its
-// template: ReadPayload into pooled scratch, followed by a copy of a
-// query's strings, so the parameters are the caller's own and never alias
-// the scratch.
+// template: ReadPayload into pooled scratch, followed by a copy of the
+// strings, so the parameters are the caller's own and never alias the
+// scratch.
 func (c *Codec) OpenPayload(opaque []byte) (*template.Template, []sqlparse.Value, error) {
 	eb := getBuf()
 	defer putBuf(eb)
@@ -319,10 +352,8 @@ func (c *Codec) OpenPayload(opaque []byte) (*template.Template, []sqlparse.Value
 	if err != nil {
 		return nil, nil, err
 	}
-	if t.Kind == template.KQuery {
-		for i := range params {
-			params[i].Str = strings.Clone(params[i].Str)
-		}
+	for i := range params {
+		params[i].Str = strings.Clone(params[i].Str)
 	}
 	return t, params, nil
 }
@@ -330,18 +361,18 @@ func (c *Codec) OpenPayload(opaque []byte) (*template.Template, []sqlparse.Value
 // ReadPayload is OpenPayload in place, for the home server, which runs the
 // statement and is done with it when the run returns: the payload is
 // decrypted into *plain and its parameters read into *params, both reused
-// from the last statement read into them. A query's string parameters are
-// lent from *plain, valid until it is reused; an update's are copied,
-// because storage keeps the values an update inserts or sets. The template
-// is the application's own, found with no copy of its ID. So a query read
-// into warm scratch allocates nothing.
+// from the last statement read into them. The string parameters, a
+// query's and an update's, are lent from *plain, valid until it is
+// reused: the home copies only the values an update stores (an INSERT's,
+// a SET's), which storage keeps. The template is the application's own,
+// found with no copy of its ID. So a statement read into warm scratch
+// allocates nothing.
 func (c *Codec) ReadPayload(opaque []byte, plain *[]byte, params *[]sqlparse.Value) (*template.Template, error) {
 	t, n, b, err := c.openHead(opaque, plain)
 	if err != nil {
 		return nil, err
 	}
-	*params, err = readParams((*params)[:0], n, b, t.Kind == template.KQuery)
-	if err != nil {
+	if *params, err = readParams((*params)[:0], n, b); err != nil {
 		return nil, err
 	}
 	return t, nil
