@@ -267,30 +267,61 @@ func BenchmarkDeterministicSeal(b *testing.B) {
 // at the default, view exposure: seal, lookup, and a copy of the cached
 // plaintext result. BenchmarkSystemQueryHitSealed is the same hit at stmt
 // exposure, where the client decrypts and decodes the result instead. Both
-// are gated in BENCH_allocs.json with no headroom.
-func BenchmarkSystemQueryHit(b *testing.B) { benchmarkQueryHit(b, nil) }
+// are gated in BENCH_allocs.json with no headroom: the one allocation is
+// the answer's box, which holds the QueryResult, the result and its value.
+func BenchmarkSystemQueryHit(b *testing.B) { benchmarkQueryHit(b, nil, "Q2", 5) }
 
 func BenchmarkSystemQueryHitSealed(b *testing.B) {
-	benchmarkQueryHit(b, ExposureAssignment{"Q2": ExpStmt})
+	benchmarkQueryHit(b, ExposureAssignment{"Q2": ExpStmt}, "Q2", 5)
 }
 
-func benchmarkQueryHit(b *testing.B, exps ExposureAssignment) {
+// BenchmarkSystemQueryHitString is a sealed hit on a toy's row, whose
+// name the client copies into the answer's box beside its three values:
+// one allocation. BenchmarkSystemQueryHitLarge is a sealed hit on the rows
+// of four toys, twelve values, more than the largest box holds: the answer
+// falls back to a box of its own, its values and its string bytes each in
+// an array of their own, three allocations. Both are gated in
+// BENCH_allocs.json with no headroom.
+func BenchmarkSystemQueryHitString(b *testing.B) {
+	benchmarkQueryHit(b, ExposureAssignment{"Q4": ExpStmt}, "Q4", 5)
+}
+
+func BenchmarkSystemQueryHitLarge(b *testing.B) {
+	benchmarkQueryHit(b, ExposureAssignment{"Q5": ExpStmt}, "Q5", 0)
+}
+
+// benchmarkQueryHit times hits on query id with one parameter, over the
+// toystore with two templates more — Q4, a toy's row by id, and Q5, the
+// rows of the toys above a quantity — and four toys.
+func benchmarkQueryHit(b *testing.B, exps ExposureAssignment, id string, param int) {
 	app := apps.Toystore()
+	for _, q := range []struct{ id, sql string }{
+		{"Q4", "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id=?"},
+		{"Q5", "SELECT toy_id, toy_name, qty FROM toys WHERE qty>?"},
+	} {
+		t, err := NewTemplate(q.id, app.Schema, q.sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		app.Queries = append(app.Queries, t)
+	}
 	sys, err := NewSystem(app, make([]byte, KeySize), exps)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sys.DB.Insert("toys", []Value{Int(5), String("kite"), Int(25)}); err != nil {
-		b.Fatal(err)
+	for i, name := range []string{"kite", "bear", "truck", "doll"} {
+		if err := sys.DB.Insert("toys", []Value{Int(int64(5 + i)), String(name), Int(int64(25 + i))}); err != nil {
+			b.Fatal(err)
+		}
 	}
-	if _, err := sys.Query("Q2", 5); err != nil {
+	if _, err := sys.Query(id, param); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := sys.Query("Q2", 5); err != nil {
-			b.Fatal(err)
+		if _, hit, err := sys.QueryOutcome(id, param); err != nil || !hit {
+			b.Fatalf("%s(%d): hit %v, err %v; want a hit", id, param, hit, err)
 		}
 	}
 }

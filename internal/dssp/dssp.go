@@ -102,13 +102,15 @@ type Client struct {
 // statement lends them to the front for the length of the call
 // (pipeline.Front), and the client takes the scratch back when the call
 // returns: only a keeper behind the front copies what it keeps
-// (wire.SealedQuery.Keep, wire.SealedUpdate.KeepIn). release clears the
-// values, which hold the caller's strings, as the engine's exec is cleared,
-// so an idle scratch pins nothing; the bytes it keeps grown hold no
-// reference.
+// (wire.SealedQuery.Keep, wire.SealedUpdate.KeepIn). A query's Replier
+// lives here too, since every front replies within its call. release
+// clears the values, which hold the caller's strings, as the engine's exec
+// is cleared, and the replier, which holds the last answer, so an idle
+// scratch pins nothing; the bytes it keeps grown hold no reference.
 type queryScratch struct {
 	vals []sqlparse.Value
 	seal wire.Scratch
+	open opener
 }
 
 // takeScratch returns a pooled scratch, or a new one.
@@ -123,6 +125,7 @@ func (c *Client) takeScratch() *queryScratch {
 func (c *Client) release(s *queryScratch) {
 	clear(s.vals)
 	s.vals = s.vals[:0]
+	s.open = opener{}
 	c.scratch.Put(s)
 }
 
@@ -193,55 +196,107 @@ func (c *Client) sealSpan(trace obs.TraceID, t *template.Template, start time.Du
 }
 
 // Open opens the sealed result the untrusted tier returned for sq,
-// recording the open span. The QueryResult and the result it points to
-// are one allocation.
+// recording the open span, as a query's replier does: the QueryResult, its
+// result, and the result's values and strings are one allocation when the
+// result fits an answer box.
 func (c *Client) Open(t *template.Template, sq wire.SealedQuery, sealed wire.SealedResult, hit bool) (*QueryResult, error) {
-	out := c.opener(t, sq)
-	out.Reply(sealed, hit)
-	return out.result()
+	s := c.takeScratch()
+	defer c.release(s)
+	o := s.opener(c, t, sq)
+	o.Reply(sealed, hit)
+	return o.result()
 }
 
-// opener returns the Replier that opens the answer to sq.
-func (c *Client) opener(t *template.Template, sq wire.SealedQuery) *openedResult {
-	return &openedResult{c: c, t: t, trace: sq.TraceID, err: errNoReply}
+// opener readies the Replier in s that opens the answer to sq, and
+// returns it.
+func (s *queryScratch) opener(c *Client, t *template.Template, sq wire.SealedQuery) *opener {
+	s.open = opener{c: c, t: t, trace: sq.TraceID, err: errNoReply}
+	return &s.open
 }
 
 // errNoReply is a front that answered a query without a result.
 var errNoReply = errors.New("dssp: the front answered the query without a result")
 
-// openedResult is what a query allocates: a QueryResult and its result,
-// and the pipeline.Replier that opens the front's answer into them while
-// the answer is still lent — straight from the frame it arrived in, over a
-// hop.
-type openedResult struct {
-	QueryResult
-	res engine.Result
-
+// opener is the pipeline.Replier that opens a front's answer while it is
+// still lent — straight from the frame it arrived in, over a hop — into an
+// answer box it chooses once the answer is measured (Box): it is the
+// wire.ResultBox of its open. It lives in the query's pooled scratch, and
+// what it keeps of an answer is the box, which the query returns.
+type opener struct {
 	c     *Client
 	t     *template.Template
 	trace obs.TraceID
-	err   error // the open's, or errNoReply until Reply runs
+	out   *QueryResult // the box's, once Box ran
+	err   error        // the open's, or errNoReply until Reply runs
+}
+
+// box is a QueryResult and the result it points to. What a query
+// allocates is one answer box: a box with its result's values and string
+// bytes beside it, of the smallest class they fit, or, for an answer that
+// fits none, a box alone, its values and bytes each in an array of their
+// own. The classes are sized to the answers the applications' scripts
+// return most — most have up to six values and 32 bytes of strings — so a
+// small answer pins no more memory than it needs.
+type box struct {
+	QueryResult
+	res engine.Result
+}
+
+// The answer box classes, named by the values they hold.
+type (
+	box2 struct {
+		box
+		vals [2]sqlparse.Value
+		strs [16]byte
+	}
+	box6 struct {
+		box
+		vals [6]sqlparse.Value
+		strs [32]byte
+	}
+)
+
+// Box allocates the answer box of a result of n values and m string
+// bytes (wire.ResultBox).
+func (o *opener) Box(n, m int) (*engine.Result, []sqlparse.Value, []byte) {
+	var a *box
+	var vals []sqlparse.Value
+	var strs []byte
+	switch {
+	case n <= len(box2{}.vals) && m <= len(box2{}.strs):
+		b := new(box2)
+		a, vals, strs = &b.box, b.vals[:n], b.strs[:m]
+	case n <= len(box6{}.vals) && m <= len(box6{}.strs):
+		b := new(box6)
+		a, vals, strs = &b.box, b.vals[:n], b.strs[:m]
+	default:
+		a, vals, strs = new(box), make([]sqlparse.Value, n), make([]byte, m)
+	}
+	a.Result = &a.res
+	o.out = &a.QueryResult
+	return &a.res, vals, strs
 }
 
 // Reply opens the sealed result and records the open span.
-func (o *openedResult) Reply(sealed wire.SealedResult, hit bool) {
+func (o *opener) Reply(sealed wire.SealedResult, hit bool) {
 	op := o.c.Tracer.StartSpan(o.trace, obs.SpanID{}, obs.StageOpen, o.t.ID)
-	if o.err = o.c.Codec.OpenResultInto(o.t, sealed, &o.res); o.err != nil {
+	if o.err = o.c.Codec.OpenResultInto(o.t, sealed, o); o.err != nil {
 		return
 	}
 	op.End()
-	o.QueryResult = QueryResult{Result: &o.res, Outcome: QueryOutcome{Hit: hit, Rows: o.res.Len()}}
+	res := o.out.Result
+	o.out.Outcome = QueryOutcome{Hit: hit, Rows: res.Len()}
 	if !hit {
-		o.Outcome.Scanned = o.res.RowsScanned
+		o.out.Outcome.Scanned = res.RowsScanned
 	}
 }
 
 // result is what the query returns once the front answered.
-func (o *openedResult) result() (*QueryResult, error) {
+func (o *opener) result() (*QueryResult, error) {
 	if o.err != nil {
 		return nil, o.err
 	}
-	return &o.QueryResult, nil
+	return o.out, nil
 }
 
 // Query executes one query template instance end to end.
@@ -250,8 +305,8 @@ func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResul
 }
 
 // QueryContext is Query bounded by ctx. The query is sealed into pooled
-// scratch and lent to the front for the call, so a hit allocates only the
-// result it returns.
+// scratch and lent to the front for the call, and the front replies to
+// the scratch's opener, so a hit allocates only the answer box it returns.
 func (c *Client) QueryContext(ctx context.Context, t *template.Template, params ...interface{}) (*QueryResult, error) {
 	s := c.takeScratch()
 	defer c.release(s)
@@ -265,7 +320,7 @@ func (c *Client) QueryContext(ctx context.Context, t *template.Template, params 
 		return nil, err
 	}
 	sq.ParentSpan = c.sealSpan(sq.TraceID, t, start)
-	out := c.opener(t, sq)
+	out := s.opener(c, t, sq)
 	if err := c.front().Query(ctx, sq, out); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package dssp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,12 +11,15 @@ import (
 	"time"
 	"unsafe"
 
+	"dssp/internal/apps"
 	"dssp/internal/cache"
 	"dssp/internal/core"
+	"dssp/internal/engine"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/shard"
 	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -243,5 +247,183 @@ func TestClientLendsOnlyForTheCall(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// boxApp is the toystore with three query templates whose answers fill
+// each answer box class and overflow them: a toy's name (one value), a
+// toy's row (three values) and the rows of the toys above a quantity
+// (three values each). Its toys are named by boxNames, whose lengths put a
+// name in the box of two values, in the box of six, and in neither.
+func boxApp() (*template.App, []*template.Template) {
+	app := apps.Toystore()
+	s := app.Schema
+	qs := []*template.Template{
+		template.MustNew("B1", s, "SELECT toy_name FROM toys WHERE toy_id=?"),
+		template.MustNew("B2", s, "SELECT toy_id, toy_name, qty FROM toys WHERE toy_id=?"),
+		template.MustNew("B3", s, "SELECT toy_id, toy_name, qty FROM toys WHERE qty>?"),
+	}
+	app.Queries = append(app.Queries, qs...)
+	return app, qs
+}
+
+var boxNames = []string{"kite", "a kite of many colours", "a kite of many colours and a very long tail"}
+
+// inBox reports whether r's values lie in the box r was allocated in,
+// right after its result, as they do in every class but the fallback.
+func inBox(r *QueryResult) bool {
+	return len(r.Result.Vals) > 0 &&
+		uintptr(unsafe.Pointer(&r.Result.Vals[0])) == uintptr(unsafe.Pointer(r))+unsafe.Sizeof(box{})
+}
+
+// TestClientResultsOwnTheirBox: a client opens each answer into a box
+// sized to it — its values and, unless the result arrived in the clear by
+// pointer, its string bytes beside its QueryResult, in the smallest class
+// they fit, or in arrays of their own when they fit none — and what it
+// returns stays its own: at every exposure level, results of every class
+// and of the fallback, hits and misses, with string values, held across
+// 300 further queries over a front that scrambles the client's scratch,
+// keep every value and string they had on receipt.
+func TestClientResultsOwnTheirBox(t *testing.T) {
+	app, qs := boxApp()
+	for _, exp := range []template.Exposure{template.ExpBlind, template.ExpTemplate, template.ExpStmt, template.ExpView} {
+		t.Run(exp.String(), func(t *testing.T) {
+			exps := map[string]template.Exposure{}
+			for _, q := range qs {
+				exps[q.ID] = exp
+			}
+			c, db := newStack(t, app, exps)
+			for i := 0; i < 8; i++ {
+				row := storage.Row{sqlparse.IntVal(int64(i + 1)), sqlparse.StringVal(boxNames[i%len(boxNames)]), sqlparse.IntVal(int64(10 * i))}
+				if err := db.Insert("toys", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Front = scrambleFront{shard.PipeBackend{Pipe: pipeline.New(c.Node, pipeline.NewDirectTransport(c.Home), nil, pipeline.Options{})}}
+			var held []*QueryResult
+			var prints []string
+			classes := map[string]int{}
+			hold := func(q *template.Template, param int) {
+				t.Helper()
+				r, err := c.Query(q, param)
+				if err != nil {
+					t.Fatalf("%s(%d): %v", q.ID, param, err)
+				}
+				n, m := len(r.Result.Vals), 0
+				for _, v := range r.Result.Vals {
+					m += len(v.Str)
+				}
+				if exp == template.ExpView {
+					m = 0 // the cache's result arrives by pointer, its strings immutable already
+				}
+				class := "fallback"
+				switch {
+				case n <= 2 && m <= 16:
+					class = "2 values"
+				case n <= 6 && m <= 32:
+					class = "6 values"
+				}
+				class += " box"
+				if inBox(r) != (class != "fallback box") {
+					t.Fatalf("%s(%d) of %d values and %d string bytes: values in the box %v, want the %s class", q.ID, param, n, m, inBox(r), class)
+				}
+				if m > 0 && class != "fallback box" {
+					lo, hi := uintptr(unsafe.Pointer(r)), uintptr(unsafe.Pointer(r))+unsafe.Sizeof(box6{})
+					for _, v := range r.Result.Vals {
+						if p := uintptr(unsafe.Pointer(unsafe.StringData(v.Str))); v.Str != "" && (p < lo || p >= hi) {
+							t.Fatalf("%s(%d): string %q is not in the answer's box", q.ID, param, v.Str)
+						}
+					}
+				}
+				if r.Outcome.Hit {
+					classes["hit"]++
+				}
+				classes[class]++
+				held, prints = append(held, r), append(prints, fmt.Sprintf("%+v %q %q", r.Outcome, r.Result.Columns, r.Result.Vals))
+			}
+			for round := 0; round < 2; round++ { // a miss, then a hit
+				for id := 1; id <= 3; id++ {
+					hold(qs[0], id)
+					hold(qs[1], id)
+				}
+				hold(qs[2], 0)
+			}
+			for _, class := range []string{"2 values box", "6 values box", "fallback box", "hit"} {
+				if classes[class] == 0 {
+					t.Fatalf("no held result is a %s: the test proves nothing", class)
+				}
+			}
+			for i := 0; i < 300; i++ {
+				q := qs[i%len(qs)]
+				if _, err := c.Query(q, i%9); err != nil {
+					t.Fatalf("%s(%d): %v", q.ID, i%9, err)
+				}
+				c.scratch.Get()
+			}
+			for i, r := range held {
+				if got := fmt.Sprintf("%+v %q %q", r.Outcome, r.Result.Columns, r.Result.Vals); got != prints[i] {
+					t.Fatalf("held result %d changed after later queries:\n got %s\nwant %s", i, got, prints[i])
+				}
+			}
+		})
+	}
+}
+
+// flakyFront answers every other query and fails the rest: with an error,
+// or, silent, with no error and no reply.
+type flakyFront struct {
+	pipeline.Front
+	silent bool
+	calls  int
+}
+
+var errFlaky = errors.New("flaky front")
+
+func (f *flakyFront) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
+	if f.calls++; f.calls%2 == 1 {
+		return f.Front.Query(ctx, sq, r)
+	}
+	if f.silent {
+		return nil
+	}
+	return errFlaky
+}
+
+// TestClientFailsWithoutAStaleAnswer: the replier a query answers through
+// is pooled scratch, so a query whose front fails, or returns without
+// replying, must fail with nothing — never with the answer the replier
+// held for the query before it.
+func TestClientFailsWithoutAStaleAnswer(t *testing.T) {
+	app, qs := boxApp()
+	for _, silent := range []bool{false, true} {
+		c, db := newStack(t, app, nil)
+		if err := db.Insert("toys", storage.Row{sqlparse.IntVal(1), sqlparse.StringVal("kite"), sqlparse.IntVal(3)}); err != nil {
+			t.Fatal(err)
+		}
+		c.Front = &flakyFront{Front: shard.PipeBackend{Pipe: pipeline.New(c.Node, pipeline.NewDirectTransport(c.Home), nil, pipeline.Options{})}, silent: silent}
+		for i := 0; i < 10; i++ {
+			r, err := c.Query(qs[1], 1)
+			if i%2 == 0 {
+				if err != nil || r.Outcome.Rows != 1 {
+					t.Fatalf("silent %v: query %d: %+v, %v; want one row", silent, i, r, err)
+				}
+				continue
+			}
+			if want := map[bool]error{false: errFlaky, true: errNoReply}[silent]; r != nil || !errors.Is(err, want) {
+				t.Fatalf("silent %v: query %d over a failing front: %+v, %v; want nil, %v", silent, i, r, err, want)
+			}
+		}
+	}
+	// Open fails the same way on a result that does not open.
+	c, _ := newStack(t, app, map[string]template.Exposure{"B2": template.ExpStmt})
+	sq, err := c.SealQuery(qs[1], []sqlparse.Value{sqlparse.IntVal(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := c.Open(qs[1], sq, c.Home.Codec.SealResult(qs[1], &engine.Result{Columns: []string{"toy_id", "toy_name", "qty"}}), true); err != nil || r.Outcome.Rows != 0 {
+		t.Fatalf("Open of an empty result: %+v, %v", r, err)
+	}
+	if r, err := c.Open(qs[1], sq, wire.SealedResult{Cipher: []byte("not a ciphertext")}, true); r != nil || err == nil {
+		t.Fatalf("Open of a garbled result: %+v, %v; want nil and an error", r, err)
 	}
 }

@@ -71,19 +71,24 @@ func (r *Result) Row(i int) []sqlparse.Value {
 }
 
 // CloneInto makes cp, which the caller allocated and which it overwrites,
-// a deep copy of the result: its values in one exactly-sized array, as Run
-// builds them. Copying the value structs severs every mutable link between
-// the copy and the original; the wire codec uses this to uphold the
-// ownership invariant for plaintext (view-exposure) results, whose sealed
-// form would otherwise alias the DSSP's cached object. The copy's Columns
-// is columns when r's names are those — the names the caller shares among
-// the results it makes, a template's at the codec — and a copy of r's
-// otherwise, since the original's may be a plan's.
-func (r *Result) CloneInto(cp *Result, columns []string) {
+// a deep copy of the result whose values are vals, which the caller
+// supplies, exactly as long as r's: one array, as Run builds them.
+// Copying the value structs severs every mutable link between the copy and
+// the original; the wire codec uses this to uphold the ownership invariant
+// for plaintext (view-exposure) results, whose sealed form would otherwise
+// alias the DSSP's cached object. The copy's Columns is columns when r's
+// names are those — the names the caller shares among the results it
+// makes, a template's at the codec — and a copy of r's otherwise, since
+// the original's may be a plan's. A result of no values has nil Vals.
+func (r *Result) CloneInto(cp *Result, columns []string, vals []sqlparse.Value) {
 	if !slices.Equal(r.Columns, columns) {
 		columns = append([]string(nil), r.Columns...)
 	}
-	*cp = Result{Columns: columns, Vals: slices.Clone(r.Vals), RowsScanned: r.RowsScanned}
+	*cp = Result{Columns: columns, RowsScanned: r.RowsScanned}
+	if n := len(r.Vals); n > 0 {
+		cp.Vals = vals[:n:n]
+		copy(cp.Vals, r.Vals)
+	}
 }
 
 // Fingerprint returns a canonical encoding of the result under multiset

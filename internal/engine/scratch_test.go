@@ -97,7 +97,7 @@ func TestRowIsCapped(t *testing.T) {
 			}
 			checkRowCap(t, into)
 			var cp Result
-			res.CloneInto(&cp, nil)
+			res.CloneInto(&cp, nil, make([]sqlparse.Value, len(res.Vals)))
 			checkRowCap(t, &cp)
 		})
 	}
@@ -220,7 +220,7 @@ func TestPlanScratchGoesBackClean(t *testing.T) {
 // the wire codec's CloneInto gives a client.
 func (r *Result) Clone() *Result {
 	cp := new(Result)
-	r.CloneInto(cp, nil)
+	r.CloneInto(cp, nil, make([]sqlparse.Value, len(r.Vals)))
 	return cp
 }
 

@@ -50,6 +50,9 @@ func NewReplica(name string, db *storage.Database, app *template.App, codec *wir
 	}
 }
 
+// App is the application the replica serves.
+func (r *Replica) App() *template.App { return r.srv.App }
+
 // Name identifies the replica in metrics and selection.
 func (r *Replica) Name() string { return r.name }
 
@@ -86,7 +89,10 @@ func (r *Replica) QueriesServed() int { return r.srv.QueriesServed() }
 // batch that starts there — so the caller reads Applied() to learn where
 // to resend from. An execution error is fatal for the replica's
 // consistency: it is counted (dssp_home_replica_apply_errors_total) and
-// returned without advancing the watermark past the failing update.
+// returned without advancing the watermark past the failing update. The
+// replica keeps nothing of the batch past the call (its engine has no
+// confirmation sink), so the batch's updates may be lent for it: read in
+// place from the frame they arrived in.
 func (r *Replica) ApplyBatch(batch []homeserver.Confirmed) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -128,7 +128,7 @@ func TestRouterForwardsUpdateBytes(t *testing.T) {
 	routes := routeSpans(rs, su.TraceID)
 	parents := map[obs.SpanID]bool{}
 	for _, b := range append(nodes.sent(OpUpdate), pushes...) {
-		fwd, _, err := wire.DecodeSealedUpdate(b)
+		fwd, _, err := decodeUpdate(b)
 		if err != nil {
 			t.Fatalf("node was sent an undecodable update: %v", err)
 		}

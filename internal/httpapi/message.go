@@ -50,11 +50,12 @@ import (
 // wire.ReadQueryPayload): its payload stays in the frame, and the one
 // keeper of an update past its handler — a node's update call, a home's
 // replica hub — copies it. A query answer, which the client opens within
-// its call, is read in place too (queryAnswer.readWire). Everything else a
-// node or a home reads — an exec query answer, which a node caches; a
-// replica's apply batch; bucket entries and ids — is decoded, and nothing
-// decoded aliases the input. DESIGN.md's "A hop lends; only the keeper
-// copies" lists what each process copies.
+// its call, is read in place too (queryAnswer.readWire), and so is a
+// replica's apply batch, which the replica applies within its handler
+// (applyMsg.readWire). Everything else a node or a home reads — an exec
+// query answer, which a node caches; bucket entries and ids — is decoded,
+// and nothing decoded aliases the input. DESIGN.md's "A hop lends; only
+// the keeper copies" lists what each process copies.
 
 // Size bounds. Every frame is read whole before its message is decoded, so
 // each read is capped, per op and direction (opTable in frame.go):
@@ -71,8 +72,9 @@ var errMalformed = errors.New("httpapi: malformed message")
 
 // The envelopes. Each has appendWire, which appends its body, and
 // decodeWire, which accepts exactly one whole body of its grammar, where
-// product code sends or decodes it: a statement and a query's answer are
-// read in place (above), an empty answer is never appended, and the tests
+// product code sends or decodes it: a statement, a query's answer and an
+// apply batch are read in place (above), an empty answer is never
+// appended, and the tests
 // hold the rest of each envelope (message_test.go). Where a grammar
 // is another package's type, the envelope is that type under a name of
 // its own: the sealed statements, the exec query answer (whose Applied
@@ -158,19 +160,38 @@ func appendConfirmed(dst []byte, c *homeserver.Confirmed) []byte {
 	return wire.AppendSealedUpdate(binary.AppendUvarint(dst, c.Seq), &c.Update)
 }
 
-func (m *applyMsg) decodeWire(b []byte) (err error) {
+// readWire reads an apply batch in place: each update as a node reads one
+// (wire.ReadSealedUpdateFrom), its template ID interned against ids and
+// its payload and parameters lent, valid only as long as b. A replica
+// applies the batch within its handler and keeps none of it
+// (home.Replica.ApplyBatch), so the batch's one allocation is its slice,
+// made once the updates are counted.
+func (m *applyMsg) readWire(b []byte, ids map[string]string) error {
 	*m = nil
-	for len(b) > 0 {
-		var c homeserver.Confirmed
-		if c.Seq, b, err = wire.Uvarint(b); err != nil {
+	n := 0
+	for rest := b; len(rest) > 0; n++ {
+		var err error
+		if _, rest, err = readConfirmed(rest, ids); err != nil {
 			return err
 		}
-		if c.Update, b, err = wire.DecodeSealedUpdate(b); err != nil {
-			return err
-		}
-		*m = append(*m, c)
+	}
+	if n > 0 {
+		*m = make(applyMsg, n)
+	}
+	for i := range *m {
+		(*m)[i], b, _ = readConfirmed(b, ids)
 	}
 	return nil
+}
+
+// readConfirmed reads the confirmed update at the front of b in place and
+// returns the bytes after it.
+func readConfirmed(b []byte, ids map[string]string) (c homeserver.Confirmed, rest []byte, err error) {
+	if c.Seq, b, err = wire.Uvarint(b); err != nil {
+		return c, nil, err
+	}
+	c.Update, b, err = wire.ReadSealedUpdateFrom(b, ids)
+	return c, b, err
 }
 
 // Both wire decoders of the migration grammar refuse trailing bytes

@@ -6,10 +6,12 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"dssp/internal/apps"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
+	"dssp/internal/homeserver"
 	"dssp/internal/obs"
 	"dssp/internal/pipeline"
 	"dssp/internal/sqlparse"
@@ -63,12 +65,32 @@ func (m *queryMsg) decodeWire(b []byte) error {
 	return closeMessage(b, err)
 }
 
-// decodeWire decodes an update whole, payload copied, as queryMsg's does a
-// query.
+// decodeWire reads an update and owns it, payload copied, as queryMsg's
+// decodes a query.
 func (m *updateMsg) decodeWire(b []byte) error {
-	su, b, err := wire.DecodeSealedUpdate(b)
+	su, b, err := decodeUpdate(b)
 	*m = updateMsg(su)
 	return closeMessage(b, err)
+}
+
+// decodeUpdate consumes one sealed update, owned: read in place, then
+// copied out of b.
+func decodeUpdate(b []byte) (wire.SealedUpdate, []byte, error) {
+	su, rest, err := wire.ReadSealedUpdateFrom(b, nil)
+	if err != nil {
+		return wire.SealedUpdate{}, nil, err
+	}
+	return su.Own(), rest, nil
+}
+
+// decodeWire is readWire with every update owned and no template ID
+// table.
+func (m *applyMsg) decodeWire(b []byte) error {
+	err := m.readWire(b, nil)
+	for i := range *m {
+		(*m)[i].Update = (*m)[i].Update.Own()
+	}
+	return err
 }
 
 // decodeWire is readWire with the result owned.
@@ -195,6 +217,46 @@ func TestEnvelopesRoundTrip(t *testing.T) {
 					t.Errorf("%v %v: truncation at %d of %d: err %v", exp, e, cut, len(enc), err)
 				}
 			}
+		}
+	}
+}
+
+// TestApplyBatchIsReadInPlace: a replica reads an apply batch as a node
+// reads an update, in place, so a batch costs its slice and nothing per
+// update — no template ID, parameter slice or payload copy — and every
+// update's payload and encoded parameters lie in the body it arrived in.
+func TestApplyBatchIsReadInPlace(t *testing.T) {
+	ids := apps.Toystore().IDs()
+	for _, exp := range allExposures {
+		_, su, _ := sealedAt(t, exp)
+		want := make(applyMsg, 16)
+		for i := range want {
+			want[i] = homeserver.Confirmed{Seq: uint64(i + 1), Update: su}
+		}
+		body := want.appendWire(nil)
+		var batch applyMsg
+		if n := testing.AllocsPerRun(100, func() {
+			if err := batch.readWire(body, ids); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 1 {
+			t.Errorf("%v: reading an apply batch of %d updates: %v allocations, want 1 (its slice)", exp, len(want), n)
+		}
+		lo, hi := uintptr(unsafe.Pointer(&body[0])), uintptr(unsafe.Pointer(&body[0]))+uintptr(len(body))
+		for i, c := range batch {
+			if p := uintptr(unsafe.Pointer(unsafe.SliceData(c.Update.Opaque))); p < lo || p >= hi {
+				t.Fatalf("%v: update %d's payload is a copy, not lent from the body", exp, i)
+			}
+			if id := c.Update.TemplateID; id != su.TemplateID || (id != "" && unsafe.StringData(id) != unsafe.StringData(ids[id])) {
+				t.Fatalf("%v: update %d's template ID %q is not the application's", exp, i, c.Update.TemplateID)
+			}
+			if c.Seq != want[i].Seq {
+				t.Fatalf("%v: update %d read as seq %d, want %d", exp, i, c.Seq, want[i].Seq)
+			}
+		}
+		var got applyMsg
+		if err := got.decodeWire(body); err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: the batch read in place and owned is %+v (err %v), want %+v", exp, got, err, want)
 		}
 	}
 }

@@ -36,6 +36,7 @@ type ReplicaStatusResponse struct {
 // stream's push frames) plus the standard metrics and trace surface.
 func ReplicaHandler(rep *home.Replica) http.Handler {
 	rep.Tracer().SetStore(obs.NewSpanStore(0))
+	ids := rep.App().IDs()
 	mux := newMux(rep.Obs(), rep.Tracer().Store(), &frameOps{
 		OpExecQuery: func(_ context.Context, req, resp *frame) {
 			sq, err := readExecQuery(req.body)
@@ -67,7 +68,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 		},
 		OpReplicaApply: func(_ context.Context, req, resp *frame) {
 			var batch applyMsg
-			if err := batch.decodeWire(req.body); err != nil {
+			if err := batch.readWire(req.body, ids); err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}

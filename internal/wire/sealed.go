@@ -100,19 +100,6 @@ func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 	return appendBytes(dst, su.Opaque)
 }
 
-// DecodeSealedUpdate consumes one sealed update.
-func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
-	s, err := walk(b, WithTrace, false)
-	if err != nil {
-		return SealedUpdate{}, nil, err
-	}
-	sq := s.query(string(s.head(b)))
-	return SealedUpdate{
-		Exposure: sq.Exposure, TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID,
-		Group: sq.Group, Params: decodeParams(sq.params), Opaque: cloneOpaque(sq.Opaque),
-	}, b[s.end:], nil
-}
-
 // ReadSealedQuery reads the one sealed query b holds, in its WithTrace
 // form, in place, as a node serves it. It accepts exactly what
 // DecodeSealedQuery(b, WithTrace) accepts with no bytes left. The template
@@ -135,23 +122,36 @@ func ReadSealedQuery(b []byte, ids map[string]string) (SealedQuery, error) {
 
 // ReadSealedUpdate reads the one sealed update b holds in place, as a node
 // serves an update or an invalidation and a home executes one, as
-// ReadSealedQuery reads a query. It accepts exactly what
-// DecodeSealedUpdate accepts with no bytes left. The template ID is
+// ReadSealedQuery reads a query. It accepts exactly one sealed update, in
+// its WithTrace form, with no bytes left. The template ID is
 // interned against ids, and copied only when ids does not hold it; the
 // parameters, left encoded, and the payload are lent: they lie in b, and
 // are valid only as long as b is. Only the update's one keeper past its
 // call, the pipeline's update call, copies and decodes them (KeepIn). So
 // an update of a template in ids costs nothing to read.
 func ReadSealedUpdate(b []byte, ids map[string]string) (SealedUpdate, error) {
-	s, err := walkWhole(b, false)
+	su, rest, err := ReadSealedUpdateFrom(b, ids)
+	if err == nil && len(rest) != 0 {
+		return SealedUpdate{}, errMalformed
+	}
+	return su, err
+}
+
+// ReadSealedUpdateFrom is ReadSealedUpdate of the sealed update at the
+// front of b, which it returns with the bytes after it, as
+// DecodeSealedQuery consumes a query: how a replica reads each update of
+// an apply batch in place. The payload is capped at its own end, so appending
+// to it never writes into what follows.
+func ReadSealedUpdateFrom(b []byte, ids map[string]string) (SealedUpdate, []byte, error) {
+	s, err := walk(b, WithTrace, false)
 	if err != nil {
-		return SealedUpdate{}, err
+		return SealedUpdate{}, nil, err
 	}
 	return SealedUpdate{
 		Exposure: s.exposure, TraceID: s.traceID, ParentSpan: s.parentSpan,
 		TemplateID: intern(b[s.templateID.at:s.templateID.end], ids), Group: s.group,
-		Opaque: s.opaque, params: lend(b[s.params.at:s.params.end]), lent: true,
-	}, nil
+		Opaque: s.opaque[:len(s.opaque):len(s.opaque)], params: lend(b[s.params.at:s.params.end]), lent: true,
+	}, b[s.end:], nil
 }
 
 // UpdateBuf is the memory a lent update is copied into (KeepIn): its
@@ -252,14 +252,22 @@ func (sq *SealedQuery) Keep() {
 	sq.lent = false
 }
 
-// lend returns b's bytes as a string without copying them: the one place
-// the package makes a string of bytes that are not its own to freeze. The
-// string reads whatever b holds, so it is valid only until b is written
-// again — for the call a query is lent for, after which its sender reuses
-// b. Every holder that keeps a lent string past that call copies it: the
+// lend returns b's bytes as a string without copying them: one of the two
+// places the package makes a string of bytes without a copy, and the one
+// whose bytes are not its own to freeze (the other is freeze). The string
+// reads whatever b holds, so it is valid only until b is written again —
+// for the call a query is lent for, after which its sender reuses b. Every
+// holder that keeps a lent string past that call copies it: the
 // pipeline's miss (SealedQuery.Keep), shard.BlindCache and
 // leakage.Observer, which keep a key without its query.
 func lend(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// freeze returns b's bytes as a string without copying them, for bytes
+// that are never written again: those an opened result's strings were
+// just copied into, in the box its ResultBox supplied (decodeResultInto),
+// which is the result's for good and never reused. It is the package's
+// other string made without a copy, beside lend.
+func freeze(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // intern returns the string ids maps tid to — a lookup that allocates
 // nothing — or a copy of tid when ids does not hold it.
@@ -292,8 +300,8 @@ type Raw struct {
 func (r *Raw) ReadQuery(b []byte, ids map[string]string) error { return r.read(b, true, ids) }
 
 // ReadUpdate reads into r the one sealed update b holds, in place, as
-// ReadQuery does a query. It accepts exactly what DecodeSealedUpdate
-// accepts with no bytes left.
+// ReadQuery does a query. It accepts exactly what ReadSealedUpdate
+// accepts.
 func (r *Raw) ReadUpdate(b []byte, ids map[string]string) error { return r.read(b, false, ids) }
 
 // read fills r in place rather than returning a Raw: a router reads a
@@ -490,7 +498,7 @@ func AppendSealedResult(dst []byte, sr *SealedResult) []byte {
 // ReadSealedResult reads one sealed result in place and lends it: a
 // cipher aliases b, and a view-exposure result is checked against the
 // result grammar but left as its encoding in b, which Codec.OpenResultInto
-// decodes straight into the caller's result. What it returns is valid
+// decodes straight into the caller's box. What it returns is valid
 // only as long as b; Own copies it out. It accepts exactly what
 // DecodeSealedResult accepts.
 func ReadSealedResult(b []byte) (SealedResult, []byte, error) {

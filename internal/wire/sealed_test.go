@@ -336,6 +336,24 @@ func checkDecodeSealedQuery(t *testing.T, b []byte, trace bool) {
 	checkCanonical(t, in, rest, func() []byte { return AppendSealedQuery(nil, &got, trace) })
 }
 
+// DecodeSealedUpdate consumes one sealed update and decodes it whole: its
+// strings in one copy, its parameters decoded, its payload copied. No
+// process decodes an update so any more — each reads it in place
+// (ReadSealedUpdate, ReadSealedUpdateFrom) and its one keeper copies it
+// (KeepIn, Own) — so it lives here, the decoder the in-place readers are
+// held to, itself held to the field-by-field reference.
+func DecodeSealedUpdate(b []byte) (SealedUpdate, []byte, error) {
+	s, err := walk(b, WithTrace, false)
+	if err != nil {
+		return SealedUpdate{}, nil, err
+	}
+	sq := s.query(string(s.head(b)))
+	return SealedUpdate{
+		Exposure: sq.Exposure, TraceID: sq.TraceID, ParentSpan: sq.ParentSpan, TemplateID: sq.TemplateID,
+		Group: sq.Group, Params: decodeParams(sq.params), Opaque: cloneOpaque(sq.Opaque),
+	}, b[s.end:], nil
+}
+
 func checkDecodeSealedUpdate(t *testing.T, b []byte) {
 	t.Helper()
 	want, wantRest, wantErr := referenceDecodeSealedUpdate(b)
@@ -487,38 +505,60 @@ func checkReadRaw(t *testing.T, b []byte) {
 		return AppendSealedQuery(nil, &sq, WithTrace)
 	})
 	su, rest, err := DecodeSealedUpdate(b)
-	checkReadSealedUpdate(t, b, su, wholeMessage(rest, err))
+	checkReadSealedUpdate(t, b, su, rest, err)
 	checkRaw(t, "ReadUpdate", b, (*Raw).ReadUpdate, su.Head(), wholeMessage(rest, err), func(parent obs.SpanID) []byte {
 		su.ParentSpan = parent
 		return AppendSealedUpdate(nil, &su)
 	})
 }
 
-// checkReadSealedUpdate holds ReadSealedUpdate, then KeepIn or Own, to the
-// decoder on one input, whose decoded update is want: the template ID is
-// the table's own string when the table holds it, what the read lends —
-// the payload and the parameters, still encoded — lies in the input and
+// checkReadSealedUpdate holds ReadSealedUpdate and ReadSealedUpdateFrom,
+// then KeepIn or Own, to the decoder on one input, which it decoded to
+// want, rest and wantErr: ReadSealedUpdate accepts the input only whole,
+// ReadSealedUpdateFrom returns the same rest, the template ID is the
+// table's own string when the table holds it, what the read lends — the
+// payload and the parameters, still encoded — lies in the input and
 // re-encodes to it, and once kept the update reads as the decoded one
 // after the input was cleared.
-func checkReadSealedUpdate(t *testing.T, b []byte, want SealedUpdate, wantErr error) {
+func checkReadSealedUpdate(t *testing.T, b []byte, want SealedUpdate, rest []byte, wantErr error) {
+	t.Helper()
+	checkReadUpdate(t, "ReadSealedUpdate", b, want, wholeMessage(rest, wantErr), func(in []byte) (SealedUpdate, int, error) {
+		su, err := ReadSealedUpdate(in, routerIDs)
+		return su, len(in), err
+	})
+	checkReadUpdate(t, "ReadSealedUpdateFrom", b, want, wantErr, func(in []byte) (SealedUpdate, int, error) {
+		su, after, err := ReadSealedUpdateFrom(in, routerIDs)
+		if err == nil && !bytes.Equal(after, rest) {
+			t.Fatalf("ReadSealedUpdateFrom(%x) left %x, the decoder %x", b, after, rest)
+		}
+		return su, len(in) - len(after), err
+	})
+}
+
+// checkReadUpdate is checkReadSealedUpdate of one reader, read, which
+// returns the update and the length of the input it read.
+func checkReadUpdate(t *testing.T, name string, b []byte, want SealedUpdate, wantErr error, read func(in []byte) (SealedUpdate, int, error)) {
 	t.Helper()
 	in := bytes.Clone(b)
-	got, err := ReadSealedUpdate(in, routerIDs)
+	got, n, err := read(in)
 	if (err == nil) != (wantErr == nil) {
-		t.Fatalf("ReadSealedUpdate(%x): err %v, the decoder: %v", b, err, wantErr)
+		t.Fatalf("%s(%x): err %v, the decoder: %v", name, b, err, wantErr)
 	}
 	if err != nil {
 		return
 	}
-	checkLent(t, "ReadSealedUpdate", b, in, got.Opaque, want.Opaque)
+	checkLent(t, name, b[:n], in[:n], got.Opaque, want.Opaque)
+	if cap(got.Opaque) != len(got.Opaque) {
+		t.Fatalf("%s(%x): the payload's capacity runs past its end", name, b)
+	}
 	if id, ok := routerIDs[got.TemplateID]; ok && unsafe.StringData(id) != unsafe.StringData(got.TemplateID) {
-		t.Fatalf("ReadSealedUpdate(%x): template ID %q is not the table's", b, got.TemplateID)
+		t.Fatalf("%s(%x): template ID %q is not the table's", name, b, got.TemplateID)
 	}
 	if got.Params != nil {
-		t.Fatalf("ReadSealedUpdate(%x): parameters decoded before KeepIn", b)
+		t.Fatalf("%s(%x): parameters decoded before KeepIn", name, b)
 	}
-	if enc := AppendSealedUpdate(nil, &got); !bytes.Equal(enc, b) {
-		t.Fatalf("ReadSealedUpdate(%x) re-encodes to %x", b, enc)
+	if enc := AppendSealedUpdate(nil, &got); !bytes.Equal(enc, b[:n]) {
+		t.Fatalf("%s(%x) re-encodes to %x", name, b, enc)
 	}
 	owned := got.Own()
 	var buf UpdateBuf
@@ -533,7 +573,7 @@ func checkReadSealedUpdate(t *testing.T, b []byte, want SealedUpdate, wantErr er
 		gotP := kept.su.Params
 		kept.su.Params = nil
 		if !reflect.DeepEqual(kept.su, want) || !identicalParams(gotP, wantP) {
-			t.Fatalf("ReadSealedUpdate(%x) then %s: %#v %v, decoded %#v %v (after the input was cleared)", b, kept.name, kept.su, gotP, want, wantP)
+			t.Fatalf("%s(%x) then %s: %#v %v, decoded %#v %v (after the input was cleared)", name, b, kept.name, kept.su, gotP, want, wantP)
 		}
 	}
 }
@@ -708,18 +748,19 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 // keptBuf is the warm memory TestReadRawMatchesDecoders keeps updates in.
 var keptBuf UpdateBuf
 
-// FuzzReadSealedUpdate holds the in-place update reader a node and a home
-// run on every update they are sent to the decoder on arbitrary input:
-// ReadSealedUpdate never panics and accepts exactly what DecodeSealedUpdate
-// accepts with nothing left over, and what it reads, kept, is the decoded
-// update (checkReadSealedUpdate).
+// FuzzReadSealedUpdate holds the in-place update readers a node, a home
+// and a replica run on every update they are sent to the decoder on
+// arbitrary input: ReadSealedUpdate never panics and accepts exactly what
+// DecodeSealedUpdate accepts with nothing left over, ReadSealedUpdateFrom
+// what it accepts with what it leaves, and what they read, kept, is the
+// decoded update (checkReadSealedUpdate).
 func FuzzReadSealedUpdate(f *testing.F) {
 	for _, b := range append(sealedUpdateForm(f), sealedQueryForms(f)...) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		su, rest, err := DecodeSealedUpdate(b)
-		checkReadSealedUpdate(t, b, su, wholeMessage(rest, err))
+		checkReadSealedUpdate(t, b, su, rest, err)
 	})
 }
 
@@ -868,12 +909,12 @@ func TestReadSealedResultLends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got engine.Result
-	if err := c.OpenResultInto(app.Query("Q2"), lent, &got); err != nil {
+	box := new(slabBox)
+	if err := c.OpenResultInto(app.Query("Q2"), lent, box); err != nil {
 		t.Fatal(err)
 	}
 	clear(enc)
-	if !reflect.DeepEqual(&got, res) {
-		t.Errorf("lent view result opened to %+v, want %+v", &got, res)
+	if !reflect.DeepEqual(&box.res, res) {
+		t.Errorf("lent view result opened to %+v, want %+v", &box.res, res)
 	}
 }

@@ -307,67 +307,90 @@ func measureResult(b []byte) (sh shape, err error) {
 // decodeResult decodes a sealed result body in two passes, so that the
 // result costs the same handful of allocations whatever its row count:
 // measureResult validates and counts, then the values are read into one
-// exactly-sized array and every string — column names included — is a
-// substring of one copy of the body. Nothing returned aliases b; the
-// strings of one result do share that copy, so holding one holds them all.
+// exactly-sized array and the bytes of every string — column names
+// included — are copied, end to end, into one array of their own. Nothing
+// returned aliases b; the strings of one result do share that array, so
+// holding one holds them all.
 func decodeResult(b []byte) (*engine.Result, error) {
 	r := new(engine.Result)
-	if err := decodeResultInto(b, r, nil); err != nil {
+	if err := decodeResultInto(b, r, nil, nil); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// decodeResultInto is decodeResult into a result the caller allocated —
-// one that shares an allocation with its holder — whose Columns is columns
-// when the names b holds are those: the names the caller shares among the
-// results it opens. Then the copy of the body starts after the names, and
-// there is none when no string value has a byte to point into it. r is
-// overwritten only when b is accepted.
-func decodeResultInto(b []byte, r *engine.Result, columns []string) error {
+// A ResultBox is the memory a caller opens a result into, chosen once the
+// result is measured (Codec.OpenResultInto): Box returns the result to
+// fill and room for exactly its n values and its m string bytes, which may
+// all lie in one allocation the caller sizes to them. The box is the
+// result's for good: every string of the result is a frozen view of the
+// bytes (freeze), so the caller never reuses a box, nor pools it.
+type ResultBox interface {
+	Box(n, m int) (*engine.Result, []sqlparse.Value, []byte)
+}
+
+// boxFor returns where a result of n values and m string bytes opens: what
+// box supplies, or, with no box, r and arrays of their own, sized to it.
+func boxFor(box ResultBox, r *engine.Result, n, m int) (*engine.Result, []sqlparse.Value, []byte) {
+	if box != nil {
+		return box.Box(n, m)
+	}
+	return r, make([]sqlparse.Value, n), make([]byte, m)
+}
+
+// decodeResultInto is decodeResult into a result the caller allocated, or,
+// when box is not nil, into the result, values and string bytes box
+// supplies; its Columns is columns when the names b holds are those: the
+// names the caller shares among the results it opens. Then no name's bytes
+// are copied, and there is no string array when no string value has a
+// byte. Nothing is written when b is refused.
+func decodeResultInto(b []byte, r *engine.Result, columns []string, box ResultBox) error {
 	sh, err := measureResult(b)
 	if err != nil {
 		return err
 	}
 	// Pass two reads what pass one accepted: no step below can fail.
-	*r = engine.Result{}
 	var str []byte
 	_, b, _ = decodeCount(b)
 	names, shared := b, sh.ncols > 0 && sh.ncols == len(columns)
+	nameBytes := 0
 	for i := 0; i < sh.ncols; i++ {
 		str, b, _ = splitString(b)
 		shared = shared && string(str) == columns[i]
+		nameBytes += len(str)
 	}
-	var arena string
-	if shared {
-		r.Columns, names = columns, b
+	n, m := sh.nrows*sh.ncols, sh.strBytes
+	if !shared {
+		m += nameBytes
 	}
-	if !shared || sh.strBytes > 0 {
-		arena = string(names)
-	}
-	// copyOf maps str, which ends where rest begins in b, to its copy.
-	copyOf := func(str, rest []byte) string {
+	r, vals, strs := boxFor(box, r, n, m)
+	*r = engine.Result{}
+	// copyOf copies str to the front of strs and returns the copy.
+	copyOf := func(str []byte) string {
 		if len(str) == 0 {
 			return ""
 		}
-		end := len(arena) - len(rest)
-		return arena[end-len(str) : end]
+		s := freeze(strs[:copy(strs, str)])
+		strs = strs[len(str):]
+		return s
 	}
-	if sh.ncols > 0 && !shared {
+	if shared {
+		r.Columns = columns
+	} else if sh.ncols > 0 {
 		r.Columns = make([]string, sh.ncols)
 		for i := range r.Columns {
 			str, names, _ = splitString(names)
-			r.Columns[i] = copyOf(str, names)
+			r.Columns[i] = copyOf(str)
 		}
 	}
 	_, b, _ = decodeCount(b)
-	if sh.nrows > 0 {
-		r.Vals = make([]sqlparse.Value, sh.nrows*sh.ncols)
+	if n > 0 {
+		r.Vals = vals[:n:n]
 		for row := r.Vals; len(row) > 0; row = row[sh.ncols:] {
 			_, b, _ = decodeCount(b) // the row's width, which is ncols
 			for j := range sh.ncols {
 				if row[j], str, b, _ = splitValue(b); row[j].Kind == sqlparse.KindString {
-					row[j].Str = copyOf(str, b)
+					row[j].Str = copyOf(str)
 				}
 			}
 		}

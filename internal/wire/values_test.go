@@ -544,14 +544,84 @@ func checkDecodeResult(t *testing.T, b []byte) {
 	renamed[0] += "'"
 	for _, cols := range [][]string{slices.Clone(want.Columns), renamed} {
 		var r engine.Result
-		if err := decodeResultInto(b, &r, cols); err != nil {
+		if err := decodeResultInto(b, &r, cols, nil); err != nil {
 			t.Fatalf("decodeResultInto(%x, %q): %v", b, cols, err)
 		}
 		if !identicalResults(&r, want) {
 			t.Fatalf("decodeResultInto(%x, %q) = %#v, reference decoded %#v", b, cols, &r, want)
 		}
-		if shared := unsafe.SliceData(r.Columns) == unsafe.SliceData(cols); shared != slices.Equal(cols, want.Columns) {
-			t.Fatalf("decodeResultInto(%x, %q): columns shared %v", b, cols, shared)
+		shared := slices.Equal(cols, want.Columns)
+		if isShared := unsafe.SliceData(r.Columns) == unsafe.SliceData(cols); isShared != shared {
+			t.Fatalf("decodeResultInto(%x, %q): columns shared %v", b, cols, isShared)
+		}
+		checkBoxedResult(t, b, cols, shared, want)
+	}
+}
+
+// slabBox is a ResultBox that supplies a result, its values and its string
+// bytes from the arrays it holds, as the client's answer boxes do, when
+// they fit, and records what it was asked for.
+type slabBox struct {
+	res  engine.Result
+	vals [8]sqlparse.Value
+	strs [64]byte
+	n, m int
+}
+
+func (b *slabBox) Box(n, m int) (*engine.Result, []sqlparse.Value, []byte) {
+	b.n, b.m = n, m
+	if n <= len(b.vals) && m <= len(b.strs) {
+		return &b.res, b.vals[:n], b.strs[:m]
+	}
+	return &b.res, make([]sqlparse.Value, n), make([]byte, m)
+}
+
+// checkBoxedResult holds a result opened into a box to the one the
+// reference decoded from b: the box is asked for exactly the result's
+// values and the bytes of its strings — the names' too, unless cols, which
+// are shared exactly when they are the result's, are — and a result that
+// fits it lies in it, every string a view of the box's bytes, and reads
+// the same after b is overwritten.
+func checkBoxedResult(t *testing.T, b []byte, cols []string, shared bool, want *engine.Result) {
+	t.Helper()
+	m := 0
+	for _, v := range want.Vals {
+		m += len(v.Str)
+	}
+	if !shared {
+		for _, c := range want.Columns {
+			m += len(c)
+		}
+	}
+	in, box := bytes.Clone(b), new(slabBox)
+	if err := decodeResultInto(in, nil, cols, box); err != nil {
+		t.Fatalf("decodeResultInto(%x, %q) into a box: %v", b, cols, err)
+	}
+	clear(in)
+	r := &box.res
+	if !identicalResults(r, want) {
+		t.Fatalf("decodeResultInto(%x, %q) into a box = %#v, reference decoded %#v", b, cols, r, want)
+	}
+	if box.n != len(want.Vals) || box.m != m {
+		t.Fatalf("decodeResultInto(%x, %q) asked for a box of %d values and %d bytes, want %d and %d", b, cols, box.n, box.m, len(want.Vals), m)
+	}
+	if box.n > len(box.vals) || box.m > len(box.strs) {
+		return
+	}
+	if len(r.Vals) > 0 && &r.Vals[0] != &box.vals[0] {
+		t.Fatalf("decodeResultInto(%x, %q): the values are not the box's", b, cols)
+	}
+	strs := r.Columns
+	if shared {
+		strs = nil
+	}
+	for _, v := range r.Vals {
+		strs = append(strs, v.Str)
+	}
+	lo, hi := uintptr(unsafe.Pointer(&box.strs[0])), uintptr(unsafe.Pointer(&box.strs[0]))+uintptr(m)
+	for _, str := range strs {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(str))); str != "" && (p < lo || p+uintptr(len(str)) > hi) {
+			t.Fatalf("decodeResultInto(%x, %q): string %q is not in the box's bytes", b, cols, str)
 		}
 	}
 }
@@ -565,7 +635,8 @@ func TestDecodeResultMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzDecodeResult runs the same comparison on arbitrary input.
+// FuzzDecodeResult runs the same comparison on arbitrary input, a decode
+// into a caller's box (checkBoxedResult) included.
 func FuzzDecodeResult(f *testing.F) {
 	for _, b := range decodeResultCorpus() {
 		f.Add(b)
@@ -595,8 +666,8 @@ func TestDecodeResultDoesNotAliasInput(t *testing.T) {
 	}
 }
 
-// TestDecodeResultAllocations pins what the two passes buy: the body copy,
-// Columns, one value array and the Result — whatever the row count.
+// TestDecodeResultAllocations pins what the two passes buy: the string
+// bytes, Columns, one value array and the Result — whatever the row count.
 func TestDecodeResultAllocations(t *testing.T) {
 	for _, nrows := range []int{1, 50} {
 		b := appendResult(nil, benchResult(nrows))
@@ -622,7 +693,7 @@ func TestDecodeResultAllocations(t *testing.T) {
 		}})
 		var r engine.Result
 		if n := testing.AllocsPerRun(100, func() {
-			if err := decodeResultInto(b, &r, columns); err != nil {
+			if err := decodeResultInto(b, &r, columns, nil); err != nil {
 				t.Fatal(err)
 			}
 		}); n != c.want {
@@ -630,6 +701,21 @@ func TestDecodeResultAllocations(t *testing.T) {
 		}
 		if r.Row(1)[0].Str != c.title || r.Row(1)[0].Kind != sqlparse.KindString {
 			t.Errorf("decodeResultInto: %v, want the string %q", r.Row(1)[0], c.title)
+		}
+		// Into a box the result fits, the same decode allocates nothing:
+		// the box holds the values and the string's bytes, which are
+		// copied alone, not the body around them. The client's one
+		// allocation per answer is the box (dssp.Client).
+		box := new(slabBox)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := decodeResultInto(b, nil, columns, box); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("decodeResultInto into a box with a string value %q: %v allocations, want 0", c.title, n)
+		}
+		if box.m != len(c.title) {
+			t.Errorf("decodeResultInto into a box asked for %d string bytes, want %d", box.m, len(c.title))
 		}
 	}
 }

@@ -421,30 +421,39 @@ func (c *Codec) SealResult(t *template.Template, res *engine.Result) SealedResul
 // does not allocate it.)
 func (c *Codec) OpenResult(sr SealedResult) (res *engine.Result, err error) {
 	res = new(engine.Result)
-	if err = c.OpenResultInto(nil, sr, res); err != nil {
+	if err = c.openResult(nil, sr, res, nil); err != nil {
 		res = nil
 	}
 	return
 }
 
-// OpenResultInto is OpenResult of a result of query template t into a
-// result the caller allocated, so a caller can hold the result in the same
-// allocation as what it returns the result in. A lent view result
-// (ReadSealedResult) is decoded straight into res, with no copy between.
-// When the result's column names are t's, res.Columns is the codec's one
-// slice of them, shared by every result of t opened here: read it, never
-// write it (engine.Result). Other names, or a nil t, get a copy. res is
-// overwritten only when the result opens.
-func (c *Codec) OpenResultInto(t *template.Template, sr SealedResult, res *engine.Result) error {
+// OpenResultInto is OpenResult of a result of query template t into the
+// memory box supplies once the result is measured: room for its values
+// and, but for a result in the clear that arrived by pointer, whose
+// strings are immutable already, the bytes of its strings. So a caller
+// can hold the result, its values and its strings in one allocation with
+// what it returns the result in. A lent view result (ReadSealedResult) is
+// decoded straight into the box, with no copy between. When the result's
+// column names are t's, its Columns is the codec's one slice of them,
+// shared by every result of t opened here: read it, never write it
+// (engine.Result). Other names, or a nil t, get a copy. box is asked for
+// nothing when the result does not open.
+func (c *Codec) OpenResultInto(t *template.Template, sr SealedResult, box ResultBox) error {
+	return c.openResult(t, sr, nil, box)
+}
+
+// openResult opens sr into box, or, when box is nil, into res.
+func (c *Codec) openResult(t *template.Template, sr SealedResult, res *engine.Result, box ResultBox) error {
 	var columns []string
 	if t != nil {
 		columns = c.columns[t.ID]
 	}
 	switch {
 	case sr.view != nil:
-		return decodeResultInto(sr.view, res, columns)
+		return decodeResultInto(sr.view, res, columns, box)
 	case sr.Result != nil:
-		sr.Result.CloneInto(res, columns)
+		res, vals, _ := boxFor(box, res, len(sr.Result.Vals), 0)
+		sr.Result.CloneInto(res, columns, vals)
 		return nil
 	}
 	eb := getBuf()
@@ -454,7 +463,7 @@ func (c *Codec) OpenResultInto(t *template.Template, sr SealedResult, res *engin
 		return err
 	}
 	eb.b = b[:0]
-	if err := decodeResultInto(b, res, columns); err != nil {
+	if err := decodeResultInto(b, res, columns, box); err != nil {
 		return fmt.Errorf("wire: decode result: %w", err)
 	}
 	return nil

@@ -271,10 +271,11 @@ func TestOpenedResultsShareTheirTemplatesColumns(t *testing.T) {
 				forms["lent"] = lent
 			}
 			for form, sr := range forms {
-				var got engine.Result
-				if err := c.OpenResultInto(q, sr, &got); err != nil {
+				box := new(slabBox)
+				if err := c.OpenResultInto(q, sr, box); err != nil {
 					t.Fatal(err)
 				}
+				got := &box.res
 				if !reflect.DeepEqual(got.Columns, cols) {
 					t.Fatalf("%v %s %q: opened with columns %q", exp, form, cols, got.Columns)
 				}
