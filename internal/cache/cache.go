@@ -31,9 +31,12 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
+	"dssp/internal/engine"
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
+	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -64,18 +67,113 @@ type Entry struct {
 	freq   atomic.Uint32
 }
 
-// newEntry builds the stored form of a result. The query is kept as the
-// DSSP may inspect it, less what belonged to the one request that happened
-// to fetch it: an entry outlives that request, and must not show its trace
-// and span IDs to whoever reads or exports the bucket. The IDs are numbers,
-// so clearing them is all it takes. The payload goes too: nothing at a
-// node reads an entry's — lookup, invalidation and migration read the key,
-// the template, the parameters and the result — and a query served from a
-// frame only lends it (pipeline.Front), so keeping it would keep the
-// frame's bytes. A bucket export therefore carries no payload.
-func newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
-	q.TraceID, q.ParentSpan, q.Opaque = obs.TraceID{}, obs.SpanID{}, nil
-	return &Entry{Query: q, Result: r}
+// newEntry builds the stored form of a result, in one box: the entry, the
+// result it keeps in the clear, and the values and bytes both hold, copied
+// there from the lent query and answer it is handed (wire.KeepEntry). The
+// query is kept as the DSSP may inspect it, less what belonged to the one
+// request that happened to fetch it: an entry outlives that request, and
+// must not show its trace and span IDs to whoever reads or exports the
+// bucket. The payload goes too: nothing at a node reads an entry's —
+// lookup, invalidation and migration read the key, the template, the
+// parameters and the result — so a bucket export carries no payload. A
+// view result's column names are the template's, which every entry of it
+// shares (columns).
+func (c *Cache) newEntry(q wire.SealedQuery, r wire.SealedResult) *Entry {
+	cols := c.columns[q.TemplateID]
+	n, m := wire.EntrySize(&q, &r, cols)
+	e, res, vals, b := newBox(r.Cipher == nil, n, m)
+	e.Query, e.Result = wire.KeepEntry(&q, &r, cols, res, vals, b)
+	return e
+}
+
+// What a kept miss allocates is one box: the entry, the result it keeps in
+// the clear when it is not sealed, and, beside them, room for the entry's
+// values — its parameters, then a view result's — and its bytes — its key
+// and its parameters' strings, then a cipher or a view result's strings.
+// An entry's strings are frozen views of its bytes, so a box is never
+// reused: it lives as long as the entry, or a result handed out of it, is
+// held.
+type (
+	cipherBox[V, B any] struct {
+		Entry
+		vals V
+		b    B
+	}
+	viewBox[V, B any] struct {
+		Entry
+		res  engine.Result
+		vals V
+		b    B
+	}
+)
+
+// boxClasses are the box sizes an entry comes in, smallest first: an
+// entry takes the first of its kind that holds its values and bytes, and
+// one that fits none a box with no room, its values and bytes each in an
+// array of its own. Each class fills one of the allocator's size classes
+// exactly — past 512 bytes with the 8-byte header the allocator puts
+// before an object that holds pointers — so a box wastes no byte the
+// allocator would have rounded away, and the classes are the shapes the
+// applications' scripts store most (EXPERIMENTS.md, "A kept miss is one
+// allocation"): a sealed result of a statement with at most one
+// parameter, and a view result of a few values. Together they hold an
+// entry in no more memory than the five objects it was before.
+var boxClasses = [...]struct {
+	view  bool
+	n, m  int
+	alloc func() (*Entry, *engine.Result, []sqlparse.Value, []byte)
+}{
+	{false, 1, 80, cipherClass[[1]sqlparse.Value, [80]byte]},   // 352 bytes
+	{false, 1, 112, cipherClass[[1]sqlparse.Value, [112]byte]}, // 384 bytes
+	{false, 1, 144, cipherClass[[1]sqlparse.Value, [144]byte]}, // 416 bytes
+	{true, 3, 56, viewClass[[3]sqlparse.Value, [56]byte]},      // 448 bytes
+	{true, 5, 24, viewClass[[5]sqlparse.Value, [24]byte]},      // 480 bytes
+	{true, 8, 16, viewClass[[8]sqlparse.Value, [16]byte]},      // 568 bytes, 576 with the allocator's header
+	{true, 16, 80, viewClass[[16]sqlparse.Value, [80]byte]},    // 888 bytes, 896 with the allocator's header
+}
+
+// newBox allocates the box of an entry of n values and m bytes, whose
+// result is in the clear when view is set.
+func newBox(view bool, n, m int) (*Entry, *engine.Result, []sqlparse.Value, []byte) {
+	for i := range boxClasses {
+		if c := &boxClasses[i]; c.view == view && n <= c.n && m <= c.m {
+			e, res, vals, b := c.alloc()
+			return e, res, vals[:n], b[:m]
+		}
+	}
+	var e *Entry
+	var res *engine.Result
+	if view {
+		x := new(viewBox[struct{}, struct{}])
+		e, res = &x.Entry, &x.res
+	} else {
+		e = new(Entry)
+	}
+	return e, res, make([]sqlparse.Value, n), make([]byte, m)
+}
+
+// cipherClass allocates a box for a sealed result, with room for the
+// values V and the bytes B hold.
+func cipherClass[V, B any]() (*Entry, *engine.Result, []sqlparse.Value, []byte) {
+	x := new(cipherBox[V, B])
+	return &x.Entry, nil, valuesIn(&x.vals), bytesIn(&x.b)
+}
+
+// viewClass allocates a box for a result in the clear, as cipherClass
+// does for a sealed one.
+func viewClass[V, B any]() (*Entry, *engine.Result, []sqlparse.Value, []byte) {
+	x := new(viewBox[V, B])
+	return &x.Entry, &x.res, valuesIn(&x.vals), bytesIn(&x.b)
+}
+
+// valuesIn returns the array of values *a is as a slice; bytesIn the array
+// of bytes *a is.
+func valuesIn[V any](a *V) []sqlparse.Value {
+	return unsafe.Slice((*sqlparse.Value)(unsafe.Pointer(a)), unsafe.Sizeof(*a)/unsafe.Sizeof(sqlparse.Value{}))
+}
+
+func bytesIn[B any](a *B) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(a)), unsafe.Sizeof(*a))
 }
 
 // Options configures cache behaviour.
@@ -193,6 +291,11 @@ type Cache struct {
 	bucketsSkipped int
 	decCounters    map[decKey]*obs.Counter
 
+	// columns holds each query template's result column names once, by
+	// template ID (wire.Columns): every view entry of the template shares
+	// them. Read it, never write it.
+	columns map[string][]string
+
 	// allQueryIDs lists every query template ID in application order —
 	// the unrouted visit set, precomputed once and shared immutably so
 	// fallback passes never rebuild it.
@@ -245,6 +348,7 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 		entries:     reg.Gauge(obs.MCacheEntries),
 		decisions:   make([]Decision, logSize),
 		decCounters: make(map[decKey]*obs.Counter),
+		columns:     wire.Columns(app),
 	}
 	c.allQueryIDs = make([]string, 0, len(app.Queries))
 	for _, qt := range app.Queries {
@@ -421,23 +525,19 @@ func (c *Cache) Lookup(q wire.SealedQuery) (wire.SealedResult, bool) {
 	return res, true
 }
 
-// resultLen returns the number of rows in a sealed result, or -1 when the
-// result is encrypted and its cardinality is unknown to the DSSP.
-func resultLen(r wire.SealedResult) int {
-	if r.Result != nil {
-		return r.Result.Len()
-	}
-	return -1
-}
-
 // Store caches a sealed result fetched from the home server. Empty results
 // are rejected (§2.1); encrypted results (whose cardinality the DSSP cannot
-// see) carry an EmptyHint from the trusted side instead.
-func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
-	if empty || resultLen(r) == 0 {
-		return
+// see) carry an EmptyHint from the trusted side instead. q and r may be
+// lent for the call — the miss's statement, in its pooled call, and the
+// home's answer, in its scratch or its frame — and the entry copies them
+// (newEntry). Store returns the result as the entry holds it, the cache's
+// own and immutable, for the miss to answer with; ok is false when it
+// stored nothing.
+func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) (kept wire.SealedResult, ok bool) {
+	if empty || r.Rows() == 0 {
+		return wire.SealedResult{}, false
 	}
-	e := newEntry(q, r)
+	e := c.newEntry(q, r)
 	s := c.shardFor(q.TemplateID)
 	s.mu.Lock()
 	old := c.bucket(s, q.TemplateID).put(e)
@@ -457,6 +557,7 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	for _, v := range victims {
 		c.evict(v)
 	}
+	return e.Result, true
 }
 
 // OnUpdate applies the mixed invalidation strategy for a completed update

@@ -98,17 +98,20 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 // extends the sender's) and returns how many were taken. Keys the cache
 // already holds are skipped — the local copy is at least as fresh, since
 // both sides see every confirmed invalidation during the handoff window.
-// Imports do not count as stores; they land in a dedicated counter.
+// Imports do not count as stores; they land in a dedicated counter. The
+// entries may be lent for the call, read in place from the stream they
+// arrived in (wire.ReadBucketEntries): each is copied into its own entry,
+// as a store's is (newEntry).
 func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 	sorted := append([]wire.BucketEntry(nil), entries...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Ordinal < sorted[j].Ordinal })
 	imported := 0
 	for i := range sorted {
 		q, r := sorted[i].Query, sorted[i].Result
-		if resultLen(r) == 0 {
+		if r.Rows() == 0 {
 			continue // mirror Store's empty-result policy
 		}
-		e := newEntry(q, r)
+		e := c.newEntry(q, r)
 		s := c.shardFor(q.TemplateID)
 		s.mu.Lock()
 		b := c.bucket(s, q.TemplateID)

@@ -4,8 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"dssp/internal/engine"
 	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
+	"dssp/internal/template"
 	"dssp/internal/wire"
 )
 
@@ -154,5 +156,40 @@ func TestImportCounterRegistered(t *testing.T) {
 	c.ImportBuckets(src.ExportBuckets([]string{"Q2"}))
 	if got := reg.Counter(obs.MCacheImported).Value(); got != 1 {
 		t.Errorf("%s = %d, want 1", obs.MCacheImported, got)
+	}
+}
+
+// TestImportBucketsCopiesWhatItReads: a node imports a bucket stream read
+// in place (wire.ReadBucketEntries), each entry's key, parameters and
+// result lent from the stream, and copies each into an entry of its own:
+// once the stream is overwritten, as the frame it arrived in is once its
+// handler returns, the imported entries still export exactly what the
+// source holds — sealed results and results in the clear, string
+// parameters and string values among them.
+func TestImportBucketsCopiesWhatItReads(t *testing.T) {
+	exps := map[string]template.Exposure{"Q1": template.ExpStmt}
+	src, codec, app := testStack(t, exps, Options{})
+	q1, q2 := app.Query("Q1"), app.Query("Q2")
+	for i, name := range []string{"kite", "bear", "truck"} {
+		src.Store(seal(t, codec, q1, sqlparse.StringVal(name)), codec.SealResult(q1, result(int64(i))), false)
+		r := &engine.Result{Columns: []string{"toy_name", "qty"}, Vals: []sqlparse.Value{sqlparse.StringVal(name), sqlparse.IntVal(int64(i))}}
+		src.Store(seal(t, codec, q2, sqlparse.IntVal(int64(i))), codec.SealResult(q2, r), false)
+	}
+	ids := []string{"Q1", "Q2"}
+	want := src.ExportBuckets(ids)
+	enc := wire.AppendBucketEntries(nil, want)
+	lent, err := wire.ReadBucketEntries(enc, app.IDs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, _, _ := testStack(t, exps, Options{})
+	if n := dst.ImportBuckets(lent); n != len(want) {
+		t.Fatalf("imported %d of %d entries", n, len(want))
+	}
+	for i := range enc {
+		enc[i] ^= 0xA5
+	}
+	if got := dst.ExportBuckets(ids); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the stream was overwritten the imported entries export\n %+v\nwant\n %+v", got, want)
 	}
 }

@@ -80,11 +80,12 @@ func newReplay(t testing.TB, b workload.Benchmark, pages int, seed int64) *repla
 				if err != nil {
 					t.Fatal(err)
 				}
-				sealed, empty, _, err := home.ExecQuery(sq)
+				a, err := home.ExecQuery(sq)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rp.ops = append(rp.ops, replayOp{isQuery: true, q: sq, r: sealed, empty: empty})
+				rp.ops = append(rp.ops, replayOp{isQuery: true, q: sq, r: a.Result.Own(), empty: a.Empty})
+				a.Release()
 				continue
 			}
 			su, err := codec.SealUpdate(op.Template, op.Params)

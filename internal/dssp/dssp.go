@@ -53,6 +53,12 @@ func (n *Node) StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool) 
 	n.Cache.Store(q, r, empty)
 }
 
+// KeepResult is StoreResult that returns the result as the cache keeps
+// it (pipeline.Keeper), for the miss to answer with.
+func (n *Node) KeepResult(q wire.SealedQuery, r wire.SealedResult, empty bool) (wire.SealedResult, bool) {
+	return n.Cache.Store(q, r, empty)
+}
+
 // OnUpdateCompleted runs invalidation after the home server confirms an
 // update, returning the number of cache entries invalidated.
 func (n *Node) OnUpdateCompleted(u wire.SealedUpdate) int {
@@ -102,7 +108,7 @@ type Client struct {
 // statement lends them to the front for the length of the call
 // (pipeline.Front), and the client takes the scratch back when the call
 // returns: only a keeper behind the front copies what it keeps
-// (wire.SealedQuery.Keep, wire.SealedUpdate.KeepIn). A query's Replier
+// (wire.SealedQuery.KeepIn, wire.SealedUpdate.KeepIn). A query's Replier
 // lives here too, since every front replies within its call. release
 // clears the values, which hold the caller's strings, as the engine's exec
 // is cleared, and the replier, which holds the last answer, so an idle

@@ -137,21 +137,23 @@ func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int)
 			if err != nil {
 				return nil, err
 			}
-			var sealed wire.SealedResult
-			var empty, fetched bool
+			// The answer is lent until its Release: every node that misses
+			// stores its own copy of it first.
+			var answer homeserver.Answer
+			var fetched bool
 			for _, n := range nodes {
 				if _, hit := n.HandleQuery(sq); hit {
 					continue
 				}
 				if !fetched {
-					sealed, empty, _, err = home.ExecQuery(sq)
-					if err != nil {
+					if answer, err = home.ExecQuery(sq); err != nil {
 						return nil, err
 					}
 					fetched = true
 				}
-				n.StoreResult(sq, sealed, empty)
+				n.StoreResult(sq, answer.Result, answer.Empty)
 			}
+			answer.Release()
 			continue
 		}
 		su, err := codec.SealUpdate(op.Template, op.Params)

@@ -75,8 +75,9 @@ func (r *Replica) SetAdmissionLimit(n int) { r.srv.SetAdmissionLimit(n) }
 // confirmed update at or below it is reflected in the replica's database.
 func (r *Replica) Applied() uint64 { return r.applied.Load() }
 
-// ExecQuery executes a sealed query against the replica's database.
-func (r *Replica) ExecQuery(sq wire.SealedQuery) (wire.SealedResult, bool, int, error) {
+// ExecQuery executes a sealed query against the replica's database and
+// lends its answer until its Release, as the primary's ExecQuery does.
+func (r *Replica) ExecQuery(sq wire.SealedQuery) (homeserver.Answer, error) {
 	return r.srv.ExecQuery(sq)
 }
 
@@ -127,6 +128,7 @@ func (b replicaQueryBackend) QueryAt(_ context.Context, sq wire.SealedQuery, min
 		done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: a})
 		return
 	}
-	res, empty, scanned, err := b.r.ExecQuery(sq)
-	done(pipeline.ExecQueryResult{Result: res, Empty: empty, Scanned: scanned, Applied: b.r.Applied()}, err)
+	a, err := b.r.ExecQuery(sq)
+	done(pipeline.ExecQueryResult{Result: a.Result, Empty: a.Empty, Scanned: a.Scanned, Applied: b.r.Applied()}, err)
+	a.Release()
 }

@@ -75,17 +75,18 @@ func fixture(t *testing.T, k int) (*homeserver.Server, []*home.Replica, *wire.Co
 // sealed result bytes — deterministic sealing makes equal database states
 // produce equal bytes.
 func sealedScan(t *testing.T, codec *wire.Codec, app *template.App,
-	exec func(wire.SealedQuery) (wire.SealedResult, bool, int, error)) []byte {
+	exec func(wire.SealedQuery) (homeserver.Answer, error)) []byte {
 	t.Helper()
 	sq, err := codec.SealQuery(app.Query("Q1"), []sqlparse.Value{sqlparse.IntVal(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, _, err := exec(sq)
+	a, err := exec(sq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Cipher
+	defer a.Release()
+	return bytes.Clone(a.Result.Cipher)
 }
 
 // TestReplicaNeverAheadOfConfirmation is the replicated tier's safety

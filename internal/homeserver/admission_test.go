@@ -146,10 +146,12 @@ func TestServerAdmissionUnderConcurrentLoad(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, _, _, err := s.ExecQuery(sq); err != nil {
+				a, err := s.ExecQuery(sq)
+				if err != nil {
 					t.Error(err)
 					return
 				}
+				a.Release()
 			}
 		}()
 	}
@@ -184,9 +186,11 @@ func BenchmarkAdmissionLimit(b *testing.B) {
 			}
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					if _, _, _, err := s.ExecQuery(sq); err != nil {
+					a, err := s.ExecQuery(sq)
+					if err != nil {
 						b.Fatal(err)
 					}
+					a.Release()
 				}
 			})
 		})

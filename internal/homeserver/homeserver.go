@@ -124,16 +124,17 @@ type compiled struct {
 
 // execScratch is what one statement is read into (wire.Codec.ReadPayload):
 // its decrypted payload and its parameters, a query's strings lent from the
-// payload — and, for a query whose result is sealed, the result it runs
-// into, which lives only until it is encrypted. ExecQuery and ExecUpdate
-// hold it for the call — read, run, seal the result — and give it back
-// when they return. putScratch clears the parameters and the result's
-// values, which hold strings, so an idle scratch pins nothing; the payload
-// bytes and the value array keep their capacity.
+// payload — and, for a query, the result it runs into and the cipher that
+// result is sealed into, which the answer lends (Answer). ExecUpdate holds
+// it for the call, ExecQuery until its answer is released. putScratch
+// clears the parameters and the result's values, which hold strings, so
+// an idle scratch pins nothing; the bytes and the value arrays keep their
+// capacity.
 type execScratch struct {
 	plain  []byte
 	params []sqlparse.Value
 	res    engine.Result
+	cipher []byte
 }
 
 // takeScratch returns a pooled scratch, or a new one.
@@ -235,43 +236,75 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) QueriesServed() int  { return int(s.queries.Load()) }
 func (s *Server) UpdatesApplied() int { return int(s.updates.Load()) }
 
-// ExecQuery opens a sealed query, executes it, and returns the sealed
-// result plus an emptiness hint (the trusted side reveals cardinality
-// zero so the DSSP can uphold the no-empty-results caching policy) and the
-// number of base rows scanned (the simulator's cost model input).
-func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bool, scanned int, err error) {
+// Answer is the home's answer to one sealed query: the sealed result, the
+// emptiness hint (the trusted side reveals cardinality zero so the DSSP
+// can uphold the no-empty-results caching policy) and the number of base
+// rows scanned (the simulator's cost model input). It is lent: the result
+// lies in the scratch the query ran in — a view result by pointer, a
+// cipher as its bytes (wire.Codec.LendResult) — which the server takes
+// back at Release, so a caller hands the answer on, or copies what it
+// keeps of it (wire.SealedResult.Own, a node's cache entry), before it
+// releases it.
+type Answer struct {
+	Result  wire.SealedResult
+	Empty   bool
+	Scanned int
+
+	s  *Server
+	sc *execScratch // nil once released, and for a failed query
+}
+
+// Release gives the answer's scratch back to its server: its result is
+// gone after it. Releasing an answer twice, or the zero Answer, does
+// nothing.
+func (a *Answer) Release() {
+	if a.sc != nil {
+		a.s.putScratch(a.sc)
+		a.s, a.sc = nil, nil
+	}
+}
+
+// ExecQuery opens a sealed query, executes it, and lends its answer, which
+// the caller releases once it has handed it on (Answer). The result runs
+// into the scratch the payload was read into, and a sealed one is sealed
+// there too, so a warm query allocates nothing here. A failed query holds
+// no scratch.
+func (s *Server) ExecQuery(sq wire.SealedQuery) (Answer, error) {
 	sc := s.takeScratch()
-	defer s.putScratch(sc)
+	a, err := s.execQuery(sq, sc)
+	if err != nil {
+		s.putScratch(sc)
+		return Answer{}, err
+	}
+	a.s, a.sc = s, sc
+	return a, nil
+}
+
+// execQuery is ExecQuery in sc.
+func (s *Server) execQuery(sq wire.SealedQuery, sc *execScratch) (Answer, error) {
 	t, err := s.Codec.ReadPayload(sq.Opaque, &sc.plain, &sc.params)
 	if err != nil {
-		return wire.SealedResult{}, false, 0, err
+		return Answer{}, err
 	}
 	if t.Kind != template.KQuery {
-		return wire.SealedResult{}, false, 0, fmt.Errorf("homeserver: payload %s is not a query", t.ID)
+		return Answer{}, fmt.Errorf("homeserver: payload %s is not a query", t.ID)
 	}
 	if err := s.checkPartition(t); err != nil {
-		return wire.SealedResult{}, false, 0, err
+		return Answer{}, err
 	}
 	c, err := s.lookup(t)
 	if err != nil {
-		return wire.SealedResult{}, false, 0, err
-	}
-	// A view result goes to the node's cache by pointer, so it gets an
-	// array of its own; any other is encrypted before this returns, so it
-	// runs into the scratch.
-	r := &sc.res
-	if s.Codec.ExposureOf(t) == template.ExpView {
-		r = new(engine.Result)
+		return Answer{}, err
 	}
 	s.admit(s.waitQ, sq.TraceID, sq.ParentSpan, t.ID)
 	sp := s.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageHomeExec, t.ID)
 	s.mu.RLock()
-	execErr := c.query.RunInto(s.DB, sc.params, r)
+	execErr := c.query.RunInto(s.DB, sc.params, &sc.res)
 	s.mu.RUnlock()
 	sp.End()
 	s.adm.release(s.queueDepth)
 	if execErr != nil {
-		return wire.SealedResult{}, false, 0, execErr
+		return Answer{}, execErr
 	}
 	s.queries.Add(1)
 	s.tmplCounter(obs.MHomeQueries, t.ID).Inc()
@@ -279,10 +312,11 @@ func (s *Server) ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bo
 	// invariant guarantees result rows never alias storage rows, so a
 	// concurrent ExecUpdate mutating the same table cannot race with the
 	// serialization here (regression-tested under -race in
-	// TestConcurrentQueryUpdateSeal). Nor do they alias the parameters, and
-	// a scratch result is in the ciphertext by the time SealResult returns,
-	// so the scratch goes back as this returns.
-	return s.Codec.SealResult(t, r), r.Len() == 0, r.RowsScanned, nil
+	// TestConcurrentQueryUpdateSeal). Nor do they alias the parameters, so
+	// a view result's strings outlive the scratch: only its values array
+	// is the scratch's.
+	r := &sc.res
+	return Answer{Result: s.Codec.LendResult(t, r, &sc.cipher), Empty: r.Len() == 0, Scanned: r.RowsScanned}, nil
 }
 
 // ExecUpdate opens a sealed update and applies it to the master database.

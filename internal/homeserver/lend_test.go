@@ -7,8 +7,11 @@ import (
 	"unsafe"
 
 	"dssp/internal/apps"
+	"dssp/internal/cache"
+	"dssp/internal/core"
 	"dssp/internal/encrypt"
 	"dssp/internal/engine"
+	"dssp/internal/invalidate"
 	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/template"
@@ -16,18 +19,19 @@ import (
 )
 
 // scrambleScratch overwrites the scratch the server read its last statement
-// into and ran its last sealed result into, each to its capacity, and keeps
-// it out of the pool, so a byte of that statement or a value of that result
-// held past its exec reads as garbage for good. It reports whether the pool
-// gave a scratch back.
+// into, ran its last result into and sealed it into, each to its capacity,
+// and keeps it out of the pool, so a byte of that statement, a value of
+// that result or a byte of its cipher held past its answer's Release reads
+// as garbage for good. It reports whether the pool gave a scratch back.
 func scrambleScratch(s *Server) bool {
 	sc, ok := s.scratch.Get().(*execScratch)
 	if !ok {
 		return false
 	}
-	b := sc.plain[:cap(sc.plain)]
-	for i := range b {
-		b[i] ^= 0xA5
+	for _, b := range [][]byte{sc.plain[:cap(sc.plain)], sc.cipher[:cap(sc.cipher)]} {
+		for i := range b {
+			b[i] ^= 0xA5
+		}
 	}
 	vals := sc.res.Vals[:cap(sc.res.Vals)]
 	for i := range vals {
@@ -43,9 +47,9 @@ func scrambleScratch(s *Server) bool {
 // statements ask, and keeps in the master database exactly the strings its
 // insertions and modifications carried — a modification selecting its
 // rows by a string, and a deletion by one, among them. So a query's lent
-// parameters are read only during its exec, a sealed result leaves the
-// scratch it ran into inside its ciphertext, a view result is not in the
-// scratch at all, and of an update's strings, all lent, the ones storage
+// parameters are read only during its exec, its answer — a view result by
+// pointer, a sealed one as its cipher, both in the scratch — only until
+// its Release, and of an update's strings, all lent, the ones storage
 // keeps are copied.
 func TestHomeLendsOnlyForTheCall(t *testing.T) {
 	app := apps.Toystore()
@@ -83,14 +87,15 @@ func TestHomeLendsOnlyForTheCall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr, _, _, err := s.ExecQuery(sq)
+		a, err := s.ExecQuery(sq)
 		if err != nil {
 			t.Fatalf("%s%v: %v", id, params, err)
 		}
+		res, err := codec.OpenResult(a.Result)
+		a.Release()
 		if scrambleScratch(s) {
 			scrambled++
 		}
-		res, err := codec.OpenResult(sr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,36 +213,54 @@ func lies(s string, b []byte) bool {
 	return at >= lo && at+uintptr(len(s)) <= lo+uintptr(cap(b))
 }
 
-// TestHomeKeepsNoViewResult: the node keeps every view result the home
-// returns, by pointer, so no two ExecQuery calls return results that share
-// an array, and the first still holds its rows after the second has run —
-// a view result never runs into the scratch the next call takes over.
-func TestHomeKeepsNoViewResult(t *testing.T) {
-	s, codec, app := exposedServer(t, nil) // Q2 is at view exposure
-	exec := func(id int64) *engine.Result {
-		t.Helper()
-		sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(id)})
-		if err != nil {
-			t.Fatal(err)
+// TestHomeLendsItsAnswer: the home lends every answer from the scratch the
+// query ran in — a view result by pointer, its values in the scratch's
+// array, and a sealed one as its cipher, sealed into the scratch — until
+// its Release, and a node's cache entry is the one keeper of it: once the
+// answer is released and the scratch overwritten, values and bytes, the
+// entry the node stored from it, and the result the store handed back,
+// still read [[25]].
+func TestHomeLendsItsAnswer(t *testing.T) {
+	for _, exp := range []template.Exposure{template.ExpView, template.ExpStmt} {
+		s, codec, app := exposedServer(t, map[string]template.Exposure{"Q2": exp})
+		node := cache.New(app, invalidate.New(app, core.Analyze(app, core.DefaultOptions())), cache.Options{})
+		scrambled := 0
+		for i := 0; i < 10; i++ {
+			sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := s.ExecQuery(sq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (a.Result.Result != nil) != (exp == template.ExpView) {
+				t.Fatalf("%v: the answer is %+v: the test proves nothing", exp, a.Result)
+			}
+			kept, ok := node.Store(sq, a.Result, a.Empty)
+			a.Release()
+			if !ok {
+				t.Fatalf("%v: the node stored nothing", exp)
+			}
+			if scrambleScratch(s) {
+				scrambled++
+			}
+			stored, hit := node.Lookup(sq)
+			if !hit {
+				t.Fatalf("%v: the node does not hold the entry it stored", exp)
+			}
+			for name, sr := range map[string]wire.SealedResult{"stored entry": stored, "kept result": kept} {
+				r, err := codec.OpenResult(sr)
+				if err != nil {
+					t.Fatalf("%v: %s: %v", exp, name, err)
+				}
+				if r.Len() != 1 || r.Row(0)[0].Int() != 25 {
+					t.Fatalf("%v: the %s reads %v after the scratch was overwritten, want [[25]]", exp, name, r.Vals)
+				}
+			}
 		}
-		sr, _, _, err := s.ExecQuery(sq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sr.Result == nil {
-			t.Fatal("a view result came back sealed: the test proves nothing")
-		}
-		return sr.Result
-	}
-	for i := 0; i < 10; i++ {
-		first := exec(5)
-		want := first.Fingerprint(true)
-		second := exec(5)
-		if first == second || unsafe.SliceData(first.Vals) == unsafe.SliceData(second.Vals) {
-			t.Fatalf("two view results share their values: %p and %p", first, second)
-		}
-		if first.Len() != 1 || first.Fingerprint(true) != want || first.Row(0)[0].Int() != 25 {
-			t.Fatalf("the first view result reads %v after the second exec, want [[25]]", first.Vals)
+		if scrambled == 0 {
+			t.Fatalf("%v: no scratch came back from the pool: the test proves nothing", exp)
 		}
 	}
 }

@@ -20,8 +20,12 @@ import (
 	"dssp/internal/cache"
 	"dssp/internal/core"
 	"dssp/internal/dssp"
+	"dssp/internal/encrypt"
+	"dssp/internal/homeserver"
 	"dssp/internal/pipeline"
 	"dssp/internal/shard"
+	"dssp/internal/sqlparse"
+	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 )
@@ -353,6 +357,59 @@ func BenchmarkNodeQueryHit(b *testing.B) {
 	}
 }
 
+// BenchmarkNodeQueryMiss is the fleet's miss: one sealed query frame
+// through a node's own frame handlers to a cache that does not hold its
+// entry, over the node's framed hop to a home server's frame handlers and
+// back, from NodeProxy.Query with a Replier that keeps nothing. Each
+// iteration first invalidates the entry, untimed. The node reads the query
+// in place and keeps it in its pooled miss, the home runs and seals the
+// answer in its scratch and lends it to its answer frame, and the node
+// reads that frame in place, so what a miss allocates is the one entry the
+// node keeps, at view exposure (the result in the clear) and at stmt
+// exposure (sealed). Gated in BENCH_allocs.json, at the exact count.
+func BenchmarkNodeQueryMiss(b *testing.B) {
+	for _, exp := range []template.Exposure{template.ExpView, template.ExpStmt} {
+		b.Run(exp.String(), func(b *testing.B) {
+			app := apps.Toystore()
+			exps := map[string]template.Exposure{"Q2": exp, "U1": exp}
+			codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
+			db := storage.NewDatabase(app.Schema)
+			if err := db.Insert("toys", storage.Row{sqlparse.IntVal(5), sqlparse.StringVal("kite"), sqlparse.IntVal(25)}); err != nil {
+				b.Fatal(err)
+			}
+			home := startServer(b, HomeHandler(homeserver.New(db, app, codec)))
+			node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+			srv := startServer(b, NewNodeServerWithOptions(node, home.URL, &http.Client{Timeout: DefaultTimeout}, NodeOptions{}).Handler())
+			p := NewNodeProxy(srv.URL, &http.Client{Timeout: DefaultTimeout}, nil)
+			sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx := context.Background()
+			miss := func() {
+				if err := p.Query(ctx, sq, &hopSink.drop); err != nil || hopSink.drop.hit {
+					b.Fatalf("hit %v, err %v; want a miss", hopSink.drop.hit, err)
+				}
+			}
+			miss()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if node.OnUpdateCompleted(su) != 1 {
+					b.Fatal("the update did not invalidate Q2(5)")
+				}
+				b.StartTimer()
+				miss()
+			}
+		})
+	}
+}
+
 // noHome is the transport of a node whose every query hits.
 type noHome struct{}
 
@@ -399,8 +456,9 @@ func BenchmarkNodeUpdate(b *testing.B) {
 // exec query answer through homeTransport.ExecQuery over a framed loopback
 // connection under DefaultTimeout, to a handler that reads the query as
 // the home server does (readExecQuery: its head, the payload lent) and
-// answers a sealed result, which the node decodes to keep. Gated in
-// BENCH_allocs.json.
+// answers a sealed result, which the node reads in place and lends to its
+// continuation, here one that keeps nothing: the hop allocates nothing.
+// Gated in BENCH_allocs.json.
 func BenchmarkExecQueryRoundTrip(b *testing.B) {
 	sq, _, sr := sealedAt(b, template.ExpStmt)
 	srv := startFrameServer(b, &frameOps{OpExecQuery: func(_ context.Context, req, resp *frame) {

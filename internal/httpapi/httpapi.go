@@ -282,12 +282,15 @@ func homeMux(home *homeserver.Server) *http.ServeMux {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			res, empty, _, err := home.ExecQuery(sq)
+			a, err := home.ExecQuery(sq)
 			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
-			resp.body = (&execQueryMsg{Result: res, Empty: empty}).appendWire(resp.body)
+			// The answer is lent from the home's scratch: it is appended
+			// before the scratch goes back.
+			resp.body = (&execQueryMsg{Result: a.Result, Empty: a.Empty}).appendWire(resp.body)
+			a.Release()
 		},
 		// An update is read in place, as a node reads it: the home reads
 		// the payload and the trace fields, and lends the whole update to
@@ -381,7 +384,7 @@ type NodeServer struct {
 type homeTransport struct{ home *hop }
 
 func (t homeTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
-	done(execQuery(ctx, t.home, &sq, 0))
+	execQuery(ctx, t.home, &sq, 0, done)
 }
 
 func (t homeTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
@@ -402,16 +405,21 @@ func execUpdate(ctx context.Context, h *hop, su *wire.SealedUpdate) (res pipelin
 
 // execQuery sends one exec query to a home primary or replica over h, with
 // floor — the node's freshness floor, 0 for a primary — as its staleness
-// value; a replica's answer carries its applied watermark, a primary's 0.
-func execQuery(ctx context.Context, h *hop, sq *wire.SealedQuery, floor uint64) (res pipeline.ExecQueryResult, err error) {
+// value, and hands done the answer as it lies in the answer frame, before
+// the frame's buffer goes back to the pool: the result is lent for done's
+// call (pipeline.Transport), and the node's cache copies what it keeps. A
+// replica's answer carries its applied watermark, a primary's 0.
+func execQuery(ctx context.Context, h *hop, sq *wire.SealedQuery, floor uint64, done func(pipeline.ExecQueryResult, error)) {
 	k := takeCall()
 	defer k.release()
 	k.out = (*queryMsg)(sq).appendWire(k.out)
-	var body []byte
-	if body, res.Applied, err = h.send(ctx, k, OpExecQuery, floor); err == nil {
-		err = h.decoded((*execQueryMsg)(&res).decodeWire(body))
+	var res pipeline.ExecQueryResult
+	body, applied, err := h.send(ctx, k, OpExecQuery, floor)
+	if err == nil {
+		err = h.decoded((*execQueryMsg)(&res).readWire(body))
 	}
-	return res, err
+	res.Applied = applied
+	done(res, err)
 }
 
 // NodeOptions tune a node server beyond its wiring.
@@ -597,7 +605,7 @@ func serveBackend(b shard.Backend, ids map[string]string) *frameOps {
 	}
 	ops[OpBucketImport] = func(ctx context.Context, req, resp *frame) {
 		var entries bucketEntriesMsg
-		if err := entries.decodeWire(req.body); err != nil {
+		if err := entries.readWire(req.body, ids); err != nil {
 			resp.fail(statusBadRequest, err)
 			return
 		}

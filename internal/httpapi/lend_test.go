@@ -136,29 +136,59 @@ func runOn(t *testing.T, c *dssp.Client, op workload.Op) string {
 	return fmt.Sprintf("%s %d %d", op.Template.ID, affected, invalidated)
 }
 
+// scrambleFreeBuffers overwrites, to its capacity, every frame buffer the
+// pool holds — among them the answer frames a node's misses read their
+// home's answers from, each back in the pool once its miss's store has
+// returned — as the next frame read into one would, so a byte of an answer
+// kept past its store reads as garbage for good. It reports how many held
+// a frame.
+func scrambleFreeBuffers() int {
+	var held []*wireBuf
+	framed := 0
+	for range 64 {
+		wb := getBuf()
+		if len(wb.b) > 0 {
+			framed++
+		}
+		b := wb.b[:cap(wb.b)]
+		for i := range b {
+			b[i] ^= 0xA5
+		}
+		held = append(held, wb)
+	}
+	for _, wb := range held {
+		putBuf(wb)
+	}
+	return framed
+}
+
 // TestHopsLendOnlyForTheCall: a fleet whose router, two nodes and home
-// overwrite every request body the moment its handler returns answers a
-// mixed bboard script, at every exposure level, exactly as a fleet that
-// does not, and ends with the same caches, down to every exported entry's
-// payload. So nothing a router, a node or a home keeps past a frame's
-// handler — a cache entry's statement above all, which a query frame only
-// lends, at blind exposure the key the router's blind-key cache keeps,
-// and an update a node's pipeline holds until its invalidation, which an
-// update frame (the exec node's), an invalidation frame (the fan-out's)
-// and an exec update frame (the home's) only lend — holds a byte of the
-// frame. Every one of those ops must have been scrambled.
+// overwrite every request body the moment its handler returns, and every
+// answer frame once it is back in the pool, answers a mixed bboard script,
+// at every exposure level, exactly as a fleet that does not, and ends with
+// the same caches, down to every exported entry's payload. So nothing a
+// router, a node or a home keeps past a frame's handler — a cache entry's
+// statement above all, which a query frame only lends, at blind exposure
+// the key the router's blind-key cache keeps, and an update a node's
+// pipeline holds until its invalidation, which an update frame (the exec
+// node's), an invalidation frame (the fan-out's) and an exec update frame
+// (the home's) only lend — holds a byte of the frame; and nothing a node
+// keeps of its home's answer to a miss — the cache entry's result, which
+// the exec query's answer frame only lends for the store — holds a byte
+// of that frame. Every one of those ops must have been scrambled.
 func TestHopsLendOnlyForTheCall(t *testing.T) {
 	script := bboardScript(40)
 	for _, exp := range allExposures {
 		var scrambled [numOps]atomic.Int64
 		ref, refNodes := lendingFleet(t, exp, 2, nil)
 		got, gotNodes := lendingFleet(t, exp, 2, &scrambled)
-		queries, updates := 0, 0
+		queries, updates, answers := 0, 0, 0
 		for i, op := range script {
 			want := run(t, ref, op)
 			if answer := run(t, got, op); answer != want {
 				t.Fatalf("%v: op %d answered %q, want %q", exp, i, answer, want)
 			}
+			answers += scrambleFreeBuffers()
 			if op.Template.Kind == template.KQuery {
 				queries++
 			} else {
@@ -172,6 +202,9 @@ func TestHopsLendOnlyForTheCall(t *testing.T) {
 			if scrambled[op].Load() == 0 {
 				t.Fatalf("%v: no %v frame was scrambled: the test proves nothing", exp, op)
 			}
+		}
+		if answers == 0 {
+			t.Fatalf("%v: no answer frame was scrambled: the test proves nothing", exp)
 		}
 		entries := 0
 		for n, refNode := range refNodes {
@@ -225,6 +258,37 @@ func TestFrameEntriesKeepTheirParams(t *testing.T) {
 		if (withParams > 0) != (exp >= template.ExpStmt) {
 			t.Fatalf("%v: %d of %d entries have parameters", exp, withParams, len(want))
 		}
+	}
+}
+
+// TestFrameEntriesShareTheirColumns: a node serving frames decodes each
+// view answer its home sends into the entry it keeps, against its
+// template's column names, which the cache holds once (wire.Columns): the
+// view entries of one template share one array of names, as an in-process
+// node's do, and no entry copies a name.
+func TestFrameEntriesShareTheirColumns(t *testing.T) {
+	c, nodes := lendingFleet(t, template.ExpView, 1, nil)
+	for _, op := range bboardScript(40) {
+		run(t, c, op)
+	}
+	columns := map[string]*string{} // each template's first entry's names
+	shared, entries := 0, 0
+	nodes[0].Cache.Entries(func(e *cache.Entry) {
+		r := e.Result.Result
+		if r == nil || len(r.Columns) == 0 {
+			return
+		}
+		entries++
+		if first, ok := columns[e.Query.TemplateID]; !ok {
+			columns[e.Query.TemplateID] = unsafe.SliceData(r.Columns)
+		} else if first != unsafe.SliceData(r.Columns) {
+			t.Errorf("two entries of %s hold two arrays of column names", e.Query.TemplateID)
+		} else {
+			shared++
+		}
+	})
+	if shared == 0 {
+		t.Fatalf("of %d view entries no two are of one template: the test proves nothing", entries)
 	}
 }
 

@@ -72,8 +72,9 @@ var errMalformed = errors.New("httpapi: malformed message")
 
 // The envelopes. Each has appendWire, which appends its body, and
 // decodeWire, which accepts exactly one whole body of its grammar, where
-// product code sends or decodes it: a statement, a query's answer and an
-// apply batch are read in place (above), an empty answer is never
+// product code sends or decodes it: a statement, a query's answer, an exec
+// query's answer, an apply batch and a bucket import are read in place
+// (readWire), an empty answer is never
 // appended, and the tests
 // hold the rest of each envelope (message_test.go). Where a grammar
 // is another package's type, the envelope is that type under a name of
@@ -139,8 +140,11 @@ func (m *execQueryMsg) appendWire(dst []byte) []byte {
 	return appendBool(wire.AppendSealedResult(dst, &m.Result), m.Empty)
 }
 
-func (m *execQueryMsg) decodeWire(b []byte) (err error) {
-	if m.Result, b, err = wire.DecodeSealedResult(b); err != nil {
+// readWire reads an exec query answer in place: the result is lent, as
+// wire.ReadSealedResult lends it, and valid only as long as b. It is how a
+// node's miss reads the home's answer (execQuery).
+func (m *execQueryMsg) readWire(b []byte) (err error) {
+	if m.Result, b, err = wire.ReadSealedResult(b); err != nil {
 		return err
 	}
 	m.Empty, b, err = decodeBool(b)
@@ -207,6 +211,14 @@ func (m *bucketEntriesMsg) appendWire(dst []byte) []byte { return wire.AppendBuc
 
 func (m *bucketEntriesMsg) decodeWire(b []byte) (err error) {
 	*m, err = wire.DecodeBucketEntries(b)
+	return err
+}
+
+// readWire reads a bucket import in place (wire.ReadBucketEntries): every
+// entry is lent, valid only as long as b, and the importing cache copies
+// each into its own.
+func (m *bucketEntriesMsg) readWire(b []byte, ids map[string]string) (err error) {
+	*m, err = wire.ReadBucketEntries(b, ids)
 	return err
 }
 

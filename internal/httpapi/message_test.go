@@ -94,6 +94,13 @@ func (m *applyMsg) decodeWire(b []byte) error {
 }
 
 // decodeWire is readWire with the result owned.
+func (m *execQueryMsg) decodeWire(b []byte) error {
+	err := m.readWire(b)
+	m.Result = m.Result.Own()
+	return err
+}
+
+// decodeWire is readWire with the result owned.
 func (m *queryAnswer) decodeWire(b []byte) error {
 	err := m.readWire(b)
 	m.result = m.result.Own()

@@ -55,16 +55,17 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 				resp.fail(statusLag, fmt.Errorf("replica lagging: applied %d < floor %d", applied, req.seq))
 				return
 			}
-			res, empty, _, err := rep.ExecQuery(sq)
+			a, err := rep.ExecQuery(sq)
 			if err != nil {
 				resp.fail(statusBadRequest, err)
 				return
 			}
 			// The watermark re-read can only have advanced past the check
 			// above, so the answer never claims more freshness than the
-			// result has.
+			// result has. The answer is lent, as the primary's is.
 			resp.seq = rep.Applied()
-			resp.body = (&execQueryMsg{Result: res, Empty: empty}).appendWire(resp.body)
+			resp.body = (&execQueryMsg{Result: a.Result, Empty: a.Empty}).appendWire(resp.body)
+			a.Release()
 		},
 		OpReplicaApply: func(_ context.Context, req, resp *frame) {
 			var batch applyMsg
@@ -381,5 +382,5 @@ func newReplicaProxy(client *http.Client, url string, reg *obs.Registry) replica
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
-	done(execQuery(ctx, p.query, &sq, minSeq))
+	execQuery(ctx, p.query, &sq, minSeq, done)
 }

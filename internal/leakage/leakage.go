@@ -158,7 +158,7 @@ func (o *Observer) query(sq wire.SealedQuery, hit bool) {
 	if hit {
 		o.hits++
 	}
-	// The key may be lent (wire.SealedQuery.Keep): the map keeps a copy,
+	// The key may be lent (pipeline.Front): the map keeps a copy,
 	// made when it gains the key, and an access counts through a pointer,
 	// since an assignment to a string key stores the string it is given.
 	n := o.keyAccess[sq.Key]
@@ -187,8 +187,10 @@ func (o *Observer) query(sq wire.SealedQuery, hit bool) {
 func (o *Observer) result(res wire.SealedResult) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if res.Result != nil {
-		o.plaintext += int64(res.Size()) // view exposure: rows in the clear
+	if res.Cipher == nil {
+		// View exposure: rows in the clear, by pointer or lent as their
+		// encoding (wire.ReadSealedResult); no result adds nothing.
+		o.plaintext += int64(res.Size())
 	} else {
 		o.sealed += int64(len(res.Cipher))
 	}

@@ -28,6 +28,7 @@ import (
 type missCall struct {
 	p     *Pipeline
 	sq    wire.SealedQuery
+	buf   wire.QueryBuf // what sq reads once a lent query is kept (takeMiss)
 	tmpl  string
 	start time.Duration
 	net   obs.Span
@@ -54,17 +55,21 @@ func (p *Pipeline) newMissCall() any {
 // is QuerySync's: the call answers its syncCall, and the caller waiting on
 // that holds the call beside the continuation.
 //
-// The miss owns its statement past the call, in flights and the cache,
-// and it is the only way a query reaches StoreResult and the home: so it
-// is here that a lent query — sealed into a client's scratch or read in
-// place from a frame — has its key and parameters copied, once
-// (wire.SealedQuery.Keep), and a query read in place has its parameters
-// decoded (wire.SealedQuery.DecodeParams), which a hit never reads.
+// The miss owns its statement past the call it was lent for: the flight
+// map is keyed by it, the transport may send it from a later event, and
+// the cache keeps it — while a QuerySync caller may give up on ctx.Done()
+// and reuse what it lent before any of that is done. So it is here that a
+// lent query — sealed into a client's scratch or read in place from a
+// frame — has its key, its parameters and its payload copied, once, into
+// memory the pooled call owns and reuses (wire.SealedQuery.KeepIn), its
+// parameters decoded there when they are still encoded, which a hit never
+// reads; everything after reads c.sq alone. The cache entry the miss
+// stores copies the key and the parameters once more, into itself
+// (wire.KeepEntry).
 func (p *Pipeline) takeMiss(sq wire.SealedQuery, start time.Duration, done func(QueryReply, error)) *missCall {
 	c := p.missPool.Get().(*missCall)
 	c.sq, c.tmpl, c.start, c.done = sq, obs.Tmpl(sq.TemplateID), start, done
-	c.sq.Keep()
-	c.sq.DecodeParams()
+	c.sq.KeepIn(&c.buf)
 	c.holders.Store(1)
 	if done == nil {
 		c.done = c.syncDone
@@ -86,12 +91,15 @@ func (c *missCall) release() {
 }
 
 // resolve is a miss's continuation: it stores the answer, takes the call
-// out of the flight map, and answers the caller and every joined miss.
+// out of the flight map, and answers the caller and every joined miss with
+// the result as the cache kept it — the answer itself is lent for this
+// call only (Transport), and the caller and the joiners may hold their
+// reply past it.
 func (c *missCall) resolve(er ExecQueryResult, err error) {
 	p := c.p
 	c.net.End()
 	if err == nil {
-		p.cache.StoreResult(c.sq, er.Result, er.Empty)
+		er.Result = p.store(c.sq, er.Result, er.Empty)
 	}
 
 	p.mu.Lock()

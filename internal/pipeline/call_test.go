@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dssp/internal/homeserver"
 	"dssp/internal/obs"
 	"dssp/internal/wire"
 )
@@ -287,8 +288,8 @@ type stubHome struct {
 	seq uint64
 }
 
-func (h *stubHome) ExecQuery(wire.SealedQuery) (wire.SealedResult, bool, int, error) {
-	return h.res, false, 1, nil
+func (h *stubHome) ExecQuery(wire.SealedQuery) (homeserver.Answer, error) {
+	return homeserver.Answer{Result: h.res, Scanned: 1}, nil
 }
 
 func (h *stubHome) ExecUpdate(wire.SealedUpdate) (int, uint64, error) {
@@ -297,15 +298,20 @@ func (h *stubHome) ExecUpdate(wire.SealedUpdate) (int, uint64, error) {
 }
 
 // missCache misses every lookup and keeps nothing, so every query is a
-// miss and every update invalidates nothing.
+// miss and every update invalidates nothing. As a Keeper it hands the
+// answer back as the one it kept, with no copy: the stub home's answer is
+// never reused, so what a miss allocates is the pipeline's own.
 type missCache struct{}
 
 func (missCache) HandleQuery(wire.SealedQuery) (wire.SealedResult, bool) {
 	return wire.SealedResult{}, false
 }
 func (missCache) StoreResult(wire.SealedQuery, wire.SealedResult, bool) {}
-func (missCache) OnUpdateCompleted(wire.SealedUpdate) int               { return 0 }
-func (missCache) OnUpdatesCompleted(us []wire.SealedUpdate) []int       { return make([]int, len(us)) }
+func (missCache) KeepResult(_ wire.SealedQuery, r wire.SealedResult, _ bool) (wire.SealedResult, bool) {
+	return r, true
+}
+func (missCache) OnUpdateCompleted(wire.SealedUpdate) int         { return 0 }
+func (missCache) OnUpdatesCompleted(us []wire.SealedUpdate) []int { return make([]int, len(us)) }
 
 // directPipeline is a traced pipeline over a direct transport to a stub
 // home: what a miss or an update then allocates is the pipeline's own.

@@ -3,15 +3,17 @@ package pipeline
 import (
 	"context"
 
+	"dssp/internal/homeserver"
 	"dssp/internal/wire"
 )
 
 // HomeBackend is the trusted execution surface a direct transport drives:
-// open-and-execute for sealed queries and updates. It is declared here so
-// the pipeline does not depend on the home tier's packages;
-// *homeserver.Server satisfies it.
+// open-and-execute for sealed queries and updates. *homeserver.Server
+// satisfies it. A query's answer is lent until its Release: the direct
+// transport hands it to done and releases it when done returns
+// (Transport).
 type HomeBackend interface {
-	ExecQuery(sq wire.SealedQuery) (res wire.SealedResult, empty bool, scanned int, err error)
+	ExecQuery(sq wire.SealedQuery) (homeserver.Answer, error)
 	ExecUpdate(su wire.SealedUpdate) (affected int, seq uint64, err error)
 }
 
@@ -29,8 +31,9 @@ func NewDirectTransport(home HomeBackend) Transport {
 }
 
 func (t directTransport) ExecQuery(_ context.Context, sq wire.SealedQuery, done func(ExecQueryResult, error)) {
-	res, empty, scanned, err := t.home.ExecQuery(sq)
-	done(ExecQueryResult{Result: res, Empty: empty, Scanned: scanned}, err)
+	a, err := t.home.ExecQuery(sq)
+	done(ExecQueryResult{Result: a.Result, Empty: a.Empty, Scanned: a.Scanned}, err)
+	a.Release()
 }
 
 func (t directTransport) ExecUpdate(_ context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error)) {

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dssp/internal/apps"
 	"dssp/internal/cache"
@@ -30,6 +31,7 @@ import (
 type lendStack struct {
 	app    *template.App
 	codec  *wire.Codec
+	db     *storage.Database
 	node   *dssp.Node
 	p      *pipeline.Pipeline
 	timers []func()
@@ -58,6 +60,7 @@ func newLendStack(t *testing.T) *lendStack {
 			t.Fatal(err)
 		}
 	}
+	s.db = db
 	s.node = dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{DecisionLog: 1 << 10})
 	s.p = pipeline.New(s.node, pipeline.NewDirectTransport(homeserver.New(db, app, s.codec)), nil, pipeline.Options{
 		MonitorInterval: time.Second,
@@ -194,4 +197,125 @@ func decisions(n *dssp.Node) []cache.Decision {
 		ds[i].Trace = obs.TraceID{}
 	}
 	return ds
+}
+
+// parkedTransport holds every query it is handed until run, then executes
+// each through inner: it reads the query's payload only then, as a
+// transport that resolves from a later event does.
+type parkedTransport struct {
+	inner  pipeline.Transport
+	parked []func()
+}
+
+func (t *parkedTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
+	t.parked = append(t.parked, func() { t.inner.ExecQuery(ctx, sq, done) })
+}
+
+func (t *parkedTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
+	t.inner.ExecUpdate(ctx, su, done)
+}
+
+func (t *parkedTransport) run() {
+	parked := t.parked
+	t.parked = nil
+	for _, fn := range parked {
+		fn()
+	}
+}
+
+// TestMissCallOwnsItsStatement: a miss whose caller gives up before the
+// home answers (QuerySync returns on ctx.Done()) and at once reuses what it
+// lent — the client's scratch and parameter slice, or the frame the query
+// was read from in place — still leads its flight under its own key, so a
+// later query of the same statement joins it, and still stores, when the
+// home answers, exactly the entry the same query stores when it is the
+// caller's to keep: its key, its parameters and its result. So the miss,
+// which keeps its statement past its call, reads only its own copy of it
+// (wire.SealedQuery.KeepIn), the payload it sends home included.
+func TestMissCallOwnsItsStatement(t *testing.T) {
+	ref, got := newLendStack(t), newLendStack(t)
+	for _, s := range []*lendStack{ref, got} {
+		for _, id := range []string{"Q2", "Q4"} {
+			s.node.Cache.DropBuckets([]string{id})
+		}
+	}
+	tr := &parkedTransport{inner: pipeline.NewDirectTransport(homeserver.New(got.db, got.app, got.codec))}
+	p := pipeline.New(got.node, tr, nil, pipeline.Options{})
+	gaveUp, cancel := context.WithCancel(context.Background())
+	cancel()
+	var scratch wire.Scratch
+	ids := got.app.IDs()
+	var joined []chan pipeline.QueryReply
+	for i, q := range []struct {
+		id    string
+		param sqlparse.Value
+		form  string // how got's caller lends the query: "client" or "frame"
+	}{
+		{"Q2", sqlparse.IntVal(3), "client"},
+		{"Q4", sqlparse.StringVal("customer-2"), "client"},
+		{"Q2", sqlparse.IntVal(8), "frame"},
+		{"Q4", sqlparse.StringVal("customer-5"), "frame"},
+	} {
+		tm := ref.app.Query(q.id)
+		owned, err := ref.codec.SealQuery(tm, []sqlparse.Value{q.param})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.p.QuerySync(context.Background(), owned); err != nil {
+			t.Fatal(err)
+		}
+
+		var scramble func()
+		var sq wire.SealedQuery
+		switch q.form {
+		case "client":
+			vals := []sqlparse.Value{q.param}
+			if sq, err = got.codec.LendQuery(tm, vals, &scratch); err != nil {
+				t.Fatal(err)
+			}
+			scramble = func() {
+				xor(sq.Opaque)
+				xor(unsafe.Slice(unsafe.StringData(sq.Key), len(sq.Key)))
+				vals[0] = sqlparse.StringVal("\xa5")
+			}
+		default:
+			b := wire.AppendSealedQuery(nil, &owned, wire.WithTrace)
+			if sq, err = wire.ReadSealedQuery(b, ids); err != nil {
+				t.Fatal(err)
+			}
+			scramble = func() { xor(b) }
+		}
+		if _, err := p.QuerySync(gaveUp, sq); err != context.Canceled {
+			t.Fatalf("query %d: returned %v before the home answered, want %v", i, err, context.Canceled)
+		}
+		scramble()
+		reply := make(chan pipeline.QueryReply, 1)
+		p.Query(context.Background(), owned, func(r pipeline.QueryReply, err error) {
+			if err != nil {
+				t.Error(err)
+			}
+			reply <- r
+		})
+		joined = append(joined, reply)
+		if len(tr.parked) != i+1 {
+			t.Fatalf("query %d: %d misses went home, want %d: the same statement did not join the flight its lent form leads", i, len(tr.parked), i+1)
+		}
+	}
+	tr.run()
+	for i, reply := range joined {
+		if r := <-reply; !r.Coalesced {
+			t.Fatalf("query %d: the joined miss was not coalesced", i)
+		}
+	}
+	var all []string
+	for _, q := range ref.app.Queries {
+		all = append(all, q.ID)
+	}
+	want := ref.node.Cache.ExportBuckets(all)
+	if len(want) != 4 {
+		t.Fatalf("the reference holds %d entries, want 4", len(want))
+	}
+	if exported := got.node.Cache.ExportBuckets(all); !reflect.DeepEqual(exported, want) {
+		t.Fatalf("after the home answered the cache holds\n %+v\nwant\n %+v", exported, want)
+	}
 }

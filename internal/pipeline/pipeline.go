@@ -39,7 +39,11 @@ import (
 // batch at once. *dssp.Node implements it. HandleQuery may be handed a
 // lent query whose parameters are still encoded (Front): a lookup reads
 // the template ID and the key, and keeps neither. StoreResult is handed
-// the miss's statement, kept and its parameters decoded.
+// the miss's statement, its parameters decoded, and the home's answer,
+// both lent for the call: the statement lies in the miss's pooled call,
+// the answer where the transport lent it from (ExecQueryResult), and a
+// store that keeps them copies them. A Cache that is also a Keeper stores
+// through KeepResult instead, and hands back what it kept.
 type Cache interface {
 	HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool)
 	StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool)
@@ -52,9 +56,21 @@ type Cache interface {
 	OnUpdatesCompleted(us []wire.SealedUpdate) []int
 }
 
+// Keeper is a Cache that returns what it stores: KeepResult stores as
+// StoreResult does and returns the result as the cache now holds it, the
+// cache's own and immutable, which the pipeline answers the miss and every
+// joined miss with — so the answer is copied once, into the cache, however
+// many misses it answers. ok is false when nothing was stored (an empty
+// result); the pipeline then answers with a copy of its own. *dssp.Node
+// implements it.
+type Keeper interface {
+	KeepResult(q wire.SealedQuery, r wire.SealedResult, empty bool) (kept wire.SealedResult, ok bool)
+}
+
 // ExecQueryResult is the home server's answer to a forwarded query: the
 // sealed result, the trusted side's emptiness hint (for the no-empty-
-// results caching policy), and the base rows scanned. Scanned is filled in
+// results caching policy), and the base rows scanned. The result is lent
+// to done's call only (Transport). Scanned is filled in
 // only where the home runs in the node's process (DirectTransport, the
 // simulator's transports, whose cost model reads the home's own return
 // value, not this field); the framed hop does not carry it, so a node
@@ -87,6 +103,15 @@ type ExecUpdateResult struct {
 // synchronously (in-process call, framed round trip) or from a later event
 // (the simulator's virtual-time links); the pipeline works identically
 // either way. done must be called exactly once.
+//
+// A query's answer is lent for done's call only, as a Front's is to its
+// Replier: the direct transport hands over the result the home ran into
+// its scratch (homeserver.Answer) and the framed hop the result as it lies
+// in the answer frame, each taken back when done returns, and the
+// pipeline's store is its one keeper (Keeper). A transport that holds an
+// answer across events — the simulator's — owns it first
+// (wire.SealedResult.Own). The statement the pipeline hands over is its
+// own until done is called: the miss keeps it in its pooled call.
 type Transport interface {
 	ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(ExecQueryResult, error))
 	ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(ExecUpdateResult, error))
@@ -103,12 +128,11 @@ type Transport interface {
 // passes a query sealed into its pooled scratch (wire.Codec.LendQuery), and
 // a node serving a frame the query read in place (wire.ReadSealedQuery),
 // whose key, payload and parameters lie in the frame, the parameters still
-// encoded until SealedQuery.DecodeParams — so a Front reads them only
-// before Query returns: whatever keeps the statement past that copies its
-// key and parameters once (SealedQuery.Keep, in the pipeline's miss) and
-// drops the payload (a cache entry does), whatever keeps a key alone
-// copies it (the router's blind-key cache), and whatever reads or sends
-// the parameters decodes them first (the pipeline's miss does). The
+// encoded — so a Front reads them only before Query returns: whatever
+// keeps the statement past that copies it (SealedQuery.KeepIn, into the
+// pipeline's pooled miss, which decodes the parameters there, and
+// wire.KeepEntry, into a cache entry, which drops the payload), and
+// whatever keeps a key alone copies it (the router's blind-key cache). The
 // answer is lent back: Query hands it to r.Reply, once and only on
 // success, and res is valid only during that call — a hop hands over the
 // result as it lies in the answer frame, so the trusted client opens it
@@ -136,7 +160,9 @@ type Replier interface {
 	Reply(res wire.SealedResult, hit bool)
 }
 
-// QueryReply describes how the pipeline served one sealed query.
+// QueryReply describes how the pipeline served one sealed query. Its
+// result is the caller's to keep: the cache's entry, on a hit and on a
+// stored miss, or a copy of an answer the cache did not store.
 type QueryReply struct {
 	Result wire.SealedResult
 	Hit    bool
@@ -190,6 +216,7 @@ type Options struct {
 // Pipeline is the shared query/update pathway of one DSSP node.
 type Pipeline struct {
 	cache     Cache
+	keeper    Keeper // cache, when it is one
 	transport Transport
 	tracer    *obs.Tracer
 	reg       *obs.Registry
@@ -227,6 +254,7 @@ func New(cache Cache, transport Transport, tracer *obs.Tracer, opts Options) *Pi
 		opts:      opts,
 		flights:   make(map[string]*missCall),
 	}
+	p.keeper, _ = cache.(Keeper)
 	p.missPool.New = p.newMissCall
 	p.updatePool.New = p.newUpdateCall
 	if p.reg != nil {
@@ -277,6 +305,18 @@ func (p *Pipeline) lookup(sq wire.SealedQuery, start time.Duration) (QueryReply,
 	}
 	p.request(obs.KindQuery, tmpl, start)
 	return QueryReply{Result: res, Hit: true}, true
+}
+
+// store keeps a miss's answer r, lent for the call, in the cache, and
+// returns the result the miss answers with, which the caller may keep: the
+// cache's, or a copy of r when the cache kept none of its own.
+func (p *Pipeline) store(q wire.SealedQuery, r wire.SealedResult, empty bool) wire.SealedResult {
+	if p.keeper == nil {
+		p.cache.StoreResult(q, r, empty)
+	} else if kept, ok := p.keeper.KeepResult(q, r, empty); ok {
+		return kept
+	}
+	return r.Own()
 }
 
 // fetch is the rest of a query that missed: join the flight already

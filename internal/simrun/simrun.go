@@ -201,10 +201,7 @@ type tplKey struct{}
 
 func (t *simTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
 	t.toHome.Send(t.costs.RequestBytes+len(sq.Opaque), func() {
-		sealed, empty, scanned, err := t.home.ExecQuery(sq)
-		if err != nil {
-			panic(err)
-		}
+		sealed, empty, scanned := homeAnswer(t.home.ExecQuery(sq))
 		service := t.costs.HomeQueryBase + time.Duration(scanned)*t.costs.HomeQueryPerRow
 		submit := t.world.Now()
 		t.homeCPU.Submit(service, func() {
@@ -270,6 +267,18 @@ func (t *simTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, don
 	})
 }
 
+// homeAnswer is what a simulated link carries back of a home's answer:
+// the answer is lent until its Release, and the link delivers it events
+// later, so the result is owned first — virtual time charges no
+// allocation. A simulated home never fails a query the workload issues.
+func homeAnswer(a homeserver.Answer, err error) (wire.SealedResult, bool, int) {
+	if err != nil {
+		panic(err)
+	}
+	defer a.Release()
+	return a.Result.Own(), a.Empty, a.Scanned
+}
+
 // simReplicaBackend serves cache misses from one home read replica over
 // the simulated links, mirroring simTransport's query path: the same WAN
 // hop to the trusted tier, but a per-replica CPU. A lag refusal costs the
@@ -292,10 +301,7 @@ func (b *simReplicaBackend) QueryAt(_ context.Context, sq wire.SealedQuery, minS
 			})
 			return
 		}
-		sealed, empty, scanned, err := b.rep.ExecQuery(sq)
-		if err != nil {
-			panic(err)
-		}
+		sealed, empty, scanned := homeAnswer(b.rep.ExecQuery(sq))
 		service := b.costs.HomeQueryBase + time.Duration(scanned)*b.costs.HomeQueryPerRow
 		b.cpu.Submit(service, func() {
 			b.res.ReplicaQueries++

@@ -47,9 +47,28 @@ func AppendBucketEntries(dst []byte, entries []BucketEntry) []byte {
 	return dst
 }
 
-// DecodeBucketEntries decodes a migration stream. Everything returned is
-// freshly allocated — nothing aliases b.
+// DecodeBucketEntries decodes a migration stream: ReadBucketEntries, each
+// entry then copied out. Everything returned is freshly allocated —
+// nothing aliases b — as the router, which holds what it exported from one
+// node until it imports it into another, needs.
 func DecodeBucketEntries(b []byte) ([]BucketEntry, error) {
+	return readBucketEntries(b, nil, true)
+}
+
+// ReadBucketEntries reads a migration stream in place, as the node that
+// imports it does: each entry's query is read as ReadSealedQuery reads
+// one, in its NoTrace form — its template ID interned against ids, its key
+// and its parameters, still encoded, lent — and its result as
+// ReadSealedResult reads one. What it returns, but the slice, is valid
+// only as long as b: the importing cache copies each entry into its own
+// (KeepEntry).
+func ReadBucketEntries(b []byte, ids map[string]string) ([]BucketEntry, error) {
+	return readBucketEntries(b, ids, false)
+}
+
+// readBucketEntries is the one walk of the migration grammar: in place,
+// or, when own is set, with every entry decoded whole as it is read.
+func readBucketEntries(b []byte, ids map[string]string, own bool) ([]BucketEntry, error) {
 	n, b, err := decodeCount(b)
 	if err != nil {
 		return nil, errMalformed
@@ -59,19 +78,27 @@ func DecodeBucketEntries(b []byte) ([]BucketEntry, error) {
 	// memory, so the byte-per-element bound of decodeCount is too loose).
 	entries := make([]BucketEntry, 0, min(n, len(b)/minEntryBytes))
 	for i := 0; i < n; i++ {
-		entries = append(entries, BucketEntry{})
-		e := &entries[i]
-		if e.Query, b, err = DecodeSealedQuery(b, NoTrace); err != nil {
+		var e BucketEntry
+		if own {
+			e.Query, b, err = DecodeSealedQuery(b, NoTrace)
+		} else {
+			e.Query, b, err = readSealedQueryFrom(b, NoTrace, ids)
+		}
+		if err != nil {
 			return nil, err
 		}
-		if e.Result, b, err = DecodeSealedResult(b); err != nil {
+		if e.Result, b, err = ReadSealedResult(b); err != nil {
 			return nil, err
+		}
+		if own {
+			e.Result = e.Result.Own()
 		}
 		ord, rest, err := Uvarint(b)
 		if err != nil || ord > math.MaxInt32 {
 			return nil, errMalformed
 		}
 		e.Ordinal, b = int(ord), rest
+		entries = append(entries, e)
 	}
 	if len(b) != 0 {
 		return nil, errMalformed // trailing bytes: not a canonical encoding

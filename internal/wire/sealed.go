@@ -4,10 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"slices"
-	"strings"
 	"unsafe"
 
+	"dssp/internal/engine"
 	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
@@ -51,12 +50,14 @@ import (
 // is — what a hop reads once and forwards or opens before its buffer goes
 // back to the pool. A Read function copies only a template ID its table
 // does not hold; whoever keeps a lent string past the hop copies it — a
-// node's miss the key and the parameters (SealedQuery.Keep), a node's
-// update call the parameters and the payload (SealedUpdate.KeepIn), a
-// router's blind-key cache a key. The Decode functions are the same walk
-// followed by a copy. An absent
-// and an empty Params (or Opaque) share an encoding and decode as nil; a
-// nil Cipher is "no result", an empty one is a sealed result of no bytes.
+// node's miss the key, the parameters and the payload into its pooled call
+// (SealedQuery.KeepIn), a node's cache entry the key and the parameters
+// once more, into the entry (KeepEntry), a node's update call the
+// parameters and the payload (SealedUpdate.KeepIn), a router's blind-key
+// cache a key. The Decode functions are the same walk followed by a copy.
+// An absent and an empty Params (or Opaque) share an encoding and decode
+// as nil; a nil Cipher is "no result", an empty one is a sealed result of
+// no bytes.
 const (
 	WithTrace = true
 	NoTrace   = false
@@ -87,7 +88,7 @@ func DecodeSealedQuery(b []byte, trace bool) (SealedQuery, []byte, error) {
 		return SealedQuery{}, nil, err
 	}
 	sq := s.query(string(s.head(b)))
-	sq.DecodeParams()
+	sq.Params, sq.params = decodeParams(sq.params), ""
 	sq.Opaque = cloneOpaque(sq.Opaque)
 	return sq, b[s.end:], nil
 }
@@ -104,20 +105,32 @@ func AppendSealedUpdate(dst []byte, su *SealedUpdate) []byte {
 // form, in place, as a node serves it. It accepts exactly what
 // DecodeSealedQuery(b, WithTrace) accepts with no bytes left. The template
 // ID is interned against ids, as Raw.ReadQuery's is, and copied only when
-// ids does not hold it; the key, the parameters, left encoded for
-// DecodeParams, and the payload are lent: they lie in b, and are valid
-// only as long as b is. A hit reads the key alone, and only a miss, which
-// keeps its statement, copies the key and the parameters (Keep) and
-// decodes them. So a query of a template in ids costs nothing to read.
+// ids does not hold it; the key, the parameters, left encoded, and the
+// payload are lent: they lie in b, and are valid only as long as b is. A
+// hit reads the key alone, and only a miss, which keeps its statement,
+// copies the key, the parameters and the payload into its pooled call
+// (KeepIn) and decodes the parameters there. So a query of a template in
+// ids costs nothing to read.
 func ReadSealedQuery(b []byte, ids map[string]string) (SealedQuery, error) {
-	s, err := walkWhole(b, true)
+	sq, rest, err := readSealedQueryFrom(b, WithTrace, ids)
+	if err == nil && len(rest) != 0 {
+		return SealedQuery{}, errMalformed
+	}
+	return sq, err
+}
+
+// readSealedQueryFrom is ReadSealedQuery of the sealed query of the given
+// form at the front of b, which it returns with the bytes after it: how a
+// node reads each entry of a bucket import in place.
+func readSealedQueryFrom(b []byte, trace bool, ids map[string]string) (SealedQuery, []byte, error) {
+	s, err := walk(b, trace, true)
 	if err != nil {
-		return SealedQuery{}, err
+		return SealedQuery{}, nil, err
 	}
 	sq := s.query(lend(s.head(b)))
 	sq.TemplateID = intern(b[s.templateID.at:s.templateID.end], ids)
 	sq.lent = true
-	return sq, nil
+	return sq, b[s.end:], nil
 }
 
 // ReadSealedUpdate reads the one sealed update b holds in place, as a node
@@ -175,29 +188,69 @@ func (su *SealedUpdate) KeepIn(buf *UpdateBuf) {
 		return
 	}
 	buf.strs = buf.strs[:0]
-	if su.params != "" {
-		buf.strs = append(buf.strs, su.params...)
-		buf.params = readEncodedParams(buf.params[:0], lend(buf.strs))
-	} else {
-		for _, v := range su.Params {
-			buf.strs = append(buf.strs, v.Str...)
-		}
-		strs, at := lend(buf.strs), 0
-		buf.params = append(buf.params[:0], su.Params...)
-		for i := range buf.params {
-			n := len(buf.params[i].Str)
-			buf.params[i].Str, at = strs[at:at+n], at+n
-		}
-	}
-	su.Params = nil
-	if len(buf.params) > 0 {
-		su.Params = buf.params
-	}
+	su.Params = keepParams(su.Params, su.params, &buf.params, &buf.strs)
 	if su.Opaque != nil {
 		buf.opaque = append(buf.opaque[:0], su.Opaque...)
 		su.Opaque = buf.opaque
 	}
 	su.params, su.lent = "", false
+}
+
+// QueryBuf is the memory a lent query is copied into (KeepIn): its key,
+// its parameters, their strings and its payload, each reused from the
+// query copied in last, as an UpdateBuf is. The zero value is ready to
+// use.
+type QueryBuf struct {
+	params []sqlparse.Value
+	strs   []byte // the key, then the parameters' strings
+	opaque []byte
+}
+
+// KeepIn makes sq its holder's for as long as buf is not reused, as
+// SealedUpdate.KeepIn does an update: a lent query's key, its parameters
+// — decoded, if they are still encoded — their strings and its payload
+// are copied into buf, and sq reads them there. A query that is not lent
+// is left as it is: its parameters are decoded already, and nothing is
+// copied twice. So a query kept in warm memory allocates nothing — the
+// pipeline's miss keeps its query so (pipeline.Front), and the one copy
+// a cache entry makes of it past the miss is the entry's (KeepEntry).
+func (sq *SealedQuery) KeepIn(buf *QueryBuf) {
+	if !sq.lent {
+		return
+	}
+	buf.strs = append(buf.strs[:0], sq.Key...)
+	sq.Params = keepParams(sq.Params, sq.params, &buf.params, &buf.strs)
+	sq.Key = lend(buf.strs[:len(sq.Key)]) // after every append: they may move buf.strs
+	if sq.Opaque != nil {
+		buf.opaque = append(buf.opaque[:0], sq.Opaque...)
+		sq.Opaque = buf.opaque
+	}
+	sq.params, sq.lent = "", false
+}
+
+// keepParams copies a statement's parameters — decoded, or still encoded
+// as encoded holds them — to the end of *strs, their strings lent from
+// there, and into (*vals)[:0], and returns them: nil when there are none.
+func keepParams(params []sqlparse.Value, encoded string, vals *[]sqlparse.Value, strs *[]byte) []sqlparse.Value {
+	at := len(*strs)
+	if encoded != "" {
+		*strs = append(*strs, encoded...)
+		*vals = readEncodedParams((*vals)[:0], lend((*strs)[at:]))
+	} else {
+		for _, v := range params {
+			*strs = append(*strs, v.Str...)
+		}
+		kept := lend((*strs)[at:])
+		*vals = append((*vals)[:0], params...)
+		for i := range *vals {
+			n := len((*vals)[i].Str)
+			(*vals)[i].Str, kept = kept[:n], kept[n:]
+		}
+	}
+	if len(*vals) == 0 {
+		return nil
+	}
+	return *vals
 }
 
 // Own returns a copy of su its holder may keep whatever becomes of the
@@ -218,55 +271,24 @@ func ReadQueryPayload(b []byte) (SealedQuery, error) {
 	return SealedQuery{TraceID: s.traceID, ParentSpan: s.parentSpan, Opaque: s.opaque}, err
 }
 
-// DecodeParams decodes the parameters a query read in place carries still
-// encoded (ReadSealedQuery) into Params, and drops the encoded form, with
-// or without parameters in it: the query is then what DecodeSealedQuery
-// returns, but for its lent payload. Their strings are substrings of the
-// string the encoded form lies in, so the only allocation is the slice; a
-// lent query's are lent with it. A query that carries no encoded form is
-// left as it is.
-func (sq *SealedQuery) DecodeParams() {
-	if sq.params != "" {
-		sq.Params = decodeParams(sq.params)
-	}
-	sq.params = ""
-}
-
-// Keep makes sq its holder's to keep past the call it was lent for. A lent
-// query's key and parameters are copied: the key and any parameters still
-// encoded into one string, and a decoded parameter slice into a slice of
-// its own (its values' strings are immutable, and no scratch's). A query
-// that is not lent is left as it is, so nothing is copied twice. The
-// payload stays lent: it is read only during the call (pipeline.Front).
-func (sq *SealedQuery) Keep() {
-	if !sq.lent {
-		return
-	}
-	var b strings.Builder
-	b.Grow(len(sq.params) + len(sq.Key))
-	b.WriteString(sq.params)
-	b.WriteString(sq.Key)
-	own := b.String()
-	sq.params, sq.Key = own[:len(sq.params)], own[len(sq.params):]
-	sq.Params = slices.Clone(sq.Params)
-	sq.lent = false
-}
-
 // lend returns b's bytes as a string without copying them: one of the two
 // places the package makes a string of bytes without a copy, and the one
 // whose bytes are not its own to freeze (the other is freeze). The string
 // reads whatever b holds, so it is valid only until b is written again —
 // for the call a query is lent for, after which its sender reuses b. Every
 // holder that keeps a lent string past that call copies it: the
-// pipeline's miss (SealedQuery.Keep), shard.BlindCache and
-// leakage.Observer, which keep a key without its query.
+// pipeline's miss (SealedQuery.KeepIn), a cache entry (KeepEntry), and
+// shard.BlindCache and leakage.Observer, which keep a key without its
+// query.
 func lend(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // freeze returns b's bytes as a string without copying them, for bytes
 // that are never written again: those an opened result's strings were
 // just copied into, in the box its ResultBox supplied (decodeResultInto),
-// which is the result's for good and never reused. It is the package's
-// other string made without a copy, beside lend.
+// and those a cache entry's key and strings were copied into, in the box
+// the cache sized to it (KeepEntry) — each the result's or the entry's
+// for good, and never reused. It is the package's other string made
+// without a copy, beside lend.
 func freeze(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // intern returns the string ids maps tid to — a lookup that allocates
@@ -498,9 +520,9 @@ func AppendSealedResult(dst []byte, sr *SealedResult) []byte {
 // ReadSealedResult reads one sealed result in place and lends it: a
 // cipher aliases b, and a view-exposure result is checked against the
 // result grammar but left as its encoding in b, which Codec.OpenResultInto
-// decodes straight into the caller's box. What it returns is valid
-// only as long as b; Own copies it out. It accepts exactly what
-// DecodeSealedResult accepts.
+// decodes straight into the caller's box and a node's cache into its
+// entry (KeepEntry). What it returns is valid only as long as b; Own
+// copies it out.
 func ReadSealedResult(b []byte) (SealedResult, []byte, error) {
 	if len(b) == 0 {
 		return SealedResult{}, nil, errMalformed
@@ -525,29 +547,40 @@ func ReadSealedResult(b []byte) (SealedResult, []byte, error) {
 	}
 }
 
-// DecodeSealedResult consumes one sealed result: ReadSealedResult, then
-// Own.
-func DecodeSealedResult(b []byte) (SealedResult, []byte, error) {
-	sr, rest, err := ReadSealedResult(b)
-	if err != nil {
-		return SealedResult{}, nil, err
-	}
-	return sr.Own(), rest, nil
-}
-
-// Own returns sr in a form its holder may keep whatever becomes of the
-// bytes it was read from: the cipher copied, and a lent view result
-// decoded. A result object is shared as it is, as a view result in the
-// cache is.
+// Own returns a copy of sr its holder may keep whatever becomes of the
+// memory sr lies in: the cipher copied, a lent view result decoded, and a
+// view result by pointer copied — the home lends its result so
+// (Codec.LendResult) — but for its strings, which are immutable
+// (engine.Result), and its column names, which are shared.
 func (sr SealedResult) Own() SealedResult {
 	switch {
 	case sr.view != nil:
-		res, _ := decodeResult(sr.view) // ReadSealedResult checked it
+		res := new(engine.Result)
+		_ = decodeResultInto(sr.view, res, nil, nil) // ReadSealedResult checked it
 		return SealedResult{Result: res}
 	case sr.Cipher != nil:
 		return SealedResult{Cipher: bytes.Clone(sr.Cipher)}
+	case sr.Result != nil:
+		res := new(engine.Result)
+		sr.Result.CloneInto(res, sr.Result.Columns, make([]sqlparse.Value, len(sr.Result.Vals)))
+		return SealedResult{Result: res}
 	default:
 		return sr
+	}
+}
+
+// Rows returns the rows of a result in the clear, by pointer or lent as
+// its encoding, and -1 for a cipher or no result, whose cardinality the
+// DSSP cannot see.
+func (sr SealedResult) Rows() int {
+	switch {
+	case sr.Result != nil:
+		return sr.Result.Len()
+	case sr.view != nil:
+		sh, _ := measureResult(sr.view) // ReadSealedResult checked it
+		return sh.nrows
+	default:
+		return -1
 	}
 }
 

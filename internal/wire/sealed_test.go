@@ -481,8 +481,8 @@ var routerIDs = map[string]string{"Q1": "Q1", "Q2": "Q2", "U1": "U1"}
 // DecodeSealedUpdate accepts with nothing left over, and what it returns
 // reads as the decoded statement after the input was cleared, but for the
 // payload, which is lent:
-//   - ReadSealedQuery (a node's read): the whole query once DecodeParams
-//     has run, Params included, with no encoded form left;
+//   - ReadSealedQuery (a node's read): the whole query once KeepIn has
+//     run, Params included, with no encoded form left;
 //   - ReadQueryPayload (a home's): the trace fields and the payload, and
 //     nothing else;
 //   - Raw.ReadQuery and Raw.ReadUpdate (a router's): the head, its
@@ -578,11 +578,13 @@ func checkReadUpdate(t *testing.T, name string, b []byte, want SealedUpdate, wan
 	}
 }
 
-// checkReadSealedQuery holds ReadSealedQuery, then Keep and DecodeParams,
-// to the decoder on one input, whose decoded query is want: the template
-// ID is the table's own string when the table holds it, and what the read
-// lends — the key and the parameters, still encoded — lies in the input
-// until Keep copies it.
+// checkReadSealedQuery holds ReadSealedQuery, then KeepIn, to the decoder
+// on one input, whose decoded query is want: the template ID is the
+// table's own string when the table holds it, and what the read lends —
+// the key and the parameters, still encoded — lies in the input until
+// KeepIn copies it, and decodes the parameters. A cache entry kept from
+// the lent query (KeepEntry, as a bucket import keeps one) is the decoded
+// query less its trace fields and payload.
 func checkReadSealedQuery(t *testing.T, b []byte, want SealedQuery, wantErr error) {
 	t.Helper()
 	in := bytes.Clone(b)
@@ -599,15 +601,28 @@ func checkReadSealedQuery(t *testing.T, b []byte, want SealedQuery, wantErr erro
 		t.Fatalf("ReadSealedQuery(%x): template ID %q is not the table's", b, got.TemplateID)
 	}
 	if got.Params != nil {
-		t.Fatalf("ReadSealedQuery(%x): parameters decoded before DecodeParams", b)
+		t.Fatalf("ReadSealedQuery(%x): parameters decoded before KeepIn", b)
 	}
-	got.Keep()
+	var none SealedResult
+	n, m := EntrySize(&got, &none, nil)
+	entry, _ := KeepEntry(&got, &none, nil, nil, make([]sqlparse.Value, n), make([]byte, m))
+	var buf QueryBuf
+	got.KeepIn(&buf)
 	clear(in)
-	got.DecodeParams()
+	wantEntry := want
+	wantEntry.TraceID, wantEntry.ParentSpan, wantEntry.Opaque = obs.TraceID{}, obs.SpanID{}, nil
+	entryP, wantEntryP := entry.Params, wantEntry.Params
+	entry.Params, wantEntry.Params = nil, nil
+	if !reflect.DeepEqual(entry, wantEntry) || !identicalParams(entryP, wantEntryP) {
+		t.Fatalf("ReadSealedQuery(%x) then KeepEntry: %#v %v, decoded %#v %v (after the input was cleared)", b, entry, entryP, wantEntry, wantEntryP)
+	}
+	if !bytes.Equal(got.Opaque, want.Opaque) {
+		t.Fatalf("ReadSealedQuery(%x) then KeepIn: payload %x, decoded %x (after the input was cleared)", b, got.Opaque, want.Opaque)
+	}
 	gotP, wantP := got.Params, want.Params
 	got.Params, want.Params, got.Opaque, want.Opaque = nil, nil, nil, nil
 	if !reflect.DeepEqual(got, want) || !identicalParams(gotP, wantP) {
-		t.Fatalf("ReadSealedQuery(%x) then Keep and DecodeParams: %#v %v, decoded %#v %v (after the input was cleared)", b, got, gotP, want, wantP)
+		t.Fatalf("ReadSealedQuery(%x) then KeepIn: %#v %v, decoded %#v %v (after the input was cleared)", b, got, gotP, want, wantP)
 	}
 }
 
@@ -697,8 +712,8 @@ func checkRaw(t *testing.T, name string, b []byte, read func(*Raw, []byte, map[s
 // truncation of it, and pins what reading in place costs: nothing for a
 // router reading a statement of a template it knows or a blind query, for
 // a home reading a query, or for a node reading a query of a template it
-// knows, and only on a miss the copy of the key and the parameters and
-// the parameter slice — where decoding takes three.
+// knows, and on a miss nothing either once the call it is kept in is warm
+// — where decoding takes three.
 func TestReadRawMatchesDecoders(t *testing.T) {
 	for _, b := range append(sealedQueryForms(t), sealedUpdateForm(t)...) {
 		for n := 0; n <= len(b); n++ {
@@ -722,12 +737,11 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 		{"ReadQueryPayload", func() error { _, err := ReadQueryPayload(q); return err }, 0},
 		{"ReadSealedQuery", func() error { _, err := ReadSealedQuery(q, routerIDs); return err }, 0},
 		{"ReadSealedQuery of a template not in the table", func() error { _, err := ReadSealedQuery(q, nil); return err }, 1},
-		{"ReadSealedQuery, Keep and DecodeParams", func() error {
+		{"ReadSealedQuery and KeepIn warm memory", func() error {
 			sq, err := ReadSealedQuery(q, routerIDs)
-			sq.Keep()
-			sq.DecodeParams()
+			sq.KeepIn(&keptQuery)
 			return err
-		}, 2},
+		}, 0},
 		{"ReadSealedUpdate", func() error { _, err := ReadSealedUpdate(u, routerIDs); return err }, 0},
 		{"ReadSealedUpdate and KeepIn warm memory", func() error {
 			su, err := ReadSealedUpdate(u, routerIDs)
@@ -745,8 +759,12 @@ func TestReadRawMatchesDecoders(t *testing.T) {
 	}
 }
 
-// keptBuf is the warm memory TestReadRawMatchesDecoders keeps updates in.
-var keptBuf UpdateBuf
+// keptBuf and keptQuery are the warm memory TestReadRawMatchesDecoders
+// keeps updates and queries in.
+var (
+	keptBuf   UpdateBuf
+	keptQuery QueryBuf
+)
 
 // FuzzReadSealedUpdate holds the in-place update readers a node, a home
 // and a replica run on every update they are sent to the decoder on
@@ -833,6 +851,18 @@ func seedSealed(f *testing.F, enc func(sq SealedQuery, su SealedUpdate, sr Seale
 	for _, exp := range allExposures {
 		f.Add(enc(sealedAt(f, exp)))
 	}
+}
+
+// DecodeSealedResult consumes one sealed result: ReadSealedResult, then
+// Own. No process decodes a result so — a node reads an answer in place
+// and its cache keeps it (KeepEntry), a client opens it in place — so it
+// lives here, the decoder the in-place reader is held to.
+func DecodeSealedResult(b []byte) (SealedResult, []byte, error) {
+	sr, rest, err := ReadSealedResult(b)
+	if err != nil {
+		return SealedResult{}, nil, err
+	}
+	return sr.Own(), rest, nil
 }
 
 func FuzzDecodeSealedResult(f *testing.F) {

@@ -89,11 +89,11 @@ func appendValue(dst []byte, v sqlparse.Value) []byte {
 // package httpapi, which extend this grammar and must share the rule.
 func Uvarint(b []byte) (uint64, []byte, error) { return uvarint(b) }
 
-// text is what the grammar is read from: the bytes of a frame, or a copy
-// of them kept as a string — a query read in place keeps its parameters
-// encoded in the copy its other strings lie in (SealedQuery.DecodeParams).
-// The readers below take either, so the grammar is checked in one place
-// whichever it is read from.
+// text is what the grammar is read from: the bytes of a frame, or a string
+// — a query read in place keeps its parameters encoded in the string its
+// other strings lie in, until its keeper decodes them (SealedQuery.KeepIn,
+// KeepEntry). The readers below take either, so the grammar is checked in
+// one place whichever it is read from.
 type text interface{ ~string | ~[]byte }
 
 // uvarint is Uvarint over either kind of text: binary.Uvarint's loop,
@@ -267,11 +267,11 @@ func appendResult(dst []byte, r *engine.Result) []byte {
 // and the bytes of its string values.
 type shape struct{ ncols, nrows, strBytes int }
 
-// measureResult is pass one of decodeResult: it checks b against the whole
-// result grammar — minimal uvarints, every count bounded by the input left,
-// every row as wide as the columns, no rows without columns, no trailing
-// bytes — and reports its shape. Every counted element costs at least one
-// byte, so no count exceeds len(b).
+// measureResult is the check of decodeResultInto's pass one: it checks b
+// against the whole result grammar — minimal uvarints, every count bounded
+// by the input left, every row as wide as the columns, no rows without
+// columns, no trailing bytes — and reports its shape. Every counted
+// element costs at least one byte, so no count exceeds len(b).
 func measureResult(b []byte) (sh shape, err error) {
 	if sh.ncols, b, err = decodeCount(b); err != nil {
 		return shape{}, errMalformed
@@ -304,21 +304,6 @@ func measureResult(b []byte) (sh shape, err error) {
 	return sh, nil
 }
 
-// decodeResult decodes a sealed result body in two passes, so that the
-// result costs the same handful of allocations whatever its row count:
-// measureResult validates and counts, then the values are read into one
-// exactly-sized array and the bytes of every string — column names
-// included — are copied, end to end, into one array of their own. Nothing
-// returned aliases b; the strings of one result do share that array, so
-// holding one holds them all.
-func decodeResult(b []byte) (*engine.Result, error) {
-	r := new(engine.Result)
-	if err := decodeResultInto(b, r, nil, nil); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
 // A ResultBox is the memory a caller opens a result into, chosen once the
 // result is measured (Codec.OpenResultInto): Box returns the result to
 // fill and room for exactly its n values and its m string bytes, which may
@@ -338,57 +323,94 @@ func boxFor(box ResultBox, r *engine.Result, n, m int) (*engine.Result, []sqlpar
 	return r, make([]sqlparse.Value, n), make([]byte, m)
 }
 
-// decodeResultInto is decodeResult into a result the caller allocated, or,
-// when box is not nil, into the result, values and string bytes box
-// supplies; its Columns is columns when the names b holds are those: the
-// names the caller shares among the results it opens. Then no name's bytes
-// are copied, and there is no string array when no string value has a
-// byte. Nothing is written when b is refused.
+// decodeResultInto decodes a sealed result body in two passes, so that the
+// result costs the same handful of allocations whatever its row count:
+// measureResult validates and counts, then the values are read into one
+// exactly-sized array and the bytes of every string — column names
+// included — are copied, end to end, into one array of their own. It
+// decodes into r, which the caller allocated, or, when box is not nil,
+// into the result, values and string bytes box supplies; its Columns is
+// columns when the names b holds are those: the names the caller shares
+// among the results it opens. Then no name's bytes are copied, and there
+// is no string array when no string value has a byte. Nothing returned
+// aliases b; the strings of one result do share their array, so holding
+// one holds them all. Nothing is written when b is refused.
 func decodeResultInto(b []byte, r *engine.Result, columns []string, box ResultBox) error {
-	sh, err := measureResult(b)
+	l, err := layoutResult(b, columns)
 	if err != nil {
 		return err
 	}
-	// Pass two reads what pass one accepted: no step below can fail.
+	r, vals, strs := boxFor(box, r, l.n, l.m)
+	fillResult(b, l, r, vals, strs)
+	return nil
+}
+
+// layout is what pass one of a decode finds in a result body: its shape,
+// the names its Columns shares when the body's are those (nil otherwise),
+// and the values and string bytes the decoded result takes.
+type layout struct {
+	sh      shape
+	columns []string
+	n, m    int
+}
+
+// layoutResult is pass one of decodeResultInto: measureResult, then
+// whether the body's column names are columns.
+func layoutResult(b []byte, columns []string) (layout, error) {
+	sh, err := measureResult(b)
+	if err != nil {
+		return layout{}, err
+	}
 	var str []byte
 	_, b, _ = decodeCount(b)
-	names, shared := b, sh.ncols > 0 && sh.ncols == len(columns)
+	shared := sh.ncols > 0 && sh.ncols == len(columns)
 	nameBytes := 0
 	for i := 0; i < sh.ncols; i++ {
 		str, b, _ = splitString(b)
 		shared = shared && string(str) == columns[i]
 		nameBytes += len(str)
 	}
-	n, m := sh.nrows*sh.ncols, sh.strBytes
-	if !shared {
-		m += nameBytes
+	l := layout{sh: sh, n: sh.nrows * sh.ncols, m: sh.strBytes}
+	if shared {
+		l.columns = columns
+	} else {
+		l.m += nameBytes
 	}
-	r, vals, strs := boxFor(box, r, n, m)
+	return l, nil
+}
+
+// fillResult is pass two of decodeResultInto: it reads the body pass one
+// accepted into r, its values into vals and the bytes of its strings into
+// strs, exactly as many as l counts. No step can fail.
+func fillResult(b []byte, l layout, r *engine.Result, vals []sqlparse.Value, strs []byte) {
+	var str []byte
 	*r = engine.Result{}
 	// copyOf copies str to the front of strs and returns the copy.
 	copyOf := func(str []byte) string {
-		if len(str) == 0 {
-			return ""
-		}
-		s := freeze(strs[:copy(strs, str)])
-		strs = strs[len(str):]
+		var s string
+		s, strs = keepString(str, strs)
 		return s
 	}
-	if shared {
-		r.Columns = columns
-	} else if sh.ncols > 0 {
-		r.Columns = make([]string, sh.ncols)
+	ncols, b, _ := decodeCount(b)
+	names := b
+	for i := 0; i < ncols; i++ {
+		_, b, _ = splitString(b)
+	}
+	if l.columns != nil {
+		r.Columns = l.columns
+	} else if ncols > 0 {
+		r.Columns = make([]string, ncols)
 		for i := range r.Columns {
 			str, names, _ = splitString(names)
 			r.Columns[i] = copyOf(str)
 		}
 	}
 	_, b, _ = decodeCount(b)
-	if n > 0 {
-		r.Vals = vals[:n:n]
-		for row := r.Vals; len(row) > 0; row = row[sh.ncols:] {
+	if l.n > 0 {
+		r.Vals = vals[:l.n:l.n]
+		for row := r.Vals; len(row) > 0; row = row[ncols:] {
 			_, b, _ = decodeCount(b) // the row's width, which is ncols
-			for j := range sh.ncols {
+			for j := range ncols {
 				if row[j], str, b, _ = splitValue(b); row[j].Kind == sqlparse.KindString {
 					row[j].Str = copyOf(str)
 				}
@@ -397,5 +419,14 @@ func decodeResultInto(b []byte, r *engine.Result, columns []string, box ResultBo
 	}
 	scanned, _, _ := Uvarint(b)
 	r.RowsScanned = int(scanned)
-	return nil
+}
+
+// keepString copies str to the front of b and returns the copy, frozen,
+// and the rest of b; an empty str takes nothing.
+func keepString[T text](str T, b []byte) (string, []byte) {
+	if len(str) == 0 {
+		return "", b
+	}
+	n := copy(b, str)
+	return freeze(b[:n]), b[n:]
 }

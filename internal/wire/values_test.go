@@ -284,6 +284,20 @@ func TestPayloadRoundTrip(t *testing.T) {
 
 // TestResultCodecRoundTrip round-trips results of every shape through
 // appendResult/decodeResult.
+// decodeResult decodes a result body into a result of its own: a
+// Result, its values and its strings' bytes, three allocations whatever
+// its row count. No process decodes a result so any more — a client opens
+// one into the box it returns, and a node keeps one in its cache entry —
+// so it lives here, for the tests that hold the two-pass decoder to the
+// one-pass reference.
+func decodeResult(b []byte) (*engine.Result, error) {
+	r := new(engine.Result)
+	if err := decodeResultInto(b, r, nil, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
 func TestResultCodecRoundTrip(t *testing.T) {
 	results := []*engine.Result{
 		{},

@@ -68,6 +68,14 @@ const (
 type SealedQuery struct {
 	Exposure template.Exposure
 
+	// lent marks a query whose key, parameters, encoded or not, and
+	// payload lie in memory its sender reuses once the call it was lent
+	// for returns: a client's scratch (Codec.LendQuery) or a frame
+	// (ReadSealedQuery). KeepIn copies them for whoever keeps the query
+	// past the call. (It sits beside Exposure, in the word Exposure leaves
+	// free, so a cache entry pays no byte for it.)
+	lent bool
+
 	// TraceID identifies this request across client, node, and home
 	// server. It is observability metadata, not part of the cache key,
 	// and reveals nothing about the statement.
@@ -102,15 +110,9 @@ type SealedQuery struct {
 	Opaque []byte
 
 	// params is Params still encoded, as a query read in place carries
-	// them until DecodeParams; "" once decoded, and for a query sealed or
-	// decoded whole.
+	// them until its keeper copies them (KeepIn); "" once decoded, and for
+	// a query sealed or decoded whole.
 	params string
-
-	// lent marks a query whose key and parameters, encoded or not, lie in
-	// memory its sender reuses once the call it was lent for returns: a
-	// client's scratch (Codec.LendQuery) or a frame (ReadSealedQuery).
-	// Keep copies them for whoever keeps the query past the call.
-	lent bool
 }
 
 // SealedUpdate is an update as the DSSP sees it. Updates have no view
@@ -161,7 +163,7 @@ func (su *SealedUpdate) Head() Head {
 // SealedResult is a query result as cached by the DSSP: plaintext at view
 // exposure, ciphertext otherwise.
 type SealedResult struct {
-	Result *engine.Result // a view-exposure query's plaintext, unless it is lent (view)
+	Result *engine.Result // a view-exposure query's plaintext, unless it is lent as its encoding (view)
 	Cipher []byte
 
 	// view is a view-exposure result lent as its encoding, in place of
@@ -202,6 +204,15 @@ func NewCodec(app *template.App, kr *encrypt.Keyring, exps map[string]template.E
 			templates[t.ID] = t
 		}
 	}
+	return &Codec{kr: kr, exps: exps, groups: groups, columns: Columns(app), templates: templates}
+}
+
+// Columns returns the result column names of each query template of app,
+// as its compiled plan names them, by template ID: the names a codec
+// shares among the results it opens (OpenResultInto) and a node's cache
+// among the entries it keeps (KeepEntry). Read the slices, never write
+// them.
+func Columns(app *template.App) map[string][]string {
 	columns := make(map[string][]string, len(app.Queries))
 	for _, t := range app.Queries {
 		if sel, ok := t.Stmt.(*sqlparse.SelectStmt); ok {
@@ -210,7 +221,7 @@ func NewCodec(app *template.App, kr *encrypt.Keyring, exps map[string]template.E
 			}
 		}
 	}
-	return &Codec{kr: kr, exps: exps, groups: groups, columns: columns, templates: templates}
+	return columns
 }
 
 // GroupOf reports the table group stamped into sealed instances of a
@@ -247,7 +258,7 @@ type Scratch struct{ opaque, key []byte }
 // call and is done with it when that returns — the trusted client's
 // Front.Query: the payload and the key lie in s and Params is params, all
 // lent for the call (pipeline.Front). Whatever keeps the query past the
-// call copies what it keeps (SealedQuery.Keep). So a query sealed into
+// call copies what it keeps (SealedQuery.KeepIn). So a query sealed into
 // warm scratch allocates nothing.
 func (c *Codec) LendQuery(t *template.Template, params []sqlparse.Value, s *Scratch) (SealedQuery, error) {
 	sq, err := c.sealQuery(t, params, s.opaque[:0], &s.key)
@@ -408,6 +419,24 @@ func (c *Codec) SealResult(t *template.Template, res *engine.Result) SealedResul
 	sr := SealedResult{Cipher: c.kr.Seal(domResult, eb.b)}
 	putBuf(eb)
 	return sr
+}
+
+// LendResult is SealResult into memory the caller reuses, for a home that
+// hands its answer on before it runs the next statement: a view-exposure
+// result is res itself, and a cipher is sealed into *buf, reused from the
+// last result sealed into it. Both are lent — valid until the caller
+// reuses res or *buf — and whatever keeps the result past that copies it
+// (Own, or a node's cache entry). So a result sealed into warm memory
+// allocates nothing.
+func (c *Codec) LendResult(t *template.Template, res *engine.Result, buf *[]byte) SealedResult {
+	if c.ExposureOf(t) == template.ExpView {
+		return SealedResult{Result: res}
+	}
+	eb := getBuf()
+	eb.b = appendResult(eb.b[:0], res)
+	*buf = c.kr.SealAppend((*buf)[:0], domResult, eb.b)
+	putBuf(eb)
+	return SealedResult{Cipher: *buf}
 }
 
 // OpenResult recovers the plaintext result from a sealed result
