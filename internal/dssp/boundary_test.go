@@ -12,8 +12,10 @@ import (
 
 // The trust boundary is one package: in every non-test file of the module
 // (bench/ is its own module and out of reach), a result is opened
-// (Codec.OpenResult) and a seal span recorded (obs.StageSeal) only in
-// internal/dssp, by Client; and the untrusted side serves sealed statements
+// (Codec.OpenResult, Codec.OpenResultInto), a statement sealed into the
+// client's scratch (Codec.LendQuery, Codec.LendUpdate) and a seal span
+// recorded (obs.StageSeal) only in internal/dssp, by Client; and the
+// untrusted side serves sealed statements
 // from one function, whatever Front stands behind it — the OpQuery and
 // OpUpdate frame handlers are installed in one place — through one frame
 // dispatcher, the one function that looks a handler up by a frame's op.
@@ -71,8 +73,8 @@ func TestTrustBoundaryIsOnePlace(t *testing.T) {
 					if !ok {
 						return true
 					}
-					if sel.Sel.Name == "OpenResult" && !trusted {
-						t.Errorf("%s: %s opens a result; only dssp.Client opens", fset.Position(n.Pos()), fn.Name.Name)
+					if clientOnly[sel.Sel.Name] && !trusted {
+						t.Errorf("%s: %s calls %s; only dssp.Client seals into its scratch and opens", fset.Position(n.Pos()), fn.Name.Name, sel.Sel.Name)
 					}
 				}
 				return true
@@ -90,6 +92,10 @@ func TestTrustBoundaryIsOnePlace(t *testing.T) {
 		t.Errorf("frames are dispatched by op in %d functions (%v), want one", len(dispatchers), dispatchers)
 	}
 }
+
+// clientOnly names the codec's methods only the trusted client calls: its
+// seal and its open.
+var clientOnly = map[string]bool{"OpenResult": true, "OpenResultInto": true, "LendQuery": true, "LendUpdate": true}
 
 // isStatementOp reports whether x names the OpQuery or OpUpdate frame op.
 func isStatementOp(x ast.Expr) bool {

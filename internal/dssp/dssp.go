@@ -76,8 +76,7 @@ func (n *Node) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
 // Client is the trusted, application side of Figure 1, and the one place a
 // statement is sealed and its result opened: the keys stay in Codec, and
 // everything behind Front sees sealed messages only. httpapi.Client is this
-// client over a framed hop, and the simulator's emulated clients seal and
-// open through SealQuery, SealUpdate and Open on virtual time.
+// client over a framed hop.
 type Client struct {
 	Codec *wire.Codec
 
@@ -99,40 +98,49 @@ type Client struct {
 
 	frontOnce sync.Once
 
-	// scratch pools the *queryScratch each statement is sealed into.
+	// scratch pools the *Statement each statement is sealed into.
 	scratch sync.Pool
 }
 
-// queryScratch is what one statement is sealed into: its parameter values,
-// and its payload and, for a query, its key (wire.Scratch). The sealed
-// statement lends them to the front for the length of the call
-// (pipeline.Front), and the client takes the scratch back when the call
-// returns: only a keeper behind the front copies what it keeps
-// (wire.SealedQuery.KeepIn, wire.SealedUpdate.KeepIn). A query's Replier
-// lives here too, since every front replies within its call. release
-// clears the values, which hold the caller's strings, as the engine's exec
-// is cleared, and the replier, which holds the last answer, so an idle
-// scratch pins nothing; the bytes it keeps grown hold no reference.
-type queryScratch struct {
+// Statement is one statement of the client's in flight: its parameter
+// values, its payload and, for a query, its key (wire.Scratch), sealed into
+// pooled scratch and lent from there to the untrusted tier, and the
+// pipeline.Replier that opens a query's answer. The client holds it until
+// a query's answer is opened or an update's reply is back, however much
+// later, then takes it back (Release): whatever keeps the statement past
+// the call it is lent to copies it (pipeline.Front). QueryContext and
+// UpdateContext hold it for their front's call, and the simulator's
+// emulated clients from StartQuery or StartUpdate to their delayed reply.
+type Statement struct {
+	c    *Client
 	vals []sqlparse.Value
 	seal wire.Scratch
-	open opener
+
+	// A query's open (Reply): its template and trace, and what it
+	// answers: the answer box, or an error, errNoReply until Reply runs.
+	t     *template.Template
+	trace obs.TraceID
+	out   *QueryResult
+	err   error
 }
 
-// takeScratch returns a pooled scratch, or a new one.
-func (c *Client) takeScratch() *queryScratch {
-	if s, ok := c.scratch.Get().(*queryScratch); ok {
+// statement returns a pooled statement, or a new one.
+func (c *Client) statement() *Statement {
+	if s, ok := c.scratch.Get().(*Statement); ok {
 		return s
 	}
-	return new(queryScratch)
+	return &Statement{c: c}
 }
 
-// release clears s and returns it to the pool.
-func (c *Client) release(s *queryScratch) {
+// Release gives s back to its client. It clears the values, which hold
+// the caller's strings, as the engine's exec is cleared, and the answer,
+// so an idle statement pins nothing; the bytes it keeps grown hold no
+// reference.
+func (s *Statement) Release() {
 	clear(s.vals)
 	s.vals = s.vals[:0]
-	s.open = opener{}
-	c.scratch.Put(s)
+	s.t, s.out, s.err = nil, nil, nil
+	s.c.scratch.Put(s)
 }
 
 // NewClient assembles the in-process deployment of Figure 1 over a master
@@ -168,30 +176,6 @@ type QueryOutcome struct {
 	Scanned int // base rows scanned at the home server, as sealed into the result (0 on a hit)
 }
 
-// SealQuery seals one query instance and records its seal span, the root
-// of the statement's trace: every downstream span nests under it through
-// the sealed message's ParentSpan.
-func (c *Client) SealQuery(t *template.Template, vals []sqlparse.Value) (wire.SealedQuery, error) {
-	start := c.Tracer.Now()
-	sq, err := c.Codec.SealQuery(t, vals)
-	if err != nil {
-		return sq, err
-	}
-	sq.ParentSpan = c.sealSpan(sq.TraceID, t, start)
-	return sq, nil
-}
-
-// SealUpdate seals one update instance and records its seal span.
-func (c *Client) SealUpdate(t *template.Template, vals []sqlparse.Value) (wire.SealedUpdate, error) {
-	start := c.Tracer.Now()
-	su, err := c.Codec.SealUpdate(t, vals)
-	if err != nil {
-		return su, err
-	}
-	su.ParentSpan = c.sealSpan(su.TraceID, t, start)
-	return su, nil
-}
-
 // sealSpan records the seal span of a statement sealed since start and
 // returns its ID.
 func (c *Client) sealSpan(trace obs.TraceID, t *template.Template, start time.Duration) obs.SpanID {
@@ -201,40 +185,8 @@ func (c *Client) sealSpan(trace obs.TraceID, t *template.Template, start time.Du
 	})
 }
 
-// Open opens the sealed result the untrusted tier returned for sq,
-// recording the open span, as a query's replier does: the QueryResult, its
-// result, and the result's values and strings are one allocation when the
-// result fits an answer box.
-func (c *Client) Open(t *template.Template, sq wire.SealedQuery, sealed wire.SealedResult, hit bool) (*QueryResult, error) {
-	s := c.takeScratch()
-	defer c.release(s)
-	o := s.opener(c, t, sq)
-	o.Reply(sealed, hit)
-	return o.result()
-}
-
-// opener readies the Replier in s that opens the answer to sq, and
-// returns it.
-func (s *queryScratch) opener(c *Client, t *template.Template, sq wire.SealedQuery) *opener {
-	s.open = opener{c: c, t: t, trace: sq.TraceID, err: errNoReply}
-	return &s.open
-}
-
 // errNoReply is a front that answered a query without a result.
 var errNoReply = errors.New("dssp: the front answered the query without a result")
-
-// opener is the pipeline.Replier that opens a front's answer while it is
-// still lent — straight from the frame it arrived in, over a hop — into an
-// answer box it chooses once the answer is measured (Box): it is the
-// wire.ResultBox of its open. It lives in the query's pooled scratch, and
-// what it keeps of an answer is the box, which the query returns.
-type opener struct {
-	c     *Client
-	t     *template.Template
-	trace obs.TraceID
-	out   *QueryResult // the box's, once Box ran
-	err   error        // the open's, or errNoReply until Reply runs
-}
 
 // box is a QueryResult and the result it points to. What a query
 // allocates is one answer box: a box with its result's values and string
@@ -263,8 +215,8 @@ type (
 )
 
 // Box allocates the answer box of a result of n values and m string
-// bytes (wire.ResultBox).
-func (o *opener) Box(n, m int) (*engine.Result, []sqlparse.Value, []byte) {
+// bytes, once the answer is measured (wire.ResultBox).
+func (s *Statement) Box(n, m int) (*engine.Result, []sqlparse.Value, []byte) {
 	var a *box
 	var vals []sqlparse.Value
 	var strs []byte
@@ -279,30 +231,77 @@ func (o *opener) Box(n, m int) (*engine.Result, []sqlparse.Value, []byte) {
 		a, vals, strs = new(box), make([]sqlparse.Value, n), make([]byte, m)
 	}
 	a.Result = &a.res
-	o.out = &a.QueryResult
+	s.out = &a.QueryResult
 	return &a.res, vals, strs
 }
 
-// Reply opens the sealed result and records the open span.
-func (o *opener) Reply(sealed wire.SealedResult, hit bool) {
-	op := o.c.Tracer.StartSpan(o.trace, obs.SpanID{}, obs.StageOpen, o.t.ID)
-	if o.err = o.c.Codec.OpenResultInto(o.t, sealed, o); o.err != nil {
+// Reply opens the sealed result and records the open span
+// (pipeline.Replier).
+func (s *Statement) Reply(sealed wire.SealedResult, hit bool) {
+	op := s.c.Tracer.StartSpan(s.trace, obs.SpanID{}, obs.StageOpen, s.t.ID)
+	if s.err = s.c.Codec.OpenResultInto(s.t, sealed, s); s.err != nil {
+		s.out = nil
 		return
 	}
 	op.End()
-	res := o.out.Result
-	o.out.Outcome = QueryOutcome{Hit: hit, Rows: res.Len()}
+	res := s.out.Result
+	s.out.Outcome = QueryOutcome{Hit: hit, Rows: res.Len()}
 	if !hit {
-		o.out.Outcome.Scanned = res.RowsScanned
+		s.out.Outcome.Scanned = res.RowsScanned
 	}
 }
 
-// result is what the query returns once the front answered.
-func (o *opener) result() (*QueryResult, error) {
-	if o.err != nil {
-		return nil, o.err
+// Open opens the answer to the query s holds, as its front's Reply would,
+// and gives s back: the end of a query StartQuery began.
+func (s *Statement) Open(sealed wire.SealedResult, hit bool) (*QueryResult, error) {
+	defer s.Release()
+	s.Reply(sealed, hit)
+	return s.out, s.err
+}
+
+// lendQuery seals a query of t over s.vals into s, records its seal span,
+// the root of the statement's trace — every downstream span nests under
+// it through the sealed message's ParentSpan — and readies s to open its
+// answer.
+func (s *Statement) lendQuery(t *template.Template) (wire.SealedQuery, error) {
+	start := s.c.Tracer.Now()
+	sq, err := s.c.Codec.LendQuery(t, s.vals, &s.seal)
+	if err == nil {
+		sq.ParentSpan = s.c.sealSpan(sq.TraceID, t, start)
+		s.t, s.trace, s.err = t, sq.TraceID, errNoReply
 	}
-	return o.out, nil
+	return sq, err
+}
+
+// lendUpdate seals an update of t over s.vals into s and records its seal
+// span.
+func (s *Statement) lendUpdate(t *template.Template) (wire.SealedUpdate, error) {
+	start := s.c.Tracer.Now()
+	su, err := s.c.Codec.LendUpdate(t, s.vals, &s.seal)
+	if err == nil {
+		su.ParentSpan = s.c.sealSpan(su.TraceID, t, start)
+	}
+	return su, err
+}
+
+// StartQuery seals a query of t over vals into a pooled statement, for a
+// caller that sends it itself and is answered later: the query is lent
+// from the statement until Open. The caller gives the statement back
+// (Release) if StartQuery fails.
+func (c *Client) StartQuery(t *template.Template, vals []sqlparse.Value) (*Statement, wire.SealedQuery, error) {
+	s := c.statement()
+	s.vals = append(s.vals, vals...)
+	sq, err := s.lendQuery(t)
+	return s, sq, err
+}
+
+// StartUpdate is StartQuery for an update, which is lent from the
+// statement until the caller gives it back once the update is answered.
+func (c *Client) StartUpdate(t *template.Template, vals []sqlparse.Value) (*Statement, wire.SealedUpdate, error) {
+	s := c.statement()
+	s.vals = append(s.vals, vals...)
+	su, err := s.lendUpdate(t)
+	return s, su, err
 }
 
 // Query executes one query template instance end to end.
@@ -310,27 +309,24 @@ func (c *Client) Query(t *template.Template, params ...interface{}) (*QueryResul
 	return c.QueryContext(context.Background(), t, params...)
 }
 
-// QueryContext is Query bounded by ctx. The query is sealed into pooled
-// scratch and lent to the front for the call, and the front replies to
-// the scratch's opener, so a hit allocates only the answer box it returns.
+// QueryContext is Query bounded by ctx. The query is sealed into a pooled
+// statement and lent to the front for the call, and the front replies to
+// the statement, so a hit allocates only the answer box it returns.
 func (c *Client) QueryContext(ctx context.Context, t *template.Template, params ...interface{}) (*QueryResult, error) {
-	s := c.takeScratch()
-	defer c.release(s)
+	s := c.statement()
+	defer s.Release()
 	var err error
-	if s.vals, err = appendParams(s.vals[:0], params); err != nil {
+	if s.vals, err = appendParams(s.vals, params); err != nil {
 		return nil, err
 	}
-	start := c.Tracer.Now()
-	sq, err := c.Codec.LendQuery(t, s.vals, &s.seal)
+	sq, err := s.lendQuery(t)
 	if err != nil {
 		return nil, err
 	}
-	sq.ParentSpan = c.sealSpan(sq.TraceID, t, start)
-	out := s.opener(c, t, sq)
-	if err := c.front().Query(ctx, sq, out); err != nil {
+	if err := c.front().Query(ctx, sq, s); err != nil {
 		return nil, err
 	}
-	return out.result()
+	return s.out, s.err
 }
 
 // Update executes one update template instance end to end: the update is
@@ -340,22 +336,20 @@ func (c *Client) Update(t *template.Template, params ...interface{}) (affected, 
 	return c.UpdateContext(context.Background(), t, params...)
 }
 
-// UpdateContext is Update bounded by ctx. The update is sealed into pooled
-// scratch and lent to the front for the call, as a query is, so a warm
-// update allocates nothing here: the front's one keeper of an update, the
-// pipeline's update call, copies it (pipeline.Front).
+// UpdateContext is Update bounded by ctx. The update is sealed into a
+// pooled statement and lent to the front for the call, as a query is, so
+// a warm update allocates nothing here: the front's one keeper of an
+// update, the pipeline's update call, copies it (pipeline.Front).
 func (c *Client) UpdateContext(ctx context.Context, t *template.Template, params ...interface{}) (affected, invalidated int, err error) {
-	s := c.takeScratch()
-	defer c.release(s)
-	if s.vals, err = appendParams(s.vals[:0], params); err != nil {
+	s := c.statement()
+	defer s.Release()
+	if s.vals, err = appendParams(s.vals, params); err != nil {
 		return 0, 0, err
 	}
-	start := c.Tracer.Now()
-	su, err := c.Codec.LendUpdate(t, s.vals, &s.seal)
+	su, err := s.lendUpdate(t)
 	if err != nil {
 		return 0, 0, err
 	}
-	su.ParentSpan = c.sealSpan(su.TraceID, t, start)
 	affected, invalidated, _, err = c.front().Update(ctx, su)
 	return affected, invalidated, err
 }

@@ -34,27 +34,27 @@ type scrambleFront struct{ pipeline.Front }
 
 func (f scrambleFront) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
 	affected, invalidated, seq, err := f.Front.Update(ctx, su)
-	for i := range su.Opaque {
-		su.Opaque[i] ^= 0xA5
-	}
-	for i := range su.Params {
-		su.Params[i] = sqlparse.StringVal("\xa5")
-	}
+	scramble("", su.Opaque, su.Params)
 	return affected, invalidated, seq, err
 }
 
 func (f scrambleFront) Query(ctx context.Context, sq wire.SealedQuery, r pipeline.Replier) error {
 	err := f.Front.Query(ctx, sq, r)
-	key := unsafe.Slice(unsafe.StringData(sq.Key), len(sq.Key))
-	for _, b := range [][]byte{key, sq.Opaque} {
+	scramble(sq.Key, sq.Opaque, sq.Params)
+	return err
+}
+
+// scramble overwrites what a sealed statement lent: its key and payload
+// bytes, each XORed with 0xA5, and its parameter values.
+func scramble(key string, opaque []byte, params []sqlparse.Value) {
+	for _, b := range [][]byte{unsafe.Slice(unsafe.StringData(key), len(key)), opaque} {
 		for i := range b {
 			b[i] ^= 0xA5
 		}
 	}
-	for i := range sq.Params {
-		sq.Params[i] = sqlparse.StringVal("\xa5")
+	for i := range params {
+		params[i] = sqlparse.StringVal("\xa5")
 	}
-	return err
 }
 
 // lendingOp is one statement of a lending script.
@@ -86,11 +86,14 @@ func lendingScript(app *template.App, n int) []lendingOp {
 // caches whose dumps and decision logs the run leaves, and the router's
 // registry, which counts its blind-key cache's hits and misses, when there
 // is a router. join, when not nil, is called half-way through the script.
+// parked, when not nil, sends the client's statements in place of its
+// front.
 type lendingRun struct {
 	c      *Client
 	caches []*cache.Cache
 	router *obs.Registry
 	join   func()
+	parked *parkedSend
 }
 
 // lendingSetup builds a client over exps, seeded, whose front scramble
@@ -149,17 +152,143 @@ func routedFront(t *testing.T, app *template.App, exps map[string]template.Expos
 	return run
 }
 
+// parkedPipe is pipeFront(0) whose client, scrambled, sends as the
+// simulator's emulated clients do (parkedSend), and is held to the same
+// client answering through its front.
+func parkedPipe(t *testing.T, app *template.App, exps map[string]template.Exposure, scramble bool) lendingRun {
+	run := pipeFront(0)(t, app, exps, false)
+	if scramble {
+		run.parked = &parkedSend{c: run.c, pipe: run.c.Front.(shard.PipeBackend).Pipe}
+	}
+	return run
+}
+
+// parkedSend sends a client's statements as the simulator's routed and
+// delayed send does: each is sealed (StartQuery, StartUpdate) a step
+// before its node's pipeline runs it, and a query's answer, which the
+// pipeline hands back before its call returns, is opened a step after
+// that. So three statements hold the client's scratch at once, and each
+// query holds its own across an answer it takes after its call has
+// returned. Each statement's scratch is scrambled as scrambleFront
+// scrambles it, but when it is given back — at the open, or at an
+// update's reply — not when the call returns.
+type parkedSend struct {
+	c            *Client
+	pipe         *pipeline.Pipeline
+	sealed, sent *parkedStatement
+}
+
+// parkedStatement is one statement in flight through a parkedSend: its
+// op, what it lent the pipeline, and its answer once it has one.
+type parkedStatement struct {
+	op     lendingOp
+	st     *Statement
+	sq     wire.SealedQuery
+	su     wire.SealedUpdate
+	reply  pipeline.QueryReply
+	answer string // an update's, once answered
+}
+
+// step seals op, when there is one, sends the statement sealed at the last
+// step and opens the one sent at the last step, and returns answers with
+// the opened one's appended.
+func (p *parkedSend) step(t *testing.T, op *lendingOp, answers []string) []string {
+	t.Helper()
+	opened, sent := p.sent, p.sealed
+	p.sealed, p.sent = p.seal(t, op), sent
+	if sent != nil {
+		p.send(t, sent)
+	}
+	switch {
+	case opened == nil:
+		return answers
+	case opened.op.t.Kind != template.KQuery:
+		return append(answers, opened.answer)
+	}
+	r, err := opened.st.Open(opened.reply.Result, opened.reply.Hit)
+	scramble(opened.sq.Key, opened.sq.Opaque, opened.sq.Params)
+	return append(answers, opened.op.queried(t, r, err))
+}
+
+// seal seals op, when there is one, into a statement of the client's.
+func (p *parkedSend) seal(t *testing.T, op *lendingOp) *parkedStatement {
+	t.Helper()
+	if op == nil {
+		return nil
+	}
+	vals, err := Params(op.params...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &parkedStatement{op: *op}
+	if op.t.Kind == template.KQuery {
+		s.st, s.sq, err = p.c.StartQuery(op.t, vals)
+	} else {
+		s.st, s.su, err = p.c.StartUpdate(op.t, vals)
+	}
+	if err != nil {
+		t.Fatalf("%s%v: %v", op.t.ID, op.params, err)
+	}
+	return s
+}
+
+// send runs s through the pipeline, parking a query's answer for its open
+// and giving an update's statement back at its reply.
+func (p *parkedSend) send(t *testing.T, s *parkedStatement) {
+	t.Helper()
+	if s.op.t.Kind == template.KQuery {
+		p.pipe.Query(context.Background(), s.sq, func(reply pipeline.QueryReply, err error) {
+			if err != nil {
+				t.Fatalf("%s%v: %v", s.op.t.ID, s.op.params, err)
+			}
+			s.reply = reply
+		})
+		return
+	}
+	p.pipe.Update(context.Background(), s.su, func(reply pipeline.UpdateReply, err error) {
+		s.st.Release()
+		scramble("", s.su.Opaque, s.su.Params)
+		s.answer = s.op.updated(t, reply.Affected, reply.Invalidated, err)
+	})
+}
+
+// answer runs op, when there is one, through r's client and returns
+// answers with what it answered appended: op's answer, or, when r parks
+// its statements, the answer of the one it opened.
+func (r lendingRun) answer(t *testing.T, op *lendingOp, answers []string) []string {
+	t.Helper()
+	if r.parked != nil {
+		return r.parked.step(t, op, answers)
+	}
+	if op == nil {
+		return answers
+	}
+	return append(answers, answer(t, r.c, *op))
+}
+
 // answer runs op through c and renders what it answered.
 func answer(t *testing.T, c *Client, op lendingOp) string {
 	t.Helper()
 	if op.t.Kind == template.KQuery {
 		r, err := c.Query(op.t, op.params...)
-		if err != nil {
-			t.Fatalf("%s%v: %v", op.t.ID, op.params, err)
-		}
-		return fmt.Sprintf("%s%v %+v %q %q", op.t.ID, op.params, r.Outcome, r.Result.Columns, r.Result.Fingerprint(false))
+		return op.queried(t, r, err)
 	}
 	affected, invalidated, err := c.Update(op.t, op.params...)
+	return op.updated(t, affected, invalidated, err)
+}
+
+// queried renders the answer r to op, failing t on err.
+func (op lendingOp) queried(t *testing.T, r *QueryResult, err error) string {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s%v: %v", op.t.ID, op.params, err)
+	}
+	return fmt.Sprintf("%s%v %+v %q %q", op.t.ID, op.params, r.Outcome, r.Result.Columns, r.Result.Fingerprint(false))
+}
+
+// updated renders what op, an update, answered, failing t on err.
+func (op lendingOp) updated(t *testing.T, affected, invalidated int, err error) string {
+	t.Helper()
 	if err != nil {
 		t.Fatalf("%s%v: %v", op.t.ID, op.params, err)
 	}
@@ -189,7 +318,10 @@ func (r lendingRun) leftBehind() (dumps [][]string, decisions [][]cache.Decision
 // leaves the same cache dumps and decision logs behind — in process over
 // one node's pipeline, with inline and with batched invalidation, and over
 // a router of two nodes, with a blind template and a third node joining
-// half-way, where the blind-key cache must hit and miss alike too. So
+// half-way, where the blind-key cache must hit and miss alike too, and
+// with the statements sent as the simulator sends them, each held from
+// its seal across an answer that comes back after its call (parkedSend)
+// and scrambled only once given back. So
 // nothing behind the front holds a byte of a sealed statement past the call
 // it was lent for: the pipeline's miss copies the key and the parameters
 // it keeps in flights and the cache (takeMiss), the router the blind
@@ -205,28 +337,42 @@ func TestClientLendsOnlyForTheCall(t *testing.T) {
 		{"pipeline", pipeFront(0)},
 		{"pipeline/batched", pipeFront(time.Millisecond)},
 		{"router", routedFront},
+		{"parked", parkedPipe},
 	}
 	for _, s := range setups {
 		for name, exps := range exposureScenarios(app) {
 			t.Run(s.name+"/"+name, func(t *testing.T) {
 				ref, got := s.setup(t, app, exps, false), s.setup(t, app, exps, true)
-				hits := 0
+				var wants, gots []string
 				for i, op := range script {
 					if i == len(script)/2 && ref.join != nil {
 						ref.join()
 						got.join()
 					}
-					want := answer(t, ref.c, op)
-					if a := answer(t, got.c, op); a != want {
-						t.Fatalf("op %d answered %q, want %q", i, a, want)
-					}
+					wants, gots = ref.answer(t, &op, wants), got.answer(t, &op, gots)
 					// The scratch just scrambled leaves the pool, so the
 					// next query seals into other memory and a byte kept
-					// of this one reads as garbage for good.
-					got.c.scratch.Get()
+					// of this one reads as garbage for good. A parked run
+					// leaves it there: a statement given back while still
+					// in flight is then sealed over by the next one.
+					if got.parked == nil {
+						got.c.scratch.Get()
+					}
+				}
+				for range 2 { // the statements still parked
+					gots = got.answer(t, nil, gots)
+				}
+				hits := 0
+				for i, want := range wants {
+					if gots[i] != want {
+						t.Fatalf("op %d answered %q, want %q", i, gots[i], want)
+					}
 					if strings.Contains(want, "Hit:true") {
 						hits++
 					}
+				}
+				if len(gots) != len(wants) {
+					t.Fatalf("%d answers, want %d", len(gots), len(wants))
 				}
 				if hits == 0 {
 					t.Fatal("no query hit: the script proves nothing")
@@ -414,16 +560,52 @@ func TestClientFailsWithoutAStaleAnswer(t *testing.T) {
 			}
 		}
 	}
-	// Open fails the same way on a result that does not open.
+	// An answer that comes back empty opens to no rows, and one that does
+	// not open fails the query with nothing, whether the front replies
+	// within the call or the answer is opened later (StartQuery, Open).
 	c, _ := newStack(t, app, map[string]template.Exposure{"B2": template.ExpStmt})
-	sq, err := c.SealQuery(qs[1], []sqlparse.Value{sqlparse.IntVal(1)})
-	if err != nil {
-		t.Fatal(err)
+	front := &answerFront{}
+	c.Front = front
+	answers := []struct {
+		name   string
+		sealed wire.SealedResult
+		opens  bool
+	}{
+		{"empty", c.Home.Codec.SealResult(qs[1], &engine.Result{Columns: []string{"toy_id", "toy_name", "qty"}}), true},
+		{"garbled", wire.SealedResult{Cipher: []byte("not a ciphertext")}, false},
 	}
-	if r, err := c.Open(qs[1], sq, c.Home.Codec.SealResult(qs[1], &engine.Result{Columns: []string{"toy_id", "toy_name", "qty"}}), true); err != nil || r.Outcome.Rows != 0 {
-		t.Fatalf("Open of an empty result: %+v, %v", r, err)
+	for _, later := range []bool{false, true} {
+		for _, a := range answers {
+			var r *QueryResult
+			var err error
+			if later {
+				var st *Statement
+				if st, _, err = c.StartQuery(qs[1], []sqlparse.Value{sqlparse.IntVal(1)}); err != nil {
+					t.Fatal(err)
+				}
+				r, err = st.Open(a.sealed, true)
+			} else {
+				front.res = a.sealed
+				r, err = c.Query(qs[1], 1)
+			}
+			if a.opens && (err != nil || r.Outcome.Rows != 0) {
+				t.Fatalf("later %v: the %s answer opened to %+v, %v; want no rows", later, a.name, r, err)
+			}
+			if !a.opens && (r != nil || err == nil) {
+				t.Fatalf("later %v: the %s answer opened to %+v, %v; want nil and an error", later, a.name, r, err)
+			}
+		}
 	}
-	if r, err := c.Open(qs[1], sq, wire.SealedResult{Cipher: []byte("not a ciphertext")}, true); r != nil || err == nil {
-		t.Fatalf("Open of a garbled result: %+v, %v; want nil and an error", r, err)
-	}
+}
+
+// answerFront answers every query with one sealed result, as a hit.
+type answerFront struct{ res wire.SealedResult }
+
+func (f answerFront) Query(_ context.Context, _ wire.SealedQuery, r pipeline.Replier) error {
+	r.Reply(f.res, true)
+	return nil
+}
+
+func (answerFront) Update(context.Context, wire.SealedUpdate) (int, int, uint64, error) {
+	return 0, 0, 0, nil
 }

@@ -502,11 +502,11 @@ func Simulate(cfg Config) (*Result, error) {
 	// reveals. Sealing happens up front (it costs no virtual time and
 	// consumes no simulation randomness) because the sealed form decides
 	// the node, as it does at the shard router: its route for a query, its
-	// exec node for an update.
+	// exec node for an update. It is lent from the client until the reply.
 	runOp := func(op workload.Op, done func()) {
 		ctx := context.WithValue(context.Background(), tplKey{}, op.Template)
 		if op.Template.Kind == template.KQuery {
-			sq, err := client.SealQuery(op.Template, op.Params)
+			st, sq, err := client.StartQuery(op.Template, op.Params)
 			if err != nil {
 				panic(err)
 			}
@@ -520,7 +520,7 @@ func Simulate(cfg Config) (*Result, error) {
 						}
 						res.Ops++
 						clientDelay(reply.Result.Size(), func() {
-							if _, err := client.Open(op.Template, sq, reply.Result, reply.Hit); err != nil {
+							if _, err := st.Open(reply.Result, reply.Hit); err != nil {
 								panic(fmt.Sprintf("simrun: open %s%v: %v", op.Template.ID, op.Params, err))
 							}
 							done()
@@ -532,7 +532,7 @@ func Simulate(cfg Config) (*Result, error) {
 		}
 		// Update: route to the home server; the DSSP monitors the
 		// completed update and invalidates (Figure 2).
-		su, err := client.SealUpdate(op.Template, op.Params)
+		st, su, err := client.StartUpdate(op.Template, op.Params)
 		if err != nil {
 			panic(err)
 		}
@@ -540,6 +540,7 @@ func Simulate(cfg Config) (*Result, error) {
 		clientDelay(cfg.Costs.RequestBytes, func() {
 			nodeCPUs[ni].Submit(cfg.Costs.DSSPOpCost, func() {
 				pipes[ni].Update(ctx, su, func(reply pipeline.UpdateReply, err error) {
+					st.Release()
 					if err != nil {
 						panic(fmt.Sprintf("update %s%v: %v", op.Template.ID, op.Params, err))
 					}

@@ -835,6 +835,63 @@ func TestLendUpdateMatchesSealUpdate(t *testing.T) {
 	}
 }
 
+// TestLendQueryMatchesSealQuery is TestLendUpdateMatchesSealUpdate for
+// queries, at every exposure: a query sealed into scratch is the query
+// SealQuery seals — its fields, its key and its encoding but for the trace
+// ID — with its key and payload in the scratch, and sealing into warm
+// scratch allocates nothing. KeepIn copies a lent query out of the scratch
+// and the caller's parameter slice, its strings too.
+func TestLendQueryMatchesSealQuery(t *testing.T) {
+	for _, exp := range []template.Exposure{template.ExpBlind, template.ExpTemplate, template.ExpStmt, template.ExpView} {
+		c, app := testCodec(t, map[string]template.Exposure{"Q1": exp, "Q2": exp})
+		var s Scratch
+		for _, q := range []struct {
+			id    string
+			param sqlparse.Value
+		}{{"Q1", sqlparse.StringVal("kite")}, {"Q2", sqlparse.IntVal(7)}} {
+			tm, ps := app.Query(q.id), []sqlparse.Value{q.param}
+			want, err := c.SealQuery(tm, ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.LendQuery(tm, ps, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.lent || &got.Opaque[0] != &s.opaque[0] || unsafe.StringData(got.Key) != &s.key[0] {
+				t.Fatalf("%s %s: LendQuery's query is not lent from the scratch", exp, q.id)
+			}
+			got.TraceID = want.TraceID
+			if a, b := AppendSealedQuery(nil, &got, WithTrace), AppendSealedQuery(nil, &want, WithTrace); !bytes.Equal(a, b) {
+				t.Fatalf("%s %s: LendQuery encodes to %x, SealQuery to %x", exp, q.id, a, b)
+			}
+			var buf QueryBuf
+			got.KeepIn(&buf)
+			for _, b := range [][]byte{s.opaque, s.key} {
+				for i := range b {
+					b[i] ^= 0xA5
+				}
+			}
+			vals := slices.Clone(want.Params) // want's are ps
+			ps[0] = sqlparse.StringVal("\xa5")
+			if got.Key != want.Key || !bytes.Equal(got.Opaque, want.Opaque) || !identicalParams(got.Params, vals) {
+				t.Fatalf("%s %s: kept %q %x %v after the scratch was overwritten, want %q %x %v", exp, q.id, got.Key, got.Opaque, got.Params, want.Key, want.Opaque, vals)
+			}
+		}
+		if raceEnabled {
+			continue
+		}
+		ps := []sqlparse.Value{sqlparse.StringVal("kite")}
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := c.LendQuery(app.Query("Q1"), ps, &s); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: LendQuery into warm scratch: %v allocations, want 0", exp, n)
+		}
+	}
+}
+
 // FuzzReadRaw runs checkReadRaw on arbitrary input: the readers a router,
 // a node and a home run on every statement they are sent never panic and
 // accept exactly what the decoders do. The seeds hold template IDs in the

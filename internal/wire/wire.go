@@ -237,9 +237,8 @@ func (c *Codec) ExposureOf(t *template.Template) template.Exposure {
 }
 
 // SealQuery prepares a query instance for the DSSP. The query is the
-// caller's to keep, and it may outlive every call it is passed to (the
-// simulator's virtual-time transport reads its payload later): the key and
-// the payload are its own, and Params is params.
+// caller's to keep, and it may outlive every call it is passed to: the
+// key and the payload are its own, and Params is params.
 func (c *Codec) SealQuery(t *template.Template, params []sqlparse.Value) (SealedQuery, error) {
 	eb := getBuf()
 	sq, err := c.sealQuery(t, params, nil, &eb.b)
